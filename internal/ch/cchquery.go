@@ -87,6 +87,25 @@ func (q *MetricQuery) Route(m *Metric, s, d roadnet.VertexID) (roadnet.Path, flo
 	if !ok {
 		return nil, 0, false
 	}
+	return q.unpackFrom(roadnet.Path{s}, m, meet), cost, true
+}
+
+// AppendRoute is Route writing into a caller-owned buffer: the path is
+// appended to dst (returned unchanged when d is unreachable), so a
+// caller that only inspects each path before the next query allocates
+// nothing per query.
+func (q *MetricQuery) AppendRoute(dst roadnet.Path, m *Metric, s, d roadnet.VertexID) (roadnet.Path, float64, bool) {
+	cost, meet, ok := q.run(m, int32(s), int32(d))
+	if !ok {
+		return dst, 0, false
+	}
+	return q.unpackFrom(append(dst, s), m, meet), cost, true
+}
+
+// unpackFrom appends the last search's path, after its source vertex
+// (already path's last element), through the meeting vertex to the
+// destination.
+func (q *MetricQuery) unpackFrom(path roadnet.Path, m *Metric, meet int32) roadnet.Path {
 	// Forward chain: walk parents from the meeting vertex back to s,
 	// then unpack in travel order. Each forward step parent→v travels
 	// the arc's up direction (the parent owns the arc).
@@ -94,7 +113,6 @@ func (q *MetricQuery) Route(m *Metric, s, d roadnet.VertexID) (roadnet.Path, flo
 	for v := meet; q.fwd.parent[v] >= 0; v = q.fwd.parent[v] {
 		q.chain = append(q.chain, cchLink{parent: q.fwd.parent[v], v: v, k: q.fwd.parc[v]})
 	}
-	path := roadnet.Path{roadnet.VertexID(s)}
 	for i := len(q.chain) - 1; i >= 0; i-- {
 		l := q.chain[i]
 		path = q.unpack(m, path, l.parent, l.v, l.k, true)
@@ -105,7 +123,7 @@ func (q *MetricQuery) Route(m *Metric, s, d roadnet.VertexID) (roadnet.Path, flo
 	for v := meet; q.bwd.parent[v] >= 0; v = q.bwd.parent[v] {
 		path = q.unpack(m, path, v, q.bwd.parent[v], q.bwd.parc[v], false)
 	}
-	return path, cost, true
+	return path
 }
 
 // unpack appends the vertices of the (possibly shortcut) arc traveled

@@ -1,0 +1,43 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/traj"
+	"repro/internal/worldgen"
+)
+
+var sinkIngest IngestStats
+
+// BenchmarkIngestBatch times the serving write path's core step on the
+// ci city: IngestClone the current generation, Ingest a batch of two
+// held-out trips, customize what the relearn needs, and make the clone
+// the next generation — chained, so path sets grow as they do under
+// serve.Engine. The chain restarts from the built router when the
+// held-out trips run out.
+func BenchmarkIngestBatch(b *testing.B) {
+	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, 1))
+	base, err := Build(w.Road, w.Train, Options{SkipMapMatching: true, PathBackend: BackendCH})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var batches [][]*traj.Trajectory
+	for i := 0; i+2 <= len(w.Test); i += 2 {
+		batches = append(batches, w.Test[i:i+2])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	cur := base
+	searches := 0
+	for i := 0; i < b.N; i++ {
+		if i%len(batches) == 0 {
+			cur = base
+		}
+		next := cur.IngestClone()
+		sinkIngest = next.Ingest(batches[i%len(batches)], IngestOptions{SkipMapMatching: true})
+		next.PrepareMetricsTouched(sinkIngest.TouchedEdges)
+		searches += sinkIngest.LearnSearches
+		cur = next
+	}
+	b.ReportMetric(float64(searches)/float64(b.N), "searches/op")
+}

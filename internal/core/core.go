@@ -430,10 +430,17 @@ func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt 
 	r.stats.TEdges = rg.TEdgeCount()
 	r.stats.BEdges = rg.BEdgeCount()
 
+	// Path engine: built before learning, so the learner's master-only
+	// searches and B-edge materialization already run on the selected
+	// backend. With BackendCH the hierarchy is preprocessed exactly once
+	// here and shared by every Clone, DeepClone and serving fork of this
+	// router.
+	r.eng = newPathEngine(r.road, opt, &r.stats)
+
 	// Phase 2a: learn preferences for T-edges and regions (parallel).
 	start = time.Now()
-	r.learned = learnAll(r.road, rg, opt)
-	r.regionPrefs = learnRegions(r.road, rg, opt)
+	r.learned = learnAll(r.eng, rg, opt)
+	r.regionPrefs = learnRegions(r.eng, rg, opt)
 	r.stats.LearnTime = time.Since(start)
 	r.stats.LearnedPrefs = len(r.learned)
 
@@ -459,12 +466,6 @@ func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt 
 			delete(r.regionPrefs, id)
 		}
 	}
-
-	// Path engine: built before materialization so B-edge fastest-path
-	// construction already runs on the selected backend. With BackendCH
-	// the hierarchy is preprocessed exactly once here and shared by
-	// every Clone, DeepClone and serving fork of this router.
-	r.eng = newPathEngine(r.road, opt, &r.stats)
 
 	// Phase 3: materialize B-edge paths.
 	start = time.Now()
@@ -685,15 +686,18 @@ func matchAll(road *roadnet.Graph, idx *spatial.Index, ts []*traj.Trajectory, op
 	wg.Wait()
 }
 
+// learnJob is one path set awaiting a preference: a T-edge's or a
+// region's, keyed by that ID.
+type learnJob struct {
+	id    int
+	paths []roadnet.Path
+}
+
 // learnRegions learns one intra-region preference per region from its
 // inner paths, preferring true local trips (Terminal) over segments of
 // journeys passing through.
-func learnRegions(road *roadnet.Graph, rg *region.Graph, opt Options) map[int]pref.Result {
-	type job struct {
-		id    int
-		paths []roadnet.Path
-	}
-	var jobs []job
+func learnRegions(eng route.PathEngine, rg *region.Graph, opt Options) map[int]pref.Result {
+	var jobs []learnJob
 	for reg := 0; reg < rg.NumRegions(); reg++ {
 		var terminal, others []roadnet.Path
 		for _, ip := range rg.InnerPaths(reg) {
@@ -711,45 +715,16 @@ func learnRegions(road *roadnet.Graph, rg *region.Graph, opt Options) map[int]pr
 			ps = append(ps, others...)
 		}
 		if len(ps) > 0 {
-			jobs = append(jobs, job{id: reg, paths: ps})
+			jobs = append(jobs, learnJob{id: reg, paths: ps})
 		}
 	}
-	out := make(map[int]pref.Result, len(jobs))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	ch := make(chan job, len(jobs))
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	for w := 0; w < opt.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l := pref.NewLearner(road)
-			if opt.LearnMaxPaths > 0 {
-				l.MaxPaths = opt.LearnMaxPaths
-			}
-			for j := range ch {
-				res := l.Learn(j.paths)
-				mu.Lock()
-				out[j.id] = res
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+	return runLearnJobs(eng, jobs, opt)
 }
 
 // learnAll learns a preference per T-edge, in parallel. T-edges whose
 // path sets span both directions are learned from the union.
-func learnAll(road *roadnet.Graph, rg *region.Graph, opt Options) map[int]pref.Result {
-	type job struct {
-		id    int
-		paths []roadnet.Path
-	}
-	var jobs []job
+func learnAll(eng route.PathEngine, rg *region.Graph, opt Options) map[int]pref.Result {
+	var jobs []learnJob
 	for _, e := range rg.Edges {
 		if e.Kind != region.TEdge {
 			continue
@@ -777,25 +752,31 @@ func learnAll(road *roadnet.Graph, rg *region.Graph, opt Options) map[int]pref.R
 			ps = append(ps, others...)
 		}
 		if len(ps) > 0 {
-			jobs = append(jobs, job{id: e.ID, paths: ps})
+			jobs = append(jobs, learnJob{id: e.ID, paths: ps})
 		}
 	}
+	return runLearnJobs(eng, jobs, opt)
+}
+
+// runLearnJobs learns every job's preference on opt.Workers learners,
+// each over its own fork of eng.
+func runLearnJobs(eng route.PathEngine, jobs []learnJob, opt Options) map[int]pref.Result {
 	out := make(map[int]pref.Result, len(jobs))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	ch := make(chan job, len(jobs))
+	ch := make(chan learnJob, len(jobs))
 	for _, j := range jobs {
 		ch <- j
 	}
 	close(ch)
 	for w := 0; w < opt.Workers; w++ {
+		l := pref.NewLearnerOn(eng.Fork())
+		if opt.LearnMaxPaths > 0 {
+			l.MaxPaths = opt.LearnMaxPaths
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l := pref.NewLearner(road)
-			if opt.LearnMaxPaths > 0 {
-				l.MaxPaths = opt.LearnMaxPaths
-			}
 			for j := range ch {
 				res := l.Learn(j.paths)
 				mu.Lock()

@@ -19,6 +19,27 @@
 // fallback). The shortest-path primitive underneath is pluggable: see
 // Options.PathBackend and internal/route.PathEngine.
 //
+// # Learning, at build time and on ingest
+//
+// Every pref.Learner the package constructs — learnAll and learnRegions
+// under Build and Retransduce, Ingest's relearn loop,
+// EnableMultiPreferences — is pref.NewLearnerOn(r.eng.Fork()): its
+// master-only searches run on the router's own backend (the path engine
+// is therefore created before phase 2a of the build), its restricted
+// searches on plain Dijkstra, and nothing it allocates outlives it.
+// Ingest works on either backend, so a router restored by Load can
+// ingest before EnableCH.
+//
+// The two paths do not learn from the same path sets. learnAll prefers
+// an edge's terminal fragments — trips that start and end in exactly
+// this region pair — and pools the pass-through fragments in only when
+// fewer than two terminal ones exist; Ingest relearns a touched edge
+// from its full path set, PathsFwd ∪ PathsRev, terminal or not. An
+// edge's incrementally maintained preference can therefore differ from
+// what a rebuild would learn for it; Retransduce (learnAll again, over
+// everything accumulated) is what reconciles the two, and the
+// maintenance convergence tests are stated against it.
+//
 // # Concurrency and cloning
 //
 // A single Router serves one goroutine. Clone forks only the path

@@ -39,6 +39,12 @@ type IngestStats struct {
 	region.UpdateStats
 	// Relearned counts edges whose preference was re-fit.
 	Relearned int
+	// LearnSearches counts the shortest-path searches the re-fits ran;
+	// LearnSkipped the ones the learner proved redundant instead (see
+	// package pref). Together they are the (3 + 2·|slaves|) searches per
+	// sampled path the paper's procedure calls for.
+	LearnSearches int
+	LearnSkipped  LearnSkipped
 	// RebuildRecommended is set when the share of new traffic outside
 	// existing regions exceeds the threshold — the signal that the
 	// fixed clustering has gone stale and a full Build is due (the
@@ -46,6 +52,17 @@ type IngestStats struct {
 	RebuildRecommended bool
 	// Elapsed is the total ingest wall time.
 	Elapsed time.Duration
+}
+
+// LearnSkipped splits the searches a relearn did not run by the rule
+// that made them redundant.
+type LearnSkipped struct {
+	// Reused: the master-only path stays feasible under the slave
+	// restriction, so it is the restricted answer too.
+	Reused int
+	// Bounded: the ⟨master, slave⟩ combination's similarity upper bound
+	// cannot beat the incumbent.
+	Bounded int
 }
 
 // Ingest feeds new trajectories into the built router without a full
@@ -79,8 +96,10 @@ func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
 	st.UpdateStats = r.rg.AddPaths(paths, region.Options{})
 	st.RebuildRecommended = st.StalenessRatio() > opt.RebuildThreshold
 
-	// Re-learn preferences for the touched edges only.
-	learner := pref.NewLearner(r.road)
+	// Re-learn preferences for the touched edges only. The learner gets
+	// its own engine fork: its query scratch is dropped with it rather
+	// than riding along on the published router.
+	learner := pref.NewLearnerOn(r.eng.Fork())
 	relearn := st.TouchedEdges
 	if opt.MaxRelearn > 0 && len(relearn) > opt.MaxRelearn {
 		relearn = relearn[:opt.MaxRelearn]
@@ -90,7 +109,7 @@ func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
 	}
 	for _, id := range relearn {
 		e := r.rg.EdgeForUpdate(id)
-		var ps []roadnet.Path
+		ps := make([]roadnet.Path, 0, len(e.PathsFwd)+len(e.PathsRev))
 		for _, pi := range e.PathsFwd {
 			ps = append(ps, pi.Path)
 		}
@@ -110,6 +129,8 @@ func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
 		}
 		st.Relearned++
 	}
+	st.LearnSearches = learner.Searches.Run
+	st.LearnSkipped = LearnSkipped{Reused: learner.Searches.Reused, Bounded: learner.Searches.Bounded}
 	r.stats.TEdges = r.rg.TEdgeCount()
 	r.stats.BEdges = r.rg.BEdgeCount()
 	st.Elapsed = time.Since(start)

@@ -81,9 +81,9 @@ func (r *Router) Retransduce(opt Options) RetransduceStats {
 	// full accumulated path sets. The maps are rebound, not patched —
 	// an IngestClone shares them with its parent.
 	t0 := time.Now()
-	r.learned = learnAll(r.road, r.rg, opt)
+	r.learned = learnAll(r.eng, r.rg, opt)
 	r.learnedCOW = false
-	r.regionPrefs = learnRegions(r.road, r.rg, opt)
+	r.regionPrefs = learnRegions(r.eng, r.rg, opt)
 	for id, lr := range r.regionPrefs {
 		if lr.Similarity < opt.MinConfidence {
 			delete(r.regionPrefs, id)

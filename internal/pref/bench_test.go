@@ -1,0 +1,39 @@
+package pref_test
+
+import (
+	"testing"
+
+	"repro/internal/ch"
+	"repro/internal/pref"
+	"repro/internal/roadnet"
+	"repro/internal/route"
+	"repro/internal/worldgen"
+)
+
+var sinkResult pref.Result
+
+// BenchmarkLearn times one Learn call per iteration, cycling over the
+// T-edge path sets of the ci city: all-Dijkstra (pref.NewLearner) and
+// with the master searches on a CCH fork (what core.Router learns on
+// under BackendCH).
+func BenchmarkLearn(b *testing.B) {
+	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, 1))
+	sets := tEdgePathSets(w)
+	che := route.BuildCHEngine(w.Road, roadnet.TT, ch.Config{})
+	for _, bc := range []struct {
+		name string
+		l    *pref.Learner
+	}{
+		{"dijkstra", pref.NewLearner(w.Road)},
+		{"cch", pref.NewLearnerOn(che.Fork())},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkResult = bc.l.Learn(sets[i%len(sets)])
+			}
+			s := bc.l.Searches
+			b.ReportMetric(float64(s.Run)/float64(b.N), "searches/op")
+		})
+	}
+}

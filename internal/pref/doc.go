@@ -16,4 +16,72 @@
 // MultiLearn extends the model with secondary preference fits per
 // T-edge (MultiResult) — the paper's future-work item of Section VIII
 // — surfaced as ranked alternatives by core.Router.RouteK.
+//
+// # Search elimination
+//
+// Read literally, Learn costs 3 + 2·|Slaves| Algorithm 2 searches per
+// sampled path (21 with the default candidates): one per master weight,
+// then one per ⟨master, slave⟩ combination for the two best masters.
+// The learner is the whole cost of the write path (core.Router.Ingest
+// relearns every touched T-edge), so Learn runs only the searches whose
+// outcome is not already determined. The three master-only searches per
+// path always run; they yield, per path i and master m, the candidate
+// P0(i, m) and its Eq. 1 similarity sim0(i, m). Two rules then dispose
+// of the restricted searches, and Learner.Searches counts every search
+// as Run, Reused or Bounded. The result is the exhaustive procedure's,
+// bit for bit — preference, similarity and paths used — which
+// TestLearnMatchesExhaustive checks against the literal reading kept in
+// reference_test.go.
+//
+// Both rules rest on one observation about Algorithm 2: whether it
+// relaxes an edge u→v under slave s depends only on the graph — the
+// edge is forbidden exactly when some out-edge of u has a type in s and
+// type(u→v) is not in s (route.OutTypeMasks tabulates the first half
+// per vertex). The restricted search is therefore plain Dijkstra on the
+// subgraph G(s) of non-forbidden edges.
+//
+// Feasibility rule. If no hop of P0(i, m) is forbidden under s, the
+// ⟨m, s⟩ candidate for path i is P0(i, m), and sim0(i, m) is reused
+// without a search. Proof: P0 is a minimum-cost path in G under m and
+// lies wholly in G(s) ⊆ G, so it is a minimum-cost path in G(s) too.
+// This identifies the candidate only if minimum-cost paths are unique —
+// with ties, Dijkstra's choice among equal-cost paths depends on
+// relaxation order, which differs between G and G(s). Edge weights here
+// are products of real-valued geometry (length, time, fuel), for which
+// exact float ties between distinct paths do not occur in practice;
+// the property tests hold the assumption to account on every T-edge of
+// six generated cities. The same assumption lets the master-only
+// searches run on a CCH (NewLearnerOn), whose tie-breaking differs from
+// Dijkstra's. The road network must also be simple — at most one edge
+// per ordered vertex pair, which roadnet.Builder guarantees — since
+// paths are vertex sequences and a hop's type is read off the one edge
+// joining its endpoints.
+//
+// Upper-bound rule. A ground-truth edge forbidden under s cannot appear
+// in a path found in G(s), so it cannot be shared: for a path whose
+// master-only candidate is infeasible, Eq. 1 is at most
+// 1 − lost(i, s)/len(i), with lost the total length of the ground
+// truth's forbidden edges. Feasible paths contribute sim0(i, m)
+// exactly. The mean of these per-path bounds bounds avgSim(m, s) from
+// above; when it (plus a 1e-12 guard against rounding — the bound holds
+// in real arithmetic and both sides are a few operations on values in
+// [0, 1]) does not exceed the incumbent similarity plus MinImprovement,
+// the exhaustive procedure would evaluate the combination and discard
+// it, so the learner skips it outright. On the benchmark city about
+// 85 % of all searches go this way and under 2 % by the feasibility
+// rule; what remains is the 3 master searches per path (14 %) and a
+// few restricted ones.
+//
+// # Engines
+//
+// NewLearnerOn runs the master-only searches on a caller-supplied
+// route.PathEngine — core passes a fork of the router's engine, so
+// under core.BackendCH they ride the three scalar CCH metrics serving
+// keeps resident anyway. The restricted searches that survive pruning
+// run on a learner-owned plain-Dijkstra route.Engine regardless: on a
+// CHEngine each ⟨master, slave⟩ combination tried would customize, and
+// keep resident in the shared metric table, a metric of 24 bytes per
+// skeleton arc (186 KB on the 1.6k-vertex benchmark city, up to 19 of
+// them) for a combination that is usually rejected a moment later.
+// NewLearner(g) is the all-Dijkstra learner with the same pruning.
 package pref

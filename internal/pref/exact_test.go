@@ -1,0 +1,167 @@
+package pref_test
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"repro/internal/ch"
+	"repro/internal/cluster"
+	"repro/internal/pref"
+	"repro/internal/region"
+	"repro/internal/roadnet"
+	"repro/internal/route"
+	"repro/internal/worldgen"
+)
+
+// tEdgePathSets builds the region graph core.Build would (modularity
+// clustering, ground-truth paths) and returns every T-edge's full path
+// set — what core.Router.Ingest relearns from.
+func tEdgePathSets(w *worldgen.World) [][]roadnet.Path {
+	paths := make([]roadnet.Path, 0, len(w.Train))
+	for _, t := range w.Train {
+		paths = append(paths, t.Truth)
+	}
+	regions := cluster.Cluster(cluster.BuildTrajectoryGraph(w.Road, paths), cluster.Options{})
+	rg := region.Build(w.Road, regions, paths, region.Options{})
+	var sets [][]roadnet.Path
+	for _, e := range rg.Edges {
+		if e.Kind != region.TEdge {
+			continue
+		}
+		var ps []roadnet.Path
+		for _, pi := range e.PathsFwd {
+			ps = append(ps, pi.Path)
+		}
+		for _, pi := range e.PathsRev {
+			ps = append(ps, pi.Path)
+		}
+		sets = append(sets, ps)
+	}
+	return sets
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+func sameResult(a, b pref.Result) bool {
+	return a.Preference == b.Preference && a.PathsUsed == b.PathsUsed &&
+		math.Float64bits(a.Similarity) == math.Float64bits(b.Similarity)
+}
+
+// TestLearnMatchesExhaustive holds the pruned learner — all-Dijkstra
+// and with master searches on a CCH fork — to the exhaustive reference,
+// bit for bit, on every T-edge path set of three generated cities at
+// two scales; LearnPerPath and LearnMulti on every T-edge at bench
+// scale and every eighth at ci. It also checks the search ledger: what
+// the learner ran, reused and bounded adds up to the reference's count.
+//
+// Under the race detector the ci cities (90 s each there, against 10 s)
+// are left to the un-instrumented run — CI has a step for it; every
+// subtest is one goroutine, so -race has nothing to find in them that
+// it does not find at bench scale.
+func TestLearnMatchesExhaustive(t *testing.T) {
+	scales := []string{worldgen.ScaleBench, worldgen.ScaleCI}
+	if raceEnabled {
+		scales = scales[:1]
+	}
+	for _, scale := range scales {
+		for seed := int64(1); seed <= 3; seed++ {
+			scale, seed := scale, seed
+			t.Run(fmt.Sprintf("%s-%d", scale, seed), func(t *testing.T) {
+				t.Parallel()
+				w := worldgen.Build(worldgen.MustScale(scale, seed))
+				sets := tEdgePathSets(w)
+				if len(sets) < 20 {
+					t.Fatalf("only %d T-edges; world too degenerate", len(sets))
+				}
+				che := route.BuildCHEngine(w.Road, roadnet.TT, ch.Config{})
+				ref := pref.NewExhaustive(w.Road)
+				learners := map[string]*pref.Learner{
+					"dijkstra": pref.NewLearner(w.Road),
+					"cch":      pref.NewLearnerOn(che.Fork()),
+				}
+				stride := 1
+				if scale == worldgen.ScaleCI {
+					stride = 8
+				}
+				for i, ps := range sets {
+					before := ref.Searches
+					want := ref.Learn(ps)
+					exhaustive := ref.Searches - before
+					var wantPer []pref.Result
+					var wantMulti pref.MultiResult
+					if i%stride == 0 {
+						wantPer = ref.LearnPerPath(ps)
+						wantMulti = ref.LearnMulti(ps, 3, 0.2)
+					}
+					for name, l := range learners {
+						ledger := l.Searches.Total()
+						got := l.Learn(ps)
+						if !sameResult(got, want) {
+							t.Fatalf("%s, T-edge %d: Learn = %+v (sim bits %x), exhaustive = %+v (sim bits %x)",
+								name, i, got, math.Float64bits(got.Similarity), want, math.Float64bits(want.Similarity))
+						}
+						if n := l.Searches.Total() - ledger; n != exhaustive {
+							t.Fatalf("%s, T-edge %d: ledger accounts for %d searches, the exhaustive procedure runs %d", name, i, n, exhaustive)
+						}
+						if i%stride != 0 {
+							continue
+						}
+						gotPer := l.LearnPerPath(ps)
+						if len(gotPer) != len(wantPer) {
+							t.Fatalf("%s, T-edge %d: LearnPerPath returned %d results, exhaustive %d", name, i, len(gotPer), len(wantPer))
+						}
+						for j := range gotPer {
+							if !sameResult(gotPer[j], wantPer[j]) {
+								t.Fatalf("%s, T-edge %d, path %d: LearnPerPath = %+v, exhaustive = %+v", name, i, j, gotPer[j], wantPer[j])
+							}
+						}
+						// MultiResult holds only comparable scalars and
+						// the similarity of every entry comes from one
+						// Learn call, so DeepEqual is the bitwise check.
+						if gotMulti := l.LearnMulti(ps, 3, 0.2); !reflect.DeepEqual(gotMulti, wantMulti) {
+							t.Fatalf("%s, T-edge %d: LearnMulti = %+v, exhaustive = %+v", name, i, gotMulti, wantMulti)
+						}
+					}
+				}
+				// Master searches ride the three scalar metrics; nothing
+				// restricted was ever customized.
+				if n := che.Customizations(); n != roadnet.NumCostWeights {
+					t.Errorf("learning customized %d CCH metrics, want the %d scalar ones", n, roadnet.NumCostWeights)
+				}
+				for name, l := range learners {
+					s := l.Searches
+					t.Logf("%s: %d T-edges, %d searches run, %d reused, %d bounded (%.1f%% eliminated)",
+						name, len(sets), s.Run, s.Reused, s.Bounded, 100*float64(s.Reused+s.Bounded)/float64(s.Total()))
+				}
+			})
+		}
+	}
+}
+
+// TestSearchLedgerPerLearn pins the ledger's unit: one Learn accounts
+// for exactly (3 + 2·|Slaves|) searches per sampled path — 21 with the
+// default candidates — however they were disposed of.
+func TestSearchLedgerPerLearn(t *testing.T) {
+	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleBench, 4))
+	l := pref.NewLearner(w.Road)
+	if per := 3 + 2*len(l.Slaves); per != 21 {
+		t.Fatalf("default candidates give %d searches per path, want 21", per)
+	}
+	for i, ps := range tEdgePathSets(w) {
+		before := l.Searches
+		res := l.Learn(ps)
+		d := l.Searches
+		d.Run -= before.Run
+		d.Reused -= before.Reused
+		d.Bounded -= before.Bounded
+		if d.Total() != 21*res.PathsUsed {
+			t.Fatalf("T-edge %d: %+v adds up to %d, want 21 × %d paths", i, d, d.Total(), res.PathsUsed)
+		}
+		if d.Run < 3*res.PathsUsed {
+			t.Fatalf("T-edge %d: %d searches run, fewer than the 3 master searches per path", i, d.Run)
+		}
+	}
+}

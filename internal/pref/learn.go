@@ -1,6 +1,8 @@
 package pref
 
 import (
+	"slices"
+
 	"repro/internal/roadnet"
 	"repro/internal/route"
 )
@@ -11,10 +13,27 @@ import (
 // truth, then test each candidate slave road-condition feature and keep
 // the one that improves similarity the most (or none).
 //
-// A Learner is not safe for concurrent use because it owns a route.Engine.
+// Read literally the procedure costs 3 + 2·|Slaves| shortest-path
+// searches per sampled path. Learn returns exactly what that exhaustive
+// reading returns while running only the searches whose outcome is not
+// already determined; the package documentation states the two pruning
+// rules and why they are exact.
+//
+// A Learner is not safe for concurrent use: it owns search engines and
+// scoring scratch.
 type Learner struct {
-	g   *roadnet.Graph
-	eng *route.Engine
+	g *roadnet.Graph
+	// eng answers the master-only searches. On a route.CHEngine fork
+	// they ride the scalar CCH metrics serving keeps resident anyway.
+	eng route.PathEngine
+	// dij answers the slave-restricted searches that survive pruning.
+	// It is always plain Dijkstra: a restricted search on a CHEngine
+	// would customize (and keep resident) one metric per ⟨master,
+	// slave⟩ combination tried — about 24 B per skeleton arc each —
+	// for combinations that are mostly rejected a moment later.
+	dij *route.Engine
+	out []route.SlaveMask // dij.OutTypes(), fetched on first Learn
+
 	// MaxPaths caps how many paths of a T-edge's path set are used for
 	// learning; 0 means all. Large T-edges carry hundreds of paths and
 	// the cap keeps offline time linear in the number of T-edges.
@@ -25,13 +44,84 @@ type Learner struct {
 	// MinImprovement is the similarity gain a slave feature must deliver
 	// over the master-only path to be adopted.
 	MinImprovement float64
+
+	// Searches accumulates, over every Learn call on this learner, what
+	// became of the searches the exhaustive procedure would have run.
+	Searches SearchStats
+
+	// Scratch, reused across Learn calls.
+	truths   []truth
+	feasible []bool
+	path     roadnet.Path // the candidate being scored
+	cand     []hop        // its hops, when not kept on a truth
+	mark     []uint32     // per road edge: member of the current ground truth iff == epoch
+	epoch    uint32
 }
 
-// NewLearner returns a Learner over g with default settings.
+// SearchStats splits the exhaustive procedure's (3 + 2·|Slaves|)
+// searches per sampled path by what the learner did with each.
+type SearchStats struct {
+	// Run counts searches executed.
+	Run int `json:"run"`
+	// Reused counts restricted searches answered by the master-only
+	// path, which the restriction leaves feasible (feasibility rule).
+	Reused int `json:"reused"`
+	// Bounded counts restricted searches never run because their
+	// ⟨master, slave⟩ combination could not beat the incumbent
+	// (upper-bound rule).
+	Bounded int `json:"bounded"`
+}
+
+// Total is the number of searches the exhaustive procedure runs.
+func (s SearchStats) Total() int { return s.Run + s.Reused + s.Bounded }
+
+// boundGuard absorbs floating-point rounding in the upper-bound rule:
+// the bound is exact in real arithmetic and each side is computed with
+// a handful of operations on values in [0, 1].
+const boundGuard = 1e-12
+
+// hop is one road edge of a path, with what the pruning rules need to
+// know about it: the road types leaving its tail vertex and its own.
+type hop struct {
+	edge     roadnet.EdgeID
+	out, typ SlaveFeature
+	length   float64
+}
+
+// forbidden reports whether Algorithm 2 under slave s refuses to relax
+// the hop: its tail has an out-edge satisfying s and the hop is not one.
+func (h hop) forbidden(s SlaveFeature) bool { return h.out&s != 0 && h.typ&s == 0 }
+
+// truth is one sampled ground-truth path, prepared once per Learn.
+type truth struct {
+	path   roadnet.Path
+	hops   []hop   // road edges in path order, as Eq. 1 sees them
+	length float64 // Σ hops[i].length: Eq. 1's denominator
+	// Per master weight: the master-only candidate's Eq. 1 similarity
+	// and hops (empty when the destination is unreachable).
+	sim0  [roadnet.NumCostWeights]float64
+	cand0 [roadnet.NumCostWeights][]hop
+}
+
+// NewLearner returns a Learner over g with default settings, running
+// every search on plain Dijkstra.
 func NewLearner(g *roadnet.Graph) *Learner {
+	return NewLearnerOn(route.NewEngine(g))
+}
+
+// NewLearnerOn returns a Learner with default settings whose
+// master-only searches run on eng; the learner takes ownership of it
+// (pass a Fork). Restricted searches run on plain Dijkstra regardless —
+// on eng itself when it is a *route.Engine.
+func NewLearnerOn(eng route.PathEngine) *Learner {
+	dij, ok := eng.(*route.Engine)
+	if !ok {
+		dij = route.NewEngine(eng.Graph())
+	}
 	return &Learner{
-		g:              g,
-		eng:            route.NewEngine(g),
+		g:              eng.Graph(),
+		eng:            eng,
+		dij:            dij,
 		MaxPaths:       8,
 		Slaves:         CandidateSlaves(),
 		MinImprovement: 1e-9,
@@ -57,11 +147,16 @@ func (l *Learner) Learn(paths []roadnet.Path) Result {
 	if len(sample) == 0 {
 		return Result{Preference: Preference{Master: roadnet.TT}, Similarity: 0}
 	}
+	l.prepare(sample)
 
 	// Step 1: rank master cost features by master-only similarity.
-	sims := make([]float64, roadnet.NumCostWeights)
-	for w := roadnet.Weight(0); w < roadnet.NumCostWeights; w++ {
-		sims[w] = l.avgSim(sample, w, NoSlave)
+	var sims [roadnet.NumCostWeights]float64
+	for w := range sims {
+		var total float64
+		for i := range l.truths {
+			total += l.truths[i].sim0[w]
+		}
+		sims[w] = total / float64(len(sample))
 	}
 	first, second := roadnet.Weight(0), roadnet.Weight(1)
 	if sims[second] > sims[first] {
@@ -84,8 +179,8 @@ func (l *Learner) Learn(paths []roadnet.Path) Result {
 	bestSim := sims[first]
 	for _, m := range []roadnet.Weight{first, second} {
 		for _, s := range l.Slaves {
-			sim := l.avgSim(sample, m, s)
-			if sim > bestSim+l.MinImprovement {
+			sim, ok := l.avgSim(m, s, bestSim+l.MinImprovement)
+			if ok && sim > bestSim+l.MinImprovement {
 				bestSim = sim
 				best = Preference{Master: m, Slave: s}
 			}
@@ -111,12 +206,16 @@ func (l *Learner) LearnPerPath(paths []roadnet.Path) []Result {
 // ConstructPath builds the path the preference implies between s and d,
 // using Algorithm 2. The boolean is false if d is unreachable.
 func (l *Learner) ConstructPath(p Preference, s, d roadnet.VertexID) (roadnet.Path, bool) {
-	path, _, ok := l.eng.RoutePref(s, d, p.Master, p.Slave.Predicate())
+	if p.Slave.Empty() {
+		path, _, ok := l.eng.Route(s, d, p.Master)
+		return path, ok
+	}
+	path, _, ok := l.dij.AppendRouteMask(nil, s, d, p.Master, p.Slave.Mask())
 	return path, ok
 }
 
 func (l *Learner) sample(paths []roadnet.Path) []roadnet.Path {
-	var sample []roadnet.Path
+	sample := make([]roadnet.Path, 0, len(paths))
 	for _, p := range paths {
 		if len(p) >= 2 {
 			sample = append(sample, p)
@@ -135,14 +234,136 @@ func (l *Learner) sample(paths []roadnet.Path) []roadnet.Path {
 	return sample
 }
 
-func (l *Learner) avgSim(paths []roadnet.Path, w roadnet.Weight, s SlaveFeature) float64 {
+// prepare fills l.truths for the sample: each ground truth's hops and
+// length, and per master weight the master-only candidate with its
+// similarity — the only searches Learn always runs.
+func (l *Learner) prepare(sample []roadnet.Path) {
+	if l.out == nil {
+		l.out = l.dij.OutTypes()
+		l.mark = make([]uint32, l.g.NumEdges())
+	}
+	// Within capacity this keeps every truth's hop buffers, including
+	// those beyond the previous sample's length.
+	l.truths = slices.Grow(l.truths[:0], len(sample))[:len(sample)]
+	for i, gt := range sample {
+		t := &l.truths[i]
+		t.path = gt
+		t.hops = l.hopsOf(t.hops[:0], gt)
+		t.length = 0
+		for _, h := range t.hops {
+			t.length += h.length
+		}
+		for w := roadnet.Weight(0); w < roadnet.NumCostWeights; w++ {
+			l.Searches.Run++
+			t.sim0[w], t.cand0[w] = 0, t.cand0[w][:0]
+			var ok bool
+			if l.path, _, ok = l.eng.AppendRoute(l.path[:0], gt[0], gt[len(gt)-1], w); ok {
+				t.cand0[w] = l.hopsOf(t.cand0[w], l.path)
+				t.sim0[w] = l.score(t, l.path, t.cand0[w])
+			}
+		}
+	}
+}
+
+// hopsOf appends p's road edges to dst, skipping vertex pairs no edge
+// connects (as Eq. 1 does).
+func (l *Learner) hopsOf(dst []hop, p roadnet.Path) []hop {
+	dst = slices.Grow(dst, len(p))
+	for i := 1; i < len(p); i++ {
+		e := l.g.FindEdge(p[i-1], p[i])
+		if e == roadnet.NoEdge {
+			continue
+		}
+		ed := l.g.Edge(e)
+		dst = append(dst, hop{edge: e, out: SlaveFeature(l.out[ed.From]), typ: SlaveOf(ed.Type), length: ed.Length})
+	}
+	return dst
+}
+
+// score is SimEq1(g, t.path, cand) — same operations in the same order,
+// so the same bits — with cand's hops already resolved and epoch marks
+// in place of a per-call edge set.
+func (l *Learner) score(t *truth, cand roadnet.Path, candHops []hop) float64 {
+	if t.length == 0 {
+		if samePath(t.path, cand) {
+			return 1
+		}
+		return 0
+	}
+	l.epoch++
+	if l.epoch == 0 { // wrapped; no stale mark may match
+		clear(l.mark)
+		l.epoch = 1
+	}
+	for _, h := range t.hops {
+		l.mark[h.edge] = l.epoch
+	}
+	var shared float64
+	for _, h := range candHops {
+		if l.mark[h.edge] == l.epoch {
+			shared += h.length
+			l.mark[h.edge] = 0 // count repeated edges once
+		}
+	}
+	return shared / t.length
+}
+
+// avgSim is the mean Eq. 1 similarity of the ⟨m, s⟩-constructed paths
+// to the prepared ground truths, or ok=false when an upper bound on it
+// already fails to exceed floor (the upper-bound rule). Ground truths
+// whose master-only candidate has no hop forbidden under s reuse that
+// candidate's similarity (the feasibility rule); only the rest search.
+func (l *Learner) avgSim(m roadnet.Weight, s SlaveFeature, floor float64) (sim float64, ok bool) {
+	n := len(l.truths)
+	l.feasible = l.feasible[:0]
+	var bound float64
+	for i := range l.truths {
+		t := &l.truths[i]
+		feasible := true
+		for _, h := range t.cand0[m] {
+			if h.forbidden(s) {
+				feasible = false
+				break
+			}
+		}
+		l.feasible = append(l.feasible, feasible)
+		switch {
+		case feasible:
+			bound += t.sim0[m]
+		case t.length == 0:
+			bound++
+		default:
+			// Forbidden ground-truth edges cannot be shared.
+			var lost float64
+			for _, h := range t.hops {
+				if h.forbidden(s) {
+					lost += h.length
+				}
+			}
+			bound += 1 - lost/t.length
+		}
+	}
+	if bound/float64(n)+boundGuard <= floor {
+		l.Searches.Bounded += n
+		return 0, false
+	}
+
 	var total float64
-	for _, gt := range paths {
-		cand, _, ok := l.eng.RoutePref(gt[0], gt[len(gt)-1], w, s.Predicate())
+	for i := range l.truths {
+		t := &l.truths[i]
+		if l.feasible[i] {
+			l.Searches.Reused++
+			total += t.sim0[m]
+			continue
+		}
+		l.Searches.Run++
+		var ok bool
+		l.path, _, ok = l.dij.AppendRouteMask(l.path[:0], t.path[0], t.path[len(t.path)-1], m, s.Mask())
 		if !ok {
 			continue
 		}
-		total += SimEq1(l.g, gt, cand)
+		l.cand = l.hopsOf(l.cand[:0], l.path)
+		total += l.score(t, l.path, l.cand)
 	}
-	return total / float64(len(paths))
+	return total / float64(n), true
 }

@@ -46,13 +46,19 @@ func (m MultiResult) Dominant() (Preference, bool) {
 // Groups below the support floor fold into the nearest larger group (by
 // preference Jaccard over activated features) before the joint pass.
 func (l *Learner) LearnMulti(paths []roadnet.Path, maxPrefs int, minSupport float64) MultiResult {
+	return learnMulti(l.sample(paths), l.Learn, maxPrefs, minSupport)
+}
+
+// learnMulti is LearnMulti over an already drawn sample, with the
+// single-preference learner as a parameter (the exactness tests run it
+// over the exhaustive reference).
+func learnMulti(sample []roadnet.Path, learn func([]roadnet.Path) Result, maxPrefs int, minSupport float64) MultiResult {
 	if maxPrefs <= 0 {
 		maxPrefs = 2
 	}
 	if minSupport <= 0 {
 		minSupport = 0.2
 	}
-	sample := l.sample(paths)
 	if len(sample) == 0 {
 		return MultiResult{}
 	}
@@ -60,7 +66,7 @@ func (l *Learner) LearnMulti(paths []roadnet.Path, maxPrefs int, minSupport floa
 	// Group paths by their individually learned preference.
 	groups := make(map[Preference][]roadnet.Path)
 	for _, p := range sample {
-		res := l.Learn([]roadnet.Path{p})
+		res := learn([]roadnet.Path{p})
 		groups[res.Preference] = append(groups[res.Preference], p)
 	}
 
@@ -112,7 +118,7 @@ func (l *Learner) LearnMulti(paths []roadnet.Path, maxPrefs int, minSupport floa
 	out := MultiResult{}
 	explained := 0
 	for _, g := range kept {
-		res := l.Learn(g.paths)
+		res := learn(g.paths)
 		out.Prefs = append(out.Prefs, WeightedPreference{
 			Preference: res.Preference,
 			Support:    float64(len(g.paths)) / float64(len(sample)),

@@ -33,6 +33,23 @@ func MaskOf(slave SlavePredicate) SlaveMask {
 	return m
 }
 
+// OutTypeMasks returns, per vertex, the set of road types among its
+// out-edges. It is the whole of Algorithm 2's slave restriction in
+// table form: under mask m, edge u→v is forbidden exactly when
+// out[u]&m != 0 (some out-edge of u satisfies the preference, case (i))
+// and m&(1<<type(u→v)) == 0. The table depends only on the graph, so
+// one serves every mask — Engine's masked relax, the CCH masked cost
+// function and the preference learner's pruning rules all read it.
+func OutTypeMasks(g *roadnet.Graph) []SlaveMask {
+	out := make([]SlaveMask, g.NumVertices())
+	for v := range out {
+		for _, e := range g.Out(roadnet.VertexID(v)) {
+			out[v] |= 1 << g.Edge(e).Type
+		}
+	}
+	return out
+}
+
 // metricKey identifies one customized metric: a scalar weight (mask 0),
 // a preference-filtered weight (mask != 0), or a hash-interned custom
 // cost function (custom != 0, w/mask unused).
@@ -185,19 +202,11 @@ func (c *CHEngine) scalarCost(w roadnet.Weight, mask SlaveMask) func(roadnet.Edg
 	if mask == 0 {
 		return func(e roadnet.EdgeID) float64 { return c.g.EdgeWeight(e, w) }
 	}
-	restrict := make([]bool, c.g.NumVertices())
-	for v := range restrict {
-		for _, e := range c.g.Out(roadnet.VertexID(v)) {
-			if mask&(1<<c.g.Edge(e).Type) != 0 {
-				restrict[v] = true
-				break
-			}
-		}
-	}
+	out := OutTypeMasks(c.g)
 	inf := math.Inf(1)
 	return func(e roadnet.EdgeID) float64 {
 		ed := c.g.Edge(e)
-		if restrict[ed.From] && mask&(1<<ed.Type) == 0 {
+		if out[ed.From]&mask != 0 && mask&(1<<ed.Type) == 0 {
 			return inf
 		}
 		return c.g.EdgeWeight(e, w)
@@ -233,6 +242,11 @@ func (c *CHEngine) metric(w roadnet.Weight, mask SlaveMask) *ch.Metric {
 // metric over the shared skeleton.
 func (c *CHEngine) Route(s, d roadnet.VertexID, w roadnet.Weight) (roadnet.Path, float64, bool) {
 	return c.query().Route(c.metric(w, 0), s, d)
+}
+
+// AppendRoute implements PathEngine.
+func (c *CHEngine) AppendRoute(dst roadnet.Path, s, d roadnet.VertexID, w roadnet.Weight) (roadnet.Path, float64, bool) {
+	return c.query().AppendRoute(dst, c.metric(w, 0), s, d)
 }
 
 // Fastest implements PathEngine.

@@ -12,13 +12,14 @@
 //
 // # The PathEngine seam
 //
-// PathEngine is the pluggable backend: Graph, Fork, Route, Fastest,
-// Shortest, RoutePref and CustomRoute. Everything that needs a
-// shortest path — core.Router's unified routing (approach searches,
-// fastest fallbacks, connector stitching), the serving layer, the
-// baselines, the trajectory simulator, the experiment harness — holds
-// a PathEngine, so speed-up techniques plug in beneath all of them at
-// once. Two implementations ship:
+// PathEngine is the pluggable backend: Graph, Fork, Route, AppendRoute
+// (Route into a caller-owned buffer), Fastest, Shortest, RoutePref and
+// CustomRoute. Everything that needs a shortest path — core.Router's
+// unified routing (approach searches, fastest fallbacks, connector
+// stitching), the preference learner's master-only searches, the
+// serving layer, the baselines, the trajectory simulator, the
+// experiment harness — holds a PathEngine, so speed-up techniques plug
+// in beneath all of them at once. Two implementations ship:
 //
 //   - Engine: plain Dijkstra plus Algorithm 2 (the default).
 //   - CHEngine: scalar fastest-path queries answered through a
@@ -26,6 +27,15 @@
 //     searches the hierarchy cannot express — preference-constrained
 //     Algorithm 2, custom edge costs, other scalar weights — fall back
 //     to an embedded Dijkstra engine transparently.
+//
+// # The slave restriction as a table
+//
+// Algorithm 2's restriction is static: under a road-type mask, edge u→v
+// is skipped exactly when some out-edge of u has a type in the mask and
+// u→v's does not. OutTypeMasks tabulates the per-vertex half once per
+// graph; Engine's masked relax (AppendRouteMask), CHEngine's masked
+// customization cost and the preference learner's pruning rules
+// (internal/pref) all read the same table.
 //
 // # Concurrency contract
 //

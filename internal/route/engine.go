@@ -27,6 +27,11 @@ type PathEngine interface {
 	// Route returns the minimum-cost path from s to d under scalar
 	// weight w, its cost, and whether d is reachable.
 	Route(s, d roadnet.VertexID, w roadnet.Weight) (roadnet.Path, float64, bool)
+	// AppendRoute is Route with the path appended to a caller-owned
+	// buffer (returned unchanged when d is unreachable): callers that
+	// only inspect each path before the next query — the preference
+	// learner — allocate nothing per query.
+	AppendRoute(dst roadnet.Path, s, d roadnet.VertexID, w roadnet.Weight) (roadnet.Path, float64, bool)
 	// Fastest returns the minimum-travel-time path.
 	Fastest(s, d roadnet.VertexID) (roadnet.Path, float64, bool)
 	// Shortest returns the minimum-distance path.

@@ -28,6 +28,10 @@ type Engine struct {
 
 	heap *container.IndexedMinHeap
 
+	// outTypes is the per-vertex out-type table masked searches consult
+	// (see OutTypeMasks); built on the first masked query.
+	outTypes []SlaveMask
+
 	// PopCount accumulates the number of heap pops across queries; the
 	// evaluation harness reads it to report search effort.
 	PopCount int64
@@ -43,8 +47,9 @@ func NewEngine(g *roadnet.Graph) *Engine {
 func (e *Engine) Graph() *roadnet.Graph { return e.g }
 
 // Fork returns a fresh Engine over the same graph with independent
-// (lazily allocated) query state, implementing PathEngine.
-func (e *Engine) Fork() PathEngine { return NewEngine(e.g) }
+// (lazily allocated) query state, implementing PathEngine. The
+// read-only out-type table, if already built, is shared.
+func (e *Engine) Fork() PathEngine { return &Engine{g: e.g, outTypes: e.outTypes} }
 
 // ensure allocates the per-vertex query buffers on first use.
 func (e *Engine) ensure() {
@@ -88,20 +93,25 @@ func (e *Engine) distOf(v roadnet.VertexID) float64 {
 
 // extractPath reconstructs the path ending at d via parent edges.
 func (e *Engine) extractPath(d roadnet.VertexID) roadnet.Path {
-	var rev roadnet.Path
+	return e.appendPath(nil, d)
+}
+
+// appendPath appends the path ending at d to dst.
+func (e *Engine) appendPath(dst roadnet.Path, d roadnet.VertexID) roadnet.Path {
+	start := len(dst)
 	v := d
 	for {
-		rev = append(rev, v)
+		dst = append(dst, v)
 		pe := e.parent[v]
 		if pe == roadnet.NoEdge {
 			break
 		}
 		v = e.g.Edge(pe).From
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	for i, j := start, len(dst)-1; i < j; i, j = i+1, j-1 {
+		dst[i], dst[j] = dst[j], dst[i]
 	}
-	return rev
+	return dst
 }
 
 // Route returns the minimum-cost path from s to d under weight w, its
@@ -127,6 +137,24 @@ func (e *Engine) Fastest(s, d roadnet.VertexID) (roadnet.Path, float64, bool) {
 // road-condition preference, only satisfying edges are relaxed; when none
 // does, all out-edges are relaxed. A nil slave gives classical Dijkstra.
 func (e *Engine) RoutePref(s, d roadnet.VertexID, w roadnet.Weight, slave SlavePredicate) (roadnet.Path, float64, bool) {
+	return e.AppendRouteMask(nil, s, d, w, MaskOf(slave))
+}
+
+// AppendRoute implements PathEngine.
+func (e *Engine) AppendRoute(dst roadnet.Path, s, d roadnet.VertexID, w roadnet.Weight) (roadnet.Path, float64, bool) {
+	return e.AppendRouteMask(dst, s, d, w, 0)
+}
+
+// AppendRouteMask is RoutePref with the slave predicate given as its
+// road-type mask (a predicate is a pure function of the road type, so
+// the mask captures it exactly) and the path appended to a caller-owned
+// buffer, returned unchanged when d is unreachable. The preference
+// learner runs its surviving restricted searches through it: no
+// closure, no per-edge indirect calls, no path allocation.
+func (e *Engine) AppendRouteMask(dst roadnet.Path, s, d roadnet.VertexID, w roadnet.Weight, mask SlaveMask) (roadnet.Path, float64, bool) {
+	if mask != 0 {
+		e.OutTypes()
+	}
 	e.reset()
 	e.see(s, 0, roadnet.NoEdge)
 	for e.heap.Len() > 0 {
@@ -135,30 +163,32 @@ func (e *Engine) RoutePref(s, d roadnet.VertexID, w roadnet.Weight, slave SlaveP
 		e.settled[u] = e.epoch
 		e.PopCount++
 		if u == d {
-			return e.extractPath(d), du, true
+			return e.appendPath(dst, d), du, true
 		}
-		e.relax(u, du, w, slave)
+		e.relax(u, du, w, mask)
 	}
-	return nil, math.Inf(1), false
+	return dst, math.Inf(1), false
 }
 
-func (e *Engine) relax(u roadnet.VertexID, du float64, w roadnet.Weight, slave SlavePredicate) {
-	out := e.g.Out(u)
-	restrict := false
-	if slave != nil {
-		// Case (i) of Algorithm 2: some out-edge satisfies the slave
-		// preference — explore only those. Case (ii): none does —
-		// explore all.
-		for _, eid := range out {
-			if slave(e.g.Edge(eid).Type) {
-				restrict = true
-				break
-			}
-		}
+// OutTypes returns the engine's out-type table (OutTypeMasks of its
+// graph), building it on first use. The slice is shared and read-only.
+func (e *Engine) OutTypes() []SlaveMask {
+	if e.outTypes == nil {
+		e.outTypes = OutTypeMasks(e.g)
 	}
-	for _, eid := range out {
+	return e.outTypes
+}
+
+// relax expands u under weight w. A non-zero mask requires e.outTypes
+// (AppendRouteMask builds it before searching).
+func (e *Engine) relax(u roadnet.VertexID, du float64, w roadnet.Weight, mask SlaveMask) {
+	// Case (i) of Algorithm 2: some out-edge satisfies the slave
+	// preference — explore only those. Case (ii): none does — explore
+	// all.
+	restrict := mask != 0 && e.outTypes[u]&mask != 0
+	for _, eid := range e.g.Out(u) {
 		ed := e.g.Edge(eid)
-		if restrict && !slave(ed.Type) {
+		if restrict && mask&(1<<ed.Type) == 0 {
 			continue
 		}
 		alt := du + e.g.EdgeWeight(eid, w)
@@ -186,7 +216,7 @@ func (e *Engine) RouteUntil(s roadnet.VertexID, w roadnet.Weight, stop func(road
 		if stop(u) {
 			return e.extractPath(u), du, true
 		}
-		e.relax(u, du, w, nil)
+		e.relax(u, du, w, 0)
 	}
 	return nil, math.Inf(1), false
 }
@@ -208,7 +238,7 @@ func (e *Engine) OneToAll(s roadnet.VertexID, w roadnet.Weight) []float64 {
 		e.settled[u] = e.epoch
 		e.PopCount++
 		out[u] = du
-		e.relax(u, du, w, nil)
+		e.relax(u, du, w, 0)
 	}
 	return out
 }
@@ -269,7 +299,7 @@ func (e *Engine) BoundedCosts(s roadnet.VertexID, w roadnet.Weight, bound float6
 		e.settled[u] = e.epoch
 		e.PopCount++
 		out[u] = du
-		e.relax(u, du, w, nil)
+		e.relax(u, du, w, 0)
 	}
 	return out
 }

@@ -56,7 +56,9 @@ type durability struct {
 //     crash mid-append) is truncated and tolerated; corruption anywhere
 //     else fails construction — fail loud, don't serve.
 //  3. Surviving records are replayed onto the base in append order,
-//     exactly as the original ingests applied them. Recovery never
+//     exactly as the original ingests applied them — under
+//     PathBackend CH the hierarchy is contracted first, so replay
+//     relearns on the same engine live ingest does. Recovery never
 //     writes, so crashing during recovery and recovering again is
 //     idempotent.
 //
@@ -118,10 +120,18 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 		if opt.recoverHold != nil {
 			<-opt.recoverHold
 		}
+		if e.opt.PathBackend == core.BackendCH {
+			// Checkpoints, like all artifacts, carry no hierarchy;
+			// rebuild it once (no-op when base already has one) —
+			// before the replay, so replayed batches relearn on the
+			// engine live ingest uses instead of on plain Dijkstra.
+			base.EnableCH(e.opt.CH)
+		}
 		for _, b := range batches {
 			io := e.opt.Ingest
 			io.SkipMapMatching = b.SkipMapMatching
-			base.Ingest(b.Trajs, io)
+			st := base.Ingest(b.Trajs, io)
+			base.PrepareMetricsTouched(st.TouchedEdges)
 			for _, t := range b.Trajs {
 				if t.ID >= 0 && uint64(t.ID+1) > idWatermark {
 					idWatermark = uint64(t.ID + 1)
@@ -136,12 +146,6 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 		// maintenance accumulator re-seeds from them); publishInitial's
 		// readiness flip publishes this write to waiting readers.
 		d.replayed = batches
-		if e.opt.PathBackend == core.BackendCH {
-			// Checkpoints, like all artifacts, carry no hierarchy;
-			// rebuild it once before traffic (no-op when base already
-			// has one).
-			base.EnableCH(e.opt.CH)
-		}
 		e.publishInitial(base)
 	}
 	if opt.AsyncRecovery {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/pref"
 )
 
 // metrics aggregates serving measurements, overall and per query
@@ -120,6 +121,10 @@ type Stats struct {
 	// the trajectories they carried.
 	Ingests              uint64 `json:"ingests"`
 	IngestedTrajectories uint64 `json:"ingested_trajectories"`
+	// LearnSearches accounts for the shortest-path searches the ingests'
+	// preference relearns called for (21 per sampled path with the
+	// default candidates), by what the learner did with each.
+	LearnSearches pref.SearchStats `json:"learn_searches"`
 	// IngestLag is the wall time the last ingest took from batch
 	// arrival to snapshot publication — how far behind live data the
 	// served router runs.
@@ -186,12 +191,17 @@ func (e *Engine) Stats() Stats {
 		SnapshotGeneration:   e.Generation(),
 		Ingests:              e.ingests.Load(),
 		IngestedTrajectories: e.ingestedTrajs.Load(),
-		IngestLag:            time.Duration(e.lastIngestNs.Load()),
-		CustomizeLag:         time.Duration(e.lastCustomizeNs.Load()),
-		SwapLag:              time.Duration(e.lastSwapNs.Load()),
-		SinceLastSwap:        now.Sub(time.Unix(0, e.lastSwapUnix.Load())),
-		Latency:              latencyStats(&e.met.all),
-		PerCategory:          make(map[string]LatencyStats, len(e.met.perCat)),
+		LearnSearches: pref.SearchStats{
+			Run:     int(e.learnRun.Load()),
+			Reused:  int(e.learnReused.Load()),
+			Bounded: int(e.learnBounded.Load()),
+		},
+		IngestLag:     time.Duration(e.lastIngestNs.Load()),
+		CustomizeLag:  time.Duration(e.lastCustomizeNs.Load()),
+		SwapLag:       time.Duration(e.lastSwapNs.Load()),
+		SinceLastSwap: now.Sub(time.Unix(0, e.lastSwapUnix.Load())),
+		Latency:       latencyStats(&e.met.all),
+		PerCategory:   make(map[string]LatencyStats, len(e.met.perCat)),
 	}
 	if st.Uptime > 0 {
 		st.QPS = float64(st.Queries) / st.Uptime.Seconds()

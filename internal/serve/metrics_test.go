@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"context"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pref"
 )
 
 // The histogram mechanics themselves are tested in internal/obs; these
@@ -114,5 +117,62 @@ func TestStatsShapes(t *testing.T) {
 	}
 	if catTotal != 20 {
 		t.Fatalf("per-category totals %d != 20", catTotal)
+	}
+}
+
+// TestLearnSearchLedgerSurfaced: what the relearns did with their
+// searches — run, reused, bounded — is reported per ingest, annotated
+// on the ingest.apply span, summed into Stats() and exported as one
+// l2r_learn_searches_total counter family; a relearn accounts for 21
+// searches per sampled path.
+func TestLearnSearchLedgerSurfaced(t *testing.T) {
+	base, fresh := sharedWorld(t)
+	tr := obs.NewTracer(obs.Config{SlowThreshold: -1})
+	e := NewEngine(base.IngestClone(), Options{Tracer: tr})
+
+	var want pref.SearchStats
+	for i, b := range matchedBatches(fresh[:12], 4) {
+		ctx, root := tr.StartRequest(context.Background(), "test ingest", strconv.Itoa(i))
+		st, _ := e.IngestMatchedCtx(ctx, b)
+		root.End()
+		if st.Relearned == 0 {
+			t.Fatalf("batch %d relearned nothing", i)
+		}
+		total := st.LearnSearches + st.LearnSkipped.Reused + st.LearnSkipped.Bounded
+		if total == 0 || total%21 != 0 {
+			t.Fatalf("batch %d: ledger %d run + %+v skipped = %d, want a positive multiple of 21", i, st.LearnSearches, st.LearnSkipped, total)
+		}
+		want.Run += st.LearnSearches
+		want.Reused += st.LearnSkipped.Reused
+		want.Bounded += st.LearnSkipped.Bounded
+
+		traces := tr.Recent(1)
+		if len(traces) != 1 {
+			t.Fatalf("batch %d: %d traces recorded", i, len(traces))
+		}
+		annotated := false
+		for _, sp := range traces[0].Spans {
+			if sp.Name == "ingest.apply" {
+				annotated = sp.Attrs["learn_searches"] == strconv.Itoa(st.LearnSearches) &&
+					sp.Attrs["learn_reused"] == strconv.Itoa(st.LearnSkipped.Reused) &&
+					sp.Attrs["learn_bounded"] == strconv.Itoa(st.LearnSkipped.Bounded)
+			}
+		}
+		if !annotated {
+			t.Fatalf("batch %d: ingest.apply span does not carry the search ledger: %+v", i, traces[0].Spans)
+		}
+	}
+	if got := e.Stats().LearnSearches; got != want {
+		t.Fatalf("Stats().LearnSearches = %+v, want the per-ingest sums %+v", got, want)
+	}
+
+	var buf strings.Builder
+	e.writeProm(obs.NewPromWriter(&buf))
+	samples := parseExposition(t, buf.String())
+	for outcome, n := range map[string]int{"run": want.Run, "reused": want.Reused, "bounded": want.Bounded} {
+		series := `l2r_learn_searches_total{outcome="` + outcome + `"}`
+		if got, ok := samples[series]; !ok || got != float64(n) {
+			t.Fatalf("%s = %v (present %v), want %d", series, got, ok, n)
+		}
 	}
 }

@@ -34,6 +34,13 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 	pw.Gauge("l2r_snapshot_generation", "Current snapshot generation (starts at 1, +1 per ingest or publish).", float64(st.SnapshotGeneration), labels...)
 	pw.Counter("l2r_ingests_total", "Copy-on-write ingest swaps.", float64(st.Ingests), labels...)
 	pw.Counter("l2r_ingested_trajectories_total", "Trajectories carried by ingest swaps.", float64(st.IngestedTrajectories), labels...)
+	for _, oc := range []struct {
+		outcome string
+		n       int
+	}{{"run", st.LearnSearches.Run}, {"reused", st.LearnSearches.Reused}, {"bounded", st.LearnSearches.Bounded}} {
+		pw.Counter("l2r_learn_searches_total", "Shortest-path searches ingest relearns called for, by outcome: run, reused (master-only path feasible under the slave restriction) or bounded (combination could not beat the incumbent).",
+			float64(oc.n), append(withLabels(labels), obs.Label{Name: "outcome", Value: oc.outcome})...)
+	}
 	pw.Gauge("l2r_ingest_lag_seconds", "Wall time the last ingest took from batch arrival to snapshot publication.", st.IngestLag.Seconds(), labels...)
 	pw.Gauge("l2r_since_last_swap_seconds", "Time since the last snapshot publication.", st.SinceLastSwap.Seconds(), labels...)
 	pw.Gauge("l2r_staleness_ratio", "Cumulative out-of-region share of ingested path vertices — how far the fixed region partition trails the traffic.", st.StalenessRatio, labels...)

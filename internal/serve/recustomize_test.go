@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/roadnet"
 )
 
 // TestRecustomizeMidTrafficSoak hammers a CH-backed engine with
@@ -99,4 +101,63 @@ func TestDurableRecoveryRecustomizesHierarchy(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", d.ReplayedRecords, len(batches))
 	}
 	requireSameAnswers(t, "CH recovery", e2, ref, sampleODs(live, 40))
+}
+
+// TestRecoveredEqualsUninterruptedCH: a CH-backed engine recovered from
+// checkpoint + WAL tail contracts its hierarchy before the replay, so
+// the tail relearns on the same engine live ingest used — and ends with
+// the same learned preference on every region edge and the same answer
+// on 220 ODs as the engine that was never interrupted.
+func TestRecoveredEqualsUninterruptedCH(t *testing.T) {
+	base, live := buildServeWorld(t, 19, 400)
+	dir := t.TempDir()
+	batches := matchedBatches(live, 4)
+	opt := Options{WALDir: dir, CheckpointEvery: 28, PathBackend: core.BackendCH, CacheSize: -1}
+
+	live1 := mustDurable(t, base.DeepClone(), opt)
+	for _, b := range batches {
+		live1.IngestMatched(b)
+	}
+	if live1.Stats().Durability.Checkpoints == 0 {
+		t.Fatal("no automatic checkpoint ran")
+	}
+	// Crash: no Close, no final checkpoint.
+
+	rec := mustDurable(t, base.DeepClone(), opt)
+	defer rec.Close()
+	d := rec.Stats().Durability
+	if !d.RecoveredFromCheckpoint || d.ReplayedRecords == 0 {
+		t.Fatalf("recovery facts %+v: want a checkpoint plus a replayed tail", d)
+	}
+
+	want, got := live1.Snapshot(), rec.Snapshot()
+	if got.PathBackend() != core.BackendCH {
+		t.Fatal("recovered engine lost the CH backend")
+	}
+	edges := want.RegionGraph().Edges
+	if len(got.RegionGraph().Edges) != len(edges) {
+		t.Fatalf("recovered region graph has %d edges, uninterrupted %d", len(got.RegionGraph().Edges), len(edges))
+	}
+	learned := 0
+	for id := range edges {
+		w, wok := want.LearnedPreference(id)
+		g, gok := got.LearnedPreference(id)
+		if wok != gok || w.Preference != g.Preference || w.PathsUsed != g.PathsUsed ||
+			math.Float64bits(w.Similarity) != math.Float64bits(g.Similarity) {
+			t.Fatalf("edge %d: recovered learned %+v (%v), uninterrupted %+v (%v)", id, g, gok, w, wok)
+		}
+		if wok {
+			learned++
+		}
+	}
+	if learned == 0 {
+		t.Fatal("no learned preferences to compare")
+	}
+
+	n := want.Road().NumVertices()
+	ods := make([][2]roadnet.VertexID, 220)
+	for i := range ods {
+		ods[i] = [2]roadnet.VertexID{roadnet.VertexID(i * 37 % n), roadnet.VertexID((i*101 + 13) % n)}
+	}
+	requireSameAnswers(t, "recovered vs uninterrupted", rec, live1, ods)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,6 +181,9 @@ type Engine struct {
 	start           time.Time
 	ingests         atomic.Uint64
 	ingestedTrajs   atomic.Uint64
+	learnRun        atomic.Uint64 // relearn searches run, cumulative over ingests
+	learnReused     atomic.Uint64 // ... answered by the master-only path
+	learnBounded    atomic.Uint64 // ... cut by the similarity upper bound
 	lastStaleness   atomic.Uint64 // Float64bits of the last batch's staleness ratio
 	oorVertices     atomic.Uint64 // cumulative out-of-region vertices ingested
 	ingVertices     atomic.Uint64 // cumulative path vertices ingested
@@ -394,7 +398,15 @@ func (e *Engine) ingestDurable(ctx context.Context, ts []*traj.Trajectory, opt c
 	cl.End()
 	ig := sp.Start("ingest.apply")
 	st := next.Ingest(ts, opt)
+	if ig != nil {
+		ig.Annotate("learn_searches", strconv.Itoa(st.LearnSearches))
+		ig.Annotate("learn_reused", strconv.Itoa(st.LearnSkipped.Reused))
+		ig.Annotate("learn_bounded", strconv.Itoa(st.LearnSkipped.Bounded))
+	}
 	ig.End()
+	e.learnRun.Add(uint64(st.LearnSearches))
+	e.learnReused.Add(uint64(st.LearnSkipped.Reused))
+	e.learnBounded.Add(uint64(st.LearnSkipped.Bounded))
 	cz := sp.Start("ch.customize")
 	czStart := time.Now()
 	next.PrepareMetricsTouched(st.TouchedEdges)
