@@ -488,7 +488,9 @@ func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt 
 // summation order of the solve — is a function of the region graph's
 // edge *set*: a router maintained online (whose edge IDs reflect
 // discovery order across many ingests) and one rebuilt from scratch
-// over the union evidence produce bit-identical transductions.
+// over the union evidence produce bit-identical transductions —
+// whatever opt.Workers either ran with, since transfer.Run's result
+// does not depend on its worker count.
 func (r *Router) transduce(opt Options) transfer.Result {
 	labeled := make([]transfer.Labeled, 0, len(r.learned))
 	for id, res := range r.learned {
@@ -504,7 +506,7 @@ func (r *Router) transduce(opt Options) transfer.Result {
 		}
 	}
 	sortByPair(r.rg, targets)
-	return transfer.Run(r.rg, labeled, targets, opt.Transfer)
+	return transfer.Run(r.rg, labeled, targets, opt.Transfer, opt.Workers)
 }
 
 // newPathEngine constructs the backend Options.PathBackend selects,

@@ -35,10 +35,20 @@ type RetransduceStats struct {
 	// MetricsCustomized counts CH metrics customized by the closing
 	// PrepareMetrics pass (0 on Dijkstra backends).
 	MetricsCustomized int
-	LearnTime         time.Duration
-	TransferTime      time.Duration
-	MaterializeTime   time.Duration
-	Elapsed           time.Duration
+	// TransferRows, TransferNNZ and SolveIterations size the Eq. 3
+	// system the transduction assembled and the work its solve took.
+	TransferRows    int
+	TransferNNZ     int
+	SolveIterations int
+	// Where the rebuild's time went. TransferTime is the whole
+	// transduction; TransferAssembleTime (featurize, score, build the
+	// system) and TransferSolveTime are its two phases.
+	LearnTime            time.Duration
+	TransferTime         time.Duration
+	TransferAssembleTime time.Duration
+	TransferSolveTime    time.Duration
+	MaterializeTime      time.Duration
+	Elapsed              time.Duration
 }
 
 // Retransduce re-runs preference learning, transduction and B-edge
@@ -125,6 +135,8 @@ func (r *Router) Retransduce(opt Options) RetransduceStats {
 	st.TransferTime = time.Since(t0)
 	st.Transferred = len(res.Pref)
 	st.Null = len(res.Null)
+	st.TransferRows, st.TransferNNZ, st.SolveIterations = res.Rows, res.NNZ, res.SolveIterations
+	st.TransferAssembleTime, st.TransferSolveTime = res.AssembleTime, res.SolveTime
 
 	// Phase 3: re-materialize B-edge paths on the selected backend.
 	t0 = time.Now()

@@ -258,7 +258,7 @@ func TransferAccuracy(w *World, train []transfer.Labeled, holdout []transfer.Lab
 		truth[h.EdgeID] = h.Pref
 	}
 	start := time.Now()
-	res := transfer.Run(r.RegionGraph(), train, targets, cfg)
+	res := transfer.Run(r.RegionGraph(), train, targets, cfg, 0)
 	elapsed = time.Since(start)
 	var sum float64
 	n := 0

@@ -344,6 +344,13 @@ func (m *Maintainer) MaintStats() serve.MaintStats {
 		ms.LastTransferred = lr.stats.Transferred
 		ms.LastNull = lr.stats.Null
 		ms.LastMetricsCustomized = lr.stats.MetricsCustomized
+		ms.LastLearnTime = lr.stats.LearnTime
+		ms.LastTransferAssembleTime = lr.stats.TransferAssembleTime
+		ms.LastTransferSolveTime = lr.stats.TransferSolveTime
+		ms.LastMaterializeTime = lr.stats.MaterializeTime
+		ms.LastTransferRows = lr.stats.TransferRows
+		ms.LastTransferNNZ = lr.stats.TransferNNZ
+		ms.LastSolveIterations = lr.stats.SolveIterations
 	}
 	return ms
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -380,6 +381,45 @@ func TestMaintEndpointAndStats(t *testing.T) {
 	for _, name := range []string{"l2r_maint_retained", "l2r_maint_rebuilds_total", "l2r_maint_drift_tv"} {
 		if !strings.Contains(string(sb), name) {
 			t.Fatalf("/metrics missing %s", name)
+		}
+	}
+
+	// One rebuild later the last cycle says where its time went: four
+	// phases inside the cycle's duration, and the solve's iterations.
+	rs, err := m.TriggerNow(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := e.Stats().Maintenance
+	phases := ms.LastLearnTime + ms.LastTransferAssembleTime + ms.LastTransferSolveTime + ms.LastMaterializeTime
+	if ms.LastLearnTime <= 0 || ms.LastTransferAssembleTime <= 0 || ms.LastTransferSolveTime <= 0 || ms.LastMaterializeTime <= 0 ||
+		phases > ms.LastRebuildTime {
+		t.Fatalf("phases learn %v + assemble %v + solve %v + materialize %v = %v, want all > 0 and a sum within last_rebuild_ns %v",
+			ms.LastLearnTime, ms.LastTransferAssembleTime, ms.LastTransferSolveTime, ms.LastMaterializeTime, phases, ms.LastRebuildTime)
+	}
+	if ms.LastTransferAssembleTime+ms.LastTransferSolveTime > rs.TransferTime {
+		t.Fatalf("assemble %v + solve %v exceed the transduction's %v", ms.LastTransferAssembleTime, ms.LastTransferSolveTime, rs.TransferTime)
+	}
+	if ms.LastSolveIterations <= 0 || ms.LastTransferRows <= 0 || ms.LastTransferNNZ < ms.LastTransferRows {
+		t.Fatalf("last solve: %d iterations on %d rows, %d entries", ms.LastSolveIterations, ms.LastTransferRows, ms.LastTransferNNZ)
+	}
+	mresp2, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp2.Body.Close()
+	if sb, err = io.ReadAll(mresp2.Body); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		`l2r_maint_last_phase_seconds{phase="learn"}`,
+		`l2r_maint_last_phase_seconds{phase="transfer_assemble"}`,
+		`l2r_maint_last_phase_seconds{phase="transfer_solve"}`,
+		`l2r_maint_last_phase_seconds{phase="materialize"}`,
+		"l2r_maint_last_solve_iterations " + strconv.Itoa(ms.LastSolveIterations),
+	} {
+		if !strings.Contains(string(sb), series) {
+			t.Fatalf("/metrics missing %s", series)
 		}
 	}
 }

@@ -51,6 +51,18 @@ type MaintStats struct {
 	LastTransferred       int           `json:"last_transferred"`
 	LastNull              int           `json:"last_null"`
 	LastMetricsCustomized int           `json:"last_metrics_customized"`
+
+	// Where the most recent rebuild's time went: its four phases (they
+	// sum to at most LastRebuildTime; the rest is ConnectBFS, the edge
+	// reset and the metric prewarm), and the size and solver work of
+	// the Eq. 3 system its transduction assembled.
+	LastLearnTime            time.Duration `json:"last_learn_ns,omitempty"`
+	LastTransferAssembleTime time.Duration `json:"last_transfer_assemble_ns,omitempty"`
+	LastTransferSolveTime    time.Duration `json:"last_transfer_solve_ns,omitempty"`
+	LastMaterializeTime      time.Duration `json:"last_materialize_ns,omitempty"`
+	LastTransferRows         int           `json:"last_transfer_rows"`
+	LastTransferNNZ          int           `json:"last_transfer_nnz"`
+	LastSolveIterations      int           `json:"last_solve_iterations"`
 }
 
 // MaintSource is the background maintainer the engine notifies and

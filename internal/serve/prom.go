@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -138,6 +139,19 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 		pw.Gauge("l2r_maint_last_rebuild_seconds", "Duration of the most recent maintenance rebuild (0 before the first).", ms.LastRebuildTime.Seconds(), labels...)
 		pw.Gauge("l2r_maint_last_tedges_added", "Region pairs that gained their first trajectory-backed edge in the most recent rebuild.", float64(ms.LastTEdgesAdded), labels...)
 		pw.Gauge("l2r_maint_last_transferred", "B-edges the most recent rebuild's transduction labeled.", float64(ms.LastTransferred), labels...)
+		for _, ph := range []struct {
+			phase string
+			d     time.Duration
+		}{
+			{"learn", ms.LastLearnTime},
+			{"transfer_assemble", ms.LastTransferAssembleTime},
+			{"transfer_solve", ms.LastTransferSolveTime},
+			{"materialize", ms.LastMaterializeTime},
+		} {
+			pw.Gauge("l2r_maint_last_phase_seconds", "Where the most recent maintenance rebuild's time went, by phase (they sum to at most l2r_maint_last_rebuild_seconds).",
+				ph.d.Seconds(), append(withLabels(labels), obs.Label{Name: "phase", Value: ph.phase})...)
+		}
+		pw.Gauge("l2r_maint_last_solve_iterations", "Solver iterations, summed over preference columns, of the most recent rebuild's transduction.", float64(ms.LastSolveIterations), labels...)
 	}
 
 	if e.trc != nil {

@@ -56,6 +56,29 @@ func New(n int, coords []Coord) *Matrix {
 	return m
 }
 
+// FromRows adopts CSR arrays whose rows are already complete: row i
+// holds colIdx[rowPtr[i]:rowPtr[i+1]] in strictly increasing column
+// order, so nothing is sorted, summed or dropped (explicit zeros stay
+// stored). The matrix keeps the slices; the caller must not modify them
+// afterwards. It panics on arrays that are not a valid CSR layout.
+func FromRows(n int, rowPtr, colIdx []int32, vals []float64) *Matrix {
+	if len(rowPtr) != n+1 || rowPtr[0] != 0 || int(rowPtr[n]) != len(colIdx) || len(colIdx) != len(vals) {
+		panic(fmt.Sprintf("sparse.FromRows: inconsistent CSR arrays (n=%d, rowPtr=%d, colIdx=%d, vals=%d)",
+			n, len(rowPtr), len(colIdx), len(vals)))
+	}
+	for i := 0; i < n; i++ {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		ok := lo <= hi
+		for k := lo; ok && k < hi; k++ {
+			ok = colIdx[k] >= 0 && int(colIdx[k]) < n && (k == lo || colIdx[k-1] < colIdx[k])
+		}
+		if !ok {
+			panic(fmt.Sprintf("sparse.FromRows: row %d is not a strictly column-sorted range within [0,%d)", i, n))
+		}
+	}
+	return &Matrix{n: n, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+}
+
 // Dim returns the matrix dimension n.
 func (m *Matrix) Dim() int { return m.n }
 
@@ -70,6 +93,13 @@ func (m *Matrix) At(i, j int) float64 {
 		return m.vals[k]
 	}
 	return 0
+}
+
+// Row returns the stored column indices and values of row i, in column
+// order. The slices alias the matrix and must not be modified.
+func (m *Matrix) Row(i int) ([]int32, []float64) {
+	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+	return m.colIdx[lo:hi:hi], m.vals[lo:hi:hi]
 }
 
 // MulVec computes dst = M·x. dst and x must have length Dim and must not
@@ -106,43 +136,6 @@ func (m *Matrix) RowSums() []float64 {
 	return d
 }
 
-// Laplacian returns L = D - M where D is the diagonal degree matrix of
-// row sums — the unnormalized graph Laplacian of Eq. 2.
-func Laplacian(adj *Matrix) *Matrix {
-	n := adj.Dim()
-	coords := make([]Coord, 0, adj.NNZ()+n)
-	deg := adj.RowSums()
-	for i := 0; i < n; i++ {
-		for k := adj.rowPtr[i]; k < adj.rowPtr[i+1]; k++ {
-			coords = append(coords, Coord{Row: i, Col: int(adj.colIdx[k]), Val: -adj.vals[k]})
-		}
-		coords = append(coords, Coord{Row: i, Col: i, Val: deg[i]})
-	}
-	return New(n, coords)
-}
-
-// AddScaled returns A + alpha·B + beta·I for same-dimension matrices;
-// it assembles the system matrix S + µ1·L + µ2·I of Eq. 3.
-func AddScaled(a *Matrix, alpha float64, b *Matrix, beta float64) *Matrix {
-	if a.Dim() != b.Dim() {
-		panic(fmt.Sprintf("sparse.AddScaled: dims %d != %d", a.Dim(), b.Dim()))
-	}
-	n := a.Dim()
-	coords := make([]Coord, 0, a.NNZ()+b.NNZ()+n)
-	for i := 0; i < n; i++ {
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-			coords = append(coords, Coord{Row: i, Col: int(a.colIdx[k]), Val: a.vals[k]})
-		}
-		for k := b.rowPtr[i]; k < b.rowPtr[i+1]; k++ {
-			coords = append(coords, Coord{Row: i, Col: int(b.colIdx[k]), Val: alpha * b.vals[k]})
-		}
-		if beta != 0 {
-			coords = append(coords, Coord{Row: i, Col: i, Val: beta})
-		}
-	}
-	return New(n, coords)
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	var s float64
@@ -154,103 +147,3 @@ func Dot(a, b []float64) float64 {
 
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
-// SolveResult reports how an iterative solve went.
-type SolveResult struct {
-	Iterations int
-	Residual   float64
-	Converged  bool
-}
-
-// CG solves A·x = b for symmetric positive-definite A using conjugate
-// gradient, overwriting x (which may start at zero). It stops when the
-// relative residual drops below tol or after maxIter iterations.
-func CG(a *Matrix, x, b []float64, tol float64, maxIter int) SolveResult {
-	n := a.Dim()
-	r := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
-
-	a.MulVec(r, x)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	copy(p, r)
-	rs := Dot(r, r)
-	bn := Norm2(b)
-	if bn == 0 {
-		bn = 1
-	}
-	res := SolveResult{}
-	for res.Iterations = 0; res.Iterations < maxIter; res.Iterations++ {
-		if math.Sqrt(rs)/bn < tol {
-			res.Converged = true
-			break
-		}
-		a.MulVec(ap, p)
-		denom := Dot(p, ap)
-		if denom == 0 {
-			break
-		}
-		alpha := rs / denom
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		rsNew := Dot(r, r)
-		beta := rsNew / rs
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
-		rs = rsNew
-	}
-	res.Residual = math.Sqrt(rs) / bn
-	if res.Residual < tol {
-		res.Converged = true
-	}
-	return res
-}
-
-// Jacobi solves A·x = b with Jacobi iteration, overwriting x. A must have
-// a nonzero diagonal. Kept alongside CG because the paper cites both; the
-// ablation bench compares them.
-func Jacobi(a *Matrix, x, b []float64, tol float64, maxIter int) SolveResult {
-	n := a.Dim()
-	d := a.Diag()
-	next := make([]float64, n)
-	bn := Norm2(b)
-	if bn == 0 {
-		bn = 1
-	}
-	res := SolveResult{}
-	for res.Iterations = 0; res.Iterations < maxIter; res.Iterations++ {
-		for i := 0; i < n; i++ {
-			var s float64
-			for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-				j := int(a.colIdx[k])
-				if j != i {
-					s += a.vals[k] * x[j]
-				}
-			}
-			next[i] = (b[i] - s) / d[i]
-		}
-		copy(x, next)
-		// Residual check every few sweeps to amortize the extra MulVec.
-		if res.Iterations%4 == 3 || res.Iterations == maxIter-1 {
-			a.MulVec(next, x)
-			var rr float64
-			for i := range next {
-				diff := b[i] - next[i]
-				rr += diff * diff
-			}
-			res.Residual = math.Sqrt(rr) / bn
-			if res.Residual < tol {
-				res.Converged = true
-				res.Iterations++
-				return res
-			}
-			copy(next, x) // restore scratch; next sweep overwrites anyway
-		}
-	}
-	return res
-}

@@ -127,31 +127,6 @@ func TestCGSolves(t *testing.T) {
 	assertResidual(t, a, x, b, 1e-7)
 }
 
-func TestJacobiSolves(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a, b := spdSystem(rng, 40)
-	x := make([]float64, 40)
-	res := Jacobi(a, x, b, 1e-10, 20000)
-	if !res.Converged {
-		t.Fatalf("Jacobi did not converge: %+v", res)
-	}
-	assertResidual(t, a, x, b, 1e-6)
-}
-
-func TestCGAndJacobiAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a, b := spdSystem(rng, 30)
-	x1 := make([]float64, 30)
-	x2 := make([]float64, 30)
-	CG(a, x1, b, 1e-12, 5000)
-	Jacobi(a, x2, b, 1e-12, 50000)
-	for i := range x1 {
-		if math.Abs(x1[i]-x2[i]) > 1e-5 {
-			t.Fatalf("solution mismatch at %d: %v vs %v", i, x1[i], x2[i])
-		}
-	}
-}
-
 func TestCGZeroRHS(t *testing.T) {
 	a, _ := spdSystem(rand.New(rand.NewSource(1)), 10)
 	b := make([]float64, 10)

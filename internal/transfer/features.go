@@ -60,18 +60,43 @@ func EdgeFeatures(g *region.Graph, e *region.Edge) Features {
 // and Fig. 6(b) buckets presuppose a unit range, so each term carries
 // weight ½).
 func ReSim(a, b Features) float64 {
-	var dis float64
-	switch {
-	case a.Dis == 0 && b.Dis == 0:
-		dis = 1
-	case a.Dis == 0 || b.Dis == 0:
-		dis = 0
-	case a.Dis < b.Dis:
-		dis = a.Dis / b.Dis
-	default:
-		dis = b.Dis / a.Dis
+	return 0.5*disRatio(a.Dis, b.Dis) + 0.5*jaccardPairs(a.F, b.F)
+}
+
+// similarAtLeast returns ReSim(a, b) and whether it reaches amr,
+// skipping the set intersection for pairs that cannot: the Jaccard term
+// is at most 1 and, since |A∩B| ≤ min and |A∪B| ≥ max, at most
+// min(|F|)/max(|F|). Rounding is monotone, so each bound computed in
+// the same form as ReSim is ≥ the ReSim it stands in for, and a bound
+// below amr rejects no pair ReSim would keep.
+func similarAtLeast(a, b *Features, amr float64) (float64, bool) {
+	dis := 0.5 * disRatio(a.Dis, b.Dis)
+	if dis+0.5 < amr {
+		return 0, false
 	}
-	return 0.5*dis + 0.5*jaccardPairs(a.F, b.F)
+	lo, hi := len(a.F), len(b.F)
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if hi > 0 && dis+0.5*(float64(lo)/float64(hi)) < amr {
+		return 0, false
+	}
+	s := dis + 0.5*jaccardPairs(a.F, b.F)
+	return s, s >= amr
+}
+
+// disRatio is the smaller centroid distance over the larger, in [0, 1].
+func disRatio(a, b float64) float64 {
+	switch {
+	case a == 0 && b == 0:
+		return 1
+	case a == 0 || b == 0:
+		return 0
+	case a < b:
+		return a / b
+	default:
+		return b / a
+	}
 }
 
 func jaccardPairs(a, b []RoadTypePair) float64 {

@@ -1,22 +1,12 @@
 package transfer
 
 import (
+	"time"
+
 	"repro/internal/pref"
 	"repro/internal/region"
 	"repro/internal/roadnet"
 	"repro/internal/sparse"
-)
-
-// Solver selects the iterative method for Eq. 3. The paper cites both
-// Jacobi and conjugate gradient; CG is the default and an ablation bench
-// compares them.
-type Solver uint8
-
-// Solvers.
-const (
-	CG Solver = iota
-	Jacobi
-	GaussSeidel
 )
 
 // Config tunes the transduction learning.
@@ -27,9 +17,8 @@ type Config struct {
 	// Mu1 weighs the Laplacian smoothing term of Eq. 2, Mu2 the L2
 	// regularizer.
 	Mu1, Mu2 float64
-	// Solver selects CG (default) or Jacobi.
-	Solver Solver
-	// Tol and MaxIter bound the iterative solve.
+	// Tol and MaxIter bound the iterative solve of each column: it stops
+	// once ‖r‖/‖b‖ < Tol or after MaxIter iterations.
 	Tol     float64
 	MaxIter int
 	// NullTol is the minimum propagated master probability below which
@@ -40,7 +29,7 @@ type Config struct {
 // DefaultConfig returns the configuration used in the paper's main
 // experiments (amr = 0.7).
 func DefaultConfig() Config {
-	return Config{AMR: 0.7, Mu1: 1.0, Mu2: 0.01, Solver: CG, Tol: 1e-8, MaxIter: 2000, NullTol: 1e-4}
+	return Config{AMR: 0.7, Mu1: 1.0, Mu2: 0.01, Tol: 1e-8, MaxIter: 2000, NullTol: 1e-4}
 }
 
 // Labeled is one training example: a region edge index (into
@@ -65,15 +54,16 @@ type Result struct {
 	EdgeOrder []int
 	// SolveIterations sums solver iterations across the p columns.
 	SolveIterations int
+	// Rows and NNZ are the dimension and stored entries of the Eq. 3
+	// system; AssembleTime covers featurizing, scoring and building it,
+	// SolveTime the block solve.
+	Rows, NNZ               int
+	AssembleTime, SolveTime time.Duration
 }
 
 // NullRate returns the share of unlabeled edges left null.
 func (r *Result) NullRate() float64 {
-	unlabeled := 0
-	for range r.Pref {
-		unlabeled++
-	}
-	unlabeled += len(r.Null)
+	unlabeled := len(r.Pref) + len(r.Null)
 	if unlabeled == 0 {
 		return 0
 	}
@@ -85,95 +75,69 @@ func (r *Result) NullRate() float64 {
 // along the similarity graph (second term), and L2 regularization damps
 // the result (third term). Unlabeled region edges — typically all
 // B-edges, or held-out T-edges in the Fig. 9 experiments — receive
-// transferred preferences.
-func Run(g *region.Graph, labeled []Labeled, targets []int, cfg Config) Result {
+// transferred preferences. workers bounds the goroutines that score and
+// solve (≤ 0 means GOMAXPROCS); the result does not depend on it.
+func Run(g *region.Graph, labeled []Labeled, targets []int, cfg Config, workers int) Result {
 	// Order: labeled edges first (so S is a prefix diagonal), then
 	// targets.
 	order := make([]int, 0, len(labeled)+len(targets))
-	rowOf := make(map[int]int, len(labeled)+len(targets))
+	seen := make(map[int]bool, len(labeled)+len(targets))
 	for _, l := range labeled {
-		rowOf[l.EdgeID] = len(order)
+		seen[l.EdgeID] = true
 		order = append(order, l.EdgeID)
 	}
 	for _, t := range targets {
-		if _, dup := rowOf[t]; dup {
-			continue
+		if !seen[t] {
+			seen[t] = true
+			order = append(order, t)
 		}
-		rowOf[t] = len(order)
-		order = append(order, t)
 	}
-	n := len(order)
-	p := NumColumns()
+	n, p := len(order), NumColumns()
 
-	// Features and thresholded adjacency matrix M.
-	feats := make([]Features, n)
-	for i, id := range order {
-		feats[i] = EdgeFeatures(g, g.Edges[id])
+	// System matrix A = S + µ1·L + µ2·I (Eq. 3, left side).
+	start := time.Now()
+	a := assemble(edgeFeatures(g, order), len(labeled), cfg, workers)
+	assembleTime := time.Since(start)
+
+	// Right-hand side S·Y: only labeled rows contribute, and only the
+	// columns some label activates have anything to solve for — the
+	// others' solution is exactly 0.
+	slot := make([]int, p)
+	for c := range slot {
+		slot[c] = -1
 	}
-	var coords []sparse.Coord
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			s := ReSim(feats[i], feats[j])
-			if s >= cfg.AMR {
-				coords = append(coords,
-					sparse.Coord{Row: i, Col: j, Val: s},
-					sparse.Coord{Row: j, Col: i, Val: s})
+	k := 0
+	for _, l := range labeled {
+		for _, c := range Encode(l.Pref) {
+			if slot[c] < 0 {
+				slot[c] = k
+				k++
 			}
 		}
 	}
-	adj := sparse.New(n, coords)
-	lap := sparse.Laplacian(adj)
-
-	// S: diagonal indicator of labeled rows.
-	sCoords := make([]sparse.Coord, len(labeled))
-	for i := range labeled {
-		sCoords[i] = sparse.Coord{Row: i, Col: i, Val: 1}
-	}
-	sMat := sparse.New(n, sCoords)
-
-	// System matrix A = S + µ1·L + µ2·I (Eq. 3, left side).
-	a := sparse.AddScaled(sMat, cfg.Mu1, lap, cfg.Mu2)
-
-	// Y: initial labels.
-	y := make([][]float64, n)
-	for i := range y {
-		y[i] = make([]float64, p)
-	}
+	b := make([]float64, n*k)
 	for i, l := range labeled {
 		for _, c := range Encode(l.Pref) {
-			y[i][c] = 1
+			b[i*k+slot[c]] = 1
 		}
 	}
 
-	// Solve per column: A·Ŷ·x = S·Y·x.
+	// Solve A·Ŷ = S·Y, all active columns in lockstep.
+	start = time.Now()
+	x := make([]float64, n*k)
+	iters := 0
+	for _, res := range sparse.SolveBlock(a, x, b, k, cfg.Tol, cfg.MaxIter, workers) {
+		iters += res.Iterations
+	}
+	solveTime := time.Since(start)
+	flat := make([]float64, n*p)
 	yhat := make([][]float64, n)
 	for i := range yhat {
-		yhat[i] = make([]float64, p)
-	}
-	b := make([]float64, n)
-	x := make([]float64, n)
-	iters := 0
-	for c := 0; c < p; c++ {
-		for i := 0; i < n; i++ {
-			b[i] = 0
-			x[i] = 0
-		}
-		// S·Y·x: only labeled rows contribute.
-		for i := range labeled {
-			b[i] = y[i][c]
-		}
-		var res sparse.SolveResult
-		switch cfg.Solver {
-		case Jacobi:
-			res = sparse.Jacobi(a, x, b, cfg.Tol, cfg.MaxIter)
-		case GaussSeidel:
-			res = sparse.GaussSeidel(a, x, b, cfg.Tol, cfg.MaxIter)
-		default:
-			res = sparse.CG(a, x, b, cfg.Tol, cfg.MaxIter)
-		}
-		iters += res.Iterations
-		for i := 0; i < n; i++ {
-			yhat[i][c] = x[i]
+		yhat[i] = flat[i*p : (i+1)*p : (i+1)*p]
+		for c, sc := range slot {
+			if sc >= 0 {
+				yhat[i][c] = x[i*k+sc]
+			}
 		}
 	}
 
@@ -182,19 +146,16 @@ func Run(g *region.Graph, labeled []Labeled, targets []int, cfg Config) Result {
 		Yhat:            yhat,
 		EdgeOrder:       order,
 		SolveIterations: iters,
+		Rows:            n,
+		NNZ:             a.NNZ(),
+		AssembleTime:    assembleTime,
+		SolveTime:       solveTime,
 	}
-	labeledSet := make(map[int]bool, len(labeled))
-	for _, l := range labeled {
-		labeledSet[l.EdgeID] = true
-	}
-	for i, id := range order {
-		if labeledSet[id] {
-			continue
-		}
+	for i := len(labeled); i < n; i++ {
 		if pf, ok := Decode(yhat[i], cfg.NullTol); ok {
-			out.Pref[id] = pf
+			out.Pref[order[i]] = pf
 		} else {
-			out.Null = append(out.Null, id)
+			out.Null = append(out.Null, order[i])
 		}
 	}
 	return out
@@ -204,17 +165,9 @@ func Run(g *region.Graph, labeled []Labeled, targets []int, cfg Config) Result {
 // experiment, the number of similarity-graph edges that survive a given
 // amr threshold over the given region edges.
 func AdjacencyDensity(g *region.Graph, edgeIDs []int, amr float64) int {
-	feats := make([]Features, len(edgeIDs))
-	for i, id := range edgeIDs {
-		feats[i] = EdgeFeatures(g, g.Edges[id])
-	}
 	count := 0
-	for i := range feats {
-		for j := i + 1; j < len(feats); j++ {
-			if ReSim(feats[i], feats[j]) >= amr {
-				count++
-			}
-		}
+	for _, row := range scoreUpper(edgeFeatures(g, edgeIDs), amr, 0) {
+		count += len(row.cols)
 	}
 	return count
 }

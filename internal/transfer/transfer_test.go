@@ -141,7 +141,7 @@ func TestRunTransfersToSimilarBEdge(t *testing.T) {
 	res := Run(rg,
 		[]Labeled{{EdgeID: tEdge.ID, Pref: planted}},
 		[]int{bEdge.ID},
-		DefaultConfig())
+		DefaultConfig(), 1)
 	got, ok := res.Pref[bEdge.ID]
 	if !ok {
 		t.Fatalf("B-edge not labeled; nulls=%v", res.Null)
@@ -165,30 +165,12 @@ func TestRunImpossibleAMRGivesNull(t *testing.T) {
 	cfg.AMR = 1.01 // nothing is this similar
 	res := Run(rg,
 		[]Labeled{{EdgeID: tEdge.ID, Pref: pref.Preference{Master: roadnet.DI}}},
-		[]int{bEdge.ID}, cfg)
+		[]int{bEdge.ID}, cfg, 1)
 	if len(res.Pref) != 0 {
 		t.Fatalf("expected no transfers, got %v", res.Pref)
 	}
 	if len(res.Null) != 1 || res.NullRate() != 1 {
 		t.Fatalf("expected one null, got %v (rate %v)", res.Null, res.NullRate())
-	}
-}
-
-func TestRunJacobiMatchesCG(t *testing.T) {
-	_, rg := transferWorld(t)
-	tEdge := rg.FindEdge(0, 1)
-	bEdge := rg.FindEdge(2, 3)
-	planted := pref.Preference{Master: roadnet.TT, Slave: pref.SlaveOf(roadnet.Primary)}
-	labeled := []Labeled{{EdgeID: tEdge.ID, Pref: planted}}
-
-	cgCfg := DefaultConfig()
-	jaCfg := DefaultConfig()
-	jaCfg.Solver = Jacobi
-	jaCfg.MaxIter = 20000
-	a := Run(rg, labeled, []int{bEdge.ID}, cgCfg)
-	b := Run(rg, labeled, []int{bEdge.ID}, jaCfg)
-	if a.Pref[bEdge.ID] != b.Pref[bEdge.ID] {
-		t.Fatalf("CG %v != Jacobi %v", a.Pref[bEdge.ID], b.Pref[bEdge.ID])
 	}
 }
 
@@ -212,7 +194,7 @@ func TestMaterialize(t *testing.T) {
 	planted := pref.Preference{Master: roadnet.DI, Slave: pref.NoSlave}
 	res := Run(rg,
 		[]Labeled{{EdgeID: tEdge.ID, Pref: planted}},
-		[]int{bEdge.ID}, DefaultConfig())
+		[]int{bEdge.ID}, DefaultConfig(), 1)
 	finder := &testFinder{eng: route.NewEngine(g)}
 	attached := Materialize(rg, res, finder)
 	if attached == 0 {
@@ -241,7 +223,7 @@ func TestMaterializeNullUsesFastest(t *testing.T) {
 	cfg.AMR = 1.01
 	res := Run(rg,
 		[]Labeled{{EdgeID: tEdge.ID, Pref: pref.Preference{Master: roadnet.DI}}},
-		[]int{bEdge.ID}, cfg)
+		[]int{bEdge.ID}, cfg, 1)
 	finder := &testFinder{eng: route.NewEngine(g)}
 	Materialize(rg, res, finder)
 	if bEdge.HasPref {
@@ -271,20 +253,83 @@ func (f *testFinder) FastestPath(s, d roadnet.VertexID) (roadnet.Path, bool) {
 	return path, ok
 }
 
-func TestRunGaussSeidelMatchesCG(t *testing.T) {
+// TestRunDegenerateSystems drives Run through the systems on which a
+// solver that divides by the diagonal could produce NaN; each must come
+// back finite, with the affected edges declared null.
+func TestRunDegenerateSystems(t *testing.T) {
 	_, rg := transferWorld(t)
 	tEdge := rg.FindEdge(0, 1)
 	bEdge := rg.FindEdge(2, 3)
-	planted := pref.Preference{Master: roadnet.TT, Slave: pref.SlaveOf(roadnet.Primary)}
-	labeled := []Labeled{{EdgeID: tEdge.ID, Pref: planted}}
-
-	cgCfg := DefaultConfig()
-	gsCfg := DefaultConfig()
-	gsCfg.Solver = GaussSeidel
-	gsCfg.MaxIter = 20000
-	a := Run(rg, labeled, []int{bEdge.ID}, cgCfg)
-	b := Run(rg, labeled, []int{bEdge.ID}, gsCfg)
-	if a.Pref[bEdge.ID] != b.Pref[bEdge.ID] {
-		t.Fatalf("CG %v != GaussSeidel %v", a.Pref[bEdge.ID], b.Pref[bEdge.ID])
+	var all []int
+	for _, e := range rg.Edges {
+		all = append(all, e.ID)
+	}
+	planted := pref.Preference{Master: roadnet.FC, Slave: pref.Highways}
+	one := []Labeled{{EdgeID: tEdge.ID, Pref: planted}}
+	with := func(mod func(*Config)) Config {
+		cfg := DefaultConfig()
+		mod(&cfg)
+		return cfg
+	}
+	for _, tc := range []struct {
+		name      string
+		labeled   []Labeled
+		targets   []int
+		cfg       Config
+		wantNull  int // -1: whatever one iteration reached
+		wantIters func(iters int) bool
+	}{
+		{name: "µ2 = 0 leaves an isolated unlabeled row with a zero diagonal",
+			labeled: one, targets: []int{bEdge.ID},
+			cfg:      with(func(c *Config) { c.Mu2, c.AMR = 0, 1.01 }),
+			wantNull: 1, wantIters: func(it int) bool { return it > 0 }},
+		{name: "no labeled edges: every column is inactive",
+			labeled: nil, targets: all, cfg: DefaultConfig(),
+			wantNull: len(all), wantIters: func(it int) bool { return it == 0 }},
+		{name: "columns no label activates stay exactly zero",
+			labeled: one, targets: all, cfg: DefaultConfig(),
+			wantNull: 0, wantIters: func(it int) bool { return it > 0 }},
+		{name: "MaxIter reached",
+			labeled: one, targets: all,
+			cfg:      with(func(c *Config) { c.MaxIter, c.Tol = 1, 1e-300 }),
+			wantNull: -1, wantIters: func(it int) bool { return it == 2 }}, // two active columns × MaxIter
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := Run(rg, tc.labeled, tc.targets, tc.cfg, 2)
+			active := make(map[int]bool)
+			for _, l := range tc.labeled {
+				for _, c := range Encode(l.Pref) {
+					active[c] = true
+				}
+			}
+			for i, row := range res.Yhat {
+				for c, v := range row {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("Yhat[%d][%d] = %v", i, c, v)
+					}
+					if !active[c] && v != 0 {
+						t.Errorf("Yhat[%d][%d] = %v in a column no label activates", i, c, v)
+					}
+				}
+			}
+			unlabeled := len(res.EdgeOrder) - len(tc.labeled)
+			if len(res.Null)+len(res.Pref) != unlabeled || (tc.wantNull >= 0 && len(res.Null) != tc.wantNull) {
+				t.Errorf("null %v, transferred %v; want %d null of %d", res.Null, res.Pref, tc.wantNull, unlabeled)
+			}
+			for id, got := range res.Pref {
+				if got != planted {
+					t.Errorf("edge %d received %v, want %v", id, got, planted)
+				}
+			}
+			if !tc.wantIters(res.SolveIterations) {
+				t.Errorf("SolveIterations = %d", res.SolveIterations)
+			}
+			if want := float64(len(res.Null)) / float64(max(unlabeled, 1)); res.NullRate() != want {
+				t.Errorf("NullRate = %v, want %v", res.NullRate(), want)
+			}
+			if res.Rows != len(res.EdgeOrder) || res.NNZ < res.Rows {
+				t.Errorf("Rows %d NNZ %d over %d edges", res.Rows, res.NNZ, len(res.EdgeOrder))
+			}
+		})
 	}
 }
