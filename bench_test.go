@@ -451,14 +451,13 @@ func min(a, b int) int {
 func BenchmarkAblationCH(b *testing.B) {
 	w := benchWorld(b)
 	b.Log(exp.CHSpeedup(w))
-	h := ch.Build(w.Road, roadnet.TT, ch.Config{})
-	q := ch.NewQuery(h)
+	che := route.BuildCHEngine(w.Road, roadnet.TT, ch.Config{})
 	eng := route.NewEngine(w.Road)
 	qs := benchQueries(b)
 	b.Run("CH", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := qs[i%len(qs)]
-			q.Cost(p.S, p.D)
+			che.Route(p.S, p.D, roadnet.TT)
 		}
 	})
 	b.Run("Dijkstra", func(b *testing.B) {

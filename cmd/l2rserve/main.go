@@ -229,8 +229,9 @@ func main() {
 	}
 	if backend == l2r.BackendCH {
 		st = router.Stats()
-		log.Printf("path engine: customizable contraction hierarchy (%d shortcuts, contracted in %s; %d metrics customized in %s)",
-			st.CHShortcuts, st.CHBuildTime.Round(time.Millisecond),
+		height, arcs, _ := engine.Snapshot().CHClimb() // the served router: after a checkpoint recovery that is not `router`
+		log.Printf("path engine: customizable contraction hierarchy (%d shortcuts, contracted in %s; elimination tree height %d, %.0f up-arcs per climb; %d metrics customized in %s)",
+			st.CHShortcuts, st.CHBuildTime.Round(time.Millisecond), height, arcs,
 			st.CHMetrics, st.CHCustomizeTime.Round(time.Microsecond))
 	} else {
 		log.Printf("path engine: dijkstra")

@@ -12,40 +12,32 @@ import (
 )
 
 // These tests pin the customizable-hierarchy (Topology/Metric) query
-// results to both the legacy witness-search CH and plain Dijkstra, over
-// well past 200 OD pairs per run, including after repeated
-// re-customizations of the same topology.
+// results to plain Dijkstra, over well past 200 OD pairs per run,
+// including after repeated re-customizations of the same topology.
 
-// TestCCHCostMatchesDijkstraAndCH: one metric-independent topology per
-// graph, customized per weight, must agree with an independently built
-// legacy hierarchy and with Dijkstra on every pair.
-func TestCCHCostMatchesDijkstraAndCH(t *testing.T) {
+// TestCCHCostMatchesDijkstra: one metric-independent topology per
+// graph, customized per weight, must agree with Dijkstra on every pair.
+func TestCCHCostMatchesDijkstra(t *testing.T) {
 	for gi, g := range buildTestGraphs(t) {
 		topo := ch.BuildTopology(g)
 		eng := route.NewEngine(g)
 		mq := ch.NewMetricQuery(topo)
 		for _, w := range []roadnet.Weight{roadnet.DI, roadnet.TT, roadnet.FC} {
 			m := topo.Customize(func(e roadnet.EdgeID) float64 { return g.EdgeWeight(e, w) })
-			legacy := ch.NewQuery(ch.Build(g, w, ch.Config{}))
 			rng := rand.New(rand.NewSource(int64(gi)*1000 + int64(w)))
 			for trial := 0; trial < 60; trial++ {
 				s := roadnet.VertexID(rng.Intn(g.NumVertices()))
 				d := roadnet.VertexID(rng.Intn(g.NumVertices()))
 				_, want, okD := eng.Route(s, d, w)
 				got, okC := mq.Cost(m, s, d)
-				lgot, okL := legacy.Cost(s, d)
-				if okD != okC || okD != okL {
-					t.Fatalf("graph %d w %v (%d->%d): reachability cch=%v legacy=%v dijkstra=%v",
-						gi, w, s, d, okC, okL, okD)
+				if okD != okC {
+					t.Fatalf("graph %d w %v (%d->%d): reachability cch=%v dijkstra=%v", gi, w, s, d, okC, okD)
 				}
 				if !okD {
 					continue
 				}
 				if math.Abs(got-want) > 1e-6*(1+want) {
 					t.Errorf("graph %d w %v (%d->%d): cost cch=%g dijkstra=%g", gi, w, s, d, got, want)
-				}
-				if math.Abs(got-lgot) > 1e-6*(1+lgot) {
-					t.Errorf("graph %d w %v (%d->%d): cost cch=%g legacy=%g", gi, w, s, d, got, lgot)
 				}
 			}
 		}
@@ -201,12 +193,41 @@ func TestCCHQuickEquivalence(t *testing.T) {
 
 // TestTopologyInvariants checks structural properties of the contracted
 // skeleton: rank is a permutation, every up-arc goes strictly upward in
-// rank, arc targets are sorted per vertex, and every original edge is
-// represented by some skeleton arc.
+// rank, arc targets are sorted per vertex, the up-arc ranges spell out
+// an elimination tree (the property the query climbs on), and every
+// original edge is represented by some skeleton arc.
 func TestTopologyInvariants(t *testing.T) {
-	for gi, g := range buildTestGraphs(t) {
+	graphs := buildTestGraphs(t)
+	islands, _ := twoIslands(t, rand.New(rand.NewSource(5)))
+	for gi, g := range append(graphs, islands) {
 		topo := ch.BuildTopology(g)
 		n := g.NumVertices()
+		// The first up-neighbour is the parent; every up-neighbour of v
+		// lies on v's parent chain, in chain order, and the chain ends
+		// at a vertex with an empty range after at most Height vertices.
+		for v := 0; v < n; v++ {
+			ups := topo.UpNeighbors(roadnet.VertexID(v))
+			next, depth := 0, 1
+			for u := int32(v); ; depth++ {
+				pu := topo.UpNeighbors(roadnet.VertexID(u))
+				if len(pu) == 0 {
+					break
+				}
+				if topo.Rank(roadnet.VertexID(pu[0])) <= topo.Rank(roadnet.VertexID(u)) {
+					t.Fatalf("graph %d: parent %d of %d does not outrank it", gi, pu[0], u)
+				}
+				u = pu[0]
+				if next < len(ups) && ups[next] == u {
+					next++
+				}
+			}
+			if next != len(ups) {
+				t.Fatalf("graph %d: up-neighbour %d of %d is not on its parent chain", gi, ups[next], v)
+			}
+			if depth > topo.Height() {
+				t.Fatalf("graph %d: chain of %d has %d vertices, Height() = %d", gi, v, depth, topo.Height())
+			}
+		}
 		seen := make([]bool, n)
 		for v := 0; v < n; v++ {
 			r := topo.Rank(roadnet.VertexID(v))

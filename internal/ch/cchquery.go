@@ -3,11 +3,10 @@ package ch
 import (
 	"math"
 
-	"repro/internal/container"
 	"repro/internal/roadnet"
 )
 
-// MetricQuery is a reusable bidirectional search context over one
+// MetricQuery is a reusable elimination-tree query context over one
 // Topology, serving any Metric customized from it: the metric is a
 // per-call argument, so one query context (and its per-vertex arrays)
 // amortizes across every metric a fork routes on. Buffers are allocated
@@ -19,17 +18,19 @@ import (
 type MetricQuery struct {
 	t        *Topology
 	fwd, bwd cchSide
-	chain    []cchLink // packed-chain scratch, reused across queries
+	chain    []cchLink    // packed-chain scratch, reused across queries
+	path     roadnet.Path // unpack scratch behind Route's one exact-size copy
 }
 
-// cchSide is one direction of the bidirectional upward search.
+// cchSide is one direction of the query: the labels of one climb.
 type cchSide struct {
 	dist   []float64
 	parent []int32 // parent vertex in the search tree
 	parc   []int32 // skeleton arc index used from parent
-	seen   []int32
-	epoch  int32
-	pq     *container.IndexedMinHeap
+	// seen[v] == epoch marks v as labelled (finitely) by the current
+	// query; anything else is a stale stamp from an earlier one.
+	seen  []uint32
+	epoch uint32
 }
 
 // cchLink is one packed search-tree step: vertex v reached from parent
@@ -43,28 +44,50 @@ func newCCHSide(n int) cchSide {
 		dist:   make([]float64, n),
 		parent: make([]int32, n),
 		parc:   make([]int32, n),
-		seen:   make([]int32, n),
-		pq:     container.NewIndexedMinHeap(n),
+		seen:   make([]uint32, n),
 	}
 }
 
-func (s *cchSide) reset() {
+// start begins a new query at v. The epoch wraps after 2³² queries; a
+// stamp left by the query 2³² ago would then read as live, so on wrap
+// the stamps are cleared and the epoch restarts at 1 (0 is the cleared
+// state, never a live epoch).
+func (s *cchSide) start(v int32) {
 	s.epoch++
-	s.pq.Reset()
-}
-
-func (s *cchSide) d(v int32) float64 {
-	if s.seen[v] != s.epoch {
-		return math.Inf(1)
+	if s.epoch == 0 {
+		for i := range s.seen {
+			s.seen[i] = 0
+		}
+		s.epoch = 1
 	}
-	return s.dist[v]
+	s.seen[v] = s.epoch
+	s.dist[v] = 0
+	s.parent[v] = -1
+	s.parc[v] = -1
 }
 
-func (s *cchSide) set(v int32, d float64, parent, k int32) {
-	s.seen[v] = s.epoch
-	s.dist[v] = d
-	s.parent[v] = parent
-	s.parc[v] = k
+// relaxUp relaxes v's up-arc range lo..hi under w if v is labelled.
+// Arcs whose customized weight is +Inf (unreachable or metric-forbidden)
+// are never relaxed, so every label is finite.
+func (s *cchSide) relaxUp(upTo []int32, w []float64, v, lo, hi int32) {
+	epoch, seen, dist := s.epoch, s.seen, s.dist
+	if seen[v] != epoch {
+		return
+	}
+	dv := dist[v]
+	upTo, w = upTo[lo:hi], w[lo:hi]
+	for i, u := range upTo {
+		wk := w[i]
+		if wk > math.MaxFloat64 {
+			continue
+		}
+		if nd := dv + wk; seen[u] != epoch || nd < dist[u] {
+			seen[u] = epoch
+			dist[u] = nd
+			s.parent[u] = v
+			s.parc[u] = lo + int32(i)
+		}
+	}
 }
 
 // NewMetricQuery allocates a query context for t.
@@ -81,13 +104,18 @@ func (q *MetricQuery) Cost(m *Metric, s, d roadnet.VertexID) (float64, bool) {
 }
 
 // Route returns the shortest path from s to d under m and its cost,
-// fully unpacked to original road-network vertices.
+// fully unpacked to original road-network vertices. The path is a fresh
+// exact-size slice the caller owns: it is unpacked into query-owned
+// scratch and copied out once.
 func (q *MetricQuery) Route(m *Metric, s, d roadnet.VertexID) (roadnet.Path, float64, bool) {
-	cost, meet, ok := q.run(m, int32(s), int32(d))
+	buf, cost, ok := q.AppendRoute(q.path[:0], m, s, d)
+	q.path = buf
 	if !ok {
 		return nil, 0, false
 	}
-	return q.unpackFrom(roadnet.Path{s}, m, meet), cost, true
+	out := make(roadnet.Path, len(buf))
+	copy(out, buf)
+	return out, cost, true
 }
 
 // AppendRoute is Route writing into a caller-owned buffer: the path is
@@ -151,63 +179,54 @@ func (q *MetricQuery) unpack(m *Metric, path roadnet.Path, from, to, k int32, up
 	return q.unpack(m, path, via, to, k2, true)
 }
 
-// run executes the bidirectional upward search over the skeleton: both
-// sides relax each vertex's up-arc CSR range, the forward side under
-// wUp, the backward side under wDown. Arcs whose customized weight is
-// +Inf (unreachable or metric-forbidden) are never relaxed.
+// run is the elimination-tree query. Each up-arc range is sorted by
+// rank, so a vertex's first up-arc leads to its elimination-tree parent
+// and all its up-neighbours are ancestors: everything an upward search
+// from s can ever reach lies on the one chain from s to its root, in
+// rank order. The forward side climbs s's chain relaxing wUp, the
+// backward side d's chain relaxing wDown — no priority queue, and no
+// stopping criterion, because the chain is about as long as what a
+// queue-driven search settles before it may stop. A vertex without a
+// label is still climbed through: its ancestors may be labelled over
+// other arcs (one-way streets, masked metrics). The chain ends at a
+// vertex with no up-arcs, the root of its tree; a disconnected network
+// is a forest, and two chains in different trees never meet.
+//
+// Both sides are labelled only on common ancestors, which d's climb
+// visits in the same order as s's; the meeting vertex is the first of
+// them, in that order, to attain the minimum of fwd.dist + bwd.dist.
 func (q *MetricQuery) run(m *Metric, s, d int32) (float64, int32, bool) {
-	t := q.t
-	q.fwd.reset()
-	q.bwd.reset()
-	q.fwd.set(s, 0, -1, -1)
-	q.bwd.set(d, 0, -1, -1)
-	q.fwd.pq.Push(int(s), 0)
-	q.bwd.pq.Push(int(d), 0)
+	fwd, bwd := &q.fwd, &q.bwd
+	upStart, upTo := q.t.upStart, q.t.upTo
+	fwd.start(s)
+	for v := s; ; {
+		lo, hi := upStart[v], upStart[v+1]
+		if lo == hi {
+			break
+		}
+		fwd.relaxUp(upTo, m.wUp, v, lo, hi)
+		v = upTo[lo]
+	}
 
 	best := math.Inf(1)
 	meet := int32(-1)
-
-	relax := func(side, other *cchSide, w []float64) {
-		vi, dv := side.pq.Pop()
-		v := int32(vi)
-		if dv > side.d(v) {
-			return
-		}
-		if od := other.d(v); dv+od < best {
-			best = dv + od
-			meet = v
-		}
-		for k := t.upStart[v]; k < t.upStart[v+1]; k++ {
-			wk := w[k]
-			if math.IsInf(wk, 1) {
-				continue
-			}
-			u := t.upTo[k]
-			if nd := dv + wk; nd < side.d(u) {
-				side.set(u, nd, v, k)
-				side.pq.Push(int(u), nd)
+	bwd.start(d)
+	for v := d; ; {
+		// v's backward label is final here: every arc into it was
+		// relaxed from a vertex lower on the chain.
+		if bwd.seen[v] == bwd.epoch && fwd.seen[v] == fwd.epoch {
+			if c := fwd.dist[v] + bwd.dist[v]; c < best {
+				best, meet = c, v
 			}
 		}
-	}
-
-	for q.fwd.pq.Len() > 0 || q.bwd.pq.Len() > 0 {
-		minF, minB := math.Inf(1), math.Inf(1)
-		if q.fwd.pq.Len() > 0 {
-			_, minF = peek(q.fwd.pq)
-		}
-		if q.bwd.pq.Len() > 0 {
-			_, minB = peek(q.bwd.pq)
-		}
-		if minF >= best && minB >= best {
+		lo, hi := upStart[v], upStart[v+1]
+		if lo == hi {
 			break
 		}
-		if minF <= minB && q.fwd.pq.Len() > 0 {
-			relax(&q.fwd, &q.bwd, m.wUp)
-		} else if q.bwd.pq.Len() > 0 {
-			relax(&q.bwd, &q.fwd, m.wDown)
-		}
+		bwd.relaxUp(upTo, m.wDown, v, lo, hi)
+		v = upTo[lo]
 	}
-	if math.IsInf(best, 1) {
+	if meet < 0 {
 		return 0, -1, false
 	}
 	return best, meet, true

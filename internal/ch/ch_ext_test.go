@@ -1,6 +1,8 @@
 package ch_test
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,9 +14,9 @@ import (
 	"repro/internal/route"
 )
 
-// External test package: these tests compare CH against the route
-// package's Dijkstra, and route imports ch for its CHEngine backend, so
-// they cannot live in package ch without an import cycle.
+// External test package: these tests compare the hierarchy against the
+// route package's Dijkstra, and route imports ch for its CHEngine
+// backend, so they cannot live in package ch without an import cycle.
 
 // buildTestGraphs returns a mix of structured and random road networks.
 func buildTestGraphs(tb testing.TB) []*roadnet.Graph {
@@ -48,117 +50,110 @@ func randomGraph(rng *rand.Rand, n, m int) *roadnet.Graph {
 	return b.Build()
 }
 
-// TestCostMatchesDijkstra verifies that CH query costs equal plain
-// Dijkstra costs for every weight on several graphs and many pairs.
-func TestCostMatchesDijkstra(t *testing.T) {
-	for gi, g := range buildTestGraphs(t) {
-		eng := route.NewEngine(g)
-		for _, w := range []roadnet.Weight{roadnet.DI, roadnet.TT, roadnet.FC} {
-			h := ch.Build(g, w, ch.Config{})
-			q := ch.NewQuery(h)
-			rng := rand.New(rand.NewSource(int64(gi)*100 + int64(w)))
-			for trial := 0; trial < 60; trial++ {
-				s := roadnet.VertexID(rng.Intn(g.NumVertices()))
-				d := roadnet.VertexID(rng.Intn(g.NumVertices()))
-				_, want, okD := eng.Route(s, d, w)
-				got, okC := q.Cost(s, d)
-				if okD != okC {
-					t.Fatalf("graph %d w %v (%d->%d): reachability CH=%v dijkstra=%v", gi, w, s, d, okC, okD)
-				}
-				if !okD {
-					continue
-				}
-				if math.Abs(got-want) > 1e-6*(1+want) {
-					t.Errorf("graph %d w %v (%d->%d): cost CH=%g dijkstra=%g", gi, w, s, d, got, want)
-				}
+// twoIslands builds a random network of two components, [0, nA) and
+// [nA, n): each a ring whose links are one-way with probability ½ plus
+// random one-way chords, so reachability inside a component is partial
+// and the skeleton carries +Inf in many directions. A few self-loops
+// are spliced in through the TSV form, which (unlike the Builder) keeps
+// them — a loaded network may carry them and contraction must skip them.
+func twoIslands(tb testing.TB, rng *rand.Rand) (g *roadnet.Graph, nA int) {
+	tb.Helper()
+	nA = 6 + rng.Intn(20)
+	n := nA + 6 + rng.Intn(20)
+	b := roadnet.NewBuilder()
+	for i := 0; i < n; i++ {
+		b.AddVertex(geo.Point{X: rng.Float64() * 5000, Y: rng.Float64() * 5000})
+	}
+	island := func(lo, hi int) {
+		size := hi - lo
+		for i := 0; i < size; i++ {
+			u, v := roadnet.VertexID(lo+i), roadnet.VertexID(lo+(i+1)%size)
+			if rng.Intn(2) == 0 {
+				b.AddRoad(u, v, roadnet.Tertiary)
+			} else {
+				b.AddEdge(u, v, roadnet.Residential)
 			}
 		}
-	}
-}
-
-// TestRouteUnpacksValidPath verifies that unpacked CH paths are
-// connected in the original graph and their cost matches the reported
-// query cost.
-func TestRouteUnpacksValidPath(t *testing.T) {
-	for gi, g := range buildTestGraphs(t) {
-		h := ch.Build(g, roadnet.TT, ch.Config{})
-		q := ch.NewQuery(h)
-		rng := rand.New(rand.NewSource(int64(gi) + 42))
-		for trial := 0; trial < 40; trial++ {
-			s := roadnet.VertexID(rng.Intn(g.NumVertices()))
-			d := roadnet.VertexID(rng.Intn(g.NumVertices()))
-			p, cost, ok := q.Route(s, d)
-			if !ok {
-				continue
-			}
-			if !p.Valid(g) {
-				t.Fatalf("graph %d (%d->%d): invalid unpacked path %v", gi, s, d, p)
-			}
-			if p[0] != s || p[len(p)-1] != d {
-				t.Fatalf("graph %d: path endpoints %v..%v, want %v..%v", gi, p[0], p[len(p)-1], s, d)
-			}
-			if pc := p.Cost(g, roadnet.TT); math.Abs(pc-cost) > 1e-6*(1+cost) {
-				t.Errorf("graph %d (%d->%d): path cost %g != query cost %g", gi, s, d, pc, cost)
-			}
+		for i := 0; i < 2*size; i++ {
+			u, v := roadnet.VertexID(lo+rng.Intn(size)), roadnet.VertexID(lo+rng.Intn(size))
+			b.AddEdge(u, v, roadnet.RoadType(rng.Intn(int(roadnet.NumRoadTypes))))
 		}
 	}
+	island(0, nA)
+	island(nA, n)
+	var tsv bytes.Buffer
+	if err := roadnet.WriteTSV(&tsv, b.Build()); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		v := rng.Intn(n)
+		fmt.Fprintf(&tsv, "E\t%d\t%d\t1.000\t1.000\t0.001000\t0\n", v, v)
+	}
+	g, err := roadnet.ReadTSV(&tsv)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, nA
 }
 
-// TestQuickRandomGraphEquivalence is a property test: on arbitrary
-// random graphs and pairs, CH and Dijkstra agree.
+// TestQuickRandomGraphEquivalence is a property test of the
+// elimination-tree query where it is least like a road network: random
+// forests with one-way streets and self-loops. Cost and reachability
+// match Dijkstra, every path is a valid road path costing what the
+// query said, no OD crosses between components, and s == d is the
+// one-vertex path.
 func TestQuickRandomGraphEquivalence(t *testing.T) {
 	f := func(seed int64, pairSeed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 12 + rng.Intn(30)
-		g := randomGraph(rng, n, n*2)
-		h := ch.Build(g, roadnet.DI, ch.Config{WitnessHopLimit: 16})
-		q := ch.NewQuery(h)
+		g, nA := twoIslands(t, rand.New(rand.NewSource(seed)))
+		n := g.NumVertices()
+		topo := ch.BuildTopology(g)
+		m := topo.Customize(func(e roadnet.EdgeID) float64 { return g.EdgeWeight(e, roadnet.DI) })
+		q := ch.NewMetricQuery(topo)
 		eng := route.NewEngine(g)
 		prng := rand.New(rand.NewSource(pairSeed))
-		for i := 0; i < 10; i++ {
+		for i := 0; i < 40; i++ {
 			s := roadnet.VertexID(prng.Intn(n))
 			d := roadnet.VertexID(prng.Intn(n))
+			if i%8 == 0 {
+				d = s
+			}
 			_, want, okD := eng.Route(s, d, roadnet.DI)
-			got, okC := q.Cost(s, d)
-			if okD != okC {
+			p, got, okC := q.Route(m, s, d)
+			if c, ok := q.Cost(m, s, d); ok != okC || (ok && math.Float64bits(c) != math.Float64bits(got)) {
+				t.Logf("%d->%d: Cost = %g, %v but Route = %g, %v", s, d, c, ok, got, okC)
 				return false
 			}
-			if okD && math.Abs(got-want) > 1e-6*(1+want) {
+			if okD != okC {
+				t.Logf("%d->%d: reachability cch=%v dijkstra=%v", s, d, okC, okD)
+				return false
+			}
+			if cross := (int(s) < nA) != (int(d) < nA); cross && okC {
+				t.Logf("%d->%d: reachable across components", s, d)
+				return false
+			}
+			if !okC {
+				continue
+			}
+			if s == d && (len(p) != 1 || p[0] != s || got != 0) {
+				t.Logf("%d->%d: path %v cost %g, want the one-vertex path at 0", s, d, p, got)
+				return false
+			}
+			if math.Abs(got-want) > 1e-6*(1+want) {
+				t.Logf("%d->%d: cost cch=%g dijkstra=%g", s, d, got, want)
+				return false
+			}
+			if !p.Valid(g) || p[0] != s || p[len(p)-1] != d {
+				t.Logf("%d->%d: invalid path %v", s, d, p)
+				return false
+			}
+			if pc := p.Cost(g, roadnet.DI); math.Abs(pc-got) > 1e-6*(1+got) {
+				t.Logf("%d->%d: path costs %g, query said %g", s, d, pc, got)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// BenchmarkCHQueryVsDijkstra is used via the root bench harness too;
-// here it provides a package-local comparison point.
-func BenchmarkCHQueryVsDijkstra(b *testing.B) {
-	g := roadnet.Generate(roadnet.Tiny(5))
-	h := ch.Build(g, roadnet.TT, ch.Config{})
-	q := ch.NewQuery(h)
-	eng := route.NewEngine(g)
-	rng := rand.New(rand.NewSource(1))
-	pairs := make([][2]roadnet.VertexID, 256)
-	for i := range pairs {
-		pairs[i] = [2]roadnet.VertexID{
-			roadnet.VertexID(rng.Intn(g.NumVertices())),
-			roadnet.VertexID(rng.Intn(g.NumVertices())),
-		}
-	}
-	b.Run("CH", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			q.Cost(p[0], p[1])
-		}
-	})
-	b.Run("Dijkstra", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			eng.Route(p[0], p[1], roadnet.TT)
-		}
-	})
 }

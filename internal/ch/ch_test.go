@@ -8,26 +8,39 @@ import (
 	"repro/internal/roadnet"
 )
 
-// White-box tests of the hierarchy invariants. Tests comparing CH
-// against the route package's Dijkstra live in ch_ext_test.go (external
-// test package): route now provides a CH-backed PathEngine, so an
-// in-package import of route would be a cycle.
+// White-box tests of the skeleton's invariants and of the query's edge
+// cases on hand-built networks. Tests comparing the hierarchy against
+// the route package's Dijkstra live in the external test package: route
+// provides a CH-backed PathEngine, so an in-package import of route
+// would be a cycle.
 
-// TestSameSourceDest checks the degenerate s == d query.
+func customizeDI(t *Topology) *Metric {
+	g := t.Graph()
+	return t.Customize(func(e roadnet.EdgeID) float64 { return g.EdgeWeight(e, roadnet.DI) })
+}
+
+// TestSameSourceDest checks the degenerate s == d query: the one-vertex
+// path at cost 0, whatever the vertex's place in the elimination tree.
 func TestSameSourceDest(t *testing.T) {
 	g := roadnet.GenerateGrid(4, 4, 100, roadnet.Residential)
-	h := Build(g, roadnet.DI, Config{})
-	q := NewQuery(h)
-	p, cost, ok := q.Route(3, 3)
-	if !ok || cost != 0 {
-		t.Fatalf("Route(3,3) = cost %g ok %v, want 0 true", cost, ok)
-	}
-	if len(p) != 1 || p[0] != 3 {
-		t.Fatalf("Route(3,3) path = %v, want [3]", p)
+	topo := BuildTopology(g)
+	m := customizeDI(topo)
+	q := NewMetricQuery(topo)
+	for v := 0; v < g.NumVertices(); v++ {
+		s := roadnet.VertexID(v)
+		p, cost, ok := q.Route(m, s, s)
+		if !ok || cost != 0 {
+			t.Fatalf("Route(%d,%d) = cost %g ok %v, want 0 true", v, v, cost, ok)
+		}
+		if len(p) != 1 || p[0] != s {
+			t.Fatalf("Route(%d,%d) path = %v, want [%d]", v, v, p, v)
+		}
 	}
 }
 
-// TestDisconnected verifies unreachable pairs are reported as such.
+// TestDisconnected verifies unreachable pairs are reported as such: a
+// disconnected network contracts to a forest, and the chains of two
+// vertices in different trees never meet.
 func TestDisconnected(t *testing.T) {
 	b := roadnet.NewBuilder()
 	for i := 0; i < 4; i++ {
@@ -36,18 +49,24 @@ func TestDisconnected(t *testing.T) {
 	b.AddRoad(0, 1, roadnet.Residential)
 	b.AddRoad(2, 3, roadnet.Residential)
 	g := b.Build()
-	h := Build(g, roadnet.DI, Config{})
-	q := NewQuery(h)
-	if _, ok := q.Cost(0, 2); ok {
+	topo := BuildTopology(g)
+	m := customizeDI(topo)
+	q := NewMetricQuery(topo)
+	if _, ok := q.Cost(m, 0, 2); ok {
 		t.Fatal("Cost(0,2) reported reachable on disconnected graph")
 	}
-	if c, ok := q.Cost(0, 1); !ok || c <= 0 {
+	if p, _, ok := q.Route(m, 3, 1); ok || p != nil {
+		t.Fatalf("Route(3,1) = %v, %v on disconnected graph; want nil, false", p, ok)
+	}
+	if c, ok := q.Cost(m, 0, 1); !ok || c <= 0 {
 		t.Fatalf("Cost(0,1) = %g, %v; want positive, true", c, ok)
 	}
 }
 
 // TestOneWayStreet verifies directedness is respected: an edge added in
-// only one direction must not be usable backwards.
+// only one direction must not be usable backwards. Backwards, the climb
+// passes through vertices it cannot label — the arcs exist in the
+// skeleton but carry +Inf in that direction.
 func TestOneWayStreet(t *testing.T) {
 	b := roadnet.NewBuilder()
 	for i := 0; i < 3; i++ {
@@ -56,61 +75,97 @@ func TestOneWayStreet(t *testing.T) {
 	b.AddEdge(0, 1, roadnet.Residential) // one-way
 	b.AddEdge(1, 2, roadnet.Residential) // one-way
 	g := b.Build()
-	h := Build(g, roadnet.DI, Config{})
-	q := NewQuery(h)
-	if _, ok := q.Cost(2, 0); ok {
+	topo := BuildTopology(g)
+	m := customizeDI(topo)
+	q := NewMetricQuery(topo)
+	if _, ok := q.Cost(m, 2, 0); ok {
 		t.Fatal("one-way chain traversed backwards")
 	}
-	if c, ok := q.Cost(0, 2); !ok || math.Abs(c-200) > 1e-9 {
+	if c, ok := q.Cost(m, 0, 2); !ok || math.Abs(c-200) > 1e-9 {
 		t.Fatalf("Cost(0,2) = %g, %v; want 200, true", c, ok)
+	}
+	if p, _, ok := q.Route(m, 0, 2); !ok || len(p) != 3 || p[0] != 0 || p[1] != 1 || p[2] != 2 {
+		t.Fatalf("Route(0,2) = %v, %v; want [0 1 2], true", p, ok)
 	}
 }
 
 // TestRankPermutation checks that contraction ranks form a permutation
-// of [0, n).
+// of [0, n) and that order is its inverse.
 func TestRankPermutation(t *testing.T) {
 	g := roadnet.Generate(roadnet.Tiny(3))
-	h := Build(g, roadnet.TT, Config{})
-	seen := make([]bool, g.NumVertices())
-	for v := 0; v < g.NumVertices(); v++ {
-		r := h.Rank(roadnet.VertexID(v))
-		if r < 0 || r >= g.NumVertices() {
+	topo := BuildTopology(g)
+	n := g.NumVertices()
+	if len(topo.rank) != n || len(topo.order) != n {
+		t.Fatalf("rank/order sized %d/%d for %d vertices", len(topo.rank), len(topo.order), n)
+	}
+	for v := 0; v < n; v++ {
+		r := topo.rank[v]
+		if r < 0 || int(r) >= n {
 			t.Fatalf("rank(%d) = %d out of range", v, r)
 		}
-		if seen[r] {
-			t.Fatalf("duplicate rank %d", r)
+		if topo.order[r] != int32(v) {
+			t.Fatalf("order[rank(%d)] = %d: order is not the inverse of rank", v, topo.order[r])
 		}
-		seen[r] = true
 	}
 }
 
-// TestUpwardProperty checks the defining CH invariant: every recorded
-// arc leads to a strictly higher-ranked vertex.
+// TestUpwardProperty checks the defining invariants of the CSR: every
+// recorded arc leads to a strictly higher-ranked vertex, each range is
+// sorted by rank without duplicates, and findArc finds exactly the arcs
+// that exist.
 func TestUpwardProperty(t *testing.T) {
 	g := roadnet.Generate(roadnet.Tiny(9))
-	h := Build(g, roadnet.DI, Config{})
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, a := range h.upOf(roadnet.VertexID(v)) {
-			if h.rank[a.to] <= h.rank[v] {
-				t.Fatalf("up arc %d->%d violates rank order (%d <= %d)", v, a.to, h.rank[a.to], h.rank[v])
+	topo := BuildTopology(g)
+	for v := int32(0); int(v) < g.NumVertices(); v++ {
+		prev := topo.rank[v]
+		for k := topo.upStart[v]; k < topo.upStart[v+1]; k++ {
+			u := topo.upTo[k]
+			if topo.rank[u] <= prev {
+				t.Fatalf("up arc %d->%d: rank %d after rank %d (not strictly ascending above the owner)", v, u, topo.rank[u], prev)
 			}
-		}
-		for _, a := range h.downOf(roadnet.VertexID(v)) {
-			if h.rank[a.to] <= h.rank[v] {
-				t.Fatalf("down arc %d<-%d violates rank order (%d <= %d)", v, a.to, h.rank[a.to], h.rank[v])
+			prev = topo.rank[u]
+			if got := topo.findArc(v, u); got != k {
+				t.Fatalf("findArc(%d,%d) = %d, want %d", v, u, got, k)
+			}
+			if got := topo.findArc(u, v); got != -1 {
+				t.Fatalf("findArc(%d,%d) = %d for an arc owned by the other endpoint, want -1", u, v, got)
 			}
 		}
 	}
 }
 
-// TestShortcutsReported sanity-checks the Shortcuts counter.
+// TestShortcutsReported recounts the Shortcuts counter from the CSR and
+// checks the climb statistics against a direct walk of every chain.
 func TestShortcutsReported(t *testing.T) {
 	g := roadnet.GenerateGrid(6, 6, 100, roadnet.Residential)
-	h := Build(g, roadnet.DI, Config{})
-	if h.Shortcuts() < 0 {
-		t.Fatalf("negative shortcut count %d", h.Shortcuts())
+	topo := BuildTopology(g)
+	pure := 0
+	for k := range topo.upTo {
+		if topo.origUp[k] < 0 && topo.origDown[k] < 0 {
+			pure++
+		}
 	}
-	if h.Weight() != roadnet.DI {
-		t.Fatalf("Weight() = %v, want DI", h.Weight())
+	if topo.Shortcuts() != pure || pure == 0 || pure >= topo.NumArcs() {
+		t.Fatalf("Shortcuts() = %d, recount %d of %d arcs; a grid needs some fill but not only fill", topo.Shortcuts(), pure, topo.NumArcs())
+	}
+	height, arcs := 0, 0
+	for v := int32(0); int(v) < g.NumVertices(); v++ {
+		depth := 0
+		for u := v; ; u = topo.upTo[topo.upStart[u]] {
+			depth++
+			arcs += int(topo.upStart[u+1] - topo.upStart[u])
+			if topo.upStart[u] == topo.upStart[u+1] {
+				break
+			}
+		}
+		if depth > height {
+			height = depth
+		}
+	}
+	if topo.Height() != height {
+		t.Errorf("Height() = %d, longest chain walked has %d vertices", topo.Height(), height)
+	}
+	if want := float64(arcs) / float64(g.NumVertices()); math.Abs(topo.ClimbArcsMean()-want) > 1e-9 {
+		t.Errorf("ClimbArcsMean() = %g, walking every chain gives %g", topo.ClimbArcsMean(), want)
 	}
 }

@@ -10,16 +10,19 @@ import (
 // Topology is the metric-independent half of a customizable contraction
 // hierarchy (CCH, Dibbelt/Strasser/Wagner): a contraction order plus the
 // shortcut skeleton that order induces, contracted once per road network
-// and then reused for every weight function. Unlike the weight-coupled
-// Hierarchy, contraction keeps every potential shortcut (no witness
-// searches — witnesses depend on the metric), so the skeleton is valid
-// for any non-negative edge costs; Customize fills in the weights.
+// and then reused for every weight function. Contraction keeps every
+// potential shortcut (no witness searches — witnesses depend on the
+// metric), so the skeleton is valid for any non-negative edge costs;
+// Customize fills in the weights.
 //
 // The skeleton is stored as a flat CSR over int32 arrays. Each
 // undirected skeleton edge {a, b} with rank(a) < rank(b) is owned by its
 // lower-ranked endpoint a and appears exactly once, in a's up-arc range
-// upStart[a]..upStart[a+1], sorted by the rank of the other endpoint so
-// arc lookup during customization and unpacking is a binary search.
+// upStart[a]..upStart[a+1], sorted by the rank of the other endpoint.
+// Because every fill edge is kept, the up-neighbours of a vertex are
+// pairwise adjacent, so the first arc of a range leads to the vertex's
+// elimination-tree parent and the rest to further ancestors: the query
+// (MetricQuery) climbs that one chain and needs no other structure.
 type Topology struct {
 	g *roadnet.Graph
 
@@ -37,6 +40,22 @@ type Topology struct {
 	origDown []int32
 
 	shortcuts int // skeleton arcs with no original edge in either direction
+
+	// What a query costs on this contraction order (see Height).
+	height    int
+	climbArcs float64
+}
+
+// Config is the contraction configuration, and it is empty: contraction
+// is metric-independent and takes no tuning. The type remains because
+// core.Options, serve.Options and Router.EnableCH name it.
+type Config struct{}
+
+// peek returns the minimum entry without removing it.
+func peek(pq *container.IndexedMinHeap) (int, float64) {
+	id, p := pq.Pop()
+	pq.Push(id, p)
+	return id, p
 }
 
 // BuildTopology contracts g once, metric-independently: vertices are
@@ -71,7 +90,8 @@ func BuildTopology(g *roadnet.Graph) *Topology {
 
 	// Greedy contraction by fill-in minus degree plus a depth term —
 	// the classic edge-difference priority without the witness term,
-	// with lazy priority updates exactly as in the legacy Build.
+	// with lazy priority updates: a popped vertex whose recomputed
+	// priority no longer beats the next one is pushed back.
 	prio := func(v int32) float64 {
 		deg := len(nb[v])
 		fill := 0
@@ -151,26 +171,47 @@ func BuildTopology(g *roadnet.Graph) *Topology {
 		}
 		t.upStart[v+1] = int32(len(t.upTo))
 	}
+	t.measureClimbs()
 	return t
 }
 
-// findArc returns the CSR index of the skeleton arc between lo (the
-// lower-ranked owner) and hi, by binary search over lo's rank-sorted
-// up-arc range. The arc exists for every (contracted vertex, pair of its
-// up-neighbors) triangle by construction; -1 means no such arc.
-func (t *Topology) findArc(lo, hi int32) int32 {
-	i, j := t.upStart[lo], t.upStart[lo+1]
-	rh := t.rank[hi]
-	for i < j {
-		mid := (i + j) / 2
-		if t.rank[t.upTo[mid]] < rh {
-			i = mid + 1
-		} else {
-			j = mid
+// measureClimbs records the elimination tree's height and the mean
+// number of up-arcs one climb relaxes. Parents outrank children, so one
+// pass in descending rank order sees every parent before its children.
+func (t *Topology) measureClimbs() {
+	n := len(t.rank)
+	depth := make([]int32, n) // vertices on the chain from v to its root
+	arcs := make([]int64, n)  // up-arcs over that chain
+	var total int64
+	for ri := n - 1; ri >= 0; ri-- {
+		v := t.order[ri]
+		lo, hi := t.upStart[v], t.upStart[v+1]
+		depth[v], arcs[v] = 1, int64(hi-lo)
+		if lo < hi {
+			p := t.upTo[lo]
+			depth[v] += depth[p]
+			arcs[v] += arcs[p]
 		}
+		if int(depth[v]) > t.height {
+			t.height = int(depth[v])
+		}
+		total += arcs[v]
 	}
-	if i < t.upStart[lo+1] && t.upTo[i] == hi {
-		return i
+	if n > 0 {
+		t.climbArcs = float64(total) / float64(n)
+	}
+}
+
+// findArc returns the CSR index of the skeleton arc between lo (the
+// lower-ranked owner) and hi, or -1 when there is none. The arc exists
+// for every (contracted vertex, pair of its up-neighbors) triangle by
+// construction. Ranges hold a handful of arcs, so a linear scan on the
+// vertex id beats a binary search keyed on rank[upTo[mid]].
+func (t *Topology) findArc(lo, hi int32) int32 {
+	for k := t.upStart[lo]; k < t.upStart[lo+1]; k++ {
+		if t.upTo[k] == hi {
+			return k
+		}
 	}
 	return -1
 }
@@ -188,3 +229,14 @@ func (t *Topology) Shortcuts() int { return t.shortcuts }
 // Rank returns the contraction order of v (higher = contracted later =
 // more important).
 func (t *Topology) Rank(v roadnet.VertexID) int { return int(t.rank[v]) }
+
+// Height returns the elimination tree's height: the number of vertices
+// on the longest chain from a vertex to its root, which is the most one
+// side of a query ever visits. Query cost is a property of the
+// contraction order, not of the OD pair; this and ClimbArcsMean are
+// what say when a better (nested-dissection) order would start to pay.
+func (t *Topology) Height() int { return t.height }
+
+// ClimbArcsMean returns the mean, over all start vertices, of the
+// number of up-arcs one side of a query relaxes on its climb.
+func (t *Topology) ClimbArcsMean() float64 { return t.climbArcs }

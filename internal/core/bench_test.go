@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/roadnet"
 	"repro/internal/traj"
 	"repro/internal/worldgen"
 )
@@ -40,4 +42,25 @@ func BenchmarkIngestBatch(b *testing.B) {
 		cur = next
 	}
 	b.ReportMetric(float64(searches)/float64(b.N), "searches/op")
+}
+
+var sinkRoute RouteResult
+
+// BenchmarkRouteCold times Router.Route on the ci city over uniform
+// ODs — the route_cold workload's inner call: region search, CCH query
+// and splice, no cache in front.
+func BenchmarkRouteCold(b *testing.B) {
+	r := cityRouter(b, worldgen.ScaleCI).Clone()
+	n := r.Road().NumVertices()
+	rng := rand.New(rand.NewSource(1))
+	ods := make([][2]roadnet.VertexID, 4096)
+	for i := range ods {
+		ods[i] = [2]roadnet.VertexID{roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n))}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		od := ods[i%len(ods)]
+		sinkRoute = r.Route(od[0], od[1])
+	}
 }

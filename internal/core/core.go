@@ -117,8 +117,8 @@ type Options struct {
 	// at Build time and serves scalar, preference-restricted and
 	// custom-weight queries through per-metric customizations of it).
 	PathBackend PathBackend
-	// CH tunes contraction-hierarchy preprocessing when PathBackend is
-	// BackendCH; the zero value is usable.
+	// CH is the contraction configuration for BackendCH. ch.Config is
+	// empty — contraction is metric-independent and takes no tuning.
 	CH ch.Config
 	// NoMetricPrewarm skips the PrepareMetrics pass at the end of a
 	// BackendCH Build: startup gets cheaper and each metric — the three
@@ -207,6 +207,10 @@ type Router struct {
 	// multi holds optional multi-preference fits per T-edge; see
 	// EnableMultiPreferences.
 	multi map[int]pref.MultiResult
+	// scratch is this handle's region-search state, allocated on its
+	// first query. Query state like eng's: every clone constructor must
+	// drop it, or two handles would share one search.
+	scratch *regionScratch
 }
 
 // RegionGraph exposes the underlying region graph (read-only use).
@@ -251,7 +255,7 @@ func (r *Router) LearnedPreference(edgeID int) (pref.Result, bool) {
 // this.
 func (r *Router) Clone() *Router {
 	cp := *r
-	cp.eng = r.eng.Fork()
+	cp.eng, cp.scratch = r.eng.Fork(), nil
 	return &cp
 }
 
@@ -264,7 +268,7 @@ func (r *Router) Clone() *Router {
 // path, then atomically publish the clone.
 func (r *Router) DeepClone() *Router {
 	cp := *r
-	cp.eng = r.eng.Fork()
+	cp.eng, cp.scratch = r.eng.Fork(), nil
 	cp.rg = r.rg.Clone()
 	cp.learnedCOW = false
 	cp.learned = make(map[int]pref.Result, len(r.learned))
@@ -302,7 +306,7 @@ func (r *Router) DeepClone() *Router {
 // sides may be mutated independently.
 func (r *Router) IngestClone() *Router {
 	cp := *r
-	cp.eng = r.eng.Fork()
+	cp.eng, cp.scratch = r.eng.Fork(), nil
 	cp.rg = r.rg.CloneCOW()
 	// Of the preference maps only learned is written on the ingest path
 	// (the relearn loop), and it is privatized there on first write —
@@ -528,6 +532,20 @@ func (r *Router) PathBackend() PathBackend {
 		return BackendCH
 	}
 	return BackendDijkstra
+}
+
+// CHClimb reports what one shortest-path query costs on the router's
+// contraction order — the elimination tree's height and the mean number
+// of up-arcs one side of a query relaxes (ch.Topology.Height and
+// ClimbArcsMean). ok is false on a Dijkstra-backed router. The numbers
+// describe the live topology and are not part of the persisted Stats.
+func (r *Router) CHClimb() (height int, arcsMean float64, ok bool) {
+	e, ok := r.eng.(*route.CHEngine)
+	if !ok {
+		return 0, 0, false
+	}
+	t := e.Topology()
+	return t.Height(), t.ClimbArcsMean(), true
 }
 
 // EnableCH swaps the router's path engine for a CH-backed one, building

@@ -284,44 +284,59 @@ func TestBuildWithAlternativeClusterings(t *testing.T) {
 	}
 }
 
-// TestParallelQueriesViaClones verifies that independent clones of one
-// router can answer queries concurrently (the documented concurrency
-// model) and agree with each other.
+// TestParallelQueriesViaClones runs one router and clones of it from
+// every clone constructor concurrently, on both backends. The router
+// has already answered queries when it is cloned, so it owns a
+// region-search scratch and engine query state: a constructor that let
+// a copy keep either would have two goroutines searching in one state,
+// which the race detector reports and the path comparison catches.
 func TestParallelQueriesViaClones(t *testing.T) {
 	road := roadnet.Generate(roadnet.Tiny(93))
 	sim := traj.NewSimulator(road, traj.D2Like(93, 300))
 	ts := sim.Run()
-	r, err := Build(road, ts, Options{SkipMapMatching: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := road.NumVertices()
 	type q struct{ s, d roadnet.VertexID }
 	qs := make([]q, 40)
 	for i := range qs {
 		qs[i] = q{roadnet.VertexID((i * 13) % n), roadnet.VertexID((i*7 + 3) % n)}
 	}
-	want := make([]int, len(qs))
-	for i, query := range qs {
-		want[i] = len(r.Route(query.s, query.d).Path)
-	}
-	const workers = 4
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		clone := r.Clone()
-		go func() {
-			for i, query := range qs {
-				if got := len(clone.Route(query.s, query.d).Path); got != want[i] {
-					errs <- fmt.Errorf("query %d: %d vertices, want %d", i, got, want[i])
-					return
-				}
-			}
-			errs <- nil
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		if err := <-errs; err != nil {
+	for _, backend := range []PathBackend{BackendDijkstra, BackendCH} {
+		r, err := Build(road, ts, Options{SkipMapMatching: true, PathBackend: backend})
+		if err != nil {
 			t.Fatal(err)
+		}
+		want := make([]uint64, len(qs))
+		for i, query := range qs {
+			want[i] = pathHash(r.Route(query.s, query.d).Path)
+		}
+		if r.scratch == nil {
+			t.Fatalf("%v: no query reached the region search; the test needs a router that owns scratch", backend)
+		}
+		handles := []*Router{r, r.Clone(), r.DeepClone(), r.IngestClone(), r.Clone().Clone()}
+		for i, h := range handles[1:] {
+			if h.scratch != nil {
+				t.Fatalf("%v: clone %d shares its parent's region-search scratch", backend, i+1)
+			}
+		}
+		errs := make(chan error, len(handles))
+		for _, h := range handles {
+			h := h
+			go func() {
+				for round := 0; round < 3; round++ {
+					for i, query := range qs {
+						if got := pathHash(h.Route(query.s, query.d).Path); got != want[i] {
+							errs <- fmt.Errorf("%v, query %d: path hash %#x, want %#x", backend, i, got, want[i])
+							return
+						}
+					}
+				}
+				errs <- nil
+			}()
+		}
+		for range handles {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

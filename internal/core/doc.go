@@ -47,9 +47,27 @@
 // over the shared built state; DeepClone also deep-copies the mutable
 // built state (region graph, preference maps) and is the
 // copy-on-write primitive behind live ingestion: DeepClone → Ingest →
-// atomically publish (internal/serve does exactly this). The road
-// network, spatial index and any CH hierarchy are immutable after
-// build and always shared.
+// atomically publish (internal/serve does exactly this); IngestClone
+// is its copy-on-write form. The road network, spatial index and any
+// CH topology are immutable after build and always shared.
+//
+// # Scratch
+//
+// A Router handle owns two pieces of query state, both allocated on
+// its first query: the path engine fork (see internal/route: who owns
+// which scratch) and the region-level search's regionScratch —
+// epoch-stamped visit marks, parent links and a heap that is Reset
+// rather than reallocated, with the same clear-on-uint32-wrap rule as
+// the engines. Clone, DeepClone and IngestClone all begin with a
+// struct copy, so each must drop the scratch pointer and fork the
+// engine, or two handles would search in one state; a new field of
+// this kind needs the same line in all three. Nothing a caller
+// receives aliases scratch: the region path is counted and copied out
+// at exact size, road paths are the engine's fresh copies (or stored
+// paths of the immutable region graph), and a Case-2 answer is
+// assembled as ps + road + pd in one allocation of its own. There is
+// no memo of region paths or routes here; caching is the serving
+// layer's job.
 //
 // # Persistence
 //

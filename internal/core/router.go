@@ -243,12 +243,13 @@ func (r *Router) route(sp *obs.Span, s, d roadnet.VertexID) RouteResult {
 	spl.Annotate("evidence", evidence.String())
 	spl.End()
 
+	// Case 2: ps + road + pd in one exact-size allocation. ps and pd
+	// are slices of the approach search's result, which that search
+	// handed over as a copy of its own — later queries on the same
+	// engine (the splice above) cannot have overwritten them.
 	full := road
-	if len(ps) >= 2 {
-		full = roadnet.Concat(ps, full)
-	}
-	if len(pd) >= 2 {
-		full = roadnet.Concat(full, pd)
+	if len(ps) >= 2 || len(pd) >= 2 {
+		full = roadnet.Concat(ps, road, pd)
 	}
 	return RouteResult{Path: full, Category: cat, UsedRegionPath: true, RegionPath: regPath, Evidence: evidence}
 }
@@ -293,60 +294,95 @@ func (r *Router) innerRoute(rs int, sv, dv roadnet.VertexID) (roadnet.Path, bool
 	return best, true
 }
 
+// regionScratch is the region-level search state one Router handle
+// reuses across queries: epoch-stamped visit marks, parent links and a
+// heap that is Reset, not reallocated. It belongs to the handle, never
+// to the built system — Clone, DeepClone and IngestClone drop it and
+// the copy allocates its own on its first query — and nothing a caller
+// receives aliases it: regionSearch copies the path out.
+type regionScratch struct {
+	// seen[v] == epoch marks region v as reached by the current search,
+	// which is when parent[v] is meaningful.
+	seen   []uint32
+	parent []int32
+	epoch  uint32
+	pq     *container.IndexedMinHeap
+}
+
+// regionScratch returns the handle's scratch, (re)allocated when absent
+// or sized for another region count, and starts a new search in it. The
+// epoch follows route.Engine's rule: on uint32 wrap a stamp from 2³²
+// searches ago would read as live, so clear and restart at 1.
+func (r *Router) regionScratch() *regionScratch {
+	n := r.rg.NumRegions()
+	sc := r.scratch
+	if sc == nil || len(sc.seen) != n {
+		sc = &regionScratch{
+			seen:   make([]uint32, n),
+			parent: make([]int32, n),
+			pq:     container.NewIndexedMinHeap(n),
+		}
+		r.scratch = sc
+	}
+	sc.pq.Reset()
+	sc.epoch++
+	if sc.epoch == 0 {
+		for i := range sc.seen {
+			sc.seen[i] = 0
+		}
+		sc.epoch = 1
+	}
+	return sc
+}
+
 // regionSearch finds a region path from rs to rd on the region graph.
 // Following Section VI, the search greedily prefers region edges leading
 // to regions geometrically closer to the destination (fewer, more
 // coherent region edges); it is a best-first search keyed on centroid
 // distance, with the direct-edge shortcut the paper mandates.
 func (r *Router) regionSearch(rs, rd int) ([]int, bool) {
-	n := r.rg.NumRegions()
 	if rs == rd {
 		return []int{rs}, true
 	}
-	target := r.rg.Centroid(rd)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
+	sc := r.regionScratch()
+	reach := func(v, from int) {
+		sc.seen[v] = sc.epoch
+		sc.parent[v] = int32(from)
 	}
-	visited := make([]bool, n)
-	pq := container.NewIndexedMinHeap(n)
-	pq.Push(rs, r.rg.Centroid(rs).Dist(target))
-	visited[rs] = true
-	parent[rs] = rs
-	for pq.Len() > 0 {
-		cur, _ := pq.Pop()
+	target := r.rg.Centroid(rd)
+	sc.pq.Push(rs, r.rg.Centroid(rs).Dist(target))
+	reach(rs, rs)
+	for sc.pq.Len() > 0 {
+		cur, _ := sc.pq.Pop()
 		if cur == rd {
 			break
 		}
 		// Direct-edge shortcut: when an edge to the destination region
 		// exists, always use it.
 		if e := r.rg.FindEdge(cur, rd); e != nil {
-			parent[rd] = cur
+			reach(rd, cur)
 			break
 		}
 		for _, ei := range r.rg.EdgesOf(cur) {
 			o := r.rg.Edges[ei].Other(cur)
-			if visited[o] {
+			if sc.seen[o] == sc.epoch {
 				continue
 			}
-			visited[o] = true
-			parent[o] = cur
-			pq.Push(o, r.rg.Centroid(o).Dist(target))
+			reach(o, cur)
+			sc.pq.Push(o, r.rg.Centroid(o).Dist(target))
 		}
 	}
-	if parent[rd] == -1 {
+	if sc.seen[rd] != sc.epoch {
 		return nil, false
 	}
-	var rev []int
-	for v := rd; ; v = parent[v] {
-		rev = append(rev, v)
-		if v == rs {
-			break
-		}
+	// Count the path, then write it back to front at its exact size.
+	hops := 1
+	for v := rd; v != rs; v = int(sc.parent[v]) {
+		hops++
 	}
-	out := make([]int, len(rev))
-	for i, v := range rev {
-		out[len(rev)-1-i] = v
+	out := make([]int, hops)
+	for v, i := rd, hops-1; i >= 0; v, i = int(sc.parent[v]), i-1 {
+		out[i] = v
 	}
 	return out, true
 }

@@ -253,7 +253,18 @@ func (p Path) Polyline(g *Graph) geo.Polyline {
 // Empty pieces are skipped. Concat panics if the pieces do not line up;
 // callers construct the pieces so this is a programming error.
 func Concat(pieces ...Path) Path {
-	var out Path
+	// One exact-size allocation: every join drops one vertex.
+	n, joins := 0, -1
+	for _, p := range pieces {
+		if len(p) > 0 {
+			n += len(p)
+			joins++
+		}
+	}
+	if joins < 0 {
+		return nil
+	}
+	out := make(Path, 0, n-joins)
 	for _, p := range pieces {
 		if len(p) == 0 {
 			continue

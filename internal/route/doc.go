@@ -22,11 +22,12 @@
 // in beneath all of them at once. Two implementations ship:
 //
 //   - Engine: plain Dijkstra plus Algorithm 2 (the default).
-//   - CHEngine: scalar fastest-path queries answered through a
-//     contraction hierarchy (internal/ch) with shortcut unpacking;
-//     searches the hierarchy cannot express — preference-constrained
-//     Algorithm 2, custom edge costs, other scalar weights — fall back
-//     to an embedded Dijkstra engine transparently.
+//   - CHEngine: every query family answered on one customizable
+//     contraction hierarchy (internal/ch), contracted once and
+//     customized per metric — the scalar weights, Algorithm 2's
+//     preference searches (the slave restriction is static, so it is a
+//     metric with forbidden edges at +Inf) and hash-interned custom
+//     cost functions. Nothing falls back to Dijkstra.
 //
 // # The slave restriction as a table
 //
@@ -41,9 +42,25 @@
 //
 // A PathEngine owns mutable query state and serves one goroutine.
 // Fork() returns a sibling sharing all immutable built state — the
-// road network and, for CHEngine, the hierarchy — with fresh query
-// state. Forking is cheap: per-vertex search buffers are allocated
-// lazily on a fork's first query, so core.Router.Clone and the serve
-// package's per-snapshot clone pools cost a struct up front and only
-// forks that actually serve traffic pay for arrays.
+// road network and, for CHEngine, the topology and the customized-
+// metric table — with fresh query state. Forking is cheap: per-vertex
+// search buffers are allocated lazily on a fork's first query, so
+// core.Router.Clone and the serve package's per-snapshot clone pools
+// cost a struct up front and only forks that actually serve traffic pay
+// for arrays.
+//
+// # Who owns which scratch
+//
+// The query state is scratch: Engine's distance/parent arrays and
+// heap, CHEngine's one ch.MetricQuery (labels, chain and unpack
+// buffers, shared across every metric the fork routes on) and its
+// custom-cost staging buffer. All of it belongs to the fork and is
+// overwritten by the fork's next query. A path a PathEngine returns
+// never aliases it: Route, Fastest, Shortest, RoutePref and CustomRoute
+// hand over a fresh exact-size slice (one allocation per path), which
+// callers keep across later queries on the same engine — core.Router
+// slices its Case-2 approach paths out of one and reads them after the
+// next search, caches share them across goroutines. AppendRoute is the
+// exception by construction: it writes into the caller's buffer, for
+// callers (the preference learner) that inspect a path and discard it.
 package route

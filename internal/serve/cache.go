@@ -2,7 +2,6 @@ package serve
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/roadnet"
@@ -45,13 +44,18 @@ type cacheEntry struct {
 }
 
 // cacheShard is one lock domain: a map plus an intrusive LRU list
-// (head = most recent).
+// (head = most recent). The hit and miss counts live here, under mu,
+// rather than in cache-wide atomics: a lookup already owns this
+// shard's cache line, and a counter every client writes is one more
+// line bouncing between cores on each hit.
 type cacheShard struct {
-	mu    sync.Mutex
-	items map[cacheKey]*cacheEntry
-	head  *cacheEntry
-	tail  *cacheEntry
-	cap   int
+	mu     sync.Mutex
+	items  map[cacheKey]*cacheEntry
+	head   *cacheEntry
+	tail   *cacheEntry
+	cap    int
+	hits   uint64
+	misses uint64
 }
 
 func (s *cacheShard) unlink(e *cacheEntry) {
@@ -82,8 +86,6 @@ func (s *cacheShard) pushFront(e *cacheEntry) {
 // routeCache is a sharded LRU with generation-based invalidation.
 type routeCache struct {
 	shards []*cacheShard
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 func newRouteCache(capacity, shards int) *routeCache {
@@ -112,20 +114,35 @@ func (c *routeCache) get(key cacheKey, gen uint64) ([]core.RouteResult, bool) {
 	s.mu.Lock()
 	e, ok := s.items[key]
 	if ok && e.gen == gen {
-		s.unlink(e)
-		s.pushFront(e)
+		// The hottest key of a skewed workload is already at the
+		// head; relinking it would only dirty its neighbours' lines.
+		if s.head != e {
+			s.unlink(e)
+			s.pushFront(e)
+		}
 		res := e.res
+		s.hits++
 		s.mu.Unlock()
-		c.hits.Add(1)
 		return res, true
 	}
 	if ok { // stale generation
 		s.unlink(e)
 		delete(s.items, key)
 	}
+	s.misses++
 	s.mu.Unlock()
-	c.misses.Add(1)
 	return nil, false
+}
+
+// counts returns the lookups answered and refused so far.
+func (c *routeCache) counts() (hits, misses uint64) {
+	for _, s := range c.shards {
+		s.mu.Lock()
+		hits += s.hits
+		misses += s.misses
+		s.mu.Unlock()
+	}
+	return hits, misses
 }
 
 // put inserts (or refreshes) the answer computed at generation gen,

@@ -34,6 +34,33 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheHitAtHeadKeepsOrder: a hit on the most recent entry is not
+// relinked (it would only dirty the neighbours' cache lines); the LRU
+// order behind it, and the counters, must read as if it had been.
+func TestCacheHitAtHeadKeepsOrder(t *testing.T) {
+	c := newRouteCache(3, 1)
+	for i := 0; i < 3; i++ {
+		c.put(cacheKey{s: roadnet.VertexID(i), d: 1, k: 1}, 1, res(i))
+	}
+	for i := 0; i < 5; i++ { // key 2 is the head
+		if got, ok := c.get(cacheKey{s: 2, d: 1, k: 1}, 1); !ok || got[0].Path[0] != 2 {
+			t.Fatal("head entry missed")
+		}
+	}
+	c.put(cacheKey{s: 100, d: 1, k: 1}, 1, res(100)) // evicts key 0, the tail
+	if _, ok := c.get(cacheKey{s: 0, d: 1, k: 1}, 1); ok {
+		t.Fatal("LRU victim survived")
+	}
+	for _, s := range []int{1, 2, 100} {
+		if _, ok := c.get(cacheKey{s: roadnet.VertexID(s), d: 1, k: 1}, 1); !ok {
+			t.Fatalf("key %d evicted out of order", s)
+		}
+	}
+	if hits, misses := c.counts(); hits != 8 || misses != 1 {
+		t.Fatalf("hits, misses = %d, %d want 8, 1", hits, misses)
+	}
+}
+
 func TestCacheGenerationInvalidation(t *testing.T) {
 	c := newRouteCache(8, 2)
 	key := cacheKey{s: 5, d: 9, k: 1}
@@ -104,7 +131,7 @@ func TestCacheCountersRace(t *testing.T) {
 		<-done
 	}
 	// get is called exactly once per loop iteration.
-	if st := c.hits.Load() + c.misses.Load(); st != 4*500 {
-		t.Fatalf("hit+miss = %d want %d", st, 4*500)
+	if hits, misses := c.counts(); hits+misses != 4*500 {
+		t.Fatalf("hit+miss = %d want %d", hits+misses, 4*500)
 	}
 }

@@ -140,7 +140,12 @@ type DebugSnapshot struct {
 	// attached.
 	QualityQueueDepth    int `json:"quality_queue_depth,omitempty"`
 	QualityQueueCapacity int `json:"quality_queue_capacity,omitempty"`
-	Goroutines           int `json:"goroutines"`
+	// What one shortest-path query costs on the served contraction
+	// order (CH backend only): the elimination tree's height and the
+	// mean up-arcs one side of a query relaxes.
+	CHEliminationTreeHeight int     `json:"ch_elimination_tree_height,omitempty"`
+	CHClimbArcsMean         float64 `json:"ch_climb_arcs_mean,omitempty"`
+	Goroutines              int     `json:"goroutines"`
 	// GoVersion and VCSRevision identify the binary that produced this
 	// snapshot (see l2r_build_info in /metrics).
 	GoVersion   string `json:"go_version"`
@@ -159,6 +164,7 @@ func (e *Engine) DebugSnapshotNow() DebugSnapshot {
 	}
 	if snap := e.snap.Load(); snap != nil {
 		ds.Generation = snap.gen
+		ds.CHEliminationTreeHeight, ds.CHClimbArcsMean, _ = snap.base.CHClimb()
 	}
 	if e.cache != nil {
 		ds.CacheEntries = e.cache.len()

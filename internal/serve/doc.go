@@ -32,6 +32,15 @@
 // every herd member shares; flights are keyed per generation for the
 // same staleness guarantee.
 //
+// A hit is a few hundred nanoseconds, so what it writes matters more
+// than what it computes: a cache line two cores write costs each of
+// them a transfer per hit, and how much depends on where the host
+// puts the cores. The hit path therefore writes one shared line, the
+// shard's (its lock, and under the lock the hit/miss counts and the
+// LRU links, which a hit on the entry already at the head leaves
+// alone). Latency is counted on striped histograms that a sync.Pool
+// token keeps P-local (see metrics) and readers merge.
+//
 // # Multi-tenant fleets
 //
 // The paper builds one region graph per city's trajectory set, so a

@@ -281,7 +281,7 @@ func (f *Fleet) Stats() FleetStats {
 	for name, e := range engines {
 		st := e.Stats()
 		fs.PerTenant[name] = st
-		merged.Merge(&e.met.all)
+		merged.Merge(e.met.overall())
 		fs.Queries += st.Queries
 		fs.CacheHits += st.CacheHits
 		fs.CacheMisses += st.CacheMisses

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"repro/internal/core"
@@ -173,9 +174,11 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// parseVertex reads and range-checks one vertex query parameter.
-func (e *Engine) parseVertex(r *http.Request, name string) (roadnet.VertexID, error) {
-	raw := r.URL.Query().Get(name)
+// parseVertex reads one vertex parameter from the request's parsed
+// query string and range-checks it against a road network of n
+// vertices. Handlers parse the query string once and pass it in.
+func parseVertex(q url.Values, name string, n int) (roadnet.VertexID, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing query parameter %q", name)
 	}
@@ -183,7 +186,6 @@ func (e *Engine) parseVertex(r *http.Request, name string) (roadnet.VertexID, er
 	if err != nil {
 		return 0, fmt.Errorf("parameter %q: %v", name, err)
 	}
-	n := e.Snapshot().Road().NumVertices()
 	if v < 0 || v >= n {
 		return 0, fmt.Errorf("parameter %q: vertex %d out of range [0,%d)", name, v, n)
 	}
@@ -218,8 +220,9 @@ func (e *Engine) handleRoute(w http.ResponseWriter, r *http.Request) {
 	}
 	sp := obs.SpanFrom(r.Context())
 	ps := sp.Start("http.parse")
-	s, serr := e.parseVertex(r, "src")
-	d, derr := e.parseVertex(r, "dst")
+	q, n := r.URL.Query(), e.Snapshot().Road().NumVertices()
+	s, serr := parseVertex(q, "src", n)
+	d, derr := parseVertex(q, "dst", n)
 	ps.End()
 	if serr != nil {
 		writeError(w, http.StatusBadRequest, "%v", serr)
@@ -250,11 +253,12 @@ func (e *Engine) handleAlternatives(w http.ResponseWriter, r *http.Request) {
 	}
 	sp := obs.SpanFrom(r.Context())
 	ps := sp.Start("http.parse")
-	s, serr := e.parseVertex(r, "src")
-	d, derr := e.parseVertex(r, "dst")
+	q, n := r.URL.Query(), e.Snapshot().Road().NumVertices()
+	s, serr := parseVertex(q, "src", n)
+	d, derr := parseVertex(q, "dst", n)
 	k := 3
 	var kerr error
-	if raw := r.URL.Query().Get("k"); raw != "" {
+	if raw := q.Get("k"); raw != "" {
 		k, kerr = strconv.Atoi(raw)
 		if kerr != nil || k < 1 || k > 16 {
 			kerr = fmt.Errorf("parameter %q must be in [1,16]", "k")

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -14,16 +16,68 @@ import (
 // The histograms are obs.Histogram — lock-free quarter-log2 buckets
 // that both Stats quantiles and the /metrics Prometheus exposition
 // read from, so the two surfaces never disagree.
+//
+// They are kept in latencyStripes copies that readers merge. A cache
+// hit is a few hundred nanoseconds; on one set of counters written by
+// every client, each hit waits for the counters' cache lines to come
+// over from whichever core counted last — with two clients a third of
+// a hit's cost, and one that comes and goes with where the host puts
+// the cores. tokens is a sync.Pool, whose per-P slots hand a goroutine
+// the stripe its P used last, so in steady state each core counts on
+// lines nobody else writes.
 type metrics struct {
-	all    obs.Histogram
-	perCat [3]obs.Histogram
+	stripes [latencyStripes]latencyStripe
+	next    atomic.Uint32 // round-robin stripe for a P that holds none
+	tokens  sync.Pool     // of *latencyStripe, pointing into stripes
 }
 
+const (
+	// latencyStripes bounds how many cores count without sharing;
+	// beyond it stripes are shared and merely contended less.
+	latencyStripes = 8
+	// numCategories is the paper's three query categories.
+	numCategories = 3
+)
+
+type latencyStripe struct {
+	perCat [numCategories]obs.Histogram
+	_      [64]byte // the next stripe starts on a line of its own
+}
+
+// observe counts one answered query under its category. The overall
+// distribution is the categories' sum and is merged when read, not
+// counted a second time here.
 func (m *metrics) observe(cat core.Category, d time.Duration) {
-	m.all.Observe(d)
-	if int(cat) < len(m.perCat) {
-		m.perCat[cat].Observe(d)
+	if int(cat) >= numCategories {
+		cat = core.OutRegion // as Category.String reads it
 	}
+	s, _ := m.tokens.Get().(*latencyStripe)
+	if s == nil {
+		s = &m.stripes[m.next.Add(1)%latencyStripes]
+	}
+	s.perCat[cat].Observe(d)
+	m.tokens.Put(s)
+}
+
+// category returns the latency distribution of one category's queries,
+// merged over the stripes into a histogram the caller owns.
+func (m *metrics) category(cat int) *obs.Histogram {
+	h := &obs.Histogram{}
+	for i := range m.stripes {
+		h.Merge(&m.stripes[i].perCat[cat])
+	}
+	return h
+}
+
+// overall is category for every query answered.
+func (m *metrics) overall() *obs.Histogram {
+	h := &obs.Histogram{}
+	for i := range m.stripes {
+		for c := range m.stripes[i].perCat {
+			h.Merge(&m.stripes[i].perCat[c])
+		}
+	}
+	return h
 }
 
 // LatencyStats summarizes one latency distribution.
@@ -183,9 +237,10 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	e.waitReady()
 	now := time.Now()
+	all := e.met.overall()
 	st := Stats{
 		Uptime:               now.Sub(e.start),
-		Queries:              e.met.all.Count(),
+		Queries:              all.Count(),
 		RouteComputations:    e.computes.Load(),
 		CoalescedQueries:     e.coalesced.Load(),
 		SnapshotGeneration:   e.Generation(),
@@ -200,23 +255,22 @@ func (e *Engine) Stats() Stats {
 		CustomizeLag:  time.Duration(e.lastCustomizeNs.Load()),
 		SwapLag:       time.Duration(e.lastSwapNs.Load()),
 		SinceLastSwap: now.Sub(time.Unix(0, e.lastSwapUnix.Load())),
-		Latency:       latencyStats(&e.met.all),
-		PerCategory:   make(map[string]LatencyStats, len(e.met.perCat)),
+		Latency:       latencyStats(all),
+		PerCategory:   make(map[string]LatencyStats, numCategories),
 	}
 	if st.Uptime > 0 {
 		st.QPS = float64(st.Queries) / st.Uptime.Seconds()
 	}
 	if e.cache != nil {
-		st.CacheHits = e.cache.hits.Load()
-		st.CacheMisses = e.cache.misses.Load()
+		st.CacheHits, st.CacheMisses = e.cache.counts()
 		if total := st.CacheHits + st.CacheMisses; total > 0 {
 			st.CacheHitRate = float64(st.CacheHits) / float64(total)
 		}
 		st.CacheEntries = e.cache.len()
 	}
-	for i := range e.met.perCat {
-		if e.met.perCat[i].Count() > 0 {
-			st.PerCategory[core.Category(i).String()] = latencyStats(&e.met.perCat[i])
+	for i := 0; i < numCategories; i++ {
+		if h := e.met.category(i); h.Count() > 0 {
+			st.PerCategory[core.Category(i).String()] = latencyStats(h)
 		}
 	}
 	if at := e.stream.Load(); at != nil && at.source != nil {

@@ -2,11 +2,14 @@ package serve
 
 import (
 	"context"
+	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pref"
 )
@@ -46,6 +49,50 @@ func TestLatencyStatsEmpty(t *testing.T) {
 	ls := latencyStats(&h)
 	if ls.Queries != 0 || ls.P99 != 0 || ls.Mean != 0 {
 		t.Fatalf("empty histogram must report zeros, got %+v", ls)
+	}
+}
+
+// TestLatencyStripesMergeExactly: the latency histograms are striped
+// so that concurrent observers do not write the same cache lines;
+// whichever stripe an observation landed on, the merged reading must
+// count it once, overall and under its category.
+func TestLatencyStripesMergeExactly(t *testing.T) {
+	const workers, each = 2 * latencyStripes, 500
+	var m metrics
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				m.observe(core.Category(i%numCategories), time.Duration(w+1)*time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	all := m.overall()
+	if got := all.Count(); got != workers*each {
+		t.Fatalf("overall count = %d want %d", got, workers*each)
+	}
+	wantSum := 0.0
+	for w := 1; w <= workers; w++ {
+		wantSum += float64(w) * each * 1e-6
+	}
+	if got := all.SumSeconds(); math.Abs(got-wantSum) > 1e-9 {
+		t.Fatalf("overall sum = %v s want %v s", got, wantSum)
+	}
+	var perCat uint64
+	for c := 0; c < numCategories; c++ {
+		perCat += m.category(c).Count()
+	}
+	if perCat != workers*each {
+		t.Fatalf("per-category counts sum to %d want %d", perCat, workers*each)
+	}
+	// A category out of range reads as OutRegion, as its String does.
+	before := m.category(int(core.OutRegion)).Count()
+	m.observe(core.Category(numCategories), time.Microsecond)
+	if m.overall().Count() != workers*each+1 || m.category(int(core.OutRegion)).Count() != before+1 {
+		t.Fatal("an out-of-range category was not counted as OutRegion")
 	}
 }
 

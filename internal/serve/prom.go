@@ -42,6 +42,10 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 		pw.Counter("l2r_learn_searches_total", "Shortest-path searches ingest relearns called for, by outcome: run, reused (master-only path feasible under the slave restriction) or bounded (combination could not beat the incumbent).",
 			float64(oc.n), append(withLabels(labels), obs.Label{Name: "outcome", Value: oc.outcome})...)
 	}
+	if height, arcs, ok := e.snap.Load().base.CHClimb(); ok {
+		pw.Gauge("l2r_ch_elimination_tree_height", "Vertices on the longest elimination-tree chain of the served contraction order — the most one side of a shortest-path query visits.", float64(height), labels...)
+		pw.Gauge("l2r_ch_climb_arcs_mean", "Mean up-arcs one side of a shortest-path query relaxes on its climb, over all start vertices.", arcs, labels...)
+	}
 	pw.Gauge("l2r_ingest_lag_seconds", "Wall time the last ingest took from batch arrival to snapshot publication.", st.IngestLag.Seconds(), labels...)
 	pw.Gauge("l2r_since_last_swap_seconds", "Time since the last snapshot publication.", st.SinceLastSwap.Seconds(), labels...)
 	pw.Gauge("l2r_staleness_ratio", "Cumulative out-of-region share of ingested path vertices — how far the fixed region partition trails the traffic.", st.StalenessRatio, labels...)
@@ -49,9 +53,9 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 	pw.Counter("l2r_out_of_region_vertices_total", "Ingested path vertices that belong to no region.", float64(st.OutOfRegionVertices), labels...)
 	pw.Counter("l2r_ingested_vertices_total", "Ingested path vertices.", float64(st.IngestedVertices), labels...)
 
-	pw.Histogram("l2r_route_latency_seconds", "Routing query latency.", &e.met.all, labels...)
-	for i := range e.met.perCat {
-		h := &e.met.perCat[i]
+	pw.Histogram("l2r_route_latency_seconds", "Routing query latency.", e.met.overall(), labels...)
+	for i := 0; i < numCategories; i++ {
+		h := e.met.category(i)
 		if h.Count() == 0 {
 			continue
 		}
@@ -212,7 +216,7 @@ func (f *Fleet) WriteMetrics(w io.Writer) error {
 	for _, name := range sortedNames(engines) {
 		e := engines[name]
 		e.writeProm(pw, obs.Label{Name: "tenant", Value: name})
-		merged.Merge(&e.met.all)
+		merged.Merge(e.met.overall())
 	}
 	// One unlabeled fleet-wide latency histogram: per-tenant quantiles
 	// cannot be averaged after the fact, so the merged distribution is

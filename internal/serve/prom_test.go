@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -66,7 +67,7 @@ func scrape(t *testing.T, url string) (string, map[string]float64) {
 func TestEngineMetricsExposition(t *testing.T) {
 	base, fresh := sharedWorld(t)
 	tr := obs.NewTracer(obs.Config{SlowThreshold: -1})
-	e := NewEngine(base.Clone(), Options{Tracer: tr})
+	e := NewEngine(base.Clone(), Options{Tracer: tr, PathBackend: core.BackendCH})
 	srv := httptest.NewServer(e.Handler())
 	t.Cleanup(srv.Close)
 
@@ -89,6 +90,10 @@ func TestEngineMetricsExposition(t *testing.T) {
 		if got, ok := samples[name]; !ok || got != v {
 			t.Fatalf("%s = %v (present %v), want %v", name, got, ok, v)
 		}
+	}
+	// What a query costs on the served contraction order (CH backend).
+	if h, a := samples["l2r_ch_elimination_tree_height"], samples["l2r_ch_climb_arcs_mean"]; h < 2 || a <= 0 {
+		t.Fatalf("l2r_ch_elimination_tree_height = %v, l2r_ch_climb_arcs_mean = %v; want a tree with arcs to climb", h, a)
 	}
 	// The latency histogram must expose a complete series.
 	if samples["l2r_route_latency_seconds_count"] != 3 {

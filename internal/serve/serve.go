@@ -48,9 +48,8 @@ type Options struct {
 	// the hierarchy is immutable and shared by every pool clone and
 	// every ingest swap afterwards.
 	PathBackend core.PathBackend
-	// CH tunes the contraction-hierarchy preprocessing that PathBackend
-	// == core.BackendCH triggers (mirrors core.Options.CH); the zero
-	// value is usable.
+	// CH mirrors core.Options.CH: the (empty) contraction configuration
+	// passed to EnableCH when PathBackend == core.BackendCH.
 	CH ch.Config
 
 	// WALDir enables durable ingestion: every ingest batch is appended

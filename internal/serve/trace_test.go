@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -176,7 +177,7 @@ func TestFleetTracingSingleRoot(t *testing.T) {
 func TestDebugSnapshotEndpoint(t *testing.T) {
 	base, fresh := sharedWorld(t)
 	tr := obs.NewTracer(obs.Config{SlowThreshold: -1})
-	e := NewEngine(base.Clone(), Options{Tracer: tr})
+	e := NewEngine(base.Clone(), Options{Tracer: tr, PathBackend: core.BackendCH})
 	srv := httptest.NewServer(e.Handler())
 	t.Cleanup(srv.Close)
 
@@ -198,6 +199,9 @@ func TestDebugSnapshotEndpoint(t *testing.T) {
 	}
 	if ds.CacheEntries != 1 {
 		t.Fatalf("cache entries = %d after one distinct query", ds.CacheEntries)
+	}
+	if ds.CHEliminationTreeHeight < 2 || ds.CHClimbArcsMean <= 0 {
+		t.Fatalf("CH backend reports elimination tree height %d, %g up-arcs per climb", ds.CHEliminationTreeHeight, ds.CHClimbArcsMean)
 	}
 }
 
