@@ -66,7 +66,7 @@ var (
 // benchWorld lazily builds the shared compact world through
 // internal/worldgen. The "bench" scale reproduces the historical
 // hand-rolled world (roadnet.Tiny + D2-like 600-trip feed) exactly,
-// so committed BENCH_route.json baselines stay comparable.
+// so numbers recorded in CHANGES.md over the PRs stay comparable.
 func benchWorld(b testing.TB) *exp.World {
 	b.Helper()
 	worldOnce.Do(func() {

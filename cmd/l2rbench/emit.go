@@ -18,7 +18,7 @@ import (
 )
 
 // runBench is the measurement mode: replay the schedule against a live
-// engine, then emit the BENCH_serve.json report.
+// engine, then emit the JSON report.
 func runBench(h *harness) error {
 	cfg := h.cfg
 	walDir := ""
@@ -50,8 +50,8 @@ func runBench(h *harness) error {
 		return err
 	}
 	// Shadow-score every ingested trajectory (rate 1, unthrottled, deep
-	// queue) so the committed baseline carries model-quality accuracy
-	// keys the bench guard can gate alongside the latency numbers.
+	// queue) so the report carries model-quality accuracy keys
+	// alongside the latency numbers.
 	qobs := quality.Attach(e, quality.Config{SampleRate: 1, Queue: 1 << 14, MaxPerSec: -1, Ring: 8})
 	defer qobs.Close()
 
@@ -124,10 +124,9 @@ func runBench(h *harness) error {
 	return writeReport(cfg.out, data)
 }
 
-// buildReport shapes the committed-baseline JSON: one top-level key per
-// workload kind plus engine-side counters, each a flat metric map the
-// shared bench guard can gate, and a meta section pinning the world
-// the numbers were measured on.
+// buildReport shapes the report JSON: one top-level key per workload
+// kind plus engine-side counters, each a flat metric map, and a meta
+// section pinning the world the numbers were measured on.
 func buildReport(h *harness, rs *replayStats, st serve.Stats, before, after *runtime.MemStats) map[string]map[string]any {
 	report := make(map[string]map[string]any)
 	report["l2rbench_meta"] = map[string]any{
@@ -192,10 +191,10 @@ func buildReport(h *harness, rs *replayStats, st serve.Stats, before, after *run
 // manual clone-rebuild-publish cycle over every trajectory the replay
 // ingested, and re-score the rebuilt snapshot's routes against the
 // held-out driven paths. maint_rebuild_ns is a single-sample wall
-// measurement (informational in the bench guard, like customize_ns);
-// shadow_eq1_acc_pct/shadow_eq4_acc_pct are gated accuracy floors —
-// a rebuild is only worth its latency if the model it publishes still
-// matches the evidence.
+// measurement, like customize_ns; shadow_eq1_acc_pct /
+// shadow_eq4_acc_pct say whether the model the rebuild published still
+// matches the evidence (internal/maint's TestMaintAccuracyFloor holds
+// the same measurement to a floor).
 func maintPhase(h *harness, e *serve.Engine, report map[string]map[string]any) error {
 	mt := maint.Attach(e, maint.Config{
 		CheckEvery: time.Hour, // manual trigger only

@@ -190,21 +190,22 @@ func main() {
 		Tracer:          tracer,
 	}
 
-	streamCfg := l2r.StreamConfig{
-		MaxBatch: *streamBatch,
-		FlushAge: *streamFlush,
-		GapS:     *streamGap,
+	var att attachments
+	if *qualityRate > 0 {
+		att.quality = &l2r.QualityConfig{SampleRate: *qualityRate, Ring: *qualityRing}
+	}
+	if *maintOn {
+		att.maint = &l2r.MaintConfig{DriftTV: *maintDrift, MinEvidence: *maintEvidence, Interval: *maintInterval}
+	}
+	if *streamOn {
+		att.stream = &l2r.StreamConfig{MaxBatch: *streamBatch, FlushAge: *streamFlush, GapS: *streamGap}
 	}
 
 	if *artifactDir != "" {
 		if *replayTrips > 0 || *replayFile != "" {
 			log.Fatal("replay modes are single-tenant; in fleet mode feed POST /t/{tenant}/stream instead")
 		}
-		var maintCfg *l2r.MaintConfig
-		if *maintOn {
-			maintCfg = &l2r.MaintConfig{DriftTV: *maintDrift, MinEvidence: *maintEvidence, Interval: *maintInterval}
-		}
-		serveFleet(*addr, *debugAddr, *artifactDir, *reload, *drain, opt, *streamOn, streamCfg, *qualityRate, *qualityRing, maintCfg, logger)
+		serveFleet(*addr, *debugAddr, *artifactDir, *reload, *drain, opt, att, logger)
 		return
 	}
 
@@ -236,28 +237,10 @@ func main() {
 	} else {
 		log.Printf("path engine: dijkstra")
 	}
-	if *qualityRate > 0 {
-		qo := l2r.AttachQuality(engine, l2r.QualityConfig{SampleRate: *qualityRate, Ring: *qualityRing})
-		defer qo.Close()
-		log.Printf("quality observer attached: GET /debug/quality (sample rate %.2f, %d exemplars)",
-			*qualityRate, *qualityRing)
-	}
-	if *maintOn {
-		mt := l2r.AttachMaint(engine, l2r.MaintConfig{
-			DriftTV:     *maintDrift,
-			MinEvidence: *maintEvidence,
-			Interval:    *maintInterval,
-		})
-		defer mt.Close()
-		log.Printf("maintenance pipeline attached: GET /debug/maint (drift > %.2f, evidence >= %d, interval %v)",
-			*maintDrift, *maintEvidence, *maintInterval)
-	}
+	ing, stopAttached := att.attach(engine)
+	att.announce("")
 	var background func(context.Context)
-	if *streamOn {
-		ing := l2r.AttachStream(engine, streamCfg)
-		defer ing.Close()
-		log.Printf("streaming pipeline attached: POST /stream (batch %d, flush %v, gap %.0fs)",
-			*streamBatch, *streamFlush, *streamGap)
+	if ing != nil {
 		replay, err := replayPoints(*replayTrips, *replayFile, *artifact, *network, *seed)
 		if err != nil {
 			log.Fatal(err)
@@ -278,6 +261,9 @@ func main() {
 	startDebugListener(*debugAddr, api)
 	log.Printf("serving on %s (cache %d entries / %d shards, tracing %v)", *addr, *cacheSize, *cacheShards, tracer.Enabled())
 	serveAndDrain(*addr, l2r.AccessLog(logger, api), *drain, background)
+	// Attachments stop before the checkpoint, so the stream pipeline's
+	// final flush is inside it.
+	stopAttached()
 	if engine.Durable() {
 		// A planned shutdown checkpoints so the next start replays
 		// nothing; a crash skips this and replays the WAL instead.
@@ -322,20 +308,9 @@ func replayPoints(replayTrips int, replayFile, artifact, network string, seed in
 	if artifact != "" {
 		return nil, fmt.Errorf("-replay needs a synthetic world (use -replay-file with artifacts)")
 	}
-	var g *roadnet.Graph
-	var cfg traj.SimConfig
-	switch network {
-	case "n1":
-		g = roadnet.Generate(roadnet.N1Like(seed))
-		cfg = traj.D1Like(seed+2, replayTrips)
-	case "n2":
-		g = roadnet.Generate(roadnet.N2Like(seed))
-		cfg = traj.D2Like(seed+2, replayTrips)
-	case "tiny":
-		g = roadnet.Generate(roadnet.Tiny(seed))
-		cfg = traj.D2Like(seed+2, replayTrips)
-	default:
-		return nil, fmt.Errorf("unknown network %q", network)
+	g, cfg, err := syntheticWorld(network, seed, seed+2, replayTrips)
+	if err != nil {
+		return nil, err
 	}
 	live := traj.NewSimulator(g, cfg).Run()
 	pts := l2r.StreamPointsFrom(live, true)
@@ -343,27 +318,66 @@ func replayPoints(replayTrips int, replayFile, artifact, network string, seed in
 	return pts, nil
 }
 
+// attachments is what the flags ask to ride on every served engine;
+// nil means off.
+type attachments struct {
+	quality *l2r.QualityConfig
+	maint   *l2r.MaintConfig
+	stream  *l2r.StreamConfig
+}
+
+// attach wires them onto one engine — the single tenant's, or through
+// Fleet.Attach each of a fleet's — and returns the stream pipeline (nil
+// when off; the replay modes feed it) and a function stopping what was
+// attached, the pipeline first so its final flush still reaches the
+// observers.
+func (a attachments) attach(e *l2r.Engine) (ing *l2r.StreamIngestor, stop func()) {
+	var stops []func()
+	if a.quality != nil {
+		stops = append(stops, l2r.AttachQuality(e, *a.quality).Close)
+	}
+	if a.maint != nil {
+		stops = append(stops, l2r.AttachMaint(e, *a.maint).Close)
+	}
+	if a.stream != nil {
+		ing = l2r.AttachStream(e, *a.stream)
+		stops = append(stops, ing.Close)
+	}
+	return ing, func() {
+		for i := len(stops) - 1; i >= 0; i-- {
+			stops[i]()
+		}
+	}
+}
+
+// announce logs one line per attachment; prefix is the tenant path
+// ("/t/{tenant}") in fleet mode.
+func (a attachments) announce(prefix string) {
+	if a.quality != nil {
+		log.Printf("quality observer attached: GET %s/debug/quality (sample rate %.2f, %d exemplars)",
+			prefix, a.quality.SampleRate, a.quality.Ring)
+	}
+	if a.maint != nil {
+		log.Printf("maintenance pipeline attached: GET %s/debug/maint (drift > %.2f, evidence >= %d, interval %v)",
+			prefix, a.maint.DriftTV, a.maint.MinEvidence, a.maint.Interval)
+	}
+	if a.stream != nil {
+		log.Printf("streaming pipeline attached: POST %s/stream (batch %d, flush %v, gap %.0fs)",
+			prefix, a.stream.MaxBatch, a.stream.FlushAge, a.stream.GapS)
+	}
+}
+
 // serveFleet runs the multi-tenant mode: every *.l2r in dir is a
-// tenant, hot-reloaded on change while the fleet serves. With
-// streaming on, every tenant — including ones hot-loaded later — gets
-// its own pipeline behind POST /t/{tenant}/stream.
-func serveFleet(addr, debugAddr, dir string, reload, drain time.Duration, opt l2r.ServeOptions, streamOn bool, streamCfg l2r.StreamConfig, qualityRate float64, qualityRing int, maintCfg *l2r.MaintConfig, logger *slog.Logger) {
+// tenant, hot-reloaded on change while the fleet serves. Every tenant —
+// including ones hot-loaded later — gets its own attachments behind
+// /t/{tenant}/, and the fleet stops them with the tenant.
+func serveFleet(addr, debugAddr, dir string, reload, drain time.Duration, opt l2r.ServeOptions, att attachments, logger *slog.Logger) {
 	fleet := l2r.NewFleet(opt)
-	if streamOn {
-		streams := l2r.AttachFleetStreams(fleet, streamCfg)
-		defer streams.Close()
-		log.Printf("streaming pipelines attached: POST /t/{tenant}/stream")
-	}
-	if qualityRate > 0 {
-		quality := l2r.AttachFleetQuality(fleet, l2r.QualityConfig{SampleRate: qualityRate, Ring: qualityRing})
-		defer quality.Close()
-		log.Printf("quality observers attached: GET /t/{tenant}/debug/quality (sample rate %.2f)", qualityRate)
-	}
-	if maintCfg != nil {
-		maints := l2r.AttachFleetMaint(fleet, *maintCfg)
-		defer maints.Close()
-		log.Printf("maintenance pipelines attached: GET /t/{tenant}/debug/maint")
-	}
+	fleet.Attach(func(_ string, e *l2r.Engine) func() {
+		_, stop := att.attach(e)
+		return stop
+	})
+	att.announce("/t/{tenant}")
 	watcher := l2r.NewFleetWatcher(fleet, dir)
 	watcher.Logf = log.Printf
 	loaded, _, failed := watcher.Scan()
@@ -396,10 +410,13 @@ func serveFleet(addr, debugAddr, dir string, reload, drain time.Duration, opt l2
 				}
 			}
 		}
-		fleet.Close()
 		log.Printf("final checkpoints written; restart will be replay-free")
 	}
 	final := fleet.Stats()
+	// Close stops every tenant's attachments, then its engine; what the
+	// stream pipelines flush on the way out is journaled after the
+	// checkpoint and replays at the next start.
+	fleet.Close()
 	log.Printf("served %d queries across %d tenants (%.1f qps, cache hit rate %.1f%%, %d coalesced, %d ingests)",
 		final.Queries, final.Tenants, final.QPS, 100*final.CacheHitRate,
 		final.CoalescedQueries, final.Ingests)
@@ -475,23 +492,26 @@ func loadRouter(artifact, network string, trips int, seed int64, backend l2r.Pat
 		return l2r.Load(f)
 	}
 
-	var g *roadnet.Graph
-	var cfg traj.SimConfig
-	switch network {
-	case "n1":
-		g = roadnet.Generate(roadnet.N1Like(seed))
-		cfg = traj.D1Like(seed+1, trips)
-	case "n2":
-		g = roadnet.Generate(roadnet.N2Like(seed))
-		cfg = traj.D2Like(seed+1, trips)
-	case "tiny":
-		g = roadnet.Generate(roadnet.Tiny(seed))
-		cfg = traj.D2Like(seed+1, trips)
-	default:
-		return nil, fmt.Errorf("unknown network %q", network)
+	g, cfg, err := syntheticWorld(network, seed, seed+1, trips)
+	if err != nil {
+		return nil, err
 	}
 	log.Printf("no artifact: building synthetic %s world (%d trips, seed %d)", network, trips, seed)
 	all := traj.NewSimulator(g, cfg).Run()
 	train, _ := traj.Split(all, 0.75*cfg.HorizonSec)
 	return l2r.Build(g, train, l2r.Options{SkipMapMatching: true, PathBackend: backend, NoMetricPrewarm: !prewarm})
+}
+
+// syntheticWorld generates the -net road network and the simulator
+// configuration for trips of its traffic.
+func syntheticWorld(network string, seed, simSeed int64, trips int) (*roadnet.Graph, traj.SimConfig, error) {
+	switch network {
+	case "n1":
+		return roadnet.Generate(roadnet.N1Like(seed)), traj.D1Like(simSeed, trips), nil
+	case "n2":
+		return roadnet.Generate(roadnet.N2Like(seed)), traj.D2Like(simSeed, trips), nil
+	case "tiny":
+		return roadnet.Generate(roadnet.Tiny(seed)), traj.D2Like(simSeed, trips), nil
+	}
+	return nil, traj.SimConfig{}, fmt.Errorf("unknown network %q", network)
 }

@@ -47,7 +47,10 @@
 //	curl localhost:8080/tenants
 //	curl localhost:8080/stats
 //
-// See examples/fleet for the full walkthrough.
+// Streaming ingestion, the quality observer and background maintenance
+// ride on an engine through one seam (serve.Engine.Attach; for every
+// tenant of a fleet, Fleet.Attach, which also stops them when the
+// tenant leaves). See examples/fleet for the full walkthrough.
 //
 // # Architecture: the PathEngine seam
 //
@@ -78,6 +81,6 @@
 //	go build ./... && go test ./...
 //
 // with go test -race ./internal/serve/ covering the concurrent
-// query/ingest paths and go test -bench 'BenchmarkServe$' . the
-// serving throughput.
+// query/ingest paths. Performance is judged by the benchmark
+// BENCHMARK.json declares: bash benchmark/run.sh --workload <name>.
 package repro

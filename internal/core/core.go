@@ -117,11 +117,8 @@ type Options struct {
 	// at Build time and serves scalar, preference-restricted and
 	// custom-weight queries through per-metric customizations of it).
 	PathBackend PathBackend
-	// CH is the contraction configuration for BackendCH. ch.Config is
-	// empty — contraction is metric-independent and takes no tuning.
-	CH ch.Config
 	// NoMetricPrewarm skips the PrepareMetrics pass at the end of a
-	// BackendCH Build: startup gets cheaper and each metric — the three
+	// BackendCH Build or Retransduce: it gets cheaper and each metric — the three
 	// scalar weights plus one per distinct learned ⟨master, slave⟩
 	// preference — is customized lazily by the first query that needs
 	// it, paying the customization latency inline. Serving setups
@@ -420,19 +417,14 @@ func startBuild(road *roadnet.Graph, training []*traj.Trajectory, opt Options) (
 	return r, paths, nil
 }
 
-// finishBuild runs phases 1b–3 — region graph, preference learning,
-// transduction, materialization, metric prewarm — over an already
-// chosen region partition.
+// finishBuild builds what depends on the chosen region partition alone
+// — the region graph (phase 1b) and the path engine — and hands over to
+// derive for everything that depends on the evidence (phases 2a–3).
 func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt Options) (*Router, error) {
-	// Phase 1b: region graph.
 	start := time.Now()
-	rg := region.Build(r.road, regions, paths, opt.Region)
-	rg.ConnectBFS()
-	r.rg = rg
+	r.rg = region.Build(r.road, regions, paths, opt.Region)
+	r.rg.ConnectBFS()
 	r.stats.ClusterTime += time.Since(start)
-	r.stats.Regions = rg.NumRegions()
-	r.stats.TEdges = rg.TEdgeCount()
-	r.stats.BEdges = rg.BEdgeCount()
 
 	// Path engine: built before learning, so the learner's master-only
 	// searches and B-edge materialization already run on the selected
@@ -441,47 +433,7 @@ func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt 
 	// router.
 	r.eng = newPathEngine(r.road, opt, &r.stats)
 
-	// Phase 2a: learn preferences for T-edges and regions (parallel).
-	start = time.Now()
-	r.learned = learnAll(r.eng, rg, opt)
-	r.regionPrefs = learnRegions(r.eng, rg, opt)
-	r.stats.LearnTime = time.Since(start)
-	r.stats.LearnedPrefs = len(r.learned)
-
-	// Phase 2b: transfer preferences to B-edges. Only confidently
-	// learned preferences serve as labels; low-similarity fits would
-	// propagate noise.
-	start = time.Now()
-	res := r.transduce(opt)
-	r.stats.TransferTime = time.Since(start)
-	r.stats.TransferredOK = len(res.Pref)
-	r.stats.NullBEdges = len(res.Null)
-
-	// Record confidently learned preferences on the T-edges themselves.
-	for id, lr := range r.learned {
-		if lr.Similarity >= opt.MinConfidence {
-			rg.Edges[id].Pref = lr.Preference
-			rg.Edges[id].HasPref = true
-		}
-	}
-	// Gate region preferences the same way.
-	for id, lr := range r.regionPrefs {
-		if lr.Similarity < opt.MinConfidence {
-			delete(r.regionPrefs, id)
-		}
-	}
-
-	// Phase 3: materialize B-edge paths.
-	start = time.Now()
-	transfer.Materialize(rg, res, &pathFinder{eng: r.eng.Fork()})
-	r.stats.MaterializeTime = time.Since(start)
-
-	// Pre-customize every preference metric the router routes on (CH
-	// backend only), so first queries never pay customization inline.
-	if !opt.NoMetricPrewarm {
-		r.PrepareMetrics()
-	}
-
+	r.derive(opt)
 	return r, nil
 }
 
@@ -496,20 +448,23 @@ func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt 
 // whatever opt.Workers either ran with, since transfer.Run's result
 // does not depend on its worker count.
 func (r *Router) transduce(opt Options) transfer.Result {
-	labeled := make([]transfer.Labeled, 0, len(r.learned))
+	var labels, targets []int
 	for id, res := range r.learned {
 		if res.Similarity >= opt.MinConfidence {
-			labeled = append(labeled, transfer.Labeled{EdgeID: id, Pref: res.Preference})
+			labels = append(labels, id)
 		}
 	}
-	sortLabeled(r.rg, labeled)
-	var targets []int
 	for _, e := range r.rg.Edges {
 		if e.Kind == region.BEdge {
 			targets = append(targets, e.ID)
 		}
 	}
+	sortByPair(r.rg, labels)
 	sortByPair(r.rg, targets)
+	labeled := make([]transfer.Labeled, len(labels))
+	for i, id := range labels {
+		labeled[i] = transfer.Labeled{EdgeID: id, Pref: r.learned[id].Preference}
+	}
 	return transfer.Run(r.rg, labeled, targets, opt.Transfer, opt.Workers)
 }
 
@@ -518,7 +473,7 @@ func (r *Router) transduce(opt Options) transfer.Result {
 func newPathEngine(road *roadnet.Graph, opt Options, st *Stats) route.PathEngine {
 	if opt.PathBackend == BackendCH {
 		start := time.Now()
-		e := route.BuildCHEngine(road, roadnet.TT, opt.CH)
+		e := route.BuildCHEngine(road, roadnet.TT, ch.Config{})
 		st.CHBuildTime = time.Since(start)
 		st.CHShortcuts = e.Shortcuts()
 		return e
@@ -644,20 +599,9 @@ func (r *Router) PrepareMetricsTouched(touched []int) int {
 	return n
 }
 
-// sortLabeled orders labeled edges canonically by their region pair
-// for deterministic, creation-history-independent matrices (each pair
-// has exactly one edge, so the order is total).
-func sortLabeled(rg *region.Graph, ls []transfer.Labeled) {
-	sort.Slice(ls, func(i, j int) bool {
-		a, b := rg.Edges[ls[i].EdgeID], rg.Edges[ls[j].EdgeID]
-		if a.R1 != b.R1 {
-			return a.R1 < b.R1
-		}
-		return a.R2 < b.R2
-	})
-}
-
-// sortByPair orders edge IDs canonically by their region pair.
+// sortByPair orders edge IDs canonically by their region pair, for
+// deterministic, creation-history-independent matrices (each pair has
+// exactly one edge, so the order is total).
 func sortByPair(rg *region.Graph, ids []int) {
 	sort.Slice(ids, func(i, j int) bool {
 		a, b := rg.Edges[ids[i]], rg.Edges[ids[j]]

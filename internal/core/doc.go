@@ -19,11 +19,24 @@
 // fallback). The shortest-path primitive underneath is pluggable: see
 // Options.PathBackend and internal/route.PathEngine.
 //
+// # One derivation
+//
+// Everything a router holds that is a function of its region graph's
+// path sets — learned and region preferences, each edge's preference,
+// B-edge paths, customized metrics — is computed by one function,
+// derive (maintain.go). Build calls it on the region graph it has just
+// built, Retransduce (after ConnectBFS) on one grown by ingests. derive
+// reads nothing it wrote on an earlier run — it rebinds the preference
+// maps and resets every edge's derived state before transducing — so a
+// built router is a fixed point of Retransduce
+// (TestBuildIsFixedPointOfRetransduce), and "maintained ≡ rebuilt"
+// needs only the path sets to have accumulated exactly.
+//
 // # Learning, at build time and on ingest
 //
 // Every pref.Learner the package constructs — learnAll and learnRegions
-// under Build and Retransduce, Ingest's relearn loop,
-// EnableMultiPreferences — is pref.NewLearnerOn(r.eng.Fork()): its
+// under derive, Ingest's relearn loop, EnableMultiPreferences — is
+// pref.NewLearnerOn(r.eng.Fork()): its
 // master-only searches run on the router's own backend (the path engine
 // is therefore created before phase 2a of the build), its restricted
 // searches on plain Dijkstra, and nothing it allocates outlives it.

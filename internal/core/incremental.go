@@ -14,14 +14,13 @@ type IngestOptions struct {
 	// SkipMapMatching trusts trajectory ground-truth paths (same switch
 	// as Options.SkipMapMatching).
 	SkipMapMatching bool
-	// MapMatch configures the matcher when map matching runs.
+	// MinConfidence is the training similarity a re-learned preference
+	// must reach to be applied to its edge; below it the edge falls back
+	// to fastest-path behaviour (default 0.7, as Options.MinConfidence).
 	MinConfidence float64
 	// RebuildThreshold is the staleness ratio above which
 	// RebuildRecommended is set (default 0.2).
 	RebuildThreshold float64
-	// MaxRelearn caps how many touched edges are relearned per call
-	// (0 = all). Production deployments use it to bound ingest latency.
-	MaxRelearn int
 }
 
 func (o IngestOptions) withDefaults() IngestOptions {
@@ -100,14 +99,10 @@ func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
 	// its own engine fork: its query scratch is dropped with it rather
 	// than riding along on the published router.
 	learner := pref.NewLearnerOn(r.eng.Fork())
-	relearn := st.TouchedEdges
-	if opt.MaxRelearn > 0 && len(relearn) > opt.MaxRelearn {
-		relearn = relearn[:opt.MaxRelearn]
-	}
-	if len(relearn) > 0 {
+	if len(st.TouchedEdges) > 0 {
 		r.privatizeLearned()
 	}
-	for _, id := range relearn {
+	for _, id := range st.TouchedEdges {
 		e := r.rg.EdgeForUpdate(id)
 		ps := make([]roadnet.Path, 0, len(e.PathsFwd)+len(e.PathsRev))
 		for _, pi := range e.PathsFwd {

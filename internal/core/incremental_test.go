@@ -111,14 +111,6 @@ func TestIngestStalenessSignal(t *testing.T) {
 	}
 }
 
-func TestIngestMaxRelearnCap(t *testing.T) {
-	r, fresh := splitWorld(t, 41)
-	st := r.Ingest(fresh, IngestOptions{SkipMapMatching: true, MaxRelearn: 1})
-	if st.Relearned > 1 {
-		t.Fatalf("Relearned = %d with MaxRelearn = 1", st.Relearned)
-	}
-}
-
 func TestIngestEmpty(t *testing.T) {
 	r, _ := splitWorld(t, 43)
 	st := r.Ingest(nil, IngestOptions{SkipMapMatching: true})

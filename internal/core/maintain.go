@@ -14,9 +14,10 @@ import (
 // the edges a batch touched and never re-runs the transfer, Retransduce
 // redoes phases 2a–3 of the offline pipeline — preference learning,
 // transduction over the similarity graph, B-edge materialization —
-// against the current path sets. Run it off the hot path on an
-// IngestClone and publish the result through the serving layer's
-// snapshot swap (internal/maint drives exactly this loop).
+// against the current path sets, by running the very function (derive)
+// that Build runs them with. Run it off the hot path on an IngestClone
+// and publish the result through the serving layer's snapshot swap
+// (internal/maint drives exactly this loop).
 
 // RetransduceStats summarizes one maintenance rebuild.
 type RetransduceStats struct {
@@ -75,7 +76,6 @@ type RetransduceStats struct {
 func (r *Router) Retransduce(opt Options) RetransduceStats {
 	opt = opt.withDefaults()
 	start := time.Now()
-	var st RetransduceStats
 
 	// New trajectory evidence may have landed in region pairs that had
 	// no edge at all when ConnectBFS last ran — and, conversely, B→T
@@ -83,13 +83,27 @@ func (r *Router) Retransduce(opt Options) RetransduceStats {
 	// idempotent (it only adds B-edges where a pair has none) and keeps
 	// the region graph connected for the transduction below.
 	r.rg.ConnectBFS()
+	st := r.derive(opt)
+	st.Elapsed = time.Since(start)
+	return st
+}
+
+// derive is the paper's §V plus materialization over the region graph
+// as it stands: everything a router holds that is a function of the
+// path sets, recomputed from scratch (package doc, "One derivation").
+// Build runs it on a freshly built region graph, Retransduce on one
+// grown by ingests. opt has its defaults applied; Elapsed is the
+// caller's to fill.
+func (r *Router) derive(opt Options) RetransduceStats {
+	var st RetransduceStats
 	st.Regions = r.rg.NumRegions()
 	st.TEdges = r.rg.TEdgeCount()
 	st.BEdges = r.rg.BEdgeCount()
 
-	// Phase 2a: re-learn every T-edge and region preference from the
-	// full accumulated path sets. The maps are rebound, not patched —
-	// an IngestClone shares them with its parent.
+	// Phase 2a: learn every T-edge and region preference from the full
+	// path sets (parallel). The maps are rebound, not patched — an
+	// IngestClone shares them with its parent. Region preferences below
+	// MinConfidence are dropped: the fastest-path behaviour stands in.
 	t0 := time.Now()
 	r.learned = learnAll(r.eng, r.rg, opt)
 	r.learnedCOW = false
@@ -103,11 +117,12 @@ func (r *Router) Retransduce(opt Options) RetransduceStats {
 	st.LearnedPrefs = len(r.learned)
 
 	// Reset every edge's derived preference state, privatizing it on a
-	// COW clone: T-edges get their re-learned preference (confidence-
+	// COW clone: T-edges get their learned preference (confidence-
 	// gated), B-edges are cleared — their materialized paths and
-	// transferred preferences derive from the previous transduction and
-	// are rebuilt below. Clearing before transfer.Run also means
-	// Materialize's direct writes land on privately owned edges.
+	// transferred preferences derive from a previous transduction, if
+	// there was one, and are rebuilt below. Clearing before transfer.Run
+	// also means Materialize's direct writes land on privately owned
+	// edges.
 	for _, e := range r.rg.Edges {
 		switch e.Kind {
 		case region.TEdge:
@@ -129,7 +144,9 @@ func (r *Router) Retransduce(opt Options) RetransduceStats {
 		}
 	}
 
-	// Phase 2b: re-run the transduction over the similarity graph.
+	// Phase 2b: transfer preferences to B-edges over the similarity
+	// graph. Only confidently learned preferences serve as labels;
+	// low-similarity fits would propagate noise.
 	t0 = time.Now()
 	res := r.transduce(opt)
 	st.TransferTime = time.Since(t0)
@@ -138,19 +155,23 @@ func (r *Router) Retransduce(opt Options) RetransduceStats {
 	st.TransferRows, st.TransferNNZ, st.SolveIterations = res.Rows, res.NNZ, res.SolveIterations
 	st.TransferAssembleTime, st.TransferSolveTime = res.AssembleTime, res.SolveTime
 
-	// Phase 3: re-materialize B-edge paths on the selected backend.
+	// Phase 3: materialize B-edge paths on the selected backend.
 	t0 = time.Now()
 	transfer.Materialize(r.rg, res, &pathFinder{eng: r.eng.Fork()})
 	st.MaterializeTime = time.Since(t0)
 
-	// Preferences may now combine ⟨master, slave⟩ pairs never routed on
-	// before; a full prewarm keeps first queries off the customization
-	// path. PrepareMetrics only adds metric versions, so serving forks
+	// Pre-customize every preference metric the router routes on (CH
+	// backend only), so first queries never pay customization inline —
+	// preferences may now combine ⟨master, slave⟩ pairs never routed on
+	// before. PrepareMetrics only adds metric versions, so serving forks
 	// reading the previous table stay race-free (the same contract the
 	// ingest write path relies on).
-	st.MetricsCustomized = r.PrepareMetrics()
+	if !opt.NoMetricPrewarm {
+		st.MetricsCustomized = r.PrepareMetrics()
+	}
 
-	// Refresh pipeline stats so Stats() describes the rebuilt model.
+	// Refresh pipeline stats so Stats() describes the derived model.
+	r.stats.Regions = st.Regions
 	r.stats.TEdges = st.TEdges
 	r.stats.BEdges = st.BEdges
 	r.stats.LearnedPrefs = st.LearnedPrefs
@@ -159,8 +180,6 @@ func (r *Router) Retransduce(opt Options) RetransduceStats {
 	r.stats.LearnTime = st.LearnTime
 	r.stats.TransferTime = st.TransferTime
 	r.stats.MaterializeTime = st.MaterializeTime
-
-	st.Elapsed = time.Since(start)
 	return st
 }
 

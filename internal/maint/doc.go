@@ -21,7 +21,10 @@
 //     any point recovers either the old or the new model — never a
 //     hybrid — and the WAL-seeded accumulator re-arms the triggers.
 //
-// Attach wires a maintainer onto one engine; AttachFleet onto every
-// tenant of a serve.Fleet. Stats surface through Stats().Maintenance,
-// the l2r_maint_* Prometheus family and GET /debug/maint.
+// Attach wires a maintainer onto one engine (Maintainer implements
+// serve.Attachment); for every tenant of a serve.Fleet, call Attach
+// from a Fleet.Attach function and return the maintainer's Close, which
+// the fleet runs when the tenant leaves. Stats surface through
+// Stats().Maintenance, the l2r_maint_* Prometheus family and
+// GET /debug/maint.
 package maint

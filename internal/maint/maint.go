@@ -2,6 +2,7 @@ package maint
 
 import (
 	"context"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,9 +149,28 @@ func Attach(e *serve.Engine, cfg Config) *Maintainer {
 			}
 		}
 	}
-	e.AttachMaintenance(m.handler(), m)
+	e.Attach(m)
 	go m.loop()
 	return m
+}
+
+// Endpoint serves GET /debug/maint: the maintainer's full stats. Like
+// every /debug/ path it bypasses the readiness gate. With Report, and
+// OfferTrajectories and Published below, it implements
+// serve.Attachment.
+func (m *Maintainer) Endpoint() (string, http.Handler) {
+	return "/debug/maint", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
+			return
+		}
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"maintenance": m.MaintStats()})
+	})
+}
+
+func (m *Maintainer) Report(st *serve.Stats) {
+	ms := m.MaintStats()
+	st.Maintenance = &ms
 }
 
 // Close stops the trigger loop. Idempotent; a rebuild already in
@@ -182,10 +202,9 @@ func drivenPath(t *traj.Trajectory) roadnet.Path {
 	return p
 }
 
-// OfferTrajectories implements serve.MaintSource: count the batch
-// toward the evidence trigger and retain bounded copies. Runs on the
-// engine's write path under its write lock — O(batch) copying, no
-// waits, matching QualitySource's contract.
+// OfferTrajectories counts the batch toward the evidence trigger and
+// retains bounded copies. Runs on the engine's write path under its
+// write lock — O(batch) copying, no waits.
 func (m *Maintainer) OfferTrajectories(ts []*traj.Trajectory) {
 	m.mu.Lock()
 	for _, t := range ts {
@@ -212,7 +231,7 @@ func (m *Maintainer) retain(p roadnet.Path) {
 	m.ring = append(m.ring, p)
 }
 
-// Published implements serve.MaintSource: a new snapshot swapped in —
+// Published is told that a new snapshot swapped in —
 // this maintainer's own rebuild landing, or an external Publish. Either
 // way the accumulated-but-unrebuilt window closes: rebase the trigger
 // baseline on the published model and reset the accumulator (a rebuild
@@ -317,7 +336,8 @@ func (m *Maintainer) rebuildOnce(ctx context.Context, trigger string) (core.Retr
 	return st, nil
 }
 
-// MaintStats implements serve.MaintSource.
+// MaintStats reports the maintainer's current state
+// (Stats().Maintenance).
 func (m *Maintainer) MaintStats() serve.MaintStats {
 	ms := serve.MaintStats{
 		Capacity:        m.cfg.Capacity,

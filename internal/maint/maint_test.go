@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/roadnet"
 	"repro/internal/serve"
+	"repro/internal/stream"
 	"repro/internal/traj"
 )
 
@@ -690,8 +691,9 @@ func TestMaintOverheadBudget(t *testing.T) {
 	t.Fatalf("rebuild added more than 10%% to p99 route latency in all attempts (best ratio %.3f)", best)
 }
 
-// TestMaintFleetAttach: AttachFleet covers current and future tenants,
-// chains the existing OnCreate hook, and mounts each tenant's
+// TestMaintFleetAttach: a Fleet.Attach function that attaches a
+// maintainer covers current and future tenants, runs after the Attach
+// function registered before it, and mounts each tenant's
 // /t/{name}/debug/maint endpoint.
 func TestMaintFleetAttach(t *testing.T) {
 	buildFor := func(seed int64) *core.Router {
@@ -705,28 +707,35 @@ func TestMaintFleetAttach(t *testing.T) {
 
 	fleet := serve.NewFleet(serve.Options{CacheSize: -1})
 	defer fleet.Close()
-	var hookCalls atomic.Uint64
-	fleet.OnCreate = func(string, *serve.Engine) { hookCalls.Add(1) }
+	var order []string // appended under the fleet's registry lock
+	fleet.Attach(func(name string, _ *serve.Engine) func() {
+		order = append(order, "hook:"+name)
+		return nil
+	})
 	if _, err := fleet.Add("acity", buildFor(83)); err != nil {
 		t.Fatal(err)
 	}
 
-	fm := AttachFleet(fleet, Config{CheckEvery: time.Hour, Core: coreOpt})
-	defer fm.Close()
-	if _, ok := fm.Get("acity"); !ok {
+	ms := make(map[string]*Maintainer)
+	fleet.Attach(func(name string, e *serve.Engine) func() {
+		order = append(order, "maint:"+name)
+		ms[name] = Attach(e, Config{CheckEvery: time.Hour, Core: coreOpt})
+		return ms[name].Close
+	})
+	if ms["acity"] == nil {
 		t.Fatal("existing tenant did not get a maintainer")
 	}
 
-	// A tenant created after attach gets one too, and the previous
-	// OnCreate hook still runs.
+	// A tenant created after attach gets one too, after the function
+	// registered first has run.
 	if _, err := fleet.Add("bcity", buildFor(89)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fm.Get("bcity"); !ok {
+	if ms["bcity"] == nil {
 		t.Fatal("late tenant did not get a maintainer")
 	}
-	if hookCalls.Load() != 2 { // once per Add: AttachFleet must keep calling the prior hook
-		t.Fatalf("chained OnCreate ran %d times, want 2", hookCalls.Load())
+	if got, want := strings.Join(order, " "), "hook:acity maint:acity hook:bcity maint:bcity"; got != want {
+		t.Fatalf("Attach functions ran as %q, want %q", got, want)
 	}
 
 	srv := httptest.NewServer(fleet.Handler())
@@ -738,5 +747,68 @@ func TestMaintFleetAttach(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/t/acity/debug/maint = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestFleetRemoveReleasesTenant: the fleet owns what rides on its
+// tenants. Remove stops the tenant's attachments — the stream
+// pipeline's flusher and the maintainer's trigger loop exit — and then
+// closes its engine, so the write-ahead log refuses further appends;
+// each stop function runs exactly once, Close after Remove included.
+func TestFleetRemoveReleasesTenant(t *testing.T) {
+	road, ts := maintWorld(t, 97, 300)
+	cut := len(ts) * 6 / 10
+	base, err := core.Build(road, ts[:cut], coreOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutines := runtime.NumGoroutine()
+
+	fleet := serve.NewFleet(serve.Options{WALDir: t.TempDir(), CheckpointEvery: -1, CacheSize: -1})
+	var streamStops, maintStops atomic.Int32
+	var m *Maintainer
+	fleet.Attach(func(_ string, e *serve.Engine) func() {
+		ing := stream.Attach(e, stream.Config{})
+		return func() { streamStops.Add(1); ing.Close() }
+	})
+	fleet.Attach(func(_ string, e *serve.Engine) func() {
+		m = Attach(e, Config{CheckEvery: time.Hour, Core: coreOpt})
+		return func() { maintStops.Add(1); m.Close() }
+	})
+	e, err := fleet.Add("city", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := batchCopies(ts[cut:], 4)
+	e.IngestMatched(batches[0])
+	if d := e.Stats().Durability; d == nil || d.WALRecords != 1 || d.WALAppendFailures != 0 {
+		t.Fatalf("before Remove: durability %+v, want one journaled record", d)
+	}
+
+	if !fleet.Remove("city") {
+		t.Fatal("Remove did not find the tenant")
+	}
+	if s, mt := streamStops.Load(), maintStops.Load(); s != 1 || mt != 1 {
+		t.Fatalf("Remove ran the stream stop %d and the maintainer stop %d times, want once each", s, mt)
+	}
+	select {
+	case <-m.done:
+	default:
+		t.Fatal("the maintainer's trigger loop is still running after Remove")
+	}
+	waitFor(t, "the attachments' background loops to exit", func() bool {
+		return runtime.NumGoroutine() <= goroutines
+	})
+	// The engine handle still answers from memory, but its log is closed.
+	e.IngestMatched(batches[1])
+	if d := e.Stats().Durability; d.WALRecords != 1 || d.WALAppendFailures != 1 {
+		t.Fatalf("after Remove: %d records journaled, %d appends refused; want 1 and 1", d.WALRecords, d.WALAppendFailures)
+	}
+
+	if err := fleet.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, mt := streamStops.Load(), maintStops.Load(); s != 1 || mt != 1 {
+		t.Fatalf("Close after Remove stopped again: stream %d, maintainer %d", s, mt)
 	}
 }

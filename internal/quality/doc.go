@@ -2,8 +2,10 @@
 // fast: the online counterpart of internal/eval's offline accuracy
 // tables, running continuously against live traffic.
 //
-// The observer attaches to a serve.Engine (Attach, or AttachFleet for
-// every tenant) and works three angles:
+// The observer attaches to a serve.Engine (Attach; Observer implements
+// serve.Attachment. For every tenant of a fleet, call Attach from a
+// serve.Fleet.Attach function and return the observer's Close) and
+// works three angles:
 //
 //   - Shadow scoring. Every ingested trajectory is a labeled example:
 //     a driver actually drove its path. The engine's write path offers
@@ -37,5 +39,5 @@
 // section in Stats()//stats, l2r_quality_* and l2r_drift_* families in
 // /metrics (per-tenant labels under a fleet), quality.score spans in
 // the trace ring, and shadow-score accuracy keys in cmd/l2rbench's
-// committed BENCH_serve.json.
+// report.
 package quality

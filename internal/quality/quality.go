@@ -3,6 +3,7 @@ package quality
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -174,9 +175,32 @@ func Attach(e *serve.Engine, cfg Config) *Observer {
 		o.perDist[i] = newCell(cfg.Window)
 	}
 	o.rebase(e.Snapshot(), e.Generation())
-	e.AttachQuality(o.handler(), o)
+	e.Attach(o)
 	go o.loop()
 	return o
+}
+
+// Endpoint serves GET /debug/quality: the observer's full stats plus
+// the worst-scoring OD exemplars, worst first. Like every /debug/ path
+// it bypasses tracing and the readiness gate. With Report, and
+// OfferTrajectories and Published below, it implements
+// serve.Attachment.
+func (o *Observer) Endpoint() (string, http.Handler) {
+	return "/debug/quality", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
+			return
+		}
+		serve.WriteJSON(w, http.StatusOK, map[string]any{
+			"quality":   o.QualityStats(),
+			"exemplars": o.Exemplars(),
+		})
+	})
+}
+
+func (o *Observer) Report(st *serve.Stats) {
+	qs := o.QualityStats()
+	st.Quality = &qs
 }
 
 // Close stops the background scorer. Idempotent; queued samples not
@@ -199,7 +223,7 @@ func (o *Observer) Drain() {
 	}
 }
 
-// OfferTrajectories implements serve.QualitySource: deterministic
+// OfferTrajectories takes the shadow-scoring sample: deterministic
 // stride sampling over an atomic counter, a path copy for the sampled
 // fraction, and a non-blocking enqueue. Runs on the engine's write
 // path under its write lock, so everything here is O(batch) and never
@@ -239,9 +263,8 @@ func strideSampled(i uint64, rate float64) bool {
 	return uint64(float64(i)*rate) > uint64(float64(i-1)*rate)
 }
 
-// Published implements serve.QualitySource: an external Publish
-// replaced the model, so the old drift baseline describes a router
-// that no longer exists — rebase on the published one.
+// Published rebases the drift baseline: a publish replaced the model,
+// so the old baseline describes a router that no longer exists.
 func (o *Observer) Published(r *core.Router) {
 	o.rebase(r, o.eng.Generation())
 }
@@ -356,7 +379,7 @@ func (o *Observer) Exemplars() []Exemplar {
 	return append([]Exemplar(nil), o.exemplars...)
 }
 
-// QualityStats implements serve.QualitySource.
+// QualityStats reports the observer's current state (Stats().Quality).
 func (o *Observer) QualityStats() serve.QualityStats {
 	qs := serve.QualityStats{
 		SampleRate:    o.cfg.SampleRate,

@@ -108,8 +108,11 @@ func (c *routeCache) shard(k cacheKey) *cacheShard {
 }
 
 // get returns the cached answer for key at generation gen. An entry
-// from an older generation is removed and reported as a miss.
-func (c *routeCache) get(key cacheKey, gen uint64) ([]core.RouteResult, bool) {
+// from an older generation is removed and reported as a miss. A hit is
+// always counted; a miss only with countMiss, so a caller looking a
+// second time for the same query (a flight's leader) leaves the miss
+// count at one per query.
+func (c *routeCache) get(key cacheKey, gen uint64, countMiss bool) ([]core.RouteResult, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	e, ok := s.items[key]
@@ -129,7 +132,9 @@ func (c *routeCache) get(key cacheKey, gen uint64) ([]core.RouteResult, bool) {
 		s.unlink(e)
 		delete(s.items, key)
 	}
-	s.misses++
+	if countMiss {
+		s.misses++
+	}
 	s.mu.Unlock()
 	return nil, false
 }

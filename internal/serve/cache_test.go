@@ -17,15 +17,15 @@ func TestCacheLRUEviction(t *testing.T) {
 		c.put(cacheKey{s: roadnet.VertexID(i), d: 1, k: 1}, 1, res(i))
 	}
 	// Touch key 0 so key 1 becomes the LRU victim.
-	if _, ok := c.get(cacheKey{s: 0, d: 1, k: 1}, 1); !ok {
+	if _, ok := c.get(cacheKey{s: 0, d: 1, k: 1}, 1, true); !ok {
 		t.Fatal("key 0 missing")
 	}
 	c.put(cacheKey{s: 100, d: 1, k: 1}, 1, res(100))
-	if _, ok := c.get(cacheKey{s: 1, d: 1, k: 1}, 1); ok {
+	if _, ok := c.get(cacheKey{s: 1, d: 1, k: 1}, 1, true); ok {
 		t.Fatal("LRU victim survived")
 	}
 	for _, s := range []int{0, 2, 3, 100} {
-		if _, ok := c.get(cacheKey{s: roadnet.VertexID(s), d: 1, k: 1}, 1); !ok {
+		if _, ok := c.get(cacheKey{s: roadnet.VertexID(s), d: 1, k: 1}, 1, true); !ok {
 			t.Fatalf("key %d evicted out of order", s)
 		}
 	}
@@ -43,16 +43,16 @@ func TestCacheHitAtHeadKeepsOrder(t *testing.T) {
 		c.put(cacheKey{s: roadnet.VertexID(i), d: 1, k: 1}, 1, res(i))
 	}
 	for i := 0; i < 5; i++ { // key 2 is the head
-		if got, ok := c.get(cacheKey{s: 2, d: 1, k: 1}, 1); !ok || got[0].Path[0] != 2 {
+		if got, ok := c.get(cacheKey{s: 2, d: 1, k: 1}, 1, true); !ok || got[0].Path[0] != 2 {
 			t.Fatal("head entry missed")
 		}
 	}
 	c.put(cacheKey{s: 100, d: 1, k: 1}, 1, res(100)) // evicts key 0, the tail
-	if _, ok := c.get(cacheKey{s: 0, d: 1, k: 1}, 1); ok {
+	if _, ok := c.get(cacheKey{s: 0, d: 1, k: 1}, 1, true); ok {
 		t.Fatal("LRU victim survived")
 	}
 	for _, s := range []int{1, 2, 100} {
-		if _, ok := c.get(cacheKey{s: roadnet.VertexID(s), d: 1, k: 1}, 1); !ok {
+		if _, ok := c.get(cacheKey{s: roadnet.VertexID(s), d: 1, k: 1}, 1, true); !ok {
 			t.Fatalf("key %d evicted out of order", s)
 		}
 	}
@@ -65,11 +65,11 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	c := newRouteCache(8, 2)
 	key := cacheKey{s: 5, d: 9, k: 1}
 	c.put(key, 1, res(1))
-	if _, ok := c.get(key, 1); !ok {
+	if _, ok := c.get(key, 1, true); !ok {
 		t.Fatal("fresh entry missed")
 	}
 	// Same key at a newer generation: stale, must miss and be dropped.
-	if _, ok := c.get(key, 2); ok {
+	if _, ok := c.get(key, 2, true); ok {
 		t.Fatal("stale entry served across generations")
 	}
 	if got := c.len(); got != 0 {
@@ -78,7 +78,7 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	// A put from an older generation must not clobber a newer entry.
 	c.put(key, 3, res(3))
 	c.put(key, 2, res(2))
-	got, ok := c.get(key, 3)
+	got, ok := c.get(key, 3, true)
 	if !ok || got[0].Path[0] != 3 {
 		t.Fatal("older-generation put clobbered newer entry")
 	}
@@ -121,7 +121,7 @@ func TestCacheCountersRace(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 500; i++ {
 				key := cacheKey{s: roadnet.VertexID(i % 32), d: roadnet.VertexID(w), k: 1}
-				if _, ok := c.get(key, 1); !ok {
+				if _, ok := c.get(key, 1, true); !ok {
 					c.put(key, 1, res(i))
 				}
 			}

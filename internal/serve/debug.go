@@ -172,15 +172,15 @@ func (e *Engine) DebugSnapshotNow() DebugSnapshot {
 	if e.dur != nil {
 		ds.WALSeq = e.dur.walSeq.Load()
 	}
-	if at := e.stream.Load(); at != nil && at.source != nil {
-		ss := at.source.StreamStats()
-		ds.StreamQueueDepth = ss.QueueDepth
-		ds.StreamQueueCapacity = ss.QueueCapacity
+	var st Stats
+	e.reportAttached(&st)
+	if st.Stream != nil {
+		ds.StreamQueueDepth = st.Stream.QueueDepth
+		ds.StreamQueueCapacity = st.Stream.QueueCapacity
 	}
-	if at := e.qual.Load(); at != nil && at.source != nil {
-		qs := at.source.QualityStats()
-		ds.QualityQueueDepth = qs.QueueDepth
-		ds.QualityQueueCapacity = qs.QueueCapacity
+	if st.Quality != nil {
+		ds.QualityQueueDepth = st.Quality.QueueDepth
+		ds.QualityQueueCapacity = st.Quality.QueueCapacity
 	}
 	b := buildID()
 	ds.GoVersion = b.goVersion

@@ -52,17 +52,29 @@
 // the same snapshot machinery — in-flight queries finish on the
 // generation they loaded, and a half-written file fails its checksum
 // and is retried on the next scan instead of dethroning the serving
-// snapshot.
+// snapshot. A new tenant's engine is constructed outside the registry
+// lock, so a hot-load stalls nobody.
 //
-// # Streaming ingestion
+// # Attachments
 //
-// Raw GPS feeds enter through the streaming pipeline in
-// internal/stream, which attaches to an engine via AttachStream: its
-// NDJSON endpoint mounts as POST /stream (POST /t/{tenant}/stream
-// behind a fleet, for every tenant Fleet.OnCreate sees), its batches
-// enter through IngestMatched — many trajectories per copy-on-write
-// swap instead of /ingest's one per request — and its health rides in
-// Stats().Stream as StreamStats.
+// What rides on an engine does so through one seam: Engine.Attach
+// takes an Attachment (the endpoint it serves, what to do with an
+// applied batch and with a published snapshot, how to fill its block
+// of Stats) and keeps a copy-on-write list that the write path — offers
+// and publish notices run under writeMu and may not block — Stats,
+// /debug/snapshot and the HTTP dispatch read without a lock.
+// internal/stream's Ingestor (POST /stream; its batches enter through
+// IngestMatched, many trajectories per swap), internal/quality's
+// Observer (GET /debug/quality) and internal/maint's Maintainer
+// (GET /debug/maint) implement it. Re-attaching on an endpoint
+// replaces; an endpoint nothing is attached at answers 404. The wire
+// types (StreamStats, QualityStats, MaintStats) stay in this package.
+//
+// Fleet.Attach registers a function the fleet runs for every tenant,
+// present and future, under the registry lock, and the fleet owns what
+// it returns: Remove and Close stop a tenant's attachments, last
+// attached first, then close its engine — once. A hot swap keeps the
+// engine and everything on it.
 //
 // # Durability
 //

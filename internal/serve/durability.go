@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ch"
 	"repro/internal/core"
 	"repro/internal/wal"
 )
@@ -125,7 +126,7 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 			// rebuild it once (no-op when base already has one) —
 			// before the replay, so replayed batches relearn on the
 			// engine live ingest uses instead of on plain Dijkstra.
-			base.EnableCH(e.opt.CH)
+			base.EnableCH(ch.Config{})
 		}
 		for _, b := range batches {
 			io := e.opt.Ingest

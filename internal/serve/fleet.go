@@ -3,14 +3,16 @@ package serve
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/ch"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -21,39 +23,52 @@ import (
 // its own route cache, coalescing group and metrics; the fleet
 // aggregates them for operator-level stats.
 //
+// The fleet owns each tenant's engine and whatever its Attach functions
+// put on it: a tenant leaving the registry (Remove, Close) has both
+// released, once.
+//
 // All methods are safe for concurrent use. Lookups on the query path
-// take a read lock only; tenant addition, removal and artifact
+// take a read lock only; tenant registration, removal and artifact
 // publication serialize on a write lock but never block in-flight
 // queries — a hot swap goes through the tenant engine's snapshot
 // machinery (Engine.Publish), so queries racing the swap finish on the
-// generation they loaded.
+// generation they loaded — and a new tenant's engine is constructed
+// (checkpoint decode, CH contraction, WAL replay) before the lock is
+// taken, so a hot-load never stalls the other tenants.
 type Fleet struct {
 	opt   Options // engine options for tenants the fleet creates
 	start time.Time
 
-	// OnCreate, when set, runs for every tenant engine the fleet
-	// creates (Add, or Publish of a new name) — the place to attach
-	// per-tenant plumbing such as a streaming ingestion pipeline
-	// (stream.AttachFleet uses it). It runs synchronously while the
-	// registry write lock is held, so no request reaches the tenant
-	// before it returns; it must not call back into the Fleet. Set it
-	// before tenants are added.
-	OnCreate func(name string, e *Engine)
-
 	mu      sync.RWMutex
 	tenants map[string]*tenant
+	attach  []func(name string, e *Engine) (stop func()) // Attach's functions, in registration order
 }
 
 // tenant pairs an engine with its HTTP handler — the engine's mux
 // pre-wrapped in the tenant's /t/{name} prefix strip — built once so
-// the per-request path is a map lookup plus ServeHTTP.
+// the per-request path is a map lookup plus ServeHTTP. stops holds what
+// the fleet's Attach functions returned for this engine (Fleet.mu).
 type tenant struct {
 	eng     *Engine
 	handler http.Handler
+	stops   []func()
 }
 
 func newTenant(name string, e *Engine) *tenant {
 	return &tenant{eng: e, handler: http.StripPrefix("/t/"+name, e.Handler())}
+}
+
+// close releases everything the tenant held: its attachments are
+// stopped, last attached first — a stream pipeline's final flush still
+// reaches an open write-ahead log — and then the engine is closed. The
+// caller has taken t out of the registry, so it runs once.
+func (t *tenant) close() error {
+	for i := len(t.stops) - 1; i >= 0; i-- {
+		if t.stops[i] != nil {
+			t.stops[i]()
+		}
+	}
+	return t.eng.Close()
 }
 
 // NewFleet creates an empty fleet. opt configures every engine the
@@ -90,13 +105,34 @@ func (f *Fleet) tenantOptions(name string) Options {
 	return opt
 }
 
+// Attach runs fn for every tenant — those already registered, in name
+// order, and every one created later (Add, or Publish of a new name;
+// not a hot swap, which keeps the tenant's engine and whatever rides on
+// it) — and keeps the stop function fn returns (nil for none) to run
+// when the tenant leaves the registry. Several Attach functions run in
+// registration order. fn runs while the registry write lock is held, so
+// no request reaches a tenant before its attachments exist; it must not
+// call back into the Fleet.
+func (f *Fleet) Attach(fn func(name string, e *Engine) (stop func())) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.attach = append(f.attach, fn)
+	for _, name := range slices.Sorted(maps.Keys(f.tenants)) {
+		t := f.tenants[name]
+		t.stops = append(t.stops, fn(name, t.eng))
+	}
+}
+
 // Add registers a built router as a new tenant and returns its engine.
 // The fleet takes ownership of r. Adding a name that already exists is
 // an error — use Publish to hot-swap an existing tenant's artifact.
 // With durability configured (Options.WALDir), the tenant's engine
-// recovers its per-tenant WAL directory before serving; recovery
-// failures (a corrupt log, a foreign road network) are returned rather
-// than served around.
+// recovers its per-tenant WAL directory before serving — a checkpoint +
+// log left by a previous process is the tenant's live state, not the
+// bare artifact — and recovery failures (a corrupt log, a foreign road
+// network) are returned rather than served around. The engine is
+// constructed outside the registry lock, then registered, and the
+// Attach functions run, under it.
 func (f *Fleet) Add(name string, r *core.Router) (*Engine, error) {
 	if err := validTenantName(name); err != nil {
 		return nil, err
@@ -120,10 +156,11 @@ func (f *Fleet) Add(name string, r *core.Router) (*Engine, error) {
 		e.Close()
 		return nil, fmt.Errorf("serve: tenant %q already exists", name)
 	}
-	f.tenants[name] = newTenant(name, e)
-	if f.OnCreate != nil {
-		f.OnCreate(name, e)
+	t := newTenant(name, e)
+	for _, fn := range f.attach {
+		t.stops = append(t.stops, fn(name, e))
 	}
+	f.tenants[name] = t
 	return e, nil
 }
 
@@ -131,9 +168,10 @@ func (f *Fleet) Add(name string, r *core.Router) (*Engine, error) {
 // the tenant if it does not exist yet. The fleet takes ownership of r.
 // For an existing tenant the swap is atomic and non-disruptive:
 // in-flight queries finish on the snapshot they loaded, the tenant's
-// metrics and cache survive (stale cache entries die by generation),
-// and the snapshot generation bumps. The tenant's generation after the
-// swap is returned.
+// metrics, cache and attachments survive (stale cache entries die by
+// generation), and the snapshot generation bumps. A new tenant is
+// created as by Add; losing a race to a concurrent creator of the same
+// name is an error. The tenant's generation after the swap is returned.
 func (f *Fleet) Publish(name string, r *core.Router) (uint64, error) {
 	if err := validTenantName(name); err != nil {
 		return 0, err
@@ -143,42 +181,42 @@ func (f *Fleet) Publish(name string, r *core.Router) (uint64, error) {
 		// built CH-backed. Engine construction would do this for a new
 		// tenant, but Engine.Publish intentionally does not touch the
 		// router.
-		r.EnableCH(f.opt.CH)
+		r.EnableCH(ch.Config{})
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	t, ok := f.tenants[name]
-	if !ok {
-		// A new tenant goes through durable construction: if its WAL
-		// directory holds a checkpoint + log from a previous process,
-		// the tenant recovers that live state rather than serving the
-		// bare artifact.
-		e, err := NewDurableEngine(r, f.tenantOptions(name))
-		if err != nil {
-			return 0, fmt.Errorf("serve: tenant %q: %w", name, err)
-		}
-		f.tenants[name] = newTenant(name, e)
-		if f.OnCreate != nil {
-			f.OnCreate(name, e)
-		}
-		return e.Generation(), nil
+	if t, ok := f.tenants[name]; ok {
+		// The registry write lock is held across the engine swap so a
+		// concurrent Remove+Add of the same name cannot orphan this
+		// publish; Engine.Publish itself is O(1) (build a snapshot, swap a
+		// pointer), so lookups block only briefly.
+		defer f.mu.Unlock()
+		t.eng.Publish(r)
+		return t.eng.Generation(), nil
 	}
-	// The registry write lock is held across the engine swap so a
-	// concurrent Remove+Add of the same name cannot orphan this
-	// publish; Engine.Publish itself is O(1) (build a snapshot, swap a
-	// pointer), so lookups block only briefly.
-	t.eng.Publish(r)
-	return t.eng.Generation(), nil
+	f.mu.Unlock()
+	e, err := f.Add(name, r)
+	if err != nil {
+		return 0, err
+	}
+	return e.Generation(), nil
 }
 
 // Remove drops a tenant from the registry, reporting whether it
-// existed. Queries already inside the tenant's engine finish normally;
-// new lookups miss.
+// existed, and releases what the tenant held: its attachments are
+// stopped, then its engine is closed. Queries already inside the engine
+// finish on the snapshot they loaded; an ingest already inside it
+// completes, because Engine.Close takes the write lock; a later ingest
+// through a retained *Engine still applies in memory but is refused by
+// the closed write-ahead log (durable: false). New lookups miss.
 func (f *Fleet) Remove(name string) bool {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, ok := f.tenants[name]
+	t, ok := f.tenants[name]
 	delete(f.tenants, name)
+	f.mu.Unlock()
+	if ok {
+		// The close error concerns a WAL the tenant no longer uses.
+		_ = t.close()
+	}
 	return ok
 }
 
@@ -195,12 +233,7 @@ func (f *Fleet) Get(name string) (*Engine, bool) {
 
 // Names returns the registered tenant names, sorted.
 func (f *Fleet) Names() []string {
-	names := make([]string, 0, f.Len())
-	for name := range f.snapshotEngines() {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(f.snapshotEngines()))
 }
 
 // snapshotEngines copies the tenant→engine map under the read lock so
@@ -222,13 +255,18 @@ func (f *Fleet) Len() int {
 	return len(f.tenants)
 }
 
-// Close releases every tenant engine's durability resources (WAL file
-// handles). It does not checkpoint — call each engine's Checkpoint
-// first for replay-free restarts. A no-op for non-durable fleets.
+// Close removes every tenant, as Remove does: attachments stopped, then
+// the engine's durability resources (WAL file handles) released. The
+// fleet is empty afterwards. It does not checkpoint — call each
+// engine's Checkpoint first for replay-free restarts.
 func (f *Fleet) Close() error {
+	f.mu.Lock()
+	tenants := f.tenants
+	f.tenants = make(map[string]*tenant)
+	f.mu.Unlock()
 	var first error
-	for _, e := range f.snapshotEngines() {
-		if err := e.Close(); err != nil && first == nil {
+	for _, t := range tenants {
+		if err := t.close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -90,7 +91,7 @@ func (f *Fleet) handleTenants(w http.ResponseWriter, r *http.Request) {
 	}
 	engines := f.snapshotEngines()
 	infos := make([]TenantInfo, 0, len(engines))
-	for _, name := range sortedNames(engines) {
+	for _, name := range slices.Sorted(maps.Keys(engines)) {
 		e := engines[name]
 		snap := e.Snapshot()
 		meta := snap.Meta()
@@ -105,15 +106,6 @@ func (f *Fleet) handleTenants(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"tenants": infos})
-}
-
-func sortedNames(engines map[string]*Engine) []string {
-	names := make([]string, 0, len(engines))
-	for name := range engines {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func (f *Fleet) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -132,11 +124,12 @@ func (f *Fleet) handleQuality(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	engines := f.snapshotEngines()
 	per := make(map[string]QualityStats)
-	for name, e := range engines {
-		if at := e.qual.Load(); at != nil && at.source != nil {
-			per[name] = at.source.QualityStats()
+	for name, e := range f.snapshotEngines() {
+		var st Stats
+		e.reportAttached(&st)
+		if st.Quality != nil {
+			per[name] = *st.Quality
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

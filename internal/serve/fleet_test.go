@@ -361,20 +361,21 @@ func TestFleetHTTPTenantsAndStats(t *testing.T) {
 	}
 }
 
-// TestFleetOnCreate: the hook fires for Add and for Publish of a new
-// name (the watcher's hot-load path), but not for a hot swap of an
-// existing tenant — the engine, and whatever was attached to it,
-// survives the swap.
+// TestFleetOnCreate: a Fleet.Attach function fires for Add and for
+// Publish of a new name (the watcher's hot-load path), but not for a
+// hot swap of an existing tenant — the engine, and whatever was
+// attached to it, survives the swap.
 func TestFleetOnCreate(t *testing.T) {
 	base, _ := sharedWorld(t)
 	f := NewFleet(Options{})
 	var created []string
-	f.OnCreate = func(name string, e *Engine) {
+	f.Attach(func(name string, e *Engine) func() {
 		if e == nil {
-			t.Errorf("OnCreate(%q) got nil engine", name)
+			t.Errorf("Attach function for %q got nil engine", name)
 		}
 		created = append(created, name)
-	}
+		return nil
+	})
 	if _, err := f.Add("a", base.DeepClone()); err != nil {
 		t.Fatal(err)
 	}
@@ -390,6 +391,94 @@ func TestFleetOnCreate(t *testing.T) {
 		t.Fatal("hot swap replaced the engine; attachments would be lost")
 	}
 	if len(created) != 2 || created[0] != "a" || created[1] != "b" {
-		t.Fatalf("OnCreate fired for %v, want [a b]", created)
+		t.Fatalf("Attach function fired for %v, want [a b]", created)
+	}
+}
+
+// TestFleetPublishNewTenantDoesNotBlockLookups: a hot-load — Publish of
+// a name the fleet does not have, what the Watcher does for a new
+// artifact — constructs the tenant's engine (checkpoint decode, CH
+// contraction, WAL replay) outside the registry lock, so the other
+// tenants keep answering while it runs, and the new tenant is attached
+// exactly once when it lands.
+func TestFleetPublishNewTenantDoesNotBlockLookups(t *testing.T) {
+	base, fresh := sharedWorld(t)
+	walRoot := t.TempDir()
+	hold := make(chan struct{}) // every tenant's recovery waits for one receive
+	f := NewFleet(Options{WALDir: walRoot, recoverHold: hold})
+	defer f.Close()
+	attached := map[string]int{} // written under the registry lock
+	f.Attach(func(name string, _ *Engine) func() {
+		attached[name]++
+		return nil
+	})
+
+	addDone := make(chan error, 1)
+	go func() {
+		_, err := f.Add("a", base.DeepClone())
+		addDone <- err
+	}()
+	hold <- struct{}{}
+	if err := <-addDone; err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+
+	pubDone := make(chan error, 1)
+	go func() {
+		_, err := f.Publish("b", base.DeepClone())
+		pubDone <- err
+	}()
+	// b's WAL directory appears when its recovery opens the log, just
+	// before the hold: construction is then under way.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := os.Stat(filepath.Join(walRoot, "b")); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Publish of b never reached recovery")
+		}
+	}
+
+	looked := make(chan struct{})
+	go func() {
+		defer close(looked)
+		if _, ok := f.Get("a"); !ok {
+			t.Error("tenant a missing")
+		}
+		q := queries(fresh, 1)[0]
+		resp, err := http.Get(fmt.Sprintf("%s/t/a/route?src=%d&dst=%d", srv.URL, q.Src, q.Dst))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET /t/a/route = %d during the hot-load of b", resp.StatusCode)
+		}
+	}()
+	select {
+	case <-looked:
+	case <-time.After(5 * time.Second):
+		t.Error("lookups of tenant a blocked behind the hot-load of tenant b")
+	}
+	select {
+	case err := <-pubDone:
+		t.Fatalf("Publish of b returned (%v) while its recovery was held", err)
+	default:
+	}
+
+	hold <- struct{}{}
+	if err := <-pubDone; err != nil {
+		t.Fatal(err)
+	}
+	<-looked
+	q := queries(fresh, 1)[0]
+	getJSON(t, fmt.Sprintf("%s/t/b/route?src=%d&dst=%d", srv.URL, q.Src, q.Dst), http.StatusOK, nil)
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if attached["a"] != 1 || attached["b"] != 1 {
+		t.Fatalf("attach counts %v, want a and b once each", attached)
 	}
 }

@@ -61,35 +61,23 @@ type ingestReply struct {
 	Durable bool `json:"durable"`
 }
 
-// streamAttachment couples the streaming pipeline's HTTP front-end
-// with its stats source; registered via AttachStream, read lock-free
-// on the /stream and /stats paths.
-type streamAttachment struct {
-	handler http.Handler
-	source  StreamSource
-}
-
-// AttachStream registers a streaming-ingestion front-end on the
-// engine: h serves POST /stream on the engine's HTTP API (404 until
-// one is attached), and src — when non-nil — reports pipeline health
-// through Stats().Stream. internal/stream's Attach wires both.
-func (e *Engine) AttachStream(h http.Handler, src StreamSource) {
-	e.stream.Store(&streamAttachment{handler: h, source: src})
-}
-
 // Handler returns the engine's HTTP API:
 //
 //	GET  /route?src=S&dst=D              best route for (S, D)
 //	GET  /route/alternatives?src=S&dst=D&k=K   up to K ranked routes
 //	POST /ingest                         {"paths": [[v0,v1,...], ...]}
-//	POST /stream                         NDJSON GPS points (AttachStream)
+//	POST /stream                         NDJSON GPS points (stream.Attach)
 //	GET  /stats                          serving metrics (Stats)
 //	GET  /healthz                        liveness + snapshot generation
 //	GET  /metrics                        Prometheus text exposition
 //	GET  /debug/trace?n=50&slow=1&min_ms=5   recent / slow request traces
 //	GET  /debug/snapshot                 non-blocking internals snapshot
-//	GET  /debug/quality                  worst shadow-scored ODs (AttachQuality)
-//	GET  /debug/maint                    maintenance state (AttachMaintenance)
+//	GET  /debug/quality                  worst shadow-scored ODs (quality.Attach)
+//	GET  /debug/maint                    maintenance state (maint.Attach)
+//
+// The last three are served by whatever is attached there (Attach) and
+// answer 404 until something is; attaching after Handler was built
+// works, because the mux's fallback consults the list per request.
 //
 // Every endpoint's request body is bounded by Options.MaxBodyBytes;
 // larger bodies are rejected with 413. Every response carries an
@@ -108,14 +96,12 @@ func (e *Engine) Handler() http.Handler {
 	mux.HandleFunc("/route", e.handleRoute)
 	mux.HandleFunc("/route/alternatives", e.handleAlternatives)
 	mux.HandleFunc("/ingest", e.handleIngest)
-	mux.HandleFunc("/stream", e.handleStream)
 	mux.HandleFunc("/stats", e.handleStats)
 	mux.HandleFunc("/healthz", e.handleHealthz)
 	mux.HandleFunc("/metrics", e.handleMetrics)
 	mux.HandleFunc("/debug/trace", traceHandler(e.trc))
 	mux.HandleFunc("/debug/snapshot", e.handleDebugSnapshot)
-	mux.HandleFunc("/debug/quality", e.handleQuality)
-	mux.HandleFunc("/debug/maint", e.handleMaint)
+	mux.HandleFunc("/", e.handleAttached)
 	limit := e.opt.MaxBodyBytes
 	return withRequestTelemetry(e.trc, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !e.ready.Load() && !telemetryPath(r.URL.Path) {
@@ -354,15 +340,6 @@ func (e *Engine) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Generation:         gen,
 		Durable:            durable,
 	})
-}
-
-func (e *Engine) handleStream(w http.ResponseWriter, r *http.Request) {
-	at := e.stream.Load()
-	if at == nil || at.handler == nil {
-		writeError(w, http.StatusNotFound, "streaming ingestion is not enabled on this engine")
-		return
-	}
-	at.handler.ServeHTTP(w, r)
 }
 
 func (e *Engine) handleStats(w http.ResponseWriter, r *http.Request) {

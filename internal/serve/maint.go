@@ -2,12 +2,10 @@ package serve
 
 import (
 	"context"
-	"net/http"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/traj"
 )
 
 // MaintStats is the background maintainer's point-in-time report:
@@ -63,53 +61,6 @@ type MaintStats struct {
 	LastTransferRows         int           `json:"last_transfer_rows"`
 	LastTransferNNZ          int           `json:"last_transfer_nnz"`
 	LastSolveIterations      int           `json:"last_solve_iterations"`
-}
-
-// MaintSource is the background maintainer the engine notifies and
-// reports through; internal/maint's Attach registers one via
-// AttachMaintenance.
-type MaintSource interface {
-	// MaintStats reports the maintainer's current state
-	// (Stats().Maintenance).
-	MaintStats() MaintStats
-	// OfferTrajectories presents one applied ingest batch for evidence
-	// accumulation. It runs on the engine's write path under writeMu
-	// and must never block: copy, count, evict — same contract as
-	// QualitySource.OfferTrajectories.
-	OfferTrajectories(ts []*traj.Trajectory)
-	// Published tells the maintainer a new snapshot replaced the old
-	// one — its own rebuild landing, or an externally built router
-	// (Engine.Publish) — so it can rebase its drift baseline and
-	// evidence counters. Runs under writeMu; must not call back into
-	// the engine's write path.
-	Published(r *core.Router)
-}
-
-// maintAttachment couples the maintainer's HTTP debug endpoint with its
-// stats/notification source; registered via AttachMaintenance, read
-// lock-free on the write path and the /stats, /metrics and /debug/maint
-// paths.
-type maintAttachment struct {
-	handler http.Handler
-	source  MaintSource
-}
-
-// AttachMaintenance registers a background maintainer on the engine:
-// h serves GET /debug/maint (404 until one is attached), and src —
-// when non-nil — is offered every ingested batch, notified of snapshot
-// publications, and reported through Stats().Maintenance and the
-// l2r_maint_* metric family. internal/maint's Attach wires both.
-func (e *Engine) AttachMaintenance(h http.Handler, src MaintSource) {
-	e.maint.Store(&maintAttachment{handler: h, source: src})
-}
-
-func (e *Engine) handleMaint(w http.ResponseWriter, r *http.Request) {
-	at := e.maint.Load()
-	if at == nil || at.handler == nil {
-		writeError(w, http.StatusNotFound, "background maintenance is not enabled on this engine")
-		return
-	}
-	at.handler.ServeHTTP(w, r)
 }
 
 // RebuildSnapshot runs one maintenance clone-rebuild-publish cycle:

@@ -139,12 +139,6 @@ type StreamStats struct {
 	LastFlushLatency    time.Duration `json:"last_flush_latency_ns"`
 }
 
-// StreamSource reports streaming-ingestion stats; the pipeline
-// registers one via Engine.AttachStream and Stats surfaces it.
-type StreamSource interface {
-	StreamStats() StreamStats
-}
-
 // Stats is a point-in-time snapshot of serving health.
 type Stats struct {
 	// Uptime is the time since the engine was created.
@@ -273,18 +267,7 @@ func (e *Engine) Stats() Stats {
 			st.PerCategory[core.Category(i).String()] = latencyStats(h)
 		}
 	}
-	if at := e.stream.Load(); at != nil && at.source != nil {
-		ss := at.source.StreamStats()
-		st.Stream = &ss
-	}
-	if at := e.qual.Load(); at != nil && at.source != nil {
-		qs := at.source.QualityStats()
-		st.Quality = &qs
-	}
-	if at := e.maint.Load(); at != nil && at.source != nil {
-		ms := at.source.MaintStats()
-		st.Maintenance = &ms
-	}
+	e.reportAttached(&st)
 	st.LastStalenessRatio = math.Float64frombits(e.lastStaleness.Load())
 	st.OutOfRegionVertices = e.oorVertices.Load()
 	st.IngestedVertices = e.ingVertices.Load()

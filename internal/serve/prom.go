@@ -3,9 +3,10 @@ package serve
 import (
 	"bytes"
 	"io"
+	"maps"
 	"net/http"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -112,13 +113,13 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 			pw.Gauge("l2r_quality_window_eq4_pct", "Rolling-window mean Eq. 4 shadow-score accuracy.", qs.Total.WindowEq4Pct, labels...)
 			pw.Gauge("l2r_quality_window_worst_eq1_pct", "Worst Eq. 1 score in the rolling window.", qs.WindowWorstEq1Pct, labels...)
 		}
-		for _, key := range sortedCellKeys(qs.PerCategory) {
+		for _, key := range slices.Sorted(maps.Keys(qs.PerCategory)) {
 			cell := qs.PerCategory[key]
 			cl := append(withLabels(labels), obs.Label{Name: "category", Value: key})
 			pw.Gauge("l2r_quality_category_eq1_pct", "Cumulative mean Eq. 1 accuracy by paper query category.", cell.Eq1Pct, cl...)
 			pw.Gauge("l2r_quality_category_window_eq1_pct", "Rolling-window mean Eq. 1 accuracy by paper query category.", cell.WindowEq1Pct, cl...)
 		}
-		for _, key := range sortedCellKeys(qs.PerDistance) {
+		for _, key := range slices.Sorted(maps.Keys(qs.PerDistance)) {
 			cell := qs.PerDistance[key]
 			cl := append(withLabels(labels), obs.Label{Name: "bucket", Value: key})
 			pw.Gauge("l2r_quality_distance_eq1_pct", "Cumulative mean Eq. 1 accuracy by trip-distance bucket.", cell.Eq1Pct, cl...)
@@ -179,17 +180,6 @@ func withLabels(labels []obs.Label) []obs.Label {
 	return labels[:len(labels):len(labels)]
 }
 
-// sortedCellKeys returns the map's keys sorted, for a stable
-// exposition order.
-func sortedCellKeys(cells map[string]QualityScoreCell) []string {
-	keys := make([]string, 0, len(cells))
-	for k := range cells {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // stageHelp documents the per-stage histogram metric once.
 const stageHelp = "Duration of one traced request stage (cache.lookup, route.region_search, wal.append, ...)."
 
@@ -213,7 +203,7 @@ func (f *Fleet) WriteMetrics(w io.Writer) error {
 	engines := f.snapshotEngines()
 	pw.Gauge("l2r_tenants", "Registered tenants.", float64(len(engines)))
 	merged := &obs.Histogram{}
-	for _, name := range sortedNames(engines) {
+	for _, name := range slices.Sorted(maps.Keys(engines)) {
 		e := engines[name]
 		e.writeProm(pw, obs.Label{Name: "tenant", Value: name})
 		merged.Merge(e.met.overall())

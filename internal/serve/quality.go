@@ -2,12 +2,10 @@ package serve
 
 import (
 	"context"
-	"net/http"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/roadnet"
-	"repro/internal/traj"
 )
 
 // QualityScoreCell summarizes shadow scores for one slice of traffic
@@ -90,50 +88,6 @@ type QualityStats struct {
 	Exemplars     int `json:"exemplars"`
 	QueueDepth    int `json:"queue_depth"`
 	QueueCapacity int `json:"queue_capacity"`
-}
-
-// QualitySource is the model-quality observer the engine notifies and
-// reports through; internal/quality's Attach registers one via
-// AttachQuality.
-type QualitySource interface {
-	// QualityStats reports the observer's current state (Stats().Quality).
-	QualityStats() QualityStats
-	// OfferTrajectories presents one applied ingest batch for shadow
-	// scoring. It runs on the engine's write path under writeMu and
-	// must never block: sample, copy, enqueue or drop.
-	OfferTrajectories(ts []*traj.Trajectory)
-	// Published tells the observer an externally built router replaced
-	// the snapshot (Engine.Publish) so it can re-capture its drift
-	// baseline — after a full rebuild the old baseline describes a
-	// model that no longer exists.
-	Published(r *core.Router)
-}
-
-// qualityAttachment couples the observer's HTTP debug endpoint with
-// its stats/notification source; registered via AttachQuality, read
-// lock-free on the write path and the /stats, /metrics and
-// /debug/quality paths.
-type qualityAttachment struct {
-	handler http.Handler
-	source  QualitySource
-}
-
-// AttachQuality registers a model-quality observer on the engine: h
-// serves GET /debug/quality (404 until one is attached), and src —
-// when non-nil — is offered every ingested batch, notified of
-// publishes, and reported through Stats().Quality and the l2r_quality_*
-// / l2r_drift_* metric families. internal/quality's Attach wires both.
-func (e *Engine) AttachQuality(h http.Handler, src QualitySource) {
-	e.qual.Store(&qualityAttachment{handler: h, source: src})
-}
-
-func (e *Engine) handleQuality(w http.ResponseWriter, r *http.Request) {
-	at := e.qual.Load()
-	if at == nil || at.handler == nil {
-		writeError(w, http.StatusNotFound, "quality observation is not enabled on this engine")
-		return
-	}
-	at.handler.ServeHTTP(w, r)
 }
 
 // ShadowRoute answers one query off the books for the shadow scorer:

@@ -6,45 +6,36 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/traj"
 )
 
-// fakeQuality is a minimal QualitySource: enough to prove the engine's
-// plumbing (offer on ingest, rebase on Publish, stats/metrics/debug
-// surfaces) without importing internal/quality (which imports serve).
-type fakeQuality struct {
-	offered   atomic.Uint64
-	published atomic.Uint64
-}
-
-func (f *fakeQuality) QualityStats() QualityStats {
-	return QualityStats{
-		SampleRate: 0.5,
-		Scored:     f.offered.Load(),
-		Total:      QualityScoreCell{Scores: f.offered.Load(), Eq1Pct: 90},
-	}
-}
-func (f *fakeQuality) OfferTrajectories(ts []*traj.Trajectory) { f.offered.Add(uint64(len(ts))) }
-func (f *fakeQuality) Published(r *core.Router)                { f.published.Add(1) }
-
+// TestEngineOffersIngestToQualitySource proves the engine's plumbing
+// for a quality-shaped attachment (offer on ingest, rebase on Publish,
+// stats/metrics surfaces) with a fake, since internal/quality imports
+// serve.
 func TestEngineOffersIngestToQualitySource(t *testing.T) {
 	base, fresh := sharedWorld(t)
 	e := NewEngine(base.Clone(), Options{})
-	fq := &fakeQuality{}
-	e.AttachQuality(http.NotFoundHandler(), fq)
+	fq := &fakeAttachment{path: "/debug/quality"}
+	fq.report = func(st *Stats) {
+		n, _ := fq.counts()
+		st.Quality = &QualityStats{
+			SampleRate: 0.5,
+			Scored:     uint64(n),
+			Total:      QualityScoreCell{Scores: uint64(n), Eq1Pct: 90},
+		}
+	}
+	e.Attach(fq)
 
 	e.Ingest(fresh[:12])
-	if got := fq.offered.Load(); got != 12 {
+	if got, _ := fq.counts(); got != 12 {
 		t.Fatalf("quality source saw %d trajectories, want 12", got)
 	}
 	e.Publish(base.DeepClone())
-	if fq.published.Load() != 1 {
-		t.Fatalf("Published hook fired %d times, want 1", fq.published.Load())
+	if _, got := fq.counts(); got != 1 {
+		t.Fatalf("Published hook fired %d times, want 1", got)
 	}
 
 	st := e.Stats()

@@ -48,9 +48,6 @@ type Options struct {
 	// the hierarchy is immutable and shared by every pool clone and
 	// every ingest swap afterwards.
 	PathBackend core.PathBackend
-	// CH mirrors core.Options.CH: the (empty) contraction configuration
-	// passed to EnableCH when PathBackend == core.BackendCH.
-	CH ch.Config
 
 	// WALDir enables durable ingestion: every ingest batch is appended
 	// to a write-ahead log in this directory *before* the snapshot swap
@@ -154,16 +151,11 @@ type Engine struct {
 
 	writeMu sync.Mutex // serializes Ingest and Publish
 
-	// stream holds the optional streaming-ingestion attachment (HTTP
-	// front-end + stats source); qual the optional model-quality
-	// observer (shadow scorer + drift gauges, internal/quality); maint
-	// the optional background maintainer (evidence accumulator +
-	// rebuild triggers, internal/maint); trajSeq hands out
-	// engine-unique trajectory IDs to every ingestion path.
-	stream  atomic.Pointer[streamAttachment]
-	qual    atomic.Pointer[qualityAttachment]
-	maint   atomic.Pointer[maintAttachment]
-	trajSeq atomic.Uint64
+	// attachments is the copy-on-write list Attach maintains, never nil
+	// (attach.go). trajSeq hands out engine-unique trajectory IDs to
+	// every ingestion path.
+	attachments atomic.Pointer[[]attached]
+	trajSeq     atomic.Uint64
 
 	// dur is the optional durability attachment (write-ahead log +
 	// checkpointing); ready flips once the first snapshot is published
@@ -202,7 +194,7 @@ func NewEngine(r *core.Router, opt Options) *Engine {
 	if opt.PathBackend == core.BackendCH {
 		// One-time preprocessing before the snapshot is published; a
 		// no-op when the router was already built with BackendCH.
-		r.EnableCH(opt.CH)
+		r.EnableCH(ch.Config{})
 	}
 	e := newBareEngine(opt)
 	e.publishInitial(r)
@@ -213,6 +205,7 @@ func NewEngine(r *core.Router, opt Options) *Engine {
 // until publishInitial runs.
 func newBareEngine(opt Options) *Engine {
 	e := &Engine{opt: opt, start: time.Now(), readyCh: make(chan struct{}), trc: opt.Tracer}
+	e.attachments.Store(new([]attached))
 	if opt.CacheSize > 0 {
 		e.cache = newRouteCache(opt.CacheSize, opt.CacheShards)
 		if !opt.NoCoalesce {
@@ -295,7 +288,7 @@ func (e *Engine) routeK(ctx context.Context, s, d roadnet.VertexID, k int) ([]co
 	sp := obs.SpanFrom(ctx)
 	if e.cache != nil {
 		c := sp.Start("cache.lookup")
-		res, ok := e.cache.get(key, snap.gen)
+		res, ok := e.cache.get(key, snap.gen, true)
 		c.End()
 		if ok {
 			sp.Annotate("cache", "hit")
@@ -311,13 +304,27 @@ func (e *Engine) routeK(ctx context.Context, s, d roadnet.VertexID, k int) ([]co
 		// the coalesce span covers the computation itself; for a
 		// follower it is pure wait time.
 		w := sp.Start("coalesce")
+		refilled := false
 		res, shared = e.flights.do(flightKey{key: key, gen: snap.gen}, func() []core.RouteResult {
+			// A caller that missed the cache before an earlier leader's
+			// put and got here after that leader's flight was deleted
+			// leads a flight of its own, with the answer already cached.
+			// Without this second look each such caller recomputes it,
+			// and the ones queued on the group's lock behind it follow
+			// one by one: a stampede in slow motion.
+			if hit, ok := e.cache.get(key, snap.gen, false); ok {
+				refilled = true
+				return hit
+			}
 			return e.compute(ctx, snap, key, s, d, k)
 		})
 		w.End()
 		if shared {
 			sp.Annotate("coalesced", "true")
 			e.coalesced.Add(1)
+		} else if refilled {
+			sp.Annotate("cache", "hit")
+			shared = true
 		}
 	} else {
 		res = e.compute(ctx, snap, key, s, d, k)
@@ -359,22 +366,17 @@ func (e *Engine) compute(ctx context.Context, snap *snapshot, key cacheKey, s, d
 // the clone as the next generation. Concurrent Ingest calls serialize;
 // queries keep reading the previous generation until the swap.
 func (e *Engine) Ingest(ts []*traj.Trajectory) core.IngestStats {
-	st, _ := e.ingest(context.Background(), ts, e.opt.Ingest)
+	st, _, _ := e.ingestDurable(context.Background(), ts, e.opt.Ingest)
 	return st
 }
 
-// ingest additionally reports the generation it published — reading
-// Generation() afterwards could observe a later concurrent swap.
-func (e *Engine) ingest(ctx context.Context, ts []*traj.Trajectory, opt core.IngestOptions) (core.IngestStats, uint64) {
-	st, gen, _ := e.ingestDurable(ctx, ts, opt)
-	return st, gen
-}
-
-// ingestDurable is the full write path. With durability attached, the
-// batch is appended to the write-ahead log *before* the snapshot swap
-// (rule 5 of the snapshot contract: a crash after the append replays
-// the batch; a crash before it never served the batch), and a
-// checkpoint runs afterwards when enough trajectories have accumulated.
+// ingestDurable is the full write path; it also reports the generation
+// it published — reading Generation() afterwards could observe a later
+// concurrent swap. With durability attached, the batch is appended to
+// the write-ahead log *before* the snapshot swap (rule 5 of the
+// snapshot contract: a crash after the append replays the batch; a
+// crash before it never served the batch), and a checkpoint runs
+// afterwards when enough trajectories have accumulated.
 // durable reports whether the append (and its fsync, under SyncAlways)
 // succeeded; an append failure is counted and the batch still serves
 // from memory, so ingestion degrades to pre-WAL behavior rather than
@@ -426,17 +428,12 @@ func (e *Engine) ingestDurable(ctx context.Context, ts []*traj.Trajectory, opt c
 	e.lastStaleness.Store(math.Float64bits(st.StalenessRatio()))
 	e.oorVertices.Add(uint64(st.OutOfRegionVertices))
 	e.ingVertices.Add(uint64(st.TotalVertices))
-	if q := e.qual.Load(); q != nil && q.source != nil {
-		// Offer the applied batch for shadow scoring. The contract is
-		// non-blocking (sample, copy, enqueue-or-drop), so holding
-		// writeMu here is fine and every ingest path — HTTP /ingest,
-		// stream flushes, library calls — funnels through one hook.
-		q.source.OfferTrajectories(ts)
-	}
-	if m := e.maint.Load(); m != nil && m.source != nil {
-		// Same non-blocking contract: the maintainer copies what it
-		// retains and counts the rest.
-		m.source.OfferTrajectories(ts)
+	for _, a := range *e.attachments.Load() {
+		// Offer the applied batch. The contract is non-blocking (sample,
+		// copy, enqueue-or-drop), so holding writeMu here is fine and
+		// every ingest path — HTTP /ingest, stream flushes, library
+		// calls — funnels through one hook.
+		a.OfferTrajectories(ts)
 	}
 	if e.dur != nil && durable && e.dur.shouldCheckpoint() {
 		ck := sp.Start("wal.checkpoint")
@@ -468,7 +465,8 @@ func (e *Engine) IngestMatched(ts []*traj.Trajectory) (core.IngestStats, uint64)
 func (e *Engine) IngestMatchedCtx(ctx context.Context, ts []*traj.Trajectory) (core.IngestStats, uint64) {
 	opt := e.opt.Ingest
 	opt.SkipMapMatching = true
-	return e.ingest(ctx, ts, opt)
+	st, gen, _ := e.ingestDurable(ctx, ts, opt)
+	return st, gen
 }
 
 // Tracer returns the engine's tracer (nil when telemetry is not
@@ -506,13 +504,10 @@ func (e *Engine) publishLocked(r *core.Router, external bool) uint64 {
 	gen := cur.gen + 1
 	e.snap.Store(newSnapshot(r, gen))
 	e.lastSwapUnix.Store(time.Now().UnixNano())
-	if q := e.qual.Load(); q != nil && q.source != nil {
-		// The drift baseline the observer captured describes the model
-		// this publish just replaced; let it rebase on r.
-		q.source.Published(r)
-	}
-	if m := e.maint.Load(); m != nil && m.source != nil {
-		m.source.Published(r)
+	for _, a := range *e.attachments.Load() {
+		// Whatever an attachment derived from the model this publish
+		// just replaced (drift baselines, evidence counters) rebases on r.
+		a.Published(r)
 	}
 	if e.dur != nil {
 		if external {

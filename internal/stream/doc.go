@@ -26,12 +26,16 @@
 //	    ▼
 //	serve.Engine (next snapshot generation)
 //
-// Attach wires an Ingestor into a serve.Engine — POST /stream appears
-// on the engine's HTTP API and pipeline health in Stats().Stream —
-// and AttachFleet does the same for every current and future tenant
-// of a serve.Fleet (the /t/{tenant}/stream endpoint). Replay feeds
-// recorded (ReadNDJSON) or simulated (PointsFrom) point streams at a
-// configurable rate multiplier, for demos and soak tests.
+// Attach wires an Ingestor into a serve.Engine through the engine's one
+// attachment seam (serve.Attachment, which Ingestor implements):
+// POST /stream appears on the engine's HTTP API and pipeline health in
+// Stats().Stream. For every current and future tenant of a serve.Fleet
+// (the /t/{tenant}/stream endpoint) call Attach from a Fleet.Attach
+// function and return the Ingestor's Close: the fleet stops the
+// pipeline — final flush included — when the tenant is removed or the
+// fleet closes. Replay feeds recorded (ReadNDJSON) or simulated
+// (PointsFrom) point streams at a configurable rate multiplier, for
+// demos and soak tests.
 //
 // Concurrency: Push is safe for concurrent use across vehicles (one
 // lock per session, map matching sharded by vehicle hash); points for

@@ -30,8 +30,8 @@ type streamReply struct {
 }
 
 // Handler returns the pipeline's NDJSON ingestion endpoint, mounted as
-// POST /stream by serve.Engine.AttachStream (and therefore as
-// POST /t/{tenant}/stream behind a fleet):
+// POST /stream by Attach (and therefore as POST /t/{tenant}/stream
+// behind a fleet):
 //
 //	POST /stream
 //	{"vehicle":"v1","t":12.5,"x":1041.2,"y":887.0}

@@ -2,10 +2,12 @@ package stream
 
 import (
 	"context"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/serve"
@@ -39,13 +41,15 @@ type Ingestor struct {
 	lastFlushNs  atomic.Int64
 }
 
-// NewIngestor builds a pipeline feeding e. The spatial index and
-// matchers are built over e's current road network (the network is
-// immutable across ingest swaps — rule 1 of the snapshot contract). A
-// background flusher starts immediately; call Close to stop it.
-// Most callers want Attach, which also registers the HTTP front-end
-// and stats source on the engine.
-func NewIngestor(e *serve.Engine, cfg Config) *Ingestor {
+// Attach builds a pipeline feeding e and wires it in: its NDJSON
+// endpoint appears as POST /stream on e's HTTP API and its health in
+// e.Stats().Stream. The spatial index and matchers are built over e's
+// current road network (the network is immutable across ingest swaps —
+// rule 1 of the snapshot contract). A background flusher starts
+// immediately; call Close at shutdown — or, for every tenant of a
+// fleet, return Close from a serve.Fleet.Attach function and the fleet
+// calls it.
+func Attach(e *serve.Engine, cfg Config) *Ingestor {
 	cfg = cfg.withDefaults()
 	ing := &Ingestor{
 		eng:  e,
@@ -63,6 +67,7 @@ func NewIngestor(e *serve.Engine, cfg Config) *Ingestor {
 		ing.enqueue(t)
 	}
 	ing.sz = NewSessionizer(e.Snapshot().Road(), nil, cfg, emit)
+	e.Attach(ing)
 	go ing.flusher()
 	return ing
 }
@@ -235,7 +240,7 @@ func (ing *Ingestor) Close() {
 // Sessionizer exposes the embedded sessionization stage.
 func (ing *Ingestor) Sessionizer() *Sessionizer { return ing.sz }
 
-// StreamStats implements serve.StreamSource: sessionization counters
+// StreamStats reports the pipeline's health: sessionization counters
 // plus the batch queue and flush amortization.
 func (ing *Ingestor) StreamStats() serve.StreamStats {
 	st := ing.sz.Stats()
@@ -251,74 +256,16 @@ func (ing *Ingestor) StreamStats() serve.StreamStats {
 	return st
 }
 
-// Attach wires a streaming pipeline into e: the returned Ingestor's
-// NDJSON endpoint appears as POST /stream on e's HTTP API and its
-// health in e.Stats().Stream. Call Close on the result at shutdown.
-func Attach(e *serve.Engine, cfg Config) *Ingestor {
-	ing := NewIngestor(e, cfg)
-	e.AttachStream(ing.Handler(), ing)
-	return ing
-}
+// Endpoint, OfferTrajectories, Published and Report implement
+// serve.Attachment. The pipeline feeds the engine's write path rather
+// than watching it, so the two notifications are no-ops.
+func (ing *Ingestor) Endpoint() (string, http.Handler) { return "/stream", ing.Handler() }
 
-// FleetStreams tracks the per-tenant pipelines AttachFleet creates.
-type FleetStreams struct {
-	cfg  Config
-	mu   sync.Mutex
-	ings map[string]*Ingestor
-}
+func (ing *Ingestor) OfferTrajectories([]*traj.Trajectory) {}
 
-// AttachFleet attaches a streaming pipeline to every current and
-// future tenant of f (via Fleet.OnCreate), so POST /t/{name}/stream
-// works for artifacts hot-loaded later, too. An OnCreate hook already
-// installed is chained, not replaced — per-tenant attachments
-// (quality.AttachFleet, this) compose in any order. Set it up before
-// the fleet serves traffic; call Close on the result at shutdown.
-func AttachFleet(f *serve.Fleet, cfg Config) *FleetStreams {
-	fs := &FleetStreams{cfg: cfg, ings: make(map[string]*Ingestor)}
-	prev := f.OnCreate
-	f.OnCreate = func(name string, e *serve.Engine) {
-		if prev != nil {
-			prev(name, e)
-		}
-		fs.attach(name, e)
-	}
-	for _, name := range f.Names() {
-		if e, ok := f.Get(name); ok {
-			fs.attach(name, e)
-		}
-	}
-	return fs
-}
+func (ing *Ingestor) Published(*core.Router) {}
 
-func (fs *FleetStreams) attach(name string, e *serve.Engine) {
-	ing := Attach(e, fs.cfg)
-	fs.mu.Lock()
-	old := fs.ings[name]
-	fs.ings[name] = ing
-	fs.mu.Unlock()
-	if old != nil {
-		old.Close() // tenant re-created under the same name
-	}
-}
-
-// Get returns the named tenant's pipeline.
-func (fs *FleetStreams) Get(name string) (*Ingestor, bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	ing, ok := fs.ings[name]
-	return ing, ok
-}
-
-// Close stops every attached pipeline, flushing queued batches.
-func (fs *FleetStreams) Close() {
-	fs.mu.Lock()
-	ings := make([]*Ingestor, 0, len(fs.ings))
-	for _, ing := range fs.ings {
-		ings = append(ings, ing)
-	}
-	fs.ings = make(map[string]*Ingestor)
-	fs.mu.Unlock()
-	for _, ing := range ings {
-		ing.Close()
-	}
+func (ing *Ingestor) Report(st *serve.Stats) {
+	ss := ing.StreamStats()
+	st.Stream = &ss
 }

@@ -89,17 +89,21 @@ func TestStreamEndToEndMatchesOffline(t *testing.T) {
 	var capMu sync.Mutex
 	got := make(map[string]roadnet.Path)
 	fleet := serve.NewFleet(serve.Options{})
-	streams := AttachFleet(fleet, Config{
-		Match:    mcfg,
-		MaxBatch: 16,
-		FlushAge: time.Hour, // count-driven flushes only; the final Flush drains the rest
-		OnTrajectory: func(v string, tr *traj.Trajectory) {
-			capMu.Lock()
-			got[v] = tr.Matched
-			capMu.Unlock()
-		},
+	defer fleet.Close()
+	var ing *Ingestor // the tenant's pipeline, set when the fleet attaches it
+	fleet.Attach(func(_ string, e *serve.Engine) func() {
+		ing = Attach(e, Config{
+			Match:    mcfg,
+			MaxBatch: 16,
+			FlushAge: time.Hour, // count-driven flushes only; the final Flush drains the rest
+			OnTrajectory: func(v string, tr *traj.Trajectory) {
+				capMu.Lock()
+				got[v] = tr.Matched
+				capMu.Unlock()
+			},
+		})
+		return ing.Close
 	})
-	defer streams.Close()
 	eng, err := fleet.Add("city", router)
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +151,7 @@ func TestStreamEndToEndMatchesOffline(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	ing, ok := streams.Get("city")
-	if !ok {
+	if ing == nil {
 		t.Fatal("tenant pipeline not attached")
 	}
 	ing.CloseAll()

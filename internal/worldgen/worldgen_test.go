@@ -144,7 +144,7 @@ func TestScaleMonotone(t *testing.T) {
 
 // TestBenchScaleMatchesHistoricalWorld pins the "bench" scale to the
 // exact generator inputs bench_test.go used before the worldgen
-// migration, so committed BENCH_route.json baselines stay comparable.
+// migration, so bench numbers recorded over the PRs stay comparable.
 func TestBenchScaleMatchesHistoricalWorld(t *testing.T) {
 	spec := MustScale(ScaleBench, 5)
 	if spec.Net != roadnet.Tiny(5) {

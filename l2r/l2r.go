@@ -17,6 +17,11 @@
 //	if err != nil { ... }
 //	res := router.Route(test[0].Source(), test[0].Destination())
 //	fmt.Println(res.Path)
+//
+// Online, NewEngine / NewFleet serve built routers, and AttachStream,
+// AttachQuality and AttachMaint (AttachFleet* for every tenant of a
+// fleet, which then owns and stops them) put streaming ingestion, the
+// quality observer and background maintenance on an engine.
 package l2r
 
 import (
@@ -247,7 +252,10 @@ const (
 // HTTP front-end with tenant-addressed routes (/t/{tenant}/route, ...)
 // and aggregate stats; a FleetWatcher keeps it in sync with a
 // directory of artifacts, hot-swapping rebuilt files into the live
-// fleet without dropping in-flight queries. See internal/serve.
+// fleet without dropping in-flight queries. Fleet.Attach registers
+// what rides on every tenant's engine (the AttachFleet* helpers below
+// are its three stock uses) and the fleet stops it when the tenant is
+// removed or the fleet is closed. See internal/serve.
 type (
 	// Fleet is a registry of named serving engines.
 	Fleet = serve.Fleet
@@ -287,8 +295,6 @@ type (
 	StreamIngestor = stream.Ingestor
 	// StreamSessionizer is the standalone sessionization stage.
 	StreamSessionizer = stream.Sessionizer
-	// FleetStreams tracks the per-tenant pipelines of a fleet.
-	FleetStreams = stream.FleetStreams
 	// StreamStats reports pipeline health (in ServeStats.Stream).
 	StreamStats = serve.StreamStats
 )
@@ -299,8 +305,12 @@ type (
 func AttachStream(e *Engine, cfg StreamConfig) *StreamIngestor { return stream.Attach(e, cfg) }
 
 // AttachFleetStreams attaches a streaming pipeline to every current
-// and future tenant of a fleet (POST /t/{tenant}/stream).
-func AttachFleetStreams(f *Fleet, cfg StreamConfig) *FleetStreams { return stream.AttachFleet(f, cfg) }
+// and future tenant of a fleet (POST /t/{tenant}/stream). The fleet
+// owns the pipelines: Fleet.Remove and Fleet.Close stop them, final
+// flush included.
+func AttachFleetStreams(f *Fleet, cfg StreamConfig) {
+	f.Attach(func(_ string, e *Engine) func() { return stream.Attach(e, cfg).Close })
+}
 
 // StreamPointsFrom flattens trajectories into a time-ordered point
 // stream for replay; perTrip keys each trajectory as its own vehicle.
@@ -361,9 +371,6 @@ type (
 	QualityConfig = quality.Config
 	// QualityObserver is one engine's shadow scorer; Close at shutdown.
 	QualityObserver = quality.Observer
-	// FleetQuality tracks the per-tenant observers AttachFleetQuality
-	// creates.
-	FleetQuality = quality.FleetObservers
 	// QualityStats is the observer health block in Stats().Quality,
 	// /stats and /debug/quality.
 	QualityStats = serve.QualityStats
@@ -377,9 +384,10 @@ type (
 func AttachQuality(e *Engine, cfg QualityConfig) *QualityObserver { return quality.Attach(e, cfg) }
 
 // AttachFleetQuality attaches a quality observer to every current and
-// future tenant of a fleet (GET /t/{tenant}/debug/quality).
-func AttachFleetQuality(f *Fleet, cfg QualityConfig) *FleetQuality {
-	return quality.AttachFleet(f, cfg)
+// future tenant of a fleet (GET /t/{tenant}/debug/quality); the fleet
+// stops each with its tenant.
+func AttachFleetQuality(f *Fleet, cfg QualityConfig) {
+	f.Attach(func(_ string, e *Engine) func() { return quality.Attach(e, cfg).Close })
 }
 
 // Background-maintenance re-exports. A maintainer accumulates the
@@ -395,9 +403,6 @@ type (
 	// Maintainer is one engine's background maintenance pipeline;
 	// Close at shutdown.
 	Maintainer = maint.Maintainer
-	// FleetMaint tracks the per-tenant maintainers AttachFleetMaint
-	// creates.
-	FleetMaint = maint.FleetMaintainers
 	// MaintStats is the maintainer health block in Stats().Maintenance,
 	// /stats and /debug/maint.
 	MaintStats = serve.MaintStats
@@ -410,7 +415,8 @@ type (
 func AttachMaint(e *Engine, cfg MaintConfig) *Maintainer { return maint.Attach(e, cfg) }
 
 // AttachFleetMaint attaches a maintainer to every current and future
-// tenant of a fleet (GET /t/{tenant}/debug/maint).
-func AttachFleetMaint(f *Fleet, cfg MaintConfig) *FleetMaint {
-	return maint.AttachFleet(f, cfg)
+// tenant of a fleet (GET /t/{tenant}/debug/maint); the fleet stops each
+// with its tenant.
+func AttachFleetMaint(f *Fleet, cfg MaintConfig) {
+	f.Attach(func(_ string, e *Engine) func() { return maint.Attach(e, cfg).Close })
 }
