@@ -550,10 +550,10 @@ func BenchmarkIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		// DeepClone, not Clone: Ingest mutates the region graph, which a
-		// shallow clone shares with the cached benchmark router — later
+		// IngestClone, not Clone: Ingest mutates the region graph, which
+		// a Clone shares with the cached benchmark router — later
 		// benchmarks would measure a polluted world.
-		clone := r.DeepClone()
+		clone := r.IngestClone()
 		b.StartTimer()
 		clone.Ingest(batch, core.IngestOptions{SkipMapMatching: true})
 	}
@@ -611,7 +611,7 @@ func BenchmarkFastestCH(b *testing.B) {
 func BenchmarkServe(b *testing.B) {
 	w := benchWorld(b)
 	r := w.MustRouter()
-	chRouter := r.DeepClone()
+	chRouter := r.IngestClone()
 	chRouter.EnableCH(ch.Config{})
 	qs := benchQueries(b)
 
@@ -641,7 +641,7 @@ func BenchmarkServe(b *testing.B) {
 	})
 
 	b.Run("EngineColdCache", func(b *testing.B) {
-		e := serve.NewEngine(r.DeepClone(), serve.Options{CacheSize: -1})
+		e := serve.NewEngine(r.IngestClone(), serve.Options{CacheSize: -1})
 		var next int64
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
@@ -653,7 +653,7 @@ func BenchmarkServe(b *testing.B) {
 	})
 
 	b.Run("EngineColdCacheCH", func(b *testing.B) {
-		e := serve.NewEngine(chRouter.DeepClone(), serve.Options{CacheSize: -1})
+		e := serve.NewEngine(chRouter.IngestClone(), serve.Options{CacheSize: -1})
 		var next int64
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
@@ -678,7 +678,7 @@ func BenchmarkServe(b *testing.B) {
 	}{{"EngineColdHerdCoalesce", false}, {"EngineColdHerdNoCoalesce", true}} {
 		variant := variant
 		b.Run(variant.name, func(b *testing.B) {
-			e := serve.NewEngine(r.DeepClone(), serve.Options{
+			e := serve.NewEngine(r.IngestClone(), serve.Options{
 				CacheSize:  1 << 16,
 				NoCoalesce: variant.noCoalesce,
 			})
@@ -702,7 +702,7 @@ func BenchmarkServe(b *testing.B) {
 	}
 
 	b.Run("EngineWarmCache", func(b *testing.B) {
-		e := serve.NewEngine(r.DeepClone(), serve.Options{CacheSize: 1 << 15})
+		e := serve.NewEngine(r.IngestClone(), serve.Options{CacheSize: 1 << 15})
 		for _, i := range mix {
 			e.Route(qs[i].S, qs[i].D)
 		}
@@ -738,7 +738,7 @@ func BenchmarkFleet(b *testing.B) {
 	newFleet := func(b *testing.B) *serve.Fleet {
 		f := serve.NewFleet(serve.Options{CacheSize: 1 << 14})
 		for _, name := range tenants {
-			if _, err := f.Add(name, r.DeepClone()); err != nil {
+			if _, err := f.Add(name, r.IngestClone()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -784,7 +784,7 @@ func BenchmarkFleet(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := f.Publish("acity", r.DeepClone()); err != nil {
+			if _, err := f.Publish("acity", r.IngestClone()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -814,7 +814,7 @@ func BenchmarkStream(b *testing.B) {
 		var swaps, trajs, points float64
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			e := serve.NewEngine(r.DeepClone(), serve.Options{CacheSize: -1})
+			e := serve.NewEngine(r.IngestClone(), serve.Options{CacheSize: -1})
 			b.StartTimer()
 			ing := stream.Attach(e, stream.Config{
 				Match:    mapmatch.Config{SigmaM: 15},
@@ -841,7 +841,7 @@ func BenchmarkStream(b *testing.B) {
 		// The /ingest baseline: every trajectory pays its own deep-clone
 		// snapshot swap (paths pre-matched, so only the swap differs).
 		b.StopTimer()
-		e := serve.NewEngine(r.DeepClone(), serve.Options{
+		e := serve.NewEngine(r.IngestClone(), serve.Options{
 			CacheSize: -1,
 			Ingest:    core.IngestOptions{SkipMapMatching: true},
 		})
@@ -864,7 +864,7 @@ func BenchmarkServeIngest(b *testing.B) {
 	if len(batch) > 50 {
 		batch = batch[:50]
 	}
-	e := serve.NewEngine(r.DeepClone(), serve.Options{
+	e := serve.NewEngine(r.IngestClone(), serve.Options{
 		// Match BenchmarkIngest: measure the clone-and-swap itself, not
 		// re-map-matching the batch.
 		Ingest: core.IngestOptions{SkipMapMatching: true},
@@ -904,21 +904,14 @@ func BenchmarkCustomize(b *testing.B) {
 
 // BenchmarkSwapCost measures the per-ingest snapshot swap overhead —
 // everything serve.Engine.ingestDurable does to turn a batch into a
-// servable generation beyond applying the batch itself — under both
-// clone strategies:
-//
-//   - DeepClone: the old write path — deep-copy every region edge's
-//     stored path sets before ingesting.
-//   - Recustomize: the current write path — copy-on-write clone
-//     (IngestClone, outer slice headers only) plus re-customization of
-//     whatever CH metrics the batch's re-learned preferences introduced.
-//
-// Applying the batch (Ingest) is identical work in both variants and
-// runs outside the timer. The ratio is the swap-cost collapse: the old
-// path paid O(everything ever stored) per batch, the new one O(batch).
+// servable generation beyond applying the batch itself: the
+// copy-on-write clone (IngestClone, outer slice headers only) plus
+// re-customization of whatever CH metrics the batch's re-learned
+// preferences introduced. Applying the batch (Ingest) runs outside the
+// timer.
 func BenchmarkSwapCost(b *testing.B) {
 	w := benchWorld(b)
-	r := w.MustRouter().DeepClone()
+	r := w.MustRouter().IngestClone()
 	r.EnableCH(ch.Config{})
 	batch := w.Test
 	if len(batch) > 20 {
@@ -928,16 +921,6 @@ func BenchmarkSwapCost(b *testing.B) {
 	// ns/op (StopTimer/StartTimer around the untimed Ingest would cost
 	// more in ReadMemStats than the phases being measured).
 	opt := core.IngestOptions{SkipMapMatching: true}
-	b.Run("DeepClone", func(b *testing.B) {
-		var swap time.Duration
-		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			next := r.DeepClone()
-			swap += time.Since(t0)
-			next.Ingest(batch, opt)
-		}
-		b.ReportMetric(float64(swap.Nanoseconds())/float64(b.N), "ns/op")
-	})
 	b.Run("Recustomize", func(b *testing.B) {
 		var swap time.Duration
 		for i := 0; i < b.N; i++ {
@@ -959,7 +942,7 @@ func BenchmarkSwapCost(b *testing.B) {
 // push cold metrics inline show up in the tail first.
 func BenchmarkRouteP99(b *testing.B) {
 	w := benchWorld(b)
-	r := w.MustRouter().DeepClone()
+	r := w.MustRouter().IngestClone()
 	r.EnableCH(ch.Config{})
 	single := r.Clone()
 	qs := benchQueries(b)

@@ -57,7 +57,7 @@ func runAudit(h *harness) error {
 	// Crash recovery: rebuild from A's WAL; answers must match without
 	// replaying the live workload at all.
 	t0 := time.Now()
-	rec, err := serve.NewDurableEngine(h.router.DeepClone(), cfg.serveOptions(dirA))
+	rec, err := serve.NewDurableEngine(h.router.IngestClone(), cfg.serveOptions(dirA))
 	if err != nil {
 		return fmt.Errorf("recovery from %s: %w", dirA, err)
 	}
@@ -97,7 +97,7 @@ func runAudit(h *harness) error {
 // and evaluates the audit ODs. The engine is deliberately not Closed —
 // its WAL directory is left exactly as a crash would leave it.
 func (h *harness) auditRun(name, walDir string, ods [][2]roadnet.VertexID) ([]auditAnswer, error) {
-	e, err := serve.NewDurableEngine(h.router.DeepClone(), h.cfg.serveOptions(walDir))
+	e, err := serve.NewDurableEngine(h.router.IngestClone(), h.cfg.serveOptions(walDir))
 	if err != nil {
 		return nil, fmt.Errorf("engine %s: %w", name, err)
 	}

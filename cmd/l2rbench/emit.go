@@ -35,7 +35,7 @@ func runBench(h *harness) error {
 	// needs a pristine base router; clone before handing ours over.
 	var recoveryBase = h.router
 	if cfg.durable {
-		recoveryBase = h.router.DeepClone()
+		recoveryBase = h.router.IngestClone()
 	}
 	var (
 		e   *serve.Engine

@@ -71,8 +71,8 @@
 // CH hierarchy) with fresh, lazily allocated query state. Router.Clone
 // and the serve snapshot pools fork instead of allocating per-vertex
 // search arrays per clone, and the hierarchy built once at Build (or
-// EnableCH) time is carried through Clone, DeepClone and copy-on-write
-// ingest swaps.
+// EnableCH) time is carried through Clone and IngestClone, the
+// copy-on-write ingest swap.
 //
 // # Verifying
 //

@@ -100,9 +100,11 @@ func main() {
 	fmt.Printf("audit: %d of those answers differ from the cold restart — state a WAL-less crash would have lost\n", lost)
 }
 
-// clone deep-copies the base so each "process" owns its router, as
-// separate OS processes would after loading the same artifact.
-func clone(r *l2r.Router) *l2r.Router { return r.DeepClone() }
+// clone gives each "process" its own router over the base, as separate
+// OS processes would have after loading the same artifact: a
+// copy-on-write clone, which may be written to freely because nothing
+// here mutates the base itself.
+func clone(r *l2r.Router) *l2r.Router { return r.IngestClone() }
 
 // copyBatch hands each engine its own trajectory structs, as decoding
 // a feed twice would.

@@ -75,27 +75,27 @@ func TestBuildCHBackendEquivalentRoutes(t *testing.T) {
 }
 
 // TestCHBackendSurvivesCloneAndIngest checks the hierarchy is carried
-// through Clone and DeepClone→Ingest (the serving swap path) and that
+// through Clone and IngestClone→Ingest (the serving swap path) and that
 // EnableCH on a Dijkstra router upgrades it exactly once.
 func TestCHBackendSurvivesCloneAndIngest(t *testing.T) {
 	_, dij, chr, test := buildBackendPair(t)
 	if chr.Clone().PathBackend() != BackendCH {
 		t.Fatal("Clone dropped the CH backend")
 	}
-	deep := chr.DeepClone()
-	if deep.PathBackend() != BackendCH {
-		t.Fatal("DeepClone dropped the CH backend")
+	next := chr.IngestClone()
+	if next.PathBackend() != BackendCH {
+		t.Fatal("IngestClone dropped the CH backend")
 	}
 	batch := test
 	if len(batch) > 20 {
 		batch = batch[:20]
 	}
-	deep.Ingest(batch, IngestOptions{SkipMapMatching: true})
-	if deep.PathBackend() != BackendCH {
+	next.Ingest(batch, IngestOptions{SkipMapMatching: true})
+	if next.PathBackend() != BackendCH {
 		t.Fatal("Ingest dropped the CH backend")
 	}
-	if got := deep.Route(batch[0].Source(), batch[0].Destination()); got.Evidence == EvidenceNone && len(batch[0].Truth) >= 2 {
-		t.Fatal("CH-backed deep clone cannot route after ingest")
+	if got := next.Route(batch[0].Source(), batch[0].Destination()); got.Evidence == EvidenceNone && len(batch[0].Truth) >= 2 {
+		t.Fatal("CH-backed ingest clone cannot route after ingest")
 	}
 
 	if d := dij.EnableCH(chCfg()); d <= 0 {

@@ -173,17 +173,12 @@ type Stats struct {
 // Building happens once offline; Route is comparatively cheap.
 //
 // Concurrency: a single Router is not safe for concurrent use — every
-// query method reuses the per-query state of its route.PathEngine. The
-// query methods (Route, RouteK, Categorize, and the read-only accessors)
-// mutate nothing beyond that engine state, so independent Clones may
-// answer queries concurrently as long as nothing mutates the shared
-// built state: Clone forks only the engine's query state, while the
-// road network, the spatial index and any CH hierarchy stay shared and
-// immutable. Ingest and EnableMultiPreferences DO mutate shared state
-// (the region graph's path sets and preferences, the learned map) and
-// must never run concurrently with queries on the same Router or on any
-// Clone sharing its region graph; for live ingestion under traffic, use
-// DeepClone → Ingest → swap (internal/serve does exactly this).
+// query method reuses the per-query state of its route.PathEngine and
+// its regionScratch. The query methods (Route, RouteK, Categorize, and
+// the read-only accessors) mutate nothing beyond that state, so Clones
+// answer queries concurrently over the shared built state. Everything
+// that writes built state goes through an IngestClone; the package
+// documentation ("Concurrency and cloning") states the contract.
 type Router struct {
 	road  *roadnet.Graph
 	rg    *region.Graph
@@ -191,12 +186,6 @@ type Router struct {
 	idx   *spatial.Index
 	stats Stats
 	meta  ArtifactMeta
-	// learned maps T-edge ID -> learned preference result.
-	learned map[int]pref.Result
-	// learnedCOW marks learned as shared with the parent this router
-	// was IngestClone'd from; the relearn loop privatizes it before
-	// its first write, mirroring the region graph's copy-on-write.
-	learnedCOW bool
 	// regionPrefs maps region ID -> preference learned from the
 	// region's inner paths; used for same-region queries with no exact
 	// inner-path match.
@@ -235,99 +224,45 @@ func (r *Router) SetName(name string) { r.meta.Name = name }
 // than the base router's never-advancing copy.
 func (r *Router) SetGeneration(gen uint64) { r.meta.Generation = gen }
 
-// LearnedPreference returns the learned preference for a T-edge ID.
+// LearnedPreference returns the preference fitted to region edge
+// edgeID's own path set — the paper's learned T-edge preference, with
+// its training similarity and sample size — and false for an edge
+// without one (B-edges, T-edges with no usable path) or an ID that
+// names no edge. The fit lives on the edge (region.Edge.Fit), so a
+// clone's write privatizes it together with the edge.
 func (r *Router) LearnedPreference(edgeID int) (pref.Result, bool) {
-	res, ok := r.learned[edgeID]
-	return res, ok
+	if edgeID < 0 || edgeID >= len(r.rg.Edges) {
+		return pref.Result{}, false
+	}
+	return r.rg.Edges[edgeID].Fit()
 }
 
-// Clone returns an independent query handle over the same built system.
-// The clone shares the region graph and preference maps with r: safe for
-// concurrent *queries*, but Ingest through either handle would mutate
-// state visible to both. Use DeepClone when the copy must be mutated.
-//
-// Clone is cheap: it forks the path engine's query state (allocated
-// lazily on first query), sharing the immutable road network and any CH
-// hierarchy — the serving layer's per-snapshot clone pools rely on
-// this.
+// Clone returns another reader of the same model: a struct copy of r
+// with its own query state — a fork of the path engine and no
+// region-search scratch, both allocated lazily on the copy's first
+// query — sharing the region graph and preference maps with r. Safe for
+// concurrent queries; it must not be mutated — writes go through
+// IngestClone, which starts here, so a new per-handle field is dropped
+// in this one place. Clone is cheap, which the serving layer's
+// per-snapshot clone pools rely on.
 func (r *Router) Clone() *Router {
 	cp := *r
 	cp.eng, cp.scratch = r.eng.Fork(), nil
 	return &cp
 }
 
-// DeepClone returns a copy of the router whose mutable built state —
-// the region graph, the learned/region/multi preference maps — is
-// deep-copied, so Ingest and EnableMultiPreferences on the copy never
-// affect r or its Clones. The road network and spatial index are shared
-// (immutable after build). This is the copy-on-write primitive behind
-// snapshot-swapped serving: clone, ingest into the clone off the query
-// path, then atomically publish the clone.
-func (r *Router) DeepClone() *Router {
-	cp := *r
-	cp.eng, cp.scratch = r.eng.Fork(), nil
-	cp.rg = r.rg.Clone()
-	cp.learnedCOW = false
-	cp.learned = make(map[int]pref.Result, len(r.learned))
-	for k, v := range r.learned {
-		cp.learned[k] = v
-	}
-	cp.regionPrefs = make(map[int]pref.Result, len(r.regionPrefs))
-	for k, v := range r.regionPrefs {
-		cp.regionPrefs[k] = v
-	}
-	if r.multi != nil {
-		cp.multi = make(map[int]pref.MultiResult, len(r.multi))
-		for k, v := range r.multi {
-			cp.multi[k] = v
-		}
-	}
-	return &cp
-}
-
-// IngestClone returns a copy-on-write clone built for the serving swap
-// path: like DeepClone, Ingest into the clone never mutates state
-// reachable from r, but instead of deep-copying every region edge's
-// path sets up front it shares them and privatizes exactly the edges,
-// inner-path lists and transfer-center lists the ingest batch touches
-// (region.Graph.CloneCOW). The per-swap cost drops from O(all stored
-// paths) to O(batch). The small preference maps are copied eagerly; the
-// path engine is forked as in Clone, sharing any CH topology and
-// customized-metric table.
-//
-// The isolation contract is one-directional, matching how serving uses
-// it: mutations through the clone never affect r, but r must stay
-// unmutated while clones derived from it are alive (the serving layer's
-// generation discipline — each generation is cloned from the previous
-// and the previous only ever serves reads). Use DeepClone when both
-// sides may be mutated independently.
+// IngestClone returns the next writer's generation: a Clone whose
+// region graph is a copy-on-write clone (region.Graph.CloneCOW), so
+// every mutator may run on it while r and r's Clones keep answering
+// queries, at a cost of O(what the write touches), not O(model). Writes
+// through the clone never reach memory r can see; in return r must not
+// be mutated while a clone of it is alive. The package documentation
+// ("Concurrency and cloning") states the contract and why each mutator
+// keeps it.
 func (r *Router) IngestClone() *Router {
-	cp := *r
-	cp.eng, cp.scratch = r.eng.Fork(), nil
+	cp := r.Clone()
 	cp.rg = r.rg.CloneCOW()
-	// Of the preference maps only learned is written on the ingest path
-	// (the relearn loop), and it is privatized there on first write —
-	// see privatizeLearned. regionPrefs and multi are fixed at
-	// build/enable time, so the clone shares them outright. Anything
-	// that would mutate them (EnableMultiPreferences, a re-Build)
-	// belongs on a DeepClone, not an ingest generation.
-	cp.learnedCOW = true
-	return &cp
-}
-
-// privatizeLearned gives a copy-on-write clone its own learned map
-// before the first relearn write. No-op on routers that already own
-// theirs (built, deep-cloned, or already privatized).
-func (r *Router) privatizeLearned() {
-	if !r.learnedCOW {
-		return
-	}
-	own := make(map[int]pref.Result, len(r.learned)+16)
-	for k, v := range r.learned {
-		own[k] = v
-	}
-	r.learned = own
-	r.learnedCOW = false
+	return cp
 }
 
 // Build runs the full offline pipeline over a road network and a
@@ -429,32 +364,30 @@ func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt 
 	// Path engine: built before learning, so the learner's master-only
 	// searches and B-edge materialization already run on the selected
 	// backend. With BackendCH the hierarchy is preprocessed exactly once
-	// here and shared by every Clone, DeepClone and serving fork of this
-	// router.
+	// here and shared by every Clone, IngestClone and serving fork of
+	// this router.
 	r.eng = newPathEngine(r.road, opt, &r.stats)
 
 	r.derive(opt)
 	return r, nil
 }
 
-// transduce assembles the label/target sets from the current learned
-// map and region graph and runs the preference transfer. Labels and
-// targets are ordered canonically by region pair (not by edge ID), so
-// the linear system's row order — and with it the floating-point
-// summation order of the solve — is a function of the region graph's
-// edge *set*: a router maintained online (whose edge IDs reflect
-// discovery order across many ingests) and one rebuilt from scratch
-// over the union evidence produce bit-identical transductions —
-// whatever opt.Workers either ran with, since transfer.Run's result
-// does not depend on its worker count.
+// transduce assembles the label/target sets from the region graph —
+// confidently fitted T-edges label, B-edges are targets — and runs the
+// preference transfer. Labels and targets are ordered canonically by
+// region pair (not by edge ID), so the linear system's row order — and
+// with it the floating-point summation order of the solve — is a
+// function of the region graph's edge *set*: a router maintained online
+// (whose edge IDs reflect discovery order across many ingests) and one
+// rebuilt from scratch over the union evidence produce bit-identical
+// transductions — whatever opt.Workers either ran with, since
+// transfer.Run's result does not depend on its worker count.
 func (r *Router) transduce(opt Options) transfer.Result {
 	var labels, targets []int
-	for id, res := range r.learned {
-		if res.Similarity >= opt.MinConfidence {
-			labels = append(labels, id)
-		}
-	}
 	for _, e := range r.rg.Edges {
+		if fit, ok := e.Fit(); ok && fit.Similarity >= opt.MinConfidence {
+			labels = append(labels, e.ID)
+		}
 		if e.Kind == region.BEdge {
 			targets = append(targets, e.ID)
 		}
@@ -463,7 +396,8 @@ func (r *Router) transduce(opt Options) transfer.Result {
 	sortByPair(r.rg, targets)
 	labeled := make([]transfer.Labeled, len(labels))
 	for i, id := range labels {
-		labeled[i] = transfer.Labeled{EdgeID: id, Pref: r.learned[id].Preference}
+		fit, _ := r.rg.Edges[id].Fit()
+		labeled[i] = transfer.Labeled{EdgeID: id, Pref: fit.Preference}
 	}
 	return transfer.Run(r.rg, labeled, targets, opt.Transfer, opt.Workers)
 }

@@ -312,7 +312,7 @@ func TestParallelQueriesViaClones(t *testing.T) {
 		if r.scratch == nil {
 			t.Fatalf("%v: no query reached the region search; the test needs a router that owns scratch", backend)
 		}
-		handles := []*Router{r, r.Clone(), r.DeepClone(), r.IngestClone(), r.Clone().Clone()}
+		handles := []*Router{r, r.Clone(), r.IngestClone(), r.Clone().Clone()}
 		for i, h := range handles[1:] {
 			if h.scratch != nil {
 				t.Fatalf("%v: clone %d shares its parent's region-search scratch", backend, i+1)

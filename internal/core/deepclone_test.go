@@ -6,9 +6,12 @@ import (
 	"repro/internal/roadnet"
 )
 
-// TestDeepCloneIsolatesIngest verifies the copy-on-write contract: an
-// Ingest into a DeepClone must leave the original router's observable
-// state — edge kinds, path-set sizes, route answers — untouched.
+// TestDeepCloneIsolatesIngest verifies the copy-on-write contract on
+// the Dijkstra backend (TestIngestCloneIsolatesIngest is its CH twin;
+// the name dates from the eager DeepClone this used to exercise): an
+// Ingest into an IngestClone must leave the original router's
+// observable state — edge kinds, path-set sizes, route answers —
+// untouched.
 func TestDeepCloneIsolatesIngest(t *testing.T) {
 	r, fresh := splitWorld(t, 31)
 
@@ -25,7 +28,7 @@ func TestDeepCloneIsolatesIngest(t *testing.T) {
 	}
 	tBefore, bBefore := r.rg.TEdgeCount(), r.rg.BEdgeCount()
 
-	cp := r.DeepClone()
+	cp := r.IngestClone()
 	st := cp.Ingest(fresh, IngestOptions{SkipMapMatching: true})
 	if len(st.TouchedEdges) == 0 {
 		t.Fatal("ingest touched nothing; test world too small to prove isolation")
@@ -61,11 +64,13 @@ func TestDeepCloneIsolatesIngest(t *testing.T) {
 	}
 }
 
-// TestDeepCloneSharesImmutableState checks that the expensive immutable
-// structures are shared, not copied.
+// TestDeepCloneSharesImmutableState checks, on the Dijkstra backend,
+// that an IngestClone shares the expensive immutable structures and
+// owns its region graph and engine (TestIngestCloneSharesHierarchy is
+// the CH twin).
 func TestDeepCloneSharesImmutableState(t *testing.T) {
 	r, _ := splitWorld(t, 37)
-	cp := r.DeepClone()
+	cp := r.IngestClone()
 	if cp.road != r.road {
 		t.Fatal("road network should be shared")
 	}

@@ -26,8 +26,9 @@
 // B-edge paths, customized metrics — is computed by one function,
 // derive (maintain.go). Build calls it on the region graph it has just
 // built, Retransduce (after ConnectBFS) on one grown by ingests. derive
-// reads nothing it wrote on an earlier run — it rebinds the preference
-// maps and resets every edge's derived state before transducing — so a
+// reads nothing it wrote on an earlier run — it rebinds the region
+// preferences and resets every edge's fit and derived state before
+// transducing — so a
 // built router is a fixed point of Retransduce
 // (TestBuildIsFixedPointOfRetransduce), and "maintained ≡ rebuilt"
 // needs only the path sets to have accumulated exactly.
@@ -55,14 +56,47 @@
 //
 // # Concurrency and cloning
 //
-// A single Router serves one goroutine. Clone forks only the path
-// engine's query state (cheap, lazily allocated) for concurrent reads
-// over the shared built state; DeepClone also deep-copies the mutable
-// built state (region graph, preference maps) and is the
-// copy-on-write primitive behind live ingestion: DeepClone → Ingest →
-// atomically publish (internal/serve does exactly this); IngestClone
-// is its copy-on-write form. The road network, spatial index and any
-// CH topology are immutable after build and always shared.
+// A single Router serves one goroutine. There are two ways to copy one,
+// and the second starts from the first, so a new per-handle field is
+// one line in one place:
+//
+//   - Clone is another reader of the same model: a struct copy with the
+//     path engine forked and the scratch dropped. It shares everything
+//     built — region graph, preference maps — and owns only query
+//     state. It must not be written through.
+//   - IngestClone is the next writer's generation. It is a Clone whose
+//     region graph is region.Graph.CloneCOW: outer slice headers
+//     copied, every edge, path set and per-region list shared until a
+//     write privatizes exactly that piece.
+//
+// The contract, once: writes through an IngestClone never reach memory
+// its parent (or the parent's Clones) can see, and the parent is not
+// mutated while a clone of it is alive — the serving layer's generation
+// discipline, IngestClone → write → atomically publish, after which the
+// previous generation only serves reads. Every mutator keeps the first
+// half, for one of three reasons:
+//
+//   - Privatize-on-write for edges. Ingest (region.AddPaths, then the
+//     relearn loop) and derive under Retransduce reach an edge only
+//     through region.Graph.EdgeForUpdate, which copies the edge — its
+//     kind, its applied preference, its path lists and its fit — before
+//     the first write. A T-edge's fitted preference (what
+//     LearnedPreference returns: preference, training similarity, paths
+//     used) is stored on the region.Edge itself, beside the Pref/HasPref
+//     routing applies, so the bitset that guards the edge guards the fit
+//     and there is no second store with a copy discipline of its own.
+//   - Rebind, never patch, for the maps. derive assigns a fresh
+//     regionPrefs, EnableMultiPreferences a fresh multi, EnableCH a
+//     fresh engine; nothing inserts into a map or an engine the parent
+//     also holds. PrepareMetrics* only adds metric versions to the CH
+//     table behind its atomically swapped map, which readers of the
+//     previous table never see.
+//   - Own copy for meta and stats. They are plain values in the struct
+//     copy, so SetName, SetGeneration, Save's generation stamp and the
+//     Stats refresh stay on the clone.
+//
+// The road network, spatial index and any CH topology are immutable
+// after build and always shared.
 //
 // # Scratch
 //
@@ -71,16 +105,14 @@
 // which scratch) and the region-level search's regionScratch —
 // epoch-stamped visit marks, parent links and a heap that is Reset
 // rather than reallocated, with the same clear-on-uint32-wrap rule as
-// the engines. Clone, DeepClone and IngestClone all begin with a
-// struct copy, so each must drop the scratch pointer and fork the
-// engine, or two handles would search in one state; a new field of
-// this kind needs the same line in all three. Nothing a caller
-// receives aliases scratch: the region path is counted and copied out
-// at exact size, road paths are the engine's fresh copies (or stored
-// paths of the immutable region graph), and a Case-2 answer is
-// assembled as ps + road + pd in one allocation of its own. There is
-// no memo of region paths or routes here; caching is the serving
-// layer's job.
+// the engines. Clone drops the scratch pointer and forks the engine —
+// for IngestClone too — or two handles would search in one state.
+// Nothing a caller receives aliases scratch: the region path is counted
+// and copied out at exact size, road paths are the engine's fresh
+// copies (or stored paths of the immutable region graph), and a Case-2
+// answer is assembled as ps + road + pd in one allocation of its own.
+// There is no memo of region paths or routes here; caching is the
+// serving layer's job.
 //
 // # Persistence
 //
@@ -89,5 +121,8 @@
 // per deployment. Artifacts carry ArtifactMeta — a name, a
 // build-options summary (BuildInfo) and a save generation that
 // advances on every Save — which the multi-tenant serving layer
-// (internal/serve.Fleet) uses to identify and hot-reload tenants.
+// (internal/serve.Fleet) uses to identify and hot-reload tenants. The
+// envelope keeps the fits in a map of their own (Learned, edge ID →
+// result), as it did when the router did: Save gathers it from the
+// edges, Load scatters it back and rejects a key that names no edge.
 package core

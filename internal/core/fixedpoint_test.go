@@ -43,13 +43,13 @@ func TestBuildIsFixedPointOfRetransduce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				again := built.DeepClone()
+				again := built.IngestClone()
 				st := again.Retransduce(opt)
 				if st.LearnedPrefs == 0 || st.Transferred == 0 {
 					t.Fatalf("Retransduce derived nothing: %+v", st)
 				}
 
-				if !reflect.DeepEqual(built.learned, again.learned) {
+				if !reflect.DeepEqual(built.learnedPrefs(), again.learnedPrefs()) {
 					t.Error("learned map moved")
 				}
 				if !reflect.DeepEqual(built.regionPrefs, again.regionPrefs) {

@@ -99,9 +99,6 @@ func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
 	// its own engine fork: its query scratch is dropped with it rather
 	// than riding along on the published router.
 	learner := pref.NewLearnerOn(r.eng.Fork())
-	if len(st.TouchedEdges) > 0 {
-		r.privatizeLearned()
-	}
 	for _, id := range st.TouchedEdges {
 		e := r.rg.EdgeForUpdate(id)
 		ps := make([]roadnet.Path, 0, len(e.PathsFwd)+len(e.PathsRev))
@@ -115,7 +112,7 @@ func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
 			continue
 		}
 		res := learner.Learn(ps)
-		r.learned[id] = res
+		e.SetFit(res, true)
 		if res.Similarity >= opt.MinConfidence {
 			e.Pref = res.Preference
 			e.HasPref = true

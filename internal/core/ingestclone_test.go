@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/ch"
 	"repro/internal/roadnet"
 	"repro/internal/route"
 	"repro/internal/traj"
@@ -54,8 +56,8 @@ func samePaths(a, b []roadnet.Path) bool {
 	return true
 }
 
-// TestIngestCloneIsolatesIngest is TestDeepCloneIsolatesIngest for the
-// COW clone: ingest (plus re-customization) through an IngestClone must
+// TestIngestCloneIsolatesIngest is TestDeepCloneIsolatesIngest on the
+// CH backend: ingest (plus re-customization) through an IngestClone must
 // leave the parent's observable state and route answers untouched.
 func TestIngestCloneIsolatesIngest(t *testing.T) {
 	r, fresh := chSplitWorld(t, 31)
@@ -118,13 +120,33 @@ func TestIngestCloneSharesHierarchy(t *testing.T) {
 	}
 }
 
+// fullCopy returns a router sharing no mutable state with r, the way
+// only a test needs one: a Save → Load round trip (of a Clone, so r's
+// save generation stays put), re-enabled on the CCH when r runs on it.
+func fullCopy(t *testing.T, r *Router) *Router {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.Clone().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.PathBackend() == BackendCH {
+		cp.EnableCH(ch.Config{})
+	}
+	return cp
+}
+
 // TestIngestCloneMatchesDeepClone feeds the same batch through the COW
-// clone and through a deep clone, and requires identical route answers:
-// the cheap swap path must not change behavior, only cost.
+// clone and through a full copy of the router, and requires identical
+// fits and route answers: sharing until written must not change
+// behavior, only cost.
 func TestIngestCloneMatchesDeepClone(t *testing.T) {
 	r, fresh := chSplitWorld(t, 41)
 	cow := r.IngestClone()
-	deep := r.DeepClone()
+	deep := fullCopy(t, r)
 	cow.Ingest(fresh, IngestOptions{SkipMapMatching: true})
 	cow.PrepareMetrics()
 	deep.Ingest(fresh, IngestOptions{SkipMapMatching: true})
@@ -133,8 +155,9 @@ func TestIngestCloneMatchesDeepClone(t *testing.T) {
 	qs := sampleQueries(r, 32)
 	ca, da := routeAnswers(cow, qs), routeAnswers(deep, qs)
 	if !samePaths(ca, da) {
-		t.Fatal("COW-clone ingest answers differ from deep-clone ingest answers")
+		t.Fatal("COW-clone ingest answers differ from full-copy ingest answers")
 	}
+	requireSameFits(t, deep, cow)
 }
 
 // TestPrepareMetricsIdempotent checks the warm-path contract: Build

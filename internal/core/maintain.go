@@ -70,9 +70,8 @@ type RetransduceStats struct {
 // on the same router.
 //
 // Like Ingest, Retransduce mutates built state: run it on an
-// IngestClone or DeepClone that is not serving queries. On a COW clone
-// every mutated edge is privatized first, so the parent keeps serving
-// reads race-free while the rebuild runs.
+// IngestClone, where every mutated edge is privatized first, so the
+// parent keeps serving reads race-free while the rebuild runs.
 func (r *Router) Retransduce(opt Options) RetransduceStats {
 	opt = opt.withDefaults()
 	start := time.Now()
@@ -101,12 +100,11 @@ func (r *Router) derive(opt Options) RetransduceStats {
 	st.BEdges = r.rg.BEdgeCount()
 
 	// Phase 2a: learn every T-edge and region preference from the full
-	// path sets (parallel). The maps are rebound, not patched — an
-	// IngestClone shares them with its parent. Region preferences below
+	// path sets (parallel). The region map is rebound, not patched — an
+	// IngestClone shares it with its parent. Region preferences below
 	// MinConfidence are dropped: the fastest-path behaviour stands in.
 	t0 := time.Now()
-	r.learned = learnAll(r.eng, r.rg, opt)
-	r.learnedCOW = false
+	learned := learnAll(r.eng, r.rg, opt)
 	r.regionPrefs = learnRegions(r.eng, r.rg, opt)
 	for id, lr := range r.regionPrefs {
 		if lr.Similarity < opt.MinConfidence {
@@ -114,33 +112,38 @@ func (r *Router) derive(opt Options) RetransduceStats {
 		}
 	}
 	st.LearnTime = time.Since(t0)
-	st.LearnedPrefs = len(r.learned)
+	st.LearnedPrefs = len(learned)
 
-	// Reset every edge's derived preference state, privatizing it on a
-	// COW clone: T-edges get their learned preference (confidence-
-	// gated), B-edges are cleared — their materialized paths and
-	// transferred preferences derive from a previous transduction, if
-	// there was one, and are rebuilt below. Clearing before transfer.Run
-	// also means Materialize's direct writes land on privately owned
-	// edges.
+	// Reset every edge's derived state through EdgeForUpdate, never in
+	// place — on a maintenance clone the edges are shared with the
+	// generation that is serving. T-edges get this pass's fit and, when
+	// it clears the confidence gate, apply it; one whose fit and applied
+	// preference both stand is left shared. B-edges are cleared — their
+	// materialized paths and transferred preferences derive from a
+	// previous transduction, if there was one, and are rebuilt below.
+	// Clearing before transfer.Run also means Materialize's direct
+	// writes land on privately owned edges.
 	for _, e := range r.rg.Edges {
 		switch e.Kind {
 		case region.TEdge:
-			lr, ok := r.learned[e.ID]
-			confident := ok && lr.Similarity >= opt.MinConfidence
-			if !confident && !e.HasPref {
+			fit, fitted := learned[e.ID]
+			var applied pref.Preference
+			confident := fitted && fit.Similarity >= opt.MinConfidence
+			if confident {
+				applied = fit.Preference
+			}
+			was, wasFitted := e.Fit()
+			if was == fit && wasFitted == fitted && e.Pref == applied && e.HasPref == confident {
 				continue
 			}
 			me := r.rg.EdgeForUpdate(e.ID)
-			if confident {
-				me.Pref, me.HasPref = lr.Preference, true
-			} else {
-				me.Pref, me.HasPref = pref.Preference{}, false
-			}
+			me.SetFit(fit, fitted)
+			me.Pref, me.HasPref = applied, confident
 		case region.BEdge:
 			me := r.rg.EdgeForUpdate(e.ID)
 			me.PathsFwd, me.PathsRev = nil, nil
 			me.Pref, me.HasPref = pref.Preference{}, false
+			me.SetFit(pref.Result{}, false)
 		}
 	}
 

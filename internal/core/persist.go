@@ -76,6 +76,19 @@ type envelope struct {
 	IndexCellM  float64
 }
 
+// learnedPrefs gathers every region edge's fit into the envelope's
+// edge ID -> result map: the fits live on the edges, the artifact
+// layout keeps them in a map of their own.
+func (r *Router) learnedPrefs() map[int]pref.Result {
+	out := make(map[int]pref.Result, len(r.rg.Edges))
+	for _, e := range r.rg.Edges {
+		if fit, ok := e.Fit(); ok {
+			out[e.ID] = fit
+		}
+	}
+	return out
+}
+
 // Save serializes the built router — road network, region graph,
 // learned and transferred preferences, pipeline statistics — as one
 // self-contained, checksummed artifact. The offline build takes minutes
@@ -96,7 +109,7 @@ func (r *Router) Save(w io.Writer) error {
 		Meta:        meta,
 		RoadTSV:     road.Bytes(),
 		Region:      r.rg.Snapshot(),
-		Learned:     r.learned,
+		Learned:     r.learnedPrefs(),
 		RegionPrefs: r.regionPrefs,
 		Stats:       r.stats,
 		IndexCellM:  r.idx.CellSize(),
@@ -140,11 +153,13 @@ func Load(rd io.Reader) (*Router, error) {
 		idx:         spatial.NewIndex(road, cell),
 		stats:       env.Stats,
 		meta:        env.Meta,
-		learned:     env.Learned,
 		regionPrefs: env.RegionPrefs,
 	}
-	if r.learned == nil {
-		r.learned = make(map[int]pref.Result)
+	for id, fit := range env.Learned {
+		if id < 0 || id >= len(rg.Edges) {
+			return nil, fmt.Errorf("core: artifact has a learned preference for edge %d of %d", id, len(rg.Edges))
+		}
+		rg.Edges[id].SetFit(fit, true)
 	}
 	if r.regionPrefs == nil {
 		r.regionPrefs = make(map[int]pref.Result)

@@ -46,9 +46,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.stats.TEdges != r.stats.TEdges || loaded.stats.BEdges != r.stats.BEdges {
 		t.Fatalf("stats mismatch: %+v vs %+v", loaded.stats, r.stats)
 	}
-	if len(loaded.learned) != len(r.learned) {
-		t.Fatalf("learned prefs %d != %d", len(loaded.learned), len(r.learned))
-	}
+	requireSameFits(t, r, loaded)
 
 	// Behavioral equivalence: identical routes for a spread of queries.
 	n := r.road.NumVertices()
@@ -125,6 +123,36 @@ func TestArtifactMetaRoundTrip(t *testing.T) {
 	}
 }
 
+// requireSameFits fails unless got answers LearnedPreference like want
+// on every edge ID (and on the two IDs just outside the range) and has
+// the same model digest: fitted preferences, similarity bits, sample
+// sizes and 220 routes.
+func requireSameFits(t *testing.T, want, got *Router) {
+	t.Helper()
+	if len(got.rg.Edges) != len(want.rg.Edges) {
+		t.Fatalf("edges %d != %d", len(got.rg.Edges), len(want.rg.Edges))
+	}
+	fitted := 0
+	for id := -1; id <= len(want.rg.Edges); id++ {
+		wr, wok := want.LearnedPreference(id)
+		gr, gok := got.LearnedPreference(id)
+		if wr != gr || wok != gok {
+			t.Fatalf("edge %d: learned preference %+v %v, want %+v %v", id, gr, gok, wr, wok)
+		}
+		if wok {
+			fitted++
+		}
+	}
+	if fitted == 0 {
+		t.Fatal("no edge carries a learned preference; the comparison proves nothing")
+	}
+	wl, wr := modelDigest(want.Clone())
+	gl, gr := modelDigest(got.Clone())
+	if wl != gl || wr != gr {
+		t.Fatalf("model digest learned %#x routes %#x, want %#x %#x", gl, gr, wl, wr)
+	}
+}
+
 // TestLoadV1Artifact pins backward compatibility: artifacts written by
 // the v1 (pre-metadata) envelope still load — Meta just stays zero.
 func TestLoadV1Artifact(t *testing.T) {
@@ -148,7 +176,7 @@ func TestLoadV1Artifact(t *testing.T) {
 	env := envelopeV1{
 		RoadTSV:     road.Bytes(),
 		Region:      r.rg.Snapshot(),
-		Learned:     r.learned,
+		Learned:     r.learnedPrefs(),
 		RegionPrefs: r.regionPrefs,
 		Stats:       r.stats,
 		IndexCellM:  r.idx.CellSize(),
@@ -171,6 +199,69 @@ func TestLoadV1Artifact(t *testing.T) {
 	s, d := roadnet.VertexID(3), roadnet.VertexID(40)
 	if !samePathCore(loaded.Route(s, d).Path, r.Route(s, d).Path) {
 		t.Fatal("v1-loaded router answers differently")
+	}
+	requireSameFits(t, r, loaded)
+}
+
+// handBuiltV2 encodes r's state as a v2 artifact without going through
+// Save, with learned as the envelope's Learned map.
+func handBuiltV2(t *testing.T, r *Router, learned map[int]pref.Result) []byte {
+	t.Helper()
+	var road bytes.Buffer
+	if err := roadnet.WriteTSV(&road, r.road); err != nil {
+		t.Fatal(err)
+	}
+	env := envelope{
+		Meta:        r.meta,
+		RoadTSV:     road.Bytes(),
+		Region:      r.rg.Snapshot(),
+		Learned:     learned,
+		RegionPrefs: r.regionPrefs,
+		Stats:       r.stats,
+		IndexCellM:  r.idx.CellSize(),
+	}
+	var buf bytes.Buffer
+	if err := codec.WriteFrame(&buf, ArtifactVersion, &env); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadScattersLearnedMap: the artifact keeps every fit in the
+// envelope's Learned map while a router keeps them on its region edges.
+// A v2 envelope built by hand around such a map loads to the router it
+// was taken from, Save writes exactly that envelope (same size: the
+// fits did not also land in the region snapshot's image), and a key
+// that names no edge — input from outside the program — is an error,
+// not a router.
+func TestLoadScattersLearnedMap(t *testing.T) {
+	r := builtRouter(t)
+	learned := r.learnedPrefs()
+	art := handBuiltV2(t, r, learned)
+	loaded, err := Load(bytes.NewReader(art))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameFits(t, r, loaded)
+
+	var saved bytes.Buffer
+	if err := r.IngestClone().Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	// Save stamps a generation and a timestamp the hand-built envelope
+	// leaves at zero: a handful of bytes, against the ~9 bytes a single
+	// leaked fit would add per edge.
+	if d := saved.Len() - len(art); d < 0 || d > 16 {
+		t.Fatalf("Save wrote %d bytes, the hand-built envelope %d", saved.Len(), len(art))
+	}
+
+	for _, bad := range []int{len(r.rg.Edges), len(r.rg.Edges) + 7, -1} {
+		learned[bad] = pref.Result{Similarity: 1, PathsUsed: 1}
+		got, err := Load(bytes.NewReader(handBuiltV2(t, r, learned)))
+		delete(learned, bad)
+		if err == nil || got != nil {
+			t.Fatalf("Learned key %d (of %d edges): Load returned router %v, err %v; want an error", bad, len(r.rg.Edges), got != nil, err)
+		}
 	}
 }
 
@@ -236,7 +327,8 @@ func TestSaveIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ra.rg.NumRegions() != rb.rg.NumRegions() || len(ra.learned) != len(rb.learned) {
+	if ra.rg.NumRegions() != rb.rg.NumRegions() {
 		t.Fatal("two saves of the same router load to different systems")
 	}
+	requireSameFits(t, ra, rb)
 }

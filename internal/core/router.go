@@ -297,7 +297,7 @@ func (r *Router) innerRoute(rs int, sv, dv roadnet.VertexID) (roadnet.Path, bool
 // regionScratch is the region-level search state one Router handle
 // reuses across queries: epoch-stamped visit marks, parent links and a
 // heap that is Reset, not reallocated. It belongs to the handle, never
-// to the built system — Clone, DeepClone and IngestClone drop it and
+// to the built system — Clone, and IngestClone through it, drop it and
 // the copy allocates its own on its first query — and nothing a caller
 // receives aliases it: regionSearch copies the path out.
 type regionScratch struct {

@@ -191,7 +191,6 @@ type CHRow struct {
 	Shortcuts   int
 	BuildTime   time.Duration
 	CHQueryNs   float64
-	BidiQueryNs float64
 	DijkQueryNs float64
 	Speedup     float64
 }
@@ -224,13 +223,6 @@ func CHSpeedupCompute(w *World, queries int) []CHRow {
 		}
 		chNs := float64(time.Since(start).Nanoseconds()) / float64(len(pairs))
 
-		bidi := route.NewBidiEngine(w.Road)
-		start = time.Now()
-		for _, p := range pairs {
-			bidi.Route(p[0], p[1], weight)
-		}
-		bidiNs := float64(time.Since(start).Nanoseconds()) / float64(len(pairs))
-
 		start = time.Now()
 		for _, p := range pairs {
 			eng.Route(p[0], p[1], weight)
@@ -239,7 +231,7 @@ func CHSpeedupCompute(w *World, queries int) []CHRow {
 
 		rows = append(rows, CHRow{
 			Weight: weight, Shortcuts: che.Shortcuts(), BuildTime: build,
-			CHQueryNs: chNs, BidiQueryNs: bidiNs, DijkQueryNs: dijNs, Speedup: dijNs / chNs,
+			CHQueryNs: chNs, DijkQueryNs: dijNs, Speedup: dijNs / chNs,
 		})
 	}
 	return rows
@@ -249,12 +241,12 @@ func CHSpeedupCompute(w *World, queries int) []CHRow {
 func CHSpeedup(w *World) string {
 	var b strings.Builder
 	b.WriteString(Header(fmt.Sprintf("Extension: contraction hierarchies vs Dijkstra (%s)", w.Name)))
-	fmt.Fprintf(&b, "%-7s %10s %10s %12s %12s %12s %8s\n",
-		"weight", "shortcuts", "build", "CH/query", "Bidi/query", "Dijk/query", "speedup")
+	fmt.Fprintf(&b, "%-7s %10s %10s %12s %12s %8s\n",
+		"weight", "shortcuts", "build", "CH/query", "Dijk/query", "speedup")
 	for _, r := range CHSpeedupCompute(w, 200) {
-		fmt.Fprintf(&b, "%-7s %10d %10s %11.0fns %11.0fns %11.0fns %7.1fx\n",
+		fmt.Fprintf(&b, "%-7s %10d %10s %11.0fns %11.0fns %7.1fx\n",
 			r.Weight, r.Shortcuts, r.BuildTime.Round(time.Millisecond),
-			r.CHQueryNs, r.BidiQueryNs, r.DijkQueryNs, r.Speedup)
+			r.CHQueryNs, r.DijkQueryNs, r.Speedup)
 	}
 	return b.String()
 }

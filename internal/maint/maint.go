@@ -159,11 +159,7 @@ func Attach(e *serve.Engine, cfg Config) *Maintainer {
 // OfferTrajectories and Published below, it implements
 // serve.Attachment.
 func (m *Maintainer) Endpoint() (string, http.Handler) {
-	return "/debug/maint", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
+	return "/debug/maint", serve.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, map[string]any{"maintenance": m.MaintStats()})
 	})
 }

@@ -488,7 +488,7 @@ func TestMaintExternalPublishResets(t *testing.T) {
 	if st := m.MaintStats(); st.EvidenceSinceRebuild != 8 {
 		t.Fatalf("evidence = %d, want 8", st.EvidenceSinceRebuild)
 	}
-	e.Publish(e.Snapshot().DeepClone())
+	e.Publish(e.Snapshot().IngestClone())
 	if st := m.MaintStats(); st.EvidenceSinceRebuild != 0 || st.Retained != 0 {
 		t.Fatalf("external publish did not reset the accumulator: %+v", st)
 	}
@@ -615,6 +615,13 @@ func TestMaintSoakConcurrentRebuilds(t *testing.T) {
 func TestMaintOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency budget needs full samples")
+	}
+	if raceEnabled {
+		// Instrumented, on two cores, the p99 ratio reads 16-20x (0.25 ms
+		// -> 4.2 ms) whatever the engine does: it times the detector. CI's
+		// un-instrumented "Maintenance rebuild overhead budget" step is
+		// the gate.
+		t.Skip("the race detector's own overhead swamps the budget; CI runs this test un-instrumented")
 	}
 	if runtime.GOMAXPROCS(0) < 2 {
 		// With a single CPU the rebuild goroutine and the measured

@@ -186,11 +186,7 @@ func Attach(e *serve.Engine, cfg Config) *Observer {
 // OfferTrajectories and Published below, it implements
 // serve.Attachment.
 func (o *Observer) Endpoint() (string, http.Handler) {
-	return "/debug/quality", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
+	return "/debug/quality", serve.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"quality":   o.QualityStats(),
 			"exemplars": o.Exemplars(),

@@ -223,7 +223,7 @@ func TestPublishRebasesBaseline(t *testing.T) {
 		t.Fatalf("baseline generation %d should predate ingest generation %d", bg, gen)
 	}
 
-	e.Publish(base.DeepClone())
+	e.Publish(base.IngestClone())
 	qs := o.QualityStats()
 	if qs.BaselineGeneration != e.Generation() {
 		t.Fatalf("after Publish: baseline gen %d want %d", qs.BaselineGeneration, e.Generation())
@@ -292,7 +292,7 @@ func TestQualitySoakConcurrent(t *testing.T) {
 			case <-time.After(50 * time.Millisecond):
 			}
 			if i%3 == 2 {
-				e.Publish(base.DeepClone())
+				e.Publish(base.IngestClone())
 			}
 			_ = o.QualityStats()
 			_ = o.Exemplars()

@@ -3,8 +3,8 @@ package region
 import "repro/internal/roadnet"
 
 // cowState tracks which parts of a CloneCOW graph have been privatized.
-// A nil Graph.cow means the graph fully owns its data (built directly,
-// or deep-cloned) and mutation helpers are no-ops.
+// A nil Graph.cow means the graph fully owns its data (built or
+// restored directly) and mutation helpers are no-ops.
 type cowState struct {
 	edges []bool // Edges[i] privately owned
 	inner []bool // inner[i] (and its hash cache) privately owned
@@ -20,7 +20,7 @@ type cowState struct {
 // the first mutation touches it, at which point exactly that piece is
 // copied (mutEdge and friends below). AddPaths plus the per-touched-edge
 // re-learning that serving runs per ingest batch therefore costs
-// O(batch), not O(everything ever stored) as with Clone.
+// O(batch), not O(everything ever stored).
 //
 // The isolation contract is one-directional: mutations through the
 // clone never write to memory reachable from g (privatize-on-write
@@ -57,31 +57,21 @@ func (g *Graph) CloneCOW() *Graph {
 }
 
 // mutEdge returns Edges[i] ready for mutation, privatizing it first on
-// a COW graph: the Edge struct and its PathInfo slices are copied (the
-// stored Path vertex slices stay shared — they are never edited in
-// place), and the hash caches are dropped for lazy rebuild.
+// a COW graph: the Edge struct — kind, preference, fit — and its
+// PathInfo slices are copied (the stored Path vertex slices stay shared
+// — they are never edited in place), and the hash caches are dropped
+// for lazy rebuild.
 func (g *Graph) mutEdge(i int) *Edge {
 	if g.cow == nil || g.cow.edges[i] {
 		return g.Edges[i]
 	}
-	e := g.Edges[i]
-	ne := &Edge{
-		ID:      e.ID,
-		R1:      e.R1,
-		R2:      e.R2,
-		Kind:    e.Kind,
-		Pref:    e.Pref,
-		HasPref: e.HasPref,
-	}
-	if len(e.PathsFwd) > 0 {
-		ne.PathsFwd = append([]PathInfo(nil), e.PathsFwd...)
-	}
-	if len(e.PathsRev) > 0 {
-		ne.PathsRev = append([]PathInfo(nil), e.PathsRev...)
-	}
-	g.Edges[i] = ne
+	ne := *g.Edges[i]
+	ne.PathsFwd = append([]PathInfo(nil), ne.PathsFwd...)
+	ne.PathsRev = append([]PathInfo(nil), ne.PathsRev...)
+	ne.fwdHashes, ne.revHashes = nil, nil
+	g.Edges[i] = &ne
 	g.cow.edges[i] = true
-	return ne
+	return &ne
 }
 
 // EdgeForUpdate returns the edge with ID id for mutation (preference
@@ -141,83 +131,4 @@ func (g *Graph) mutIndex() {
 	}
 	g.index = idx
 	g.cow.index = true
-}
-
-// Clone returns a deep copy of the region graph suitable for
-// copy-on-write updates: AddPaths (and the preference re-learning that
-// follows it) on the clone never mutates state reachable from the
-// original, so readers of the original need no synchronization while
-// the clone is being advanced.
-//
-// Structures that incremental updates mutate — edges and their path
-// sets, inner-region paths, transfer-center lists, adjacency, the edge
-// index — are copied. Structures that stay fixed after Build — the
-// road network, the region partition and member lists, the
-// vertex→region map, centroids, and road-type sets — are shared.
-// Stored Path vertex slices are also shared: updates append fresh
-// PathInfo/InnerPath entries or bump their counters but never edit a
-// stored vertex sequence in place.
-func (g *Graph) Clone() *Graph {
-	cp := &Graph{
-		Road:      g.Road,
-		Regions:   g.Regions,
-		regionOf:  g.regionOf,
-		centroids: g.centroids,
-		topTypes:  g.topTypes,
-	}
-
-	cp.Edges = make([]*Edge, len(g.Edges))
-	for i, e := range g.Edges {
-		ne := &Edge{
-			ID:      e.ID,
-			R1:      e.R1,
-			R2:      e.R2,
-			Kind:    e.Kind,
-			Pref:    e.Pref,
-			HasPref: e.HasPref,
-		}
-		if len(e.PathsFwd) > 0 {
-			ne.PathsFwd = append([]PathInfo(nil), e.PathsFwd...)
-		}
-		if len(e.PathsRev) > 0 {
-			ne.PathsRev = append([]PathInfo(nil), e.PathsRev...)
-		}
-		// Hash caches are rebuilt lazily on the clone's first AddPath.
-		cp.Edges[i] = ne
-	}
-
-	cp.adj = make([][]int, len(g.adj))
-	for i, a := range g.adj {
-		if len(a) > 0 {
-			cp.adj[i] = append([]int(nil), a...)
-		}
-	}
-	cp.index = make(map[[2]int]int, len(g.index))
-	for k, v := range g.index {
-		cp.index[k] = v
-	}
-
-	cp.inner = make([][]InnerPath, len(g.inner))
-	for i, ips := range g.inner {
-		if len(ips) > 0 {
-			cp.inner[i] = append([]InnerPath(nil), ips...)
-		}
-	}
-	cp.transferCenters = make([][]roadnet.VertexID, len(g.transferCenters))
-	for i, tc := range g.transferCenters {
-		if len(tc) > 0 {
-			cp.transferCenters[i] = append([]roadnet.VertexID(nil), tc...)
-		}
-	}
-	if g.tcCounts != nil {
-		cp.tcCounts = make([]map[roadnet.VertexID]int, len(g.tcCounts))
-		for i, m := range g.tcCounts {
-			nm := make(map[roadnet.VertexID]int, len(m))
-			for k, v := range m {
-				nm[k] = v
-			}
-			cp.tcCounts[i] = nm
-		}
-	}
-	return cp
 }

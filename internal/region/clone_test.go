@@ -3,8 +3,88 @@ package region
 import (
 	"testing"
 
+	"repro/internal/pref"
 	"repro/internal/roadnet"
 )
+
+// Clone returns a deep copy of the region graph: the eager reference
+// CloneCOW's privatize-on-write is held to (TestCloneCOWChainedGenerations).
+// Nothing outside the tests copies a region graph this way.
+//
+// Structures that incremental updates mutate — edges and their path
+// sets, inner-region paths, transfer-center lists, adjacency, the edge
+// index — are copied. Structures that stay fixed after Build — the
+// road network, the region partition and member lists, the
+// vertex→region map, centroids, and road-type sets — are shared.
+// Stored Path vertex slices are also shared: updates append fresh
+// PathInfo/InnerPath entries or bump their counters but never edit a
+// stored vertex sequence in place.
+func (g *Graph) Clone() *Graph {
+	cp := &Graph{
+		Road:      g.Road,
+		Regions:   g.Regions,
+		regionOf:  g.regionOf,
+		centroids: g.centroids,
+		topTypes:  g.topTypes,
+	}
+
+	cp.Edges = make([]*Edge, len(g.Edges))
+	for i, e := range g.Edges {
+		ne := &Edge{
+			ID:      e.ID,
+			R1:      e.R1,
+			R2:      e.R2,
+			Kind:    e.Kind,
+			Pref:    e.Pref,
+			HasPref: e.HasPref,
+			fit:     e.fit,
+			fitted:  e.fitted,
+		}
+		if len(e.PathsFwd) > 0 {
+			ne.PathsFwd = append([]PathInfo(nil), e.PathsFwd...)
+		}
+		if len(e.PathsRev) > 0 {
+			ne.PathsRev = append([]PathInfo(nil), e.PathsRev...)
+		}
+		// Hash caches are rebuilt lazily on the clone's first AddPath.
+		cp.Edges[i] = ne
+	}
+
+	cp.adj = make([][]int, len(g.adj))
+	for i, a := range g.adj {
+		if len(a) > 0 {
+			cp.adj[i] = append([]int(nil), a...)
+		}
+	}
+	cp.index = make(map[[2]int]int, len(g.index))
+	for k, v := range g.index {
+		cp.index[k] = v
+	}
+
+	cp.inner = make([][]InnerPath, len(g.inner))
+	for i, ips := range g.inner {
+		if len(ips) > 0 {
+			cp.inner[i] = append([]InnerPath(nil), ips...)
+		}
+	}
+	cp.transferCenters = make([][]roadnet.VertexID, len(g.transferCenters))
+	for i, tc := range g.transferCenters {
+		if len(tc) > 0 {
+			cp.transferCenters[i] = append([]roadnet.VertexID(nil), tc...)
+		}
+	}
+	if g.tcCounts != nil {
+		cp.tcCounts = make([]map[roadnet.VertexID]int, len(g.tcCounts))
+		for i, m := range g.tcCounts {
+			nm := make(map[roadnet.VertexID]int, len(m))
+			for k, v := range m {
+				nm[k] = v
+			}
+			cp.tcCounts[i] = nm
+		}
+	}
+	return cp
+}
 
 // cloneWorld builds the lineWorld graph with trajectories crossing
 // R0 -> R1 in both directions, then wires the rest with B-edges.
@@ -18,6 +98,13 @@ func cloneWorld(t *testing.T) (*Graph, []roadnet.Path) {
 	}
 	g := Build(road, regions, paths, Options{})
 	g.ConnectBFS()
+	// Every T-edge carries a fit and applies it, as after core's derive.
+	for _, e := range g.Edges {
+		if e.Kind == TEdge {
+			e.SetFit(pref.Result{Preference: pref.Preference{Master: roadnet.TT}, Similarity: 0.9, PathsUsed: len(e.PathsFwd) + len(e.PathsRev)}, true)
+			e.Pref, e.HasPref = pref.Preference{Master: roadnet.TT}, true
+		}
+	}
 	return g, paths
 }
 

@@ -3,6 +3,7 @@ package region
 import (
 	"testing"
 
+	"repro/internal/pref"
 	"repro/internal/roadnet"
 )
 
@@ -11,10 +12,20 @@ import (
 type observed struct {
 	edges  int
 	kinds  []EdgeKind
+	prefs  []edgePref
 	counts []int
 	inner  []int
 	tcs    []int
 	adj    []int
+}
+
+// edgePref is an edge's preference state: what routing applies and the
+// fit behind it.
+type edgePref struct {
+	applied pref.Preference
+	has     bool
+	fit     pref.Result
+	fitted  bool
 }
 
 func observe(g *Graph) observed {
@@ -22,6 +33,8 @@ func observe(g *Graph) observed {
 	o.edges = len(g.Edges)
 	for _, e := range g.Edges {
 		o.kinds = append(o.kinds, e.Kind)
+		fit, fitted := e.Fit()
+		o.prefs = append(o.prefs, edgePref{e.Pref, e.HasPref, fit, fitted})
 		for _, pi := range e.PathsFwd {
 			o.counts = append(o.counts, pi.Count)
 		}
@@ -46,7 +59,7 @@ func (o observed) equal(p observed) bool {
 		return false
 	}
 	for i := range o.kinds {
-		if o.kinds[i] != p.kinds[i] {
+		if o.kinds[i] != p.kinds[i] || o.prefs[i] != p.prefs[i] {
 			return false
 		}
 	}
@@ -81,9 +94,10 @@ func TestCloneCOWIsolation(t *testing.T) {
 	if len(st.TouchedEdges) == 0 {
 		t.Fatal("update touched no edges; test is vacuous")
 	}
-	for _, id := range st.TouchedEdges {
+	for _, id := range st.TouchedEdges { // simulate preference re-learning
 		e := cp.EdgeForUpdate(id)
-		e.HasPref = !e.HasPref // simulate preference re-learning
+		e.SetFit(pref.Result{Preference: pref.Preference{Master: roadnet.DI}, Similarity: 0.5, PathsUsed: 3}, true)
+		e.Pref, e.HasPref = pref.Preference{}, false
 	}
 
 	if after := observe(g); !after.equal(before) {
@@ -91,6 +105,23 @@ func TestCloneCOWIsolation(t *testing.T) {
 	}
 	if cpState := observe(cp); cpState.equal(before) {
 		t.Fatal("clone did not absorb the update")
+	}
+}
+
+// TestCloneCOWPrivatizingKeepsState: privatizing is not writing. A
+// clone that has copied every edge (EdgeForUpdate) without changing one
+// still reads like its parent — kind, applied preference, fit, path
+// counts — from edges that are no longer the parent's.
+func TestCloneCOWPrivatizingKeepsState(t *testing.T) {
+	g, _ := cloneWorld(t)
+	cp := g.CloneCOW()
+	for id := range cp.Edges {
+		if cp.EdgeForUpdate(id) == g.Edges[id] {
+			t.Fatalf("edge %d: EdgeForUpdate on a COW clone returned the parent's edge", id)
+		}
+	}
+	if !observe(cp).equal(observe(g)) {
+		t.Fatalf("privatized clone differs from parent:\nclone  %+v\nparent %+v", observe(cp), observe(g))
 	}
 }
 

@@ -13,8 +13,11 @@
 // The region graph is the *mutable* half of a built router: live
 // trajectory ingestion (core.Router.Ingest) appends to path sets,
 // upgrades B-edges to T-edges and relearns preferences. Snapshot and
-// Restore serialize it for artifacts; Clone deep-copies it for the
-// copy-on-write ingestion the serving layer performs. Everything else
-// a router holds (road network, spatial index, CH hierarchy) stays
-// immutable and shared across clones.
+// Restore serialize it for artifacts; CloneCOW copies it for the next
+// writer, sharing every edge, path set and per-region list until a
+// write privatizes exactly that piece — for an edge, the struct with
+// its kind, applied preference and fitted preference (Edge.Fit) plus
+// its two path lists. Everything else a router holds (road network,
+// spatial index, CH hierarchy) stays immutable and shared across
+// clones.
 package region

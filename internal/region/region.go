@@ -60,6 +60,14 @@ type Edge struct {
 	// paper.
 	Pref    pref.Preference
 	HasPref bool
+	// fitted reports whether a preference was learned from this edge's
+	// own path set (T-edges with paths); fit is that preference with its
+	// training similarity and sample size. Pref/HasPref above are what
+	// routing applies — the fit only when it clears the caller's
+	// confidence gate. Unexported, so Snapshot's gob image does not carry
+	// them: artifacts keep fits in core's envelope.
+	fitted bool
+	fit    pref.Result
 
 	// fwdHashes/revHashes cache hashPath per stored path so AddPath's
 	// dedup scan compares 8-byte hashes instead of re-hashing whole
@@ -67,6 +75,14 @@ type Edge struct {
 	// rebuilt lazily, so snapshots need not carry them.
 	fwdHashes, revHashes []uint64
 }
+
+// Fit returns the preference learned from e's path set, if any.
+func (e *Edge) Fit() (pref.Result, bool) { return e.fit, e.fitted }
+
+// SetFit records (ok) or clears (!ok) the preference learned from e's
+// path set. Like every edge mutation it belongs on an edge obtained
+// from Graph.EdgeForUpdate.
+func (e *Edge) SetFit(res pref.Result, ok bool) { e.fit, e.fitted = res, ok }
 
 // Other returns the endpoint of e that is not r.
 func (e *Edge) Other(r int) int {

@@ -1,9 +1,12 @@
 package region
 
 import (
+	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/pref"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
@@ -71,6 +74,42 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	for _, e := range g.Edges {
 		if got := g2.FindEdge(e.R1, e.R2); got == nil || got.ID != e.ID {
 			t.Fatalf("FindEdge(%d,%d) broken after restore", e.R1, e.R2)
+		}
+	}
+}
+
+// TestSnapshotImageOmitsFit: an edge's fit is process state that
+// artifacts keep elsewhere (core's envelope), so the snapshot's gob
+// image is the same size with or without fits, and restoring a decoded
+// image yields edges without one.
+func TestSnapshotImageOmitsFit(t *testing.T) {
+	g := snapWorld(t)
+	encode := func() []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(g.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	bare := encode()
+	for _, e := range g.Edges {
+		e.SetFit(pref.Result{Preference: pref.Preference{Master: roadnet.DI, Slave: pref.Highways}, Similarity: 0.8125, PathsUsed: 7}, true)
+	}
+	fitted := encode()
+	if len(fitted) != len(bare) {
+		t.Fatalf("snapshot image grew from %d to %d bytes once edges carried fits", len(bare), len(fitted))
+	}
+	var s Snapshot
+	if err := gob.NewDecoder(bytes.NewReader(fitted)).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := Restore(g.Road, &s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range g2.Edges {
+		if _, ok := e.Fit(); ok {
+			t.Fatalf("edge %d came back from the image with a fit", e.ID)
 		}
 	}
 }

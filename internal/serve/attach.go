@@ -79,5 +79,5 @@ func (e *Engine) handleAttached(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeError(w, http.StatusNotFound, "nothing is attached at %s on this engine", r.URL.Path)
+	WriteError(w, http.StatusNotFound, "nothing is attached at %s on this engine", r.URL.Path)
 }

@@ -116,7 +116,7 @@ func TestAttachAfterHandlerAndReplace(t *testing.T) {
 		t.Fatalf("/debug/quality served %q after re-attach, want the new handler", got)
 	}
 	e.Ingest(fresh[3:8])
-	e.Publish(base.DeepClone())
+	e.Publish(base.IngestClone())
 	if off, pub := first.counts(); off != 3 || pub != 0 {
 		t.Fatalf("replaced attachment saw %d trajectories, %d publishes; want 3, 0", off, pub)
 	}
@@ -139,7 +139,7 @@ func TestAttachOrderAndPublished(t *testing.T) {
 
 	e.Ingest(fresh[:2])
 	e.IngestMatched(matchedBatches(fresh[2:4], 2)[0])
-	e.Publish(base.DeepClone())
+	e.Publish(base.IngestClone())
 	if _, err := e.RebuildSnapshot(context.Background(), func(*core.Router) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestAttachConcurrent(t *testing.T) {
 	run(func(i int) { e.Stats(); e.DebugSnapshotNow() })
 	run(func(i int) {
 		if i%4 == 0 {
-			e.Publish(base.DeepClone())
+			e.Publish(base.IngestClone())
 		}
 	})
 	wg.Wait()

@@ -14,8 +14,8 @@ import (
 func TestServeCHBackend(t *testing.T) {
 	base, fresh := sharedWorld(t)
 
-	dijEng := NewEngine(base.DeepClone(), Options{CacheSize: -1})
-	chRouter := base.DeepClone()
+	dijEng := NewEngine(base.IngestClone(), Options{CacheSize: -1})
+	chRouter := base.IngestClone()
 	chEng := NewEngine(chRouter, Options{CacheSize: -1, PathBackend: core.BackendCH})
 	if chRouter.PathBackend() != core.BackendCH {
 		t.Fatal("NewEngine did not enable the CH backend")

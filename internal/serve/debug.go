@@ -60,15 +60,11 @@ func telemetryPath(p string) bool {
 // requests that never crossed the slow-query threshold.
 func traceHandler(t *obs.Tracer) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
 		n := 50
 		if raw := r.URL.Query().Get("n"); raw != "" {
 			v, err := strconv.Atoi(raw)
 			if err != nil || v < 1 {
-				writeError(w, http.StatusBadRequest, "parameter %q must be a positive integer", "n")
+				WriteError(w, http.StatusBadRequest, "parameter %q must be a positive integer", "n")
 				return
 			}
 			n = v
@@ -77,7 +73,7 @@ func traceHandler(t *obs.Tracer) http.HandlerFunc {
 		if raw := r.URL.Query().Get("min_ms"); raw != "" {
 			v, err := strconv.ParseFloat(raw, 64)
 			if err != nil || v < 0 {
-				writeError(w, http.StatusBadRequest, "parameter %q must be a non-negative number", "min_ms")
+				WriteError(w, http.StatusBadRequest, "parameter %q must be a non-negative number", "min_ms")
 				return
 			}
 			minUS = v * 1000
@@ -107,7 +103,7 @@ func traceHandler(t *obs.Tracer) http.HandlerFunc {
 		if traces == nil {
 			traces = []*obs.Trace{}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"tracer": t.Stats(),
 			"traces": traces,
 		})
@@ -189,24 +185,16 @@ func (e *Engine) DebugSnapshotNow() DebugSnapshot {
 }
 
 func (e *Engine) handleDebugSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	writeJSON(w, http.StatusOK, e.DebugSnapshotNow())
+	WriteJSON(w, http.StatusOK, e.DebugSnapshotNow())
 }
 
 func (f *Fleet) handleDebugSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	engines := f.snapshotEngines()
 	per := make(map[string]DebugSnapshot, len(engines))
 	for name, e := range engines {
 		per[name] = e.DebugSnapshotNow()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"tenants":    len(per),
 		"goroutines": runtime.NumGoroutine(),
 		"per_tenant": per,

@@ -83,9 +83,9 @@ func mustDurable(t *testing.T, r *core.Router, opt Options) *Engine {
 func TestDurableColdStartEmptyDir(t *testing.T) {
 	base, live := buildServeWorld(t, 11, 300)
 	dir := t.TempDir()
-	e := mustDurable(t, base.DeepClone(), Options{WALDir: dir})
+	e := mustDurable(t, base.IngestClone(), Options{WALDir: dir})
 	defer e.Close()
-	plain := NewEngine(base.DeepClone(), Options{})
+	plain := NewEngine(base.IngestClone(), Options{})
 	requireSameAnswers(t, "cold start", e, plain, sampleODs(live, 30))
 
 	d := e.Stats().Durability
@@ -109,18 +109,18 @@ func TestDurableEngineRecoversAfterCrash(t *testing.T) {
 	dir := t.TempDir()
 	batches := matchedBatches(live, 4)
 
-	e1 := mustDurable(t, base.DeepClone(), Options{WALDir: dir, CheckpointEvery: -1})
+	e1 := mustDurable(t, base.IngestClone(), Options{WALDir: dir, CheckpointEvery: -1})
 	for _, b := range batches {
 		e1.IngestMatched(b)
 	}
 	// Crash: no Close, no Checkpoint. The OS has every append already.
 
-	ref := NewEngine(base.DeepClone(), Options{})
+	ref := NewEngine(base.IngestClone(), Options{})
 	for _, b := range matchedBatches(live, 4) {
 		ref.IngestMatched(b)
 	}
 
-	e2 := mustDurable(t, base.DeepClone(), Options{WALDir: dir, CheckpointEvery: -1})
+	e2 := mustDurable(t, base.IngestClone(), Options{WALDir: dir, CheckpointEvery: -1})
 	defer e2.Close()
 	d := e2.Stats().Durability
 	if d.ReplayedRecords != len(batches) || d.RecoveredFromCheckpoint {
@@ -143,7 +143,7 @@ func TestDurableEngineCheckpointPlusTail(t *testing.T) {
 	batches := matchedBatches(live, 4)
 	opt := Options{WALDir: dir, CheckpointEvery: 20} // checkpoint every ~5 batches
 
-	e1 := mustDurable(t, base.DeepClone(), opt)
+	e1 := mustDurable(t, base.IngestClone(), opt)
 	for _, b := range batches {
 		e1.IngestMatched(b)
 	}
@@ -151,12 +151,12 @@ func TestDurableEngineCheckpointPlusTail(t *testing.T) {
 		t.Fatal("no automatic checkpoint ran")
 	}
 
-	ref := NewEngine(base.DeepClone(), Options{})
+	ref := NewEngine(base.IngestClone(), Options{})
 	for _, b := range matchedBatches(live, 4) {
 		ref.IngestMatched(b)
 	}
 
-	e2 := mustDurable(t, base.DeepClone(), opt)
+	e2 := mustDurable(t, base.IngestClone(), opt)
 	defer e2.Close()
 	d := e2.Stats().Durability
 	if !d.RecoveredFromCheckpoint {
@@ -181,18 +181,18 @@ func TestRecoveryIdempotent(t *testing.T) {
 	base, live := buildServeWorld(t, 14, 300)
 	dir := t.TempDir()
 	opt := Options{WALDir: dir, CheckpointEvery: 24}
-	e1 := mustDurable(t, base.DeepClone(), opt)
+	e1 := mustDurable(t, base.IngestClone(), opt)
 	for _, b := range matchedBatches(live, 3) {
 		e1.IngestMatched(b)
 	}
 	// Crash. Snapshot the WAL directory's bytes.
 	before := readDirBytes(t, dir)
 
-	ra := mustDurable(t, base.DeepClone(), opt)
+	ra := mustDurable(t, base.IngestClone(), opt)
 	if diff := diffDirBytes(before, readDirBytes(t, dir)); diff != "" {
 		t.Fatalf("first recovery mutated the WAL directory: %s", diff)
 	}
-	rb := mustDurable(t, base.DeepClone(), opt)
+	rb := mustDurable(t, base.IngestClone(), opt)
 	defer rb.Close()
 	requireSameAnswers(t, "double recovery", ra, rb, sampleODs(live, 40))
 	ra.Close()
@@ -236,7 +236,7 @@ func TestTornFinalRecordToleratedByEngine(t *testing.T) {
 	dir := t.TempDir()
 	batches := matchedBatches(live, 4)
 	opt := Options{WALDir: dir, CheckpointEvery: -1}
-	e1 := mustDurable(t, base.DeepClone(), opt)
+	e1 := mustDurable(t, base.IngestClone(), opt)
 	for _, b := range batches {
 		e1.IngestMatched(b)
 	}
@@ -250,12 +250,12 @@ func TestTornFinalRecordToleratedByEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref := NewEngine(base.DeepClone(), Options{})
+	ref := NewEngine(base.IngestClone(), Options{})
 	for _, b := range matchedBatches(live, 4)[:len(batches)-1] {
 		ref.IngestMatched(b)
 	}
 
-	e2 := mustDurable(t, base.DeepClone(), opt)
+	e2 := mustDurable(t, base.IngestClone(), opt)
 	defer e2.Close()
 	d := e2.Stats().Durability
 	if !d.TornTailTruncated || d.ReplayedRecords != len(batches)-1 {
@@ -269,7 +269,7 @@ func TestTornFinalRecordToleratedByEngine(t *testing.T) {
 func TestCorruptWALFailsLoud(t *testing.T) {
 	base, live := buildServeWorld(t, 16, 300)
 	dir := t.TempDir()
-	e1 := mustDurable(t, base.DeepClone(), Options{WALDir: dir, CheckpointEvery: -1})
+	e1 := mustDurable(t, base.IngestClone(), Options{WALDir: dir, CheckpointEvery: -1})
 	for _, b := range matchedBatches(live, 4) {
 		e1.IngestMatched(b)
 	}
@@ -284,7 +284,7 @@ func TestCorruptWALFailsLoud(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDurableEngine(base.DeepClone(), Options{WALDir: dir}); err == nil {
+	if _, err := NewDurableEngine(base.IngestClone(), Options{WALDir: dir}); err == nil {
 		t.Fatal("corrupt WAL served anyway")
 	}
 }
@@ -294,7 +294,7 @@ func TestCorruptWALFailsLoud(t *testing.T) {
 func TestForeignCheckpointFailsLoud(t *testing.T) {
 	base, live := buildServeWorld(t, 17, 300)
 	dir := t.TempDir()
-	e1 := mustDurable(t, base.DeepClone(), Options{WALDir: dir})
+	e1 := mustDurable(t, base.IngestClone(), Options{WALDir: dir})
 	e1.IngestMatched(matchedBatches(live, 8)[0])
 	if err := e1.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func TestCheckpointRacesHotReload(t *testing.T) {
 	base, live := buildServeWorld(t, 18, 300)
 	dir := t.TempDir()
 	opt := Options{WALDir: dir, CheckpointEvery: 8}
-	e := mustDurable(t, base.DeepClone(), opt)
+	e := mustDurable(t, base.IngestClone(), opt)
 	batches := matchedBatches(live, 2)
 	ods := sampleODs(live, 8)
 
@@ -330,7 +330,7 @@ func TestCheckpointRacesHotReload(t *testing.T) {
 	go func() { // hot artifact reloads
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
-			e.Publish(e.Snapshot().DeepClone())
+			e.Publish(e.Snapshot().IngestClone())
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -352,7 +352,7 @@ func TestCheckpointRacesHotReload(t *testing.T) {
 	}
 	// Crash and recover: whatever interleaving happened, the directory
 	// must reconstruct a serving engine.
-	e2 := mustDurable(t, base.DeepClone(), opt)
+	e2 := mustDurable(t, base.IngestClone(), opt)
 	defer e2.Close()
 	if !e2.Ready() {
 		t.Fatal("recovered engine not ready")
@@ -371,14 +371,14 @@ func TestCheckpointRacesHotReload(t *testing.T) {
 func TestRecoveryHTTP503(t *testing.T) {
 	base, live := buildServeWorld(t, 19, 300)
 	dir := t.TempDir()
-	e1 := mustDurable(t, base.DeepClone(), Options{WALDir: dir, CheckpointEvery: -1})
+	e1 := mustDurable(t, base.IngestClone(), Options{WALDir: dir, CheckpointEvery: -1})
 	for _, b := range matchedBatches(live, 8) {
 		e1.IngestMatched(b)
 	}
 	// Crash; recover asynchronously, held at the gate so the
 	// recovering window is deterministic.
 	hold := make(chan struct{})
-	e2 := mustDurable(t, base.DeepClone(), Options{WALDir: dir, CheckpointEvery: -1, AsyncRecovery: true, recoverHold: hold})
+	e2 := mustDurable(t, base.IngestClone(), Options{WALDir: dir, CheckpointEvery: -1, AsyncRecovery: true, recoverHold: hold})
 	defer e2.Close()
 	if e2.Ready() {
 		t.Fatal("engine ready before replay")
@@ -462,12 +462,12 @@ func TestIngestDurableField(t *testing.T) {
 		return reply
 	}
 
-	durable := mustDurable(t, base.DeepClone(), Options{WALDir: t.TempDir()})
+	durable := mustDurable(t, base.IngestClone(), Options{WALDir: t.TempDir()})
 	defer durable.Close()
 	if reply := post(durable); reply["durable"] != true {
 		t.Fatalf("durable engine /ingest reply: %v", reply)
 	}
-	plain := NewEngine(base.DeepClone(), Options{})
+	plain := NewEngine(base.IngestClone(), Options{})
 	if reply := post(plain); reply["durable"] != false {
 		t.Fatalf("plain engine /ingest reply: %v", reply)
 	}
@@ -731,7 +731,7 @@ func TestTrajectoryIDFencingSurvivesCheckpoint(t *testing.T) {
 	base, live := buildServeWorld(t, 23, 300)
 	dir := t.TempDir()
 	opt := Options{WALDir: dir, CheckpointEvery: -1}
-	e1 := mustDurable(t, base.DeepClone(), opt)
+	e1 := mustDurable(t, base.IngestClone(), opt)
 	var batch []*traj.Trajectory
 	for i := 0; i < 10; i++ {
 		// The HTTP /ingest and stream paths draw IDs like this.
@@ -743,7 +743,7 @@ func TestTrajectoryIDFencingSurvivesCheckpoint(t *testing.T) {
 	}
 	// Crash with an empty WAL tail.
 
-	e2 := mustDurable(t, base.DeepClone(), opt)
+	e2 := mustDurable(t, base.IngestClone(), opt)
 	defer e2.Close()
 	if d := e2.Stats().Durability; d.ReplayedRecords != 0 || !d.RecoveredFromCheckpoint {
 		t.Fatalf("expected checkpoint-only recovery, got %+v", d)
@@ -763,12 +763,12 @@ func TestPublishDifferentNetworkRebinds(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{WALDir: dir, CheckpointEvery: -1}
 
-	e1 := mustDurable(t, baseA.DeepClone(), opt)
+	e1 := mustDurable(t, baseA.IngestClone(), opt)
 	e1.IngestMatched(matchedBatches(liveA, 8)[0])
-	e1.Publish(baseB.DeepClone()) // world swap: checkpoint B, rotate, rebind
+	e1.Publish(baseB.IngestClone()) // world swap: checkpoint B, rotate, rebind
 	// Crash.
 
-	e2, err := NewDurableEngine(baseB.DeepClone(), opt)
+	e2, err := NewDurableEngine(baseB.IngestClone(), opt)
 	if err != nil {
 		t.Fatalf("restart with the published network failed: %v", err)
 	}
@@ -776,7 +776,7 @@ func TestPublishDifferentNetworkRebinds(t *testing.T) {
 	if d := e2.Stats().Durability; !d.RecoveredFromCheckpoint {
 		t.Fatalf("expected to recover the published router's checkpoint, got %+v", d)
 	}
-	if _, err := NewDurableEngine(baseA.DeepClone(), opt); err == nil {
+	if _, err := NewDurableEngine(baseA.IngestClone(), opt); err == nil {
 		t.Fatal("restart with the pre-publish network served a post-publish WAL directory")
 	}
 }

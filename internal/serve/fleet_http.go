@@ -50,13 +50,13 @@ type TenantInfo struct {
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/t/", f.handleTenant)
-	mux.HandleFunc("/tenants", f.handleTenants)
-	mux.HandleFunc("/stats", f.handleStats)
+	mux.HandleFunc("/tenants", Method(http.MethodGet, f.handleTenants))
+	mux.HandleFunc("/stats", Method(http.MethodGet, f.handleStats))
 	mux.HandleFunc("/healthz", f.handleHealthz)
-	mux.HandleFunc("/metrics", f.handleMetrics)
-	mux.HandleFunc("/debug/trace", traceHandler(f.opt.Tracer))
-	mux.HandleFunc("/debug/snapshot", f.handleDebugSnapshot)
-	mux.HandleFunc("/debug/quality", f.handleQuality)
+	mux.HandleFunc("/metrics", Method(http.MethodGet, f.handleMetrics))
+	mux.HandleFunc("/debug/trace", Method(http.MethodGet, traceHandler(f.opt.Tracer)))
+	mux.HandleFunc("/debug/snapshot", Method(http.MethodGet, f.handleDebugSnapshot))
+	mux.HandleFunc("/debug/quality", Method(http.MethodGet, f.handleQuality))
 	return withRequestTelemetry(f.opt.Tracer, mux)
 }
 
@@ -65,30 +65,26 @@ func (f *Fleet) handleTenant(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/t/")
 	name, sub, _ := strings.Cut(rest, "/")
 	if name == "" {
-		writeError(w, http.StatusNotFound, "missing tenant name; use /t/{tenant}/route")
+		WriteError(w, http.StatusNotFound, "missing tenant name; use /t/{tenant}/route")
 		return
 	}
 	f.mu.RLock()
 	t, ok := f.tenants[name]
 	f.mu.RUnlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown tenant %q", name)
+		WriteError(w, http.StatusNotFound, "unknown tenant %q", name)
 		return
 	}
 	if sub == "" {
 		// A bare /t/{tenant} would strip to "" and the engine mux would
 		// 301-redirect to the fleet root, losing the tenant context.
-		writeError(w, http.StatusNotFound, "missing endpoint; use /t/%s/route", name)
+		WriteError(w, http.StatusNotFound, "missing endpoint; use /t/%s/route", name)
 		return
 	}
 	t.handler.ServeHTTP(w, r)
 }
 
 func (f *Fleet) handleTenants(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	engines := f.snapshotEngines()
 	infos := make([]TenantInfo, 0, len(engines))
 	for _, name := range slices.Sorted(maps.Keys(engines)) {
@@ -105,25 +101,17 @@ func (f *Fleet) handleTenants(w http.ResponseWriter, r *http.Request) {
 			Queries:            e.Stats().Queries,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"tenants": infos})
+	WriteJSON(w, http.StatusOK, map[string]any{"tenants": infos})
 }
 
 func (f *Fleet) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	writeJSON(w, http.StatusOK, f.Stats())
+	WriteJSON(w, http.StatusOK, f.Stats())
 }
 
 // handleQuality serves the fleet-level quality overview: every
 // tenant's QualityStats keyed by name (tenants without an observer are
 // omitted). Exemplar detail lives on the per-tenant endpoint.
 func (f *Fleet) handleQuality(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	per := make(map[string]QualityStats)
 	for name, e := range f.snapshotEngines() {
 		var st Stats
@@ -132,7 +120,7 @@ func (f *Fleet) handleQuality(w http.ResponseWriter, r *http.Request) {
 			per[name] = *st.Quality
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"tenants":    len(per),
 		"per_tenant": per,
 	})
@@ -143,7 +131,7 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	for name, e := range f.snapshotEngines() {
 		generations[name] = e.Generation()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"tenants":     len(generations),
 		"generations": generations,

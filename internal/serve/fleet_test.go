@@ -207,7 +207,7 @@ func TestWatcherLoadsAndHotReloads(t *testing.T) {
 	}
 
 	// Rebuild tenant A's artifact (ingest + re-save) and drop it in.
-	updated := baseA.DeepClone()
+	updated := baseA.IngestClone()
 	updated.Ingest(freshA, core.IngestOptions{SkipMapMatching: true})
 	path := saveArtifact(t, updated, dir, "acity")
 	// Force a visible mtime change even on coarse-granularity
@@ -352,7 +352,7 @@ func TestFleetHTTPTenantsAndStats(t *testing.T) {
 
 	// Hot-swap through the registry shows up in the listing.
 	base, _ := sharedWorld(t)
-	if _, err := f.Publish("acity", base.DeepClone()); err != nil {
+	if _, err := f.Publish("acity", base.IngestClone()); err != nil {
 		t.Fatal(err)
 	}
 	getJSON(t, srv.URL+"/tenants", http.StatusOK, &listing)
@@ -376,14 +376,14 @@ func TestFleetOnCreate(t *testing.T) {
 		created = append(created, name)
 		return nil
 	})
-	if _, err := f.Add("a", base.DeepClone()); err != nil {
+	if _, err := f.Add("a", base.IngestClone()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Publish("b", base.DeepClone()); err != nil {
+	if _, err := f.Publish("b", base.IngestClone()); err != nil {
 		t.Fatal(err)
 	}
 	ebBefore, _ := f.Get("b")
-	if _, err := f.Publish("b", base.DeepClone()); err != nil { // hot swap
+	if _, err := f.Publish("b", base.IngestClone()); err != nil { // hot swap
 		t.Fatal(err)
 	}
 	ebAfter, _ := f.Get("b")
@@ -415,7 +415,7 @@ func TestFleetPublishNewTenantDoesNotBlockLookups(t *testing.T) {
 
 	addDone := make(chan error, 1)
 	go func() {
-		_, err := f.Add("a", base.DeepClone())
+		_, err := f.Add("a", base.IngestClone())
 		addDone <- err
 	}()
 	hold <- struct{}{}
@@ -427,7 +427,7 @@ func TestFleetPublishNewTenantDoesNotBlockLookups(t *testing.T) {
 
 	pubDone := make(chan error, 1)
 	go func() {
-		_, err := f.Publish("b", base.DeepClone())
+		_, err := f.Publish("b", base.IngestClone())
 		pubDone <- err
 	}()
 	// b's WAL directory appears when its recovery opens the log, just

@@ -93,26 +93,26 @@ type ingestReply struct {
 // the window the "recovery stuck" runbook needs them in.
 func (e *Engine) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/route", e.handleRoute)
-	mux.HandleFunc("/route/alternatives", e.handleAlternatives)
-	mux.HandleFunc("/ingest", e.handleIngest)
-	mux.HandleFunc("/stats", e.handleStats)
+	mux.HandleFunc("/route", Method(http.MethodGet, e.handleRoute))
+	mux.HandleFunc("/route/alternatives", Method(http.MethodGet, e.handleAlternatives))
+	mux.HandleFunc("/ingest", Method(http.MethodPost, e.handleIngest))
+	mux.HandleFunc("/stats", Method(http.MethodGet, e.handleStats))
 	mux.HandleFunc("/healthz", e.handleHealthz)
-	mux.HandleFunc("/metrics", e.handleMetrics)
-	mux.HandleFunc("/debug/trace", traceHandler(e.trc))
-	mux.HandleFunc("/debug/snapshot", e.handleDebugSnapshot)
+	mux.HandleFunc("/metrics", Method(http.MethodGet, e.handleMetrics))
+	mux.HandleFunc("/debug/trace", Method(http.MethodGet, traceHandler(e.trc)))
+	mux.HandleFunc("/debug/snapshot", Method(http.MethodGet, e.handleDebugSnapshot))
 	mux.HandleFunc("/", e.handleAttached)
 	limit := e.opt.MaxBodyBytes
 	return withRequestTelemetry(e.trc, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !e.ready.Load() && !telemetryPath(r.URL.Path) {
 			if r.URL.Path == "/healthz" {
-				writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+				WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 					"status":  "recovering",
 					"durable": e.Durable(),
 				})
 				return
 			}
-			writeError(w, http.StatusServiceUnavailable, "recovery in progress: replaying the write-ahead log")
+			WriteError(w, http.StatusServiceUnavailable, "recovery in progress: replaying the write-ahead log")
 			return
 		}
 		if r.Body != nil {
@@ -122,9 +122,27 @@ func (e *Engine) Handler() http.Handler {
 	}))
 }
 
-// decodeStatus maps a request-body decode error to an HTTP status: 413
-// when the MaxBytesReader limit was hit, 400 otherwise.
-func decodeStatus(err error) int {
+// Method guards h: a request with any other method is answered 405
+// "use <method>" in the API's JSON error shape and never reaches h.
+// Every handler the engine and the fleet register goes through it, as
+// do the attachments' endpoints; /healthz alone takes any method.
+func Method(method string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			WriteError(w, http.StatusMethodNotAllowed, "use %s", method)
+			return
+		}
+		h(w, r)
+	}
+}
+
+// DecodeStatus maps a request-body decode error to an HTTP status: 413
+// when the MaxBytesReader limit was hit, 400 otherwise. With WriteJSON
+// and WriteError it is the engine API's reply convention, exported for
+// the HTTP front-ends layered on the engine (internal/stream,
+// internal/quality, internal/maint) so the error shape and the 413
+// mapping stay in one place.
+func DecodeStatus(err error) int {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		return http.StatusRequestEntityTooLarge
@@ -132,19 +150,9 @@ func decodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// WriteJSON, WriteError and DecodeStatus are the engine API's reply
-// conventions, exported for HTTP front-ends layered on the engine
-// (internal/stream's NDJSON endpoint) so error shape and the 413
-// mapping stay in one place.
-func WriteJSON(w http.ResponseWriter, status int, v any) { writeJSON(w, status, v) }
-
-func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeError(w, status, format, args...)
-}
-
-func DecodeStatus(err error) int { return decodeStatus(err) }
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the indented JSON body of a reply with the
+// given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	// Explicit charset and no-store on every JSON reply: /healthz and
 	// /stats are point-in-time reads that an intermediary cache would
 	// silently falsify.
@@ -156,8 +164,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteError replies with the API's error body, {"error": "<message>"}.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // parseVertex reads one vertex parameter from the request's parsed
@@ -200,10 +209,6 @@ func (e *Engine) toJSON(res core.RouteResult, s, d roadnet.VertexID) RouteJSON {
 }
 
 func (e *Engine) handleRoute(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	sp := obs.SpanFrom(r.Context())
 	ps := sp.Start("http.parse")
 	q, n := r.URL.Query(), e.Snapshot().Road().NumVertices()
@@ -211,20 +216,20 @@ func (e *Engine) handleRoute(w http.ResponseWriter, r *http.Request) {
 	d, derr := parseVertex(q, "dst", n)
 	ps.End()
 	if serr != nil {
-		writeError(w, http.StatusBadRequest, "%v", serr)
+		WriteError(w, http.StatusBadRequest, "%v", serr)
 		return
 	}
 	if derr != nil {
-		writeError(w, http.StatusBadRequest, "%v", derr)
+		WriteError(w, http.StatusBadRequest, "%v", derr)
 		return
 	}
 	results, hit, gen := e.routeK(r.Context(), s, d, 1)
 	if results[0].Evidence == core.EvidenceNone {
-		writeError(w, http.StatusNotFound, "no path from %d to %d", s, d)
+		WriteError(w, http.StatusNotFound, "no path from %d to %d", s, d)
 		return
 	}
 	enc := sp.Start("http.encode")
-	writeJSON(w, http.StatusOK, routeReply{
+	WriteJSON(w, http.StatusOK, routeReply{
 		Routes:     []RouteJSON{e.toJSON(results[0], s, d)},
 		Cached:     hit,
 		Generation: gen,
@@ -233,10 +238,6 @@ func (e *Engine) handleRoute(w http.ResponseWriter, r *http.Request) {
 }
 
 func (e *Engine) handleAlternatives(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	sp := obs.SpanFrom(r.Context())
 	ps := sp.Start("http.parse")
 	q, n := r.URL.Query(), e.Snapshot().Road().NumVertices()
@@ -252,20 +253,20 @@ func (e *Engine) handleAlternatives(w http.ResponseWriter, r *http.Request) {
 	}
 	ps.End()
 	if serr != nil {
-		writeError(w, http.StatusBadRequest, "%v", serr)
+		WriteError(w, http.StatusBadRequest, "%v", serr)
 		return
 	}
 	if derr != nil {
-		writeError(w, http.StatusBadRequest, "%v", derr)
+		WriteError(w, http.StatusBadRequest, "%v", derr)
 		return
 	}
 	if kerr != nil {
-		writeError(w, http.StatusBadRequest, "%v", kerr)
+		WriteError(w, http.StatusBadRequest, "%v", kerr)
 		return
 	}
 	results, hit, gen := e.routeK(r.Context(), s, d, k)
 	if len(results) == 0 || results[0].Evidence == core.EvidenceNone {
-		writeError(w, http.StatusNotFound, "no path from %d to %d", s, d)
+		WriteError(w, http.StatusNotFound, "no path from %d to %d", s, d)
 		return
 	}
 	reply := routeReply{Cached: hit, Generation: gen}
@@ -273,26 +274,22 @@ func (e *Engine) handleAlternatives(w http.ResponseWriter, r *http.Request) {
 		reply.Routes = append(reply.Routes, e.toJSON(res, s, d))
 	}
 	enc := sp.Start("http.encode")
-	writeJSON(w, http.StatusOK, reply)
+	WriteJSON(w, http.StatusOK, reply)
 	enc.End()
 }
 
 func (e *Engine) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
 	sp := obs.SpanFrom(r.Context())
 	val := sp.Start("ingest.validate")
 	var req ingestRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		val.End()
-		writeError(w, decodeStatus(err), "decoding body: %v", err)
+		WriteError(w, DecodeStatus(err), "decoding body: %v", err)
 		return
 	}
 	if len(req.Paths) == 0 {
 		val.End()
-		writeError(w, http.StatusBadRequest, "no paths in request")
+		WriteError(w, http.StatusBadRequest, "no paths in request")
 		return
 	}
 	road := e.Snapshot().Road()
@@ -301,21 +298,21 @@ func (e *Engine) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for i, raw := range req.Paths {
 		if len(raw) < 2 {
 			val.End()
-			writeError(w, http.StatusBadRequest, "path %d has fewer than 2 vertices", i)
+			WriteError(w, http.StatusBadRequest, "path %d has fewer than 2 vertices", i)
 			return
 		}
 		p := make(roadnet.Path, len(raw))
 		for j, v := range raw {
 			if v < 0 || v >= n {
 				val.End()
-				writeError(w, http.StatusBadRequest, "path %d vertex %d out of range [0,%d)", i, v, n)
+				WriteError(w, http.StatusBadRequest, "path %d vertex %d out of range [0,%d)", i, v, n)
 				return
 			}
 			p[j] = roadnet.VertexID(v)
 		}
 		if !p.Valid(road) {
 			val.End()
-			writeError(w, http.StatusBadRequest, "path %d is not connected in the road network", i)
+			WriteError(w, http.StatusBadRequest, "path %d is not connected in the road network", i)
 			return
 		}
 		// Engine-unique IDs: a per-request index would collide across
@@ -328,7 +325,7 @@ func (e *Engine) handleIngest(w http.ResponseWriter, r *http.Request) {
 	opt := e.opt.Ingest
 	opt.SkipMapMatching = true
 	st, gen, durable := e.ingestDurable(r.Context(), ts, opt)
-	writeJSON(w, http.StatusOK, ingestReply{
+	WriteJSON(w, http.StatusOK, ingestReply{
 		Paths:              st.Paths,
 		TouchedEdges:       len(st.TouchedEdges),
 		UpgradedEdges:      st.UpgradedEdges,
@@ -343,15 +340,11 @@ func (e *Engine) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (e *Engine) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	writeJSON(w, http.StatusOK, e.Stats())
+	WriteJSON(w, http.StatusOK, e.Stats())
 }
 
 func (e *Engine) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"generation": e.Generation(),
 		"durable":    e.Durable(),

@@ -275,7 +275,7 @@ func TestHTTPStreamUnattached(t *testing.T) {
 // index did).
 func TestHTTPIngestIDsUnique(t *testing.T) {
 	base, fresh := sharedWorld(t)
-	e := NewEngine(base.DeepClone(), Options{})
+	e := NewEngine(base.IngestClone(), Options{})
 	srv := httptest.NewServer(e.Handler())
 	t.Cleanup(srv.Close)
 

@@ -236,13 +236,9 @@ func writeRuntimeProm(pw *obs.PromWriter) {
 // content type; a mid-exposition error becomes a clean 500 instead of
 // a torn body.
 func serveProm(w http.ResponseWriter, r *http.Request, write func(io.Writer) error) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	var buf bytes.Buffer
 	if err := write(&buf); err != nil {
-		writeError(w, http.StatusInternalServerError, "rendering metrics: %v", err)
+		WriteError(w, http.StatusInternalServerError, "rendering metrics: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", obs.ContentType)

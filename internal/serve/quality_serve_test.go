@@ -33,7 +33,7 @@ func TestEngineOffersIngestToQualitySource(t *testing.T) {
 	if got, _ := fq.counts(); got != 12 {
 		t.Fatalf("quality source saw %d trajectories, want 12", got)
 	}
-	e.Publish(base.DeepClone())
+	e.Publish(base.IngestClone())
 	if _, got := fq.counts(); got != 1 {
 		t.Fatalf("Published hook fired %d times, want 1", got)
 	}

@@ -19,7 +19,7 @@ import (
 // must agree with a Dijkstra-backed reference that saw the same feed.
 func TestRecustomizeMidTrafficSoak(t *testing.T) {
 	base, live := sharedWorld(t)
-	e := NewEngine(base.DeepClone(), Options{CacheSize: -1, PathBackend: core.BackendCH})
+	e := NewEngine(base.IngestClone(), Options{CacheSize: -1, PathBackend: core.BackendCH})
 	batches := matchedBatches(live, 8)
 	if len(batches) > 12 {
 		batches = batches[:12]
@@ -63,7 +63,7 @@ func TestRecustomizeMidTrafficSoak(t *testing.T) {
 		t.Fatalf("swap overhead %v exceeds total ingest lag %v", st.SwapLag, st.IngestLag)
 	}
 
-	ref := NewEngine(base.DeepClone(), Options{CacheSize: -1})
+	ref := NewEngine(base.IngestClone(), Options{CacheSize: -1})
 	for _, b := range matchedBatches(live, 8)[:len(batches)] {
 		ref.IngestMatched(b)
 	}
@@ -80,18 +80,18 @@ func TestDurableRecoveryRecustomizesHierarchy(t *testing.T) {
 	batches := matchedBatches(live, 5)
 	opt := Options{WALDir: dir, CheckpointEvery: -1, PathBackend: core.BackendCH}
 
-	e1 := mustDurable(t, base.DeepClone(), opt)
+	e1 := mustDurable(t, base.IngestClone(), opt)
 	for _, b := range batches {
 		e1.IngestMatched(b)
 	}
 	// Crash: no Close, no Checkpoint.
 
-	ref := NewEngine(base.DeepClone(), Options{})
+	ref := NewEngine(base.IngestClone(), Options{})
 	for _, b := range matchedBatches(live, 5) {
 		ref.IngestMatched(b)
 	}
 
-	e2 := mustDurable(t, base.DeepClone(), opt)
+	e2 := mustDurable(t, base.IngestClone(), opt)
 	defer e2.Close()
 	if e2.Snapshot().PathBackend() != core.BackendCH {
 		t.Fatal("recovered engine lost the CH backend")
@@ -114,7 +114,7 @@ func TestRecoveredEqualsUninterruptedCH(t *testing.T) {
 	batches := matchedBatches(live, 4)
 	opt := Options{WALDir: dir, CheckpointEvery: 28, PathBackend: core.BackendCH, CacheSize: -1}
 
-	live1 := mustDurable(t, base.DeepClone(), opt)
+	live1 := mustDurable(t, base.IngestClone(), opt)
 	for _, b := range batches {
 		live1.IngestMatched(b)
 	}
@@ -123,7 +123,7 @@ func TestRecoveredEqualsUninterruptedCH(t *testing.T) {
 	}
 	// Crash: no Close, no final checkpoint.
 
-	rec := mustDurable(t, base.DeepClone(), opt)
+	rec := mustDurable(t, base.IngestClone(), opt)
 	defer rec.Close()
 	d := rec.Stats().Durability
 	if !d.RecoveredFromCheckpoint || d.ReplayedRecords == 0 {

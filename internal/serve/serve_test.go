@@ -205,7 +205,7 @@ func TestPublishBumpsGeneration(t *testing.T) {
 	base, _ := sharedWorld(t)
 	e := NewEngine(base.Clone(), Options{})
 	gen := e.Generation()
-	e.Publish(base.DeepClone())
+	e.Publish(base.IngestClone())
 	if e.Generation() != gen+1 {
 		t.Fatalf("generation after publish: %d want %d", e.Generation(), gen+1)
 	}

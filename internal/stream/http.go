@@ -46,11 +46,7 @@ type streamReply struct {
 // parse (at-least-once semantics); the request body is bounded by the
 // engine's MaxBodyBytes, so continuous feeds chunk their uploads.
 func (ing *Ingestor) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "use POST")
-			return
-		}
+	return serve.Method(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
 		sp := obs.SpanFrom(r.Context())
 		sess := sp.Start("stream.sessionize")
 		dec := json.NewDecoder(r.Body)

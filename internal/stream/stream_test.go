@@ -388,7 +388,7 @@ func TestStreamHTTPDurableField(t *testing.T) {
 		return reply.Durable
 	}
 
-	durable, err := serve.NewDurableEngine(router.DeepClone(), serve.Options{WALDir: t.TempDir()})
+	durable, err := serve.NewDurableEngine(router.IngestClone(), serve.Options{WALDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestStreamHTTPDurableField(t *testing.T) {
 	if !post(durable) {
 		t.Fatal("durable engine /stream reply says durable=false")
 	}
-	if post(serve.NewEngine(router.DeepClone(), serve.Options{})) {
+	if post(serve.NewEngine(router.IngestClone(), serve.Options{})) {
 		t.Fatal("plain engine /stream reply says durable=true")
 	}
 }

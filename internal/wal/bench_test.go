@@ -7,8 +7,8 @@ import (
 
 // BenchmarkWALAppend measures append throughput per fsync policy: the
 // cost the serving write path pays, per batch of 16 trajectories,
-// before each copy-on-write snapshot swap. trajs/s is the headline
-// number in BENCH_wal.json.
+// before each copy-on-write snapshot swap, reported as trajs/s. The
+// gated number is wal.append_us in the benchmark's ledger.
 func BenchmarkWALAppend(b *testing.B) {
 	road, ts := testWorld(b, 1)
 	const batchTrajs = 16

@@ -25,7 +25,7 @@ func TestQualityOverheadBudget(t *testing.T) {
 	}
 	w := benchWorld(t)
 	r := w.MustRouter()
-	chRouter := r.DeepClone()
+	chRouter := r.IngestClone()
 	chRouter.EnableCH(ch.Config{})
 	qs := benchQueries(t)
 	trips := w.Test
@@ -64,8 +64,8 @@ func TestQualityOverheadBudget(t *testing.T) {
 		return best
 	}
 
-	bare := serve.NewEngine(chRouter.DeepClone(), serve.Options{CacheSize: -1})
-	observed := serve.NewEngine(chRouter.DeepClone(), serve.Options{CacheSize: -1})
+	bare := serve.NewEngine(chRouter.IngestClone(), serve.Options{CacheSize: -1})
+	observed := serve.NewEngine(chRouter.IngestClone(), serve.Options{CacheSize: -1})
 	qo := quality.Attach(observed, quality.Config{SampleRate: 0.1})
 	defer qo.Close()
 

@@ -22,7 +22,7 @@ func TestTraceOverheadBudget(t *testing.T) {
 	}
 	w := benchWorld(t)
 	r := w.MustRouter()
-	chRouter := r.DeepClone()
+	chRouter := r.IngestClone()
 	chRouter.EnableCH(ch.Config{})
 	qs := benchQueries(t)
 
@@ -51,10 +51,10 @@ func TestTraceOverheadBudget(t *testing.T) {
 		return best
 	}
 
-	bare := serve.NewEngine(chRouter.DeepClone(), serve.Options{CacheSize: -1})
+	bare := serve.NewEngine(chRouter.IngestClone(), serve.Options{CacheSize: -1})
 	disabled := obs.NewTracer(obs.Config{})
 	disabled.SetEnabled(false)
-	traced := serve.NewEngine(chRouter.DeepClone(), serve.Options{CacheSize: -1, Tracer: disabled})
+	traced := serve.NewEngine(chRouter.IngestClone(), serve.Options{CacheSize: -1, Tracer: disabled})
 
 	const budget = 1.05
 	var ratio float64
