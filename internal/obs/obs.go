@@ -5,6 +5,7 @@ import (
 	cryptorand "crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -378,6 +379,17 @@ var (
 
 // NewRequestID returns a process-unique request ID, used when a
 // request arrives without an X-Request-ID header.
-func NewRequestID() string {
-	return fmt.Sprintf("%s-%06d", ridPrefix, ridSeq.Add(1))
+func NewRequestID() string { return requestID(ridPrefix, ridSeq.Add(1)) }
+
+// requestID formats prefix-n with n zero-padded to six digits (wider
+// past 999,999), as fmt.Sprintf("%s-%06d", prefix, n) does, in the one
+// allocation the returned string needs.
+func requestID(prefix string, n uint64) string {
+	var buf [40]byte // an 8-character prefix, '-', at most 20 digits
+	b := append(buf[:0], prefix...)
+	b = append(b, '-')
+	for lim := uint64(100000); lim > 1 && n < lim; lim /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendUint(b, n, 10))
 }

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -197,5 +199,21 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 	if got := tr.Stats().Traces; got != 1600 {
 		t.Fatalf("traces = %d, want 1600", got)
+	}
+}
+
+// TestRequestIDFormat pins the strconv-built request ID to the
+// fmt.Sprintf it replaced: six digits zero-padded, wider past 999,999.
+func TestRequestIDFormat(t *testing.T) {
+	for _, n := range []uint64{0, 1, 9, 10, 99, 100, 12345, 99999, 100000, 999999, 1000000, 123456789, math.MaxUint64} {
+		for _, prefix := range []string{"", "ab12cd34", ridPrefix} {
+			if got, want := requestID(prefix, n), fmt.Sprintf("%s-%06d", prefix, n); got != want {
+				t.Fatalf("requestID(%q, %d) = %q, want %q", prefix, n, got, want)
+			}
+		}
+	}
+	a, b := NewRequestID(), NewRequestID()
+	if a == b || !strings.HasPrefix(a, ridPrefix+"-") || len(a) != len(ridPrefix)+7 {
+		t.Fatalf("NewRequestID gave %q then %q", a, b)
 	}
 }

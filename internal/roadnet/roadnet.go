@@ -226,6 +226,23 @@ func (p Path) Cost(g *Graph, w Weight) float64 {
 // Length returns the total length of the path in meters.
 func (p Path) Length(g *Graph) float64 { return p.Cost(g, DI) }
 
+// Measures returns Length and Cost(TT) from one walk: one FindEdge per
+// hop yields both weights. Each sum runs in Cost's order, so the two
+// values equal Length(g) and Cost(g, TT) bit for bit; an unconnected
+// step makes both +Inf.
+func (p Path) Measures(g *Graph) (lengthM, travelTimeS float64) {
+	for i := 1; i < len(p); i++ {
+		e := g.FindEdge(p[i-1], p[i])
+		if e == NoEdge {
+			return math.Inf(1), math.Inf(1)
+		}
+		ed := &g.edges[e]
+		lengthM += ed.Length
+		travelTimeS += ed.TravelTime
+	}
+	return lengthM, travelTimeS
+}
+
 // Edges returns the edge IDs along the path. Unconnected steps yield
 // NoEdge entries.
 func (p Path) Edges(g *Graph) []EdgeID {

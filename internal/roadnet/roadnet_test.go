@@ -113,6 +113,14 @@ func TestPathOps(t *testing.T) {
 	if c := (Path{0, 3}).Cost(g, DI); !math.IsInf(c, 1) {
 		t.Error("disconnected cost should be +Inf")
 	}
+	// The fused walk is Length and Cost(TT), bit for bit, on every shape
+	// of path: a walk, a single vertex, nothing, a non-walk.
+	for _, q := range []Path{p, {1, 3}, {2}, {}, {0, 3}, {0, 1, 0, 3}} {
+		l, tt := q.Measures(g)
+		if math.Float64bits(l) != math.Float64bits(q.Length(g)) || math.Float64bits(tt) != math.Float64bits(q.Cost(g, TT)) {
+			t.Errorf("Measures(%v) = %v, %v; Length %v, Cost(TT) %v", q, l, tt, q.Length(g), q.Cost(g, TT))
+		}
+	}
 	edges := p.Edges(g)
 	if len(edges) != 2 || edges[0] == NoEdge || edges[1] == NoEdge {
 		t.Error("Edges wrong")

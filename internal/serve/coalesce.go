@@ -17,14 +17,18 @@ type flightKey struct {
 	gen uint64
 }
 
-// flight is one in-progress computation. The leader closes done after
-// storing res; followers block on done and share res. ok records that
-// the leader's compute actually finished — if it panicked, followers
-// must not trust res. waiters counts followers currently blocked
-// (observability and tests).
+// flight is one in-progress computation. The leader marks done after
+// storing the answer (res and its measures); followers wait on done and
+// share it. ok records that the leader's compute actually finished — if
+// it panicked, followers must not trust the answer. waiters counts
+// followers currently blocked (observability and tests). done is a
+// WaitGroup of one, not a channel: with the answer's measures riding in
+// the flight, a channel beside it would make a miss allocate more than
+// it did without them.
 type flight struct {
-	done    chan struct{}
+	done    sync.WaitGroup
 	res     []core.RouteResult
+	meas    []measure
 	ok      bool
 	waiters atomic.Int32
 }
@@ -49,22 +53,24 @@ func newFlightGroup() *flightGroup {
 // across all concurrent callers with the same key. The boolean reports
 // whether this caller shared another caller's computation (a coalesced
 // follower) rather than leading its own.
-func (g *flightGroup) do(k flightKey, compute func() []core.RouteResult) ([]core.RouteResult, bool) {
+func (g *flightGroup) do(k flightKey, compute func() ([]core.RouteResult, []measure)) ([]core.RouteResult, []measure, bool) {
 	g.mu.Lock()
 	if f, ok := g.flights[k]; ok {
 		f.waiters.Add(1)
 		g.mu.Unlock()
-		<-f.done
+		f.done.Wait()
 		if f.ok {
-			return f.res, true
+			return f.res, f.meas, true
 		}
 		// The leader panicked out of compute without a result. Fall
 		// back to computing locally — the panic (a routing bug)
 		// surfaces on the leader's stack, not as a mysterious nil
 		// result here.
-		return compute(), false
+		res, meas := compute()
+		return res, meas, false
 	}
-	f := &flight{done: make(chan struct{})}
+	f := new(flight)
+	f.done.Add(1)
 	g.flights[k] = f
 	g.mu.Unlock()
 
@@ -74,9 +80,9 @@ func (g *flightGroup) do(k flightKey, compute func() []core.RouteResult) ([]core
 		g.mu.Lock()
 		delete(g.flights, k)
 		g.mu.Unlock()
-		close(f.done)
+		f.done.Done()
 	}()
-	f.res = compute()
+	f.res, f.meas = compute()
 	f.ok = true
-	return f.res, false
+	return f.res, f.meas, false
 }

@@ -26,11 +26,11 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res, shared := g.do(k, func() []core.RouteResult {
+		res, _, shared := g.do(k, func() ([]core.RouteResult, []measure) {
 			computes.Add(1)
 			close(leaderIn)
 			<-release
-			return leaderRes
+			return leaderRes, nil
 		})
 		if shared {
 			t.Error("leader reported shared")
@@ -47,9 +47,9 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, shared := g.do(k, func() []core.RouteResult {
+			res, _, shared := g.do(k, func() ([]core.RouteResult, []measure) {
 				computes.Add(1)
-				return nil
+				return nil, nil
 			})
 			if shared {
 				sharedCount.Add(1)
@@ -80,7 +80,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	// A different generation is a different flight.
 	k2 := k
 	k2.gen = 2
-	if _, shared := g.do(k2, func() []core.RouteResult { return leaderRes }); shared {
+	if _, _, shared := g.do(k2, func() ([]core.RouteResult, []measure) { return leaderRes, nil }); shared {
 		t.Fatal("fresh generation coalesced onto a finished flight")
 	}
 }
@@ -103,7 +103,7 @@ func TestFlightGroupLeaderPanic(t *testing.T) {
 				t.Error("leader panic did not propagate")
 			}
 		}()
-		g.do(k, func() []core.RouteResult {
+		g.do(k, func() ([]core.RouteResult, []measure) {
 			close(leaderIn)
 			<-release
 			panic("routing bug")
@@ -116,8 +116,8 @@ func TestFlightGroupLeaderPanic(t *testing.T) {
 	var followerShared bool
 	go func() {
 		defer wg.Done()
-		followerRes, followerShared = g.do(k, func() []core.RouteResult {
-			return []core.RouteResult{{}}
+		followerRes, _, followerShared = g.do(k, func() ([]core.RouteResult, []measure) {
+			return []core.RouteResult{{}}, nil
 		})
 	}()
 	g.mu.Lock()

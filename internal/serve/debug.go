@@ -11,6 +11,20 @@ import (
 	"repro/internal/obs"
 )
 
+// requestIDHeader is the request-ID header in canonical MIME form, the
+// form the server stores parsed header keys under whatever capitalization
+// the client sent. Being canonical already, it indexes a Header map
+// directly: Get and Set would re-validate it byte by byte per call.
+const requestIDHeader = "X-Request-Id"
+
+// firstValue is Header.Get for a key known to be canonical.
+func firstValue(h http.Header, canonicalKey string) string {
+	if v := h[canonicalKey]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
+}
+
 // withRequestTelemetry is the outermost HTTP middleware on engine and
 // fleet handlers: it assigns every request an ID (honoring an incoming
 // X-Request-ID, generating one otherwise), echoes it on the response,
@@ -22,20 +36,22 @@ import (
 // roots and the response header is stamped exactly once.
 func withRequestTelemetry(t *obs.Tracer, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-ID")
+		id := firstValue(r.Header, requestIDHeader)
 		if id == "" {
 			id = obs.NewRequestID()
 			// Stamp the request too, so nested handlers (a tenant
 			// engine under the fleet) observe the same ID.
-			r.Header.Set("X-Request-ID", id)
+			r.Header[requestIDHeader] = []string{id}
 		}
-		if w.Header().Get("X-Request-ID") == "" {
-			w.Header().Set("X-Request-ID", id)
+		if h := w.Header(); firstValue(h, requestIDHeader) == "" {
+			h[requestIDHeader] = []string{id}
 		}
-		if telemetryPath(r.URL.Path) {
+		if !t.Enabled() || telemetryPath(r.URL.Path) {
 			h.ServeHTTP(w, r)
 			return
 		}
+		// The span name is built only here: without a tracer nothing
+		// would read it.
 		ctx, sp := t.StartRequest(r.Context(), r.Method+" "+r.URL.Path, id)
 		if sp == nil {
 			h.ServeHTTP(w, r)
@@ -249,7 +265,7 @@ func AccessLog(l *slog.Logger, h http.Handler) http.Handler {
 		if tenant := tenantOf(r.URL.Path); tenant != "" {
 			attrs = append(attrs, slog.String("tenant", tenant))
 		}
-		if id := sw.Header().Get("X-Request-ID"); id != "" {
+		if id := firstValue(sw.Header(), requestIDHeader); id != "" {
 			attrs = append(attrs, slog.String("request_id", id))
 		}
 		l.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)

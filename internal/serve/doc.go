@@ -41,6 +41,20 @@
 // alone). Latency is counted on striped histograms that a sync.Pool
 // token keeps P-local (see metrics) and readers merge.
 //
+// # Route replies
+//
+// The same reasoning governs the HTTP reply around a hit. The body of
+// GET /route and GET /route/alternatives is appended straight from the
+// engine's results into a pooled buffer (appendRouteReply: compact
+// JSON, the keys and number formatting encoding/json would give,
+// Content-Length set, one Write) — no reflection, no intermediate
+// struct, no copy of the path. A route's length and travel time are
+// walked once, when it is computed, and cached with it (measure): a hit
+// re-walks nothing. The query string is scanned in place (rawQuery) and
+// the request-ID middleware allocates the ID and its header values,
+// nothing else. Every other endpoint and every error reply goes through
+// WriteJSON (encoding/json, indented).
+//
 // # Multi-tenant fleets
 //
 // The paper builds one region graph per city's trajectory set, so a

@@ -7,32 +7,13 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
-
-// RouteJSON is the wire form of one recommended route.
-type RouteJSON struct {
-	Source         int     `json:"source"`
-	Destination    int     `json:"destination"`
-	Path           []int   `json:"path"`
-	LengthM        float64 `json:"length_m"`
-	TravelTimeS    float64 `json:"travel_time_s"`
-	Category       string  `json:"category"`
-	Evidence       string  `json:"evidence"`
-	UsedRegionPath bool    `json:"used_region_path"`
-	RegionPath     []int   `json:"region_path,omitempty"`
-}
-
-// routeReply is the /route and /route/alternatives response body.
-type routeReply struct {
-	Routes     []RouteJSON `json:"routes"`
-	Cached     bool        `json:"cached"`
-	Generation uint64      `json:"generation"`
-}
 
 // ingestRequest is the /ingest request body: road-network paths, one
 // per trajectory, each a vertex-ID sequence (the map-matched form; raw
@@ -79,6 +60,12 @@ type ingestReply struct {
 // answer 404 until something is; attaching after Handler was built
 // works, because the mux's fallback consults the list per request.
 //
+// The two route endpoints reply with compact JSON appended straight
+// from the engine's results (appendRouteReply) with Content-Length set;
+// a route's length_m and travel_time_s are computed once, with the
+// answer, and cached with it, so a cache hit re-walks nothing. Every
+// other reply, errors included, is indented JSON from WriteJSON.
+//
 // Every endpoint's request body is bounded by Options.MaxBodyBytes;
 // larger bodies are rejected with 413. Every response carries an
 // X-Request-ID (honoring an incoming header), and — with a tracer
@@ -115,7 +102,7 @@ func (e *Engine) Handler() http.Handler {
 			WriteError(w, http.StatusServiceUnavailable, "recovery in progress: replaying the write-ahead log")
 			return
 		}
-		if r.Body != nil {
+		if r.Body != nil && r.Body != http.NoBody {
 			r.Body = http.MaxBytesReader(w, r.Body, limit)
 		}
 		mux.ServeHTTP(w, r)
@@ -153,15 +140,29 @@ func DecodeStatus(err error) int {
 // WriteJSON writes v as the indented JSON body of a reply with the
 // given status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	// Explicit charset and no-store on every JSON reply: /healthz and
-	// /stats are point-in-time reads that an intermediary cache would
-	// silently falsify.
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Cache-Control", "no-store")
+	setJSONHeaders(w.Header())
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// The values of the two headers every JSON reply carries. The slices
+// are shared by all replies and never written after this point: Header
+// methods replace or append-by-copy (the slices are full), never store
+// into a value in place.
+var (
+	jsonContentType = []string{"application/json; charset=utf-8"}
+	noStore         = []string{"no-store"}
+)
+
+// setJSONHeaders marks a reply as JSON that must not be cached: explicit
+// charset and no-store on every one, because /healthz, /stats and a
+// route's "cached"/"generation" are point-in-time reads that an
+// intermediary cache would silently falsify.
+func setJSONHeaders(h http.Header) {
+	h["Content-Type"] = jsonContentType
+	h["Cache-Control"] = noStore
 }
 
 // WriteError replies with the API's error body, {"error": "<message>"}.
@@ -169,10 +170,42 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// parseVertex reads one vertex parameter from the request's parsed
-// query string and range-checks it against a road network of n
-// vertices. Handlers parse the query string once and pass it in.
-func parseVertex(q url.Values, name string, n int) (roadnet.VertexID, error) {
+// rawQuery answers Get(key) as r.URL.Query().Get(key) would, without
+// building the url.Values map when the query string needs no
+// unescaping — the form every well-behaved client sends for integers. A
+// query holding '%' or '+' (escapes) or ';' (a separator url.ParseQuery
+// rejects pair by pair) takes the standard parser, so what is accepted
+// and what each error says do not depend on the path taken.
+type rawQuery struct {
+	raw  string
+	vals url.Values // non-nil: the query went through url.ParseQuery
+}
+
+func queryOf(r *http.Request) rawQuery {
+	if raw := r.URL.RawQuery; !strings.ContainsAny(raw, "%+;") {
+		return rawQuery{raw: raw}
+	}
+	return rawQuery{vals: r.URL.Query()} // never nil
+}
+
+// Get returns the first value of key, "" when there is none.
+func (q rawQuery) Get(key string) string {
+	if q.vals != nil {
+		return q.vals.Get(key)
+	}
+	for rest := q.raw; rest != ""; {
+		var pair string
+		pair, rest, _ = strings.Cut(rest, "&")
+		if k, v, _ := strings.Cut(pair, "="); k == key {
+			return v
+		}
+	}
+	return ""
+}
+
+// parseVertex reads one vertex parameter from the request's query and
+// range-checks it against a road network of n vertices.
+func parseVertex(q rawQuery, name string, n int) (roadnet.VertexID, error) {
 	raw := q.Get(name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing query parameter %q", name)
@@ -187,94 +220,48 @@ func parseVertex(q url.Values, name string, n int) (roadnet.VertexID, error) {
 	return roadnet.VertexID(v), nil
 }
 
-func (e *Engine) toJSON(res core.RouteResult, s, d roadnet.VertexID) RouteJSON {
-	road := e.Snapshot().Road()
-	out := RouteJSON{
-		Source:         int(s),
-		Destination:    int(d),
-		Path:           make([]int, len(res.Path)),
-		Category:       res.Category.String(),
-		Evidence:       res.Evidence.String(),
-		UsedRegionPath: res.UsedRegionPath,
-		RegionPath:     res.RegionPath,
-	}
-	for i, v := range res.Path {
-		out.Path[i] = int(v)
-	}
-	if len(res.Path) >= 2 {
-		out.LengthM = res.Path.Length(road)
-		out.TravelTimeS = res.Path.Cost(road, roadnet.TT)
-	}
-	return out
-}
-
 func (e *Engine) handleRoute(w http.ResponseWriter, r *http.Request) {
-	sp := obs.SpanFrom(r.Context())
-	ps := sp.Start("http.parse")
-	q, n := r.URL.Query(), e.Snapshot().Road().NumVertices()
-	s, serr := parseVertex(q, "src", n)
-	d, derr := parseVertex(q, "dst", n)
-	ps.End()
-	if serr != nil {
-		WriteError(w, http.StatusBadRequest, "%v", serr)
-		return
-	}
-	if derr != nil {
-		WriteError(w, http.StatusBadRequest, "%v", derr)
-		return
-	}
-	results, hit, gen := e.routeK(r.Context(), s, d, 1)
-	if results[0].Evidence == core.EvidenceNone {
-		WriteError(w, http.StatusNotFound, "no path from %d to %d", s, d)
-		return
-	}
-	enc := sp.Start("http.encode")
-	WriteJSON(w, http.StatusOK, routeReply{
-		Routes:     []RouteJSON{e.toJSON(results[0], s, d)},
-		Cached:     hit,
-		Generation: gen,
-	})
-	enc.End()
+	e.serveRoutes(w, r, 1, false)
 }
 
 func (e *Engine) handleAlternatives(w http.ResponseWriter, r *http.Request) {
+	e.serveRoutes(w, r, 3, true)
+}
+
+// serveRoutes answers GET /route (k fixed at 1) and GET
+// /route/alternatives (k from the query when kParam, else the default
+// given). The reply's bytes come from writeRouteReply's append encoder,
+// straight from the engine's results: on a cache hit nothing is
+// recomputed and nothing is copied but the bytes themselves.
+func (e *Engine) serveRoutes(w http.ResponseWriter, r *http.Request, k int, kParam bool) {
 	sp := obs.SpanFrom(r.Context())
 	ps := sp.Start("http.parse")
-	q, n := r.URL.Query(), e.Snapshot().Road().NumVertices()
-	s, serr := parseVertex(q, "src", n)
-	d, derr := parseVertex(q, "dst", n)
-	k := 3
+	q, road := queryOf(r), e.Snapshot().Road()
+	s, serr := parseVertex(q, "src", road.NumVertices())
+	d, derr := parseVertex(q, "dst", road.NumVertices())
 	var kerr error
-	if raw := q.Get("k"); raw != "" {
-		k, kerr = strconv.Atoi(raw)
-		if kerr != nil || k < 1 || k > 16 {
-			kerr = fmt.Errorf("parameter %q must be in [1,16]", "k")
+	if kParam {
+		if raw := q.Get("k"); raw != "" {
+			k, kerr = strconv.Atoi(raw)
+			if kerr != nil || k < 1 || k > maxAlternatives {
+				kerr = fmt.Errorf("parameter %q must be in [1,%d]", "k", maxAlternatives)
+			}
 		}
 	}
 	ps.End()
-	if serr != nil {
-		WriteError(w, http.StatusBadRequest, "%v", serr)
-		return
+	for _, err := range [...]error{serr, derr, kerr} {
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 	}
-	if derr != nil {
-		WriteError(w, http.StatusBadRequest, "%v", derr)
-		return
-	}
-	if kerr != nil {
-		WriteError(w, http.StatusBadRequest, "%v", kerr)
-		return
-	}
-	results, hit, gen := e.routeK(r.Context(), s, d, k)
-	if len(results) == 0 || results[0].Evidence == core.EvidenceNone {
+	res, meas, hit, gen := e.routeK(r.Context(), s, d, k)
+	if len(res) == 0 || res[0].Evidence == core.EvidenceNone {
 		WriteError(w, http.StatusNotFound, "no path from %d to %d", s, d)
 		return
 	}
-	reply := routeReply{Cached: hit, Generation: gen}
-	for _, res := range results {
-		reply.Routes = append(reply.Routes, e.toJSON(res, s, d))
-	}
 	enc := sp.Start("http.encode")
-	WriteJSON(w, http.StatusOK, reply)
+	writeRouteReply(w, road, s, d, res, meas, hit, gen)
 	enc.End()
 }
 

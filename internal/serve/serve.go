@@ -260,7 +260,7 @@ func (e *Engine) Snapshot() *core.Router {
 // in-flight computation. The result (including its Path) may be shared
 // with other callers and must be treated as immutable.
 func (e *Engine) Route(s, d roadnet.VertexID) (core.RouteResult, bool) {
-	res, hit, _ := e.routeK(context.Background(), s, d, 1)
+	res, _, hit, _ := e.routeK(context.Background(), s, d, 1)
 	return res[0], hit
 }
 
@@ -268,16 +268,17 @@ func (e *Engine) Route(s, d roadnet.VertexID) (core.RouteResult, bool) {
 // behaves like Route). Results may be shared with other callers and
 // must be treated as immutable.
 func (e *Engine) RouteK(s, d roadnet.VertexID, k int) ([]core.RouteResult, bool) {
-	res, hit, _ := e.routeK(context.Background(), s, d, k)
+	res, _, hit, _ := e.routeK(context.Background(), s, d, k)
 	return res, hit
 }
 
-// routeK additionally reports the generation of the snapshot that
-// answered — Engine.Generation() read separately could already be a
-// swap ahead of the router that computed the route. ctx carries the
-// request's trace, when one is active; with a plain context every
-// span call below is a nil no-op.
-func (e *Engine) routeK(ctx context.Context, s, d roadnet.VertexID, k int) ([]core.RouteResult, bool, uint64) {
+// routeK additionally reports each result's measure (nil on an engine
+// without a cache, which has nowhere to keep them) and the generation
+// of the snapshot that answered — Engine.Generation() read separately
+// could already be a swap ahead of the router that computed the route.
+// ctx carries the request's trace, when one is active; with a plain
+// context every span call below is a nil no-op.
+func (e *Engine) routeK(ctx context.Context, s, d roadnet.VertexID, k int) ([]core.RouteResult, []measure, bool, uint64) {
 	if k < 1 {
 		k = 1
 	}
@@ -288,15 +289,16 @@ func (e *Engine) routeK(ctx context.Context, s, d roadnet.VertexID, k int) ([]co
 	sp := obs.SpanFrom(ctx)
 	if e.cache != nil {
 		c := sp.Start("cache.lookup")
-		res, ok := e.cache.get(key, snap.gen, true)
+		res, meas, ok := e.cache.get(key, snap.gen, true)
 		c.End()
 		if ok {
 			sp.Annotate("cache", "hit")
 			e.met.observe(res[0].Category, time.Since(start))
-			return res, true, snap.gen
+			return res, meas, true, snap.gen
 		}
 	}
 	var res []core.RouteResult
+	var meas []measure
 	shared := false
 	if e.flights != nil {
 		// Coalesce concurrent duplicates: one leader computes (and
@@ -305,16 +307,16 @@ func (e *Engine) routeK(ctx context.Context, s, d roadnet.VertexID, k int) ([]co
 		// follower it is pure wait time.
 		w := sp.Start("coalesce")
 		refilled := false
-		res, shared = e.flights.do(flightKey{key: key, gen: snap.gen}, func() []core.RouteResult {
+		res, meas, shared = e.flights.do(flightKey{key: key, gen: snap.gen}, func() ([]core.RouteResult, []measure) {
 			// A caller that missed the cache before an earlier leader's
 			// put and got here after that leader's flight was deleted
 			// leads a flight of its own, with the answer already cached.
 			// Without this second look each such caller recomputes it,
 			// and the ones queued on the group's lock behind it follow
 			// one by one: a stampede in slow motion.
-			if hit, ok := e.cache.get(key, snap.gen, false); ok {
+			if hit, hitMeas, ok := e.cache.get(key, snap.gen, false); ok {
 				refilled = true
-				return hit
+				return hit, hitMeas
 			}
 			return e.compute(ctx, snap, key, s, d, k)
 		})
@@ -327,35 +329,52 @@ func (e *Engine) routeK(ctx context.Context, s, d roadnet.VertexID, k int) ([]co
 			shared = true
 		}
 	} else {
-		res = e.compute(ctx, snap, key, s, d, k)
+		res, meas = e.compute(ctx, snap, key, s, d, k)
 	}
 	e.met.observe(res[0].Category, time.Since(start))
-	return res, shared, snap.gen
+	return res, meas, shared, snap.gen
 }
 
 // compute runs one route computation on a borrowed clone of snap's
-// router and caches the answer under snap's generation.
-func (e *Engine) compute(ctx context.Context, snap *snapshot, key cacheKey, s, d roadnet.VertexID, k int) []core.RouteResult {
+// router and caches the answer, with its measures, under snap's
+// generation. With the cache off nothing would carry the measures to a
+// second reader, so they are left to whoever needs them (the handler).
+func (e *Engine) compute(ctx context.Context, snap *snapshot, key cacheKey, s, d roadnet.VertexID, k int) ([]core.RouteResult, []measure) {
 	ctx, csp := obs.StartSpan(ctx, "route.compute")
 	acq := csp.Start("snapshot.acquire")
 	r := snap.borrow()
 	acq.End()
 	var res []core.RouteResult
-	if k == 1 {
-		res = []core.RouteResult{r.RouteCtx(ctx, s, d)}
-	} else {
+	var meas []measure
+	switch {
+	case k > 1:
 		res = r.RouteKCtx(ctx, s, d, k)
+	case e.cache == nil:
+		res = []core.RouteResult{r.RouteCtx(ctx, s, d)}
+	default:
+		// The result and its measure share one block: a miss allocates
+		// as many objects as it did before measures rode along.
+		blk := new(struct {
+			res  [1]core.RouteResult
+			meas [1]measure
+		})
+		blk.res[0] = r.RouteCtx(ctx, s, d)
+		res, meas = blk.res[:], blk.meas[:0]
 	}
 	snap.release(r)
 	csp.End()
 	e.computes.Add(1)
 	if e.cache != nil {
+		if meas == nil {
+			meas = make([]measure, 0, len(res))
+		}
+		meas = appendMeasures(meas, snap.base.Road(), res)
 		// Tag the entry with the generation that computed it: if a swap
 		// raced this query, the entry is already stale and the next
 		// lookup discards it.
-		e.cache.put(key, snap.gen, res)
+		e.cache.put(key, snap.gen, res, meas)
 	}
-	return res
+	return res, meas
 }
 
 // Ingest feeds new trajectories into the served router without
