@@ -64,7 +64,10 @@ func cmdBuild(args []string) {
 	name := fs.String("name", "", "world name stamped into the artifact metadata (tenant name in fleet serving)")
 	fs.Parse(args)
 
-	g, cfg := world(*network, *seed, *trips)
+	g, cfg, err := traj.PresetWorld(*network, *seed, *seed+1, *trips)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	ts := traj.NewSimulator(g, cfg).Run()
 	start := time.Now()
 	r, err := l2r.Build(g, ts, l2r.Options{SkipMapMatching: !*match})
@@ -187,18 +190,4 @@ func load(path string) *l2r.Router {
 		fatalf("load %s: %v", path, err)
 	}
 	return r
-}
-
-func world(network string, seed int64, trips int) (*roadnet.Graph, traj.SimConfig) {
-	switch network {
-	case "n1":
-		return roadnet.Generate(roadnet.N1Like(seed)), traj.D1Like(seed+1, trips)
-	case "n2":
-		return roadnet.Generate(roadnet.N2Like(seed)), traj.D2Like(seed+1, trips)
-	case "tiny":
-		return roadnet.Generate(roadnet.Tiny(seed)), traj.D2Like(seed+1, trips)
-	default:
-		fatalf("unknown network %q", network)
-		return nil, traj.SimConfig{}
-	}
 }

@@ -33,16 +33,10 @@ func main() {
 	profile := flag.String("profile", "d2", "trajectory profile: d1 (1 Hz) or d2 (taxi)")
 	flag.Parse()
 
-	var g *roadnet.Graph
-	switch *network {
-	case "n1":
-		g = roadnet.Generate(roadnet.N1Like(*seed))
-	case "n2":
-		g = roadnet.Generate(roadnet.N2Like(*seed))
-	case "tiny":
-		g = roadnet.Generate(roadnet.Tiny(*seed))
-	default:
-		fatalf("unknown network %q", *network)
+	// Only the network: -profile below picks the trajectory preset.
+	g, _, err := traj.PresetWorld(*network, *seed, 0, 0)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	if err := roadnet.Validate(g); err != nil {
 		fatalf("generated network invalid: %v", err)

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/pref"
-	"repro/internal/roadnet"
 	"repro/internal/traj"
 	"repro/l2r"
 )
@@ -29,20 +28,9 @@ func main() {
 	k := flag.Int("k", 1, "alternatives per query (RouteK)")
 	flag.Parse()
 
-	var g *roadnet.Graph
-	var cfg traj.SimConfig
-	switch *network {
-	case "n1":
-		g = roadnet.Generate(roadnet.N1Like(*seed))
-		cfg = traj.D1Like(*seed+1, *trips)
-	case "n2":
-		g = roadnet.Generate(roadnet.N2Like(*seed))
-		cfg = traj.D2Like(*seed+1, *trips)
-	case "tiny":
-		g = roadnet.Generate(roadnet.Tiny(*seed))
-		cfg = traj.D2Like(*seed+1, *trips)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown network %q\n", *network)
+	g, cfg, err := traj.PresetWorld(*network, *seed, *seed+1, *trips)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

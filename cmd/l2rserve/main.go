@@ -103,7 +103,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/roadnet"
 	"repro/internal/traj"
 	"repro/l2r"
 )
@@ -308,7 +307,7 @@ func replayPoints(replayTrips int, replayFile, artifact, network string, seed in
 	if artifact != "" {
 		return nil, fmt.Errorf("-replay needs a synthetic world (use -replay-file with artifacts)")
 	}
-	g, cfg, err := syntheticWorld(network, seed, seed+2, replayTrips)
+	g, cfg, err := traj.PresetWorld(network, seed, seed+2, replayTrips)
 	if err != nil {
 		return nil, err
 	}
@@ -492,7 +491,7 @@ func loadRouter(artifact, network string, trips int, seed int64, backend l2r.Pat
 		return l2r.Load(f)
 	}
 
-	g, cfg, err := syntheticWorld(network, seed, seed+1, trips)
+	g, cfg, err := traj.PresetWorld(network, seed, seed+1, trips)
 	if err != nil {
 		return nil, err
 	}
@@ -500,18 +499,4 @@ func loadRouter(artifact, network string, trips int, seed int64, backend l2r.Pat
 	all := traj.NewSimulator(g, cfg).Run()
 	train, _ := traj.Split(all, 0.75*cfg.HorizonSec)
 	return l2r.Build(g, train, l2r.Options{SkipMapMatching: true, PathBackend: backend, NoMetricPrewarm: !prewarm})
-}
-
-// syntheticWorld generates the -net road network and the simulator
-// configuration for trips of its traffic.
-func syntheticWorld(network string, seed, simSeed int64, trips int) (*roadnet.Graph, traj.SimConfig, error) {
-	switch network {
-	case "n1":
-		return roadnet.Generate(roadnet.N1Like(seed)), traj.D1Like(simSeed, trips), nil
-	case "n2":
-		return roadnet.Generate(roadnet.N2Like(seed)), traj.D2Like(simSeed, trips), nil
-	case "tiny":
-		return roadnet.Generate(roadnet.Tiny(seed)), traj.D2Like(simSeed, trips), nil
-	}
-	return nil, traj.SimConfig{}, fmt.Errorf("unknown network %q", network)
 }

@@ -49,45 +49,11 @@ func (b PathBackend) String() string {
 	return "dijkstra"
 }
 
-// ClusterMethod selects the region-construction algorithm. The paper's
-// modularity clustering is the default; the related-work methods of
-// Section II are available for end-to-end ablations.
-type ClusterMethod uint8
-
-// String implements fmt.Stringer.
-func (m ClusterMethod) String() string {
-	switch m {
-	case ClusterGrid:
-		return "grid"
-	case ClusterHierarchy:
-		return "hierarchy"
-	default:
-		return "modularity"
-	}
-}
-
-// Clustering methods.
-const (
-	// ClusterModularity is the paper's parameter-free Algorithm 1.
-	ClusterModularity ClusterMethod = iota
-	// ClusterGrid is the grid-based method of Wei et al. (KDD 2012).
-	ClusterGrid
-	// ClusterHierarchy is the road-hierarchy partition of Gonzalez et
-	// al. (VLDB 2007).
-	ClusterHierarchy
-)
-
 // Options configures the offline pipeline.
 type Options struct {
-	// ClusterMethod selects the clustering algorithm (default: the
-	// paper's modularity clustering).
-	ClusterMethod ClusterMethod
 	// Cluster tunes the modularity clustering (ablation switches only;
 	// the algorithm itself is parameter-free).
 	Cluster cluster.Options
-	// Grid tunes ClusterGrid; Hierarchy tunes ClusterHierarchy.
-	Grid      cluster.GridClusterOptions
-	Hierarchy cluster.HierarchyPartitionOptions
 	// Region tunes region-graph construction.
 	Region region.Options
 	// Transfer tunes the preference transduction; the zero value means
@@ -266,26 +232,18 @@ func (r *Router) IngestClone() *Router {
 }
 
 // Build runs the full offline pipeline over a road network and a
-// training trajectory set.
+// training trajectory set, with the paper's modularity clustering
+// (Algorithm 1) choosing the regions.
 func Build(road *roadnet.Graph, training []*traj.Trajectory, opt Options) (*Router, error) {
 	opt = opt.withDefaults()
-	r, paths, err := startBuild(road, training, opt)
+	r, paths, err := startBuild(road, training, opt, "modularity")
 	if err != nil {
 		return nil, err
 	}
 
 	// Phase 1a: clustering.
 	start := time.Now()
-	var regions []cluster.Region
-	switch opt.ClusterMethod {
-	case ClusterGrid:
-		regions = cluster.GridCluster(road, paths, opt.Grid)
-	case ClusterHierarchy:
-		regions = cluster.HierarchyPartition(road, paths, opt.Hierarchy)
-	default:
-		tg := cluster.BuildTrajectoryGraph(road, paths)
-		regions = cluster.Cluster(tg, opt.Cluster)
-	}
+	regions := cluster.Cluster(cluster.BuildTrajectoryGraph(road, paths), opt.Cluster)
 	r.stats.ClusterTime = time.Since(start)
 	return finishBuild(r, regions, paths, opt)
 }
@@ -297,10 +255,11 @@ func Build(road *roadnet.Graph, training []*traj.Trajectory, opt Options) (*Rout
 // an online-maintained router equals one rebuilt from scratch over the
 // union evidence — is stated (and property-tested) against this entry
 // point: feed it the live router's partition plus all evidence the
-// maintained router ever saw.
+// maintained router ever saw. It is also how any partition other than
+// the paper's — a grid, a road hierarchy — is carried end to end.
 func BuildWithRegions(road *roadnet.Graph, regions []cluster.Region, training []*traj.Trajectory, opt Options) (*Router, error) {
 	opt = opt.withDefaults()
-	r, paths, err := startBuild(road, training, opt)
+	r, paths, err := startBuild(road, training, opt, "caller")
 	if err != nil {
 		return nil, err
 	}
@@ -308,8 +267,9 @@ func BuildWithRegions(road *roadnet.Graph, regions []cluster.Region, training []
 }
 
 // startBuild validates inputs and runs phase 0 (map matching), shared
-// by Build and BuildWithRegions.
-func startBuild(road *roadnet.Graph, training []*traj.Trajectory, opt Options) (*Router, []roadnet.Path, error) {
+// by Build and BuildWithRegions; clusterMethod records in the artifact
+// metadata where the regions come from.
+func startBuild(road *roadnet.Graph, training []*traj.Trajectory, opt Options, clusterMethod string) (*Router, []roadnet.Path, error) {
 	if road == nil || road.NumVertices() == 0 {
 		return nil, nil, errors.New("core: empty road network")
 	}
@@ -321,7 +281,7 @@ func startBuild(road *roadnet.Graph, training []*traj.Trajectory, opt Options) (
 	r.stats.Trajectories = len(training)
 	r.meta.Build = BuildInfo{
 		PathBackend:     opt.PathBackend.String(),
-		ClusterMethod:   opt.ClusterMethod.String(),
+		ClusterMethod:   clusterMethod,
 		SkipMapMatching: opt.SkipMapMatching,
 		MinConfidence:   opt.MinConfidence,
 		LearnMaxPaths:   opt.LearnMaxPaths,
@@ -329,22 +289,8 @@ func startBuild(road *roadnet.Graph, training []*traj.Trajectory, opt Options) (
 	}
 
 	start := time.Now()
-	paths := make([]roadnet.Path, 0, len(training))
-	if opt.SkipMapMatching {
-		for _, t := range training {
-			t.Matched = t.Truth
-			paths = append(paths, t.Truth)
-		}
-		r.stats.MatchedOK = len(paths)
-	} else {
-		matchAll(road, r.idx, training, opt)
-		for _, t := range training {
-			if len(t.Matched) >= 2 {
-				paths = append(paths, t.Matched)
-				r.stats.MatchedOK++
-			}
-		}
-	}
+	paths := matchedPaths(road, r.idx, training, opt)
+	r.stats.MatchedOK = len(paths)
 	r.stats.MatchTime = time.Since(start)
 	if len(paths) == 0 {
 		return nil, nil, errors.New("core: map matching produced no usable paths")
@@ -560,28 +506,50 @@ func (f *pathFinder) FastestPath(s, d roadnet.VertexID) (roadnet.Path, bool) {
 	return path, ok
 }
 
-func matchAll(road *roadnet.Graph, idx *spatial.Index, ts []*traj.Trajectory, opt Options) {
-	var wg sync.WaitGroup
-	ch := make(chan *traj.Trajectory, len(ts))
-	for _, t := range ts {
-		ch <- t
-	}
-	close(ch)
-	for w := 0; w < opt.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := mapmatch.NewMatcher(road, idx, opt.MapMatch)
-			for t := range ch {
-				points := make([]geo.Point, len(t.Records))
-				for i, rec := range t.Records {
-					points[i] = rec.P
+// matchedPaths is how trajectories become evidence, for Build and
+// Ingest alike: every t.Matched is set — to t.Truth under
+// opt.SkipMapMatching, else by the map matcher on opt.Workers
+// goroutines — and the usable paths, those with at least two vertices,
+// are returned in input order.
+func matchedPaths(road *roadnet.Graph, idx *spatial.Index, ts []*traj.Trajectory, opt Options) []roadnet.Path {
+	if opt.SkipMapMatching {
+		for _, t := range ts {
+			t.Matched = t.Truth
+		}
+	} else {
+		// The workers capture cfg, not opt: Options is too large to be
+		// captured by value, so it would move to the heap on entry — one
+		// allocation on every call, the ones that match nothing included.
+		cfg := opt.MapMatch
+		var wg sync.WaitGroup
+		ch := make(chan *traj.Trajectory, len(ts))
+		for _, t := range ts {
+			ch <- t
+		}
+		close(ch)
+		for w := 0; w < opt.Workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m := mapmatch.NewMatcher(road, idx, cfg)
+				for t := range ch {
+					points := make([]geo.Point, len(t.Records))
+					for i, rec := range t.Records {
+						points[i] = rec.P
+					}
+					t.Matched = m.Match(points)
 				}
-				t.Matched = m.Match(points)
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	paths := make([]roadnet.Path, 0, len(ts))
+	for _, t := range ts {
+		if len(t.Matched) >= 2 {
+			paths = append(paths, t.Matched)
+		}
+	}
+	return paths
 }
 
 // learnJob is one path set awaiting a preference: a T-edge's or a

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/cluster"
 	"repro/internal/pref"
 	"repro/internal/region"
 	"repro/internal/roadnet"
@@ -264,22 +265,34 @@ func TestBEdgesMaterialized(t *testing.T) {
 }
 
 // TestBuildWithAlternativeClusterings verifies the end-to-end pipeline
-// works with the related-work clustering methods of Section II.
+// works with the related-work clustering methods of Section II, carried
+// in through BuildWithRegions like any caller-chosen partition.
 func TestBuildWithAlternativeClusterings(t *testing.T) {
 	road := roadnet.Generate(roadnet.Tiny(67))
 	sim := traj.NewSimulator(road, traj.D2Like(67, 300))
 	ts := sim.Run()
-	for _, m := range []ClusterMethod{ClusterModularity, ClusterGrid, ClusterHierarchy} {
-		r, err := Build(road, ts, Options{SkipMapMatching: true, ClusterMethod: m})
+	paths := make([]roadnet.Path, len(ts))
+	for i, tr := range ts {
+		paths[i] = tr.Truth
+	}
+	for m, regions := range map[string][]cluster.Region{
+		"modularity": cluster.Cluster(cluster.BuildTrajectoryGraph(road, paths), cluster.Options{}),
+		"grid":       cluster.GridCluster(road, paths, cluster.GridClusterOptions{}),
+		"hierarchy":  cluster.HierarchyPartition(road, paths, cluster.HierarchyPartitionOptions{}),
+	} {
+		r, err := BuildWithRegions(road, regions, ts, Options{SkipMapMatching: true})
 		if err != nil {
-			t.Fatalf("method %d: %v", m, err)
+			t.Fatalf("method %s: %v", m, err)
 		}
 		if r.Stats().Regions == 0 {
-			t.Fatalf("method %d: no regions", m)
+			t.Fatalf("method %s: no regions", m)
+		}
+		if got := r.Meta().Build.ClusterMethod; got != "caller" {
+			t.Fatalf("method %s: BuildInfo.ClusterMethod = %q, want \"caller\"", m, got)
 		}
 		res := r.Route(ts[0].Source(), ts[0].Destination())
 		if len(res.Path) > 0 && !res.Path.Valid(road) {
-			t.Fatalf("method %d: invalid path", m)
+			t.Fatalf("method %s: invalid path", m)
 		}
 	}
 }

@@ -9,10 +9,11 @@
 // # Build and query
 //
 // Build runs the offline pipeline — map matching (internal/mapmatch),
-// clustering (internal/cluster), region-graph construction
-// (internal/region), preference learning (internal/pref), transfer
-// (internal/transfer), B-edge path materialization — and returns a
-// Router. Router.Route classifies a query by endpoint region
+// the paper's modularity clustering (internal/cluster), region-graph
+// construction (internal/region), preference learning (internal/pref),
+// transfer (internal/transfer), B-edge path materialization — and
+// returns a Router; BuildWithRegions runs it over a partition the
+// caller chose instead. Router.Route classifies a query by endpoint region
 // membership (Category) and answers with the paper's Case 1/2/3
 // procedure, reporting the evidence behind the answer (stored
 // trajectory, learned preference, transferred preference, fastest-path
@@ -28,10 +29,15 @@
 // built, Retransduce (after ConnectBFS) on one grown by ingests. derive
 // reads nothing it wrote on an earlier run — it rebinds the region
 // preferences and resets every edge's fit and derived state before
-// transducing — so a
-// built router is a fixed point of Retransduce
+// transducing — so a built router is a fixed point of Retransduce
 // (TestBuildIsFixedPointOfRetransduce), and "maintained ≡ rebuilt"
-// needs only the path sets to have accumulated exactly.
+// needs only the path sets to have accumulated exactly. They do by
+// construction: batch is stream run to completion. Build and Ingest
+// turn trajectories into evidence through one helper (matchedPaths:
+// t.Matched is the truth or the matcher's path, and a path is usable
+// from two vertices up), mapmatch.Matcher.Match is the online decoder
+// closed after the last point, and region.Build is region.AddPaths on
+// an empty partition skeleton — the loop every later Ingest runs.
 //
 // # Learning, at build time and on ingest
 //

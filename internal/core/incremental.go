@@ -74,22 +74,7 @@ func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
 	opt = opt.withDefaults()
 	start := time.Now()
 
-	paths := make([]roadnet.Path, 0, len(ts))
-	if opt.SkipMapMatching {
-		for _, t := range ts {
-			t.Matched = t.Truth
-			if len(t.Truth) >= 2 {
-				paths = append(paths, t.Truth)
-			}
-		}
-	} else {
-		matchAll(r.road, r.idx, ts, Options{Workers: 1})
-		for _, t := range ts {
-			if len(t.Matched) >= 2 {
-				paths = append(paths, t.Matched)
-			}
-		}
-	}
+	paths := matchedPaths(r.road, r.idx, ts, Options{SkipMapMatching: opt.SkipMapMatching, Workers: 1})
 
 	var st IngestStats
 	st.UpdateStats = r.rg.AddPaths(paths, region.Options{})

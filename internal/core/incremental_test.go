@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/region"
@@ -135,5 +136,44 @@ func TestIngestMapMatchedPath(t *testing.T) {
 	// stats must be consistent.
 	if st.Paths > len(fresh) {
 		t.Fatalf("Paths = %d > input %d", st.Paths, len(fresh))
+	}
+}
+
+// TestOneVertexTripIsNoEvidence pins the one usable-path rule Build and
+// Ingest share (matchedPaths): a trip whose path has fewer than two
+// vertices is set aside by both, so the same set is the same evidence
+// whichever way it arrives. Before the rule was shared, a build that
+// trusted ground truth let the one-vertex trip through, and it counted
+// as a transfer-center visit of its region.
+func TestOneVertexTripIsNoEvidence(t *testing.T) {
+	r, fresh := splitWorld(t, 23)
+	var inRegion roadnet.VertexID
+	for r.rg.RegionOf(inRegion) < 0 {
+		inRegion++
+	}
+	stub := &traj.Trajectory{ID: 1 << 20, Truth: roadnet.Path{inRegion}}
+	set := append([]*traj.Trajectory{stub}, fresh...)
+	opt := Options{SkipMapMatching: true}
+
+	with, err := BuildWithRegions(r.road, r.rg.Regions, set, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := BuildWithRegions(r.road, r.rg.Regions, fresh, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := with.Stats().MatchedOK; got != len(fresh) {
+		t.Fatalf("Build counted %d usable paths in a set of %d plus a one-vertex trip", got, len(fresh))
+	}
+	if st := r.Ingest(set, IngestOptions{SkipMapMatching: true}); st.Paths != len(fresh) {
+		t.Fatalf("Ingest counted %d usable paths in a set of %d plus a one-vertex trip", st.Paths, len(fresh))
+	}
+	if stub.Matched == nil {
+		t.Fatal("the one-vertex trip's Matched was not set")
+	}
+	a, b := with.rg.Snapshot(), without.rg.Snapshot()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("the one-vertex trip left a mark on the built region graph")
 	}
 }

@@ -31,8 +31,10 @@ const artifactVersionV1 uint16 = 1
 // with, persisted in every artifact so a deployment can audit what it
 // is serving without access to the build script.
 type BuildInfo struct {
-	// PathBackend and ClusterMethod are the String() forms of the
-	// build-time selections.
+	// PathBackend is the String() form of Options.PathBackend.
+	// ClusterMethod says where the regions came from: "modularity"
+	// (Build, the paper's Algorithm 1) or "caller" (BuildWithRegions);
+	// older artifacts may also carry "grid" or "hierarchy".
 	PathBackend   string
 	ClusterMethod string
 	// SkipMapMatching, MinConfidence, LearnMaxPaths and IndexCellM

@@ -49,17 +49,15 @@ type ClusteringRow struct {
 // (those methods need per-map parameters); this quantifies it, plus the
 // modularity each method achieves on the same trajectory graph.
 func AblationClusteringCompute(w *World) []ClusteringRow {
-	paths := trainPaths(w)
-	tg := cluster.BuildTrajectoryGraph(w.Road, paths)
-
+	tg, methods := clusteringMethods(w)
 	var rows []ClusteringRow
-	run := func(method string, f func() []cluster.Region) {
+	for _, m := range methods {
 		start := time.Now()
-		regions := f()
+		regions := m.regions()
 		elapsed := time.Since(start)
 		st := cluster.Summarize(w.Road, regions)
 		rows = append(rows, ClusteringRow{
-			Method:     method,
+			Method:     m.name,
 			Regions:    st.Regions,
 			MeanSize:   st.MeanSize,
 			Singletons: st.Singletons,
@@ -67,14 +65,31 @@ func AblationClusteringCompute(w *World) []ClusteringRow {
 			Elapsed:    elapsed,
 		})
 	}
-	run("Modularity(paper)", func() []cluster.Region { return cluster.Cluster(tg, cluster.Options{}) })
-	run("Grid(Wei12)", func() []cluster.Region {
-		return cluster.GridCluster(w.Road, paths, cluster.GridClusterOptions{})
-	})
-	run("Hierarchy(Gonzalez07)", func() []cluster.Region {
-		return cluster.HierarchyPartition(w.Road, paths, cluster.HierarchyPartitionOptions{})
-	})
 	return rows
+}
+
+// clusteringMethod is one way to partition a world's road network into
+// regions from its ground-truth training paths.
+type clusteringMethod struct {
+	name    string
+	regions func() []cluster.Region
+}
+
+// clusteringMethods lists the paper's clustering and the two
+// related-work partitioners, for both clustering ablations, with the
+// trajectory graph the paper's runs on.
+func clusteringMethods(w *World) (*cluster.TrajectoryGraph, []clusteringMethod) {
+	paths := trainPaths(w)
+	tg := cluster.BuildTrajectoryGraph(w.Road, paths)
+	return tg, []clusteringMethod{
+		{"Modularity(paper)", func() []cluster.Region { return cluster.Cluster(tg, cluster.Options{}) }},
+		{"Grid(Wei12)", func() []cluster.Region {
+			return cluster.GridCluster(w.Road, paths, cluster.GridClusterOptions{})
+		}},
+		{"Hierarchy(Gonzalez07)", func() []cluster.Region {
+			return cluster.HierarchyPartition(w.Road, paths, cluster.HierarchyPartitionOptions{})
+		}},
+	}
 }
 
 // AblationClustering renders the clustering comparison.
@@ -316,14 +331,6 @@ type E2ERow struct {
 // the downstream consequence of the region partition, which the
 // region-statistics comparison alone cannot show.
 func AblationClusteringE2ECompute(w *World) ([]E2ERow, error) {
-	methods := []struct {
-		name string
-		m    core.ClusterMethod
-	}{
-		{"Modularity(paper)", core.ClusterModularity},
-		{"Grid(Wei12)", core.ClusterGrid},
-		{"Hierarchy(Gonzalez07)", core.ClusterHierarchy},
-	}
 	var rows []E2ERow
 	// The comparison holds the pipeline budget fixed across methods:
 	// region-pair span and learner sample are capped identically so the
@@ -335,13 +342,13 @@ func AblationClusteringE2ECompute(w *World) ([]E2ERow, error) {
 	if len(queries) > 200 {
 		queries = queries[:200]
 	}
+	opt := w.opts
+	opt.Region.MaxRegionSpan = 4
+	opt.LearnMaxPaths = 4
+	_, methods := clusteringMethods(w)
 	for _, method := range methods {
-		opt := w.opts
-		opt.ClusterMethod = method.m
-		opt.Region.MaxRegionSpan = 4
-		opt.LearnMaxPaths = 4
 		start := time.Now()
-		r, err := core.Build(w.Road, w.Train, opt)
+		r, err := core.BuildWithRegions(w.Road, method.regions(), w.Train, opt)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", method.name, err)
 		}

@@ -58,25 +58,12 @@ type World struct {
 // synthetic map as (0,5],(5,15],(15,30],(30,100].
 func NewD1(cfg Config) *World {
 	trips := 1200
-	netSeed := cfg.Seed
 	if cfg.Scale == Full {
 		trips = 6000
 	}
-	road := roadnet.Generate(roadnet.N1Like(netSeed))
-	scfg := traj.D1Like(cfg.Seed+1, trips)
-	sim := traj.NewSimulator(road, scfg)
-	all := sim.Run()
-	train, test := traj.Split(all, 0.75*scfg.HorizonSec) // 18 of 24 months
-	return &World{
-		Name: "D1", Road: road, All: all, Train: train, Test: test,
-		BucketsKm: []float64{5, 15, 30, 100},
-		Sim:       sim,
-		cfg:       cfg,
-		opts: core.Options{
-			SkipMapMatching: !cfg.UseMapMatching,
-			Workers:         cfg.Workers,
-		},
-	}
+	// The split keeps 18 of 24 months for training.
+	return NewCustom("D1", roadnet.Generate(roadnet.N1Like(cfg.Seed)), traj.D1Like(cfg.Seed+1, trips),
+		[]float64{5, 15, 30, 100}, cfg)
 }
 
 // NewD2 creates the Chengdu-like world (low-frequency taxi GPS, short
@@ -86,21 +73,9 @@ func NewD2(cfg Config) *World {
 	if cfg.Scale == Full {
 		trips = 8000
 	}
-	road := roadnet.Generate(roadnet.N2Like(cfg.Seed))
-	scfg := traj.D2Like(cfg.Seed+1, trips)
-	sim := traj.NewSimulator(road, scfg)
-	all := sim.Run()
-	train, test := traj.Split(all, 0.75*scfg.HorizonSec) // 21 of 28 days
-	return &World{
-		Name: "D2", Road: road, All: all, Train: train, Test: test,
-		BucketsKm: []float64{2, 5, 10, 35},
-		Sim:       sim,
-		cfg:       cfg,
-		opts: core.Options{
-			SkipMapMatching: !cfg.UseMapMatching,
-			Workers:         cfg.Workers,
-		},
-	}
+	// The split keeps 21 of 28 days for training.
+	return NewCustom("D2", roadnet.Generate(roadnet.N2Like(cfg.Seed)), traj.D2Like(cfg.Seed+1, trips),
+		[]float64{2, 5, 10, 35}, cfg)
 }
 
 // NewCustom assembles a world from explicit parts; tests and the bench
@@ -109,16 +84,7 @@ func NewCustom(name string, road *roadnet.Graph, simCfg traj.SimConfig, bucketsK
 	sim := traj.NewSimulator(road, simCfg)
 	all := sim.Run()
 	train, test := traj.Split(all, 0.75*simCfg.HorizonSec)
-	return &World{
-		Name: name, Road: road, All: all, Train: train, Test: test,
-		BucketsKm: bucketsKm,
-		Sim:       sim,
-		cfg:       cfg,
-		opts: core.Options{
-			SkipMapMatching: !cfg.UseMapMatching,
-			Workers:         cfg.Workers,
-		},
-	}
+	return NewPrebuilt(name, road, sim, all, train, test, bucketsKm, cfg)
 }
 
 // NewPrebuilt wraps an externally generated world — e.g. one from

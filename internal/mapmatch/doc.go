@@ -9,4 +9,12 @@
 // over the candidate lattice. Route distances between candidates are
 // computed with bounded Dijkstra searches so matching stays near-linear
 // in trajectory length.
+//
+// There is one decoder, OnlineMatcher: it extends the lattice a record
+// at a time and commits the prefix no later record can change.
+// Matcher.Match, the offline pass, is that decoder run to completion,
+// so a streamed trip and a batch-matched one get the same path by
+// construction. The whole-trajectory lattice decoder is kept in
+// reference_test.go as matchReference, the independent implementation
+// the tests compare against.
 package mapmatch

@@ -25,12 +25,13 @@ type onlineCell struct {
 // one common ancestor — is committed eagerly, so memory stays bounded
 // by the unstable suffix instead of the whole trajectory.
 //
-// The decoder reproduces Matcher.Match exactly: for any point
-// sequence, Observe-ing each point and calling Close returns the very
-// path Match returns on the full slice (including its thinning,
-// skipped-record, single-point and broken-transition behavior). Tests
-// rely on this equivalence; the streaming pipeline relies on it to
-// make online ingestion indistinguishable from the offline pass.
+// Matcher.Match is this decoder run to completion — Observe each point,
+// then Close — so the streaming pipeline matches a trip exactly as the
+// offline pass does, by construction. The whole-trajectory lattice
+// decoder Match used to be survives as matchReference
+// (reference_test.go); tests hold this decoder to it path for path,
+// including thinning, skipped records, single points and broken
+// transitions.
 //
 // An OnlineMatcher inherits its parent Matcher's concurrency contract:
 // neither the Matcher nor any OnlineMatcher created from it may be
@@ -38,7 +39,7 @@ type onlineCell struct {
 type OnlineMatcher struct {
 	m *Matcher
 
-	// Thinning state, mirroring Matcher.thin record by record.
+	// Thinning state: the last kept and the last seen record.
 	haveThin bool
 	lastThin geo.Point
 	lastRaw  geo.Point
@@ -52,8 +53,8 @@ type OnlineMatcher struct {
 	dead      bool           // a level scored all -inf; suffix is discarded
 	closed    bool
 
-	// Committed reconstruction state, mirroring Match's backtrack loop
-	// so incremental emission produces the identical vertex sequence.
+	// Committed reconstruction state: the emitted vertex sequence and
+	// the edge of the last emitted step.
 	path     roadnet.Path
 	lastEdge roadnet.EdgeID
 }
@@ -65,8 +66,8 @@ func (m *Matcher) NewOnline() *OnlineMatcher {
 }
 
 // Observe extends the decode with the next GPS point. Points closer
-// than MinSpacingM to the previously kept point are thinned away, as
-// in the offline pass; Observe after Close is a no-op.
+// than MinSpacingM to the previously kept point are thinned away (1 Hz
+// feeds are heavily oversampled); Observe after Close is a no-op.
 func (o *OnlineMatcher) Observe(p geo.Point) {
 	if o.closed {
 		return
@@ -84,9 +85,9 @@ func (o *OnlineMatcher) Observe(p geo.Point) {
 // the Viterbi frontier.
 func (o *OnlineMatcher) observeKept(p geo.Point) {
 	if o.dead {
-		// Offline Match would score this and every later level -inf and
-		// backtrack from the last finite level; freezing here is the
-		// same answer.
+		// A whole-trajectory Viterbi would score this and every later
+		// level -inf and backtrack from the last finite level; freezing
+		// here is the same answer.
 		return
 	}
 	cands := o.m.idx.EdgesWithin(p, o.m.cfg.CandidateRadiusM)
@@ -124,7 +125,7 @@ func (o *OnlineMatcher) observeKept(p geo.Point) {
 	bound := o.m.cfg.RouteFactor*straight + o.m.cfg.RouteSlackM
 
 	// One bounded Dijkstra per previous candidate, reused across all
-	// current candidates — identical to the offline inner loop.
+	// current candidates.
 	costs := make([]map[roadnet.VertexID]float64, len(prev))
 	paths := make([]map[roadnet.VertexID]roadnet.Path, len(prev))
 	for j, pc := range prev {
@@ -227,8 +228,8 @@ func (o *OnlineMatcher) emitChain(level, idx int) {
 }
 
 // emitStep appends one matched edge (plus its via chain) to the
-// committed path, with the same consecutive-edge and repeated-vertex
-// deduplication as the offline reconstruction.
+// committed path, skipping a step that stays on the previous edge and
+// any vertex that repeats the path's last one.
 func (o *OnlineMatcher) emitStep(edge roadnet.EdgeID, via roadnet.Path) {
 	if edge == o.lastEdge && len(via) == 0 {
 		return // consecutive records matched to the same edge
@@ -256,15 +257,14 @@ func (o *OnlineMatcher) StablePrefix() roadnet.Path {
 }
 
 // Close finishes the decode and returns the matched path, or nil when
-// no consistent alignment exists — exactly what Matcher.Match returns
-// for the full observed point sequence. The decoder cannot be reused
+// no consistent alignment exists. The decoder cannot be reused
 // afterwards.
 func (o *OnlineMatcher) Close() roadnet.Path {
 	if o.closed {
 		return nil
 	}
 	o.closed = true
-	// The offline thin always keeps the final raw record.
+	// Always keep the final record so the destination is represented.
 	if o.haveThin && o.lastRaw != o.lastThin {
 		o.observeKept(o.lastRaw)
 	}

@@ -11,16 +11,6 @@ import (
 	"repro/internal/traj"
 )
 
-// onlineMatch runs pts through an incremental decoder one point at a
-// time and returns the closed path.
-func onlineMatch(m *Matcher, pts []geo.Point) roadnet.Path {
-	o := m.NewOnline()
-	for _, p := range pts {
-		o.Observe(p)
-	}
-	return o.Close()
-}
-
 func pathsEqual(a, b roadnet.Path) bool {
 	if len(a) != len(b) {
 		return false
@@ -34,8 +24,9 @@ func pathsEqual(a, b roadnet.Path) bool {
 }
 
 // TestOnlineEqualsOfflineOnSim is the core equivalence property: on
-// simulated GPS feeds, incremental decoding must return exactly the
-// path the offline whole-trajectory pass returns.
+// simulated GPS feeds, incremental decoding (Match is the decoder run
+// to completion) must return exactly the path the whole-trajectory
+// reference pass (matchReference, reference_test.go) returns.
 func TestOnlineEqualsOfflineOnSim(t *testing.T) {
 	g := roadnet.Generate(roadnet.Tiny(8))
 	sim := traj.NewSimulator(g, traj.D2Like(5, 30))
@@ -50,10 +41,10 @@ func TestOnlineEqualsOfflineOnSim(t *testing.T) {
 		for i, r := range tr.Records {
 			pts[i] = r.P
 		}
-		want := m.Match(pts)
-		got := onlineMatch(m, pts)
+		want := m.matchReference(pts)
+		got := m.Match(pts)
 		if !pathsEqual(got, want) {
-			t.Fatalf("trip %d: online %v != offline %v", tr.ID, got, want)
+			t.Fatalf("trip %d: online %v != reference %v", tr.ID, got, want)
 		}
 		if len(want) >= 2 {
 			matched++
@@ -77,10 +68,10 @@ func TestOnlineEqualsOfflineNoisyGrid(t *testing.T) {
 		for _, noise := range []float64{5, 18} {
 			pts := noisyWalk(g, truth, 22, noise, rng)
 			m := NewMatcher(g, spatial.NewIndex(g, 200), Config{SigmaM: 20})
-			want := m.Match(pts)
-			got := onlineMatch(m, pts)
+			want := m.matchReference(pts)
+			got := m.Match(pts)
 			if !pathsEqual(got, want) {
-				t.Fatalf("seed %d noise %.0f: online %v != offline %v", seed, noise, got, want)
+				t.Fatalf("seed %d noise %.0f: online %v != reference %v", seed, noise, got, want)
 			}
 		}
 	}
@@ -88,7 +79,7 @@ func TestOnlineEqualsOfflineNoisyGrid(t *testing.T) {
 
 // TestOnlineEqualsOfflineBrokenTransition uses two disconnected road
 // components: a feed that hops between them breaks every transition,
-// and the offline pass keeps only the prefix before the break. The
+// and the reference pass keeps only the prefix before the break. The
 // incremental decoder must return the same prefix.
 func TestOnlineEqualsOfflineBrokenTransition(t *testing.T) {
 	b := roadnet.NewBuilder()
@@ -110,17 +101,17 @@ func TestOnlineEqualsOfflineBrokenTransition(t *testing.T) {
 		geo.Pt(5, 3), geo.Pt(95, -2), geo.Pt(205, 4), // along A
 		geo.Pt(105, 398), geo.Pt(210, 402), // jump to B: unreachable
 	}
-	want := m.Match(pts)
-	got := onlineMatch(m, pts)
+	want := m.matchReference(pts)
+	got := m.Match(pts)
 	if !pathsEqual(got, want) {
-		t.Fatalf("online %v != offline %v", got, want)
+		t.Fatalf("online %v != reference %v", got, want)
 	}
 	if len(want) < 2 {
-		t.Fatalf("offline kept no prefix (%v); scenario is degenerate", want)
+		t.Fatalf("reference kept no prefix (%v); scenario is degenerate", want)
 	}
 }
 
-// TestOnlineDegenerateInputs mirrors the offline edge cases: no
+// TestOnlineDegenerateInputs mirrors the reference's edge cases: no
 // usable points, far-from-road points, and a single usable point.
 func TestOnlineDegenerateInputs(t *testing.T) {
 	g := roadnet.GenerateGrid(4, 4, 100, roadnet.Tertiary)
@@ -129,14 +120,14 @@ func TestOnlineDegenerateInputs(t *testing.T) {
 		t.Fatalf("empty decode returned %v", got)
 	}
 	far := []geo.Point{geo.Pt(1e7, 1e7), geo.Pt(1e7, 1e7+50)}
-	if got := onlineMatch(m, far); got != nil {
+	if got := m.Match(far); got != nil {
 		t.Fatalf("far input matched: %v", got)
 	}
 	single := []geo.Point{geo.Pt(150, 2)}
-	want := m.Match(single)
-	got := onlineMatch(m, single)
+	want := m.matchReference(single)
+	got := m.Match(single)
 	if !pathsEqual(got, want) || len(got) != 2 {
-		t.Fatalf("single point: online %v != offline %v", got, want)
+		t.Fatalf("single point: online %v != reference %v", got, want)
 	}
 }
 
@@ -176,7 +167,7 @@ func TestOnlineStablePrefix(t *testing.T) {
 	if !committedEarly {
 		t.Fatal("no prefix committed before the end; incremental emission is not happening")
 	}
-	if !pathsEqual(final, m.Match(pts)) {
-		t.Fatal("closed path differs from offline match")
+	if !pathsEqual(final, m.matchReference(pts)) {
+		t.Fatal("closed path differs from the reference match")
 	}
 }

@@ -301,14 +301,14 @@ func (o *Observer) score(s sample) {
 	driven := s.driven
 	// Range-check against the *current* road network: a hot swap to a
 	// different world can orphan queued samples.
-	if len(driven) < 2 || !pathOnRoad(driven, road) {
+	if len(driven) < 2 || !driven.Valid(road) {
 		o.skipped.Add(1)
 		return
 	}
 	src, dst := driven[0], driven[len(driven)-1]
 	ctx, sp := o.eng.Tracer().StartRequest(context.Background(), "quality.score", "")
 	res, gen := o.eng.ShadowRoute(ctx, src, dst)
-	if len(res.Path) < 2 || !pathOnRoad(res.Path, road) {
+	if len(res.Path) < 2 || !res.Path.Valid(road) {
 		sp.Annotate("skipped", "unroutable")
 		sp.End()
 		o.skipped.Add(1)
@@ -436,19 +436,6 @@ func (o *Observer) bucketLabel(i int) string {
 		lo = o.cfg.BucketsKm[i-1]
 	}
 	return fmt.Sprintf("(%g,%g]km", lo, o.cfg.BucketsKm[i])
-}
-
-// pathOnRoad reports whether p is a connected path of g,
-// range-checking vertices first (a foreign graph's IDs may be out of
-// bounds).
-func pathOnRoad(p roadnet.Path, g *roadnet.Graph) bool {
-	n := g.NumVertices()
-	for _, v := range p {
-		if int(v) < 0 || int(v) >= n {
-			return false
-		}
-	}
-	return p.Valid(g)
 }
 
 func intPath(p roadnet.Path) []int {

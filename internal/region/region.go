@@ -188,11 +188,10 @@ type Graph struct {
 	// left region r, most frequent first.
 	transferCenters [][]roadnet.VertexID
 	// tcCounts[r] retains the visit counts behind transferCenters[r] so
-	// incremental ingestion (AddPaths) can recount exactly instead of
-	// approximating: a graph maintained online materializes the same
-	// transfer-center lists a from-scratch build over the union evidence
-	// would. nil on graphs restored from pre-counts snapshots, which
-	// fall back to presence-based bumping.
+	// AddPaths recounts exactly instead of approximating: the lists
+	// depend on the union evidence, not on its batching. nil on graphs
+	// restored from pre-counts snapshots, which fall back to
+	// presence-based bumping.
 	tcCounts []map[roadnet.VertexID]int
 	// topTypes[r] is the region's top-k road-type set (Section V-B
 	// functionality feature).
@@ -294,9 +293,9 @@ func (g *Graph) edge(r1, r2 int, kind EdgeKind) *Edge {
 // insertAdj adds edge id to region r's adjacency, keeping the list
 // ordered by the neighbor region's ID. Adjacency order is therefore a
 // function of the graph's edge *set*, not of edge creation history —
-// a graph maintained incrementally traverses neighbors in the same
-// order as one built from scratch over the union evidence, which the
-// online-maintenance convergence guarantee depends on. Each region
+// however the evidence was batched, and whether ConnectBFS ran before
+// or after some of it, neighbors are traversed in the same order, which
+// the online-maintenance convergence guarantee depends on. Each region
 // pair has exactly one edge, so neighbor IDs are unique within a list.
 func (g *Graph) insertAdj(r, id int) {
 	g.mutAdj(r)
@@ -343,8 +342,11 @@ type visit struct {
 }
 
 // Build constructs the region graph from clustering output and
-// map-matched trajectory paths. It creates T-edges, transfer centers and
-// inner-region paths; call ConnectBFS afterwards to add B-edges.
+// map-matched trajectory paths: the partition skeleton — membership,
+// centroids, road-type sets, empty count maps — with every path then
+// ingested by AddPaths, the one loop that creates T-edges, transfer
+// centers and inner-region paths. Call ConnectBFS afterwards to add
+// B-edges.
 func Build(road *roadnet.Graph, regions []cluster.Region, paths []roadnet.Path, opt Options) *Graph {
 	opt = opt.withDefaults()
 	g := &Graph{
@@ -378,60 +380,15 @@ func Build(road *roadnet.Graph, regions []cluster.Region, paths []roadnet.Path, 
 	for i := range g.tcCounts {
 		g.tcCounts[i] = make(map[roadnet.VertexID]int)
 	}
-
-	for _, p := range paths {
-		visits := segmentVisits(g, p)
-		// Inner paths and transfer centers.
-		for _, vis := range visits {
-			entryV, exitV := p[vis.entry], p[vis.exit]
-			g.tcCounts[vis.region][entryV]++
-			if exitV != entryV {
-				g.tcCounts[vis.region][exitV]++
-			}
-			if vis.exit > vis.entry {
-				sub := append(roadnet.Path(nil), p[vis.entry:vis.exit+1]...)
-				g.addInner(vis.region, sub, vis.entry == 0 && vis.exit == len(p)-1)
-			}
-		}
-		// T-edges between every ordered pair of visited regions.
-		for i := 0; i < len(visits); i++ {
-			limit := len(visits)
-			if opt.MaxRegionSpan > 0 && i+1+opt.MaxRegionSpan < limit {
-				limit = i + 1 + opt.MaxRegionSpan
-			}
-			for j := i + 1; j < limit; j++ {
-				ri, rj := visits[i].region, visits[j].region
-				if ri == rj {
-					continue
-				}
-				e := g.edge(ri, rj, TEdge)
-				e.Kind = TEdge // upgrade if it was created as a B-edge
-				// The T-edge path runs from where the trajectory left Ri
-				// to where it entered Rj. The fragment is terminal when
-				// the trajectory's own trip starts and ends in these
-				// regions.
-				terminal := i == 0 && j == len(visits)-1
-				sub := append(roadnet.Path(nil), p[visits[i].exit:visits[j].entry+1]...)
-				if len(sub) >= 2 {
-					e.AddPath(ri, sub, terminal)
-				}
-			}
-		}
-	}
-
-	// Materialize transfer-center lists, most frequent first.
 	g.transferCenters = make([][]roadnet.VertexID, len(regions))
-	for r := range g.tcCounts {
-		g.rebuildTransferCenters(r, opt.MaxTransferCenters)
-	}
+	g.AddPaths(paths, opt)
 	return g
 }
 
 // rebuildTransferCenters re-materializes region r's transfer-center
 // list from the retained visit counts: most visited first, vertex ID
-// breaking ties, capped at maxCenters. Build and AddPaths both land
-// here, so an incrementally maintained graph carries exactly the list
-// a from-scratch build over the union evidence would.
+// breaking ties, capped at maxCenters. The list is a function of the
+// counts alone, so it does not depend on how the evidence was batched.
 func (g *Graph) rebuildTransferCenters(r, maxCenters int) {
 	m := g.tcCounts[r]
 	type vc struct {

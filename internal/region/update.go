@@ -4,15 +4,18 @@ import (
 	"repro/internal/roadnet"
 )
 
-// This file implements incremental region-graph maintenance: feeding
-// new trajectories into an already built graph. The paper names
-// "real-time region graph updates when receiving new trajectories" as
-// future work (Section VIII); the supported increment here keeps the
-// clustering fixed and updates everything derived from trajectories —
-// T-edge path sets, inner-region paths, transfer centers, and B-edge →
-// T-edge upgrades — while reporting how much of the new data fell
-// outside existing regions (the signal that a full re-clustering is
-// due).
+// This file is how trajectories enter a region graph — the first time
+// (Build is the empty partition skeleton plus one AddPaths over the
+// training set) and every time after. The paper names "real-time region
+// graph updates when receiving new trajectories" as future work
+// (Section VIII); the supported increment keeps the clustering fixed
+// and updates everything derived from trajectories — T-edge path sets,
+// inner-region paths, transfer centers, and B-edge → T-edge upgrades —
+// while reporting how much of the new data fell outside existing
+// regions (the signal that a full re-clustering is due). Because there
+// is one loop, a graph maintained batch by batch holds, by
+// construction, what a build over the union evidence holds (edge IDs
+// aside: they record discovery order).
 
 // UpdateStats summarizes one incremental ingestion.
 type UpdateStats struct {
@@ -43,9 +46,9 @@ func (s UpdateStats) StalenessRatio() float64 {
 	return float64(s.OutOfRegionVertices) / float64(s.TotalVertices)
 }
 
-// AddPaths ingests new trajectory paths into the built region graph,
-// keeping the region partition fixed. Options mirror the ones used at
-// build time; pass the same values for consistent behaviour.
+// AddPaths ingests trajectory paths into the region graph, keeping the
+// region partition fixed. Options mirror the ones used at build time;
+// pass the same values for consistent behaviour.
 func (g *Graph) AddPaths(paths []roadnet.Path, opt Options) UpdateStats {
 	opt = opt.withDefaults()
 	var st UpdateStats
@@ -123,12 +126,12 @@ func (g *Graph) AddPaths(paths []roadnet.Path, opt Options) UpdateStats {
 }
 
 // bumpTransferCenter records one more entry/exit visit of v in region
-// r. With retained build-time counts (Graph.tcCounts) the count is
-// incremented exactly and the caller re-sorts the region's list after
-// the batch — identical to what a from-scratch build over the union
-// evidence produces. Graphs restored from pre-counts snapshots have no
-// counts to add to; they fall back to presence plus bounded growth,
-// sufficient for B-edge path materialization.
+// r. With retained counts (Graph.tcCounts) the count is incremented
+// exactly and the caller re-sorts the region's list after the batch, so
+// the list depends on the union evidence alone, by construction. Graphs
+// restored from pre-counts snapshots have no counts to add to; they
+// fall back to presence plus bounded growth, sufficient for B-edge path
+// materialization.
 func (g *Graph) bumpTransferCenter(r int, v roadnet.VertexID, maxCenters int, dirty map[int]bool) {
 	if g.tcCounts == nil {
 		for _, x := range g.transferCenters[r] {

@@ -196,9 +196,12 @@ func (g *Graph) EdgeWeight(e EdgeID, w Weight) float64 {
 // by an edge.
 type Path []VertexID
 
-// Valid reports whether the path is connected in g and non-empty.
+// Valid reports whether the path is non-empty and connected in g. A
+// vertex ID outside g (a foreign graph's path) makes the path invalid,
+// not a panic: the first ID is range-checked, and every later one must
+// be the head of one of g's edges.
 func (p Path) Valid(g *Graph) bool {
-	if len(p) == 0 {
+	if len(p) == 0 || p[0] < 0 || int(p[0]) >= g.NumVertices() {
 		return false
 	}
 	for i := 1; i < len(p); i++ {

@@ -94,6 +94,19 @@ func TestEdgeWeightAccessors(t *testing.T) {
 	}
 }
 
+// TestPathValidRejectsForeignIDs: vertex IDs outside the graph — a path
+// of some other network — are an invalid path, not an index panic,
+// wherever in the path they sit.
+func TestPathValidRejectsForeignIDs(t *testing.T) {
+	g := buildDiamond(t)
+	n := VertexID(g.NumVertices())
+	for _, p := range []Path{{n}, {-1}, {n, 0}, {-1, 0}, {0, n}, {0, -1}, {0, 1, n}, {0, 1, n, 3}} {
+		if p.Valid(g) {
+			t.Errorf("%v reported valid on a %d-vertex graph", p, n)
+		}
+	}
+}
+
 func TestPathOps(t *testing.T) {
 	g := buildDiamond(t)
 	p := Path{0, 1, 3}

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
+	"repro/internal/ch"
 	"repro/internal/core"
 )
 
@@ -55,5 +57,50 @@ func TestServeCHBackend(t *testing.T) {
 	}
 	if res, _ := chEng.Route(qs[0].Src, qs[0].Dst); res.Evidence == core.EvidenceNone {
 		t.Fatal("post-ingest CH-backed engine cannot route")
+	}
+}
+
+// TestPublishLoadedArtifactKeepsCHBackend: artifacts carry no
+// hierarchy, so a Save → Load copy published into a CH engine — plain
+// or durable — must be contracted on the way in, not served (and
+// relearned on, at every later ingest) on plain Dijkstra.
+func TestPublishLoadedArtifactKeepsCHBackend(t *testing.T) {
+	base, fresh := sharedWorld(t)
+	loaded := func() *core.Router {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := base.IngestClone().Save(&buf); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		r, err := core.Load(&buf)
+		if err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		if r.PathBackend() != core.BackendDijkstra {
+			t.Fatal("a loaded artifact came with a hierarchy; the scenario is void")
+		}
+		return r
+	}
+	ref := loaded()
+	ref.EnableCH(ch.Config{})
+	q := queries(fresh, 1)[0]
+	want := ref.Route(q.Src, q.Dst)
+
+	opt := Options{CacheSize: -1, PathBackend: core.BackendCH}
+	durable := opt
+	durable.WALDir, durable.CheckpointEvery = t.TempDir(), -1
+	for name, e := range map[string]*Engine{
+		"plain":   NewEngine(base.IngestClone(), opt),
+		"durable": mustDurable(t, base.IngestClone(), durable),
+	} {
+		e.Publish(loaded())
+		if got := e.Snapshot().PathBackend(); got != core.BackendCH {
+			t.Fatalf("%s: published snapshot serves on %v, want ch", name, got)
+		}
+		got, _ := e.Route(q.Src, q.Dst)
+		if got.Evidence != want.Evidence || !samePath(got.Path, want.Path) {
+			t.Fatalf("%s: route after publish = %v (%v), want %v (%v)", name, got.Path, got.Evidence, want.Path, want.Evidence)
+		}
+		e.Close()
 	}
 }

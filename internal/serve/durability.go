@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ch"
 	"repro/internal/core"
 	"repro/internal/wal"
 )
@@ -121,13 +120,9 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 		if opt.recoverHold != nil {
 			<-opt.recoverHold
 		}
-		if e.opt.PathBackend == core.BackendCH {
-			// Checkpoints, like all artifacts, carry no hierarchy;
-			// rebuild it once (no-op when base already has one) —
-			// before the replay, so replayed batches relearn on the
-			// engine live ingest uses instead of on plain Dijkstra.
-			base.EnableCH(ch.Config{})
-		}
+		// Before the replay, so replayed batches relearn on the engine
+		// live ingest uses instead of on plain Dijkstra.
+		e.opt.onBackend(base)
 		for _, b := range batches {
 			io := e.opt.Ingest
 			io.SkipMapMatching = b.SkipMapMatching

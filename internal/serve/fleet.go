@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ch"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -176,19 +175,16 @@ func (f *Fleet) Publish(name string, r *core.Router) (uint64, error) {
 	if err := validTenantName(name); err != nil {
 		return 0, err
 	}
-	if f.opt.PathBackend == core.BackendCH {
-		// Upgrade before the router sees traffic; a no-op when r was
-		// built CH-backed. Engine construction would do this for a new
-		// tenant, but Engine.Publish intentionally does not touch the
-		// router.
-		r.EnableCH(ch.Config{})
-	}
+	// The engine brings r onto its backend itself, on construction and on
+	// Publish; doing it here first keeps a contraction out of the registry
+	// write lock below, where it would stall every tenant lookup.
+	f.opt.onBackend(r)
 	f.mu.Lock()
 	if t, ok := f.tenants[name]; ok {
 		// The registry write lock is held across the engine swap so a
 		// concurrent Remove+Add of the same name cannot orphan this
-		// publish; Engine.Publish itself is O(1) (build a snapshot, swap a
-		// pointer), so lookups block only briefly.
+		// publish; with r already on the backend Engine.Publish is O(1)
+		// (build a snapshot, swap a pointer), so lookups block only briefly.
 		defer f.mu.Unlock()
 		t.eng.Publish(r)
 		return t.eng.Generation(), nil

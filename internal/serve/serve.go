@@ -44,9 +44,10 @@ type Options struct {
 	// PathBackend selects the shortest-path backend the served router
 	// runs on. With core.BackendCH, a router that is still
 	// Dijkstra-backed (e.g. freshly loaded from an artifact) gets its
-	// contraction hierarchy built once in NewEngine, before traffic;
-	// the hierarchy is immutable and shared by every pool clone and
-	// every ingest swap afterwards.
+	// contraction hierarchy built once before it sees traffic — on
+	// construction, on recovery and on Publish; the hierarchy is
+	// immutable and shared by every pool clone and every ingest swap
+	// afterwards.
 	PathBackend core.PathBackend
 
 	// WALDir enables durable ingestion: every ingest batch is appended
@@ -191,14 +192,22 @@ type Engine struct {
 // NewDurableEngine, which can fail on recovery.
 func NewEngine(r *core.Router, opt Options) *Engine {
 	opt = opt.withDefaults()
-	if opt.PathBackend == core.BackendCH {
-		// One-time preprocessing before the snapshot is published; a
-		// no-op when the router was already built with BackendCH.
-		r.EnableCH(ch.Config{})
-	}
+	opt.onBackend(r)
 	e := newBareEngine(opt)
 	e.publishInitial(r)
 	return e
+}
+
+// onBackend brings r onto the path backend the engine serves on, before
+// r sees traffic: with core.BackendCH a router that is still
+// Dijkstra-backed — anything restored by core.Load, since artifacts
+// carry no hierarchy — is contracted and its metrics customized; a
+// router already there is left alone. Every way a router enters an
+// engine goes through here: construction, recovery and Publish.
+func (o Options) onBackend(r *core.Router) {
+	if o.PathBackend == core.BackendCH {
+		r.EnableCH(ch.Config{})
+	}
 }
 
 // newBareEngine builds an engine with no snapshot yet — not Ready
@@ -505,6 +514,9 @@ func (e *Engine) Tracer() *obs.Tracer { return e.trc }
 // batches replayed onto a post-reload base.
 func (e *Engine) Publish(r *core.Router) {
 	e.waitReady()
+	// Outside writeMu: contracting a loaded router is not O(1), and
+	// ingests need not wait for it.
+	e.opt.onBackend(r)
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	e.publishLocked(r, true)

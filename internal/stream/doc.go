@@ -16,7 +16,8 @@
 //	    │ per accepted point
 //	mapmatch.OnlineMatcher — windowed incremental Viterbi that emits
 //	    │         the stable prefix as points arrive and, at segment
-//	    │         close, returns exactly what the offline pass would
+//	    │         close, returns what the offline pass would — which
+//	    │         is this decoder, run to completion
 //	    │ closed, matched trajectories
 //	Ingestor — adaptive batching: trajectories accumulate in a bounded
 //	    │         queue and flush into serve.Engine.IngestMatched by

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/roadnet"
 	"repro/internal/serve"
 	"repro/internal/traj"
 )
@@ -195,7 +194,7 @@ func (ing *Ingestor) FlushCtx(ctx context.Context) int {
 	road := ing.eng.Snapshot().Road()
 	kept := batch[:0]
 	for _, t := range batch {
-		if pathOnRoad(t.Truth, road) {
+		if t.Truth.Valid(road) {
 			kept = append(kept, t)
 		} else {
 			ing.queueDrops.Add(1)
@@ -213,18 +212,6 @@ func (ing *Ingestor) FlushCtx(ctx context.Context) int {
 	ing.lastBatch.Store(int64(len(batch)))
 	ing.lastFlushNs.Store(int64(time.Since(start)))
 	return len(batch)
-}
-
-// pathOnRoad reports whether p is a connected path of g, range-checking
-// the vertices first (a foreign graph's IDs may be out of bounds).
-func pathOnRoad(p roadnet.Path, g *roadnet.Graph) bool {
-	n := g.NumVertices()
-	for _, v := range p {
-		if int(v) < 0 || int(v) >= n {
-			return false
-		}
-	}
-	return p.Valid(g)
 }
 
 // Close ends the pipeline: every session is closed, the queue is

@@ -1,6 +1,7 @@
 package traj
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/geo"
@@ -68,6 +69,23 @@ func D2Like(seed int64, trips int) SimConfig {
 		HorizonSec: 28 * 86_400,
 		ZoneGridM:  6_000, NoiseTripShare: 0.08, PeakShare: 0.5,
 	}
+}
+
+// PresetWorld generates the road network a command's -net flag names —
+// "n1" (roadnet.N1Like), "n2" (roadnet.N2Like) or "tiny" (roadnet.Tiny)
+// — from netSeed, and returns with it the simulator configuration for
+// trips of that world's traffic from simSeed: D1Like on n1, D2Like on
+// the other two.
+func PresetWorld(network string, netSeed, simSeed int64, trips int) (*roadnet.Graph, SimConfig, error) {
+	switch network {
+	case "n1":
+		return roadnet.Generate(roadnet.N1Like(netSeed)), D1Like(simSeed, trips), nil
+	case "n2":
+		return roadnet.Generate(roadnet.N2Like(netSeed)), D2Like(simSeed, trips), nil
+	case "tiny":
+		return roadnet.Generate(roadnet.Tiny(netSeed)), D2Like(simSeed, trips), nil
+	}
+	return nil, SimConfig{}, fmt.Errorf("unknown network %q", network)
 }
 
 // Simulator generates trajectories over a road network.
