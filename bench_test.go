@@ -33,7 +33,6 @@ import (
 	"repro/internal/roadnet"
 	"repro/internal/route"
 	"repro/internal/serve"
-	"repro/internal/sparse"
 	"repro/internal/spatial"
 	"repro/internal/splice"
 	"repro/internal/stream"
@@ -381,40 +380,6 @@ func capName(c int) string {
 		return "cap8"
 	default:
 		return "cap24"
-	}
-}
-
-// BenchmarkSparseCG isolates the Eq. 3 linear-algebra kernel on a
-// chain-graph system S + L + 0.01·I (internal/sparse's
-// BenchmarkSolveBlock times the multi-column solve at the ci shape).
-func BenchmarkSparseCG(b *testing.B) {
-	const n = 500
-	var coords []sparse.Coord
-	for i := 0; i < n; i++ {
-		diag := 0.01
-		if i < n/4 {
-			diag++ // labeled row
-		}
-		for _, j := range []int{i - 1, i + 1} {
-			if j >= 0 && j < n {
-				coords = append(coords, sparse.Coord{Row: i, Col: j, Val: -0.8})
-				diag += 0.8
-			}
-		}
-		coords = append(coords, sparse.Coord{Row: i, Col: i, Val: diag})
-	}
-	a := sparse.New(n, coords)
-	rhs := make([]float64, n)
-	for i := 0; i < n/4; i++ {
-		rhs[i] = 1
-	}
-	x := make([]float64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range x {
-			x[j] = 0
-		}
-		sparse.CG(a, x, rhs, 1e-8, 2000)
 	}
 }
 

@@ -162,7 +162,10 @@ func run(cfg config) error {
 	if err != nil {
 		return fmt.Errorf("router build: %w", err)
 	}
-	log.Printf("router built [%v]", time.Since(t0).Round(time.Millisecond))
+	st := r.Stats()
+	ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
+	log.Printf("router built [%v]: cluster %v, learn %v, transfer %v, materialize %v, CH %v",
+		ms(time.Since(t0)), ms(st.ClusterTime), ms(st.LearnTime), ms(st.TransferTime), ms(st.MaterializeTime), ms(st.CHBuildTime+st.CHCustomizeTime))
 
 	qs := eval.QueriesFrom(w.Road, r, w.Test)
 	if len(qs) < 2 {

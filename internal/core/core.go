@@ -286,6 +286,8 @@ func startBuild(road *roadnet.Graph, training []*traj.Trajectory, opt Options, c
 		MinConfidence:   opt.MinConfidence,
 		LearnMaxPaths:   opt.LearnMaxPaths,
 		IndexCellM:      opt.IndexCellM,
+		Region:          opt.Region,
+		MapMatch:        opt.MapMatch,
 	}
 
 	start := time.Now()

@@ -68,16 +68,18 @@ type LearnSkipped struct {
 // rebuild: region assignment stays fixed, T-edge path sets and
 // inner-region paths grow, B-edges covered by the new data upgrade to
 // T-edges, and the preferences of exactly the touched edges are
-// re-learned. This implements the supported portion of the paper's
-// "real-time region graph updates" future work.
+// re-learned. Trajectories are matched and paired under the map-matching
+// and region options the router was built with (Meta().Build). This
+// implements the supported portion of the paper's "real-time region
+// graph updates" future work.
 func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
 	opt = opt.withDefaults()
 	start := time.Now()
 
-	paths := matchedPaths(r.road, r.idx, ts, Options{SkipMapMatching: opt.SkipMapMatching, Workers: 1})
+	paths := matchedPaths(r.road, r.idx, ts, Options{SkipMapMatching: opt.SkipMapMatching, MapMatch: r.meta.Build.MapMatch, Workers: 1})
 
 	var st IngestStats
-	st.UpdateStats = r.rg.AddPaths(paths, region.Options{})
+	st.UpdateStats = r.rg.AddPaths(paths, r.meta.Build.Region)
 	st.RebuildRecommended = st.StalenessRatio() > opt.RebuildThreshold
 
 	// Re-learn preferences for the touched edges only. The learner gets

@@ -177,3 +177,52 @@ func TestOneVertexTripIsNoEvidence(t *testing.T) {
 		t.Fatal("the one-vertex trip left a mark on the built region graph")
 	}
 }
+
+// TestIngestFollowsBuildOptions: Ingest pairs and matches new
+// trajectories under the options the router was built with, so a router
+// built with capped region spans and transfer centers, then fed a batch,
+// holds the T-edges, path counts and transfer centers of one built with
+// the same options over the training set and the batch together.
+func TestIngestFollowsBuildOptions(t *testing.T) {
+	road := roadnet.Generate(roadnet.Tiny(23))
+	ts := traj.NewSimulator(road, traj.D2Like(23, 500)).Run()
+	cut := len(ts) * 6 / 10
+	opt := Options{SkipMapMatching: true, Region: region.Options{MaxRegionSpan: 2, MaxTransferCenters: 2}}
+	r, err := Build(road, ts[:cut], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Ingest(ts[cut:], IngestOptions{SkipMapMatching: true})
+	want, err := BuildWithRegions(road, r.rg.Regions, ts, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// tEdges maps each T-edge's region pair to its stored path count and
+	// the trajectories behind them.
+	tEdges := func(g *region.Graph) map[[2]int][2]int {
+		out := make(map[[2]int][2]int)
+		for _, e := range g.Edges {
+			if e.Kind != region.TEdge {
+				continue
+			}
+			count := 0
+			for _, pi := range append(append([]region.PathInfo(nil), e.PathsFwd...), e.PathsRev...) {
+				count += pi.Count
+			}
+			out[[2]int{e.R1, e.R2}] = [2]int{len(e.PathsFwd) + len(e.PathsRev), count}
+		}
+		return out
+	}
+	if got, w := tEdges(r.rg), tEdges(want.rg); !reflect.DeepEqual(got, w) {
+		t.Errorf("ingested router has %d T-edges, a build over the union %d (or their path counts differ)", len(got), len(w))
+	}
+	for reg := 0; reg < want.rg.NumRegions(); reg++ {
+		if got, w := r.rg.TransferCenters(reg), want.rg.TransferCenters(reg); !reflect.DeepEqual(got, w) {
+			t.Fatalf("region %d: transfer centers %v, a build over the union %v", reg, got, w)
+		}
+	}
+	if got := r.Meta().Build.Region; got != opt.Region {
+		t.Errorf("BuildInfo.Region = %+v, want %+v", got, opt.Region)
+	}
+}

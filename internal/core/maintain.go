@@ -37,13 +37,14 @@ type RetransduceStats struct {
 	// PrepareMetrics pass (0 on Dijkstra backends).
 	MetricsCustomized int
 	// TransferRows, TransferNNZ and SolveIterations size the Eq. 3
-	// system the transduction assembled and the work its solve took.
+	// system the transduction solved (NNZ: the entries an explicit
+	// matrix would store) and the work its solve took.
 	TransferRows    int
 	TransferNNZ     int
 	SolveIterations int
 	// Where the rebuild's time went. TransferTime is the whole
-	// transduction; TransferAssembleTime (featurize, score, build the
-	// system) and TransferSolveTime are its two phases.
+	// transduction; TransferAssembleTime (featurize, find the
+	// similarity windows) and TransferSolveTime are its two phases.
 	LearnTime            time.Duration
 	TransferTime         time.Duration
 	TransferAssembleTime time.Duration

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/mapmatch"
 	"repro/internal/pref"
 	"repro/internal/region"
 	"repro/internal/roadnet"
@@ -43,6 +44,11 @@ type BuildInfo struct {
 	MinConfidence   float64
 	LearnMaxPaths   int
 	IndexCellM      float64
+	// Region and MapMatch are the same-named Options fields as given:
+	// Ingest pairs and matches new trajectories under them. Artifacts
+	// older than these fields decode them as zero, the defaults.
+	Region   region.Options
+	MapMatch mapmatch.Config
 }
 
 // ArtifactMeta travels with a saved router: who it is (a tenant or

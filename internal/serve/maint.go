@@ -53,7 +53,7 @@ type MaintStats struct {
 	// Where the most recent rebuild's time went: its four phases (they
 	// sum to at most LastRebuildTime; the rest is ConnectBFS, the edge
 	// reset and the metric prewarm), and the size and solver work of
-	// the Eq. 3 system its transduction assembled.
+	// the Eq. 3 system its transduction solved.
 	LastLearnTime            time.Duration `json:"last_learn_ns,omitempty"`
 	LastTransferAssembleTime time.Duration `json:"last_transfer_assemble_ns,omitempty"`
 	LastTransferSolveTime    time.Duration `json:"last_transfer_solve_ns,omitempty"`

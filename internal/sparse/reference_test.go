@@ -10,7 +10,40 @@ import (
 
 // This file keeps what the block solver replaced as test-only
 // references: the triplet-based Laplacian and AddScaled assemblies, the
-// single-column unpreconditioned CG, and a dense direct solve.
+// single-column unpreconditioned CG, and a dense direct solve — and the
+// stored matrix as an Operator, the one every other operator is held
+// to.
+
+// MulBlock makes a Matrix an Operator: each row is swept once per live
+// block with BlockWidth running sums.
+func (m *Matrix) MulBlock(dst, src [][BlockWidth]float64, nb int, live []bool, _ *[][BlockWidth]float64) {
+	for i := 0; i < m.n; i++ {
+		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+		cols := m.colIdx[lo:hi]
+		vals := m.vals[lo:hi]
+		vals = vals[:len(cols)]
+		for blk, l := range live {
+			if !l {
+				continue
+			}
+			var s0, s1, s2, s3 float64
+			for t, j := range cols {
+				v := vals[t]
+				q := &src[int(j)*nb+blk]
+				s0 += v * q[0]
+				s1 += v * q[1]
+				s2 += v * q[2]
+				s3 += v * q[3]
+			}
+			dst[i*nb+blk] = [BlockWidth]float64{s0, s1, s2, s3}
+		}
+	}
+}
+
+// CG solves A·x = b for one right-hand side: SolveBlock with k = 1.
+func CG(a Operator, x, b []float64, tol float64, maxIter int) SolveResult {
+	return SolveBlock(a, x, b, 1, tol, maxIter, 1)[0]
+}
 
 // Laplacian returns L = D - M where D is the diagonal degree matrix of
 // row sums — the unnormalized graph Laplacian of Eq. 2.

@@ -14,10 +14,27 @@ type SolveResult struct {
 	Converged  bool
 }
 
-// blockWidth is the number of columns one sweep over a matrix row
-// serves: four accumulators stay in registers next to the row's value
-// and the gathered operands.
-const blockWidth = 4
+// BlockWidth is the number of columns one sweep of an Operator serves:
+// the solver's working vectors are row-major blocks of BlockWidth
+// lanes, one column per lane.
+const BlockWidth = 4
+
+// Operator is the system SolveBlock solves: a symmetric positive
+// (semi)definite n×n matrix known by its action, so it need not be
+// stored.
+type Operator interface {
+	// Dim returns n.
+	Dim() int
+	// Diag returns a copy of the diagonal.
+	Diag() []float64
+	// MulBlock sets dst = A·src on row-major operands of nb blocks per
+	// row, for each block marked in live; other blocks of dst are left
+	// untouched. A lane's result must not depend on the other lanes, on
+	// nb or on which block it sits in. scratch belongs to the caller,
+	// one per goroutine: MulBlock may resize it and keeps nothing in it
+	// between calls, so calls with distinct scratch run concurrently.
+	MulBlock(dst, src [][BlockWidth]float64, nb int, live []bool, scratch *[][BlockWidth]float64)
+}
 
 // SolveBlock solves A·X = B for k right-hand sides at once with
 // Jacobi-preconditioned conjugate gradient. x and b are row-major n×k;
@@ -29,13 +46,14 @@ const blockWidth = 4
 // Every column runs the textbook recurrences with its own alpha, beta
 // and residual, stops by itself once ‖r‖/‖b‖ < tol (‖b‖ = 0 counts as
 // 1) or after maxIter iterations, and is frozen from then on; the
-// columns only share the pass over A. The arithmetic a column sees does
-// not depend on k, on its position, or on workers — columns are split
-// into contiguous groups, one goroutine each (workers ≤ 0 means
-// GOMAXPROCS) — so results are bit-identical under any of them.
-func SolveBlock(a *Matrix, x, b []float64, k int, tol float64, maxIter, workers int) []SolveResult {
-	if len(x) != a.n*k || len(b) != a.n*k {
-		panic(fmt.Sprintf("sparse.SolveBlock: operands are %d and %d long, want n·k = %d·%d", len(x), len(b), a.n, k))
+// columns only share the applications of A. The arithmetic a column
+// sees does not depend on k, on its position, or on workers — columns
+// are split into contiguous groups, one goroutine each (workers ≤ 0
+// means GOMAXPROCS) — so results are bit-identical under any of them.
+func SolveBlock(a Operator, x, b []float64, k int, tol float64, maxIter, workers int) []SolveResult {
+	n := a.Dim()
+	if len(x) != n*k || len(b) != n*k {
+		panic(fmt.Sprintf("sparse.SolveBlock: operands are %d and %d long, want n·k = %d·%d", len(x), len(b), n, k))
 	}
 	res := make([]SolveResult, k)
 	if workers <= 0 {
@@ -57,28 +75,23 @@ func SolveBlock(a *Matrix, x, b []float64, k int, tol float64, maxIter, workers 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			a.solveGroup(x, b, k, lo, hi, diag, tol, maxIter, res)
+			solveGroup(a, x, b, k, lo, hi, diag, tol, maxIter, res)
 		}()
 	}
-	a.solveGroup(x, b, k, 0, k/groups, diag, tol, maxIter, res)
+	solveGroup(a, x, b, k, 0, k/groups, diag, tol, maxIter, res)
 	wg.Wait()
 	return res
-}
-
-// CG solves A·x = b for one right-hand side: SolveBlock with k = 1.
-func CG(a *Matrix, x, b []float64, tol float64, maxIter int) SolveResult {
-	return SolveBlock(a, x, b, 1, tol, maxIter, 1)[0]
 }
 
 // solveGroup advances columns [lo, hi) of the n×k system through PCG in
 // lockstep and writes their solutions and results back. It touches no
 // other column, so groups run concurrently.
-func (m *Matrix) solveGroup(x, b []float64, k, lo, hi int, diag []float64, tol float64, maxIter int, res []SolveResult) {
-	n, kg := m.n, hi-lo
-	// The working vectors are row-major n×nb blocks of blockWidth
-	// columns; column c lives in lane c%blockWidth of block
-	// c/blockWidth. Padding lanes stay zero and are never live.
-	const w = blockWidth
+func solveGroup(a Operator, x, b []float64, k, lo, hi int, diag []float64, tol float64, maxIter int, res []SolveResult) {
+	n, kg := a.Dim(), hi-lo
+	// The working vectors are row-major n×nb blocks of BlockWidth
+	// columns; column c lives in lane c%BlockWidth of block
+	// c/BlockWidth. Padding lanes stay zero and are never live.
+	const w = BlockWidth
 	nb := (kg + w - 1) / w
 	buf := make([][w]float64, 4*n*nb)
 	xs, r, p, ap := buf[:n*nb], buf[n*nb:2*n*nb], buf[2*n*nb:3*n*nb], buf[3*n*nb:]
@@ -102,7 +115,8 @@ func (m *Matrix) solveGroup(x, b []float64, k, lo, hi int, diag []float64, tol f
 	}
 
 	// r = b − A·x, z = r/diag, p = z.
-	m.mulBlock(ap, xs, nb, liveBlocks)
+	var scratch [][w]float64
+	a.MulBlock(ap, xs, nb, liveBlocks, &scratch)
 	for i := 0; i < n; i++ {
 		for c := 0; c < kg; c++ {
 			bi := b[i*k+lo+c]
@@ -146,7 +160,7 @@ func (m *Matrix) solveGroup(x, b []float64, k, lo, hi int, diag []float64, tol f
 
 		// alpha = r·z / p·Ap. The denominator vanishes only with the
 		// search direction, once r is exactly 0 and tol still unmet.
-		m.mulBlock(ap, p, nb, liveBlocks)
+		a.MulBlock(ap, p, nb, liveBlocks, &scratch)
 		for _, c := range live {
 			alpha[c] = 0
 		}
@@ -186,33 +200,6 @@ func (m *Matrix) solveGroup(x, b []float64, k, lo, hi int, diag []float64, tol f
 	for i := 0; i < n; i++ {
 		for c := 0; c < kg; c++ {
 			x[i*k+lo+c] = xs[i*nb+c/w][c%w]
-		}
-	}
-}
-
-// mulBlock computes dst = M·src on row-major operands of nb column
-// blocks per row. Each row of M is swept once per live block with
-// blockWidth running sums; blocks not marked live are left untouched.
-func (m *Matrix) mulBlock(dst, src [][blockWidth]float64, nb int, liveBlocks []bool) {
-	for i := 0; i < m.n; i++ {
-		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-		cols := m.colIdx[lo:hi]
-		vals := m.vals[lo:hi]
-		vals = vals[:len(cols)]
-		for blk, l := range liveBlocks {
-			if !l {
-				continue
-			}
-			var s0, s1, s2, s3 float64
-			for t, j := range cols {
-				v := vals[t]
-				q := &src[int(j)*nb+blk]
-				s0 += v * q[0]
-				s1 += v * q[1]
-				s2 += v * q[2]
-				s3 += v * q[3]
-			}
-			dst[i*nb+blk] = [blockWidth]float64{s0, s1, s2, s3}
 		}
 	}
 }

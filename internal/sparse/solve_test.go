@@ -54,8 +54,24 @@ func columns(v []float64, n, k, lo, hi int) []float64 {
 func TestSolveBlockMatchesSingleColumn(t *testing.T) {
 	const n, k = 60, 9
 	a, b := blockSystem(rand.New(rand.NewSource(21)), n, k, 4)
-	const tol, maxIter = 1e-10, 500
+	res := checkLockstep(t, a, b, k)
+	distinct := map[int]bool{}
+	for _, r := range res {
+		distinct[r.Iterations] = true
+	}
+	if res[4].Iterations != 0 || len(distinct) < 3 {
+		t.Fatalf("columns froze at iterations %v; want the zero column at 0 and the others at no fewer than two different counts", res)
+	}
+}
 
+// checkLockstep solves each of the k columns of b alone, then in every
+// contiguous block on 1, 2, 3 and 8 workers, and requires the block
+// solves to reproduce the single-column ones bit for bit. It returns
+// the single-column results.
+func checkLockstep(t *testing.T, a Operator, b []float64, k int) []SolveResult {
+	t.Helper()
+	const tol, maxIter = 1e-10, 500
+	n := a.Dim()
 	wantX := make([][]float64, k)
 	wantRes := make([]SolveResult, k)
 	for c := 0; c < k; c++ {
@@ -65,14 +81,6 @@ func TestSolveBlockMatchesSingleColumn(t *testing.T) {
 			t.Fatalf("column %d did not converge: %+v", c, wantRes[c])
 		}
 	}
-	distinct := map[int]bool{}
-	for _, r := range wantRes {
-		distinct[r.Iterations] = true
-	}
-	if wantRes[4].Iterations != 0 || len(distinct) < 3 {
-		t.Fatalf("columns froze at iterations %v; want the zero column at 0 and the others at no fewer than two different counts", wantRes)
-	}
-
 	for lo := 0; lo < k; lo++ {
 		for hi := lo + 1; hi <= k; hi++ {
 			for _, workers := range []int{1, 2, 3, 8} {
@@ -90,6 +98,94 @@ func TestSolveBlockMatchesSingleColumn(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	return wantRes
+}
+
+// stencilOp is an Eq. 3-shaped system on a chain, applied as a
+// three-point stencil and never stored: (A·x)ᵢ = dᵢ·xᵢ − wᵢ₋₁·xᵢ₋₁ −
+// wᵢ·xᵢ₊₁. It passes the neighbour sums through its scratch, so two
+// column groups sharing one would race.
+type stencilOp struct {
+	w    []float64 // w[i] couples rows i and i+1
+	diag []float64
+}
+
+// stencilSystem returns a stencilOp over n rows, every other one
+// labeled, and the same system stored.
+func stencilSystem(rng *rand.Rand, n int) (*stencilOp, *Matrix) {
+	op := &stencilOp{w: make([]float64, n-1), diag: make([]float64, n)}
+	var coords []Coord
+	for i := range op.w {
+		op.w[i] = 0.7 + 0.3*rng.Float64()
+		op.diag[i] += op.w[i]
+		op.diag[i+1] += op.w[i]
+		coords = append(coords, Coord{i, i + 1, -op.w[i]}, Coord{i + 1, i, -op.w[i]})
+	}
+	for i := range op.diag {
+		if i%2 == 0 {
+			op.diag[i]++
+		}
+		op.diag[i] += 0.01
+		coords = append(coords, Coord{i, i, op.diag[i]})
+	}
+	return op, New(n, coords)
+}
+
+func (o *stencilOp) Dim() int { return len(o.diag) }
+
+func (o *stencilOp) Diag() []float64 { return append([]float64(nil), o.diag...) }
+
+func (o *stencilOp) MulBlock(dst, src [][BlockWidth]float64, nb int, live []bool, scratch *[][BlockWidth]float64) {
+	n := len(o.diag)
+	if len(*scratch) < n {
+		*scratch = make([][BlockWidth]float64, n)
+	}
+	nbr := *scratch
+	for blk, ok := range live {
+		if !ok {
+			continue
+		}
+		for i := range nbr[:n] {
+			nbr[i] = [BlockWidth]float64{}
+			for l := range nbr[i] {
+				if i > 0 {
+					nbr[i][l] += o.w[i-1] * src[(i-1)*nb+blk][l]
+				}
+				if i+1 < n {
+					nbr[i][l] += o.w[i] * src[(i+1)*nb+blk][l]
+				}
+			}
+		}
+		for i := range nbr[:n] {
+			for l := range nbr[i] {
+				dst[i*nb+blk][l] = o.diag[i]*src[i*nb+blk][l] - nbr[i][l]
+			}
+		}
+	}
+}
+
+// TestSolveBlockOperator: SolveBlock needs nothing of A but its action.
+// A stencil operator keeps the lockstep contract — bit-identical under
+// every grouping and worker count, each group with its own scratch —
+// and solves the system its stored matrix solves.
+func TestSolveBlockOperator(t *testing.T) {
+	const n, k = 60, 6
+	op, m := stencilSystem(rand.New(rand.NewSource(8)), n)
+	b := make([]float64, n*k)
+	for c := 0; c < k; c++ {
+		for i := 0; i <= 3*c*c && i < n; i += 2 {
+			b[i*k+c] = 1
+		}
+	}
+	checkLockstep(t, op, b, k)
+	x, y := make([]float64, n*k), make([]float64, n*k)
+	SolveBlock(op, x, b, k, 1e-12, 500, 3)
+	SolveBlock(m, y, b, k, 1e-12, 500, 3)
+	for i := range x {
+		if math.Abs(x[i]-y[i]) > 1e-9 {
+			t.Fatalf("x[%d][%d] = %v through the stencil, %v through the stored matrix", i/k, i%k, x[i], y[i])
 		}
 	}
 }
@@ -179,36 +275,6 @@ func TestSolveBlockDegenerate(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestFromRows(t *testing.T) {
-	// [[2,1,0],[1,3,0],[0,0,0]] with the zero diagonal of row 2 stored.
-	m := FromRows(3, []int32{0, 2, 4, 5}, []int32{0, 1, 0, 1, 2}, []float64{2, 1, 1, 3, 0})
-	if m.Dim() != 3 || m.NNZ() != 5 || m.At(1, 0) != 1 || m.At(1, 1) != 3 || m.At(0, 2) != 0 {
-		t.Fatalf("FromRows built %+v", m)
-	}
-	dst := make([]float64, 3)
-	m.MulVec(dst, []float64{1, 2, 5})
-	if dst[0] != 4 || dst[1] != 7 || dst[2] != 0 {
-		t.Errorf("MulVec = %v", dst)
-	}
-	for name, bad := range map[string]func(){
-		"short rowPtr":    func() { FromRows(2, []int32{0, 1}, []int32{0}, []float64{1}) },
-		"unsorted row":    func() { FromRows(2, []int32{0, 2, 2}, []int32{1, 0}, []float64{1, 1}) },
-		"duplicate entry": func() { FromRows(2, []int32{0, 2, 2}, []int32{1, 1}, []float64{1, 1}) },
-		"column range":    func() { FromRows(2, []int32{0, 1, 1}, []int32{2}, []float64{1}) },
-		"rowPtr descends": func() { FromRows(2, []int32{0, 2, 1}, []int32{0}, []float64{1}) },
-		"vals mismatch":   func() { FromRows(1, []int32{0, 1}, []int32{0}, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: FromRows did not panic", name)
-				}
-			}()
-			bad()
-		}()
 	}
 }
 

@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -12,7 +11,8 @@ type Coord struct {
 	Val      float64
 }
 
-// Matrix is an immutable CSR sparse matrix.
+// Matrix is an immutable CSR sparse matrix: the stored form of a
+// system, which tests hold operators to.
 type Matrix struct {
 	n      int
 	rowPtr []int32
@@ -54,29 +54,6 @@ func New(n int, coords []Coord) *Matrix {
 		m.rowPtr[i+1] += m.rowPtr[i]
 	}
 	return m
-}
-
-// FromRows adopts CSR arrays whose rows are already complete: row i
-// holds colIdx[rowPtr[i]:rowPtr[i+1]] in strictly increasing column
-// order, so nothing is sorted, summed or dropped (explicit zeros stay
-// stored). The matrix keeps the slices; the caller must not modify them
-// afterwards. It panics on arrays that are not a valid CSR layout.
-func FromRows(n int, rowPtr, colIdx []int32, vals []float64) *Matrix {
-	if len(rowPtr) != n+1 || rowPtr[0] != 0 || int(rowPtr[n]) != len(colIdx) || len(colIdx) != len(vals) {
-		panic(fmt.Sprintf("sparse.FromRows: inconsistent CSR arrays (n=%d, rowPtr=%d, colIdx=%d, vals=%d)",
-			n, len(rowPtr), len(colIdx), len(vals)))
-	}
-	for i := 0; i < n; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		ok := lo <= hi
-		for k := lo; ok && k < hi; k++ {
-			ok = colIdx[k] >= 0 && int(colIdx[k]) < n && (k == lo || colIdx[k-1] < colIdx[k])
-		}
-		if !ok {
-			panic(fmt.Sprintf("sparse.FromRows: row %d is not a strictly column-sorted range within [0,%d)", i, n))
-		}
-	}
-	return &Matrix{n: n, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
 }
 
 // Dim returns the matrix dimension n.

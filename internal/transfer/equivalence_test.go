@@ -3,6 +3,7 @@ package transfer_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -16,10 +17,10 @@ import (
 	"repro/internal/worldgen"
 )
 
-// This file holds the pipeline Run replaced — triplets → sparse.New →
-// Laplacian → AddScaled → one cold unpreconditioned CG per column — as
-// a test-only reference, and checks the one-pass assembly and the
-// lockstep preconditioned solve against it on worldgen cities.
+// This file holds the pipeline Run replaced — all-pairs triplets →
+// sparse.New → Laplacian → AddScaled → one cold unpreconditioned CG per
+// column — as a test-only reference, and checks the windowed operator
+// and the lockstep preconditioned solve against it on worldgen cities.
 
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
@@ -172,7 +173,25 @@ func (p *problem) order() []int {
 var (
 	problemMu sync.Mutex
 	problems  = map[string]*problem{}
+	graphs    = map[string]*region.Graph{}
 )
+
+// cityGraph is the region graph core.Build makes of a worldgen city.
+// The caller holds problemMu.
+func cityGraph(tb testing.TB, scale string, seed int64) *region.Graph {
+	tb.Helper()
+	key := fmt.Sprintf("%s/%d", scale, seed)
+	if g := graphs[key]; g != nil {
+		return g
+	}
+	w := worldgen.Build(worldgen.MustScale(scale, seed))
+	r, err := core.Build(w.Road, w.Train, core.Options{SkipMapMatching: true, PathBackend: core.BackendCH, Workers: 2})
+	if err != nil {
+		tb.Fatalf("core.Build(%s): %v", key, err)
+	}
+	graphs[key] = r.RegionGraph()
+	return graphs[key]
+}
 
 func cityProblem(tb testing.TB, scale string, seed int64) *problem {
 	tb.Helper()
@@ -182,12 +201,7 @@ func cityProblem(tb testing.TB, scale string, seed int64) *problem {
 	if p := problems[key]; p != nil {
 		return p
 	}
-	w := worldgen.Build(worldgen.MustScale(scale, seed))
-	r, err := core.Build(w.Road, w.Train, core.Options{SkipMapMatching: true, PathBackend: core.BackendCH, Workers: 2})
-	if err != nil {
-		tb.Fatalf("core.Build(%s): %v", key, err)
-	}
-	p := &problem{g: r.RegionGraph()}
+	p := &problem{g: cityGraph(tb, scale, seed)}
 	edges := append([]*region.Edge(nil), p.g.Edges...)
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].R1 != edges[j].R1 {
@@ -232,54 +246,71 @@ func cities(t *testing.T, f func(t *testing.T, p *problem)) {
 	}
 }
 
-// ulpsApart is the distance between two finite same-sign floats in
-// units in the last place.
-func ulpsApart(a, b float64) uint64 {
-	x, y := math.Float64bits(a), math.Float64bits(b)
-	if x < y {
-		x, y = y, x
-	}
-	return x - y
-}
-
-// TestAssembleMatchesReference: the one-pass CSR assembly has the
-// reference's structure and off-diagonals bit for bit, and a diagonal
-// within 1 ulp (the reference sums its three diagonal terms in whatever
-// order an unstable sort leaves them; the direct assembly defines it).
+// TestAssembleMatchesReference: the operator Run solves is the
+// reference system without being stored — the same entry count, and the
+// triplet-assembled matrix's diagonal and product to rounding (it sums
+// in prefix-sum order, not entry by entry) — and the same bits for any
+// worker count.
 func TestAssembleMatchesReference(t *testing.T) {
 	cities(t, func(t *testing.T, p *problem) {
-		want := p.ref
-		for _, workers := range []int{1, 3} {
-			got := transfer.Assemble(p.feats, len(p.labeled), transfer.DefaultConfig(), workers)
-			if got.Dim() != want.Dim() || got.NNZ() != want.NNZ() {
-				t.Fatalf("workers %d: %d×%d with %d entries, reference %d×%d with %d", workers,
-					got.Dim(), got.Dim(), got.NNZ(), want.Dim(), want.Dim(), want.NNZ())
-			}
-			diagOff := 0
-			for i := 0; i < want.Dim(); i++ {
-				gc, gv := got.Row(i)
-				wc, wv := want.Row(i)
-				if len(gc) != len(wc) {
-					t.Fatalf("workers %d row %d: %d entries, reference %d", workers, i, len(gc), len(wc))
-				}
-				for k := range wc {
-					switch {
-					case gc[k] != wc[k]:
-						t.Fatalf("workers %d row %d entry %d: column %d, reference %d", workers, i, k, gc[k], wc[k])
-					case int(wc[k]) != i && math.Float64bits(gv[k]) != math.Float64bits(wv[k]):
-						t.Fatalf("workers %d A[%d][%d] = %v, reference %v", workers, i, wc[k], gv[k], wv[k])
-					case int(wc[k]) == i && gv[k] != wv[k]:
-						diagOff++
-						if ulpsApart(gv[k], wv[k]) > 1 {
-							t.Fatalf("workers %d A[%d][%d] = %v, reference %v: more than 1 ulp", workers, i, i, gv[k], wv[k])
-						}
-					}
-				}
-			}
-			t.Logf("workers %d: n = %d, nnz = %d (%.1f per row), %d diagonal entries 1 ulp from the reference",
-				workers, got.Dim(), got.NNZ(), float64(got.NNZ())/float64(got.Dim()), diagOff)
-		}
+		checkSystem(t, p.feats, len(p.labeled), transfer.DefaultConfig(), p.ref)
 	})
+}
+
+// checkSystem holds the operator over feats to want, the reference
+// system, on two blocks of random operands.
+func checkSystem(t *testing.T, feats []transfer.Features, labeled int, cfg transfer.Config, want *sparse.Matrix) {
+	t.Helper()
+	const nb = 2
+	n := want.Dim()
+	rng := rand.New(rand.NewSource(int64(n)))
+	src := make([][sparse.BlockWidth]float64, n*nb)
+	for i := range src {
+		for l := range src[i] {
+			src[i][l] = rng.Float64()
+		}
+	}
+	wantDiag := want.Diag()
+	var first [][sparse.BlockWidth]float64
+	for _, workers := range []int{1, 3, 8} {
+		a := transfer.NewSystem(feats, labeled, cfg, workers)
+		if a.Dim() != n || a.NNZ() != want.NNZ() {
+			t.Fatalf("workers %d: %d×%d with %d entries, reference %d×%d with %d", workers, a.Dim(), a.Dim(), a.NNZ(), n, n, want.NNZ())
+		}
+		for i, d := range a.Diag() {
+			if math.Abs(d-wantDiag[i]) > 1e-10*math.Abs(wantDiag[i]) {
+				t.Fatalf("workers %d: A[%d][%d] = %v, reference %v", workers, i, i, d, wantDiag[i])
+			}
+		}
+		dst := make([][sparse.BlockWidth]float64, n*nb)
+		var scratch [][sparse.BlockWidth]float64
+		a.MulBlock(dst, src, nb, []bool{true, true}, &scratch)
+		for i := 0; i < n; i++ {
+			cols, vals := want.Row(i)
+			for lane := 0; lane < nb*sparse.BlockWidth; lane++ {
+				blk, l := lane/sparse.BlockWidth, lane%sparse.BlockWidth
+				sum, scale := 0.0, 0.0
+				for k, j := range cols {
+					v := vals[k] * src[int(j)*nb+blk][l]
+					sum, scale = sum+v, scale+math.Abs(v)
+				}
+				if got := dst[i*nb+blk][l]; math.Abs(got-sum) > 1e-10*scale {
+					t.Fatalf("workers %d: (A·x)[%d] lane %d = %v, reference %v", workers, i, lane, got, sum)
+				}
+			}
+		}
+		if first == nil {
+			first = dst
+			continue
+		}
+		for i := range dst {
+			for l := range dst[i] {
+				if math.Float64bits(dst[i][l]) != math.Float64bits(first[i][l]) {
+					t.Fatalf("workers %d: (A·x)[%d] lane %d = %v, one worker %v", workers, i, l, dst[i][l], first[i][l])
+				}
+			}
+		}
+	}
 }
 
 // decodeMargins returns how far the rows' decoded preferences are from
@@ -359,9 +390,8 @@ func TestRunMatchesReference(t *testing.T) {
 	})
 }
 
-// TestAdjacencyDensityMatchesAllPairs: the scorer's prefilter is exact —
-// the count equals the unfiltered all-pairs one at every amr the
-// experiments sweep.
+// TestAdjacencyDensityMatchesAllPairs: counting windows is exact — the
+// count equals the all-pairs one at every amr the experiments sweep.
 func TestAdjacencyDensityMatchesAllPairs(t *testing.T) {
 	cities(t, func(t *testing.T, p *problem) {
 		ids := make([]int, len(p.g.Edges))

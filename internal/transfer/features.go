@@ -1,7 +1,8 @@
 package transfer
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/pref"
 	"repro/internal/region"
@@ -45,12 +46,7 @@ func EdgeFeatures(g *region.Graph, e *region.Edge) Features {
 			}
 		}
 	}
-	sort.Slice(f.F, func(i, j int) bool {
-		if f.F[i].A != f.F[j].A {
-			return f.F[i].A < f.F[j].A
-		}
-		return f.F[i].B < f.F[j].B
-	})
+	slices.SortFunc(f.F, comparePairs)
 	return f
 }
 
@@ -61,28 +57,6 @@ func EdgeFeatures(g *region.Graph, e *region.Edge) Features {
 // weight ½).
 func ReSim(a, b Features) float64 {
 	return 0.5*disRatio(a.Dis, b.Dis) + 0.5*jaccardPairs(a.F, b.F)
-}
-
-// similarAtLeast returns ReSim(a, b) and whether it reaches amr,
-// skipping the set intersection for pairs that cannot: the Jaccard term
-// is at most 1 and, since |A∩B| ≤ min and |A∪B| ≥ max, at most
-// min(|F|)/max(|F|). Rounding is monotone, so each bound computed in
-// the same form as ReSim is ≥ the ReSim it stands in for, and a bound
-// below amr rejects no pair ReSim would keep.
-func similarAtLeast(a, b *Features, amr float64) (float64, bool) {
-	dis := 0.5 * disRatio(a.Dis, b.Dis)
-	if dis+0.5 < amr {
-		return 0, false
-	}
-	lo, hi := len(a.F), len(b.F)
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if hi > 0 && dis+0.5*(float64(lo)/float64(hi)) < amr {
-		return 0, false
-	}
-	s := dis + 0.5*jaccardPairs(a.F, b.F)
-	return s, s >= amr
 }
 
 // disRatio is the smaller centroid distance over the larger, in [0, 1].
@@ -111,7 +85,7 @@ func jaccardPairs(a, b []RoadTypePair) float64 {
 			inter++
 			i++
 			j++
-		case less(a[i], b[j]):
+		case comparePairs(a[i], b[j]) < 0:
 			i++
 		default:
 			j++
@@ -124,11 +98,9 @@ func jaccardPairs(a, b []RoadTypePair) float64 {
 	return float64(inter) / float64(union)
 }
 
-func less(x, y RoadTypePair) bool {
-	if x.A != y.A {
-		return x.A < y.A
-	}
-	return x.B < y.B
+// comparePairs orders functionality pairs by A, then B.
+func comparePairs(x, y RoadTypePair) int {
+	return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 }
 
 // --- Preference <-> feature-column encoding -----------------------------

@@ -54,9 +54,10 @@ type Result struct {
 	EdgeOrder []int
 	// SolveIterations sums solver iterations across the p columns.
 	SolveIterations int
-	// Rows and NNZ are the dimension and stored entries of the Eq. 3
-	// system; AssembleTime covers featurizing, scoring and building it,
-	// SolveTime the block solve.
+	// Rows is the dimension of the Eq. 3 system and NNZ the entries an
+	// explicit matrix would store: similar pairs, both ways, plus the
+	// diagonal. AssembleTime covers featurizing and finding the
+	// similarity windows, SolveTime the block solve.
 	Rows, NNZ               int
 	AssembleTime, SolveTime time.Duration
 }
@@ -75,8 +76,9 @@ func (r *Result) NullRate() float64 {
 // along the similarity graph (second term), and L2 regularization damps
 // the result (third term). Unlabeled region edges — typically all
 // B-edges, or held-out T-edges in the Fig. 9 experiments — receive
-// transferred preferences. workers bounds the goroutines that score and
-// solve (≤ 0 means GOMAXPROCS); the result does not depend on it.
+// transferred preferences. workers bounds the goroutines that find the
+// windows and solve (≤ 0 means GOMAXPROCS); the result does not depend
+// on it.
 func Run(g *region.Graph, labeled []Labeled, targets []int, cfg Config, workers int) Result {
 	// Order: labeled edges first (so S is a prefix diagonal), then
 	// targets.
@@ -94,9 +96,9 @@ func Run(g *region.Graph, labeled []Labeled, targets []int, cfg Config, workers 
 	}
 	n, p := len(order), NumColumns()
 
-	// System matrix A = S + µ1·L + µ2·I (Eq. 3, left side).
+	// System A = S + µ1·L + µ2·I (Eq. 3, left side), as an operator.
 	start := time.Now()
-	a := assemble(edgeFeatures(g, order), len(labeled), cfg, workers)
+	a := newSystem(edgeFeatures(g, order), len(labeled), cfg, workers)
 	assembleTime := time.Since(start)
 
 	// Right-hand side S·Y: only labeled rows contribute, and only the
@@ -165,11 +167,7 @@ func Run(g *region.Graph, labeled []Labeled, targets []int, cfg Config, workers 
 // experiment, the number of similarity-graph edges that survive a given
 // amr threshold over the given region edges.
 func AdjacencyDensity(g *region.Graph, edgeIDs []int, amr float64) int {
-	count := 0
-	for _, row := range scoreUpper(edgeFeatures(g, edgeIDs), amr, 0) {
-		count += len(row.cols)
-	}
-	return count
+	return similarity(edgeFeatures(g, edgeIDs), amr, 0).pairs / 2
 }
 
 // PathFinder materializes preferences into paths. It exists as an
