@@ -1,14 +1,14 @@
 // Benchmark harness: one testing.B benchmark per table and figure of the
 // paper's evaluation, plus ablation benches for the design choices
-// DESIGN.md calls out. Each benchmark regenerates its table/figure once
+// ARCHITECTURE.md describes. Each benchmark regenerates its table/figure once
 // (visible with -v via b.Log) and measures the computational kernel that
 // produces it.
 //
 //	go test -bench=. -benchmem
 //
 // The benches run on a compact D2-like world built once per process; the
-// full-scale numbers recorded in EXPERIMENTS.md come from
-// cmd/l2rexp -scale full.
+// full-scale numbers come from cmd/l2rexp -scale full (ROADMAP.md item 1
+// is where they are tabulated against the baselines).
 package repro_test
 
 import (

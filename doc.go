@@ -5,7 +5,9 @@
 // The public API lives in the l2r package; the paper's pipeline and all
 // substrates live under internal/. The root package exists to host the
 // benchmark suite (bench_test.go), which regenerates every table and
-// figure of the paper's evaluation; see DESIGN.md and EXPERIMENTS.md.
+// figure of the paper's evaluation; see ARCHITECTURE.md for how the
+// pipeline maps to packages and ROADMAP.md item 1 for the measured
+// comparison with the paper's baselines.
 //
 // # Where to read
 //
@@ -59,9 +61,9 @@
 // baselines, the trajectory simulator and the experiment harness —
 // programs against internal/route.PathEngine, a pluggable backend.
 // route.Engine is plain Dijkstra (plus the paper's Algorithm 2);
-// route.CHEngine answers scalar fastest paths through a contraction
-// hierarchy (internal/ch) with shortcut unpacking and falls back to
-// Dijkstra for preference-constrained and custom-cost searches. Select
+// route.CHEngine answers scalar, preference-constrained and custom-cost
+// searches on one customizable contraction hierarchy (internal/ch),
+// one customized metric per cost function, shortcuts unpacked. Select
 // with l2r.Options{PathBackend: l2r.BackendCH} at build time,
 // l2r.ServeOptions{PathBackend: l2r.BackendCH} when serving a loaded
 // artifact, or l2rserve -path-engine ch.

@@ -15,7 +15,7 @@ import (
 
 func main() {
 	// 1. A road network. Generate replaces the paper's OpenStreetMap
-	// extract with a deterministic synthetic city (see DESIGN.md).
+	// extract with a deterministic synthetic city.
 	road := roadnet.Generate(roadnet.N2Like(7))
 
 	// 2. Trajectories. The simulator stands in for the taxi GPS data:

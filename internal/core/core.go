@@ -128,7 +128,7 @@ type Stats struct {
 	// topology contraction when the CH path backend is enabled;
 	// CHCustomizeTime and CHMetrics record the last PrepareMetrics pass
 	// (how long re-customizing the preference metrics took, and how many
-	// metrics were customized by it).
+	// metrics it added — customized, or adopted from a learning pass).
 	CHBuildTime     time.Duration
 	CHShortcuts     int
 	CHCustomizeTime time.Duration
@@ -309,11 +309,10 @@ func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt 
 	r.rg.ConnectBFS()
 	r.stats.ClusterTime += time.Since(start)
 
-	// Path engine: built before learning, so the learner's master-only
-	// searches and B-edge materialization already run on the selected
-	// backend. With BackendCH the hierarchy is preprocessed exactly once
-	// here and shared by every Clone, IngestClone and serving fork of
-	// this router.
+	// Path engine: built before learning, so the learner's searches and
+	// B-edge materialization already run on the selected backend. With
+	// BackendCH the hierarchy is preprocessed exactly once here and
+	// shared by every Clone, IngestClone and serving fork of this router.
 	r.eng = newPathEngine(r.road, opt, &r.stats)
 
 	r.derive(opt)
@@ -418,8 +417,12 @@ func (r *Router) EnableCH(cfg ch.Config) time.Duration {
 // so serving forks reading the previous metric table race-freely is
 // exactly the intended use (internal/serve customizes on the clone
 // before the snapshot swap).
-func (r *Router) PrepareMetrics() int {
-	che, ok := r.eng.(*route.CHEngine)
+func (r *Router) PrepareMetrics() int { return r.prepareMetrics(r.eng) }
+
+// prepareMetrics is PrepareMetrics through eng, a fork of r.eng; a
+// pass fork's overlay metrics are adopted, not customized again.
+func (r *Router) prepareMetrics(eng route.PathEngine) int {
+	che, ok := eng.(*route.CHEngine)
 	if !ok {
 		return 0
 	}

@@ -41,12 +41,12 @@
 //
 // # Learning, at build time and on ingest
 //
-// Every pref.Learner the package constructs — learnAll and learnRegions
-// under derive, Ingest's relearn loop, EnableMultiPreferences — is
-// pref.NewLearnerOn(r.eng.Fork()): its
-// master-only searches run on the router's own backend (the path engine
-// is therefore created before phase 2a of the build), its restricted
-// searches on plain Dijkstra, and nothing it allocates outlives it.
+// Every pref.Learner the package constructs runs on a fork of r.eng,
+// so its searches run on the router's own backend (the path engine is
+// therefore created before phase 2a of the build) and nothing it
+// allocates outlives it. On BackendCH, derive learns on forks of one
+// route.CHEngine.PassFork, Ingest and EnableMultiPreferences on plain
+// forks (package pref, "Engines", has the residency rules).
 // Ingest works on either backend, so a router restored by Load can
 // ingest before EnableCH.
 //

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"time"
 
 	"repro/internal/pref"
@@ -16,16 +17,17 @@ type IngestOptions struct {
 	SkipMapMatching bool
 	// MinConfidence is the training similarity a re-learned preference
 	// must reach to be applied to its edge; below it the edge falls back
-	// to fastest-path behaviour (default 0.7, as Options.MinConfidence).
+	// to fastest-path behaviour (default: the Options.MinConfidence the
+	// router was built with, else 0.7).
 	MinConfidence float64
 	// RebuildThreshold is the staleness ratio above which
 	// RebuildRecommended is set (default 0.2).
 	RebuildThreshold float64
 }
 
-func (o IngestOptions) withDefaults() IngestOptions {
-	if o.MinConfidence == 0 {
-		o.MinConfidence = 0.7
+func (o IngestOptions) withDefaults(b BuildInfo) IngestOptions {
+	if o.MinConfidence == 0 { // b's is zero in an artifact older than BuildInfo
+		o.MinConfidence = cmp.Or(b.MinConfidence, 0.7)
 	}
 	if o.RebuildThreshold == 0 {
 		o.RebuildThreshold = 0.2
@@ -41,9 +43,11 @@ type IngestStats struct {
 	// LearnSearches counts the shortest-path searches the re-fits ran;
 	// LearnSkipped the ones the learner proved redundant instead (see
 	// package pref). Together they are the (3 + 2·|slaves|) searches per
-	// sampled path the paper's procedure calls for.
-	LearnSearches int
-	LearnSkipped  LearnSkipped
+	// sampled path the paper's procedure calls for. LearnHierarchy is
+	// how many of LearnSearches ran on the contraction hierarchy.
+	LearnSearches  int
+	LearnSkipped   LearnSkipped
+	LearnHierarchy int
 	// RebuildRecommended is set when the share of new traffic outside
 	// existing regions exceeds the threshold — the signal that the
 	// fixed clustering has gone stale and a full Build is due (the
@@ -68,12 +72,13 @@ type LearnSkipped struct {
 // rebuild: region assignment stays fixed, T-edge path sets and
 // inner-region paths grow, B-edges covered by the new data upgrade to
 // T-edges, and the preferences of exactly the touched edges are
-// re-learned. Trajectories are matched and paired under the map-matching
-// and region options the router was built with (Meta().Build). This
-// implements the supported portion of the paper's "real-time region
-// graph updates" future work.
+// re-learned. Trajectories are matched and paired, and preferences
+// sampled and gated, under the options the router was built with
+// (Meta().Build) unless opt overrides them. This implements the
+// supported portion of the paper's "real-time region graph updates"
+// future work.
 func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
-	opt = opt.withDefaults()
+	opt = opt.withDefaults(r.meta.Build)
 	start := time.Now()
 
 	paths := matchedPaths(r.road, r.idx, ts, Options{SkipMapMatching: opt.SkipMapMatching, MapMatch: r.meta.Build.MapMatch, Workers: 1})
@@ -84,8 +89,12 @@ func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
 
 	// Re-learn preferences for the touched edges only. The learner gets
 	// its own engine fork: its query scratch is dropped with it rather
-	// than riding along on the published router.
+	// than riding along on the published router. A plain fork: a
+	// restricted search rides the hierarchy only on a resident metric.
 	learner := pref.NewLearnerOn(r.eng.Fork())
+	if r.meta.Build.LearnMaxPaths > 0 {
+		learner.MaxPaths = r.meta.Build.LearnMaxPaths
+	}
 	for _, id := range st.TouchedEdges {
 		e := r.rg.EdgeForUpdate(id)
 		ps := make([]roadnet.Path, 0, len(e.PathsFwd)+len(e.PathsRev))
@@ -110,6 +119,7 @@ func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
 	}
 	st.LearnSearches = learner.Searches.Run
 	st.LearnSkipped = LearnSkipped{Reused: learner.Searches.Reused, Bounded: learner.Searches.Bounded}
+	st.LearnHierarchy = learner.Searches.Hierarchy
 	r.stats.TEdges = r.rg.TEdgeCount()
 	r.stats.BEdges = r.rg.BEdgeCount()
 	st.Elapsed = time.Since(start)

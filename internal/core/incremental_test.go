@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/pref"
 	"repro/internal/region"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -225,4 +226,48 @@ func TestIngestFollowsBuildOptions(t *testing.T) {
 	if got := r.Meta().Build.Region; got != opt.Region {
 		t.Errorf("BuildInfo.Region = %+v, want %+v", got, opt.Region)
 	}
+}
+
+// TestIngestLearnsUnderBuildOptions: Ingest re-learns touched edges on
+// the sample size the router was built with (Options.LearnMaxPaths) and
+// applies a fit under the router's own confidence gate
+// (Options.MinConfidence) when IngestOptions leaves it zero — every
+// touched edge's fit is a two-path learner's, applied iff it reaches
+// 0.5.
+func TestIngestLearnsUnderBuildOptions(t *testing.T) {
+	road := roadnet.Generate(roadnet.Tiny(23))
+	ts := traj.NewSimulator(road, traj.D2Like(23, 500)).Run()
+	cut := len(ts) * 6 / 10
+	r, err := Build(road, ts[:cut], Options{SkipMapMatching: true, LearnMaxPaths: 2, MinConfidence: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := r.Ingest(ts[cut:], IngestOptions{SkipMapMatching: true})
+	l := pref.NewLearner(road)
+	l.MaxPaths = 2
+	capped, gated := 0, 0
+	for _, id := range st.TouchedEdges {
+		e := r.rg.Edges[id]
+		var ps []roadnet.Path
+		for _, pi := range append(append([]region.PathInfo(nil), e.PathsFwd...), e.PathsRev...) {
+			ps = append(ps, pi.Path)
+		}
+		want := l.Learn(ps)
+		if got, ok := e.Fit(); !ok || got != want {
+			t.Fatalf("edge %d (%d paths): fit %+v, a two-path learner's %+v", id, len(ps), got, want)
+		}
+		if confident := want.Similarity >= 0.5; e.HasPref != confident || (confident && e.Pref != want.Preference) {
+			t.Fatalf("edge %d: similarity %v applied as %v %v, want the 0.5 gate", id, want.Similarity, e.HasPref, e.Pref)
+		}
+		if len(ps) > 2 {
+			capped++
+		}
+		if want.Similarity >= 0.5 && want.Similarity < 0.7 {
+			gated++
+		}
+	}
+	if capped == 0 {
+		t.Fatal("no touched edge has more than two paths; the sample cap is not exercised")
+	}
+	t.Logf("%d touched edges, %d sampled down to two paths, %d applied only under the 0.5 gate", len(st.TouchedEdges), capped, gated)
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/pref"
 	"repro/internal/region"
+	"repro/internal/route"
 	"repro/internal/transfer"
 )
 
@@ -33,8 +34,8 @@ type RetransduceStats struct {
 	LearnedPrefs int
 	Transferred  int
 	Null         int
-	// MetricsCustomized counts CH metrics customized by the closing
-	// PrepareMetrics pass (0 on Dijkstra backends).
+	// MetricsCustomized counts CH metrics the closing PrepareMetrics
+	// pass added, customized or adopted (0 on Dijkstra backends).
 	MetricsCustomized int
 	// TransferRows, TransferNNZ and SolveIterations size the Eq. 3
 	// system the transduction solved (NNZ: the entries an explicit
@@ -104,9 +105,15 @@ func (r *Router) derive(opt Options) RetransduceStats {
 	// path sets (parallel). The region map is rebound, not patched — an
 	// IngestClone shares it with its parent. Region preferences below
 	// MinConfidence are dropped: the fastest-path behaviour stands in.
+	// On BackendCH it runs on a pass fork: every search is a CCH query,
+	// and PrepareMetrics below adopts the overlay metrics it applies.
 	t0 := time.Now()
-	learned := learnAll(r.eng, r.rg, opt)
-	r.regionPrefs = learnRegions(r.eng, r.rg, opt)
+	pass := r.eng
+	if che, ok := r.eng.(*route.CHEngine); ok {
+		pass = che.PassFork()
+	}
+	learned := learnAll(pass, r.rg, opt)
+	r.regionPrefs = learnRegions(pass, r.rg, opt)
 	for id, lr := range r.regionPrefs {
 		if lr.Similarity < opt.MinConfidence {
 			delete(r.regionPrefs, id)
@@ -161,7 +168,7 @@ func (r *Router) derive(opt Options) RetransduceStats {
 
 	// Phase 3: materialize B-edge paths on the selected backend.
 	t0 = time.Now()
-	transfer.Materialize(r.rg, res, &pathFinder{eng: r.eng.Fork()})
+	transfer.Materialize(r.rg, res, &pathFinder{eng: pass.Fork()})
 	st.MaterializeTime = time.Since(t0)
 
 	// Pre-customize every preference metric the router routes on (CH
@@ -171,7 +178,7 @@ func (r *Router) derive(opt Options) RetransduceStats {
 	// reading the previous table stay race-free (the same contract the
 	// ingest write path relies on).
 	if !opt.NoMetricPrewarm {
-		st.MetricsCustomized = r.PrepareMetrics()
+		st.MetricsCustomized = r.prepareMetrics(pass)
 	}
 
 	// Refresh pipeline stats so Stats() describes the derived model.

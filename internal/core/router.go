@@ -212,7 +212,7 @@ func (r *Router) route(sp *obs.Span, s, d roadnet.VertexID) RouteResult {
 	//     (Algorithm 2 — precisely how the paper materializes paths for
 	//     B-edges). At our scale transfer centers are sparse, so
 	//     preference application generalizes far better than stitching
-	//     stored fragments through them; see DESIGN.md.
+	//     stored fragments through them.
 	//  3. Fragment stitching over the stored path sets (null-preference
 	//     fallback).
 	spl := sp.Start("route.splice")

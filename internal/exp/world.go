@@ -12,7 +12,7 @@ import (
 
 // Scale selects experiment sizing. Small keeps everything laptop-quick
 // (seconds); Full uses larger networks and trajectory sets (minutes) for
-// the numbers recorded in EXPERIMENTS.md.
+// the full-scale numbers ROADMAP.md item 1 tabulates.
 type Scale int
 
 // Scales.

@@ -50,8 +50,8 @@
 // are products of real-valued geometry (length, time, fuel), for which
 // exact float ties between distinct paths do not occur in practice;
 // the property tests hold the assumption to account on every T-edge of
-// six generated cities. The same assumption lets the master-only
-// searches run on a CCH (NewLearnerOn), whose tie-breaking differs from
+// six generated cities. The same assumption lets every search run on a
+// CCH (NewLearnerOn, "Engines" below), whose tie-breaking differs from
 // Dijkstra's. The road network must also be simple — at most one edge
 // per ordered vertex pair, which roadnet.Builder guarantees — since
 // paths are vertex sequences and a hop's type is read off the one edge
@@ -77,11 +77,29 @@
 // NewLearnerOn runs the master-only searches on a caller-supplied
 // route.PathEngine — core passes a fork of the router's engine, so
 // under core.BackendCH they ride the three scalar CCH metrics serving
-// keeps resident anyway. The restricted searches that survive pruning
-// run on a learner-owned plain-Dijkstra route.Engine regardless: on a
-// CHEngine each ⟨master, slave⟩ combination tried would customize, and
-// keep resident in the shared metric table, a metric of 24 bytes per
-// skeleton arc (186 KB on the 1.6k-vertex benchmark city, up to 19 of
-// them) for a combination that is usually rejected a moment later.
-// NewLearner(g) is the all-Dijkstra learner with the same pruning.
+// keeps resident anyway. On a route.CHEngine the surviving restricted
+// searches go there too (CHEngine.TryAppendRouteMask): G(s) is G under
+// a metric with the forbidden edges at +Inf, which the hierarchy
+// customizes like any other. Two residency rules keep learning from
+// leaving behind a metric serving would not keep anyway:
+//
+//   - On a plain fork (core.Router.Ingest) the hierarchy answers only
+//     when the shared table already holds the metric, one a served
+//     preference applies; a customization costs about a dozen Dijkstra
+//     searches, so the rest fall back to a learner-owned route.Engine.
+//   - On a pass fork (CHEngine.PassFork, under core's Build and
+//     Retransduce) it always answers, customizing a missing masked
+//     metric into the fork's private overlay: 24 bytes per skeleton arc
+//     per metric (186 KB on the 1.6k-vertex benchmark city, at most 27
+//     metrics), adopted into the shared table by PrepareMetrics if the
+//     derived model applies it and dropped with the fork otherwise.
+//
+// Exactness: both engines return a minimum-cost path of G(s) under the
+// master weight, the same one unless two paths tie exactly — the
+// assumption the feasibility rule already rests on.
+// TestRestrictedSearchOnHierarchyMatchesDijkstra checks it path for
+// path, and TestLearnMatchesExhaustive holds a pass-fork learner to the
+// exhaustive reference bit for bit. SearchStats.Hierarchy counts the
+// searches the hierarchy answered. NewLearner(g) is the all-Dijkstra
+// learner with the same pruning.
 package pref

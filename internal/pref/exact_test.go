@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ch"
@@ -50,12 +51,14 @@ func sameResult(a, b pref.Result) bool {
 		math.Float64bits(a.Similarity) == math.Float64bits(b.Similarity)
 }
 
-// TestLearnMatchesExhaustive holds the pruned learner — all-Dijkstra
-// and with master searches on a CCH fork — to the exhaustive reference,
-// bit for bit, on every T-edge path set of three generated cities at
-// two scales; LearnPerPath and LearnMulti on every T-edge at bench
-// scale and every eighth at ci. It also checks the search ledger: what
-// the learner ran, reused and bounded adds up to the reference's count.
+// TestLearnMatchesExhaustive holds the pruned learner — all-Dijkstra,
+// with master searches on a CCH fork, and on a pass fork where every
+// search is a CCH query — to the exhaustive reference, bit for bit, on
+// every T-edge path set of three generated cities at two scales;
+// LearnPerPath and LearnMulti on every T-edge at bench scale and every
+// eighth at ci. It also checks the search ledger: what the learner ran,
+// reused and bounded adds up to the reference's count, and the searches
+// it counts as answered on the hierarchy are the ones that could be.
 //
 // Under the race detector the ci cities (90 s each there, against 10 s)
 // are left to the un-instrumented run — CI has a step for it; every
@@ -81,6 +84,7 @@ func TestLearnMatchesExhaustive(t *testing.T) {
 				learners := map[string]*pref.Learner{
 					"dijkstra": pref.NewLearner(w.Road),
 					"cch":      pref.NewLearnerOn(che.Fork()),
+					"pass":     pref.NewLearnerOn(che.PassFork().Fork()),
 				}
 				stride := 1
 				if scale == worldgen.ScaleCI {
@@ -127,17 +131,87 @@ func TestLearnMatchesExhaustive(t *testing.T) {
 					}
 				}
 				// Master searches ride the three scalar metrics; nothing
-				// restricted was ever customized.
+				// restricted was ever customized into the shared table —
+				// the pass fork customizes into its own overlay.
 				if n := che.Customizations(); n != roadnet.NumCostWeights {
 					t.Errorf("learning customized %d CCH metrics, want the %d scalar ones", n, roadnet.NumCostWeights)
 				}
+				if n := che.ResidentMetrics(); n != roadnet.NumCostWeights {
+					t.Errorf("the shared table holds %d metrics after learning, want the %d scalar ones", n, roadnet.NumCostWeights)
+				}
+				// The same searches ran everywhere. The hierarchy answered
+				// none of them on Dijkstra, all of them on the pass fork,
+				// and on the plain fork — where no masked metric is
+				// resident — exactly the three master searches per path.
+				dij, cch, pass := learners["dijkstra"].Searches, learners["cch"].Searches, learners["pass"].Searches
+				if dij.Run != cch.Run || dij.Run != pass.Run {
+					t.Errorf("searches run: dijkstra %d, cch %d, pass %d", dij.Run, cch.Run, pass.Run)
+				}
+				if dij.Hierarchy != 0 || pass.Hierarchy != pass.Run || cch.Hierarchy%roadnet.NumCostWeights != 0 || cch.Hierarchy >= cch.Run {
+					t.Errorf("hierarchy-answered searches: dijkstra %d, cch %d of %d, pass %d of %d", dij.Hierarchy, cch.Hierarchy, cch.Run, pass.Hierarchy, pass.Run)
+				}
 				for name, l := range learners {
 					s := l.Searches
-					t.Logf("%s: %d T-edges, %d searches run, %d reused, %d bounded (%.1f%% eliminated)",
-						name, len(sets), s.Run, s.Reused, s.Bounded, 100*float64(s.Reused+s.Bounded)/float64(s.Total()))
+					t.Logf("%s: %d T-edges, %d searches run (%d on the hierarchy), %d reused, %d bounded (%.1f%% eliminated)",
+						name, len(sets), s.Run, s.Hierarchy, s.Reused, s.Bounded, 100*float64(s.Reused+s.Bounded)/float64(s.Total()))
 				}
 			})
 		}
+	}
+}
+
+// TestRestrictedSearchOnHierarchyMatchesDijkstra holds the search the
+// learner sends to the hierarchy to the one it replaced: for every
+// master × CandidateSlaves() metric and the endpoints of every T-edge
+// path of the bench cities 1–3 and the ci city 1, the masked-metric CCH
+// path (a pass fork's TryAppendRouteMask) equals
+// Engine.AppendRouteMask's vertex for vertex, at the same cost to 1e-9
+// relative. These are the queries whose ties the learner's exactness
+// assumes away (package doc, "Feasibility rule" and "Engines").
+func TestRestrictedSearchOnHierarchyMatchesDijkstra(t *testing.T) {
+	cities := []struct {
+		scale string
+		seed  int64
+	}{{worldgen.ScaleBench, 1}, {worldgen.ScaleBench, 2}, {worldgen.ScaleBench, 3}, {worldgen.ScaleCI, 1}}
+	if raceEnabled {
+		cities = cities[:3]
+	}
+	for _, c := range cities {
+		c := c
+		t.Run(fmt.Sprintf("%s-%d", c.scale, c.seed), func(t *testing.T) {
+			t.Parallel()
+			w := worldgen.Build(worldgen.MustScale(c.scale, c.seed))
+			var ods [][2]roadnet.VertexID
+			seen := make(map[[2]roadnet.VertexID]bool)
+			for _, ps := range tEdgePathSets(w) {
+				for _, p := range ps {
+					if od := [2]roadnet.VertexID{p[0], p[len(p)-1]}; len(p) >= 2 && !seen[od] {
+						seen[od] = true
+						ods = append(ods, od)
+					}
+				}
+			}
+			pass := route.BuildCHEngine(w.Road, roadnet.TT, ch.Config{}).PassFork()
+			dij := route.NewEngine(w.Road)
+			var hp, dp roadnet.Path
+			for m := roadnet.Weight(0); m < roadnet.NumCostWeights; m++ {
+				for _, s := range pref.CandidateSlaves() {
+					for _, od := range ods {
+						var hc, dc float64
+						var hok, dok, answered bool
+						hp, hc, hok, answered = pass.TryAppendRouteMask(hp[:0], od[0], od[1], m, s.Mask())
+						dp, dc, dok = dij.AppendRouteMask(dp[:0], od[0], od[1], m, s.Mask())
+						if !answered || hok != dok {
+							t.Fatalf("⟨%v, %v⟩ %d→%d: hierarchy answered %v reachable %v, Dijkstra reachable %v", m, s, od[0], od[1], answered, hok, dok)
+						}
+						if !slices.Equal(hp, dp) || (dok && math.Abs(hc-dc) > 1e-9*dc) {
+							t.Fatalf("⟨%v, %v⟩ %d→%d: hierarchy %v at %v, Dijkstra %v at %v", m, s, od[0], od[1], hp, hc, dp, dc)
+						}
+					}
+				}
+			}
+			t.Logf("%d ODs × %d masked metrics agree", len(ods), roadnet.NumCostWeights*len(pref.CandidateSlaves()))
+		})
 	}
 }
 

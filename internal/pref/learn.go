@@ -26,11 +26,10 @@ type Learner struct {
 	// eng answers the master-only searches. On a route.CHEngine fork
 	// they ride the scalar CCH metrics serving keeps resident anyway.
 	eng route.PathEngine
-	// dij answers the slave-restricted searches that survive pruning.
-	// It is always plain Dijkstra: a restricted search on a CHEngine
-	// would customize (and keep resident) one metric per ⟨master,
-	// slave⟩ combination tried — about 24 B per skeleton arc each —
-	// for combinations that are mostly rejected a moment later.
+	// hier is eng when it is a route.CHEngine; it answers the
+	// slave-restricted searches it can (package doc, "Engines").
+	hier *route.CHEngine
+	// dij answers the rest: plain Dijkstra, eng itself if it is one.
 	dij *route.Engine
 	out []route.SlaveMask // dij.OutTypes(), fetched on first Learn
 
@@ -70,6 +69,9 @@ type SearchStats struct {
 	// ⟨master, slave⟩ combination could not beat the incumbent
 	// (upper-bound rule).
 	Bounded int `json:"bounded"`
+	// Hierarchy counts the searches of Run answered on a contraction
+	// hierarchy; the other Run − Hierarchy ran on plain Dijkstra.
+	Hierarchy int `json:"hierarchy"`
 }
 
 // Total is the number of searches the exhaustive procedure runs.
@@ -111,9 +113,10 @@ func NewLearner(g *roadnet.Graph) *Learner {
 
 // NewLearnerOn returns a Learner with default settings whose
 // master-only searches run on eng; the learner takes ownership of it
-// (pass a Fork). Restricted searches run on plain Dijkstra regardless —
-// on eng itself when it is a *route.Engine.
+// (pass a Fork). Restricted searches run on eng when it is a
+// route.CHEngine that answers them, else on plain Dijkstra.
 func NewLearnerOn(eng route.PathEngine) *Learner {
+	hier, _ := eng.(*route.CHEngine)
 	dij, ok := eng.(*route.Engine)
 	if !ok {
 		dij = route.NewEngine(eng.Graph())
@@ -121,6 +124,7 @@ func NewLearnerOn(eng route.PathEngine) *Learner {
 	return &Learner{
 		g:              eng.Graph(),
 		eng:            eng,
+		hier:           hier,
 		dij:            dij,
 		MaxPaths:       8,
 		Slaves:         CandidateSlaves(),
@@ -210,8 +214,21 @@ func (l *Learner) ConstructPath(p Preference, s, d roadnet.VertexID) (roadnet.Pa
 		path, _, ok := l.eng.Route(s, d, p.Master)
 		return path, ok
 	}
-	path, _, ok := l.dij.AppendRouteMask(nil, s, d, p.Master, p.Slave.Mask())
+	path, ok, _ := l.appendRestricted(nil, s, d, p.Master, p.Slave)
 	return path, ok
+}
+
+// appendRestricted runs the Algorithm 2 ⟨m, s⟩ search from src to dst,
+// appending the path to buf: on the hierarchy when it answers, else on
+// plain Dijkstra. onHier reports which.
+func (l *Learner) appendRestricted(buf roadnet.Path, src, dst roadnet.VertexID, m roadnet.Weight, s SlaveFeature) (path roadnet.Path, ok, onHier bool) {
+	if l.hier != nil {
+		if path, _, ok, onHier = l.hier.TryAppendRouteMask(buf, src, dst, m, s.Mask()); onHier {
+			return path, ok, true
+		}
+	}
+	path, _, ok = l.dij.AppendRouteMask(buf, src, dst, m, s.Mask())
+	return path, ok, false
 }
 
 func (l *Learner) sample(paths []roadnet.Path) []roadnet.Path {
@@ -255,6 +272,9 @@ func (l *Learner) prepare(sample []roadnet.Path) {
 		}
 		for w := roadnet.Weight(0); w < roadnet.NumCostWeights; w++ {
 			l.Searches.Run++
+			if l.hier != nil {
+				l.Searches.Hierarchy++
+			}
 			t.sim0[w], t.cand0[w] = 0, t.cand0[w][:0]
 			var ok bool
 			if l.path, _, ok = l.eng.AppendRoute(l.path[:0], gt[0], gt[len(gt)-1], w); ok {
@@ -357,8 +377,11 @@ func (l *Learner) avgSim(m roadnet.Weight, s SlaveFeature, floor float64) (sim f
 			continue
 		}
 		l.Searches.Run++
-		var ok bool
-		l.path, _, ok = l.dij.AppendRouteMask(l.path[:0], t.path[0], t.path[len(t.path)-1], m, s.Mask())
+		var ok, onHier bool
+		l.path, ok, onHier = l.appendRestricted(l.path[:0], t.path[0], t.path[len(t.path)-1], m, s)
+		if onHier {
+			l.Searches.Hierarchy++
+		}
 		if !ok {
 			continue
 		}

@@ -3,5 +3,5 @@
 // contains the paper's four functions — distance (DI), travel time (TT),
 // fuel consumption (FC) and road type (RT) — plus deterministic synthetic
 // generators standing in for the OpenStreetMap extracts used in the paper
-// (N1 Denmark, N2 Chengdu). See DESIGN.md for the substitution rationale.
+// (N1 Denmark, N2 Chengdu).
 package roadnet

@@ -19,18 +19,34 @@ import (
 // Lines starting with '#' and blank lines are ignored. Vertex IDs must
 // be dense and ascending starting at 0.
 
-// WriteTSV serializes g.
+// WriteTSV serializes g. Each line is appended into one reused buffer
+// with strconv — the bytes fmt's %d and %.Nf would print — so a
+// checkpoint or a WAL identity hash costs no allocation per line. A
+// bufio.Writer's errors stick, so Flush reports any Write's.
 func WriteTSV(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# learn2route road network: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
+	bw := bufio.NewWriterSize(w, 64<<10)
+	line := strconv.AppendInt(append(make([]byte, 0, 128), "# learn2route road network: "...), int64(g.NumVertices()), 10)
+	line = strconv.AppendInt(append(line, " vertices, "...), int64(g.NumEdges()), 10)
+	line = append(line, " edges\n"...)
+	bw.Write(line)
 	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
 		p := g.Point(v)
-		fmt.Fprintf(bw, "V\t%d\t%.3f\t%.3f\n", v, p.X, p.Y)
+		line = strconv.AppendInt(append(line[:0], "V\t"...), int64(v), 10)
+		line = strconv.AppendFloat(append(line, '\t'), p.X, 'f', 3, 64)
+		line = strconv.AppendFloat(append(line, '\t'), p.Y, 'f', 3, 64)
+		line = append(line, '\n')
+		bw.Write(line)
 	}
 	for e := EdgeID(0); int(e) < g.NumEdges(); e++ {
 		ed := g.Edge(e)
-		fmt.Fprintf(bw, "E\t%d\t%d\t%.3f\t%.3f\t%.6f\t%d\n",
-			ed.From, ed.To, ed.Length, ed.TravelTime, ed.Fuel, ed.Type)
+		line = strconv.AppendInt(append(line[:0], "E\t"...), int64(ed.From), 10)
+		line = strconv.AppendInt(append(line, '\t'), int64(ed.To), 10)
+		line = strconv.AppendFloat(append(line, '\t'), ed.Length, 'f', 3, 64)
+		line = strconv.AppendFloat(append(line, '\t'), ed.TravelTime, 'f', 3, 64)
+		line = strconv.AppendFloat(append(line, '\t'), ed.Fuel, 'f', 6, 64)
+		line = strconv.AppendInt(append(line, '\t'), int64(ed.Type), 10)
+		line = append(line, '\n')
+		bw.Write(line)
 	}
 	return bw.Flush()
 }

@@ -92,18 +92,22 @@ func (t *metricTable) get(k metricKey) *ch.Metric {
 	return (*t.metrics.Load())[k]
 }
 
-// ensure returns the metric for k, customizing it under cost if absent.
-// It reports whether a customization ran.
-func (t *metricTable) ensure(k metricKey, cost func(roadnet.EdgeID) float64) (*ch.Metric, bool) {
-	if m := t.get(k); m != nil {
-		return m, false
+// ensure returns the metric for k, adding it if absent: m when non-nil
+// (customized for k elsewhere over the same topology — adoption), else
+// one customized under cost. It reports whether it added one.
+func (t *metricTable) ensure(k metricKey, m *ch.Metric, cost func(roadnet.EdgeID) float64) (*ch.Metric, bool) {
+	if have := t.get(k); have != nil {
+		return have, false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if m := t.get(k); m != nil { // lost the race to another writer
-		return m, false
+	if have := t.get(k); have != nil { // lost the race to another writer
+		return have, false
 	}
-	m := t.topo.Customize(cost)
+	if m == nil {
+		m = t.topo.Customize(cost)
+		t.customized.Add(1)
+	}
 	old := *t.metrics.Load()
 	next := make(map[metricKey]*ch.Metric, len(old)+1)
 	for ok, ov := range old {
@@ -118,7 +122,6 @@ func (t *metricTable) ensure(k metricKey, cost func(roadnet.EdgeID) float64) (*c
 		}
 	}
 	t.metrics.Store(&next)
-	t.customized.Add(1)
 	return m, true
 }
 
@@ -136,12 +139,14 @@ func (t *metricTable) ensure(k metricKey, cost func(roadnet.EdgeID) float64) (*c
 // AND across metrics via epoch reset) plus a small buffer for custom
 // cost hashing. Customizing a new metric happens at most once per key,
 // serialized on the table; queries never block on it unless they are
-// the first to need that key.
+// the first to need that key. A pass fork customizes masked metrics
+// into a private overlay (package doc, "Pass forks and adoption").
 type CHEngine struct {
 	g    *roadnet.Graph
 	w    roadnet.Weight // base weight, pre-customized at build time
 	topo *ch.Topology
 	tab  *metricTable
+	pass *metricTable // a pass fork's overlay; nil on every other fork
 
 	q       *ch.MetricQuery // lazy per-fork query scratch
 	costBuf []float64       // lazy per-fork custom-cost staging buffer
@@ -179,11 +184,26 @@ func (c *CHEngine) Weight() roadnet.Weight { return c.w }
 // table has run since construction (including the base metric).
 func (c *CHEngine) Customizations() uint64 { return c.tab.customized.Load() }
 
-// Fork implements PathEngine: the returned engine shares the topology
-// and the customized-metric table; query state is allocated on first
-// use.
+// Resident reports whether the shared table holds the ⟨w, mask⟩ metric.
+func (c *CHEngine) Resident(w roadnet.Weight, mask SlaveMask) bool {
+	return c.tab.get(metricKey{w: w, mask: mask}) != nil
+}
+
+// ResidentMetrics returns how many metrics the shared table holds.
+func (c *CHEngine) ResidentMetrics() int { return len(*c.tab.metrics.Load()) }
+
+// Fork implements PathEngine: the returned engine shares the topology,
+// the customized-metric table and, on a pass fork, the overlay; query
+// state is allocated on first use.
 func (c *CHEngine) Fork() PathEngine {
-	return &CHEngine{g: c.g, w: c.w, topo: c.topo, tab: c.tab}
+	return &CHEngine{g: c.g, w: c.w, topo: c.topo, tab: c.tab, pass: c.pass}
+}
+
+// PassFork returns a fork for one bulk learning pass: a fork with a
+// fresh private overlay for the masked metrics it customizes (see
+// CHEngine). Fork it once per worker; drop it when the pass ends.
+func (c *CHEngine) PassFork() *CHEngine {
+	return &CHEngine{g: c.g, w: c.w, topo: c.topo, tab: c.tab, pass: newMetricTable(c.topo)}
 }
 
 func (c *CHEngine) query() *ch.MetricQuery {
@@ -212,9 +232,10 @@ func (c *CHEngine) scalarCost(w roadnet.Weight, mask SlaveMask) func(roadnet.Edg
 	}
 }
 
-// Prepare ensures the customized metric for (w, mask) exists, reporting
-// whether a customization ran now. The serving layer calls it on the
-// ingest path so queries never pay customization inline.
+// Prepare ensures the shared table holds the metric for (w, mask),
+// reporting whether it was added now: customized, or on a pass fork
+// adopted from the overlay. The serving layer calls it on the ingest
+// path so queries never pay customization inline.
 func (c *CHEngine) Prepare(w roadnet.Weight, mask SlaveMask) bool {
 	k := metricKey{w: w, mask: mask}
 	if c.tab.get(k) != nil {
@@ -224,17 +245,44 @@ func (c *CHEngine) Prepare(w roadnet.Weight, mask SlaveMask) bool {
 		// pay.
 		return false
 	}
-	_, ran := c.tab.ensure(k, c.scalarCost(w, mask))
+	if c.pass != nil {
+		if m := c.pass.get(k); m != nil {
+			_, added := c.tab.ensure(k, m, nil)
+			return added
+		}
+	}
+	_, ran := c.tab.ensure(k, nil, c.scalarCost(w, mask))
 	return ran
 }
 
+// metric returns the (w, mask) metric, customizing it if no table holds
+// it: into the overlay for a pass fork's masked metrics, else into the
+// shared table.
 func (c *CHEngine) metric(w roadnet.Weight, mask SlaveMask) *ch.Metric {
 	k := metricKey{w: w, mask: mask}
-	if m := c.tab.get(k); m != nil {
+	t := c.tab
+	if c.pass != nil && mask != 0 && t.get(k) == nil {
+		t = c.pass
+	}
+	if m := t.get(k); m != nil { // before scalarCost builds its per-vertex table
 		return m
 	}
-	m, _ := c.tab.ensure(k, c.scalarCost(w, mask))
+	m, _ := t.ensure(k, nil, c.scalarCost(w, mask))
 	return m
+}
+
+// TryAppendRouteMask is Engine.AppendRouteMask on the hierarchy, run
+// only when it adds no resident metric: when the shared table holds the
+// ⟨w, mask⟩ metric or, on a pass fork, always (customizing into the
+// overlay). answered is false, and dst returned untouched, otherwise.
+// Both engines return a shortest path of the same restricted subgraph,
+// so the paths agree unless two of them tie exactly.
+func (c *CHEngine) TryAppendRouteMask(dst roadnet.Path, s, d roadnet.VertexID, w roadnet.Weight, mask SlaveMask) (path roadnet.Path, cost float64, ok, answered bool) {
+	if c.pass == nil && !c.Resident(w, mask) {
+		return dst, 0, false, false
+	}
+	path, cost, ok = c.query().AppendRoute(dst, c.metric(w, mask), s, d)
+	return path, cost, ok, true
 }
 
 // Route implements PathEngine: every scalar weight is a customized
@@ -291,6 +339,6 @@ func (c *CHEngine) CustomRoute(s, d roadnet.VertexID, cost func(roadnet.EdgeID) 
 		h = 1 // keep the custom-key marker nonzero
 	}
 	buf := c.costBuf
-	m, _ := c.tab.ensure(metricKey{custom: h}, func(e roadnet.EdgeID) float64 { return buf[e] })
+	m, _ := c.tab.ensure(metricKey{custom: h}, nil, func(e roadnet.EdgeID) float64 { return buf[e] })
 	return c.query().Route(m, s, d)
 }

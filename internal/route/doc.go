@@ -16,10 +16,10 @@
 // (Route into a caller-owned buffer), Fastest, Shortest, RoutePref and
 // CustomRoute. Everything that needs a shortest path — core.Router's
 // unified routing (approach searches, fastest fallbacks, connector
-// stitching), the preference learner's master-only searches, the
-// serving layer, the baselines, the trajectory simulator, the
-// experiment harness — holds a PathEngine, so speed-up techniques plug
-// in beneath all of them at once. Two implementations ship:
+// stitching), the preference learner's searches, the serving layer,
+// the baselines, the trajectory simulator, the experiment harness —
+// holds a PathEngine, so speed-up techniques plug in beneath all of
+// them at once. Two implementations ship:
 //
 //   - Engine: plain Dijkstra plus Algorithm 2 (the default).
 //   - CHEngine: every query family answered on one customizable
@@ -38,16 +38,28 @@
 // customization cost and the preference learner's pruning rules
 // (internal/pref) all read the same table.
 //
+// # Pass forks and adoption
+//
+// A metric in the shared table stays resident for good, so only metrics
+// serving routes on belong there. TryAppendRouteMask answers the
+// preference learner's masked searches without adding one: on an
+// ordinary fork only when the table holds the metric, and on a pass
+// fork (PassFork) always, customizing into the fork's private overlay.
+// The overlay is shared by the pass fork's own forks — one per learning
+// worker, concurrency-safe like the shared table — and by no other
+// fork. Prepare on the pass fork adopts an overlay metric instead of
+// customizing it again; dropping the pass fork drops the rest.
+//
 // # Concurrency contract
 //
 // A PathEngine owns mutable query state and serves one goroutine.
 // Fork() returns a sibling sharing all immutable built state — the
-// road network and, for CHEngine, the topology and the customized-
-// metric table — with fresh query state. Forking is cheap: per-vertex
-// search buffers are allocated lazily on a fork's first query, so
-// core.Router.Clone and the serve package's per-snapshot clone pools
-// cost a struct up front and only forks that actually serve traffic pay
-// for arrays.
+// road network and, for CHEngine, the topology, the customized-metric
+// table and a pass fork's overlay — with fresh query state. Forking is
+// cheap: per-vertex search buffers are allocated lazily on a fork's
+// first query, so core.Router.Clone and the serve package's
+// per-snapshot clone pools cost a struct up front and only forks that
+// actually serve traffic pay for arrays.
 //
 // # Who owns which scratch
 //

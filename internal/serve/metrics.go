@@ -241,9 +241,10 @@ func (e *Engine) Stats() Stats {
 		Ingests:              e.ingests.Load(),
 		IngestedTrajectories: e.ingestedTrajs.Load(),
 		LearnSearches: pref.SearchStats{
-			Run:     int(e.learnRun.Load()),
-			Reused:  int(e.learnReused.Load()),
-			Bounded: int(e.learnBounded.Load()),
+			Run:       int(e.learnRun.Load()),
+			Reused:    int(e.learnReused.Load()),
+			Bounded:   int(e.learnBounded.Load()),
+			Hierarchy: int(e.learnHierarchy.Load()),
 		},
 		IngestLag:     time.Duration(e.lastIngestNs.Load()),
 		CustomizeLag:  time.Duration(e.lastCustomizeNs.Load()),

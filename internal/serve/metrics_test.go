@@ -168,14 +168,16 @@ func TestStatsShapes(t *testing.T) {
 }
 
 // TestLearnSearchLedgerSurfaced: what the relearns did with their
-// searches — run, reused, bounded — is reported per ingest, annotated
-// on the ingest.apply span, summed into Stats() and exported as one
-// l2r_learn_searches_total counter family; a relearn accounts for 21
+// searches — run, reused, bounded, and how many of run the hierarchy
+// answered — is reported per ingest, annotated on the ingest.apply
+// span, summed into Stats() and exported as the
+// l2r_learn_searches_total counter family plus
+// l2r_learn_searches_hierarchy_total; a relearn accounts for 21
 // searches per sampled path.
 func TestLearnSearchLedgerSurfaced(t *testing.T) {
 	base, fresh := sharedWorld(t)
 	tr := obs.NewTracer(obs.Config{SlowThreshold: -1})
-	e := NewEngine(base.IngestClone(), Options{Tracer: tr})
+	e := NewEngine(base.IngestClone(), Options{Tracer: tr, PathBackend: core.BackendCH})
 
 	var want pref.SearchStats
 	for i, b := range matchedBatches(fresh[:12], 4) {
@@ -192,6 +194,11 @@ func TestLearnSearchLedgerSurfaced(t *testing.T) {
 		want.Run += st.LearnSearches
 		want.Reused += st.LearnSkipped.Reused
 		want.Bounded += st.LearnSkipped.Bounded
+		want.Hierarchy += st.LearnHierarchy
+		// Master-only searches always ride the hierarchy on BackendCH.
+		if st.LearnHierarchy == 0 || st.LearnHierarchy > st.LearnSearches {
+			t.Fatalf("batch %d: %d of %d searches run on the hierarchy", i, st.LearnHierarchy, st.LearnSearches)
+		}
 
 		traces := tr.Recent(1)
 		if len(traces) != 1 {
@@ -202,7 +209,8 @@ func TestLearnSearchLedgerSurfaced(t *testing.T) {
 			if sp.Name == "ingest.apply" {
 				annotated = sp.Attrs["learn_searches"] == strconv.Itoa(st.LearnSearches) &&
 					sp.Attrs["learn_reused"] == strconv.Itoa(st.LearnSkipped.Reused) &&
-					sp.Attrs["learn_bounded"] == strconv.Itoa(st.LearnSkipped.Bounded)
+					sp.Attrs["learn_bounded"] == strconv.Itoa(st.LearnSkipped.Bounded) &&
+					sp.Attrs["learn_hierarchy"] == strconv.Itoa(st.LearnHierarchy)
 			}
 		}
 		if !annotated {
@@ -216,8 +224,12 @@ func TestLearnSearchLedgerSurfaced(t *testing.T) {
 	var buf strings.Builder
 	e.writeProm(obs.NewPromWriter(&buf))
 	samples := parseExposition(t, buf.String())
-	for outcome, n := range map[string]int{"run": want.Run, "reused": want.Reused, "bounded": want.Bounded} {
-		series := `l2r_learn_searches_total{outcome="` + outcome + `"}`
+	for series, n := range map[string]int{
+		`l2r_learn_searches_total{outcome="run"}`:     want.Run,
+		`l2r_learn_searches_total{outcome="reused"}`:  want.Reused,
+		`l2r_learn_searches_total{outcome="bounded"}`: want.Bounded,
+		`l2r_learn_searches_hierarchy_total`:          want.Hierarchy,
+	} {
 		if got, ok := samples[series]; !ok || got != float64(n) {
 			t.Fatalf("%s = %v (present %v), want %d", series, got, ok, n)
 		}

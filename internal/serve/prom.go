@@ -43,6 +43,7 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 		pw.Counter("l2r_learn_searches_total", "Shortest-path searches ingest relearns called for, by outcome: run, reused (master-only path feasible under the slave restriction) or bounded (combination could not beat the incumbent).",
 			float64(oc.n), append(withLabels(labels), obs.Label{Name: "outcome", Value: oc.outcome})...)
 	}
+	pw.Counter("l2r_learn_searches_hierarchy_total", "Of the run ingest relearn searches, those answered on the contraction hierarchy; the rest ran on plain Dijkstra.", float64(st.LearnSearches.Hierarchy), labels...)
 	if height, arcs, ok := e.snap.Load().base.CHClimb(); ok {
 		pw.Gauge("l2r_ch_elimination_tree_height", "Vertices on the longest elimination-tree chain of the served contraction order — the most one side of a shortest-path query visits.", float64(height), labels...)
 		pw.Gauge("l2r_ch_climb_arcs_mean", "Mean up-arcs one side of a shortest-path query relaxes on its climb, over all start vertices.", arcs, labels...)

@@ -176,6 +176,7 @@ type Engine struct {
 	learnRun        atomic.Uint64 // relearn searches run, cumulative over ingests
 	learnReused     atomic.Uint64 // ... answered by the master-only path
 	learnBounded    atomic.Uint64 // ... cut by the similarity upper bound
+	learnHierarchy  atomic.Uint64 // ... of learnRun, answered on the CCH
 	lastStaleness   atomic.Uint64 // Float64bits of the last batch's staleness ratio
 	oorVertices     atomic.Uint64 // cumulative out-of-region vertices ingested
 	ingVertices     atomic.Uint64 // cumulative path vertices ingested
@@ -431,11 +432,13 @@ func (e *Engine) ingestDurable(ctx context.Context, ts []*traj.Trajectory, opt c
 		ig.Annotate("learn_searches", strconv.Itoa(st.LearnSearches))
 		ig.Annotate("learn_reused", strconv.Itoa(st.LearnSkipped.Reused))
 		ig.Annotate("learn_bounded", strconv.Itoa(st.LearnSkipped.Bounded))
+		ig.Annotate("learn_hierarchy", strconv.Itoa(st.LearnHierarchy))
 	}
 	ig.End()
 	e.learnRun.Add(uint64(st.LearnSearches))
 	e.learnReused.Add(uint64(st.LearnSkipped.Reused))
 	e.learnBounded.Add(uint64(st.LearnSkipped.Bounded))
+	e.learnHierarchy.Add(uint64(st.LearnHierarchy))
 	cz := sp.Start("ch.customize")
 	czStart := time.Now()
 	next.PrepareMetricsTouched(st.TouchedEdges)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
+	"repro/internal/worldgen"
 )
 
 func testWorld(tb testing.TB, seed int64) (*roadnet.Graph, []*traj.Trajectory) {
@@ -179,6 +180,27 @@ func TestCorruptMiddleRecordFailsLoud(t *testing.T) {
 	}
 	if !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("error %v does not wrap codec.ErrCorrupt", err)
+	}
+}
+
+// TestIdentityHashesPinned: a road network's identity is the hash of its
+// TSV serialization, and every WAL header and checkpoint on disk carries
+// it. These values were recorded when roadnet.WriteTSV still printed
+// through fmt; a writer that moves one byte makes every existing WAL
+// directory refuse to open.
+func TestIdentityHashesPinned(t *testing.T) {
+	for _, c := range []struct {
+		road *roadnet.Graph
+		want NetworkID
+	}{
+		{roadnet.Generate(roadnet.Tiny(41)), NetworkID{0xe7fe30bf3f26958e, 128, 404}},
+		{worldgen.Build(worldgen.MustScale(worldgen.ScaleBench, 1)).Road, NetworkID{0x42093c42a1224695, 151, 468}},
+		{worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, 1)).Road, NetworkID{0xbbcda66a20af5e98, 1626, 5484}},
+	} {
+		got, err := IdentityOf(c.road)
+		if err != nil || got != c.want {
+			t.Errorf("IdentityOf = %#x %d %d (err %v), want %#x %d %d", got.Hash, got.NumVertices, got.NumEdges, err, c.want.Hash, c.want.NumVertices, c.want.NumEdges)
+		}
 	}
 }
 
