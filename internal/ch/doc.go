@@ -8,7 +8,14 @@
 // BuildTopology contracts the road network once, metric-independently —
 // no witness searches, every potential shortcut kept — producing a fixed
 // skeleton of undirected arcs in flat CSR int32 arrays, each arc owned
-// by its lower-ranked endpoint and each up-arc range sorted by rank.
+// by its lower-ranked endpoint and each up-arc range sorted by rank. It
+// is two steps: ContractionOrder, the greedy heuristic that plays the
+// elimination game to choose the order (the expensive step), and
+// NewTopology, which derives the skeleton any order induces by symbolic
+// elimination in one pass. An artifact carries the order
+// (Topology.Order), so a restart pays only the second step;
+// TestSkeletonMatchesReference holds it to the map-based build it
+// replaced.
 //
 // Metric.Customize then assigns both directed weights to every skeleton
 // arc for an arbitrary non-negative edge-cost function by relaxing lower

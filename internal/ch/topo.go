@@ -1,7 +1,7 @@
 package ch
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/container"
 	"repro/internal/roadnet"
@@ -58,40 +58,34 @@ func peek(pq *container.IndexedMinHeap) (int, float64) {
 	return id, p
 }
 
-// BuildTopology contracts g once, metric-independently: vertices are
-// ordered by a greedy edge-difference heuristic and every pair of
-// higher-ranked neighbors of a contracted vertex becomes a skeleton
-// edge. The result is immutable and shared by all Metrics customized
-// from it and all MetricQuery contexts over it.
+// BuildTopology contracts g once, metric-independently: the greedy
+// ContractionOrder, then the skeleton NewTopology derives from it. The
+// result is immutable and shared by all Metrics customized from it and
+// all MetricQuery contexts over it.
 func BuildTopology(g *roadnet.Graph) *Topology {
+	return NewTopology(g, ContractionOrder(g))
+}
+
+// ContractionOrder orders g's vertices for contraction (order[i] is
+// contracted i-th) greedily by fill-in minus degree plus a depth term —
+// the classic edge difference without the witness term — with lazy
+// updates: a popped vertex whose recomputed priority no longer beats the
+// next one is pushed back. Each choice needs the fill the earlier ones
+// made, so it plays the elimination game on adjacency sets. This is the
+// expensive half of contraction, and the half an artifact carries.
+func ContractionOrder(g *roadnet.Graph) []int32 {
 	n := g.NumVertices()
 	nb := make([]map[int32]struct{}, n)
 	for v := range nb {
 		nb[v] = make(map[int32]struct{}, 4)
 	}
-	for v := 0; v < n; v++ {
-		for _, e := range g.Out(roadnet.VertexID(v)) {
-			ed := g.Edge(e)
-			if ed.From == ed.To {
-				continue // self-loops never help shortest paths
-			}
+	for e := roadnet.EdgeID(0); int(e) < g.NumEdges(); e++ {
+		if ed := g.Edge(e); ed.From != ed.To { // self-loops never help shortest paths
 			nb[ed.From][int32(ed.To)] = struct{}{}
 			nb[ed.To][int32(ed.From)] = struct{}{}
 		}
 	}
-
-	t := &Topology{
-		g:     g,
-		rank:  make([]int32, n),
-		order: make([]int32, n),
-	}
 	level := make([]int32, n)
-	upNbr := make([][]int32, n)
-
-	// Greedy contraction by fill-in minus degree plus a depth term —
-	// the classic edge-difference priority without the witness term,
-	// with lazy priority updates: a popped vertex whose recomputed
-	// priority no longer beats the next one is pushed back.
 	prio := func(v int32) float64 {
 		deg := len(nb[v])
 		fill := 0
@@ -111,7 +105,8 @@ func BuildTopology(g *roadnet.Graph) *Topology {
 	for v := 0; v < n; v++ {
 		pq.Push(v, prio(int32(v)))
 	}
-	order := int32(0)
+	order := make([]int32, 0, n)
+	var ns []int32
 	for pq.Len() > 0 {
 		vi, _ := pq.Pop()
 		v := int32(vi)
@@ -122,14 +117,11 @@ func BuildTopology(g *roadnet.Graph) *Topology {
 				continue
 			}
 		}
-		// Contract v: its uncontracted neighbors become its up-neighbors
-		// and every pair of them becomes adjacent (the fill edges that a
-		// metric-dependent build would prune with witness searches).
-		ns := make([]int32, 0, len(nb[v]))
+		// Eliminate v: its remaining neighbours become pairwise adjacent.
+		ns = ns[:0]
 		for u := range nb[v] {
 			ns = append(ns, u)
 		}
-		upNbr[v] = ns
 		for _, u := range ns {
 			delete(nb[u], v)
 			if level[u] <= level[v] {
@@ -142,24 +134,64 @@ func BuildTopology(g *roadnet.Graph) *Topology {
 				nb[b][a] = struct{}{}
 			}
 		}
-		t.rank[v] = order
-		t.order[order] = v
-		order++
+		order = append(order, v)
+	}
+	return order
+}
+
+// NewTopology derives the skeleton that contracting g in order — a
+// permutation of g's vertices, which the topology keeps — induces, by
+// symbolic elimination in rank order: a vertex's up-set is its
+// higher-ranked neighbours plus its elimination-tree children's
+// up-sets, minus itself, and its parent is the lowest-ranked member.
+func NewTopology(g *roadnet.Graph, order []int32) *Topology {
+	n := g.NumVertices()
+	t := &Topology{g: g, rank: make([]int32, n), order: order}
+	for i, v := range order {
+		t.rank[v] = int32(i)
+	}
+	// Up-sets in rank order, order[i]'s being up[at[i]:at[i+1]]; child and
+	// sibling list each vertex's elimination-tree children, and mark[u] ==
+	// v while u is in v's up-set.
+	at := make([]int32, n+1)
+	var up []int32
+	child, sibling, mark := make([]int32, n), make([]int32, n), make([]int32, n)
+	for v := range child {
+		child[v], mark[v] = -1, -1
+	}
+	for i, v := range order {
+		start := len(up)
+		add := func(u int32) {
+			if t.rank[u] > int32(i) && mark[u] != v {
+				mark[u] = v
+				up = append(up, u)
+			}
+		}
+		for _, e := range g.Out(roadnet.VertexID(v)) {
+			add(int32(g.Edge(e).To))
+		}
+		for _, e := range g.In(roadnet.VertexID(v)) {
+			add(int32(g.Edge(e).From))
+		}
+		for c := child[v]; c >= 0; c = sibling[c] {
+			for _, u := range up[at[t.rank[c]]:at[t.rank[c]+1]] {
+				add(u)
+			}
+		}
+		set := up[start:]
+		slices.SortFunc(set, func(a, b int32) int { return int(t.rank[a] - t.rank[b]) })
+		if at[i+1] = int32(len(up)); len(set) > 0 {
+			sibling[v], child[set[0]] = child[set[0]], v
+		}
 	}
 
-	// Flatten into CSR, sorting each up-arc range by endpoint rank.
-	m := 0
-	for _, ns := range upNbr {
-		m += len(ns)
-	}
+	// Flatten into the query's CSR, by vertex ID.
 	t.upStart = make([]int32, n+1)
-	t.upTo = make([]int32, 0, m)
-	t.origUp = make([]int32, 0, m)
-	t.origDown = make([]int32, 0, m)
+	t.upTo = make([]int32, 0, len(up))
+	t.origUp = make([]int32, 0, len(up))
+	t.origDown = make([]int32, 0, len(up))
 	for v := 0; v < n; v++ {
-		ns := upNbr[v]
-		sort.Slice(ns, func(i, j int) bool { return t.rank[ns[i]] < t.rank[ns[j]] })
-		for _, u := range ns {
+		for _, u := range up[at[t.rank[v]]:at[t.rank[v]+1]] {
 			eUp := g.FindEdge(roadnet.VertexID(v), roadnet.VertexID(u))
 			eDown := g.FindEdge(roadnet.VertexID(u), roadnet.VertexID(v))
 			if eUp == roadnet.NoEdge && eDown == roadnet.NoEdge {
@@ -225,6 +257,11 @@ func (t *Topology) NumArcs() int { return len(t.upTo) }
 // Shortcuts returns the number of skeleton edges that correspond to no
 // original road edge in either direction — pure shortcut skeleton.
 func (t *Topology) Shortcuts() int { return t.shortcuts }
+
+// Order returns the contraction order, order[i] being the vertex
+// contracted i-th: what NewTopology rebuilds this topology from. The
+// slice is the topology's own and must not be modified.
+func (t *Topology) Order() []int32 { return t.order }
 
 // Rank returns the contraction order of v (higher = contracted later =
 // more important).

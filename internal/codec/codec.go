@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 )
 
 var magic = [4]byte{'L', '2', 'R', 'A'}
@@ -34,28 +35,40 @@ func WriteFrame(w io.Writer, version uint16, payload any) error {
 	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
 		return fmt.Errorf("codec: encoding payload: %w", err)
 	}
-	h := fnv.New64a()
-	h.Write(buf.Bytes())
+	return WriteFrameBytes(w, version, buf.Bytes())
+}
 
-	var header [4 + 2 + 8 + 8]byte
+// WriteFrameBytes writes payload, already encoded, as one checksummed
+// frame: for payloads laid out by hand (Enc) rather than by gob.
+func WriteFrameBytes(w io.Writer, version uint16, payload []byte) error {
+	h := fnv.New64a()
+	h.Write(payload)
+
+	var header [FrameHeaderLen]byte
 	copy(header[:4], magic[:])
 	binary.BigEndian.PutUint16(header[4:6], version)
-	binary.BigEndian.PutUint64(header[6:14], uint64(buf.Len()))
+	binary.BigEndian.PutUint64(header[6:14], uint64(len(payload)))
 	binary.BigEndian.PutUint64(header[14:22], h.Sum64())
 	if _, err := w.Write(header[:]); err != nil {
 		return fmt.Errorf("codec: writing header: %w", err)
 	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(payload); err != nil {
 		return fmt.Errorf("codec: writing payload: %w", err)
 	}
 	return nil
 }
 
-// ReadFrame reads one frame, verifies integrity and decodes the payload
-// into out (a pointer).
+// ReadFrame reads one frame, verifies integrity and gob-decodes the
+// payload into out (a pointer).
 func ReadFrame(r io.Reader, version uint16, out any) error {
-	_, err := ReadFrameVersions(r, out, version)
-	return err
+	_, payload, err := ReadFrameBytes(r, version)
+	if err != nil {
+		return err
+	}
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
+		return fmt.Errorf("codec: decoding payload: %w", err)
+	}
+	return nil
 }
 
 // FrameHeaderLen is the on-disk size of a frame header (magic,
@@ -74,48 +87,61 @@ func FrameLen(b []byte) (n int64, ok bool) {
 	return FrameHeaderLen + int64(binary.BigEndian.Uint64(b[6:14])), true
 }
 
-// ReadFrameVersions reads one frame accepting any of the listed
-// versions — for readers whose payload type decodes older envelope
-// layouts compatibly (gob ignores absent fields). It returns the
-// version actually found.
-func ReadFrameVersions(r io.Reader, out any, versions ...uint16) (uint16, error) {
-	var header [4 + 2 + 8 + 8]byte
+// ReadFrameBytes reads one frame of any of the listed versions and
+// returns its version and its verified payload, undecoded.
+func ReadFrameBytes(r io.Reader, versions ...uint16) (uint16, []byte, error) {
+	var header [FrameHeaderLen]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return 0, fmt.Errorf("codec: reading header: %w", err)
+		return 0, nil, fmt.Errorf("codec: reading header: %w", err)
 	}
 	if !bytes.Equal(header[:4], magic[:]) {
-		return 0, ErrBadMagic
+		return 0, nil, ErrBadMagic
 	}
 	version := binary.BigEndian.Uint16(header[4:6])
-	supported := false
-	for _, v := range versions {
-		if version == v {
-			supported = true
-			break
-		}
-	}
-	if !supported {
-		return 0, fmt.Errorf("%w: artifact v%d, reader accepts v%v", ErrBadVersion, version, versions)
+	if !slices.Contains(versions, version) {
+		return 0, nil, fmt.Errorf("%w: artifact v%d, reader accepts v%v", ErrBadVersion, version, versions)
 	}
 	n := binary.BigEndian.Uint64(header[6:14])
 	want := binary.BigEndian.Uint64(header[14:22])
 	const maxPayload = 1 << 34 // 16 GiB sanity bound
 	if n > maxPayload {
-		return 0, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, n)
+		return 0, nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, fmt.Errorf("%w: short payload: %v", ErrCorrupt, err)
+	payload, err := readPayload(r, n)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: short payload: %v", ErrCorrupt, err)
 	}
 	h := fnv.New64a()
 	h.Write(payload)
 	if h.Sum64() != want {
-		return 0, ErrCorrupt
+		return 0, nil, ErrCorrupt
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
-		return 0, fmt.Errorf("codec: decoding payload: %w", err)
+	return version, payload, nil
+}
+
+// readChunk is how far a payload buffer may run ahead of the bytes that
+// have arrived.
+const readChunk = 256 << 10
+
+// readPayload reads exactly n bytes. The claimed length is untrusted
+// until the bytes arrive, so the buffer starts at readChunk and at most
+// doubles as they do; only a reader that says it holds n (bytes.Reader)
+// gets them in one allocation.
+func readPayload(r io.Reader, n uint64) ([]byte, error) {
+	if l, ok := r.(interface{ Len() int }); ok && uint64(max(l.Len(), 0)) >= n {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(r, buf)
+		return buf, err
 	}
-	return version, nil
+	buf := make([]byte, 0, min(n, readChunk))
+	for uint64(len(buf)) < n {
+		buf = slices.Grow(buf, int(min(n-uint64(len(buf)), uint64(max(len(buf), readChunk)))))
+		k, err := io.ReadFull(r, buf[len(buf):int(min(uint64(cap(buf)), n))])
+		if buf = buf[:len(buf)+k]; err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // Record framing — the unit of append-only logs (internal/wal). A

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -253,6 +254,34 @@ func TestRecordTornVsCorrupt(t *testing.T) {
 		bad[off] ^= 0xff
 		if _, _, err := ReadRecord(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flipped length byte %d: err = %v, want ErrCorrupt", off, err)
+		}
+	}
+}
+
+// TestCorruptLengthAllocatesNothing: a header whose length field claims
+// a gigabyte over an empty body is ErrCorrupt, and reading it allocates
+// what arrived (nothing) plus at most one read-ahead chunk — not what
+// the header claims. One flipped bit in bytes 6–13 of an artifact or
+// checkpoint must not cost the process gigabytes.
+func TestCorruptLengthAllocatesNothing(t *testing.T) {
+	var header [FrameHeaderLen]byte
+	copy(header[:], magic[:])
+	header[5] = 3
+	header[9] = 0x40 // 1 GiB
+	for name, r := range map[string]func() io.Reader{
+		"bytes.Reader": func() io.Reader { return bytes.NewReader(header[:]) },
+		"plain reader": func() io.Reader { return io.MultiReader(bytes.NewReader(header[:])) },
+	} {
+		rd := r()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ReadFrameBytes(rd, 3)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Fatalf("%s: reading a 22-byte frame claiming 1 GiB allocated %d bytes", name, d)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -85,6 +86,52 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			}
 			if err != io.EOF && !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("truncation at %d: non-sentinel error %v", cut, err)
+			}
+		}
+	})
+}
+
+// FuzzReadFrame feeds ReadFrameBytes arbitrary bytes, through a reader
+// that reports how much it holds and through one that does not. It must
+// end in a sentinel error or a frame that re-encodes to the bytes it
+// was read from, and must never allocate more than twice what arrived
+// plus one read-ahead chunk, whatever the header claims.
+func FuzzReadFrame(f *testing.F) {
+	var valid bytes.Buffer
+	WriteFrameBytes(&valid, 3, []byte("a flat payload"))
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-2]) // short payload
+	f.Add(valid.Bytes()[:10])            // short header
+	f.Add([]byte{})
+	huge := append([]byte(nil), valid.Bytes()...)
+	huge[6] = 0x7F // absurd length
+	f.Add(huge)
+	flipped := append([]byte(nil), valid.Bytes()...)
+	flipped[FrameHeaderLen+1] ^= 0x10 // checksum mismatch
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, rd := range []io.Reader{bytes.NewReader(data), io.MultiReader(bytes.NewReader(data))} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			version, payload, err := ReadFrameBytes(rd, 1, 2, 3)
+			runtime.ReadMemStats(&after)
+			if d := after.TotalAlloc - before.TotalAlloc; d > 2*uint64(len(data))+readChunk+4096 {
+				t.Fatalf("%d-byte input allocated %d bytes", len(data), d)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrBadVersion) && !errors.Is(err, ErrCorrupt) &&
+					!errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("non-sentinel error: %v", err)
+				}
+				continue
+			}
+			var again bytes.Buffer
+			if err := WriteFrameBytes(&again, version, payload); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(data, again.Bytes()) {
+				t.Fatalf("frame of %d payload bytes does not re-encode to its input", len(payload))
 			}
 		}
 	})

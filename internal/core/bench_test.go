@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
+	"repro/internal/ch"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 	"repro/internal/worldgen"
@@ -63,4 +65,51 @@ func BenchmarkRouteCold(b *testing.B) {
 		od := ods[i%len(ods)]
 		sinkRoute = r.Route(od[0], od[1])
 	}
+}
+
+// BenchmarkArtifact times what a restart and a checkpoint pay for the
+// ci city's v3 artifact: Save; Load; LoadOnto a road network already
+// decoded (the checkpoint beside its base); and EnableCH on a loaded
+// router — the hierarchy derived from the carried order, then every
+// applied metric customized.
+func BenchmarkArtifact(b *testing.B) {
+	r := cityRouter(b, worldgen.ScaleCI)
+	var buf bytes.Buffer
+	if err := r.Clone().Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	art := buf.Bytes()
+	base, err := Load(bytes.NewReader(art))
+	if err != nil {
+		b.Fatal(err)
+	}
+	id, _ := base.RoadIdentity()
+	b.Run("Save", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			r.Clone().Save(&buf)
+		}
+		b.ReportMetric(float64(len(art))/1024, "KB")
+	})
+	b.Run("Load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Load(bytes.NewReader(art))
+		}
+	})
+	b.Run("LoadOnto", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			LoadOnto(bytes.NewReader(art), base.Road(), id)
+		}
+	})
+	b.Run("EnableCH", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			l := base.Clone()
+			b.StartTimer()
+			l.EnableCH(ch.Config{})
+		}
+	})
 }

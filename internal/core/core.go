@@ -15,7 +15,6 @@ import (
 	"repro/internal/region"
 	"repro/internal/roadnet"
 	"repro/internal/route"
-	"repro/internal/spatial"
 	"repro/internal/traj"
 	"repro/internal/transfer"
 )
@@ -149,9 +148,17 @@ type Router struct {
 	road  *roadnet.Graph
 	rg    *region.Graph
 	eng   route.PathEngine
-	idx   *spatial.Index
+	idx   *lazyIndex
 	stats Stats
 	meta  ArtifactMeta
+	// roadID is the road network's identity when hasRoadID says it is
+	// known (RoadIdentity); order is the contraction order a loaded
+	// artifact carried, which EnableCH derives the hierarchy from, and
+	// nil otherwise. Both describe the immutable road, so clones share
+	// them.
+	roadID    uint64
+	hasRoadID bool
+	order     []int32
 	// regionPrefs maps region ID -> preference learned from the
 	// region's inner paths; used for same-region queries with no exact
 	// inner-path match.
@@ -277,7 +284,7 @@ func startBuild(road *roadnet.Graph, training []*traj.Trajectory, opt Options, c
 		return nil, nil, errors.New("core: no training trajectories")
 	}
 
-	r := &Router{road: road, idx: spatial.NewIndex(road, opt.IndexCellM)}
+	r := &Router{road: road, idx: &lazyIndex{cell: opt.IndexCellM}}
 	r.stats.Trajectories = len(training)
 	r.meta.Build = BuildInfo{
 		PathBackend:     opt.PathBackend.String(),
@@ -384,18 +391,26 @@ func (r *Router) CHClimb() (height int, arcsMean float64, ok bool) {
 	return t.Height(), t.ClimbArcsMean(), true
 }
 
-// EnableCH swaps the router's path engine for a CH-backed one, building
-// the travel-time contraction hierarchy over the road network. It is
-// meant for routers restored with Load — artifacts carry no hierarchy —
-// and is a no-op when the router is already CH-backed. It must not be
+// EnableCH swaps the router's path engine for a CH-backed one over the
+// road network, with the travel-time metric and every metric the router
+// routes on customized. It is meant for routers restored with Load: the
+// hierarchy is derived from the contraction order a v3 artifact carries
+// (ch.NewTopology, a linear pass), or contracted afresh when there is
+// none. A no-op when the router is already CH-backed. It must not be
 // called concurrently with queries; Clones made afterwards share the
 // hierarchy. The build time is returned (and recorded in Stats).
-func (r *Router) EnableCH(cfg ch.Config) time.Duration {
+func (r *Router) EnableCH(_ ch.Config) time.Duration {
 	if r.PathBackend() == BackendCH {
 		return 0
 	}
 	start := time.Now()
-	e := route.BuildCHEngine(r.road, roadnet.TT, cfg)
+	var topo *ch.Topology
+	if r.order != nil {
+		topo = ch.NewTopology(r.road, r.order)
+	} else {
+		topo = ch.BuildTopology(r.road)
+	}
+	e := route.NewCHEngine(r.road, topo, roadnet.TT)
 	r.stats.CHBuildTime = time.Since(start)
 	r.stats.CHShortcuts = e.Shortcuts()
 	r.eng = e
@@ -516,7 +531,7 @@ func (f *pathFinder) FastestPath(s, d roadnet.VertexID) (roadnet.Path, bool) {
 // opt.SkipMapMatching, else by the map matcher on opt.Workers
 // goroutines — and the usable paths, those with at least two vertices,
 // are returned in input order.
-func matchedPaths(road *roadnet.Graph, idx *spatial.Index, ts []*traj.Trajectory, opt Options) []roadnet.Path {
+func matchedPaths(road *roadnet.Graph, lazy *lazyIndex, ts []*traj.Trajectory, opt Options) []roadnet.Path {
 	if opt.SkipMapMatching {
 		for _, t := range ts {
 			t.Matched = t.Truth
@@ -525,7 +540,7 @@ func matchedPaths(road *roadnet.Graph, idx *spatial.Index, ts []*traj.Trajectory
 		// The workers capture cfg, not opt: Options is too large to be
 		// captured by value, so it would move to the heap on entry — one
 		// allocation on every call, the ones that match nothing included.
-		cfg := opt.MapMatch
+		cfg, idx := opt.MapMatch, lazy.get(road)
 		var wg sync.WaitGroup
 		ch := make(chan *traj.Trajectory, len(ts))
 		for _, t := range ts {

@@ -127,8 +127,37 @@
 // per deployment. Artifacts carry ArtifactMeta — a name, a
 // build-options summary (BuildInfo) and a save generation that
 // advances on every Save — which the multi-tenant serving layer
-// (internal/serve.Fleet) uses to identify and hot-reload tenants. The
-// envelope keeps the fits in a map of their own (Learned, edge ID →
-// result), as it did when the router did: Save gathers it from the
-// edges, Load scatters it back and rejects a key that names no edge.
+// (internal/serve.Fleet) uses to identify and hot-reload tenants.
+//
+// Save writes artifact v3: one codec frame whose payload is the road
+// network's identity and five sections, each an 8-byte length and its
+// bytes:
+//
+//	uint64   road identity: FNV-64a of the road section (wal.IdentityOf)
+//	road     roadnet.WriteTSV bytes, verbatim
+//	region   region.Snapshot.Append's image: delta runs for vertex sets,
+//	         out-edge walks for stored and inner paths, one backing array
+//	prefs    edge count, then per edge in ID order a fit or none; the
+//	         region preferences in region order
+//	meta     gob of ArtifactMeta, Stats and the spatial index's cell size
+//	order    the contraction order (vertex count, then the vertices), or
+//	         empty for a router that never had a hierarchy
+//
+// Nothing is stored twice and nothing a restart needs is re-derived: the
+// identity lets the serving layer verify a WAL and a checkpoint without
+// serializing the network (RoadIdentity), LoadOnto restores a
+// checkpoint onto a road network already decoded, and EnableCH derives
+// the hierarchy from the order (ch.NewTopology) instead of contracting.
+// A router loaded with an order and saved before EnableCH writes that
+// order again. The spatial index is built on first use, by map
+// matching, not by Load.
+//
+// Load reads v3 flat and v1/v2 — one gob envelope, the fits in a
+// Learned map of their own — through the envelope reader kept for files
+// already on disk. An artifact is outside input, so both readers check
+// every count against the bytes left before allocating for it and
+// every ID against what it names (region members, path and inner-path
+// vertices, transfer centers and their counts, edge endpoints, road
+// types, fit and region-preference keys and weights, the order being a
+// permutation) and refuse what fails.
 package core

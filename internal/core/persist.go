@@ -2,8 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"maps"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -15,18 +21,22 @@ import (
 	"repro/internal/spatial"
 )
 
-// ArtifactVersion is the on-disk format version of saved routers. Bump
-// it on any change to the envelope layout.
+// ArtifactVersion is the on-disk format version Save writes. Bump it on
+// any change to the layout.
 //
-// Version history: v1 carried no metadata; v2 added ArtifactMeta
-// (name, build-options summary, save generation). The v2 reader still
-// loads v1 artifacts — the envelope change is gob-compatible, Meta
-// just stays zero — so existing deployments' artifacts keep working.
-const ArtifactVersion uint16 = 2
+// Version history: v1 carried no metadata; v2 added ArtifactMeta (name,
+// build-options summary, save generation). Both are one gob envelope.
+// v3 lays the artifact out as flat, length-prefixed sections and adds
+// the road network's identity and the contraction order (package
+// documentation, "Persistence"). Load reads all three, so existing
+// deployments' artifacts keep working; Save writes v3 only.
+const ArtifactVersion uint16 = 3
 
-// artifactVersionV1 is the pre-metadata envelope version Load accepts
-// for backward compatibility.
-const artifactVersionV1 uint16 = 1
+// The gob envelope versions Load still reads.
+const (
+	artifactVersionV1 uint16 = 1
+	artifactVersionV2 uint16 = 2
+)
 
 // BuildInfo is the compact summary of the Options a router was built
 // with, persisted in every artifact so a deployment can audit what it
@@ -71,7 +81,7 @@ type ArtifactMeta struct {
 	Build BuildInfo
 }
 
-// envelope is the gob payload of a saved router. The road network is
+// envelope is the gob payload of a v1/v2 artifact. The road network is
 // embedded as its TSV serialization (the already-tested roadnet codec)
 // so an artifact is self-contained.
 type envelope struct {
@@ -84,93 +94,249 @@ type envelope struct {
 	IndexCellM  float64
 }
 
-// learnedPrefs gathers every region edge's fit into the envelope's
-// edge ID -> result map: the fits live on the edges, the artifact
-// layout keeps them in a map of their own.
-func (r *Router) learnedPrefs() map[int]pref.Result {
-	out := make(map[int]pref.Result, len(r.rg.Edges))
-	for _, e := range r.rg.Edges {
-		if fit, ok := e.Fit(); ok {
-			out[e.ID] = fit
-		}
-	}
-	return out
+// metaSection is v3's metadata section, the one section still gob: it
+// carries option structs, and is small.
+type metaSection struct {
+	Meta       ArtifactMeta
+	Stats      Stats
+	IndexCellM float64
 }
 
+// lazyIndex is a router's spatial index, built on first use: only map
+// matching reads it, so a loaded router that never matches raw GPS never
+// pays for it. Clones share it, as they share the road it indexes.
+type lazyIndex struct {
+	cell float64
+	once sync.Once
+	idx  *spatial.Index
+}
+
+func (x *lazyIndex) get(road *roadnet.Graph) *spatial.Index {
+	x.once.Do(func() { x.idx = spatial.NewIndex(road, x.cell) })
+	return x.idx
+}
+
+// RoadIdentity returns the identity of the router's road network — the
+// FNV-64a of its roadnet.WriteTSV bytes, wal.IdentityOf's definition —
+// when the router knows it: Save records it over the bytes it writes,
+// and Load reads it from a v3 artifact. ok is false for a router built
+// in this process and never saved, or loaded from a v1/v2 artifact.
+func (r *Router) RoadIdentity() (id uint64, ok bool) { return r.roadID, r.hasRoadID }
+
 // Save serializes the built router — road network, region graph,
-// learned and transferred preferences, pipeline statistics — as one
-// self-contained, checksummed artifact. The offline build takes minutes
-// at scale (Section VII-C reports 21+245+106+7 minutes for D1); Save
-// and Load let a deployment pay it once.
-// Save also advances the artifact metadata: the written envelope (and,
-// on success, the router) carries Meta().Generation + 1 and a fresh
-// save timestamp.
+// learned and transferred preferences, pipeline statistics and the
+// contraction order, if any — as one self-contained, checksummed v3
+// artifact (package documentation, "Persistence"). The offline build
+// takes minutes at scale (Section VII-C reports 21+245+106+7 minutes for
+// D1); Save and Load let a deployment pay it once. On success the
+// router carries Meta().Generation + 1, the save time, and knows its
+// RoadIdentity.
 func (r *Router) Save(w io.Writer) error {
-	var road bytes.Buffer
-	if err := roadnet.WriteTSV(&road, r.road); err != nil {
-		return fmt.Errorf("core: serializing road network: %w", err)
-	}
 	meta := r.meta
 	meta.Generation++
 	meta.SavedUnixNano = time.Now().UnixNano()
-	env := envelope{
-		Meta:        meta,
-		RoadTSV:     road.Bytes(),
-		Region:      r.rg.Snapshot(),
-		Learned:     r.learnedPrefs(),
-		RegionPrefs: r.regionPrefs,
-		Stats:       r.stats,
-		IndexCellM:  r.idx.CellSize(),
+
+	e := codec.Enc{B: make([]byte, 8, 64*(r.road.NumVertices()+r.road.NumEdges())+4096)}
+	mark := e.Begin()
+	if err := roadnet.WriteTSV(&e, r.road); err != nil {
+		return fmt.Errorf("core: serializing road network: %w", err)
 	}
-	if err := codec.WriteFrame(w, ArtifactVersion, &env); err != nil {
+	e.End(mark)
+	h := fnv.New64a()
+	h.Write(e.B[mark:])
+	roadID := h.Sum64()
+	binary.BigEndian.PutUint64(e.B, roadID)
+
+	mark = e.Begin()
+	r.rg.Snapshot().Append(&e, r.road)
+	e.End(mark)
+
+	mark = e.Begin()
+	e.Uvarint(uint64(len(r.rg.Edges)))
+	for _, ed := range r.rg.Edges {
+		if fit, ok := ed.Fit(); !ok {
+			e.Byte(0)
+		} else {
+			e.Byte(1)
+			appendResult(&e, fit)
+		}
+	}
+	e.Uvarint(uint64(len(r.regionPrefs)))
+	for _, id := range slices.Sorted(maps.Keys(r.regionPrefs)) {
+		e.Uvarint(uint64(id))
+		appendResult(&e, r.regionPrefs[id])
+	}
+	e.End(mark)
+
+	mark = e.Begin()
+	if err := gob.NewEncoder(&e).Encode(&metaSection{Meta: meta, Stats: r.stats, IndexCellM: r.idx.cell}); err != nil {
+		return fmt.Errorf("core: encoding metadata: %w", err)
+	}
+	e.End(mark)
+
+	mark = e.Begin()
+	order := r.order
+	if che, ok := r.eng.(*route.CHEngine); ok {
+		order = che.Topology().Order()
+	}
+	if order != nil {
+		e.Uvarint(uint64(len(order)))
+		for _, v := range order {
+			e.Uvarint(uint64(v))
+		}
+	}
+	e.End(mark)
+
+	if err := codec.WriteFrameBytes(w, ArtifactVersion, e.B); err != nil {
 		return err
 	}
 	r.meta = meta
+	r.roadID, r.hasRoadID = roadID, true
 	return nil
 }
 
-// Load reconstructs a router from an artifact written by Save. The
-// result answers queries exactly like the original. Artifacts carry no
-// contraction hierarchy; the restored router is Dijkstra-backed — call
-// EnableCH to rebuild the hierarchy (seconds, not the minutes of a full
-// offline build).
-func Load(rd io.Reader) (*Router, error) {
-	var env envelope
-	if _, err := codec.ReadFrameVersions(rd, &env, ArtifactVersion, artifactVersionV1); err != nil {
+func appendResult(e *codec.Enc, res pref.Result) {
+	e.Byte(byte(res.Preference.Master))
+	e.Byte(byte(res.Preference.Slave))
+	e.Float64(res.Similarity)
+	e.Int(res.PathsUsed)
+}
+
+func decodeResult(d *codec.Dec) pref.Result {
+	res := pref.Result{Preference: pref.Preference{Master: roadnet.Weight(d.Byte()), Slave: pref.SlaveFeature(d.Byte())}}
+	res.Similarity, res.PathsUsed = d.Float64(), d.Int()
+	if !res.Preference.Valid() {
+		d.Fail("preference %+v out of range", res.Preference)
+	}
+	return res
+}
+
+// Load reconstructs a router from an artifact written by Save: v3, or
+// the v1/v2 gob envelope. The result answers queries exactly like the
+// original, on Dijkstra until EnableCH, which derives the hierarchy
+// from the contraction order a v3 artifact carries. An artifact is
+// outside input, so every ID in it is checked before use.
+func Load(rd io.Reader) (*Router, error) { return LoadOnto(rd, nil, 0) }
+
+// LoadOnto is Load for a caller that already holds a road network — a
+// restart restoring a checkpoint beside its base artifact: when the
+// artifact is v3 and records roadID as its road's identity, the router
+// is restored onto road and the artifact's copy of the network is
+// skipped, not parsed. roadID must be road's identity.
+func LoadOnto(rd io.Reader, road *roadnet.Graph, roadID uint64) (*Router, error) {
+	version, payload, err := codec.ReadFrameBytes(rd, ArtifactVersion, artifactVersionV2, artifactVersionV1)
+	if err != nil {
 		return nil, err
 	}
-	road, err := roadnet.ReadTSV(bytes.NewReader(env.RoadTSV))
-	if err != nil {
+	if version == ArtifactVersion {
+		return decodeV3(payload, road, roadID)
+	}
+	var env envelope
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&env); err != nil {
+		return nil, fmt.Errorf("codec: decoding payload: %w", err)
+	}
+	if road, err = roadnet.ReadTSV(bytes.NewReader(env.RoadTSV)); err != nil {
 		return nil, fmt.Errorf("core: decoding road network: %w", err)
 	}
 	if env.Region == nil {
 		return nil, fmt.Errorf("core: artifact has no region graph")
 	}
-	rg, err := region.Restore(road, env.Region)
+	r, err := restored(road, env.Region, metaSection{env.Meta, env.Stats, env.IndexCellM})
+	if err != nil {
+		return nil, err
+	}
+	for id, fit := range env.Learned {
+		if id < 0 || id >= len(r.rg.Edges) || !fit.Preference.Valid() {
+			return nil, fmt.Errorf("core: artifact has a learned preference %+v for edge %d of %d", fit.Preference, id, len(r.rg.Edges))
+		}
+		r.rg.Edges[id].SetFit(fit, true)
+	}
+	for id, res := range env.RegionPrefs {
+		if id < 0 || id >= r.rg.NumRegions() || !res.Preference.Valid() {
+			return nil, fmt.Errorf("core: artifact has a preference %+v for region %d of %d", res.Preference, id, r.rg.NumRegions())
+		}
+		r.regionPrefs[id] = res
+	}
+	return r, nil
+}
+
+// restored is the router both readers assemble around a decoded road
+// network, region snapshot and metadata, before the preferences.
+func restored(road *roadnet.Graph, snap *region.Snapshot, ms metaSection) (*Router, error) {
+	rg, err := region.Restore(road, snap)
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring region graph: %w", err)
 	}
-	cell := env.IndexCellM
-	if cell <= 0 {
-		cell = 300
+	if !(ms.IndexCellM > 0) {
+		ms.IndexCellM = 300
 	}
-	r := &Router{
-		road:        road,
-		rg:          rg,
-		eng:         route.NewEngine(road),
-		idx:         spatial.NewIndex(road, cell),
-		stats:       env.Stats,
-		meta:        env.Meta,
-		regionPrefs: env.RegionPrefs,
+	return &Router{road: road, rg: rg, eng: route.NewEngine(road), idx: &lazyIndex{cell: ms.IndexCellM},
+		stats: ms.Stats, meta: ms.Meta, regionPrefs: make(map[int]pref.Result)}, nil
+}
+
+// decodeV3 decodes a v3 payload: the road identity, then the road,
+// region, preference, metadata and contraction-order sections.
+func decodeV3(payload []byte, road *roadnet.Graph, roadID uint64) (*Router, error) {
+	d := codec.NewDec(payload)
+	id := d.Uint64()
+	roadTSV, regionB, prefsB, metaB, orderB := d.Section(), d.Section(), d.Section(), d.Section(), d.Section()
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("core: artifact sections: %w", err)
 	}
-	for id, fit := range env.Learned {
-		if id < 0 || id >= len(rg.Edges) {
-			return nil, fmt.Errorf("core: artifact has a learned preference for edge %d of %d", id, len(rg.Edges))
+	var err error
+	if road == nil || id != roadID {
+		if road, err = roadnet.ReadTSV(bytes.NewReader(roadTSV)); err != nil {
+			return nil, fmt.Errorf("core: decoding road network: %w", err)
 		}
-		rg.Edges[id].SetFit(fit, true)
 	}
-	if r.regionPrefs == nil {
-		r.regionPrefs = make(map[int]pref.Result)
+	snap, err := region.DecodeSnapshot(regionB, road)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	var ms metaSection
+	if err := gob.NewDecoder(bytes.NewReader(metaB)).Decode(&ms); err != nil {
+		return nil, fmt.Errorf("core: decoding metadata: %w", err)
+	}
+	r, err := restored(road, snap, ms)
+	if err != nil {
+		return nil, err
+	}
+	r.roadID, r.hasRoadID = id, true
+
+	d = codec.NewDec(prefsB)
+	if n := d.Count(1); n != len(r.rg.Edges) {
+		d.Fail("fits for %d edges of %d", n, len(r.rg.Edges))
+	}
+	for _, ed := range r.rg.Edges {
+		if d.Byte() != 0 {
+			ed.SetFit(decodeResult(d), true)
+		}
+	}
+	for n := d.Count(5); n > 0; n-- {
+		id := d.Index(r.rg.NumRegions())
+		r.regionPrefs[id] = decodeResult(d)
+	}
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("core: decoding preferences: %w", err)
+	}
+
+	if d = codec.NewDec(orderB); len(orderB) > 0 {
+		n := road.NumVertices()
+		if d.Count(1) != n {
+			d.Fail("an order of %d vertices", n)
+		}
+		r.order = make([]int32, n)
+		seen := make([]bool, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			v := d.Index(n)
+			if seen[v] {
+				d.Fail("vertex %d twice", v)
+			}
+			seen[v], r.order[i] = true, int32(v)
+		}
+	}
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("core: contraction order is not a permutation: %w", err)
 	}
 	return r, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/ch"
 	"repro/internal/codec"
 	"repro/internal/pref"
 	"repro/internal/region"
@@ -179,7 +180,7 @@ func TestLoadV1Artifact(t *testing.T) {
 		Learned:     r.learnedPrefs(),
 		RegionPrefs: r.regionPrefs,
 		Stats:       r.stats,
-		IndexCellM:  r.idx.CellSize(),
+		IndexCellM:  r.idx.cell,
 	}
 	var buf bytes.Buffer
 	if err := codec.WriteFrame(&buf, artifactVersionV1, &env); err != nil {
@@ -203,9 +204,30 @@ func TestLoadV1Artifact(t *testing.T) {
 	requireSameFits(t, r, loaded)
 }
 
-// handBuiltV2 encodes r's state as a v2 artifact without going through
-// Save, with learned as the envelope's Learned map.
-func handBuiltV2(t *testing.T, r *Router, learned map[int]pref.Result) []byte {
+// learnedPrefs gathers every region edge's fit into the v1/v2
+// envelope's edge ID -> result map: the fits live on the edges, those
+// layouts kept them in a map of their own.
+func (r *Router) learnedPrefs() map[int]pref.Result {
+	out := make(map[int]pref.Result, len(r.rg.Edges))
+	for _, e := range r.rg.Edges {
+		if fit, ok := e.Fit(); ok {
+			out[e.ID] = fit
+		}
+	}
+	return out
+}
+
+// handBuiltV2 is the v2 writer Save was before artifact v3, kept as the
+// test reference v3 is held to: r's state as one gob envelope, with
+// learned as the envelope's Learned map.
+func handBuiltV2(t testing.TB, r *Router, learned map[int]pref.Result) []byte {
+	t.Helper()
+	return encodeV2(t, r, learned, nil)
+}
+
+// encodeV2 is handBuiltV2 with a hook that may alter the envelope
+// before it is written — how the tests build bad artifacts.
+func encodeV2(t testing.TB, r *Router, learned map[int]pref.Result, alter func(*envelope)) []byte {
 	t.Helper()
 	var road bytes.Buffer
 	if err := roadnet.WriteTSV(&road, r.road); err != nil {
@@ -218,22 +240,26 @@ func handBuiltV2(t *testing.T, r *Router, learned map[int]pref.Result) []byte {
 		Learned:     learned,
 		RegionPrefs: r.regionPrefs,
 		Stats:       r.stats,
-		IndexCellM:  r.idx.CellSize(),
+		IndexCellM:  r.idx.cell,
+	}
+	if alter != nil {
+		alter(&env)
 	}
 	var buf bytes.Buffer
-	if err := codec.WriteFrame(&buf, ArtifactVersion, &env); err != nil {
+	if err := codec.WriteFrame(&buf, artifactVersionV2, &env); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// TestLoadScattersLearnedMap: the artifact keeps every fit in the
-// envelope's Learned map while a router keeps them on its region edges.
-// A v2 envelope built by hand around such a map loads to the router it
-// was taken from, Save writes exactly that envelope (same size: the
-// fits did not also land in the region snapshot's image), and a key
-// that names no edge — input from outside the program — is an error,
-// not a router.
+// TestLoadScattersLearnedMap: the v1/v2 envelope keeps every fit in its
+// Learned map while a router keeps them on its region edges. A v2
+// envelope built by hand around such a map loads to the router it was
+// taken from; Save writes the fits to the preference section and
+// nowhere else (the router loaded from the envelope saves to the bytes
+// the original saves to outside the metadata, and clearing every fit
+// changes the preference section alone); and a key that names no edge —
+// input from outside the program — is an error, not a router.
 func TestLoadScattersLearnedMap(t *testing.T) {
 	r := builtRouter(t)
 	learned := r.learnedPrefs()
@@ -244,15 +270,16 @@ func TestLoadScattersLearnedMap(t *testing.T) {
 	}
 	requireSameFits(t, r, loaded)
 
-	var saved bytes.Buffer
-	if err := r.IngestClone().Save(&saved); err != nil {
-		t.Fatal(err)
+	saved := artifactParts(t, saveArtifact(t, r.IngestClone()))
+	requireSameParts(t, saved, artifactParts(t, saveArtifact(t, loaded)))
+	bare := r.IngestClone()
+	for id := range bare.rg.Edges {
+		bare.rg.EdgeForUpdate(id).SetFit(pref.Result{}, false)
 	}
-	// Save stamps a generation and a timestamp the hand-built envelope
-	// leaves at zero: a handful of bytes, against the ~9 bytes a single
-	// leaked fit would add per edge.
-	if d := saved.Len() - len(art); d < 0 || d > 16 {
-		t.Fatalf("Save wrote %d bytes, the hand-built envelope %d", saved.Len(), len(art))
+	for i, part := range artifactParts(t, saveArtifact(t, bare)) {
+		if i != partMeta && bytes.Equal(part, saved[i]) == (i == partPrefs) {
+			t.Fatalf("clearing the fits changed artifact part %d (changed: %v); only the preference section may change", i, !bytes.Equal(part, saved[i]))
+		}
 	}
 
 	for _, bad := range []int{len(r.rg.Edges), len(r.rg.Edges) + 7, -1} {
@@ -263,6 +290,74 @@ func TestLoadScattersLearnedMap(t *testing.T) {
 			t.Fatalf("Learned key %d (of %d edges): Load returned router %v, err %v; want an error", bad, len(r.rg.Edges), got != nil, err)
 		}
 	}
+}
+
+// The parts of a v3 payload, as artifactParts splits it: the road
+// identity, then the five sections.
+const (
+	partRoadID = iota
+	partRoad
+	partRegion
+	partPrefs
+	partMeta
+	partOrder
+	numParts
+)
+
+// artifactParts splits a v3 artifact into its parts.
+func artifactParts(t testing.TB, art []byte) [][]byte {
+	t.Helper()
+	_, payload, err := codec.ReadFrameBytes(bytes.NewReader(art), ArtifactVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := codec.NewDec(payload)
+	d.Uint64()
+	parts := [][]byte{payload[:8]}
+	for len(parts) < numParts {
+		parts = append(parts, d.Section())
+	}
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	return parts
+}
+
+// joinParts is artifactParts' inverse: the parts framed as a v3
+// artifact.
+func joinParts(t testing.TB, parts [][]byte) []byte {
+	t.Helper()
+	e := codec.Enc{B: append([]byte(nil), parts[partRoadID]...)}
+	for _, part := range parts[1:] {
+		mark := e.Begin()
+		e.Write(part)
+		e.End(mark)
+	}
+	var buf bytes.Buffer
+	if err := codec.WriteFrameBytes(&buf, ArtifactVersion, e.B); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// requireSameParts fails unless two artifacts' parts are byte-equal
+// outside the metadata section, which carries the save time.
+func requireSameParts(t testing.TB, a, b [][]byte) {
+	t.Helper()
+	for i := range a {
+		if i != partMeta && !bytes.Equal(a[i], b[i]) {
+			t.Fatalf("artifact part %d differs: %d bytes against %d", i, len(a[i]), len(b[i]))
+		}
+	}
+}
+
+func saveArtifact(t testing.TB, r *Router) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func samePathCore(a, b roadnet.Path) bool {
@@ -308,27 +403,20 @@ func TestLoadGarbage(t *testing.T) {
 	}
 }
 
+// TestSaveIsDeterministic: two clones at the same generation save to
+// identical bytes outside the metadata section (which carries the save
+// time) — maps are written in key order — and both load to the router
+// they were saved from.
 func TestSaveIsDeterministic(t *testing.T) {
 	r := builtRouter(t)
-	var a, b bytes.Buffer
-	if err := r.Save(&a); err != nil {
-		t.Fatal(err)
+	r.EnableCH(ch.Config{})
+	a, b := saveArtifact(t, r.Clone()), saveArtifact(t, r.Clone())
+	requireSameParts(t, artifactParts(t, a), artifactParts(t, b))
+	for _, art := range [][]byte{a, b} {
+		loaded, err := Load(bytes.NewReader(art))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameFits(t, r, loaded)
 	}
-	if err := r.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	// Gob encoding of maps is not order-deterministic in general, but
-	// both artifacts must at least load back to equivalent routers.
-	ra, err := Load(bytes.NewReader(a.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := Load(bytes.NewReader(b.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.rg.NumRegions() != rb.rg.NumRegions() {
-		t.Fatal("two saves of the same router load to different systems")
-	}
-	requireSameFits(t, ra, rb)
 }

@@ -79,6 +79,12 @@ type Preference struct {
 	Slave  SlaveFeature
 }
 
+// Valid reports whether p names a cost weight and only road types that
+// exist — what a preference read from an artifact must satisfy.
+func (p Preference) Valid() bool {
+	return p.Master < roadnet.NumCostWeights && p.Slave < 1<<roadnet.NumRoadTypes
+}
+
 // String implements fmt.Stringer, e.g. "⟨TT, motorway+trunk⟩".
 func (p Preference) String() string {
 	return fmt.Sprintf("⟨%s, %s⟩", p.Master, p.Slave)

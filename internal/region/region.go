@@ -64,8 +64,9 @@ type Edge struct {
 	// own path set (T-edges with paths); fit is that preference with its
 	// training similarity and sample size. Pref/HasPref above are what
 	// routing applies — the fit only when it clears the caller's
-	// confidence gate. Unexported, so Snapshot's gob image does not carry
-	// them: artifacts keep fits in core's envelope.
+	// confidence gate. Unexported, so neither Snapshot's flat image nor
+	// its gob one carries them: artifacts keep fits in a section of
+	// their own (core's preference section).
 	fitted bool
 	fit    pref.Result
 

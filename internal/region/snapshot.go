@@ -2,7 +2,7 @@ package region
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/geo"
@@ -46,10 +46,13 @@ func (g *Graph) Snapshot() *Snapshot {
 
 // Restore reconstructs a region graph over road from a snapshot,
 // rebuilding the derived indexes (vertex→region map, adjacency, edge
-// index). It validates that region members and edge endpoints are in
-// range for the given road network.
+// index); the graph takes s over, its edges being s.Edges' elements. A
+// snapshot is outside input — an artifact read from disk — so every ID
+// in it is checked before anything indexes with it: vertices against
+// the road, regions against the region count, edge kinds, road types
+// and preferences against their ranges.
 func Restore(road *roadnet.Graph, s *Snapshot) (*Graph, error) {
-	n := road.NumVertices()
+	n, regions := road.NumVertices(), len(s.Regions)
 	g := &Graph{
 		Road:            road,
 		Regions:         s.Regions,
@@ -58,40 +61,72 @@ func Restore(road *roadnet.Graph, s *Snapshot) (*Graph, error) {
 		transferCenters: s.TransferCenters,
 		tcCounts:        s.TCCounts,
 		topTypes:        s.TopTypes,
-		index:           make(map[[2]int]int),
+		index:           make(map[[2]int]int, len(s.Edges)),
 	}
-	if len(s.Centroids) != len(s.Regions) {
-		return nil, fmt.Errorf("region: snapshot has %d centroids for %d regions", len(s.Centroids), len(s.Regions))
+	// Optional slices may be absent in minimal snapshots; normalize to
+	// per-region length so accessors stay in bounds.
+	if g.inner == nil {
+		g.inner = make([][]InnerPath, regions)
+	}
+	if g.transferCenters == nil {
+		g.transferCenters = make([][]roadnet.VertexID, regions)
+	}
+	if g.topTypes == nil {
+		g.topTypes = make([][]roadnet.RoadType, regions)
+	}
+	if len(s.Centroids) != regions || len(g.inner) != regions || len(g.transferCenters) != regions ||
+		len(g.topTypes) != regions || g.tcCounts != nil && len(g.tcCounts) != regions {
+		return nil, fmt.Errorf("region: snapshot per-region slices disagree with its %d regions", regions)
+	}
+	offRoad := func(p []roadnet.VertexID) bool {
+		for _, v := range p {
+			if v < 0 || int(v) >= n {
+				return true
+			}
+		}
+		return false
 	}
 	g.regionOf = make([]int32, n)
 	for i := range g.regionOf {
 		g.regionOf[i] = -1
 	}
 	for i, r := range s.Regions {
-		if r.ID != i {
-			return nil, fmt.Errorf("region: snapshot region %d has ID %d", i, r.ID)
+		bad := r.ID != i || r.RoadType >= roadnet.NumRoadTypes || offRoad(r.Members) || offRoad(g.transferCenters[i])
+		for _, ip := range g.inner[i] {
+			bad = bad || offRoad(ip.Path)
+		}
+		for _, t := range g.topTypes[i] {
+			bad = bad || t >= roadnet.NumRoadTypes
+		}
+		if g.tcCounts != nil {
+			for v := range g.tcCounts[i] {
+				bad = bad || v < 0 || int(v) >= n
+			}
+		}
+		if bad {
+			return nil, fmt.Errorf("region: snapshot region %d carries an ID, a vertex or a road type out of range", i)
 		}
 		for _, v := range r.Members {
-			if int(v) < 0 || int(v) >= n {
-				return nil, fmt.Errorf("region: snapshot region %d member %d out of range", i, v)
-			}
 			g.regionOf[v] = int32(i)
 		}
 	}
-	g.adj = make([][]int, len(s.Regions))
+	g.adj = make([][]int, regions)
 	g.Edges = make([]*Edge, len(s.Edges))
 	for i := range s.Edges {
-		e := s.Edges[i]
-		if e.ID != i {
-			return nil, fmt.Errorf("region: snapshot edge %d has ID %d", i, e.ID)
+		e := &s.Edges[i]
+		bad := e.ID != i || e.R1 < 0 || e.R1 >= regions || e.R2 < 0 || e.R2 >= regions || e.Kind > BEdge || e.HasPref && !e.Pref.Valid()
+		for _, set := range [2][]PathInfo{e.PathsFwd, e.PathsRev} {
+			for _, pi := range set {
+				bad = bad || offRoad(pi.Path)
+			}
 		}
-		if e.R1 < 0 || e.R1 >= len(s.Regions) || e.R2 < 0 || e.R2 >= len(s.Regions) {
-			return nil, fmt.Errorf("region: snapshot edge %d endpoints (%d,%d) out of range", i, e.R1, e.R2)
+		if bad {
+			return nil, fmt.Errorf("region: snapshot edge %d carries an ID, a vertex, a kind or a preference out of range", i)
 		}
 		// Drop any hash caches carried over from an in-process
 		// Snapshot(); they would alias the source graph's slices.
 		e.fwdHashes, e.revHashes = nil, nil
-		g.Edges[i] = &e
+		g.Edges[i] = e
 		g.adj[e.R1] = append(g.adj[e.R1], i)
 		g.adj[e.R2] = append(g.adj[e.R2], i)
 		g.index[pairKey(e.R1, e.R2)] = i
@@ -100,23 +135,7 @@ func Restore(road *roadnet.Graph, s *Snapshot) (*Graph, error) {
 	// so a restored graph traverses neighbors exactly as the graph that
 	// produced the snapshot did.
 	for r := range g.adj {
-		sort.Slice(g.adj[r], func(i, j int) bool {
-			return g.Edges[g.adj[r][i]].Other(r) < g.Edges[g.adj[r][j]].Other(r)
-		})
-	}
-	// Optional slices may be absent in minimal snapshots; normalize to
-	// per-region length so accessors stay in bounds.
-	if g.inner == nil {
-		g.inner = make([][]InnerPath, len(s.Regions))
-	}
-	if g.transferCenters == nil {
-		g.transferCenters = make([][]roadnet.VertexID, len(s.Regions))
-	}
-	if g.topTypes == nil {
-		g.topTypes = make([][]roadnet.RoadType, len(s.Regions))
-	}
-	if len(g.inner) != len(s.Regions) || len(g.transferCenters) != len(s.Regions) || len(g.topTypes) != len(s.Regions) {
-		return nil, fmt.Errorf("region: snapshot per-region slices disagree with region count")
+		slices.SortFunc(g.adj[r], func(a, b int) int { return g.Edges[a].Other(r) - g.Edges[b].Other(r) })
 	}
 	return g, nil
 }

@@ -30,12 +30,9 @@ func writeTSVReference(w io.Writer, g *roadnet.Graph) error {
 	return bw.Flush()
 }
 
-// TestWriteTSVMatchesReference: WriteTSV's bytes equal the fmt
-// reference's on the bench cities 1–3, the ci city 1 and a hand-built
-// network of negative and large coordinates and values on the rounding
-// boundary of their printed precision.
-func TestWriteTSVMatchesReference(t *testing.T) {
-	hand, err := roadnet.ReadTSV(strings.NewReader(`V	0	-123456.0005	98765432.1235
+// handBuiltTSV is a network of negative and large coordinates and
+// values on the rounding boundary of their printed precision.
+const handBuiltTSV = `V	0	-123456.0005	98765432.1235
 V	1	-0.0004	0.0005
 V	2	1e12	-1e12
 V	3	2.0005	-2.0015
@@ -43,7 +40,53 @@ E	0	1	1.0005	0.0015	0.0000005	0
 E	1	2	2.5e9	1234.5675	3.1234565	5
 E	2	3	0.0005	7.9995	1e-7	3
 E	3	0	123.4565	0.0025	0.0000015	1
-`))
+`
+
+// TestTSVRoundTripIsByteIdentical: whatever ReadTSV accepts of what
+// WriteTSV wrote, it reads back to a network WriteTSV writes byte for
+// byte again — on the bench cities 1–3 and the ci cities 1–3. A road's
+// identity is the hash of those bytes, so this is what lets a restart
+// restore a checkpoint onto the network it decoded from the base
+// artifact: the two are the same bytes, so the same identity. The
+// hand-built network is the boundary case: its fuel of 5e-7 l prints
+// as 0.000000, which ReadTSV refuses as a non-positive weight, so no
+// artifact can carry it and there is nothing to round-trip.
+func TestTSVRoundTripIsByteIdentical(t *testing.T) {
+	hand, err := roadnet.ReadTSV(strings.NewReader(handBuiltTSV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*roadnet.Graph{"hand-built": hand}
+	for seed := int64(1); seed <= 3; seed++ {
+		graphs[fmt.Sprintf("bench-%d", seed)] = worldgen.Build(worldgen.MustScale(worldgen.ScaleBench, seed)).Road
+		graphs[fmt.Sprintf("ci-%d", seed)] = worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, seed)).Road
+	}
+	for name, g := range graphs {
+		var first, second bytes.Buffer
+		if err := roadnet.WriteTSV(&first, g); err != nil {
+			t.Fatal(err)
+		}
+		back, err := roadnet.ReadTSV(bytes.NewReader(first.Bytes()))
+		if (err != nil) != (name == "hand-built") {
+			t.Fatalf("%s: reading back what WriteTSV wrote: %v", name, err)
+		}
+		if err != nil {
+			continue
+		}
+		if err := roadnet.WriteTSV(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("%s: %d bytes written, %d after a round trip", name, first.Len(), second.Len())
+		}
+	}
+}
+
+// TestWriteTSVMatchesReference: WriteTSV's bytes equal the fmt
+// reference's on the bench cities 1–3, the ci city 1 and the
+// hand-built network.
+func TestWriteTSVMatchesReference(t *testing.T) {
+	hand, err := roadnet.ReadTSV(strings.NewReader(handBuiltTSV))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,10 +60,11 @@ func TestServeCHBackend(t *testing.T) {
 	}
 }
 
-// TestPublishLoadedArtifactKeepsCHBackend: artifacts carry no
-// hierarchy, so a Save → Load copy published into a CH engine — plain
-// or durable — must be contracted on the way in, not served (and
-// relearned on, at every later ingest) on plain Dijkstra.
+// TestPublishLoadedArtifactKeepsCHBackend: artifacts carry a
+// contraction order but no hierarchy, so a Save → Load copy published
+// into a CH engine — plain or durable — must get its hierarchy on the
+// way in, not be served (and relearned on, at every later ingest) on
+// plain Dijkstra.
 func TestPublishLoadedArtifactKeepsCHBackend(t *testing.T) {
 	base, fresh := sharedWorld(t)
 	loaded := func() *core.Router {

@@ -74,17 +74,19 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 
 	d := &durability{dir: opt.WALDir, every: opt.CheckpointEvery}
 
-	// One identity pass over the base network; the checkpoint carries
-	// its own precomputed hash and the log header is compared against
-	// this value, so no other serialization pass runs at startup.
-	baseID, err := wal.IdentityOf(r.Road())
+	// The base's identity comes with it when it was saved or loaded
+	// (one serialization pass otherwise); the checkpoint and the log
+	// header carry theirs, so neither is serialized to be compared. A
+	// checkpoint on the base's network is restored onto the base's
+	// decoded road rather than parsing its own copy.
+	baseID, err := wal.IdentityOfRouter(r)
 	if err != nil {
 		return nil, err
 	}
 
 	base := r
 	var fromSeq, idWatermark uint64
-	ckpt, ok, err := wal.ReadCheckpoint(opt.WALDir)
+	ckpt, ok, err := wal.ReadCheckpointOnto(opt.WALDir, r.Road(), baseID)
 	if err != nil {
 		return nil, fmt.Errorf("serve: recovering %s: %w", opt.WALDir, err)
 	}
@@ -177,8 +179,8 @@ func (e *Engine) TakeRecoveredBatches() []wal.Batch {
 }
 
 // Checkpoint synchronously persists the currently served router as the
-// WAL directory's checkpoint (via the core artifact envelope, save
-// generation advanced) and rotates the log. A no-op returning nil on a
+// WAL directory's checkpoint (as a core artifact, save generation
+// advanced) and rotates the log. A no-op returning nil on a
 // non-durable engine. Call it before a planned shutdown to make the
 // next start replay-free.
 func (e *Engine) Checkpoint() error {

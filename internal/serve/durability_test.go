@@ -780,3 +780,61 @@ func TestPublishDifferentNetworkRebinds(t *testing.T) {
 		t.Fatal("restart with the pre-publish network served a post-publish WAL directory")
 	}
 }
+
+// TestRecoveryRestoresCheckpointOntoBaseRoad: a restart decodes one road
+// network. The base router — loaded from its artifact, so it carries its
+// road's identity and contraction order, or built in-process, so the
+// identity is computed — is the reference the checkpoint is verified
+// against, and the checkpoint's region graph and fits are restored onto
+// the base's own *roadnet.Graph instead of a second parse of the same
+// network. The recovered engine knows its road's identity, serves on
+// the hierarchy, and answers like the engine that crashed.
+func TestRecoveryRestoresCheckpointOntoBaseRoad(t *testing.T) {
+	built, live := buildServeWorld(t, 17, 300)
+	var art bytes.Buffer
+	if err := built.IngestClone().Save(&art); err != nil {
+		t.Fatal(err)
+	}
+	for name, base := range map[string]func() *core.Router{
+		"loaded base": func() *core.Router {
+			r, err := core.Load(bytes.NewReader(art.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		},
+		"built base": func() *core.Router { return built.Clone() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			opt := Options{WALDir: t.TempDir(), CheckpointEvery: 8, PathBackend: core.BackendCH}
+			e1 := mustDurable(t, base(), opt)
+			for _, b := range matchedBatches(live, 4)[:5] {
+				e1.IngestMatched(b)
+			}
+			if e1.Stats().Durability.Checkpoints == 0 {
+				t.Fatal("no automatic checkpoint ran")
+			}
+			r := base()
+			e2 := mustDurable(t, r, opt)
+			defer e2.Close()
+			if d := e2.Stats().Durability; !d.RecoveredFromCheckpoint || d.ReplayedRecords == 0 {
+				t.Fatalf("want a checkpoint plus a replayed tail: %+v", d)
+			}
+			snap := e2.Snapshot()
+			if snap.Road() != r.Road() {
+				t.Fatal("the checkpoint was restored onto a second copy of the road network, not the base's")
+			}
+			if snap.PathBackend() != core.BackendCH {
+				t.Fatalf("recovered snapshot serves on %v, want ch", snap.PathBackend())
+			}
+			want, err := wal.IdentityOf(snap.Road())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := snap.RoadIdentity(); !ok || got != want.Hash {
+				t.Fatalf("recovered router's identity %#x (known %v), want %#x", got, ok, want.Hash)
+			}
+			requireSameAnswers(t, name, e2, e1, sampleODs(live, 40))
+		})
+	}
+}

@@ -202,8 +202,9 @@ func NewEngine(r *core.Router, opt Options) *Engine {
 // onBackend brings r onto the path backend the engine serves on, before
 // r sees traffic: with core.BackendCH a router that is still
 // Dijkstra-backed — anything restored by core.Load, since artifacts
-// carry no hierarchy — is contracted and its metrics customized; a
-// router already there is left alone. Every way a router enters an
+// carry a contraction order but no hierarchy — gets its hierarchy
+// (derived from that order, or contracted) and its metrics customized;
+// a router already there is left alone. Every way a router enters an
 // engine goes through here: construction, recovery and Publish.
 func (o Options) onBackend(r *core.Router) {
 	if o.PathBackend == core.BackendCH {
@@ -550,7 +551,7 @@ func (e *Engine) publishLocked(r *core.Router, external bool) uint64 {
 			// new world); rebind so the checkpoint and the rotated log
 			// header carry the identity recovery will verify against,
 			// and continue the artifact's own save lineage.
-			if id, err := wal.IdentityOf(r.Road()); err == nil {
+			if id, err := wal.IdentityOfRouter(r); err == nil {
 				e.dur.log.Rebind(id)
 			} else {
 				e.dur.checkpointFailures.Add(1)

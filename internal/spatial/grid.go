@@ -182,6 +182,3 @@ func sortCandidates(cs []EdgeCandidate) {
 		}
 	}
 }
-
-// CellSize returns the grid cell edge length in meters.
-func (idx *Index) CellSize() float64 { return idx.cell }

@@ -24,20 +24,27 @@
 //
 // # Checkpoints
 //
-// A checkpoint (checkpoint.l2r) folds the log into the router: the
-// serving snapshot is saved through the existing core v2 artifact
-// envelope (save generation advanced), wrapped with the log sequence
-// it covers, written to a temp file and atomically renamed; the log is
-// then rotated to a fresh file starting at that sequence. Because the
-// covered sequence travels inside the checkpoint file itself, a crash
-// between the rename and the rotation is harmless — recovery skips
-// already-covered records by sequence.
+// A checkpoint (checkpoint.l2r) folds the log into the router: a small
+// frame with the log sequence it covers, the trajectory-ID watermark
+// and the road identity, then the serving snapshot exactly as
+// core.Router.Save writes it (save generation advanced) — written to a
+// temp file and atomically renamed; the log is then rotated to a fresh
+// file starting at that sequence. Because the covered sequence travels
+// inside the checkpoint file itself, a crash between the rename and the
+// rotation is harmless — recovery skips already-covered records by
+// sequence. ReadCheckpoint still reads the v1 layout (one gob frame
+// around a copy of the artifact).
 //
 // # Recovery
 //
 // Open scans an existing log end to end before serving: the road
 // identity must match, checksums and sequence continuity must verify,
-// and surviving records are handed to the caller for replay. A torn
+// and surviving records are handed to the caller for replay. The
+// identity comes from the base router when it carries one
+// (IdentityOfRouter: a saved or v3-loaded router), and
+// ReadCheckpointOnto restores a checkpoint written against that
+// identity onto the base's decoded road network, so a restart
+// serializes no network and parses one. A torn
 // final record (a crash mid-append) is truncated and tolerated;
 // corruption anywhere else fails loudly — a damaged log is never
 // silently half-replayed. Recovery never writes, so it is idempotent:

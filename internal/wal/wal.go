@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
@@ -50,8 +51,8 @@ const headerVersion uint16 = 1
 // NetworkID fingerprints the road network a log (or checkpoint)
 // belongs to: the FNV-64a hash of the network's TSV serialization plus
 // its dimensions for error messages. Computing it costs one full
-// serialization pass — do it once per startup via IdentityOf and pass
-// the value around.
+// serialization pass; a saved or loaded router carries it
+// (IdentityOfRouter), so a restart pays none.
 type NetworkID struct {
 	Hash        uint64
 	NumVertices int
@@ -68,6 +69,18 @@ func IdentityOf(g *roadnet.Graph) (NetworkID, error) {
 		return NetworkID{}, fmt.Errorf("wal: fingerprinting road network: %w", err)
 	}
 	return NetworkID{Hash: h.Sum64(), NumVertices: g.NumVertices(), NumEdges: g.NumEdges()}, nil
+}
+
+// IdentityOfRouter is IdentityOf(r.Road()), taken from r when r knows
+// its road's identity — it was saved, or loaded from a v3 artifact
+// (core.Router.RoadIdentity) — instead of serializing the network
+// again.
+func IdentityOfRouter(r *core.Router) (NetworkID, error) {
+	g := r.Road()
+	if h, ok := r.RoadIdentity(); ok {
+		return NetworkID{Hash: h, NumVertices: g.NumVertices(), NumEdges: g.NumEdges()}, nil
+	}
+	return IdentityOf(g)
 }
 
 // header is the log file's first frame: which road network the records

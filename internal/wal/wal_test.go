@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -12,6 +13,9 @@ import (
 	"repro/internal/traj"
 	"repro/internal/worldgen"
 )
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
 
 func testWorld(tb testing.TB, seed int64) (*roadnet.Graph, []*traj.Trajectory) {
 	tb.Helper()
@@ -356,5 +360,105 @@ func TestCorruptCheckpointFailsLoud(t *testing.T) {
 	}
 	if _, _, err := ReadCheckpoint(dir); err == nil {
 		t.Fatal("corrupt checkpoint accepted")
+	}
+}
+
+// TestCarriedIdentityIsIdentityOf: the road identity a router carries —
+// recorded by Save over the TSV bytes it writes, read back by Load from
+// the artifact header — is IdentityOf's by definition, on the bench
+// cities 1–3 and the ci cities 1–3 (which skip under the race detector
+// and -short): for the saved router, the loaded one, a checkpoint read
+// on its own and a checkpoint restored onto the loaded router's road
+// network (which then is that router's network, not a copy).
+func TestCarriedIdentityIsIdentityOf(t *testing.T) {
+	var specs []worldgen.Spec
+	for seed := int64(1); seed <= 3; seed++ {
+		specs = append(specs, worldgen.MustScale(worldgen.ScaleBench, seed))
+		if !raceEnabled && !testing.Short() {
+			specs = append(specs, worldgen.MustScale(worldgen.ScaleCI, seed))
+		}
+	}
+	for _, spec := range specs {
+		w := worldgen.Build(spec)
+		r, err := core.Build(w.Road, w.Train, core.Options{SkipMapMatching: true, PathBackend: core.BackendCH})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mustID(t, w.Road)
+		if _, ok := r.RoadIdentity(); ok {
+			t.Fatal("a router built in-process and never saved claims to know its road's identity")
+		}
+		if got, err := IdentityOfRouter(r); err != nil || got != want {
+			t.Fatalf("IdentityOfRouter of a built router = %+v (err %v), want %+v", got, err, want)
+		}
+		var art bytes.Buffer
+		if err := r.Save(&art); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := core.Load(bytes.NewReader(art.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := WriteCheckpoint(dir, loaded.Clone(), 3, 9, want); err != nil {
+			t.Fatal(err)
+		}
+		alone, _, err := ReadCheckpoint(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onto, _, err := ReadCheckpointOnto(dir, loaded.Road(), want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if onto.Router.Road() != loaded.Road() || alone.Router.Road() == loaded.Road() {
+			t.Fatal("ReadCheckpointOnto did not restore onto the road it was given, or ReadCheckpoint did")
+		}
+		for name, c := range map[string]*core.Router{"saved": r, "loaded": loaded, "checkpoint": alone.Router, "checkpoint onto base": onto.Router} {
+			got, ok := c.RoadIdentity()
+			if !ok || got != want.Hash || mustID(t, c.Road()) != want {
+				t.Fatalf("%s, %s: carried identity %#x (known %v), IdentityOf %#x", spec.Name, name, got, ok, want.Hash)
+			}
+		}
+	}
+}
+
+// TestReadCheckpointV1: a checkpoint an earlier binary wrote — one gob
+// frame around the artifact and its bookkeeping — still reads.
+func TestReadCheckpointV1(t *testing.T) {
+	road, ts := testWorld(t, 9)
+	r, err := core.Build(road, ts, core.Options{SkipMapMatching: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art bytes.Buffer
+	if err := r.Save(&art); err != nil {
+		t.Fatal(err)
+	}
+	id := mustID(t, road)
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, CheckpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := checkpointEnvelope{Seq: 5, NextTrajectoryID: 11, RoadHash: id.Hash, Artifact: art.Bytes()}
+	if err := codec.WriteFrame(f, checkpointVersionV1, &env); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for _, read := range []func() (*Checkpoint, bool, error){
+		func() (*Checkpoint, bool, error) { return ReadCheckpoint(dir) },
+		func() (*Checkpoint, bool, error) { return ReadCheckpointOnto(dir, road, id) },
+	} {
+		c, ok, err := read()
+		if err != nil || !ok {
+			t.Fatalf("v1 checkpoint: ok %v, err %v", ok, err)
+		}
+		if c.Seq != 5 || c.NextTrajectoryID != 11 || c.RoadHash != id.Hash {
+			t.Fatalf("v1 checkpoint bookkeeping = %+v", c)
+		}
+		if a, b := c.Router.Route(3, 40).Path, r.Route(3, 40).Path; len(a) == 0 || len(a) != len(b) {
+			t.Fatal("v1 checkpoint's router answers differently")
+		}
 	}
 }

@@ -215,7 +215,7 @@ func NewEngine(r *Router, opt ServeOptions) *Engine { return serve.NewEngine(r, 
 // Durability re-exports. With ServeOptions.WALDir set, an engine
 // journals every ingest batch to a write-ahead log *before* the
 // snapshot swap that applies it, periodically folds the log into a
-// checkpoint (the standard artifact envelope), and recovers checkpoint
+// checkpoint (the router as a standard artifact), and recovers checkpoint
 // + log on restart — live-learned preference state survives crashes.
 // See internal/wal and OPERATIONS.md.
 
