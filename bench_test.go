@@ -633,38 +633,27 @@ func BenchmarkServe(b *testing.B) {
 	// of parallel goroutines walks the query list in windows of 64, so
 	// every fresh OD pair is requested by many goroutines at once
 	// before any cache entry exists. The computes/od metric is the
-	// collapse: ~1 route computation per unique OD with singleflight
-	// (the default). The NoCoalesce contrast needs real parallelism to
-	// stampede — on GOMAXPROCS=1 the serialized herd is absorbed by the
-	// cache alone and both variants report ~1.
-	for _, variant := range []struct {
-		name       string
-		noCoalesce bool
-	}{{"EngineColdHerdCoalesce", false}, {"EngineColdHerdNoCoalesce", true}} {
-		variant := variant
-		b.Run(variant.name, func(b *testing.B) {
-			e := serve.NewEngine(r.IngestClone(), serve.Options{
-				CacheSize:  1 << 16,
-				NoCoalesce: variant.noCoalesce,
-			})
-			var next int64
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					q := qs[(i/64)%len(qs)]
-					e.Route(q.S, q.D)
-				}
-			})
-			b.StopTimer()
-			uniques := (b.N + 63) / 64
-			if uniques > len(qs) {
-				uniques = len(qs)
+	// collapse: ~1 route computation per unique OD, the cache's
+	// coalescing absorbing the herd.
+	b.Run("EngineColdHerdCoalesce", func(b *testing.B) {
+		e := serve.NewEngine(r.IngestClone(), serve.Options{CacheSize: 1 << 16})
+		var next int64
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				i := int(atomic.AddInt64(&next, 1)) - 1
+				q := qs[(i/64)%len(qs)]
+				e.Route(q.S, q.D)
 			}
-			st := e.Stats()
-			b.ReportMetric(float64(st.RouteComputations)/float64(uniques), "computes/od")
-			b.ReportMetric(float64(st.CoalescedQueries), "coalesced")
 		})
-	}
+		b.StopTimer()
+		uniques := (b.N + 63) / 64
+		if uniques > len(qs) {
+			uniques = len(qs)
+		}
+		st := e.Stats()
+		b.ReportMetric(float64(st.RouteComputations)/float64(uniques), "computes/od")
+		b.ReportMetric(float64(st.CoalescedQueries), "coalesced")
+	})
 
 	b.Run("EngineWarmCache", func(b *testing.B) {
 		e := serve.NewEngine(r.IngestClone(), serve.Options{CacheSize: 1 << 15})

@@ -1,6 +1,6 @@
 // Command l2rserve serves built L2R routers over HTTP: concurrent
-// routing queries with a sharded result cache and singleflight
-// request coalescing, live trajectory ingestion via copy-on-write
+// routing queries with a sharded result cache that also coalesces
+// concurrent duplicates, live trajectory ingestion via copy-on-write
 // snapshot swaps, and serving metrics.
 //
 // A deployment loads artifacts produced by l2rartifact (paying the
@@ -100,6 +100,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -372,8 +373,18 @@ func (a attachments) announce(prefix string) {
 // /t/{tenant}/, and the fleet stops them with the tenant.
 func serveFleet(addr, debugAddr, dir string, reload, drain time.Duration, opt l2r.ServeOptions, att attachments, logger *slog.Logger) {
 	fleet := l2r.NewFleet(opt)
+	// The stop functions are kept to run before the final checkpoints;
+	// the fleet runs them again on Close, which is harmless — every
+	// attachment's Close is idempotent.
+	var (
+		stopsMu sync.Mutex
+		stops   []func()
+	)
 	fleet.Attach(func(_ string, e *l2r.Engine) func() {
 		_, stop := att.attach(e)
+		stopsMu.Lock()
+		stops = append(stops, stop)
+		stopsMu.Unlock()
 		return stop
 	})
 	att.announce("/t/{tenant}")
@@ -401,6 +412,14 @@ func serveFleet(addr, debugAddr, dir string, reload, drain time.Duration, opt l2
 	serveAndDrain(addr, l2r.AccessLog(logger, api), drain, func(ctx context.Context) {
 		watcher.Watch(ctx, reload)
 	})
+	// Attachments stop before the checkpoints, as in single-tenant mode,
+	// so the stream pipelines' final flushes are inside them.
+	stopsMu.Lock()
+	stopping := stops
+	stopsMu.Unlock()
+	for _, stop := range stopping {
+		stop()
+	}
 	if opt.WALDir != "" {
 		for _, name := range fleet.Names() {
 			if e, ok := fleet.Get(name); ok && e.Durable() {
@@ -412,9 +431,6 @@ func serveFleet(addr, debugAddr, dir string, reload, drain time.Duration, opt l2
 		log.Printf("final checkpoints written; restart will be replay-free")
 	}
 	final := fleet.Stats()
-	// Close stops every tenant's attachments, then its engine; what the
-	// stream pipelines flush on the way out is journaled after the
-	// checkpoint and replays at the next start.
 	fleet.Close()
 	log.Printf("served %d queries across %d tenants (%.1f qps, cache hit rate %.1f%%, %d coalesced, %d ingests)",
 		final.Queries, final.Tenants, final.QPS, 100*final.CacheHitRate,

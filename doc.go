@@ -26,7 +26,7 @@
 // Beyond the offline pipeline, internal/serve (re-exported as
 // l2r.Engine) serves a built router to concurrent traffic: lock-free
 // snapshot reads, copy-on-write live ingestion, a sharded LRU route
-// cache with generation-based invalidation, singleflight coalescing of
+// cache with generation-based invalidation that also coalesces
 // concurrent duplicate queries, and serving metrics. cmd/l2rserve
 // wraps it in an HTTP server:
 //

@@ -193,14 +193,14 @@ func (r *Router) route(sp *obs.Span, s, d roadnet.VertexID) RouteResult {
 		if ok {
 			return RouteResult{Path: p, Category: cat, UsedRegionPath: true, RegionPath: []int{rs}, Evidence: EvidencePreference}
 		}
-		return r.fastestFallbackSpan(sp, s, d, cat)
+		return r.fastestFallback(sp, s, d, cat)
 	}
 
 	rg := sp.Start("route.region_search")
 	regPath, ok := r.regionSearch(rs, rd)
 	rg.End()
 	if !ok {
-		return r.fastestFallbackSpan(sp, s, d, cat)
+		return r.fastestFallback(sp, s, d, cat)
 	}
 
 	// Map the region path to a road path, best evidence first:
@@ -238,7 +238,7 @@ func (r *Router) route(sp *obs.Span, s, d roadnet.VertexID) RouteResult {
 		}
 	} else {
 		spl.End()
-		return r.fastestFallbackSpan(sp, s, d, cat)
+		return r.fastestFallback(sp, s, d, cat)
 	}
 	spl.Annotate("evidence", evidence.String())
 	spl.End()
@@ -254,11 +254,7 @@ func (r *Router) route(sp *obs.Span, s, d roadnet.VertexID) RouteResult {
 	return RouteResult{Path: full, Category: cat, UsedRegionPath: true, RegionPath: regPath, Evidence: evidence}
 }
 
-func (r *Router) fastestFallback(s, d roadnet.VertexID, cat Category) RouteResult {
-	return r.fastestFallbackSpan(nil, s, d, cat)
-}
-
-func (r *Router) fastestFallbackSpan(sp *obs.Span, s, d roadnet.VertexID, cat Category) RouteResult {
+func (r *Router) fastestFallback(sp *obs.Span, s, d roadnet.VertexID, cat Category) RouteResult {
 	fb := sp.Start("route.fastest_fallback")
 	path, _, ok := r.eng.Fastest(s, d)
 	fb.End()

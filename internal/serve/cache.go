@@ -2,6 +2,7 @@ package serve
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/roadnet"
@@ -50,15 +51,41 @@ func appendMeasures(dst []measure, road *roadnet.Graph, res []core.RouteResult) 
 	return dst
 }
 
+// flight is an answer still being computed: the caller whose lookup
+// reserved the entry (the leader) computes, stores the answer and ok,
+// and lands the flight; callers that find it in flight wait on done and
+// share the answer. ok records that the leader's compute finished — if
+// it panicked, waiters must not trust the answer. waiters counts the
+// callers that joined (observability and tests). done is a WaitGroup of
+// one, not a channel: with the answer's measures riding in the flight,
+// a channel beside it would make a miss allocate more than it did
+// without them.
+type flight struct {
+	done    sync.WaitGroup
+	res     []core.RouteResult
+	meas    []measure
+	ok      bool
+	waiters atomic.Int32
+}
+
+// wait blocks until the flight lands and returns its answer; ok is
+// false when the leader panicked out of compute.
+func (f *flight) wait() ([]core.RouteResult, []measure, bool) {
+	f.done.Wait()
+	return f.res, f.meas, f.ok
+}
+
 // cacheEntry is one cached answer, tagged with the snapshot generation
-// that produced it. Entries from older generations are dead: the router
-// they were computed on has been replaced, so they count as misses and
-// are dropped on sight.
+// that produced it, or — while fl is non-nil — the reservation of a
+// flight computing it. Entries from older generations are dead: the
+// router they were computed on has been replaced, so they count as
+// misses and the next lookup at the newer generation reserves them.
 type cacheEntry struct {
 	key  cacheKey
 	gen  uint64
 	res  []core.RouteResult
-	meas []measure // nil-free: len(meas) == len(res)
+	meas []measure // nil-free once landed: len(meas) == len(res)
+	fl   *flight
 	prev *cacheEntry
 	next *cacheEntry
 }
@@ -103,7 +130,15 @@ func (s *cacheShard) pushFront(e *cacheEntry) {
 	}
 }
 
-// routeCache is a sharded LRU with generation-based invalidation.
+// routeCache is a sharded LRU with generation-based invalidation, and
+// the coalescer of concurrent duplicate queries (singleflight): the
+// first miss for a key reserves its entry with a flight, and callers
+// that arrive while it is in flight share the leader's answer instead
+// of borrowing a router clone and repeating the search. Real road
+// traffic is heavily duplicate-skewed — a hot OD pair going cold
+// (startup, post-ingest swap) would otherwise stampede the engine with
+// identical searches. A flight is reserved per generation, so a query
+// never latches onto a computation running against an older router.
 type routeCache struct {
 	shards []*cacheShard
 }
@@ -127,36 +162,81 @@ func (c *routeCache) shard(k cacheKey) *cacheShard {
 	return c.shards[k.hash()%uint64(len(c.shards))]
 }
 
-// get returns the cached answer for key at generation gen. An entry
-// from an older generation is removed and reported as a miss. A hit is
-// always counted; a miss only with countMiss, so a caller looking a
-// second time for the same query (a flight's leader) leaves the miss
-// count at one per query.
-func (c *routeCache) get(key cacheKey, gen uint64, countMiss bool) ([]core.RouteResult, []measure, bool) {
+// lookup answers a query for key at generation gen in one visit to the
+// key's shard, which counts it once, as a hit or a miss:
+//
+//   - hit: res is the cached answer (never empty);
+//   - wait: the entry is in flight at gen — fl is its flight, lead is
+//     false, and the caller waits on it;
+//   - lead: anything else missing at gen reserves the entry with a new
+//     flight fl in the same critical section, and the caller must land
+//     it, even if its compute panics;
+//   - an entry of a newer generation (the caller loaded its snapshot
+//     before a swap) is left alone: res and fl are nil, and the caller
+//     computes without the cache.
+func (c *routeCache) lookup(key cacheKey, gen uint64) (res []core.RouteResult, meas []measure, fl *flight, lead bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	e, ok := s.items[key]
-	if ok && e.gen == gen {
+	switch {
+	case ok && e.gen == gen && e.fl == nil:
 		// The hottest key of a skewed workload is already at the
 		// head; relinking it would only dirty its neighbours' lines.
 		if s.head != e {
 			s.unlink(e)
 			s.pushFront(e)
 		}
-		res, meas := e.res, e.meas
+		res, meas = e.res, e.meas
 		s.hits++
 		s.mu.Unlock()
-		return res, meas, true
+		return res, meas, nil, false
+	case ok && e.gen == gen:
+		fl = e.fl
+		fl.waiters.Add(1)
+	case ok && e.gen > gen:
+	default: // absent, or an older generation's answer or flight
+		if ok {
+			s.unlink(e)
+		} else {
+			e = &cacheEntry{key: key}
+			s.items[key] = e
+		}
+		fl = new(flight)
+		fl.done.Add(1)
+		e.gen, e.res, e.meas, e.fl = gen, nil, nil, fl
+		s.pushFront(e)
+		if len(s.items) > s.cap {
+			old := s.tail
+			s.unlink(old)
+			delete(s.items, old.key)
+		}
+		lead = true
 	}
-	if ok { // stale generation
-		s.unlink(e)
-		delete(s.items, key)
-	}
-	if countMiss {
-		s.misses++
+	s.misses++
+	s.mu.Unlock()
+	return nil, nil, fl, lead
+}
+
+// land settles the flight a lookup of key made this caller lead and
+// releases its waiters. With fl.ok the answer in fl is stored in the
+// entry, which turns its later lookups into hits; without it (compute
+// panicked) the entry is dropped, so the waiters and later callers
+// compute for themselves. An entry that was evicted, or reserved again
+// by a newer generation, while fl was in flight is not touched.
+func (c *routeCache) land(key cacheKey, fl *flight) {
+	s := c.shard(key)
+	s.mu.Lock()
+	if e, ok := s.items[key]; ok && e.fl == fl {
+		e.fl = nil
+		if fl.ok {
+			e.res, e.meas = fl.res, fl.meas
+		} else {
+			s.unlink(e)
+			delete(s.items, key)
+		}
 	}
 	s.mu.Unlock()
-	return nil, nil, false
+	fl.done.Done()
 }
 
 // counts returns the lookups answered and refused so far.
@@ -170,37 +250,11 @@ func (c *routeCache) counts() (hits, misses uint64) {
 	return hits, misses
 }
 
-// put inserts (or refreshes) the answer computed at generation gen,
-// evicting the least recently used entry when the shard is full. A
-// stale racer — put of an older generation after a newer one landed —
-// is ignored.
-func (c *routeCache) put(key cacheKey, gen uint64, res []core.RouteResult, meas []measure) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.items[key]; ok {
-		if gen < e.gen {
-			return
-		}
-		e.gen, e.res, e.meas = gen, res, meas
-		s.unlink(e)
-		s.pushFront(e)
-		return
-	}
-	e := &cacheEntry{key: key, gen: gen, res: res, meas: meas}
-	s.items[key] = e
-	s.pushFront(e)
-	if len(s.items) > s.cap {
-		old := s.tail
-		s.unlink(old)
-		delete(s.items, old.key)
-	}
-}
-
 // generationLag returns cur minus the oldest generation among live
-// entries (0 when empty or all current). Stale entries die lazily on
-// lookup, so a non-zero lag is normal right after a swap; a lag that
-// stays large means cold keys are pinning pre-swap answers' slots.
+// entries (0 when empty or all current). Stale entries are replaced
+// lazily on lookup, so a non-zero lag is normal right after a swap; a
+// lag that stays large means cold keys are pinning pre-swap answers'
+// slots.
 func (c *routeCache) generationLag(cur uint64) uint64 {
 	var lag uint64
 	for _, s := range c.shards {

@@ -136,9 +136,10 @@ type DebugSnapshot struct {
 	Durable    bool   `json:"durable"`
 	Tracing    bool   `json:"tracing"`
 	Generation uint64 `json:"generation"`
-	// CacheEntries is the route cache's current occupancy (0 when
-	// caching is disabled); Coalescing whether duplicate queries share
-	// in-flight computations.
+	// CacheEntries is the route cache's current occupancy, answers and
+	// flights (0 when caching is disabled); Coalescing whether duplicate
+	// queries share in-flight computations — exactly when the cache is
+	// on, since the cache is the coalescer.
 	CacheEntries int  `json:"cache_entries"`
 	Coalescing   bool `json:"coalescing"`
 	// WALSeq is the next write-ahead-log sequence number — how many
@@ -164,14 +165,16 @@ type DebugSnapshot struct {
 	VCSRevision string `json:"vcs_revision,omitempty"`
 }
 
-// DebugSnapshotNow collects the engine's DebugSnapshot without
-// blocking: every field reads an atomic or a lock-free counter.
+// DebugSnapshotNow collects the engine's DebugSnapshot without waiting
+// for readiness or the write path. It is not free: the cache occupancy
+// takes every shard's lock in turn, and every attachment's Report runs,
+// which locks the attachment and may scan for drift.
 func (e *Engine) DebugSnapshotNow() DebugSnapshot {
 	ds := DebugSnapshot{
 		Ready:      e.ready.Load(),
 		Durable:    e.dur != nil,
 		Tracing:    e.trc.Enabled(),
-		Coalescing: e.flights != nil,
+		Coalescing: e.cache != nil,
 		Goroutines: runtime.NumGoroutine(),
 	}
 	if snap := e.snap.Load(); snap != nil {

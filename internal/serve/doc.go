@@ -20,17 +20,21 @@
 //
 // # Cache and coalescing
 //
-// In front of the snapshot sit two duplicate absorbers. A sharded LRU
-// route cache exploits the heavy skew of real road traffic toward hot
-// OD pairs: repeated queries cost a map lookup, not a graph search.
-// Entries record the generation that produced them and are treated as
-// misses once the snapshot advances, so an ingest that, say, upgrades
-// a B-edge to a T-edge can never serve a stale pre-ingest route. A
-// singleflight group (see flightGroup) collapses *concurrent*
-// duplicates the cache cannot absorb — the cold thundering herd on a
-// hot key after startup or a swap — to one computation whose answer
-// every herd member shares; flights are keyed per generation for the
-// same staleness guarantee.
+// In front of the snapshot sits one duplicate absorber, a sharded LRU
+// route cache (routeCache). It exploits the heavy skew of real road
+// traffic toward hot OD pairs: repeated queries cost a map lookup, not
+// a graph search. Entries record the generation that produced them and
+// are treated as misses once the snapshot advances, so an ingest that,
+// say, upgrades a B-edge to a T-edge can never serve a stale
+// pre-ingest route. The cache is also the coalescer of *concurrent*
+// duplicates — the cold thundering herd on a hot key after startup or
+// a swap. One visit to the key's shard answers hit, wait or lead: the
+// first miss reserves the entry with a flight and computes, the
+// duplicates that find the entry in flight wait and share its answer,
+// and landing the flight turns the entry into a plain cached answer.
+// Flights are reserved per generation for the same staleness
+// guarantee, and a lookup from a generation older than the entry's
+// computes without the cache rather than disturbing it.
 //
 // A hit is a few hundred nanoseconds, so what it writes matters more
 // than what it computes: a cache line two cores write costs each of
@@ -59,8 +63,8 @@
 //
 // The paper builds one region graph per city's trajectory set, so a
 // production deployment runs many routers. A Fleet is a registry of
-// named Engines behind one HTTP front-end: per-tenant caches, flights
-// and metrics; tenant-addressed routes (/t/{tenant}/route, ...);
+// named Engines behind one HTTP front-end: per-tenant caches and
+// metrics; tenant-addressed routes (/t/{tenant}/route, ...);
 // aggregate stats. A Watcher keeps a fleet in sync with a directory of
 // *.l2r artifacts, hot-swapping rebuilt files into the live fleet via
 // the same snapshot machinery — in-flight queries finish on the

@@ -126,10 +126,7 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 		// live ingest uses instead of on plain Dijkstra.
 		e.opt.onBackend(base)
 		for _, b := range batches {
-			io := e.opt.Ingest
-			io.SkipMapMatching = b.SkipMapMatching
-			st := base.Ingest(b.Trajs, io)
-			base.PrepareMetricsTouched(st.TouchedEdges)
+			e.applyBatch(nil, base, b)
 			for _, t := range b.Trajs {
 				if t.ID >= 0 && uint64(t.ID+1) > idWatermark {
 					idWatermark = uint64(t.ID + 1)

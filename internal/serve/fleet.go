@@ -19,7 +19,7 @@ import (
 // Fleet is a multi-tenant registry of serving engines: one named
 // Engine per world (in the paper's terms, one region graph per city's
 // trajectory set), behind a single HTTP front-end. Each tenant keeps
-// its own route cache, coalescing group and metrics; the fleet
+// its own route cache (which coalesces) and metrics; the fleet
 // aggregates them for operator-level stats.
 //
 // The fleet owns each tenant's engine and whatever its Attach functions
@@ -71,8 +71,8 @@ func (t *tenant) close() error {
 }
 
 // NewFleet creates an empty fleet. opt configures every engine the
-// fleet creates for its tenants (cache sizing, coalescing, ingest
-// tuning, path backend).
+// fleet creates for its tenants (cache sizing, ingest tuning, path
+// backend).
 func NewFleet(opt Options) *Fleet {
 	return &Fleet{opt: opt, start: time.Now(), tenants: make(map[string]*tenant)}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
+	"repro/internal/wal"
 )
 
 // ingestRequest is the /ingest request body: road-network paths, one
@@ -309,9 +310,7 @@ func (e *Engine) handleIngest(w http.ResponseWriter, r *http.Request) {
 	val.End()
 	// Paths arrive already map-matched (vertex sequences), so ingest
 	// trusts them as ground truth.
-	opt := e.opt.Ingest
-	opt.SkipMapMatching = true
-	st, gen, durable := e.ingestDurable(r.Context(), ts, opt)
+	st, gen, durable := e.ingestDurable(r.Context(), wal.Batch{SkipMapMatching: true, Trajs: ts})
 	WriteJSON(w, http.StatusOK, ingestReply{
 		Paths:              st.Paths,
 		TouchedEdges:       len(st.TouchedEdges),

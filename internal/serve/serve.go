@@ -22,19 +22,16 @@ type Options struct {
 	// Workers bounds RouteBatch parallelism (default GOMAXPROCS).
 	Workers int
 	// CacheSize is the route-cache capacity in entries across all
-	// shards (default 4096). Negative disables caching.
+	// shards (default 4096). Negative disables caching. The cache also
+	// coalesces: concurrent queries for the same (src, dst, k) on the
+	// same snapshot generation collapse to one route computation whose
+	// answer all of them share — a cold hot-OD key hit by a thundering
+	// herd costs one search instead of one per caller — and never share
+	// an answer computed on a pre-swap router with a post-swap query.
 	CacheSize int
 	// CacheShards is the number of cache shards (default 16). More
 	// shards reduce lock contention under concurrent traffic.
 	CacheShards int
-	// NoCoalesce disables singleflight request coalescing. By default
-	// (when the cache is enabled) concurrent queries for the same
-	// (src, dst, k) on the same snapshot generation collapse to one
-	// route computation whose answer all of them share — a cold hot-OD
-	// key hit by a thundering herd costs one search instead of one per
-	// caller. Coalescing is keyed per generation, so it never serves an
-	// answer computed on a pre-swap router to a post-swap query.
-	NoCoalesce bool
 	// Ingest tunes the copy-on-write trajectory ingestion.
 	Ingest core.IngestOptions
 	// MaxBodyBytes bounds the request bodies the HTTP API accepts:
@@ -141,11 +138,10 @@ func (s *snapshot) release(r *core.Router) { s.pool.Put(r) }
 // other and with Ingest/Publish; Ingest and Publish serialize among
 // themselves.
 type Engine struct {
-	opt     Options
-	snap    atomic.Pointer[snapshot]
-	cache   *routeCache  // nil when disabled
-	flights *flightGroup // nil when coalescing disabled
-	met     metrics
+	opt   Options
+	snap  atomic.Pointer[snapshot]
+	cache *routeCache // nil when disabled
+	met   metrics
 
 	computes  atomic.Uint64 // route computations actually run
 	coalesced atomic.Uint64 // queries that shared another caller's computation
@@ -219,9 +215,6 @@ func newBareEngine(opt Options) *Engine {
 	e.attachments.Store(new([]attached))
 	if opt.CacheSize > 0 {
 		e.cache = newRouteCache(opt.CacheSize, opt.CacheShards)
-		if !opt.NoCoalesce {
-			e.flights = newFlightGroup()
-		}
 	}
 	return e
 }
@@ -296,61 +289,64 @@ func (e *Engine) routeK(ctx context.Context, s, d roadnet.VertexID, k int) ([]co
 	e.waitReady()
 	start := time.Now()
 	snap := e.snap.Load()
-	key := cacheKey{s: s, d: d, k: int32(k)}
 	sp := obs.SpanFrom(ctx)
-	if e.cache != nil {
-		c := sp.Start("cache.lookup")
-		res, meas, ok := e.cache.get(key, snap.gen, true)
-		c.End()
-		if ok {
-			sp.Annotate("cache", "hit")
-			e.met.observe(res[0].Category, time.Since(start))
-			return res, meas, true, snap.gen
-		}
-	}
 	var res []core.RouteResult
 	var meas []measure
 	shared := false
-	if e.flights != nil {
-		// Coalesce concurrent duplicates: one leader computes (and
-		// fills the cache), followers share its answer. For the leader
-		// the coalesce span covers the computation itself; for a
-		// follower it is pure wait time.
-		w := sp.Start("coalesce")
-		refilled := false
-		res, meas, shared = e.flights.do(flightKey{key: key, gen: snap.gen}, func() ([]core.RouteResult, []measure) {
-			// A caller that missed the cache before an earlier leader's
-			// put and got here after that leader's flight was deleted
-			// leads a flight of its own, with the answer already cached.
-			// Without this second look each such caller recomputes it,
-			// and the ones queued on the group's lock behind it follow
-			// one by one: a stampede in slow motion.
-			if hit, hitMeas, ok := e.cache.get(key, snap.gen, false); ok {
-				refilled = true
-				return hit, hitMeas
-			}
-			return e.compute(ctx, snap, key, s, d, k)
-		})
-		w.End()
-		if shared {
-			sp.Annotate("coalesced", "true")
-			e.coalesced.Add(1)
-		} else if refilled {
+	if e.cache == nil {
+		res, meas = e.compute(ctx, snap, s, d, k)
+	} else {
+		key := cacheKey{s: s, d: d, k: int32(k)}
+		c := sp.Start("cache.lookup")
+		var fl *flight
+		var lead bool
+		res, meas, fl, lead = e.cache.lookup(key, snap.gen)
+		c.End()
+		switch {
+		case res != nil:
 			sp.Annotate("cache", "hit")
 			shared = true
+		case lead:
+			res, meas = e.lead(ctx, snap, key, fl)
+		case fl != nil:
+			// A concurrent duplicate is computing this answer: wait for
+			// it, which is all the coalesce span times.
+			w := sp.Start("coalesce")
+			res, meas, shared = fl.wait()
+			w.End()
+			if shared {
+				sp.Annotate("coalesced", "true")
+				e.coalesced.Add(1)
+			} else {
+				// The leader panicked out of compute without an answer.
+				// Compute locally — the panic (a routing bug) surfaces on
+				// the leader's stack, not as a nil result here.
+				res, meas = e.compute(ctx, snap, s, d, k)
+			}
+		default: // a newer generation holds the entry
+			res, meas = e.compute(ctx, snap, s, d, k)
 		}
-	} else {
-		res, meas = e.compute(ctx, snap, key, s, d, k)
 	}
 	e.met.observe(res[0].Category, time.Since(start))
 	return res, meas, shared, snap.gen
 }
 
+// lead computes the answer of the flight a cache lookup of key reserved
+// for this caller, on snap, and lands it. The landing is deferred so a
+// compute that panics still releases the flight's waiters.
+func (e *Engine) lead(ctx context.Context, snap *snapshot, key cacheKey, fl *flight) ([]core.RouteResult, []measure) {
+	defer e.cache.land(key, fl)
+	fl.res, fl.meas = e.compute(ctx, snap, key.s, key.d, int(key.k))
+	fl.ok = true
+	return fl.res, fl.meas
+}
+
 // compute runs one route computation on a borrowed clone of snap's
-// router and caches the answer, with its measures, under snap's
-// generation. With the cache off nothing would carry the measures to a
-// second reader, so they are left to whoever needs them (the handler).
-func (e *Engine) compute(ctx context.Context, snap *snapshot, key cacheKey, s, d roadnet.VertexID, k int) ([]core.RouteResult, []measure) {
+// router. With the cache on, the answer's measures are walked here, so
+// the cache can carry them with it; with it off nothing would carry the
+// measures to a second reader, so they are left to whoever needs them
+// (the handler).
+func (e *Engine) compute(ctx context.Context, snap *snapshot, s, d roadnet.VertexID, k int) ([]core.RouteResult, []measure) {
 	ctx, csp := obs.StartSpan(ctx, "route.compute")
 	acq := csp.Start("snapshot.acquire")
 	r := snap.borrow()
@@ -380,10 +376,6 @@ func (e *Engine) compute(ctx context.Context, snap *snapshot, key cacheKey, s, d
 			meas = make([]measure, 0, len(res))
 		}
 		meas = appendMeasures(meas, snap.base.Road(), res)
-		// Tag the entry with the generation that computed it: if a swap
-		// raced this query, the entry is already stale and the next
-		// lookup discards it.
-		e.cache.put(key, snap.gen, res, meas)
 	}
 	return res, meas
 }
@@ -396,7 +388,7 @@ func (e *Engine) compute(ctx context.Context, snap *snapshot, key cacheKey, s, d
 // the clone as the next generation. Concurrent Ingest calls serialize;
 // queries keep reading the previous generation until the swap.
 func (e *Engine) Ingest(ts []*traj.Trajectory) core.IngestStats {
-	st, _, _ := e.ingestDurable(context.Background(), ts, e.opt.Ingest)
+	st, _, _ := e.ingestDurable(context.Background(), wal.Batch{SkipMapMatching: e.opt.Ingest.SkipMapMatching, Trajs: ts})
 	return st
 }
 
@@ -411,7 +403,7 @@ func (e *Engine) Ingest(ts []*traj.Trajectory) core.IngestStats {
 // succeeded; an append failure is counted and the batch still serves
 // from memory, so ingestion degrades to pre-WAL behavior rather than
 // dropping data on a full disk.
-func (e *Engine) ingestDurable(ctx context.Context, ts []*traj.Trajectory, opt core.IngestOptions) (core.IngestStats, uint64, bool) {
+func (e *Engine) ingestDurable(ctx context.Context, b wal.Batch) (core.IngestStats, uint64, bool) {
 	e.waitReady()
 	sp := obs.SpanFrom(ctx)
 	e.writeMu.Lock()
@@ -419,7 +411,7 @@ func (e *Engine) ingestDurable(ctx context.Context, ts []*traj.Trajectory, opt c
 	durable := false
 	if e.dur != nil {
 		ap := sp.Start("wal.append")
-		durable = e.dur.append(wal.Batch{SkipMapMatching: opt.SkipMapMatching, Trajs: ts})
+		durable = e.dur.append(b)
 		ap.End()
 	}
 	start := time.Now()
@@ -427,24 +419,12 @@ func (e *Engine) ingestDurable(ctx context.Context, ts []*traj.Trajectory, opt c
 	cl := sp.Start("snapshot.clone")
 	next := cur.base.IngestClone()
 	cl.End()
-	ig := sp.Start("ingest.apply")
-	st := next.Ingest(ts, opt)
-	if ig != nil {
-		ig.Annotate("learn_searches", strconv.Itoa(st.LearnSearches))
-		ig.Annotate("learn_reused", strconv.Itoa(st.LearnSkipped.Reused))
-		ig.Annotate("learn_bounded", strconv.Itoa(st.LearnSkipped.Bounded))
-		ig.Annotate("learn_hierarchy", strconv.Itoa(st.LearnHierarchy))
-	}
-	ig.End()
+	st, customize := e.applyBatch(sp, next, b)
 	e.learnRun.Add(uint64(st.LearnSearches))
 	e.learnReused.Add(uint64(st.LearnSkipped.Reused))
 	e.learnBounded.Add(uint64(st.LearnSkipped.Bounded))
 	e.learnHierarchy.Add(uint64(st.LearnHierarchy))
-	cz := sp.Start("ch.customize")
-	czStart := time.Now()
-	next.PrepareMetricsTouched(st.TouchedEdges)
-	e.lastCustomizeNs.Store(int64(time.Since(czStart)))
-	cz.End()
+	e.lastCustomizeNs.Store(int64(customize))
 	sw := sp.Start("snapshot.swap")
 	e.snap.Store(newSnapshot(next, cur.gen+1))
 	e.lastSwapUnix.Store(time.Now().UnixNano())
@@ -453,7 +433,7 @@ func (e *Engine) ingestDurable(ctx context.Context, ts []*traj.Trajectory, opt c
 	e.lastSwapNs.Store(int64(time.Since(start) - st.Elapsed))
 	e.lastIngestUnix.Store(time.Now().UnixNano())
 	e.ingests.Add(1)
-	e.ingestedTrajs.Add(uint64(len(ts)))
+	e.ingestedTrajs.Add(uint64(len(b.Trajs)))
 	// Staleness gauges: how much of the new traffic fell outside the
 	// fixed region partition — the maintenance trigger and the
 	// rebuild-recommended signal both read from here.
@@ -465,7 +445,7 @@ func (e *Engine) ingestDurable(ctx context.Context, ts []*traj.Trajectory, opt c
 		// copy, enqueue-or-drop), so holding writeMu here is fine and
 		// every ingest path — HTTP /ingest, stream flushes, library
 		// calls — funnels through one hook.
-		a.OfferTrajectories(ts)
+		a.OfferTrajectories(b.Trajs)
 	}
 	if e.dur != nil && durable && e.dur.shouldCheckpoint() {
 		ck := sp.Start("wal.checkpoint")
@@ -473,6 +453,32 @@ func (e *Engine) ingestDurable(ctx context.Context, ts []*traj.Trajectory, opt c
 		ck.End()
 	}
 	return st, cur.gen + 1, durable
+}
+
+// applyBatch folds one write-ahead-log batch into r in place, under
+// the engine's ingest options and the batch's own map-matching flag:
+// the ingest, then the CH metrics it touched. It is the one place a
+// batch is applied — live ingest applies it to the next generation's
+// clone, recovery replays the log through it onto the recovered base —
+// and reports the ingest's stats and how long the customization took.
+func (e *Engine) applyBatch(sp *obs.Span, r *core.Router, b wal.Batch) (core.IngestStats, time.Duration) {
+	opt := e.opt.Ingest
+	opt.SkipMapMatching = b.SkipMapMatching
+	ig := sp.Start("ingest.apply")
+	st := r.Ingest(b.Trajs, opt)
+	if ig != nil {
+		ig.Annotate("learn_searches", strconv.Itoa(st.LearnSearches))
+		ig.Annotate("learn_reused", strconv.Itoa(st.LearnSkipped.Reused))
+		ig.Annotate("learn_bounded", strconv.Itoa(st.LearnSkipped.Bounded))
+		ig.Annotate("learn_hierarchy", strconv.Itoa(st.LearnHierarchy))
+	}
+	ig.End()
+	cz := sp.Start("ch.customize")
+	czStart := time.Now()
+	r.PrepareMetricsTouched(st.TouchedEdges)
+	customize := time.Since(czStart)
+	cz.End()
+	return st, customize
 }
 
 // NextTrajectoryID returns the next engine-unique trajectory ID. All
@@ -495,9 +501,7 @@ func (e *Engine) IngestMatched(ts []*traj.Trajectory) (core.IngestStats, uint64)
 // — WAL append, snapshot clone, ingest apply, swap, checkpoint — are
 // recorded as spans under it.
 func (e *Engine) IngestMatchedCtx(ctx context.Context, ts []*traj.Trajectory) (core.IngestStats, uint64) {
-	opt := e.opt.Ingest
-	opt.SkipMapMatching = true
-	st, gen, _ := e.ingestDurable(ctx, ts, opt)
+	st, gen, _ := e.ingestDurable(ctx, wal.Batch{SkipMapMatching: true, Trajs: ts})
 	return st, gen
 }
 

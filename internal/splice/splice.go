@@ -68,12 +68,6 @@ func (tg *TransitionGraph) bump(u, v int) {
 // NumVertices returns the number of trajectory-covered vertices.
 func (tg *TransitionGraph) NumVertices() int { return len(tg.verts) }
 
-// Covers reports whether v was visited by any trajectory.
-func (tg *TransitionGraph) Covers(v roadnet.VertexID) bool {
-	_, ok := tg.index[v]
-	return ok
-}
-
 // Prob returns the maximum-likelihood transition probability from u to v
 // (0 if the move never occurred).
 func (tg *TransitionGraph) Prob(u, v roadnet.VertexID) float64 {

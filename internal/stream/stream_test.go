@@ -154,8 +154,11 @@ func TestStreamEndToEndMatchesOffline(t *testing.T) {
 	if ing == nil {
 		t.Fatal("tenant pipeline not attached")
 	}
-	ing.CloseAll()
-	ing.Flush()
+	// Close rather than CloseAll + Flush: a background flush may have
+	// taken the last batch off the queue and still be applying it, which
+	// Flush would not wait for; Close drains the queue and waits for the
+	// flusher to finish.
+	ing.Close()
 	close(stop)
 	wg.Wait()
 
