@@ -32,7 +32,7 @@ func BenchmarkIngestBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	cur := base
-	searches := 0
+	searches, dijkstra, bounded := 0, 0, 0
 	for i := 0; i < b.N; i++ {
 		if i%len(batches) == 0 {
 			cur = base
@@ -41,9 +41,13 @@ func BenchmarkIngestBatch(b *testing.B) {
 		sinkIngest = next.Ingest(batches[i%len(batches)], IngestOptions{SkipMapMatching: true})
 		next.PrepareMetricsTouched(sinkIngest.TouchedEdges)
 		searches += sinkIngest.LearnSearches
+		dijkstra += sinkIngest.LearnSearches - sinkIngest.LearnHierarchy
+		bounded += sinkIngest.LearnSkipped.Bounded
 		cur = next
 	}
 	b.ReportMetric(float64(searches)/float64(b.N), "searches/op")
+	b.ReportMetric(float64(dijkstra)/float64(b.N), "dijkstra/op")
+	b.ReportMetric(float64(bounded)/float64(b.N), "bounded/op")
 }
 
 var sinkRoute RouteResult

@@ -170,6 +170,30 @@ type Router struct {
 	// first query. Query state like eng's: every clone constructor must
 	// drop it, or two handles would share one search.
 	scratch *regionScratch
+	// learners pools the write side's learners over forks of the engine
+	// setEngine installed; every clone shares it (package doc).
+	learners *sync.Pool
+}
+
+// writeLearner is a pooled learner and its T-edge path-set buffer.
+type writeLearner struct {
+	*pref.Learner
+	paths []roadnet.Path
+}
+
+// setEngine installs eng and starts its learner pool: a router given
+// another engine never reuses a learner bound to the old one.
+func (r *Router) setEngine(eng route.PathEngine) {
+	r.eng = eng
+	r.learners = &sync.Pool{New: func() any { return &writeLearner{Learner: pref.NewLearnerOn(eng.Fork())} }}
+}
+
+// learner takes a pooled learner with a zeroed ledger and the default
+// sample cap; the caller puts it back.
+func (r *Router) learner() *writeLearner {
+	l := r.learners.Get().(*writeLearner)
+	l.Searches, l.MaxPaths = pref.SearchStats{}, pref.DefaultMaxPaths
+	return l
 }
 
 // RegionGraph exposes the underlying region graph (read-only use).
@@ -320,7 +344,7 @@ func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt 
 	// B-edge materialization already run on the selected backend. With
 	// BackendCH the hierarchy is preprocessed exactly once here and
 	// shared by every Clone, IngestClone and serving fork of this router.
-	r.eng = newPathEngine(r.road, opt, &r.stats)
+	r.setEngine(newPathEngine(r.road, opt, &r.stats))
 
 	r.derive(opt)
 	return r, nil
@@ -413,7 +437,7 @@ func (r *Router) EnableCH(_ ch.Config) time.Duration {
 	e := route.NewCHEngine(r.road, topo, roadnet.TT)
 	r.stats.CHBuildTime = time.Since(start)
 	r.stats.CHShortcuts = e.Shortcuts()
-	r.eng = e
+	r.setEngine(e)
 	r.PrepareMetrics()
 	return r.stats.CHBuildTime
 }

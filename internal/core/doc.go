@@ -43,12 +43,15 @@
 //
 // Every pref.Learner the package constructs runs on a fork of r.eng,
 // so its searches run on the router's own backend (the path engine is
-// therefore created before phase 2a of the build) and nothing it
-// allocates outlives it. On BackendCH, derive learns on forks of one
-// route.CHEngine.PassFork, Ingest and EnableMultiPreferences on plain
-// forks (package pref, "Engines", has the residency rules).
-// Ingest works on either backend, so a router restored by Load can
-// ingest before EnableCH.
+// therefore created before phase 2a of the build). On BackendCH, derive
+// learns on forks of one route.CHEngine.PassFork, Ingest and
+// EnableMultiPreferences on plain forks (package pref, "Engines", has
+// the residency rules). Those two take a learner from the router's
+// sync.Pool, which setEngine starts with each new engine (finishBuild,
+// EnableCH, Load) and every clone shares: consecutive ingests reuse one
+// learner's scratch, concurrent ones each get their own, and idle ones
+// are garbage. Ingest works on either backend, so a router restored by
+// Load can ingest before EnableCH.
 //
 // The two paths do not learn from the same path sets. learnAll prefers
 // an edge's terminal fragments — trips that start and end in exactly
@@ -68,8 +71,8 @@
 //
 //   - Clone is another reader of the same model: a struct copy with the
 //     path engine forked and the scratch dropped. It shares everything
-//     built — region graph, preference maps — and owns only query
-//     state. It must not be written through.
+//     built — region graph, preference maps — and the lineage's learner
+//     pool, and owns only query state. It must not be written through.
 //   - IngestClone is the next writer's generation. It is a Clone whose
 //     region graph is region.Graph.CloneCOW: outer slice headers
 //     copied, every edge, path set and per-region list shared until a
@@ -93,10 +96,10 @@
 //     and there is no second store with a copy discipline of its own.
 //   - Rebind, never patch, for the maps. derive assigns a fresh
 //     regionPrefs, EnableMultiPreferences a fresh multi, EnableCH a
-//     fresh engine; nothing inserts into a map or an engine the parent
-//     also holds. PrepareMetrics* only adds metric versions to the CH
-//     table behind its atomically swapped map, which readers of the
-//     previous table never see.
+//     fresh engine and learner pool; nothing inserts into a map or an
+//     engine the parent also holds. PrepareMetrics* only adds metric
+//     versions to the CH table behind its atomically swapped map, which
+//     readers of the previous table never see.
 //   - Own copy for meta and stats. They are plain values in the struct
 //     copy, so SetName, SetGeneration, Save's generation stamp and the
 //     Stats refresh stay on the clone.

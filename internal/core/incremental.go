@@ -4,9 +4,7 @@ import (
 	"cmp"
 	"time"
 
-	"repro/internal/pref"
 	"repro/internal/region"
-	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
 
@@ -64,7 +62,8 @@ type LearnSkipped struct {
 	// restriction, so it is the restricted answer too.
 	Reused int
 	// Bounded: the ⟨master, slave⟩ combination's similarity upper bound
-	// cannot beat the incumbent.
+	// cannot beat the incumbent, before its first search or once the
+	// searches already run have tightened it.
 	Bounded int
 }
 
@@ -87,23 +86,25 @@ func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
 	st.UpdateStats = r.rg.AddPaths(paths, r.meta.Build.Region)
 	st.RebuildRecommended = st.StalenessRatio() > opt.RebuildThreshold
 
-	// Re-learn preferences for the touched edges only. The learner gets
-	// its own engine fork: its query scratch is dropped with it rather
-	// than riding along on the published router. A plain fork: a
+	// Re-learn preferences for the touched edges only, on a learner from
+	// the lineage's pool: its scratch outlives the call without riding
+	// along on the published router. Its engine is a plain fork: a
 	// restricted search rides the hierarchy only on a resident metric.
-	learner := pref.NewLearnerOn(r.eng.Fork())
+	learner := r.learner()
+	defer r.learners.Put(learner)
 	if r.meta.Build.LearnMaxPaths > 0 {
 		learner.MaxPaths = r.meta.Build.LearnMaxPaths
 	}
 	for _, id := range st.TouchedEdges {
 		e := r.rg.EdgeForUpdate(id)
-		ps := make([]roadnet.Path, 0, len(e.PathsFwd)+len(e.PathsRev))
+		ps := learner.paths[:0]
 		for _, pi := range e.PathsFwd {
 			ps = append(ps, pi.Path)
 		}
 		for _, pi := range e.PathsRev {
 			ps = append(ps, pi.Path)
 		}
+		learner.paths = ps
 		if len(ps) == 0 {
 			continue
 		}

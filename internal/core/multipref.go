@@ -33,7 +33,8 @@ type MultiPrefStats struct {
 // stored on the router and consulted by RouteK. Calling it again
 // replaces the previous fit.
 func (r *Router) EnableMultiPreferences(maxPrefs int, minSupport float64) MultiPrefStats {
-	learner := pref.NewLearnerOn(r.eng.Fork())
+	learner := r.learner()
+	defer r.learners.Put(learner)
 	r.multi = make(map[int]pref.MultiResult)
 	var st MultiPrefStats
 	var coverage float64

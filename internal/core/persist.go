@@ -270,8 +270,10 @@ func restored(road *roadnet.Graph, snap *region.Snapshot, ms metaSection) (*Rout
 	if !(ms.IndexCellM > 0) {
 		ms.IndexCellM = 300
 	}
-	return &Router{road: road, rg: rg, eng: route.NewEngine(road), idx: &lazyIndex{cell: ms.IndexCellM},
-		stats: ms.Stats, meta: ms.Meta, regionPrefs: make(map[int]pref.Result)}, nil
+	r := &Router{road: road, rg: rg, idx: &lazyIndex{cell: ms.IndexCellM},
+		stats: ms.Stats, meta: ms.Meta, regionPrefs: make(map[int]pref.Result)}
+	r.setEngine(route.NewEngine(road))
+	return r, nil
 }
 
 // decodeV3 decodes a v3 payload: the road identity, then the road,

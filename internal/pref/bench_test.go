@@ -29,11 +29,16 @@ func BenchmarkLearn(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			// The ledger spans every round the framework runs; count this
+			// round's searches only.
+			bc.l.Searches = pref.SearchStats{}
 			for i := 0; i < b.N; i++ {
 				sinkResult = bc.l.Learn(sets[i%len(sets)])
 			}
 			s := bc.l.Searches
 			b.ReportMetric(float64(s.Run)/float64(b.N), "searches/op")
+			b.ReportMetric(float64(s.Run-s.Hierarchy)/float64(b.N), "dijkstra/op")
+			b.ReportMetric(float64(s.Bounded)/float64(b.N), "bounded/op")
 		})
 	}
 }

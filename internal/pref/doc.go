@@ -60,17 +60,25 @@
 // Upper-bound rule. A ground-truth edge forbidden under s cannot appear
 // in a path found in G(s), so it cannot be shared: for a path whose
 // master-only candidate is infeasible, Eq. 1 is at most
-// 1 − lost(i, s)/len(i), with lost the total length of the ground
-// truth's forbidden edges. Feasible paths contribute sim0(i, m)
-// exactly. The mean of these per-path bounds bounds avgSim(m, s) from
-// above; when it (plus a 1e-12 guard against rounding — the bound holds
-// in real arithmetic and both sides are a few operations on values in
-// [0, 1]) does not exceed the incumbent similarity plus MinImprovement,
+// b(i) = 1 − lost(i, s)/len(i), with lost the total length of the
+// ground truth's forbidden edges. Feasible paths contribute sim0(i, m)
+// exactly. The mean of these per-path values bounds avgSim(m, s) from
+// above, and the learner tightens it as it goes: visiting the paths in
+// sample order, it replaces each searched path's b(i) by the similarity
+// found, which is at most b(i). Whenever the running mean (plus a 1e-12
+// guard) does not exceed the incumbent similarity plus MinImprovement,
 // the exhaustive procedure would evaluate the combination and discard
-// it, so the learner skips it outright. On the benchmark city about
-// 85 % of all searches go this way and under 2 % by the feasibility
-// rule; what remains is the 3 master searches per path (14 %) and a
-// few restricted ones.
+// it, so the learner abandons it — before its first search or part-way
+// — and counts the searches left as Bounded. The guard covers rounding:
+// the bound holds in real arithmetic, and each side is a few roundings
+// per path of values in [0, 1] (two more per replacement in the running
+// sum), far inside 1e-12 for samples below thousands of paths. A
+// combination's score is a separate sum of its similarities in sample
+// order, to the exhaustive procedure's bits. On the benchmark city's
+// write path about 84 % of all searches go by this rule and under 1 %
+// by the feasibility rule; what remains is the 3 master searches per
+// path (14 %) and under 2 % restricted ones, fewer than half as many as
+// with the bound tested once per combination.
 //
 // # Engines
 //
@@ -83,10 +91,10 @@
 // customizes like any other. Two residency rules keep learning from
 // leaving behind a metric serving would not keep anyway:
 //
-//   - On a plain fork (core.Router.Ingest) the hierarchy answers only
-//     when the shared table already holds the metric, one a served
-//     preference applies; a customization costs about a dozen Dijkstra
-//     searches, so the rest fall back to a learner-owned route.Engine.
+//   - On a plain fork (core's Ingest, EnableMultiPreferences) the
+//     hierarchy answers only when the shared table holds the metric, one
+//     a served preference applies; a customization costs about a dozen
+//     Dijkstra searches, so the rest fall back to the learner's Dijkstra.
 //   - On a pass fork (CHEngine.PassFork, under core's Build and
 //     Retransduce) it always answers, customizing a missing masked
 //     metric into the fork's private overlay: 24 bytes per skeleton arc

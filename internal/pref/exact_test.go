@@ -239,3 +239,29 @@ func TestSearchLedgerPerLearn(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundTightensMidCombination shows the upper-bound rule firing
+// part-way through a combination: a combination bounded before its
+// first search adds PathsUsed to Bounded, so a Learn whose Bounded is no
+// multiple of PathsUsed abandoned one after searches had tightened the
+// bound. The exactness of doing so is TestLearnMatchesExhaustive's.
+func TestBoundTightensMidCombination(t *testing.T) {
+	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleBench, 4))
+	l := pref.NewLearner(w.Road)
+	learns, mid := 0, 0
+	for _, ps := range tEdgePathSets(w) {
+		before := l.Searches.Bounded
+		res := l.Learn(ps)
+		if res.PathsUsed < 2 {
+			continue
+		}
+		learns++
+		if (l.Searches.Bounded-before)%res.PathsUsed != 0 {
+			mid++
+		}
+	}
+	if mid == 0 {
+		t.Fatalf("none of %d multi-path Learns abandoned a combination part-way", learns)
+	}
+	t.Logf("%d of %d multi-path Learns abandoned a combination part-way", mid, learns)
+}

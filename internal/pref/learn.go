@@ -49,13 +49,18 @@ type Learner struct {
 	Searches SearchStats
 
 	// Scratch, reused across Learn calls.
+	drawn    []roadnet.Path // Learn's sample
 	truths   []truth
 	feasible []bool
+	bounds   []float64    // per truth: its Eq. 1 upper bound under ⟨m, s⟩
 	path     roadnet.Path // the candidate being scored
 	cand     []hop        // its hops, when not kept on a truth
 	mark     []uint32     // per road edge: member of the current ground truth iff == epoch
 	epoch    uint32
 }
+
+// DefaultMaxPaths is the sample cap NewLearnerOn sets.
+const DefaultMaxPaths = 8
 
 // SearchStats splits the exhaustive procedure's (3 + 2·|Slaves|)
 // searches per sampled path by what the learner did with each.
@@ -67,7 +72,7 @@ type SearchStats struct {
 	Reused int `json:"reused"`
 	// Bounded counts restricted searches never run because their
 	// ⟨master, slave⟩ combination could not beat the incumbent
-	// (upper-bound rule).
+	// (upper-bound rule), from the start or part-way through.
 	Bounded int `json:"bounded"`
 	// Hierarchy counts the searches of Run answered on a contraction
 	// hierarchy; the other Run − Hierarchy ran on plain Dijkstra.
@@ -79,7 +84,7 @@ func (s SearchStats) Total() int { return s.Run + s.Reused + s.Bounded }
 
 // boundGuard absorbs floating-point rounding in the upper-bound rule:
 // the bound is exact in real arithmetic and each side is computed with
-// a handful of operations on values in [0, 1].
+// a handful of operations per path on values in [0, 1].
 const boundGuard = 1e-12
 
 // hop is one road edge of a path, with what the pruning rules need to
@@ -126,7 +131,7 @@ func NewLearnerOn(eng route.PathEngine) *Learner {
 		eng:            eng,
 		hier:           hier,
 		dij:            dij,
-		MaxPaths:       8,
+		MaxPaths:       DefaultMaxPaths,
 		Slaves:         CandidateSlaves(),
 		MinImprovement: 1e-9,
 	}
@@ -147,7 +152,8 @@ type Result struct {
 // (typically the Pij of one T-edge). An empty or degenerate path set
 // yields the fastest-path preference with zero similarity.
 func (l *Learner) Learn(paths []roadnet.Path) Result {
-	sample := l.sample(paths)
+	l.drawn = l.sampleInto(l.drawn, paths)
+	sample := l.drawn
 	if len(sample) == 0 {
 		return Result{Preference: Preference{Master: roadnet.TT}, Similarity: 0}
 	}
@@ -231,8 +237,12 @@ func (l *Learner) appendRestricted(buf roadnet.Path, src, dst roadnet.VertexID, 
 	return path, ok, false
 }
 
-func (l *Learner) sample(paths []roadnet.Path) []roadnet.Path {
-	sample := make([]roadnet.Path, 0, len(paths))
+// sample draws the paths Learn uses from a path set into a new slice.
+func (l *Learner) sample(paths []roadnet.Path) []roadnet.Path { return l.sampleInto(nil, paths) }
+
+// sampleInto is sample drawing into buf's storage.
+func (l *Learner) sampleInto(buf, paths []roadnet.Path) []roadnet.Path {
+	sample := buf[:0]
 	for _, p := range paths {
 		if len(p) >= 2 {
 			sample = append(sample, p)
@@ -240,13 +250,13 @@ func (l *Learner) sample(paths []roadnet.Path) []roadnet.Path {
 	}
 	if l.MaxPaths > 0 && len(sample) > l.MaxPaths {
 		// Deterministic thinning: take evenly spaced paths so the sample
-		// spans the whole set regardless of insertion order.
-		thin := make([]roadnet.Path, 0, l.MaxPaths)
+		// spans the whole set regardless of insertion order; in place,
+		// since pick i reads an index ≥ i.
 		step := float64(len(sample)) / float64(l.MaxPaths)
 		for i := 0; i < l.MaxPaths; i++ {
-			thin = append(thin, sample[int(float64(i)*step)])
+			sample[i] = sample[int(float64(i)*step)]
 		}
-		sample = thin
+		sample = sample[:l.MaxPaths]
 	}
 	return sample
 }
@@ -329,13 +339,14 @@ func (l *Learner) score(t *truth, cand roadnet.Path, candHops []hop) float64 {
 }
 
 // avgSim is the mean Eq. 1 similarity of the ⟨m, s⟩-constructed paths
-// to the prepared ground truths, or ok=false when an upper bound on it
-// already fails to exceed floor (the upper-bound rule). Ground truths
+// to the prepared ground truths, or ok=false as soon as an upper bound
+// on it fails to exceed floor (the upper-bound rule). Ground truths
 // whose master-only candidate has no hop forbidden under s reuse that
-// candidate's similarity (the feasibility rule); only the rest search.
+// candidate's similarity (the feasibility rule); only the rest search,
+// each replacing its truth's bound in bound (total keeps exact bits).
 func (l *Learner) avgSim(m roadnet.Weight, s SlaveFeature, floor float64) (sim float64, ok bool) {
 	n := len(l.truths)
-	l.feasible = l.feasible[:0]
+	l.feasible, l.bounds = l.feasible[:0], l.bounds[:0]
 	var bound float64
 	for i := range l.truths {
 		t := &l.truths[i]
@@ -346,12 +357,12 @@ func (l *Learner) avgSim(m roadnet.Weight, s SlaveFeature, floor float64) (sim f
 				break
 			}
 		}
-		l.feasible = append(l.feasible, feasible)
+		var b float64
 		switch {
 		case feasible:
-			bound += t.sim0[m]
+			b = t.sim0[m]
 		case t.length == 0:
-			bound++
+			b = 1
 		default:
 			// Forbidden ground-truth edges cannot be shared.
 			var lost float64
@@ -360,16 +371,19 @@ func (l *Learner) avgSim(m roadnet.Weight, s SlaveFeature, floor float64) (sim f
 					lost += h.length
 				}
 			}
-			bound += 1 - lost/t.length
+			b = 1 - lost/t.length
 		}
-	}
-	if bound/float64(n)+boundGuard <= floor {
-		l.Searches.Bounded += n
-		return 0, false
+		l.feasible = append(l.feasible, feasible)
+		l.bounds = append(l.bounds, b)
+		bound += b
 	}
 
 	var total float64
 	for i := range l.truths {
+		if bound/float64(n)+boundGuard <= floor {
+			l.Searches.Bounded += n - i
+			return 0, false
+		}
 		t := &l.truths[i]
 		if l.feasible[i] {
 			l.Searches.Reused++
@@ -382,11 +396,13 @@ func (l *Learner) avgSim(m roadnet.Weight, s SlaveFeature, floor float64) (sim f
 		if onHier {
 			l.Searches.Hierarchy++
 		}
-		if !ok {
-			continue
+		var found float64
+		if ok {
+			l.cand = l.hopsOf(l.cand[:0], l.path)
+			found = l.score(t, l.path, l.cand)
 		}
-		l.cand = l.hopsOf(l.cand[:0], l.path)
-		total += l.score(t, l.path, l.cand)
+		total += found
+		bound += found - l.bounds[i]
 	}
 	return total / float64(n), true
 }

@@ -40,7 +40,7 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 		outcome string
 		n       int
 	}{{"run", st.LearnSearches.Run}, {"reused", st.LearnSearches.Reused}, {"bounded", st.LearnSearches.Bounded}} {
-		pw.Counter("l2r_learn_searches_total", "Shortest-path searches ingest relearns called for, by outcome: run, reused (master-only path feasible under the slave restriction) or bounded (combination could not beat the incumbent).",
+		pw.Counter("l2r_learn_searches_total", "Shortest-path searches ingest relearns called for, by outcome: run, reused (master-only path feasible under the slave restriction) or bounded (combination could not beat the incumbent, before its first search or part-way once earlier searches tightened the bound).",
 			float64(oc.n), append(withLabels(labels), obs.Label{Name: "outcome", Value: oc.outcome})...)
 	}
 	pw.Counter("l2r_learn_searches_hierarchy_total", "Of the run ingest relearn searches, those answered on the contraction hierarchy; the rest ran on plain Dijkstra.", float64(st.LearnSearches.Hierarchy), labels...)
