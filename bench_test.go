@@ -545,7 +545,7 @@ func BenchmarkFastestDijkstra(b *testing.B) {
 // CH-backed PathEngine (hierarchy preprocessed outside the timer,
 // shortcut unpacking included). The ratio to BenchmarkFastestDijkstra
 // is the speed-up the serving layer gains per uncached fastest-path
-// search when -path-engine=ch.
+// search on the hierarchy.
 func BenchmarkFastestCH(b *testing.B) {
 	w := benchWorld(b)
 	qs := benchQueries(b)
@@ -795,13 +795,10 @@ func BenchmarkStream(b *testing.B) {
 		// The /ingest baseline: every trajectory pays its own deep-clone
 		// snapshot swap (paths pre-matched, so only the swap differs).
 		b.StopTimer()
-		e := serve.NewEngine(r.IngestClone(), serve.Options{
-			CacheSize: -1,
-			Ingest:    core.IngestOptions{SkipMapMatching: true},
-		})
+		e := serve.NewEngine(r.IngestClone(), serve.Options{CacheSize: -1})
 		b.StartTimer()
 		for i := 0; i < b.N; i++ {
-			e.Ingest(live[i%len(live) : i%len(live)+1])
+			e.IngestMatched(live[i%len(live) : i%len(live)+1])
 		}
 		b.StopTimer()
 		st := e.Stats()
@@ -818,14 +815,12 @@ func BenchmarkServeIngest(b *testing.B) {
 	if len(batch) > 50 {
 		batch = batch[:50]
 	}
-	e := serve.NewEngine(r.IngestClone(), serve.Options{
-		// Match BenchmarkIngest: measure the clone-and-swap itself, not
-		// re-map-matching the batch.
-		Ingest: core.IngestOptions{SkipMapMatching: true},
-	})
+	e := serve.NewEngine(r.IngestClone(), serve.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Ingest(batch)
+		// Match BenchmarkIngest: measure the clone-and-swap itself, not
+		// re-map-matching the batch.
+		e.IngestMatched(batch)
 	}
 }
 

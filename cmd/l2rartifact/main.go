@@ -70,7 +70,10 @@ func cmdBuild(args []string) {
 	}
 	ts := traj.NewSimulator(g, cfg).Run()
 	start := time.Now()
-	r, err := l2r.Build(g, ts, l2r.Options{SkipMapMatching: !*match})
+	// Built on the hierarchy, so the artifact carries its contraction
+	// order and a serving engine derives the hierarchy instead of
+	// contracting it.
+	r, err := l2r.Build(g, ts, l2r.Options{SkipMapMatching: !*match, PathBackend: l2r.BackendCH})
 	if err != nil {
 		fatalf("build: %v", err)
 	}

@@ -12,6 +12,11 @@
 //	l2rserve [-net n1|n2|tiny] [-trips N]  synthetic world (demos,
 //	                                       load tests)
 //
+// Every world is served on the customizable contraction hierarchy: a
+// synthetic world is built on it, and a loaded artifact is brought onto
+// it — from the contraction order it carries — before it sees traffic,
+// on start, on recovery and on every hot reload.
+//
 // Single-tenant endpoints:
 //
 //	GET  /route?src=S&dst=D
@@ -117,10 +122,6 @@ func main() {
 	trips := flag.Int("trips", 1500, "synthetic training trajectories when no artifact")
 	seed := flag.Int64("seed", 1, "synthetic world seed")
 	cacheSize := flag.Int("cache", 4096, "route cache capacity in entries (negative disables)")
-	cacheShards := flag.Int("cache-shards", 16, "route cache shard count")
-	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	pathEngine := flag.String("path-engine", "dijkstra", "shortest-path backend: dijkstra or ch (contraction hierarchy, built once at startup)")
-	chPrewarm := flag.Bool("ch-prewarm", true, "ch backend: pre-customize all learned preference metrics at startup (false defers each to its first query)")
 	walDir := flag.String("wal-dir", "", "durable ingestion: write-ahead log + checkpoint directory (fleet mode: one subdirectory per tenant); empty disables")
 	checkpointEvery := flag.Int("checkpoint-every", 4096, "durable ingestion: trajectories between automatic checkpoints (negative disables)")
 	walSync := flag.String("wal-sync", "always", "write-ahead log fsync policy: always or none")
@@ -159,16 +160,6 @@ func main() {
 	tracer := l2r.NewTracer(l2r.TraceConfig{Ring: *traceRing, SlowThreshold: *slowQuery})
 	tracer.SetEnabled(*traceOn)
 
-	var backend l2r.PathBackend
-	switch *pathEngine {
-	case "dijkstra":
-		backend = l2r.BackendDijkstra
-	case "ch":
-		backend = l2r.BackendCH
-	default:
-		log.Fatalf("unknown -path-engine %q (want dijkstra or ch)", *pathEngine)
-	}
-
 	var syncPolicy l2r.WALSyncPolicy
 	switch *walSync {
 	case "always":
@@ -180,10 +171,8 @@ func main() {
 	}
 
 	opt := l2r.ServeOptions{
-		Workers:         *workers,
 		CacheSize:       *cacheSize,
-		CacheShards:     *cacheShards,
-		PathBackend:     backend,
+		PathBackend:     l2r.BackendCH,
 		WALDir:          *walDir,
 		CheckpointEvery: *checkpointEvery,
 		WALSync:         syncPolicy,
@@ -209,7 +198,7 @@ func main() {
 		return
 	}
 
-	router, err := loadRouter(*artifact, *network, *trips, *seed, backend, *chPrewarm)
+	router, err := loadRouter(*artifact, *network, *trips, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -228,15 +217,11 @@ func main() {
 				d.RecoveredFromCheckpoint, d.ReplayedRecords, d.ReplayedTrajectories, d.TornTailTruncated)
 		}
 	}
-	if backend == l2r.BackendCH {
-		st = router.Stats()
-		height, arcs, _ := engine.Snapshot().CHClimb() // the served router: after a checkpoint recovery that is not `router`
-		log.Printf("path engine: customizable contraction hierarchy (%d shortcuts, contracted in %s; elimination tree height %d, %.0f up-arcs per climb; %d metrics customized in %s)",
-			st.CHShortcuts, st.CHBuildTime.Round(time.Millisecond), height, arcs,
-			st.CHMetrics, st.CHCustomizeTime.Round(time.Microsecond))
-	} else {
-		log.Printf("path engine: dijkstra")
-	}
+	st = router.Stats()
+	height, arcs, _ := engine.Snapshot().CHClimb() // the served router: after a checkpoint recovery that is not `router`
+	log.Printf("path engine: customizable contraction hierarchy (%d shortcuts, contracted in %s; elimination tree height %d, %.0f up-arcs per climb; %d metrics customized in %s)",
+		st.CHShortcuts, st.CHBuildTime.Round(time.Millisecond), height, arcs,
+		st.CHMetrics, st.CHCustomizeTime.Round(time.Microsecond))
 	ing, stopAttached := att.attach(engine)
 	att.announce("")
 	var background func(context.Context)
@@ -259,7 +244,7 @@ func main() {
 
 	api := engine.Handler()
 	startDebugListener(*debugAddr, api)
-	log.Printf("serving on %s (cache %d entries / %d shards, tracing %v)", *addr, *cacheSize, *cacheShards, tracer.Enabled())
+	log.Printf("serving on %s (cache %d entries, tracing %v)", *addr, *cacheSize, tracer.Enabled())
 	serveAndDrain(*addr, l2r.AccessLog(logger, api), *drain, background)
 	// Attachments stop before the checkpoint, so the stream pipeline's
 	// final flush is inside it.
@@ -493,10 +478,10 @@ func serveAndDrain(addr string, h http.Handler, drain time.Duration, background 
 }
 
 // loadRouter either loads a saved artifact or builds a synthetic world.
-// For synthetic builds the backend is passed to Build so B-edge
-// materialization already runs on it; loaded artifacts are upgraded by
-// the serve engine (ServeOptions.PathBackend) instead.
-func loadRouter(artifact, network string, trips int, seed int64, backend l2r.PathBackend, prewarm bool) (*l2r.Router, error) {
+// A synthetic world is built on the contraction hierarchy, so B-edge
+// materialization already runs on it; a loaded artifact is brought onto
+// it by the serve engine (ServeOptions.PathBackend) instead.
+func loadRouter(artifact, network string, trips int, seed int64) (*l2r.Router, error) {
 	if artifact != "" {
 		f, err := os.Open(artifact)
 		if err != nil {
@@ -514,5 +499,5 @@ func loadRouter(artifact, network string, trips int, seed int64, backend l2r.Pat
 	log.Printf("no artifact: building synthetic %s world (%d trips, seed %d)", network, trips, seed)
 	all := traj.NewSimulator(g, cfg).Run()
 	train, _ := traj.Split(all, 0.75*cfg.HorizonSec)
-	return l2r.Build(g, train, l2r.Options{SkipMapMatching: true, PathBackend: backend, NoMetricPrewarm: !prewarm})
+	return l2r.Build(g, train, l2r.Options{SkipMapMatching: true, PathBackend: l2r.BackendCH})
 }

@@ -64,9 +64,9 @@
 // route.CHEngine answers scalar, preference-constrained and custom-cost
 // searches on one customizable contraction hierarchy (internal/ch),
 // one customized metric per cost function, shortcuts unpacked. Select
-// with l2r.Options{PathBackend: l2r.BackendCH} at build time,
+// with l2r.Options{PathBackend: l2r.BackendCH} at build time, or
 // l2r.ServeOptions{PathBackend: l2r.BackendCH} when serving a loaded
-// artifact, or l2rserve -path-engine ch.
+// artifact; l2rserve always serves on the hierarchy.
 //
 // The concurrency contract: an engine serves one goroutine; Fork()
 // returns a sibling sharing the immutable built state (road network,

@@ -4,7 +4,8 @@
 // traffic, wraps it in a serve engine, then fires skewed query traffic
 // from several goroutines while the final week of trajectories is
 // ingested in batches; ingestion never blocks a query because each
-// batch lands in a deep-cloned router that is atomically swapped in.
+// batch lands in a copy-on-write clone of the served router
+// (Router.IngestClone) that is atomically swapped in.
 //
 //	go run ./examples/serving
 package main
@@ -39,9 +40,10 @@ func main() {
 
 	// Query workload: the test trips' OD pairs, revisited many times —
 	// hot pairs dominate, as in real road traffic.
-	var reqs []l2r.BatchRequest
+	type od struct{ src, dst roadnet.VertexID }
+	var reqs []od
 	for _, t := range live {
-		reqs = append(reqs, l2r.BatchRequest{Src: t.Source(), Dst: t.Destination()})
+		reqs = append(reqs, od{t.Source(), t.Destination()})
 	}
 
 	var wg sync.WaitGroup
@@ -57,7 +59,7 @@ func main() {
 					idx %= 8
 				}
 				q := reqs[idx]
-				engine.Route(q.Src, q.Dst)
+				engine.Route(q.src, q.dst)
 			}
 		}(w)
 	}
@@ -79,8 +81,10 @@ func main() {
 	}()
 	wg.Wait()
 
-	// One warm batch at the end: everything hot should hit the cache.
-	engine.RouteBatch(reqs[:min(64, len(reqs))])
+	// One warm pass at the end: everything hot should hit the cache.
+	for _, q := range reqs[:min(64, len(reqs))] {
+		engine.Route(q.src, q.dst)
+	}
 
 	s := engine.Stats()
 	fmt.Printf("\nserved %d queries at %.0f qps\n", s.Queries, s.QPS)

@@ -40,9 +40,9 @@ func BenchmarkIngestBatch(b *testing.B) {
 		next := cur.IngestClone()
 		sinkIngest = next.Ingest(batches[i%len(batches)], IngestOptions{SkipMapMatching: true})
 		next.PrepareMetricsTouched(sinkIngest.TouchedEdges)
-		searches += sinkIngest.LearnSearches
-		dijkstra += sinkIngest.LearnSearches - sinkIngest.LearnHierarchy
-		bounded += sinkIngest.LearnSkipped.Bounded
+		searches += sinkIngest.Learn.Run
+		dijkstra += sinkIngest.Learn.Run - sinkIngest.Learn.Hierarchy
+		bounded += sinkIngest.Learn.Bounded
 		cur = next
 	}
 	b.ReportMetric(float64(searches)/float64(b.N), "searches/op")

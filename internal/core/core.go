@@ -82,13 +82,6 @@ type Options struct {
 	// at Build time and serves scalar, preference-restricted and
 	// custom-weight queries through per-metric customizations of it).
 	PathBackend PathBackend
-	// NoMetricPrewarm skips the PrepareMetrics pass at the end of a
-	// BackendCH Build or Retransduce: it gets cheaper and each metric — the three
-	// scalar weights plus one per distinct learned ⟨master, slave⟩
-	// preference — is customized lazily by the first query that needs
-	// it, paying the customization latency inline. Serving setups
-	// should keep prewarm on.
-	NoMetricPrewarm bool
 }
 
 func (o Options) withDefaults() Options {

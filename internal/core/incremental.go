@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"time"
 
+	"repro/internal/pref"
 	"repro/internal/region"
 	"repro/internal/traj"
 )
@@ -13,39 +14,22 @@ type IngestOptions struct {
 	// SkipMapMatching trusts trajectory ground-truth paths (same switch
 	// as Options.SkipMapMatching).
 	SkipMapMatching bool
-	// MinConfidence is the training similarity a re-learned preference
-	// must reach to be applied to its edge; below it the edge falls back
-	// to fastest-path behaviour (default: the Options.MinConfidence the
-	// router was built with, else 0.7).
-	MinConfidence float64
-	// RebuildThreshold is the staleness ratio above which
-	// RebuildRecommended is set (default 0.2).
-	RebuildThreshold float64
 }
 
-func (o IngestOptions) withDefaults(b BuildInfo) IngestOptions {
-	if o.MinConfidence == 0 { // b's is zero in an artifact older than BuildInfo
-		o.MinConfidence = cmp.Or(b.MinConfidence, 0.7)
-	}
-	if o.RebuildThreshold == 0 {
-		o.RebuildThreshold = 0.2
-	}
-	return o
-}
+// rebuildThreshold is the staleness ratio above which an ingest sets
+// RebuildRecommended.
+const rebuildThreshold = 0.2
 
 // IngestStats reports one incremental update.
 type IngestStats struct {
 	region.UpdateStats
 	// Relearned counts edges whose preference was re-fit.
 	Relearned int
-	// LearnSearches counts the shortest-path searches the re-fits ran;
-	// LearnSkipped the ones the learner proved redundant instead (see
-	// package pref). Together they are the (3 + 2·|slaves|) searches per
-	// sampled path the paper's procedure calls for. LearnHierarchy is
-	// how many of LearnSearches ran on the contraction hierarchy.
-	LearnSearches  int
-	LearnSkipped   LearnSkipped
-	LearnHierarchy int
+	// Learn accounts for the (3 + 2·|slaves|) shortest-path searches per
+	// sampled path the re-fits' procedure calls for: the ones run (and
+	// of those, the ones answered on the contraction hierarchy) and the
+	// ones the learner proved redundant instead (see package pref).
+	Learn pref.SearchStats
 	// RebuildRecommended is set when the share of new traffic outside
 	// existing regions exceeds the threshold — the signal that the
 	// fixed clustering has gone stale and a full Build is due (the
@@ -55,36 +39,24 @@ type IngestStats struct {
 	Elapsed time.Duration
 }
 
-// LearnSkipped splits the searches a relearn did not run by the rule
-// that made them redundant.
-type LearnSkipped struct {
-	// Reused: the master-only path stays feasible under the slave
-	// restriction, so it is the restricted answer too.
-	Reused int
-	// Bounded: the ⟨master, slave⟩ combination's similarity upper bound
-	// cannot beat the incumbent, before its first search or once the
-	// searches already run have tightened it.
-	Bounded int
-}
-
 // Ingest feeds new trajectories into the built router without a full
 // rebuild: region assignment stays fixed, T-edge path sets and
 // inner-region paths grow, B-edges covered by the new data upgrade to
 // T-edges, and the preferences of exactly the touched edges are
 // re-learned. Trajectories are matched and paired, and preferences
 // sampled and gated, under the options the router was built with
-// (Meta().Build) unless opt overrides them. This implements the
-// supported portion of the paper's "real-time region graph updates"
-// future work.
+// (Meta().Build; an artifact older than BuildInfo gates at 0.7). This
+// implements the supported portion of the paper's "real-time region
+// graph updates" future work.
 func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
-	opt = opt.withDefaults(r.meta.Build)
+	minConfidence := cmp.Or(r.meta.Build.MinConfidence, 0.7)
 	start := time.Now()
 
 	paths := matchedPaths(r.road, r.idx, ts, Options{SkipMapMatching: opt.SkipMapMatching, MapMatch: r.meta.Build.MapMatch, Workers: 1})
 
 	var st IngestStats
 	st.UpdateStats = r.rg.AddPaths(paths, r.meta.Build.Region)
-	st.RebuildRecommended = st.StalenessRatio() > opt.RebuildThreshold
+	st.RebuildRecommended = st.StalenessRatio() > rebuildThreshold
 
 	// Re-learn preferences for the touched edges only, on a learner from
 	// the lineage's pool: its scratch outlives the call without riding
@@ -110,7 +82,7 @@ func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
 		}
 		res := learner.Learn(ps)
 		e.SetFit(res, true)
-		if res.Similarity >= opt.MinConfidence {
+		if res.Similarity >= minConfidence {
 			e.Pref = res.Preference
 			e.HasPref = true
 		} else {
@@ -118,9 +90,7 @@ func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
 		}
 		st.Relearned++
 	}
-	st.LearnSearches = learner.Searches.Run
-	st.LearnSkipped = LearnSkipped{Reused: learner.Searches.Reused, Bounded: learner.Searches.Bounded}
-	st.LearnHierarchy = learner.Searches.Hierarchy
+	st.Learn = learner.Searches
 	r.stats.TEdges = r.rg.TEdgeCount()
 	r.stats.BEdges = r.rg.BEdgeCount()
 	st.Elapsed = time.Since(start)

@@ -95,21 +95,38 @@ func TestIngestUpgradedBEdgesLoseTransferredState(t *testing.T) {
 	}
 }
 
+// TestIngestStalenessSignal: an ingest recommends a rebuild exactly when
+// more than a fifth of its path vertices fall outside every region. Each
+// trip is ingested alone into its own clone: the held-out trips, which
+// stay mostly inside the regions, and a one-hop trip leaving each vertex
+// no region holds, which does not — trips must land on both sides of the
+// threshold.
 func TestIngestStalenessSignal(t *testing.T) {
-	r, fresh := splitWorld(t, 37)
-	// With a tiny threshold, any out-of-region traffic triggers the
-	// rebuild recommendation; with threshold 1.0 nothing does.
-	stLow := r.Clone().Ingest(fresh, IngestOptions{SkipMapMatching: true, RebuildThreshold: 1e-9})
-	if stLow.OutOfRegionVertices > 0 && !stLow.RebuildRecommended {
-		t.Fatal("staleness above threshold but no rebuild recommendation")
+	r, trips := splitWorld(t, 37)
+	for v := range roadnet.VertexID(r.road.NumVertices()) {
+		if out := r.road.Out(v); r.rg.RegionOf(v) < 0 && len(out) > 0 {
+			hop := roadnet.Path{v, r.road.Edge(out[0]).To}
+			trips = append(trips, &traj.Trajectory{ID: 1<<20 + int(v), Truth: hop})
+		}
 	}
-	r2, fresh2 := splitWorld(t, 37)
-	stHigh := r2.Ingest(fresh2, IngestOptions{SkipMapMatching: true, RebuildThreshold: 2})
-	if stHigh.RebuildRecommended {
-		t.Fatal("rebuild recommended despite threshold 2")
+	above, below := 0, 0
+	for i, tr := range trips {
+		st := r.IngestClone().Ingest([]*traj.Trajectory{tr}, IngestOptions{SkipMapMatching: true})
+		ratio := st.StalenessRatio()
+		if ratio < 0 || ratio > 1 {
+			t.Fatalf("trip %d: staleness ratio %g outside [0,1]", i, ratio)
+		}
+		if st.RebuildRecommended != (ratio > 0.2) {
+			t.Fatalf("trip %d: staleness %g, RebuildRecommended %v", i, ratio, st.RebuildRecommended)
+		}
+		if ratio > 0.2 {
+			above++
+		} else {
+			below++
+		}
 	}
-	if got := stHigh.StalenessRatio(); got < 0 || got > 1 {
-		t.Fatalf("staleness ratio %g outside [0,1]", got)
+	if above == 0 || below == 0 {
+		t.Fatalf("%d trips above the threshold and %d below; the test needs both (pick another seed)", above, below)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"reflect"
 	"sync"
@@ -19,14 +20,14 @@ import (
 // fresh learner on a fresh fork of the engine per call, its sample
 // capped only when the build set a cap. The pooled Ingest is held to it.
 func ingestFresh(r *Router, ts []*traj.Trajectory, opt IngestOptions) IngestStats {
-	opt = opt.withDefaults(r.meta.Build)
+	minConfidence := cmp.Or(r.meta.Build.MinConfidence, 0.7)
 	start := time.Now()
 
 	paths := matchedPaths(r.road, r.idx, ts, Options{SkipMapMatching: opt.SkipMapMatching, MapMatch: r.meta.Build.MapMatch, Workers: 1})
 
 	var st IngestStats
 	st.UpdateStats = r.rg.AddPaths(paths, r.meta.Build.Region)
-	st.RebuildRecommended = st.StalenessRatio() > opt.RebuildThreshold
+	st.RebuildRecommended = st.StalenessRatio() > rebuildThreshold
 
 	learner := pref.NewLearnerOn(r.eng.Fork())
 	if r.meta.Build.LearnMaxPaths > 0 {
@@ -46,7 +47,7 @@ func ingestFresh(r *Router, ts []*traj.Trajectory, opt IngestOptions) IngestStat
 		}
 		res := learner.Learn(ps)
 		e.SetFit(res, true)
-		if res.Similarity >= opt.MinConfidence {
+		if res.Similarity >= minConfidence {
 			e.Pref = res.Preference
 			e.HasPref = true
 		} else {
@@ -54,9 +55,7 @@ func ingestFresh(r *Router, ts []*traj.Trajectory, opt IngestOptions) IngestStat
 		}
 		st.Relearned++
 	}
-	st.LearnSearches = learner.Searches.Run
-	st.LearnSkipped = LearnSkipped{Reused: learner.Searches.Reused, Bounded: learner.Searches.Bounded}
-	st.LearnHierarchy = learner.Searches.Hierarchy
+	st.Learn = learner.Searches
 	r.stats.TEdges = r.rg.TEdgeCount()
 	r.stats.BEdges = r.rg.BEdgeCount()
 	st.Elapsed = time.Since(start)
@@ -135,8 +134,8 @@ func TestIngestPooledLearnerMatchesFresh(t *testing.T) {
 		}
 		next.PrepareMetricsTouched(st.TouchedEdges)
 		relearned += st.Relearned
-		searches += st.LearnSearches
-		bounded += st.LearnSkipped.Bounded
+		searches += st.Learn.Run
+		bounded += st.Learn.Bounded
 		cur = next
 	}
 	if relearned == 0 {

@@ -177,9 +177,7 @@ func (r *Router) derive(opt Options) RetransduceStats {
 	// before. PrepareMetrics only adds metric versions, so serving forks
 	// reading the previous table stay race-free (the same contract the
 	// ingest write path relies on).
-	if !opt.NoMetricPrewarm {
-		st.MetricsCustomized = r.prepareMetrics(pass)
-	}
+	st.MetricsCustomized = r.prepareMetrics(pass)
 
 	// Refresh pipeline stats so Stats() describes the derived model.
 	r.stats.Regions = st.Regions

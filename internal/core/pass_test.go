@@ -75,7 +75,7 @@ func TestLearningLeavesOnlyAppliedMetrics(t *testing.T) {
 		if che.Customizations() != customized || che.ResidentMetrics() != resident {
 			t.Fatalf("batch %d: Ingest customized %d metrics", i/2, che.Customizations()-customized)
 		}
-		onHier += st.LearnHierarchy
+		onHier += st.Learn.Hierarchy
 		next.PrepareMetricsTouched(st.TouchedEdges)
 		addApplied(keys, next)
 		cur = next

@@ -10,13 +10,23 @@
 // atomic pointer; queries load the snapshot, borrow a per-goroutine
 // clone from the snapshot's pool (a core.Router's search engine is
 // single-caller), answer, and return the clone — no locks on the query
-// path. Ingestion is copy-on-write: a single writer deep-clones the
-// current router, ingests the new trajectories into the clone off the
-// query path, and atomically publishes the result as the next
-// generation. Queries racing an ingest simply keep reading the previous
-// generation; nothing blocks and nothing is read mid-mutation. Publish
-// swaps in an externally built router the same way — it is both the
-// full-rebuild path and the hot-artifact-reload path.
+// path. Ingestion is copy-on-write: a single writer takes an
+// IngestClone of the current router (sharing everything the batch does
+// not touch), ingests the new trajectories into the clone off the query
+// path, and atomically publishes the result as the next generation.
+// Queries racing an ingest simply keep reading the previous generation;
+// nothing blocks and nothing is read mid-mutation. Publish swaps in an
+// externally built router the same way — it is both the full-rebuild
+// path and the hot-artifact-reload path.
+//
+// Options.PathBackend names the backend every router entering the
+// engine is brought onto (construction, recovery, Publish). cmd/l2rserve
+// always asks for core.BackendCH, the configuration the benchmark gates;
+// a router loaded from an artifact derives its hierarchy from the
+// contraction order the artifact carries. Options holds only what its
+// callers set to different values: the cache has a fixed 16 shards,
+// Ingest always map-matches (IngestMatched takes resolved paths), and
+// the ingest confidence gate and rebuild threshold come from the router.
 //
 // # Cache and coalescing
 //
@@ -71,7 +81,9 @@
 // generation they loaded, and a half-written file fails its checksum
 // and is retried on the next scan instead of dethroning the serving
 // snapshot. A new tenant's engine is constructed outside the registry
-// lock, so a hot-load stalls nobody.
+// lock, so a hot-load stalls nobody, and the fleet-level /healthz,
+// /tenants and /stats list a tenant still replaying its WAL under
+// AsyncRecovery as recovering instead of waiting for it.
 //
 // # Attachments
 //

@@ -301,9 +301,15 @@ type FleetStats struct {
 
 	// PerTenant holds each tenant's full serving stats, keyed by name.
 	PerTenant map[string]Stats `json:"per_tenant"`
+	// Recovering names, sorted, the tenants still replaying their WAL
+	// under Options.AsyncRecovery; they are left out of every other
+	// field but Tenants until they serve.
+	Recovering []string `json:"recovering,omitempty"`
 }
 
-// Stats gathers a point-in-time aggregate across all tenants.
+// Stats gathers a point-in-time aggregate across all tenants. It never
+// waits for a tenant's recovery: a tenant not yet Ready is listed in
+// Recovering instead.
 func (f *Fleet) Stats() FleetStats {
 	engines := f.snapshotEngines()
 	fs := FleetStats{
@@ -313,6 +319,10 @@ func (f *Fleet) Stats() FleetStats {
 	}
 	merged := &obs.Histogram{}
 	for name, e := range engines {
+		if !e.Ready() {
+			fs.Recovering = append(fs.Recovering, name)
+			continue
+		}
 		st := e.Stats()
 		fs.PerTenant[name] = st
 		merged.Merge(e.met.overall())
@@ -328,6 +338,7 @@ func (f *Fleet) Stats() FleetStats {
 			fs.Checkpoints += st.Durability.Checkpoints
 		}
 	}
+	slices.Sort(fs.Recovering)
 	fs.Latency = latencyStats(merged)
 	if fs.Uptime > 0 {
 		fs.QPS = float64(fs.Queries) / fs.Uptime.Seconds()

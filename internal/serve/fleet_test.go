@@ -2,10 +2,12 @@ package serve
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -358,6 +360,61 @@ func TestFleetHTTPTenantsAndStats(t *testing.T) {
 	getJSON(t, srv.URL+"/tenants", http.StatusOK, &listing)
 	if listing.Tenants[0].SnapshotGeneration != 2 {
 		t.Fatalf("generation after publish = %d, want 2", listing.Tenants[0].SnapshotGeneration)
+	}
+}
+
+// TestFleetEndpointsAnswerDuringRecovery: the fleet-level /healthz,
+// /tenants and /stats read each tenant without waiting for it, so while
+// a tenant's asynchronous recovery is held they answer within 2 s and
+// name it as recovering; once it serves, no reply mentions recovery.
+func TestFleetEndpointsAnswerDuringRecovery(t *testing.T) {
+	base, _ := sharedWorld(t)
+	hold := make(chan struct{})
+	f := NewFleet(Options{WALDir: t.TempDir(), AsyncRecovery: true, recoverHold: hold})
+	defer f.Close()
+	e, err := f.Add("acity", base.IngestClone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+	release := sync.OnceFunc(func() { close(hold) })
+	// First of the defers: a handler stuck on the recovery would keep
+	// srv.Close, and f.Close waits for the recovery itself.
+	defer release()
+
+	client := &http.Client{Timeout: 2 * time.Second}
+	get := func(path string) string {
+		resp, err := client.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d %q (%v)", path, resp.StatusCode, body, err)
+		}
+		return string(body)
+	}
+	endpoints := []string{"/healthz", "/tenants", "/stats"}
+	for _, path := range endpoints {
+		if body := get(path); !strings.Contains(body, `"recovering"`) || !strings.Contains(body, `"acity"`) {
+			t.Fatalf("GET %s during recovery does not name acity as recovering: %s", path, body)
+		}
+	}
+
+	release()
+	deadline := time.Now().Add(10 * time.Second)
+	for !e.Ready() {
+		if time.Now().After(deadline) {
+			t.Fatal("recovery did not complete")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, path := range endpoints {
+		if body := get(path); strings.Contains(body, "recovering") {
+			t.Fatalf("GET %s after recovery still mentions it: %s", path, body)
+		}
 	}
 }
 

@@ -143,7 +143,7 @@ type StreamStats struct {
 type Stats struct {
 	// Uptime is the time since the engine was created.
 	Uptime time.Duration `json:"uptime_ns"`
-	// Queries counts Route/RouteK/RouteBatch requests answered.
+	// Queries counts Route/RouteK requests answered.
 	Queries uint64 `json:"queries"`
 	// QPS is Queries averaged over Uptime.
 	QPS float64 `json:"qps"`

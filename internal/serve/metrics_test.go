@@ -187,17 +187,17 @@ func TestLearnSearchLedgerSurfaced(t *testing.T) {
 		if st.Relearned == 0 {
 			t.Fatalf("batch %d relearned nothing", i)
 		}
-		total := st.LearnSearches + st.LearnSkipped.Reused + st.LearnSkipped.Bounded
-		if total == 0 || total%21 != 0 {
-			t.Fatalf("batch %d: ledger %d run + %+v skipped = %d, want a positive multiple of 21", i, st.LearnSearches, st.LearnSkipped, total)
+		l := st.Learn
+		if total := l.Total(); total == 0 || total%21 != 0 {
+			t.Fatalf("batch %d: ledger %+v = %d searches, want a positive multiple of 21", i, l, total)
 		}
-		want.Run += st.LearnSearches
-		want.Reused += st.LearnSkipped.Reused
-		want.Bounded += st.LearnSkipped.Bounded
-		want.Hierarchy += st.LearnHierarchy
+		want.Run += l.Run
+		want.Reused += l.Reused
+		want.Bounded += l.Bounded
+		want.Hierarchy += l.Hierarchy
 		// Master-only searches always ride the hierarchy on BackendCH.
-		if st.LearnHierarchy == 0 || st.LearnHierarchy > st.LearnSearches {
-			t.Fatalf("batch %d: %d of %d searches run on the hierarchy", i, st.LearnHierarchy, st.LearnSearches)
+		if l.Hierarchy == 0 || l.Hierarchy > l.Run {
+			t.Fatalf("batch %d: %d of %d searches run on the hierarchy", i, l.Hierarchy, l.Run)
 		}
 
 		traces := tr.Recent(1)
@@ -207,10 +207,10 @@ func TestLearnSearchLedgerSurfaced(t *testing.T) {
 		annotated := false
 		for _, sp := range traces[0].Spans {
 			if sp.Name == "ingest.apply" {
-				annotated = sp.Attrs["learn_searches"] == strconv.Itoa(st.LearnSearches) &&
-					sp.Attrs["learn_reused"] == strconv.Itoa(st.LearnSkipped.Reused) &&
-					sp.Attrs["learn_bounded"] == strconv.Itoa(st.LearnSkipped.Bounded) &&
-					sp.Attrs["learn_hierarchy"] == strconv.Itoa(st.LearnHierarchy)
+				annotated = sp.Attrs["learn_searches"] == strconv.Itoa(l.Run) &&
+					sp.Attrs["learn_reused"] == strconv.Itoa(l.Reused) &&
+					sp.Attrs["learn_bounded"] == strconv.Itoa(l.Bounded) &&
+					sp.Attrs["learn_hierarchy"] == strconv.Itoa(l.Hierarchy)
 			}
 		}
 		if !annotated {

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"math"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -17,10 +16,12 @@ import (
 	"repro/internal/wal"
 )
 
+// cacheShards is the route cache's shard count: enough that concurrent
+// clients rarely contend on one shard's lock.
+const cacheShards = 16
+
 // Options configures an Engine.
 type Options struct {
-	// Workers bounds RouteBatch parallelism (default GOMAXPROCS).
-	Workers int
 	// CacheSize is the route-cache capacity in entries across all
 	// shards (default 4096). Negative disables caching. The cache also
 	// coalesces: concurrent queries for the same (src, dst, k) on the
@@ -29,11 +30,6 @@ type Options struct {
 	// herd costs one search instead of one per caller — and never share
 	// an answer computed on a pre-swap router with a post-swap query.
 	CacheSize int
-	// CacheShards is the number of cache shards (default 16). More
-	// shards reduce lock contention under concurrent traffic.
-	CacheShards int
-	// Ingest tunes the copy-on-write trajectory ingestion.
-	Ingest core.IngestOptions
 	// MaxBodyBytes bounds the request bodies the HTTP API accepts:
 	// Handler wraps every endpoint's body in http.MaxBytesReader, and
 	// requests over the limit are rejected with 413. Default 8 MiB.
@@ -92,14 +88,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 4096
-	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 8 << 20
@@ -214,7 +204,7 @@ func newBareEngine(opt Options) *Engine {
 	e := &Engine{opt: opt, start: time.Now(), readyCh: make(chan struct{}), trc: opt.Tracer}
 	e.attachments.Store(new([]attached))
 	if opt.CacheSize > 0 {
-		e.cache = newRouteCache(opt.CacheSize, opt.CacheShards)
+		e.cache = newRouteCache(opt.CacheSize, cacheShards)
 	}
 	return e
 }
@@ -386,9 +376,10 @@ func (e *Engine) compute(ctx context.Context, snap *snapshot, s, d roadnet.Verte
 // with the serving generation), ingests into the clone, re-customizes
 // the CH metrics the new preferences need, and atomically publishes
 // the clone as the next generation. Concurrent Ingest calls serialize;
-// queries keep reading the previous generation until the swap.
+// queries keep reading the previous generation until the swap. The
+// trajectories are map-matched; IngestMatched takes resolved paths.
 func (e *Engine) Ingest(ts []*traj.Trajectory) core.IngestStats {
-	st, _, _ := e.ingestDurable(context.Background(), wal.Batch{SkipMapMatching: e.opt.Ingest.SkipMapMatching, Trajs: ts})
+	st, _, _ := e.ingestDurable(context.Background(), wal.Batch{Trajs: ts})
 	return st
 }
 
@@ -420,10 +411,10 @@ func (e *Engine) ingestDurable(ctx context.Context, b wal.Batch) (core.IngestSta
 	next := cur.base.IngestClone()
 	cl.End()
 	st, customize := e.applyBatch(sp, next, b)
-	e.learnRun.Add(uint64(st.LearnSearches))
-	e.learnReused.Add(uint64(st.LearnSkipped.Reused))
-	e.learnBounded.Add(uint64(st.LearnSkipped.Bounded))
-	e.learnHierarchy.Add(uint64(st.LearnHierarchy))
+	e.learnRun.Add(uint64(st.Learn.Run))
+	e.learnReused.Add(uint64(st.Learn.Reused))
+	e.learnBounded.Add(uint64(st.Learn.Bounded))
+	e.learnHierarchy.Add(uint64(st.Learn.Hierarchy))
 	e.lastCustomizeNs.Store(int64(customize))
 	sw := sp.Start("snapshot.swap")
 	e.snap.Store(newSnapshot(next, cur.gen+1))
@@ -456,21 +447,19 @@ func (e *Engine) ingestDurable(ctx context.Context, b wal.Batch) (core.IngestSta
 }
 
 // applyBatch folds one write-ahead-log batch into r in place, under
-// the engine's ingest options and the batch's own map-matching flag:
-// the ingest, then the CH metrics it touched. It is the one place a
-// batch is applied — live ingest applies it to the next generation's
-// clone, recovery replays the log through it onto the recovered base —
-// and reports the ingest's stats and how long the customization took.
+// the batch's own map-matching flag: the ingest, then the CH metrics it
+// touched. It is the one place a batch is applied — live ingest applies
+// it to the next generation's clone, recovery replays the log through
+// it onto the recovered base — and reports the ingest's stats and how
+// long the customization took.
 func (e *Engine) applyBatch(sp *obs.Span, r *core.Router, b wal.Batch) (core.IngestStats, time.Duration) {
-	opt := e.opt.Ingest
-	opt.SkipMapMatching = b.SkipMapMatching
 	ig := sp.Start("ingest.apply")
-	st := r.Ingest(b.Trajs, opt)
+	st := r.Ingest(b.Trajs, core.IngestOptions{SkipMapMatching: b.SkipMapMatching})
 	if ig != nil {
-		ig.Annotate("learn_searches", strconv.Itoa(st.LearnSearches))
-		ig.Annotate("learn_reused", strconv.Itoa(st.LearnSkipped.Reused))
-		ig.Annotate("learn_bounded", strconv.Itoa(st.LearnSkipped.Bounded))
-		ig.Annotate("learn_hierarchy", strconv.Itoa(st.LearnHierarchy))
+		ig.Annotate("learn_searches", strconv.Itoa(st.Learn.Run))
+		ig.Annotate("learn_reused", strconv.Itoa(st.Learn.Reused))
+		ig.Annotate("learn_bounded", strconv.Itoa(st.Learn.Bounded))
+		ig.Annotate("learn_hierarchy", strconv.Itoa(st.Learn.Hierarchy))
 	}
 	ig.End()
 	cz := sp.Start("ch.customize")
@@ -490,8 +479,7 @@ func (e *Engine) NextTrajectoryID() int { return int(e.trajSeq.Add(1) - 1) }
 // IngestMatched ingests trajectories whose road-network paths are
 // already resolved (Truth/Matched set — e.g. by the streaming
 // pipeline's online map matching), skipping the offline matching pass
-// regardless of the engine's ingest options. It reports the stats and
-// the generation it published.
+// Ingest runs. It reports the stats and the generation it published.
 func (e *Engine) IngestMatched(ts []*traj.Trajectory) (core.IngestStats, uint64) {
 	return e.IngestMatchedCtx(context.Background(), ts)
 }

@@ -56,12 +56,15 @@ func samePath(a, b roadnet.Path) bool {
 	return true
 }
 
+// query is one origin-destination pair of a test workload.
+type query struct{ Src, Dst roadnet.VertexID }
+
 // queries derives a deterministic OD workload from trajectories.
-func queries(ts []*traj.Trajectory, n int) []Request {
-	var out []Request
+func queries(ts []*traj.Trajectory, n int) []query {
+	var out []query
 	for i := 0; len(out) < n; i++ {
 		t := ts[i%len(ts)]
-		out = append(out, Request{Src: t.Source(), Dst: t.Destination(), K: 1})
+		out = append(out, query{Src: t.Source(), Dst: t.Destination()})
 	}
 	return out
 }
@@ -160,30 +163,6 @@ func TestIngestInvalidatesCache(t *testing.T) {
 	}
 }
 
-func TestRouteBatchMatchesSingle(t *testing.T) {
-	base, fresh := sharedWorld(t)
-	e := NewEngine(base.Clone(), Options{Workers: 4, CacheSize: -1})
-	qs := queries(fresh, 50)
-	qs[7].K = 3 // mix in an alternatives request
-	batch := e.RouteBatch(qs)
-	if len(batch) != len(qs) {
-		t.Fatalf("batch returned %d answers for %d requests", len(batch), len(qs))
-	}
-	direct := base.Clone()
-	for i, q := range qs {
-		if len(batch[i].Results) == 0 {
-			t.Fatalf("request %d got no results", i)
-		}
-		want := direct.Route(q.Src, q.Dst)
-		if !samePath(batch[i].Results[0].Path, want.Path) {
-			t.Fatalf("request %d: batch answer differs from direct route", i)
-		}
-		if q.K > 1 && len(batch[i].Results) < 1 {
-			t.Fatalf("request %d: no alternatives", i)
-		}
-	}
-}
-
 func TestRouteKCachesPerK(t *testing.T) {
 	base, fresh := sharedWorld(t)
 	e := NewEngine(base.Clone(), Options{})
@@ -212,10 +191,10 @@ func TestPublishBumpsGeneration(t *testing.T) {
 }
 
 // TestConcurrentQueriesAndIngest is the race-detector stress test:
-// queries, batches and snapshot-swapping ingests interleave freely.
+// queries, alternatives and snapshot-swapping ingests interleave freely.
 func TestConcurrentQueriesAndIngest(t *testing.T) {
 	base, fresh := buildServeWorld(t, 47, 400)
-	e := NewEngine(base, Options{Workers: 4, CacheSize: 256})
+	e := NewEngine(base, Options{CacheSize: 256})
 	road := e.Snapshot().Road()
 	qs := queries(fresh, 64)
 
@@ -249,10 +228,18 @@ func TestConcurrentQueriesAndIngest(t *testing.T) {
 		}(w)
 	}
 	wg.Add(1)
-	go func() {
+	go func() { // one more reader, alternatives only
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			e.RouteBatch(qs[:32])
+			for _, q := range qs[:32] {
+				res, _ := e.RouteK(q.Src, q.Dst, 3)
+				for _, alt := range res {
+					if len(alt.Path) >= 2 && !alt.Path.Valid(road) {
+						t.Error("invalid alternative path under concurrency")
+						return
+					}
+				}
+			}
 		}
 	}()
 	wg.Add(1)

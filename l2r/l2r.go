@@ -191,20 +191,16 @@ type BuildInfo = core.BuildInfo
 type (
 	// Engine serves a built Router to concurrent query traffic:
 	// lock-free snapshot reads, a sharded LRU route cache with
-	// generation-based invalidation, copy-on-write live ingestion, a
-	// batch API, and an HTTP front-end via Engine.Handler.
+	// generation-based invalidation, copy-on-write live ingestion, and
+	// an HTTP front-end via Engine.Handler.
 	Engine = serve.Engine
-	// ServeOptions configures an Engine (workers, cache size/shards,
-	// ingest tuning).
+	// ServeOptions configures an Engine (cache size, path backend,
+	// durability, tracing).
 	ServeOptions = serve.Options
 	// ServeStats is a point-in-time snapshot of serving health: QPS,
 	// latency quantiles per query category, cache hit rate, snapshot
 	// generation and ingest lag.
 	ServeStats = serve.Stats
-	// BatchRequest is one query in an Engine.RouteBatch call.
-	BatchRequest = serve.Request
-	// BatchResponse is the answer to one BatchRequest.
-	BatchResponse = serve.Response
 )
 
 // NewEngine wraps a built router for concurrent online serving. The
