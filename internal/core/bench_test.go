@@ -17,12 +17,18 @@ var sinkIngest IngestStats
 // ci city: IngestClone the current generation, Ingest a batch of two
 // held-out trips, customize what the relearn needs, and make the clone
 // the next generation — chained, so path sets grow as they do under
-// serve.Engine. The chain restarts from the built router when the
-// held-out trips run out.
+// serve.Engine. When the held-out trips run out the chain restarts from
+// a router freshly loaded from the built one's artifact, as a restart
+// would (Load, EnableCH; untimed), so every cycle starts on an empty
+// lineage memo as ingest_stream's passes do.
 func BenchmarkIngestBatch(b *testing.B) {
 	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, 1))
-	base, err := Build(w.Road, w.Train, Options{SkipMapMatching: true, PathBackend: BackendCH})
+	built, err := Build(w.Road, w.Train, Options{SkipMapMatching: true, PathBackend: BackendCH})
 	if err != nil {
+		b.Fatal(err)
+	}
+	var art bytes.Buffer
+	if err := built.Save(&art); err != nil {
 		b.Fatal(err)
 	}
 	var batches [][]*traj.Trajectory
@@ -31,11 +37,16 @@ func BenchmarkIngestBatch(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	cur := base
-	searches, dijkstra, bounded := 0, 0, 0
+	var cur *Router
+	searches, dijkstra, bounded, memo := 0, 0, 0, 0
 	for i := 0; i < b.N; i++ {
 		if i%len(batches) == 0 {
-			cur = base
+			b.StopTimer()
+			if cur, err = Load(bytes.NewReader(art.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+			cur.EnableCH(ch.Config{})
+			b.StartTimer()
 		}
 		next := cur.IngestClone()
 		sinkIngest = next.Ingest(batches[i%len(batches)], IngestOptions{SkipMapMatching: true})
@@ -43,11 +54,13 @@ func BenchmarkIngestBatch(b *testing.B) {
 		searches += sinkIngest.Learn.Run
 		dijkstra += sinkIngest.Learn.Run - sinkIngest.Learn.Hierarchy
 		bounded += sinkIngest.Learn.Bounded
+		memo += sinkIngest.Learn.Memo
 		cur = next
 	}
 	b.ReportMetric(float64(searches)/float64(b.N), "searches/op")
 	b.ReportMetric(float64(dijkstra)/float64(b.N), "dijkstra/op")
 	b.ReportMetric(float64(bounded)/float64(b.N), "bounded/op")
+	b.ReportMetric(float64(memo)/float64(b.N), "memo/op")
 }
 
 var sinkRoute RouteResult

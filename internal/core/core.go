@@ -164,7 +164,8 @@ type Router struct {
 	// drop it, or two handles would share one search.
 	scratch *regionScratch
 	// learners pools the write side's learners over forks of the engine
-	// setEngine installed; every clone shares it (package doc).
+	// setEngine installed, all sharing the lineage's memo; every clone
+	// shares it (package doc).
 	learners *sync.Pool
 }
 
@@ -174,11 +175,17 @@ type writeLearner struct {
 	paths []roadnet.Path
 }
 
-// setEngine installs eng and starts its learner pool: a router given
-// another engine never reuses a learner bound to the old one.
+// setEngine installs eng and starts its learner pool, whose learners
+// share one empty memo: a router given another engine never reuses a
+// learner, or a search result, of the old one.
 func (r *Router) setEngine(eng route.PathEngine) {
 	r.eng = eng
-	r.learners = &sync.Pool{New: func() any { return &writeLearner{Learner: pref.NewLearnerOn(eng.Fork())} }}
+	memo := pref.NewMemo(eng.Graph(), pref.CandidateSlaves())
+	r.learners = &sync.Pool{New: func() any {
+		l := pref.NewLearnerOn(eng.Fork())
+		l.Memo = memo
+		return &writeLearner{Learner: l}
+	}}
 }
 
 // learner takes a pooled learner with a zeroed ledger and the default

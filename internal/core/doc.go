@@ -50,8 +50,11 @@
 // sync.Pool, which setEngine starts with each new engine (finishBuild,
 // EnableCH, Load) and every clone shares: consecutive ingests reuse one
 // learner's scratch, concurrent ones each get their own, and idle ones
-// are garbage. Ingest works on either backend, so a router restored by
-// Load can ingest before EnableCH.
+// are garbage. The pool's learners share one pref.Memo, which setEngine
+// starts empty beside the pool, so a ground truth one ingest of the
+// lineage scored is not searched for again by a later ingest or a
+// sibling clone's (package pref, "Memo rule"). Ingest works on either
+// backend, so a router restored by Load can ingest before EnableCH.
 //
 // The two paths do not learn from the same path sets. learnAll prefers
 // an edge's terminal fragments — trips that start and end in exactly
@@ -72,7 +75,8 @@
 //   - Clone is another reader of the same model: a struct copy with the
 //     path engine forked and the scratch dropped. It shares everything
 //     built — region graph, preference maps — and the lineage's learner
-//     pool, and owns only query state. It must not be written through.
+//     pool and memo, and owns only query state. It must not be written
+//     through.
 //   - IngestClone is the next writer's generation. It is a Clone whose
 //     region graph is region.Graph.CloneCOW: outer slice headers
 //     copied, every edge, path set and per-region list shared until a
@@ -96,10 +100,15 @@
 //     and there is no second store with a copy discipline of its own.
 //   - Rebind, never patch, for the maps. derive assigns a fresh
 //     regionPrefs, EnableMultiPreferences a fresh multi, EnableCH a
-//     fresh engine and learner pool; nothing inserts into a map or an
-//     engine the parent also holds. PrepareMetrics* only adds metric
+//     fresh engine, learner pool and memo; nothing inserts into a map or
+//     an engine the parent also holds. PrepareMetrics* only adds metric
 //     versions to the CH table behind its atomically swapped map, which
-//     readers of the previous table never see.
+//     readers of the previous table never see. The lineage memo is the
+//     one structure every generation writes into: it is safe for
+//     concurrent use, and what it holds is a function of the immutable
+//     road network and a ground-truth path, so no generation's fits
+//     depend on which generation wrote it. setEngine resets it with the
+//     pool, and it is never persisted.
 //   - Own copy for meta and stats. They are plain values in the struct
 //     copy, so SetName, SetGeneration, Save's generation stamp and the
 //     Stats refresh stay on the clone.

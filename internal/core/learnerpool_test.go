@@ -63,11 +63,18 @@ func ingestFresh(r *Router, ts []*traj.Trajectory, opt IngestOptions) IngestStat
 }
 
 // sameIngest reports how a pooled ingest into got differs from the
-// fresh-learner reference's into want, "" when it does not: the stats
-// ledger (all but the wall time) and every touched edge's fit and
-// applied preference, bit for bit.
+// fresh-learner reference's into want, "" when it does not: the update
+// stats and every touched edge's fit and applied preference, bit for
+// bit, and the search ledger up to the lineage memo — the searches the
+// pooled learner recalled are ones the fresh one ran, possibly on the
+// hierarchy, and nothing else moves.
 func sameIngest(got, want *Router, gst, wst IngestStats) string {
+	gl, wl := gst.Learn, wst.Learn
+	if wl.Memo != 0 || gl.Run+gl.Memo != wl.Run || gl.Reused != wl.Reused || gl.Bounded != wl.Bounded || gl.Hierarchy > wl.Hierarchy {
+		return "search ledgers differ"
+	}
 	gst.Elapsed, wst.Elapsed = 0, 0
+	gst.Learn, wst.Learn = pref.SearchStats{}, pref.SearchStats{}
 	if !reflect.DeepEqual(gst, wst) {
 		return "stats differ"
 	}
@@ -87,9 +94,11 @@ func sameIngest(got, want *Router, gst, wst IngestStats) string {
 // TestIngestPooledLearnerMatchesFresh chains 48 two-trip ingests on the
 // ci city, each one also applied by the fresh-learner reference to a
 // sibling clone of the same generation, and requires the same stats and
-// the same fit on every touched edge. Half-way the chain changes lineage
-// — Save, Load, EnableCH, the restart path — and the loaded router must
-// have a pool of its own, shared with its clones.
+// the same fit on every touched edge, the searches the lineage memo
+// answered being ones the reference ran. Half-way the chain changes
+// lineage — Save, Load, EnableCH, the restart path — and the loaded
+// router must have a pool (and with it a memo) of its own, shared with
+// its clones.
 func TestIngestPooledLearnerMatchesFresh(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("ci-scale chain; the concurrent-clones test covers the pool under -race")
@@ -104,7 +113,7 @@ func TestIngestPooledLearnerMatchesFresh(t *testing.T) {
 		t.Fatalf("%d held-out trips, want %d", len(w.Test), 2*batches)
 	}
 	opt := IngestOptions{SkipMapMatching: true}
-	relearned, searches, bounded := 0, 0, 0
+	relearned, searches, bounded, memo := 0, 0, 0, 0
 	for i := 0; i < batches; i++ {
 		if i == batches/2 {
 			var buf bytes.Buffer
@@ -136,12 +145,13 @@ func TestIngestPooledLearnerMatchesFresh(t *testing.T) {
 		relearned += st.Relearned
 		searches += st.Learn.Run
 		bounded += st.Learn.Bounded
+		memo += st.Learn.Memo
 		cur = next
 	}
-	if relearned == 0 {
-		t.Fatal("the chain relearned nothing")
+	if relearned == 0 || memo == 0 {
+		t.Fatalf("the chain relearned %d edges, %d searches from the memo", relearned, memo)
 	}
-	t.Logf("%d batches, %d edges relearned, %d searches run, %d bounded", batches, relearned, searches, bounded)
+	t.Logf("%d batches, %d edges relearned, %d searches run, %d from the memo, %d bounded", batches, relearned, searches, memo, bounded)
 }
 
 // TestIngestConcurrentClonesSharePool runs two IngestClones of one

@@ -13,19 +13,23 @@ import (
 var sinkResult pref.Result
 
 // BenchmarkLearn times one Learn call per iteration, cycling over the
-// T-edge path sets of the ci city: all-Dijkstra (pref.NewLearner) and
-// with the master searches on a CCH fork (what core.Router learns on
-// under BackendCH).
+// T-edge path sets of the ci city: all-Dijkstra (pref.NewLearner), with
+// the master searches on a CCH fork (what core.Router learns on under
+// BackendCH), and the same with a memo — after the first cycle a warm
+// one, which answers every search an earlier cycle ran.
 func BenchmarkLearn(b *testing.B) {
 	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, 1))
 	sets := tEdgePathSets(w)
 	che := route.BuildCHEngine(w.Road, roadnet.TT, ch.Config{})
+	memoized := pref.NewLearnerOn(che.Fork())
+	memoized.Memo = pref.NewMemo(w.Road, memoized.Slaves)
 	for _, bc := range []struct {
 		name string
 		l    *pref.Learner
 	}{
 		{"dijkstra", pref.NewLearner(w.Road)},
 		{"cch", pref.NewLearnerOn(che.Fork())},
+		{"cch-memo", memoized},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -39,6 +43,7 @@ func BenchmarkLearn(b *testing.B) {
 			b.ReportMetric(float64(s.Run)/float64(b.N), "searches/op")
 			b.ReportMetric(float64(s.Run-s.Hierarchy)/float64(b.N), "dijkstra/op")
 			b.ReportMetric(float64(s.Bounded)/float64(b.N), "bounded/op")
+			b.ReportMetric(float64(s.Memo)/float64(b.N), "memo/op")
 		})
 	}
 }

@@ -25,15 +25,17 @@
 // The learner is the whole cost of the write path (core.Router.Ingest
 // relearns every touched T-edge), so Learn runs only the searches whose
 // outcome is not already determined. The three master-only searches per
-// path always run; they yield, per path i and master m, the candidate
+// path always run, unless a memo answers them; they yield, per path i and master m, the candidate
 // P0(i, m) and its Eq. 1 similarity sim0(i, m). Two rules then dispose
-// of the restricted searches, and Learner.Searches counts every search
-// as Run, Reused or Bounded. The result is the exhaustive procedure's,
-// bit for bit — preference, similarity and paths used — which
-// TestLearnMatchesExhaustive checks against the literal reading kept in
-// reference_test.go.
+// of the restricted searches, a third answers any search already run
+// for the same ground truth, and Learner.Searches counts every search
+// as Run, Reused, Bounded or Memo. The result is the exhaustive
+// procedure's, bit for bit — preference, similarity and paths used —
+// which TestLearnMatchesExhaustive checks against the literal reading
+// kept in reference_test.go; TestLearnMemoMatchesFresh holds a learner
+// with a memo to one without.
 //
-// Both rules rest on one observation about Algorithm 2: whether it
+// The first two rest on one observation about Algorithm 2: whether it
 // relaxes an edge u→v under slave s depends only on the graph — the
 // edge is forbidden exactly when some out-edge of u has a type in s and
 // type(u→v) is not in s (route.OutTypeMasks tabulates the first half
@@ -74,11 +76,35 @@
 // per path of values in [0, 1] (two more per replacement in the running
 // sum), far inside 1e-12 for samples below thousands of paths. A
 // combination's score is a separate sum of its similarities in sample
-// order, to the exhaustive procedure's bits. On the benchmark city's
-// write path about 84 % of all searches go by this rule and under 1 %
-// by the feasibility rule; what remains is the 3 master searches per
-// path (14 %) and under 2 % restricted ones, fewer than half as many as
-// with the bound tested once per combination.
+// order, to the exhaustive procedure's bits.
+//
+// Memo rule. Every search Learn runs for a ground truth is a function
+// of the road network and that path alone: the candidate depends on the
+// path's endpoints and the ⟨m, s⟩ metric, its Eq. 1 similarity on the
+// candidate and the path. So is what the feasibility rule reads off
+// P0(i, m): which slaves forbid one of its hops. A learner holding a
+// Memo keeps, per ground truth, sim0 and those slave sets for the three
+// masters and the similarity of each restricted search run (up to
+// three; past that the search simply runs), and recalls them instead of
+// searching when a later Learn samples the same path. The memo is keyed
+// by the path's contents — a 64-bit hash, then an exact comparison, so
+// a hash collision is a miss and never another path's values. Neither
+// the bound sequence nor any sum changes, so neither does any Result.
+// A value first computed on Dijkstra may be recalled where the
+// hierarchy would now answer (its metric became resident in between):
+// the same tie assumption as the feasibility rule's, and the engines'.
+// core gives each router lineage one memo, shared by its pooled
+// learners. It holds at most memoCap (8,192) entries — 1.1 MB measured
+// when full, 88 bytes an entry and the rest its index — and a Learn
+// that finds it full clears it. Nothing in it is persisted.
+//
+// On the benchmark city's write path — ingest_stream's 16 two-trip
+// batches from a freshly loaded router — 83 % of all searches go by the
+// upper-bound rule, under 1 % by the feasibility rule and 8.6 % by the
+// memo; 7.4 % run, 97 % of those on the hierarchy. The memo answers
+// 54 % of the master searches and 56 % of the restricted ones the other
+// rules leave (over a 118-batch chain 77 % and 71 %: 12 % of all
+// searches, with 3.7 % left to run).
 //
 // # Engines
 //

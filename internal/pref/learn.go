@@ -38,11 +38,16 @@ type Learner struct {
 	// the cap keeps offline time linear in the number of T-edges.
 	MaxPaths int
 	// Slaves is the candidate slave feature set; defaults to
-	// CandidateSlaves().
+	// CandidateSlaves(). It holds at most 16 features.
 	Slaves []SlaveFeature
 	// MinImprovement is the similarity gain a slave feature must deliver
 	// over the master-only path to be adopted.
 	MinImprovement float64
+
+	// Memo, when it was made for this learner's road network and
+	// Slaves, answers the searches an earlier Learn — this learner's or
+	// another sharing the memo — already ran for a ground truth.
+	Memo *Memo
 
 	// Searches accumulates, over every Learn call on this learner, what
 	// became of the searches the exhaustive procedure would have run.
@@ -54,7 +59,7 @@ type Learner struct {
 	feasible []bool
 	bounds   []float64    // per truth: its Eq. 1 upper bound under ⟨m, s⟩
 	path     roadnet.Path // the candidate being scored
-	cand     []hop        // its hops, when not kept on a truth
+	cand     []hop        // its hops
 	mark     []uint32     // per road edge: member of the current ground truth iff == epoch
 	epoch    uint32
 }
@@ -74,13 +79,20 @@ type SearchStats struct {
 	// ⟨master, slave⟩ combination could not beat the incumbent
 	// (upper-bound rule), from the start or part-way through.
 	Bounded int `json:"bounded"`
+	// Memo counts searches answered from the learner's Memo: an earlier
+	// Learn ran them for the same ground truth (memo rule).
+	Memo int `json:"memo"`
 	// Hierarchy counts the searches of Run answered on a contraction
 	// hierarchy; the other Run − Hierarchy ran on plain Dijkstra.
 	Hierarchy int `json:"hierarchy"`
 }
 
 // Total is the number of searches the exhaustive procedure runs.
-func (s SearchStats) Total() int { return s.Run + s.Reused + s.Bounded }
+func (s SearchStats) Total() int { return s.Run + s.Reused + s.Bounded + s.Memo }
+
+// maxSlaves is the most candidate slaves a Learner takes: the slaves
+// forbidding a hop of a master-only candidate are a 16-bit set.
+const maxSlaves = 16
 
 // boundGuard absorbs floating-point rounding in the upper-bound rule:
 // the bound is exact in real arithmetic and each side is computed with
@@ -104,10 +116,12 @@ type truth struct {
 	path   roadnet.Path
 	hops   []hop   // road edges in path order, as Eq. 1 sees them
 	length float64 // Σ hops[i].length: Eq. 1's denominator
-	// Per master weight: the master-only candidate's Eq. 1 similarity
-	// and hops (empty when the destination is unreachable).
-	sim0  [roadnet.NumCostWeights]float64
-	cand0 [roadnet.NumCostWeights][]hop
+	// Per master weight: the master-only candidate's Eq. 1 similarity,
+	// and the slaves whose restriction forbids one of its hops — bit j
+	// for Slaves[j], none when the destination is unreachable.
+	sim0   [roadnet.NumCostWeights]float64
+	forbid [roadnet.NumCostWeights]uint16
+	entry  *memoEntry // the truth's memo entry; nil without one
 }
 
 // NewLearner returns a Learner over g with default settings, running
@@ -157,7 +171,15 @@ func (l *Learner) Learn(paths []roadnet.Path) Result {
 	if len(sample) == 0 {
 		return Result{Preference: Preference{Master: roadnet.TT}, Similarity: 0}
 	}
-	l.prepare(sample)
+	if len(l.Slaves) > maxSlaves {
+		panic("pref: Learner.Slaves holds more than 16 features")
+	}
+	var memo *Memo
+	if l.Memo.serves(l) {
+		memo = l.Memo
+		memo.resetIfFull()
+	}
+	l.prepare(sample, memo)
 
 	// Step 1: rank master cost features by master-only similarity.
 	var sims [roadnet.NumCostWeights]float64
@@ -188,8 +210,8 @@ func (l *Learner) Learn(paths []roadnet.Path) Result {
 	best := Preference{Master: first, Slave: NoSlave}
 	bestSim := sims[first]
 	for _, m := range []roadnet.Weight{first, second} {
-		for _, s := range l.Slaves {
-			sim, ok := l.avgSim(m, s, bestSim+l.MinImprovement)
+		for j, s := range l.Slaves {
+			sim, ok := l.avgSim(m, j, bestSim+l.MinImprovement, memo)
 			if ok && sim > bestSim+l.MinImprovement {
 				bestSim = sim
 				best = Preference{Master: m, Slave: s}
@@ -262,9 +284,10 @@ func (l *Learner) sampleInto(buf, paths []roadnet.Path) []roadnet.Path {
 }
 
 // prepare fills l.truths for the sample: each ground truth's hops and
-// length, and per master weight the master-only candidate with its
-// similarity — the only searches Learn always runs.
-func (l *Learner) prepare(sample []roadnet.Path) {
+// length, and per master weight the master-only candidate's similarity
+// and forbidding slaves — the only searches Learn always runs, unless
+// memo holds their values.
+func (l *Learner) prepare(sample []roadnet.Path, memo *Memo) {
 	if l.out == nil {
 		l.out = l.dij.OutTypes()
 		l.mark = make([]uint32, l.g.NumEdges())
@@ -280,19 +303,47 @@ func (l *Learner) prepare(sample []roadnet.Path) {
 		for _, h := range t.hops {
 			t.length += h.length
 		}
+		t.entry = nil
+		var h uint64
+		if memo != nil {
+			h = hashPath(gt)
+			if t.entry = memo.find(h, gt); t.entry != nil {
+				l.Searches.Memo += int(roadnet.NumCostWeights)
+				t.sim0, t.forbid = t.entry.sim0, t.entry.forbid
+				continue
+			}
+		}
 		for w := roadnet.Weight(0); w < roadnet.NumCostWeights; w++ {
 			l.Searches.Run++
 			if l.hier != nil {
 				l.Searches.Hierarchy++
 			}
-			t.sim0[w], t.cand0[w] = 0, t.cand0[w][:0]
+			t.sim0[w], t.forbid[w] = 0, 0
 			var ok bool
 			if l.path, _, ok = l.eng.AppendRoute(l.path[:0], gt[0], gt[len(gt)-1], w); ok {
-				t.cand0[w] = l.hopsOf(t.cand0[w], l.path)
-				t.sim0[w] = l.score(t, l.path, t.cand0[w])
+				l.cand = l.hopsOf(l.cand[:0], l.path)
+				t.sim0[w] = l.score(t, l.path, l.cand)
+				t.forbid[w] = l.forbidding(l.cand)
+			}
+		}
+		if memo != nil {
+			t.entry = memo.add(h, gt, t.sim0, t.forbid)
+		}
+	}
+}
+
+// forbidding returns the slaves whose restriction forbids one of hops,
+// bit j for Slaves[j]: the ones the feasibility rule does not cover.
+func (l *Learner) forbidding(hops []hop) (bits uint16) {
+	for j, s := range l.Slaves {
+		for _, h := range hops {
+			if h.forbidden(s) {
+				bits |= 1 << j
+				break
 			}
 		}
 	}
+	return bits
 }
 
 // hopsOf appends p's road edges to dst, skipping vertex pairs no edge
@@ -339,24 +390,20 @@ func (l *Learner) score(t *truth, cand roadnet.Path, candHops []hop) float64 {
 }
 
 // avgSim is the mean Eq. 1 similarity of the ⟨m, s⟩-constructed paths
-// to the prepared ground truths, or ok=false as soon as an upper bound
-// on it fails to exceed floor (the upper-bound rule). Ground truths
-// whose master-only candidate has no hop forbidden under s reuse that
-// candidate's similarity (the feasibility rule); only the rest search,
-// each replacing its truth's bound in bound (total keeps exact bits).
-func (l *Learner) avgSim(m roadnet.Weight, s SlaveFeature, floor float64) (sim float64, ok bool) {
+// to the prepared ground truths, s = Slaves[j], or ok=false as soon as
+// an upper bound on it fails to exceed floor (the upper-bound rule).
+// Ground truths whose master-only candidate has no hop forbidden under
+// s reuse that candidate's similarity (the feasibility rule); only the
+// rest search, or recall the search from memo, each replacing its
+// truth's bound in bound (total keeps exact bits).
+func (l *Learner) avgSim(m roadnet.Weight, j int, floor float64, memo *Memo) (sim float64, ok bool) {
 	n := len(l.truths)
+	s, key := l.Slaves[j], restrictedKey(m, j)
 	l.feasible, l.bounds = l.feasible[:0], l.bounds[:0]
 	var bound float64
 	for i := range l.truths {
 		t := &l.truths[i]
-		feasible := true
-		for _, h := range t.cand0[m] {
-			if h.forbidden(s) {
-				feasible = false
-				break
-			}
-		}
+		feasible := t.forbid[m]&(1<<j) == 0
 		var b float64
 		switch {
 		case feasible:
@@ -390,16 +437,22 @@ func (l *Learner) avgSim(m roadnet.Weight, s SlaveFeature, floor float64) (sim f
 			total += t.sim0[m]
 			continue
 		}
-		l.Searches.Run++
-		var ok, onHier bool
-		l.path, ok, onHier = l.appendRestricted(l.path[:0], t.path[0], t.path[len(t.path)-1], m, s)
-		if onHier {
-			l.Searches.Hierarchy++
-		}
 		var found float64
-		if ok {
-			l.cand = l.hopsOf(l.cand[:0], l.path)
-			found = l.score(t, l.path, l.cand)
+		if recalled, ok := memo.restricted(t.entry, key); ok {
+			l.Searches.Memo++
+			found = recalled
+		} else {
+			l.Searches.Run++
+			var ok, onHier bool
+			l.path, ok, onHier = l.appendRestricted(l.path[:0], t.path[0], t.path[len(t.path)-1], m, s)
+			if onHier {
+				l.Searches.Hierarchy++
+			}
+			if ok {
+				l.cand = l.hopsOf(l.cand[:0], l.path)
+				found = l.score(t, l.path, l.cand)
+			}
+			memo.remember(t.entry, key, found)
 		}
 		total += found
 		bound += found - l.bounds[i]

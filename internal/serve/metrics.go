@@ -244,6 +244,7 @@ func (e *Engine) Stats() Stats {
 			Run:       int(e.learnRun.Load()),
 			Reused:    int(e.learnReused.Load()),
 			Bounded:   int(e.learnBounded.Load()),
+			Memo:      int(e.learnMemo.Load()),
 			Hierarchy: int(e.learnHierarchy.Load()),
 		},
 		IngestLag:     time.Duration(e.lastIngestNs.Load()),

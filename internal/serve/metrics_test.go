@@ -168,10 +168,10 @@ func TestStatsShapes(t *testing.T) {
 }
 
 // TestLearnSearchLedgerSurfaced: what the relearns did with their
-// searches — run, reused, bounded, and how many of run the hierarchy
-// answered — is reported per ingest, annotated on the ingest.apply
-// span, summed into Stats() and exported as the
-// l2r_learn_searches_total counter family plus
+// searches — run, reused, bounded, recalled from the lineage memo, and
+// how many of run the hierarchy answered — is reported per ingest,
+// annotated on the ingest.apply span, summed into Stats() and exported
+// as the l2r_learn_searches_total counter family plus
 // l2r_learn_searches_hierarchy_total; a relearn accounts for 21
 // searches per sampled path.
 func TestLearnSearchLedgerSurfaced(t *testing.T) {
@@ -194,6 +194,7 @@ func TestLearnSearchLedgerSurfaced(t *testing.T) {
 		want.Run += l.Run
 		want.Reused += l.Reused
 		want.Bounded += l.Bounded
+		want.Memo += l.Memo
 		want.Hierarchy += l.Hierarchy
 		// Master-only searches always ride the hierarchy on BackendCH.
 		if l.Hierarchy == 0 || l.Hierarchy > l.Run {
@@ -210,6 +211,7 @@ func TestLearnSearchLedgerSurfaced(t *testing.T) {
 				annotated = sp.Attrs["learn_searches"] == strconv.Itoa(l.Run) &&
 					sp.Attrs["learn_reused"] == strconv.Itoa(l.Reused) &&
 					sp.Attrs["learn_bounded"] == strconv.Itoa(l.Bounded) &&
+					sp.Attrs["learn_memo"] == strconv.Itoa(l.Memo) &&
 					sp.Attrs["learn_hierarchy"] == strconv.Itoa(l.Hierarchy)
 			}
 		}
@@ -220,6 +222,11 @@ func TestLearnSearchLedgerSurfaced(t *testing.T) {
 	if got := e.Stats().LearnSearches; got != want {
 		t.Fatalf("Stats().LearnSearches = %+v, want the per-ingest sums %+v", got, want)
 	}
+	// Later batches relearn edges whose samples keep ground truths an
+	// earlier batch scored: the lineage memo answers those searches.
+	if want.Memo == 0 {
+		t.Fatalf("no search over %+v was answered from the lineage memo", want)
+	}
 
 	var buf strings.Builder
 	e.writeProm(obs.NewPromWriter(&buf))
@@ -228,6 +235,7 @@ func TestLearnSearchLedgerSurfaced(t *testing.T) {
 		`l2r_learn_searches_total{outcome="run"}`:     want.Run,
 		`l2r_learn_searches_total{outcome="reused"}`:  want.Reused,
 		`l2r_learn_searches_total{outcome="bounded"}`: want.Bounded,
+		`l2r_learn_searches_total{outcome="memo"}`:    want.Memo,
 		`l2r_learn_searches_hierarchy_total`:          want.Hierarchy,
 	} {
 		if got, ok := samples[series]; !ok || got != float64(n) {

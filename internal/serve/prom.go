@@ -39,8 +39,8 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 	for _, oc := range []struct {
 		outcome string
 		n       int
-	}{{"run", st.LearnSearches.Run}, {"reused", st.LearnSearches.Reused}, {"bounded", st.LearnSearches.Bounded}} {
-		pw.Counter("l2r_learn_searches_total", "Shortest-path searches ingest relearns called for, by outcome: run, reused (master-only path feasible under the slave restriction) or bounded (combination could not beat the incumbent, before its first search or part-way once earlier searches tightened the bound).",
+	}{{"run", st.LearnSearches.Run}, {"reused", st.LearnSearches.Reused}, {"bounded", st.LearnSearches.Bounded}, {"memo", st.LearnSearches.Memo}} {
+		pw.Counter("l2r_learn_searches_total", "Shortest-path searches ingest relearns called for, by outcome: run, reused (master-only path feasible under the slave restriction), bounded (combination could not beat the incumbent, before its first search or part-way once earlier searches tightened the bound) or memo (an earlier relearn of the router lineage ran it for the same ground-truth path).",
 			float64(oc.n), append(withLabels(labels), obs.Label{Name: "outcome", Value: oc.outcome})...)
 	}
 	pw.Counter("l2r_learn_searches_hierarchy_total", "Of the run ingest relearn searches, those answered on the contraction hierarchy; the rest ran on plain Dijkstra.", float64(st.LearnSearches.Hierarchy), labels...)

@@ -162,6 +162,7 @@ type Engine struct {
 	learnRun        atomic.Uint64 // relearn searches run, cumulative over ingests
 	learnReused     atomic.Uint64 // ... answered by the master-only path
 	learnBounded    atomic.Uint64 // ... cut by the similarity upper bound
+	learnMemo       atomic.Uint64 // ... answered from the lineage memo
 	learnHierarchy  atomic.Uint64 // ... of learnRun, answered on the CCH
 	lastStaleness   atomic.Uint64 // Float64bits of the last batch's staleness ratio
 	oorVertices     atomic.Uint64 // cumulative out-of-region vertices ingested
@@ -414,6 +415,7 @@ func (e *Engine) ingestDurable(ctx context.Context, b wal.Batch) (core.IngestSta
 	e.learnRun.Add(uint64(st.Learn.Run))
 	e.learnReused.Add(uint64(st.Learn.Reused))
 	e.learnBounded.Add(uint64(st.Learn.Bounded))
+	e.learnMemo.Add(uint64(st.Learn.Memo))
 	e.learnHierarchy.Add(uint64(st.Learn.Hierarchy))
 	e.lastCustomizeNs.Store(int64(customize))
 	sw := sp.Start("snapshot.swap")
@@ -459,6 +461,7 @@ func (e *Engine) applyBatch(sp *obs.Span, r *core.Router, b wal.Batch) (core.Ing
 		ig.Annotate("learn_searches", strconv.Itoa(st.Learn.Run))
 		ig.Annotate("learn_reused", strconv.Itoa(st.Learn.Reused))
 		ig.Annotate("learn_bounded", strconv.Itoa(st.Learn.Bounded))
+		ig.Annotate("learn_memo", strconv.Itoa(st.Learn.Memo))
 		ig.Annotate("learn_hierarchy", strconv.Itoa(st.Learn.Hierarchy))
 	}
 	ig.End()
