@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -43,16 +44,16 @@ func (r *Router) routeK(sp *obs.Span, s, d roadnet.VertexID, k int) []RouteResul
 	}
 	alt := sp.Start("route.alternatives")
 	defer alt.End()
-	seen := map[uint64]bool{pathHash(first.Path): true}
 	add := func(p roadnet.Path, ev Evidence, usedRegion bool, regPath []int) bool {
 		if len(p) < 2 || p[0] != s || p[len(p)-1] != d {
 			return false
 		}
-		h := pathHash(p)
-		if seen[h] {
-			return false
+		// out holds at most k results, so a scan is the dedup.
+		for _, o := range out {
+			if slices.Equal(o.Path, p) {
+				return false
+			}
 		}
-		seen[h] = true
 		out = append(out, RouteResult{
 			Path: p, Category: first.Category,
 			UsedRegionPath: usedRegion, RegionPath: regPath,
@@ -140,18 +141,4 @@ func subPath(p roadnet.Path, s, d roadnet.VertexID) (roadnet.Path, bool) {
 		}
 	}
 	return nil, false
-}
-
-// pathHash is an FNV-64a over the vertex sequence.
-func pathHash(p roadnet.Path) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, v := range p {
-		h ^= uint64(uint32(v))
-		h *= prime
-	}
-	return h
 }

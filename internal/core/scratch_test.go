@@ -53,6 +53,20 @@ func resultHash(rs []RouteResult) uint64 {
 	return h
 }
 
+// pathHash is an FNV-64a over the vertex sequence.
+func pathHash(p roadnet.Path) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	for _, v := range p {
+		h ^= uint64(uint32(v))
+		h *= prime
+	}
+	return h
+}
+
 // TestResultsNeverAliasScratch holds answers across 1,000 further
 // queries on the same handle and checks they did not change under the
 // holder: a path handed out must be the caller's own, never a view of

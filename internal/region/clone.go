@@ -7,11 +7,10 @@ import "repro/internal/roadnet"
 // restored directly) and mutation helpers are no-ops.
 type cowState struct {
 	edges []bool // Edges[i] privately owned
-	inner []bool // inner[i] (and its hash cache) privately owned
+	inner []bool // inner[i] privately owned
 	tcs   []bool // transferCenters[i] privately owned
 	tccs  []bool // tcCounts[i] privately owned
 	adj   []bool // adj[i] privately owned
-	index bool   // index map privately owned
 }
 
 // CloneCOW returns a copy-on-write clone: the outer slice headers are
@@ -20,7 +19,10 @@ type cowState struct {
 // the first mutation touches it, at which point exactly that piece is
 // copied (mutEdge and friends below). AddPaths plus the per-touched-edge
 // re-learning that serving runs per ingest batch therefore costs
-// O(batch), not O(everything ever stored).
+// O(batch), not O(everything ever stored). Beyond regionOf and the
+// sorted adjacency the graph derives nothing, so a write has no index
+// or cache to copy: lookups search the adjacency, and dedup compares
+// stored paths by content.
 //
 // The isolation contract is one-directional: mutations through the
 // clone never write to memory reachable from g (privatize-on-write
@@ -42,10 +44,6 @@ func (g *Graph) CloneCOW() *Graph {
 	cp.inner = append([][]InnerPath(nil), g.inner...)
 	cp.transferCenters = append([][]roadnet.VertexID(nil), g.transferCenters...)
 	cp.tcCounts = append([]map[roadnet.VertexID]int(nil), g.tcCounts...)
-	// Hash caches index the shared path sets; the clone starts with none
-	// and rebuilds them lazily on the private copies it makes.
-	cp.innerHash = make([][]uint64, len(g.inner))
-	cp.index = g.index
 	cp.cow = &cowState{
 		edges: make([]bool, len(g.Edges)),
 		inner: make([]bool, len(g.inner)),
@@ -59,8 +57,7 @@ func (g *Graph) CloneCOW() *Graph {
 // mutEdge returns Edges[i] ready for mutation, privatizing it first on
 // a COW graph: the Edge struct — kind, preference, fit — and its
 // PathInfo slices are copied (the stored Path vertex slices stay shared
-// — they are never edited in place), and the hash caches are dropped
-// for lazy rebuild.
+// — they are never edited in place).
 func (g *Graph) mutEdge(i int) *Edge {
 	if g.cow == nil || g.cow.edges[i] {
 		return g.Edges[i]
@@ -68,7 +65,6 @@ func (g *Graph) mutEdge(i int) *Edge {
 	ne := *g.Edges[i]
 	ne.PathsFwd = append([]PathInfo(nil), ne.PathsFwd...)
 	ne.PathsRev = append([]PathInfo(nil), ne.PathsRev...)
-	ne.fwdHashes, ne.revHashes = nil, nil
 	g.Edges[i] = &ne
 	g.cow.edges[i] = true
 	return &ne
@@ -111,24 +107,11 @@ func (g *Graph) mutTCCount(r int) {
 	g.cow.tccs[r] = true
 }
 
-// mutAdj privatizes region r's edge-ID adjacency before appending.
+// mutAdj privatizes region r's edge-ID adjacency before inserting.
 func (g *Graph) mutAdj(r int) {
 	if g.cow == nil || g.cow.adj[r] {
 		return
 	}
 	g.adj[r] = append([]int(nil), g.adj[r]...)
 	g.cow.adj[r] = true
-}
-
-// mutIndex privatizes the edge index map before inserting.
-func (g *Graph) mutIndex() {
-	if g.cow == nil || g.cow.index {
-		return
-	}
-	idx := make(map[[2]int]int, len(g.index)+1)
-	for k, v := range g.index {
-		idx[k] = v
-	}
-	g.index = idx
-	g.cow.index = true
 }

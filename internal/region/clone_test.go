@@ -12,8 +12,8 @@ import (
 // Nothing outside the tests copies a region graph this way.
 //
 // Structures that incremental updates mutate — edges and their path
-// sets, inner-region paths, transfer-center lists, adjacency, the edge
-// index — are copied. Structures that stay fixed after Build — the
+// sets, inner-region paths, transfer-center lists, adjacency — are
+// copied. Structures that stay fixed after Build — the
 // road network, the region partition and member lists, the
 // vertex→region map, centroids, and road-type sets — are shared.
 // Stored Path vertex slices are also shared: updates append fresh
@@ -46,7 +46,6 @@ func (g *Graph) Clone() *Graph {
 		if len(e.PathsRev) > 0 {
 			ne.PathsRev = append([]PathInfo(nil), e.PathsRev...)
 		}
-		// Hash caches are rebuilt lazily on the clone's first AddPath.
 		cp.Edges[i] = ne
 	}
 
@@ -55,10 +54,6 @@ func (g *Graph) Clone() *Graph {
 		if len(a) > 0 {
 			cp.adj[i] = append([]int(nil), a...)
 		}
-	}
-	cp.index = make(map[[2]int]int, len(g.index))
-	for k, v := range g.index {
-		cp.index[k] = v
 	}
 
 	cp.inner = make([][]InnerPath, len(g.inner))

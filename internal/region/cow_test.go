@@ -161,10 +161,12 @@ func TestCloneCOWChainedGenerations(t *testing.T) {
 	gens := []*Graph{g}
 	snaps := []observed{observe(g)}
 	head := g
+	checkFindEdge(t, g)
 	for _, batch := range batches {
 		next := head.CloneCOW()
 		next.AddPaths(batch, Options{})
 		ref.AddPaths(batch, Options{})
+		checkFindEdge(t, next)
 		gens = append(gens, next)
 		snaps = append(snaps, observe(next))
 		head = next
@@ -173,6 +175,7 @@ func TestCloneCOWChainedGenerations(t *testing.T) {
 		if got := observe(gen); !got.equal(snaps[i]) {
 			t.Fatalf("generation %d mutated after later generations advanced", i)
 		}
+		checkFindEdge(t, gen)
 	}
 	if !observe(head).equal(observe(ref)) {
 		t.Fatalf("COW chain diverged from deep-clone reference:\ncow %+v\nref %+v", observe(head), observe(ref))

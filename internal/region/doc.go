@@ -20,4 +20,10 @@
 // its two path lists. Everything else a router holds (road network,
 // spatial index, CH hierarchy) stays immutable and shared across
 // clones.
+//
+// The graph derives nothing beyond the vertex→region map and each
+// region's adjacency, kept sorted by neighbor region: FindEdge searches
+// that adjacency, and path sets dedup by comparing contents. AddPaths
+// copies each trajectory once, and every path it stores is a window of
+// that copy whose capacity ends where the window does.
 package region

@@ -1,7 +1,7 @@
 package region
 
 import (
-	"hash/fnv"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -69,12 +69,6 @@ type Edge struct {
 	// their own (core's preference section).
 	fitted bool
 	fit    pref.Result
-
-	// fwdHashes/revHashes cache hashPath per stored path so AddPath's
-	// dedup scan compares 8-byte hashes instead of re-hashing whole
-	// paths (quadratic at build time for popular edges). They are
-	// rebuilt lazily, so snapshots need not carry them.
-	fwdHashes, revHashes []uint64
 }
 
 // Fit returns the preference learned from e's path set, if any.
@@ -102,58 +96,27 @@ func (e *Edge) PathsFrom(r int) []PathInfo {
 }
 
 // AddPath registers a trajectory path from region `from` across e,
-// deduplicating identical paths by content hash. terminal marks paths of
-// trajectories whose trip ODs are exactly this region pair.
+// deduplicating identical paths by content. terminal marks paths of
+// trajectories whose trip ODs are exactly this region pair. A new path
+// is stored as given: the caller hands p over and never writes to it
+// again.
 func (e *Edge) AddPath(from int, p roadnet.Path, terminal bool) {
-	set, hashes := &e.PathsRev, &e.revHashes
+	set := &e.PathsRev
 	if e.R1 == from {
-		set, hashes = &e.PathsFwd, &e.fwdHashes
+		set = &e.PathsFwd
 	}
-	if len(*hashes) != len(*set) { // restored from snapshot or reset
-		*hashes = make([]uint64, len(*set))
-		for i := range *set {
-			(*hashes)[i] = hashPath((*set)[i].Path)
-		}
-	}
-	h := hashPath(p)
 	t := 0
 	if terminal {
 		t = 1
 	}
-	for i, hv := range *hashes {
-		if hv == h && samePath((*set)[i].Path, p) {
+	for i := range *set {
+		if slices.Equal((*set)[i].Path, p) {
 			(*set)[i].Count++
 			(*set)[i].Terminal += t
 			return
 		}
 	}
-	*set = append(*set, PathInfo{Path: append(roadnet.Path(nil), p...), Count: 1, Terminal: t})
-	*hashes = append(*hashes, h)
-}
-
-func hashPath(p roadnet.Path) uint64 {
-	h := fnv.New64a()
-	var buf [4]byte
-	for _, v := range p {
-		buf[0] = byte(v)
-		buf[1] = byte(v >> 8)
-		buf[2] = byte(v >> 16)
-		buf[3] = byte(v >> 24)
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
-
-func samePath(a, b roadnet.Path) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	*set = append(*set, PathInfo{Path: p, Count: 1, Terminal: t})
 }
 
 // InnerPath is a within-region sub-path of a trajectory, from the vertex
@@ -174,17 +137,16 @@ type Graph struct {
 
 	// regionOf maps road vertex -> region ID, or -1.
 	regionOf []int32
-	// Edges holds all region edges; adj indexes them per region.
+	// Edges holds all region edges; adj[r] lists region r's edge IDs
+	// sorted by neighbor region ID (insertAdj), which is what FindEdge
+	// searches.
 	Edges []*Edge
 	adj   [][]int
-	index map[[2]int]int
 
 	// centroids[r] is the mean member location of region r.
 	centroids []geo.Point
-	// inner[r] lists the inner-region paths of region r; innerHash
-	// caches hashPath per entry for AddPaths-time dedup (lazy).
-	inner     [][]InnerPath
-	innerHash [][]uint64
+	// inner[r] lists the inner-region paths of region r.
+	inner [][]InnerPath
 	// transferCenters[r] lists vertices where trajectories entered or
 	// left region r, most frequent first.
 	transferCenters [][]roadnet.VertexID
@@ -215,12 +177,22 @@ func (g *Graph) Centroid(r int) geo.Point { return g.centroids[r] }
 // EdgesOf returns the indices into Edges of region r's edges.
 func (g *Graph) EdgesOf(r int) []int { return g.adj[r] }
 
-// FindEdge returns the region edge between r1 and r2, or nil.
+// FindEdge returns the region edge between r1 and r2, or nil. It
+// binary-searches the shorter of the two regions' adjacency lists.
 func (g *Graph) FindEdge(r1, r2 int) *Edge {
-	if i, ok := g.index[pairKey(r1, r2)]; ok {
-		return g.Edges[i]
+	if len(g.adj[r2]) < len(g.adj[r1]) {
+		r1, r2 = r2, r1
+	}
+	if i, ok := g.searchAdj(r1, r2); ok {
+		return g.Edges[g.adj[r1][i]]
 	}
 	return nil
+}
+
+// searchAdj returns where neighbor region o sits, or would sit, in
+// region r's adjacency, and whether an edge to o is there.
+func (g *Graph) searchAdj(r, o int) (int, bool) {
+	return slices.BinarySearchFunc(g.adj[r], o, func(id, o int) int { return g.Edges[id].Other(r) - o })
 }
 
 // InnerPaths returns region r's inner paths.
@@ -264,24 +236,14 @@ func (g *Graph) TEdgeCount() int {
 // BEdgeCount returns the number of B-edges.
 func (g *Graph) BEdgeCount() int { return len(g.Edges) - g.TEdgeCount() }
 
-func pairKey(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
-}
-
 // edge returns the (mutable) edge between r1 and r2, creating it with
 // the given kind if absent. On a COW clone the returned edge is always
 // privately owned — callers mutate it freely.
 func (g *Graph) edge(r1, r2 int, kind EdgeKind) *Edge {
-	key := pairKey(r1, r2)
-	if i, ok := g.index[key]; ok {
-		return g.mutEdge(i)
+	if e := g.FindEdge(r1, r2); e != nil {
+		return g.mutEdge(e.ID)
 	}
-	e := &Edge{ID: len(g.Edges), R1: key[0], R2: key[1], Kind: kind}
-	g.mutIndex()
-	g.index[key] = e.ID
+	e := &Edge{ID: len(g.Edges), R1: min(r1, r2), R2: max(r1, r2), Kind: kind}
 	g.Edges = append(g.Edges, e)
 	if g.cow != nil {
 		g.cow.edges = append(g.cow.edges, true) // freshly created, private
@@ -300,13 +262,8 @@ func (g *Graph) edge(r1, r2 int, kind EdgeKind) *Edge {
 // pair has exactly one edge, so neighbor IDs are unique within a list.
 func (g *Graph) insertAdj(r, id int) {
 	g.mutAdj(r)
-	a := g.adj[r]
-	o := g.Edges[id].Other(r)
-	i := sort.Search(len(a), func(i int) bool { return g.Edges[a[i]].Other(r) > o })
-	a = append(a, 0)
-	copy(a[i+1:], a[i:])
-	a[i] = id
-	g.adj[r] = a
+	i, _ := g.searchAdj(r, g.Edges[id].Other(r))
+	g.adj[r] = slices.Insert(g.adj[r], i, id)
 }
 
 // Options tunes region-graph construction.
@@ -353,7 +310,6 @@ func Build(road *roadnet.Graph, regions []cluster.Region, paths []roadnet.Path, 
 	g := &Graph{
 		Road:    road,
 		Regions: regions,
-		index:   make(map[[2]int]int),
 	}
 	n := road.NumVertices()
 	g.regionOf = make([]int32, n)
@@ -438,31 +394,22 @@ func segmentVisits(g *Graph, p roadnet.Path) []visit {
 	return out
 }
 
+// addInner registers an inner path of region r, deduplicating by
+// content. Like Edge.AddPath it stores a new path as given.
 func (g *Graph) addInner(r int, p roadnet.Path, terminal bool) {
 	g.mutInner(r) // counter bumps and appends below must not hit shared backing
-	if g.innerHash == nil {
-		g.innerHash = make([][]uint64, len(g.inner))
-	}
-	if len(g.innerHash[r]) != len(g.inner[r]) { // restored from snapshot
-		g.innerHash[r] = make([]uint64, len(g.inner[r]))
-		for i := range g.inner[r] {
-			g.innerHash[r][i] = hashPath(g.inner[r][i].Path)
-		}
-	}
-	h := hashPath(p)
 	t := 0
 	if terminal {
 		t = 1
 	}
-	for i, hv := range g.innerHash[r] {
-		if hv == h && samePath(g.inner[r][i].Path, p) {
+	for i := range g.inner[r] {
+		if slices.Equal(g.inner[r][i].Path, p) {
 			g.inner[r][i].Count++
 			g.inner[r][i].Terminal += t
 			return
 		}
 	}
 	g.inner[r] = append(g.inner[r], InnerPath{Path: p, Count: 1, Terminal: t})
-	g.innerHash[r] = append(g.innerHash[r], h)
 }
 
 // computeTopTypes fills the per-region top-k road-type sets from the

@@ -1,6 +1,7 @@
 package region
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -101,7 +102,6 @@ func TestInnerPaths(t *testing.T) {
 
 func TestPathDeduplicationCounts(t *testing.T) {
 	g, regions := lineWorld(t)
-	p := roadnet.Path{2, 3, 4}
 	paths := []roadnet.Path{
 		{0, 1, 2, 3, 4, 5},
 		{1, 2, 3, 4},
@@ -116,7 +116,86 @@ func TestPathDeduplicationCounts(t *testing.T) {
 	if infos[0].Count != 3 {
 		t.Fatalf("count = %d want 3", infos[0].Count)
 	}
-	_ = p
+
+	// Dedup compares contents: an equal path held in another slice
+	// counts, one differing in an interior vertex is a path of its own.
+	e.AddPath(0, roadnet.Path{2, 3, 4}, true)
+	if infos = e.PathsFrom(0); len(infos) != 1 || infos[0].Count != 4 || infos[0].Terminal != 4 {
+		t.Fatalf("content-equal path: %+v, want one path counted 4, terminal 4", infos)
+	}
+	e.AddPath(0, roadnet.Path{2, 6, 4}, false)
+	if infos = e.PathsFrom(0); len(infos) != 2 || infos[1].Count != 1 {
+		t.Fatalf("path differing in an interior vertex: %+v, want a second path counted 1", infos)
+	}
+
+	// AddPaths copies each trajectory once: the caller's path stays the
+	// caller's, and the windows stored from the copy are capped, so an
+	// append to one cannot write over the next.
+	fresh := Build(g, regions, nil, Options{})
+	q := roadnet.Path{0, 1, 2, 3, 4, 5, 6, 7, 8}
+	fresh.AddPaths([]roadnet.Path{q}, Options{})
+	stored := storedPaths(fresh)
+	want := make([]roadnet.Path, len(stored))
+	for i, p := range stored {
+		want[i] = slices.Clone(p)
+	}
+	if len(stored) != 6 { // 3 T-edge paths, 3 inner paths
+		t.Fatalf("stored %d paths, want 6: %v", len(stored), stored)
+	}
+	samePaths := func(a, b []roadnet.Path) bool {
+		return slices.EqualFunc(a, b, func(x, y roadnet.Path) bool { return slices.Equal(x, y) })
+	}
+	for i := range q {
+		q[i] = 99
+	}
+	if got := storedPaths(fresh); !samePaths(got, want) {
+		t.Fatalf("writing the caller's path changed the stored paths:\ngot  %v\nwant %v", got, want)
+	}
+	for i, p := range stored {
+		_ = append(p, 99)
+		if got := storedPaths(fresh); !samePaths(got, want) {
+			t.Fatalf("appending to stored path %d changed the stored paths:\ngot  %v\nwant %v", i, got, want)
+		}
+	}
+}
+
+// storedPaths lists the slices g stores: every edge's forward and
+// reverse path set, then every region's inner paths.
+func storedPaths(g *Graph) []roadnet.Path {
+	var out []roadnet.Path
+	for _, e := range g.Edges {
+		for _, pi := range e.PathsFwd {
+			out = append(out, pi.Path)
+		}
+		for _, pi := range e.PathsRev {
+			out = append(out, pi.Path)
+		}
+	}
+	for r := range g.NumRegions() {
+		for _, ip := range g.InnerPaths(r) {
+			out = append(out, ip.Path)
+		}
+	}
+	return out
+}
+
+// checkFindEdge holds FindEdge, asked both ways round, to a linear scan
+// of g.Edges for every region pair, pairs no edge joins included.
+func checkFindEdge(t *testing.T, g *Graph) {
+	t.Helper()
+	for a := range g.NumRegions() {
+		for b := a; b < g.NumRegions(); b++ {
+			var want *Edge
+			for _, e := range g.Edges {
+				if e.R1 == a && e.R2 == b {
+					want = e
+				}
+			}
+			if ab, ba := g.FindEdge(a, b), g.FindEdge(b, a); ab != want || ba != want {
+				t.Fatalf("FindEdge(%d, %d) = %p, FindEdge(%d, %d) = %p, the scan finds %p", a, b, ab, b, a, ba, want)
+			}
+		}
+	}
 }
 
 func TestConnectBFS(t *testing.T) {

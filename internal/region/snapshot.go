@@ -45,12 +45,13 @@ func (g *Graph) Snapshot() *Snapshot {
 }
 
 // Restore reconstructs a region graph over road from a snapshot,
-// rebuilding the derived indexes (vertex→region map, adjacency, edge
-// index); the graph takes s over, its edges being s.Edges' elements. A
-// snapshot is outside input — an artifact read from disk — so every ID
-// in it is checked before anything indexes with it: vertices against
-// the road, regions against the region count, edge kinds, road types
-// and preferences against their ranges.
+// rebuilding what the graph derives (the vertex→region map and the
+// sorted adjacency); the graph takes s over, its edges being s.Edges'
+// elements. A snapshot is outside input — an artifact read from disk —
+// so every ID in it is checked before anything indexes with it:
+// vertices against the road, regions against the region count, edge
+// kinds, road types and preferences against their ranges, and each
+// edge's pair is R1 < R2 and joined by no other edge.
 func Restore(road *roadnet.Graph, s *Snapshot) (*Graph, error) {
 	n, regions := road.NumVertices(), len(s.Regions)
 	g := &Graph{
@@ -61,7 +62,6 @@ func Restore(road *roadnet.Graph, s *Snapshot) (*Graph, error) {
 		transferCenters: s.TransferCenters,
 		tcCounts:        s.TCCounts,
 		topTypes:        s.TopTypes,
-		index:           make(map[[2]int]int, len(s.Edges)),
 	}
 	// Optional slices may be absent in minimal snapshots; normalize to
 	// per-region length so accessors stay in bounds.
@@ -114,28 +114,30 @@ func Restore(road *roadnet.Graph, s *Snapshot) (*Graph, error) {
 	g.Edges = make([]*Edge, len(s.Edges))
 	for i := range s.Edges {
 		e := &s.Edges[i]
-		bad := e.ID != i || e.R1 < 0 || e.R1 >= regions || e.R2 < 0 || e.R2 >= regions || e.Kind > BEdge || e.HasPref && !e.Pref.Valid()
+		bad := e.ID != i || e.R1 < 0 || e.R1 >= e.R2 || e.R2 >= regions || e.Kind > BEdge || e.HasPref && !e.Pref.Valid()
 		for _, set := range [2][]PathInfo{e.PathsFwd, e.PathsRev} {
 			for _, pi := range set {
 				bad = bad || offRoad(pi.Path)
 			}
 		}
 		if bad {
-			return nil, fmt.Errorf("region: snapshot edge %d carries an ID, a vertex, a kind or a preference out of range", i)
+			return nil, fmt.Errorf("region: snapshot edge %d carries an ID, a vertex, a kind or a preference out of range, or a region pair not ordered R1 < R2", i)
 		}
-		// Drop any hash caches carried over from an in-process
-		// Snapshot(); they would alias the source graph's slices.
-		e.fwdHashes, e.revHashes = nil, nil
 		g.Edges[i] = e
 		g.adj[e.R1] = append(g.adj[e.R1], i)
 		g.adj[e.R2] = append(g.adj[e.R2], i)
-		g.index[pairKey(e.R1, e.R2)] = i
 	}
 	// Canonical adjacency order (neighbor region ID, matching insertAdj)
 	// so a restored graph traverses neighbors exactly as the graph that
-	// produced the snapshot did.
-	for r := range g.adj {
-		slices.SortFunc(g.adj[r], func(a, b int) int { return g.Edges[a].Other(r) - g.Edges[b].Other(r) })
+	// produced the snapshot did, and FindEdge can search it. A region
+	// pair carries one edge, so neighbors must not repeat.
+	for r, a := range g.adj {
+		slices.SortFunc(a, func(x, y int) int { return g.Edges[x].Other(r) - g.Edges[y].Other(r) })
+		for i := 1; i < len(a); i++ {
+			if g.Edges[a[i]].Other(r) == g.Edges[a[i-1]].Other(r) {
+				return nil, fmt.Errorf("region: snapshot edges %d and %d join the same regions", a[i-1], a[i])
+			}
+		}
 	}
 	return g, nil
 }

@@ -76,6 +76,8 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 			t.Fatalf("FindEdge(%d,%d) broken after restore", e.R1, e.R2)
 		}
 	}
+	checkFindEdge(t, g)
+	checkFindEdge(t, g2)
 }
 
 // TestSnapshotImageOmitsFit: an edge's fit is process state that
@@ -128,6 +130,23 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		s.Edges[0].R1 = 10_000
 		if _, err := Restore(g.Road, s); err == nil {
 			t.Fatal("out-of-range edge endpoint accepted")
+		}
+	}
+
+	// FindEdge searches sorted, duplicate-free adjacency lists, so an
+	// edge's pair must be R1 < R2 and belong to no other edge.
+	if len(g.Edges) < 2 {
+		t.Fatal("the world has fewer than two region edges")
+	}
+	for name, edit := range map[string]func(e []Edge){
+		"R1 == R2":      func(e []Edge) { e[0].R2 = e[0].R1 },
+		"R1 > R2":       func(e []Edge) { e[0].R1, e[0].R2 = e[0].R2, e[0].R1 },
+		"repeated pair": func(e []Edge) { e[1].R1, e[1].R2 = e[0].R1, e[0].R2 },
+	} {
+		s = g.Snapshot()
+		edit(s.Edges)
+		if _, err := Restore(g.Road, s); err == nil {
+			t.Fatalf("edge pair %s accepted", name)
 		}
 	}
 

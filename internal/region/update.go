@@ -1,6 +1,8 @@
 package region
 
 import (
+	"slices"
+
 	"repro/internal/roadnet"
 )
 
@@ -49,6 +51,11 @@ func (s UpdateStats) StalenessRatio() float64 {
 // AddPaths ingests trajectory paths into the region graph, keeping the
 // region partition fixed. Options mirror the ones used at build time;
 // pass the same values for consistent behaviour.
+//
+// Each trajectory is copied once, and every inner path and T-edge path
+// stored from it is a window p[a:b:b] of that copy. The capped capacity
+// makes an append to a stored path, or to a route answered from one,
+// reallocate instead of writing over the window next to it.
 func (g *Graph) AddPaths(paths []roadnet.Path, opt Options) UpdateStats {
 	opt = opt.withDefaults()
 	var st UpdateStats
@@ -63,6 +70,7 @@ func (g *Graph) AddPaths(paths []roadnet.Path, opt Options) UpdateStats {
 				st.OutOfRegionVertices++
 			}
 		}
+		p = slices.Clone(p)
 		visits := segmentVisits(g, p)
 		for _, vis := range visits {
 			entryV, exitV := p[vis.entry], p[vis.exit]
@@ -71,8 +79,7 @@ func (g *Graph) AddPaths(paths []roadnet.Path, opt Options) UpdateStats {
 				g.bumpTransferCenter(vis.region, exitV, opt.MaxTransferCenters, dirtyTC)
 			}
 			if vis.exit > vis.entry {
-				sub := append(roadnet.Path(nil), p[vis.entry:vis.exit+1]...)
-				g.addInner(vis.region, sub, vis.entry == 0 && vis.exit == len(p)-1)
+				g.addInner(vis.region, p[vis.entry:vis.exit+1:vis.exit+1], vis.entry == 0 && vis.exit == len(p)-1)
 			}
 		}
 		for i := 0; i < len(visits); i++ {
@@ -98,12 +105,10 @@ func (g *Graph) AddPaths(paths []roadnet.Path, opt Options) UpdateStats {
 					e.PathsRev = nil
 					e.HasPref = false
 				}
-				sub := append(roadnet.Path(nil), p[visits[i].exit:visits[j].entry+1]...)
-				if len(sub) < 2 {
-					continue
-				}
-				terminal := i == 0 && j == len(visits)-1
-				e.AddPath(ri, sub, terminal)
+				// Visits are disjoint, so the window holds at least the
+				// exit and the entry vertex.
+				end := visits[j].entry + 1
+				e.AddPath(ri, p[visits[i].exit:end:end], i == 0 && j == len(visits)-1)
 				if !touched[e.ID] {
 					touched[e.ID] = true
 					st.TouchedEdges = append(st.TouchedEdges, e.ID)
