@@ -831,7 +831,10 @@ func BenchmarkServeIngest(b *testing.B) {
 // (Contract) and the per-metric weight pass over the fixed skeleton
 // (Customize). Their ratio is why the serving swap path re-customizes
 // instead of re-contracting: a metric refresh costs one bottom-up
-// triangle sweep over preallocated flat arrays.
+// triangle sweep over preallocated flat arrays. Customize/One is one
+// metric's sweep on the bench world; Customize/All is what EnableCH
+// pays on the ci router — every metric it routes on, customized in one
+// sweep — reported per metric.
 func BenchmarkCustomize(b *testing.B) {
 	w := benchWorld(b)
 	b.Run("Contract", func(b *testing.B) {
@@ -840,14 +843,31 @@ func BenchmarkCustomize(b *testing.B) {
 		}
 	})
 	b.Run("Customize", func(b *testing.B) {
-		topo := ch.BuildTopology(w.Road)
-		m := topo.NewMetric()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Customize(func(e roadnet.EdgeID) float64 { return w.Road.EdgeWeight(e, roadnet.TT) })
-		}
-		b.ReportMetric(float64(topo.NumArcs()), "arcs")
+		b.Run("One", func(b *testing.B) {
+			topo := ch.BuildTopology(w.Road)
+			m := topo.NewMetric()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Customize(func(e roadnet.EdgeID) float64 { return w.Road.EdgeWeight(e, roadnet.TT) })
+			}
+			b.ReportMetric(float64(topo.NumArcs()), "arcs")
+		})
+		b.Run("All", func(b *testing.B) {
+			ci := worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, benchSeed))
+			r, err := core.Build(ci.Road, ci.Train, core.Options{SkipMapMatching: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			keys := r.MetricKeys()
+			topo := ch.BuildTopology(ci.Road)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				route.NewCHEngine(ci.Road, topo, roadnet.TT, keys...)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/metric")
+			b.ReportMetric(float64(len(keys)), "metrics")
+		})
 	})
 }
 

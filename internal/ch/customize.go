@@ -37,57 +37,99 @@ func (t *Topology) NewMetric() *Metric {
 }
 
 // Customize recomputes every shortcut weight for the given non-negative
-// edge-cost function, without re-contracting: arcs are seeded from the
-// original road edges they cover (+Inf where none exists or the cost
-// function forbids the edge), then each lower triangle {a; b1, b2} is
-// relaxed in ascending rank order of a, so by the time a vertex's
-// triangles are processed its own arcs are final. One pass over the
-// skeleton — milliseconds where re-contraction takes seconds.
+// edge-cost function, without re-contracting: the one-metric batch of
+// Topology.CustomizeAll's sweep.
 func (m *Metric) Customize(cost func(roadnet.EdgeID) float64) {
-	t := m.t
-	inf := math.Inf(1)
-	for k := range m.wUp {
-		m.wUp[k], m.viaUp[k] = inf, -1
-		m.wDown[k], m.viaDown[k] = inf, -1
-		if e := t.origUp[k]; e >= 0 {
-			m.wUp[k] = cost(roadnet.EdgeID(e))
-		}
-		if e := t.origDown[k]; e >= 0 {
-			m.wDown[k] = cost(roadnet.EdgeID(e))
-		}
-	}
-	n := len(t.rank)
-	for ri := 0; ri < n; ri++ {
-		a := t.order[ri]
-		lo, hi := t.upStart[a], t.upStart[a+1]
-		for i := lo; i < hi; i++ {
-			b1 := t.upTo[i]
-			for j := i + 1; j < hi; j++ {
-				// rank(b1) < rank(b2): the arc {b1, b2} is owned by b1 and
-				// exists by construction (contracting a made them adjacent).
-				b2 := t.upTo[j]
-				k := t.findArc(b1, b2)
-				if k < 0 {
-					continue
-				}
-				// b1 → a → b2 improves the up direction of {b1, b2};
-				// b2 → a → b1 the down direction.
-				if w := m.wDown[i] + m.wUp[j]; w < m.wUp[k] {
-					m.wUp[k], m.viaUp[k] = w, a
-				}
-				if w := m.wDown[j] + m.wUp[i]; w < m.wDown[k] {
-					m.wDown[k], m.viaDown[k] = w, a
-				}
-			}
-		}
-	}
+	m.t.customize([]*Metric{m}, []func(roadnet.EdgeID) float64{cost})
 }
 
 // Customize builds and customizes a fresh metric in one call.
 func (t *Topology) Customize(cost func(roadnet.EdgeID) float64) *Metric {
-	m := t.NewMetric()
-	m.Customize(cost)
-	return m
+	return t.CustomizeAll([]func(roadnet.EdgeID) float64{cost})[0]
+}
+
+// CustomizeAll builds one fresh metric per cost function and customizes
+// them all in one sweep over the skeleton's lower triangles: each
+// triangle is enumerated, and its third arc found, once for every
+// metric, where customizing them one by one would repeat both per
+// metric. Each metric comes out bit for bit as Customize alone makes it.
+func (t *Topology) CustomizeAll(costs []func(roadnet.EdgeID) float64) []*Metric {
+	ms := make([]*Metric, len(costs))
+	for i := range ms {
+		ms[i] = t.NewMetric()
+	}
+	t.customize(ms, costs)
+	return ms
+}
+
+// triangle is one lower triangle {a; b1, b2} as the CSR indexes of its
+// arcs: i = {a, b1}, j = {a, b2} and k = {b1, b2}.
+type triangle struct{ i, j, k int32 }
+
+// customize gives ms[x] the weights of costs[x]. Arcs are seeded from
+// the original road edges they cover (+Inf where none exists or the
+// cost function forbids the edge); then, in ascending rank order of a,
+// each lower triangle {a; b1, b2} relaxes arc {b1, b2} through a, so by
+// the time a vertex's triangles are processed its own arcs are final.
+// A vertex's triangles are listed once and then relaxed metric by
+// metric: their writes land in the up-ranges of a's up-neighbours and
+// their reads in a's own, so per metric the order is the one a single
+// sweep takes. Arc {b1, b2} is found by walking b1's rank-sorted
+// up-range forward as b2 advances through a's; contracting a made b1
+// and b2 adjacent, but a missing arc is skipped.
+func (t *Topology) customize(ms []*Metric, costs []func(roadnet.EdgeID) float64) {
+	if len(ms) == 0 {
+		return
+	}
+	inf := math.Inf(1)
+	for x, m := range ms {
+		cost := costs[x]
+		for k := range m.wUp {
+			m.wUp[k], m.viaUp[k] = inf, -1
+			m.wDown[k], m.viaDown[k] = inf, -1
+			if e := t.origUp[k]; e >= 0 {
+				m.wUp[k] = cost(roadnet.EdgeID(e))
+			}
+			if e := t.origDown[k]; e >= 0 {
+				m.wDown[k] = cost(roadnet.EdgeID(e))
+			}
+		}
+	}
+	deg := int32(0)
+	for v := range len(t.rank) {
+		deg = max(deg, t.upStart[v+1]-t.upStart[v])
+	}
+	tris := make([]triangle, 0, deg*(deg-1)/2)
+	for _, a := range t.order {
+		lo, hi := t.upStart[a], t.upStart[a+1]
+		tris = tris[:0]
+		for i := lo; i < hi; i++ {
+			b1 := t.upTo[i]
+			k, end := t.upStart[b1], t.upStart[b1+1]
+			for j := i + 1; j < hi && k < end; j++ {
+				// rank(b1) < rank(b2): the arc {b1, b2} is owned by b1.
+				b2 := t.upTo[j]
+				for rb2 := t.rank[b2]; k < end && t.rank[t.upTo[k]] < rb2; k++ {
+				}
+				if k < end && t.upTo[k] == b2 {
+					tris = append(tris, triangle{i, j, k})
+				}
+			}
+		}
+		for _, m := range ms {
+			wUp, wDown, viaUp, viaDown := m.wUp, m.wDown, m.viaUp, m.viaDown
+			for _, tr := range tris {
+				// b1 → a → b2 improves the up direction of {b1, b2};
+				// b2 → a → b1 the down direction.
+				if w := wDown[tr.i] + wUp[tr.j]; w < wUp[tr.k] {
+					wUp[tr.k], viaUp[tr.k] = w, a
+				}
+				if w := wDown[tr.j] + wUp[tr.i]; w < wDown[tr.k] {
+					wDown[tr.k], viaDown[tr.k] = w, a
+				}
+			}
+		}
+	}
 }
 
 // Topology returns the skeleton this metric customizes.

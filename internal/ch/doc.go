@@ -17,10 +17,15 @@
 // TestSkeletonMatchesReference holds it to the map-based build it
 // replaced.
 //
-// Metric.Customize then assigns both directed weights to every skeleton
-// arc for an arbitrary non-negative edge-cost function by relaxing lower
-// triangles bottom-up in contraction order: one linear pass over the
-// skeleton, milliseconds where re-contraction costs seconds. Routing
+// Topology.CustomizeAll then assigns both directed weights to every
+// skeleton arc for any number of non-negative edge-cost functions by
+// relaxing lower triangles bottom-up in contraction order: one linear
+// pass over the skeleton, milliseconds where re-contraction costs
+// seconds. The pass enumerates each triangle, and finds its third arc,
+// once for every metric prepared together, so a metric added to a sweep
+// costs about half what a sweep of its own does; Metric.Customize is
+// the batch of one, and TestCustomizeAllMatchesPerMetric holds the
+// sweep to the per-metric one it replaced, bit for bit. Routing
 // preferences, live traffic weights and custom cost functions each
 // become just another Metric over the shared Topology (+Inf marks an arc
 // a metric forbids or cannot reach in that direction).

@@ -417,12 +417,14 @@ func (r *Router) CHClimb() (height int, arcsMean float64, ok bool) {
 
 // EnableCH swaps the router's path engine for a CH-backed one over the
 // road network, with the travel-time metric and every metric the router
-// routes on customized. It is meant for routers restored with Load: the
-// hierarchy is derived from the contraction order a v3 artifact carries
-// (ch.NewTopology, a linear pass), or contracted afresh when there is
-// none. A no-op when the router is already CH-backed. It must not be
-// called concurrently with queries; Clones made afterwards share the
-// hierarchy. The build time is returned (and recorded in Stats).
+// routes on customized together in one sweep. It is meant for routers
+// restored with Load: the hierarchy is derived from the contraction
+// order a v3 artifact carries (ch.NewTopology, a linear pass), or
+// contracted afresh when there is none. A no-op when the router is
+// already CH-backed. It must not be called concurrently with queries;
+// Clones made afterwards share the hierarchy. The topology's build time
+// is returned and recorded in Stats, the customization's as a
+// PrepareMetrics pass's.
 func (r *Router) EnableCH(_ ch.Config) time.Duration {
 	if r.PathBackend() == BackendCH {
 		return 0
@@ -434,11 +436,13 @@ func (r *Router) EnableCH(_ ch.Config) time.Duration {
 	} else {
 		topo = ch.BuildTopology(r.road)
 	}
-	e := route.NewCHEngine(r.road, topo, roadnet.TT)
 	r.stats.CHBuildTime = time.Since(start)
+	start = time.Now()
+	e := route.NewCHEngine(r.road, topo, roadnet.TT, r.MetricKeys()...)
+	r.stats.CHCustomizeTime = time.Since(start)
+	r.stats.CHMetrics = int(e.Customizations())
 	r.stats.CHShortcuts = e.Shortcuts()
 	r.setEngine(e)
-	r.PrepareMetrics()
 	return r.stats.CHBuildTime
 }
 
@@ -448,8 +452,9 @@ func (r *Router) EnableCH(_ ch.Config) time.Duration {
 // per region, or fitted by EnableMultiPreferences — so queries never pay
 // metric customization inline. Metrics already customized are shared,
 // not redone: after an ingest that re-learned preferences, only
-// combinations never seen before cost anything. It returns the number
-// of metrics customized now and records (count, elapsed) in Stats; a
+// combinations never seen before cost anything, and those are
+// customized together in one sweep. It returns the number of metrics
+// customized now and records (count, elapsed) in Stats; a
 // Dijkstra-backed router returns 0. Like Ingest, it mutates engine
 // state and must not run concurrently with queries on clones sharing
 // this router's engine... except that it only *adds* metric versions,
@@ -466,33 +471,42 @@ func (r *Router) prepareMetrics(eng route.PathEngine) int {
 		return 0
 	}
 	start := time.Now()
-	n := 0
-	for _, w := range []roadnet.Weight{roadnet.TT, roadnet.DI, roadnet.FC} {
-		if che.Prepare(w, 0) {
-			n++
-		}
-	}
-	prep := func(p pref.Preference) {
-		if che.Prepare(p.Master, p.Slave.Mask()) {
-			n++
-		}
-	}
-	for _, e := range r.rg.Edges {
-		if e.HasPref {
-			prep(e.Pref)
-		}
-	}
-	for _, res := range r.regionPrefs {
-		prep(res.Preference)
-	}
-	for _, mr := range r.multi {
-		for _, wp := range mr.Prefs {
-			prep(wp.Preference)
-		}
-	}
+	n := che.PrepareAll(r.MetricKeys())
 	r.stats.CHMetrics = n
 	r.stats.CHCustomizeTime = time.Since(start)
 	return n
+}
+
+// MetricKeys lists, once each, the metrics the router routes on — the
+// set EnableCH and PrepareMetrics customize: the three scalar weights,
+// then every preference a region edge carries, one learned per region,
+// or one EnableMultiPreferences fitted.
+func (r *Router) MetricKeys() []route.MetricKey {
+	var seen [roadnet.NumCostWeights][1 << roadnet.NumRoadTypes]bool
+	keys := make([]route.MetricKey, 0, 16)
+	add := func(p pref.Preference) {
+		if !seen[p.Master][p.Slave] {
+			seen[p.Master][p.Slave] = true
+			keys = append(keys, route.MetricKey{W: p.Master, Mask: p.Slave.Mask()})
+		}
+	}
+	for _, w := range []roadnet.Weight{roadnet.TT, roadnet.DI, roadnet.FC} {
+		add(pref.Preference{Master: w})
+	}
+	for _, e := range r.rg.Edges {
+		if e.HasPref {
+			add(e.Pref)
+		}
+	}
+	for _, res := range r.regionPrefs {
+		add(res.Preference)
+	}
+	for _, mr := range r.multi {
+		for _, wp := range mr.Prefs {
+			add(wp.Preference)
+		}
+	}
+	return keys
 }
 
 // PrepareMetricsTouched is the incremental PrepareMetrics for the
@@ -509,15 +523,18 @@ func (r *Router) PrepareMetricsTouched(touched []int) int {
 		return 0
 	}
 	start := time.Now()
-	n := 0
+	var keys []route.MetricKey
 	for _, id := range touched {
 		if id < 0 || id >= len(r.rg.Edges) {
 			continue
 		}
-		if e := r.rg.Edges[id]; e.HasPref && che.Prepare(e.Pref.Master, e.Pref.Slave.Mask()) {
-			n++
+		// Most batches bring no new metric: listing only the missing ones
+		// keeps this scan free of allocation.
+		if e := r.rg.Edges[id]; e.HasPref && !che.Resident(e.Pref.Master, e.Pref.Slave.Mask()) {
+			keys = append(keys, route.MetricKey{W: e.Pref.Master, Mask: e.Pref.Slave.Mask()})
 		}
 	}
+	n := che.PrepareAll(keys)
 	r.stats.CHMetrics = n
 	r.stats.CHCustomizeTime = time.Since(start)
 	return n

@@ -235,7 +235,7 @@ func LoadOnto(rd io.Reader, road *roadnet.Graph, roadID uint64) (*Router, error)
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&env); err != nil {
 		return nil, fmt.Errorf("codec: decoding payload: %w", err)
 	}
-	if road, err = roadnet.ReadTSV(bytes.NewReader(env.RoadTSV)); err != nil {
+	if road, err = roadnet.ParseTSV(env.RoadTSV); err != nil {
 		return nil, fmt.Errorf("core: decoding road network: %w", err)
 	}
 	if env.Region == nil {
@@ -287,7 +287,7 @@ func decodeV3(payload []byte, road *roadnet.Graph, roadID uint64) (*Router, erro
 	}
 	var err error
 	if road == nil || id != roadID {
-		if road, err = roadnet.ReadTSV(bytes.NewReader(roadTSV)); err != nil {
+		if road, err = roadnet.ParseTSV(roadTSV); err != nil {
 			return nil, fmt.Errorf("core: decoding road network: %w", err)
 		}
 	}

@@ -73,18 +73,67 @@ func (b *Builder) AddRoad(u, v VertexID, t RoadType) {
 	b.AddEdge(v, u, t)
 }
 
-// Build freezes the builder into an immutable Graph.
+// Build freezes the builder into an immutable Graph. Each CSR lists a
+// vertex's edges ordered by the other endpoint: out-edges by (From, To),
+// in-edges by (To, From). Three stable counting sorts build both — by
+// To, then by From (the out order), then that by To (the in order) —
+// in linear time. Only a repeated (From, To) pair, which AddEdge drops
+// but a hand-written TSV can carry, leaves the order of its copies to
+// sortCSRs, the comparison sort the graph's adjacency order was first
+// defined by.
 func (b *Builder) Build() *Graph {
 	g := &Graph{pts: b.pts, edges: b.edges}
 	n := len(b.pts)
-	m := len(b.edges)
+	g.outStart = make([]int32, n+1)
+	g.inStart = make([]int32, n+1)
+	for _, e := range b.edges {
+		g.outStart[e.From+1]++
+		g.inStart[e.To+1]++
+	}
+	for i := 0; i < n; i++ {
+		g.outStart[i+1] += g.outStart[i]
+		g.inStart[i+1] += g.inStart[i]
+	}
 
-	order := make([]EdgeID, m)
+	// Stable counting sort of src into dst by key; start holds the key's
+	// CSR offsets.
+	next := make([]int32, n)
+	place := func(dst, src []EdgeID, start []int32, key func(*Edge) VertexID) {
+		copy(next, start[:n])
+		for _, e := range src {
+			k := key(&b.edges[e])
+			dst[next[k]] = e
+			next[k]++
+		}
+	}
+	from := func(e *Edge) VertexID { return e.From }
+	to := func(e *Edge) VertexID { return e.To }
+	m := len(b.edges)
+	g.outEdges, g.inEdges = make([]EdgeID, m), make([]EdgeID, m)
+	byTo := make([]EdgeID, m)
+	for e := range g.inEdges {
+		g.inEdges[e] = EdgeID(e)
+	}
+	place(byTo, g.inEdges, g.inStart, to)
+	place(g.outEdges, byTo, g.outStart, from)
+	place(g.inEdges, g.outEdges, g.inStart, to)
+	for i := 1; i < m; i++ {
+		a, c := b.edges[g.outEdges[i-1]], b.edges[g.outEdges[i]]
+		if a.From == c.From && a.To == c.To {
+			b.sortCSRs(g)
+			break
+		}
+	}
+	return g
+}
+
+// sortCSRs fills g's out- and in-edge lists by comparison sort, in the
+// order a repeated (From, To) pair's copies keep.
+func (b *Builder) sortCSRs(g *Graph) {
+	order := make([]EdgeID, len(b.edges))
 	for i := range order {
 		order[i] = EdgeID(i)
 	}
-
-	// Out-CSR.
 	sort.Slice(order, func(i, j int) bool {
 		a, c := b.edges[order[i]], b.edges[order[j]]
 		if a.From != c.From {
@@ -92,17 +141,7 @@ func (b *Builder) Build() *Graph {
 		}
 		return a.To < c.To
 	})
-	g.outStart = make([]int32, n+1)
-	g.outEdges = make([]EdgeID, m)
 	copy(g.outEdges, order)
-	for _, e := range b.edges {
-		g.outStart[e.From+1]++
-	}
-	for i := 0; i < n; i++ {
-		g.outStart[i+1] += g.outStart[i]
-	}
-
-	// In-CSR.
 	sort.Slice(order, func(i, j int) bool {
 		a, c := b.edges[order[i]], b.edges[order[j]]
 		if a.To != c.To {
@@ -110,16 +149,7 @@ func (b *Builder) Build() *Graph {
 		}
 		return a.From < c.From
 	})
-	g.inStart = make([]int32, n+1)
-	g.inEdges = make([]EdgeID, m)
 	copy(g.inEdges, order)
-	for _, e := range b.edges {
-		g.inStart[e.To+1]++
-	}
-	for i := 0; i < n; i++ {
-		g.inStart[i+1] += g.inStart[i]
-	}
-	return g
 }
 
 // Validate performs structural sanity checks on a built graph, returning

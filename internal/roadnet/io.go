@@ -2,10 +2,11 @@ package roadnet
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/geo"
 )
@@ -17,12 +18,16 @@ import (
 //	E	<from>	<to>	<length_m>	<tt_s>	<fuel_l>	<type>
 //
 // Lines starting with '#' and blank lines are ignored. Vertex IDs must
-// be dense and ascending starting at 0.
+// be dense and ascending starting at 0. Every artifact and checkpoint
+// carries one such section, so both directions run on the exact
+// decimal kernels of decimal.go rather than strconv's general paths;
+// the bytes written and the floats read are strconv's.
 
-// WriteTSV serializes g. Each line is appended into one reused buffer
-// with strconv — the bytes fmt's %d and %.Nf would print — so a
-// checkpoint or a WAL identity hash costs no allocation per line. A
-// bufio.Writer's errors stick, so Flush reports any Write's.
+// WriteTSV serializes g: the bytes fmt's %d, %.3f and %.6f would print.
+// Each line is appended into one reused buffer — floats by appendFixed
+// — and streamed through a bufio.Writer, so a checkpoint or a WAL
+// identity hash costs no allocation per line. A bufio.Writer's errors
+// stick, so Flush reports any Write's.
 func WriteTSV(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	line := strconv.AppendInt(append(make([]byte, 0, 128), "# learn2route road network: "...), int64(g.NumVertices()), 10)
@@ -32,8 +37,8 @@ func WriteTSV(w io.Writer, g *Graph) error {
 	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
 		p := g.Point(v)
 		line = strconv.AppendInt(append(line[:0], "V\t"...), int64(v), 10)
-		line = strconv.AppendFloat(append(line, '\t'), p.X, 'f', 3, 64)
-		line = strconv.AppendFloat(append(line, '\t'), p.Y, 'f', 3, 64)
+		line = appendFixed(append(line, '\t'), p.X, 3)
+		line = appendFixed(append(line, '\t'), p.Y, 3)
 		line = append(line, '\n')
 		bw.Write(line)
 	}
@@ -41,9 +46,9 @@ func WriteTSV(w io.Writer, g *Graph) error {
 		ed := g.Edge(e)
 		line = strconv.AppendInt(append(line[:0], "E\t"...), int64(ed.From), 10)
 		line = strconv.AppendInt(append(line, '\t'), int64(ed.To), 10)
-		line = strconv.AppendFloat(append(line, '\t'), ed.Length, 'f', 3, 64)
-		line = strconv.AppendFloat(append(line, '\t'), ed.TravelTime, 'f', 3, 64)
-		line = strconv.AppendFloat(append(line, '\t'), ed.Fuel, 'f', 6, 64)
+		line = appendFixed(append(line, '\t'), ed.Length, 3)
+		line = appendFixed(append(line, '\t'), ed.TravelTime, 3)
+		line = appendFixed(append(line, '\t'), ed.Fuel, 6)
 		line = strconv.AppendInt(append(line, '\t'), int64(ed.Type), 10)
 		line = append(line, '\n')
 		bw.Write(line)
@@ -51,65 +56,111 @@ func WriteTSV(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadTSV parses a network written by WriteTSV.
+// ReadTSV parses a network written by WriteTSV from r; see ParseTSV.
 func ReadTSV(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	b := NewBuilder()
-	var edges []Edge
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseTSV(data)
+}
+
+// ParseTSV parses a network written by WriteTSV. The result does not
+// alias data. Lines are those of a bufio.Scanner — split at '\n', each
+// trimmed of surrounding white space — and fields are split at '\t',
+// but in place: a line costs no allocation. Numbers are read by
+// parseInt and parseFloat, which answer as strconv does, error texts
+// included. A vertex ID outside [0, 2^31) is an error, not wrapped.
+func ParseTSV(data []byte) (*Graph, error) {
+	nv, ne := 0, 0
+	for rest := data; len(rest) > 0; {
+		switch rest[0] {
+		case 'V':
+			nv++
+		case 'E':
+			ne++
+		}
+		i := bytes.IndexByte(rest, '\n')
+		if i < 0 {
+			break
+		}
+		rest = rest[i+1:]
+	}
+	pts := make([]geo.Point, 0, nv)
+	edges := make([]Edge, 0, ne)
+
+	var fields [8][]byte
 	line := 0
-	for sc.Scan() {
+	for rest := data; len(rest) > 0; {
+		text := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			text, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		text = bytes.TrimSpace(text)
+		if len(text) == 0 || text[0] == '#' {
 			continue
 		}
-		fields := strings.Split(text, "\t")
-		switch fields[0] {
+		nf, start := 0, 0
+		for i := 0; i <= len(text); i++ {
+			if i == len(text) || text[i] == '\t' {
+				if nf < len(fields) {
+					fields[nf] = text[start:i]
+				}
+				nf, start = nf+1, i+1
+			}
+		}
+		switch string(fields[0]) {
 		case "V":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("line %d: vertex needs 4 fields, got %d", line, len(fields))
+			if nf != 4 {
+				return nil, fmt.Errorf("line %d: vertex needs 4 fields, got %d", line, nf)
 			}
-			id, err := strconv.Atoi(fields[1])
+			id, err := parseInt(fields[1])
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %v", line, err)
 			}
-			if id != b.NumVertices() {
-				return nil, fmt.Errorf("line %d: vertex IDs must be dense ascending (got %d, want %d)", line, id, b.NumVertices())
+			if id != len(pts) {
+				return nil, fmt.Errorf("line %d: vertex IDs must be dense ascending (got %d, want %d)", line, id, len(pts))
 			}
-			x, err := strconv.ParseFloat(fields[2], 64)
+			x, err := parseFloat(fields[2])
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %v", line, err)
 			}
-			y, err := strconv.ParseFloat(fields[3], 64)
+			y, err := parseFloat(fields[3])
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %v", line, err)
 			}
-			b.AddVertex(geo.Pt(x, y))
+			pts = append(pts, geo.Pt(x, y))
 		case "E":
-			if len(fields) != 7 {
-				return nil, fmt.Errorf("line %d: edge needs 7 fields, got %d", line, len(fields))
+			if nf != 7 {
+				return nil, fmt.Errorf("line %d: edge needs 7 fields, got %d", line, nf)
 			}
 			var ed Edge
-			from, err := strconv.Atoi(fields[1])
-			if err != nil {
+			var ends [2]int
+			for i := range ends {
+				v, err := parseInt(fields[1+i])
+				if err != nil {
+					return nil, fmt.Errorf("line %d: %v", line, err)
+				}
+				if v < 0 || v > math.MaxInt32 {
+					return nil, fmt.Errorf("line %d: vertex ID %d out of range", line, v)
+				}
+				ends[i] = v
+			}
+			ed.From, ed.To = VertexID(ends[0]), VertexID(ends[1])
+			var err error
+			if ed.Length, err = parseFloat(fields[3]); err != nil {
 				return nil, fmt.Errorf("line %d: %v", line, err)
 			}
-			to, err := strconv.Atoi(fields[2])
-			if err != nil {
+			if ed.TravelTime, err = parseFloat(fields[4]); err != nil {
 				return nil, fmt.Errorf("line %d: %v", line, err)
 			}
-			ed.From, ed.To = VertexID(from), VertexID(to)
-			if ed.Length, err = strconv.ParseFloat(fields[3], 64); err != nil {
+			if ed.Fuel, err = parseFloat(fields[5]); err != nil {
 				return nil, fmt.Errorf("line %d: %v", line, err)
 			}
-			if ed.TravelTime, err = strconv.ParseFloat(fields[4], 64); err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			if ed.Fuel, err = strconv.ParseFloat(fields[5], 64); err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			t, err := strconv.Atoi(fields[6])
+			t, err := parseInt(fields[6])
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %v", line, err)
 			}
@@ -122,20 +173,15 @@ func ReadTSV(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("line %d: unknown record %q", line, fields[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	// Edges carry explicit weights, so they bypass the Builder's weight
 	// derivation: assemble a graph directly from the parsed records.
-	gb := &Builder{pts: b.pts, seen: map[[2]VertexID]struct{}{}}
-	n := VertexID(len(b.pts))
+	n := VertexID(len(pts))
 	for i, ed := range edges {
-		if ed.From < 0 || ed.From >= n || ed.To < 0 || ed.To >= n {
+		if ed.From >= n || ed.To >= n {
 			return nil, fmt.Errorf("edge %d: endpoint out of range", i)
 		}
-		gb.edges = append(gb.edges, ed)
 	}
-	out := gb.Build()
+	out := (&Builder{pts: pts, edges: edges}).Build()
 	if err := Validate(out); err != nil {
 		return nil, err
 	}

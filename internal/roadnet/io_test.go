@@ -45,6 +45,8 @@ func TestReadTSVErrors(t *testing.T) {
 		"bad type":       "V\t0\t0\t0\nV\t1\t1\t1\nE\t0\t1\t1\t1\t1\t99\n",
 		"range endpoint": "V\t0\t0\t0\nE\t0\t7\t1\t1\t1\t0\n",
 		"bad float":      "V\t0\tx\t0\n",
+		// 2^32 wraps to vertex 0 in int32: the edge must not load as 0→1.
+		"oversized id": "V\t0\t0\t0\nV\t1\t1\t1\nE\t4294967296\t1\t1\t1\t1\t0\n",
 	}
 	for name, input := range cases {
 		if _, err := ReadTSV(strings.NewReader(input)); err == nil {

@@ -1,7 +1,9 @@
 package route
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -50,6 +52,13 @@ func OutTypeMasks(g *roadnet.Graph) []SlaveMask {
 	return out
 }
 
+// MetricKey names a scalar or preference metric: weight W, restricted
+// by slave mask Mask when it is non-zero.
+type MetricKey struct {
+	W    roadnet.Weight
+	Mask SlaveMask
+}
+
 // metricKey identifies one customized metric: a scalar weight (mask 0),
 // a preference-filtered weight (mask != 0), or a hash-interned custom
 // cost function (custom != 0, w/mask unused).
@@ -92,37 +101,54 @@ func (t *metricTable) get(k metricKey) *ch.Metric {
 	return (*t.metrics.Load())[k]
 }
 
-// ensure returns the metric for k, adding it if absent: m when non-nil
-// (customized for k elsewhere over the same topology — adoption), else
-// one customized under cost. It reports whether it added one.
-func (t *metricTable) ensure(k metricKey, m *ch.Metric, cost func(roadnet.EdgeID) float64) (*ch.Metric, bool) {
-	if have := t.get(k); have != nil {
-		return have, false
-	}
+// add publishes a metric for every key the table lacks, with one map
+// swap: from(k) when from is non-nil and returns one (customized for k
+// elsewhere over the same topology — adoption), the rest customized in
+// one ch.Topology.CustomizeAll sweep under cost(k). It returns the
+// table it leaves, which holds every key, and how many metrics it added.
+func (t *metricTable) add(keys []metricKey, from func(metricKey) *ch.Metric, cost func(metricKey) func(roadnet.EdgeID) float64) (map[metricKey]*ch.Metric, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if have := t.get(k); have != nil { // lost the race to another writer
-		return have, false
+	old := *t.metrics.Load() // holds what a writer this one waited for added
+	var added []metricKey
+	var ms []*ch.Metric // added's metrics
+	var sweep []int     // indexes into added of the metrics to customize
+	var costs []func(roadnet.EdgeID) float64
+	for _, k := range keys {
+		if old[k] != nil || slices.Contains(added, k) {
+			continue
+		}
+		var m *ch.Metric
+		if from != nil {
+			m = from(k)
+		}
+		if m == nil {
+			sweep = append(sweep, len(added))
+			costs = append(costs, cost(k))
+		}
+		added, ms = append(added, k), append(ms, m)
 	}
-	if m == nil {
-		m = t.topo.Customize(cost)
-		t.customized.Add(1)
+	if len(added) == 0 {
+		return old, 0
 	}
-	old := *t.metrics.Load()
-	next := make(map[metricKey]*ch.Metric, len(old)+1)
-	for ok, ov := range old {
-		next[ok] = ov
+	for x, m := range t.topo.CustomizeAll(costs) {
+		ms[sweep[x]] = m
 	}
-	next[k] = m
-	if k.custom != 0 {
-		t.customs = append(t.customs, k)
-		if len(t.customs) > maxCustomMetrics {
-			delete(next, t.customs[0])
-			t.customs = t.customs[1:]
+	t.customized.Add(uint64(len(costs)))
+	next := make(map[metricKey]*ch.Metric, len(old)+len(added))
+	maps.Copy(next, old)
+	for x, k := range added {
+		next[k] = ms[x]
+		if k.custom != 0 { // one at a time, so the oldest evicted is never k
+			t.customs = append(t.customs, k)
+			if len(t.customs) > maxCustomMetrics {
+				delete(next, t.customs[0])
+				t.customs = t.customs[1:]
+			}
 		}
 	}
 	t.metrics.Store(&next)
-	return m, true
+	return next, len(added)
 }
 
 // CHEngine is a PathEngine over a customizable contraction hierarchy:
@@ -147,16 +173,17 @@ type CHEngine struct {
 	topo *ch.Topology
 	tab  *metricTable
 	pass *metricTable // a pass fork's overlay; nil on every other fork
+	out  []SlaveMask  // OutTypeMasks(g), which every masked metric's cost reads
 
 	q       *ch.MetricQuery // lazy per-fork query scratch
 	costBuf []float64       // lazy per-fork custom-cost staging buffer
 }
 
 // NewCHEngine wraps a prebuilt topology over g, customizing the base
-// metric for w.
-func NewCHEngine(g *roadnet.Graph, topo *ch.Topology, w roadnet.Weight) *CHEngine {
-	c := &CHEngine{g: g, w: w, topo: topo, tab: newMetricTable(topo)}
-	c.Prepare(w, 0)
+// metric for w and the metrics of more in one sweep.
+func NewCHEngine(g *roadnet.Graph, topo *ch.Topology, w roadnet.Weight, more ...MetricKey) *CHEngine {
+	c := &CHEngine{g: g, w: w, topo: topo, tab: newMetricTable(topo), out: OutTypeMasks(g)}
+	c.PrepareAll(append([]MetricKey{{W: w}}, more...))
 	return c
 }
 
@@ -196,14 +223,14 @@ func (c *CHEngine) ResidentMetrics() int { return len(*c.tab.metrics.Load()) }
 // the customized-metric table and, on a pass fork, the overlay; query
 // state is allocated on first use.
 func (c *CHEngine) Fork() PathEngine {
-	return &CHEngine{g: c.g, w: c.w, topo: c.topo, tab: c.tab, pass: c.pass}
+	return &CHEngine{g: c.g, w: c.w, topo: c.topo, tab: c.tab, pass: c.pass, out: c.out}
 }
 
 // PassFork returns a fork for one bulk learning pass: a fork with a
 // fresh private overlay for the masked metrics it customizes (see
 // CHEngine). Fork it once per worker; drop it when the pass ends.
 func (c *CHEngine) PassFork() *CHEngine {
-	return &CHEngine{g: c.g, w: c.w, topo: c.topo, tab: c.tab, pass: newMetricTable(c.topo)}
+	return &CHEngine{g: c.g, w: c.w, topo: c.topo, tab: c.tab, pass: newMetricTable(c.topo), out: c.out}
 }
 
 func (c *CHEngine) query() *ch.MetricQuery {
@@ -213,46 +240,47 @@ func (c *CHEngine) query() *ch.MetricQuery {
 	return c.q
 }
 
-// scalarCost is the customization cost function for weight w with the
-// slave mask applied: a masked-out edge costs +Inf exactly when its
-// tail vertex has some mask-satisfying out-edge (Algorithm 2's case
-// (i)); vertices with none relax everything (case (ii)).
-func (c *CHEngine) scalarCost(w roadnet.Weight, mask SlaveMask) func(roadnet.EdgeID) float64 {
+// cost is the customization cost function for a scalar or preference
+// key: weight w with the slave mask applied — a masked-out edge costs
+// +Inf exactly when its tail vertex has some mask-satisfying out-edge
+// (Algorithm 2's case (i)); vertices with none relax everything (case
+// (ii)).
+func (c *CHEngine) cost(k metricKey) func(roadnet.EdgeID) float64 {
+	g, w, mask := c.g, k.w, k.mask
 	if mask == 0 {
-		return func(e roadnet.EdgeID) float64 { return c.g.EdgeWeight(e, w) }
+		return func(e roadnet.EdgeID) float64 { return g.EdgeWeight(e, w) }
 	}
-	out := OutTypeMasks(c.g)
-	inf := math.Inf(1)
+	out, inf := c.out, math.Inf(1)
 	return func(e roadnet.EdgeID) float64 {
-		ed := c.g.Edge(e)
+		ed := g.Edge(e)
 		if out[ed.From]&mask != 0 && mask&(1<<ed.Type) == 0 {
 			return inf
 		}
-		return c.g.EdgeWeight(e, w)
+		return g.EdgeWeight(e, w)
 	}
 }
 
-// Prepare ensures the shared table holds the metric for (w, mask),
-// reporting whether it was added now: customized, or on a pass fork
-// adopted from the overlay. The serving layer calls it on the ingest
-// path so queries never pay customization inline.
-func (c *CHEngine) Prepare(w roadnet.Weight, mask SlaveMask) bool {
-	k := metricKey{w: w, mask: mask}
-	if c.tab.get(k) != nil {
-		// Warm: skip building the cost function — for masked metrics
-		// scalarCost precomputes a per-vertex restrict table, far more
-		// than a prepare scan over many already-customized edges should
-		// pay.
-		return false
-	}
-	if c.pass != nil {
-		if m := c.pass.get(k); m != nil {
-			_, added := c.tab.ensure(k, m, nil)
-			return added
+// PrepareAll ensures the shared table holds the metric for every key,
+// returning how many it added now. On a pass fork the overlay's metrics
+// are adopted first; the rest are customized in one sweep, and all are
+// published with one swap of the table. The serving layer calls it on
+// the ingest path so queries never pay customization inline.
+func (c *CHEngine) PrepareAll(keys []MetricKey) int {
+	var need []metricKey // resident keys are skipped without the table's lock
+	for _, k := range keys {
+		if mk := (metricKey{w: k.W, mask: k.Mask}); c.tab.get(mk) == nil {
+			need = append(need, mk)
 		}
 	}
-	_, ran := c.tab.ensure(k, nil, c.scalarCost(w, mask))
-	return ran
+	if len(need) == 0 {
+		return 0
+	}
+	var from func(metricKey) *ch.Metric
+	if c.pass != nil {
+		from = c.pass.get
+	}
+	_, added := c.tab.add(need, from, c.cost)
+	return added
 }
 
 // metric returns the (w, mask) metric, customizing it if no table holds
@@ -264,11 +292,11 @@ func (c *CHEngine) metric(w roadnet.Weight, mask SlaveMask) *ch.Metric {
 	if c.pass != nil && mask != 0 && t.get(k) == nil {
 		t = c.pass
 	}
-	if m := t.get(k); m != nil { // before scalarCost builds its per-vertex table
+	if m := t.get(k); m != nil {
 		return m
 	}
-	m, _ := t.ensure(k, nil, c.scalarCost(w, mask))
-	return m
+	tab, _ := t.add([]metricKey{k}, nil, c.cost)
+	return tab[k]
 }
 
 // TryAppendRouteMask is Engine.AppendRouteMask on the hierarchy, run
@@ -339,6 +367,13 @@ func (c *CHEngine) CustomRoute(s, d roadnet.VertexID, cost func(roadnet.EdgeID) 
 		h = 1 // keep the custom-key marker nonzero
 	}
 	buf := c.costBuf
-	m, _ := c.tab.ensure(metricKey{custom: h}, nil, func(e roadnet.EdgeID) float64 { return buf[e] })
+	k := metricKey{custom: h}
+	m := c.tab.get(k)
+	if m == nil {
+		tab, _ := c.tab.add([]metricKey{k}, nil, func(metricKey) func(roadnet.EdgeID) float64 {
+			return func(e roadnet.EdgeID) float64 { return buf[e] }
+		})
+		m = tab[k]
+	}
 	return c.query().Route(m, s, d)
 }

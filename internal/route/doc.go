@@ -47,8 +47,9 @@
 // fork (PassFork) always, customizing into the fork's private overlay.
 // The overlay is shared by the pass fork's own forks — one per learning
 // worker, concurrency-safe like the shared table — and by no other
-// fork. Prepare on the pass fork adopts an overlay metric instead of
-// customizing it again; dropping the pass fork drops the rest.
+// fork. PrepareAll on the pass fork adopts the overlay's metrics
+// instead of customizing them again, and customizes the rest in one
+// sweep; dropping the pass fork drops the overlay.
 //
 // # Concurrency contract
 //
