@@ -845,11 +845,10 @@ func BenchmarkCustomize(b *testing.B) {
 	b.Run("Customize", func(b *testing.B) {
 		b.Run("One", func(b *testing.B) {
 			topo := ch.BuildTopology(w.Road)
-			m := topo.NewMetric()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.Customize(func(e roadnet.EdgeID) float64 { return w.Road.EdgeWeight(e, roadnet.TT) })
+				topo.Customize(func(e roadnet.EdgeID) float64 { return w.Road.EdgeWeight(e, roadnet.TT) })
 			}
 			b.ReportMetric(float64(topo.NumArcs()), "arcs")
 		})

@@ -89,7 +89,7 @@ func twoIslands(tb testing.TB, rng *rand.Rand) (g *roadnet.Graph, nA int) {
 		v := rng.Intn(n)
 		fmt.Fprintf(&tsv, "E\t%d\t%d\t1.000\t1.000\t0.001000\t0\n", v, v)
 	}
-	g, err := roadnet.ReadTSV(&tsv)
+	g, err := roadnet.ParseTSV(tsv.Bytes())
 	if err != nil {
 		tb.Fatal(err)
 	}

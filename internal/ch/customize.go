@@ -13,19 +13,17 @@ import (
 // middle vertex when the respective direction is a shortcut (-1 when it
 // is the original road edge), which path unpacking recurses on.
 //
-// A Metric is immutable after Customize returns and safe for concurrent
-// queries; re-customizing an in-use Metric is a data race — customize
-// into a fresh one and swap pointers (metric versioning), which is what
-// route.CHEngine does.
+// A Metric is immutable once Customize or CustomizeAll returns it and
+// safe for concurrent queries; a new metric version is customized
+// fresh and swapped in by pointer, which is what route.CHEngine does.
 type Metric struct {
 	t              *Topology
 	wUp, wDown     []float64
 	viaUp, viaDown []int32
 }
 
-// NewMetric allocates an uncustomized metric over t. Call Customize
-// before querying.
-func (t *Topology) NewMetric() *Metric {
+// newMetric allocates an uncustomized metric over t.
+func (t *Topology) newMetric() *Metric {
 	m := len(t.upTo)
 	return &Metric{
 		t:       t,
@@ -36,16 +34,13 @@ func (t *Topology) NewMetric() *Metric {
 	}
 }
 
-// Customize recomputes every shortcut weight for the given non-negative
-// edge-cost function, without re-contracting: the one-metric batch of
-// Topology.CustomizeAll's sweep.
-func (m *Metric) Customize(cost func(roadnet.EdgeID) float64) {
-	m.t.customize([]*Metric{m}, []func(roadnet.EdgeID) float64{cost})
-}
-
-// Customize builds and customizes a fresh metric in one call.
+// Customize computes every shortcut weight of a fresh metric for the
+// given non-negative edge-cost function, without re-contracting: the
+// one-metric batch of CustomizeAll.
 func (t *Topology) Customize(cost func(roadnet.EdgeID) float64) *Metric {
-	return t.CustomizeAll([]func(roadnet.EdgeID) float64{cost})[0]
+	ms, costs := [1]*Metric{t.newMetric()}, [1]func(roadnet.EdgeID) float64{cost}
+	t.customize(ms[:], costs[:])
+	return ms[0]
 }
 
 // CustomizeAll builds one fresh metric per cost function and customizes
@@ -56,7 +51,7 @@ func (t *Topology) Customize(cost func(roadnet.EdgeID) float64) *Metric {
 func (t *Topology) CustomizeAll(costs []func(roadnet.EdgeID) float64) []*Metric {
 	ms := make([]*Metric, len(costs))
 	for i := range ms {
-		ms[i] = t.NewMetric()
+		ms[i] = t.newMetric()
 	}
 	t.customize(ms, costs)
 	return ms
@@ -95,11 +90,10 @@ func (t *Topology) customize(ms []*Metric, costs []func(roadnet.EdgeID) float64)
 			}
 		}
 	}
-	deg := int32(0)
-	for v := range len(t.rank) {
-		deg = max(deg, t.upStart[v+1]-t.upStart[v])
-	}
-	tris := make([]triangle, 0, deg*(deg-1)/2)
+	// Up to 11 up-neighbours (55 triangles) list on the stack; append
+	// moves a larger vertex's triangles to the heap.
+	var buf [64]triangle
+	tris := buf[:0]
 	for _, a := range t.order {
 		lo, hi := t.upStart[a], t.upStart[a+1]
 		tris = tris[:0]

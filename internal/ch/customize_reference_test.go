@@ -6,12 +6,12 @@ import (
 	"repro/internal/roadnet"
 )
 
-// CustomizeReference is Metric.Customize as it was before the batched
+// CustomizeReference is Topology.Customize as it was before the batched
 // sweep, kept as the test-only reference CustomizeAll is held to: one
 // metric per sweep, arc {b1, b2} of each lower triangle found by
 // findArc.
-func (m *Metric) CustomizeReference(cost func(roadnet.EdgeID) float64) {
-	t := m.t
+func (t *Topology) CustomizeReference(cost func(roadnet.EdgeID) float64) *Metric {
+	m := t.newMetric()
 	inf := math.Inf(1)
 	for k := range m.wUp {
 		m.wUp[k], m.viaUp[k] = inf, -1
@@ -44,6 +44,7 @@ func (m *Metric) CustomizeReference(cost func(roadnet.EdgeID) float64) {
 			}
 		}
 	}
+	return m
 }
 
 // Arrays returns the metric's per-arc weights and middle vertices.

@@ -29,7 +29,7 @@ func costOf(g *roadnet.Graph, out []route.SlaveMask, w roadnet.Weight, mask rout
 // wDown, viaUp and viaDown bit for bit — for the three scalar weights
 // and each of them under every non-empty slave mask (a superset of the
 // masked metrics any router prepares), on the ci city and a 6.4k-vertex
-// one; Metric.Customize, the batch of one, matches too. The 6.4k city
+// one; Topology.Customize, the batch of one, matches too. The 6.4k city
 // skips under the race detector and -short.
 func TestCustomizeAllMatchesPerMetric(t *testing.T) {
 	specs := []worldgen.Spec{worldgen.MustScale(worldgen.ScaleCI, 1)}
@@ -48,12 +48,9 @@ func TestCustomizeAllMatchesPerMetric(t *testing.T) {
 				}
 			}
 			all := topo.CustomizeAll(costs)
-			one := topo.NewMetric()
 			for x, cost := range costs {
-				ref := topo.NewMetric()
-				ref.CustomizeReference(cost)
-				one.Customize(cost)
-				for _, m := range []*ch.Metric{all[x], one} {
+				ref := topo.CustomizeReference(cost)
+				for _, m := range []*ch.Metric{all[x], topo.Customize(cost)} {
 					gu, gd, gvu, gvd := m.Arrays()
 					wu, wd, wvu, wvd := ref.Arrays()
 					if !sameBits(gu, wu) || !sameBits(gd, wd) || !slices.Equal(gvu, wvu) || !slices.Equal(gvd, wvd) {

@@ -23,7 +23,7 @@
 // pass over the skeleton, milliseconds where re-contraction costs
 // seconds. The pass enumerates each triangle, and finds its third arc,
 // once for every metric prepared together, so a metric added to a sweep
-// costs about half what a sweep of its own does; Metric.Customize is
+// costs about half what a sweep of its own does; Topology.Customize is
 // the batch of one, and TestCustomizeAllMatchesPerMetric holds the
 // sweep to the per-metric one it replaced, bit for bit. Routing
 // preferences, live traffic weights and custom cost functions each

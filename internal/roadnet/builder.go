@@ -2,7 +2,6 @@ package roadnet
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/fuel"
 	"repro/internal/geo"
@@ -75,12 +74,10 @@ func (b *Builder) AddRoad(u, v VertexID, t RoadType) {
 
 // Build freezes the builder into an immutable Graph. Each CSR lists a
 // vertex's edges ordered by the other endpoint: out-edges by (From, To),
-// in-edges by (To, From). Three stable counting sorts build both — by
-// To, then by From (the out order), then that by To (the in order) —
-// in linear time. Only a repeated (From, To) pair, which AddEdge drops
-// but a hand-written TSV can carry, leaves the order of its copies to
-// sortCSRs, the comparison sort the graph's adjacency order was first
-// defined by.
+// in-edges by (To, From), and copies of a repeated pair (which AddEdge
+// drops but a hand-written TSV can carry) by EdgeID. Three stable
+// counting sorts build both — by To, then by From (the out order), then
+// that by To (the in order) — in linear time.
 func (b *Builder) Build() *Graph {
 	g := &Graph{pts: b.pts, edges: b.edges}
 	n := len(b.pts)
@@ -117,39 +114,7 @@ func (b *Builder) Build() *Graph {
 	place(byTo, g.inEdges, g.inStart, to)
 	place(g.outEdges, byTo, g.outStart, from)
 	place(g.inEdges, g.outEdges, g.inStart, to)
-	for i := 1; i < m; i++ {
-		a, c := b.edges[g.outEdges[i-1]], b.edges[g.outEdges[i]]
-		if a.From == c.From && a.To == c.To {
-			b.sortCSRs(g)
-			break
-		}
-	}
 	return g
-}
-
-// sortCSRs fills g's out- and in-edge lists by comparison sort, in the
-// order a repeated (From, To) pair's copies keep.
-func (b *Builder) sortCSRs(g *Graph) {
-	order := make([]EdgeID, len(b.edges))
-	for i := range order {
-		order[i] = EdgeID(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, c := b.edges[order[i]], b.edges[order[j]]
-		if a.From != c.From {
-			return a.From < c.From
-		}
-		return a.To < c.To
-	})
-	copy(g.outEdges, order)
-	sort.Slice(order, func(i, j int) bool {
-		a, c := b.edges[order[i]], b.edges[order[j]]
-		if a.To != c.To {
-			return a.To < c.To
-		}
-		return a.From < c.From
-	})
-	copy(g.inEdges, order)
 }
 
 // Validate performs structural sanity checks on a built graph, returning

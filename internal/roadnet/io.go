@@ -56,15 +56,6 @@ func WriteTSV(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadTSV parses a network written by WriteTSV from r; see ParseTSV.
-func ReadTSV(r io.Reader) (*Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return ParseTSV(data)
-}
-
 // ParseTSV parses a network written by WriteTSV. The result does not
 // alias data. Lines are those of a bufio.Scanner — split at '\n', each
 // trimmed of surrounding white space — and fields are split at '\t',
@@ -72,19 +63,23 @@ func ReadTSV(r io.Reader) (*Graph, error) {
 // parseInt and parseFloat, which answer as strconv does, error texts
 // included. A vertex ID outside [0, 2^31) is an error, not wrapped.
 func ParseTSV(data []byte) (*Graph, error) {
+	// Reserve room for the records a first pass finds. A line counts
+	// only if it is as long as the shortest valid record of its kind,
+	// so what is reserved stays within a few times len(data) whatever
+	// the input; a record the pass misses is appended all the same.
 	nv, ne := 0, 0
 	for rest := data; len(rest) > 0; {
-		switch rest[0] {
-		case 'V':
+		n := bytes.IndexByte(rest, '\n')
+		if n < 0 {
+			n = len(rest)
+		}
+		switch {
+		case rest[0] == 'V' && n >= len("V\t0\t0\t0"):
 			nv++
-		case 'E':
+		case rest[0] == 'E' && n >= len("E\t0\t0\t1\t1\t1\t0"):
 			ne++
 		}
-		i := bytes.IndexByte(rest, '\n')
-		if i < 0 {
-			break
-		}
-		rest = rest[i+1:]
+		rest = rest[min(n+1, len(rest)):]
 	}
 	pts := make([]geo.Point, 0, nv)
 	edges := make([]Edge, 0, ne)

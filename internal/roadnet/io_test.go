@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -12,7 +13,7 @@ func TestTSVRoundTrip(t *testing.T) {
 	if err := WriteTSV(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTSV(&buf)
+	got, err := ParseTSV(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestReadTSVErrors(t *testing.T) {
 		"oversized id": "V\t0\t0\t0\nV\t1\t1\t1\nE\t4294967296\t1\t1\t1\t1\t0\n",
 	}
 	for name, input := range cases {
-		if _, err := ReadTSV(strings.NewReader(input)); err == nil {
+		if _, err := ParseTSV([]byte(input)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -57,7 +58,7 @@ func TestReadTSVErrors(t *testing.T) {
 
 func TestReadTSVIgnoresCommentsAndBlanks(t *testing.T) {
 	input := "# header\n\nV\t0\t0\t0\nV\t1\t100\t0\n# edges\nE\t0\t1\t100\t10\t0.01\t2\n"
-	g, err := ReadTSV(strings.NewReader(input))
+	g, err := ParseTSV([]byte(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,5 +68,26 @@ func TestReadTSVIgnoresCommentsAndBlanks(t *testing.T) {
 	ed := g.Edge(0)
 	if ed.Type != Primary || ed.TravelTime != 10 {
 		t.Fatalf("edge fields wrong: %+v", ed)
+	}
+}
+
+// TestParseTSVAllocationBounded: a section of records too short to be
+// valid reserves nothing for them. ParseTSV counts the records before
+// it parses them; counting every line that starts with 'V' or 'E'
+// would reserve a 16-byte point per 2 input bytes of "V\n", or a
+// 40-byte edge per 2 of "E\n", before the first line fails.
+func TestParseTSVAllocationBounded(t *testing.T) {
+	for _, rec := range []string{"V\n", "E\n", "V\t0\n", "E\t0\t1\t2\n"} {
+		data := []byte(strings.Repeat(rec, (1<<20)/len(rec)))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseTSV(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%q × %d: expected error", rec, len(data)/len(rec))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(data))/8 {
+			t.Errorf("%q × %d: %d bytes allocated for a %d-byte input", rec, len(data)/len(rec), got, len(data))
+		}
 	}
 }

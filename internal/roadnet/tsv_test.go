@@ -47,17 +47,17 @@ E	2	3	0.0005	7.9995	1e-7	3
 E	3	0	123.4565	0.0025	0.0000015	1
 `
 
-// TestTSVRoundTripIsByteIdentical: whatever ReadTSV accepts of what
+// TestTSVRoundTripIsByteIdentical: whatever ParseTSV accepts of what
 // WriteTSV wrote, it reads back to a network WriteTSV writes byte for
 // byte again — on the bench cities 1–3 and the ci cities 1–3. A road's
 // identity is the hash of those bytes, so this is what lets a restart
 // restore a checkpoint onto the network it decoded from the base
 // artifact: the two are the same bytes, so the same identity. The
 // hand-built network is the boundary case: its fuel of 5e-7 l prints
-// as 0.000000, which ReadTSV refuses as a non-positive weight, so no
+// as 0.000000, which ParseTSV refuses as a non-positive weight, so no
 // artifact can carry it and there is nothing to round-trip.
 func TestTSVRoundTripIsByteIdentical(t *testing.T) {
-	hand, err := roadnet.ReadTSV(strings.NewReader(handBuiltTSV))
+	hand, err := roadnet.ParseTSV([]byte(handBuiltTSV))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestTSVRoundTripIsByteIdentical(t *testing.T) {
 		if err := roadnet.WriteTSV(&first, g); err != nil {
 			t.Fatal(err)
 		}
-		back, err := roadnet.ReadTSV(bytes.NewReader(first.Bytes()))
+		back, err := roadnet.ParseTSV(first.Bytes())
 		if (err != nil) != (name == "hand-built") {
 			t.Fatalf("%s: reading back what WriteTSV wrote: %v", name, err)
 		}
@@ -91,7 +91,7 @@ func TestTSVRoundTripIsByteIdentical(t *testing.T) {
 // reference's on the bench cities 1–3, the ci city 1 and the
 // hand-built network.
 func TestWriteTSVMatchesReference(t *testing.T) {
-	hand, err := roadnet.ReadTSV(strings.NewReader(handBuiltTSV))
+	hand, err := roadnet.ParseTSV([]byte(handBuiltTSV))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +128,14 @@ type refGraph struct {
 	out, in [][]roadnet.EdgeID
 }
 
-// readTSVReference is roadnet.ReadTSV as it was written first — a
+// readTSVReference is the road reader as it was written first — a
 // bufio.Scanner, strings.Split, strconv, and adjacency lists ordered by
-// sort.Slice on (From, To) and then on (To, From) — with one fix both
-// readers share: an edge endpoint outside [0, 2^31) is an error, where
-// the first reader wrapped it into int32. It is the reference the byte
-// parser and Builder.Build's counting sorts are held to.
+// a sort on (From, To) and then on (To, From) — with two changes: an
+// edge endpoint outside [0, 2^31) is an error, where the first reader
+// wrapped it into int32, and the sorts are stable, so the copies of a
+// repeated (From, To) pair keep EdgeID order, where the first reader
+// left it to sort.Slice. It is the reference the byte parser and
+// Builder.Build's counting sorts are held to.
 func readTSVReference(r io.Reader) (*refGraph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -223,7 +225,7 @@ func readTSVReference(r io.Reader) (*refGraph, error) {
 		order[i] = roadnet.EdgeID(i)
 	}
 	g.out, g.in = make([][]roadnet.EdgeID, n), make([][]roadnet.EdgeID, n)
-	sort.Slice(order, func(i, j int) bool {
+	sort.SliceStable(order, func(i, j int) bool {
 		a, c := g.edges[order[i]], g.edges[order[j]]
 		if a.From != c.From {
 			return a.From < c.From
@@ -233,7 +235,7 @@ func readTSVReference(r io.Reader) (*refGraph, error) {
 	for _, e := range order {
 		g.out[g.edges[e].From] = append(g.out[g.edges[e].From], e)
 	}
-	sort.Slice(order, func(i, j int) bool {
+	sort.SliceStable(order, func(i, j int) bool {
 		a, c := g.edges[order[i]], g.edges[order[j]]
 		if a.To != c.To {
 			return a.To < c.To
