@@ -28,7 +28,8 @@
 //	GET  /metrics                Prometheus text exposition
 //	GET  /debug/trace?n=50       recent request traces (?slow=1 for the
 //	                             slow-query log, ?min_ms=5 to filter)
-//	GET  /debug/snapshot         non-blocking engine internals
+//	GET  /debug/snapshot         engine internals, read without the
+//	                             write lock
 //	GET  /debug/quality          shadow-score quality, drift gauges and
 //	                             worst-route exemplars
 //	GET  /debug/maint            background-maintenance state (with

@@ -19,12 +19,6 @@ import (
 // drift- and evidence-triggered rebuilds with production-ish
 // thresholds, no timer.
 type Config struct {
-	// Capacity bounds the evidence accumulator — the ring of retained
-	// matched paths behind /debug/maint and the recovery re-seed
-	// (default 4096). Overflow evicts oldest-first and is counted;
-	// eviction never loses model evidence, because the region graph
-	// itself accumulates every ingested path exactly.
-	Capacity int
 	// DriftTV triggers a rebuild when the total-variation distance
 	// between the served snapshot's evidence-weighted preference
 	// distribution and the maintainer's post-rebuild baseline exceeds
@@ -47,10 +41,14 @@ type Config struct {
 	Core core.Options
 }
 
+// capacity bounds the evidence accumulator — the ring of retained
+// matched paths behind /debug/maint and the recovery re-seed. Overflow
+// evicts oldest-first and is counted; eviction never loses model
+// evidence, because the region graph itself accumulates every ingested
+// path exactly.
+const capacity = 4096
+
 func (c Config) withDefaults() Config {
-	if c.Capacity <= 0 {
-		c.Capacity = 4096
-	}
 	if c.DriftTV == 0 {
 		c.DriftTV = 0.25
 	}
@@ -155,9 +153,8 @@ func Attach(e *serve.Engine, cfg Config) *Maintainer {
 }
 
 // Endpoint serves GET /debug/maint: the maintainer's full stats. Like
-// every /debug/ path it bypasses the readiness gate. With Report, and
-// OfferTrajectories and Published below, it implements
-// serve.Attachment.
+// every /debug/ path it is not traced. With Report, OfferTrajectories
+// and Published below, it implements serve.Attachment.
 func (m *Maintainer) Endpoint() (string, http.Handler) {
 	return "/debug/maint", serve.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, map[string]any{"maintenance": m.MaintStats()})
@@ -218,7 +215,7 @@ func (m *Maintainer) OfferTrajectories(ts []*traj.Trajectory) {
 // retain appends one path to the bounded ring, evicting oldest-first
 // on overflow. Caller holds mu (or is still single-threaded in Attach).
 func (m *Maintainer) retain(p roadnet.Path) {
-	if len(m.ring) >= m.cfg.Capacity {
+	if len(m.ring) >= capacity {
 		copy(m.ring, m.ring[1:])
 		m.ring[len(m.ring)-1] = p
 		m.evicted.Add(1)
@@ -336,7 +333,7 @@ func (m *Maintainer) rebuildOnce(ctx context.Context, trigger string) (core.Retr
 // (Stats().Maintenance).
 func (m *Maintainer) MaintStats() serve.MaintStats {
 	ms := serve.MaintStats{
-		Capacity:        m.cfg.Capacity,
+		Capacity:        capacity,
 		Accumulated:     m.accumulated.Load(),
 		Evicted:         m.evicted.Load(),
 		DriftThreshold:  m.cfg.DriftTV,

@@ -293,23 +293,30 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestMaintAccumulatorBounds: the evidence ring honors Capacity,
+// TestMaintAccumulatorBounds: the evidence ring honors its capacity,
 // evicting oldest-first and counting what it dropped; eviction is
-// bookkeeping only — the region graph holds the full evidence.
+// bookkeeping only — the trigger counter keeps every offer.
 func TestMaintAccumulatorBounds(t *testing.T) {
-	e, m, _, live := buildMaintEngine(t, 59, 300, Config{Capacity: 4})
+	_, m, _, live := buildMaintEngine(t, 59, 300, Config{})
 	defer m.Close()
 
-	e.IngestMatched(batchCopies(live, 10)[0])
+	const offered = capacity + 4
+	var batch []*traj.Trajectory
+	for i := 0; len(batch) < offered; i++ {
+		if tr := live[i%len(live)]; len(tr.Truth) >= 2 {
+			batch = append(batch, tr)
+		}
+	}
+	m.OfferTrajectories(batch)
 	st := m.MaintStats()
-	if st.Retained != 4 || st.Capacity != 4 {
-		t.Fatalf("retained %d/%d, want 4/4", st.Retained, st.Capacity)
+	if st.Retained != capacity || st.Capacity != capacity {
+		t.Fatalf("retained %d/%d, want %d/%d", st.Retained, st.Capacity, capacity, capacity)
 	}
-	if st.Evicted != 6 || st.Accumulated != 10 {
-		t.Fatalf("evicted %d accumulated %d, want 6/10", st.Evicted, st.Accumulated)
+	if st.Evicted != 4 || st.Accumulated != offered {
+		t.Fatalf("evicted %d accumulated %d, want 4/%d", st.Evicted, st.Accumulated, offered)
 	}
-	if st.EvidenceSinceRebuild != 10 {
-		t.Fatalf("evidence %d, want 10 (eviction must not shrink the trigger counter)", st.EvidenceSinceRebuild)
+	if st.EvidenceSinceRebuild != offered {
+		t.Fatalf("evidence %d, want %d (eviction must not shrink the trigger counter)", st.EvidenceSinceRebuild, offered)
 	}
 }
 

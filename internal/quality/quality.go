@@ -37,13 +37,14 @@ type Config struct {
 	// ingested trajectories cannot soak a core in shadow re-routes
 	// (default 64; negative = unlimited).
 	MaxPerSec float64
-	// Window is the rolling-window size behind the Window* stats
-	// (default 256 scores per cell).
-	Window int
-	// BucketsKm are ascending trip-distance bucket bounds for the
-	// per-distance breakdown (default 2, 5, 10, 25).
-	BucketsKm []float64
 }
+
+// window is the rolling-window size behind the Window* stats, in
+// scores per cell; bucketsKm are the ascending trip-distance bucket
+// bounds of the per-distance breakdown.
+const window = 256
+
+var bucketsKm = [...]float64{2, 5, 10, 25}
 
 func (c Config) withDefaults() Config {
 	if c.Ring <= 0 {
@@ -54,12 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPerSec == 0 {
 		c.MaxPerSec = 64
-	}
-	if c.Window <= 0 {
-		c.Window = 256
-	}
-	if len(c.BucketsKm) == 0 {
-		c.BucketsKm = []float64{2, 5, 10, 25}
 	}
 	return c
 }
@@ -144,7 +139,7 @@ type Observer struct {
 	mu        sync.Mutex
 	total     *cell
 	perCat    [3]*cell
-	perDist   []*cell
+	perDist   [len(bucketsKm)]*cell
 	exemplars []Exemplar // sorted worst (lowest Eq1) first
 
 	baseline atomic.Pointer[baselineState]
@@ -160,19 +155,18 @@ type Observer struct {
 func Attach(e *serve.Engine, cfg Config) *Observer {
 	cfg = cfg.withDefaults()
 	o := &Observer{
-		eng:     e,
-		cfg:     cfg,
-		queue:   make(chan sample, cfg.Queue),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		total:   newCell(cfg.Window),
-		perDist: make([]*cell, len(cfg.BucketsKm)),
+		eng:   e,
+		cfg:   cfg,
+		queue: make(chan sample, cfg.Queue),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
+		total: newCell(window),
 	}
 	for i := range o.perCat {
-		o.perCat[i] = newCell(cfg.Window)
+		o.perCat[i] = newCell(window)
 	}
 	for i := range o.perDist {
-		o.perDist[i] = newCell(cfg.Window)
+		o.perDist[i] = newCell(window)
 	}
 	o.rebase(e.Snapshot(), e.Generation())
 	e.Attach(o)
@@ -182,9 +176,8 @@ func Attach(e *serve.Engine, cfg Config) *Observer {
 
 // Endpoint serves GET /debug/quality: the observer's full stats plus
 // the worst-scoring OD exemplars, worst first. Like every /debug/ path
-// it bypasses tracing and the readiness gate. With Report, and
-// OfferTrajectories and Published below, it implements
-// serve.Attachment.
+// it is not traced. With Report, OfferTrajectories and Published
+// below, it implements serve.Attachment.
 func (o *Observer) Endpoint() (string, http.Handler) {
 	return "/debug/quality", serve.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, map[string]any{
@@ -316,7 +309,7 @@ func (o *Observer) score(s sample) {
 	}
 	eq1, eq4 := eval.ScorePath(road, driven, res.Path)
 	distKm := driven.Length(road) / 1000
-	bucket := eval.DistanceBucket(distKm, o.cfg.BucketsKm)
+	bucket := eval.DistanceBucket(distKm, bucketsKm[:])
 	sp.Annotate("od", fmt.Sprintf("%d->%d", src, dst))
 	sp.Annotate("category", res.Category.String())
 	sp.Annotate("eq1_pct", strconv.FormatFloat(100*eq1, 'f', 1, 64))
@@ -379,7 +372,7 @@ func (o *Observer) Exemplars() []Exemplar {
 func (o *Observer) QualityStats() serve.QualityStats {
 	qs := serve.QualityStats{
 		SampleRate:    o.cfg.SampleRate,
-		Window:        o.cfg.Window,
+		Window:        window,
 		Offered:       o.offered.Load(),
 		Sampled:       o.sampled.Load(),
 		Scored:        o.scored.Load(),
@@ -433,9 +426,9 @@ func (o *Observer) QualityStats() serve.QualityStats {
 func (o *Observer) bucketLabel(i int) string {
 	lo := 0.0
 	if i > 0 {
-		lo = o.cfg.BucketsKm[i-1]
+		lo = bucketsKm[i-1]
 	}
-	return fmt.Sprintf("(%g,%g]km", lo, o.cfg.BucketsKm[i])
+	return fmt.Sprintf("(%g,%g]km", lo, bucketsKm[i])
 }
 
 func intPath(p roadnet.Path) []int {

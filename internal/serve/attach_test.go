@@ -178,7 +178,7 @@ func jsonKeys(t *testing.T, v any) string {
 func TestAttachWireKeys(t *testing.T) {
 	const (
 		stats0 = "cache_entries cache_hit_rate cache_hits cache_misses coalesced_queries customize_ns ingest_lag_ns ingested_trajectories ingested_vertices ingests last_staleness_ratio latency learn_searches out_of_region_vertices per_category qps queries route_computations since_last_swap_ns snapshot_generation staleness_ratio swap_ns uptime_ns"
-		debug0 = "cache_entries coalescing durable generation go_version goroutines ready tracing"
+		debug0 = "cache_entries coalescing durable generation go_version goroutines tracing"
 	)
 	withKeys := func(base string, extra ...string) string {
 		keys := append(strings.Fields(base), extra...)

@@ -25,19 +25,33 @@ func firstValue(h http.Header, canonicalKey string) string {
 	return ""
 }
 
+// maxRequestIDLen bounds an incoming X-Request-ID the server honors.
+// The ID is echoed, logged and kept with the request's trace in the
+// ring, so an unbounded one would let a client pin header-sized
+// strings in memory.
+const maxRequestIDLen = 128
+
+// validRequestID reports whether id is 1–maxRequestIDLen bytes of
+// visible ASCII, the only incoming IDs the server honors.
+func validRequestID(id string) bool {
+	return id != "" && len(id) <= maxRequestIDLen &&
+		!strings.ContainsFunc(id, func(r rune) bool { return r <= ' ' || r > '~' })
+}
+
 // withRequestTelemetry is the outermost HTTP middleware on engine and
-// fleet handlers: it assigns every request an ID (honoring an incoming
-// X-Request-ID, generating one otherwise), echoes it on the response,
-// and opens the request's root trace span. Telemetry endpoints
-// (/metrics, /debug/...) get IDs but no traces — scrapes every few
-// seconds would otherwise dominate the trace ring. When an outer layer
-// already opened a trace (the fleet wrapping a tenant engine), the
-// inner middleware is a pass-through: StartRequest refuses to nest
-// roots and the response header is stamped exactly once.
+// fleet handlers: it assigns every request an ID (honoring a valid
+// incoming X-Request-ID, generating one otherwise), echoes it on the
+// response, and opens the request's root trace span. Telemetry
+// endpoints (/metrics, /debug/...) get IDs but no traces — scrapes
+// every few seconds would otherwise dominate the trace ring. When an
+// outer layer already opened a trace (the fleet wrapping a tenant
+// engine), the inner middleware is a pass-through: StartRequest
+// refuses to nest roots and the response header is stamped exactly
+// once.
 func withRequestTelemetry(t *obs.Tracer, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := firstValue(r.Header, requestIDHeader)
-		if id == "" {
+		if !validRequestID(id) {
 			id = obs.NewRequestID()
 			// Stamp the request too, so nested handlers (a tenant
 			// engine under the fleet) observe the same ID.
@@ -127,12 +141,9 @@ func traceHandler(t *obs.Tracer) http.HandlerFunc {
 }
 
 // DebugSnapshot is a point-in-time view of the engine's live internals
-// for /debug/snapshot. Unlike Stats it never blocks on readiness, so
-// it stays readable while an asynchronous WAL recovery is still
-// replaying — the exact window a "recovery stuck" investigation needs
-// it in.
+// for /debug/snapshot. Unlike Stats it never takes the write path's
+// lock, so it stays readable while a long ingest or rebuild holds it.
 type DebugSnapshot struct {
-	Ready      bool   `json:"ready"`
 	Durable    bool   `json:"durable"`
 	Tracing    bool   `json:"tracing"`
 	Generation uint64 `json:"generation"`
@@ -166,21 +177,19 @@ type DebugSnapshot struct {
 }
 
 // DebugSnapshotNow collects the engine's DebugSnapshot without waiting
-// for readiness or the write path. It is not free: the cache occupancy
-// takes every shard's lock in turn, and every attachment's Report runs,
-// which locks the attachment and may scan for drift.
+// for the write path. It is not free: the cache occupancy takes every
+// shard's lock in turn, and every attachment's Report runs, which
+// locks the attachment and may scan for drift.
 func (e *Engine) DebugSnapshotNow() DebugSnapshot {
 	ds := DebugSnapshot{
-		Ready:      e.ready.Load(),
 		Durable:    e.dur != nil,
 		Tracing:    e.trc.Enabled(),
 		Coalescing: e.cache != nil,
 		Goroutines: runtime.NumGoroutine(),
 	}
-	if snap := e.snap.Load(); snap != nil {
-		ds.Generation = snap.gen
-		ds.CHEliminationTreeHeight, ds.CHClimbArcsMean, _ = snap.base.CHClimb()
-	}
+	snap := e.snap.Load()
+	ds.Generation = snap.gen
+	ds.CHEliminationTreeHeight, ds.CHClimbArcsMean, _ = snap.base.CHClimb()
 	if e.cache != nil {
 		ds.CacheEntries = e.cache.len()
 	}

@@ -80,10 +80,9 @@
 // the same snapshot machinery — in-flight queries finish on the
 // generation they loaded, and a half-written file fails its checksum
 // and is retried on the next scan instead of dethroning the serving
-// snapshot. A new tenant's engine is constructed outside the registry
-// lock, so a hot-load stalls nobody, and the fleet-level /healthz,
-// /tenants and /stats list a tenant still replaying its WAL under
-// AsyncRecovery as recovering instead of waiting for it.
+// snapshot. A new tenant's engine — checkpoint decode, WAL replay and
+// all — is constructed outside the registry lock, so a hot-load stalls
+// nobody, and the tenant is listed only once it serves.
 //
 // # Attachments
 //

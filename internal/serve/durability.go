@@ -37,8 +37,8 @@ type durability struct {
 	recoveredSeq            uint64
 
 	// replayed retains the batches start-up recovery replayed until the
-	// first TakeRecoveredBatches call hands them over (writeMu after
-	// readiness; written once before publishInitial).
+	// first TakeRecoveredBatches call hands them over (writeMu; written
+	// once before the engine is returned).
 	replayed []wal.Batch
 }
 
@@ -62,10 +62,9 @@ type durability struct {
 //     writes, so crashing during recovery and recovering again is
 //     idempotent.
 //
-// The recovered engine then serves and appends to the same log. With
-// Options.AsyncRecovery the replay (step 3) runs on a background
-// goroutine: NewDurableEngine returns immediately, Ready() is false
-// and the HTTP API answers 503 until replay completes.
+// The recovered engine then serves and appends to the same log: the
+// replay has finished before NewDurableEngine returns, so a listener
+// opened on the engine afterwards never sees a partial state.
 func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 	opt = opt.withDefaults()
 	if opt.WALDir == "" {
@@ -116,38 +115,29 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 	d.walSeq.Store(ri.NextSeq)
 	d.ckptGen.Store(base.Meta().Generation)
 
-	e := newBareEngine(opt)
-	e.dur = d
-	apply := func() {
-		if opt.recoverHold != nil {
-			<-opt.recoverHold
-		}
-		// Before the replay, so replayed batches relearn on the engine
-		// live ingest uses instead of on plain Dijkstra.
-		e.opt.onBackend(base)
-		for _, b := range batches {
-			e.applyBatch(nil, base, b)
-			for _, t := range b.Trajs {
-				if t.ID >= 0 && uint64(t.ID+1) > idWatermark {
-					idWatermark = uint64(t.ID + 1)
-				}
+	if opt.recoverHold != nil {
+		<-opt.recoverHold
+	}
+	// Before the replay, so replayed batches relearn on the engine live
+	// ingest uses instead of on plain Dijkstra.
+	opt.onBackend(base)
+	for _, b := range batches {
+		applyBatch(nil, base, b)
+		for _, t := range b.Trajs {
+			if t.ID >= 0 && uint64(t.ID+1) > idWatermark {
+				idWatermark = uint64(t.ID + 1)
 			}
 		}
-		// Keep NextTrajectoryID unique across restarts: IDs handed out
-		// by this process must not collide with the checkpoint's
-		// watermark or with any replayed trajectory's ID.
-		e.trajSeq.Store(idWatermark)
-		// Retain the replayed batches for TakeRecoveredBatches (the
-		// maintenance accumulator re-seeds from them); publishInitial's
-		// readiness flip publishes this write to waiting readers.
-		d.replayed = batches
-		e.publishInitial(base)
 	}
-	if opt.AsyncRecovery {
-		go apply()
-	} else {
-		apply()
-	}
+	// Retained for TakeRecoveredBatches: the maintenance accumulator
+	// re-seeds from them.
+	d.replayed = batches
+	e := newEngine(base, opt)
+	e.dur = d
+	// Keep NextTrajectoryID unique across restarts: IDs handed out by
+	// this process must not collide with the checkpoint's watermark or
+	// with any replayed trajectory's ID.
+	e.trajSeq.Store(idWatermark)
 	return e, nil
 }
 
@@ -161,13 +151,11 @@ func (e *Engine) Durable() bool { return e.dur != nil }
 // returns nil). The batches in the log are exactly the evidence
 // ingested since the last checkpoint, so internal/maint seeds its
 // accumulator from here: a crash never silently forgets evidence that
-// had not yet counted toward a rebuild trigger. Blocks until recovery
-// completes under Options.AsyncRecovery.
+// had not yet counted toward a rebuild trigger.
 func (e *Engine) TakeRecoveredBatches() []wal.Batch {
 	if e.dur == nil {
 		return nil
 	}
-	e.waitReady()
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	b := e.dur.replayed
@@ -184,7 +172,6 @@ func (e *Engine) Checkpoint() error {
 	if e.dur == nil {
 		return nil
 	}
-	e.waitReady()
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	return e.dur.checkpointLocked(e.snap.Load().base, e.trajSeq.Load())
@@ -198,7 +185,6 @@ func (e *Engine) Close() error {
 	if e.dur == nil {
 		return nil
 	}
-	e.waitReady()
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	return e.dur.log.Close()

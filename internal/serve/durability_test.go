@@ -354,81 +354,12 @@ func TestCheckpointRacesHotReload(t *testing.T) {
 	// must reconstruct a serving engine.
 	e2 := mustDurable(t, base.IngestClone(), opt)
 	defer e2.Close()
-	if !e2.Ready() {
-		t.Fatal("recovered engine not ready")
-	}
 	for _, od := range ods {
 		if res, _ := e2.Route(od[0], od[1]); res.Evidence == core.EvidenceNone && len(res.Path) == 0 {
 			t.Fatalf("recovered engine cannot answer %d->%d", od[0], od[1])
 		}
 	}
 	e.Close()
-}
-
-// TestRecoveryHTTP503: while an async recovery is replaying, every
-// endpoint answers 503 and /healthz reports "recovering"; once replay
-// completes the same handler serves 200s.
-func TestRecoveryHTTP503(t *testing.T) {
-	base, live := buildServeWorld(t, 19, 300)
-	dir := t.TempDir()
-	e1 := mustDurable(t, base.IngestClone(), Options{WALDir: dir, CheckpointEvery: -1})
-	for _, b := range matchedBatches(live, 8) {
-		e1.IngestMatched(b)
-	}
-	// Crash; recover asynchronously, held at the gate so the
-	// recovering window is deterministic.
-	hold := make(chan struct{})
-	e2 := mustDurable(t, base.IngestClone(), Options{WALDir: dir, CheckpointEvery: -1, AsyncRecovery: true, recoverHold: hold})
-	defer e2.Close()
-	if e2.Ready() {
-		t.Fatal("engine ready before replay")
-	}
-	srv := httptest.NewServer(e2.Handler())
-	defer srv.Close()
-
-	get := func(path string) (int, string) {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		return resp.StatusCode, buf.String()
-	}
-	od := sampleODs(live, 1)[0]
-	routePath := fmt.Sprintf("/route?src=%d&dst=%d", od[0], od[1])
-	for _, path := range []string{routePath, "/stats"} {
-		if code, _ := get(path); code != http.StatusServiceUnavailable {
-			t.Fatalf("GET %s during recovery = %d, want 503", path, code)
-		}
-	}
-	if resp, err := http.Post(srv.URL+"/ingest", "application/json", strings.NewReader(`{"paths":[[0,1]]}`)); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("POST /ingest during recovery = %d, want 503", resp.StatusCode)
-		}
-	}
-	if code, body := get("/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "recovering") {
-		t.Fatalf("GET /healthz during recovery = %d %q, want 503 recovering", code, body)
-	}
-
-	close(hold)
-	deadline := time.Now().Add(10 * time.Second)
-	for !e2.Ready() {
-		if time.Now().After(deadline) {
-			t.Fatal("recovery did not complete")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if code, body := get("/healthz"); code != http.StatusOK || !strings.Contains(body, `"durable": true`) {
-		t.Fatalf("GET /healthz after recovery = %d %q", code, body)
-	}
-	if code, _ := get(routePath); code != http.StatusOK {
-		t.Fatalf("GET /route after recovery = %d, want 200", code)
-	}
 }
 
 // TestIngestDurableField: the /ingest reply says whether the batch hit

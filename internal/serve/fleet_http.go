@@ -21,9 +21,6 @@ type TenantInfo struct {
 	Vertices           int    `json:"vertices"`
 	Regions            int    `json:"regions"`
 	Queries            uint64 `json:"queries"`
-	// Recovering marks a tenant whose asynchronous WAL recovery is still
-	// replaying: it has no snapshot yet, so the row carries only its name.
-	Recovering bool `json:"recovering,omitempty"`
 }
 
 // Handler returns the fleet's HTTP API. Tenant-addressed routes nest
@@ -87,19 +84,11 @@ func (f *Fleet) handleTenant(w http.ResponseWriter, r *http.Request) {
 	t.handler.ServeHTTP(w, r)
 }
 
-// handleTenants, handleHealthz and handleStats (through Fleet.Stats)
-// read a tenant only once it is Ready — readiness never reverts, so the
-// reads after the check cannot block — and report a tenant still
-// replaying its WAL as recovering rather than waiting for it.
 func (f *Fleet) handleTenants(w http.ResponseWriter, r *http.Request) {
 	engines := f.snapshotEngines()
 	infos := make([]TenantInfo, 0, len(engines))
 	for _, name := range slices.Sorted(maps.Keys(engines)) {
 		e := engines[name]
-		if !e.Ready() {
-			infos = append(infos, TenantInfo{Name: name, Recovering: true})
-			continue
-		}
 		snap := e.Snapshot()
 		meta := snap.Meta()
 		infos = append(infos, TenantInfo{
@@ -139,23 +128,13 @@ func (f *Fleet) handleQuality(w http.ResponseWriter, r *http.Request) {
 
 func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	engines := f.snapshotEngines()
-	generations := make(map[string]uint64)
-	var recovering []string
+	generations := make(map[string]uint64, len(engines))
 	for name, e := range engines {
-		if e.Ready() {
-			generations[name] = e.Generation()
-		} else {
-			recovering = append(recovering, name)
-		}
+		generations[name] = e.Generation()
 	}
-	body := map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"tenants":     len(engines),
 		"generations": generations,
-	}
-	if recovering != nil {
-		slices.Sort(recovering)
-		body["recovering"] = recovering
-	}
-	WriteJSON(w, http.StatusOK, body)
+	})
 }

@@ -67,18 +67,14 @@ type ingestReply struct {
 // answer, and cached with it, so a cache hit re-walks nothing. Every
 // other reply, errors included, is indented JSON from WriteJSON.
 //
-// Every endpoint's request body is bounded by Options.MaxBodyBytes;
-// larger bodies are rejected with 413. Every response carries an
-// X-Request-ID (honoring an incoming header), and — with a tracer
+// Every endpoint's request body is bounded by maxBodyBytes; larger
+// bodies are rejected with 413. Every response carries an X-Request-ID
+// (honoring a well-formed incoming header), and — with a tracer
 // configured (Options.Tracer) — each request is traced end to end.
 //
-// While a durable engine's asynchronous recovery is still replaying
-// the write-ahead log (Ready() is false), the serving endpoints answer
-// 503 — including /healthz, whose body reports "recovering" so load
-// balancers keep traffic away until replay completes. /metrics and
-// /debug/... stay up throughout: a scrape sees l2r_ready 0 and
-// /debug/snapshot shows recovery progress instead of hanging — exactly
-// the window the "recovery stuck" runbook needs them in.
+// A durable engine has replayed its write-ahead log before
+// NewDurableEngine returns, so every endpoint answers from the moment
+// the handler exists.
 func (e *Engine) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/route", Method(http.MethodGet, e.handleRoute))
@@ -90,21 +86,9 @@ func (e *Engine) Handler() http.Handler {
 	mux.HandleFunc("/debug/trace", Method(http.MethodGet, traceHandler(e.trc)))
 	mux.HandleFunc("/debug/snapshot", Method(http.MethodGet, e.handleDebugSnapshot))
 	mux.HandleFunc("/", e.handleAttached)
-	limit := e.opt.MaxBodyBytes
 	return withRequestTelemetry(e.trc, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !e.ready.Load() && !telemetryPath(r.URL.Path) {
-			if r.URL.Path == "/healthz" {
-				WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
-					"status":  "recovering",
-					"durable": e.Durable(),
-				})
-				return
-			}
-			WriteError(w, http.StatusServiceUnavailable, "recovery in progress: replaying the write-ahead log")
-			return
-		}
 		if r.Body != nil && r.Body != http.NoBody {
-			r.Body = http.MaxBytesReader(w, r.Body, limit)
+			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		}
 		mux.ServeHTTP(w, r)
 	}))

@@ -79,7 +79,6 @@ type MaintStats struct {
 // clone is discarded, nothing is published, and the served snapshot is
 // untouched. Returns the generation that now serves.
 func (e *Engine) RebuildSnapshot(ctx context.Context, rebuild func(*core.Router) error) (uint64, error) {
-	e.waitReady()
 	sp := obs.SpanFrom(ctx)
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()

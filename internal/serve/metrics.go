@@ -118,7 +118,7 @@ type StreamStats struct {
 	PointsOutlier   uint64 `json:"points_outlier"`
 	// SegmentsClosed counts trajectory segments ended by gap, dwell,
 	// teleport or an explicit close; SegmentsDropped the subset too
-	// short to ingest (under MinPoints records or fewer than 2 matched
+	// short to ingest (under 2 records or fewer than 2 matched
 	// vertices).
 	SegmentsClosed  uint64 `json:"segments_closed"`
 	SegmentsDropped uint64 `json:"segments_dropped"`
@@ -229,7 +229,6 @@ type Stats struct {
 
 // Stats gathers a consistent-enough snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
-	e.waitReady()
 	now := time.Now()
 	all := e.met.overall()
 	st := Stats{

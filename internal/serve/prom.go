@@ -15,15 +15,7 @@ import (
 
 // writeProm emits the engine's full metric catalog onto pw, every
 // sample carrying labels (the fleet handler passes tenant={name}).
-// While the engine is still recovering (asynchronous WAL replay), only
-// l2r_ready 0 is emitted — Stats() would block on readiness, and a
-// scrape must never hang behind a replay.
 func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
-	if !e.ready.Load() {
-		pw.Gauge("l2r_ready", "Whether the engine is serving (0 while WAL recovery replays).", 0, labels...)
-		return
-	}
-	pw.Gauge("l2r_ready", "Whether the engine is serving (0 while WAL recovery replays).", 1, labels...)
 	st := e.Stats()
 
 	pw.Gauge("l2r_uptime_seconds", "Time since the engine was created.", st.Uptime.Seconds(), labels...)

@@ -80,7 +80,6 @@ func TestEngineMetricsExposition(t *testing.T) {
 
 	_, samples := scrape(t, srv.URL+"/metrics")
 	want := map[string]float64{
-		"l2r_ready":               1,
 		"l2r_queries_total":       3,
 		"l2r_cache_hits_total":    2,
 		"l2r_cache_misses_total":  1,

@@ -97,7 +97,6 @@ type QualityStats struct {
 // traffic's cache entries. It returns the generation that answered so
 // exemplars can pin which snapshot produced a bad route.
 func (e *Engine) ShadowRoute(ctx context.Context, s, d roadnet.VertexID) (core.RouteResult, uint64) {
-	e.waitReady()
 	snap := e.snap.Load()
 	r := snap.borrow()
 	res := r.RouteCtx(ctx, s, d)

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // idProbe is an attachment whose endpoint answers with the request-ID
@@ -24,15 +26,20 @@ func (p *idProbe) Endpoint() (string, http.Handler) {
 // and not at all, to an engine and through a fleet to a tenant engine
 // (two nested middlewares): the ID is honoured or generated, echoed
 // exactly once on the response, and is the one value the innermost
-// handler sees on the request.
+// handler sees on the request. An incoming ID is honoured only when it
+// is 1–128 bytes of visible ASCII: a longer one (up to the server's
+// header limit) or one with spaces or non-ASCII bytes is replaced by a
+// generated ID, and the trace ring keeps no ID the server would not
+// honour.
 func TestRequestIDOneSpelling(t *testing.T) {
 	base, _ := sharedWorld(t)
-	e := NewEngine(base.Clone(), Options{})
+	tr := obs.NewTracer(obs.Config{SlowThreshold: -1})
+	e := NewEngine(base.Clone(), Options{Tracer: tr})
 	e.Attach(&idProbe{})
 	engineSrv := httptest.NewServer(e.Handler())
 	t.Cleanup(engineSrv.Close)
 
-	f := NewFleet(Options{})
+	f := NewFleet(Options{Tracer: tr})
 	f.Attach(func(_ string, te *Engine) func() { te.Attach(&idProbe{}); return nil })
 	if _, err := f.Add("acity", base.Clone()); err != nil {
 		t.Fatal(err)
@@ -40,14 +47,28 @@ func TestRequestIDOneSpelling(t *testing.T) {
 	fleetSrv := httptest.NewServer(f.Handler())
 	t.Cleanup(fleetSrv.Close)
 
+	longest := strings.Repeat("a", maxRequestIDLen)
+	cases := []struct {
+		spelling, id string
+		honour       bool
+	}{
+		{"x-request-id", "caller-9", true},
+		{"X-Request-ID", "caller-9", true},
+		{"", "", false},
+		{"X-Request-ID", longest, true},
+		{"X-Request-ID", longest + "a", false},
+		{"X-Request-ID", strings.Repeat("x", 512<<10), false},
+		{"X-Request-ID", "caller 9", false},
+		{"X-Request-ID", "caller-é", false},
+	}
 	for _, target := range []string{engineSrv.URL + "/probe", fleetSrv.URL + "/t/acity/probe"} {
-		for _, spelling := range []string{"x-request-id", "X-Request-ID", ""} {
+		for _, c := range cases {
 			req, err := http.NewRequest(http.MethodGet, target, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if spelling != "" {
-				req.Header[spelling] = []string{"caller-9"} // sent as spelled
+			if c.spelling != "" {
+				req.Header[c.spelling] = []string{c.id} // sent as spelled
 			}
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
@@ -57,14 +78,23 @@ func TestRequestIDOneSpelling(t *testing.T) {
 			resp.Body.Close()
 			echoed := resp.Header.Values(requestIDHeader)
 			if len(echoed) != 1 || echoed[0] == "" {
-				t.Fatalf("%s [%q]: response carries %q, want exactly one ID", target, spelling, echoed)
+				t.Fatalf("%s [%q, %d-byte ID]: response carries %d IDs, want exactly one", target, c.spelling, len(c.id), len(echoed))
 			}
-			if spelling != "" && echoed[0] != "caller-9" {
-				t.Fatalf("%s [%q]: incoming ID not honoured: %q", target, spelling, echoed[0])
+			if got := echoed[0]; (got == c.id) != c.honour || !validRequestID(got) {
+				t.Fatalf("%s [%q, %d-byte ID]: echoed a %d-byte ID (honoured %v, want %v)", target, c.spelling, len(c.id), len(got), got == c.id, c.honour)
 			}
 			if string(seen) != echoed[0] {
-				t.Fatalf("%s [%q]: nested handler saw %q, response says %q", target, spelling, seen, echoed[0])
+				t.Fatalf("%s [%q, %d-byte ID]: nested handler saw %d bytes, response says %q", target, c.spelling, len(c.id), len(seen), echoed[0])
 			}
+		}
+	}
+	traces := tr.Recent(100)
+	if len(traces) == 0 {
+		t.Fatal("no traces recorded")
+	}
+	for _, trc := range traces {
+		if !validRequestID(trc.ID) {
+			t.Fatalf("trace ring keeps a %d-byte request ID", len(trc.ID))
 		}
 	}
 }

@@ -20,6 +20,11 @@ import (
 // clients rarely contend on one shard's lock.
 const cacheShards = 16
 
+// maxBodyBytes bounds the request bodies the HTTP API accepts: Handler
+// wraps every endpoint's body in http.MaxBytesReader, and requests over
+// the limit are rejected with 413.
+const maxBodyBytes = 8 << 20
+
 // Options configures an Engine.
 type Options struct {
 	// CacheSize is the route-cache capacity in entries across all
@@ -30,10 +35,6 @@ type Options struct {
 	// herd costs one search instead of one per caller — and never share
 	// an answer computed on a pre-swap router with a post-swap query.
 	CacheSize int
-	// MaxBodyBytes bounds the request bodies the HTTP API accepts:
-	// Handler wraps every endpoint's body in http.MaxBytesReader, and
-	// requests over the limit are rejected with 413. Default 8 MiB.
-	MaxBodyBytes int64
 	// PathBackend selects the shortest-path backend the served router
 	// runs on. With core.BackendCH, a router that is still
 	// Dijkstra-backed (e.g. freshly loaded from an artifact) gets its
@@ -63,12 +64,6 @@ type Options struct {
 	// wal.SyncNone (page-cache durability: survives a process kill,
 	// may lose the last seconds on power loss).
 	WALSync wal.SyncPolicy
-	// AsyncRecovery makes NewDurableEngine return before WAL replay
-	// finishes applying: the log is scanned and verified synchronously
-	// (corruption still fails construction), but batches are replayed
-	// on a background goroutine. Until replay completes the engine is
-	// not Ready: HTTP endpoints answer 503 and library calls block.
-	AsyncRecovery bool
 
 	// Tracer attaches request tracing: HTTP requests get a root span
 	// (request ID generated or honored from X-Request-ID and echoed
@@ -81,18 +76,15 @@ type Options struct {
 	// tenant engines.
 	Tracer *obs.Tracer
 
-	// recoverHold, when set (tests only), is waited on before an async
-	// recovery starts applying batches, making the recovering window
-	// observable deterministically.
+	// recoverHold, when set (tests only), is waited on before
+	// NewDurableEngine replays the write-ahead log, holding a
+	// construction open so a test can observe what runs beside it.
 	recoverHold chan struct{}
 }
 
 func (o Options) withDefaults() Options {
 	if o.CacheSize == 0 {
 		o.CacheSize = 4096
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 8 << 20
 	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 4096
@@ -145,12 +137,8 @@ type Engine struct {
 	trajSeq     atomic.Uint64
 
 	// dur is the optional durability attachment (write-ahead log +
-	// checkpointing); ready flips once the first snapshot is published
-	// — immediately for NewEngine, after WAL replay for
-	// NewDurableEngine (readyCh closes at the same moment).
-	dur     *durability
-	ready   atomic.Bool
-	readyCh chan struct{}
+	// checkpointing).
+	dur *durability
 
 	// trc is the optional request tracer (Options.Tracer); nil-safe
 	// everywhere it is used.
@@ -181,9 +169,7 @@ type Engine struct {
 func NewEngine(r *core.Router, opt Options) *Engine {
 	opt = opt.withDefaults()
 	opt.onBackend(r)
-	e := newBareEngine(opt)
-	e.publishInitial(r)
-	return e
+	return newEngine(r, opt)
 }
 
 // onBackend brings r onto the path backend the engine serves on, before
@@ -199,44 +185,28 @@ func (o Options) onBackend(r *core.Router) {
 	}
 }
 
-// newBareEngine builds an engine with no snapshot yet — not Ready
-// until publishInitial runs.
-func newBareEngine(opt Options) *Engine {
-	e := &Engine{opt: opt, start: time.Now(), readyCh: make(chan struct{}), trc: opt.Tracer}
+// newEngine builds an engine serving r, already on its backend, as
+// generation 1.
+func newEngine(r *core.Router, opt Options) *Engine {
+	e := &Engine{opt: opt, start: time.Now(), trc: opt.Tracer}
 	e.attachments.Store(new([]attached))
 	if opt.CacheSize > 0 {
 		e.cache = newRouteCache(opt.CacheSize, cacheShards)
 	}
+	e.snap.Store(newSnapshot(r, 1))
+	e.lastSwapUnix.Store(time.Now().UnixNano())
 	return e
 }
 
-// publishInitial installs generation 1 and marks the engine ready.
-func (e *Engine) publishInitial(r *core.Router) {
-	e.snap.Store(newSnapshot(r, 1))
-	e.lastSwapUnix.Store(time.Now().UnixNano())
-	e.ready.Store(true)
-	close(e.readyCh)
-}
-
-// Ready reports whether the engine is serving. It is false only while
-// a NewDurableEngine recovery with Options.AsyncRecovery is still
-// replaying the write-ahead log; the HTTP API answers 503 in that
-// window, and library query/ingest calls block until ready.
-func (e *Engine) Ready() bool { return e.ready.Load() }
-
-// waitReady blocks until the first snapshot is published. A no-op
-// (one atomic load) on the fast path.
-func (e *Engine) waitReady() {
-	if e.ready.Load() {
-		return
-	}
-	<-e.readyCh
-}
+// Ready reports true: an engine serves from the moment it is returned.
+// It stays for the benchmark module's callers and goes with the
+// benchmark change of ROADMAP.md item 9, beside PathBackend and
+// ch.Config.
+func (e *Engine) Ready() bool { return true }
 
 // Generation returns the current snapshot generation. It starts at 1
 // and increments on every Ingest or Publish.
 func (e *Engine) Generation() uint64 {
-	e.waitReady()
 	return e.snap.Load().gen
 }
 
@@ -245,7 +215,6 @@ func (e *Engine) Generation() uint64 {
 // query methods concurrently with anything else; borrow a view through
 // Route/RouteK instead.
 func (e *Engine) Snapshot() *core.Router {
-	e.waitReady()
 	return e.snap.Load().base
 }
 
@@ -277,7 +246,6 @@ func (e *Engine) routeK(ctx context.Context, s, d roadnet.VertexID, k int) ([]co
 	if k < 1 {
 		k = 1
 	}
-	e.waitReady()
 	start := time.Now()
 	snap := e.snap.Load()
 	sp := obs.SpanFrom(ctx)
@@ -396,7 +364,6 @@ func (e *Engine) Ingest(ts []*traj.Trajectory) core.IngestStats {
 // from memory, so ingestion degrades to pre-WAL behavior rather than
 // dropping data on a full disk.
 func (e *Engine) ingestDurable(ctx context.Context, b wal.Batch) (core.IngestStats, uint64, bool) {
-	e.waitReady()
 	sp := obs.SpanFrom(ctx)
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -411,7 +378,7 @@ func (e *Engine) ingestDurable(ctx context.Context, b wal.Batch) (core.IngestSta
 	cl := sp.Start("snapshot.clone")
 	next := cur.base.IngestClone()
 	cl.End()
-	st, customize := e.applyBatch(sp, next, b)
+	st, customize := applyBatch(sp, next, b)
 	e.learnRun.Add(uint64(st.Learn.Run))
 	e.learnReused.Add(uint64(st.Learn.Reused))
 	e.learnBounded.Add(uint64(st.Learn.Bounded))
@@ -454,7 +421,7 @@ func (e *Engine) ingestDurable(ctx context.Context, b wal.Batch) (core.IngestSta
 // it to the next generation's clone, recovery replays the log through
 // it onto the recovered base — and reports the ingest's stats and how
 // long the customization took.
-func (e *Engine) applyBatch(sp *obs.Span, r *core.Router, b wal.Batch) (core.IngestStats, time.Duration) {
+func applyBatch(sp *obs.Span, r *core.Router, b wal.Batch) (core.IngestStats, time.Duration) {
 	ig := sp.Start("ingest.apply")
 	st := r.Ingest(b.Trajs, core.IngestOptions{SkipMapMatching: b.SkipMapMatching})
 	if ig != nil {
@@ -512,7 +479,6 @@ func (e *Engine) Tracer() *obs.Tracer { return e.trc }
 // artifact plus whatever was ingested after it — never stale pre-reload
 // batches replayed onto a post-reload base.
 func (e *Engine) Publish(r *core.Router) {
-	e.waitReady()
 	// Outside writeMu: contracting a loaded router is not O(1), and
 	// ingests need not wait for it.
 	e.opt.onBackend(r)

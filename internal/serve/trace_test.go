@@ -194,7 +194,7 @@ func TestDebugSnapshotEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&ds); err != nil {
 		t.Fatal(err)
 	}
-	if !ds.Ready || !ds.Tracing || ds.Generation != 1 || ds.Goroutines <= 0 {
+	if !ds.Tracing || ds.Generation != 1 || ds.Goroutines <= 0 {
 		t.Fatalf("snapshot = %+v", ds)
 	}
 	if ds.CacheEntries != 1 {

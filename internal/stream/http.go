@@ -44,7 +44,7 @@ type streamReply struct {
 // flush=1 synchronously flushes the batch queue before replying.
 // Records already pushed stay pushed when a later record fails to
 // parse (at-least-once semantics); the request body is bounded by the
-// engine's MaxBodyBytes, so continuous feeds chunk their uploads.
+// engine's 8 MiB body limit, so continuous feeds chunk their uploads.
 func (ing *Ingestor) Handler() http.Handler {
 	return serve.Method(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
 		sp := obs.SpanFrom(r.Context())

@@ -90,7 +90,7 @@ func (ing *Ingestor) CloseAll() { ing.sz.CloseAll() }
 // trajectory is dropped and counted rather than blocking the feed.
 func (ing *Ingestor) enqueue(t *traj.Trajectory) {
 	ing.mu.Lock()
-	if len(ing.queue) >= ing.cfg.QueueCap {
+	if len(ing.queue) >= queueCap {
 		ing.mu.Unlock()
 		ing.queueDrops.Add(1)
 		return
@@ -234,7 +234,7 @@ func (ing *Ingestor) StreamStats() serve.StreamStats {
 	ing.mu.Lock()
 	st.QueueDepth = len(ing.queue)
 	ing.mu.Unlock()
-	st.QueueCapacity = ing.cfg.QueueCap
+	st.QueueCapacity = queueCap
 	st.QueueDrops = ing.queueDrops.Load()
 	st.Flushes = ing.flushes.Load()
 	st.FlushedTrajectories = ing.flushedTrajs.Load()

@@ -137,14 +137,14 @@ func TestSessionOutOfOrderWithinWindow(t *testing.T) {
 // left the reorder window is dropped and counted, without corrupting
 // the session.
 func TestSessionOutOfOrderBeyondWindow(t *testing.T) {
-	g, sz, c := gridWorld(t, Config{ReorderWindow: 4})
+	g, sz, c := gridWorld(t, Config{})
 	pts := walkPoints(t, g, 0, 63, "v1", 0)
 	if len(pts) < 30 {
 		t.Fatal("walk too short")
 	}
 	late := pts[10]
 	reordered := append([]Point(nil), pts[:10]...)
-	reordered = append(reordered, pts[11:25]...) // 14 > window of 4
+	reordered = append(reordered, pts[11:25]...) // 14 > reorderWindow
 	reordered = append(reordered, late)
 	reordered = append(reordered, pts[25:]...)
 	sz.PushAll(reordered)
@@ -291,14 +291,14 @@ func TestSessionTeleportSplits(t *testing.T) {
 // TestSessionDwellSplits: a long stationary period ends the trip;
 // movement afterwards starts a new one.
 func TestSessionDwellSplits(t *testing.T) {
-	g, sz, c := gridWorld(t, Config{DwellS: 100, DwellRadiusM: 40})
+	g, sz, c := gridWorld(t, Config{})
 	a := walkPoints(t, g, 0, 7, "v1", 0)
 	sz.PushAll(a)
-	// Park at the destination for 200 s (> DwellS), jittering a few
-	// meters every 10 s.
+	// Park at the destination for 300 s (> dwellS), jittering a few
+	// meters (< dwellRadiusM) every 10 s.
 	end := a[len(a)-1]
 	tpark := end.T
-	for i := 1; i <= 20; i++ {
+	for i := 1; i <= 30; i++ {
 		tpark = end.T + float64(i)*10
 		dx := float64(i%2)*6 - 3
 		sz.Push(Point{Vehicle: "v1", T: tpark, X: end.X + dx, Y: end.Y + dx})

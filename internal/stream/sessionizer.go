@@ -2,6 +2,7 @@ package stream
 
 import (
 	"hash/maphash"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -42,14 +43,14 @@ type matchShard struct {
 }
 
 // NewSessionizer builds a sessionizer over g. idx may be nil, in which
-// case a spatial index is built from cfg.IndexCellM. Every closed
+// case a spatial index is built with indexCellM cells. Every closed
 // segment that survives the length checks is passed to emit together
 // with the vehicle that produced it; emit runs on the goroutine that
 // pushed (or closed) the segment's last point.
 func NewSessionizer(g *roadnet.Graph, idx *spatial.Index, cfg Config, emit func(vehicle string, t *traj.Trajectory)) *Sessionizer {
 	cfg = cfg.withDefaults()
 	if idx == nil {
-		idx = spatial.NewIndex(g, cfg.IndexCellM)
+		idx = spatial.NewIndex(g, indexCellM)
 	}
 	s := &Sessionizer{
 		cfg:      cfg,
@@ -58,7 +59,7 @@ func NewSessionizer(g *roadnet.Graph, idx *spatial.Index, cfg Config, emit func(
 		emit:     emit,
 		sessions: make(map[string]*session),
 	}
-	s.shards = make([]*matchShard, cfg.MatchShards)
+	s.shards = make([]*matchShard, runtime.GOMAXPROCS(0))
 	for i := range s.shards {
 		s.shards[i] = &matchShard{m: mapmatch.NewMatcher(g, idx, cfg.Match)}
 	}
@@ -203,7 +204,7 @@ func (sess *session) push(p Point) {
 	sess.buf = append(sess.buf, Point{})
 	copy(sess.buf[i+1:], sess.buf[i:])
 	sess.buf[i] = p
-	if len(sess.buf) > sess.sz.cfg.ReorderWindow {
+	if len(sess.buf) > reorderWindow {
 		head := sess.buf[0]
 		sess.buf = append(sess.buf[:0], sess.buf[1:]...)
 		sess.advance(head)
@@ -262,10 +263,10 @@ func (sess *session) advance(p Point) {
 }
 
 // teleports reports whether moving a→b in dt seconds exceeds the
-// plausible-speed envelope (MaxSpeedMS plus a fixed noise slack, so
+// plausible-speed envelope (maxSpeedMS plus a fixed noise slack, so
 // closely spaced noisy fixes don't read as impossible speed).
 func (sess *session) teleports(a, b geo.Point, dt float64) bool {
-	return a.Dist(b) > sess.sz.cfg.MaxSpeedMS*dt+sess.sz.cfg.TeleportSlackM
+	return a.Dist(b) > maxSpeedMS*dt+teleportSlackM
 }
 
 // accept folds one plausible point into the open segment, handling
@@ -273,7 +274,7 @@ func (sess *session) teleports(a, b geo.Point, dt float64) bool {
 func (sess *session) accept(p Point) {
 	pt := p.pos()
 	if sess.idle {
-		if pt.Dist(sess.anchorP) <= sess.sz.cfg.DwellRadiusM {
+		if pt.Dist(sess.anchorP) <= dwellRadiusM {
 			sess.lastP, sess.lastT = pt, p.T // still parked
 			return
 		}
@@ -281,9 +282,9 @@ func (sess *session) accept(p Point) {
 		sess.open(p)
 		return
 	}
-	if pt.Dist(sess.anchorP) > sess.sz.cfg.DwellRadiusM {
+	if pt.Dist(sess.anchorP) > dwellRadiusM {
 		sess.anchorP, sess.anchorT = pt, p.T
-	} else if p.T-sess.anchorT > sess.sz.cfg.DwellS {
+	} else if p.T-sess.anchorT > dwellS {
 		sess.closeSegment()
 		sess.idle = true
 		sess.pendingOut = nil
@@ -316,7 +317,7 @@ func (sess *session) open(p Point) {
 }
 
 // closeSegment finishes the open segment's decode and emits it when it
-// carries enough evidence to ingest: at least MinPoints records and a
+// carries enough evidence to ingest: at least minPoints records and a
 // matched path of at least 2 vertices. Everything shorter is dropped
 // and counted, never ingested.
 func (sess *session) closeSegment() {
@@ -329,7 +330,7 @@ func (sess *session) closeSegment() {
 	sess.shard.mu.Lock()
 	matched := om.Close()
 	sess.shard.mu.Unlock()
-	if len(recs) < sess.sz.cfg.MinPoints || len(matched) < 2 {
+	if len(recs) < minPoints || len(matched) < 2 {
 		sess.sz.segDropped.Add(1)
 		return
 	}

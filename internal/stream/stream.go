@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"runtime"
 	"time"
 
 	"repro/internal/geo"
@@ -27,53 +26,57 @@ type Point struct {
 
 func (p Point) pos() geo.Point { return geo.Pt(p.X, p.Y) }
 
+const (
+	// dwellS and dwellRadiusM close a segment when a vehicle stays
+	// within dwellRadiusM meters of one spot for more than dwellS
+	// seconds — the trip ended even though the receiver keeps
+	// reporting.
+	dwellS       = 240
+	dwellRadiusM = 40
+	// maxSpeedMS and teleportSlackM flag a point as a teleport-distance
+	// outlier when reaching it from the last accepted point would need
+	// to cover more than maxSpeedMS·dt + teleportSlackM meters (the
+	// slack keeps position noise on closely spaced fixes from reading
+	// as impossible speed). One inconsistent point is dropped as noise;
+	// two consecutive points consistent with each other but not with
+	// the session are a relocation and split the segment.
+	maxSpeedMS     = 70
+	teleportSlackM = 50
+	// reorderWindow is how many points per vehicle are buffered to
+	// absorb out-of-order arrivals. Points that arrive after their slot
+	// left the window are dropped and counted.
+	reorderWindow = 8
+	// minPoints drops closed segments with fewer records; a single GPS
+	// fix is not evidence of traversal.
+	minPoints = 2
+	// indexCellM is the cell size, in meters, of the spatial index the
+	// Ingestor builds over the engine's road network. Map matching runs
+	// on GOMAXPROCS shards: sessions are hashed onto that many matchers.
+	indexCellM = 250
+	// queueCap bounds the Ingestor's closed-trajectory queue;
+	// trajectories closed while it is full are dropped and counted.
+	queueCap = 1024
+)
+
 // Config tunes the pipeline. The zero value is usable; zero fields
-// take the documented defaults.
+// take the documented defaults. The dwell and teleport thresholds,
+// reorder window, minimum segment, index cell and queue bound are the
+// constants above: no caller ever set them, and an option nobody sets
+// is a branch nobody runs.
 type Config struct {
 	// GapS closes a segment when consecutive points of one vehicle are
 	// more than this many seconds apart (default 300).
 	GapS float64
-	// DwellS and DwellRadiusM close a segment when a vehicle stays
-	// within DwellRadiusM (default 40) of one spot for more than
-	// DwellS seconds (default 240) — the trip ended even though the
-	// receiver keeps reporting.
-	DwellS       float64
-	DwellRadiusM float64
-	// MaxSpeedMS and TeleportSlackM flag a point as a teleport-distance
-	// outlier when reaching it from the last accepted point would need
-	// to cover more than MaxSpeedMS·dt + TeleportSlackM meters
-	// (defaults 70 m/s and 50 m; the slack keeps position noise on
-	// closely spaced fixes from reading as impossible speed). One
-	// inconsistent point is dropped as noise; two consecutive points
-	// consistent with each other but not with the session are a
-	// relocation and split the segment.
-	MaxSpeedMS     float64
-	TeleportSlackM float64
-	// ReorderWindow is how many points per vehicle are buffered to
-	// absorb out-of-order arrivals (default 8). Points that arrive
-	// after their slot left the window are dropped and counted.
-	ReorderWindow int
-	// MinPoints drops closed segments with fewer records (default 2);
-	// a single GPS fix is not evidence of traversal.
-	MinPoints int
 
-	// Match configures the windowed online map matcher; IndexCellM the
-	// spatial index the Ingestor builds over the engine's road network
-	// (default 250). MatchShards bounds map-matching parallelism:
-	// sessions are hashed onto this many matchers (default
-	// GOMAXPROCS).
-	Match       mapmatch.Config
-	IndexCellM  float64
-	MatchShards int
+	// Match configures the windowed online map matcher.
+	Match mapmatch.Config
 
 	// MaxBatch flushes the closed-trajectory queue into the engine
 	// once this many accumulate (default 32); FlushAge flushes sooner
 	// when the oldest queued trajectory has waited this long (default
-	// 2s). QueueCap bounds the queue; trajectories closed while it is
-	// full are dropped and counted (default 1024).
+	// 2s).
 	MaxBatch int
 	FlushAge time.Duration
-	QueueCap int
 
 	// OnTrajectory, when set, observes every closed, matched
 	// trajectory before it is queued for ingestion (logging, tests).
@@ -85,38 +88,11 @@ func (c Config) withDefaults() Config {
 	if c.GapS == 0 {
 		c.GapS = 300
 	}
-	if c.DwellS == 0 {
-		c.DwellS = 240
-	}
-	if c.DwellRadiusM == 0 {
-		c.DwellRadiusM = 40
-	}
-	if c.MaxSpeedMS == 0 {
-		c.MaxSpeedMS = 70
-	}
-	if c.TeleportSlackM == 0 {
-		c.TeleportSlackM = 50
-	}
-	if c.ReorderWindow == 0 {
-		c.ReorderWindow = 8
-	}
-	if c.MinPoints == 0 {
-		c.MinPoints = 2
-	}
-	if c.IndexCellM == 0 {
-		c.IndexCellM = 250
-	}
-	if c.MatchShards <= 0 {
-		c.MatchShards = runtime.GOMAXPROCS(0)
-	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 32
 	}
 	if c.FlushAge == 0 {
 		c.FlushAge = 2 * time.Second
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 1024
 	}
 	return c
 }

@@ -294,11 +294,11 @@ func TestStreamSoak(t *testing.T) {
 	}
 }
 
-// TestStreamHTTPBodyLimit: the engine's MaxBodyBytes bound applies to
-// the NDJSON endpoint and yields 413, not a hang or a 400.
+// TestStreamHTTPBodyLimit: the engine's 8 MiB body limit applies to the
+// NDJSON endpoint and yields 413, not a hang or a 400.
 func TestStreamHTTPBodyLimit(t *testing.T) {
 	_, router, _ := buildStreamWorld(t, 43, 120)
-	e := serve.NewEngine(router, serve.Options{MaxBodyBytes: 512})
+	e := serve.NewEngine(router, serve.Options{})
 	ing := Attach(e, Config{})
 	defer ing.Close()
 	srv := httptest.NewServer(e.Handler())
@@ -308,7 +308,15 @@ func TestStreamHTTPBodyLimit(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		big = append(big, Point{Vehicle: "v1", T: float64(i), X: float64(i), Y: 0})
 	}
-	resp, err := http.Post(srv.URL+"/stream", "application/x-ndjson", ndjson(big))
+	// A last record whose vehicle name alone fills the limit takes the
+	// body just over it.
+	const limit = 8 << 20
+	big = append(big, Point{Vehicle: strings.Repeat("v", limit), T: 200})
+	body := ndjson(big)
+	if body.Len() <= limit {
+		t.Fatalf("body of %d bytes is not over the %d limit", body.Len(), limit)
+	}
+	resp, err := http.Post(srv.URL+"/stream", "application/x-ndjson", body)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,9 @@ import (
 	"repro/l2r"
 )
 
-// TestOptionsCensus pins the settable values of the three option
-// structs a deployment configures. A field that every caller leaves at
+// TestOptionsCensus pins the settable values of the option structs a
+// deployment configures: the engine's, the build's and ingest's, and
+// the three attachments'. A field that every caller leaves at
 // its default is a branch nobody runs, so the list changes only when a
 // new option has two non-test callers that want different values.
 func TestOptionsCensus(t *testing.T) {
@@ -18,14 +19,20 @@ func TestOptionsCensus(t *testing.T) {
 		want []string
 	}{
 		{reflect.TypeFor[l2r.ServeOptions](), []string{
-			"CacheSize", "MaxBodyBytes", "PathBackend", "WALDir",
-			"CheckpointEvery", "WALSync", "AsyncRecovery", "Tracer",
+			"CacheSize", "PathBackend", "WALDir", "CheckpointEvery", "WALSync", "Tracer",
 		}},
 		{reflect.TypeFor[l2r.Options](), []string{
 			"Cluster", "Region", "Transfer", "MapMatch", "SkipMapMatching",
 			"LearnMaxPaths", "Workers", "IndexCellM", "MinConfidence", "PathBackend",
 		}},
 		{reflect.TypeFor[l2r.IngestOptions](), []string{"SkipMapMatching"}},
+		{reflect.TypeFor[l2r.StreamConfig](), []string{
+			"GapS", "Match", "MaxBatch", "FlushAge", "OnTrajectory",
+		}},
+		{reflect.TypeFor[l2r.QualityConfig](), []string{"SampleRate", "Ring", "Queue", "MaxPerSec"}},
+		{reflect.TypeFor[l2r.MaintConfig](), []string{
+			"DriftTV", "MinEvidence", "Interval", "CheckEvery", "Core",
+		}},
 	} {
 		var got []string
 		for i := range c.typ.NumField() {

@@ -19,9 +19,9 @@
 //	fmt.Println(res.Path)
 //
 // Online, NewEngine / NewFleet serve built routers, and AttachStream,
-// AttachQuality and AttachMaint (AttachFleet* for every tenant of a
-// fleet, which then owns and stops them) put streaming ingestion, the
-// quality observer and background maintenance on an engine.
+// AttachQuality and AttachMaint put streaming ingestion, the quality
+// observer and background maintenance on an engine (Fleet.Attach runs
+// them for every tenant of a fleet, which then owns and stops them).
 package l2r
 
 import (
@@ -249,9 +249,9 @@ const (
 // and aggregate stats; a FleetWatcher keeps it in sync with a
 // directory of artifacts, hot-swapping rebuilt files into the live
 // fleet without dropping in-flight queries. Fleet.Attach registers
-// what rides on every tenant's engine (the AttachFleet* helpers below
-// are its three stock uses) and the fleet stops it when the tenant is
-// removed or the fleet is closed. See internal/serve.
+// what rides on every tenant's engine (a stream, quality or maint
+// Attach per tenant) and the fleet stops it when the tenant is removed
+// or the fleet is closed. See internal/serve.
 type (
 	// Fleet is a registry of named serving engines.
 	Fleet = serve.Fleet
@@ -285,7 +285,7 @@ func NewFleetWatcher(fleet *Fleet, dir string) *FleetWatcher { return serve.NewW
 type (
 	// StreamPoint is one raw GPS observation (the NDJSON wire unit).
 	StreamPoint = stream.Point
-	// StreamConfig tunes sessionization, matching and batching.
+	// StreamConfig tunes segmentation, matching and batching.
 	StreamConfig = stream.Config
 	// StreamIngestor is a pipeline bound to one serving engine.
 	StreamIngestor = stream.Ingestor
@@ -299,14 +299,6 @@ type (
 // appears on its HTTP API and pipeline health in Stats().Stream. Close
 // the returned ingestor at shutdown.
 func AttachStream(e *Engine, cfg StreamConfig) *StreamIngestor { return stream.Attach(e, cfg) }
-
-// AttachFleetStreams attaches a streaming pipeline to every current
-// and future tenant of a fleet (POST /t/{tenant}/stream). The fleet
-// owns the pipelines: Fleet.Remove and Fleet.Close stop them, final
-// flush included.
-func AttachFleetStreams(f *Fleet, cfg StreamConfig) {
-	f.Attach(func(_ string, e *Engine) func() { return stream.Attach(e, cfg).Close })
-}
 
 // StreamPointsFrom flattens trajectories into a time-ordered point
 // stream for replay; perTrip keys each trajectory as its own vehicle.
@@ -363,7 +355,7 @@ func AccessLog(l *slog.Logger, h http.Handler) http.Handler { return serve.Acces
 // internal/quality.
 type (
 	// QualityConfig tunes a quality observer (sample rate, exemplar
-	// ring, pacing, rolling-window size).
+	// ring, queue, pacing).
 	QualityConfig = quality.Config
 	// QualityObserver is one engine's shadow scorer; Close at shutdown.
 	QualityObserver = quality.Observer
@@ -379,13 +371,6 @@ type (
 // and GET /debug/quality. Call Close on the result at shutdown.
 func AttachQuality(e *Engine, cfg QualityConfig) *QualityObserver { return quality.Attach(e, cfg) }
 
-// AttachFleetQuality attaches a quality observer to every current and
-// future tenant of a fleet (GET /t/{tenant}/debug/quality); the fleet
-// stops each with its tenant.
-func AttachFleetQuality(f *Fleet, cfg QualityConfig) {
-	f.Attach(func(_ string, e *Engine) func() { return quality.Attach(e, cfg).Close })
-}
-
 // Background-maintenance re-exports. A maintainer accumulates the
 // evidence an engine ingests, watches rebuild triggers (preference
 // drift, evidence volume, a timer), and when one fires re-runs
@@ -393,8 +378,8 @@ func AttachFleetQuality(f *Fleet, cfg QualityConfig) {
 // copy-on-write clone off the hot path, publishing the rebuilt model
 // through the engine's snapshot swap. See internal/maint.
 type (
-	// MaintConfig tunes a maintainer (accumulator capacity, trigger
-	// thresholds, check cadence, pipeline options).
+	// MaintConfig tunes a maintainer (trigger thresholds, check
+	// cadence, pipeline options).
 	MaintConfig = maint.Config
 	// Maintainer is one engine's background maintenance pipeline;
 	// Close at shutdown.
@@ -409,10 +394,3 @@ type (
 // (l2r_maint_*) and GET /debug/maint. Call Close on the result at
 // shutdown.
 func AttachMaint(e *Engine, cfg MaintConfig) *Maintainer { return maint.Attach(e, cfg) }
-
-// AttachFleetMaint attaches a maintainer to every current and future
-// tenant of a fleet (GET /t/{tenant}/debug/maint); the fleet stops each
-// with its tenant.
-func AttachFleetMaint(f *Fleet, cfg MaintConfig) {
-	f.Attach(func(_ string, e *Engine) func() { return maint.Attach(e, cfg).Close })
-}
