@@ -112,8 +112,7 @@ func cmdInspect(args []string) {
 	} else {
 		fmt.Printf("  generation:   %d (saved %s)\n", meta.Generation,
 			time.Unix(0, meta.SavedUnixNano).Format(time.RFC3339))
-		fmt.Printf("  built with:   backend %s, clustering %s, min confidence %.2f\n",
-			meta.Build.PathBackend, meta.Build.ClusterMethod, meta.Build.MinConfidence)
+		fmt.Printf("  built with:   backend %s, clustering %s\n", meta.Build.PathBackend, meta.Build.ClusterMethod)
 	}
 	fmt.Printf("  road network: %d vertices, %d edges\n", r.Road().NumVertices(), r.Road().NumEdges())
 	fmt.Printf("  regions:      %d\n", st.Regions)

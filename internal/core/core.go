@@ -48,18 +48,13 @@ func (b PathBackend) String() string {
 	return "dijkstra"
 }
 
-// Options configures the offline pipeline.
+// Options configures the offline pipeline. The rest of the pipeline
+// runs at fixed settings: the parameter-free modularity clustering
+// (cluster.Options{}), transfer.DefaultConfig() (amr = 0.7), the
+// matcher's defaults (mapmatch.Config{}), indexCellM and minConfidence.
 type Options struct {
-	// Cluster tunes the modularity clustering (ablation switches only;
-	// the algorithm itself is parameter-free).
-	Cluster cluster.Options
 	// Region tunes region-graph construction.
 	Region region.Options
-	// Transfer tunes the preference transduction; the zero value means
-	// transfer.DefaultConfig().
-	Transfer transfer.Config
-	// MapMatch tunes the HMM map matcher.
-	MapMatch mapmatch.Config
 	// SkipMapMatching trusts trajectory ground-truth paths instead of
 	// map matching raw GPS records. Tests and some experiments use it to
 	// decouple pipeline stages; the default (false) exercises the full
@@ -70,13 +65,6 @@ type Options struct {
 	LearnMaxPaths int
 	// Workers bounds pipeline parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// IndexCellM is the spatial-index cell size (default 300 m).
-	IndexCellM float64
-	// MinConfidence is the training similarity a learned preference
-	// must reach to be applied at query time and used as a transfer
-	// label; below it the fastest-path behaviour stands in (default
-	// 0.7; set negative to disable gating).
-	MinConfidence float64
 	// PathBackend selects the shortest-path engine (default plain
 	// Dijkstra; BackendCH contracts a metric-independent hierarchy once
 	// at Build time and serves scalar, preference-restricted and
@@ -84,18 +72,18 @@ type Options struct {
 	PathBackend PathBackend
 }
 
+const (
+	// indexCellM is the map matcher's spatial-index cell size.
+	indexCellM = 300
+	// minConfidence is the training similarity a learned preference
+	// must reach to be applied at query time and used as a transfer
+	// label; below it the fastest-path behaviour stands in.
+	minConfidence = 0.7
+)
+
 func (o Options) withDefaults() Options {
-	if o.Transfer == (transfer.Config{}) {
-		o.Transfer = transfer.DefaultConfig()
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.IndexCellM == 0 {
-		o.IndexCellM = 300
-	}
-	if o.MinConfidence == 0 {
-		o.MinConfidence = 0.7
 	}
 	return o
 }
@@ -274,7 +262,7 @@ func Build(road *roadnet.Graph, training []*traj.Trajectory, opt Options) (*Rout
 
 	// Phase 1a: clustering.
 	start := time.Now()
-	regions := cluster.Cluster(cluster.BuildTrajectoryGraph(road, paths), opt.Cluster)
+	regions := cluster.Cluster(cluster.BuildTrajectoryGraph(road, paths), cluster.Options{})
 	r.stats.ClusterTime = time.Since(start)
 	return finishBuild(r, regions, paths, opt)
 }
@@ -308,21 +296,18 @@ func startBuild(road *roadnet.Graph, training []*traj.Trajectory, opt Options, c
 		return nil, nil, errors.New("core: no training trajectories")
 	}
 
-	r := &Router{road: road, idx: &lazyIndex{cell: opt.IndexCellM}}
+	r := &Router{road: road, idx: &lazyIndex{}}
 	r.stats.Trajectories = len(training)
 	r.meta.Build = BuildInfo{
 		PathBackend:     opt.PathBackend.String(),
 		ClusterMethod:   clusterMethod,
 		SkipMapMatching: opt.SkipMapMatching,
-		MinConfidence:   opt.MinConfidence,
 		LearnMaxPaths:   opt.LearnMaxPaths,
-		IndexCellM:      opt.IndexCellM,
 		Region:          opt.Region,
-		MapMatch:        opt.MapMatch,
 	}
 
 	start := time.Now()
-	paths := matchedPaths(road, r.idx, training, opt)
+	paths := matchedPaths(road, r.idx, training, opt.SkipMapMatching, opt.Workers)
 	r.stats.MatchedOK = len(paths)
 	r.stats.MatchTime = time.Since(start)
 	if len(paths) == 0 {
@@ -363,7 +348,7 @@ func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt 
 func (r *Router) transduce(opt Options) transfer.Result {
 	var labels, targets []int
 	for _, e := range r.rg.Edges {
-		if fit, ok := e.Fit(); ok && fit.Similarity >= opt.MinConfidence {
+		if fit, ok := e.Fit(); ok && fit.Similarity >= minConfidence {
 			labels = append(labels, e.ID)
 		}
 		if e.Kind == region.BEdge {
@@ -377,7 +362,7 @@ func (r *Router) transduce(opt Options) transfer.Result {
 		fit, _ := r.rg.Edges[id].Fit()
 		labeled[i] = transfer.Labeled{EdgeID: id, Pref: fit.Preference}
 	}
-	return transfer.Run(r.rg, labeled, targets, opt.Transfer, opt.Workers)
+	return transfer.Run(r.rg, labeled, targets, transfer.DefaultConfig(), opt.Workers)
 }
 
 // newPathEngine constructs the backend Options.PathBackend selects,
@@ -568,31 +553,27 @@ func (f *pathFinder) FastestPath(s, d roadnet.VertexID) (roadnet.Path, bool) {
 }
 
 // matchedPaths is how trajectories become evidence, for Build and
-// Ingest alike: every t.Matched is set — to t.Truth under
-// opt.SkipMapMatching, else by the map matcher on opt.Workers
-// goroutines — and the usable paths, those with at least two vertices,
-// are returned in input order.
-func matchedPaths(road *roadnet.Graph, lazy *lazyIndex, ts []*traj.Trajectory, opt Options) []roadnet.Path {
-	if opt.SkipMapMatching {
+// Ingest alike: every t.Matched is set — to t.Truth under skip, else by
+// the map matcher on workers goroutines — and the usable paths, those
+// with at least two vertices, are returned in input order.
+func matchedPaths(road *roadnet.Graph, lazy *lazyIndex, ts []*traj.Trajectory, skip bool, workers int) []roadnet.Path {
+	if skip {
 		for _, t := range ts {
 			t.Matched = t.Truth
 		}
 	} else {
-		// The workers capture cfg, not opt: Options is too large to be
-		// captured by value, so it would move to the heap on entry — one
-		// allocation on every call, the ones that match nothing included.
-		cfg, idx := opt.MapMatch, lazy.get(road)
+		idx := lazy.get(road)
 		var wg sync.WaitGroup
 		ch := make(chan *traj.Trajectory, len(ts))
 		for _, t := range ts {
 			ch <- t
 		}
 		close(ch)
-		for w := 0; w < opt.Workers; w++ {
+		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				m := mapmatch.NewMatcher(road, idx, cfg)
+				m := mapmatch.NewMatcher(road, idx, mapmatch.Config{})
 				for t := range ch {
 					points := make([]geo.Point, len(t.Records))
 					for i, rec := range t.Records {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"time"
 
 	"repro/internal/pref"
@@ -43,16 +42,15 @@ type IngestStats struct {
 // rebuild: region assignment stays fixed, T-edge path sets and
 // inner-region paths grow, B-edges covered by the new data upgrade to
 // T-edges, and the preferences of exactly the touched edges are
-// re-learned. Trajectories are matched and paired, and preferences
-// sampled and gated, under the options the router was built with
-// (Meta().Build; an artifact older than BuildInfo gates at 0.7). This
+// re-learned. Trajectories are paired, and preferences sampled, under
+// the options the router was built with (Meta().Build), and gated at
+// the build's fixed confidence. This
 // implements the supported portion of the paper's "real-time region
 // graph updates" future work.
 func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
-	minConfidence := cmp.Or(r.meta.Build.MinConfidence, 0.7)
 	start := time.Now()
 
-	paths := matchedPaths(r.road, r.idx, ts, Options{SkipMapMatching: opt.SkipMapMatching, MapMatch: r.meta.Build.MapMatch, Workers: 1})
+	paths := matchedPaths(r.road, r.idx, ts, opt.SkipMapMatching, 1)
 
 	var st IngestStats
 	st.UpdateStats = r.rg.AddPaths(paths, r.meta.Build.Region)

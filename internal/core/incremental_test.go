@@ -196,8 +196,8 @@ func TestOneVertexTripIsNoEvidence(t *testing.T) {
 	}
 }
 
-// TestIngestFollowsBuildOptions: Ingest pairs and matches new
-// trajectories under the options the router was built with, so a router
+// TestIngestFollowsBuildOptions: Ingest pairs new trajectories under
+// the region options the router was built with, so a router
 // built with capped region spans and transfer centers, then fed a batch,
 // holds the T-edges, path counts and transfer centers of one built with
 // the same options over the training set and the batch together.
@@ -247,15 +247,14 @@ func TestIngestFollowsBuildOptions(t *testing.T) {
 
 // TestIngestLearnsUnderBuildOptions: Ingest re-learns touched edges on
 // the sample size the router was built with (Options.LearnMaxPaths) and
-// applies a fit under the router's own confidence gate
-// (Options.MinConfidence) when IngestOptions leaves it zero — every
-// touched edge's fit is a two-path learner's, applied iff it reaches
-// 0.5.
+// applies a fit under the pipeline's confidence gate (minConfidence) —
+// every touched edge's fit is a two-path learner's, applied iff it
+// reaches the gate.
 func TestIngestLearnsUnderBuildOptions(t *testing.T) {
 	road := roadnet.Generate(roadnet.Tiny(23))
 	ts := traj.NewSimulator(road, traj.D2Like(23, 500)).Run()
 	cut := len(ts) * 6 / 10
-	r, err := Build(road, ts[:cut], Options{SkipMapMatching: true, LearnMaxPaths: 2, MinConfidence: 0.5})
+	r, err := Build(road, ts[:cut], Options{SkipMapMatching: true, LearnMaxPaths: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,18 +272,21 @@ func TestIngestLearnsUnderBuildOptions(t *testing.T) {
 		if got, ok := e.Fit(); !ok || got != want {
 			t.Fatalf("edge %d (%d paths): fit %+v, a two-path learner's %+v", id, len(ps), got, want)
 		}
-		if confident := want.Similarity >= 0.5; e.HasPref != confident || (confident && e.Pref != want.Preference) {
-			t.Fatalf("edge %d: similarity %v applied as %v %v, want the 0.5 gate", id, want.Similarity, e.HasPref, e.Pref)
+		if confident := want.Similarity >= minConfidence; e.HasPref != confident || (confident && e.Pref != want.Preference) {
+			t.Fatalf("edge %d: similarity %v applied as %v %v, want the %v gate", id, want.Similarity, e.HasPref, e.Pref, minConfidence)
 		}
 		if len(ps) > 2 {
 			capped++
 		}
-		if want.Similarity >= 0.5 && want.Similarity < 0.7 {
+		if want.Similarity < minConfidence {
 			gated++
 		}
 	}
 	if capped == 0 {
 		t.Fatal("no touched edge has more than two paths; the sample cap is not exercised")
 	}
-	t.Logf("%d touched edges, %d sampled down to two paths, %d applied only under the 0.5 gate", len(st.TouchedEdges), capped, gated)
+	if gated == 0 || gated == len(st.TouchedEdges) {
+		t.Fatalf("%d of %d touched edges fall below the %v gate; the gate is not exercised both ways", gated, len(st.TouchedEdges), minConfidence)
+	}
+	t.Logf("%d touched edges, %d sampled down to two paths, %d left unapplied by the %v gate", len(st.TouchedEdges), capped, gated, minConfidence)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"math"
 	"reflect"
 	"sync"
@@ -20,10 +19,9 @@ import (
 // fresh learner on a fresh fork of the engine per call, its sample
 // capped only when the build set a cap. The pooled Ingest is held to it.
 func ingestFresh(r *Router, ts []*traj.Trajectory, opt IngestOptions) IngestStats {
-	minConfidence := cmp.Or(r.meta.Build.MinConfidence, 0.7)
 	start := time.Now()
 
-	paths := matchedPaths(r.road, r.idx, ts, Options{SkipMapMatching: opt.SkipMapMatching, MapMatch: r.meta.Build.MapMatch, Workers: 1})
+	paths := matchedPaths(r.road, r.idx, ts, opt.SkipMapMatching, 1)
 
 	var st IngestStats
 	st.UpdateStats = r.rg.AddPaths(paths, r.meta.Build.Region)

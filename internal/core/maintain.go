@@ -56,9 +56,9 @@ type RetransduceStats struct {
 
 // Retransduce re-runs preference learning, transduction and B-edge
 // materialization over the router's accumulated evidence, keeping the
-// region partition fixed. opt should carry the same Region/Transfer/
-// MinConfidence/Workers values the router was built with; the zero
-// value gets the same defaults Build applies.
+// region partition fixed. opt should carry the LearnMaxPaths the router
+// was built with; Workers only bounds the parallelism (0 means
+// GOMAXPROCS, as in Build).
 //
 // The result converges: a router maintained by Ingest batches and then
 // Retransduced equals one rebuilt from scratch (BuildWithRegions) over
@@ -104,7 +104,7 @@ func (r *Router) derive(opt Options) RetransduceStats {
 	// Phase 2a: learn every T-edge and region preference from the full
 	// path sets (parallel). The region map is rebound, not patched — an
 	// IngestClone shares it with its parent. Region preferences below
-	// MinConfidence are dropped: the fastest-path behaviour stands in.
+	// minConfidence are dropped: the fastest-path behaviour stands in.
 	// On BackendCH it runs on a pass fork: every search is a CCH query,
 	// and PrepareMetrics below adopts the overlay metrics it applies.
 	t0 := time.Now()
@@ -115,7 +115,7 @@ func (r *Router) derive(opt Options) RetransduceStats {
 	learned := learnAll(pass, r.rg, opt)
 	r.regionPrefs = learnRegions(pass, r.rg, opt)
 	for id, lr := range r.regionPrefs {
-		if lr.Similarity < opt.MinConfidence {
+		if lr.Similarity < minConfidence {
 			delete(r.regionPrefs, id)
 		}
 	}
@@ -136,7 +136,7 @@ func (r *Router) derive(opt Options) RetransduceStats {
 		case region.TEdge:
 			fit, fitted := learned[e.ID]
 			var applied pref.Preference
-			confident := fitted && fit.Similarity >= opt.MinConfidence
+			confident := fitted && fit.Similarity >= minConfidence
 			if confident {
 				applied = fit.Preference
 			}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/mapmatch"
 	"repro/internal/pref"
 	"repro/internal/region"
 	"repro/internal/roadnet"
@@ -48,17 +47,16 @@ type BuildInfo struct {
 	// older artifacts may also carry "grid" or "hierarchy".
 	PathBackend   string
 	ClusterMethod string
-	// SkipMapMatching, MinConfidence, LearnMaxPaths and IndexCellM
-	// mirror the same-named Options fields (post-default resolution).
+	// SkipMapMatching and LearnMaxPaths mirror the same-named Options
+	// fields.
 	SkipMapMatching bool
-	MinConfidence   float64
 	LearnMaxPaths   int
-	IndexCellM      float64
-	// Region and MapMatch are the same-named Options fields as given:
-	// Ingest pairs and matches new trajectories under them. Artifacts
-	// older than these fields decode them as zero, the defaults.
-	Region   region.Options
-	MapMatch mapmatch.Config
+	// Region is Options.Region as given: Ingest pairs new trajectories
+	// under it. Artifacts older than the field decode it as zero, the
+	// default. Artifacts saved before the pipeline's other settings
+	// became constants also carry MinConfidence, IndexCellM and MapMatch
+	// fields; gob skips them, and they only ever held the defaults.
+	Region region.Options
 }
 
 // ArtifactMeta travels with a saved router: who it is (a tenant or
@@ -91,28 +89,27 @@ type envelope struct {
 	Learned     map[int]pref.Result
 	RegionPrefs map[int]pref.Result
 	Stats       Stats
-	IndexCellM  float64
+	IndexCellM  float64 // always the default; Load ignores it
 }
 
 // metaSection is v3's metadata section, the one section still gob: it
-// carries option structs, and is small.
+// carries option structs, and is small. Artifacts saved before the
+// index cell became a constant carry an IndexCellM field gob skips.
 type metaSection struct {
-	Meta       ArtifactMeta
-	Stats      Stats
-	IndexCellM float64
+	Meta  ArtifactMeta
+	Stats Stats
 }
 
 // lazyIndex is a router's spatial index, built on first use: only map
 // matching reads it, so a loaded router that never matches raw GPS never
 // pays for it. Clones share it, as they share the road it indexes.
 type lazyIndex struct {
-	cell float64
 	once sync.Once
 	idx  *spatial.Index
 }
 
 func (x *lazyIndex) get(road *roadnet.Graph) *spatial.Index {
-	x.once.Do(func() { x.idx = spatial.NewIndex(road, x.cell) })
+	x.once.Do(func() { x.idx = spatial.NewIndex(road, indexCellM) })
 	return x.idx
 }
 
@@ -169,7 +166,7 @@ func (r *Router) Save(w io.Writer) error {
 	e.End(mark)
 
 	mark = e.Begin()
-	if err := gob.NewEncoder(&e).Encode(&metaSection{Meta: meta, Stats: r.stats, IndexCellM: r.idx.cell}); err != nil {
+	if err := gob.NewEncoder(&e).Encode(&metaSection{Meta: meta, Stats: r.stats}); err != nil {
 		return fmt.Errorf("core: encoding metadata: %w", err)
 	}
 	e.End(mark)
@@ -241,7 +238,7 @@ func LoadOnto(rd io.Reader, road *roadnet.Graph, roadID uint64) (*Router, error)
 	if env.Region == nil {
 		return nil, fmt.Errorf("core: artifact has no region graph")
 	}
-	r, err := restored(road, env.Region, metaSection{env.Meta, env.Stats, env.IndexCellM})
+	r, err := restored(road, env.Region, metaSection{env.Meta, env.Stats})
 	if err != nil {
 		return nil, err
 	}
@@ -267,10 +264,7 @@ func restored(road *roadnet.Graph, snap *region.Snapshot, ms metaSection) (*Rout
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring region graph: %w", err)
 	}
-	if !(ms.IndexCellM > 0) {
-		ms.IndexCellM = 300
-	}
-	r := &Router{road: road, rg: rg, idx: &lazyIndex{cell: ms.IndexCellM},
+	r := &Router{road: road, rg: rg, idx: &lazyIndex{},
 		stats: ms.Stats, meta: ms.Meta, regionPrefs: make(map[int]pref.Result)}
 	r.setEngine(route.NewEngine(road))
 	return r, nil

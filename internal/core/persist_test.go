@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"testing"
 
@@ -180,7 +181,7 @@ func TestLoadV1Artifact(t *testing.T) {
 		Learned:     r.learnedPrefs(),
 		RegionPrefs: r.regionPrefs,
 		Stats:       r.stats,
-		IndexCellM:  r.idx.cell,
+		IndexCellM:  indexCellM,
 	}
 	var buf bytes.Buffer
 	if err := codec.WriteFrame(&buf, artifactVersionV1, &env); err != nil {
@@ -240,7 +241,7 @@ func encodeV2(t testing.TB, r *Router, learned map[int]pref.Result, alter func(*
 		Learned:     learned,
 		RegionPrefs: r.regionPrefs,
 		Stats:       r.stats,
-		IndexCellM:  r.idx.cell,
+		IndexCellM:  indexCellM,
 	}
 	if alter != nil {
 		alter(&env)
@@ -250,6 +251,102 @@ func encodeV2(t testing.TB, r *Router, learned map[int]pref.Result, alter func(*
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestLoadV3LegacyMeta: every v3 artifact saved before the pipeline's
+// index cell, confidence gate and matcher settings became constants
+// carries them in its gob metadata — BuildInfo.MinConfidence,
+// IndexCellM and MapMatch, and metaSection.IndexCellM — at their
+// defaults. Such an artifact still loads, keeps the remaining
+// Meta().Build fields, and routes the 220 digest ODs and ingests raw
+// GPS exactly like the same router saved today. The matcher settings
+// are written both as the zero value old artifacts hold and spelled
+// out, so the decoder skips a non-empty struct too.
+func TestLoadV3LegacyMeta(t *testing.T) {
+	type mapMatchConfig struct {
+		CandidateRadiusM, SigmaM, BetaM float64
+		MaxCandidates                   int
+		MinSpacingM                     float64
+		RouteFactor, RouteSlackM        float64
+	}
+	type buildInfo struct {
+		PathBackend, ClusterMethod string
+		SkipMapMatching            bool
+		MinConfidence              float64
+		LearnMaxPaths              int
+		IndexCellM                 float64
+		Region                     region.Options
+		MapMatch                   mapMatchConfig
+	}
+	type artifactMeta struct {
+		Name          string
+		Generation    uint64
+		SavedUnixNano int64
+		Build         buildInfo
+	}
+	type legacyMetaSection struct {
+		Meta       artifactMeta
+		Stats      Stats
+		IndexCellM float64
+	}
+
+	road := roadnet.Generate(roadnet.Tiny(17))
+	ts := traj.NewSimulator(road, traj.D2Like(17, 500)).Run()
+	cut := len(ts) * 8 / 10
+	r, err := Build(road, ts[:cut], Options{SkipMapMatching: true, LearnMaxPaths: 3, Region: region.Options{MaxRegionSpan: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetName("legacy")
+	parts := artifactParts(t, saveArtifact(t, r))
+	want, err := Load(bytes.NewReader(joinParts(t, parts)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := want.Meta()
+	if m.Build.LearnMaxPaths != 3 || m.Build.Region.MaxRegionSpan != 4 || !m.Build.SkipMapMatching {
+		t.Fatalf("saved build info %+v lost an option", m.Build)
+	}
+	wantLearned, wantRoutes := modelDigest(want)
+	wantIngested := want.IngestClone()
+	if st := wantIngested.Ingest(ts[cut:], IngestOptions{}); st.Relearned == 0 {
+		t.Fatal("the raw-GPS ingest relearned nothing")
+	}
+	wantIngestedLearned, wantIngestedRoutes := modelDigest(wantIngested)
+
+	for _, mm := range []mapMatchConfig{{}, {60, 10, 60, 6, 30, 6, 800}} {
+		legacy := legacyMetaSection{
+			Meta: artifactMeta{Name: m.Name, Generation: m.Generation, SavedUnixNano: m.SavedUnixNano, Build: buildInfo{
+				PathBackend: m.Build.PathBackend, ClusterMethod: m.Build.ClusterMethod,
+				SkipMapMatching: m.Build.SkipMapMatching, MinConfidence: 0.7,
+				LearnMaxPaths: m.Build.LearnMaxPaths, IndexCellM: 300,
+				Region: m.Build.Region, MapMatch: mm,
+			}},
+			Stats:      want.Stats(),
+			IndexCellM: 300,
+		}
+		var meta bytes.Buffer
+		if err := gob.NewEncoder(&meta).Encode(&legacy); err != nil {
+			t.Fatal(err)
+		}
+		old := append([][]byte(nil), parts...)
+		old[partMeta] = meta.Bytes()
+		got, err := Load(bytes.NewReader(joinParts(t, old)))
+		if err != nil {
+			t.Fatalf("matcher settings %+v: a legacy v3 artifact no longer loads: %v", mm, err)
+		}
+		if got.Meta() != m || got.Stats() != want.Stats() {
+			t.Fatalf("matcher settings %+v: loaded meta %+v stats %+v, want %+v %+v", mm, got.Meta(), got.Stats(), m, want.Stats())
+		}
+		if learned, routes := modelDigest(got); learned != wantLearned || routes != wantRoutes {
+			t.Fatalf("matcher settings %+v: legacy artifact digests %#x %#x, today's %#x %#x", mm, learned, routes, wantLearned, wantRoutes)
+		}
+		ingested := got.IngestClone()
+		ingested.Ingest(ts[cut:], IngestOptions{})
+		if learned, routes := modelDigest(ingested); learned != wantIngestedLearned || routes != wantIngestedRoutes {
+			t.Fatalf("matcher settings %+v: after a raw-GPS ingest, legacy artifact digests %#x %#x, today's %#x %#x", mm, learned, routes, wantIngestedLearned, wantIngestedRoutes)
+		}
+	}
 }
 
 // TestLoadScattersLearnedMap: the v1/v2 envelope keeps every fit in its

@@ -1,12 +1,13 @@
 // Package maint keeps a served router converged with its evidence: a
-// background maintainer attached to a serve.Engine that accumulates
-// the matched trajectories the engine ingests, watches rebuild
+// background maintainer attached to a serve.Engine that counts the
+// matched trajectories the engine ingests, watches rebuild
 // triggers — preference drift against its own post-rebuild baseline,
 // evidence volume, a wall-clock interval — and, when one fires, drives
 // a clone-rebuild-publish cycle: core.Retransduce re-runs preference
-// learning, transduction and B-edge materialization over the full
-// accumulated path sets on a copy-on-write clone, off the hot path,
-// and the result swaps in through the engine's normal publish path.
+// learning, transduction and B-edge materialization over the full path
+// sets the region graph accumulated, on a copy-on-write clone off the
+// hot path, and the result swaps in through the engine's normal publish
+// path.
 //
 // The cycle's correctness rests on two contracts proved by the
 // convergence and crash tests:
@@ -19,7 +20,7 @@
 //   - Crash equivalence: Retransduce is idempotent and the publish is
 //     an atomic snapshot swap followed by a checkpoint, so a crash at
 //     any point recovers either the old or the new model — never a
-//     hybrid — and the WAL-seeded accumulator re-arms the triggers.
+//     hybrid — and the WAL-seeded evidence count re-arms the triggers.
 //
 // Attach wires a maintainer onto one engine (Maintainer implements
 // serve.Attachment); for every tenant of a serve.Fleet, call Attach

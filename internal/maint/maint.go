@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/quality"
 	"repro/internal/region"
-	"repro/internal/roadnet"
 	"repro/internal/serve"
 	"repro/internal/traj"
 )
@@ -36,16 +35,17 @@ type Config struct {
 	// are O(T-edges) — a distribution scan, no routing.
 	CheckEvery time.Duration
 	// Core carries the pipeline options Retransduce re-runs with. Pass
-	// the same Region/Transfer/MinConfidence/Workers the router was
-	// built with; the zero value gets build's defaults.
+	// the options the router was built with (LearnMaxPaths is the one
+	// Retransduce reads besides Workers); the zero value gets build's
+	// defaults.
 	Core core.Options
 }
 
-// capacity bounds the evidence accumulator — the ring of retained
-// matched paths behind /debug/maint and the recovery re-seed. Overflow
-// evicts oldest-first and is counted; eviction never loses model
-// evidence, because the region graph itself accumulates every ingested
-// path exactly.
+// capacity caps the accumulator's retained count (/debug/maint's
+// retained); evidence beyond it counts as evicted. The accumulator
+// keeps counts, not paths: eviction never loses model evidence,
+// because the region graph itself accumulates every ingested path
+// exactly.
 const capacity = 4096
 
 func (c Config) withDefaults() Config {
@@ -106,9 +106,8 @@ type Maintainer struct {
 	// (when held) is always outer — OfferTrajectories and Published run
 	// under it; nothing here acquires engine locks while holding mu.
 	mu       sync.Mutex
-	ring     []roadnet.Path // retained paths since the last publish, oldest first
-	evidence int            // trajectories accumulated since the last publish
-	seeded   int            // of which re-seeded from WAL recovery at attach
+	evidence int // trajectories accumulated since the last publish
+	seeded   int // of which re-seeded from WAL recovery at attach
 
 	accumulated atomic.Uint64
 	evicted     atomic.Uint64
@@ -124,8 +123,8 @@ type Maintainer struct {
 // offers it every ingested batch, Stats()/metrics gain the Maintenance
 // section and the l2r_maint_* family, GET /debug/maint serves its
 // state, and a background loop evaluates the rebuild triggers. On a
-// durable engine the accumulator is seeded from the batches start-up
-// recovery replayed — evidence that was ingested but had not yet
+// durable engine the accumulator is seeded with the trajectories
+// start-up recovery replayed — evidence that was ingested but had not yet
 // counted toward a rebuild when the previous process died, so a crash
 // re-arms the triggers instead of silently forgetting it. Call Close
 // at shutdown to stop the loop.
@@ -138,15 +137,8 @@ func Attach(e *serve.Engine, cfg Config) *Maintainer {
 		done: make(chan struct{}),
 	}
 	m.rebase(e.Snapshot())
-	for _, b := range e.TakeRecoveredBatches() {
-		for _, t := range b.Trajs {
-			if p := drivenPath(t); p != nil {
-				m.retain(p)
-				m.evidence++
-				m.seeded++
-			}
-		}
-	}
+	m.seeded = e.TakeRecoveredEvidence()
+	m.add(m.seeded)
 	e.Attach(m)
 	go m.loop()
 	return m
@@ -182,46 +174,30 @@ func (m *Maintainer) rebase(r *core.Router) {
 	})
 }
 
-// drivenPath returns the trajectory's matched road path (falling back
-// to ground truth), or nil when it is too short to be evidence.
-func drivenPath(t *traj.Trajectory) roadnet.Path {
-	p := t.Matched
-	if len(p) < 2 {
-		p = t.Truth
-	}
-	if len(p) < 2 {
-		return nil
-	}
-	return p
-}
-
-// OfferTrajectories counts the batch toward the evidence trigger and
-// retains bounded copies. Runs on the engine's write path under its
-// write lock — O(batch) copying, no waits.
+// OfferTrajectories counts the batch's trajectories that carry a road
+// path — matched, or falling back to ground truth — toward the evidence
+// trigger. Runs on the engine's write path under its write lock: O(batch)
+// length checks, no copies, no waits.
 func (m *Maintainer) OfferTrajectories(ts []*traj.Trajectory) {
-	m.mu.Lock()
+	n := 0
 	for _, t := range ts {
-		p := drivenPath(t)
-		if p == nil {
-			continue
+		if len(t.Matched) >= 2 || len(t.Truth) >= 2 {
+			n++
 		}
-		m.accumulated.Add(1)
-		m.evidence++
-		m.retain(append(roadnet.Path(nil), p...))
 	}
+	m.accumulated.Add(uint64(n))
+	m.mu.Lock()
+	m.add(n)
 	m.mu.Unlock()
 }
 
-// retain appends one path to the bounded ring, evicting oldest-first
-// on overflow. Caller holds mu (or is still single-threaded in Attach).
-func (m *Maintainer) retain(p roadnet.Path) {
-	if len(m.ring) >= capacity {
-		copy(m.ring, m.ring[1:])
-		m.ring[len(m.ring)-1] = p
-		m.evicted.Add(1)
-		return
-	}
-	m.ring = append(m.ring, p)
+// add counts n more trajectories of evidence, and as evicted the ones
+// beyond capacity. Caller holds mu (or is still single-threaded in
+// Attach).
+func (m *Maintainer) add(n int) {
+	before := max(m.evidence-capacity, 0)
+	m.evidence += n
+	m.evicted.Add(uint64(max(m.evidence-capacity, 0) - before))
 }
 
 // Published is told that a new snapshot swapped in —
@@ -233,7 +209,6 @@ func (m *Maintainer) retain(p roadnet.Path) {
 func (m *Maintainer) Published(r *core.Router) {
 	m.rebase(r)
 	m.mu.Lock()
-	m.ring = nil
 	m.evidence = 0
 	m.seeded = 0
 	m.mu.Unlock()
@@ -343,7 +318,7 @@ func (m *Maintainer) MaintStats() serve.MaintStats {
 		RebuildFailures: m.failures.Load(),
 	}
 	m.mu.Lock()
-	ms.Retained = len(m.ring)
+	ms.Retained = min(m.evidence, capacity)
 	ms.EvidenceSinceRebuild = m.evidence
 	ms.RecoverySeeded = m.seeded
 	m.mu.Unlock()

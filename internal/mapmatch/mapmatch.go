@@ -9,50 +9,35 @@ import (
 	"repro/internal/spatial"
 )
 
-// Config holds matcher tuning parameters. Zero values are replaced by
-// the documented defaults.
+// Config holds the matcher's one tuning parameter; a zero SigmaM is
+// replaced by its default. The rest of the HMM runs at fixed settings,
+// the constants below.
 type Config struct {
-	// CandidateRadiusM bounds the distance from a GPS record to candidate
-	// edges (default 60).
-	CandidateRadiusM float64
 	// SigmaM is the GPS noise standard deviation for emissions
 	// (default 10, roughly 1.5–2× the simulator noise).
 	SigmaM float64
-	// BetaM is the exponential transition scale (default 60).
-	BetaM float64
-	// MaxCandidates caps candidates per record (default 6).
-	MaxCandidates int
-	// MinSpacingM thins records closer together than this before
-	// matching; 1 Hz feeds are heavily oversampled (default 30).
-	MinSpacingM float64
-	// RouteFactor bounds the Dijkstra searches: route distances beyond
-	// RouteFactor × straight-line + RouteSlackM are treated as broken
-	// transitions (default 6 and 800).
-	RouteFactor float64
-	RouteSlackM float64
 }
 
+const (
+	// candidateRadiusM bounds the distance from a GPS record to
+	// candidate edges.
+	candidateRadiusM = 60
+	// betaM is the exponential transition scale.
+	betaM = 60
+	// maxCandidates caps candidates per record.
+	maxCandidates = 6
+	// minSpacingM thins records closer together than this before
+	// matching; 1 Hz feeds are heavily oversampled.
+	minSpacingM = 30
+	// Route distances beyond routeFactor × straight-line + routeSlackM
+	// bound the Dijkstra searches and count as broken transitions.
+	routeFactor = 6
+	routeSlackM = 800
+)
+
 func (c Config) withDefaults() Config {
-	if c.CandidateRadiusM == 0 {
-		c.CandidateRadiusM = 60
-	}
 	if c.SigmaM == 0 {
 		c.SigmaM = 10
-	}
-	if c.BetaM == 0 {
-		c.BetaM = 60
-	}
-	if c.MaxCandidates == 0 {
-		c.MaxCandidates = 6
-	}
-	if c.MinSpacingM == 0 {
-		c.MinSpacingM = 30
-	}
-	if c.RouteFactor == 0 {
-		c.RouteFactor = 6
-	}
-	if c.RouteSlackM == 0 {
-		c.RouteSlackM = 800
 	}
 	return c
 }

@@ -66,14 +66,14 @@ func (m *Matcher) NewOnline() *OnlineMatcher {
 }
 
 // Observe extends the decode with the next GPS point. Points closer
-// than MinSpacingM to the previously kept point are thinned away (1 Hz
+// than minSpacingM to the previously kept point are thinned away (1 Hz
 // feeds are heavily oversampled); Observe after Close is a no-op.
 func (o *OnlineMatcher) Observe(p geo.Point) {
 	if o.closed {
 		return
 	}
 	o.lastRaw = p
-	if o.haveThin && p.Dist(o.lastThin) < o.m.cfg.MinSpacingM {
+	if o.haveThin && p.Dist(o.lastThin) < minSpacingM {
 		return
 	}
 	o.haveThin = true
@@ -90,12 +90,12 @@ func (o *OnlineMatcher) observeKept(p geo.Point) {
 		// here is the same answer.
 		return
 	}
-	cands := o.m.idx.EdgesWithin(p, o.m.cfg.CandidateRadiusM)
+	cands := o.m.idx.EdgesWithin(p, candidateRadiusM)
 	if len(cands) == 0 {
 		return // skip unmatched records, as Newson & Krumm do
 	}
-	if len(cands) > o.m.cfg.MaxCandidates {
-		cands = cands[:o.m.cfg.MaxCandidates]
+	if len(cands) > maxCandidates {
+		cands = cands[:maxCandidates]
 	}
 	level := make([]onlineCell, len(cands))
 	for i, c := range cands {
@@ -122,7 +122,7 @@ func (o *OnlineMatcher) observeKept(p geo.Point) {
 
 	prev := o.levels[len(o.levels)-1]
 	straight := o.lastP.Dist(p)
-	bound := o.m.cfg.RouteFactor*straight + o.m.cfg.RouteSlackM
+	bound := routeFactor*straight + routeSlackM
 
 	// One bounded Dijkstra per previous candidate, reused across all
 	// current candidates.
@@ -149,7 +149,7 @@ func (o *OnlineMatcher) observeKept(p geo.Point) {
 			if !ok {
 				continue
 			}
-			logTrans := -math.Abs(routeDist-straight) / o.m.cfg.BetaM
+			logTrans := -math.Abs(routeDist-straight) / betaM
 			s := pc.score + logTrans + level[i].cand.logEmit
 			if s > best {
 				best, bestPrev, bestVia = s, j, via

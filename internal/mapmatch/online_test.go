@@ -96,7 +96,8 @@ func TestOnlineEqualsOfflineBrokenTransition(t *testing.T) {
 		b.AddRoad(roadnet.VertexID(i+4), roadnet.VertexID(i+5), roadnet.Tertiary)
 	}
 	g := b.Build()
-	m := NewMatcher(g, spatial.NewIndex(g, 200), Config{MinSpacingM: 1})
+	m := NewMatcher(g, spatial.NewIndex(g, 200), Config{})
+	// Consecutive points are at least 90 m apart: thinning keeps them all.
 	pts := []geo.Point{
 		geo.Pt(5, 3), geo.Pt(95, -2), geo.Pt(205, 4), // along A
 		geo.Pt(105, 398), geo.Pt(210, 402), // jump to B: unreachable

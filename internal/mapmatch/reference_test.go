@@ -29,12 +29,12 @@ func (m *Matcher) matchReference(points []geo.Point) roadnet.Path {
 	lattice := make([][]candidate, 0, len(pts))
 	kept := make([]geo.Point, 0, len(pts))
 	for _, p := range pts {
-		cands := m.idx.EdgesWithin(p, m.cfg.CandidateRadiusM)
+		cands := m.idx.EdgesWithin(p, candidateRadiusM)
 		if len(cands) == 0 {
 			continue // skip unmatched records, as Newson & Krumm do
 		}
-		if len(cands) > m.cfg.MaxCandidates {
-			cands = cands[:m.cfg.MaxCandidates]
+		if len(cands) > maxCandidates {
+			cands = cands[:maxCandidates]
 		}
 		level := make([]candidate, len(cands))
 		for i, c := range cands {
@@ -71,7 +71,7 @@ func (m *Matcher) matchReference(points []geo.Point) roadnet.Path {
 	for t := 1; t < len(lattice); t++ {
 		cur := make([]cell, len(lattice[t]))
 		straight := kept[t-1].Dist(kept[t])
-		bound := m.cfg.RouteFactor*straight + m.cfg.RouteSlackM
+		bound := routeFactor*straight + routeSlackM
 
 		// One bounded Dijkstra per previous candidate, reused across all
 		// current candidates.
@@ -97,7 +97,7 @@ func (m *Matcher) matchReference(points []geo.Point) roadnet.Path {
 				if !ok {
 					continue
 				}
-				logTrans := -math.Abs(routeDist-straight) / m.cfg.BetaM
+				logTrans := -math.Abs(routeDist-straight) / betaM
 				s := back[t-1][j].score + logTrans + cc.logEmit
 				if s > best {
 					best, bestPrev, bestVia = s, j, via
@@ -175,14 +175,14 @@ func (m *Matcher) matchReference(points []geo.Point) roadnet.Path {
 	return path
 }
 
-// thin drops records closer than MinSpacingM to their predecessor.
+// thin drops records closer than minSpacingM to their predecessor.
 func (m *Matcher) thin(points []geo.Point) []geo.Point {
 	if len(points) == 0 {
 		return nil
 	}
 	out := []geo.Point{points[0]}
 	for _, p := range points[1:] {
-		if p.Dist(out[len(out)-1]) >= m.cfg.MinSpacingM {
+		if p.Dist(out[len(out)-1]) >= minSpacingM {
 			out = append(out, p)
 		}
 	}

@@ -62,9 +62,6 @@ func BucketUpperBoundSeconds(i int) float64 {
 	return hi / 1e6
 }
 
-// NumBuckets is the fixed bucket count of every Histogram.
-func NumBuckets() int { return histBuckets }
-
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
 	us := uint64(d.Microseconds())

@@ -20,9 +20,10 @@ type Config struct {
 	// slow-query log as well (default 250ms; negative disables the
 	// slow log).
 	SlowThreshold time.Duration
-	// SlowRing is the slow-query log's capacity (default 64).
-	SlowRing int
 }
+
+// slowRing is the slow-query log's capacity.
+const slowRing = 64
 
 func (c Config) withDefaults() Config {
 	if c.Ring <= 0 {
@@ -30,9 +31,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SlowThreshold == 0 {
 		c.SlowThreshold = 250 * time.Millisecond
-	}
-	if c.SlowRing <= 0 {
-		c.SlowRing = 64
 	}
 	return c
 }
@@ -57,7 +55,7 @@ func NewTracer(cfg Config) *Tracer {
 	cfg = cfg.withDefaults()
 	t := &Tracer{cfg: cfg}
 	t.ring.buf = make([]*Trace, cfg.Ring)
-	t.slow.buf = make([]*Trace, cfg.SlowRing)
+	t.slow.buf = make([]*Trace, slowRing)
 	t.enabled.Store(true)
 	return t
 }
@@ -73,14 +71,6 @@ func (t *Tracer) SetEnabled(on bool) {
 
 // Enabled reports whether new requests are being traced.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// SlowThreshold returns the slow-query threshold (0 on a nil tracer).
-func (t *Tracer) SlowThreshold() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.cfg.SlowThreshold
-}
 
 // StartRequest opens a root span for one request and returns a context
 // carrying it; every StartSpan under that context nests. id is the

@@ -9,7 +9,7 @@
 // the coordinate-descent Learner that extracts one representative
 // preference per T-edge (or per region) from its associated path set,
 // reporting a training Similarity that downstream stages use as a
-// confidence gate (core.Options.MinConfidence) before applying a
+// confidence gate (0.7, core's minConfidence) before applying a
 // preference at query time or trusting it as a transfer label
 // (internal/transfer).
 //

@@ -36,10 +36,9 @@ type durability struct {
 	tornTail                bool
 	recoveredSeq            uint64
 
-	// replayed retains the batches start-up recovery replayed until the
-	// first TakeRecoveredBatches call hands them over (writeMu; written
-	// once before the engine is returned).
-	replayed []wal.Batch
+	// unclaimedTrajs is replayedTrajs until TakeRecoveredEvidence hands
+	// it over, then 0 (writeMu).
+	unclaimedTrajs int
 }
 
 // NewDurableEngine wraps a built router for serving with durable
@@ -110,6 +109,7 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 	d.log = log
 	d.replayedRecords = ri.Records
 	d.replayedTrajs = ri.Trajectories
+	d.unclaimedTrajs = ri.Trajectories
 	d.tornTail = ri.Torn
 	d.recoveredSeq = ri.NextSeq
 	d.walSeq.Store(ri.NextSeq)
@@ -129,9 +129,6 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 			}
 		}
 	}
-	// Retained for TakeRecoveredBatches: the maintenance accumulator
-	// re-seeds from them.
-	d.replayed = batches
 	e := newEngine(base, opt)
 	e.dur = d
 	// Keep NextTrajectoryID unique across restarts: IDs handed out by
@@ -145,22 +142,23 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 // write-ahead log.
 func (e *Engine) Durable() bool { return e.dur != nil }
 
-// TakeRecoveredBatches returns the ingest batches start-up recovery
-// replayed from the write-ahead log, handing them over exactly once
-// (a second call — or any call on a non-durable or replay-free engine —
-// returns nil). The batches in the log are exactly the evidence
+// TakeRecoveredEvidence returns how many trajectories start-up
+// recovery replayed from the write-ahead log, handing the count over
+// exactly once (a second call — or any call on a non-durable or
+// replay-free engine — returns 0). The log holds exactly the evidence
 // ingested since the last checkpoint, so internal/maint seeds its
 // accumulator from here: a crash never silently forgets evidence that
-// had not yet counted toward a rebuild trigger.
-func (e *Engine) TakeRecoveredBatches() []wal.Batch {
+// had not yet counted toward a rebuild trigger. The batches themselves
+// are not kept: the replay folded them into the served router.
+func (e *Engine) TakeRecoveredEvidence() int {
 	if e.dur == nil {
-		return nil
+		return 0
 	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	b := e.dur.replayed
-	e.dur.replayed = nil
-	return b
+	n := e.dur.unclaimedTrajs
+	e.dur.unclaimedTrajs = 0
+	return n
 }
 
 // Checkpoint synchronously persists the currently served router as the

@@ -10,12 +10,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/geo"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 	"repro/internal/wal"
@@ -132,6 +135,50 @@ func TestDurableEngineRecoversAfterCrash(t *testing.T) {
 	if id := e2.NextTrajectoryID(); id < len(live) {
 		t.Fatalf("NextTrajectoryID = %d, collides with replayed IDs (< %d)", id, len(live))
 	}
+}
+
+// TestRecoveryKeepsNoReplayedBatches: the WAL tail a restart replays
+// is folded into the served router and then dropped — with no
+// maintainer attached to claim the evidence count, too. The tail's
+// trajectories carry ~19 MB of GPS records (streamed trips keep them);
+// the live heap must not grow by anything near that once the recovered
+// engine stands.
+func TestRecoveryKeepsNoReplayedBatches(t *testing.T) {
+	base, live := buildServeWorld(t, 14, 300)
+	dir := t.TempDir()
+	const trips, recordsPerTrip = 32, 25_000
+	tailBytes := uint64(trips * recordsPerTrip * int(unsafe.Sizeof(traj.GPS{})))
+	func() {
+		e1 := mustDurable(t, base.IngestClone(), Options{WALDir: dir, CheckpointEvery: -1})
+		for _, b := range matchedBatches(live[:trips], 4) {
+			for _, tr := range b {
+				tr.Records = make([]traj.GPS, recordsPerTrip)
+				for i := range tr.Records {
+					tr.Records[i] = traj.GPS{T: float64(i), P: geo.Pt(float64(i), 1)}
+				}
+			}
+			e1.IngestMatched(b)
+		}
+		if err := e1.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e2 := mustDurable(t, base.IngestClone(), Options{WALDir: dir, CheckpointEvery: -1})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	defer e2.Close()
+	if d := e2.Stats().Durability; d.ReplayedTrajectories != trips {
+		t.Fatalf("replayed %d trajectories, want %d", d.ReplayedTrajectories, trips)
+	}
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if grown > int64(tailBytes/4) {
+		t.Fatalf("the live heap grew by %d bytes over recovery, the replayed tail's records are %d: the engine kept them", grown, tailBytes)
+	}
+	t.Logf("live heap grew by %d bytes over recovering a %d-byte tail", grown, tailBytes)
 }
 
 // TestDurableEngineCheckpointPlusTail: with automatic checkpoints the

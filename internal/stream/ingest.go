@@ -224,9 +224,6 @@ func (ing *Ingestor) Close() {
 	})
 }
 
-// Sessionizer exposes the embedded sessionization stage.
-func (ing *Ingestor) Sessionizer() *Sessionizer { return ing.sz }
-
 // StreamStats reports the pipeline's health: sessionization counters
 // plus the batch queue and flush amortization.
 func (ing *Ingestor) StreamStats() serve.StreamStats {

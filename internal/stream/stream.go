@@ -68,7 +68,8 @@ type Config struct {
 	// more than this many seconds apart (default 300).
 	GapS float64
 
-	// Match configures the windowed online map matcher.
+	// Match configures the windowed online map matcher: its GPS noise
+	// (SigmaM); the matcher's other settings are constants.
 	Match mapmatch.Config
 
 	// MaxBatch flushes the closed-trajectory queue into the engine

@@ -2,7 +2,6 @@ package traj
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geo"
 	"repro/internal/roadnet"
@@ -137,24 +136,4 @@ func MeanDistanceKm(g *roadnet.Graph, ts []*Trajectory) float64 {
 		s += t.Truth.Length(g)
 	}
 	return s / float64(len(ts)) / 1000
-}
-
-// clampInt bounds v into [lo, hi].
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// mathMod keeps a float in [0, m).
-func mathMod(v, m float64) float64 {
-	r := math.Mod(v, m)
-	if r < 0 {
-		r += m
-	}
-	return r
 }

@@ -9,11 +9,12 @@ import (
 )
 
 // TestOptionsCensus pins the settable values of the option structs a
-// deployment configures: the engine's, the build's and ingest's, and
-// the three attachments'. A field that every caller leaves at
+// deployment configures: the engine's, the build's and ingest's, the
+// three attachments', the stream's matcher's and the tracer's. A field that every caller leaves at
 // its default is a branch nobody runs, so the list changes only when a
 // new option has two non-test callers that want different values.
 func TestOptionsCensus(t *testing.T) {
+	match, _ := reflect.TypeFor[l2r.StreamConfig]().FieldByName("Match")
 	for _, c := range []struct {
 		typ  reflect.Type
 		want []string
@@ -22,17 +23,18 @@ func TestOptionsCensus(t *testing.T) {
 			"CacheSize", "PathBackend", "WALDir", "CheckpointEvery", "WALSync", "Tracer",
 		}},
 		{reflect.TypeFor[l2r.Options](), []string{
-			"Cluster", "Region", "Transfer", "MapMatch", "SkipMapMatching",
-			"LearnMaxPaths", "Workers", "IndexCellM", "MinConfidence", "PathBackend",
+			"Region", "SkipMapMatching", "LearnMaxPaths", "Workers", "PathBackend",
 		}},
 		{reflect.TypeFor[l2r.IngestOptions](), []string{"SkipMapMatching"}},
 		{reflect.TypeFor[l2r.StreamConfig](), []string{
 			"GapS", "Match", "MaxBatch", "FlushAge", "OnTrajectory",
 		}},
+		{match.Type, []string{"SigmaM"}},
 		{reflect.TypeFor[l2r.QualityConfig](), []string{"SampleRate", "Ring", "Queue", "MaxPerSec"}},
 		{reflect.TypeFor[l2r.MaintConfig](), []string{
 			"DriftTV", "MinEvidence", "Interval", "CheckEvery", "Core",
 		}},
+		{reflect.TypeFor[l2r.TraceConfig](), []string{"Ring", "SlowThreshold"}},
 	} {
 		var got []string
 		for i := range c.typ.NumField() {

@@ -326,7 +326,7 @@ func ReplayStream(ctx context.Context, ing *StreamIngestor, pts []StreamPoint, r
 type (
 	// Tracer records request traces and per-stage histograms.
 	Tracer = obs.Tracer
-	// TraceConfig tunes a Tracer (ring sizes, slow-query threshold).
+	// TraceConfig tunes a Tracer (trace ring size, slow-query threshold).
 	TraceConfig = obs.Config
 	// Trace is one completed request trace (the /debug/trace unit).
 	Trace = obs.Trace
