@@ -106,7 +106,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -223,7 +222,7 @@ func main() {
 	log.Printf("path engine: customizable contraction hierarchy (%d shortcuts, contracted in %s; elimination tree height %d, %.0f up-arcs per climb; %d metrics customized in %s)",
 		st.CHShortcuts, st.CHBuildTime.Round(time.Millisecond), height, arcs,
 		st.CHMetrics, st.CHCustomizeTime.Round(time.Microsecond))
-	ing, stopAttached := att.attach(engine)
+	ing := att.attach(engine)
 	att.announce("")
 	var background func(context.Context)
 	if ing != nil {
@@ -247,19 +246,7 @@ func main() {
 	startDebugListener(*debugAddr, api)
 	log.Printf("serving on %s (cache %d entries, tracing %v)", *addr, *cacheSize, tracer.Enabled())
 	serveAndDrain(*addr, l2r.AccessLog(logger, api), *drain, background)
-	// Attachments stop before the checkpoint, so the stream pipeline's
-	// final flush is inside it.
-	stopAttached()
-	if engine.Durable() {
-		// A planned shutdown checkpoints so the next start replays
-		// nothing; a crash skips this and replays the WAL instead.
-		if err := engine.Checkpoint(); err != nil {
-			log.Printf("final checkpoint: %v", err)
-		} else {
-			log.Printf("final checkpoint written; restart will be replay-free")
-		}
-		engine.Close()
-	}
+	shutdown("", engine)
 	final := engine.Stats()
 	log.Printf("served %d queries (%.1f qps, cache hit rate %.1f%%, %d coalesced, generation %d, %d ingests)",
 		final.Queries, final.QPS, 100*final.CacheHitRate, final.CoalescedQueries,
@@ -314,25 +301,35 @@ type attachments struct {
 
 // attach wires them onto one engine — the single tenant's, or through
 // Fleet.Attach each of a fleet's — and returns the stream pipeline (nil
-// when off; the replay modes feed it) and a function stopping what was
-// attached, the pipeline first so its final flush still reaches the
-// observers.
-func (a attachments) attach(e *l2r.Engine) (ing *l2r.StreamIngestor, stop func()) {
-	var stops []func()
+// when off; the replay modes feed it). The engine stops them on its way
+// down, last attached first: the pipeline, so its final flush still
+// reaches the observers.
+func (a attachments) attach(e *l2r.Engine) (ing *l2r.StreamIngestor) {
 	if a.quality != nil {
-		stops = append(stops, l2r.AttachQuality(e, *a.quality).Close)
+		l2r.AttachQuality(e, *a.quality)
 	}
 	if a.maint != nil {
-		stops = append(stops, l2r.AttachMaint(e, *a.maint).Close)
+		l2r.AttachMaint(e, *a.maint)
 	}
 	if a.stream != nil {
 		ing = l2r.AttachStream(e, *a.stream)
-		stops = append(stops, ing.Close)
 	}
-	return ing, func() {
-		for i := len(stops) - 1; i >= 0; i-- {
-			stops[i]()
-		}
+	return ing
+}
+
+// shutdown takes one engine down the planned way and logs how it went:
+// Engine.Shutdown stops its attachments — the stream pipeline's final
+// flush is journaled — then a durable engine checkpoints, so the next
+// start replays nothing (a crash skips this and replays the WAL
+// instead), and releases its log. label prefixes the lines (a fleet
+// tenant's name).
+func shutdown(label string, e *l2r.Engine) {
+	err := e.Shutdown()
+	switch {
+	case err != nil:
+		log.Printf("%sfinal checkpoint: %v", label, err)
+	case e.Durable():
+		log.Printf("%sfinal checkpoint written; restart will be replay-free", label)
 	}
 }
 
@@ -356,23 +353,10 @@ func (a attachments) announce(prefix string) {
 // serveFleet runs the multi-tenant mode: every *.l2r in dir is a
 // tenant, hot-reloaded on change while the fleet serves. Every tenant —
 // including ones hot-loaded later — gets its own attachments behind
-// /t/{tenant}/, and the fleet stops them with the tenant.
+// /t/{tenant}/, and its engine stops them with itself.
 func serveFleet(addr, debugAddr, dir string, reload, drain time.Duration, opt l2r.ServeOptions, att attachments, logger *slog.Logger) {
 	fleet := l2r.NewFleet(opt)
-	// The stop functions are kept to run before the final checkpoints;
-	// the fleet runs them again on Close, which is harmless — every
-	// attachment's Close is idempotent.
-	var (
-		stopsMu sync.Mutex
-		stops   []func()
-	)
-	fleet.Attach(func(_ string, e *l2r.Engine) func() {
-		_, stop := att.attach(e)
-		stopsMu.Lock()
-		stops = append(stops, stop)
-		stopsMu.Unlock()
-		return stop
-	})
+	fleet.Attach(func(_ string, e *l2r.Engine) { att.attach(e) })
 	att.announce("/t/{tenant}")
 	watcher := l2r.NewFleetWatcher(fleet, dir)
 	watcher.Logf = log.Printf
@@ -398,23 +382,10 @@ func serveFleet(addr, debugAddr, dir string, reload, drain time.Duration, opt l2
 	serveAndDrain(addr, l2r.AccessLog(logger, api), drain, func(ctx context.Context) {
 		watcher.Watch(ctx, reload)
 	})
-	// Attachments stop before the checkpoints, as in single-tenant mode,
-	// so the stream pipelines' final flushes are inside them.
-	stopsMu.Lock()
-	stopping := stops
-	stopsMu.Unlock()
-	for _, stop := range stopping {
-		stop()
-	}
-	if opt.WALDir != "" {
-		for _, name := range fleet.Names() {
-			if e, ok := fleet.Get(name); ok && e.Durable() {
-				if err := e.Checkpoint(); err != nil {
-					log.Printf("tenant %q final checkpoint: %v", name, err)
-				}
-			}
+	for _, name := range fleet.Names() {
+		if e, ok := fleet.Get(name); ok {
+			shutdown(fmt.Sprintf("tenant %q: ", name), e)
 		}
-		log.Printf("final checkpoints written; restart will be replay-free")
 	}
 	final := fleet.Stats()
 	fleet.Close()

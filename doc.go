@@ -50,9 +50,9 @@
 //	curl localhost:8080/stats
 //
 // Streaming ingestion, the quality observer and background maintenance
-// ride on an engine through one seam (serve.Engine.Attach; for every
-// tenant of a fleet, Fleet.Attach, which also stops them when the
-// tenant leaves). See examples/fleet for the full walkthrough.
+// ride on an engine through one seam (serve.Engine.Attach, and the
+// engine's Close stops them; for every tenant of a fleet,
+// Fleet.Attach). See examples/fleet for the full walkthrough.
 //
 // # Architecture: the PathEngine seam
 //

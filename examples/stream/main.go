@@ -54,7 +54,7 @@ func main() {
 			audit.Store(vehicle, t.Matched)
 		},
 	})
-	defer ing.Close()
+	defer engine.Close() // stops the pipeline, final flush included
 
 	// Concurrent traffic: queries keep flowing while the feed streams.
 	stop := make(chan struct{})

@@ -23,9 +23,9 @@
 //     hybrid — and the WAL-seeded evidence count re-arms the triggers.
 //
 // Attach wires a maintainer onto one engine (Maintainer implements
-// serve.Attachment); for every tenant of a serve.Fleet, call Attach
-// from a Fleet.Attach function and return the maintainer's Close, which
-// the fleet runs when the tenant leaves. Stats surface through
+// serve.Attachment, and the engine's Close stops it); for every tenant
+// of a serve.Fleet, call Attach from a Fleet.Attach function, and the
+// tenant's engine stops it when the tenant leaves. Stats surface through
 // Stats().Maintenance, the l2r_maint_* Prometheus family and
 // GET /debug/maint.
 package maint

@@ -126,8 +126,9 @@ type Maintainer struct {
 // durable engine the accumulator is seeded with the trajectories
 // start-up recovery replayed — evidence that was ingested but had not yet
 // counted toward a rebuild when the previous process died, so a crash
-// re-arms the triggers instead of silently forgetting it. Call Close
-// at shutdown to stop the loop.
+// re-arms the triggers instead of silently forgetting it. The engine's
+// Close (or Shutdown) stops the loop; calling the maintainer's own
+// Close first is harmless.
 func Attach(e *serve.Engine, cfg Config) *Maintainer {
 	cfg = cfg.withDefaults()
 	m := &Maintainer{

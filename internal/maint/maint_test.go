@@ -722,19 +722,17 @@ func TestMaintFleetAttach(t *testing.T) {
 	fleet := serve.NewFleet(serve.Options{CacheSize: -1})
 	defer fleet.Close()
 	var order []string // appended under the fleet's registry lock
-	fleet.Attach(func(name string, _ *serve.Engine) func() {
+	fleet.Attach(func(name string, _ *serve.Engine) {
 		order = append(order, "hook:"+name)
-		return nil
 	})
 	if _, err := fleet.Add("acity", buildFor(83)); err != nil {
 		t.Fatal(err)
 	}
 
 	ms := make(map[string]*Maintainer)
-	fleet.Attach(func(name string, e *serve.Engine) func() {
+	fleet.Attach(func(name string, e *serve.Engine) {
 		order = append(order, "maint:"+name)
 		ms[name] = Attach(e, Config{CheckEvery: time.Hour, Core: coreOpt})
-		return ms[name].Close
 	})
 	if ms["acity"] == nil {
 		t.Fatal("existing tenant did not get a maintainer")
@@ -764,11 +762,22 @@ func TestMaintFleetAttach(t *testing.T) {
 	}
 }
 
+// countedClose is an attachment whose Close is counted before it
+// reaches the attachment it wraps. Attached on the wrapped one's
+// endpoint it replaces it, so the engine stops it through the wrapper.
+type countedClose struct {
+	serve.Attachment
+	n *atomic.Int32
+}
+
+func (c countedClose) Close() { c.n.Add(1); c.Attachment.Close() }
+
 // TestFleetRemoveReleasesTenant: the fleet owns what rides on its
-// tenants. Remove stops the tenant's attachments — the stream
-// pipeline's flusher and the maintainer's trigger loop exit — and then
-// closes its engine, so the write-ahead log refuses further appends;
-// each stop function runs exactly once, Close after Remove included.
+// tenants. Remove closes the tenant's engine, which stops its
+// attachments — the stream pipeline's flusher and the maintainer's
+// trigger loop exit — and then releases the write-ahead log, which
+// refuses further appends; each attachment is stopped exactly once,
+// Close after Remove included.
 func TestFleetRemoveReleasesTenant(t *testing.T) {
 	road, ts := maintWorld(t, 97, 300)
 	cut := len(ts) * 6 / 10
@@ -781,13 +790,12 @@ func TestFleetRemoveReleasesTenant(t *testing.T) {
 	fleet := serve.NewFleet(serve.Options{WALDir: t.TempDir(), CheckpointEvery: -1, CacheSize: -1})
 	var streamStops, maintStops atomic.Int32
 	var m *Maintainer
-	fleet.Attach(func(_ string, e *serve.Engine) func() {
-		ing := stream.Attach(e, stream.Config{})
-		return func() { streamStops.Add(1); ing.Close() }
+	fleet.Attach(func(_ string, e *serve.Engine) {
+		e.Attach(countedClose{stream.Attach(e, stream.Config{}), &streamStops})
 	})
-	fleet.Attach(func(_ string, e *serve.Engine) func() {
+	fleet.Attach(func(_ string, e *serve.Engine) {
 		m = Attach(e, Config{CheckEvery: time.Hour, Core: coreOpt})
-		return func() { maintStops.Add(1); m.Close() }
+		e.Attach(countedClose{m, &maintStops})
 	})
 	e, err := fleet.Add("city", base)
 	if err != nil {
@@ -803,7 +811,7 @@ func TestFleetRemoveReleasesTenant(t *testing.T) {
 		t.Fatal("Remove did not find the tenant")
 	}
 	if s, mt := streamStops.Load(), maintStops.Load(); s != 1 || mt != 1 {
-		t.Fatalf("Remove ran the stream stop %d and the maintainer stop %d times, want once each", s, mt)
+		t.Fatalf("Remove stopped the stream pipeline %d and the maintainer %d times, want once each", s, mt)
 	}
 	select {
 	case <-m.done:

@@ -3,8 +3,8 @@
 // tables, running continuously against live traffic.
 //
 // The observer attaches to a serve.Engine (Attach; Observer implements
-// serve.Attachment. For every tenant of a fleet, call Attach from a
-// serve.Fleet.Attach function and return the observer's Close) and
+// serve.Attachment, and the engine's Close stops it. For every tenant
+// of a fleet, call Attach from a serve.Fleet.Attach function) and
 // works three angles:
 //
 //   - Shadow scoring. Every ingested trajectory is a labeled example:

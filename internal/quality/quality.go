@@ -150,8 +150,9 @@ type Observer struct {
 // path offers it every ingested batch, Stats()/metrics gain the
 // Quality section and the l2r_quality_*/l2r_drift_* families, and
 // GET /debug/quality serves the worst-route exemplars. The drift
-// baseline is captured from the engine's current snapshot. Call Close
-// at shutdown to stop the background scorer.
+// baseline is captured from the engine's current snapshot. The
+// engine's Close (or Shutdown) stops the background scorer; calling the
+// observer's own Close first is harmless.
 func Attach(e *serve.Engine, cfg Config) *Observer {
 	cfg = cfg.withDefaults()
 	o := &Observer{

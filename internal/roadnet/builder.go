@@ -3,7 +3,6 @@ package roadnet
 import (
 	"fmt"
 
-	"repro/internal/fuel"
 	"repro/internal/geo"
 )
 
@@ -11,14 +10,13 @@ import (
 type Builder struct {
 	pts   []geo.Point
 	edges []Edge
-	fuel  fuel.Model
 	seen  map[[2]VertexID]struct{}
 }
 
-// NewBuilder returns an empty Builder using the default fuel model for FC
-// weights.
+// NewBuilder returns an empty Builder; FC weights come from the default
+// fuel model (fuel.go).
 func NewBuilder() *Builder {
-	return &Builder{fuel: fuel.Default(), seen: make(map[[2]VertexID]struct{})}
+	return &Builder{seen: make(map[[2]VertexID]struct{})}
 }
 
 // AddVertex appends a vertex at p and returns its ID.
@@ -56,7 +54,7 @@ func (b *Builder) AddEdgeSpeed(u, v VertexID, t RoadType, speedKmh float64) {
 		length = 1 // degenerate coincident vertices; keep weights positive
 	}
 	tt := length / (speedKmh / 3.6)
-	fc := b.fuel.EdgeLiters(length, speedKmh, t.ExpectedStops())
+	fc := defaultFuel.edgeLiters(length, speedKmh, t.ExpectedStops())
 	b.edges = append(b.edges, Edge{
 		From: u, To: v,
 		Length:     length,

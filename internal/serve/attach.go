@@ -30,6 +30,11 @@ type Attachment interface {
 	// Report fills the attachment's block of st (Stats.Stream, .Quality
 	// or .Maintenance), which /stats, /metrics and /debug/snapshot read.
 	Report(st *Stats)
+	// Close stops whatever the attachment runs in the background. The
+	// engine calls it once, from Engine.Close or Shutdown, before the
+	// write-ahead log is released, so a final flush through the engine
+	// is still journaled. Report must keep working afterwards.
+	Close()
 }
 
 // attached is one registered Attachment with its endpoint resolved.
@@ -39,10 +44,10 @@ type attached struct {
 	handler http.Handler
 }
 
-// Attach registers a on the engine, after those already there.
-// Attaching on an endpoint that has an attachment replaces it: the old
-// one is offered and told nothing further, and stopping it stays its
-// owner's business. Safe at any time, also after Handler() was built
+// Attach registers a on the engine, after those already there; the
+// engine closes it with itself. Attaching on an endpoint that has an
+// attachment replaces it: the old one is offered and told nothing
+// further, and stopping it stays its owner's business. Safe at any time, also after Handler() was built
 // and under traffic — the list is copy-on-write, and its readers (the
 // write path, Stats, the HTTP dispatch) take no lock.
 func (e *Engine) Attach(a Attachment) {

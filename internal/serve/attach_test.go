@@ -18,8 +18,9 @@ import (
 
 // fakeAttachment records what the engine tells it. log, when set, is
 // shared between attachments and receives "<name>:offer" /
-// "<name>:published" in call order — the engine calls both under
-// writeMu, so appends never race.
+// "<name>:published" / "<name>:close" in call order — the engine calls
+// the first two under writeMu and Close from the one goroutine closing
+// it, so appends never race.
 type fakeAttachment struct {
 	name, path string
 	report     func(*Stats)
@@ -28,6 +29,7 @@ type fakeAttachment struct {
 	mu        sync.Mutex
 	offered   int
 	published int
+	closed    int
 }
 
 func (f *fakeAttachment) Endpoint() (string, http.Handler) {
@@ -57,6 +59,15 @@ func (f *fakeAttachment) Published(*core.Router) {
 func (f *fakeAttachment) Report(st *Stats) {
 	if f.report != nil {
 		f.report(st)
+	}
+}
+
+func (f *fakeAttachment) Close() {
+	f.mu.Lock()
+	f.closed++
+	f.mu.Unlock()
+	if f.log != nil {
+		*f.log = append(*f.log, f.name+":close")
 	}
 }
 

@@ -43,23 +43,19 @@ func validRequestID(id string) bool {
 // incoming X-Request-ID, generating one otherwise), echoes it on the
 // response, and opens the request's root trace span. Telemetry
 // endpoints (/metrics, /debug/...) get IDs but no traces — scrapes
-// every few seconds would otherwise dominate the trace ring. When an
-// outer layer already opened a trace (the fleet wrapping a tenant
-// engine), the inner middleware is a pass-through: StartRequest
-// refuses to nest roots and the response header is stamped exactly
-// once.
+// every few seconds would otherwise dominate the trace ring. A fleet
+// mounts its tenants' bare APIs, so every request passes through it
+// exactly once.
 func withRequestTelemetry(t *obs.Tracer, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := firstValue(r.Header, requestIDHeader)
 		if !validRequestID(id) {
 			id = obs.NewRequestID()
-			// Stamp the request too, so nested handlers (a tenant
-			// engine under the fleet) observe the same ID.
+			// Stamp the request too, so the handlers below it (an
+			// attachment's endpoint) observe the same ID.
 			r.Header[requestIDHeader] = []string{id}
 		}
-		if h := w.Header(); firstValue(h, requestIDHeader) == "" {
-			h[requestIDHeader] = []string{id}
-		}
+		w.Header()[requestIDHeader] = []string{id}
 		if !t.Enabled() || telemetryPath(r.URL.Path) {
 			h.ServeHTTP(w, r)
 			return
@@ -67,20 +63,23 @@ func withRequestTelemetry(t *obs.Tracer, h http.Handler) http.Handler {
 		// The span name is built only here: without a tracer nothing
 		// would read it.
 		ctx, sp := t.StartRequest(r.Context(), r.Method+" "+r.URL.Path, id)
-		if sp == nil {
-			h.ServeHTTP(w, r)
-			return
-		}
 		defer sp.End()
 		h.ServeHTTP(w, r.WithContext(ctx))
 	})
 }
 
 // telemetryPath reports whether p serves telemetry itself and should
-// not be traced (matched by suffix/substring so tenant-prefixed forms
-// like /t/x/metrics qualify too).
+// not be traced: /metrics or a /debug/ path of the engine API, on its
+// own or under a fleet's /t/{tenant} prefix. The path below the tenant
+// decides, so a tenant named "debug" or "metrics" is traced like any
+// other.
 func telemetryPath(p string) bool {
-	return strings.HasSuffix(p, "/metrics") || strings.Contains(p, "/debug/")
+	if rest, ok := strings.CutPrefix(p, "/t/"); ok {
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
+			p = rest[i:]
+		}
+	}
+	return p == "/metrics" || strings.HasPrefix(p, "/debug/")
 }
 
 // traceHandler serves GET /debug/trace: the n most recent completed
@@ -141,8 +140,9 @@ func traceHandler(t *obs.Tracer) http.HandlerFunc {
 }
 
 // DebugSnapshot is a point-in-time view of the engine's live internals
-// for /debug/snapshot. Unlike Stats it never takes the write path's
-// lock, so it stays readable while a long ingest or rebuild holds it.
+// for /debug/snapshot. Like Stats it never takes the write path's lock,
+// so it stays readable while a long ingest or rebuild holds it; unlike
+// Stats it merges no latency histograms.
 type DebugSnapshot struct {
 	Durable    bool   `json:"durable"`
 	Tracing    bool   `json:"tracing"`

@@ -82,7 +82,11 @@
 // and is retried on the next scan instead of dethroning the serving
 // snapshot. A new tenant's engine — checkpoint decode, WAL replay and
 // all — is constructed outside the registry lock, so a hot-load stalls
-// nobody, and the tenant is listed only once it serves.
+// nobody, and the tenant is listed only once it serves. The fleet is
+// only a registry: each tenant's engine owns its lifecycle, and the
+// fleet mounts the engine's bare API under /t/{tenant} inside its own
+// request-ID and tracing middleware, so every request is stamped and
+// traced once, with its full path.
 //
 // # Attachments
 //
@@ -99,11 +103,17 @@
 // replaces; an endpoint nothing is attached at answers 404. The wire
 // types (StreamStats, QualityStats, MaintStats) stay in this package.
 //
+// The engine stops what rides on it. Engine.Close stops its
+// attachments, last attached first — a stream pipeline's final flush
+// still reaches the observers attached before it and the open
+// write-ahead log — then releases the log; it does not checkpoint.
+// Engine.Shutdown is the planned way down: the same, with a checkpoint
+// between the two, so the next start replays nothing. Both act once.
+//
 // Fleet.Attach registers a function the fleet runs for every tenant,
-// present and future, under the registry lock, and the fleet owns what
-// it returns: Remove and Close stop a tenant's attachments, last
-// attached first, then close its engine — once. A hot swap keeps the
-// engine and everything on it.
+// present and future, under the registry lock; Remove and Close close
+// the tenant's engine, which stops what the function attached. A hot
+// swap keeps the engine and everything on it.
 //
 // # Durability
 //

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -164,8 +165,8 @@ func (e *Engine) TakeRecoveredEvidence() int {
 // Checkpoint synchronously persists the currently served router as the
 // WAL directory's checkpoint (as a core artifact, save generation
 // advanced) and rotates the log. A no-op returning nil on a
-// non-durable engine. Call it before a planned shutdown to make the
-// next start replay-free.
+// non-durable engine. Shutdown checkpoints the same way on its way
+// down, so the next start is replay-free.
 func (e *Engine) Checkpoint() error {
 	if e.dur == nil {
 		return nil
@@ -175,17 +176,39 @@ func (e *Engine) Checkpoint() error {
 	return e.dur.checkpointLocked(e.snap.Load().base, e.trajSeq.Load())
 }
 
-// Close releases the engine's durability resources (the WAL file
-// handle). It does not checkpoint — appended records are already
-// durable and replay on the next start; call Checkpoint first for a
-// fast restart. A no-op on a non-durable engine.
-func (e *Engine) Close() error {
-	if e.dur == nil {
-		return nil
-	}
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	return e.dur.log.Close()
+// Close stops the engine's attachments, last attached first — a stream
+// pipeline's final flush still reaches the observers attached before it
+// and the open write-ahead log — and then releases the log. It does not
+// checkpoint: appended records are already durable and replay on the
+// next start; Shutdown checkpoints first. Only the first Close or
+// Shutdown does anything; later calls return nil. The engine still
+// answers queries afterwards, and an ingest still applies in memory but
+// is refused by the closed log (durable: false).
+func (e *Engine) Close() error { return e.release(false) }
+
+// Shutdown is the planned way down: Close with a checkpoint between
+// stopping the attachments and releasing the log, so the next start
+// replays nothing. On a non-durable engine it is Close.
+func (e *Engine) Shutdown() error { return e.release(true) }
+
+func (e *Engine) release(checkpoint bool) (err error) {
+	e.closeOnce.Do(func() {
+		// Outside writeMu: a stopping attachment may still ingest.
+		atts := *e.attachments.Load()
+		for i := len(atts) - 1; i >= 0; i-- {
+			atts[i].Close()
+		}
+		if e.dur == nil {
+			return
+		}
+		e.writeMu.Lock()
+		defer e.writeMu.Unlock()
+		if checkpoint {
+			err = e.dur.checkpointLocked(e.snap.Load().base, e.trajSeq.Load())
+		}
+		err = errors.Join(err, e.dur.log.Close())
+	})
+	return err
 }
 
 // append journals one batch ahead of its snapshot swap; writeMu held.

@@ -22,9 +22,9 @@ import (
 // its own route cache (which coalesces) and metrics; the fleet
 // aggregates them for operator-level stats.
 //
-// The fleet owns each tenant's engine and whatever its Attach functions
-// put on it: a tenant leaving the registry (Remove, Close) has both
-// released, once.
+// The fleet owns each tenant's engine: a tenant leaving the registry
+// (Remove, Close) has its engine closed, once, and the engine stops
+// whatever its Attach functions put on it.
 //
 // All methods are safe for concurrent use. Lookups on the query path
 // take a read lock only; tenant registration, removal and artifact
@@ -40,34 +40,20 @@ type Fleet struct {
 
 	mu      sync.RWMutex
 	tenants map[string]*tenant
-	attach  []func(name string, e *Engine) (stop func()) // Attach's functions, in registration order
+	attach  []func(name string, e *Engine) // Attach's functions, in registration order
 }
 
-// tenant pairs an engine with its HTTP handler — the engine's mux
-// pre-wrapped in the tenant's /t/{name} prefix strip — built once so
-// the per-request path is a map lookup plus ServeHTTP. stops holds what
-// the fleet's Attach functions returned for this engine (Fleet.mu).
+// tenant pairs an engine with its HTTP handler — the engine's bare API
+// (the fleet's middleware stamps and traces the request) behind the
+// tenant's /t/{name} prefix strip — built once so the per-request path
+// is a map lookup plus ServeHTTP.
 type tenant struct {
 	eng     *Engine
 	handler http.Handler
-	stops   []func()
 }
 
 func newTenant(name string, e *Engine) *tenant {
-	return &tenant{eng: e, handler: http.StripPrefix("/t/"+name, e.Handler())}
-}
-
-// close releases everything the tenant held: its attachments are
-// stopped, last attached first — a stream pipeline's final flush still
-// reaches an open write-ahead log — and then the engine is closed. The
-// caller has taken t out of the registry, so it runs once.
-func (t *tenant) close() error {
-	for i := len(t.stops) - 1; i >= 0; i-- {
-		if t.stops[i] != nil {
-			t.stops[i]()
-		}
-	}
-	return t.eng.Close()
+	return &tenant{eng: e, handler: http.StripPrefix("/t/"+name, e.api())}
 }
 
 // NewFleet creates an empty fleet. opt configures every engine the
@@ -107,18 +93,17 @@ func (f *Fleet) tenantOptions(name string) Options {
 // Attach runs fn for every tenant — those already registered, in name
 // order, and every one created later (Add, or Publish of a new name;
 // not a hot swap, which keeps the tenant's engine and whatever rides on
-// it) — and keeps the stop function fn returns (nil for none) to run
-// when the tenant leaves the registry. Several Attach functions run in
-// registration order. fn runs while the registry write lock is held, so
-// no request reaches a tenant before its attachments exist; it must not
-// call back into the Fleet.
-func (f *Fleet) Attach(fn func(name string, e *Engine) (stop func())) {
+// it). Several Attach functions run in registration order. What fn
+// attaches to the engine is stopped by the engine's Close when the
+// tenant leaves the registry. fn runs while the registry write lock is
+// held, so no request reaches a tenant before its attachments exist; it
+// must not call back into the Fleet.
+func (f *Fleet) Attach(fn func(name string, e *Engine)) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.attach = append(f.attach, fn)
 	for _, name := range slices.Sorted(maps.Keys(f.tenants)) {
-		t := f.tenants[name]
-		t.stops = append(t.stops, fn(name, t.eng))
+		fn(name, f.tenants[name].eng)
 	}
 }
 
@@ -155,11 +140,10 @@ func (f *Fleet) Add(name string, r *core.Router) (*Engine, error) {
 		e.Close()
 		return nil, fmt.Errorf("serve: tenant %q already exists", name)
 	}
-	t := newTenant(name, e)
 	for _, fn := range f.attach {
-		t.stops = append(t.stops, fn(name, e))
+		fn(name, e)
 	}
-	f.tenants[name] = t
+	f.tenants[name] = newTenant(name, e)
 	return e, nil
 }
 
@@ -198,8 +182,8 @@ func (f *Fleet) Publish(name string, r *core.Router) (uint64, error) {
 }
 
 // Remove drops a tenant from the registry, reporting whether it
-// existed, and releases what the tenant held: its attachments are
-// stopped, then its engine is closed. Queries already inside the engine
+// existed, and closes its engine, which stops the tenant's attachments
+// and then releases its write-ahead log. Queries already inside the engine
 // finish on the snapshot they loaded; an ingest already inside it
 // completes, because Engine.Close takes the write lock; a later ingest
 // through a retained *Engine still applies in memory but is refused by
@@ -211,7 +195,7 @@ func (f *Fleet) Remove(name string) bool {
 	f.mu.Unlock()
 	if ok {
 		// The close error concerns a WAL the tenant no longer uses.
-		_ = t.close()
+		_ = t.eng.Close()
 	}
 	return ok
 }
@@ -251,10 +235,10 @@ func (f *Fleet) Len() int {
 	return len(f.tenants)
 }
 
-// Close removes every tenant, as Remove does: attachments stopped, then
-// the engine's durability resources (WAL file handles) released. The
-// fleet is empty afterwards. It does not checkpoint — call each
-// engine's Checkpoint first for replay-free restarts.
+// Close removes every tenant, as Remove does: each engine is closed,
+// its attachments stopped and then its WAL file handles released. The
+// fleet is empty afterwards. It does not checkpoint — shut each engine
+// down first (Engine.Shutdown) for replay-free restarts.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
 	tenants := f.tenants
@@ -262,7 +246,7 @@ func (f *Fleet) Close() error {
 	f.mu.Unlock()
 	var first error
 	for _, t := range tenants {
-		if err := t.close(); err != nil && first == nil {
+		if err := t.eng.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

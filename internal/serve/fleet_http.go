@@ -43,10 +43,11 @@ type TenantInfo struct {
 //	GET  /debug/quality    per-tenant model-quality stats (tenant detail
 //	                       incl. exemplars at /t/{tenant}/debug/quality)
 //
-// Requests for tenants not in the registry return 404. With a tracer
-// configured (Options.Tracer — shared by every tenant engine), the
-// fleet middleware assigns request IDs and opens each request's root
-// trace; the nested tenant handlers add their stages under it.
+// Requests for tenants not in the registry return 404. The fleet's
+// middleware assigns every request its ID and, with a tracer configured
+// (Options.Tracer — shared by every tenant engine), opens its root
+// trace; a tenant's engine API is mounted without a middleware of its
+// own and adds its stages under that root.
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/t/", f.handleTenant)

@@ -369,12 +369,11 @@ func TestFleetOnCreate(t *testing.T) {
 	base, _ := sharedWorld(t)
 	f := NewFleet(Options{})
 	var created []string
-	f.Attach(func(name string, e *Engine) func() {
+	f.Attach(func(name string, e *Engine) {
 		if e == nil {
 			t.Errorf("Attach function for %q got nil engine", name)
 		}
 		created = append(created, name)
-		return nil
 	})
 	if _, err := f.Add("a", base.IngestClone()); err != nil {
 		t.Fatal(err)
@@ -408,9 +407,8 @@ func TestFleetPublishNewTenantDoesNotBlockLookups(t *testing.T) {
 	f := NewFleet(Options{WALDir: walRoot, recoverHold: hold})
 	defer f.Close()
 	attached := map[string]int{} // written under the registry lock
-	f.Attach(func(name string, _ *Engine) func() {
+	f.Attach(func(name string, _ *Engine) {
 		attached[name]++
-		return nil
 	})
 
 	addDone := make(chan error, 1)

@@ -75,7 +75,12 @@ type ingestReply struct {
 // A durable engine has replayed its write-ahead log before
 // NewDurableEngine returns, so every endpoint answers from the moment
 // the handler exists.
-func (e *Engine) Handler() http.Handler {
+func (e *Engine) Handler() http.Handler { return withRequestTelemetry(e.trc, e.api()) }
+
+// api is the engine's HTTP API without the request-ID and tracing
+// middleware: the mux behind the body limit. Handler wraps it; a fleet
+// mounts it under /t/{name}, inside its own middleware.
+func (e *Engine) api() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/route", Method(http.MethodGet, e.handleRoute))
 	mux.HandleFunc("/route/alternatives", Method(http.MethodGet, e.handleAlternatives))
@@ -86,12 +91,12 @@ func (e *Engine) Handler() http.Handler {
 	mux.HandleFunc("/debug/trace", Method(http.MethodGet, traceHandler(e.trc)))
 	mux.HandleFunc("/debug/snapshot", Method(http.MethodGet, e.handleDebugSnapshot))
 	mux.HandleFunc("/", e.handleAttached)
-	return withRequestTelemetry(e.trc, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Body != nil && r.Body != http.NoBody {
 			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		}
 		mux.ServeHTTP(w, r)
-	}))
+	})
 }
 
 // Method guards h: a request with any other method is answered 405

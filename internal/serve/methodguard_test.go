@@ -31,14 +31,15 @@ func TestMethodGuardTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attach := func(_ string, e *serve.Engine) func() {
-		s, q, m := stream.Attach(e, stream.Config{}), quality.Attach(e, quality.Config{}), maint.Attach(e, maint.Config{})
-		return func() { s.Close(); q.Close(); m.Close() }
+	attach := func(_ string, e *serve.Engine) {
+		stream.Attach(e, stream.Config{})
+		quality.Attach(e, quality.Config{})
+		maint.Attach(e, maint.Config{})
 	}
 
 	e := serve.NewEngine(r.IngestClone(), serve.Options{})
 	defer e.Close()
-	defer attach("", e)()
+	attach("", e)
 	f := serve.NewFleet(serve.Options{})
 	defer f.Close()
 	f.Attach(attach)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -227,34 +226,38 @@ type Stats struct {
 	Durability *DurabilityStats `json:"durability,omitempty"`
 }
 
-// Stats gathers a consistent-enough snapshot of the engine's counters.
+// Stats gathers a snapshot of the engine's counters. The generation and
+// the write path's books come from one snapshot load, so they always
+// agree: Ingests is the ingest swaps that generation's lineage made.
 func (e *Engine) Stats() Stats {
 	now := time.Now()
+	snap := e.snap.Load()
+	bk := &snap.books
 	all := e.met.overall()
 	st := Stats{
 		Uptime:               now.Sub(e.start),
 		Queries:              all.Count(),
 		RouteComputations:    e.computes.Load(),
 		CoalescedQueries:     e.coalesced.Load(),
-		SnapshotGeneration:   e.Generation(),
-		Ingests:              e.ingests.Load(),
-		IngestedTrajectories: e.ingestedTrajs.Load(),
-		LearnSearches: pref.SearchStats{
-			Run:       int(e.learnRun.Load()),
-			Reused:    int(e.learnReused.Load()),
-			Bounded:   int(e.learnBounded.Load()),
-			Memo:      int(e.learnMemo.Load()),
-			Hierarchy: int(e.learnHierarchy.Load()),
-		},
-		IngestLag:     time.Duration(e.lastIngestNs.Load()),
-		CustomizeLag:  time.Duration(e.lastCustomizeNs.Load()),
-		SwapLag:       time.Duration(e.lastSwapNs.Load()),
-		SinceLastSwap: now.Sub(time.Unix(0, e.lastSwapUnix.Load())),
-		Latency:       latencyStats(all),
-		PerCategory:   make(map[string]LatencyStats, numCategories),
+		SnapshotGeneration:   snap.gen,
+		Ingests:              bk.ingests,
+		IngestedTrajectories: bk.ingestedTrajs,
+		LearnSearches:        bk.learn,
+		IngestLag:            bk.ingestLag,
+		CustomizeLag:         bk.customizeLag,
+		SwapLag:              bk.swapLag,
+		SinceLastSwap:        now.Sub(bk.lastSwap),
+		LastStalenessRatio:   bk.lastStaleness,
+		OutOfRegionVertices:  bk.oorVertices,
+		IngestedVertices:     bk.vertices,
+		Latency:              latencyStats(all),
+		PerCategory:          make(map[string]LatencyStats, numCategories),
 	}
 	if st.Uptime > 0 {
 		st.QPS = float64(st.Queries) / st.Uptime.Seconds()
+	}
+	if st.IngestedVertices > 0 {
+		st.StalenessRatio = float64(st.OutOfRegionVertices) / float64(st.IngestedVertices)
 	}
 	if e.cache != nil {
 		st.CacheHits, st.CacheMisses = e.cache.counts()
@@ -269,12 +272,6 @@ func (e *Engine) Stats() Stats {
 		}
 	}
 	e.reportAttached(&st)
-	st.LastStalenessRatio = math.Float64frombits(e.lastStaleness.Load())
-	st.OutOfRegionVertices = e.oorVertices.Load()
-	st.IngestedVertices = e.ingVertices.Load()
-	if st.IngestedVertices > 0 {
-		st.StalenessRatio = float64(st.OutOfRegionVertices) / float64(st.IngestedVertices)
-	}
 	if e.dur != nil {
 		ds := e.dur.stats()
 		st.Durability = &ds

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -241,5 +242,49 @@ func TestLearnSearchLedgerSurfaced(t *testing.T) {
 		if got, ok := samples[series]; !ok || got != float64(n) {
 			t.Fatalf("%s = %v (present %v), want %d", series, got, ok, n)
 		}
+	}
+}
+
+// TestStatsAgreeWithGeneration: the write path's books ride in the
+// snapshot each swap publishes, so Stats read beside a stream of
+// ingests never reports a generation without the ingest that made it,
+// nor an ingest whose generation it does not report.
+func TestStatsAgreeWithGeneration(t *testing.T) {
+	base, fresh := sharedWorld(t)
+	e := NewEngine(base.Clone(), Options{})
+	batches := matchedBatches(fresh, 1)
+	const ingests = 200
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads, disagree atomic.Int64
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				st := e.Stats()
+				reads.Add(1)
+				if st.Ingests != st.SnapshotGeneration-1 {
+					disagree.Add(1)
+				}
+			}
+		}()
+	}
+	for i := 0; i < ingests; i++ {
+		e.IngestMatched(batches[i%len(batches)])
+	}
+	close(done)
+	wg.Wait()
+	if n := disagree.Load(); n > 0 {
+		t.Fatalf("%d of %d concurrent Stats reads had Ingests != SnapshotGeneration-1", n, reads.Load())
+	}
+	if st := e.Stats(); st.Ingests != ingests || st.SnapshotGeneration != ingests+1 || st.IngestedTrajectories != ingests {
+		t.Fatalf("after %d ingests: %d ingests of %d trajectories at generation %d", ingests, st.Ingests, st.IngestedTrajectories, st.SnapshotGeneration)
 	}
 }

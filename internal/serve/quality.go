@@ -107,13 +107,7 @@ func (e *Engine) ShadowRoute(ctx context.Context, s, d roadnet.VertexID) (core.R
 // LastIngestAt returns the wall time of the last trajectory fold-in
 // (zero time when nothing has been ingested since start) — the
 // "evidence age" staleness gauge reads from here.
-func (e *Engine) LastIngestAt() time.Time {
-	ns := e.lastIngestUnix.Load()
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns)
-}
+func (e *Engine) LastIngestAt() time.Time { return e.snap.Load().books.lastIngest }
 
 // CacheGenerationLag reports how many generations the oldest live
 // route-cache entry trails the current snapshot (0 when caching is
@@ -122,9 +116,5 @@ func (e *Engine) CacheGenerationLag() uint64 {
 	if e.cache == nil {
 		return 0
 	}
-	snap := e.snap.Load()
-	if snap == nil {
-		return 0
-	}
-	return e.cache.generationLag(snap.gen)
+	return e.cache.generationLag(e.snap.Load().gen)
 }

@@ -40,7 +40,7 @@ func TestRequestIDOneSpelling(t *testing.T) {
 	t.Cleanup(engineSrv.Close)
 
 	f := NewFleet(Options{Tracer: tr})
-	f.Attach(func(_ string, te *Engine) func() { te.Attach(&idProbe{}); return nil })
+	f.Attach(func(_ string, te *Engine) { te.Attach(&idProbe{}) })
 	if _, err := f.Add("acity", base.Clone()); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/ch"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/pref"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 	"repro/internal/wal"
@@ -101,13 +101,31 @@ func (o Options) withDefaults() Options {
 // entry costs a struct and only entries that actually serve traffic
 // (and only the search kinds they serve) pay for arrays.
 type snapshot struct {
-	base *core.Router
-	gen  uint64
-	pool sync.Pool
+	base  *core.Router
+	gen   uint64
+	books books
+	pool  sync.Pool
 }
 
-func newSnapshot(base *core.Router, gen uint64) *snapshot {
-	s := &snapshot{base: base, gen: gen}
+// books are the write path's accounts as of one generation. Every swap
+// copies its predecessor's and extends them, so a reader that loads one
+// snapshot sees a generation together with the ingests that made it.
+type books struct {
+	ingests       uint64
+	ingestedTrajs uint64
+	learn         pref.SearchStats // relearn searches, cumulative over ingests
+	oorVertices   uint64           // cumulative out-of-region vertices ingested
+	vertices      uint64           // cumulative path vertices ingested
+	lastStaleness float64          // the last batch's staleness ratio
+	lastIngest    time.Time        // the last trajectory fold-in (zero before any)
+	lastSwap      time.Time        // the last snapshot swap
+	ingestLag     time.Duration    // wall time of the last copy-on-write ingest
+	customizeLag  time.Duration    // CH re-customization time within it
+	swapLag       time.Duration    // its clone+customize+publish (serving swap) time
+}
+
+func newSnapshot(base *core.Router, gen uint64, b books) *snapshot {
+	s := &snapshot{base: base, gen: gen, books: b}
 	s.pool.New = func() any { return base.Clone() }
 	return s
 }
@@ -144,22 +162,8 @@ type Engine struct {
 	// everywhere it is used.
 	trc *obs.Tracer
 
-	start           time.Time
-	ingests         atomic.Uint64
-	ingestedTrajs   atomic.Uint64
-	learnRun        atomic.Uint64 // relearn searches run, cumulative over ingests
-	learnReused     atomic.Uint64 // ... answered by the master-only path
-	learnBounded    atomic.Uint64 // ... cut by the similarity upper bound
-	learnMemo       atomic.Uint64 // ... answered from the lineage memo
-	learnHierarchy  atomic.Uint64 // ... of learnRun, answered on the CCH
-	lastStaleness   atomic.Uint64 // Float64bits of the last batch's staleness ratio
-	oorVertices     atomic.Uint64 // cumulative out-of-region vertices ingested
-	ingVertices     atomic.Uint64 // cumulative path vertices ingested
-	lastIngestUnix  atomic.Int64  // unix nanos of the last trajectory fold-in
-	lastIngestNs    atomic.Int64  // wall time of the last copy-on-write ingest
-	lastSwapUnix    atomic.Int64  // unix nanos of the last snapshot swap
-	lastCustomizeNs atomic.Int64  // CH re-customization time within the last ingest
-	lastSwapNs      atomic.Int64  // clone+customize+publish (serving swap) time
+	start     time.Time
+	closeOnce sync.Once // Close and Shutdown release the engine once
 }
 
 // NewEngine wraps a built router for serving. The engine takes
@@ -193,8 +197,7 @@ func newEngine(r *core.Router, opt Options) *Engine {
 	if opt.CacheSize > 0 {
 		e.cache = newRouteCache(opt.CacheSize, cacheShards)
 	}
-	e.snap.Store(newSnapshot(r, 1))
-	e.lastSwapUnix.Store(time.Now().UnixNano())
+	e.snap.Store(newSnapshot(r, 1, books{lastSwap: e.start}))
 	return e
 }
 
@@ -379,27 +382,28 @@ func (e *Engine) ingestDurable(ctx context.Context, b wal.Batch) (core.IngestSta
 	next := cur.base.IngestClone()
 	cl.End()
 	st, customize := applyBatch(sp, next, b)
-	e.learnRun.Add(uint64(st.Learn.Run))
-	e.learnReused.Add(uint64(st.Learn.Reused))
-	e.learnBounded.Add(uint64(st.Learn.Bounded))
-	e.learnMemo.Add(uint64(st.Learn.Memo))
-	e.learnHierarchy.Add(uint64(st.Learn.Hierarchy))
-	e.lastCustomizeNs.Store(int64(customize))
-	sw := sp.Start("snapshot.swap")
-	e.snap.Store(newSnapshot(next, cur.gen+1))
-	e.lastSwapUnix.Store(time.Now().UnixNano())
-	sw.End()
-	e.lastIngestNs.Store(int64(time.Since(start)))
-	e.lastSwapNs.Store(int64(time.Since(start) - st.Elapsed))
-	e.lastIngestUnix.Store(time.Now().UnixNano())
-	e.ingests.Add(1)
-	e.ingestedTrajs.Add(uint64(len(b.Trajs)))
+	bk := cur.books
+	bk.ingests++
+	bk.ingestedTrajs += uint64(len(b.Trajs))
+	bk.learn.Run += st.Learn.Run
+	bk.learn.Reused += st.Learn.Reused
+	bk.learn.Bounded += st.Learn.Bounded
+	bk.learn.Memo += st.Learn.Memo
+	bk.learn.Hierarchy += st.Learn.Hierarchy
 	// Staleness gauges: how much of the new traffic fell outside the
 	// fixed region partition — the maintenance trigger and the
 	// rebuild-recommended signal both read from here.
-	e.lastStaleness.Store(math.Float64bits(st.StalenessRatio()))
-	e.oorVertices.Add(uint64(st.OutOfRegionVertices))
-	e.ingVertices.Add(uint64(st.TotalVertices))
+	bk.lastStaleness = st.StalenessRatio()
+	bk.oorVertices += uint64(st.OutOfRegionVertices)
+	bk.vertices += uint64(st.TotalVertices)
+	bk.customizeLag = customize
+	sw := sp.Start("snapshot.swap")
+	now := time.Now()
+	bk.lastIngest, bk.lastSwap = now, now
+	bk.ingestLag = now.Sub(start)
+	bk.swapLag = bk.ingestLag - st.Elapsed
+	e.snap.Store(newSnapshot(next, cur.gen+1, bk))
+	sw.End()
 	for _, a := range *e.attachments.Load() {
 		// Offer the applied batch. The contract is non-blocking (sample,
 		// copy, enqueue-or-drop), so holding writeMu here is fine and
@@ -498,8 +502,9 @@ func (e *Engine) Publish(r *core.Router) {
 func (e *Engine) publishLocked(r *core.Router, external bool) uint64 {
 	cur := e.snap.Load()
 	gen := cur.gen + 1
-	e.snap.Store(newSnapshot(r, gen))
-	e.lastSwapUnix.Store(time.Now().UnixNano())
+	bk := cur.books
+	bk.lastSwap = time.Now()
+	e.snap.Store(newSnapshot(r, gen, bk))
 	for _, a := range *e.attachments.Load() {
 		// Whatever an attachment derived from the model this publish
 		// just replaced (drift baselines, evidence counters) rebases on r.

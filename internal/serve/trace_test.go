@@ -174,6 +174,51 @@ func TestFleetTracingSingleRoot(t *testing.T) {
 	}
 }
 
+// TestFleetTenantNamedDebugIsTraced: whether a request is telemetry is
+// decided by its path below the tenant prefix, so a tenant named
+// "debug" has its route requests traced under the fleet's one root,
+// named with the full path, while its own /metrics and /debug/
+// endpoints stay untraced.
+func TestFleetTenantNamedDebugIsTraced(t *testing.T) {
+	base, fresh := sharedWorld(t)
+	tr := obs.NewTracer(obs.Config{SlowThreshold: -1})
+	f := NewFleet(Options{Tracer: tr})
+	if _, err := f.Add("debug", base.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(f.Handler())
+	t.Cleanup(srv.Close)
+
+	q := queries(fresh, 1)[0]
+	for _, p := range []string{
+		fmt.Sprintf("/t/debug/route?src=%d&dst=%d", q.Src, q.Dst),
+		"/t/debug/metrics",
+		"/t/debug/debug/snapshot",
+	} {
+		getBody(t, srv.URL+p, http.StatusOK)
+	}
+
+	reply := getTraces(t, srv.URL+"/debug/trace")
+	if len(reply.Traces) != 1 {
+		names := make([]string, len(reply.Traces))
+		for i, trc := range reply.Traces {
+			names[i] = trc.Name
+		}
+		t.Fatalf("traces %q, want the route request's alone", names)
+	}
+	trace := reply.Traces[0]
+	if trace.Name != "GET /t/debug/route" {
+		t.Fatalf("root name = %q, want %q", trace.Name, "GET /t/debug/route")
+	}
+	names := map[string]bool{}
+	for _, s := range trace.Spans {
+		names[s.Name] = true
+	}
+	if !names["route.compute"] || !names["cache.lookup"] {
+		t.Fatalf("engine stages missing under the fleet root: %v", names)
+	}
+}
+
 func TestDebugSnapshotEndpoint(t *testing.T) {
 	base, fresh := sharedWorld(t)
 	tr := obs.NewTracer(obs.Config{SlowThreshold: -1})

@@ -32,9 +32,10 @@
 // POST /stream appears on the engine's HTTP API and pipeline health in
 // Stats().Stream. For every current and future tenant of a serve.Fleet
 // (the /t/{tenant}/stream endpoint) call Attach from a Fleet.Attach
-// function and return the Ingestor's Close: the fleet stops the
-// pipeline — final flush included — when the tenant is removed or the
-// fleet closes. Replay feeds recorded (ReadNDJSON) or simulated
+// function. The engine's Close stops the pipeline — final flush
+// included, journaled before the write-ahead log is released — so a
+// tenant's pipeline stops when the tenant is removed or the fleet
+// closes. Replay feeds recorded (ReadNDJSON) or simulated
 // (PointsFrom) point streams at a configurable rate multiplier, for
 // demos and soak tests.
 //

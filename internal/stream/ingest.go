@@ -45,9 +45,10 @@ type Ingestor struct {
 // e.Stats().Stream. The spatial index and matchers are built over e's
 // current road network (the network is immutable across ingest swaps —
 // rule 1 of the snapshot contract). A background flusher starts
-// immediately; call Close at shutdown — or, for every tenant of a
-// fleet, return Close from a serve.Fleet.Attach function and the fleet
-// calls it.
+// immediately; the engine's Close (or Shutdown) stops the pipeline,
+// final flush included, before it releases the write-ahead log. Call
+// Attach from a serve.Fleet.Attach function to give every tenant of a
+// fleet its own.
 func Attach(e *serve.Engine, cfg Config) *Ingestor {
 	cfg = cfg.withDefaults()
 	ing := &Ingestor{

@@ -91,7 +91,7 @@ func TestStreamEndToEndMatchesOffline(t *testing.T) {
 	fleet := serve.NewFleet(serve.Options{})
 	defer fleet.Close()
 	var ing *Ingestor // the tenant's pipeline, set when the fleet attaches it
-	fleet.Attach(func(_ string, e *serve.Engine) func() {
+	fleet.Attach(func(_ string, e *serve.Engine) {
 		ing = Attach(e, Config{
 			Match:    mcfg,
 			MaxBatch: 16,
@@ -102,7 +102,6 @@ func TestStreamEndToEndMatchesOffline(t *testing.T) {
 				capMu.Unlock()
 			},
 		})
-		return ing.Close
 	})
 	eng, err := fleet.Add("city", router)
 	if err != nil {

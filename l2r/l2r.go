@@ -20,8 +20,10 @@
 //
 // Online, NewEngine / NewFleet serve built routers, and AttachStream,
 // AttachQuality and AttachMaint put streaming ingestion, the quality
-// observer and background maintenance on an engine (Fleet.Attach runs
-// them for every tenant of a fleet, which then owns and stops them).
+// observer and background maintenance on an engine, whose Close stops
+// them (Fleet.Attach runs them for every tenant of a fleet).
+// Engine.Shutdown is the planned way down: attachments stopped, a
+// durable engine checkpointed, its log released.
 package l2r
 
 import (
@@ -250,7 +252,7 @@ const (
 // directory of artifacts, hot-swapping rebuilt files into the live
 // fleet without dropping in-flight queries. Fleet.Attach registers
 // what rides on every tenant's engine (a stream, quality or maint
-// Attach per tenant) and the fleet stops it when the tenant is removed
+// Attach per tenant); the engine stops it when the tenant is removed
 // or the fleet is closed. See internal/serve.
 type (
 	// Fleet is a registry of named serving engines.
@@ -296,8 +298,8 @@ type (
 )
 
 // AttachStream wires a streaming pipeline into an engine: POST /stream
-// appears on its HTTP API and pipeline health in Stats().Stream. Close
-// the returned ingestor at shutdown.
+// appears on its HTTP API and pipeline health in Stats().Stream. The
+// engine's Close stops it, final flush included.
 func AttachStream(e *Engine, cfg StreamConfig) *StreamIngestor { return stream.Attach(e, cfg) }
 
 // StreamPointsFrom flattens trajectories into a time-ordered point
@@ -357,7 +359,8 @@ type (
 	// QualityConfig tunes a quality observer (sample rate, exemplar
 	// ring, queue, pacing).
 	QualityConfig = quality.Config
-	// QualityObserver is one engine's shadow scorer; Close at shutdown.
+	// QualityObserver is one engine's shadow scorer; the engine's Close
+	// stops it.
 	QualityObserver = quality.Observer
 	// QualityStats is the observer health block in Stats().Quality,
 	// /stats and /debug/quality.
@@ -368,7 +371,7 @@ type (
 
 // AttachQuality wires a model-quality observer into an engine: shadow
 // scores feed Stats().Quality, /metrics (l2r_quality_* / l2r_drift_*)
-// and GET /debug/quality. Call Close on the result at shutdown.
+// and GET /debug/quality. The engine's Close stops it.
 func AttachQuality(e *Engine, cfg QualityConfig) *QualityObserver { return quality.Attach(e, cfg) }
 
 // Background-maintenance re-exports. A maintainer accumulates the
@@ -381,8 +384,8 @@ type (
 	// MaintConfig tunes a maintainer (trigger thresholds, check
 	// cadence, pipeline options).
 	MaintConfig = maint.Config
-	// Maintainer is one engine's background maintenance pipeline;
-	// Close at shutdown.
+	// Maintainer is one engine's background maintenance pipeline; the
+	// engine's Close stops it.
 	Maintainer = maint.Maintainer
 	// MaintStats is the maintainer health block in Stats().Maintenance,
 	// /stats and /debug/maint.
@@ -391,6 +394,5 @@ type (
 
 // AttachMaint wires a background maintainer into an engine: evidence
 // accumulation and rebuild cycles feed Stats().Maintenance, /metrics
-// (l2r_maint_*) and GET /debug/maint. Call Close on the result at
-// shutdown.
+// (l2r_maint_*) and GET /debug/maint. The engine's Close stops it.
 func AttachMaint(e *Engine, cfg MaintConfig) *Maintainer { return maint.Attach(e, cfg) }
