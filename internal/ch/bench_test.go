@@ -12,8 +12,9 @@ import (
 // BenchmarkCCHQuery times the elimination-tree query under the TT
 // metric on uniform ODs at two worldgen scales, Cost (the climbs alone)
 // and Route (climbs, unpacking, and the one allocation of the returned
-// path). It reports the topology's height: query cost follows the
-// contraction order, not the OD.
+// path). It reports the topology's height — query cost follows the
+// contraction order, not the OD — and the sizes a query reads: a
+// metric's bytes per skeleton arc and the shared topology's KB.
 func BenchmarkCCHQuery(b *testing.B) {
 	for _, scale := range []string{worldgen.ScaleCI, worldgen.ScaleCity} {
 		b.Run(scale, func(b *testing.B) {
@@ -35,7 +36,7 @@ func BenchmarkCCHQuery(b *testing.B) {
 					p := pairs[i%len(pairs)]
 					q.Cost(m, p[0], p[1])
 				}
-				b.ReportMetric(float64(topo.Height()), "height")
+				reportSizes(b, topo, m)
 			})
 			b.Run("Route", func(b *testing.B) {
 				b.ReportAllocs()
@@ -43,8 +44,15 @@ func BenchmarkCCHQuery(b *testing.B) {
 					p := pairs[i%len(pairs)]
 					q.Route(m, p[0], p[1])
 				}
-				b.ReportMetric(float64(topo.Height()), "height")
+				reportSizes(b, topo, m)
 			})
 		})
 	}
+}
+
+// reportSizes reports topo's height and size and m's bytes per arc.
+func reportSizes(b *testing.B, topo *ch.Topology, m *ch.Metric) {
+	b.ReportMetric(float64(topo.Height()), "height")
+	b.ReportMetric(float64(m.Bytes())/float64(topo.NumArcs()), "metric_B/arc")
+	b.ReportMetric(float64(topo.Bytes())/1024, "topology_KB")
 }

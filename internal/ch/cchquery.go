@@ -157,23 +157,23 @@ func (q *MetricQuery) unpackFrom(path roadnet.Path, m *Metric, meet int32) roadn
 // unpack appends the vertices of the (possibly shortcut) arc traveled
 // from → to after the current last path vertex, excluding `from` itself.
 // up says whether travel runs the arc's up direction (from is the
-// lower-ranked owner). In either direction the recursion descends to the
-// contracted middle vertex: from→via runs down into it, via→to runs up
-// out of it, because the middle outranks neither endpoint.
+// lower-ranked owner). A shortcut's middle code names its winning lower
+// triangle {a; b1, b2} in the topology's table, whose arcs i = {a, b1}
+// and j = {a, b2} are a's; the recursion descends to a: from→a runs
+// down into it, a→to runs up out of it, because a outranks neither
+// endpoint.
 func (q *MetricQuery) unpack(m *Metric, path roadnet.Path, from, to, k int32, up bool) roadnet.Path {
-	via := m.viaDown[k]
+	code := m.midDown[k]
 	if up {
-		via = m.viaUp[k]
+		code = m.midUp[k]
 	}
-	if via < 0 {
+	if code == 0 {
 		return append(path, roadnet.VertexID(to))
 	}
-	k1 := q.t.findArc(via, from)
-	k2 := q.t.findArc(via, to)
-	if k1 < 0 || k2 < 0 {
-		// Should not happen for a well-formed skeleton; degrade to the
-		// endpoints so the result remains a vertex sequence.
-		return append(path, roadnet.VertexID(via), roadnet.VertexID(to))
+	tr := m.middle(k, code, up)
+	via, k1, k2 := q.t.lowOf[tr.i], tr.i, tr.j // from = b1, to = b2
+	if !up {
+		k1, k2 = k2, k1
 	}
 	path = q.unpack(m, path, from, via, k1, false)
 	return q.unpack(m, path, via, to, k2, true)

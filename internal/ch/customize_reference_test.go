@@ -1,17 +1,30 @@
 package ch
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/roadnet"
 )
 
-// CustomizeReference is Topology.Customize as it was before the batched
-// sweep, kept as the test-only reference CustomizeAll is held to: one
-// metric per sweep, arc {b1, b2} of each lower triangle found by
-// findArc.
-func (t *Topology) CustomizeReference(cost func(roadnet.EdgeID) float64) *Metric {
-	m := t.newMetric()
+// RefMetric is a metric in the layout Metric had before the triangle
+// table, kept test-only: a middle vertex per arc and direction (-1 for
+// the original road edge) instead of a code into the table.
+type RefMetric struct {
+	t              *Topology
+	wUp, wDown     []float64
+	viaUp, viaDown []int32
+}
+
+// CustomizeReference is Topology.Customize as it was before the
+// triangle table, kept as the test-only reference Customize and
+// CustomizeAll are held to: one sweep over the contracted vertices in
+// rank order, each lower triangle {a; b1, b2} enumerated from a's
+// up-arcs and its arc {b1, b2} found by findArc, recording a as the
+// middle vertex of each direction it improves.
+func (t *Topology) CustomizeReference(cost func(roadnet.EdgeID) float64) *RefMetric {
+	n := len(t.upTo)
+	m := &RefMetric{t: t, wUp: make([]float64, n), wDown: make([]float64, n), viaUp: make([]int32, n), viaDown: make([]int32, n)}
 	inf := math.Inf(1)
 	for k := range m.wUp {
 		m.wUp[k], m.viaUp[k] = inf, -1
@@ -23,9 +36,7 @@ func (t *Topology) CustomizeReference(cost func(roadnet.EdgeID) float64) *Metric
 			m.wDown[k] = cost(roadnet.EdgeID(e))
 		}
 	}
-	n := len(t.rank)
-	for ri := 0; ri < n; ri++ {
-		a := t.order[ri]
+	for _, a := range t.order {
 		lo, hi := t.upStart[a], t.upStart[a+1]
 		for i := lo; i < hi; i++ {
 			b1 := t.upTo[i]
@@ -33,7 +44,7 @@ func (t *Topology) CustomizeReference(cost func(roadnet.EdgeID) float64) *Metric
 				b2 := t.upTo[j]
 				k := t.findArc(b1, b2)
 				if k < 0 {
-					continue
+					panic(fmt.Sprintf("reference: up-neighbours %d and %d of vertex %d are not adjacent", b1, b2, a))
 				}
 				if w := m.wDown[i] + m.wUp[j]; w < m.wUp[k] {
 					m.wUp[k], m.viaUp[k] = w, a
@@ -47,7 +58,44 @@ func (t *Topology) CustomizeReference(cost func(roadnet.EdgeID) float64) *Metric
 	return m
 }
 
-// Arrays returns the metric's per-arc weights and middle vertices.
-func (m *Metric) Arrays() (wUp, wDown []float64, viaUp, viaDown []int32) {
+// findArc returns the CSR index of the skeleton arc between lo (the
+// lower-ranked owner) and hi, or -1 when there is none: a linear scan
+// of lo's up-arc range.
+func (t *Topology) findArc(lo, hi int32) int32 {
+	for k := t.upStart[lo]; k < t.upStart[lo+1]; k++ {
+		if t.upTo[k] == hi {
+			return k
+		}
+	}
+	return -1
+}
+
+// Arrays returns the reference metric's per-arc weights and middle
+// vertices.
+func (m *RefMetric) Arrays() (wUp, wDown []float64, viaUp, viaDown []int32) {
 	return m.wUp, m.wDown, m.viaUp, m.viaDown
+}
+
+// Weights returns the metric's per-arc weights.
+func (m *Metric) Weights() (wUp, wDown []float64) { return m.wUp, m.wDown }
+
+// Codes returns the metric's per-arc middle codes.
+func (m *Metric) Codes() (midUp, midDown []uint8) { return m.midUp, m.midDown }
+
+// Middles resolves every middle code to the vertex it names, in the
+// reference layout: -1 for code 0, else the winning triangle's middle
+// vertex.
+func (m *Metric) Middles() (viaUp, viaDown []int32) {
+	n := len(m.wUp)
+	viaUp, viaDown = make([]int32, n), make([]int32, n)
+	for k := range n {
+		viaUp[k], viaDown[k] = -1, -1
+		if c := m.midUp[k]; c != 0 {
+			viaUp[k] = m.t.lowOf[m.middle(int32(k), c, true).i]
+		}
+		if c := m.midDown[k]; c != 0 {
+			viaDown[k] = m.t.lowOf[m.middle(int32(k), c, false).i]
+		}
+	}
+	return viaUp, viaDown
 }

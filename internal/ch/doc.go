@@ -17,18 +17,42 @@
 // TestSkeletonMatchesReference holds it to the map-based build it
 // replaced.
 //
-// Topology.CustomizeAll then assigns both directed weights to every
-// skeleton arc for any number of non-negative edge-cost functions by
-// relaxing lower triangles bottom-up in contraction order: one linear
-// pass over the skeleton, milliseconds where re-contraction costs
-// seconds. The pass enumerates each triangle, and finds its third arc,
-// once for every metric prepared together, so a metric added to a sweep
-// costs about half what a sweep of its own does; Topology.Customize is
-// the batch of one, and TestCustomizeAllMatchesPerMetric holds the
-// sweep to the per-metric one it replaced, bit for bit. Routing
+// The triangle table. Because contraction keeps every fill edge, every
+// pair of a vertex a's up-arcs {a, b1}, {a, b2} closes a lower triangle
+// with the arc {b1, b2}: the only ways a shortcut's weight can be
+// composed. NewTopology lists each triangle once, in one enumeration
+// and a counting sort, grouped by the arc it relaxes and, within an
+// arc, in ascending rank of its middle vertex a, as the CSR indexes of
+// its two other arcs; each arc's owner is kept beside it, so a
+// triangle names its middle vertex. The table's size is known before it
+// is built — Σ C(|up(a)|, 2) over all a — and the build panics if a
+// pair of up-neighbours is not adjacent, the invariant the query and
+// the table rely on. The table is metric-independent and shared by
+// every metric customized from the topology.
+//
+// Topology.Customize then assigns both directed weights to every
+// skeleton arc for any non-negative edge-cost function: seed each arc
+// from its original road edges, then, with owners in ascending rank
+// order, relax each arc through its triangles in the table's order.
+// The two arcs a triangle reads are owned by its middle vertex, which
+// the arc's owner outranks, so they are final by then: one linear pass
+// over the table, milliseconds where re-contraction costs seconds.
+// Metrics are independent, so Topology.CustomizeAll hands them out
+// whole to min(len, GOMAXPROCS) goroutines (one metric runs inline),
+// and TestCustomizeAllMatchesPerMetric holds both to the per-vertex
+// sweep they replaced, bit for bit: the same additions in the same
+// order, the first strict improvement winning a tie. Routing
 // preferences, live traffic weights and custom cost functions each
-// become just another Metric over the shared Topology (+Inf marks an arc
-// a metric forbids or cannot reach in that direction).
+// become just another Metric over the shared Topology (+Inf marks an
+// arc a metric forbids or cannot reach in that direction).
+//
+// A Metric is its weights and one byte per arc and direction: 18 bytes
+// per arc. The byte names the triangle that set the weight — 0 for the
+// original road edge, c in 1..254 for the arc's (c-1)-th triangle, and
+// 255, the escape, for "the first triangle from index 254 on whose sum
+// equals the weight" (the most any arc has is 26 at ci and 73 at city;
+// TestEscapeCode builds one with 300). A middle vertex per arc would
+// cost 8 bytes more, for every metric.
 //
 // MetricQuery answers any of them with the elimination-tree query.
 // Because contraction keeps every fill edge, the up-neighbours of a
@@ -42,10 +66,12 @@
 // wUp, then d's chain under wDown, and takes the common ancestor with
 // the least fwd+bwd sum (the first to attain it, in climb order, so the
 // choice is deterministic); parent pointers over skeleton arcs are kept
-// and the path is unpacked through each shortcut's recorded middle
-// vertex. A vertex the climb cannot label is still climbed through: its
-// ancestors may be labelled over other arcs. A disconnected network
-// contracts to a forest, and chains in different trees share no vertex.
+// and the path is unpacked by reading each shortcut's winning triangle
+// from the table — its two arcs and its middle vertex — and recursing
+// on both, with no search for arcs. A vertex the climb cannot label is
+// still climbed through: its ancestors may be labelled over other arcs.
+// A disconnected network contracts to a forest, and chains in different
+// trees share no vertex.
 //
 // There is no priority queue and no stopping criterion. A queue-driven
 // bidirectional search may stop once both frontiers pass the best
@@ -69,6 +95,8 @@
 //
 // The query returns exactly Dijkstra's costs; property tests pin CCH ≡
 // Dijkstra, and TestElimTreeMatchesReference pins the climb to the
-// priority-queue query it replaced (kept as a test-only reference) bit
-// for bit, cost and path.
+// priority-queue query it replaced bit for bit, cost and path. That
+// reference is kept test-only with the metric layout it ran on — a
+// middle vertex per arc, unpacked by searching for the arcs to it — so
+// it checks the triangle codes, not just the climb.
 package ch

@@ -31,23 +31,24 @@ var testMetrics = []testMetric{
 	{w: roadnet.FC, mask: 1<<roadnet.Primary | 1<<roadnet.Secondary},
 }
 
-// customize is route.CHEngine's cost function for (w, mask): a
-// masked-out edge costs +Inf when its tail has a mask-satisfying
-// out-edge.
+// customize customizes topo under route.CHEngine's cost function for
+// (w, mask): a masked-out edge costs +Inf when its tail has a
+// mask-satisfying out-edge.
 func (tm testMetric) customize(topo *ch.Topology) *ch.Metric {
 	g := topo.Graph()
-	out := route.OutTypeMasks(g)
-	return topo.Customize(func(e roadnet.EdgeID) float64 {
-		ed := g.Edge(e)
-		if out[ed.From]&tm.mask != 0 && tm.mask&(1<<ed.Type) == 0 {
-			return math.Inf(1)
-		}
-		return g.EdgeWeight(e, tm.w)
-	})
+	return topo.Customize(costOf(g, route.OutTypeMasks(g), tm.w, tm.mask))
+}
+
+// customizeReference is customize in the reference layout.
+func (tm testMetric) customizeReference(topo *ch.Topology) *ch.RefMetric {
+	g := topo.Graph()
+	return topo.CustomizeReference(costOf(g, route.OutTypeMasks(g), tm.w, tm.mask))
 }
 
 // TestElimTreeMatchesReference holds the elimination-tree query to the
-// priority-queue query it replaced (reference_test.go), bit for bit:
+// priority-queue query it replaced (reference_test.go), each on its own
+// layout of the metric — the triangle codes against the reference's
+// middle vertices and findArc — bit for bit:
 // the same reachability, Float64bits-equal cost and the identical
 // vertex sequence, on every OD of 2,000 per city and metric, under the
 // three scalar weights and three masked metrics, on three cities at
@@ -77,12 +78,12 @@ func TestElimTreeMatchesReference(t *testing.T) {
 			q, ref := ch.NewMetricQuery(topo), ch.NewReferenceQuery(topo)
 			var buf roadnet.Path
 			for mi, tm := range testMetrics {
-				m := tm.customize(topo)
+				m, rm := tm.customize(topo), tm.customizeReference(topo)
 				rng := rand.New(rand.NewSource(c.seed*100 + int64(mi)))
 				unreachable := 0
 				for i := 0; i < ods; i++ {
 					s, d := roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n))
-					wantP, wantC, wantOK := ref.Route(m, s, d)
+					wantP, wantC, wantOK := ref.Route(rm, s, d)
 					gotP, gotC, gotOK := q.Route(m, s, d)
 					if gotOK != wantOK {
 						t.Fatalf("metric %d, %d->%d: ok = %v, reference %v", mi, s, d, gotOK, wantOK)

@@ -25,3 +25,13 @@ func (q *MetricQuery) Epoch() uint32 { return q.fwd.epoch }
 func (t *Topology) UpNeighbors(v roadnet.VertexID) []int32 {
 	return t.upTo[t.upStart[v]:t.upStart[v+1]]
 }
+
+// TriangleTable returns the lower-triangle table: each arc's range of
+// tris, every triangle as its two arcs {i, j}, and each arc's owner.
+func (t *Topology) TriangleTable() (triStart []int32, tris [][2]int32, lowOf []int32) {
+	tris = make([][2]int32, len(t.tris))
+	for x, tr := range t.tris {
+		tris[x] = [2]int32{tr.i, tr.j}
+	}
+	return t.triStart, tris, t.lowOf
+}

@@ -1,6 +1,7 @@
 package ch
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/container"
@@ -8,12 +9,14 @@ import (
 )
 
 // ReferenceQuery is the priority-queue query MetricQuery ran before it
-// became an elimination-tree climb, kept verbatim as the test-only
+// became an elimination-tree climb, kept as the test-only
 // reference: a bidirectional upward Dijkstra over the skeleton with the
 // classic stopping criterion, its own labels, and the rank-keyed binary
-// search for unpacking. TestElimTreeMatchesReference holds the climb to
-// it bit for bit — cost and path — so "the same paths" is a checked
-// statement, not a hope about ties.
+// search for unpacking through a RefMetric's middle vertices.
+// TestElimTreeMatchesReference holds the climb over a Metric to it over
+// the RefMetric CustomizeReference makes for the same cost, bit for bit
+// — cost and path — so "the same paths" is a checked statement, not a
+// hope about ties.
 type ReferenceQuery struct {
 	t        *Topology
 	fwd, bwd refSide
@@ -64,13 +67,13 @@ func NewReferenceQuery(t *Topology) *ReferenceQuery {
 }
 
 // Cost is the reference MetricQuery.Cost.
-func (q *ReferenceQuery) Cost(m *Metric, s, d roadnet.VertexID) (float64, bool) {
+func (q *ReferenceQuery) Cost(m *RefMetric, s, d roadnet.VertexID) (float64, bool) {
 	c, _, ok := q.run(m, int32(s), int32(d))
 	return c, ok
 }
 
 // Route is the reference MetricQuery.Route.
-func (q *ReferenceQuery) Route(m *Metric, s, d roadnet.VertexID) (roadnet.Path, float64, bool) {
+func (q *ReferenceQuery) Route(m *RefMetric, s, d roadnet.VertexID) (roadnet.Path, float64, bool) {
 	cost, meet, ok := q.run(m, int32(s), int32(d))
 	if !ok {
 		return nil, 0, false
@@ -90,7 +93,7 @@ func (q *ReferenceQuery) Route(m *Metric, s, d roadnet.VertexID) (roadnet.Path, 
 	return path, cost, true
 }
 
-func (q *ReferenceQuery) unpack(m *Metric, path roadnet.Path, from, to, k int32, up bool) roadnet.Path {
+func (q *ReferenceQuery) unpack(m *RefMetric, path roadnet.Path, from, to, k int32, up bool) roadnet.Path {
 	via := m.viaDown[k]
 	if up {
 		via = m.viaUp[k]
@@ -101,7 +104,7 @@ func (q *ReferenceQuery) unpack(m *Metric, path roadnet.Path, from, to, k int32,
 	k1 := q.findArc(via, from)
 	k2 := q.findArc(via, to)
 	if k1 < 0 || k2 < 0 {
-		return append(path, roadnet.VertexID(via), roadnet.VertexID(to))
+		panic(fmt.Sprintf("reference: arc %d (%d-%d) has middle vertex %d but no arc to it from both ends", k, from, to, via))
 	}
 	path = q.unpack(m, path, from, via, k1, false)
 	return q.unpack(m, path, via, to, k2, true)
@@ -126,7 +129,7 @@ func (q *ReferenceQuery) findArc(lo, hi int32) int32 {
 	return -1
 }
 
-func (q *ReferenceQuery) run(m *Metric, s, d int32) (float64, int32, bool) {
+func (q *ReferenceQuery) run(m *RefMetric, s, d int32) (float64, int32, bool) {
 	t := q.t
 	q.fwd.reset()
 	q.bwd.reset()

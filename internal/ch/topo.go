@@ -1,6 +1,7 @@
 package ch
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/container"
@@ -23,6 +24,13 @@ import (
 // pairwise adjacent, so the first arc of a range leads to the vertex's
 // elimination-tree parent and the rest to further ancestors: the query
 // (MetricQuery) climbs that one chain and needs no other structure.
+//
+// The same invariant makes every pair of a vertex's up-arcs a lower
+// triangle: {a; b1, b2}, with a outranked by b1 and b2, through which
+// arc {b1, b2} can be relaxed. The topology lists each triangle once,
+// under the arc it relaxes, as a shared table every Metric indexes:
+// customization sweeps it, and path unpacking reads a shortcut's
+// winning triangle from it by position instead of searching for arcs.
 type Topology struct {
 	g *roadnet.Graph
 
@@ -38,6 +46,15 @@ type Topology struct {
 	// only carry shortcut weight in that direction.
 	origUp   []int32
 	origDown []int32
+
+	// The lower-triangle table. Arc k = {b1, b2}'s triangles are
+	// tris[triStart[k]:triStart[k+1]], one per common lower neighbour a
+	// of b1 and b2, in ascending rank of a; lowOf[k] is arc k's owner
+	// (its lower-ranked endpoint), so a triangle's middle vertex is
+	// lowOf[i]. Its size, Σ C(|up(a)|, 2), is known before it is built.
+	triStart []int32
+	tris     []triangle
+	lowOf    []int32
 
 	shortcuts int // skeleton arcs with no original edge in either direction
 
@@ -203,8 +220,73 @@ func NewTopology(g *roadnet.Graph, order []int32) *Topology {
 		}
 		t.upStart[v+1] = int32(len(t.upTo))
 	}
+	t.buildTriangles()
 	t.measureClimbs()
 	return t
+}
+
+// triangle is one lower triangle {a; b1, b2} of the arc {b1, b2} it
+// relaxes, as the CSR indexes of its two other arcs, both owned by a:
+// i = {a, b1} and j = {a, b2}.
+type triangle struct{ i, j int32 }
+
+// buildTriangles fills the lower-triangle table from the CSR. One
+// enumeration, in ascending rank of a, finds each pair of a's up-arcs
+// their third arc {b1, b2} by walking b1's rank-sorted range forward as
+// b2 advances through a's; a stable counting sort then groups the pairs
+// by that arc. A pair of up-neighbours that is not adjacent breaks the
+// invariant the query and the table rely on, and panics.
+func (t *Topology) buildTriangles() {
+	m := len(t.upTo)
+	t.lowOf = make([]int32, m)
+	total := 0
+	for v := range t.rank {
+		lo, hi := t.upStart[v], t.upStart[v+1]
+		for k := lo; k < hi; k++ {
+			t.lowOf[k] = int32(v)
+		}
+		total += int(hi-lo) * int(hi-lo-1) / 2
+	}
+	third := make([]int32, 0, total) // the arc each pair relaxes, in enumeration order
+	t.triStart = make([]int32, m+1)
+	for _, a := range t.order {
+		lo, hi := t.upStart[a], t.upStart[a+1]
+		for i := lo; i < hi; i++ {
+			b1 := t.upTo[i]
+			k, end := t.upStart[b1], t.upStart[b1+1]
+			for j := i + 1; j < hi; j++ {
+				// rank(b1) < rank(b2): the arc {b1, b2} is owned by b1.
+				b2 := t.upTo[j]
+				for rb2 := t.rank[b2]; k < end && t.rank[t.upTo[k]] < rb2; k++ {
+				}
+				if k == end || t.upTo[k] != b2 {
+					panic(fmt.Sprintf("ch: up-neighbours %d and %d of vertex %d are not adjacent", b1, b2, a))
+				}
+				third = append(third, k)
+				t.triStart[k+1]++
+			}
+		}
+	}
+	for k := 0; k < m; k++ {
+		t.triStart[k+1] += t.triStart[k]
+	}
+	// Place the pairs again in enumeration order, triStart[k] serving as
+	// arc k's cursor, then shift the advanced cursors back to starts.
+	t.tris = make([]triangle, total)
+	x := 0
+	for _, a := range t.order {
+		lo, hi := t.upStart[a], t.upStart[a+1]
+		for i := lo; i < hi; i++ {
+			for j := i + 1; j < hi; j++ {
+				k := third[x]
+				x++
+				t.tris[t.triStart[k]] = triangle{i, j}
+				t.triStart[k]++
+			}
+		}
+	}
+	copy(t.triStart[1:], t.triStart[:m])
+	t.triStart[0] = 0
 }
 
 // measureClimbs records the elimination tree's height and the mean
@@ -234,20 +316,6 @@ func (t *Topology) measureClimbs() {
 	}
 }
 
-// findArc returns the CSR index of the skeleton arc between lo (the
-// lower-ranked owner) and hi, or -1 when there is none. The arc exists
-// for every (contracted vertex, pair of its up-neighbors) triangle by
-// construction. Ranges hold a handful of arcs, so a linear scan on the
-// vertex id beats a binary search keyed on rank[upTo[mid]].
-func (t *Topology) findArc(lo, hi int32) int32 {
-	for k := t.upStart[lo]; k < t.upStart[lo+1]; k++ {
-		if t.upTo[k] == hi {
-			return k
-		}
-	}
-	return -1
-}
-
 // Graph returns the road network the topology was contracted from.
 func (t *Topology) Graph() *roadnet.Graph { return t.g }
 
@@ -273,6 +341,14 @@ func (t *Topology) Rank(v roadnet.VertexID) int { return int(t.rank[v]) }
 // contraction order, not of the OD pair; this and ClimbArcsMean are
 // what say when a better (nested-dissection) order would start to pay.
 func (t *Topology) Height() int { return t.height }
+
+// Bytes returns the heap bytes the topology's own arrays hold: the
+// contraction order, the skeleton and the triangle table, which every
+// metric customized from it shares (the road network is not counted).
+func (t *Topology) Bytes() int {
+	return 4*(len(t.rank)+len(t.order)+len(t.upStart)+len(t.upTo)+len(t.origUp)+len(t.origDown)+
+		len(t.triStart)+len(t.lowOf)) + 8*len(t.tris)
+}
 
 // ClimbArcsMean returns the mean, over all start vertices, of the
 // number of up-arcs one side of a query relaxes on its climb.

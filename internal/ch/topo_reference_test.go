@@ -123,6 +123,43 @@ func BuildTopologyReference(g *roadnet.Graph, order []int32) *Topology {
 		}
 		t.upStart[v+1] = int32(len(t.upTo))
 	}
+	t.bruteForceTriangles()
 	t.measureClimbs()
 	return t
+}
+
+// bruteForceTriangles derives the lower-triangle table from its
+// definition, without the pairwise-adjacency invariant buildTriangles
+// enumerates by: arc {b1, b2}'s triangles are the vertices owning arcs
+// to both b1 and b2, in ascending rank, found through a map of arcs.
+func (t *Topology) bruteForceTriangles() {
+	n, m := len(t.rank), len(t.upTo)
+	arcOf := make(map[[2]int32]int32, m) // {owner, other} -> arc
+	owners := make([][]int32, n)         // owners[u]: the vertices owning an arc to u
+	for v := 0; v < n; v++ {
+		for k := t.upStart[v]; k < t.upStart[v+1]; k++ {
+			arcOf[[2]int32{int32(v), t.upTo[k]}] = k
+			owners[t.upTo[k]] = append(owners[t.upTo[k]], int32(v))
+		}
+	}
+	t.lowOf = make([]int32, m)
+	t.triStart = make([]int32, m+1)
+	t.tris = []triangle{}
+	for v := 0; v < n; v++ {
+		for k := t.upStart[v]; k < t.upStart[v+1]; k++ {
+			b1, b2 := int32(v), t.upTo[k]
+			t.lowOf[k] = b1
+			var as []int32
+			for _, a := range owners[b1] {
+				if _, ok := arcOf[[2]int32{a, b2}]; ok {
+					as = append(as, a)
+				}
+			}
+			sort.Slice(as, func(i, j int) bool { return t.rank[as[i]] < t.rank[as[j]] })
+			for _, a := range as {
+				t.tris = append(t.tris, triangle{arcOf[[2]int32{a, b1}], arcOf[[2]int32{a, b2}]})
+			}
+			t.triStart[k+1] = int32(len(t.tris))
+		}
+	}
 }

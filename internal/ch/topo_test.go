@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ch"
@@ -19,8 +20,9 @@ import (
 // cities 1–3; and NewTopology from an arbitrary order (random
 // permutations, and the identity) is DeepEqual to the game played in
 // that order, there and on the small random graphs of the other
-// property tests. The ci cities skip under the race detector and
-// -short.
+// property tests. The triangle table is compared field by field first:
+// the reference derives it by brute force from the skeleton's arcs. The
+// ci cities skip under the race detector and -short.
 func TestSkeletonMatchesReference(t *testing.T) {
 	type city struct {
 		scale string
@@ -43,6 +45,7 @@ func TestSkeletonMatchesReference(t *testing.T) {
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
 			got, want := ch.BuildTopology(g), ch.BuildTopologyReference(g, nil)
+			sameTriangles(t, got, want)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("BuildTopology differs from the map-based reference (arcs %d vs %d, height %d vs %d)",
 					got.NumArcs(), want.NumArcs(), got.Height(), want.Height())
@@ -57,12 +60,32 @@ func TestSkeletonMatchesReference(t *testing.T) {
 				identity[v] = int32(v)
 			}
 			for k, order := range [][]int32{identity, perm(rng, n), perm(rng, n)} {
-				if got, want := ch.NewTopology(g, order), ch.BuildTopologyReference(g, order); !reflect.DeepEqual(got, want) {
+				got, want := ch.NewTopology(g, order), ch.BuildTopologyReference(g, order)
+				sameTriangles(t, got, want)
+				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("order %d: NewTopology differs from the game played in that order (arcs %d vs %d)", k, got.NumArcs(), want.NumArcs())
 				}
 			}
-			t.Logf("n=%d arcs=%d height=%d", n, got.NumArcs(), got.Height())
+			_, tris, _ := got.TriangleTable()
+			t.Logf("n=%d arcs=%d triangles=%d height=%d", n, got.NumArcs(), len(tris), got.Height())
 		})
+	}
+}
+
+// sameTriangles compares the lower-triangle tables of got and the
+// reference field by field, naming the first that differs.
+func sameTriangles(t *testing.T, got, want *ch.Topology) {
+	t.Helper()
+	gs, gt, gl := got.TriangleTable()
+	ws, wt, wl := want.TriangleTable()
+	if !slices.Equal(gl, wl) {
+		t.Fatal("lowOf differs from the reference's arc owners")
+	}
+	if !slices.Equal(gs, ws) {
+		t.Fatalf("triStart differs from the reference's (%d vs %d triangles)", gs[len(gs)-1], ws[len(ws)-1])
+	}
+	if !slices.Equal(gt, wt) {
+		t.Fatal("tris differs from the reference's: the same per-arc counts, other triangles or order")
 	}
 }
 

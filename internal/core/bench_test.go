@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ch"
 	"repro/internal/roadnet"
+	"repro/internal/route"
 	"repro/internal/traj"
 	"repro/internal/worldgen"
 )
@@ -122,11 +123,59 @@ func BenchmarkArtifact(b *testing.B) {
 		}
 	})
 	b.Run("EnableCH", func(b *testing.B) {
+		var l *Router
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			l := base.Clone()
+			l = base.Clone()
 			b.StartTimer()
 			l.EnableCH(ch.Config{})
 		}
+		b.StopTimer()
+		reportCHSizes(b, l.eng.(*route.CHEngine).Topology())
 	})
+}
+
+var (
+	sinkMetric *ch.Metric
+	sinkEngine *route.CHEngine
+)
+
+// BenchmarkCustomize times customization on the ci city's topology:
+// One is a single metric (travel time), customized inline; Served is
+// what EnableCH customizes for the city's router — the travel-time
+// metric and every metric it routes on, handed out a metric per core —
+// reported per metric too.
+func BenchmarkCustomize(b *testing.B) {
+	r := cityRouter(b, worldgen.ScaleCI)
+	topo := r.eng.(*route.CHEngine).Topology()
+	b.Run("One", func(b *testing.B) {
+		cost := func(e roadnet.EdgeID) float64 { return r.road.EdgeWeight(e, roadnet.TT) }
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkMetric = topo.Customize(cost)
+		}
+		b.StopTimer()
+		reportCHSizes(b, topo)
+	})
+	b.Run("Served", func(b *testing.B) {
+		keys := r.MetricKeys()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkEngine = route.NewCHEngine(r.road, topo, roadnet.TT, keys...)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/metric")
+		b.ReportMetric(float64(len(keys)), "metrics")
+		reportCHSizes(b, topo)
+	})
+}
+
+// reportCHSizes reports a metric's bytes per skeleton arc of topo and
+// the shared topology's KB. The metric is customized for the report,
+// outside the timer.
+func reportCHSizes(b *testing.B, topo *ch.Topology) {
+	m := topo.Customize(func(roadnet.EdgeID) float64 { return 1 })
+	b.ReportMetric(float64(m.Bytes())/float64(topo.NumArcs()), "metric_B/arc")
+	b.ReportMetric(float64(topo.Bytes())/1024, "topology_KB")
 }

@@ -402,7 +402,8 @@ func (r *Router) CHClimb() (height int, arcsMean float64, ok bool) {
 
 // EnableCH swaps the router's path engine for a CH-backed one over the
 // road network, with the travel-time metric and every metric the router
-// routes on customized together in one sweep. It is meant for routers
+// routes on customized in one ch.Topology.CustomizeAll call, a metric
+// per core. It is meant for routers
 // restored with Load: the hierarchy is derived from the contraction
 // order a v3 artifact carries (ch.NewTopology, a linear pass), or
 // contracted afresh when there is none. A no-op when the router is

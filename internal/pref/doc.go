@@ -123,8 +123,8 @@
 //     Dijkstra searches, so the rest fall back to the learner's Dijkstra.
 //   - On a pass fork (CHEngine.PassFork, under core's Build and
 //     Retransduce) it always answers, customizing a missing masked
-//     metric into the fork's private overlay: 24 bytes per skeleton arc
-//     per metric (186 KB on the 1.6k-vertex benchmark city, at most 27
+//     metric into the fork's private overlay: 18 bytes per skeleton arc
+//     per metric (140 KB on the 1.6k-vertex benchmark city, at most 27
 //     metrics), adopted into the shared table by PrepareMetrics if the
 //     derived model applies it and dropped with the fork otherwise.
 //

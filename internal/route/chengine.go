@@ -75,7 +75,9 @@ type metricKey struct {
 const maxCustomMetrics = 8
 
 // metricTable is the shared, metric-versioned side of a CCH engine: one
-// immutable ch.Metric per key, behind an atomically swapped map so
+// immutable ch.Metric per key (its weights and a byte per arc and
+// direction, 18 bytes per skeleton arc, indexing the topology's shared
+// triangle table), behind an atomically swapped map so
 // queries on any fork read lock-free while a writer customizes a new
 // metric. Customization replaces the map, never a Metric in place —
 // in-flight queries keep the version they loaded.
@@ -104,7 +106,8 @@ func (t *metricTable) get(k metricKey) *ch.Metric {
 // add publishes a metric for every key the table lacks, with one map
 // swap: from(k) when from is non-nil and returns one (customized for k
 // elsewhere over the same topology — adoption), the rest customized in
-// one ch.Topology.CustomizeAll sweep under cost(k). It returns the
+// one ch.Topology.CustomizeAll call under cost(k), a metric per core, so
+// cost(k)'s functions must be safe to call concurrently. It returns the
 // table it leaves, which holds every key, and how many metrics it added.
 func (t *metricTable) add(keys []metricKey, from func(metricKey) *ch.Metric, cost func(metricKey) func(roadnet.EdgeID) float64) (map[metricKey]*ch.Metric, int) {
 	t.mu.Lock()
@@ -180,7 +183,8 @@ type CHEngine struct {
 }
 
 // NewCHEngine wraps a prebuilt topology over g, customizing the base
-// metric for w and the metrics of more in one sweep.
+// metric for w and the metrics of more in one ch.Topology.CustomizeAll
+// call.
 func NewCHEngine(g *roadnet.Graph, topo *ch.Topology, w roadnet.Weight, more ...MetricKey) *CHEngine {
 	c := &CHEngine{g: g, w: w, topo: topo, tab: newMetricTable(topo), out: OutTypeMasks(g)}
 	c.PrepareAll(append([]MetricKey{{W: w}}, more...))
@@ -262,7 +266,8 @@ func (c *CHEngine) cost(k metricKey) func(roadnet.EdgeID) float64 {
 
 // PrepareAll ensures the shared table holds the metric for every key,
 // returning how many it added now. On a pass fork the overlay's metrics
-// are adopted first; the rest are customized in one sweep, and all are
+// are adopted first; the rest are customized in one CustomizeAll call
+// (a metric per core), and all are
 // published with one swap of the table. The serving layer calls it on
 // the ingest path so queries never pay customization inline.
 func (c *CHEngine) PrepareAll(keys []MetricKey) int {
