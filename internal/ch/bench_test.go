@@ -56,3 +56,21 @@ func reportSizes(b *testing.B, topo *ch.Topology, m *ch.Metric) {
 	b.ReportMetric(float64(m.Bytes())/float64(topo.NumArcs()), "metric_B/arc")
 	b.ReportMetric(float64(topo.Bytes())/1024, "topology_KB")
 }
+
+// BenchmarkContractionOrder times the greedy elimination game alone —
+// the half of contraction an artifact carries and a restart skips — at
+// ci and at 6.4k vertices.
+func BenchmarkContractionOrder(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		spec worldgen.Spec
+	}{{"ci", worldgen.MustScale(worldgen.ScaleCI, 1)}, {"6.4k", worldgen.ForVertices(6400, 1)}} {
+		b.Run(c.name, func(b *testing.B) {
+			g, _ := worldgen.BuildGraph(c.spec)
+			b.ReportAllocs()
+			for b.Loop() {
+				ch.ContractionOrder(g)
+			}
+		})
+	}
+}

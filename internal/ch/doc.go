@@ -15,7 +15,10 @@
 // elimination in one pass. An artifact carries the order
 // (Topology.Order), so a restart pays only the second step;
 // TestSkeletonMatchesReference holds it to the map-based build it
-// replaced.
+// replaced. The game itself runs on flat neighbour lists, with fill
+// counted as C(deg, 2) minus the adjacent pairs a stamp array finds;
+// TestContractionOrderMatchesReference holds its order to the map-based
+// game's, vertex for vertex.
 //
 // The triangle table. Because contraction keeps every fill edge, every
 // pair of a vertex a's up-arcs {a, b1}, {a, b2} closes a lower triangle

@@ -35,3 +35,7 @@ func (t *Topology) TriangleTable() (triStart []int32, tris [][2]int32, lowOf []i
 	}
 	return t.triStart, tris, t.lowOf
 }
+
+// ContractionOrderReference is the map-based elimination game
+// ContractionOrder replaced (topo_reference_test.go).
+var ContractionOrderReference = contractionOrderReference

@@ -88,33 +88,62 @@ func BuildTopology(g *roadnet.Graph) *Topology {
 // the classic edge difference without the witness term — with lazy
 // updates: a popped vertex whose recomputed priority no longer beats the
 // next one is pushed back. Each choice needs the fill the earlier ones
-// made, so it plays the elimination game on adjacency sets. This is the
-// expensive half of contraction, and the half an artifact carries.
+// made, so it plays the elimination game. This is the expensive half of
+// contraction, and the half an artifact carries.
+//
+// The game runs on flat neighbour lists, no maps: nb[v] holds v's
+// remaining neighbours once each, in no particular order. A vertex's
+// fill is C(deg, 2) minus its adjacent neighbour pairs, counted by
+// stamping its neighbours and scanning theirs; eliminating v
+// swap-deletes it from its neighbours' lists and appends the missing
+// fill edges, again through the stamps. Nothing depends on the order
+// within a list — priorities are integer counts and the heap sees the
+// same operations — so the order is the map-based game's, which
+// TestContractionOrderMatchesReference holds it to.
 func ContractionOrder(g *roadnet.Graph) []int32 {
 	n := g.NumVertices()
-	nb := make([]map[int32]struct{}, n)
-	for v := range nb {
-		nb[v] = make(map[int32]struct{}, 4)
+	nb := make([][]int32, n)
+	stamp := make([]uint32, n)
+	var epoch uint32
+	next := func() uint32 {
+		if epoch++; epoch == 0 { // wrapped; a stale stamp would read as fresh
+			clear(stamp)
+			epoch = 1
+		}
+		return epoch
 	}
-	for e := roadnet.EdgeID(0); int(e) < g.NumEdges(); e++ {
-		if ed := g.Edge(e); ed.From != ed.To { // self-loops never help shortest paths
-			nb[ed.From][int32(ed.To)] = struct{}{}
-			nb[ed.To][int32(ed.From)] = struct{}{}
+	for v := range nb {
+		s := next()
+		stamp[v] = s // self-loops never help shortest paths
+		add := func(u roadnet.VertexID) {
+			if stamp[u] != s {
+				stamp[u] = s
+				nb[v] = append(nb[v], int32(u))
+			}
+		}
+		for _, e := range g.Out(roadnet.VertexID(v)) {
+			add(g.Edge(e).To)
+		}
+		for _, e := range g.In(roadnet.VertexID(v)) {
+			add(g.Edge(e).From)
 		}
 	}
 	level := make([]int32, n)
 	prio := func(v int32) float64 {
-		deg := len(nb[v])
-		fill := 0
-		for a := range nb[v] {
-			for b := range nb[v] {
-				if a < b {
-					if _, ok := nb[a][b]; !ok {
-						fill++
-					}
+		s := next()
+		for _, u := range nb[v] {
+			stamp[u] = s
+		}
+		adjacent := 0 // each adjacent pair counts once from either end
+		for _, a := range nb[v] {
+			for _, b := range nb[a] {
+				if stamp[b] == s {
+					adjacent++
 				}
 			}
 		}
+		deg := len(nb[v])
+		fill := deg*(deg-1)/2 - adjacent/2
 		return float64(fill-deg) + 0.5*float64(level[v])
 	}
 
@@ -123,7 +152,6 @@ func ContractionOrder(g *roadnet.Graph) []int32 {
 		pq.Push(v, prio(int32(v)))
 	}
 	order := make([]int32, 0, n)
-	var ns []int32
 	for pq.Len() > 0 {
 		vi, _ := pq.Pop()
 		v := int32(vi)
@@ -135,22 +163,29 @@ func ContractionOrder(g *roadnet.Graph) []int32 {
 			}
 		}
 		// Eliminate v: its remaining neighbours become pairwise adjacent.
-		ns = ns[:0]
-		for u := range nb[v] {
-			ns = append(ns, u)
-		}
+		ns := nb[v]
 		for _, u := range ns {
-			delete(nb[u], v)
+			l := nb[u]
+			i := slices.Index(l, v)
+			l[i] = l[len(l)-1]
+			nb[u] = l[:len(l)-1]
 			if level[u] <= level[v] {
 				level[u] = level[v] + 1
 			}
 		}
-		for i, a := range ns {
-			for _, b := range ns[i+1:] {
-				nb[a][b] = struct{}{}
-				nb[b][a] = struct{}{}
+		for _, a := range ns {
+			s := next()
+			stamp[a] = s
+			for _, u := range nb[a] {
+				stamp[u] = s
+			}
+			for _, b := range ns {
+				if stamp[b] != s {
+					nb[a] = append(nb[a], b)
+				}
 			}
 		}
+		nb[v] = nil
 		order = append(order, v)
 	}
 	return order

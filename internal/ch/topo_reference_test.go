@@ -163,3 +163,73 @@ func (t *Topology) bruteForceTriangles() {
 		}
 	}
 }
+
+// contractionOrderReference is ContractionOrder as it was before the
+// flat neighbour lists: the elimination game on per-vertex adjacency
+// maps, fill counted pair by pair through map lookups. Kept as the
+// test-only reference the flat game is held to.
+func contractionOrderReference(g *roadnet.Graph) []int32 {
+	n := g.NumVertices()
+	nb := make([]map[int32]struct{}, n)
+	for v := range nb {
+		nb[v] = make(map[int32]struct{}, 4)
+	}
+	for e := roadnet.EdgeID(0); int(e) < g.NumEdges(); e++ {
+		if ed := g.Edge(e); ed.From != ed.To { // self-loops never help shortest paths
+			nb[ed.From][int32(ed.To)] = struct{}{}
+			nb[ed.To][int32(ed.From)] = struct{}{}
+		}
+	}
+	level := make([]int32, n)
+	prio := func(v int32) float64 {
+		deg := len(nb[v])
+		fill := 0
+		for a := range nb[v] {
+			for b := range nb[v] {
+				if a < b {
+					if _, ok := nb[a][b]; !ok {
+						fill++
+					}
+				}
+			}
+		}
+		return float64(fill-deg) + 0.5*float64(level[v])
+	}
+
+	pq := container.NewIndexedMinHeap(n)
+	for v := 0; v < n; v++ {
+		pq.Push(v, prio(int32(v)))
+	}
+	order := make([]int32, 0, n)
+	var ns []int32
+	for pq.Len() > 0 {
+		vi, _ := pq.Pop()
+		v := int32(vi)
+		p := prio(v)
+		if pq.Len() > 0 {
+			if _, top := peek(pq); p > top {
+				pq.Push(vi, p)
+				continue
+			}
+		}
+		// Eliminate v: its remaining neighbours become pairwise adjacent.
+		ns = ns[:0]
+		for u := range nb[v] {
+			ns = append(ns, u)
+		}
+		for _, u := range ns {
+			delete(nb[u], v)
+			if level[u] <= level[v] {
+				level[u] = level[v] + 1
+			}
+		}
+		for i, a := range ns {
+			for _, b := range ns[i+1:] {
+				nb[a][b] = struct{}{}
+				nb[b][a] = struct{}{}
+			}
+		}
+		order = append(order, v)
+	}
+	return order
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/ch"
 	"repro/internal/geo"
 	"repro/internal/pref"
 	"repro/internal/roadnet"
@@ -88,12 +89,12 @@ func PresetWorld(network string, netSeed, simSeed int64, trips int) (*roadnet.Gr
 	return nil, SimConfig{}, fmt.Errorf("unknown network %q", network)
 }
 
-// Simulator generates trajectories over a road network.
+// Simulator generates trajectories over a road network. It keeps no
+// search engine: Run builds its own for the length of the run.
 type Simulator struct {
 	cfg SimConfig
 	g   *roadnet.Graph
 	rng *rand.Rand
-	eng route.PathEngine
 
 	hubs       []geo.Point
 	hubMembers [][]roadnet.VertexID
@@ -108,7 +109,6 @@ func NewSimulator(g *roadnet.Graph, cfg SimConfig) *Simulator {
 		cfg: cfg,
 		g:   g,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
-		eng: route.NewEngine(g),
 	}
 	b := g.Bounds()
 	s.origin = b.Min
@@ -140,6 +140,26 @@ func NewSimulator(g *roadnet.Graph, cfg SimConfig) *Simulator {
 	return s
 }
 
+// The two tables LatentPreference draws from. Master: a near-uniform
+// DI/TT/FC spread, as the paper's Fig. 6(a) reports for learned
+// preferences. Slave: three quarters of the zone pairs carry a
+// road-condition preference, one of these six; the other two of its
+// eight codes mean none. This is the part that makes local paths
+// "neither fastest nor shortest" (the Ceikute & Jensen observation
+// motivating the paper): road-condition preferences bend paths away from
+// every single-cost optimum in a region-pair-consistent, learnable way.
+var (
+	latentMasters = [...]roadnet.Weight{roadnet.DI, roadnet.TT, roadnet.FC}
+	latentSlaves  = [...]pref.SlaveFeature{
+		pref.Highways,
+		pref.SlaveOf(roadnet.Primary),
+		pref.SlaveOf(roadnet.Secondary),
+		pref.SlaveOf(roadnet.Residential),
+		pref.SlaveOf(roadnet.Secondary, roadnet.Tertiary),
+		pref.SlaveOf(roadnet.Primary, roadnet.Secondary),
+	}
+)
+
 // LatentPreference returns the deterministic latent routing preference
 // for trips from the zone of p to the zone of q. It is exported so tests
 // and the evaluation harness can inspect the ground-truth signal.
@@ -147,39 +167,24 @@ func (s *Simulator) LatentPreference(p, q geo.Point) pref.Preference {
 	zp := s.zoneOf(p)
 	zq := s.zoneOf(q)
 	h := splitmix(uint64(zp)*0x9E3779B97F4A7C15 ^ uint64(zq)*0xBF58476D1CE4E5B9 ^ uint64(s.cfg.Seed))
+	lp := pref.Preference{Master: latentMasters[(h>>16)%3]}
+	if c := (h >> 8) % 8; c < uint64(len(latentSlaves)) {
+		lp.Slave = latentSlaves[c]
+	}
+	return lp
+}
 
-	// Master: a near-uniform DI/TT/FC spread, as the paper's Fig. 6(a)
-	// reports for learned preferences.
-	var master roadnet.Weight
-	switch (h >> 16) % 3 {
-	case 0:
-		master = roadnet.DI
-	case 1:
-		master = roadnet.TT
-	default:
-		master = roadnet.FC
+// latentMetrics lists every ⟨master, slave⟩ metric LatentPreference can
+// name: the 3 masters × the 6 slaves and none.
+func latentMetrics() []route.MetricKey {
+	keys := make([]route.MetricKey, 0, len(latentMasters)*(len(latentSlaves)+1))
+	for _, w := range latentMasters {
+		keys = append(keys, route.MetricKey{W: w})
+		for _, sl := range latentSlaves {
+			keys = append(keys, route.MetricKey{W: w, Mask: sl.Mask()})
+		}
 	}
-	// Slave: three quarters of the zone pairs carry a road-condition
-	// preference. This is the part that makes local paths "neither
-	// fastest nor shortest" (the Ceikute & Jensen observation motivating
-	// the paper): road-condition preferences bend paths away from every
-	// single-cost optimum in a region-pair-consistent, learnable way.
-	slave := pref.NoSlave
-	switch (h >> 8) % 8 {
-	case 0:
-		slave = pref.Highways
-	case 1:
-		slave = pref.SlaveOf(roadnet.Primary)
-	case 2:
-		slave = pref.SlaveOf(roadnet.Secondary)
-	case 3:
-		slave = pref.SlaveOf(roadnet.Residential)
-	case 4:
-		slave = pref.SlaveOf(roadnet.Secondary, roadnet.Tertiary)
-	case 5:
-		slave = pref.SlaveOf(roadnet.Primary, roadnet.Secondary)
-	}
-	return pref.Preference{Master: master, Slave: slave}
+	return keys
 }
 
 func (s *Simulator) zoneOf(p geo.Point) int {
@@ -231,8 +236,21 @@ func (s *Simulator) sampleDriver() int {
 	return len(s.driverAct) - 1
 }
 
-// Run generates the configured number of trajectories.
+// Run generates the configured number of trajectories. Fastest and the
+// latent-preference searches run on a contraction hierarchy built for the
+// run, with the 21 metrics latentMetrics names customized up front, and
+// dropped when it returns; each time-minimizing driver's own travel
+// times stay on Dijkstra (package doc). The trips are an all-Dijkstra
+// run's, bit for bit: TestSimulatorMatchesDijkstraReference holds Run to
+// it.
 func (s *Simulator) Run() []*Trajectory {
+	return s.run(route.NewCHEngine(s.g, ch.BuildTopology(s.g), roadnet.TT, latentMetrics()...))
+}
+
+// run generates the trips, answering Fastest and RoutePref on eng and
+// each driver's CustomRoute on Dijkstra.
+func (s *Simulator) run(eng route.PathEngine) []*Trajectory {
+	dijkstra := route.NewEngine(s.g)
 	out := make([]*Trajectory, 0, s.cfg.Trips)
 	attempts := 0
 	maxAttempts := s.cfg.Trips * 20
@@ -247,23 +265,27 @@ func (s *Simulator) Run() []*Trajectory {
 			continue
 		}
 		driver := s.sampleDriver()
+		var speed [roadnet.NumRoadTypes]float64 // SpeedFactor(driver, ·)
+		for rt := range speed {
+			speed[rt] = s.SpeedFactor(driver, roadnet.RoadType(rt))
+		}
 
 		var path roadnet.Path
 		var ok bool
 		lp := s.LatentPreference(s.g.Point(src), s.g.Point(dst))
 		switch {
 		case s.rng.Float64() < s.cfg.NoiseTripShare:
-			path, _, ok = s.eng.Fastest(src, dst)
+			path, _, ok = eng.Fastest(src, dst)
 		case lp.Master == roadnet.TT && lp.Slave.Empty():
 			// Time-minimizing drivers perceive travel time through their
 			// personal per-road-type speed factors — the signal the TRIP
 			// baseline is designed to recover.
-			path, _, ok = s.eng.CustomRoute(src, dst, func(eid roadnet.EdgeID) float64 {
+			path, _, ok = dijkstra.CustomRoute(src, dst, func(eid roadnet.EdgeID) float64 {
 				ed := s.g.Edge(eid)
-				return ed.TravelTime * s.SpeedFactor(driver, ed.Type)
+				return ed.TravelTime * speed[ed.Type]
 			})
 		default:
-			path, _, ok = s.eng.RoutePref(src, dst, lp.Master, lp.Slave.Predicate())
+			path, _, ok = eng.RoutePref(src, dst, lp.Master, lp.Slave.Predicate())
 		}
 		if !ok || path.Length(s.g) < s.cfg.MinTripM {
 			continue
@@ -276,7 +298,7 @@ func (s *Simulator) Run() []*Trajectory {
 			Peak:   s.rng.Float64() < s.cfg.PeakShare,
 			Truth:  path,
 		}
-		t.Records = s.emitGPS(path, t.Depart, driver)
+		t.Records = s.emitGPS(path, t.Depart, &speed)
 		if len(t.Records) >= 2 {
 			out = append(out, t)
 		}
@@ -293,10 +315,11 @@ func (s *Simulator) SpeedFactor(driver int, rt roadnet.RoadType) float64 {
 	return 0.93 + 0.14*float64(h%1024)/1023
 }
 
-// emitGPS walks the path at the driver's personalized edge speeds,
-// emitting noisy position samples at the configured interval. The first
-// and last samples always land on (noisy versions of) the endpoints.
-func (s *Simulator) emitGPS(path roadnet.Path, depart float64, driver int) []GPS {
+// emitGPS walks the path at the driver's personalized edge speeds —
+// speed[t] is their SpeedFactor on road type t — emitting noisy position
+// samples at the configured interval. The first and last samples always
+// land on (noisy versions of) the endpoints.
+func (s *Simulator) emitGPS(path roadnet.Path, depart float64, speed *[roadnet.NumRoadTypes]float64) []GPS {
 	type leg struct {
 		a, b geo.Point
 		dur  float64
@@ -309,7 +332,7 @@ func (s *Simulator) emitGPS(path roadnet.Path, depart float64, driver int) []GPS
 			return nil
 		}
 		ed := s.g.Edge(e)
-		d := ed.TravelTime * s.SpeedFactor(driver, ed.Type)
+		d := ed.TravelTime * speed[ed.Type]
 		legs = append(legs, leg{s.g.Point(path[i-1]), s.g.Point(path[i]), d})
 		total += d
 	}

@@ -35,4 +35,9 @@
 //     trajectories across runs and machines.
 //   - scale-monotone: a larger ForVertices target never produces a
 //     smaller graph.
+//   - trips are engine-independent: the simulator routes on a
+//     contraction hierarchy built for the run, and draws exactly the
+//     trips an all-Dijkstra run would (pinned by traj's
+//     TestSimulatorMatchesDijkstraReference on 14 worlds, and by
+//     TestCITripDigest's digest of ci seed 1, recorded on Dijkstra).
 package worldgen

@@ -2,6 +2,9 @@ package worldgen
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/geo"
@@ -157,6 +160,48 @@ func TestBenchScaleMatchesHistoricalWorld(t *testing.T) {
 	}
 	if Fingerprint(g) != Fingerprint(legacy) {
 		t.Fatal("bench world no longer byte-identical to roadnet.Generate(roadnet.Tiny(5))")
+	}
+}
+
+// TestCITripDigest pins the ci seed 1 trajectory set — every field of
+// every trip the simulator emits — to a digest recorded when its
+// searches still all ran on Dijkstra. It is never re-recorded: a change
+// of engine, search or sampling that moves one bit of one trip fails it.
+func TestCITripDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ci world")
+	}
+	const want = 0xbc548e1a64cd004a
+	w := Build(MustScale(ScaleCI, 1))
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(u uint64) {
+		binary.BigEndian.PutUint64(buf[:], u)
+		h.Write(buf[:])
+	}
+	for _, tr := range w.All {
+		put(uint64(tr.ID))
+		put(uint64(tr.Driver))
+		put(math.Float64bits(tr.Depart))
+		if tr.Peak {
+			put(1)
+		} else {
+			put(0)
+		}
+		put(uint64(len(tr.Records)))
+		for _, r := range tr.Records {
+			put(math.Float64bits(r.T))
+			put(math.Float64bits(r.P.X))
+			put(math.Float64bits(r.P.Y))
+		}
+		put(uint64(len(tr.Truth)))
+		for _, v := range tr.Truth {
+			put(uint64(v))
+		}
+		put(uint64(len(tr.Matched)))
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("ci seed 1 trip digest %#x over %d trips, want %#x", got, len(w.All), uint64(want))
 	}
 }
 
