@@ -14,7 +14,8 @@ import (
 // and Route (climbs, unpacking, and the one allocation of the returned
 // path). It reports the topology's height — query cost follows the
 // contraction order, not the OD — and the sizes a query reads: a
-// metric's bytes per skeleton arc and the shared topology's KB.
+// metric's bytes per skeleton arc, the shared topology's KB and the
+// query's label bytes per vertex and side.
 func BenchmarkCCHQuery(b *testing.B) {
 	for _, scale := range []string{worldgen.ScaleCI, worldgen.ScaleCity} {
 		b.Run(scale, func(b *testing.B) {
@@ -36,7 +37,7 @@ func BenchmarkCCHQuery(b *testing.B) {
 					p := pairs[i%len(pairs)]
 					q.Cost(m, p[0], p[1])
 				}
-				reportSizes(b, topo, m)
+				reportSizes(b, topo, m, q)
 			})
 			b.Run("Route", func(b *testing.B) {
 				b.ReportAllocs()
@@ -44,17 +45,19 @@ func BenchmarkCCHQuery(b *testing.B) {
 					p := pairs[i%len(pairs)]
 					q.Route(m, p[0], p[1])
 				}
-				reportSizes(b, topo, m)
+				reportSizes(b, topo, m, q)
 			})
 		})
 	}
 }
 
-// reportSizes reports topo's height and size and m's bytes per arc.
-func reportSizes(b *testing.B, topo *ch.Topology, m *ch.Metric) {
+// reportSizes reports topo's height and size, m's bytes per arc and
+// q's label bytes per vertex on one side.
+func reportSizes(b *testing.B, topo *ch.Topology, m *ch.Metric, q *ch.MetricQuery) {
 	b.ReportMetric(float64(topo.Height()), "height")
 	b.ReportMetric(float64(m.Bytes())/float64(topo.NumArcs()), "metric_B/arc")
 	b.ReportMetric(float64(topo.Bytes())/1024, "topology_KB")
+	b.ReportMetric(float64(q.LabelBytesPerVertex()), "label_B/vertex")
 }
 
 // BenchmarkContractionOrder times the greedy elimination game alone —

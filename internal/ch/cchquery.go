@@ -10,81 +10,47 @@ import (
 // Topology, serving any Metric customized from it: the metric is a
 // per-call argument, so one query context (and its per-vertex arrays)
 // amortizes across every metric a fork routes on. Buffers are allocated
-// once and recycled across queries by the epoch trick — resetting costs
-// two counter bumps, not O(|V|) clears or fresh allocations.
+// once and recycled across queries: a query resets the labels of the
+// two chains it climbed, not O(|V|) of them, before it returns.
 //
 // A MetricQuery is not safe for concurrent use; create one per
 // goroutine (route.CHEngine keeps one per fork).
 type MetricQuery struct {
 	t        *Topology
 	fwd, bwd cchSide
-	chain    []cchLink    // packed-chain scratch, reused across queries
+	chain    []int32      // forward search-tree scratch, reused across queries
 	path     roadnet.Path // unpack scratch behind Route's one exact-size copy
 }
 
-// cchSide is one direction of the query: the labels of one climb.
+// cchSide is one direction of the query: the labels of one climb. dist
+// is +Inf between queries; parc[v] is the arc a finite dist[v] was set
+// over, whose owner lowOf[parc[v]] is v's parent (-1 at the start).
 type cchSide struct {
-	dist   []float64
-	parent []int32 // parent vertex in the search tree
-	parc   []int32 // skeleton arc index used from parent
-	// seen[v] == epoch marks v as labelled (finitely) by the current
-	// query; anything else is a stale stamp from an earlier one.
-	seen  []uint32
-	epoch uint32
-}
-
-// cchLink is one packed search-tree step: vertex v reached from parent
-// over skeleton arc k.
-type cchLink struct {
-	parent, v, k int32
+	dist []float64
+	parc []int32
 }
 
 func newCCHSide(n int) cchSide {
-	return cchSide{
-		dist:   make([]float64, n),
-		parent: make([]int32, n),
-		parc:   make([]int32, n),
-		seen:   make([]uint32, n),
+	s := cchSide{dist: make([]float64, n), parc: make([]int32, n)}
+	for i := range s.dist {
+		s.dist[i] = math.Inf(1)
 	}
+	return s
 }
 
-// start begins a new query at v. The epoch wraps after 2³² queries; a
-// stamp left by the query 2³² ago would then read as live, so on wrap
-// the stamps are cleared and the epoch restarts at 1 (0 is the cleared
-// state, never a live epoch).
-func (s *cchSide) start(v int32) {
-	s.epoch++
-	if s.epoch == 0 {
-		for i := range s.seen {
-			s.seen[i] = 0
-		}
-		s.epoch = 1
-	}
-	s.seen[v] = s.epoch
-	s.dist[v] = 0
-	s.parent[v] = -1
-	s.parc[v] = -1
-}
-
-// relaxUp relaxes v's up-arc range lo..hi under w if v is labelled.
-// Arcs whose customized weight is +Inf (unreachable or metric-forbidden)
-// are never relaxed, so every label is finite.
+// relaxUp relaxes v's up-arc range lo..hi under w if v is labelled. A
+// +Inf arc (unreachable or metric-forbidden) improves no label.
 func (s *cchSide) relaxUp(upTo []int32, w []float64, v, lo, hi int32) {
-	epoch, seen, dist := s.epoch, s.seen, s.dist
-	if seen[v] != epoch {
+	dist := s.dist
+	dv := dist[v]
+	if dv > math.MaxFloat64 {
 		return
 	}
-	dv := dist[v]
-	upTo, w = upTo[lo:hi], w[lo:hi]
+	upTo = upTo[lo:hi]
+	w = w[lo:][:len(upTo)]
 	for i, u := range upTo {
-		wk := w[i]
-		if wk > math.MaxFloat64 {
-			continue
-		}
-		if nd := dv + wk; seen[u] != epoch || nd < dist[u] {
-			seen[u] = epoch
+		if nd := dv + w[i]; nd < dist[u] {
 			dist[u] = nd
-			s.parent[u] = v
 			s.parc[u] = lo + int32(i)
 		}
 	}
@@ -137,19 +103,20 @@ func (q *MetricQuery) unpackFrom(path roadnet.Path, m *Metric, meet int32) roadn
 	// Forward chain: walk parents from the meeting vertex back to s,
 	// then unpack in travel order. Each forward step parent→v travels
 	// the arc's up direction (the parent owns the arc).
+	fparc, bparc, lowOf := q.fwd.parc, q.bwd.parc, q.t.lowOf
 	q.chain = q.chain[:0]
-	for v := meet; q.fwd.parent[v] >= 0; v = q.fwd.parent[v] {
-		q.chain = append(q.chain, cchLink{parent: q.fwd.parent[v], v: v, k: q.fwd.parc[v]})
+	for v := meet; fparc[v] >= 0; v = lowOf[fparc[v]] {
+		q.chain = append(q.chain, v)
 	}
 	for i := len(q.chain) - 1; i >= 0; i-- {
-		l := q.chain[i]
-		path = q.unpack(m, path, l.parent, l.v, l.k, true)
+		v := q.chain[i]
+		path = q.unpack(m, path, lowOf[fparc[v]], v, fparc[v], true)
 	}
 	// Backward chain: from the meeting vertex, each parent step v→parent
 	// is the actual travel direction toward d and runs the arc downward
 	// (the parent owns the arc; travel descends to it).
-	for v := meet; q.bwd.parent[v] >= 0; v = q.bwd.parent[v] {
-		path = q.unpack(m, path, v, q.bwd.parent[v], q.bwd.parc[v], false)
+	for v := meet; bparc[v] >= 0; v = lowOf[bparc[v]] {
+		path = q.unpack(m, path, v, lowOf[bparc[v]], bparc[v], false)
 	}
 	return path
 }
@@ -158,10 +125,10 @@ func (q *MetricQuery) unpackFrom(path roadnet.Path, m *Metric, meet int32) roadn
 // from → to after the current last path vertex, excluding `from` itself.
 // up says whether travel runs the arc's up direction (from is the
 // lower-ranked owner). A shortcut's middle code names its winning lower
-// triangle {a; b1, b2} in the topology's table, whose arcs i = {a, b1}
-// and j = {a, b2} are a's; the recursion descends to a: from→a runs
-// down into it, a→to runs up out of it, because a outranks neither
-// endpoint.
+// triangle {a; b1, b2} in the topology's table (middleSlow resolves the
+// escape), whose arcs i = {a, b1} and j = {a, b2} are a's; the
+// recursion descends to a: from→a runs down into it, a→to runs up out
+// of it, because a outranks neither endpoint.
 func (q *MetricQuery) unpack(m *Metric, path roadnet.Path, from, to, k int32, up bool) roadnet.Path {
 	code := m.midDown[k]
 	if up {
@@ -170,8 +137,14 @@ func (q *MetricQuery) unpack(m *Metric, path roadnet.Path, from, to, k int32, up
 	if code == 0 {
 		return append(path, roadnet.VertexID(to))
 	}
-	tr := m.middle(k, code, up)
-	via, k1, k2 := q.t.lowOf[tr.i], tr.i, tr.j // from = b1, to = b2
+	t := q.t
+	var tr triangle
+	if x := t.triStart[k] + int32(code) - 1; code < escape && x < t.triStart[k+1] {
+		tr = t.tris[x]
+	} else {
+		tr = m.middleSlow(k, code, up)
+	}
+	via, k1, k2 := t.lowOf[tr.i], tr.i, tr.j // from = b1, to = b2
 	if !up {
 		k1, k2 = k2, k1
 	}
@@ -195,10 +168,16 @@ func (q *MetricQuery) unpack(m *Metric, path roadnet.Path, from, to, k int32, up
 // Both sides are labelled only on common ancestors, which d's climb
 // visits in the same order as s's; the meeting vertex is the first of
 // them, in that order, to attain the minimum of fwd.dist + bwd.dist.
+// Only the chains are labelled, so run puts every dist back to +Inf
+// before it returns: each backward label once d's climb has passed it,
+// then s's chain. parc keeps the search trees for unpacking.
 func (q *MetricQuery) run(m *Metric, s, d int32) (float64, int32, bool) {
 	fwd, bwd := &q.fwd, &q.bwd
 	upStart, upTo := q.t.upStart, q.t.upTo
-	fwd.start(s)
+	// Index both ends before labelling either: an out-of-range vertex
+	// then panics with every label still +Inf.
+	_, _ = fwd.dist[s], bwd.dist[d]
+	fwd.dist[s], fwd.parc[s] = 0, -1
 	for v := s; ; {
 		lo, hi := upStart[v], upStart[v+1]
 		if lo == hi {
@@ -210,21 +189,26 @@ func (q *MetricQuery) run(m *Metric, s, d int32) (float64, int32, bool) {
 
 	best := math.Inf(1)
 	meet := int32(-1)
-	bwd.start(d)
+	bwd.dist[d], bwd.parc[d] = 0, -1
 	for v := d; ; {
 		// v's backward label is final here: every arc into it was
 		// relaxed from a vertex lower on the chain.
-		if bwd.seen[v] == bwd.epoch && fwd.seen[v] == fwd.epoch {
-			if c := fwd.dist[v] + bwd.dist[v]; c < best {
-				best, meet = c, v
-			}
+		if c := fwd.dist[v] + bwd.dist[v]; c < best {
+			best, meet = c, v
 		}
 		lo, hi := upStart[v], upStart[v+1]
+		bwd.relaxUp(upTo, m.wDown, v, lo, hi)
+		bwd.dist[v] = math.Inf(1)
 		if lo == hi {
 			break
 		}
-		bwd.relaxUp(upTo, m.wDown, v, lo, hi)
 		v = upTo[lo]
+	}
+	for v := s; ; v = upTo[upStart[v]] {
+		fwd.dist[v] = math.Inf(1)
+		if upStart[v] == upStart[v+1] {
+			break
+		}
 	}
 	if meet < 0 {
 		return 0, -1, false

@@ -117,15 +117,13 @@ func (t *Topology) CustomizeAll(costs []func(roadnet.EdgeID) float64) []*Metric 
 	return ms
 }
 
-// middle returns the lower triangle that set arc k's weight in the
-// given direction, from its nonzero middle code. A code naming no
-// triangle of arc k cannot come out of Customize, and panics.
-func (m *Metric) middle(k int32, code uint8, up bool) triangle {
+// middleSlow returns the lower triangle that set arc k's weight in the
+// given direction for a code unpack does not read from the table: the
+// escape, or one naming no triangle of arc k, which cannot come out of
+// Customize and panics.
+func (m *Metric) middleSlow(k int32, code uint8, up bool) triangle {
 	t := m.t
 	tris := t.tris[t.triStart[k]:t.triStart[k+1]]
-	if code < escape && int(code) <= len(tris) {
-		return tris[code-1]
-	}
 	w := m.wDown[k]
 	if up {
 		w = m.wUp[k]

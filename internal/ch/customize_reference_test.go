@@ -84,17 +84,23 @@ func (m *Metric) Codes() (midUp, midDown []uint8) { return m.midUp, m.midDown }
 
 // Middles resolves every middle code to the vertex it names, in the
 // reference layout: -1 for code 0, else the winning triangle's middle
-// vertex.
+// vertex, found as unpack finds it.
 func (m *Metric) Middles() (viaUp, viaDown []int32) {
-	n := len(m.wUp)
+	t, n := m.t, len(m.wUp)
+	via := func(k int32, c uint8, up bool) int32 {
+		if x := t.triStart[k] + int32(c) - 1; c < escape && x < t.triStart[k+1] {
+			return t.lowOf[t.tris[x].i]
+		}
+		return t.lowOf[m.middleSlow(k, c, up).i]
+	}
 	viaUp, viaDown = make([]int32, n), make([]int32, n)
 	for k := range n {
 		viaUp[k], viaDown[k] = -1, -1
 		if c := m.midUp[k]; c != 0 {
-			viaUp[k] = m.t.lowOf[m.middle(int32(k), c, true).i]
+			viaUp[k] = via(int32(k), c, true)
 		}
 		if c := m.midDown[k]; c != 0 {
-			viaDown[k] = m.t.lowOf[m.middle(int32(k), c, false).i]
+			viaDown[k] = via(int32(k), c, false)
 		}
 	}
 	return viaUp, viaDown

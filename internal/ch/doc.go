@@ -86,15 +86,15 @@
 // Topology.Height and ClimbArcsMean report it, and are the numbers that
 // say when a nested-dissection order would start to pay.
 //
-// Scratch and epochs. A MetricQuery owns per-vertex labels recycled
-// across queries (and across metrics) by epoch stamps, the chain buffer
-// and the unpack buffer; it is not safe for concurrent use — one per
+// Labels. A MetricQuery keeps 12 bytes per vertex and side: dist, +Inf
+// everywhere between queries, and parc, the arc a label was set over;
+// the parent is that arc's owner, lowOf[parc]. Only the two chains are
+// labelled, so a query puts them back to +Inf before it returns, and
+// +Inf arithmetic refuses relaxations from unlabelled vertices and over
+// +Inf arcs without a test. It is not safe for concurrent use — one per
 // goroutine. AppendRoute writes into a caller's buffer and allocates
 // nothing; Route unpacks into the query's own buffer and returns one
-// exact-size copy, so a returned path never aliases scratch. The epoch
-// is a uint32 bumped per query; on wrap every stamp is cleared and the
-// epoch restarts at 1, because a stamp left 2³² queries ago would
-// otherwise read as a live label.
+// exact-size copy, so a returned path never aliases scratch.
 //
 // The query returns exactly Dijkstra's costs; property tests pin CCH ≡
 // Dijkstra, and TestElimTreeMatchesReference pins the climb to the

@@ -154,42 +154,81 @@ func TestQueryAllocations(t *testing.T) {
 	}
 }
 
-// TestEpochWrap starts a query context two queries short of the uint32
-// epoch wrap and checks the next four queries against Dijkstra, each
-// with every stamp set to a value the epoch may take right after the
-// wrap: 1, what a query 2³² ago left behind, and 0, what a vertex never
-// labelled holds. Without the clear-and-restart-at-1 on wrap those
-// stamps read as live labels and the query returns distances from a
-// search that never ran.
-func TestEpochWrap(t *testing.T) {
-	g := roadnet.Generate(roadnet.Tiny(7))
-	topo := ch.BuildTopology(g)
-	m := testMetrics[0].customize(topo)
-	eng := route.NewEngine(g)
-	n := g.NumVertices()
-	rng := rand.New(rand.NewSource(4))
-
-	q := ch.NewMetricQuery(topo)
-	// Leave real (stale) labels everywhere a climb can: one from every vertex.
-	for v := 0; v < n; v++ {
-		q.Cost(m, roadnet.VertexID(v), roadnet.VertexID(n-1-v))
-	}
-	for _, stale := range []uint32{1, 0} {
-		q.SetEpoch(math.MaxUint32 - 2)
-		for i := 0; i < 4; i++ { // epochs MaxUint32-1, MaxUint32, (wrap) 1, 2
-			q.StampAll(stale)
+// TestLabelsClearAfterQuery runs one query context through a long
+// mixed sequence on two networks, a forest of two components with
+// one-way streets and a worldgen city: the six test metrics interleaved
+// at random (the masked ones carry +Inf arcs), Cost and Route, s == d
+// on every tenth query, and pairs across the components. After every
+// query every distance label on both sides must read +Inf again — the
+// one thing the next query assumes of its labels — and the answer must
+// equal a fresh context's and the reference query's: the same
+// reachability, a Float64bits-equal cost and the identical path. A
+// query with an end out of range must panic before it sets a label.
+func TestLabelsClearAfterQuery(t *testing.T) {
+	islands, _ := twoIslands(t, rand.New(rand.NewSource(5)))
+	city, _ := worldgen.BuildGraph(worldgen.MustScale(worldgen.ScaleBench, 1))
+	for gi, g := range []*roadnet.Graph{islands, city} {
+		topo := ch.BuildTopology(g)
+		ms, rms := make([]*ch.Metric, len(testMetrics)), make([]*ch.RefMetric, len(testMetrics))
+		for i, tm := range testMetrics {
+			ms[i], rms[i] = tm.customize(topo), tm.customizeReference(topo)
+		}
+		q, ref := ch.NewMetricQuery(topo), ch.NewReferenceQuery(topo)
+		n := g.NumVertices()
+		rng := rand.New(rand.NewSource(int64(gi) + 1))
+		unreachable := 0
+		for i := 0; i < 1500; i++ {
+			mi := rng.Intn(len(ms))
 			s, d := roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n))
-			_, want, okD := eng.Route(s, d, roadnet.TT)
-			p, got, ok := q.Route(m, s, d)
-			if ok != okD || math.Abs(got-want) > 1e-6*(1+want) {
-				t.Fatalf("stale stamp %d, query %d (%d->%d, epoch %d): cost %g ok %v, dijkstra %g %v", stale, i, s, d, q.Epoch(), got, ok, want, okD)
+			if i%10 == 0 {
+				d = s
 			}
-			if !p.Valid(g) || p[0] != s || p[len(p)-1] != d {
-				t.Fatalf("stale stamp %d, query %d (%d->%d): invalid path %v", stale, i, s, d, p)
+			var p roadnet.Path
+			var c float64
+			var ok bool
+			if i%3 == 0 {
+				c, ok = q.Cost(ms[mi], s, d)
+			} else {
+				p, c, ok = q.Route(ms[mi], s, d)
+			}
+			fwd, bwd := q.Dists()
+			for v := range fwd {
+				if !math.IsInf(fwd[v], 1) || !math.IsInf(bwd[v], 1) {
+					t.Fatalf("graph %d, query %d (metric %d, %d->%d): vertex %d keeps labels %g / %g", gi, i, mi, s, d, v, fwd[v], bwd[v])
+				}
+			}
+			fp, fc, fok := ch.NewMetricQuery(topo).Route(ms[mi], s, d)
+			rp, rc, rok := ref.Route(rms[mi], s, d)
+			if ok != fok || ok != rok {
+				t.Fatalf("graph %d, query %d (metric %d, %d->%d): ok = %v, fresh context %v, reference %v", gi, i, mi, s, d, ok, fok, rok)
+			}
+			if !ok {
+				unreachable++
+				continue
+			}
+			if math.Float64bits(c) != math.Float64bits(fc) || math.Float64bits(c) != math.Float64bits(rc) {
+				t.Fatalf("graph %d, query %d (metric %d, %d->%d): cost %v, fresh context %v, reference %v", gi, i, mi, s, d, c, fc, rc)
+			}
+			if i%3 != 0 && (!slices.Equal(p, fp) || !slices.Equal(p, rp)) {
+				t.Fatalf("graph %d, query %d (metric %d, %d->%d): path %v, fresh context %v, reference %v", gi, i, mi, s, d, p, fp, rp)
 			}
 		}
-		if e := q.Epoch(); e != 2 {
-			t.Fatalf("epoch after wrapping = %d, want 2 (restart at 1, one more query)", e)
+		if gi == 0 && unreachable == 0 {
+			t.Errorf("no query on the forest was unreachable; the sequence must cover that case")
+		}
+		// An out-of-range end panics before any label is set.
+		for _, sd := range [][2]roadnet.VertexID{{0, roadnet.VertexID(n)}, {roadnet.VertexID(n), 0}} {
+			func() {
+				defer func() { recover() }()
+				q.Cost(ms[0], sd[0], sd[1])
+				t.Errorf("graph %d: %d->%d did not panic", gi, sd[0], sd[1])
+			}()
+			fwd, bwd := q.Dists()
+			for v := range fwd {
+				if !math.IsInf(fwd[v], 1) || !math.IsInf(bwd[v], 1) {
+					t.Fatalf("graph %d: the panicking query %d->%d left labels %g / %g at vertex %d", gi, sd[0], sd[1], fwd[v], bwd[v], v)
+				}
+			}
 		}
 	}
 }

@@ -2,23 +2,15 @@ package ch
 
 import "repro/internal/roadnet"
 
-// SetEpoch places both sides' epoch counters, so a test can start a
-// query context a few queries short of the uint32 wrap instead of
-// running 2³² queries to get there.
-func (q *MetricQuery) SetEpoch(e uint32) {
-	q.fwd.epoch, q.bwd.epoch = e, e
-}
+// Dists returns both sides' distance labels, which must read +Inf
+// everywhere between queries.
+func (q *MetricQuery) Dists() (fwd, bwd []float64) { return q.fwd.dist, q.bwd.dist }
 
-// StampAll sets every vertex's stamp on both sides to e, as if a query
-// in epoch e had labelled the whole graph.
-func (q *MetricQuery) StampAll(e uint32) {
-	for i := range q.fwd.seen {
-		q.fwd.seen[i], q.bwd.seen[i] = e, e
-	}
+// LabelBytesPerVertex returns one side's label bytes per vertex.
+func (q *MetricQuery) LabelBytesPerVertex() int {
+	s := &q.fwd
+	return (8*len(s.dist) + 4*len(s.parc)) / len(s.dist)
 }
-
-// Epoch returns the forward side's epoch.
-func (q *MetricQuery) Epoch() uint32 { return q.fwd.epoch }
 
 // UpNeighbors returns v's up-arc range: the higher-ranked endpoints of
 // the skeleton arcs v owns, in rank order.

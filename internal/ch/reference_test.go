@@ -79,13 +79,13 @@ func (q *ReferenceQuery) Route(m *RefMetric, s, d roadnet.VertexID) (roadnet.Pat
 		return nil, 0, false
 	}
 	path := roadnet.Path{s}
-	var chain []cchLink
+	var chain []int32
 	for v := meet; q.fwd.parent[v] >= 0; v = q.fwd.parent[v] {
-		chain = append(chain, cchLink{parent: q.fwd.parent[v], v: v, k: q.fwd.parc[v]})
+		chain = append(chain, v)
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
-		l := chain[i]
-		path = q.unpack(m, path, l.parent, l.v, l.k, true)
+		v := chain[i]
+		path = q.unpack(m, path, q.fwd.parent[v], v, q.fwd.parc[v], true)
 	}
 	for v := meet; q.bwd.parent[v] >= 0; v = q.bwd.parent[v] {
 		path = q.unpack(m, path, v, q.bwd.parent[v], q.bwd.parc[v], false)

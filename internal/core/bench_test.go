@@ -179,3 +179,53 @@ func reportCHSizes(b *testing.B, topo *ch.Topology) {
 	b.ReportMetric(float64(m.Bytes())/float64(topo.NumArcs()), "metric_B/arc")
 	b.ReportMetric(float64(topo.Bytes())/1024, "topology_KB")
 }
+
+// BenchmarkRegionSearch times Route's first step alone, the search of
+// the region graph, between the regions of uniform ODs at ci and at
+// 6.4k vertices. ODs with an endpoint outside every region, or with
+// both in one region, are skipped: Route runs no search for them. It
+// reports how many regions a search reaches.
+func BenchmarkRegionSearch(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		spec worldgen.Spec
+	}{{"ci", worldgen.MustScale(worldgen.ScaleCI, 1)}, {"6.4k", worldgen.ForVertices(6400, 1)}} {
+		b.Run(c.name, func(b *testing.B) {
+			var r *Router
+			if c.name == "ci" {
+				r = cityRouter(b, worldgen.ScaleCI).Clone()
+			} else {
+				w := worldgen.Build(c.spec)
+				built, err := Build(w.Road, w.Train, Options{SkipMapMatching: true, PathBackend: BackendCH})
+				if err != nil {
+					b.Fatal(err)
+				}
+				r = built.Clone()
+			}
+			n := r.Road().NumVertices()
+			rng := rand.New(rand.NewSource(1))
+			pairs := make([][2]int, 0, 4096)
+			reached := 0
+			for len(pairs) < cap(pairs) {
+				rs, rd := r.rg.RegionOf(roadnet.VertexID(rng.Intn(n))), r.rg.RegionOf(roadnet.VertexID(rng.Intn(n)))
+				if rs < 0 || rd < 0 || rs == rd {
+					continue
+				}
+				pairs = append(pairs, [2]int{rs, rd})
+				r.regionSearch(rs, rd)
+				for _, e := range r.scratch.seen {
+					if e == r.scratch.epoch {
+						reached++
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				r.regionSearch(p[0], p[1])
+			}
+			b.ReportMetric(float64(reached)/float64(len(pairs)), "regions_reached/search")
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/roadnet"
@@ -98,6 +99,67 @@ func TestLearnedModelUnchangedBySearchElimination(t *testing.T) {
 		learned, routes = modelDigest(cur)
 		if learned != wantIngestedLearned || routes != wantIngestedRoutes {
 			t.Errorf("%v, after 16 batches: learned %#x routes %#x, want %#x %#x", backend, learned, routes, wantIngestedLearned, wantIngestedRoutes)
+		}
+	}
+}
+
+// routeDigest is an FNV-64a over every answer r gives on n uniform ODs
+// drawn from rand.NewSource(42): each Route's path, a separator, its
+// region path and Evidence<<8|Category, and on every 10th OD the paths
+// of RouteK(s, d, 4), each followed by a separator.
+func routeDigest(r *Router, n int) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	nv := r.Road().NumVertices()
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < n; i++ {
+		s, d := roadnet.VertexID(rng.Intn(nv)), roadnet.VertexID(rng.Intn(nv))
+		res := r.Route(s, d)
+		for _, v := range res.Path {
+			put(uint64(v))
+		}
+		put(math.MaxUint64)
+		for _, reg := range res.RegionPath {
+			put(uint64(reg))
+		}
+		put(uint64(res.Evidence)<<8 | uint64(res.Category))
+		if i%10 != 0 {
+			continue
+		}
+		for _, alt := range r.RouteK(s, d, 4) {
+			for _, v := range alt.Path {
+				put(uint64(v))
+			}
+			put(math.MaxUint64)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestCIRouteDigest pins every answer of the CH-backed bench and ci
+// cities (seed 1) on 20,000 uniform ODs — path, region path, evidence
+// and category, plus RouteK(4) on every 10th — to digests recorded
+// before region search read neighbour IDs and the CCH query dropped its
+// epoch stamps. Both changes are same-output by construction; this is
+// the check that they are. The values are never re-recorded: a change
+// that moves them changes answers. The ci half skips under -race and
+// -short.
+func TestCIRouteDigest(t *testing.T) {
+	want := map[string]uint64{
+		worldgen.ScaleBench: 0x51e82966162fa242,
+		worldgen.ScaleCI:    0x33e7dafb79c5f546,
+	}
+	for _, scale := range []string{worldgen.ScaleBench, worldgen.ScaleCI} {
+		if scale == worldgen.ScaleCI && (raceEnabled || testing.Short()) {
+			t.Logf("skipping the ci city under -race/-short")
+			continue
+		}
+		if got := routeDigest(cityRouter(t, scale).Clone(), 20000); got != want[scale] {
+			t.Errorf("%s: route digest %#x, want %#x", scale, got, want[scale])
 		}
 	}
 }

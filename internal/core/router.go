@@ -359,8 +359,8 @@ func (r *Router) regionSearch(rs, rd int) ([]int, bool) {
 			reach(rd, cur)
 			break
 		}
-		for _, ei := range r.rg.EdgesOf(cur) {
-			o := r.rg.Edges[ei].Other(cur)
+		for _, l := range r.rg.Links(cur) {
+			o := int(l.To)
 			if sc.seen[o] == sc.epoch {
 				continue
 			}
@@ -452,8 +452,8 @@ func (r *Router) regionPrefRoute(reg int, s, d roadnet.VertexID) (roadnet.Path, 
 		}
 	}
 	counts := make(map[pref.Preference]int)
-	for _, ei := range r.rg.EdgesOf(reg) {
-		e := r.rg.Edges[ei]
+	for _, l := range r.rg.Links(reg) {
+		e := r.rg.Edges[l.Edge]
 		if !e.HasPref {
 			continue
 		}

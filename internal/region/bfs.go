@@ -71,9 +71,8 @@ func (g *Graph) Connected() bool {
 	for len(stack) > 0 {
 		r := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, ei := range g.adj[r] {
-			o := g.Edges[ei].Other(r)
-			if !seen[o] {
+		for _, l := range g.adj[r] {
+			if o := int(l.To); !seen[o] {
 				seen[o] = true
 				count++
 				stack = append(stack, o)

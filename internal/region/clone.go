@@ -40,7 +40,7 @@ func (g *Graph) CloneCOW() *Graph {
 		topTypes:  g.topTypes,
 	}
 	cp.Edges = append([]*Edge(nil), g.Edges...)
-	cp.adj = append([][]int(nil), g.adj...)
+	cp.adj = append([][]Link(nil), g.adj...)
 	cp.inner = append([][]InnerPath(nil), g.inner...)
 	cp.transferCenters = append([][]roadnet.VertexID(nil), g.transferCenters...)
 	cp.tcCounts = append([]map[roadnet.VertexID]int(nil), g.tcCounts...)
@@ -107,11 +107,11 @@ func (g *Graph) mutTCCount(r int) {
 	g.cow.tccs[r] = true
 }
 
-// mutAdj privatizes region r's edge-ID adjacency before inserting.
+// mutAdj privatizes region r's adjacency before inserting.
 func (g *Graph) mutAdj(r int) {
 	if g.cow == nil || g.cow.adj[r] {
 		return
 	}
-	g.adj[r] = append([]int(nil), g.adj[r]...)
+	g.adj[r] = append([]Link(nil), g.adj[r]...)
 	g.cow.adj[r] = true
 }

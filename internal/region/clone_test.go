@@ -49,10 +49,10 @@ func (g *Graph) Clone() *Graph {
 		cp.Edges[i] = ne
 	}
 
-	cp.adj = make([][]int, len(g.adj))
+	cp.adj = make([][]Link, len(g.adj))
 	for i, a := range g.adj {
 		if len(a) > 0 {
-			cp.adj[i] = append([]int(nil), a...)
+			cp.adj[i] = append([]Link(nil), a...)
 		}
 	}
 

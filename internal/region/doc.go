@@ -22,8 +22,9 @@
 // clones.
 //
 // The graph derives nothing beyond the vertex→region map and each
-// region's adjacency, kept sorted by neighbor region: FindEdge searches
-// that adjacency, and path sets dedup by comparing contents. AddPaths
+// region's adjacency, a Link (neighbor ID, edge ID) per neighbor
+// sorted by neighbor: FindEdge and region search read the neighbor IDs
+// without touching an Edge, and path sets dedup by contents. AddPaths
 // copies each trajectory once, and every path it stores is a window of
 // that copy whose capacity ends where the window does.
 package region

@@ -119,6 +119,9 @@ func (e *Edge) AddPath(from int, p roadnet.Path, terminal bool) {
 	*set = append(*set, PathInfo{Path: p, Count: 1, Terminal: t})
 }
 
+// Link is one adjacency entry: neighbor region To, over edge Edge.
+type Link struct{ To, Edge int32 }
+
 // InnerPath is a within-region sub-path of a trajectory, from the vertex
 // where the trajectory entered the region to where it left.
 type InnerPath struct {
@@ -137,11 +140,11 @@ type Graph struct {
 
 	// regionOf maps road vertex -> region ID, or -1.
 	regionOf []int32
-	// Edges holds all region edges; adj[r] lists region r's edge IDs
-	// sorted by neighbor region ID (insertAdj), which is what FindEdge
-	// searches.
+	// Edges holds all region edges; adj[r] lists region r's neighbor
+	// IDs, each with its edge, sorted by neighbor (insertAdj), which
+	// is what FindEdge searches.
 	Edges []*Edge
-	adj   [][]int
+	adj   [][]Link
 
 	// centroids[r] is the mean member location of region r.
 	centroids []geo.Point
@@ -174,8 +177,8 @@ func (g *Graph) RegionOf(v roadnet.VertexID) int { return int(g.regionOf[v]) }
 // Centroid returns the centroid of region r.
 func (g *Graph) Centroid(r int) geo.Point { return g.centroids[r] }
 
-// EdgesOf returns the indices into Edges of region r's edges.
-func (g *Graph) EdgesOf(r int) []int { return g.adj[r] }
+// Links returns region r's adjacency, in ascending neighbor ID.
+func (g *Graph) Links(r int) []Link { return g.adj[r] }
 
 // FindEdge returns the region edge between r1 and r2, or nil. It
 // binary-searches the shorter of the two regions' adjacency lists.
@@ -184,7 +187,7 @@ func (g *Graph) FindEdge(r1, r2 int) *Edge {
 		r1, r2 = r2, r1
 	}
 	if i, ok := g.searchAdj(r1, r2); ok {
-		return g.Edges[g.adj[r1][i]]
+		return g.Edges[g.adj[r1][i].Edge]
 	}
 	return nil
 }
@@ -192,7 +195,7 @@ func (g *Graph) FindEdge(r1, r2 int) *Edge {
 // searchAdj returns where neighbor region o sits, or would sit, in
 // region r's adjacency, and whether an edge to o is there.
 func (g *Graph) searchAdj(r, o int) (int, bool) {
-	return slices.BinarySearchFunc(g.adj[r], o, func(id, o int) int { return g.Edges[id].Other(r) - o })
+	return slices.BinarySearchFunc(g.adj[r], int32(o), func(l Link, o int32) int { return int(l.To - o) })
 }
 
 // InnerPaths returns region r's inner paths.
@@ -248,22 +251,23 @@ func (g *Graph) edge(r1, r2 int, kind EdgeKind) *Edge {
 	if g.cow != nil {
 		g.cow.edges = append(g.cow.edges, true) // freshly created, private
 	}
-	g.insertAdj(e.R1, e.ID)
-	g.insertAdj(e.R2, e.ID)
+	g.insertAdj(e.R1, e.R2, e.ID)
+	g.insertAdj(e.R2, e.R1, e.ID)
 	return e
 }
 
-// insertAdj adds edge id to region r's adjacency, keeping the list
-// ordered by the neighbor region's ID. Adjacency order is therefore a
-// function of the graph's edge *set*, not of edge creation history —
-// however the evidence was batched, and whether ConnectBFS ran before
-// or after some of it, neighbors are traversed in the same order, which
-// the online-maintenance convergence guarantee depends on. Each region
-// pair has exactly one edge, so neighbor IDs are unique within a list.
-func (g *Graph) insertAdj(r, id int) {
+// insertAdj adds edge id, to neighbor region o, to region r's
+// adjacency, keeping the list ordered by neighbor ID. Adjacency order
+// is therefore a function of the graph's edge *set*, not of edge
+// creation history — however the evidence was batched, and whether
+// ConnectBFS ran before or after some of it, neighbors are traversed
+// in the same order, which the online-maintenance convergence
+// guarantee depends on. Each region pair has exactly one edge, so
+// neighbor IDs are unique within a list.
+func (g *Graph) insertAdj(r, o, id int) {
 	g.mutAdj(r)
-	i, _ := g.searchAdj(r, g.Edges[id].Other(r))
-	g.adj[r] = slices.Insert(g.adj[r], i, id)
+	i, _ := g.searchAdj(r, o)
+	g.adj[r] = slices.Insert(g.adj[r], i, Link{int32(o), int32(id)})
 }
 
 // Options tunes region-graph construction.
@@ -321,7 +325,7 @@ func Build(road *roadnet.Graph, regions []cluster.Region, paths []roadnet.Path, 
 			g.regionOf[v] = int32(r.ID)
 		}
 	}
-	g.adj = make([][]int, len(regions))
+	g.adj = make([][]Link, len(regions))
 	g.inner = make([][]InnerPath, len(regions))
 	g.centroids = make([]geo.Point, len(regions))
 	for _, r := range regions {

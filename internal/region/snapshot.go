@@ -110,7 +110,7 @@ func Restore(road *roadnet.Graph, s *Snapshot) (*Graph, error) {
 			g.regionOf[v] = int32(i)
 		}
 	}
-	g.adj = make([][]int, regions)
+	g.adj = make([][]Link, regions)
 	g.Edges = make([]*Edge, len(s.Edges))
 	for i := range s.Edges {
 		e := &s.Edges[i]
@@ -124,18 +124,18 @@ func Restore(road *roadnet.Graph, s *Snapshot) (*Graph, error) {
 			return nil, fmt.Errorf("region: snapshot edge %d carries an ID, a vertex, a kind or a preference out of range, or a region pair not ordered R1 < R2", i)
 		}
 		g.Edges[i] = e
-		g.adj[e.R1] = append(g.adj[e.R1], i)
-		g.adj[e.R2] = append(g.adj[e.R2], i)
+		g.adj[e.R1] = append(g.adj[e.R1], Link{int32(e.R2), int32(i)})
+		g.adj[e.R2] = append(g.adj[e.R2], Link{int32(e.R1), int32(i)})
 	}
 	// Canonical adjacency order (neighbor region ID, matching insertAdj)
 	// so a restored graph traverses neighbors exactly as the graph that
 	// produced the snapshot did, and FindEdge can search it. A region
 	// pair carries one edge, so neighbors must not repeat.
-	for r, a := range g.adj {
-		slices.SortFunc(a, func(x, y int) int { return g.Edges[x].Other(r) - g.Edges[y].Other(r) })
+	for _, a := range g.adj {
+		slices.SortFunc(a, func(x, y Link) int { return int(x.To - y.To) })
 		for i := 1; i < len(a); i++ {
-			if g.Edges[a[i]].Other(r) == g.Edges[a[i-1]].Other(r) {
-				return nil, fmt.Errorf("region: snapshot edges %d and %d join the same regions", a[i-1], a[i])
+			if a[i].To == a[i-1].To {
+				return nil, fmt.Errorf("region: snapshot edges %d and %d join the same regions", a[i-1].Edge, a[i].Edge)
 			}
 		}
 	}

@@ -51,7 +51,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 		}
 	}
 	for r := 0; r < g.NumRegions(); r++ {
-		if len(g2.EdgesOf(r)) != len(g.EdgesOf(r)) {
+		if len(g2.Links(r)) != len(g.Links(r)) {
 			t.Fatalf("adjacency of region %d differs", r)
 		}
 		if g2.Centroid(r) != g.Centroid(r) {

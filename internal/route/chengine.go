@@ -165,7 +165,8 @@ func (t *metricTable) add(keys []metricKey, from func(metricKey) *ch.Metric, cos
 //
 // Forks share the topology and the metric table; each fork owns one
 // ch.MetricQuery scratch (allocated on first use, reused across queries
-// AND across metrics via epoch reset) plus a small buffer for custom
+// AND across metrics: each query leaves its labels +Inf, as it found
+// them) plus a small buffer for custom
 // cost hashing. Customizing a new metric happens at most once per key,
 // serialized on the table; queries never block on it unless they are
 // the first to need that key. A pass fork customizes masked metrics
