@@ -2,6 +2,7 @@ package mapmatch
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/roadnet"
@@ -74,87 +75,58 @@ func (m *Matcher) Match(points []geo.Point) roadnet.Path {
 	return o.Close()
 }
 
-// routeDistance computes the network distance between two candidate
-// projection points, plus the intermediate vertex path from the first
-// candidate's edge head to the second candidate's edge tail.
-func (m *Matcher) routeDistance(a, b spatial.EdgeCandidate, costs map[roadnet.VertexID]float64, paths map[roadnet.VertexID]roadnet.Path) (float64, roadnet.Path, bool) {
+// routeDistance returns the network distance from candidate a's
+// projection point to b's. Unless both lie on one edge, b forward of a,
+// it reads the labels of the bounded search last run from a's edge
+// head: ok is false when b's edge tail was not settled within the bound.
+func (m *Matcher) routeDistance(a, b spatial.EdgeCandidate) (float64, bool) {
 	ea, eb := m.g.Edge(a.Edge), m.g.Edge(b.Edge)
-	if a.Edge == b.Edge {
-		if b.Frac >= a.Frac {
-			return (b.Frac - a.Frac) * ea.Length, nil, true
-		}
-		// Going backwards on the same edge requires a loop; treat like
-		// distinct edges below via the head-to-tail route.
+	if a.Edge == b.Edge && b.Frac >= a.Frac {
+		return (b.Frac - a.Frac) * ea.Length, true
 	}
-	tailDist := (1 - a.Frac) * ea.Length
-	headDist := b.Frac * eb.Length
-	d, ok := costs[eb.From]
+	// Going backwards on the same edge requires a loop; it is routed
+	// head to tail like a pair of distinct edges.
+	d, ok := m.eng.Settled(eb.From)
 	if !ok {
-		return 0, nil, false
+		return 0, false
 	}
-	via := paths[eb.From]
-	if eb.From == ea.To {
-		via = nil
-	}
-	return tailDist + d + headDist, via, true
+	return (1-a.Frac)*ea.Length + d + b.Frac*eb.Length, true
 }
 
-// boundedWithPaths runs a bounded Dijkstra from s over distance and also
-// reconstructs, for each settled vertex, the intermediate vertex chain
-// (excluding s itself). Trajectory gaps are short so the per-step maps
-// stay small.
-func (m *Matcher) boundedWithPaths(s roadnet.VertexID, bound float64) (map[roadnet.VertexID]float64, map[roadnet.VertexID]roadnet.Path) {
-	costs := m.eng.BoundedCosts(s, roadnet.DI, bound)
-	paths := make(map[roadnet.VertexID]roadnet.Path, len(costs))
-	// Reconstruct greedily: for each settled vertex walk best
-	// predecessors. Simpler: rerun a tiny Dijkstra over the settled set.
-	// The settled set is small, so an O(k²)-ish reconstruction is fine;
-	// we rebuild predecessor links with one pass over the induced edges.
-	type pred struct {
-		v roadnet.VertexID
+// appendVia appends to dst the via chain of the transition from
+// candidate a to b that routeDistance just scored: the vertices from
+// a's edge head s up to, not including, b's edge tail v. It walks back
+// from v along the first in-edge, in In order, whose tail is settled
+// and tight (its cost plus the edge's length is v's cost within 1e-6),
+// and appends nothing when v is s, when the walk goes straight from v
+// to s, or when it meets a vertex with no such in-edge.
+func (m *Matcher) appendVia(dst roadnet.Path, a, b spatial.EdgeCandidate) roadnet.Path {
+	if a.Edge == b.Edge && b.Frac >= a.Frac {
+		return dst
 	}
-	preds := make(map[roadnet.VertexID]pred, len(costs))
-	for v, dv := range costs {
-		for _, eid := range m.g.In(v) {
+	s, v := m.g.Edge(a.Edge).To, m.g.Edge(b.Edge).From
+	start := len(dst)
+	for u := v; u != s; {
+		du, _ := m.eng.Settled(u)
+		next := u
+		for _, eid := range m.g.In(u) {
 			e := m.g.Edge(eid)
-			du, ok := costs[e.From]
-			if !ok {
-				continue
-			}
-			if math.Abs(du+e.Length-dv) < 1e-6 {
-				preds[v] = pred{v: e.From}
+			if dt, ok := m.eng.Settled(e.From); ok && math.Abs(dt+e.Length-du) < 1e-6 {
+				next = e.From
 				break
 			}
 		}
+		if next == u {
+			return dst[:start]
+		}
+		if u = next; u != s {
+			dst = append(dst, u)
+		}
 	}
-	for v := range costs {
-		if v == s {
-			continue
-		}
-		var chain roadnet.Path
-		u := v
-		for u != s {
-			p, ok := preds[u]
-			if !ok {
-				chain = nil
-				break
-			}
-			u = p.v
-			if u != s {
-				chain = append(chain, u)
-			}
-		}
-		if chain == nil {
-			paths[v] = roadnet.Path{}
-			continue
-		}
-		for a, b := 0, len(chain)-1; a < b; a, b = a+1, b-1 {
-			chain[a], chain[b] = chain[b], chain[a]
-		}
-		// chain holds intermediates s→v exclusive; prepend s's successor
-		// ordering is already correct.
-		paths[v] = append(roadnet.Path{s}, chain...)
+	if len(dst) == start {
+		return dst
 	}
-	paths[s] = roadnet.Path{}
-	return costs, paths
+	dst = append(dst, s)
+	slices.Reverse(dst[start:])
+	return dst
 }

@@ -2,6 +2,8 @@ package mapmatch
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/roadnet"
@@ -124,43 +126,29 @@ func (o *OnlineMatcher) observeKept(p geo.Point) {
 	straight := o.lastP.Dist(p)
 	bound := routeFactor*straight + routeSlackM
 
-	// One bounded Dijkstra per previous candidate, reused across all
-	// current candidates.
-	costs := make([]map[roadnet.VertexID]float64, len(prev))
-	paths := make([]map[roadnet.VertexID]roadnet.Path, len(prev))
+	// One bounded Dijkstra per live previous candidate, its labels read
+	// by every current cell. A cell keeps its first best transition
+	// (strict >) and builds a via chain only for a transition that
+	// becomes its new best.
 	for j, pc := range prev {
 		if pc.score == math.Inf(-1) {
 			continue
 		}
-		head := o.m.g.Edge(pc.cand.cand.Edge).To
-		costs[j], paths[j] = o.m.boundedWithPaths(head, bound)
-	}
-
-	alive := false
-	for i := range level {
-		best := math.Inf(-1)
-		bestPrev := -1
-		var bestVia roadnet.Path
-		for j, pc := range prev {
-			if pc.score == math.Inf(-1) || costs[j] == nil {
-				continue
-			}
-			routeDist, via, ok := o.m.routeDistance(pc.cand.cand, level[i].cand.cand, costs[j], paths[j])
+		o.m.eng.Bounded(o.m.g.Edge(pc.cand.cand.Edge).To, roadnet.DI, bound)
+		for i := range level {
+			c := &level[i]
+			routeDist, ok := o.m.routeDistance(pc.cand.cand, c.cand.cand)
 			if !ok {
 				continue
 			}
 			logTrans := -math.Abs(routeDist-straight) / betaM
-			s := pc.score + logTrans + level[i].cand.logEmit
-			if s > best {
-				best, bestPrev, bestVia = s, j, via
+			if s := pc.score + logTrans + c.cand.logEmit; s > c.score {
+				c.score, c.prev = s, j
+				c.via = o.m.appendVia(c.via[:0], pc.cand.cand, c.cand.cand)
 			}
 		}
-		level[i].score, level[i].prev, level[i].via = best, bestPrev, bestVia
-		if best > math.Inf(-1) {
-			alive = true
-		}
 	}
-	if !alive {
+	if !slices.ContainsFunc(level, func(c onlineCell) bool { return c.score > math.Inf(-1) }) {
 		o.dead = true
 		return
 	}
@@ -180,25 +168,24 @@ func (o *OnlineMatcher) commitStable() {
 	if last < 1 {
 		return
 	}
-	reach := make(map[int]bool, len(o.levels[last]))
+	// Cell sets are bitmasks: a level holds at most maxCandidates cells.
+	var reach uint64
 	for i, c := range o.levels[last] {
 		if c.score > math.Inf(-1) {
-			reach[i] = true
+			reach |= 1 << i
 		}
 	}
 	commit, commitIdx := -1, -1
 	for l := last; l > 0; l-- {
-		next := make(map[int]bool, len(reach))
-		for i := range reach {
-			if p := o.levels[l][i].prev; p >= 0 {
-				next[p] = true
+		var next uint64
+		for i, c := range o.levels[l] {
+			if reach&(1<<i) != 0 && c.prev >= 0 {
+				next |= 1 << c.prev
 			}
 		}
 		reach = next
-		if len(reach) == 1 {
-			for j := range reach {
-				commit, commitIdx = l-1, j
-			}
+		if bits.OnesCount64(reach) == 1 {
+			commit, commitIdx = l-1, bits.TrailingZeros64(reach)
 			break
 		}
 	}

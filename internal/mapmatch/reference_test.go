@@ -1,6 +1,7 @@
 package mapmatch
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -82,7 +83,7 @@ func (m *Matcher) matchReference(points []geo.Point) roadnet.Path {
 				continue
 			}
 			head := m.g.Edge(pc.cand.Edge).To
-			costs[j], paths[j] = m.boundedWithPaths(head, bound)
+			costs[j], paths[j] = m.refBoundedWithPaths(head, bound)
 		}
 
 		for i, cc := range lattice[t] {
@@ -93,7 +94,7 @@ func (m *Matcher) matchReference(points []geo.Point) roadnet.Path {
 				if back[t-1][j].score == math.Inf(-1) || costs[j] == nil {
 					continue
 				}
-				routeDist, via, ok := m.routeDistance(pc.cand, cc.cand, costs[j], paths[j])
+				routeDist, via, ok := m.refRouteDistance(pc.cand, cc.cand, costs[j], paths[j])
 				if !ok {
 					continue
 				}
@@ -175,6 +176,136 @@ func (m *Matcher) matchReference(points []geo.Point) roadnet.Path {
 	return path
 }
 
+// refRouteDistance is the reference's routeDistance: the network
+// distance between two candidate projection points, plus the
+// intermediate vertex path from the first candidate's edge head to the
+// second candidate's edge tail, both looked up in the maps
+// refBoundedWithPaths filled.
+func (m *Matcher) refRouteDistance(a, b spatial.EdgeCandidate, costs map[roadnet.VertexID]float64, paths map[roadnet.VertexID]roadnet.Path) (float64, roadnet.Path, bool) {
+	ea, eb := m.g.Edge(a.Edge), m.g.Edge(b.Edge)
+	if a.Edge == b.Edge {
+		if b.Frac >= a.Frac {
+			return (b.Frac - a.Frac) * ea.Length, nil, true
+		}
+		// Going backwards on the same edge requires a loop; treat like
+		// distinct edges below via the head-to-tail route.
+	}
+	tailDist := (1 - a.Frac) * ea.Length
+	headDist := b.Frac * eb.Length
+	d, ok := costs[eb.From]
+	if !ok {
+		return 0, nil, false
+	}
+	via := paths[eb.From]
+	if eb.From == ea.To {
+		via = nil
+	}
+	return tailDist + d + headDist, via, true
+}
+
+// refBoundedWithPaths runs a bounded Dijkstra from s over distance and
+// reconstructs, for every settled vertex, the intermediate vertex chain
+// from s: each vertex's predecessor is the tail of its first in-edge
+// whose tail is settled and tight within 1e-6; a chain that meets a
+// vertex with no such in-edge is empty, and so is one whose first
+// predecessor is s itself.
+func (m *Matcher) refBoundedWithPaths(s roadnet.VertexID, bound float64) (map[roadnet.VertexID]float64, map[roadnet.VertexID]roadnet.Path) {
+	costs := refBoundedCosts(m.g, s, bound)
+	paths := make(map[roadnet.VertexID]roadnet.Path, len(costs))
+	preds := make(map[roadnet.VertexID]roadnet.VertexID, len(costs))
+	for v, dv := range costs {
+		for _, eid := range m.g.In(v) {
+			e := m.g.Edge(eid)
+			du, ok := costs[e.From]
+			if !ok {
+				continue
+			}
+			if math.Abs(du+e.Length-dv) < 1e-6 {
+				preds[v] = e.From
+				break
+			}
+		}
+	}
+	for v := range costs {
+		if v == s {
+			continue
+		}
+		var chain roadnet.Path
+		u := v
+		for u != s {
+			p, ok := preds[u]
+			if !ok {
+				chain = nil
+				break
+			}
+			u = p
+			if u != s {
+				chain = append(chain, u)
+			}
+		}
+		if chain == nil {
+			paths[v] = roadnet.Path{}
+			continue
+		}
+		for a, b := 0, len(chain)-1; a < b; a, b = a+1, b-1 {
+			chain[a], chain[b] = chain[b], chain[a]
+		}
+		paths[v] = append(roadnet.Path{s}, chain...)
+	}
+	paths[s] = roadnet.Path{}
+	return costs, paths
+}
+
+// refBoundedCosts is a textbook lazy-deletion Dijkstra from s over
+// distance, independent of package route: the cost of every vertex
+// within bound of s.
+func refBoundedCosts(g *roadnet.Graph, s roadnet.VertexID, bound float64) map[roadnet.VertexID]float64 {
+	costs := make(map[roadnet.VertexID]float64)
+	best := map[roadnet.VertexID]float64{s: 0}
+	q := &refQueue{{v: s}}
+	for q.Len() > 0 {
+		it := heap.Pop(q).(refItem)
+		if _, done := costs[it.v]; done || it.d > best[it.v] {
+			continue
+		}
+		if it.d > bound {
+			break
+		}
+		costs[it.v] = it.d
+		for _, eid := range g.Out(it.v) {
+			to := g.Edge(eid).To
+			if _, done := costs[to]; done {
+				continue
+			}
+			alt := it.d + g.EdgeWeight(eid, roadnet.DI)
+			if d, seen := best[to]; !seen || alt < d {
+				best[to] = alt
+				heap.Push(q, refItem{v: to, d: alt})
+			}
+		}
+	}
+	return costs
+}
+
+type refItem struct {
+	v roadnet.VertexID
+	d float64
+}
+
+// refQueue is refBoundedCosts's container/heap priority queue.
+type refQueue []refItem
+
+func (q refQueue) Len() int           { return len(q) }
+func (q refQueue) Less(i, j int) bool { return q[i].d < q[j].d }
+func (q refQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)        { *q = append(*q, x.(refItem)) }
+func (q *refQueue) Pop() any {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
 // thin drops records closer than minSpacingM to their predecessor.
 func (m *Matcher) thin(points []geo.Point) []geo.Point {
 	if len(points) == 0 {
@@ -195,7 +326,15 @@ func (m *Matcher) thin(points []geo.Point) []geo.Point {
 
 // TestMatchEqualsReference holds Match (the incremental decoder run to
 // completion) to matchReference, path for path, on the inputs the rest
-// of the suite matches and on simulated feeds over worldgen seeds 1–20.
+// of the suite matches, on noisy walks over uniform grids and on
+// simulated feeds over worldgen seeds 1–20.
+//
+// The grid walks are the tie-heavy inputs: between two records a few
+// blocks apart many routes have the same length, so which one a
+// transition's via chain follows is decided by the predecessor rule
+// alone, not by the network. A decoder that took its chains from
+// Dijkstra's parent pointers instead of the rule passes the worldgen
+// half and fails this one.
 func TestMatchEqualsReference(t *testing.T) {
 	check := func(name string, m *Matcher, pts []geo.Point) bool {
 		t.Helper()
@@ -215,6 +354,34 @@ func TestMatchEqualsReference(t *testing.T) {
 	check("nil", small, nil)
 	check("far", small, []geo.Point{geo.Pt(1e7, 1e7), geo.Pt(1e7, 1e7+50)})
 	check("single", small, []geo.Point{geo.Pt(150, 2)})
+
+	walks := 0
+	for _, gc := range []struct {
+		n       int
+		spacing float64
+	}{{8, 120}, {12, 80}} {
+		g := roadnet.GenerateGrid(gc.n, gc.n, gc.spacing, roadnet.Tertiary)
+		m, eng := matcherOver(g), route.NewEngine(g)
+		rng := rand.New(rand.NewSource(int64(gc.n)))
+		for _, noise := range []float64{3, 12, 25} {
+			for _, step := range []float64{35, 70, 140} {
+				for k := 0; k < 16; k++ {
+					s, d := roadnet.VertexID(rng.Intn(g.NumVertices())), roadnet.VertexID(rng.Intn(g.NumVertices()))
+					truth, _, ok := eng.Shortest(s, d)
+					if !ok || len(truth) < 2 {
+						continue
+					}
+					name := fmt.Sprintf("%dx%d grid, noise %.0f m, step %.0f m, walk %d→%d", gc.n, gc.n, noise, step, s, d)
+					if check(name, m, noisyWalk(g, truth, step, noise, rng)) {
+						walks++
+					}
+				}
+			}
+		}
+	}
+	if walks < 200 {
+		t.Fatalf("only %d grid walks matched; the tie-heavy half has no teeth", walks)
+	}
 
 	const perSeed = 30
 	for seed := int64(1); seed <= 20; seed++ {

@@ -5,10 +5,10 @@
 //
 // The package provides plain Dijkstra under any scalar weight
 // (shortest, fastest, most fuel-efficient paths), the paper's
-// preference-aware modified Dijkstra (Algorithm 2), and a
-// stop-condition variant used by the unified routing procedure
-// (Section VI, Case 2) to find the first region reached from an
-// out-of-region endpoint.
+// preference-aware modified Dijkstra (Algorithm 2), and a bounded
+// search (Engine.Bounded) that stops at a cost bound and leaves its
+// labels in place: map matching reads them through Engine.Settled,
+// one search per candidate and lattice step, without copying them out.
 //
 // # The PathEngine seam
 //

@@ -16,7 +16,10 @@ type SlavePredicate func(roadnet.RoadType) bool
 // buffers across queries. The buffers are allocated lazily on the first
 // query, so constructing (or Forking) an Engine costs a small struct;
 // per-vertex arrays are only paid by engines that actually run a query.
-// Snapshot clone pools rely on this to make cloning cheap.
+// Snapshot clone pools rely on this to make cloning cheap. Labels are
+// epoch-stamped, so a query costs what it touches, not the graph's size;
+// Settled reads the last search's labels in place, which is all a
+// bounded search (Bounded) returns.
 type Engine struct {
 	g *roadnet.Graph
 
@@ -31,10 +34,6 @@ type Engine struct {
 	// outTypes is the per-vertex out-type table masked searches consult
 	// (see OutTypeMasks); built on the first masked query.
 	outTypes []SlaveMask
-
-	// PopCount accumulates the number of heap pops across queries; the
-	// evaluation harness reads it to report search effort.
-	PopCount int64
 }
 
 // NewEngine returns an Engine for g. Query buffers are allocated on
@@ -161,7 +160,6 @@ func (e *Engine) AppendRouteMask(dst roadnet.Path, s, d roadnet.VertexID, w road
 		ui, du := e.heap.Pop()
 		u := roadnet.VertexID(ui)
 		e.settled[u] = e.epoch
-		e.PopCount++
 		if u == d {
 			return e.appendPath(dst, d), du, true
 		}
@@ -201,27 +199,33 @@ func (e *Engine) relax(u roadnet.VertexID, du float64, w roadnet.Weight, mask Sl
 	}
 }
 
-// BoundedCosts runs Dijkstra from s under weight w, stopping once all
-// remaining queue entries exceed bound, and returns the cost of every
-// vertex settled within the bound. Map matching uses it to compute
-// network distances between nearby candidate points without exploring
-// the whole graph.
-func (e *Engine) BoundedCosts(s roadnet.VertexID, w roadnet.Weight, bound float64) map[roadnet.VertexID]float64 {
+// Bounded runs Dijkstra from s under weight w and stops once every
+// remaining queue entry exceeds bound: afterwards Settled reports
+// exactly the vertices within bound of s, at their costs. Map matching
+// uses it to compute network distances between nearby candidate points
+// without exploring the whole graph, reading the labels in place.
+func (e *Engine) Bounded(s roadnet.VertexID, w roadnet.Weight, bound float64) {
 	e.reset()
 	e.see(s, 0, roadnet.NoEdge)
-	out := make(map[roadnet.VertexID]float64)
 	for e.heap.Len() > 0 {
 		ui, du := e.heap.Pop()
 		if du > bound {
-			break
+			return
 		}
 		u := roadnet.VertexID(ui)
 		e.settled[u] = e.epoch
-		e.PopCount++
-		out[u] = du
 		e.relax(u, du, w, 0)
 	}
-	return out
+}
+
+// Settled reports whether the engine's last search settled v, and at
+// what cost. The labels it reads are the engine's scratch: the next
+// query on the engine overwrites them.
+func (e *Engine) Settled(v roadnet.VertexID) (float64, bool) {
+	if e.settled == nil || e.settled[v] != e.epoch {
+		return 0, false
+	}
+	return e.dist[v], true
 }
 
 // CustomRoute runs Dijkstra with an arbitrary non-negative edge cost
@@ -233,7 +237,6 @@ func (e *Engine) CustomRoute(s, d roadnet.VertexID, cost func(roadnet.EdgeID) fl
 		ui, du := e.heap.Pop()
 		u := roadnet.VertexID(ui)
 		e.settled[u] = e.epoch
-		e.PopCount++
 		if u == d {
 			return e.extractPath(d), du, true
 		}

@@ -141,8 +141,8 @@ func TestRoutePrefFallsBackWhenSlaveUnsatisfiable(t *testing.T) {
 	}
 }
 
-// TestOneToAllAndBounded holds BoundedCosts to one Route per vertex:
-// every vertex within the bound is present at its shortest cost, and
+// TestOneToAllAndBounded holds Bounded to one Route per vertex: Settled
+// reports every vertex within the bound at its shortest cost, and
 // nothing beyond it.
 func TestOneToAllAndBounded(t *testing.T) {
 	g := roadnet.GenerateGrid(6, 6, 100, roadnet.Tertiary)
@@ -162,21 +162,17 @@ func TestOneToAllAndBounded(t *testing.T) {
 	if math.Abs(all[35]-(5+5)*100) > 1e-6 {
 		t.Errorf("corner dist = %v", all[35])
 	}
-	bounded := e.BoundedCosts(0, roadnet.DI, 250)
-	for v, d := range bounded {
-		if d > 250+1e-9 {
-			t.Fatalf("bounded returned %v beyond bound", d)
-		}
-		if math.Abs(all[v]-d) > 1e-9 {
-			t.Fatalf("bounded cost mismatch at %d: %v vs %v", v, d, all[v])
-		}
+	if _, ok := NewEngine(g).Settled(0); ok {
+		t.Fatal("a fresh engine reports a settled vertex")
 	}
-	// Everything within the bound must be present.
-	for v, d := range all {
-		if d <= 250 {
-			if _, ok := bounded[roadnet.VertexID(v)]; !ok {
-				t.Fatalf("vertex %d (d=%v) missing from bounded set", v, d)
-			}
+	e.Bounded(0, roadnet.DI, 250)
+	for v, want := range all {
+		d, ok := e.Settled(roadnet.VertexID(v))
+		if ok != (want <= 250) {
+			t.Fatalf("vertex %d (d=%v): settled = %v under bound 250", v, want, ok)
+		}
+		if ok && math.Abs(want-d) > 1e-9 {
+			t.Fatalf("bounded cost mismatch at %d: %v vs %v", v, d, want)
 		}
 	}
 }
