@@ -106,14 +106,9 @@ func cmdInspect(args []string) {
 	if meta.Name != "" {
 		fmt.Printf("  name:         %s\n", meta.Name)
 	}
-	if meta.Generation == 0 {
-		// Pre-metadata (v1) artifacts load fine but carry no meta.
-		fmt.Printf("  metadata:     none (v1 artifact)\n")
-	} else {
-		fmt.Printf("  generation:   %d (saved %s)\n", meta.Generation,
-			time.Unix(0, meta.SavedUnixNano).Format(time.RFC3339))
-		fmt.Printf("  built with:   backend %s, clustering %s\n", meta.Build.PathBackend, meta.Build.ClusterMethod)
-	}
+	fmt.Printf("  generation:   %d (saved %s)\n", meta.Generation,
+		time.Unix(0, meta.SavedUnixNano).Format(time.RFC3339))
+	fmt.Printf("  built with:   backend %s, clustering %s\n", meta.Build.PathBackend, meta.Build.ClusterMethod)
 	fmt.Printf("  road network: %d vertices, %d edges\n", r.Road().NumVertices(), r.Road().NumEdges())
 	fmt.Printf("  regions:      %d\n", st.Regions)
 	fmt.Printf("  T-edges:      %d\n", rg.TEdgeCount())

@@ -164,12 +164,13 @@
 // order again. The spatial index is built on first use, by map
 // matching, not by Load.
 //
-// Load reads v3 flat and v1/v2 — one gob envelope, the fits in a
-// Learned map of their own — through the envelope reader kept for files
-// already on disk. An artifact is outside input, so both readers check
-// every count against the bytes left before allocating for it and
-// every ID against what it names (region members, path and inner-path
-// vertices, transfer centers and their counts, edge endpoints, road
-// types, fit and region-preference keys and weights, the order being a
-// permutation) and refuse what fails.
+// Load reads v3 only; a v1/v2 artifact (one gob envelope, the fits in a
+// Learned map of their own) is refused with codec.ErrBadVersion, and a
+// region section without visit counts with codec.ErrMalformed
+// (OPERATIONS.md, "Compatibility across versions"). An artifact is
+// outside input, so Load checks every count against the bytes left
+// before allocating for it and every ID against what it names (region
+// members, path and inner-path vertices, transfer centers and their
+// counts, edge endpoints, road types, fit and region-preference keys
+// and weights, the order being a permutation) and refuses what fails.
 package core

@@ -24,18 +24,13 @@ import (
 // any change to the layout.
 //
 // Version history: v1 carried no metadata; v2 added ArtifactMeta (name,
-// build-options summary, save generation). Both are one gob envelope.
+// build-options summary, save generation). Both were one gob envelope.
 // v3 lays the artifact out as flat, length-prefixed sections and adds
 // the road network's identity and the contraction order (package
-// documentation, "Persistence"). Load reads all three, so existing
-// deployments' artifacts keep working; Save writes v3 only.
+// documentation, "Persistence"). Save writes v3 and Load reads v3 only;
+// an older file is refused with codec.ErrBadVersion (OPERATIONS.md,
+// "Compatibility across versions", gives the upgrade path).
 const ArtifactVersion uint16 = 3
-
-// The gob envelope versions Load still reads.
-const (
-	artifactVersionV1 uint16 = 1
-	artifactVersionV2 uint16 = 2
-)
 
 // BuildInfo is the compact summary of the Options a router was built
 // with, persisted in every artifact so a deployment can audit what it
@@ -55,7 +50,8 @@ type BuildInfo struct {
 	// under it. Artifacts older than the field decode it as zero, the
 	// default. Artifacts saved before the pipeline's other settings
 	// became constants also carry MinConfidence, IndexCellM and MapMatch
-	// fields; gob skips them, and they only ever held the defaults.
+	// fields, and Region.TopK and MaxTransferCenters; gob skips them, and
+	// no build outside the tests set them to anything but the defaults.
 	Region region.Options
 }
 
@@ -77,19 +73,6 @@ type ArtifactMeta struct {
 	SavedUnixNano int64
 	// Build summarizes the build-time options.
 	Build BuildInfo
-}
-
-// envelope is the gob payload of a v1/v2 artifact. The road network is
-// embedded as its TSV serialization (the already-tested roadnet codec)
-// so an artifact is self-contained.
-type envelope struct {
-	Meta        ArtifactMeta
-	RoadTSV     []byte
-	Region      *region.Snapshot
-	Learned     map[int]pref.Result
-	RegionPrefs map[int]pref.Result
-	Stats       Stats
-	IndexCellM  float64 // always the default; Load ignores it
 }
 
 // metaSection is v3's metadata section, the one section still gob: it
@@ -116,8 +99,8 @@ func (x *lazyIndex) get(road *roadnet.Graph) *spatial.Index {
 // RoadIdentity returns the identity of the router's road network — the
 // FNV-64a of its roadnet.WriteTSV bytes, wal.IdentityOf's definition —
 // when the router knows it: Save records it over the bytes it writes,
-// and Load reads it from a v3 artifact. ok is false for a router built
-// in this process and never saved, or loaded from a v1/v2 artifact.
+// and Load reads it from the artifact. ok is false only for a router
+// built in this process and never saved.
 func (r *Router) RoadIdentity() (id uint64, ok bool) { return r.roadID, r.hasRoadID }
 
 // Save serializes the built router — road network, region graph,
@@ -208,57 +191,29 @@ func decodeResult(d *codec.Dec) pref.Result {
 	return res
 }
 
-// Load reconstructs a router from an artifact written by Save: v3, or
-// the v1/v2 gob envelope. The result answers queries exactly like the
-// original, on Dijkstra until EnableCH, which derives the hierarchy
-// from the contraction order a v3 artifact carries. An artifact is
-// outside input, so every ID in it is checked before use.
+// Load reconstructs a router from a v3 artifact written by Save; any
+// other version is refused with codec.ErrBadVersion. The result answers
+// queries exactly like the original, on Dijkstra until EnableCH, which
+// derives the hierarchy from the contraction order the artifact
+// carries. An artifact is outside input, so every ID in it is checked
+// before use.
 func Load(rd io.Reader) (*Router, error) { return LoadOnto(rd, nil, 0) }
 
 // LoadOnto is Load for a caller that already holds a road network — a
 // restart restoring a checkpoint beside its base artifact: when the
-// artifact is v3 and records roadID as its road's identity, the router
+// artifact records roadID as its road's identity, the router
 // is restored onto road and the artifact's copy of the network is
 // skipped, not parsed. roadID must be road's identity.
 func LoadOnto(rd io.Reader, road *roadnet.Graph, roadID uint64) (*Router, error) {
-	version, payload, err := codec.ReadFrameBytes(rd, ArtifactVersion, artifactVersionV2, artifactVersionV1)
+	_, payload, err := codec.ReadFrameBytes(rd, ArtifactVersion)
 	if err != nil {
 		return nil, err
 	}
-	if version == ArtifactVersion {
-		return decodeV3(payload, road, roadID)
-	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("codec: decoding payload: %w", err)
-	}
-	if road, err = roadnet.ParseTSV(env.RoadTSV); err != nil {
-		return nil, fmt.Errorf("core: decoding road network: %w", err)
-	}
-	if env.Region == nil {
-		return nil, fmt.Errorf("core: artifact has no region graph")
-	}
-	r, err := restored(road, env.Region, metaSection{env.Meta, env.Stats})
-	if err != nil {
-		return nil, err
-	}
-	for id, fit := range env.Learned {
-		if id < 0 || id >= len(r.rg.Edges) || !fit.Preference.Valid() {
-			return nil, fmt.Errorf("core: artifact has a learned preference %+v for edge %d of %d", fit.Preference, id, len(r.rg.Edges))
-		}
-		r.rg.Edges[id].SetFit(fit, true)
-	}
-	for id, res := range env.RegionPrefs {
-		if id < 0 || id >= r.rg.NumRegions() || !res.Preference.Valid() {
-			return nil, fmt.Errorf("core: artifact has a preference %+v for region %d of %d", res.Preference, id, r.rg.NumRegions())
-		}
-		r.regionPrefs[id] = res
-	}
-	return r, nil
+	return decodeV3(payload, road, roadID)
 }
 
-// restored is the router both readers assemble around a decoded road
-// network, region snapshot and metadata, before the preferences.
+// restored is the router assembled around a decoded road network,
+// region snapshot and metadata, before the preferences.
 func restored(road *roadnet.Graph, snap *region.Snapshot, ms metaSection) (*Router, error) {
 	rg, err := region.Restore(road, snap)
 	if err != nil {

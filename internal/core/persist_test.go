@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"maps"
 	"testing"
 
 	"repro/internal/ch"
@@ -71,7 +72,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArtifactMetaRoundTrip covers the v2 envelope metadata: the name,
+// TestArtifactMetaRoundTrip covers the artifact metadata: the name,
 // build-options summary and save generation travel with the artifact,
 // and every Save advances the generation.
 func TestArtifactMetaRoundTrip(t *testing.T) {
@@ -155,54 +156,17 @@ func requireSameFits(t *testing.T, want, got *Router) {
 	}
 }
 
-// TestLoadV1Artifact pins backward compatibility: artifacts written by
-// the v1 (pre-metadata) envelope still load — Meta just stays zero.
-func TestLoadV1Artifact(t *testing.T) {
+// TestLoadRefusesOlderArtifacts: Load reads only artifact v3. A v1 or
+// v2 frame — the gob envelope Save wrote before v3 — is refused with
+// codec.ErrBadVersion and no router, whatever its payload holds.
+func TestLoadRefusesOlderArtifacts(t *testing.T) {
 	r := builtRouter(t)
-
-	// The v1 envelope layout, reconstructed field-for-field. Gob
-	// matches fields by name, so the v2 reader decodes this with Meta
-	// left at its zero value.
-	type envelopeV1 struct {
-		RoadTSV     []byte
-		Region      *region.Snapshot
-		Learned     map[int]pref.Result
-		RegionPrefs map[int]pref.Result
-		Stats       Stats
-		IndexCellM  float64
+	for _, version := range []uint16{artifactVersionV1, artifactVersionV2} {
+		got, err := Load(bytes.NewReader(encodeEnvelope(t, version, r, r.learnedPrefs())))
+		if !errors.Is(err, codec.ErrBadVersion) || got != nil {
+			t.Fatalf("v%d artifact: Load returned router %v, err %v; want ErrBadVersion", version, got != nil, err)
+		}
 	}
-	var road bytes.Buffer
-	if err := roadnet.WriteTSV(&road, r.road); err != nil {
-		t.Fatal(err)
-	}
-	env := envelopeV1{
-		RoadTSV:     road.Bytes(),
-		Region:      r.rg.Snapshot(),
-		Learned:     r.learnedPrefs(),
-		RegionPrefs: r.regionPrefs,
-		Stats:       r.stats,
-		IndexCellM:  indexCellM,
-	}
-	var buf bytes.Buffer
-	if err := codec.WriteFrame(&buf, artifactVersionV1, &env); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 artifact no longer loads: %v", err)
-	}
-	if loaded.Meta() != (ArtifactMeta{}) {
-		t.Fatalf("v1 artifact loaded with non-zero meta: %+v", loaded.Meta())
-	}
-	if loaded.rg.NumRegions() != r.rg.NumRegions() {
-		t.Fatalf("regions %d != %d", loaded.rg.NumRegions(), r.rg.NumRegions())
-	}
-	s, d := roadnet.VertexID(3), roadnet.VertexID(40)
-	if !samePathCore(loaded.Route(s, d).Path, r.Route(s, d).Path) {
-		t.Fatal("v1-loaded router answers differently")
-	}
-	requireSameFits(t, r, loaded)
 }
 
 // learnedPrefs gathers every region edge's fit into the v1/v2
@@ -218,17 +182,35 @@ func (r *Router) learnedPrefs() map[int]pref.Result {
 	return out
 }
 
+// The gob envelope versions Save wrote before artifact v3.
+const (
+	artifactVersionV1 uint16 = 1
+	artifactVersionV2 uint16 = 2
+)
+
+// envelope is the gob payload of a v1/v2 artifact: the road network as
+// its TSV serialization, the region snapshot, and the fits in a Learned
+// map of their own. A v1 envelope had no Meta.
+type envelope struct {
+	Meta        ArtifactMeta
+	RoadTSV     []byte
+	Region      *region.Snapshot
+	Learned     map[int]pref.Result
+	RegionPrefs map[int]pref.Result
+	Stats       Stats
+	IndexCellM  float64 // always the default; the reader ignores it
+}
+
 // handBuiltV2 is the v2 writer Save was before artifact v3, kept as the
 // test reference v3 is held to: r's state as one gob envelope, with
 // learned as the envelope's Learned map.
 func handBuiltV2(t testing.TB, r *Router, learned map[int]pref.Result) []byte {
 	t.Helper()
-	return encodeV2(t, r, learned, nil)
+	return encodeEnvelope(t, artifactVersionV2, r, learned)
 }
 
-// encodeV2 is handBuiltV2 with a hook that may alter the envelope
-// before it is written — how the tests build bad artifacts.
-func encodeV2(t testing.TB, r *Router, learned map[int]pref.Result, alter func(*envelope)) []byte {
+// encodeEnvelope is handBuiltV2 for any frame version.
+func encodeEnvelope(t testing.TB, version uint16, r *Router, learned map[int]pref.Result) []byte {
 	t.Helper()
 	var road bytes.Buffer
 	if err := roadnet.WriteTSV(&road, r.road); err != nil {
@@ -243,25 +225,49 @@ func encodeV2(t testing.TB, r *Router, learned map[int]pref.Result, alter func(*
 		Stats:       r.stats,
 		IndexCellM:  indexCellM,
 	}
-	if alter != nil {
-		alter(&env)
-	}
 	var buf bytes.Buffer
-	if err := codec.WriteFrame(&buf, artifactVersionV2, &env); err != nil {
+	if err := codec.WriteFrame(&buf, version, &env); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
+// loadV2 is the v2 reader Load was before it read v3 only, kept as the
+// reference TestArtifactV3MatchesV2Reference holds v3 to: the envelope
+// decoded, its road parsed, its snapshot restored, and the Learned map
+// scattered onto the region edges.
+func loadV2(t testing.TB, art []byte) *Router {
+	t.Helper()
+	var env envelope
+	if err := codec.ReadFrame(bytes.NewReader(art), artifactVersionV2, &env); err != nil {
+		t.Fatal(err)
+	}
+	road, err := roadnet.ParseTSV(env.RoadTSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := restored(road, env.Region, metaSection{env.Meta, env.Stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, fit := range env.Learned {
+		r.rg.Edges[id].SetFit(fit, true)
+	}
+	maps.Copy(r.regionPrefs, env.RegionPrefs)
+	return r
+}
+
 // TestLoadV3LegacyMeta: every v3 artifact saved before the pipeline's
-// index cell, confidence gate and matcher settings became constants
-// carries them in its gob metadata — BuildInfo.MinConfidence,
-// IndexCellM and MapMatch, and metaSection.IndexCellM — at their
-// defaults. Such an artifact still loads, keeps the remaining
-// Meta().Build fields, and routes the 220 digest ODs and ingests raw
-// GPS exactly like the same router saved today. The matcher settings
-// are written both as the zero value old artifacts hold and spelled
-// out, so the decoder skips a non-empty struct too.
+// index cell, confidence gate, matcher settings, road-type set size and
+// transfer-center cap became constants carries them in its gob
+// metadata — BuildInfo.MinConfidence, IndexCellM and MapMatch,
+// BuildInfo.Region.TopK and MaxTransferCenters, and
+// metaSection.IndexCellM — at their defaults. Such an artifact still
+// loads, keeps the remaining Meta().Build fields, and routes the 220
+// digest ODs and ingests raw GPS exactly like the same router saved
+// today. The matcher and region settings are written both as the zero
+// value old artifacts hold and spelled out, so the decoder skips a
+// non-empty struct and non-zero fields too.
 func TestLoadV3LegacyMeta(t *testing.T) {
 	type mapMatchConfig struct {
 		CandidateRadiusM, SigmaM, BetaM float64
@@ -269,13 +275,16 @@ func TestLoadV3LegacyMeta(t *testing.T) {
 		MinSpacingM                     float64
 		RouteFactor, RouteSlackM        float64
 	}
+	type regionOptions struct {
+		TopK, MaxRegionSpan, MaxTransferCenters int
+	}
 	type buildInfo struct {
 		PathBackend, ClusterMethod string
 		SkipMapMatching            bool
 		MinConfidence              float64
 		LearnMaxPaths              int
 		IndexCellM                 float64
-		Region                     region.Options
+		Region                     regionOptions
 		MapMatch                   mapMatchConfig
 	}
 	type artifactMeta struct {
@@ -314,13 +323,20 @@ func TestLoadV3LegacyMeta(t *testing.T) {
 	}
 	wantIngestedLearned, wantIngestedRoutes := modelDigest(wantIngested)
 
-	for _, mm := range []mapMatchConfig{{}, {60, 10, 60, 6, 30, 6, 800}} {
+	span := m.Build.Region.MaxRegionSpan
+	for _, c := range []struct {
+		mm  mapMatchConfig
+		reg regionOptions
+	}{
+		{mapMatchConfig{}, regionOptions{MaxRegionSpan: span}},
+		{mapMatchConfig{60, 10, 60, 6, 30, 6, 800}, regionOptions{2, span, 4}},
+	} {
 		legacy := legacyMetaSection{
 			Meta: artifactMeta{Name: m.Name, Generation: m.Generation, SavedUnixNano: m.SavedUnixNano, Build: buildInfo{
 				PathBackend: m.Build.PathBackend, ClusterMethod: m.Build.ClusterMethod,
 				SkipMapMatching: m.Build.SkipMapMatching, MinConfidence: 0.7,
 				LearnMaxPaths: m.Build.LearnMaxPaths, IndexCellM: 300,
-				Region: m.Build.Region, MapMatch: mm,
+				Region: c.reg, MapMatch: c.mm,
 			}},
 			Stats:      want.Stats(),
 			IndexCellM: 300,
@@ -333,41 +349,35 @@ func TestLoadV3LegacyMeta(t *testing.T) {
 		old[partMeta] = meta.Bytes()
 		got, err := Load(bytes.NewReader(joinParts(t, old)))
 		if err != nil {
-			t.Fatalf("matcher settings %+v: a legacy v3 artifact no longer loads: %v", mm, err)
+			t.Fatalf("legacy settings %+v: a legacy v3 artifact no longer loads: %v", c, err)
 		}
 		if got.Meta() != m || got.Stats() != want.Stats() {
-			t.Fatalf("matcher settings %+v: loaded meta %+v stats %+v, want %+v %+v", mm, got.Meta(), got.Stats(), m, want.Stats())
+			t.Fatalf("legacy settings %+v: loaded meta %+v stats %+v, want %+v %+v", c, got.Meta(), got.Stats(), m, want.Stats())
 		}
 		if learned, routes := modelDigest(got); learned != wantLearned || routes != wantRoutes {
-			t.Fatalf("matcher settings %+v: legacy artifact digests %#x %#x, today's %#x %#x", mm, learned, routes, wantLearned, wantRoutes)
+			t.Fatalf("legacy settings %+v: legacy artifact digests %#x %#x, today's %#x %#x", c, learned, routes, wantLearned, wantRoutes)
 		}
 		ingested := got.IngestClone()
 		ingested.Ingest(ts[cut:], IngestOptions{})
 		if learned, routes := modelDigest(ingested); learned != wantIngestedLearned || routes != wantIngestedRoutes {
-			t.Fatalf("matcher settings %+v: after a raw-GPS ingest, legacy artifact digests %#x %#x, today's %#x %#x", mm, learned, routes, wantIngestedLearned, wantIngestedRoutes)
+			t.Fatalf("legacy settings %+v: after a raw-GPS ingest, legacy artifact digests %#x %#x, today's %#x %#x", c, learned, routes, wantIngestedLearned, wantIngestedRoutes)
 		}
 	}
 }
 
-// TestLoadScattersLearnedMap: the v1/v2 envelope keeps every fit in its
-// Learned map while a router keeps them on its region edges. A v2
-// envelope built by hand around such a map loads to the router it was
-// taken from; Save writes the fits to the preference section and
-// nowhere else (the router loaded from the envelope saves to the bytes
-// the original saves to outside the metadata, and clearing every fit
-// changes the preference section alone); and a key that names no edge —
-// input from outside the program — is an error, not a router.
+// TestLoadScattersLearnedMap: the v1/v2 envelope kept every fit in its
+// Learned map while a router keeps them on its region edges. Save
+// writes the fits to the preference section and nowhere else: a loaded
+// router saves to the bytes the original saves to outside the metadata,
+// and clearing every fit changes the preference section alone.
 func TestLoadScattersLearnedMap(t *testing.T) {
 	r := builtRouter(t)
-	learned := r.learnedPrefs()
-	art := handBuiltV2(t, r, learned)
-	loaded, err := Load(bytes.NewReader(art))
+	saved := artifactParts(t, saveArtifact(t, r.IngestClone()))
+	loaded, err := Load(bytes.NewReader(joinParts(t, saved)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameFits(t, r, loaded)
-
-	saved := artifactParts(t, saveArtifact(t, r.IngestClone()))
 	requireSameParts(t, saved, artifactParts(t, saveArtifact(t, loaded)))
 	bare := r.IngestClone()
 	for id := range bare.rg.Edges {
@@ -376,15 +386,6 @@ func TestLoadScattersLearnedMap(t *testing.T) {
 	for i, part := range artifactParts(t, saveArtifact(t, bare)) {
 		if i != partMeta && bytes.Equal(part, saved[i]) == (i == partPrefs) {
 			t.Fatalf("clearing the fits changed artifact part %d (changed: %v); only the preference section may change", i, !bytes.Equal(part, saved[i]))
-		}
-	}
-
-	for _, bad := range []int{len(r.rg.Edges), len(r.rg.Edges) + 7, -1} {
-		learned[bad] = pref.Result{Similarity: 1, PathsUsed: 1}
-		got, err := Load(bytes.NewReader(handBuiltV2(t, r, learned)))
-		delete(learned, bad)
-		if err == nil || got != nil {
-			t.Fatalf("Learned key %d (of %d edges): Load returned router %v, err %v; want an error", bad, len(r.rg.Edges), got != nil, err)
 		}
 	}
 }

@@ -460,10 +460,18 @@ func (r *Router) regionPrefRoute(reg int, s, d roadnet.VertexID) (roadnet.Path, 
 		w := 1 + len(e.PathsFwd) + len(e.PathsRev)
 		counts[e.Pref] += w
 	}
-	if len(counts) == 0 {
+	agg, ok := majority(counts)
+	if !ok {
 		return nil, false
 	}
-	var agg pref.Preference
+	p, _, ok := r.eng.RoutePref(s, d, agg.Master, agg.Slave.Predicate())
+	return p, ok
+}
+
+// majority returns the preference with the most votes, the smaller
+// (master, slave) winning a tie so the answer does not depend on map
+// order; ok is false when nothing voted.
+func majority(counts map[pref.Preference]int) (agg pref.Preference, ok bool) {
 	best := -1
 	for p, c := range counts {
 		if c > best || (c == best && (p.Master < agg.Master ||
@@ -471,8 +479,7 @@ func (r *Router) regionPrefRoute(reg int, s, d roadnet.VertexID) (roadnet.Path, 
 			agg, best = p, c
 		}
 	}
-	p, _, ok := r.eng.RoutePref(s, d, agg.Master, agg.Slave.Predicate())
-	return p, ok
+	return agg, best >= 0
 }
 
 // exactStoredPath looks for a stored trajectory path whose endpoints are
@@ -515,17 +522,9 @@ func (r *Router) preferenceRoute(regPath []int, sv, dv roadnet.VertexID) (roadne
 			counts[e.Pref]++
 		}
 	}
-	if len(counts) == 0 {
+	agg, ok := majority(counts)
+	if !ok {
 		return nil, false
-	}
-	var agg pref.Preference
-	best := -1
-	for p, c := range counts {
-		// Deterministic tie-break: smaller (master, slave) wins.
-		if c > best || (c == best && (p.Master < agg.Master ||
-			(p.Master == agg.Master && p.Slave < agg.Slave))) {
-			agg, best = p, c
-		}
 	}
 	p, _, ok := r.eng.RoutePref(sv, dv, agg.Master, agg.Slave.Predicate())
 	return p, ok

@@ -8,7 +8,6 @@ import "repro/internal/roadnet"
 type cowState struct {
 	edges []bool // Edges[i] privately owned
 	inner []bool // inner[i] privately owned
-	tcs   []bool // transferCenters[i] privately owned
 	tccs  []bool // tcCounts[i] privately owned
 	adj   []bool // adj[i] privately owned
 }
@@ -47,7 +46,6 @@ func (g *Graph) CloneCOW() *Graph {
 	cp.cow = &cowState{
 		edges: make([]bool, len(g.Edges)),
 		inner: make([]bool, len(g.inner)),
-		tcs:   make([]bool, len(g.transferCenters)),
 		tccs:  make([]bool, len(g.tcCounts)),
 		adj:   make([]bool, len(g.adj)),
 	}
@@ -84,19 +82,10 @@ func (g *Graph) mutInner(r int) {
 	g.cow.inner[r] = true
 }
 
-// mutTC privatizes region r's transfer-center list before appending.
-func (g *Graph) mutTC(r int) {
-	if g.cow == nil || g.cow.tcs[r] {
-		return
-	}
-	g.transferCenters[r] = append([]roadnet.VertexID(nil), g.transferCenters[r]...)
-	g.cow.tcs[r] = true
-}
-
 // mutTCCount privatizes region r's transfer-center count map before an
 // increment (map writes would otherwise hit the shared parent map).
 func (g *Graph) mutTCCount(r int) {
-	if g.tcCounts == nil || g.cow == nil || g.cow.tccs[r] {
+	if g.cow == nil || g.cow.tccs[r] {
 		return
 	}
 	m := make(map[roadnet.VertexID]int, len(g.tcCounts[r])+1)

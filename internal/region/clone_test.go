@@ -1,6 +1,7 @@
 package region
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/pref"
@@ -68,15 +69,9 @@ func (g *Graph) Clone() *Graph {
 			cp.transferCenters[i] = append([]roadnet.VertexID(nil), tc...)
 		}
 	}
-	if g.tcCounts != nil {
-		cp.tcCounts = make([]map[roadnet.VertexID]int, len(g.tcCounts))
-		for i, m := range g.tcCounts {
-			nm := make(map[roadnet.VertexID]int, len(m))
-			for k, v := range m {
-				nm[k] = v
-			}
-			cp.tcCounts[i] = nm
-		}
+	cp.tcCounts = make([]map[roadnet.VertexID]int, len(g.tcCounts))
+	for i, m := range g.tcCounts {
+		cp.tcCounts[i] = maps.Clone(m)
 	}
 	return cp
 }

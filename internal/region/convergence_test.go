@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -64,10 +65,13 @@ func TestBuildEqualsIncrementalAddPaths(t *testing.T) {
 			paths[i] = tr.Truth
 		}
 		regions := cluster.Cluster(cluster.BuildTrajectoryGraph(w.Road, paths), cluster.Options{})
-		for _, opt := range []Options{{}, {MaxRegionSpan: 2, MaxTransferCenters: 2}} {
+		for _, opt := range []Options{{}, {MaxRegionSpan: 2}} {
 			full := Build(w.Road, regions, paths, opt)
 			if full.TEdgeCount() == 0 {
 				t.Fatalf("world %d: no T-edges; the comparison has no teeth", world)
+			}
+			if !slices.ContainsFunc(full.tcCounts, func(m map[roadnet.VertexID]int) bool { return len(m) > maxTransferCenters }) {
+				t.Fatalf("world %d: no region counts more than %d transfer centers; the cap is never applied", world, maxTransferCenters)
 			}
 			// Batch size 0 cuts at random; the others are fixed.
 			for _, size := range []int{len(paths), 1, 0, 0, 0} {

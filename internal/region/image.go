@@ -22,7 +22,8 @@ import (
 //	             count, and per path its count, terminal count and path
 //	per region   inner paths (the same three each), transfer centers,
 //	             top road types
-//	visit counts a flag, then per region the counted vertices and counts
+//	visit counts a flag, always 1, then per region the counted vertices
+//	             and counts
 //	trailer      uint32 totals of listed vertices and of edge paths
 //
 // Integers are zigzag varints, floats codec.Enc.Float64's. A vertex list
@@ -63,8 +64,9 @@ func (s *Snapshot) Append(e *codec.Enc, road *roadnet.Graph) {
 
 // DecodeSnapshot decodes the image Append wrote against road. It checks
 // counts and lengths against the bytes left and path steps against
-// road's out-edges; Restore checks the IDs, for this image and for
-// gob-decoded ones alike. Empty lists decode as nil and visit-count
+// road's out-edges, and refuses an image whose visit-count flag is not
+// 1 — one saved from a graph without counts — with codec.ErrMalformed;
+// Restore checks the IDs. Empty lists decode as nil and visit-count
 // maps as non-nil, as a gob round trip leaves them.
 func DecodeSnapshot(b []byte, road *roadnet.Graph) (*Snapshot, error) {
 	if len(b) < 8 {
@@ -137,8 +139,10 @@ func (m *image) snapshot(s *Snapshot) {
 			imageByte(m, &s.TopTypes[r][j])
 		}
 	}
-	counted := boolByte(s.TCCounts != nil)
-	if imageByte(m, &counted); counted != 0 && m.dec != nil {
+	counted := byte(1)
+	if imageByte(m, &counted); counted != 1 {
+		m.dec.Fail("visit-count flag %d, want 1", counted)
+	} else if m.dec != nil {
 		s.TCCounts = make([]map[roadnet.VertexID]int, regions)
 	}
 	for r := range s.TCCounts {

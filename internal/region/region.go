@@ -154,10 +154,8 @@ type Graph struct {
 	// left region r, most frequent first.
 	transferCenters [][]roadnet.VertexID
 	// tcCounts[r] retains the visit counts behind transferCenters[r] so
-	// AddPaths recounts exactly instead of approximating: the lists
-	// depend on the union evidence, not on its batching. nil on graphs
-	// restored from pre-counts snapshots, which fall back to
-	// presence-based bumping.
+	// AddPaths recounts exactly: the lists depend on the union evidence,
+	// not on its batching. Every graph carries them, built or restored.
 	tcCounts []map[roadnet.VertexID]int
 	// topTypes[r] is the region's top-k road-type set (Section V-B
 	// functionality feature).
@@ -270,30 +268,22 @@ func (g *Graph) insertAdj(r, o, id int) {
 	g.adj[r] = slices.Insert(g.adj[r], i, Link{int32(o), int32(id)})
 }
 
+// topK is the size of a region's road-type functionality set, and
+// maxTransferCenters caps the per-region transfer-center list used when
+// materializing B-edge paths.
+const (
+	topK               = 2
+	maxTransferCenters = 4
+)
+
 // Options tunes region-graph construction.
 type Options struct {
-	// TopK is the size of the region road-type functionality set
-	// (default 2).
-	TopK int
 	// MaxRegionSpan caps, per trajectory, the number of later regions
 	// each visit is paired with when constructing T-edges; a trajectory
 	// through m regions yields up to m·MaxRegionSpan T-edge
 	// contributions instead of m·(m−1)/2. 0 means unlimited, as in the
 	// paper.
 	MaxRegionSpan int
-	// MaxTransferCenters caps the per-region transfer-center list used
-	// when materializing B-edge paths (default 4).
-	MaxTransferCenters int
-}
-
-func (o Options) withDefaults() Options {
-	if o.TopK == 0 {
-		o.TopK = 2
-	}
-	if o.MaxTransferCenters == 0 {
-		o.MaxTransferCenters = 4
-	}
-	return o
 }
 
 // visit is a maximal run of consecutive trajectory vertices inside one
@@ -310,7 +300,6 @@ type visit struct {
 // centers and inner-region paths. Call ConnectBFS afterwards to add
 // B-edges.
 func Build(road *roadnet.Graph, regions []cluster.Region, paths []roadnet.Path, opt Options) *Graph {
-	opt = opt.withDefaults()
 	g := &Graph{
 		Road:    road,
 		Regions: regions,
@@ -335,7 +324,7 @@ func Build(road *roadnet.Graph, regions []cluster.Region, paths []roadnet.Path, 
 		}
 		g.centroids[r.ID] = geo.Centroid(pts)
 	}
-	g.computeTopTypes(opt.TopK)
+	g.computeTopTypes()
 
 	g.tcCounts = make([]map[roadnet.VertexID]int, len(regions))
 	for i := range g.tcCounts {
@@ -348,9 +337,11 @@ func Build(road *roadnet.Graph, regions []cluster.Region, paths []roadnet.Path, 
 
 // rebuildTransferCenters re-materializes region r's transfer-center
 // list from the retained visit counts: most visited first, vertex ID
-// breaking ties, capped at maxCenters. The list is a function of the
-// counts alone, so it does not depend on how the evidence was batched.
-func (g *Graph) rebuildTransferCenters(r, maxCenters int) {
+// breaking ties, capped at maxTransferCenters. The list is a function of
+// the counts alone, so it does not depend on how the evidence was
+// batched; it replaces the old list whole, so a COW clone need not copy
+// that first.
+func (g *Graph) rebuildTransferCenters(r int) {
 	m := g.tcCounts[r]
 	type vc struct {
 		v roadnet.VertexID
@@ -366,14 +357,13 @@ func (g *Graph) rebuildTransferCenters(r, maxCenters int) {
 		}
 		return vcs[i].v < vcs[j].v
 	})
-	if len(vcs) > maxCenters {
-		vcs = vcs[:maxCenters]
+	if len(vcs) > maxTransferCenters {
+		vcs = vcs[:maxTransferCenters]
 	}
 	list := make([]roadnet.VertexID, len(vcs))
 	for i, x := range vcs {
 		list[i] = x.v
 	}
-	g.mutTC(r)
 	g.transferCenters[r] = list
 }
 
@@ -418,7 +408,7 @@ func (g *Graph) addInner(r int, p roadnet.Path, terminal bool) {
 
 // computeTopTypes fills the per-region top-k road-type sets from the
 // edges incident to the region's member vertices in the road network.
-func (g *Graph) computeTopTypes(k int) {
+func (g *Graph) computeTopTypes() {
 	g.topTypes = make([][]roadnet.RoadType, len(g.Regions))
 	for _, r := range g.Regions {
 		var counts [roadnet.NumRoadTypes]int
@@ -446,8 +436,8 @@ func (g *Graph) computeTopTypes(k int) {
 			}
 			return tcs[i].t < tcs[j].t
 		})
-		if len(tcs) > k {
-			tcs = tcs[:k]
+		if len(tcs) > topK {
+			tcs = tcs[:topK]
 		}
 		tt := make([]roadnet.RoadType, len(tcs))
 		for i, x := range tcs {

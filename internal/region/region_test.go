@@ -249,7 +249,7 @@ func TestSegmentVisitsSplitsOnGapsAndReentry(t *testing.T) {
 
 func TestTopRoadTypes(t *testing.T) {
 	g, regions := lineWorld(t)
-	rg := Build(g, regions, nil, Options{TopK: 2})
+	rg := Build(g, regions, nil, Options{})
 	tt := rg.TopRoadTypes(0)
 	if len(tt) == 0 || tt[0] != roadnet.Secondary {
 		t.Fatalf("top types = %v", tt)

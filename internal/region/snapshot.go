@@ -21,8 +21,8 @@ type Snapshot struct {
 	TransferCenters [][]roadnet.VertexID
 	// TCCounts carries the visit counts behind TransferCenters so a
 	// restored graph keeps recounting exactly on incremental ingestion.
-	// nil in artifacts written before counts were retained; restored
-	// graphs then fall back to presence-based center bumping.
+	// Every image carries them; Restore fills a nil TCCounts (a
+	// hand-built snapshot) with empty maps.
 	TCCounts []map[roadnet.VertexID]int
 	TopTypes [][]roadnet.RoadType
 }
@@ -74,8 +74,14 @@ func Restore(road *roadnet.Graph, s *Snapshot) (*Graph, error) {
 	if g.topTypes == nil {
 		g.topTypes = make([][]roadnet.RoadType, regions)
 	}
+	if g.tcCounts == nil {
+		g.tcCounts = make([]map[roadnet.VertexID]int, regions)
+		for i := range g.tcCounts {
+			g.tcCounts[i] = make(map[roadnet.VertexID]int)
+		}
+	}
 	if len(s.Centroids) != regions || len(g.inner) != regions || len(g.transferCenters) != regions ||
-		len(g.topTypes) != regions || g.tcCounts != nil && len(g.tcCounts) != regions {
+		len(g.topTypes) != regions || len(g.tcCounts) != regions {
 		return nil, fmt.Errorf("region: snapshot per-region slices disagree with its %d regions", regions)
 	}
 	offRoad := func(p []roadnet.VertexID) bool {
@@ -98,10 +104,8 @@ func Restore(road *roadnet.Graph, s *Snapshot) (*Graph, error) {
 		for _, t := range g.topTypes[i] {
 			bad = bad || t >= roadnet.NumRoadTypes
 		}
-		if g.tcCounts != nil {
-			for v := range g.tcCounts[i] {
-				bad = bad || v < 0 || int(v) >= n
-			}
+		for v := range g.tcCounts[i] {
+			bad = bad || v < 0 || int(v) >= n
 		}
 		if bad {
 			return nil, fmt.Errorf("region: snapshot region %d carries an ID, a vertex or a road type out of range", i)

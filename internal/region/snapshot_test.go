@@ -2,10 +2,12 @@ package region
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/codec"
 	"repro/internal/pref"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -81,37 +83,69 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 }
 
 // TestSnapshotImageOmitsFit: an edge's fit is process state that
-// artifacts keep elsewhere (core's envelope), so the snapshot's gob
-// image is the same size with or without fits, and restoring a decoded
+// artifacts keep in their own preference section, so a snapshot's flat
+// image is the same bytes with or without fits, and restoring a decoded
 // image yields edges without one.
 func TestSnapshotImageOmitsFit(t *testing.T) {
 	g := snapWorld(t)
 	encode := func() []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(g.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		var e codec.Enc
+		g.Snapshot().Append(&e, g.Road)
+		return e.B
 	}
 	bare := encode()
 	for _, e := range g.Edges {
 		e.SetFit(pref.Result{Preference: pref.Preference{Master: roadnet.DI, Slave: pref.Highways}, Similarity: 0.8125, PathsUsed: 7}, true)
 	}
 	fitted := encode()
-	if len(fitted) != len(bare) {
-		t.Fatalf("snapshot image grew from %d to %d bytes once edges carried fits", len(bare), len(fitted))
+	if !bytes.Equal(fitted, bare) {
+		t.Fatalf("snapshot image changed from %d to %d bytes once edges carried fits", len(bare), len(fitted))
 	}
-	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(fitted)).Decode(&s); err != nil {
+	s, err := DecodeSnapshot(fitted, g.Road)
+	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Restore(g.Road, &s)
+	g2, err := Restore(g.Road, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range g2.Edges {
 		if _, ok := e.Fit(); ok {
 			t.Fatalf("edge %d came back from the image with a fit", e.ID)
+		}
+	}
+}
+
+// TestDecodeSnapshotRefusesMissingVisitCounts: every region graph
+// carries its transfer-center visit counts, so an image whose counts
+// flag is not exactly 1 — 0 was what a graph without counts wrote — is
+// refused with codec.ErrMalformed. With every region's counts empty the
+// image ends in the flag, one empty list per region and the 8-byte
+// trailer, so the flag byte sits at a known offset.
+func TestDecodeSnapshotRefusesMissingVisitCounts(t *testing.T) {
+	g := snapWorld(t)
+	s := g.Snapshot()
+	s.TCCounts = make([]map[roadnet.VertexID]int, g.NumRegions())
+	for r := range s.TCCounts {
+		s.TCCounts[r] = map[roadnet.VertexID]int{}
+	}
+	var e codec.Enc
+	s.Append(&e, g.Road)
+	img := e.B
+	flag := len(img) - 8 - g.NumRegions() - 1
+	if img[flag] != 1 || !bytes.Equal(img[flag+1:len(img)-8], make([]byte, g.NumRegions())) {
+		t.Fatal("the image does not end in the counts flag and one empty list per region")
+	}
+	if _, err := DecodeSnapshot(img, g.Road); err != nil {
+		t.Fatalf("the image with flag 1: %v", err)
+	}
+	head, trailer := img[:flag], img[len(img)-8:]
+	for name, bad := range map[string][]byte{
+		"flag 0, no counts":   slices.Concat(head, []byte{0}, trailer),
+		"flag 2, with counts": slices.Concat(head, []byte{2}, make([]byte, g.NumRegions()), trailer),
+	} {
+		if got, err := DecodeSnapshot(bad, g.Road); !errors.Is(err, codec.ErrMalformed) || got != nil {
+			t.Errorf("%s: DecodeSnapshot returned snapshot %v, err %v; want ErrMalformed", name, got != nil, err)
 		}
 	}
 }
@@ -167,6 +201,7 @@ func TestRestoreNormalizesMissingOptionalSlices(t *testing.T) {
 	s := g.Snapshot()
 	s.Inner = nil
 	s.TransferCenters = nil
+	s.TCCounts = nil
 	s.TopTypes = nil
 	g2, err := Restore(g.Road, s)
 	if err != nil {
@@ -176,5 +211,18 @@ func TestRestoreNormalizesMissingOptionalSlices(t *testing.T) {
 		_ = g2.InnerPaths(r)
 		_ = g2.TransferCenters(r)
 		_ = g2.TopRoadTypes(r)
+	}
+	// A restored graph counts visits from empty maps, on itself and on a
+	// COW clone.
+	var path roadnet.Path
+	for _, e := range g.Edges {
+		if len(e.PathsFwd) > 0 {
+			path = e.PathsFwd[0].Path
+			break
+		}
+	}
+	g2.CloneCOW().AddPaths([]roadnet.Path{path}, Options{})
+	if st := g2.AddPaths([]roadnet.Path{path}, Options{}); st.Paths != 1 || len(g2.TransferCenters(g2.RegionOf(path[0]))) == 0 {
+		t.Fatalf("AddPaths on a graph restored without counts: %+v", st)
 	}
 }

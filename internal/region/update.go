@@ -57,7 +57,6 @@ func (s UpdateStats) StalenessRatio() float64 {
 // makes an append to a stored path, or to a route answered from one,
 // reallocate instead of writing over the window next to it.
 func (g *Graph) AddPaths(paths []roadnet.Path, opt Options) UpdateStats {
-	opt = opt.withDefaults()
 	var st UpdateStats
 	st.Paths = len(paths)
 	touched := make(map[int]bool)
@@ -74,9 +73,9 @@ func (g *Graph) AddPaths(paths []roadnet.Path, opt Options) UpdateStats {
 		visits := segmentVisits(g, p)
 		for _, vis := range visits {
 			entryV, exitV := p[vis.entry], p[vis.exit]
-			g.bumpTransferCenter(vis.region, entryV, opt.MaxTransferCenters, dirtyTC)
+			g.bumpTransferCenter(vis.region, entryV, dirtyTC)
 			if exitV != entryV {
-				g.bumpTransferCenter(vis.region, exitV, opt.MaxTransferCenters, dirtyTC)
+				g.bumpTransferCenter(vis.region, exitV, dirtyTC)
 			}
 			if vis.exit > vis.entry {
 				g.addInner(vis.region, p[vis.entry:vis.exit+1:vis.exit+1], vis.entry == 0 && vis.exit == len(p)-1)
@@ -125,31 +124,16 @@ func (g *Graph) AddPaths(paths []roadnet.Path, opt Options) UpdateStats {
 	// Re-materialize the transfer-center lists of every region whose
 	// counts moved, once per batch rather than per bump.
 	for r := range dirtyTC {
-		g.rebuildTransferCenters(r, opt.MaxTransferCenters)
+		g.rebuildTransferCenters(r)
 	}
 	return st
 }
 
 // bumpTransferCenter records one more entry/exit visit of v in region
-// r. With retained counts (Graph.tcCounts) the count is incremented
-// exactly and the caller re-sorts the region's list after the batch, so
-// the list depends on the union evidence alone, by construction. Graphs
-// restored from pre-counts snapshots have no counts to add to; they
-// fall back to presence plus bounded growth, sufficient for B-edge path
-// materialization.
-func (g *Graph) bumpTransferCenter(r int, v roadnet.VertexID, maxCenters int, dirty map[int]bool) {
-	if g.tcCounts == nil {
-		for _, x := range g.transferCenters[r] {
-			if x == v {
-				return
-			}
-		}
-		if len(g.transferCenters[r]) < maxCenters {
-			g.mutTC(r)
-			g.transferCenters[r] = append(g.transferCenters[r], v)
-		}
-		return
-	}
+// r (Graph.tcCounts). The caller re-sorts the region's list after the
+// batch, so the list depends on the union evidence alone, by
+// construction.
+func (g *Graph) bumpTransferCenter(r int, v roadnet.VertexID, dirty map[int]bool) {
 	g.mutTCCount(r)
 	g.tcCounts[r][v]++
 	dirty[r] = true

@@ -3,7 +3,9 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +19,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/roadnet"
@@ -351,6 +354,46 @@ func TestForeignCheckpointFailsLoud(t *testing.T) {
 	other, _ := buildServeWorld(t, 99, 300)
 	if _, err := NewDurableEngine(other, Options{WALDir: dir}); err == nil {
 		t.Fatal("checkpoint from a foreign road network served anyway")
+	}
+}
+
+// TestV1CheckpointFailsLoud: a checkpoint in the v1 layout an earlier
+// binary wrote — one gob frame around the bookkeeping and a copy of the
+// artifact — must refuse to serve, with codec.ErrBadVersion, rather than
+// fall back to the base artifact and roll the learned state back.
+func TestV1CheckpointFailsLoud(t *testing.T) {
+	base, live := buildServeWorld(t, 17, 300)
+	dir := t.TempDir()
+	e1 := mustDurable(t, base.IngestClone(), Options{WALDir: dir})
+	e1.IngestMatched(matchedBatches(live, 8)[0])
+	if err := e1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	e1.Close()
+
+	path := filepath.Join(dir, wal.CheckpointName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(data)
+	_, fixed, err := codec.ReadFrameBytes(rd, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := struct {
+		Seq, NextTrajectoryID, RoadHash uint64
+		Artifact                        []byte
+	}{binary.BigEndian.Uint64(fixed), binary.BigEndian.Uint64(fixed[8:]), binary.BigEndian.Uint64(fixed[16:]), data[len(data)-rd.Len():]}
+	var v1 bytes.Buffer
+	if err := codec.WriteFrame(&v1, 1, &env); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := NewDurableEngine(base.IngestClone(), Options{WALDir: dir}); !errors.Is(err, codec.ErrBadVersion) || e != nil {
+		t.Fatalf("v1 checkpoint: engine %v, err %v; want ErrBadVersion and no engine", e != nil, err)
 	}
 }
 

@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -18,26 +17,16 @@ import (
 // CheckpointName is the checkpoint's file name inside a WAL directory.
 const CheckpointName = "checkpoint.l2r"
 
-// Checkpoint frame versions. A v2 checkpoint file is two frames: this
-// package's, whose payload is the three fixed fields below as
+// The checkpoint frame version. A v2 checkpoint file is two frames:
+// this package's, whose payload is the three fixed fields below as
 // big-endian uint64s, then the router exactly as Router.Save writes it
 // (its own frame, checksummed and versioned by core). v1 was one frame
-// wrapping a gob checkpointEnvelope, the artifact bytes copied inside;
-// ReadCheckpoint still reads it.
+// wrapping a gob envelope, the artifact bytes copied inside;
+// ReadCheckpoint refuses it with codec.ErrBadVersion.
 const (
-	checkpointVersion   uint16 = 2
-	checkpointVersionV1 uint16 = 1
-	checkpointFixedLen         = 3 * 8
+	checkpointVersion  uint16 = 2
+	checkpointFixedLen        = 3 * 8
 )
-
-// checkpointEnvelope is the v1 checkpoint payload: the core artifact
-// with the WAL position it covers.
-type checkpointEnvelope struct {
-	Seq              uint64
-	NextTrajectoryID uint64
-	RoadHash         uint64
-	Artifact         []byte
-}
 
 // Checkpoint is a loaded checkpoint: the recovered router plus the
 // bookkeeping stored beside it. Keeping the sequence inside the same
@@ -98,9 +87,9 @@ func WriteCheckpoint(dir string, r *core.Router, seq, nextTrajID uint64, road Ne
 }
 
 // ReadCheckpoint loads dir's checkpoint. ok is false when none exists
-// (a cold start); any other failure — unreadable, corrupt, undecodable
-// — is an error, because serving from a base artifact while silently
-// ignoring a checkpoint would roll learned state back.
+// (a cold start); any other failure — unreadable, corrupt, undecodable,
+// an older version — is an error, because serving from a base artifact
+// while silently ignoring a checkpoint would roll learned state back.
 func ReadCheckpoint(dir string) (c *Checkpoint, ok bool, err error) {
 	return ReadCheckpointOnto(dir, nil, NetworkID{})
 }
@@ -119,25 +108,17 @@ func ReadCheckpointOnto(dir string, road *roadnet.Graph, id NetworkID) (c *Check
 		return nil, false, fmt.Errorf("wal: opening checkpoint: %w", err)
 	}
 	rd := bytes.NewReader(data)
-	version, fixed, err := codec.ReadFrameBytes(rd, checkpointVersion, checkpointVersionV1)
+	_, fixed, err := codec.ReadFrameBytes(rd, checkpointVersion)
 	if err != nil {
 		return nil, false, fmt.Errorf("wal: reading checkpoint: %w", err)
 	}
-	c = &Checkpoint{}
-	if version == checkpointVersionV1 {
-		var env checkpointEnvelope
-		if err := gob.NewDecoder(bytes.NewReader(fixed)).Decode(&env); err != nil {
-			return nil, false, fmt.Errorf("wal: reading checkpoint: %w", err)
-		}
-		c.Seq, c.NextTrajectoryID, c.RoadHash = env.Seq, env.NextTrajectoryID, env.RoadHash
-		rd = bytes.NewReader(env.Artifact)
-	} else {
-		if len(fixed) != checkpointFixedLen {
-			return nil, false, fmt.Errorf("wal: reading checkpoint: %w: %d-byte header", codec.ErrMalformed, len(fixed))
-		}
-		c.Seq = binary.BigEndian.Uint64(fixed[0:])
-		c.NextTrajectoryID = binary.BigEndian.Uint64(fixed[8:])
-		c.RoadHash = binary.BigEndian.Uint64(fixed[16:])
+	if len(fixed) != checkpointFixedLen {
+		return nil, false, fmt.Errorf("wal: reading checkpoint: %w: %d-byte header", codec.ErrMalformed, len(fixed))
+	}
+	c = &Checkpoint{
+		Seq:              binary.BigEndian.Uint64(fixed[0:]),
+		NextTrajectoryID: binary.BigEndian.Uint64(fixed[8:]),
+		RoadHash:         binary.BigEndian.Uint64(fixed[16:]),
 	}
 	if c.Router, err = core.LoadOnto(rd, road, id.Hash); err != nil {
 		return nil, false, fmt.Errorf("wal: loading checkpoint artifact: %w", err)

@@ -32,8 +32,9 @@
 // file starting at that sequence. Because the covered sequence travels
 // inside the checkpoint file itself, a crash between the rename and the
 // rotation is harmless — recovery skips already-covered records by
-// sequence. ReadCheckpoint still reads the v1 layout (one gob frame
-// around a copy of the artifact).
+// sequence. ReadCheckpoint reads this layout only: a v1 checkpoint (one
+// gob frame around a copy of the artifact) is refused with
+// codec.ErrBadVersion.
 //
 // # Recovery
 //

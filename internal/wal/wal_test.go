@@ -423,9 +423,11 @@ func TestCarriedIdentityIsIdentityOf(t *testing.T) {
 	}
 }
 
-// TestReadCheckpointV1: a checkpoint an earlier binary wrote — one gob
-// frame around the artifact and its bookkeeping — still reads.
-func TestReadCheckpointV1(t *testing.T) {
+// TestReadCheckpointRefusesV1: a checkpoint an earlier binary wrote —
+// one gob frame around the artifact and its bookkeeping — is refused
+// with codec.ErrBadVersion, by ReadCheckpoint and ReadCheckpointOnto
+// alike, and is not reported as absent.
+func TestReadCheckpointRefusesV1(t *testing.T) {
 	road, ts := testWorld(t, 9)
 	r, err := core.Build(road, ts, core.Options{SkipMapMatching: true})
 	if err != nil {
@@ -436,29 +438,24 @@ func TestReadCheckpointV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := mustID(t, road)
+	env := struct {
+		Seq, NextTrajectoryID, RoadHash uint64
+		Artifact                        []byte
+	}{5, 11, id.Hash, art.Bytes()}
+	var v1 bytes.Buffer
+	if err := codec.WriteFrame(&v1, 1, &env); err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	f, err := os.Create(filepath.Join(dir, CheckpointName))
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, CheckpointName), v1.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	env := checkpointEnvelope{Seq: 5, NextTrajectoryID: 11, RoadHash: id.Hash, Artifact: art.Bytes()}
-	if err := codec.WriteFrame(f, checkpointVersionV1, &env); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	for _, read := range []func() (*Checkpoint, bool, error){
 		func() (*Checkpoint, bool, error) { return ReadCheckpoint(dir) },
 		func() (*Checkpoint, bool, error) { return ReadCheckpointOnto(dir, road, id) },
 	} {
-		c, ok, err := read()
-		if err != nil || !ok {
-			t.Fatalf("v1 checkpoint: ok %v, err %v", ok, err)
-		}
-		if c.Seq != 5 || c.NextTrajectoryID != 11 || c.RoadHash != id.Hash {
-			t.Fatalf("v1 checkpoint bookkeeping = %+v", c)
-		}
-		if a, b := c.Router.Route(3, 40).Path, r.Route(3, 40).Path; len(a) == 0 || len(a) != len(b) {
-			t.Fatal("v1 checkpoint's router answers differently")
+		if c, ok, err := read(); !errors.Is(err, codec.ErrBadVersion) || ok || c != nil {
+			t.Fatalf("v1 checkpoint: checkpoint %v, ok %v, err %v; want ErrBadVersion", c != nil, ok, err)
 		}
 	}
 }

@@ -10,11 +10,13 @@ import (
 
 // TestOptionsCensus pins the settable values of the option structs a
 // deployment configures: the engine's, the build's and ingest's, the
-// three attachments', the stream's matcher's and the tracer's. A field that every caller leaves at
+// three attachments', the build's region graph's, the stream's
+// matcher's and the tracer's. A field that every caller leaves at
 // its default is a branch nobody runs, so the list changes only when a
 // new option has two non-test callers that want different values.
 func TestOptionsCensus(t *testing.T) {
 	match, _ := reflect.TypeFor[l2r.StreamConfig]().FieldByName("Match")
+	regionOpts, _ := reflect.TypeFor[l2r.Options]().FieldByName("Region")
 	for _, c := range []struct {
 		typ  reflect.Type
 		want []string
@@ -25,6 +27,7 @@ func TestOptionsCensus(t *testing.T) {
 		{reflect.TypeFor[l2r.Options](), []string{
 			"Region", "SkipMapMatching", "LearnMaxPaths", "Workers", "PathBackend",
 		}},
+		{regionOpts.Type, []string{"MaxRegionSpan"}},
 		{reflect.TypeFor[l2r.IngestOptions](), []string{"SkipMapMatching"}},
 		{reflect.TypeFor[l2r.StreamConfig](), []string{
 			"GapS", "Match", "MaxBatch", "FlushAge", "OnTrajectory",
