@@ -569,15 +569,9 @@ func BenchmarkFastestCH(b *testing.B) {
 //     parallel speed-up).
 //   - EngineWarmCache: the serve engine with its route cache warm on
 //     the same Zipf mix — the steady state of a hot serving shard.
-//
-// The *CH variants rerun the uncached configurations with the
-// contraction-hierarchy path backend, so the speed-up of the pluggable
-// engine is measured end to end through the serving stack.
 func BenchmarkServe(b *testing.B) {
 	w := benchWorld(b)
 	r := w.MustRouter()
-	chRouter := r.IngestClone()
-	chRouter.EnableCH(ch.Config{})
 	qs := benchQueries(b)
 
 	// Pre-draw a deterministic Zipf-ranked index stream: rank 0 (the
@@ -597,28 +591,8 @@ func BenchmarkServe(b *testing.B) {
 		}
 	})
 
-	b.Run("RouterDirectCH", func(b *testing.B) {
-		single := chRouter.Clone()
-		for i := 0; i < b.N; i++ {
-			q := qs[mix[i%len(mix)]]
-			single.Route(q.S, q.D)
-		}
-	})
-
 	b.Run("EngineColdCache", func(b *testing.B) {
 		e := serve.NewEngine(r.IngestClone(), serve.Options{CacheSize: -1})
-		var next int64
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				i := int(atomic.AddInt64(&next, 1))
-				q := qs[mix[i%len(mix)]]
-				e.Route(q.S, q.D)
-			}
-		})
-	})
-
-	b.Run("EngineColdCacheCH", func(b *testing.B) {
-		e := serve.NewEngine(chRouter.IngestClone(), serve.Options{CacheSize: -1})
 		var next int64
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
@@ -833,7 +807,7 @@ func BenchmarkServeIngest(b *testing.B) {
 // instead of re-contracting: a metric refresh costs one bottom-up
 // triangle sweep over preallocated flat arrays. Customize/One is one
 // metric's sweep on the bench world; internal/core's BenchmarkCustomize
-// times what EnableCH customizes on the ci router.
+// times what Load customizes on the ci router.
 func BenchmarkCustomize(b *testing.B) {
 	w := benchWorld(b)
 	b.Run("Contract", func(b *testing.B) {
@@ -864,7 +838,6 @@ func BenchmarkCustomize(b *testing.B) {
 func BenchmarkSwapCost(b *testing.B) {
 	w := benchWorld(b)
 	r := w.MustRouter().IngestClone()
-	r.EnableCH(ch.Config{})
 	batch := w.Test
 	if len(batch) > 20 {
 		batch = batch[:20]
@@ -894,9 +867,7 @@ func BenchmarkSwapCost(b *testing.B) {
 // push cold metrics inline show up in the tail first.
 func BenchmarkRouteP99(b *testing.B) {
 	w := benchWorld(b)
-	r := w.MustRouter().IngestClone()
-	r.EnableCH(ch.Config{})
-	single := r.Clone()
+	single := w.MustRouter().Clone()
 	qs := benchQueries(b)
 	lat := make([]time.Duration, 0, b.N)
 	b.ResetTimer()

@@ -70,10 +70,7 @@ func cmdBuild(args []string) {
 	}
 	ts := traj.NewSimulator(g, cfg).Run()
 	start := time.Now()
-	// Built on the hierarchy, so the artifact carries its contraction
-	// order and a serving engine derives the hierarchy instead of
-	// contracting it.
-	r, err := l2r.Build(g, ts, l2r.Options{SkipMapMatching: !*match, PathBackend: l2r.BackendCH})
+	r, err := l2r.Build(g, ts, l2r.Options{SkipMapMatching: !*match})
 	if err != nil {
 		fatalf("build: %v", err)
 	}
@@ -108,7 +105,7 @@ func cmdInspect(args []string) {
 	}
 	fmt.Printf("  generation:   %d (saved %s)\n", meta.Generation,
 		time.Unix(0, meta.SavedUnixNano).Format(time.RFC3339))
-	fmt.Printf("  built with:   backend %s, clustering %s\n", meta.Build.PathBackend, meta.Build.ClusterMethod)
+	fmt.Printf("  built with:   clustering %s\n", meta.Build.ClusterMethod)
 	fmt.Printf("  road network: %d vertices, %d edges\n", r.Road().NumVertices(), r.Road().NumEdges())
 	fmt.Printf("  regions:      %d\n", st.Regions)
 	fmt.Printf("  T-edges:      %d\n", rg.TEdgeCount())

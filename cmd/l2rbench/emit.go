@@ -198,10 +198,7 @@ func buildReport(h *harness, rs *replayStats, st serve.Stats, before, after *run
 func maintPhase(h *harness, e *serve.Engine, report map[string]map[string]any) error {
 	mt := maint.Attach(e, maint.Config{
 		CheckEvery: time.Hour, // manual trigger only
-		Core: core.Options{
-			SkipMapMatching: true,
-			PathBackend:     backendFor(h.cfg.pathEngine),
-		},
+		Core:       core.Options{SkipMapMatching: true},
 	})
 	defer mt.Close()
 

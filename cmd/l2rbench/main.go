@@ -89,7 +89,6 @@ type config struct {
 	ingestBatch int
 	mix         string
 	http        bool
-	pathEngine  string
 	cacheSize   int
 	durable     bool
 	walSync     string
@@ -116,7 +115,6 @@ func main() {
 	flag.StringVar(&cfg.mix, "mix", "route=55,alternatives=20,pref=15,ingest=10",
 		"workload mix as kind=weight pairs")
 	flag.BoolVar(&cfg.http, "http", false, "drive the engine over loopback HTTP instead of in-process")
-	flag.StringVar(&cfg.pathEngine, "path-engine", "ch", "shortest-path backend: ch|dijkstra")
 	flag.IntVar(&cfg.cacheSize, "cache", 0, "route cache entries (0 = serve default, negative disables)")
 	flag.BoolVar(&cfg.durable, "durable", true, "attach an ephemeral WAL and measure recovery replay")
 	flag.StringVar(&cfg.walSync, "wal-sync", "none", "WAL fsync policy: none|always")
@@ -155,10 +153,7 @@ func run(cfg config) error {
 		len(w.All), len(w.Train), len(w.Test), w.RepairLinks, time.Since(t0).Round(time.Millisecond))
 
 	t0 = time.Now()
-	r, err := core.Build(w.Road, w.Train, core.Options{
-		SkipMapMatching: true,
-		PathBackend:     backendFor(cfg.pathEngine),
-	})
+	r, err := core.Build(w.Road, w.Train, core.Options{SkipMapMatching: true})
 	if err != nil {
 		return fmt.Errorf("router build: %w", err)
 	}
@@ -197,17 +192,9 @@ func resolveSpec(cfg config) (worldgen.Spec, error) {
 	return spec, nil
 }
 
-func backendFor(name string) core.PathBackend {
-	if name == "dijkstra" {
-		return core.BackendDijkstra
-	}
-	return core.BackendCH
-}
-
 func (c config) serveOptions(walDir string) serve.Options {
 	opt := serve.Options{
 		CacheSize:       c.cacheSize,
-		PathBackend:     backendFor(c.pathEngine),
 		WALDir:          walDir,
 		CheckpointEvery: c.ckptEvery,
 		WALSync:         wal.SyncNone,
@@ -221,10 +208,7 @@ func (c config) serveOptions(walDir string) serve.Options {
 // prefEngine builds the path engine that serves opPref requests; each
 // worker Forks it so searches never share scratch state.
 func (h *harness) prefEngine() route.PathEngine {
-	if backendFor(h.cfg.pathEngine) == core.BackendCH {
-		return route.BuildCHEngine(h.world.Road, roadnet.TT, ch.Config{})
-	}
-	return route.NewEngine(h.world.Road)
+	return route.BuildCHEngine(h.world.Road, roadnet.TT, ch.Config{})
 }
 
 func (c config) effectiveWorkers() int {

@@ -13,9 +13,9 @@
 //	                                       load tests)
 //
 // Every world is served on the customizable contraction hierarchy: a
-// synthetic world is built on it, and a loaded artifact is brought onto
-// it — from the contraction order it carries — before it sees traffic,
-// on start, on recovery and on every hot reload.
+// synthetic world is built on it, and a loaded artifact derives it from
+// the contraction order it carries — on start, on recovery and on every
+// hot reload.
 //
 // Single-tenant endpoints:
 //
@@ -172,7 +172,6 @@ func main() {
 
 	opt := l2r.ServeOptions{
 		CacheSize:       *cacheSize,
-		PathBackend:     l2r.BackendCH,
 		WALDir:          *walDir,
 		CheckpointEvery: *checkpointEvery,
 		WALSync:         syncPolicy,
@@ -198,13 +197,14 @@ func main() {
 		return
 	}
 
+	start := time.Now()
 	router, err := loadRouter(*artifact, *network, *trips, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 	st := router.Stats()
-	log.Printf("router ready: %d vertices, %d regions, %d T-edges, %d B-edges",
-		router.Road().NumVertices(), st.Regions, st.TEdges, st.BEdges)
+	log.Printf("router ready in %s: %d vertices, %d regions, %d T-edges, %d B-edges",
+		time.Since(start).Round(time.Millisecond), router.Road().NumVertices(), st.Regions, st.TEdges, st.BEdges)
 
 	engine, err := l2r.NewDurableEngine(router, opt)
 	if err != nil {
@@ -217,11 +217,10 @@ func main() {
 				d.RecoveredFromCheckpoint, d.ReplayedRecords, d.ReplayedTrajectories, d.TornTailTruncated)
 		}
 	}
-	st = router.Stats()
-	height, arcs, _ := engine.Snapshot().CHClimb() // the served router: after a checkpoint recovery that is not `router`
-	log.Printf("path engine: customizable contraction hierarchy (%d shortcuts, contracted in %s; elimination tree height %d, %.0f up-arcs per climb; %d metrics customized in %s)",
-		st.CHShortcuts, st.CHBuildTime.Round(time.Millisecond), height, arcs,
-		st.CHMetrics, st.CHCustomizeTime.Round(time.Microsecond))
+	served := engine.Snapshot() // after a checkpoint recovery that is not `router`
+	height, arcs := served.CHClimb()
+	log.Printf("path engine: customizable contraction hierarchy (elimination tree height %d, %.0f up-arcs per climb; %d metrics customized by this process)",
+		height, arcs, served.Customizations())
 	ing := att.attach(engine)
 	att.announce("")
 	var background func(context.Context)
@@ -450,9 +449,6 @@ func serveAndDrain(addr string, h http.Handler, drain time.Duration, background 
 }
 
 // loadRouter either loads a saved artifact or builds a synthetic world.
-// A synthetic world is built on the contraction hierarchy, so B-edge
-// materialization already runs on it; a loaded artifact is brought onto
-// it by the serve engine (ServeOptions.PathBackend) instead.
 func loadRouter(artifact, network string, trips int, seed int64) (*l2r.Router, error) {
 	if artifact != "" {
 		f, err := os.Open(artifact)
@@ -471,5 +467,5 @@ func loadRouter(artifact, network string, trips int, seed int64) (*l2r.Router, e
 	log.Printf("no artifact: building synthetic %s world (%d trips, seed %d)", network, trips, seed)
 	all := traj.NewSimulator(g, cfg).Run()
 	train, _ := traj.Split(all, 0.75*cfg.HorizonSec)
-	return l2r.Build(g, train, l2r.Options{SkipMapMatching: true, PathBackend: l2r.BackendCH})
+	return l2r.Build(g, train, l2r.Options{SkipMapMatching: true})
 }

@@ -56,24 +56,23 @@
 //
 // # Architecture: the PathEngine seam
 //
-// Every shortest-path consumer — unified routing (Case 2 approach
-// searches, fastest fallbacks, connector stitching), serving,
-// baselines, the trajectory simulator and the experiment harness —
-// programs against internal/route.PathEngine, a pluggable backend.
-// route.Engine is plain Dijkstra (plus the paper's Algorithm 2);
-// route.CHEngine answers scalar, preference-constrained and custom-cost
-// searches on one customizable contraction hierarchy (internal/ch),
-// one customized metric per cost function, shortcuts unpacked. Select
-// with l2r.Options{PathBackend: l2r.BackendCH} at build time, or
-// l2r.ServeOptions{PathBackend: l2r.BackendCH} when serving a loaded
-// artifact; l2rserve always serves on the hierarchy.
+// The preference learner, the baselines, the trajectory simulator and
+// the experiment harness program against internal/route.PathEngine, a
+// pluggable backend. route.Engine is plain Dijkstra (plus the paper's
+// Algorithm 2); route.CHEngine answers scalar, preference-constrained
+// and custom-cost searches on one customizable contraction hierarchy
+// (internal/ch), one customized metric per cost function, shortcuts
+// unpacked. Every Router runs on a CHEngine — unified routing (Case 2
+// approach searches, fastest fallbacks, connector stitching), learning
+// and serving alike: Build contracts the hierarchy, Load derives it
+// from the contraction order the artifact carries.
 //
 // The concurrency contract: an engine serves one goroutine; Fork()
 // returns a sibling sharing the immutable built state (road network,
 // CH hierarchy) with fresh, lazily allocated query state. Router.Clone
 // and the serve snapshot pools fork instead of allocating per-vertex
 // search arrays per clone, and the hierarchy built once at Build (or
-// EnableCH) time is carried through Clone and IngestClone, the
+// Load) time is carried through Clone and IngestClone, the
 // copy-on-write ingest swap.
 //
 // # Verifying

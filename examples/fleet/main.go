@@ -82,8 +82,8 @@ func main() {
 	for _, name := range fleet.Names() {
 		e, _ := fleet.Get(name)
 		meta := e.Snapshot().Meta()
-		fmt.Printf("tenant %q: %d vertices, artifact generation %d (backend %s)\n",
-			name, e.Snapshot().Road().NumVertices(), meta.Generation, meta.Build.PathBackend)
+		fmt.Printf("tenant %q: %d vertices, artifact generation %d\n",
+			name, e.Snapshot().Road().NumVertices(), meta.Generation)
 	}
 
 	// Serve both tenants concurrently while acity's artifact is

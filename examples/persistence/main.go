@@ -71,6 +71,9 @@ func main() {
 	}
 	fmt.Printf("identical answers on %d/%d held-out queries\n", same, n)
 	os.Remove(path)
+	if same < n {
+		log.Fatalf("the loaded router answers %d of %d held-out queries differently", n-same, n)
+	}
 }
 
 func pathsEqual(a, b roadnet.Path) bool {

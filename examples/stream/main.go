@@ -112,6 +112,9 @@ func main() {
 		}
 	}
 	fmt.Printf("audit: %d/%d streamed trajectories decode identically when matched whole, in one call\n", equal, checked)
+	if checked == 0 || equal < checked {
+		log.Fatalf("audit failed: %d of %d streamed trajectories decode identically", equal, checked)
+	}
 }
 
 func samePath(a, b roadnet.Path) bool {

@@ -13,8 +13,9 @@
 // elimination game to choose the order (the expensive step), and
 // NewTopology, which derives the skeleton any order induces by symbolic
 // elimination in one pass. An artifact carries the order
-// (Topology.Order), so a restart pays only the second step;
-// TestSkeletonMatchesReference holds it to the map-based build it
+// (Topology.Order), so a restart pays only the second step, through
+// DeriveTopology, which refuses an order whose fill would pass a budget
+// linear in the road's edges; TestSkeletonMatchesReference holds it to the map-based build it
 // replaced. The game itself runs on flat neighbour lists, with fill
 // counted as C(deg, 2) minus the adjacent pairs a stamp array finds;
 // TestContractionOrderMatchesReference holds its order to the map-based

@@ -1,7 +1,9 @@
 package ch
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/container"
@@ -64,8 +66,10 @@ type Topology struct {
 }
 
 // Config is the contraction configuration, and it is empty: contraction
-// is metric-independent and takes no tuning. The type remains because
-// core.Options, serve.Options and Router.EnableCH name it.
+// is metric-independent and takes no tuning. It is read by nothing and
+// remains only while the benchmark module names it (route.BuildCHEngine
+// and core.Router.EnableCH take one); it goes with that module's next
+// change (ROADMAP.md item 8).
 type Config struct{}
 
 // peek returns the minimum entry without removing it.
@@ -197,6 +201,42 @@ func ContractionOrder(g *roadnet.Graph) []int32 {
 // higher-ranked neighbours plus its elimination-tree children's
 // up-sets, minus itself, and its parent is the lowest-ranked member.
 func NewTopology(g *roadnet.Graph, order []int32) *Topology {
+	t, _ := deriveTopology(g, order, math.MaxInt, math.MaxInt)
+	return t
+}
+
+// The fill budget DeriveTopology holds an order from outside input to,
+// per road edge. ContractionOrder's order for every generated world up
+// to metro stays within it: 1.4 arcs and 3.6 lower triangles per edge
+// at ci, 3.2 and 47 at metro (943k edges). A star whose centre comes
+// first fills into a clique on the leaves, n²/2 arcs and n³/6 triangles.
+const (
+	maxArcsPerEdge      = 8
+	maxTrianglesPerEdge = 64
+)
+
+// ErrFill reports a contraction order whose skeleton would outgrow
+// DeriveTopology's fill budget.
+var ErrFill = errors.New("ch: contraction order fills in past the budget")
+
+// DeriveTopology is NewTopology for a road network and order read from
+// outside input, such as an artifact: it refuses with ErrFill an order
+// whose skeleton would hold more than 8 arcs or 64 lower triangles per
+// road edge, as the elimination finds it and before the triangle table
+// is allocated, so what it allocates stays linear in g. order must be a
+// permutation of g's vertices; a nil order is contracted afresh
+// (ContractionOrder, which itself is not budgeted).
+func DeriveTopology(g *roadnet.Graph, order []int32) (*Topology, error) {
+	if order == nil {
+		order = ContractionOrder(g)
+	}
+	m := g.NumEdges()
+	return deriveTopology(g, order, maxArcsPerEdge*m, maxTrianglesPerEdge*m)
+}
+
+// deriveTopology is NewTopology refusing, with ErrFill, a skeleton of
+// more than maxArcs arcs or maxTris lower triangles.
+func deriveTopology(g *roadnet.Graph, order []int32, maxArcs, maxTris int) (*Topology, error) {
 	n := g.NumVertices()
 	t := &Topology{g: g, rank: make([]int32, n), order: order}
 	for i, v := range order {
@@ -207,6 +247,7 @@ func NewTopology(g *roadnet.Graph, order []int32) *Topology {
 	// v while u is in v's up-set.
 	at := make([]int32, n+1)
 	var up []int32
+	tris := 0
 	child, sibling, mark := make([]int32, n), make([]int32, n), make([]int32, n)
 	for v := range child {
 		child[v], mark[v] = -1, -1
@@ -231,6 +272,9 @@ func NewTopology(g *roadnet.Graph, order []int32) *Topology {
 			}
 		}
 		set := up[start:]
+		if tris += len(set) * (len(set) - 1) / 2; len(up) > maxArcs || tris > maxTris {
+			return nil, ErrFill
+		}
 		slices.SortFunc(set, func(a, b int32) int { return int(t.rank[a] - t.rank[b]) })
 		if at[i+1] = int32(len(up)); len(set) > 0 {
 			sibling[v], child[set[0]] = child[set[0]], v
@@ -257,7 +301,7 @@ func NewTopology(g *roadnet.Graph, order []int32) *Topology {
 	}
 	t.buildTriangles()
 	t.measureClimbs()
-	return t
+	return t, nil
 }
 
 // triangle is one lower triangle {a; b1, b2} of the arc {b1, b2} it

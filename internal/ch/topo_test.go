@@ -1,6 +1,7 @@
 package ch_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/ch"
+	"repro/internal/geo"
 	"repro/internal/roadnet"
 	"repro/internal/worldgen"
 )
@@ -53,6 +55,11 @@ func TestSkeletonMatchesReference(t *testing.T) {
 			if again := ch.NewTopology(g, got.Order()); !reflect.DeepEqual(again, got) {
 				t.Fatal("NewTopology from BuildTopology's own order differs")
 			}
+			for _, order := range [][]int32{got.Order(), nil} {
+				if d, err := ch.DeriveTopology(g, order); err != nil || !reflect.DeepEqual(d, got) {
+					t.Fatalf("DeriveTopology from BuildTopology's order (nil: %v) differs or fails: %v", order == nil, err)
+				}
+			}
 			n := g.NumVertices()
 			rng := rand.New(rand.NewSource(int64(n)))
 			identity := make([]int32, n)
@@ -69,6 +76,34 @@ func TestSkeletonMatchesReference(t *testing.T) {
 			_, tris, _ := got.TriangleTable()
 			t.Logf("n=%d arcs=%d triangles=%d height=%d", n, got.NumArcs(), len(tris), got.Height())
 		})
+	}
+}
+
+// TestDeriveTopologyRefusesFill: on a star, the order that contracts the
+// centre first would fill the leaves into a clique, and DeriveTopology
+// refuses it with ErrFill; the greedy order contracts the leaves first
+// and adds no fill.
+func TestDeriveTopologyRefusesFill(t *testing.T) {
+	const leaves = 400
+	b := roadnet.NewBuilder()
+	centre := b.AddVertex(geo.Point{})
+	for i := 0; i < leaves; i++ {
+		b.AddRoad(centre, b.AddVertex(geo.Point{X: float64(i + 1), Y: 1}), roadnet.Residential)
+	}
+	g := b.Build()
+	identity := make([]int32, g.NumVertices())
+	for v := range identity {
+		identity[v] = int32(v)
+	}
+	if topo, err := ch.DeriveTopology(g, identity); !errors.Is(err, ch.ErrFill) || topo != nil {
+		t.Fatalf("centre first: DeriveTopology = %v, %v; want ErrFill", topo != nil, err)
+	}
+	topo, err := ch.DeriveTopology(g, nil)
+	if err != nil {
+		t.Fatalf("greedy order: %v", err)
+	}
+	if topo.NumArcs() != leaves || topo.Shortcuts() != 0 {
+		t.Fatalf("greedy order: %d arcs, %d shortcuts; want %d arcs and none", topo.NumArcs(), topo.Shortcuts(), leaves)
 	}
 }
 

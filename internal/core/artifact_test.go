@@ -3,15 +3,19 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/ch"
 	"repro/internal/codec"
+	"repro/internal/geo"
 	"repro/internal/pref"
 	"repro/internal/region"
 	"repro/internal/roadnet"
@@ -27,9 +31,10 @@ import (
 // (loadV2) restores from the v2 envelope of the same state have equal
 // region snapshots, fits, region preferences, metadata and statistics,
 // and route 2,000 ODs identically; the v3 bytes are at most 0.7 of the
-// v2 bytes. The v3 router carries the contraction order, and EnableCH
-// derives from it exactly the topology ch.BuildTopology contracts. The
-// ci cities skip under the race detector and -short.
+// v2 bytes. The v3 router carries the contraction order, and Load
+// derives from it exactly the topology ch.BuildTopology contracts (the
+// v2 reference, which carries none, contracts). The ci cities skip
+// under the race detector and -short.
 func TestArtifactV3MatchesV2Reference(t *testing.T) {
 	type world struct {
 		scale string
@@ -46,7 +51,7 @@ func TestArtifactV3MatchesV2Reference(t *testing.T) {
 		t.Run(fmt.Sprintf("%s-%d", wc.scale, wc.seed), func(t *testing.T) {
 			t.Parallel()
 			w := worldgen.Build(worldgen.MustScale(wc.scale, wc.seed))
-			opt := Options{SkipMapMatching: true, PathBackend: BackendCH}
+			opt := Options{SkipMapMatching: true}
 			r, err := Build(w.Road, w.Train, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -106,12 +111,7 @@ func requireV3MatchesV2(t *testing.T, stage string, r *Router) {
 	}
 	requireSameFits(t, b, a)
 
-	if a.order == nil || b.order != nil {
-		t.Fatalf("%s: v3 carries order %v, v2 %v; want only v3", stage, a.order != nil, b.order != nil)
-	}
-	a.EnableCH(ch.Config{})
-	b.EnableCH(ch.Config{})
-	if topo := a.eng.(*route.CHEngine).Topology(); !reflect.DeepEqual(topo, ch.BuildTopology(a.road)) {
+	if topo := a.eng.Topology(); !reflect.DeepEqual(topo, ch.BuildTopology(a.road)) {
 		t.Fatalf("%s: the topology derived from the carried order differs from ch.BuildTopology's", stage)
 	}
 	n := a.road.NumVertices()
@@ -237,24 +237,23 @@ func TestLoadRejectsOutOfRangeIDs(t *testing.T) {
 
 // TestLoadRejectsBadContractionOrder: a v3 order section that is not a
 // permutation of the road's vertices — a repeat, a vertex out of range,
-// the wrong length — is a Load error; a router loaded with an order and
-// saved again before EnableCH writes that same order.
+// the wrong length — is a Load error; a loaded router serves on the
+// order it was saved with, and saved again writes that same order.
 func TestLoadRejectsBadContractionOrder(t *testing.T) {
 	r := builtRouter(t)
-	r.EnableCH(ch.Config{})
 	art := saveArtifact(t, r.Clone())
 	loaded, err := Load(bytes.NewReader(art))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.PathBackend() != BackendDijkstra {
-		t.Fatal("a loaded router came with a hierarchy")
+	order := r.eng.Topology().Order()
+	if !slices.Equal(loaded.eng.Topology().Order(), order) {
+		t.Fatal("a loaded router does not serve on the order it was saved with")
 	}
 	parts := artifactParts(t, art)
 	if again := artifactParts(t, saveArtifact(t, loaded)); !bytes.Equal(again[partOrder], parts[partOrder]) || len(parts[partOrder]) == 0 {
 		t.Fatal("a router loaded with an order did not save that order")
 	}
-	order := r.eng.(*route.CHEngine).Topology().Order()
 	n := len(order)
 	for name, o := range map[string][]int32{
 		"repeat":       append([]int32{order[1]}, order[1:]...),
@@ -274,16 +273,169 @@ func TestLoadRejectsBadContractionOrder(t *testing.T) {
 	}
 }
 
+// starArtifact saves a router on a star road — a centre joined both ways
+// to each of leaves leaves — and swaps in the order that contracts the
+// centre first, which fills the leaves into a clique: n²/2 arcs and
+// n³/6 lower triangles from an artifact linear in n.
+func starArtifact(tb testing.TB, leaves int) []byte {
+	tb.Helper()
+	b := roadnet.NewBuilder()
+	centre := b.AddVertex(geo.Point{})
+	for i := 0; i < leaves; i++ {
+		a := 2 * math.Pi * float64(i) / float64(leaves)
+		b.AddRoad(centre, b.AddVertex(geo.Point{X: 500 * math.Cos(a), Y: 500 * math.Sin(a)}), roadnet.Residential)
+	}
+	road := b.Build()
+	r := &Router{road: road, rg: region.Build(road, nil, nil, region.Options{}), idx: &lazyIndex{}, regionPrefs: map[int]pref.Result{}}
+	r.setEngine(route.BuildCHEngine(road, roadnet.TT, ch.Config{}))
+	parts := artifactParts(tb, saveArtifact(tb, r))
+	var e codec.Enc
+	e.Uvarint(uint64(road.NumVertices()))
+	for v := range road.NumVertices() {
+		e.Uvarint(uint64(v)) // the centre is vertex 0
+	}
+	parts[partOrder] = e.B
+	return joinParts(tb, parts)
+}
+
+// TestLoadRefusesOrderPastFillBudget: an order whose fill would outgrow
+// the road — the star's centre first — is a Load error found before the
+// triangle table is allocated, so Load stays within FuzzLoad's bound;
+// the same artifact with the order the router was saved with loads.
+func TestLoadRefusesOrderPastFillBudget(t *testing.T) {
+	art := starArtifact(t, 2000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Load(bytes.NewReader(art))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ch.ErrFill) || got != nil {
+		t.Fatalf("centre-first star: Load returned a router %v, error %v; want ch.ErrFill", got != nil, err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 64*uint64(len(art))+4<<20 {
+		t.Fatalf("Load of a %d-byte star artifact allocated %d bytes", len(art), d)
+	}
+
+	parts := artifactParts(t, art)
+	parts[partOrder] = nil
+	plain, err := Load(bytes.NewReader(joinParts(t, parts)))
+	if err != nil {
+		t.Fatalf("star with no order: %v", err)
+	}
+	requireAllResident(t, "star, contracted afresh", plain)
+}
+
+// requireAllResident fails unless every metric r routes on is resident in
+// its engine's shared table.
+func requireAllResident(t *testing.T, what string, r *Router) {
+	t.Helper()
+	for _, k := range r.MetricKeys() {
+		if !r.eng.Resident(k.W, k.Mask) {
+			t.Fatalf("%s: metric %+v is not customized", what, k)
+		}
+	}
+}
+
+// TestLoadOntoSharesBaseHierarchy: a restart loads its base artifact and
+// restores the checkpoint beside it onto that base. A checkpoint on the
+// base's road with the base's contraction order — what a crashed
+// engine's lineage writes — shares the base's road, topology and metric
+// table, customizes exactly the metrics the base lacked, and answers
+// like the router it was saved from. A checkpoint carrying another
+// order, or saved on another road, derives its own hierarchy. Every
+// router Build, Load and LoadOnto return routes on resident metrics
+// only.
+func TestLoadOntoSharesBaseHierarchy(t *testing.T) {
+	r, fresh := splitWorld(t, 67)
+	requireAllResident(t, "Build", r)
+	art := saveArtifact(t, r.Clone())
+
+	crashed, err := Load(bytes.NewReader(art))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireAllResident(t, "Load", crashed)
+	for i := 0; i+4 <= len(fresh); i += 4 {
+		next := crashed.IngestClone()
+		st := next.Ingest(fresh[i:i+4], IngestOptions{SkipMapMatching: true})
+		next.PrepareMetricsTouched(st.TouchedEdges)
+		crashed = next
+	}
+	ckpt := saveArtifact(t, crashed.Clone())
+
+	base, err := Load(bytes.NewReader(art))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lacked := 0
+	for _, k := range crashed.MetricKeys() {
+		if !base.eng.Resident(k.W, k.Mask) {
+			lacked++
+		}
+	}
+	if lacked == 0 {
+		t.Fatal("the ingests brought no metric the base lacks; the scenario is void")
+	}
+	baseID, ok := base.RoadIdentity()
+	if !ok {
+		t.Fatal("a loaded router does not know its road identity")
+	}
+	before := base.eng.Customizations()
+	got, err := LoadOnto(bytes.NewReader(ckpt), base, baseID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.road != base.road || got.eng.Topology() != base.eng.Topology() {
+		t.Fatal("a checkpoint on the base's road and order did not share the base's road and topology")
+	}
+	if grew := base.eng.Customizations() - before; grew != uint64(lacked) {
+		t.Fatalf("restoring the checkpoint customized %d metrics; the base lacked %d", grew, lacked)
+	}
+	requireAllResident(t, "LoadOnto", got)
+	gl, gr := modelDigest(got)
+	if wl, wr := modelDigest(crashed); gl != wl || gr != wr {
+		t.Fatalf("the restored checkpoint's model digests %#x %#x, the saved router's %#x %#x", gl, gr, wl, wr)
+	}
+
+	parts := artifactParts(t, ckpt)
+	order := slices.Clone(base.eng.Topology().Order())
+	slices.Reverse(order)
+	var e codec.Enc
+	e.Uvarint(uint64(len(order)))
+	for _, v := range order {
+		e.Uvarint(uint64(v))
+	}
+	parts[partOrder] = e.B
+	other, err := LoadOnto(bytes.NewReader(joinParts(t, parts)), base, baseID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.road != base.road || other.eng.Topology() == base.eng.Topology() || !slices.Equal(other.eng.Topology().Order(), order) {
+		t.Fatal("a checkpoint with another order did not derive its own topology on the base's road")
+	}
+	requireAllResident(t, "LoadOnto, another order", other)
+
+	elsewhere, _ := splitWorld(t, 62)
+	foreign, err := LoadOnto(bytes.NewReader(saveArtifact(t, elsewhere)), base, baseID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if foreign.road == base.road || foreign.eng.Topology() == base.eng.Topology() {
+		t.Fatal("a checkpoint on another road shares the base's road or topology")
+	}
+	requireAllResident(t, "LoadOnto, another road", foreign)
+}
+
 // FuzzLoad feeds Load v3 payloads, framed with a valid checksum so the
 // decoder itself is what the fuzzer explores. Load must return a router
 // or an error, never panic, and never allocate more than 64 times its
 // input plus 4 MiB — the fixed costs are the TSV scanner's 1 MiB buffer
 // and gob's type tables for the metadata section: every count and
 // length is checked against the bytes left before anything is
-// allocated for it.
+// allocated for it, and the hierarchy Load derives is held to
+// ch.DeriveTopology's fill budget, linear in the road's edges (one seed
+// is a star whose order contracts the centre first).
 func FuzzLoad(f *testing.F) {
 	r := builtRouter(f)
-	r.EnableCH(ch.Config{})
 	art := saveArtifact(f, r)
 	_, payload, err := codec.ReadFrameBytes(bytes.NewReader(art), ArtifactVersion)
 	if err != nil {
@@ -297,6 +449,8 @@ func FuzzLoad(f *testing.F) {
 	small[partRegion] = parts[partRegion][:64]
 	_, smallPayload, _ := codec.ReadFrameBytes(bytes.NewReader(joinParts(f, small)), ArtifactVersion)
 	f.Add(smallPayload)
+	_, starPayload, _ := codec.ReadFrameBytes(bytes.NewReader(starArtifact(f, 300)), ArtifactVersion)
+	f.Add(starPayload)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var framed bytes.Buffer

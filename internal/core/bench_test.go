@@ -20,11 +20,11 @@ var sinkIngest IngestStats
 // the next generation — chained, so path sets grow as they do under
 // serve.Engine. When the held-out trips run out the chain restarts from
 // a router freshly loaded from the built one's artifact, as a restart
-// would (Load, EnableCH; untimed), so every cycle starts on an empty
-// lineage memo as ingest_stream's passes do.
+// would (untimed), so every cycle starts on an empty lineage memo as
+// ingest_stream's passes do.
 func BenchmarkIngestBatch(b *testing.B) {
 	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, 1))
-	built, err := Build(w.Road, w.Train, Options{SkipMapMatching: true, PathBackend: BackendCH})
+	built, err := Build(w.Road, w.Train, Options{SkipMapMatching: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,7 +46,6 @@ func BenchmarkIngestBatch(b *testing.B) {
 			if cur, err = Load(bytes.NewReader(art.Bytes())); err != nil {
 				b.Fatal(err)
 			}
-			cur.EnableCH(ch.Config{})
 			b.StartTimer()
 		}
 		next := cur.IngestClone()
@@ -86,10 +85,10 @@ func BenchmarkRouteCold(b *testing.B) {
 }
 
 // BenchmarkArtifact times what a restart and a checkpoint pay for the
-// ci city's v3 artifact: Save; Load; LoadOnto a road network already
-// decoded (the checkpoint beside its base); and EnableCH on a loaded
-// router — the hierarchy derived from the carried order, then every
-// applied metric customized.
+// ci city's v3 artifact: Save; Load, which derives the hierarchy from
+// the carried order and customizes every metric the router routes on;
+// and LoadOnto its loaded base (the checkpoint beside its base), which
+// shares the base's road and hierarchy.
 func BenchmarkArtifact(b *testing.B) {
 	r := cityRouter(b, worldgen.ScaleCI)
 	var buf bytes.Buffer
@@ -101,7 +100,7 @@ func BenchmarkArtifact(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	id, _ := base.RoadIdentity()
+	baseID, _ := base.RoadIdentity()
 	b.Run("Save", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -115,23 +114,14 @@ func BenchmarkArtifact(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			Load(bytes.NewReader(art))
 		}
+		b.StopTimer()
+		reportCHSizes(b, base.eng.Topology())
 	})
 	b.Run("LoadOnto", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			LoadOnto(bytes.NewReader(art), base.Road(), id)
+			LoadOnto(bytes.NewReader(art), base, baseID)
 		}
-	})
-	b.Run("EnableCH", func(b *testing.B) {
-		var l *Router
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			l = base.Clone()
-			b.StartTimer()
-			l.EnableCH(ch.Config{})
-		}
-		b.StopTimer()
-		reportCHSizes(b, l.eng.(*route.CHEngine).Topology())
 	})
 }
 
@@ -142,12 +132,12 @@ var (
 
 // BenchmarkCustomize times customization on the ci city's topology:
 // One is a single metric (travel time), customized inline; Served is
-// what EnableCH customizes for the city's router — the travel-time
+// what Load customizes for the city's router — the travel-time
 // metric and every metric it routes on, handed out a metric per core —
 // reported per metric too.
 func BenchmarkCustomize(b *testing.B) {
 	r := cityRouter(b, worldgen.ScaleCI)
-	topo := r.eng.(*route.CHEngine).Topology()
+	topo := r.eng.Topology()
 	b.Run("One", func(b *testing.B) {
 		cost := func(e roadnet.EdgeID) float64 { return r.road.EdgeWeight(e, roadnet.TT) }
 		b.ReportAllocs()
@@ -196,7 +186,7 @@ func BenchmarkRegionSearch(b *testing.B) {
 				r = cityRouter(b, worldgen.ScaleCI).Clone()
 			} else {
 				w := worldgen.Build(c.spec)
-				built, err := Build(w.Road, w.Train, Options{SkipMapMatching: true, PathBackend: BackendCH})
+				built, err := Build(w.Road, w.Train, Options{SkipMapMatching: true})
 				if err != nil {
 					b.Fatal(err)
 				}

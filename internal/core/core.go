@@ -19,34 +19,14 @@ import (
 	"repro/internal/transfer"
 )
 
-// PathBackend selects the route.PathEngine implementation every routing
-// consumer of a Router runs on — the architectural seam speed-up
-// techniques plug into.
+// PathBackend and BackendCH are read by nothing: every Router runs on
+// its contraction hierarchy. They stay only while the benchmark module
+// compiles against them, and go with its next change (ROADMAP.md item
+// 8), as Options.PathBackend does.
 type PathBackend uint8
 
-// Path backends.
-const (
-	// BackendDijkstra is plain Dijkstra for every query (the original
-	// behaviour).
-	BackendDijkstra PathBackend = iota
-	// BackendCH runs every query family on a customizable contraction
-	// hierarchy: the road network is contracted once, metric-
-	// independently, at Build (or EnableCH) time, and scalar weights,
-	// Algorithm 2 preference searches, and custom cost functions each
-	// ride the shared skeleton under their own customized metric —
-	// recomputed in milliseconds when preferences change, without
-	// re-contraction. The topology and the customized-metric table are
-	// shared, immutable-per-version, by every Clone and serving fork.
-	BackendCH
-)
-
-// String implements fmt.Stringer.
-func (b PathBackend) String() string {
-	if b == BackendCH {
-		return "ch"
-	}
-	return "dijkstra"
-}
+// BackendCH names the one backend; see PathBackend.
+const BackendCH PathBackend = 1
 
 // Options configures the offline pipeline. The rest of the pipeline
 // runs at fixed settings: the parameter-free modularity clustering
@@ -65,10 +45,7 @@ type Options struct {
 	LearnMaxPaths int
 	// Workers bounds pipeline parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// PathBackend selects the shortest-path engine (default plain
-	// Dijkstra; BackendCH contracts a metric-independent hierarchy once
-	// at Build time and serves scalar, preference-restricted and
-	// custom-weight queries through per-metric customizations of it).
+	// PathBackend is ignored; see the type.
 	PathBackend PathBackend
 }
 
@@ -104,8 +81,8 @@ type Stats struct {
 	LearnTime       time.Duration
 	TransferTime    time.Duration
 	MaterializeTime time.Duration
-	// CHBuildTime and CHShortcuts record the one-time metric-independent
-	// topology contraction when the CH path backend is enabled;
+	// CHBuildTime and CHShortcuts record the metric-independent
+	// topology contraction at Build (Load restores them as saved);
 	// CHCustomizeTime and CHMetrics record the last PrepareMetrics pass
 	// (how long re-customizing the preference metrics took, and how many
 	// metrics it added — customized, or adopted from a learning pass).
@@ -119,7 +96,7 @@ type Stats struct {
 // Building happens once offline; Route is comparatively cheap.
 //
 // Concurrency: a single Router is not safe for concurrent use — every
-// query method reuses the per-query state of its route.PathEngine and
+// query method reuses the per-query state of its route.CHEngine and
 // its regionScratch. The query methods (Route, RouteK, Categorize, and
 // the read-only accessors) mutate nothing beyond that state, so Clones
 // answer queries concurrently over the shared built state. Everything
@@ -128,18 +105,15 @@ type Stats struct {
 type Router struct {
 	road  *roadnet.Graph
 	rg    *region.Graph
-	eng   route.PathEngine
+	eng   *route.CHEngine
 	idx   *lazyIndex
 	stats Stats
 	meta  ArtifactMeta
 	// roadID is the road network's identity when hasRoadID says it is
-	// known (RoadIdentity); order is the contraction order a loaded
-	// artifact carried, which EnableCH derives the hierarchy from, and
-	// nil otherwise. Both describe the immutable road, so clones share
-	// them.
+	// known (RoadIdentity). It describes the immutable road, so clones
+	// share it.
 	roadID    uint64
 	hasRoadID bool
-	order     []int32
 	// regionPrefs maps region ID -> preference learned from the
 	// region's inner paths; used for same-region queries with no exact
 	// inner-path match.
@@ -166,7 +140,7 @@ type writeLearner struct {
 // setEngine installs eng and starts its learner pool, whose learners
 // share one empty memo: a router given another engine never reuses a
 // learner, or a search result, of the old one.
-func (r *Router) setEngine(eng route.PathEngine) {
+func (r *Router) setEngine(eng *route.CHEngine) {
 	r.eng = eng
 	memo := pref.NewMemo(eng.Graph(), pref.CandidateSlaves())
 	r.learners = &sync.Pool{New: func() any {
@@ -232,7 +206,7 @@ func (r *Router) LearnedPreference(edgeID int) (pref.Result, bool) {
 // per-snapshot clone pools rely on.
 func (r *Router) Clone() *Router {
 	cp := *r
-	cp.eng, cp.scratch = r.eng.Fork(), nil
+	cp.eng, cp.scratch = r.eng.ForkCH(), nil
 	return &cp
 }
 
@@ -299,7 +273,6 @@ func startBuild(road *roadnet.Graph, training []*traj.Trajectory, opt Options, c
 	r := &Router{road: road, idx: &lazyIndex{}}
 	r.stats.Trajectories = len(training)
 	r.meta.Build = BuildInfo{
-		PathBackend:     opt.PathBackend.String(),
 		ClusterMethod:   clusterMethod,
 		SkipMapMatching: opt.SkipMapMatching,
 		LearnMaxPaths:   opt.LearnMaxPaths,
@@ -317,19 +290,23 @@ func startBuild(road *roadnet.Graph, training []*traj.Trajectory, opt Options, c
 }
 
 // finishBuild builds what depends on the chosen region partition alone
-// — the region graph (phase 1b) and the path engine — and hands over to
-// derive for everything that depends on the evidence (phases 2a–3).
+// — the region graph (phase 1b) and the contraction hierarchy — and
+// hands over to derive for everything that depends on the evidence
+// (phases 2a–3).
 func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt Options) (*Router, error) {
 	start := time.Now()
 	r.rg = region.Build(r.road, regions, paths, opt.Region)
 	r.rg.ConnectBFS()
 	r.stats.ClusterTime += time.Since(start)
 
-	// Path engine: built before learning, so the learner's searches and
-	// B-edge materialization already run on the selected backend. With
-	// BackendCH the hierarchy is preprocessed exactly once here and
-	// shared by every Clone, IngestClone and serving fork of this router.
-	r.setEngine(newPathEngine(r.road, opt, &r.stats))
+	// The hierarchy is contracted before learning, so the learner's
+	// searches and B-edge materialization already run on it, exactly
+	// once here, and shared by every Clone, IngestClone and serving fork
+	// of this router.
+	start = time.Now()
+	r.setEngine(route.BuildCHEngine(r.road, roadnet.TT, ch.Config{}))
+	r.stats.CHBuildTime = time.Since(start)
+	r.stats.CHShortcuts = r.eng.Shortcuts()
 
 	r.derive(opt)
 	return r, nil
@@ -365,74 +342,28 @@ func (r *Router) transduce(opt Options) transfer.Result {
 	return transfer.Run(r.rg, labeled, targets, transfer.DefaultConfig(), opt.Workers)
 }
 
-// newPathEngine constructs the backend Options.PathBackend selects,
-// recording preprocessing cost in st.
-func newPathEngine(road *roadnet.Graph, opt Options, st *Stats) route.PathEngine {
-	if opt.PathBackend == BackendCH {
-		start := time.Now()
-		e := route.BuildCHEngine(road, roadnet.TT, ch.Config{})
-		st.CHBuildTime = time.Since(start)
-		st.CHShortcuts = e.Shortcuts()
-		return e
-	}
-	return route.NewEngine(road)
-}
-
-// PathBackend reports which shortest-path backend the router runs on.
-func (r *Router) PathBackend() PathBackend {
-	if _, ok := r.eng.(*route.CHEngine); ok {
-		return BackendCH
-	}
-	return BackendDijkstra
-}
-
 // CHClimb reports what one shortest-path query costs on the router's
 // contraction order — the elimination tree's height and the mean number
 // of up-arcs one side of a query relaxes (ch.Topology.Height and
-// ClimbArcsMean). ok is false on a Dijkstra-backed router. The numbers
-// describe the live topology and are not part of the persisted Stats.
-func (r *Router) CHClimb() (height int, arcsMean float64, ok bool) {
-	e, ok := r.eng.(*route.CHEngine)
-	if !ok {
-		return 0, 0, false
-	}
-	t := e.Topology()
-	return t.Height(), t.ClimbArcsMean(), true
+// ClimbArcsMean). The numbers describe the live topology and are not
+// part of the persisted Stats.
+func (r *Router) CHClimb() (height int, arcsMean float64) {
+	t := r.eng.Topology()
+	return t.Height(), t.ClimbArcsMean()
 }
 
-// EnableCH swaps the router's path engine for a CH-backed one over the
-// road network, with the travel-time metric and every metric the router
-// routes on customized in one ch.Topology.CustomizeAll call, a metric
-// per core. It is meant for routers
-// restored with Load: the hierarchy is derived from the contraction
-// order a v3 artifact carries (ch.NewTopology, a linear pass), or
-// contracted afresh when there is none. A no-op when the router is
-// already CH-backed. It must not be called concurrently with queries;
-// Clones made afterwards share the hierarchy. The topology's build time
-// is returned and recorded in Stats, the customization's as a
-// PrepareMetrics pass's.
-func (r *Router) EnableCH(_ ch.Config) time.Duration {
-	if r.PathBackend() == BackendCH {
-		return 0
-	}
-	start := time.Now()
-	var topo *ch.Topology
-	if r.order != nil {
-		topo = ch.NewTopology(r.road, r.order)
-	} else {
-		topo = ch.BuildTopology(r.road)
-	}
-	r.stats.CHBuildTime = time.Since(start)
-	start = time.Now()
-	e := route.NewCHEngine(r.road, topo, roadnet.TT, r.MetricKeys()...)
-	r.stats.CHCustomizeTime = time.Since(start)
-	r.stats.CHMetrics = int(e.Customizations())
-	r.stats.CHShortcuts = e.Shortcuts()
-	r.setEngine(e)
-	return r.stats.CHBuildTime
-}
+// Customizations returns how many metric customizations the router's
+// lineage — it and every clone sharing its metric table — has run
+// (route.CHEngine.Customizations).
+func (r *Router) Customizations() uint64 { return r.eng.Customizations() }
 
-// PrepareMetrics pre-customizes the CH backend for every metric the
+// EnableCH does nothing and returns 0: Build and Load return routers
+// that already run on their hierarchy with every MetricKeys metric
+// customized. It stays only while the benchmark module calls it
+// (PathBackend says until when).
+func (r *Router) EnableCH(_ ch.Config) time.Duration { return 0 }
+
+// PrepareMetrics pre-customizes the hierarchy for every metric the
 // router currently routes on — the three scalar weights plus each
 // distinct ⟨master, slave⟩ preference applied on a region edge, learned
 // per region, or fitted by EnableMultiPreferences — so queries never pay
@@ -440,31 +371,26 @@ func (r *Router) EnableCH(_ ch.Config) time.Duration {
 // not redone: after an ingest that re-learned preferences, only
 // combinations never seen before cost anything, and those are
 // customized together in one sweep. It returns the number of metrics
-// customized now and records (count, elapsed) in Stats; a
-// Dijkstra-backed router returns 0. Like Ingest, it mutates engine
-// state and must not run concurrently with queries on clones sharing
-// this router's engine... except that it only *adds* metric versions,
-// so serving forks reading the previous metric table race-freely is
-// exactly the intended use (internal/serve customizes on the clone
-// before the snapshot swap).
+// customized now and records (count, elapsed) in Stats. Like Ingest,
+// it mutates engine state and must not run concurrently with queries
+// on clones sharing this router's engine... except that it only *adds*
+// metric versions, so serving forks reading the previous metric table
+// race-freely is exactly the intended use (internal/serve customizes on
+// the clone before the snapshot swap).
 func (r *Router) PrepareMetrics() int { return r.prepareMetrics(r.eng) }
 
 // prepareMetrics is PrepareMetrics through eng, a fork of r.eng; a
 // pass fork's overlay metrics are adopted, not customized again.
-func (r *Router) prepareMetrics(eng route.PathEngine) int {
-	che, ok := eng.(*route.CHEngine)
-	if !ok {
-		return 0
-	}
+func (r *Router) prepareMetrics(eng *route.CHEngine) int {
 	start := time.Now()
-	n := che.PrepareAll(r.MetricKeys())
+	n := eng.PrepareAll(r.MetricKeys())
 	r.stats.CHMetrics = n
 	r.stats.CHCustomizeTime = time.Since(start)
 	return n
 }
 
 // MetricKeys lists, once each, the metrics the router routes on — the
-// set EnableCH and PrepareMetrics customize: the three scalar weights,
+// set Load and PrepareMetrics customize: the three scalar weights,
 // then every preference a region edge carries, one learned per region,
 // or one EnableMultiPreferences fitted.
 func (r *Router) MetricKeys() []route.MetricKey {
@@ -504,10 +430,6 @@ func (r *Router) MetricKeys() []route.MetricKey {
 // the batch, not to the region graph. Unknown IDs are skipped, so
 // callers may pass IngestStats.TouchedEdges verbatim.
 func (r *Router) PrepareMetricsTouched(touched []int) int {
-	che, ok := r.eng.(*route.CHEngine)
-	if !ok {
-		return 0
-	}
 	start := time.Now()
 	var keys []route.MetricKey
 	for _, id := range touched {
@@ -516,11 +438,11 @@ func (r *Router) PrepareMetricsTouched(touched []int) int {
 		}
 		// Most batches bring no new metric: listing only the missing ones
 		// keeps this scan free of allocation.
-		if e := r.rg.Edges[id]; e.HasPref && !che.Resident(e.Pref.Master, e.Pref.Slave.Mask()) {
+		if e := r.rg.Edges[id]; e.HasPref && !r.eng.Resident(e.Pref.Master, e.Pref.Slave.Mask()) {
 			keys = append(keys, route.MetricKey{W: e.Pref.Master, Mask: e.Pref.Slave.Mask()})
 		}
 	}
-	n := che.PrepareAll(keys)
+	n := r.eng.PrepareAll(keys)
 	r.stats.CHMetrics = n
 	r.stats.CHCustomizeTime = time.Since(start)
 	return n
@@ -539,9 +461,9 @@ func sortByPair(rg *region.Graph, ids []int) {
 	})
 }
 
-// pathFinder adapts a route.PathEngine to the transfer.Materialize
+// pathFinder adapts a route.CHEngine to the transfer.Materialize
 // finder interface.
-type pathFinder struct{ eng route.PathEngine }
+type pathFinder struct{ eng *route.CHEngine }
 
 func (f *pathFinder) FindPath(p pref.Preference, s, d roadnet.VertexID) (roadnet.Path, bool) {
 	path, _, ok := f.eng.RoutePref(s, d, p.Master, p.Slave.Predicate())
@@ -605,7 +527,7 @@ type learnJob struct {
 // learnRegions learns one intra-region preference per region from its
 // inner paths, preferring true local trips (Terminal) over segments of
 // journeys passing through.
-func learnRegions(eng route.PathEngine, rg *region.Graph, opt Options) map[int]pref.Result {
+func learnRegions(pass *route.CHEngine, rg *region.Graph, opt Options) map[int]pref.Result {
 	var jobs []learnJob
 	for reg := 0; reg < rg.NumRegions(); reg++ {
 		var terminal, others []roadnet.Path
@@ -627,12 +549,12 @@ func learnRegions(eng route.PathEngine, rg *region.Graph, opt Options) map[int]p
 			jobs = append(jobs, learnJob{id: reg, paths: ps})
 		}
 	}
-	return runLearnJobs(eng, jobs, opt)
+	return runLearnJobs(pass, jobs, opt)
 }
 
 // learnAll learns a preference per T-edge, in parallel. T-edges whose
 // path sets span both directions are learned from the union.
-func learnAll(eng route.PathEngine, rg *region.Graph, opt Options) map[int]pref.Result {
+func learnAll(pass *route.CHEngine, rg *region.Graph, opt Options) map[int]pref.Result {
 	var jobs []learnJob
 	for _, e := range rg.Edges {
 		if e.Kind != region.TEdge {
@@ -664,12 +586,12 @@ func learnAll(eng route.PathEngine, rg *region.Graph, opt Options) map[int]pref.
 			jobs = append(jobs, learnJob{id: e.ID, paths: ps})
 		}
 	}
-	return runLearnJobs(eng, jobs, opt)
+	return runLearnJobs(pass, jobs, opt)
 }
 
 // runLearnJobs learns every job's preference on opt.Workers learners,
-// each over its own fork of eng.
-func runLearnJobs(eng route.PathEngine, jobs []learnJob, opt Options) map[int]pref.Result {
+// each over its own fork of the pass fork pass.
+func runLearnJobs(pass *route.CHEngine, jobs []learnJob, opt Options) map[int]pref.Result {
 	out := make(map[int]pref.Result, len(jobs))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -679,7 +601,7 @@ func runLearnJobs(eng route.PathEngine, jobs []learnJob, opt Options) map[int]pr
 	}
 	close(ch)
 	for w := 0; w < opt.Workers; w++ {
-		l := pref.NewLearnerOn(eng.Fork())
+		l := pref.NewLearnerOn(pass.Fork())
 		if opt.LearnMaxPaths > 0 {
 			l.MaxPaths = opt.LearnMaxPaths
 		}

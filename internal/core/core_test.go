@@ -298,9 +298,9 @@ func TestBuildWithAlternativeClusterings(t *testing.T) {
 }
 
 // TestParallelQueriesViaClones runs one router and clones of it from
-// every clone constructor concurrently, on both backends. The router
-// has already answered queries when it is cloned, so it owns a
-// region-search scratch and engine query state: a constructor that let
+// every clone constructor concurrently. The router has already answered
+// queries when it is cloned, so it owns a region-search scratch and
+// engine query state: a constructor that let
 // a copy keep either would have two goroutines searching in one state,
 // which the race detector reports and the path comparison catches.
 func TestParallelQueriesViaClones(t *testing.T) {
@@ -313,43 +313,41 @@ func TestParallelQueriesViaClones(t *testing.T) {
 	for i := range qs {
 		qs[i] = q{roadnet.VertexID((i * 13) % n), roadnet.VertexID((i*7 + 3) % n)}
 	}
-	for _, backend := range []PathBackend{BackendDijkstra, BackendCH} {
-		r, err := Build(road, ts, Options{SkipMapMatching: true, PathBackend: backend})
-		if err != nil {
-			t.Fatal(err)
+	r, err := Build(road, ts, Options{SkipMapMatching: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]uint64, len(qs))
+	for i, query := range qs {
+		want[i] = pathHash(r.Route(query.s, query.d).Path)
+	}
+	if r.scratch == nil {
+		t.Fatal("no query reached the region search; the test needs a router that owns scratch")
+	}
+	handles := []*Router{r, r.Clone(), r.IngestClone(), r.Clone().Clone()}
+	for i, h := range handles[1:] {
+		if h.scratch != nil {
+			t.Fatalf("clone %d shares its parent's region-search scratch", i+1)
 		}
-		want := make([]uint64, len(qs))
-		for i, query := range qs {
-			want[i] = pathHash(r.Route(query.s, query.d).Path)
-		}
-		if r.scratch == nil {
-			t.Fatalf("%v: no query reached the region search; the test needs a router that owns scratch", backend)
-		}
-		handles := []*Router{r, r.Clone(), r.IngestClone(), r.Clone().Clone()}
-		for i, h := range handles[1:] {
-			if h.scratch != nil {
-				t.Fatalf("%v: clone %d shares its parent's region-search scratch", backend, i+1)
-			}
-		}
-		errs := make(chan error, len(handles))
-		for _, h := range handles {
-			h := h
-			go func() {
-				for round := 0; round < 3; round++ {
-					for i, query := range qs {
-						if got := pathHash(h.Route(query.s, query.d).Path); got != want[i] {
-							errs <- fmt.Errorf("%v, query %d: path hash %#x, want %#x", backend, i, got, want[i])
-							return
-						}
+	}
+	errs := make(chan error, len(handles))
+	for _, h := range handles {
+		h := h
+		go func() {
+			for round := 0; round < 3; round++ {
+				for i, query := range qs {
+					if got := pathHash(h.Route(query.s, query.d).Path); got != want[i] {
+						errs <- fmt.Errorf("query %d: path hash %#x, want %#x", i, got, want[i])
+						return
 					}
 				}
-				errs <- nil
-			}()
-		}
-		for range handles {
-			if err := <-errs; err != nil {
-				t.Fatal(err)
 			}
+			errs <- nil
+		}()
+	}
+	for range handles {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
 }

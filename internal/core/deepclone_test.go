@@ -6,12 +6,12 @@ import (
 	"repro/internal/roadnet"
 )
 
-// TestDeepCloneIsolatesIngest verifies the copy-on-write contract on
-// the Dijkstra backend (TestIngestCloneIsolatesIngest is its CH twin;
-// the name dates from the eager DeepClone this used to exercise): an
-// Ingest into an IngestClone must leave the original router's
-// observable state — edge kinds, path-set sizes, route answers —
-// untouched.
+// TestDeepCloneIsolatesIngest verifies the copy-on-write contract
+// without re-customization (TestIngestCloneIsolatesIngest is its twin
+// with PrepareMetrics; the name dates from the eager DeepClone this
+// used to exercise): an Ingest into an IngestClone must leave the
+// original router's observable state — edge kinds, path-set sizes,
+// route answers — untouched.
 func TestDeepCloneIsolatesIngest(t *testing.T) {
 	r, fresh := splitWorld(t, 31)
 
@@ -64,10 +64,9 @@ func TestDeepCloneIsolatesIngest(t *testing.T) {
 	}
 }
 
-// TestDeepCloneSharesImmutableState checks, on the Dijkstra backend,
-// that an IngestClone shares the expensive immutable structures and
-// owns its region graph and engine (TestIngestCloneSharesHierarchy is
-// the CH twin).
+// TestDeepCloneSharesImmutableState checks that an IngestClone shares
+// the expensive immutable structures and owns its region graph and
+// engine (TestIngestCloneSharesHierarchy adds the hierarchy).
 func TestDeepCloneSharesImmutableState(t *testing.T) {
 	r, _ := splitWorld(t, 37)
 	cp := r.IngestClone()

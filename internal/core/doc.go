@@ -17,8 +17,10 @@
 // membership (Category) and answers with the paper's Case 1/2/3
 // procedure, reporting the evidence behind the answer (stored
 // trajectory, learned preference, transferred preference, fastest-path
-// fallback). The shortest-path primitive underneath is pluggable: see
-// Options.PathBackend and internal/route.PathEngine.
+// fallback). Every shortest path underneath is a query on the router's
+// customizable contraction hierarchy (route.CHEngine): Build contracts
+// it before learning, Load derives it from the order the artifact
+// carries, and every clone shares it.
 //
 // # One derivation
 //
@@ -42,19 +44,18 @@
 // # Learning, at build time and on ingest
 //
 // Every pref.Learner the package constructs runs on a fork of r.eng,
-// so its searches run on the router's own backend (the path engine is
-// therefore created before phase 2a of the build). On BackendCH, derive
-// learns on forks of one route.CHEngine.PassFork, Ingest and
+// so its searches run on the router's own hierarchy (which is
+// therefore contracted before phase 2a of the build). derive learns on
+// forks of one route.CHEngine.PassFork, Ingest and
 // EnableMultiPreferences on plain forks (package pref, "Engines", has
 // the residency rules). Those two take a learner from the router's
 // sync.Pool, which setEngine starts with each new engine (finishBuild,
-// EnableCH, Load) and every clone shares: consecutive ingests reuse one
+// Load) and every clone shares: consecutive ingests reuse one
 // learner's scratch, concurrent ones each get their own, and idle ones
 // are garbage. The pool's learners share one pref.Memo, which setEngine
 // starts empty beside the pool, so a ground truth one ingest of the
 // lineage scored is not searched for again by a later ingest or a
-// sibling clone's (package pref, "Memo rule"). Ingest works on either
-// backend, so a router restored by Load can ingest before EnableCH.
+// sibling clone's (package pref, "Memo rule").
 //
 // The two paths do not learn from the same path sets. learnAll prefers
 // an edge's terminal fragments — trips that start and end in exactly
@@ -99,11 +100,10 @@
 //     routing applies, so the bitset that guards the edge guards the fit
 //     and there is no second store with a copy discipline of its own.
 //   - Rebind, never patch, for the maps. derive assigns a fresh
-//     regionPrefs, EnableMultiPreferences a fresh multi, EnableCH a
-//     fresh engine, learner pool and memo; nothing inserts into a map or
-//     an engine the parent also holds. PrepareMetrics* only adds metric
-//     versions to the CH table behind its atomically swapped map, which
-//     readers of the previous table never see. The lineage memo is the
+//     regionPrefs, EnableMultiPreferences a fresh multi; nothing
+//     inserts into a map the parent also holds. PrepareMetrics* only
+//     adds metric versions to the CH table behind its atomically
+//     swapped map, which readers of the previous table never see. The lineage memo is the
 //     one structure every generation writes into: it is safe for
 //     concurrent use, and what it holds is a function of the immutable
 //     road network and a ground-truth path, so no generation's fits
@@ -152,17 +152,22 @@
 //	prefs    edge count, then per edge in ID order a fit or none; the
 //	         region preferences in region order
 //	meta     gob of ArtifactMeta, Stats and the spatial index's cell size
-//	order    the contraction order (vertex count, then the vertices), or
-//	         empty for a router that never had a hierarchy
+//	order    the contraction order (vertex count, then the vertices);
+//	         empty only in artifacts saved by routers that ran on plain
+//	         Dijkstra, for which Load contracts afresh
 //
-// Nothing is stored twice and nothing a restart needs is re-derived: the
-// identity lets the serving layer verify a WAL and a checkpoint without
-// serializing the network (RoadIdentity), LoadOnto restores a
-// checkpoint onto a road network already decoded, and EnableCH derives
-// the hierarchy from the order (ch.NewTopology) instead of contracting.
-// A router loaded with an order and saved before EnableCH writes that
-// order again. The spatial index is built on first use, by map
-// matching, not by Load.
+// Nothing is stored twice and nothing a restart needs is derived twice:
+// the identity lets the serving layer verify a WAL and a checkpoint
+// without serializing the network (RoadIdentity), Load derives the
+// hierarchy from the order (ch.DeriveTopology, which refuses an order
+// whose fill would pass a budget linear in the road's edges) instead
+// of contracting, and LoadOnto restores a checkpoint onto its base:
+// onto the base's road when the checkpoint's identity is the one the
+// caller holds for the base, and onto the base's topology and
+// metric table too when the orders match, customizing only the metrics
+// the base lacks. A loaded router serves on the order it was saved
+// with and saves that order again. The spatial index is built on first
+// use, by map matching, not by Load.
 //
 // Load reads v3 only; a v1/v2 artifact (one gob envelope, the fits in a
 // Learned map of their own) is refused with codec.ErrBadVersion, and a

@@ -51,17 +51,16 @@ func modelDigest(r *Router) (learned, routes uint64) {
 // of the ci city — after Build and after 16 chained IngestClone →
 // Ingest batches of two held-out trips, the benchmark's write schedule —
 // to digests recorded on the commit before search elimination, when
-// every Learn ran its 21 searches per path on plain Dijkstra. Both
-// backends must reproduce them: BackendCH learns its master-only paths
-// on the CCH, BackendDijkstra on plain Dijkstra, and Ingest must work
-// on either.
+// every Learn ran its 21 searches per path on plain Dijkstra. The
+// router reproduces them on its hierarchy: derive learns on a pass
+// fork, Ingest on a plain fork.
 //
 // The digests depend on worldgen's ci city and on region construction;
 // a change that legitimately moves either regenerates them by running
 // this test and copying the values it prints.
 func TestLearnedModelUnchangedBySearchElimination(t *testing.T) {
 	if raceEnabled {
-		t.Skip("two ci-scale builds take minutes under the race detector; CI runs this test un-instrumented")
+		t.Skip("a ci-scale build takes minutes under the race detector; CI runs this test un-instrumented")
 	}
 	const (
 		wantBuiltLearned    = uint64(0x13536e18ee53d211)
@@ -76,30 +75,28 @@ func TestLearnedModelUnchangedBySearchElimination(t *testing.T) {
 			held = append(held, tr)
 		}
 	}
-	for _, backend := range []PathBackend{BackendCH, BackendDijkstra} {
-		r, err := Build(w.Road, w.Train, Options{SkipMapMatching: true, PathBackend: backend})
-		if err != nil {
-			t.Fatalf("Build(%v): %v", backend, err)
-		}
-		learned, routes := modelDigest(r)
-		if learned != wantBuiltLearned || routes != wantBuiltRoutes {
-			t.Errorf("%v, after Build: learned %#x routes %#x, want %#x %#x", backend, learned, routes, wantBuiltLearned, wantBuiltRoutes)
-		}
-		cur, relearned := r, 0
-		for i := 0; i < 16; i++ {
-			next := cur.IngestClone()
-			st := next.Ingest(held[2*i:2*i+2], IngestOptions{SkipMapMatching: true})
-			next.PrepareMetricsTouched(st.TouchedEdges)
-			relearned += st.Relearned
-			cur = next
-		}
-		if relearned == 0 {
-			t.Fatalf("%v: 16 batches relearned nothing", backend)
-		}
-		learned, routes = modelDigest(cur)
-		if learned != wantIngestedLearned || routes != wantIngestedRoutes {
-			t.Errorf("%v, after 16 batches: learned %#x routes %#x, want %#x %#x", backend, learned, routes, wantIngestedLearned, wantIngestedRoutes)
-		}
+	r, err := Build(w.Road, w.Train, Options{SkipMapMatching: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	learned, routes := modelDigest(r)
+	if learned != wantBuiltLearned || routes != wantBuiltRoutes {
+		t.Errorf("after Build: learned %#x routes %#x, want %#x %#x", learned, routes, wantBuiltLearned, wantBuiltRoutes)
+	}
+	cur, relearned := r, 0
+	for i := 0; i < 16; i++ {
+		next := cur.IngestClone()
+		st := next.Ingest(held[2*i:2*i+2], IngestOptions{SkipMapMatching: true})
+		next.PrepareMetricsTouched(st.TouchedEdges)
+		relearned += st.Relearned
+		cur = next
+	}
+	if relearned == 0 {
+		t.Fatal("16 batches relearned nothing")
+	}
+	learned, routes = modelDigest(cur)
+	if learned != wantIngestedLearned || routes != wantIngestedRoutes {
+		t.Errorf("after 16 batches: learned %#x routes %#x, want %#x %#x", learned, routes, wantIngestedLearned, wantIngestedRoutes)
 	}
 }
 

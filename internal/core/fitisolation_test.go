@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/pref"
 	"repro/internal/region"
-	"repro/internal/traj"
 )
 
 // edgeState is everything about one region edge that a write through a
@@ -74,8 +73,9 @@ func fitsChanged(base, next modelState) int {
 // TestFitIsolatedAcrossClones: a region edge's fit lives on the edge,
 // so the privatize-on-write that guards the edge is all that keeps a
 // writer's relearn or rebuild away from the generation still serving.
-// On both backends, with a goroutine routing on a Clone of the parent
-// throughout (run under -race): 16 chained IngestClone → Ingest
+// On a built router and on one Load restored from its artifact, with a
+// goroutine routing on a Clone of the parent throughout (run under
+// -race): 16 chained IngestClone → Ingest
 // generations and a Retransduce on a clone leave the parent — and every
 // retired generation — bit-identical (every edge's LearnedPreference,
 // Pref, HasPref, the model digest); sibling clones ingesting different
@@ -83,11 +83,14 @@ func fitsChanged(base, next modelState) int {
 // without writing still answers like its parent.
 func TestFitIsolatedAcrossClones(t *testing.T) {
 	for _, c := range []struct {
-		name  string
-		world func(testing.TB, int64) (*Router, []*traj.Trajectory)
-	}{{"ch", chSplitWorld}, {"dijkstra", splitWorld}} {
+		name string
+		load bool
+	}{{"ch", false}, {"loaded", true}} {
 		t.Run(c.name, func(t *testing.T) {
-			r, fresh := c.world(t, 53)
+			r, fresh := splitWorld(t, 53)
+			if c.load {
+				r = fullCopy(t, r)
+			}
 			opt := IngestOptions{SkipMapMatching: true}
 			per := len(fresh) / 16
 			if per == 0 {

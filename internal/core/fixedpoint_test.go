@@ -32,49 +32,47 @@ func TestBuildIsFixedPointOfRetransduce(t *testing.T) {
 		{worldgen.ScaleBench, 1}, {worldgen.ScaleBench, 3},
 		{worldgen.ScaleCI, 1}, {worldgen.ScaleCI, 3},
 	} {
-		for _, backend := range []PathBackend{BackendCH, BackendDijkstra} {
-			t.Run(fmt.Sprintf("%s-%d-%v", c.scale, c.seed, backend), func(t *testing.T) {
-				if c.scale == worldgen.ScaleCI && (raceEnabled || testing.Short()) {
-					t.Skip("ci-scale builds take minutes under the race detector; CI runs this test un-instrumented")
-				}
-				w := worldgen.Build(worldgen.MustScale(c.scale, c.seed))
-				opt := Options{SkipMapMatching: true, PathBackend: backend}
-				built, err := Build(w.Road, w.Train, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				again := built.IngestClone()
-				st := again.Retransduce(opt)
-				if st.LearnedPrefs == 0 || st.Transferred == 0 {
-					t.Fatalf("Retransduce derived nothing: %+v", st)
-				}
+		t.Run(fmt.Sprintf("%s-%d-ch", c.scale, c.seed), func(t *testing.T) {
+			if c.scale == worldgen.ScaleCI && (raceEnabled || testing.Short()) {
+				t.Skip("ci-scale builds take minutes under the race detector; CI runs this test un-instrumented")
+			}
+			w := worldgen.Build(worldgen.MustScale(c.scale, c.seed))
+			opt := Options{SkipMapMatching: true}
+			built, err := Build(w.Road, w.Train, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again := built.IngestClone()
+			st := again.Retransduce(opt)
+			if st.LearnedPrefs == 0 || st.Transferred == 0 {
+				t.Fatalf("Retransduce derived nothing: %+v", st)
+			}
 
-				if !reflect.DeepEqual(built.learnedPrefs(), again.learnedPrefs()) {
-					t.Error("learned map moved")
+			if !reflect.DeepEqual(built.learnedPrefs(), again.learnedPrefs()) {
+				t.Error("learned map moved")
+			}
+			if !reflect.DeepEqual(built.regionPrefs, again.regionPrefs) {
+				t.Error("region preferences moved")
+			}
+			if len(built.rg.Edges) != len(again.rg.Edges) {
+				t.Fatalf("%d region edges became %d", len(built.rg.Edges), len(again.rg.Edges))
+			}
+			for i, a := range built.rg.Edges {
+				b := again.rg.Edges[i]
+				if a.Kind != b.Kind || a.HasPref != b.HasPref || a.Pref != b.Pref {
+					t.Fatalf("edge %d: kind/preference %v %v %v became %v %v %v", i, a.Kind, a.HasPref, a.Pref, b.Kind, b.HasPref, b.Pref)
 				}
-				if !reflect.DeepEqual(built.regionPrefs, again.regionPrefs) {
-					t.Error("region preferences moved")
+				if !samePathInfos(a.PathsFwd, b.PathsFwd) || !samePathInfos(a.PathsRev, b.PathsRev) {
+					t.Fatalf("edge %d (kind %v): stored paths moved", i, a.Kind)
 				}
-				if len(built.rg.Edges) != len(again.rg.Edges) {
-					t.Fatalf("%d region edges became %d", len(built.rg.Edges), len(again.rg.Edges))
+			}
+			n := w.Road.NumVertices()
+			for i := 0; i < 220; i++ {
+				s, d := roadnet.VertexID(i*37%n), roadnet.VertexID((i*101+13)%n)
+				if ra, rb := built.Route(s, d), again.Route(s, d); !reflect.DeepEqual(ra, rb) {
+					t.Fatalf("route %d -> %d moved:\nbuilt %+v\nagain %+v", s, d, ra, rb)
 				}
-				for i, a := range built.rg.Edges {
-					b := again.rg.Edges[i]
-					if a.Kind != b.Kind || a.HasPref != b.HasPref || a.Pref != b.Pref {
-						t.Fatalf("edge %d: kind/preference %v %v %v became %v %v %v", i, a.Kind, a.HasPref, a.Pref, b.Kind, b.HasPref, b.Pref)
-					}
-					if !samePathInfos(a.PathsFwd, b.PathsFwd) || !samePathInfos(a.PathsRev, b.PathsRev) {
-						t.Fatalf("edge %d (kind %v): stored paths moved", i, a.Kind)
-					}
-				}
-				n := w.Road.NumVertices()
-				for i := 0; i < 220; i++ {
-					s, d := roadnet.VertexID(i*37%n), roadnet.VertexID((i*101+13)%n)
-					if ra, rb := built.Route(s, d), again.Route(s, d); !reflect.DeepEqual(ra, rb) {
-						t.Fatalf("route %d -> %d moved:\nbuilt %+v\nagain %+v", s, d, ra, rb)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

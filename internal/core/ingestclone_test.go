@@ -4,26 +4,8 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/ch"
 	"repro/internal/roadnet"
-	"repro/internal/route"
-	"repro/internal/traj"
 )
-
-// chSplitWorld is splitWorld on the CH backend: the serving swap path
-// these tests exercise (IngestClone + PrepareMetrics) is CH-specific.
-func chSplitWorld(tb testing.TB, seed int64) (*Router, []*traj.Trajectory) {
-	tb.Helper()
-	road := roadnet.Generate(roadnet.Tiny(seed))
-	sim := traj.NewSimulator(road, traj.D2Like(seed, 500))
-	ts := sim.Run()
-	cut := len(ts) * 6 / 10
-	r, err := Build(road, ts[:cut], Options{SkipMapMatching: true, PathBackend: BackendCH})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return r, ts[cut:]
-}
 
 func sampleQueries(r *Router, n int) [][2]roadnet.VertexID {
 	nv := r.road.NumVertices()
@@ -56,11 +38,11 @@ func samePaths(a, b []roadnet.Path) bool {
 	return true
 }
 
-// TestIngestCloneIsolatesIngest is TestDeepCloneIsolatesIngest on the
-// CH backend: ingest (plus re-customization) through an IngestClone must
-// leave the parent's observable state and route answers untouched.
+// TestIngestCloneIsolatesIngest is TestDeepCloneIsolatesIngest with
+// re-customization: ingest plus PrepareMetrics through an IngestClone
+// must leave the parent's observable state and route answers untouched.
 func TestIngestCloneIsolatesIngest(t *testing.T) {
-	r, fresh := chSplitWorld(t, 31)
+	r, fresh := splitWorld(t, 31)
 	qs := sampleQueries(r, 24)
 	before := routeAnswers(r, qs)
 	tBefore, bBefore := r.rg.TEdgeCount(), r.rg.BEdgeCount()
@@ -96,7 +78,7 @@ func TestIngestCloneIsolatesIngest(t *testing.T) {
 // customized-metric table) are shared; the region graph and engine fork
 // are not.
 func TestIngestCloneSharesHierarchy(t *testing.T) {
-	r, _ := chSplitWorld(t, 37)
+	r, _ := splitWorld(t, 37)
 	cp := r.IngestClone()
 	if cp.road != r.road {
 		t.Fatal("road network should be shared")
@@ -110,19 +92,14 @@ func TestIngestCloneSharesHierarchy(t *testing.T) {
 	if cp.eng == r.eng {
 		t.Fatal("engine must not be shared")
 	}
-	base, ok1 := r.eng.(*route.CHEngine)
-	fork, ok2 := cp.eng.(*route.CHEngine)
-	if !ok1 || !ok2 {
-		t.Fatal("CH backend lost across IngestClone")
-	}
-	if base.Topology() != fork.Topology() {
+	if r.eng.Topology() != cp.eng.Topology() {
 		t.Fatal("CH topology must be shared across IngestClone — re-contracting per swap defeats the design")
 	}
 }
 
 // fullCopy returns a router sharing no mutable state with r, the way
 // only a test needs one: a Save → Load round trip (of a Clone, so r's
-// save generation stays put), re-enabled on the CCH when r runs on it.
+// save generation stays put).
 func fullCopy(t *testing.T, r *Router) *Router {
 	t.Helper()
 	var buf bytes.Buffer
@@ -133,9 +110,6 @@ func fullCopy(t *testing.T, r *Router) *Router {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.PathBackend() == BackendCH {
-		cp.EnableCH(ch.Config{})
-	}
 	return cp
 }
 
@@ -144,7 +118,7 @@ func fullCopy(t *testing.T, r *Router) *Router {
 // fits and route answers: sharing until written must not change
 // behavior, only cost.
 func TestIngestCloneMatchesDeepClone(t *testing.T) {
-	r, fresh := chSplitWorld(t, 41)
+	r, fresh := splitWorld(t, 41)
 	cow := r.IngestClone()
 	deep := fullCopy(t, r)
 	cow.Ingest(fresh, IngestOptions{SkipMapMatching: true})
@@ -165,36 +139,29 @@ func TestIngestCloneMatchesDeepClone(t *testing.T) {
 // PrepareMetrics customizes nothing; after an ingest it pays only for
 // never-seen (master, slave-mask) combinations.
 func TestPrepareMetricsIdempotent(t *testing.T) {
-	r, fresh := chSplitWorld(t, 43)
+	r, fresh := splitWorld(t, 43)
 	if n := r.PrepareMetrics(); n != 0 {
 		t.Fatalf("warm PrepareMetrics customized %d metrics, want 0", n)
 	}
-	che := r.eng.(*route.CHEngine)
-	base := che.Customizations()
+	base := r.eng.Customizations()
 
 	cp := r.IngestClone()
 	st := cp.Ingest(fresh, IngestOptions{SkipMapMatching: true})
 	cp.PrepareMetricsTouched(st.TouchedEdges)
-	grew := cp.eng.(*route.CHEngine).Customizations() - base
+	grew := cp.eng.Customizations() - base
 	// The touched-edge pass must be complete: a full scan afterwards
 	// finds nothing left to customize.
 	if n := cp.PrepareMetrics(); n != 0 {
 		t.Fatalf("full PrepareMetrics after touched pass customized %d more metrics, want 0", n)
 	}
 	t.Logf("ingest introduced %d new metrics", grew)
-
-	// A Dijkstra router reports zero without CH state.
-	dij, _ := splitWorld(t, 43)
-	if n := dij.PrepareMetrics(); n != 0 {
-		t.Fatalf("Dijkstra PrepareMetrics = %d, want 0", n)
-	}
 }
 
 // TestIngestCloneChainedGenerations mirrors serving: each generation is
 // an IngestClone of the previous head. Retired generations must keep
 // answering exactly as they did when current.
 func TestIngestCloneChainedGenerations(t *testing.T) {
-	r, fresh := chSplitWorld(t, 47)
+	r, fresh := splitWorld(t, 47)
 	third := len(fresh) / 3
 	if third == 0 {
 		t.Fatal("not enough fresh trajectories")

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ch"
 	"repro/internal/pref"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -94,7 +93,7 @@ func sameIngest(got, want *Router, gst, wst IngestStats) string {
 // sibling clone of the same generation, and requires the same stats and
 // the same fit on every touched edge, the searches the lineage memo
 // answered being ones the reference ran. Half-way the chain changes
-// lineage — Save, Load, EnableCH, the restart path — and the loaded
+// lineage — Save, Load, the restart path — and the loaded
 // router must have a pool (and with it a memo) of its own, shared with
 // its clones.
 func TestIngestPooledLearnerMatchesFresh(t *testing.T) {
@@ -102,7 +101,7 @@ func TestIngestPooledLearnerMatchesFresh(t *testing.T) {
 		t.Skip("ci-scale chain; the concurrent-clones test covers the pool under -race")
 	}
 	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, 1))
-	cur, err := Build(w.Road, w.Train, Options{SkipMapMatching: true, PathBackend: BackendCH})
+	cur, err := Build(w.Road, w.Train, Options{SkipMapMatching: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +121,7 @@ func TestIngestPooledLearnerMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dijkstraPool := loaded.learners
-			loaded.EnableCH(ch.Config{})
-			if loaded.learners == cur.learners || loaded.learners == dijkstraPool {
+			if loaded.learners == cur.learners {
 				t.Fatal("the loaded router shares a learner pool with another engine")
 			}
 			if loaded.Clone().learners != loaded.learners || loaded.IngestClone().learners != loaded.learners {
@@ -157,7 +154,7 @@ func TestIngestPooledLearnerMatchesFresh(t *testing.T) {
 // several generations, and holds each to the fresh-learner reference
 // applied to a third clone afterwards. Run it under -race.
 func TestIngestConcurrentClonesSharePool(t *testing.T) {
-	cur, fresh := chSplitWorld(t, 53)
+	cur, fresh := splitWorld(t, 53)
 	opt := IngestOptions{SkipMapMatching: true}
 	const size = 8
 	for round := 0; 2*size*(round+1) <= len(fresh) && round < 6; round++ {

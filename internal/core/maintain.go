@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/pref"
 	"repro/internal/region"
-	"repro/internal/route"
 	"repro/internal/transfer"
 )
 
@@ -35,7 +34,7 @@ type RetransduceStats struct {
 	Transferred  int
 	Null         int
 	// MetricsCustomized counts CH metrics the closing PrepareMetrics
-	// pass added, customized or adopted (0 on Dijkstra backends).
+	// pass added, customized or adopted.
 	MetricsCustomized int
 	// TransferRows, TransferNNZ and SolveIterations size the Eq. 3
 	// system the transduction solved (NNZ: the entries an explicit
@@ -105,13 +104,10 @@ func (r *Router) derive(opt Options) RetransduceStats {
 	// path sets (parallel). The region map is rebound, not patched — an
 	// IngestClone shares it with its parent. Region preferences below
 	// minConfidence are dropped: the fastest-path behaviour stands in.
-	// On BackendCH it runs on a pass fork: every search is a CCH query,
-	// and PrepareMetrics below adopts the overlay metrics it applies.
+	// It runs on a pass fork: every search is a CCH query, and
+	// PrepareMetrics below adopts the overlay metrics it applies.
 	t0 := time.Now()
-	pass := r.eng
-	if che, ok := r.eng.(*route.CHEngine); ok {
-		pass = che.PassFork()
-	}
+	pass := r.eng.PassFork()
 	learned := learnAll(pass, r.rg, opt)
 	r.regionPrefs = learnRegions(pass, r.rg, opt)
 	for id, lr := range r.regionPrefs {
@@ -166,13 +162,13 @@ func (r *Router) derive(opt Options) RetransduceStats {
 	st.TransferRows, st.TransferNNZ, st.SolveIterations = res.Rows, res.NNZ, res.SolveIterations
 	st.TransferAssembleTime, st.TransferSolveTime = res.AssembleTime, res.SolveTime
 
-	// Phase 3: materialize B-edge paths on the selected backend.
+	// Phase 3: materialize B-edge paths on the hierarchy.
 	t0 = time.Now()
-	transfer.Materialize(r.rg, res, &pathFinder{eng: pass.Fork()})
+	transfer.Materialize(r.rg, res, &pathFinder{eng: pass.ForkCH()})
 	st.MaterializeTime = time.Since(t0)
 
-	// Pre-customize every preference metric the router routes on (CH
-	// backend only), so first queries never pay customization inline —
+	// Pre-customize every preference metric the router routes on, so
+	// first queries never pay customization inline —
 	// preferences may now combine ⟨master, slave⟩ pairs never routed on
 	// before. PrepareMetrics only adds metric versions, so serving forks
 	// reading the previous table stay race-free (the same contract the

@@ -51,12 +51,12 @@ func requireResident(t *testing.T, when string, che *route.CHEngine, keys map[pr
 // customizes nothing at all.
 func TestLearningLeavesOnlyAppliedMetrics(t *testing.T) {
 	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleBench, 1))
-	opt := Options{SkipMapMatching: true, PathBackend: BackendCH}
+	opt := Options{SkipMapMatching: true}
 	r, err := Build(w.Road, w.Train, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	che := r.eng.(*route.CHEngine)
+	che := r.eng
 	keys := make(map[pref.Preference]bool)
 	addApplied(keys, r)
 	requireResident(t, "after Build", che, keys)

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ch"
 	"repro/internal/codec"
 	"repro/internal/pref"
 	"repro/internal/region"
@@ -36,11 +37,9 @@ const ArtifactVersion uint16 = 3
 // with, persisted in every artifact so a deployment can audit what it
 // is serving without access to the build script.
 type BuildInfo struct {
-	// PathBackend is the String() form of Options.PathBackend.
 	// ClusterMethod says where the regions came from: "modularity"
 	// (Build, the paper's Algorithm 1) or "caller" (BuildWithRegions);
 	// older artifacts may also carry "grid" or "hierarchy".
-	PathBackend   string
 	ClusterMethod string
 	// SkipMapMatching and LearnMaxPaths mirror the same-named Options
 	// fields.
@@ -52,6 +51,8 @@ type BuildInfo struct {
 	// became constants also carry MinConfidence, IndexCellM and MapMatch
 	// fields, and Region.TopK and MaxTransferCenters; gob skips them, and
 	// no build outside the tests set them to anything but the defaults.
+	// Artifacts saved while a router could run on plain Dijkstra carry
+	// a PathBackend name too, which gob skips as well.
 	Region region.Options
 }
 
@@ -105,7 +106,7 @@ func (r *Router) RoadIdentity() (id uint64, ok bool) { return r.roadID, r.hasRoa
 
 // Save serializes the built router — road network, region graph,
 // learned and transferred preferences, pipeline statistics and the
-// contraction order, if any — as one self-contained, checksummed v3
+// contraction order — as one self-contained, checksummed v3
 // artifact (package documentation, "Persistence"). The offline build
 // takes minutes at scale (Section VII-C reports 21+245+106+7 minutes for
 // D1); Save and Load let a deployment pay it once. On success the
@@ -155,15 +156,10 @@ func (r *Router) Save(w io.Writer) error {
 	e.End(mark)
 
 	mark = e.Begin()
-	order := r.order
-	if che, ok := r.eng.(*route.CHEngine); ok {
-		order = che.Topology().Order()
-	}
-	if order != nil {
-		e.Uvarint(uint64(len(order)))
-		for _, v := range order {
-			e.Uvarint(uint64(v))
-		}
+	order := r.eng.Topology().Order()
+	e.Uvarint(uint64(len(order)))
+	for _, v := range order {
+		e.Uvarint(uint64(v))
 	}
 	e.End(mark)
 
@@ -193,49 +189,72 @@ func decodeResult(d *codec.Dec) pref.Result {
 
 // Load reconstructs a router from a v3 artifact written by Save; any
 // other version is refused with codec.ErrBadVersion. The result answers
-// queries exactly like the original, on Dijkstra until EnableCH, which
-// derives the hierarchy from the contraction order the artifact
-// carries. An artifact is outside input, so every ID in it is checked
-// before use.
+// queries exactly like the original: it runs on the hierarchy derived
+// from the contraction order the artifact carries (contracted afresh
+// when it carries none) with every MetricKeys metric customized, and
+// its Stats are the saved ones. An artifact is outside input, so every
+// ID in it is checked before use.
 func Load(rd io.Reader) (*Router, error) { return LoadOnto(rd, nil, 0) }
 
-// LoadOnto is Load for a caller that already holds a road network — a
-// restart restoring a checkpoint beside its base artifact: when the
-// artifact records roadID as its road's identity, the router
-// is restored onto road and the artifact's copy of the network is
-// skipped, not parsed. roadID must be road's identity.
-func LoadOnto(rd io.Reader, road *roadnet.Graph, roadID uint64) (*Router, error) {
+// LoadOnto is Load for a restart that restores a checkpoint beside its
+// base artifact, already loaded as base (nil for none), whose road
+// identity baseID the caller holds (wal.IdentityOfRouter). An artifact
+// saved on a road network with that identity is restored onto base's
+// road instead of parsing its own copy; one that also carries base's
+// contraction order shares base's topology and metric table, as an
+// IngestClone does, and customizes only the metrics base lacks. Any
+// other artifact derives its own hierarchy, as Load does.
+func LoadOnto(rd io.Reader, base *Router, baseID uint64) (*Router, error) {
 	_, payload, err := codec.ReadFrameBytes(rd, ArtifactVersion)
 	if err != nil {
 		return nil, err
 	}
-	return decodeV3(payload, road, roadID)
+	return decodeV3(payload, base, baseID)
 }
 
 // restored is the router assembled around a decoded road network,
-// region snapshot and metadata, before the preferences.
+// region snapshot and metadata, before the preferences and the engine.
 func restored(road *roadnet.Graph, snap *region.Snapshot, ms metaSection) (*Router, error) {
 	rg, err := region.Restore(road, snap)
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring region graph: %w", err)
 	}
-	r := &Router{road: road, rg: rg, idx: &lazyIndex{},
-		stats: ms.Stats, meta: ms.Meta, regionPrefs: make(map[int]pref.Result)}
-	r.setEngine(route.NewEngine(road))
-	return r, nil
+	return &Router{road: road, rg: rg, idx: &lazyIndex{},
+		stats: ms.Stats, meta: ms.Meta, regionPrefs: make(map[int]pref.Result)}, nil
+}
+
+// restoreEngine gives a restored router, its preferences in place, its
+// hierarchy with every MetricKeys metric customized: base's when r sits
+// on base's road with base's contraction order, else one derived from
+// order, or contracted when order is nil, within ch's fill budget.
+func (r *Router) restoreEngine(order []int32, base *Router) error {
+	if base != nil && r.road == base.road && slices.Equal(order, base.eng.Topology().Order()) {
+		r.setEngine(base.eng.ForkCH())
+		r.eng.PrepareAll(r.MetricKeys())
+		return nil
+	}
+	topo, err := ch.DeriveTopology(r.road, order)
+	if err != nil {
+		return err
+	}
+	r.setEngine(route.NewCHEngine(r.road, topo, roadnet.TT, r.MetricKeys()...))
+	return nil
 }
 
 // decodeV3 decodes a v3 payload: the road identity, then the road,
 // region, preference, metadata and contraction-order sections.
-func decodeV3(payload []byte, road *roadnet.Graph, roadID uint64) (*Router, error) {
+func decodeV3(payload []byte, base *Router, baseID uint64) (*Router, error) {
 	d := codec.NewDec(payload)
 	id := d.Uint64()
 	roadTSV, regionB, prefsB, metaB, orderB := d.Section(), d.Section(), d.Section(), d.Section(), d.Section()
 	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("core: artifact sections: %w", err)
 	}
-	var err error
-	if road == nil || id != roadID {
+	var road *roadnet.Graph
+	if base != nil && id == baseID {
+		road = base.road
+	} else {
+		var err error
 		if road, err = roadnet.ParseTSV(roadTSV); err != nil {
 			return nil, fmt.Errorf("core: decoding road network: %w", err)
 		}
@@ -271,23 +290,27 @@ func decodeV3(payload []byte, road *roadnet.Graph, roadID uint64) (*Router, erro
 		return nil, fmt.Errorf("core: decoding preferences: %w", err)
 	}
 
+	var order []int32
 	if d = codec.NewDec(orderB); len(orderB) > 0 {
 		n := road.NumVertices()
 		if d.Count(1) != n {
 			d.Fail("an order of %d vertices", n)
 		}
-		r.order = make([]int32, n)
+		order = make([]int32, n)
 		seen := make([]bool, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			v := d.Index(n)
 			if seen[v] {
 				d.Fail("vertex %d twice", v)
 			}
-			seen[v], r.order[i] = true, int32(v)
+			seen[v], order[i] = true, int32(v)
 		}
 	}
 	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("core: contraction order is not a permutation: %w", err)
+	}
+	if err := r.restoreEngine(order, base); err != nil {
+		return nil, fmt.Errorf("core: contraction order: %w", err)
 	}
 	return r, nil
 }

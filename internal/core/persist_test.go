@@ -7,7 +7,6 @@ import (
 	"maps"
 	"testing"
 
-	"repro/internal/ch"
 	"repro/internal/codec"
 	"repro/internal/pref"
 	"repro/internal/region"
@@ -81,7 +80,7 @@ func TestArtifactMetaRoundTrip(t *testing.T) {
 	if got := r.Meta().Generation; got != 0 {
 		t.Fatalf("generation before first save = %d, want 0", got)
 	}
-	if bi := r.Meta().Build; bi.PathBackend != "dijkstra" || bi.ClusterMethod != "modularity" || !bi.SkipMapMatching {
+	if bi := r.Meta().Build; bi.ClusterMethod != "modularity" || !bi.SkipMapMatching {
 		t.Fatalf("build info not recorded: %+v", bi)
 	}
 
@@ -254,6 +253,7 @@ func loadV2(t testing.TB, art []byte) *Router {
 		r.rg.Edges[id].SetFit(fit, true)
 	}
 	maps.Copy(r.regionPrefs, env.RegionPrefs)
+	r.restoreEngine(nil, nil)
 	return r
 }
 
@@ -333,7 +333,7 @@ func TestLoadV3LegacyMeta(t *testing.T) {
 	} {
 		legacy := legacyMetaSection{
 			Meta: artifactMeta{Name: m.Name, Generation: m.Generation, SavedUnixNano: m.SavedUnixNano, Build: buildInfo{
-				PathBackend: m.Build.PathBackend, ClusterMethod: m.Build.ClusterMethod,
+				PathBackend: "ch", ClusterMethod: m.Build.ClusterMethod,
 				SkipMapMatching: m.Build.SkipMapMatching, MinConfidence: 0.7,
 				LearnMaxPaths: m.Build.LearnMaxPaths, IndexCellM: 300,
 				Region: c.reg, MapMatch: c.mm,
@@ -507,7 +507,6 @@ func TestLoadGarbage(t *testing.T) {
 // they were saved from.
 func TestSaveIsDeterministic(t *testing.T) {
 	r := builtRouter(t)
-	r.EnableCH(ch.Config{})
 	a, b := saveArtifact(t, r.Clone()), saveArtifact(t, r.Clone())
 	requireSameParts(t, artifactParts(t, a), artifactParts(t, b))
 	for _, art := range [][]byte{a, b} {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/ch"
 	"repro/internal/cluster"
 	"repro/internal/geo"
 	"repro/internal/region"
@@ -83,7 +84,7 @@ func TestMapRegionPathNoTransferCenters(t *testing.T) {
 	r := &Router{
 		road: road,
 		rg:   restoreRegions(t, road, regions, edges),
-		eng:  route.NewEngine(road),
+		eng:  route.NewCHEngine(road, ch.BuildTopology(road), roadnet.TT),
 	}
 	path, ok := r.mapRegionPath([]int{0, 1}, 0, 4)
 	if ok || path != nil {

@@ -22,7 +22,7 @@ func cityRouter(tb testing.TB, scale string) *Router {
 	tb.Helper()
 	build := func() *Router {
 		w := worldgen.Build(worldgen.MustScale(scale, 1))
-		r, err := Build(w.Road, w.Train, Options{SkipMapMatching: true, PathBackend: BackendCH})
+		r, err := Build(w.Road, w.Train, Options{SkipMapMatching: true})
 		if err != nil {
 			tb.Fatalf("Build(%s): %v", scale, err)
 		}

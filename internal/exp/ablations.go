@@ -214,8 +214,8 @@ type CHRow struct {
 // weight and measures the query speed-up over plain Dijkstra — the
 // "interesting future research direction" of Section VII-C. Both sides
 // run through the route.PathEngine seam and return full (unpacked)
-// paths, so the comparison is exactly what the serving layer sees when
-// core.Options.PathBackend switches backends.
+// paths, so the comparison is what every router gains from running its
+// searches on the hierarchy rather than on plain Dijkstra.
 func CHSpeedupCompute(w *World, queries int) []CHRow {
 	eng := route.NewEngine(w.Road)
 	rng := rand.New(rand.NewSource(99))

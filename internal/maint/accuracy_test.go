@@ -29,13 +29,13 @@ func TestMaintAccuracyFloor(t *testing.T) {
 		t.Skip("a ci-scale build, ~60 ingests and a rebuild take minutes under the race detector; CI runs this test un-instrumented")
 	}
 	const floorEq1, floorEq4 = 86.0, 84.0
-	opt := core.Options{SkipMapMatching: true, PathBackend: core.BackendCH}
+	opt := core.Options{SkipMapMatching: true}
 	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, 1))
 	r, err := core.Build(w.Road, w.Train, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := serve.NewEngine(r, serve.Options{PathBackend: core.BackendCH})
+	e := serve.NewEngine(r, serve.Options{})
 	m := Attach(e, Config{CheckEvery: time.Hour, Core: opt})
 	defer m.Close()
 

@@ -14,8 +14,8 @@ var sinkResult pref.Result
 
 // BenchmarkLearn times one Learn call per iteration, cycling over the
 // T-edge path sets of the ci city: all-Dijkstra (pref.NewLearner), with
-// the master searches on a CCH fork (what core.Router learns on under
-// BackendCH), and the same with a memo — after the first cycle a warm
+// the master searches on a CCH fork (what core.Router's Ingest learns
+// on), and the same with a memo — after the first cycle a warm
 // one, which answers every search an earlier cycle ran.
 func BenchmarkLearn(b *testing.B) {
 	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, 1))

@@ -109,9 +109,8 @@
 // # Engines
 //
 // NewLearnerOn runs the master-only searches on a caller-supplied
-// route.PathEngine — core passes a fork of the router's engine, so
-// under core.BackendCH they ride the three scalar CCH metrics serving
-// keeps resident anyway. On a route.CHEngine the surviving restricted
+// route.PathEngine — core passes a fork of the router's CCH engine, so
+// they ride the three scalar metrics serving keeps resident anyway. On a route.CHEngine the surviving restricted
 // searches go there too (CHEngine.TryAppendRouteMask): G(s) is G under
 // a metric with the forbidden edges at +Inf, which the hierarchy
 // customizes like any other. Two residency rules keep learning from

@@ -224,10 +224,13 @@ func (c *CHEngine) Resident(w roadnet.Weight, mask SlaveMask) bool {
 // ResidentMetrics returns how many metrics the shared table holds.
 func (c *CHEngine) ResidentMetrics() int { return len(*c.tab.metrics.Load()) }
 
-// Fork implements PathEngine: the returned engine shares the topology,
-// the customized-metric table and, on a pass fork, the overlay; query
-// state is allocated on first use.
-func (c *CHEngine) Fork() PathEngine {
+// Fork implements PathEngine with ForkCH.
+func (c *CHEngine) Fork() PathEngine { return c.ForkCH() }
+
+// ForkCH returns an engine that shares the topology, the
+// customized-metric table and, on a pass fork, the overlay; query state
+// is allocated on first use.
+func (c *CHEngine) ForkCH() *CHEngine {
 	return &CHEngine{g: c.g, w: c.w, topo: c.topo, tab: c.tab, pass: c.pass, out: c.out}
 }
 

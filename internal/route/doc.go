@@ -14,14 +14,15 @@
 //
 // PathEngine is the pluggable backend: Graph, Fork, Route, AppendRoute
 // (Route into a caller-owned buffer), Fastest, Shortest, RoutePref and
-// CustomRoute. Everything that needs a shortest path — core.Router's
-// unified routing (approach searches, fastest fallbacks, connector
-// stitching), the preference learner's searches, the serving layer,
-// the baselines, the trajectory simulator, the experiment harness —
-// holds a PathEngine, so speed-up techniques plug in beneath all of
-// them at once. Two implementations ship:
+// CustomRoute. The preference learner's searches, the baselines, the
+// trajectory simulator and the experiment harness hold a PathEngine,
+// so speed-up techniques plug in beneath all of them at once.
+// core.Router holds a CHEngine: its unified routing (approach
+// searches, fastest fallbacks, connector stitching), and the serving
+// layer above it, always run on the hierarchy. Two implementations
+// ship:
 //
-//   - Engine: plain Dijkstra plus Algorithm 2 (the default).
+//   - Engine: plain Dijkstra plus Algorithm 2.
 //   - CHEngine: every query family answered on one customizable
 //     contraction hierarchy (internal/ch), contracted once and
 //     customized per metric — the scalar weights, Algorithm 2's

@@ -2,14 +2,13 @@ package route
 
 import "repro/internal/roadnet"
 
-// PathEngine is the pluggable shortest-path backend every routing
-// consumer programs against: the unified routing procedure (Case 2
-// approach paths, connector stitching, fastest fallbacks), the serving
-// layer, the baselines, the trajectory simulator and the experiment
-// harness. Two implementations ship today — the plain Dijkstra Engine
-// and the contraction-hierarchy CHEngine — and the interface is the
-// seam future speed-up techniques (CRP, hub labels, multi-backend
-// dispatch) plug into.
+// PathEngine is the pluggable shortest-path backend the routing
+// consumers outside core.Router program against: the preference
+// learner, the baselines, the trajectory simulator and the experiment
+// harness. Two implementations ship — the plain Dijkstra Engine and
+// the contraction-hierarchy CHEngine, which core.Router always runs
+// on — and the interface is the seam future speed-up techniques (CRP,
+// hub labels) plug into.
 //
 // Concurrency contract: a PathEngine owns mutable per-query state and
 // is NOT safe for concurrent use. Fork returns a sibling engine that

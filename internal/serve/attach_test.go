@@ -184,12 +184,15 @@ func jsonKeys(t *testing.T, v any) string {
 
 // TestAttachWireKeys pins the top-level JSON keys of /stats and
 // /debug/snapshot with zero, one and three attachments to the sets
-// recorded at PR 19 (6866099), where each attachment had its own typed
-// slot on the engine: the seam moved the plumbing, not the wire format.
+// recorded when each attachment had its own typed slot on the engine:
+// the seam moved the plumbing, not the wire format. The two ch_* keys
+// were recorded on an engine embedded on plain Dijkstra, which omitted
+// them; every engine serves on a contraction hierarchy now, as the
+// daemon's always did, and reports them.
 func TestAttachWireKeys(t *testing.T) {
 	const (
 		stats0 = "cache_entries cache_hit_rate cache_hits cache_misses coalesced_queries customize_ns ingest_lag_ns ingested_trajectories ingested_vertices ingests last_staleness_ratio latency learn_searches out_of_region_vertices per_category qps queries route_computations since_last_swap_ns snapshot_generation staleness_ratio swap_ns uptime_ns"
-		debug0 = "cache_entries coalescing durable generation go_version goroutines tracing"
+		debug0 = "cache_entries ch_climb_arcs_mean ch_elimination_tree_height coalescing durable generation go_version goroutines tracing"
 	)
 	withKeys := func(base string, extra ...string) string {
 		keys := append(strings.Fields(base), extra...)

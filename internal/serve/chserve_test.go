@@ -5,39 +5,36 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/ch"
 	"repro/internal/core"
 )
 
-// TestServeCHBackend checks ServeOptions.PathBackend upgrades a
-// Dijkstra-backed router before serving, that concurrent CH-backed
-// queries agree with the Dijkstra-backed engine, and that the backend
+// TestServeCHBackend checks that concurrent queries on an engine agree
+// with the router it serves, answering alone, and that the hierarchy
 // survives a copy-on-write ingest swap.
 func TestServeCHBackend(t *testing.T) {
 	base, fresh := sharedWorld(t)
 
-	dijEng := NewEngine(base.IngestClone(), Options{CacheSize: -1})
-	chRouter := base.IngestClone()
-	chEng := NewEngine(chRouter, Options{CacheSize: -1, PathBackend: core.BackendCH})
-	if chRouter.PathBackend() != core.BackendCH {
-		t.Fatal("NewEngine did not enable the CH backend")
-	}
+	ref := base.Clone()
+	chEng := NewEngine(base.IngestClone(), Options{CacheSize: -1})
+	height, arcs := ref.CHClimb()
 
 	qs := queries(fresh, 24)
 	if len(qs) < 4 {
 		t.Skip("not enough queries")
 	}
+	want := make([]core.RouteResult, len(qs))
+	for i, q := range qs {
+		want[i] = ref.Route(q.Src, q.Dst)
+	}
 	var wg sync.WaitGroup
 	errc := make(chan string, len(qs))
-	for _, q := range qs {
-		q := q
+	for i, q := range qs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			want, _ := dijEng.Route(q.Src, q.Dst)
 			got, _ := chEng.Route(q.Src, q.Dst)
-			if want.Evidence != got.Evidence || (len(want.Path) == 0) != (len(got.Path) == 0) {
-				errc <- "CH-backed serve result diverged from Dijkstra-backed"
+			if want[i].Evidence != got.Evidence || !samePath(want[i].Path, got.Path) {
+				errc <- "concurrent serve result diverged from the router's own"
 			}
 		}()
 	}
@@ -52,19 +49,18 @@ func TestServeCHBackend(t *testing.T) {
 		batch = batch[:10]
 	}
 	chEng.Ingest(batch)
-	if chEng.Snapshot().PathBackend() != core.BackendCH {
-		t.Fatal("ingest swap dropped the CH backend")
+	if h, a := chEng.Snapshot().CHClimb(); h != height || a != arcs {
+		t.Fatalf("ingest swap serves on another hierarchy: height %d, %g arcs per climb; want %d, %g", h, a, height, arcs)
 	}
 	if res, _ := chEng.Route(qs[0].Src, qs[0].Dst); res.Evidence == core.EvidenceNone {
-		t.Fatal("post-ingest CH-backed engine cannot route")
+		t.Fatal("post-ingest engine cannot route")
 	}
 }
 
-// TestPublishLoadedArtifactKeepsCHBackend: artifacts carry a
-// contraction order but no hierarchy, so a Save → Load copy published
-// into a CH engine — plain or durable — must get its hierarchy on the
-// way in, not be served (and relearned on, at every later ingest) on
-// plain Dijkstra.
+// TestPublishLoadedArtifactKeepsCHBackend: a Save → Load copy arrives
+// on the hierarchy derived from the contraction order it carries, so
+// published into an engine — plain or durable — it serves on that
+// hierarchy and answers like the router it was saved from.
 func TestPublishLoadedArtifactKeepsCHBackend(t *testing.T) {
 	base, fresh := sharedWorld(t)
 	loaded := func() *core.Router {
@@ -77,17 +73,14 @@ func TestPublishLoadedArtifactKeepsCHBackend(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Load: %v", err)
 		}
-		if r.PathBackend() != core.BackendDijkstra {
-			t.Fatal("a loaded artifact came with a hierarchy; the scenario is void")
-		}
 		return r
 	}
-	ref := loaded()
-	ref.EnableCH(ch.Config{})
+	ref := base.Clone()
+	height, arcs := ref.CHClimb()
 	q := queries(fresh, 1)[0]
 	want := ref.Route(q.Src, q.Dst)
 
-	opt := Options{CacheSize: -1, PathBackend: core.BackendCH}
+	opt := Options{CacheSize: -1}
 	durable := opt
 	durable.WALDir, durable.CheckpointEvery = t.TempDir(), -1
 	for name, e := range map[string]*Engine{
@@ -95,8 +88,8 @@ func TestPublishLoadedArtifactKeepsCHBackend(t *testing.T) {
 		"durable": mustDurable(t, base.IngestClone(), durable),
 	} {
 		e.Publish(loaded())
-		if got := e.Snapshot().PathBackend(); got != core.BackendCH {
-			t.Fatalf("%s: published snapshot serves on %v, want ch", name, got)
+		if h, a := e.Snapshot().CHClimb(); h != height || a != arcs {
+			t.Fatalf("%s: published snapshot serves on height %d, %g arcs per climb; want %d, %g", name, h, a, height, arcs)
 		}
 		got, _ := e.Route(q.Src, q.Dst)
 		if got.Evidence != want.Evidence || !samePath(got.Path, want.Path) {

@@ -165,8 +165,8 @@ type DebugSnapshot struct {
 	QualityQueueDepth    int `json:"quality_queue_depth,omitempty"`
 	QualityQueueCapacity int `json:"quality_queue_capacity,omitempty"`
 	// What one shortest-path query costs on the served contraction
-	// order (CH backend only): the elimination tree's height and the
-	// mean up-arcs one side of a query relaxes.
+	// order: the elimination tree's height and the mean up-arcs one
+	// side of a query relaxes.
 	CHEliminationTreeHeight int     `json:"ch_elimination_tree_height,omitempty"`
 	CHClimbArcsMean         float64 `json:"ch_climb_arcs_mean,omitempty"`
 	Goroutines              int     `json:"goroutines"`
@@ -189,7 +189,7 @@ func (e *Engine) DebugSnapshotNow() DebugSnapshot {
 	}
 	snap := e.snap.Load()
 	ds.Generation = snap.gen
-	ds.CHEliminationTreeHeight, ds.CHClimbArcsMean, _ = snap.base.CHClimb()
+	ds.CHEliminationTreeHeight, ds.CHClimbArcsMean = snap.base.CHClimb()
 	if e.cache != nil {
 		ds.CacheEntries = e.cache.len()
 	}

@@ -19,11 +19,10 @@
 // externally built router the same way — it is both the full-rebuild
 // path and the hot-artifact-reload path.
 //
-// Options.PathBackend names the backend every router entering the
-// engine is brought onto (construction, recovery, Publish). cmd/l2rserve
-// always asks for core.BackendCH, the configuration the benchmark gates;
-// a router loaded from an artifact derives its hierarchy from the
-// contraction order the artifact carries. Options holds only what its
+// Every router arrives on its contraction hierarchy — core.Build
+// contracts one, core.Load derives it from the order the artifact
+// carries — so no way into an engine (construction, recovery, Publish)
+// prepares anything. Options holds only what its
 // callers set to different values: the cache has a fixed 16 shards,
 // Ingest always map-matches (IngestMatched takes resolved paths), and
 // the ingest confidence gate and rebuild threshold come from the router.

@@ -50,17 +50,20 @@ type durability struct {
 //  1. If a checkpoint exists, it replaces r as the serving base (after
 //     verifying both sit on the same road network — a mismatch refuses
 //     to serve rather than answering from the wrong world). r is then
-//     only the identity reference; pass the deployment's base artifact.
+//     only the reference the checkpoint is verified against and
+//     restored onto (its road and hierarchy); pass the deployment's
+//     base artifact.
 //  2. The write-ahead log is scanned end to end: checksums, sequence
 //     continuity and road identity must verify. A torn final record (a
 //     crash mid-append) is truncated and tolerated; corruption anywhere
 //     else fails construction — fail loud, don't serve.
 //  3. Surviving records are replayed onto the base in append order,
-//     exactly as the original ingests applied them — under
-//     PathBackend CH the hierarchy is contracted first, so replay
-//     relearns on the same engine live ingest does. Recovery never
-//     writes, so crashing during recovery and recovering again is
-//     idempotent.
+//     exactly as the original ingests applied them, on the hierarchy
+//     live ingest uses: a checkpoint restored onto the base's road with
+//     the base's contraction order shares the base's topology and
+//     metric table (core.LoadOnto), so a restart derives one hierarchy.
+//     Recovery never writes, so crashing during recovery and recovering
+//     again is idempotent.
 //
 // The recovered engine then serves and appends to the same log: the
 // replay has finished before NewDurableEngine returns, so a listener
@@ -77,7 +80,8 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 	// (one serialization pass otherwise); the checkpoint and the log
 	// header carry theirs, so neither is serialized to be compared. A
 	// checkpoint on the base's network is restored onto the base's
-	// decoded road rather than parsing its own copy.
+	// decoded road and hierarchy rather than parsing and deriving its
+	// own.
 	baseID, err := wal.IdentityOfRouter(r)
 	if err != nil {
 		return nil, err
@@ -85,7 +89,7 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 
 	base := r
 	var fromSeq, idWatermark uint64
-	ckpt, ok, err := wal.ReadCheckpointOnto(opt.WALDir, r.Road(), baseID)
+	ckpt, ok, err := wal.ReadCheckpointOnto(opt.WALDir, r, baseID.Hash)
 	if err != nil {
 		return nil, fmt.Errorf("serve: recovering %s: %w", opt.WALDir, err)
 	}
@@ -119,9 +123,6 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 	if opt.recoverHold != nil {
 		<-opt.recoverHold
 	}
-	// Before the replay, so replayed batches relearn on the engine live
-	// ingest uses instead of on plain Dijkstra.
-	opt.onBackend(base)
 	for _, b := range batches {
 		applyBatch(nil, base, b)
 		for _, t := range b.Trajs {
@@ -130,7 +131,7 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 			}
 		}
 	}
-	e := newEngine(base, opt)
+	e := NewEngine(base, opt)
 	e.dur = d
 	// Keep NextTrajectoryID unique across restarts: IDs handed out by
 	// this process must not collide with the checkpoint's watermark or

@@ -121,12 +121,12 @@ func TestDurableEngineRecoversAfterCrash(t *testing.T) {
 	}
 	// Crash: no Close, no Checkpoint. The OS has every append already.
 
-	ref := NewEngine(base.IngestClone(), Options{})
+	ref := NewEngine(ownLineage(t, base), Options{})
 	for _, b := range matchedBatches(live, 4) {
 		ref.IngestMatched(b)
 	}
 
-	e2 := mustDurable(t, base.IngestClone(), Options{WALDir: dir, CheckpointEvery: -1})
+	e2 := mustDurable(t, ownLineage(t, base), Options{WALDir: dir, CheckpointEvery: -1})
 	defer e2.Close()
 	d := e2.Stats().Durability
 	if d.ReplayedRecords != len(batches) || d.RecoveredFromCheckpoint {
@@ -201,12 +201,12 @@ func TestDurableEngineCheckpointPlusTail(t *testing.T) {
 		t.Fatal("no automatic checkpoint ran")
 	}
 
-	ref := NewEngine(base.IngestClone(), Options{})
+	ref := NewEngine(ownLineage(t, base), Options{})
 	for _, b := range matchedBatches(live, 4) {
 		ref.IngestMatched(b)
 	}
 
-	e2 := mustDurable(t, base.IngestClone(), opt)
+	e2 := mustDurable(t, ownLineage(t, base), opt)
 	defer e2.Close()
 	d := e2.Stats().Durability
 	if !d.RecoveredFromCheckpoint {
@@ -300,12 +300,12 @@ func TestTornFinalRecordToleratedByEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref := NewEngine(base.IngestClone(), Options{})
+	ref := NewEngine(ownLineage(t, base), Options{})
 	for _, b := range matchedBatches(live, 4)[:len(batches)-1] {
 		ref.IngestMatched(b)
 	}
 
-	e2 := mustDurable(t, base.IngestClone(), opt)
+	e2 := mustDurable(t, ownLineage(t, base), opt)
 	defer e2.Close()
 	d := e2.Stats().Durability
 	if !d.TornTailTruncated || d.ReplayedRecords != len(batches)-1 {
@@ -827,7 +827,7 @@ func TestRecoveryRestoresCheckpointOntoBaseRoad(t *testing.T) {
 		"built base": func() *core.Router { return built.Clone() },
 	} {
 		t.Run(name, func(t *testing.T) {
-			opt := Options{WALDir: t.TempDir(), CheckpointEvery: 8, PathBackend: core.BackendCH}
+			opt := Options{WALDir: t.TempDir(), CheckpointEvery: 8}
 			e1 := mustDurable(t, base(), opt)
 			for _, b := range matchedBatches(live, 4)[:5] {
 				e1.IngestMatched(b)
@@ -845,8 +845,8 @@ func TestRecoveryRestoresCheckpointOntoBaseRoad(t *testing.T) {
 			if snap.Road() != r.Road() {
 				t.Fatal("the checkpoint was restored onto a second copy of the road network, not the base's")
 			}
-			if snap.PathBackend() != core.BackendCH {
-				t.Fatalf("recovered snapshot serves on %v, want ch", snap.PathBackend())
+			if h, a := snap.CHClimb(); h == 0 || a <= 0 {
+				t.Fatalf("recovered snapshot reports elimination tree height %d, %g up-arcs per climb", h, a)
 			}
 			want, err := wal.IdentityOf(snap.Road())
 			if err != nil {

@@ -159,16 +159,12 @@ func (f *Fleet) Publish(name string, r *core.Router) (uint64, error) {
 	if err := validTenantName(name); err != nil {
 		return 0, err
 	}
-	// The engine brings r onto its backend itself, on construction and on
-	// Publish; doing it here first keeps a contraction out of the registry
-	// write lock below, where it would stall every tenant lookup.
-	f.opt.onBackend(r)
 	f.mu.Lock()
 	if t, ok := f.tenants[name]; ok {
 		// The registry write lock is held across the engine swap so a
 		// concurrent Remove+Add of the same name cannot orphan this
-		// publish; with r already on the backend Engine.Publish is O(1)
-		// (build a snapshot, swap a pointer), so lookups block only briefly.
+		// publish; Engine.Publish is O(1) (build a snapshot, swap a
+		// pointer), so lookups block only briefly.
 		defer f.mu.Unlock()
 		t.eng.Publish(r)
 		return t.eng.Generation(), nil

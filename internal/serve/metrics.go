@@ -178,8 +178,8 @@ type Stats struct {
 	IngestLag time.Duration `json:"ingest_lag_ns"`
 	// CustomizeLag is the contraction-hierarchy re-customization time
 	// within the last ingest: how long PrepareMetrics took to refresh
-	// metric weights on the shared CH topology (zero on the Dijkstra
-	// backend or when no new metrics were needed).
+	// metric weights on the shared CH topology (zero when no new
+	// metrics were needed).
 	CustomizeLag time.Duration `json:"customize_ns"`
 	// SwapLag is the swap overhead of the last ingest — everything the
 	// write path did beyond applying the batch itself: the copy-on-write

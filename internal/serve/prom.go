@@ -36,10 +36,9 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 			float64(oc.n), append(withLabels(labels), obs.Label{Name: "outcome", Value: oc.outcome})...)
 	}
 	pw.Counter("l2r_learn_searches_hierarchy_total", "Of the run ingest relearn searches, those answered on the contraction hierarchy; the rest ran on plain Dijkstra.", float64(st.LearnSearches.Hierarchy), labels...)
-	if height, arcs, ok := e.snap.Load().base.CHClimb(); ok {
-		pw.Gauge("l2r_ch_elimination_tree_height", "Vertices on the longest elimination-tree chain of the served contraction order — the most one side of a shortest-path query visits.", float64(height), labels...)
-		pw.Gauge("l2r_ch_climb_arcs_mean", "Mean up-arcs one side of a shortest-path query relaxes on its climb, over all start vertices.", arcs, labels...)
-	}
+	height, arcs := e.snap.Load().base.CHClimb()
+	pw.Gauge("l2r_ch_elimination_tree_height", "Vertices on the longest elimination-tree chain of the served contraction order — the most one side of a shortest-path query visits.", float64(height), labels...)
+	pw.Gauge("l2r_ch_climb_arcs_mean", "Mean up-arcs one side of a shortest-path query relaxes on its climb, over all start vertices.", arcs, labels...)
 	pw.Gauge("l2r_ingest_lag_seconds", "Wall time the last ingest took from batch arrival to snapshot publication.", st.IngestLag.Seconds(), labels...)
 	pw.Gauge("l2r_since_last_swap_seconds", "Time since the last snapshot publication.", st.SinceLastSwap.Seconds(), labels...)
 	pw.Gauge("l2r_staleness_ratio", "Cumulative out-of-region share of ingested path vertices — how far the fixed region partition trails the traffic.", st.StalenessRatio, labels...)

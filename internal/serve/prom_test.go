@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -67,7 +66,7 @@ func scrape(t *testing.T, url string) (string, map[string]float64) {
 func TestEngineMetricsExposition(t *testing.T) {
 	base, fresh := sharedWorld(t)
 	tr := obs.NewTracer(obs.Config{SlowThreshold: -1})
-	e := NewEngine(base.Clone(), Options{Tracer: tr, PathBackend: core.BackendCH})
+	e := NewEngine(base.Clone(), Options{Tracer: tr})
 	srv := httptest.NewServer(e.Handler())
 	t.Cleanup(srv.Close)
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/roadnet"
 )
 
@@ -16,10 +15,12 @@ import (
 // borrow snapshot clones whose engine forks share the CH topology and
 // the copy-on-write metric table with the generation being customized,
 // so any unsynchronized publish shows up here. Afterwards the engine
-// must agree with a Dijkstra-backed reference that saw the same feed.
+// must agree with a reference engine that saw the same feed without
+// readers, on a lineage of its own: its own hierarchy, metric table and
+// learner memo.
 func TestRecustomizeMidTrafficSoak(t *testing.T) {
 	base, live := sharedWorld(t)
-	e := NewEngine(base.IngestClone(), Options{CacheSize: -1, PathBackend: core.BackendCH})
+	e := NewEngine(ownLineage(t, base), Options{CacheSize: -1})
 	batches := matchedBatches(live, 8)
 	if len(batches) > 12 {
 		batches = batches[:12]
@@ -63,58 +64,72 @@ func TestRecustomizeMidTrafficSoak(t *testing.T) {
 		t.Fatalf("swap overhead %v exceeds total ingest lag %v", st.SwapLag, st.IngestLag)
 	}
 
-	ref := NewEngine(base.IngestClone(), Options{CacheSize: -1})
+	ref := NewEngine(ownLineage(t, base), Options{CacheSize: -1})
 	for _, b := range matchedBatches(live, 8)[:len(batches)] {
 		ref.IngestMatched(b)
 	}
-	requireSameAnswers(t, "post-soak CH vs Dijkstra", e, ref, ods)
+	requireSameAnswers(t, "post-soak vs reference", e, ref, ods)
 }
 
-// TestDurableRecoveryRecustomizesHierarchy crashes a durable CH-backed
-// engine and recovers it: WAL batches replay through the COW-clone +
-// re-customize swap path onto the shared topology, and the recovered
-// engine must answer exactly like an uninterrupted Dijkstra reference.
+// TestDurableRecoveryRecustomizesHierarchy crashes a durable engine and
+// recovers it: WAL batches replay through the COW-clone + re-customize
+// swap path onto the recovered base's topology, customizing the metrics
+// the replayed preferences bring, and the recovered engine must answer
+// exactly like an uninterrupted reference. Writer, reference and
+// recovered engine each run on a lineage of their own, so the replay
+// customizes into a table nobody else filled and the reference's
+// answers come from metrics it customized itself.
 func TestDurableRecoveryRecustomizesHierarchy(t *testing.T) {
-	base, live := buildServeWorld(t, 17, 300)
+	// A world whose replayed preferences bring metrics the base lacks (in
+	// some, such as seed 17, they bring none and there is nothing to
+	// re-customize).
+	base, live := buildServeWorld(t, 23, 300)
 	dir := t.TempDir()
 	batches := matchedBatches(live, 5)
-	opt := Options{WALDir: dir, CheckpointEvery: -1, PathBackend: core.BackendCH}
+	opt := Options{WALDir: dir, CheckpointEvery: -1}
 
-	e1 := mustDurable(t, base.IngestClone(), opt)
+	e1 := mustDurable(t, ownLineage(t, base), opt)
 	for _, b := range batches {
 		e1.IngestMatched(b)
 	}
 	// Crash: no Close, no Checkpoint.
 
-	ref := NewEngine(base.IngestClone(), Options{})
+	ref := NewEngine(ownLineage(t, base), Options{})
 	for _, b := range matchedBatches(live, 5) {
 		ref.IngestMatched(b)
 	}
 
-	e2 := mustDurable(t, base.IngestClone(), opt)
+	recovered := ownLineage(t, base)
+	before := recovered.Customizations()
+	e2 := mustDurable(t, recovered, opt)
 	defer e2.Close()
-	if e2.Snapshot().PathBackend() != core.BackendCH {
-		t.Fatal("recovered engine lost the CH backend")
-	}
 	d := e2.Stats().Durability
 	if d.ReplayedRecords != len(batches) {
 		t.Fatalf("replayed %d records, want %d", d.ReplayedRecords, len(batches))
 	}
+	if after := e2.Snapshot().Customizations(); after <= before {
+		t.Fatalf("the replay customized nothing on the recovered lineage (%d customizations before, %d after)", before, after)
+	}
 	requireSameAnswers(t, "CH recovery", e2, ref, sampleODs(live, 40))
 }
 
-// TestRecoveredEqualsUninterruptedCH: a CH-backed engine recovered from
-// checkpoint + WAL tail contracts its hierarchy before the replay, so
-// the tail relearns on the same engine live ingest used — and ends with
-// the same learned preference on every region edge and the same answer
-// on 220 ODs as the engine that was never interrupted.
+// TestRecoveredEqualsUninterruptedCH: an engine recovered from
+// checkpoint + WAL tail replays the tail on the hierarchy the
+// checkpoint was restored onto, so the tail relearns on the same kind
+// of engine live ingest used — and ends with the same learned
+// preference on every region edge and the same answer on 220 ODs as
+// the engine that was never interrupted. The two run on lineages of
+// their own: the recovered engine customizes every metric the
+// checkpoint and the tail bring into its own table.
 func TestRecoveredEqualsUninterruptedCH(t *testing.T) {
-	base, live := buildServeWorld(t, 19, 400)
+	// A world whose ingests bring metrics the base lacks (seed 19's bring
+	// none).
+	base, live := buildServeWorld(t, 67, 500)
 	dir := t.TempDir()
 	batches := matchedBatches(live, 4)
-	opt := Options{WALDir: dir, CheckpointEvery: 28, PathBackend: core.BackendCH, CacheSize: -1}
+	opt := Options{WALDir: dir, CheckpointEvery: 28, CacheSize: -1}
 
-	live1 := mustDurable(t, base.IngestClone(), opt)
+	live1 := mustDurable(t, ownLineage(t, base), opt)
 	for _, b := range batches {
 		live1.IngestMatched(b)
 	}
@@ -123,17 +138,19 @@ func TestRecoveredEqualsUninterruptedCH(t *testing.T) {
 	}
 	// Crash: no Close, no final checkpoint.
 
-	rec := mustDurable(t, base.IngestClone(), opt)
+	recovered := ownLineage(t, base)
+	before := recovered.Customizations()
+	rec := mustDurable(t, recovered, opt)
 	defer rec.Close()
 	d := rec.Stats().Durability
 	if !d.RecoveredFromCheckpoint || d.ReplayedRecords == 0 {
 		t.Fatalf("recovery facts %+v: want a checkpoint plus a replayed tail", d)
 	}
+	if after := rec.Snapshot().Customizations(); after <= before {
+		t.Fatalf("recovery customized nothing on the recovered lineage (%d customizations before, %d after)", before, after)
+	}
 
 	want, got := live1.Snapshot(), rec.Snapshot()
-	if got.PathBackend() != core.BackendCH {
-		t.Fatal("recovered engine lost the CH backend")
-	}
 	edges := want.RegionGraph().Edges
 	if len(got.RegionGraph().Edges) != len(edges) {
 		t.Fatalf("recovered region graph has %d edges, uninterrupted %d", len(got.RegionGraph().Edges), len(edges))

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ch"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pref"
@@ -35,13 +34,9 @@ type Options struct {
 	// herd costs one search instead of one per caller — and never share
 	// an answer computed on a pre-swap router with a post-swap query.
 	CacheSize int
-	// PathBackend selects the shortest-path backend the served router
-	// runs on. With core.BackendCH, a router that is still
-	// Dijkstra-backed (e.g. freshly loaded from an artifact) gets its
-	// contraction hierarchy built once before it sees traffic — on
-	// construction, on recovery and on Publish; the hierarchy is
-	// immutable and shared by every pool clone and every ingest swap
-	// afterwards.
+	// PathBackend is ignored: every router runs on its contraction
+	// hierarchy. It stays only while the benchmark module sets it
+	// (core.PathBackend says until when).
 	PathBackend core.PathBackend
 
 	// WALDir enables durable ingestion: every ingest batch is appended
@@ -94,7 +89,7 @@ func (o Options) withDefaults() Options {
 
 // snapshot is one published generation of the router. The pool hands
 // out per-goroutine clones so concurrent queries never share engine
-// query state. A clone is a fork of the router's route.PathEngine: the
+// query state. A clone is a fork of the router's route.CHEngine: the
 // immutable built state — road network, spatial index, CH hierarchy —
 // is shared across every clone of the snapshot, and per-vertex search
 // buffers are deferred to a clone's first query, so creating a pool
@@ -166,32 +161,12 @@ type Engine struct {
 	closeOnce sync.Once // Close and Shutdown release the engine once
 }
 
-// NewEngine wraps a built router for serving. The engine takes
-// ownership: the caller must not mutate r (or Clones of it) afterwards.
-// Durability options (Options.WALDir) are ignored here — use
-// NewDurableEngine, which can fail on recovery.
+// NewEngine wraps a built router for serving, as generation 1. The
+// engine takes ownership: the caller must not mutate r (or Clones of
+// it) afterwards. Durability options (Options.WALDir) are ignored here
+// — use NewDurableEngine, which can fail on recovery.
 func NewEngine(r *core.Router, opt Options) *Engine {
 	opt = opt.withDefaults()
-	opt.onBackend(r)
-	return newEngine(r, opt)
-}
-
-// onBackend brings r onto the path backend the engine serves on, before
-// r sees traffic: with core.BackendCH a router that is still
-// Dijkstra-backed — anything restored by core.Load, since artifacts
-// carry a contraction order but no hierarchy — gets its hierarchy
-// (derived from that order, or contracted) and its metrics customized;
-// a router already there is left alone. Every way a router enters an
-// engine goes through here: construction, recovery and Publish.
-func (o Options) onBackend(r *core.Router) {
-	if o.PathBackend == core.BackendCH {
-		r.EnableCH(ch.Config{})
-	}
-}
-
-// newEngine builds an engine serving r, already on its backend, as
-// generation 1.
-func newEngine(r *core.Router, opt Options) *Engine {
 	e := &Engine{opt: opt, start: time.Now(), trc: opt.Tracer}
 	e.attachments.Store(new([]attached))
 	if opt.CacheSize > 0 {
@@ -203,7 +178,7 @@ func newEngine(r *core.Router, opt Options) *Engine {
 
 // Ready reports true: an engine serves from the moment it is returned.
 // It stays for the benchmark module's callers and goes with the
-// benchmark change of ROADMAP.md item 9, beside PathBackend and
+// benchmark change of ROADMAP.md item 8, beside PathBackend and
 // ch.Config.
 func (e *Engine) Ready() bool { return true }
 
@@ -483,9 +458,6 @@ func (e *Engine) Tracer() *obs.Tracer { return e.trc }
 // artifact plus whatever was ingested after it — never stale pre-reload
 // batches replayed onto a post-reload base.
 func (e *Engine) Publish(r *core.Router) {
-	// Outside writeMu: contracting a loaded router is not O(1), and
-	// ingests need not wait for it.
-	e.opt.onBackend(r)
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	e.publishLocked(r, true)

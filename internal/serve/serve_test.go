@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -42,6 +43,23 @@ func sharedWorld(tb testing.TB) (*core.Router, []*traj.Trajectory) {
 		worldBase, worldFresh = buildServeWorld(tb, 41, 400)
 	})
 	return worldBase, worldFresh
+}
+
+// ownLineage is a router with base's model and a lineage of its own: a
+// Save→Load copy derives its own hierarchy and metric table and starts
+// an empty learner memo, so nothing it answers or customizes is read
+// from what another engine made of base.
+func ownLineage(tb testing.TB, base *core.Router) *core.Router {
+	tb.Helper()
+	var art bytes.Buffer
+	if err := base.Clone().Save(&art); err != nil {
+		tb.Fatal(err)
+	}
+	r, err := core.Load(&art)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
 }
 
 func samePath(a, b roadnet.Path) bool {

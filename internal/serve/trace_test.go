@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -222,7 +221,7 @@ func TestFleetTenantNamedDebugIsTraced(t *testing.T) {
 func TestDebugSnapshotEndpoint(t *testing.T) {
 	base, fresh := sharedWorld(t)
 	tr := obs.NewTracer(obs.Config{SlowThreshold: -1})
-	e := NewEngine(base.Clone(), Options{Tracer: tr, PathBackend: core.BackendCH})
+	e := NewEngine(base.Clone(), Options{Tracer: tr})
 	srv := httptest.NewServer(e.Handler())
 	t.Cleanup(srv.Close)
 

@@ -185,7 +185,7 @@ func cityGraph(tb testing.TB, scale string, seed int64) *region.Graph {
 		return g
 	}
 	w := worldgen.Build(worldgen.MustScale(scale, seed))
-	r, err := core.Build(w.Road, w.Train, core.Options{SkipMapMatching: true, PathBackend: core.BackendCH, Workers: 2})
+	r, err := core.Build(w.Road, w.Train, core.Options{SkipMapMatching: true, Workers: 2})
 	if err != nil {
 		tb.Fatalf("core.Build(%s): %v", key, err)
 	}

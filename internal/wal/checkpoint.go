@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/roadnet"
 )
 
 // CheckpointName is the checkpoint's file name inside a WAL directory.
@@ -91,15 +90,16 @@ func WriteCheckpoint(dir string, r *core.Router, seq, nextTrajID uint64, road Ne
 // an older version — is an error, because serving from a base artifact
 // while silently ignoring a checkpoint would roll learned state back.
 func ReadCheckpoint(dir string) (c *Checkpoint, ok bool, err error) {
-	return ReadCheckpointOnto(dir, nil, NetworkID{})
+	return ReadCheckpointOnto(dir, nil, 0)
 }
 
 // ReadCheckpointOnto is ReadCheckpoint for a restart that already holds
-// its base road network, road with identity id: a checkpoint written
-// against that identity is restored onto road (core.LoadOnto) instead
-// of parsing its own copy of the network. With road nil, or a
-// checkpoint written against another network, it is ReadCheckpoint.
-func ReadCheckpointOnto(dir string, road *roadnet.Graph, id NetworkID) (c *Checkpoint, ok bool, err error) {
+// its base router and the base's road identity baseID
+// (IdentityOfRouter): the checkpoint is restored by core.LoadOnto, so
+// one written against base's road network sits on base's road, and one
+// that also carries base's contraction order shares base's hierarchy.
+// With base nil it is ReadCheckpoint.
+func ReadCheckpointOnto(dir string, base *core.Router, baseID uint64) (c *Checkpoint, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, CheckpointName))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -120,7 +120,7 @@ func ReadCheckpointOnto(dir string, road *roadnet.Graph, id NetworkID) (c *Check
 		NextTrajectoryID: binary.BigEndian.Uint64(fixed[8:]),
 		RoadHash:         binary.BigEndian.Uint64(fixed[16:]),
 	}
-	if c.Router, err = core.LoadOnto(rd, road, id.Hash); err != nil {
+	if c.Router, err = core.LoadOnto(rd, base, baseID); err != nil {
 		return nil, false, fmt.Errorf("wal: loading checkpoint artifact: %w", err)
 	}
 	if rd.Len() != 0 {

@@ -43,9 +43,11 @@
 // and surviving records are handed to the caller for replay. The
 // identity comes from the base router when it carries one
 // (IdentityOfRouter: a saved or v3-loaded router), and
-// ReadCheckpointOnto restores a checkpoint written against that
-// identity onto the base's decoded road network, so a restart
-// serializes no network and parses one. A torn
+// ReadCheckpointOnto, given the base and that identity, restores a
+// checkpoint written against it onto the base's decoded road network
+// and, when it carries the base's contraction order, onto the base's
+// hierarchy, so a restart from a loaded base serializes no network,
+// parses one and derives one hierarchy. A torn
 // final record (a crash mid-append) is truncated and tolerated;
 // corruption anywhere else fails loudly — a damaged log is never
 // silently half-replayed. Recovery never writes, so it is idempotent:

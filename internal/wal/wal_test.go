@@ -380,7 +380,7 @@ func TestCarriedIdentityIsIdentityOf(t *testing.T) {
 	}
 	for _, spec := range specs {
 		w := worldgen.Build(spec)
-		r, err := core.Build(w.Road, w.Train, core.Options{SkipMapMatching: true, PathBackend: core.BackendCH})
+		r, err := core.Build(w.Road, w.Train, core.Options{SkipMapMatching: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,12 +407,12 @@ func TestCarriedIdentityIsIdentityOf(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		onto, _, err := ReadCheckpointOnto(dir, loaded.Road(), want)
+		onto, _, err := ReadCheckpointOnto(dir, loaded, want.Hash)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if onto.Router.Road() != loaded.Road() || alone.Router.Road() == loaded.Road() {
-			t.Fatal("ReadCheckpointOnto did not restore onto the road it was given, or ReadCheckpoint did")
+			t.Fatal("ReadCheckpointOnto did not restore onto its base's road, or ReadCheckpoint did")
 		}
 		for name, c := range map[string]*core.Router{"saved": r, "loaded": loaded, "checkpoint": alone.Router, "checkpoint onto base": onto.Router} {
 			got, ok := c.RoadIdentity()
@@ -452,7 +452,7 @@ func TestReadCheckpointRefusesV1(t *testing.T) {
 	}
 	for _, read := range []func() (*Checkpoint, bool, error){
 		func() (*Checkpoint, bool, error) { return ReadCheckpoint(dir) },
-		func() (*Checkpoint, bool, error) { return ReadCheckpointOnto(dir, road, id) },
+		func() (*Checkpoint, bool, error) { return ReadCheckpointOnto(dir, r, id.Hash) },
 	} {
 		if c, ok, err := read(); !errors.Is(err, codec.ErrBadVersion) || ok || c != nil {
 			t.Fatalf("v1 checkpoint: checkpoint %v, ok %v, err %v; want ErrBadVersion", c != nil, ok, err)

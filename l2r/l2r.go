@@ -66,21 +66,6 @@ const (
 	OutRegion   = core.OutRegion
 )
 
-// PathBackend selects the pluggable shortest-path engine a Router runs
-// on — set Options.PathBackend at Build time, ServeOptions.PathBackend
-// when serving, or call Router.EnableCH after Load. See
-// internal/route.PathEngine for the seam and its concurrency contract.
-type PathBackend = core.PathBackend
-
-// Path backends.
-const (
-	// BackendDijkstra runs every query on plain Dijkstra.
-	BackendDijkstra = core.BackendDijkstra
-	// BackendCH accelerates scalar fastest-path queries with a
-	// contraction hierarchy built once and shared by all clones.
-	BackendCH = core.BackendCH
-)
-
 // Build runs the offline pipeline — map matching, clustering, region
 // graph, preference learning, preference transfer, B-edge path
 // materialization — over a road network and training trajectories.

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/ch"
 	"repro/internal/quality"
 	"repro/internal/serve"
 	"repro/internal/traj"
@@ -14,7 +13,8 @@ import (
 // hot path: an engine carrying a quality observer at the production
 // default sample rate (0.1) must stay within 10% of an unobserved
 // engine on the Zipf-skewed CH workload, with live ingest batches
-// interleaved so the observer is actually offered work. The offer path
+// interleaved so the observer is actually offered work, in the median
+// of interleaved pairs (pairedOverhead). The offer path
 // runs under the engine's write lock and is a counter bump plus a
 // bounded channel send for the sampled tenth; the re-routes themselves
 // happen on the observer's own paced goroutine — anything above the
@@ -25,8 +25,6 @@ func TestQualityOverheadBudget(t *testing.T) {
 	}
 	w := benchWorld(t)
 	r := w.MustRouter()
-	chRouter := r.IngestClone()
-	chRouter.EnableCH(ch.Config{})
 	qs := benchQueries(t)
 	trips := w.Test
 	if len(trips) < 8 {
@@ -40,42 +38,31 @@ func TestQualityOverheadBudget(t *testing.T) {
 		mix[i] = int(zipf.Uint64())
 	}
 
-	measure := func(e *serve.Engine) float64 {
-		// Min of two runs: the second absorbs warm-up jitter.
-		best := 0.0
-		for run := 0; run < 2; run++ {
-			res := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if i%1024 == 1023 {
-						lo := (i / 1024 * 4) % (len(trips) - 4)
-						batch := make([]*traj.Trajectory, 4)
-						copy(batch, trips[lo:lo+4])
-						e.IngestMatched(batch)
-					}
-					q := qs[mix[i%len(mix)]]
-					e.Route(q.S, q.D)
+	pass := func(e *serve.Engine) func() {
+		return func() {
+			for i, k := range mix {
+				if i%1024 == 1023 {
+					lo := (i / 1024 * 4) % (len(trips) - 4)
+					batch := make([]*traj.Trajectory, 4)
+					copy(batch, trips[lo:lo+4])
+					e.IngestMatched(batch)
 				}
-			})
-			ns := float64(res.NsPerOp())
-			if best == 0 || ns < best {
-				best = ns
+				q := qs[k]
+				e.Route(q.S, q.D)
 			}
 		}
-		return best
 	}
 
-	bare := serve.NewEngine(chRouter.IngestClone(), serve.Options{CacheSize: -1})
-	observed := serve.NewEngine(chRouter.IngestClone(), serve.Options{CacheSize: -1})
+	bare := serve.NewEngine(r.IngestClone(), serve.Options{CacheSize: -1})
+	observed := serve.NewEngine(r.IngestClone(), serve.Options{CacheSize: -1})
 	qo := quality.Attach(observed, quality.Config{SampleRate: 0.1})
 	defer qo.Close()
 
 	const budget = 1.10
 	var ratio float64
 	for attempt := 1; attempt <= 3; attempt++ {
-		base := measure(bare)
-		with := measure(observed)
-		ratio = with / base
-		t.Logf("attempt %d: unobserved %.0f ns/op, observed %.0f ns/op, ratio %.3f", attempt, base, with, ratio)
+		ratio = pairedOverhead(pass(bare), pass(observed))
+		t.Logf("attempt %d: observed / unobserved, median of %d interleaved pairs: %.3f", attempt, overheadPairs, ratio)
 		if ratio <= budget {
 			st := qo.QualityStats()
 			t.Logf("observer: offered %d, sampled %d, scored %d, dropped %d",
