@@ -59,12 +59,12 @@
 // The preference learner, the baselines, the trajectory simulator and
 // the experiment harness program against internal/route.PathEngine, a
 // pluggable backend. route.Engine is plain Dijkstra (plus the paper's
-// Algorithm 2); route.CHEngine answers scalar, preference-constrained
-// and custom-cost searches on one customizable contraction hierarchy
-// (internal/ch), one customized metric per cost function, shortcuts
-// unpacked. Every Router runs on a CHEngine — unified routing (Case 2
-// approach searches, fastest fallbacks, connector stitching), learning
-// and serving alike: Build contracts the hierarchy, Load derives it
+// Algorithm 2); route.CHEngine answers scalar and
+// preference-constrained searches on one customizable contraction
+// hierarchy (internal/ch), one customized metric per ⟨weight, slave⟩,
+// shortcuts unpacked. Every Router runs on a CHEngine — unified
+// routing (Case 2 approach searches, fastest fallbacks, connector
+// stitching), learning and serving alike: Build contracts the hierarchy, Load derives it
 // from the contraction order the artifact carries.
 //
 // The concurrency contract: an engine serves one goroutine; Fork()

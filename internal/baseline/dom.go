@@ -19,7 +19,7 @@ import (
 // slower than single-objective routing, the behaviour Fig. 12 reports.
 type Dom struct {
 	g   *roadnet.Graph
-	eng route.PathEngine
+	eng *route.Engine
 	// weights maps driver -> learned (a, b, c) scalarization over
 	// normalized (DI km, TT min, FC l).
 	weights map[int][3]float64

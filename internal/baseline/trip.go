@@ -17,7 +17,7 @@ import (
 // (Fig. 12) while its accuracy tracks Fastest closely (Fig. 10/11).
 type TRIP struct {
 	g   *roadnet.Graph
-	eng route.PathEngine
+	eng *route.Engine
 	// ratios maps driver -> per-road-type observed/nominal travel-time
 	// ratio.
 	ratios map[int][roadnet.NumRoadTypes]float64

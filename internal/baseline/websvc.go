@@ -16,7 +16,7 @@ import (
 // like the real API comparison did.
 type WebService struct {
 	g   *roadnet.Graph
-	eng route.PathEngine
+	eng *route.Engine
 	// WaypointStepM is the way-point spacing of returned polylines
 	// (default 80 m).
 	WaypointStepM float64

@@ -18,10 +18,7 @@ import (
 //
 //  1. other stored trajectory paths between the endpoints (distinct
 //     paths real drivers took, ranked by traversal count), and
-//  2. paths constructed under the edge's secondary preferences, when
-//     EnableMultiPreferences has fitted them (the paper's multi-
-//     preference future work), and
-//  3. lowest-cost paths under each remaining travel-cost weight, which
+//  2. lowest-cost paths under each remaining travel-cost weight, which
 //     diversify the list when stored paths are scarce.
 //
 // Duplicates are removed; fewer than k results may be returned.
@@ -69,14 +66,7 @@ func (r *Router) routeK(sp *obs.Span, s, d roadnet.VertexID, k int) []RouteResul
 		}
 	}
 
-	// 2. Secondary-preference alternatives (multi-preference T-edges).
-	for _, alt := range r.multiAlternatives(s, d) {
-		if add(alt, EvidencePreference, true, first.RegionPath) {
-			return out
-		}
-	}
-
-	// 3. Cost-diverse alternatives: one lowest-cost path per weight.
+	// 2. Cost-diverse alternatives: one lowest-cost path per weight.
 	for _, w := range []roadnet.Weight{roadnet.TT, roadnet.DI, roadnet.FC} {
 		if p, _, ok := r.eng.Route(s, d, w); ok {
 			if add(p, EvidenceFastest, false, nil) {

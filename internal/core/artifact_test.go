@@ -235,6 +235,40 @@ func TestLoadRejectsOutOfRangeIDs(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsUnproducibleSlave: a preference whose slave no
+// pipeline emits — neither NoSlave nor one of pref.CandidateSlaves,
+// here motorway+residential — is a Load error wherever the artifact
+// carries it: on a region edge in the region section, or as an edge's
+// fit or a region's preference in the preference section. Load
+// therefore customizes at most NumCostWeights × 10 metrics.
+func TestLoadRejectsUnproducibleSlave(t *testing.T) {
+	r := builtRouter(t)
+	odd := pref.Preference{Master: roadnet.DI, Slave: pref.SlaveOf(roadnet.Motorway, roadnet.Residential)}
+	parts := artifactParts(t, saveArtifact(t, r.Clone()))
+	s, err := region.DecodeSnapshot(parts[partRegion], r.road)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Edges[0].HasPref, s.Edges[0].Pref = true, odd
+	var e codec.Enc
+	s.Append(&e, r.road)
+	parts[partRegion] = e.B
+	if got, err := Load(bytes.NewReader(joinParts(t, parts))); err == nil || got != nil {
+		t.Errorf("region edge preference %v: Load returned a router (err %v); want an error", odd, err)
+	}
+
+	fit := r.IngestClone()
+	fit.rg.EdgeForUpdate(0).SetFit(pref.Result{Preference: odd, Similarity: 1, PathsUsed: 1}, true)
+	if got, err := Load(bytes.NewReader(saveArtifact(t, fit))); err == nil || got != nil {
+		t.Errorf("edge fit %v: Load returned a router (err %v); want an error", odd, err)
+	}
+	regional := r.IngestClone()
+	regional.regionPrefs = map[int]pref.Result{0: {Preference: odd, Similarity: 1, PathsUsed: 1}}
+	if got, err := Load(bytes.NewReader(saveArtifact(t, regional))); err == nil || got != nil {
+		t.Errorf("region preference %v: Load returned a router (err %v); want an error", odd, err)
+	}
+}
+
 // TestLoadRejectsBadContractionOrder: a v3 order section that is not a
 // permutation of the road's vertices — a repeat, a vertex out of range,
 // the wrong length — is a Load error; a loaded router serves on the

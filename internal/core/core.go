@@ -118,9 +118,6 @@ type Router struct {
 	// region's inner paths; used for same-region queries with no exact
 	// inner-path match.
 	regionPrefs map[int]pref.Result
-	// multi holds optional multi-preference fits per T-edge; see
-	// EnableMultiPreferences.
-	multi map[int]pref.MultiResult
 	// scratch is this handle's region-search state, allocated on its
 	// first query. Query state like eng's: every clone constructor must
 	// drop it, or two handles would share one search.
@@ -365,9 +362,9 @@ func (r *Router) EnableCH(_ ch.Config) time.Duration { return 0 }
 
 // PrepareMetrics pre-customizes the hierarchy for every metric the
 // router currently routes on — the three scalar weights plus each
-// distinct ⟨master, slave⟩ preference applied on a region edge, learned
-// per region, or fitted by EnableMultiPreferences — so queries never pay
-// metric customization inline. Metrics already customized are shared,
+// distinct ⟨master, slave⟩ preference applied on a region edge or
+// learned per region — so queries never pay metric customization
+// inline. Metrics already customized are shared,
 // not redone: after an ingest that re-learned preferences, only
 // combinations never seen before cost anything, and those are
 // customized together in one sweep. It returns the number of metrics
@@ -391,8 +388,8 @@ func (r *Router) prepareMetrics(eng *route.CHEngine) int {
 
 // MetricKeys lists, once each, the metrics the router routes on — the
 // set Load and PrepareMetrics customize: the three scalar weights,
-// then every preference a region edge carries, one learned per region,
-// or one EnableMultiPreferences fitted.
+// then every preference a region edge carries or one learned per
+// region.
 func (r *Router) MetricKeys() []route.MetricKey {
 	var seen [roadnet.NumCostWeights][1 << roadnet.NumRoadTypes]bool
 	keys := make([]route.MetricKey, 0, 16)
@@ -413,11 +410,6 @@ func (r *Router) MetricKeys() []route.MetricKey {
 	for _, res := range r.regionPrefs {
 		add(res.Preference)
 	}
-	for _, mr := range r.multi {
-		for _, wp := range mr.Prefs {
-			add(wp.Preference)
-		}
-	}
 	return keys
 }
 
@@ -425,8 +417,8 @@ func (r *Router) MetricKeys() []route.MetricKey {
 // serving write path: after Ingest re-learned the preferences of
 // exactly IngestStats.TouchedEdges, only those edges can have
 // introduced a never-customized ⟨master, slave⟩ combination — region
-// and multi preferences are fixed at build/enable time. Scanning just
-// the touched IDs keeps the per-swap customize cost proportional to
+// preferences are fixed at build time. Scanning just the touched IDs
+// keeps the per-swap customize cost proportional to
 // the batch, not to the region graph. Unknown IDs are skipped, so
 // callers may pass IngestStats.TouchedEdges verbatim.
 func (r *Router) PrepareMetricsTouched(touched []int) int {

@@ -46,13 +46,12 @@
 // Every pref.Learner the package constructs runs on a fork of r.eng,
 // so its searches run on the router's own hierarchy (which is
 // therefore contracted before phase 2a of the build). derive learns on
-// forks of one route.CHEngine.PassFork, Ingest and
-// EnableMultiPreferences on plain forks (package pref, "Engines", has
-// the residency rules). Those two take a learner from the router's
-// sync.Pool, which setEngine starts with each new engine (finishBuild,
-// Load) and every clone shares: consecutive ingests reuse one
-// learner's scratch, concurrent ones each get their own, and idle ones
-// are garbage. The pool's learners share one pref.Memo, which setEngine
+// forks of one route.CHEngine.PassFork, Ingest on plain forks (package
+// pref, "Engines", has the residency rules). Ingest takes a learner
+// from the router's sync.Pool, which setEngine starts with each new
+// engine (finishBuild, Load) and every clone shares: consecutive
+// ingests reuse one learner's scratch, concurrent ones each get their
+// own, and idle ones are garbage. The pool's learners share one pref.Memo, which setEngine
 // starts empty beside the pool, so a ground truth one ingest of the
 // lineage scored is not searched for again by a later ingest or a
 // sibling clone's (package pref, "Memo rule").
@@ -100,15 +99,15 @@
 //     routing applies, so the bitset that guards the edge guards the fit
 //     and there is no second store with a copy discipline of its own.
 //   - Rebind, never patch, for the maps. derive assigns a fresh
-//     regionPrefs, EnableMultiPreferences a fresh multi; nothing
-//     inserts into a map the parent also holds. PrepareMetrics* only
-//     adds metric versions to the CH table behind its atomically
-//     swapped map, which readers of the previous table never see. The lineage memo is the
-//     one structure every generation writes into: it is safe for
-//     concurrent use, and what it holds is a function of the immutable
-//     road network and a ground-truth path, so no generation's fits
-//     depend on which generation wrote it. setEngine resets it with the
-//     pool, and it is never persisted.
+//     regionPrefs; nothing inserts into a map the parent also holds.
+//     PrepareMetrics* only adds metric versions to the CH table behind
+//     its atomically swapped map, which readers of the previous table
+//     never see. The lineage memo is the one structure every
+//     generation writes into: it is safe for concurrent use, and what
+//     it holds is a function of the immutable road network and a
+//     ground-truth path, so no generation's fits depend on which
+//     generation wrote it. setEngine resets it with the pool, and it is
+//     never persisted.
 //   - Own copy for meta and stats. They are plain values in the struct
 //     copy, so SetName, SetGeneration, Save's generation stamp and the
 //     Stats refresh stay on the clone.

@@ -70,6 +70,13 @@ type RetransduceStats struct {
 // the pre- or post-rebuild snapshot and re-running maintenance lands
 // on the same router.
 //
+// Both hold on the road network the router holds. Save writes the road
+// with roadnet.WriteTSV, which rounds weights to %.3f (fuel %.6f), so a
+// Load-ed router is a fixed point of Retransduce on its loaded road,
+// not on the builder's: its first Retransduce can relearn similarities
+// about 1e-7 away from the builder's, and change a preference where two
+// candidates tie that closely.
+//
 // Like Ingest, Retransduce mutates built state: run it on an
 // IngestClone, where every mutated edge is privatized first, so the
 // parent keeps serving reads race-free while the rebuild runs.

@@ -14,9 +14,13 @@
 //
 //   - Convergence: a router maintained online (incremental ingest
 //     batches + Retransduce) equals one rebuilt from scratch over the
-//     same region partition and the union of all evidence — path sets,
-//     transfer centers and transduction inputs all accumulate
-//     canonically.
+//     same road network, region partition and union of all evidence —
+//     path sets, transfer centers and transduction inputs all
+//     accumulate canonically. The road is the one the router holds: a
+//     Save → Load router holds the artifact's copy, whose weights
+//     roadnet.WriteTSV rounded to %.3f (fuel %.6f), so its rebuilds
+//     converge there, and can relearn similarities about 1e-7 away
+//     from those the builder learned on the unrounded road.
 //   - Crash equivalence: Retransduce is idempotent and the publish is
 //     an atomic snapshot swap followed by a checkpoint, so a crash at
 //     any point recovers either the old or the new model — never a

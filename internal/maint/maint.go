@@ -41,13 +41,6 @@ type Config struct {
 	Core core.Options
 }
 
-// capacity caps the accumulator's retained count (/debug/maint's
-// retained); evidence beyond it counts as evicted. The accumulator
-// keeps counts, not paths: eviction never loses model evidence,
-// because the region graph itself accumulates every ingested path
-// exactly.
-const capacity = 4096
-
 func (c Config) withDefaults() Config {
 	if c.DriftTV == 0 {
 		c.DriftTV = 0.25
@@ -110,7 +103,6 @@ type Maintainer struct {
 	seeded   int // of which re-seeded from WAL recovery at attach
 
 	accumulated atomic.Uint64
-	evicted     atomic.Uint64
 	rebuilds    atomic.Uint64
 	failures    atomic.Uint64
 
@@ -139,7 +131,7 @@ func Attach(e *serve.Engine, cfg Config) *Maintainer {
 	}
 	m.rebase(e.Snapshot())
 	m.seeded = e.TakeRecoveredEvidence()
-	m.add(m.seeded)
+	m.evidence = m.seeded
 	e.Attach(m)
 	go m.loop()
 	return m
@@ -188,17 +180,8 @@ func (m *Maintainer) OfferTrajectories(ts []*traj.Trajectory) {
 	}
 	m.accumulated.Add(uint64(n))
 	m.mu.Lock()
-	m.add(n)
-	m.mu.Unlock()
-}
-
-// add counts n more trajectories of evidence, and as evicted the ones
-// beyond capacity. Caller holds mu (or is still single-threaded in
-// Attach).
-func (m *Maintainer) add(n int) {
-	before := max(m.evidence-capacity, 0)
 	m.evidence += n
-	m.evicted.Add(uint64(max(m.evidence-capacity, 0) - before))
+	m.mu.Unlock()
 }
 
 // Published is told that a new snapshot swapped in —
@@ -309,9 +292,7 @@ func (m *Maintainer) rebuildOnce(ctx context.Context, trigger string) (core.Retr
 // (Stats().Maintenance).
 func (m *Maintainer) MaintStats() serve.MaintStats {
 	ms := serve.MaintStats{
-		Capacity:        capacity,
 		Accumulated:     m.accumulated.Load(),
-		Evicted:         m.evicted.Load(),
 		DriftThreshold:  m.cfg.DriftTV,
 		MinEvidence:     m.cfg.MinEvidence,
 		Interval:        m.cfg.Interval,
@@ -319,7 +300,6 @@ func (m *Maintainer) MaintStats() serve.MaintStats {
 		RebuildFailures: m.failures.Load(),
 	}
 	m.mu.Lock()
-	ms.Retained = min(m.evidence, capacity)
 	ms.EvidenceSinceRebuild = m.evidence
 	ms.RecoverySeeded = m.seeded
 	m.mu.Unlock()

@@ -293,14 +293,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestMaintAccumulatorBounds: the evidence ring honors its capacity,
-// evicting oldest-first and counting what it dropped; eviction is
-// bookkeeping only — the trigger counter keeps every offer.
+// TestMaintAccumulatorBounds: the accumulator keeps counts, not paths,
+// so nothing caps it — past the default evidence threshold of 4,096 the
+// trigger counter and the offered total still hold every offer.
 func TestMaintAccumulatorBounds(t *testing.T) {
 	_, m, _, live := buildMaintEngine(t, 59, 300, Config{})
 	defer m.Close()
 
-	const offered = capacity + 4
+	const offered = 4096 + 4
 	var batch []*traj.Trajectory
 	for i := 0; len(batch) < offered; i++ {
 		if tr := live[i%len(live)]; len(tr.Truth) >= 2 {
@@ -309,14 +309,8 @@ func TestMaintAccumulatorBounds(t *testing.T) {
 	}
 	m.OfferTrajectories(batch)
 	st := m.MaintStats()
-	if st.Retained != capacity || st.Capacity != capacity {
-		t.Fatalf("retained %d/%d, want %d/%d", st.Retained, st.Capacity, capacity, capacity)
-	}
-	if st.Evicted != 4 || st.Accumulated != offered {
-		t.Fatalf("evicted %d accumulated %d, want 4/%d", st.Evicted, st.Accumulated, offered)
-	}
-	if st.EvidenceSinceRebuild != offered {
-		t.Fatalf("evidence %d, want %d (eviction must not shrink the trigger counter)", st.EvidenceSinceRebuild, offered)
+	if st.Accumulated != offered || st.EvidenceSinceRebuild != offered {
+		t.Fatalf("accumulated %d evidence %d, want %d/%d", st.Accumulated, st.EvidenceSinceRebuild, offered, offered)
 	}
 }
 
@@ -364,9 +358,9 @@ func TestMaintEndpointAndStats(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Maintenance.Retained != 8 || body.Maintenance.EvidenceSinceRebuild != 8 {
-		t.Fatalf("endpoint stats retained=%d evidence=%d, want 8/8",
-			body.Maintenance.Retained, body.Maintenance.EvidenceSinceRebuild)
+	if body.Maintenance.Accumulated != 8 || body.Maintenance.EvidenceSinceRebuild != 8 {
+		t.Fatalf("endpoint stats accumulated=%d evidence=%d, want 8/8",
+			body.Maintenance.Accumulated, body.Maintenance.EvidenceSinceRebuild)
 	}
 
 	st := e.Stats()
@@ -386,7 +380,7 @@ func TestMaintEndpointAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"l2r_maint_retained", "l2r_maint_rebuilds_total", "l2r_maint_drift_tv"} {
+	for _, name := range []string{"l2r_maint_accumulated_total", "l2r_maint_evidence_since_rebuild", "l2r_maint_rebuilds_total", "l2r_maint_drift_tv"} {
 		if !strings.Contains(string(sb), name) {
 			t.Fatalf("/metrics missing %s", name)
 		}
@@ -469,9 +463,9 @@ func TestMaintRecoverySeeding(t *testing.T) {
 	defer m.Close()
 
 	st := m.MaintStats()
-	if st.RecoverySeeded != 24 || st.Retained != 24 || st.EvidenceSinceRebuild != 24 {
-		t.Fatalf("recovery seeded %d retained %d evidence %d, want 24/24/24: %+v",
-			st.RecoverySeeded, st.Retained, st.EvidenceSinceRebuild, st)
+	if st.RecoverySeeded != 24 || st.EvidenceSinceRebuild != 24 {
+		t.Fatalf("recovery seeded %d evidence %d, want 24/24: %+v",
+			st.RecoverySeeded, st.EvidenceSinceRebuild, st)
 	}
 
 	// The seeded evidence counts toward the next rebuild; the rebuild
@@ -496,7 +490,7 @@ func TestMaintExternalPublishResets(t *testing.T) {
 		t.Fatalf("evidence = %d, want 8", st.EvidenceSinceRebuild)
 	}
 	e.Publish(e.Snapshot().IngestClone())
-	if st := m.MaintStats(); st.EvidenceSinceRebuild != 0 || st.Retained != 0 {
+	if st := m.MaintStats(); st.EvidenceSinceRebuild != 0 || st.RecoverySeeded != 0 {
 		t.Fatalf("external publish did not reset the accumulator: %+v", st)
 	}
 }

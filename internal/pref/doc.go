@@ -11,11 +11,8 @@
 // reporting a training Similarity that downstream stages use as a
 // confidence gate (0.7, core's minConfidence) before applying a
 // preference at query time or trusting it as a transfer label
-// (internal/transfer).
-//
-// MultiLearn extends the model with secondary preference fits per
-// T-edge (MultiResult) — the paper's future-work item of Section VIII
-// — surfaced as ranked alternatives by core.Router.RouteK.
+// (internal/transfer). A preference's slave is NoSlave or one of
+// CandidateSlaves — what Preference.Valid accepts.
 //
 // # Search elimination
 //
@@ -116,10 +113,10 @@
 // customizes like any other. Two residency rules keep learning from
 // leaving behind a metric serving would not keep anyway:
 //
-//   - On a plain fork (core's Ingest, EnableMultiPreferences) the
-//     hierarchy answers only when the shared table holds the metric, one
-//     a served preference applies; a customization costs about a dozen
-//     Dijkstra searches, so the rest fall back to the learner's Dijkstra.
+//   - On a plain fork (core's Ingest) the hierarchy answers only when
+//     the shared table holds the metric, one a served preference
+//     applies; a customization costs about a dozen Dijkstra searches,
+//     so the rest fall back to the learner's Dijkstra.
 //   - On a pass fork (CHEngine.PassFork, under core's Build and
 //     Retransduce) it always answers, customizing a missing masked
 //     metric into the fork's private overlay: 18 bytes per skeleton arc

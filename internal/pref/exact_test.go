@@ -3,7 +3,6 @@ package pref_test
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -55,9 +54,9 @@ func sameResult(a, b pref.Result) bool {
 // with master searches on a CCH fork, and on a pass fork where every
 // search is a CCH query — to the exhaustive reference, bit for bit, on
 // every T-edge path set of three generated cities at two scales;
-// LearnPerPath and LearnMulti on every T-edge at bench scale and every
-// eighth at ci. It also checks the search ledger: what the learner ran,
-// reused and bounded adds up to the reference's count, and the searches
+// LearnPerPath on every T-edge at bench scale and every eighth at ci.
+// It also checks the search ledger: what the learner ran, reused and
+// bounded adds up to the reference's count, and the searches
 // it counts as answered on the hierarchy are the ones that could be.
 //
 // Under the race detector the ci cities (90 s each there, against 10 s)
@@ -95,10 +94,8 @@ func TestLearnMatchesExhaustive(t *testing.T) {
 					want := ref.Learn(ps)
 					exhaustive := ref.Searches - before
 					var wantPer []pref.Result
-					var wantMulti pref.MultiResult
 					if i%stride == 0 {
 						wantPer = ref.LearnPerPath(ps)
-						wantMulti = ref.LearnMulti(ps, 3, 0.2)
 					}
 					for name, l := range learners {
 						ledger := l.Searches.Total()
@@ -121,12 +118,6 @@ func TestLearnMatchesExhaustive(t *testing.T) {
 							if !sameResult(gotPer[j], wantPer[j]) {
 								t.Fatalf("%s, T-edge %d, path %d: LearnPerPath = %+v, exhaustive = %+v", name, i, j, gotPer[j], wantPer[j])
 							}
-						}
-						// MultiResult holds only comparable scalars and
-						// the similarity of every entry comes from one
-						// Learn call, so DeepEqual is the bitwise check.
-						if gotMulti := l.LearnMulti(ps, 3, 0.2); !reflect.DeepEqual(gotMulti, wantMulti) {
-							t.Fatalf("%s, T-edge %d: LearnMulti = %+v, exhaustive = %+v", name, i, gotMulti, wantMulti)
 						}
 					}
 				}

@@ -259,10 +259,8 @@ func (l *Learner) appendRestricted(buf roadnet.Path, src, dst roadnet.VertexID, 
 	return path, ok, false
 }
 
-// sample draws the paths Learn uses from a path set into a new slice.
-func (l *Learner) sample(paths []roadnet.Path) []roadnet.Path { return l.sampleInto(nil, paths) }
-
-// sampleInto is sample drawing into buf's storage.
+// sampleInto draws the paths Learn uses from a path set into buf's
+// storage.
 func (l *Learner) sampleInto(buf, paths []roadnet.Path) []roadnet.Path {
 	sample := buf[:0]
 	for _, p := range paths {

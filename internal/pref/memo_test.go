@@ -2,7 +2,6 @@ package pref_test
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -51,7 +50,6 @@ func learnLikeFresh(memoized, fresh *pref.Learner, paths []roadnet.Path) string 
 // Dijkstra, with the master searches on a CCH fork and with every
 // search on a pass fork — and once more with the memo's cap lowered so
 // that Learn clears it again and again.
-// LearnMulti on the warm memo matches too.
 func TestLearnMemoMatchesFresh(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if raceEnabled {
@@ -62,7 +60,6 @@ func TestLearnMemoMatchesFresh(t *testing.T) {
 			t.Parallel()
 			w := worldgen.Build(worldgen.MustScale(worldgen.ScaleBench, seed))
 			chain := learnChain(w)
-			sets := tEdgePathSets(w)
 			che := route.BuildCHEngine(w.Road, roadnet.TT, ch.Config{})
 			for _, c := range []struct {
 				name string
@@ -95,11 +92,6 @@ func TestLearnMemoMatchesFresh(t *testing.T) {
 				}
 				if c.cap > 0 && resets == 0 {
 					t.Fatalf("%s: the memo never filled over %d Learns", c.name, len(chain))
-				}
-				for i, ps := range sets {
-					if got, want := memoized.LearnMulti(ps, 3, 0.2), fresh.LearnMulti(ps, 3, 0.2); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s, T-edge %d: LearnMulti = %+v, without the memo %+v", c.name, i, got, want)
-					}
 				}
 				s := memoized.Searches
 				if s.Memo == 0 {

@@ -79,11 +79,23 @@ type Preference struct {
 	Slave  SlaveFeature
 }
 
-// Valid reports whether p names a cost weight and only road types that
-// exist — what a preference read from an artifact must satisfy.
+// Valid reports whether p names a cost weight and a slave some pipeline
+// can produce — NoSlave or one of CandidateSlaves — what a preference
+// read from an artifact must satisfy. It bounds the metrics Load
+// customizes at NumCostWeights × (1 + len(CandidateSlaves())).
 func (p Preference) Valid() bool {
-	return p.Master < roadnet.NumCostWeights && p.Slave < 1<<roadnet.NumRoadTypes
+	return p.Master < roadnet.NumCostWeights && producible>>p.Slave&1 != 0
 }
+
+// producible has bit s set for every slave feature s a preference can
+// carry: NoSlave and each of CandidateSlaves.
+var producible = func() uint64 {
+	set := uint64(1) << NoSlave
+	for _, s := range CandidateSlaves() {
+		set |= 1 << s
+	}
+	return set
+}()
 
 // String implements fmt.Stringer, e.g. "⟨TT, motorway+trunk⟩".
 func (p Preference) String() string {

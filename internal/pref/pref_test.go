@@ -145,6 +145,36 @@ func TestCandidateSlaves(t *testing.T) {
 	}
 }
 
+// TestValidMeansProducible: Valid accepts exactly the preferences a
+// pipeline can emit — a cost weight with NoSlave or a candidate slave —
+// and allocates nothing doing so.
+func TestValidMeansProducible(t *testing.T) {
+	producible := map[SlaveFeature]bool{NoSlave: true}
+	for _, s := range CandidateSlaves() {
+		producible[s] = true
+	}
+	valid := 0
+	for w := roadnet.Weight(0); w <= roadnet.NumCostWeights; w++ {
+		for s := 0; s < 256; s++ {
+			p := Preference{Master: w, Slave: SlaveFeature(s)}
+			want := w < roadnet.NumCostWeights && producible[p.Slave]
+			if p.Valid() != want {
+				t.Errorf("%v (slave %#x): Valid = %v, want %v", p, s, !want, want)
+			}
+			if want {
+				valid++
+			}
+		}
+	}
+	if want := int(roadnet.NumCostWeights) * len(producible); valid != want {
+		t.Errorf("%d valid preferences, want %d", valid, want)
+	}
+	p := Preference{Master: roadnet.FC, Slave: Collectors}
+	if n := testing.AllocsPerRun(100, func() { p.Valid() }); n != 0 {
+		t.Errorf("Valid allocates %v times per call", n)
+	}
+}
+
 // learnFrom generates ground-truth paths under a planted preference and
 // checks the learner recovers its master dimension.
 func TestLearnerRecoversPlantedMaster(t *testing.T) {

@@ -26,7 +26,7 @@ func NewExhaustive(g *roadnet.Graph) *Exhaustive {
 
 // Learn is the reference for Learner.Learn.
 func (x *Exhaustive) Learn(paths []roadnet.Path) Result {
-	sample := x.cfg.sample(paths)
+	sample := x.cfg.sampleInto(nil, paths)
 	if len(sample) == 0 {
 		return Result{Preference: Preference{Master: roadnet.TT}, Similarity: 0}
 	}
@@ -83,10 +83,4 @@ func (x *Exhaustive) LearnPerPath(paths []roadnet.Path) []Result {
 		out = append(out, x.Learn([]roadnet.Path{p}))
 	}
 	return out
-}
-
-// LearnMulti is the reference for Learner.LearnMulti: the same grouping
-// code over the reference Learn.
-func (x *Exhaustive) LearnMulti(paths []roadnet.Path, maxPrefs int, minSupport float64) MultiResult {
-	return learnMulti(x.cfg.sample(paths), x.Learn, maxPrefs, minSupport)
 }

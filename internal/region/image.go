@@ -249,10 +249,14 @@ func (m *image) writeList(p []roadnet.VertexID, path bool) {
 	}
 	m.escaped = m.escaped[:0]
 	var b byte
+	// The step table is read through a local: re-read through m on
+	// every step, its header made a ci checkpoint's Save take up to
+	// twice as long, depending on where the heap put m.
+	heads := m.heads
 	for i := 1; i < len(p); i++ {
 		k := byte(escape)
-		for j := 0; j < m.heads.w && p[i] >= 0; j++ {
-			if m.heads.step(p[i-1], j) == p[i] {
+		for j := 0; j < heads.w && p[i] >= 0; j++ {
+			if heads.step(p[i-1], j) == p[i] {
 				k = byte(j)
 				break
 			}

@@ -52,27 +52,12 @@ func OutTypeMasks(g *roadnet.Graph) []SlaveMask {
 	return out
 }
 
-// MetricKey names a scalar or preference metric: weight W, restricted
-// by slave mask Mask when it is non-zero.
+// MetricKey names one customized metric: weight W, restricted by slave
+// mask Mask when it is non-zero.
 type MetricKey struct {
 	W    roadnet.Weight
 	Mask SlaveMask
 }
-
-// metricKey identifies one customized metric: a scalar weight (mask 0),
-// a preference-filtered weight (mask != 0), or a hash-interned custom
-// cost function (custom != 0, w/mask unused).
-type metricKey struct {
-	w      roadnet.Weight
-	mask   SlaveMask
-	custom uint64
-}
-
-// maxCustomMetrics bounds the hash-interned custom-cost metrics kept
-// customized at once; beyond it the oldest is dropped (FIFO) and would
-// be re-customized on demand. Scalar and preference metrics are never
-// evicted — their key space is tiny (weights × learned slave features).
-const maxCustomMetrics = 8
 
 // metricTable is the shared, metric-versioned side of a CCH engine: one
 // immutable ch.Metric per key (its weights and a byte per arc and
@@ -80,26 +65,26 @@ const maxCustomMetrics = 8
 // triangle table), behind an atomically swapped map so
 // queries on any fork read lock-free while a writer customizes a new
 // metric. Customization replaces the map, never a Metric in place —
-// in-flight queries keep the version they loaded.
+// in-flight queries keep the version they loaded. A resident metric is
+// never dropped: the key space is tiny (weights × slave masks).
 type metricTable struct {
 	topo *ch.Topology
 
 	mu      sync.Mutex // serializes writers (customizations)
-	metrics atomic.Pointer[map[metricKey]*ch.Metric]
-	customs []metricKey // FIFO of custom-cost keys, for eviction
+	metrics atomic.Pointer[map[MetricKey]*ch.Metric]
 
 	customized atomic.Uint64 // total customizations run (telemetry/tests)
 }
 
 func newMetricTable(topo *ch.Topology) *metricTable {
 	t := &metricTable{topo: topo}
-	m := make(map[metricKey]*ch.Metric)
+	m := make(map[MetricKey]*ch.Metric)
 	t.metrics.Store(&m)
 	return t
 }
 
 // get returns the customized metric for k, or nil.
-func (t *metricTable) get(k metricKey) *ch.Metric {
+func (t *metricTable) get(k MetricKey) *ch.Metric {
 	return (*t.metrics.Load())[k]
 }
 
@@ -109,11 +94,11 @@ func (t *metricTable) get(k metricKey) *ch.Metric {
 // one ch.Topology.CustomizeAll call under cost(k), a metric per core, so
 // cost(k)'s functions must be safe to call concurrently. It returns the
 // table it leaves, which holds every key, and how many metrics it added.
-func (t *metricTable) add(keys []metricKey, from func(metricKey) *ch.Metric, cost func(metricKey) func(roadnet.EdgeID) float64) (map[metricKey]*ch.Metric, int) {
+func (t *metricTable) add(keys []MetricKey, from func(MetricKey) *ch.Metric, cost func(MetricKey) func(roadnet.EdgeID) float64) (map[MetricKey]*ch.Metric, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old := *t.metrics.Load() // holds what a writer this one waited for added
-	var added []metricKey
+	var added []MetricKey
 	var ms []*ch.Metric // added's metrics
 	var sweep []int     // indexes into added of the metrics to customize
 	var costs []func(roadnet.EdgeID) float64
@@ -138,17 +123,10 @@ func (t *metricTable) add(keys []metricKey, from func(metricKey) *ch.Metric, cos
 		ms[sweep[x]] = m
 	}
 	t.customized.Add(uint64(len(costs)))
-	next := make(map[metricKey]*ch.Metric, len(old)+len(added))
+	next := make(map[MetricKey]*ch.Metric, len(old)+len(added))
 	maps.Copy(next, old)
 	for x, k := range added {
 		next[k] = ms[x]
-		if k.custom != 0 { // one at a time, so the oldest evicted is never k
-			t.customs = append(t.customs, k)
-			if len(t.customs) > maxCustomMetrics {
-				delete(next, t.customs[0])
-				t.customs = t.customs[1:]
-			}
-		}
 	}
 	t.metrics.Store(&next)
 	return next, len(added)
@@ -161,13 +139,12 @@ func (t *metricTable) add(keys []metricKey, from func(metricKey) *ch.Metric, cos
 // preference searches (RoutePref: the slave restriction depends only on
 // each vertex's static out-edge types, so it is exactly Dijkstra over a
 // statically filtered edge set, i.e. a fixed metric with forbidden edges
-// at +Inf), and custom cost functions (CustomRoute, hash-interned).
+// at +Inf).
 //
 // Forks share the topology and the metric table; each fork owns one
 // ch.MetricQuery scratch (allocated on first use, reused across queries
 // AND across metrics: each query leaves its labels +Inf, as it found
-// them) plus a small buffer for custom
-// cost hashing. Customizing a new metric happens at most once per key,
+// them). Customizing a new metric happens at most once per key,
 // serialized on the table; queries never block on it unless they are
 // the first to need that key. A pass fork customizes masked metrics
 // into a private overlay (package doc, "Pass forks and adoption").
@@ -179,8 +156,7 @@ type CHEngine struct {
 	pass *metricTable // a pass fork's overlay; nil on every other fork
 	out  []SlaveMask  // OutTypeMasks(g), which every masked metric's cost reads
 
-	q       *ch.MetricQuery // lazy per-fork query scratch
-	costBuf []float64       // lazy per-fork custom-cost staging buffer
+	q *ch.MetricQuery // lazy per-fork query scratch
 }
 
 // NewCHEngine wraps a prebuilt topology over g, customizing the base
@@ -218,7 +194,7 @@ func (c *CHEngine) Customizations() uint64 { return c.tab.customized.Load() }
 
 // Resident reports whether the shared table holds the ⟨w, mask⟩ metric.
 func (c *CHEngine) Resident(w roadnet.Weight, mask SlaveMask) bool {
-	return c.tab.get(metricKey{w: w, mask: mask}) != nil
+	return c.tab.get(MetricKey{W: w, Mask: mask}) != nil
 }
 
 // ResidentMetrics returns how many metrics the shared table holds.
@@ -248,13 +224,12 @@ func (c *CHEngine) query() *ch.MetricQuery {
 	return c.q
 }
 
-// cost is the customization cost function for a scalar or preference
-// key: weight w with the slave mask applied — a masked-out edge costs
-// +Inf exactly when its tail vertex has some mask-satisfying out-edge
-// (Algorithm 2's case (i)); vertices with none relax everything (case
-// (ii)).
-func (c *CHEngine) cost(k metricKey) func(roadnet.EdgeID) float64 {
-	g, w, mask := c.g, k.w, k.mask
+// cost is the customization cost function for a key: weight w with
+// the slave mask applied — a masked-out edge costs +Inf exactly when
+// its tail vertex has some mask-satisfying out-edge (Algorithm 2's case
+// (i)); vertices with none relax everything (case (ii)).
+func (c *CHEngine) cost(k MetricKey) func(roadnet.EdgeID) float64 {
+	g, w, mask := c.g, k.W, k.Mask
 	if mask == 0 {
 		return func(e roadnet.EdgeID) float64 { return g.EdgeWeight(e, w) }
 	}
@@ -275,16 +250,16 @@ func (c *CHEngine) cost(k metricKey) func(roadnet.EdgeID) float64 {
 // published with one swap of the table. The serving layer calls it on
 // the ingest path so queries never pay customization inline.
 func (c *CHEngine) PrepareAll(keys []MetricKey) int {
-	var need []metricKey // resident keys are skipped without the table's lock
+	var need []MetricKey // resident keys are skipped without the table's lock
 	for _, k := range keys {
-		if mk := (metricKey{w: k.W, mask: k.Mask}); c.tab.get(mk) == nil {
-			need = append(need, mk)
+		if c.tab.get(k) == nil {
+			need = append(need, k)
 		}
 	}
 	if len(need) == 0 {
 		return 0
 	}
-	var from func(metricKey) *ch.Metric
+	var from func(MetricKey) *ch.Metric
 	if c.pass != nil {
 		from = c.pass.get
 	}
@@ -296,7 +271,7 @@ func (c *CHEngine) PrepareAll(keys []MetricKey) int {
 // it: into the overlay for a pass fork's masked metrics, else into the
 // shared table.
 func (c *CHEngine) metric(w roadnet.Weight, mask SlaveMask) *ch.Metric {
-	k := metricKey{w: w, mask: mask}
+	k := MetricKey{W: w, Mask: mask}
 	t := c.tab
 	if c.pass != nil && mask != 0 && t.get(k) == nil {
 		t = c.pass
@@ -304,7 +279,7 @@ func (c *CHEngine) metric(w roadnet.Weight, mask SlaveMask) *ch.Metric {
 	if m := t.get(k); m != nil {
 		return m
 	}
-	tab, _ := t.add([]metricKey{k}, nil, c.cost)
+	tab, _ := t.add([]MetricKey{k}, nil, c.cost)
 	return tab[k]
 }
 
@@ -349,40 +324,4 @@ func (c *CHEngine) Shortest(s, d roadnet.VertexID) (roadnet.Path, float64, bool)
 // the hierarchy.
 func (c *CHEngine) RoutePref(s, d roadnet.VertexID, w roadnet.Weight, slave SlavePredicate) (roadnet.Path, float64, bool) {
 	return c.query().Route(c.metric(w, MaskOf(slave)), s, d)
-}
-
-// CustomRoute implements PathEngine on the hierarchy: the cost function
-// is evaluated once per edge into a staging buffer, hashed, and the
-// resulting metric interned in the shared table — repeated queries under
-// the same cost function (the common pattern: a learned weighting
-// queried many times) customize once and then pay only the buffer hash
-// plus a CCH query. At most maxCustomMetrics distinct custom metrics
-// stay resident.
-func (c *CHEngine) CustomRoute(s, d roadnet.VertexID, cost func(roadnet.EdgeID) float64) (roadnet.Path, float64, bool) {
-	if c.costBuf == nil {
-		c.costBuf = make([]float64, c.g.NumEdges())
-	}
-	h := uint64(14695981039346656037) // FNV-64a offset basis
-	for e := range c.costBuf {
-		v := cost(roadnet.EdgeID(e))
-		c.costBuf[e] = v
-		bits := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			h ^= (bits >> s) & 0xff
-			h *= 1099511628211
-		}
-	}
-	if h == 0 {
-		h = 1 // keep the custom-key marker nonzero
-	}
-	buf := c.costBuf
-	k := metricKey{custom: h}
-	m := c.tab.get(k)
-	if m == nil {
-		tab, _ := c.tab.add([]metricKey{k}, nil, func(metricKey) func(roadnet.EdgeID) float64 {
-			return func(e roadnet.EdgeID) float64 { return buf[e] }
-		})
-		m = tab[k]
-	}
-	return c.query().Route(m, s, d)
 }

@@ -13,10 +13,13 @@
 // # The PathEngine seam
 //
 // PathEngine is the pluggable backend: Graph, Fork, Route, AppendRoute
-// (Route into a caller-owned buffer), Fastest, Shortest, RoutePref and
-// CustomRoute. The preference learner's searches, the baselines, the
-// trajectory simulator and the experiment harness hold a PathEngine,
-// so speed-up techniques plug in beneath all of them at once.
+// (Route into a caller-owned buffer), Fastest, Shortest and RoutePref.
+// The preference learner's searches, the baselines, the trajectory
+// simulator and the experiment harness hold a PathEngine, so speed-up
+// techniques plug in beneath all of them at once. CustomRoute, a
+// search under an arbitrary edge cost function, is Dijkstra-only: it
+// is Engine's, and the baselines and the simulator's per-driver costs
+// that call it hold an Engine.
 // core.Router holds a CHEngine: its unified routing (approach
 // searches, fastest fallbacks, connector stitching), and the serving
 // layer above it, always run on the hierarchy. Two implementations
@@ -27,8 +30,8 @@
 //     contraction hierarchy (internal/ch), contracted once and
 //     customized per metric — the scalar weights, Algorithm 2's
 //     preference searches (the slave restriction is static, so it is a
-//     metric with forbidden edges at +Inf) and hash-interned custom
-//     cost functions. Nothing falls back to Dijkstra.
+//     metric with forbidden edges at +Inf). Nothing falls back to
+//     Dijkstra.
 //
 // # The slave restriction as a table
 //
@@ -71,12 +74,12 @@
 //
 // The query state is scratch: Engine's distance/parent arrays and
 // heap, CHEngine's one ch.MetricQuery (labels, chain and unpack
-// buffers, shared across every metric the fork routes on) and its
-// custom-cost staging buffer. All of it belongs to the fork and is
-// overwritten by the fork's next query. A path a PathEngine returns
-// never aliases it: Route, Fastest, Shortest, RoutePref and CustomRoute
-// hand over a fresh exact-size slice (one allocation per path), which
-// callers keep across later queries on the same engine — core.Router
+// buffers, shared across every metric the fork routes on). All of it
+// belongs to the fork and is overwritten by the fork's next query. A
+// path an engine returns never aliases it: Route, Fastest, Shortest,
+// RoutePref and Engine's CustomRoute hand over a fresh exact-size
+// slice (one allocation per path), which callers keep across later
+// queries on the same engine — core.Router
 // slices its Case-2 approach paths out of one and reads them after the
 // next search, caches share them across goroutines. AppendRoute is the
 // exception by construction: it writes into the caller's buffer, for

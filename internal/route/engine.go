@@ -39,9 +39,6 @@ type PathEngine interface {
 	// while the slave predicate restricts expansion. A nil slave gives
 	// classical Dijkstra under w.
 	RoutePref(s, d roadnet.VertexID, w roadnet.Weight, slave SlavePredicate) (roadnet.Path, float64, bool)
-	// CustomRoute runs a search under an arbitrary non-negative edge
-	// cost function.
-	CustomRoute(s, d roadnet.VertexID, cost func(roadnet.EdgeID) float64) (roadnet.Path, float64, bool)
 }
 
 var (

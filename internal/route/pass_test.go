@@ -64,7 +64,7 @@ func TestPassForkOverlay(t *testing.T) {
 	if base.Customizations() != customized || !base.Resident(roadnet.DI, mask) || base.ResidentMetrics() != resident+1 {
 		t.Fatal("PrepareAll customized again instead of adopting the overlay's metric")
 	}
-	if base.tab.get(metricKey{w: roadnet.DI, mask: mask}) != pass.pass.get(metricKey{w: roadnet.DI, mask: mask}) {
+	if base.tab.get(MetricKey{W: roadnet.DI, Mask: mask}) != pass.pass.get(MetricKey{W: roadnet.DI, Mask: mask}) {
 		t.Fatal("the adopted metric is not the overlay's")
 	}
 	if _, _, _, answered := plain.TryAppendRouteMask(nil, 0, 1, roadnet.DI, mask); !answered {
@@ -97,7 +97,7 @@ func TestPrepareAllCountsOnePerMetric(t *testing.T) {
 	if n != 3 || base.Customizations() != 5 || base.ResidentMetrics() != 6 {
 		t.Fatalf("pass-fork batch: added %d, %d customizations, %d resident; want 3, 5, 6", n, base.Customizations(), base.ResidentMetrics())
 	}
-	if k := (metricKey{w: roadnet.FC, mask: m2}); base.tab.get(k) != pass.pass.get(k) {
+	if k := (MetricKey{W: roadnet.FC, Mask: m2}); base.tab.get(k) != pass.pass.get(k) {
 		t.Fatal("the batch customized the overlay's metric instead of adopting it")
 	}
 }

@@ -9,21 +9,16 @@ import (
 )
 
 // MaintStats is the background maintainer's point-in-time report:
-// evidence-accumulator occupancy, trigger gauges, and the history of
+// evidence counts, trigger gauges, and the history of
 // clone-rebuild-publish cycles it has driven. Present in Stats()/the
 // /stats body only when a maintainer is attached (internal/maint's
 // Attach).
 type MaintStats struct {
-	// Retained/Capacity describe the bounded evidence accumulator;
-	// Accumulated counts every matched trajectory offered to it since
-	// attach, Evicted the ones the ring displaced, and RecoverySeeded
-	// the ones seeded from WAL replay at start (evidence ingested since
-	// the last checkpoint that must still count toward the next
-	// rebuild's trigger).
-	Retained       int    `json:"retained"`
-	Capacity       int    `json:"capacity"`
+	// Accumulated counts every matched trajectory offered to the
+	// maintainer since attach, and RecoverySeeded the ones seeded from
+	// WAL replay at start (evidence ingested since the last checkpoint
+	// that must still count toward the next rebuild's trigger).
 	Accumulated    uint64 `json:"accumulated"`
-	Evicted        uint64 `json:"evicted"`
 	RecoverySeeded int    `json:"recovery_seeded"`
 
 	// Trigger gauges: evidence accumulated since the last rebuild, the

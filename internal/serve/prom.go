@@ -128,9 +128,7 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 		ms := st.Maintenance
 		pw.Counter("l2r_maint_rebuilds_total", "Maintenance clone-rebuild-publish cycles completed.", float64(ms.Rebuilds), labels...)
 		pw.Counter("l2r_maint_rebuild_failures_total", "Maintenance rebuild cycles that failed and published nothing.", float64(ms.RebuildFailures), labels...)
-		pw.Gauge("l2r_maint_retained", "Matched trajectories held by the evidence accumulator.", float64(ms.Retained), labels...)
 		pw.Counter("l2r_maint_accumulated_total", "Matched trajectories offered to the evidence accumulator.", float64(ms.Accumulated), labels...)
-		pw.Counter("l2r_maint_evicted_total", "Trajectories the bounded accumulator displaced.", float64(ms.Evicted), labels...)
 		pw.Gauge("l2r_maint_evidence_since_rebuild", "Trajectories accumulated since the last rebuild — compared against the evidence trigger threshold.", float64(ms.EvidenceSinceRebuild), labels...)
 		pw.Gauge("l2r_maint_drift_tv", "Preference drift of the served snapshot against the maintainer's post-rebuild baseline — compared against the drift trigger threshold.", ms.DriftTV, labels...)
 		pw.Gauge("l2r_maint_last_rebuild_seconds", "Duration of the most recent maintenance rebuild (0 before the first).", ms.LastRebuildTime.Seconds(), labels...)

@@ -94,8 +94,8 @@ func ExampleRouter_Ingest() {
 }
 
 // ExampleRouter_RouteK demonstrates ranked alternative recommendations,
-// the paper's plural "Recommended Paths" (Fig. 2), with secondary
-// preferences fitted so that minority routes can surface.
+// the paper's plural "Recommended Paths" (Fig. 2): stored trajectory
+// paths first, then cost-diverse ones.
 func ExampleRouter_RouteK() {
 	road := roadnet.Generate(roadnet.Tiny(4))
 	cfg := traj.D2Like(4, 400)
@@ -107,7 +107,6 @@ func ExampleRouter_RouteK() {
 		fmt.Println("build failed:", err)
 		return
 	}
-	router.EnableMultiPreferences(3, 0.15)
 	firstIsRoute, sToD, distinct, withAlternatives := true, true, true, 0
 	for _, t := range test {
 		s, d := t.Source(), t.Destination()
