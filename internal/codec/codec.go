@@ -90,33 +90,61 @@ func FrameLen(b []byte) (n int64, ok bool) {
 // ReadFrameBytes reads one frame of any of the listed versions and
 // returns its version and its verified payload, undecoded.
 func ReadFrameBytes(r io.Reader, versions ...uint16) (uint16, []byte, error) {
+	f, err := ReadFrameUnverified(r, versions...)
+	if err == nil {
+		err = f.Verify()
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	return f.Version, f.Payload, nil
+}
+
+// Frame is a frame read by ReadFrameUnverified: its version, its
+// payload and the checksum its header claims for the payload.
+type Frame struct {
+	Version uint16
+	Payload []byte
+	sum     uint64
+}
+
+// Verify returns ErrCorrupt unless the payload matches the checksum the
+// frame's header claims.
+func (f Frame) Verify() error {
+	h := fnv.New64a()
+	h.Write(f.Payload)
+	if h.Sum64() != f.sum {
+		return ErrCorrupt
+	}
+	return nil
+}
+
+// ReadFrameUnverified is ReadFrameBytes without the checksum: magic,
+// version and length are checked and the payload read in full, but the
+// payload is not verified until the caller calls Verify. Only a
+// decoder that is safe on any payload may read it before then.
+func ReadFrameUnverified(r io.Reader, versions ...uint16) (Frame, error) {
 	var header [FrameHeaderLen]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return 0, nil, fmt.Errorf("codec: reading header: %w", err)
+		return Frame{}, fmt.Errorf("codec: reading header: %w", err)
 	}
 	if !bytes.Equal(header[:4], magic[:]) {
-		return 0, nil, ErrBadMagic
+		return Frame{}, ErrBadMagic
 	}
 	version := binary.BigEndian.Uint16(header[4:6])
 	if !slices.Contains(versions, version) {
-		return 0, nil, fmt.Errorf("%w: artifact v%d, reader accepts v%v", ErrBadVersion, version, versions)
+		return Frame{}, fmt.Errorf("%w: artifact v%d, reader accepts v%v", ErrBadVersion, version, versions)
 	}
 	n := binary.BigEndian.Uint64(header[6:14])
-	want := binary.BigEndian.Uint64(header[14:22])
 	const maxPayload = 1 << 34 // 16 GiB sanity bound
 	if n > maxPayload {
-		return 0, nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, n)
+		return Frame{}, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, n)
 	}
 	payload, err := readPayload(r, n)
 	if err != nil {
-		return 0, nil, fmt.Errorf("%w: short payload: %v", ErrCorrupt, err)
+		return Frame{}, fmt.Errorf("%w: short payload: %v", ErrCorrupt, err)
 	}
-	h := fnv.New64a()
-	h.Write(payload)
-	if h.Sum64() != want {
-		return 0, nil, ErrCorrupt
-	}
-	return version, payload, nil
+	return Frame{Version: version, Payload: payload, sum: binary.BigEndian.Uint64(header[14:22])}, nil
 }
 
 // readChunk is how far a payload buffer may run ahead of the bytes that

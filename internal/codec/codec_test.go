@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -282,6 +283,87 @@ func TestCorruptLengthAllocatesNothing(t *testing.T) {
 		}
 		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
 			t.Fatalf("%s: reading a 22-byte frame claiming 1 GiB allocated %d bytes", name, d)
+		}
+	}
+}
+
+// frameVectors are the frames this file's tests read, whole and
+// damaged: gob and flat payloads, an empty one, two frames back to
+// back, a flipped payload byte, a bad magic, a refused version, cuts
+// at every part of the header and inside the payload, and an
+// implausible length.
+func frameVectors(t *testing.T) map[string][]byte {
+	t.Helper()
+	var gobbed, flat, empty, two bytes.Buffer
+	if err := WriteFrame(&gobbed, 3, samplePayload()); err != nil {
+		t.Fatal(err)
+	}
+	WriteFrameBytes(&flat, 2, []byte("a flat payload"))
+	WriteFrameBytes(&empty, 3, nil)
+	WriteFrameBytes(&two, 1, []byte("first"))
+	WriteFrameBytes(&two, 1, []byte("second"))
+	vs := map[string][]byte{"gob": gobbed.Bytes(), "flat": flat.Bytes(), "empty": empty.Bytes(), "two frames": two.Bytes()}
+	damage := func(name string, b []byte, f func([]byte) []byte) {
+		vs[name] = f(append([]byte(nil), b...))
+	}
+	damage("flipped payload", gobbed.Bytes(), func(b []byte) []byte { b[FrameHeaderLen+3] ^= 0x40; return b })
+	damage("flipped checksum", flat.Bytes(), func(b []byte) []byte { b[FrameHeaderLen-1] ^= 1; return b })
+	damage("bad magic", flat.Bytes(), func(b []byte) []byte { b[0] = 'X'; return b })
+	damage("version 9", flat.Bytes(), func(b []byte) []byte { b[5] = 9; return b })
+	damage("implausible length", gobbed.Bytes(), func(b []byte) []byte {
+		for i := 6; i < 14; i++ {
+			b[i] = 0xFF
+		}
+		return b
+	})
+	damage("length past the end", flat.Bytes(), func(b []byte) []byte { b[13]++; return b })
+	for _, cut := range []int{0, 3, 10, FrameHeaderLen - 1, FrameHeaderLen, len(gobbed.Bytes()) - 1} {
+		vs[fmt.Sprintf("cut at %d", cut)] = gobbed.Bytes()[:cut]
+	}
+	return vs
+}
+
+// TestReadFrameUnverifiedThenVerify: ReadFrameUnverified followed by
+// Frame.Verify is ReadFrameBytes — same version, payload and error — on
+// every vector, frame after frame of a stream; a flipped payload or
+// checksum byte reads and then fails Verify with ErrCorrupt, and a
+// short or implausible frame fails at read time.
+func TestReadFrameUnverifiedThenVerify(t *testing.T) {
+	for name, b := range frameVectors(t) {
+		whole, split := bytes.NewReader(b), bytes.NewReader(b)
+		for i := 0; ; i++ {
+			version, payload, err := ReadFrameBytes(whole, 1, 2, 3)
+			f, readErr := ReadFrameUnverified(split, 1, 2, 3)
+			verifyErr := readErr
+			if readErr == nil {
+				verifyErr = f.Verify()
+			}
+			if fmt.Sprint(err) != fmt.Sprint(verifyErr) {
+				t.Fatalf("%s, frame %d: ReadFrameBytes says %v, read and verify %v", name, i, err, verifyErr)
+			}
+			if err != nil {
+				if readErr == nil && !errors.Is(verifyErr, ErrCorrupt) {
+					t.Fatalf("%s: a frame read whole failed Verify with %v", name, verifyErr)
+				}
+				switch name {
+				case "flipped payload", "flipped checksum":
+					if readErr != nil || !errors.Is(verifyErr, ErrCorrupt) {
+						t.Fatalf("%s: read error %v, Verify %v; want a read and ErrCorrupt", name, readErr, verifyErr)
+					}
+				case "gob", "flat", "empty", "two frames":
+					if i == 0 || !errors.Is(err, io.EOF) {
+						t.Fatalf("%s, frame %d: %v", name, i, err)
+					}
+				default:
+					if readErr == nil {
+						t.Fatalf("%s: read whole, failing only Verify (%v)", name, verifyErr)
+					}
+				}
+				break
+			}
+			if f.Version != version || !bytes.Equal(f.Payload, payload) {
+				t.Fatalf("%s, frame %d: v%d %q against v%d %q", name, i, f.Version, f.Payload, version, payload)
+			}
 		}
 	}
 }

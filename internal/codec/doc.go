@@ -19,4 +19,15 @@
 // half-initialized router; the payload buffer grows with the bytes that
 // arrive, not with the length a header claims. Enc and Dec are the flat
 // encodings hand-laid payloads are made of.
+//
+// ReadFrameBytes reads and verifies in one call. ReadFrameUnverified
+// checks everything but the checksum, which Frame.Verify checks later.
+// One caller uses the split: core.LoadOnto, which hashes the payload on
+// one goroutine while it decodes it on another. That is safe because
+// its decoder accepts any payload — it checks every count and ID,
+// never panics and allocates within a bound linear in the payload
+// (core's FuzzLoad frames arbitrary payloads with valid checksums) —
+// and because LoadOnto returns nothing decoded before Verify has
+// passed: a mismatch is ErrCorrupt whatever the decoder made of the
+// bytes.
 package codec

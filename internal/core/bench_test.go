@@ -88,7 +88,10 @@ func BenchmarkRouteCold(b *testing.B) {
 // ci city's v3 artifact: Save; Load, which derives the hierarchy from
 // the carried order and customizes every metric the router routes on;
 // and LoadOnto its loaded base (the checkpoint beside its base), which
-// shares the base's road and hierarchy.
+// shares the base's road and hierarchy. Both loads run on two
+// goroutines: the checksum, then the hierarchy with its three scalar
+// metrics, beside the road, region, preference and metadata decode;
+// the masked metrics follow, a metric per core.
 func BenchmarkArtifact(b *testing.B) {
 	r := cityRouter(b, worldgen.ScaleCI)
 	var buf bytes.Buffer

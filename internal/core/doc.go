@@ -168,6 +168,19 @@
 // with and saves that order again. The spatial index is built on first
 // use, by map matching, not by Load.
 //
+// Load and LoadOnto run on two goroutines. The side one verifies the
+// frame's checksum (codec.Frame.Verify), then, once the road is parsed
+// (or taken from the base) and the order checked, derives the
+// hierarchy and customizes its three scalar metrics — or forks the
+// base's, when the checkpoint shares it. The calling one meanwhile
+// decodes the region section, restores the region graph and reads the
+// preferences and metadata. When both are done, the masked metrics the
+// router routes on are customized in one PrepareAll call, a metric per
+// core. The decoder reads bytes not yet verified, which is safe
+// because it accepts any payload (FuzzLoad); nothing is returned before
+// the checksum is checked, and a mismatch is codec.ErrCorrupt whatever
+// the decoder made of the bytes.
+//
 // Load reads v3 only; a v1/v2 artifact (one gob envelope, the fits in a
 // Learned map of their own) is refused with codec.ErrBadVersion, and a
 // region section without visit counts with codec.ErrMalformed

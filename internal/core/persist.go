@@ -193,7 +193,8 @@ func decodeResult(d *codec.Dec) pref.Result {
 // from the contraction order the artifact carries (contracted afresh
 // when it carries none) with every MetricKeys metric customized, and
 // its Stats are the saved ones. An artifact is outside input, so every
-// ID in it is checked before use.
+// ID in it is checked before use. Load runs on two cores, as LoadOnto
+// does: the checksum and the hierarchy beside the region graph's decode.
 func Load(rd io.Reader) (*Router, error) { return LoadOnto(rd, nil, 0) }
 
 // LoadOnto is Load for a restart that restores a checkpoint beside its
@@ -203,13 +204,14 @@ func Load(rd io.Reader) (*Router, error) { return LoadOnto(rd, nil, 0) }
 // road instead of parsing its own copy; one that also carries base's
 // contraction order shares base's topology and metric table, as an
 // IngestClone does, and customizes only the metrics base lacks. Any
-// other artifact derives its own hierarchy, as Load does.
+// other artifact derives its own hierarchy, as Load does. The frame is
+// read whole and its checksum verified beside the decode (decodeV3).
 func LoadOnto(rd io.Reader, base *Router, baseID uint64) (*Router, error) {
-	_, payload, err := codec.ReadFrameBytes(rd, ArtifactVersion)
+	f, err := codec.ReadFrameUnverified(rd, ArtifactVersion)
 	if err != nil {
 		return nil, err
 	}
-	return decodeV3(payload, base, baseID)
+	return decodeV3(f, base, baseID)
 }
 
 // restored is the router assembled around a decoded road network,
@@ -223,27 +225,78 @@ func restored(road *roadnet.Graph, snap *region.Snapshot, ms metaSection) (*Rout
 		stats: ms.Stats, meta: ms.Meta, regionPrefs: make(map[int]pref.Result)}, nil
 }
 
-// restoreEngine gives a restored router, its preferences in place, its
-// hierarchy with every MetricKeys metric customized: base's when r sits
-// on base's road with base's contraction order, else one derived from
-// order, or contracted when order is nil, within ch's fill budget.
-func (r *Router) restoreEngine(order []int32, base *Router) error {
-	if base != nil && r.road == base.road && slices.Equal(order, base.eng.Topology().Order()) {
-		r.setEngine(base.eng.ForkCH())
-		r.eng.PrepareAll(r.MetricKeys())
-		return nil
+// hierarchy is the engine a loaded router on road with contraction
+// order runs on, before its masked metrics: base's, shared, when road
+// is base's road and order base's order; else one derived from order
+// (contracted afresh when order is nil), within ch's fill budget, with
+// the three scalar metrics customized.
+func hierarchy(road *roadnet.Graph, order []int32, base *Router) (*route.CHEngine, error) {
+	if base != nil && road == base.road && slices.Equal(order, base.eng.Topology().Order()) {
+		return base.eng.ForkCH(), nil
 	}
-	topo, err := ch.DeriveTopology(r.road, order)
+	topo, err := ch.DeriveTopology(road, order)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	r.setEngine(route.NewCHEngine(r.road, topo, roadnet.TT, r.MetricKeys()...))
-	return nil
+	return route.NewCHEngine(road, topo, roadnet.TT, route.MetricKey{W: roadnet.DI}, route.MetricKey{W: roadnet.FC}), nil
 }
 
-// decodeV3 decodes a v3 payload: the road identity, then the road,
-// region, preference, metadata and contraction-order sections.
-func decodeV3(payload []byte, base *Router, baseID uint64) (*Router, error) {
+// decodeV3 decodes a v3 frame on two goroutines. A side goroutine
+// verifies the checksum first, then waits for the road and the
+// contraction order and builds the hierarchy on them (hierarchy), while
+// this one decodes the region graph, the preferences and the metadata
+// (decodeSections). Once both are done the masked metrics are
+// customized in one PrepareAll call, a metric per core. Decoding bytes
+// not yet verified is safe: the decoder accepts any payload, without
+// panicking and within an allocation bound linear in its length
+// (FuzzLoad). Nothing is returned before the side goroutine finishes,
+// and a checksum mismatch is codec.ErrCorrupt whatever the decoder
+// made of the bytes.
+func decodeV3(f codec.Frame, base *Router, baseID uint64) (*Router, error) {
+	var (
+		verifyErr, deriveErr error
+		eng                  *route.CHEngine
+		wg                   sync.WaitGroup
+	)
+	jobs := make(chan hierarchyJob, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if verifyErr = f.Verify(); verifyErr != nil {
+			return
+		}
+		if job, ok := <-jobs; ok {
+			eng, deriveErr = hierarchy(job.road, job.order, base)
+		}
+	}()
+	r, err := decodeSections(f.Payload, base, baseID, jobs)
+	close(jobs)
+	wg.Wait()
+	switch {
+	case verifyErr != nil:
+		return nil, verifyErr
+	case err != nil:
+		return nil, err
+	case deriveErr != nil:
+		return nil, fmt.Errorf("core: contraction order: %w", deriveErr)
+	}
+	r.setEngine(eng)
+	r.eng.PrepareAll(r.MetricKeys())
+	return r, nil
+}
+
+// hierarchyJob is what decodeSections hands decodeV3's side goroutine:
+// the road and the checked contraction order.
+type hierarchyJob struct {
+	road  *roadnet.Graph
+	order []int32
+}
+
+// decodeSections decodes a v3 payload's road identity and sections into
+// a router without an engine. It sends the road and the contraction
+// order on jobs as soon as both are known, before the region section,
+// and sends nothing when either fails.
+func decodeSections(payload []byte, base *Router, baseID uint64, jobs chan<- hierarchyJob) (*Router, error) {
 	d := codec.NewDec(payload)
 	id := d.Uint64()
 	roadTSV, regionB, prefsB, metaB, orderB := d.Section(), d.Section(), d.Section(), d.Section(), d.Section()
@@ -259,6 +312,28 @@ func decodeV3(payload []byte, base *Router, baseID uint64) (*Router, error) {
 			return nil, fmt.Errorf("core: decoding road network: %w", err)
 		}
 	}
+
+	var order []int32
+	if d = codec.NewDec(orderB); len(orderB) > 0 {
+		n := road.NumVertices()
+		if d.Count(1) != n {
+			d.Fail("an order of %d vertices", n)
+		}
+		order = make([]int32, n)
+		seen := make([]bool, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			v := d.Index(n)
+			if seen[v] {
+				d.Fail("vertex %d twice", v)
+			}
+			seen[v], order[i] = true, int32(v)
+		}
+	}
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("core: contraction order is not a permutation: %w", err)
+	}
+	jobs <- hierarchyJob{road, order}
+
 	snap, err := region.DecodeSnapshot(regionB, road)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -288,29 +363,6 @@ func decodeV3(payload []byte, base *Router, baseID uint64) (*Router, error) {
 	}
 	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("core: decoding preferences: %w", err)
-	}
-
-	var order []int32
-	if d = codec.NewDec(orderB); len(orderB) > 0 {
-		n := road.NumVertices()
-		if d.Count(1) != n {
-			d.Fail("an order of %d vertices", n)
-		}
-		order = make([]int32, n)
-		seen := make([]bool, n)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			v := d.Index(n)
-			if seen[v] {
-				d.Fail("vertex %d twice", v)
-			}
-			seen[v], order[i] = true, int32(v)
-		}
-	}
-	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("core: contraction order is not a permutation: %w", err)
-	}
-	if err := r.restoreEngine(order, base); err != nil {
-		return nil, fmt.Errorf("core: contraction order: %w", err)
 	}
 	return r, nil
 }

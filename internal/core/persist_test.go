@@ -253,7 +253,12 @@ func loadV2(t testing.TB, art []byte) *Router {
 		r.rg.Edges[id].SetFit(fit, true)
 	}
 	maps.Copy(r.regionPrefs, env.RegionPrefs)
-	r.restoreEngine(nil, nil)
+	eng, err := hierarchy(road, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.setEngine(eng)
+	r.eng.PrepareAll(r.MetricKeys())
 	return r
 }
 
