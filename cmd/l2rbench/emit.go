@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/maint"
 	"repro/internal/quality"
@@ -198,7 +197,6 @@ func buildReport(h *harness, rs *replayStats, st serve.Stats, before, after *run
 func maintPhase(h *harness, e *serve.Engine, report map[string]map[string]any) error {
 	mt := maint.Attach(e, maint.Config{
 		CheckEvery: time.Hour, // manual trigger only
-		Core:       core.Options{SkipMapMatching: true},
 	})
 	defer mt.Close()
 

@@ -9,8 +9,8 @@
 //
 // It writes three files into the output directory:
 //
-//	network.tsv       vertices and edges of the road network
-//	trajectories.tsv  GPS records, one per line, grouped by trip
+//	network.tsv       the road network, roadnet.WriteTSV's format (roadnet.ParseTSV reads it)
+//	trajectories.tsv  GPS records grouped by trip, traj.WriteTSV's format
 //	summary.txt       counts and Table II-style distance statistics
 package main
 
@@ -18,6 +18,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -56,14 +57,17 @@ func main() {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatalf("mkdir: %v", err)
 	}
-	if err := writeNetwork(filepath.Join(*out, "network.tsv"), g); err != nil {
-		fatalf("write network: %v", err)
-	}
-	if err := writeTrajectories(filepath.Join(*out, "trajectories.tsv"), trajectories); err != nil {
-		fatalf("write trajectories: %v", err)
-	}
-	if err := writeSummary(filepath.Join(*out, "summary.txt"), g, trajectories); err != nil {
-		fatalf("write summary: %v", err)
+	for _, f := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"network.tsv", func(w io.Writer) error { return roadnet.WriteTSV(w, g) }},
+		{"trajectories.tsv", func(w io.Writer) error { return traj.WriteTSV(w, trajectories) }},
+		{"summary.txt", func(w io.Writer) error { return writeSummary(w, g, trajectories) }},
+	} {
+		if err := writeFile(filepath.Join(*out, f.name), f.write); err != nil {
+			fatalf("write %s: %v", f.name, err)
+		}
 	}
 	fmt.Printf("wrote %d vertices, %d edges, %d trajectories to %s\n",
 		g.NumVertices(), g.NumEdges(), len(trajectories), *out)
@@ -74,55 +78,25 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-func writeNetwork(path string, g *roadnet.Graph) error {
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	fmt.Fprintf(w, "# vertices: id\tx\ty\n")
-	for v := roadnet.VertexID(0); int(v) < g.NumVertices(); v++ {
-		p := g.Point(v)
-		fmt.Fprintf(w, "V\t%d\t%.2f\t%.2f\n", v, p.X, p.Y)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
 	}
-	fmt.Fprintf(w, "# edges: from\tto\tlength_m\ttt_s\tfuel_l\ttype\n")
-	for e := roadnet.EdgeID(0); int(e) < g.NumEdges(); e++ {
-		ed := g.Edge(e)
-		fmt.Fprintf(w, "E\t%d\t%d\t%.2f\t%.2f\t%.4f\t%s\n",
-			ed.From, ed.To, ed.Length, ed.TravelTime, ed.Fuel, ed.Type)
-	}
-	return w.Flush()
+	return f.Close()
 }
 
-func writeTrajectories(path string, ts []*traj.Trajectory) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	fmt.Fprintf(w, "# T: id\tdriver\tdepart_s\tpeak\trecords\n")
-	fmt.Fprintf(w, "# R: t_s\tx\ty\n")
-	for _, t := range ts {
-		fmt.Fprintf(w, "T\t%d\t%d\t%.1f\t%t\t%d\n", t.ID, t.Driver, t.Depart, t.Peak, len(t.Records))
-		for _, rec := range t.Records {
-			fmt.Fprintf(w, "R\t%.1f\t%.2f\t%.2f\n", rec.T, rec.P.X, rec.P.Y)
-		}
-	}
-	return w.Flush()
-}
-
-func writeSummary(path string, g *roadnet.Graph, ts []*traj.Trajectory) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "vertices: %d\nedges: %d\ntrajectories: %d\nmean distance: %.2f km\n",
+func writeSummary(w io.Writer, g *roadnet.Graph, ts []*traj.Trajectory) error {
+	// A bufio.Writer's errors stick, so Flush reports any Fprintf's.
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "vertices: %d\nedges: %d\ntrajectories: %d\nmean distance: %.2f km\n",
 		g.NumVertices(), g.NumEdges(), len(ts), traj.MeanDistanceKm(g, ts))
 	for _, b := range traj.DistanceHistogram(g, ts, []float64{2, 5, 10, 50}) {
-		fmt.Fprintf(f, "distance %s: %d (%.1f%%)\n", b.Label(), b.Count, b.Percent)
+		fmt.Fprintf(bw, "distance %s: %d (%.1f%%)\n", b.Label(), b.Count, b.Percent)
 	}
-	return nil
+	return bw.Flush()
 }

@@ -147,6 +147,3 @@ func (m *Metric) middleSlow(k int32, code uint8, up bool) triangle {
 func (m *Metric) Bytes() int {
 	return 8*(len(m.wUp)+len(m.wDown)) + len(m.midUp) + len(m.midDown)
 }
-
-// Topology returns the skeleton this metric customizes.
-func (m *Metric) Topology() *Topology { return m.t }

@@ -29,10 +29,6 @@ func (h *IndexedMinHeap) Len() int { return len(h.ids) }
 // Contains reports whether the item is currently queued.
 func (h *IndexedMinHeap) Contains(id int) bool { return h.pos[id] >= 0 }
 
-// Priority returns the priority last assigned to id. Only meaningful if
-// the item is or was queued.
-func (h *IndexedMinHeap) Priority(id int) float64 { return h.prio[id] }
-
 // Push inserts the item with the given priority. If the item is already
 // queued, Push behaves like Update.
 func (h *IndexedMinHeap) Push(id int, priority float64) {
@@ -151,14 +147,8 @@ func (h *IndexedMaxHeap) Len() int { return h.min.Len() }
 // Contains reports whether the item is currently queued.
 func (h *IndexedMaxHeap) Contains(id int) bool { return h.min.Contains(id) }
 
-// Priority returns the priority last assigned to id.
-func (h *IndexedMaxHeap) Priority(id int) float64 { return -h.min.Priority(id) }
-
 // Push inserts or updates the item with the given priority.
 func (h *IndexedMaxHeap) Push(id int, priority float64) { h.min.Push(id, -priority) }
-
-// Update changes the priority of a queued item.
-func (h *IndexedMaxHeap) Update(id int, priority float64) { h.min.Update(id, -priority) }
 
 // PopMax removes and returns the item with the largest priority.
 func (h *IndexedMaxHeap) PopMax() (id int, priority float64) {
@@ -168,6 +158,3 @@ func (h *IndexedMaxHeap) PopMax() (id int, priority float64) {
 
 // Remove deletes an arbitrary queued item.
 func (h *IndexedMaxHeap) Remove(id int) { h.min.Remove(id) }
-
-// Reset empties the heap, keeping its capacity.
-func (h *IndexedMaxHeap) Reset() { h.min.Reset() }

@@ -178,24 +178,19 @@ func TestMaxHeap(t *testing.T) {
 	h.Push(0, 5)
 	h.Push(1, 50)
 	h.Push(2, 20)
-	if p := h.Priority(1); p != 50 {
-		t.Errorf("priority = %v", p)
-	}
 	id, p := h.PopMax()
 	if id != 1 || p != 50 {
 		t.Errorf("popmax = %d,%v", id, p)
 	}
-	h.Update(0, 99)
+	h.Push(0, 99)
 	if id, p = h.PopMax(); id != 0 || p != 99 {
-		t.Errorf("popmax after update = %d,%v", id, p)
+		t.Errorf("popmax after re-push = %d,%v", id, p)
+	}
+	if !h.Contains(2) {
+		t.Error("item 2 missing")
 	}
 	h.Remove(2)
-	if h.Len() != 0 {
+	if h.Len() != 0 || h.Contains(2) {
 		t.Error("not empty after removals")
-	}
-	h.Push(3, 1)
-	h.Reset()
-	if h.Len() != 0 || h.Contains(3) {
-		t.Error("reset failed")
 	}
 }

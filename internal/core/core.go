@@ -305,7 +305,7 @@ func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt 
 	r.stats.CHBuildTime = time.Since(start)
 	r.stats.CHShortcuts = r.eng.Shortcuts()
 
-	r.derive(opt)
+	r.derive(opt.Workers)
 	return r, nil
 }
 
@@ -317,9 +317,9 @@ func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt 
 // function of the region graph's edge *set*: a router maintained online
 // (whose edge IDs reflect discovery order across many ingests) and one
 // rebuilt from scratch over the union evidence produce bit-identical
-// transductions — whatever opt.Workers either ran with, since
+// transductions — whatever workers either ran with, since
 // transfer.Run's result does not depend on its worker count.
-func (r *Router) transduce(opt Options) transfer.Result {
+func (r *Router) transduce(workers int) transfer.Result {
 	var labels, targets []int
 	for _, e := range r.rg.Edges {
 		if fit, ok := e.Fit(); ok && fit.Similarity >= minConfidence {
@@ -336,7 +336,7 @@ func (r *Router) transduce(opt Options) transfer.Result {
 		fit, _ := r.rg.Edges[id].Fit()
 		labeled[i] = transfer.Labeled{EdgeID: id, Pref: fit.Preference}
 	}
-	return transfer.Run(r.rg, labeled, targets, transfer.DefaultConfig(), opt.Workers)
+	return transfer.Run(r.rg, labeled, targets, transfer.DefaultConfig(), workers)
 }
 
 // CHClimb reports what one shortest-path query costs on the router's
@@ -519,7 +519,7 @@ type learnJob struct {
 // learnRegions learns one intra-region preference per region from its
 // inner paths, preferring true local trips (Terminal) over segments of
 // journeys passing through.
-func learnRegions(pass *route.CHEngine, rg *region.Graph, opt Options) map[int]pref.Result {
+func learnRegions(pass *route.CHEngine, rg *region.Graph, workers, maxPaths int) map[int]pref.Result {
 	var jobs []learnJob
 	for reg := 0; reg < rg.NumRegions(); reg++ {
 		var terminal, others []roadnet.Path
@@ -541,12 +541,12 @@ func learnRegions(pass *route.CHEngine, rg *region.Graph, opt Options) map[int]p
 			jobs = append(jobs, learnJob{id: reg, paths: ps})
 		}
 	}
-	return runLearnJobs(pass, jobs, opt)
+	return runLearnJobs(pass, jobs, workers, maxPaths)
 }
 
 // learnAll learns a preference per T-edge, in parallel. T-edges whose
 // path sets span both directions are learned from the union.
-func learnAll(pass *route.CHEngine, rg *region.Graph, opt Options) map[int]pref.Result {
+func learnAll(pass *route.CHEngine, rg *region.Graph, workers, maxPaths int) map[int]pref.Result {
 	var jobs []learnJob
 	for _, e := range rg.Edges {
 		if e.Kind != region.TEdge {
@@ -578,12 +578,13 @@ func learnAll(pass *route.CHEngine, rg *region.Graph, opt Options) map[int]pref.
 			jobs = append(jobs, learnJob{id: e.ID, paths: ps})
 		}
 	}
-	return runLearnJobs(pass, jobs, opt)
+	return runLearnJobs(pass, jobs, workers, maxPaths)
 }
 
-// runLearnJobs learns every job's preference on opt.Workers learners,
-// each over its own fork of the pass fork pass.
-func runLearnJobs(pass *route.CHEngine, jobs []learnJob, opt Options) map[int]pref.Result {
+// runLearnJobs learns every job's preference on workers learners, each
+// over its own fork of the pass fork pass and sampling at most maxPaths
+// paths (0 keeps the learner default).
+func runLearnJobs(pass *route.CHEngine, jobs []learnJob, workers, maxPaths int) map[int]pref.Result {
 	out := make(map[int]pref.Result, len(jobs))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -592,10 +593,10 @@ func runLearnJobs(pass *route.CHEngine, jobs []learnJob, opt Options) map[int]pr
 		ch <- j
 	}
 	close(ch)
-	for w := 0; w < opt.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		l := pref.NewLearnerOn(pass.Fork())
-		if opt.LearnMaxPaths > 0 {
-			l.MaxPaths = opt.LearnMaxPaths
+		if maxPaths > 0 {
+			l.MaxPaths = maxPaths
 		}
 		wg.Add(1)
 		go func() {

@@ -28,10 +28,12 @@
 // path sets — learned and region preferences, each edge's preference,
 // B-edge paths, customized metrics — is computed by one function,
 // derive (maintain.go). Build calls it on the region graph it has just
-// built, Retransduce (after ConnectBFS) on one grown by ingests. derive
-// reads nothing it wrote on an earlier run — it rebinds the region
-// preferences and resets every edge's fit and derived state before
-// transducing — so a built router is a fixed point of Retransduce
+// built, Retransduce (after ConnectBFS) on one grown by ingests; like
+// Ingest, it takes the learner's path-sample cap from the build
+// metadata, so the cap has one source. derive reads nothing it wrote
+// on an earlier run — it rebinds the region preferences and resets
+// every edge's fit and derived state before transducing — so a built
+// router is a fixed point of Retransduce
 // (TestBuildIsFixedPointOfRetransduce), and "maintained ≡ rebuilt"
 // needs only the path sets to have accumulated exactly. They do by
 // construction: batch is stream run to completion. Build and Ingest

@@ -292,3 +292,29 @@ func TestIngestLearnsUnderBuildOptions(t *testing.T) {
 	}
 	t.Logf("%d touched edges, %d sampled down to two paths, %d left unapplied by the %v gate", len(st.TouchedEdges), capped, gated, minConfidence)
 }
+
+// TestRetransduceLearnsUnderBuildCap: the path-sample cap has one
+// source, the build's metadata. A Retransduce given zero Options, as
+// maintenance gives it, relearns a router built with LearnMaxPaths 2
+// on two paths per edge, so the built router is its fixed point; the
+// default cap would learn another map.
+func TestRetransduceLearnsUnderBuildCap(t *testing.T) {
+	road := roadnet.Generate(roadnet.Tiny(23))
+	ts := traj.NewSimulator(road, traj.D2Like(23, 300)).Run()
+	capped, err := Build(road, ts, Options{SkipMapMatching: true, LearnMaxPaths: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncapped, err := Build(road, ts, Options{SkipMapMatching: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(capped.learnedPrefs(), uncapped.learnedPrefs()) {
+		t.Fatal("caps 2 and the default learn the same map; the cap is not exercised")
+	}
+	again := capped.IngestClone()
+	again.Retransduce(Options{})
+	if !reflect.DeepEqual(capped.learnedPrefs(), again.learnedPrefs()) || !reflect.DeepEqual(capped.regionPrefs, again.regionPrefs) {
+		t.Fatal("Retransduce(Options{}) relearned a router built with LearnMaxPaths 2 under another cap")
+	}
+}

@@ -55,8 +55,9 @@ type RetransduceStats struct {
 
 // Retransduce re-runs preference learning, transduction and B-edge
 // materialization over the router's accumulated evidence, keeping the
-// region partition fixed. opt should carry the LearnMaxPaths the router
-// was built with; Workers only bounds the parallelism (0 means
+// region partition fixed. The learner samples at most the LearnMaxPaths
+// the router was built with (Meta().Build), as Ingest does; of opt only
+// Workers counts, and it only bounds the parallelism (0 means
 // GOMAXPROCS, as in Build).
 //
 // The result converges: a router maintained by Ingest batches and then
@@ -90,7 +91,7 @@ func (r *Router) Retransduce(opt Options) RetransduceStats {
 	// idempotent (it only adds B-edges where a pair has none) and keeps
 	// the region graph connected for the transduction below.
 	r.rg.ConnectBFS()
-	st := r.derive(opt)
+	st := r.derive(opt.Workers)
 	st.Elapsed = time.Since(start)
 	return st
 }
@@ -99,9 +100,9 @@ func (r *Router) Retransduce(opt Options) RetransduceStats {
 // as it stands: everything a router holds that is a function of the
 // path sets, recomputed from scratch (package doc, "One derivation").
 // Build runs it on a freshly built region graph, Retransduce on one
-// grown by ingests. opt has its defaults applied; Elapsed is the
-// caller's to fill.
-func (r *Router) derive(opt Options) RetransduceStats {
+// grown by ingests. workers is positive; the learner's path-sample cap
+// is the one in r.meta.Build. Elapsed is the caller's to fill.
+func (r *Router) derive(workers int) RetransduceStats {
 	var st RetransduceStats
 	st.Regions = r.rg.NumRegions()
 	st.TEdges = r.rg.TEdgeCount()
@@ -115,8 +116,8 @@ func (r *Router) derive(opt Options) RetransduceStats {
 	// PrepareMetrics below adopts the overlay metrics it applies.
 	t0 := time.Now()
 	pass := r.eng.PassFork()
-	learned := learnAll(pass, r.rg, opt)
-	r.regionPrefs = learnRegions(pass, r.rg, opt)
+	learned := learnAll(pass, r.rg, workers, r.meta.Build.LearnMaxPaths)
+	r.regionPrefs = learnRegions(pass, r.rg, workers, r.meta.Build.LearnMaxPaths)
 	for id, lr := range r.regionPrefs {
 		if lr.Similarity < minConfidence {
 			delete(r.regionPrefs, id)
@@ -162,7 +163,7 @@ func (r *Router) derive(opt Options) RetransduceStats {
 	// graph. Only confidently learned preferences serve as labels;
 	// low-similarity fits would propagate noise.
 	t0 = time.Now()
-	res := r.transduce(opt)
+	res := r.transduce(workers)
 	st.TransferTime = time.Since(t0)
 	st.Transferred = len(res.Pref)
 	st.Null = len(res.Null)

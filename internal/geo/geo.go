@@ -34,12 +34,6 @@ func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
-// DistSq returns the squared Euclidean distance between p and q.
-func (p Point) DistSq(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.1f, %.1f)", p.X, p.Y) }
 
@@ -47,9 +41,6 @@ func (p Point) String() string { return fmt.Sprintf("(%.1f, %.1f)", p.X, p.Y) }
 func Lerp(p, q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
 }
-
-// Midpoint returns the midpoint of p and q.
-func Midpoint(p, q Point) Point { return Lerp(p, q, 0.5) }
 
 // Centroid returns the arithmetic mean of the points. It returns the zero
 // point for an empty slice.
@@ -110,11 +101,6 @@ func NewRect(a, b Point) Rect {
 		Min: Point{math.Min(a.X, b.X), math.Min(a.Y, b.Y)},
 		Max: Point{math.Max(a.X, b.X), math.Max(a.Y, b.Y)},
 	}
-}
-
-// Contains reports whether p lies inside or on the border of r.
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
 }
 
 // Width returns the horizontal extent of r.

@@ -36,7 +36,7 @@ func TestMaintAccuracyFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := serve.NewEngine(r, serve.Options{})
-	m := Attach(e, Config{CheckEvery: time.Hour, Core: opt})
+	m := Attach(e, Config{CheckEvery: time.Hour})
 	defer m.Close()
 
 	var held []*traj.Trajectory

@@ -1,13 +1,13 @@
 // Package maint keeps a served router converged with its evidence: a
 // background maintainer attached to a serve.Engine that counts the
 // matched trajectories the engine ingests, watches rebuild
-// triggers — preference drift against its own post-rebuild baseline,
-// evidence volume, a wall-clock interval — and, when one fires, drives
-// a clone-rebuild-publish cycle: core.Retransduce re-runs preference
-// learning, transduction and B-edge materialization over the full path
-// sets the region graph accumulated, on a copy-on-write clone off the
-// hot path, and the result swaps in through the engine's normal publish
-// path.
+// triggers — preference drift against its own baseline, rebased on
+// every publish, evidence volume, a wall-clock interval — and, when
+// one fires, drives a clone-rebuild-publish cycle: core.Retransduce
+// re-runs preference learning, transduction and B-edge materialization
+// over the full path sets the region graph accumulated, on a
+// copy-on-write clone off the hot path, and the result swaps in
+// through the engine's normal publish path.
 //
 // The cycle's correctness rests on two contracts proved by the
 // convergence and crash tests:

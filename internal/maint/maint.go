@@ -20,7 +20,8 @@ import (
 type Config struct {
 	// DriftTV triggers a rebuild when the total-variation distance
 	// between the served snapshot's evidence-weighted preference
-	// distribution and the maintainer's post-rebuild baseline exceeds
+	// distribution and the maintainer's baseline (rebased on every
+	// publish, rebuild or external) exceeds
 	// it (default 0.25; negative disables the drift trigger).
 	DriftTV float64
 	// MinEvidence triggers a rebuild when this many trajectories have
@@ -34,11 +35,6 @@ type Config struct {
 	// CheckEvery is the trigger-evaluation cadence (default 2s). Checks
 	// are O(T-edges) — a distribution scan, no routing.
 	CheckEvery time.Duration
-	// Core carries the pipeline options Retransduce re-runs with. Pass
-	// the options the router was built with (LearnMaxPaths is the one
-	// Retransduce reads besides Workers); the zero value gets build's
-	// defaults.
-	Core core.Options
 }
 
 func (c Config) withDefaults() Config {
@@ -271,7 +267,7 @@ func (m *Maintainer) rebuildOnce(ctx context.Context, trigger string) (core.Retr
 	var st core.RetransduceStats
 	added := 0
 	_, err := m.eng.RebuildSnapshot(ctx, func(r *core.Router) error {
-		st = r.Retransduce(m.cfg.Core)
+		st = r.Retransduce(core.Options{})
 		for p := range r.TEdgePairs() {
 			if !before[p] {
 				added++

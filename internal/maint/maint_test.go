@@ -23,9 +23,8 @@ import (
 	"repro/internal/traj"
 )
 
-// coreOpt is the pipeline configuration every maint test builds and
-// maintains with — Retransduce must re-run with the build's options for
-// the convergence contract to hold.
+// coreOpt is the pipeline configuration every maint test builds with;
+// Retransduce takes the build's path-sample cap from the router.
 var coreOpt = core.Options{SkipMapMatching: true}
 
 // maintWorld generates a deterministic world: the seeded road network
@@ -98,7 +97,6 @@ func buildMaintEngine(tb testing.TB, seed int64, trips int, cfg Config) (*serve.
 	if cfg.CheckEvery == 0 {
 		cfg.CheckEvery = time.Hour
 	}
-	cfg.Core = coreOpt
 	m := Attach(e, cfg)
 	return e, m, road, ts[cut:]
 }
@@ -340,7 +338,7 @@ func TestMaintEndpointAndStats(t *testing.T) {
 		t.Fatal("Stats().Maintenance set before attach")
 	}
 
-	m := Attach(e, Config{CheckEvery: time.Hour, Core: coreOpt})
+	m := Attach(e, Config{CheckEvery: time.Hour})
 	defer m.Close()
 	e.IngestMatched(batchCopies(ts[cut:], 8)[0])
 
@@ -459,7 +457,7 @@ func TestMaintRecoverySeeding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	m := Attach(e2, Config{CheckEvery: time.Hour, Core: coreOpt})
+	m := Attach(e2, Config{CheckEvery: time.Hour})
 	defer m.Close()
 
 	st := m.MaintStats()
@@ -507,7 +505,7 @@ func TestMaintSoakConcurrentRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := serve.NewEngine(base, serve.Options{})
-	m := Attach(e, Config{CheckEvery: time.Hour, Core: coreOpt})
+	m := Attach(e, Config{CheckEvery: time.Hour})
 	defer m.Close()
 
 	ods := queryODs(road, ts[:cut], 64)
@@ -639,7 +637,7 @@ func TestMaintOverheadBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := serve.NewEngine(base, serve.Options{CacheSize: -1})
-	m := Attach(e, Config{CheckEvery: time.Hour, Core: coreOpt})
+	m := Attach(e, Config{CheckEvery: time.Hour})
 	defer m.Close()
 	for _, b := range batchCopies(ts[cut:], 16) {
 		e.IngestMatched(b)
@@ -726,7 +724,7 @@ func TestMaintFleetAttach(t *testing.T) {
 	ms := make(map[string]*Maintainer)
 	fleet.Attach(func(name string, e *serve.Engine) {
 		order = append(order, "maint:"+name)
-		ms[name] = Attach(e, Config{CheckEvery: time.Hour, Core: coreOpt})
+		ms[name] = Attach(e, Config{CheckEvery: time.Hour})
 	})
 	if ms["acity"] == nil {
 		t.Fatal("existing tenant did not get a maintainer")
@@ -788,7 +786,7 @@ func TestFleetRemoveReleasesTenant(t *testing.T) {
 		e.Attach(countedClose{stream.Attach(e, stream.Config{}), &streamStops})
 	})
 	fleet.Attach(func(_ string, e *serve.Engine) {
-		m = Attach(e, Config{CheckEvery: time.Hour, Core: coreOpt})
+		m = Attach(e, Config{CheckEvery: time.Hour})
 		e.Attach(countedClose{m, &maintStops})
 	})
 	e, err := fleet.Add("city", base)

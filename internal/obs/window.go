@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -17,11 +16,10 @@ import (
 // off-hot-path observers (the shadow scorer), and its readers scrape-
 // frequency stats calls.
 type Rolling struct {
-	mu    sync.Mutex
-	buf   []float64
-	next  int
-	n     int
-	total uint64
+	mu   sync.Mutex
+	buf  []float64
+	next int
+	n    int
 }
 
 // NewRolling returns a window holding the last `window` samples
@@ -41,23 +39,7 @@ func (r *Rolling) Observe(v float64) {
 	if r.n < len(r.buf) {
 		r.n++
 	}
-	r.total++
 	r.mu.Unlock()
-}
-
-// Total returns the number of samples ever observed (not capped by the
-// window).
-func (r *Rolling) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Len returns the number of samples currently in the window.
-func (r *Rolling) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
 }
 
 // Mean returns the mean of the samples in the window (0 when empty).
@@ -91,25 +73,4 @@ func (r *Rolling) Min() float64 {
 		}
 	}
 	return min
-}
-
-// Quantile returns the q-quantile (0 < q <= 1) of the window by
-// sorting a copy — exact, and cheap at window sizes.
-func (r *Rolling) Quantile(q float64) float64 {
-	r.mu.Lock()
-	if r.n == 0 {
-		r.mu.Unlock()
-		return 0
-	}
-	cp := append([]float64(nil), r.buf[:r.n]...)
-	r.mu.Unlock()
-	sort.Float64s(cp)
-	rank := int(math.Ceil(q*float64(len(cp)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(cp) {
-		rank = len(cp) - 1
-	}
-	return cp[rank]
 }

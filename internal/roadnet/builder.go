@@ -25,9 +25,6 @@ func (b *Builder) AddVertex(p geo.Point) VertexID {
 	return VertexID(len(b.pts) - 1)
 }
 
-// NumVertices returns the number of vertices added so far.
-func (b *Builder) NumVertices() int { return len(b.pts) }
-
 // Point returns the location of an already-added vertex.
 func (b *Builder) Point(v VertexID) geo.Point { return b.pts[v] }
 

@@ -246,19 +246,6 @@ func (p Path) Measures(g *Graph) (lengthM, travelTimeS float64) {
 	return lengthM, travelTimeS
 }
 
-// Edges returns the edge IDs along the path. Unconnected steps yield
-// NoEdge entries.
-func (p Path) Edges(g *Graph) []EdgeID {
-	if len(p) < 2 {
-		return nil
-	}
-	out := make([]EdgeID, 0, len(p)-1)
-	for i := 1; i < len(p); i++ {
-		out = append(out, g.FindEdge(p[i-1], p[i]))
-	}
-	return out
-}
-
 // Polyline returns the geometry of the path.
 func (p Path) Polyline(g *Graph) geo.Polyline {
 	pl := make(geo.Polyline, len(p))

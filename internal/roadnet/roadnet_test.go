@@ -134,10 +134,6 @@ func TestPathOps(t *testing.T) {
 			t.Errorf("Measures(%v) = %v, %v; Length %v, Cost(TT) %v", q, l, tt, q.Length(g), q.Cost(g, TT))
 		}
 	}
-	edges := p.Edges(g)
-	if len(edges) != 2 || edges[0] == NoEdge || edges[1] == NoEdge {
-		t.Error("Edges wrong")
-	}
 	pl := p.Polyline(g)
 	if len(pl) != 3 || pl[0] != g.Point(0) {
 		t.Error("Polyline wrong")

@@ -150,7 +150,6 @@ func (t *metricTable) add(keys []MetricKey, from func(MetricKey) *ch.Metric, cos
 // into a private overlay (package doc, "Pass forks and adoption").
 type CHEngine struct {
 	g    *roadnet.Graph
-	w    roadnet.Weight // base weight, pre-customized at build time
 	topo *ch.Topology
 	tab  *metricTable
 	pass *metricTable // a pass fork's overlay; nil on every other fork
@@ -163,7 +162,7 @@ type CHEngine struct {
 // metric for w and the metrics of more in one ch.Topology.CustomizeAll
 // call.
 func NewCHEngine(g *roadnet.Graph, topo *ch.Topology, w roadnet.Weight, more ...MetricKey) *CHEngine {
-	c := &CHEngine{g: g, w: w, topo: topo, tab: newMetricTable(topo), out: OutTypeMasks(g)}
+	c := &CHEngine{g: g, topo: topo, tab: newMetricTable(topo), out: OutTypeMasks(g)}
 	c.PrepareAll(append([]MetricKey{{W: w}}, more...))
 	return c
 }
@@ -185,9 +184,6 @@ func (c *CHEngine) Topology() *ch.Topology { return c.topo }
 // Shortcuts returns the number of pure-shortcut skeleton edges.
 func (c *CHEngine) Shortcuts() int { return c.topo.Shortcuts() }
 
-// Weight returns the base weight customized at construction.
-func (c *CHEngine) Weight() roadnet.Weight { return c.w }
-
 // Customizations returns how many metric customizations the shared
 // table has run since construction (including the base metric).
 func (c *CHEngine) Customizations() uint64 { return c.tab.customized.Load() }
@@ -207,14 +203,14 @@ func (c *CHEngine) Fork() PathEngine { return c.ForkCH() }
 // customized-metric table and, on a pass fork, the overlay; query state
 // is allocated on first use.
 func (c *CHEngine) ForkCH() *CHEngine {
-	return &CHEngine{g: c.g, w: c.w, topo: c.topo, tab: c.tab, pass: c.pass, out: c.out}
+	return &CHEngine{g: c.g, topo: c.topo, tab: c.tab, pass: c.pass, out: c.out}
 }
 
 // PassFork returns a fork for one bulk learning pass: a fork with a
 // fresh private overlay for the masked metrics it customizes (see
 // CHEngine). Fork it once per worker; drop it when the pass ends.
 func (c *CHEngine) PassFork() *CHEngine {
-	return &CHEngine{g: c.g, w: c.w, topo: c.topo, tab: c.tab, pass: newMetricTable(c.topo), out: c.out}
+	return &CHEngine{g: c.g, topo: c.topo, tab: c.tab, pass: newMetricTable(c.topo), out: c.out}
 }
 
 func (c *CHEngine) query() *ch.MetricQuery {

@@ -23,8 +23,8 @@ type MaintStats struct {
 
 	// Trigger gauges: evidence accumulated since the last rebuild, the
 	// preference drift of the served snapshot against the maintainer's
-	// own post-rebuild baseline, and the configured thresholds a
-	// trigger check compares them to.
+	// own baseline (rebased on every publish), and the configured
+	// thresholds a trigger check compares them to.
 	EvidenceSinceRebuild int           `json:"evidence_since_rebuild"`
 	DriftTV              float64       `json:"drift_tv"`
 	DriftThreshold       float64       `json:"drift_threshold"`

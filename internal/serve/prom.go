@@ -130,7 +130,7 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 		pw.Counter("l2r_maint_rebuild_failures_total", "Maintenance rebuild cycles that failed and published nothing.", float64(ms.RebuildFailures), labels...)
 		pw.Counter("l2r_maint_accumulated_total", "Matched trajectories offered to the evidence accumulator.", float64(ms.Accumulated), labels...)
 		pw.Gauge("l2r_maint_evidence_since_rebuild", "Trajectories accumulated since the last rebuild — compared against the evidence trigger threshold.", float64(ms.EvidenceSinceRebuild), labels...)
-		pw.Gauge("l2r_maint_drift_tv", "Preference drift of the served snapshot against the maintainer's post-rebuild baseline — compared against the drift trigger threshold.", ms.DriftTV, labels...)
+		pw.Gauge("l2r_maint_drift_tv", "Preference drift of the served snapshot against the maintainer's baseline, captured at attach and rebased on every publish (maintenance rebuild or external Publish) — compared against the drift trigger threshold.", ms.DriftTV, labels...)
 		pw.Gauge("l2r_maint_last_rebuild_seconds", "Duration of the most recent maintenance rebuild (0 before the first).", ms.LastRebuildTime.Seconds(), labels...)
 		pw.Gauge("l2r_maint_last_tedges_added", "Region pairs that gained their first trajectory-backed edge in the most recent rebuild.", float64(ms.LastTEdgesAdded), labels...)
 		pw.Gauge("l2r_maint_last_transferred", "B-edges the most recent rebuild's transduction labeled.", float64(ms.LastTransferred), labels...)

@@ -1,5 +1,3 @@
 // Package spatial provides a uniform grid index over road-network
-// vertices and edges. Map matching queries it for candidate edges near a
-// GPS record; the routing layer queries it for the vertex nearest an
-// arbitrary coordinate.
+// edges. Map matching queries it for candidate edges near a GPS record.
 package spatial

@@ -13,8 +13,6 @@ type Index struct {
 	bounds geo.Rect
 	cell   float64
 	nx, ny int
-
-	vcells [][]roadnet.VertexID
 	ecells [][]roadnet.EdgeID
 }
 
@@ -26,12 +24,7 @@ func NewIndex(g *roadnet.Graph, cellM float64) *Index {
 	ny := int(math.Ceil(b.Height()/cellM)) + 1
 	idx := &Index{
 		g: g, bounds: b, cell: cellM, nx: nx, ny: ny,
-		vcells: make([][]roadnet.VertexID, nx*ny),
 		ecells: make([][]roadnet.EdgeID, nx*ny),
-	}
-	for v := roadnet.VertexID(0); int(v) < g.NumVertices(); v++ {
-		c := idx.cellOf(g.Point(v))
-		idx.vcells[c] = append(idx.vcells[c], v)
 	}
 	for e := roadnet.EdgeID(0); int(e) < g.NumEdges(); e++ {
 		ed := g.Edge(e)
@@ -55,11 +48,6 @@ func (idx *Index) cellCoords(p geo.Point) (int, int) {
 	return cx, cy
 }
 
-func (idx *Index) cellOf(p geo.Point) int {
-	cx, cy := idx.cellCoords(p)
-	return cy*idx.nx + cx
-}
-
 func (idx *Index) eachCell(r geo.Rect, f func(c int)) {
 	x0, y0 := idx.cellCoords(r.Min)
 	x1, y1 := idx.cellCoords(r.Max)
@@ -78,59 +66,6 @@ func clamp(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-// NearestVertex returns the vertex closest to p, searching outward ring
-// by ring. It returns roadnet.NoVertex only for an empty graph.
-func (idx *Index) NearestVertex(p geo.Point) roadnet.VertexID {
-	best := roadnet.NoVertex
-	bestD := math.Inf(1)
-	cx, cy := idx.cellCoords(p)
-	maxR := idx.nx + idx.ny
-	for r := 0; r <= maxR; r++ {
-		found := false
-		idx.ring(cx, cy, r, func(c int) {
-			for _, v := range idx.vcells[c] {
-				found = true
-				if d := idx.g.Point(v).Dist(p); d < bestD {
-					best, bestD = v, d
-				}
-			}
-		})
-		// Once something is found, one extra ring guarantees correctness
-		// (a nearer vertex can sit in the next ring at most).
-		if found && best != roadnet.NoVertex && bestD <= float64(r)*idx.cell {
-			break
-		}
-		_ = found
-	}
-	return best
-}
-
-// ring visits the cells at Chebyshev distance r from (cx, cy).
-func (idx *Index) ring(cx, cy, r int, f func(c int)) {
-	if r == 0 {
-		if cx >= 0 && cx < idx.nx && cy >= 0 && cy < idx.ny {
-			f(cy*idx.nx + cx)
-		}
-		return
-	}
-	for dx := -r; dx <= r; dx++ {
-		for _, dy := range [...]int{-r, r} {
-			x, y := cx+dx, cy+dy
-			if x >= 0 && x < idx.nx && y >= 0 && y < idx.ny {
-				f(y*idx.nx + x)
-			}
-		}
-	}
-	for dy := -r + 1; dy <= r-1; dy++ {
-		for _, dx := range [...]int{-r, r} {
-			x, y := cx+dx, cy+dy
-			if x >= 0 && x < idx.nx && y >= 0 && y < idx.ny {
-				f(y*idx.nx + x)
-			}
-		}
-	}
 }
 
 // EdgeCandidate is an edge near a query point.

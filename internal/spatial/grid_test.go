@@ -13,32 +13,6 @@ func gridGraph() *roadnet.Graph {
 	return roadnet.GenerateGrid(10, 10, 100, roadnet.Tertiary)
 }
 
-func TestNearestVertexMatchesBruteForce(t *testing.T) {
-	g := gridGraph()
-	idx := NewIndex(g, 150)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		p := geo.Pt(rng.Float64()*1100-100, rng.Float64()*1100-100)
-		got := idx.NearestVertex(p)
-		want := bruteNearest(g, p)
-		if g.Point(got).Dist(p) > g.Point(want).Dist(p)+1e-9 {
-			t.Fatalf("query %v: got %v (d=%.2f) want %v (d=%.2f)",
-				p, got, g.Point(got).Dist(p), want, g.Point(want).Dist(p))
-		}
-	}
-}
-
-func bruteNearest(g *roadnet.Graph, p geo.Point) roadnet.VertexID {
-	best := roadnet.VertexID(0)
-	bd := math.Inf(1)
-	for v := roadnet.VertexID(0); int(v) < g.NumVertices(); v++ {
-		if d := g.Point(v).Dist(p); d < bd {
-			best, bd = v, d
-		}
-	}
-	return best
-}
-
 func TestEdgesWithinMatchesBruteForce(t *testing.T) {
 	g := gridGraph()
 	idx := NewIndex(g, 120)
@@ -84,16 +58,6 @@ func TestEdgesWithinEmptyFarAway(t *testing.T) {
 	idx := NewIndex(g, 100)
 	if cands := idx.EdgesWithin(geo.Pt(1e6, 1e6), 50); len(cands) != 0 {
 		t.Fatalf("expected no candidates, got %d", len(cands))
-	}
-}
-
-func TestNearestVertexOnVertex(t *testing.T) {
-	g := gridGraph()
-	idx := NewIndex(g, 100)
-	for v := roadnet.VertexID(0); int(v) < g.NumVertices(); v += 17 {
-		if got := idx.NearestVertex(g.Point(v)); g.Point(got).Dist(g.Point(v)) > 1e-9 {
-			t.Fatalf("nearest to vertex %d = %d", v, got)
-		}
 	}
 }
 

@@ -23,41 +23,6 @@ func quickNet(seed int64, n int) *roadnet.Graph {
 	return b.Build()
 }
 
-// TestQuickNearestVertexMatchesBruteForce: the grid index's nearest
-// vertex equals the brute-force nearest for arbitrary query points.
-func TestQuickNearestVertexMatchesBruteForce(t *testing.T) {
-	f := func(seed int64, qx, qy float64) bool {
-		if math.IsNaN(qx) || math.IsNaN(qy) || math.IsInf(qx, 0) || math.IsInf(qy, 0) {
-			return true
-		}
-		// Fold arbitrary coordinates into a region around the map.
-		qx = math.Mod(math.Abs(qx), 5000) - 500
-		qy = math.Mod(math.Abs(qy), 5000) - 500
-		g := quickNet(seed, 40)
-		idx := NewIndex(g, 250)
-		q := geo.Point{X: qx, Y: qy}
-		got := idx.NearestVertex(q)
-		// Brute force.
-		best := roadnet.NoVertex
-		bestD := math.Inf(1)
-		for v := 0; v < g.NumVertices(); v++ {
-			d := g.Point(roadnet.VertexID(v)).Dist(q)
-			if d < bestD {
-				bestD = d
-				best = roadnet.VertexID(v)
-			}
-		}
-		if got == best {
-			return true
-		}
-		// Accept exact ties in distance.
-		return got != roadnet.NoVertex && math.Abs(g.Point(got).Dist(q)-bestD) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickEdgesWithinRadius: every candidate returned by EdgesWithin
 // is genuinely within the radius of the query point (distance to the
 // segment, not endpoints), and candidates are sorted by distance.

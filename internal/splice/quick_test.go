@@ -9,8 +9,8 @@ import (
 )
 
 // TestQuickSpliceInvariants: over random simulated worlds, every route
-// the splicer returns is a valid road path with correct endpoints, all
-// absorption probabilities are proper, and coverage is a fraction.
+// the splicer returns is a valid road path with correct endpoints, and
+// all absorption probabilities are proper.
 func TestQuickSpliceInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		g := roadnet.Generate(roadnet.Tiny(seed % 100))
@@ -39,10 +39,6 @@ func TestQuickSpliceInvariants(t *testing.T) {
 			if len(p) > 1 && !p.Valid(g) {
 				return false
 			}
-		}
-		cov := tg.Coverage(pairs)
-		if cov < 0 || cov > 1 {
-			return false
 		}
 		if len(pairs) > 0 {
 			ab := tg.Absorption(pairs[0][1], 1e-8, 300)

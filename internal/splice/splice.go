@@ -195,19 +195,3 @@ func (tg *TransitionGraph) Route(s, d roadnet.VertexID) (roadnet.Path, bool) {
 	}
 	return path, true
 }
-
-// Coverage reports the fraction of the given (s, d) pairs for which a
-// spliced route exists — the quantity whose shortfall motivates L2R's
-// Case 3 machinery.
-func (tg *TransitionGraph) Coverage(pairs [][2]roadnet.VertexID) float64 {
-	if len(pairs) == 0 {
-		return 0
-	}
-	ok := 0
-	for _, p := range pairs {
-		if _, found := tg.Route(p[0], p[1]); found {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(pairs))
-}

@@ -159,23 +159,6 @@ func TestAbsorptionUncoveredDest(t *testing.T) {
 	_ = tg
 }
 
-func TestCoverage(t *testing.T) {
-	g, paths := figure1Graph()
-	tg := NewTransitionGraph(g, paths)
-	pairs := [][2]roadnet.VertexID{
-		{0, 5},   // Case 1: covered
-		{0, 11},  // Case 2: spliceable
-		{13, 11}, // Case 3: not spliceable
-	}
-	cov := tg.Coverage(pairs)
-	if math.Abs(cov-2.0/3.0) > 1e-12 {
-		t.Fatalf("coverage = %g, want 2/3", cov)
-	}
-	if c := tg.Coverage(nil); c != 0 {
-		t.Fatalf("coverage of no pairs = %g", c)
-	}
-}
-
 // TestMPRAlgorithm exercises the baseline.Algorithm adapter on a
 // simulated world, checking Case-3 queries return nil.
 func TestMPRAlgorithm(t *testing.T) {

@@ -4,10 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-
-	"repro/internal/geo"
 )
 
 // TSV serialization for trajectory sets, mirroring roadnet's format:
@@ -30,84 +26,4 @@ func WriteTSV(w io.Writer, ts []*Trajectory) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadTSV parses trajectories written by WriteTSV.
-func ReadTSV(r io.Reader) ([]*Trajectory, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var out []*Trajectory
-	var cur *Trajectory
-	pending := 0
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Split(text, "\t")
-		switch fields[0] {
-		case "T":
-			if pending > 0 {
-				return nil, fmt.Errorf("line %d: previous trajectory missing %d records", line, pending)
-			}
-			if len(fields) != 6 {
-				return nil, fmt.Errorf("line %d: trajectory needs 6 fields", line)
-			}
-			id, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			driver, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			depart, err := strconv.ParseFloat(fields[3], 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			peak, err := strconv.ParseBool(fields[4])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			n, err := strconv.Atoi(fields[5])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("line %d: bad record count", line)
-			}
-			cur = &Trajectory{ID: id, Driver: driver, Depart: depart, Peak: peak}
-			out = append(out, cur)
-			pending = n
-		case "R":
-			if cur == nil || pending == 0 {
-				return nil, fmt.Errorf("line %d: record outside trajectory", line)
-			}
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("line %d: record needs 4 fields", line)
-			}
-			ts, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			x, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			y, err := strconv.ParseFloat(fields[3], 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			cur.Records = append(cur.Records, GPS{T: ts, P: geo.Pt(x, y)})
-			pending--
-		default:
-			return nil, fmt.Errorf("line %d: unknown record %q", line, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if pending > 0 {
-		return nil, fmt.Errorf("EOF: last trajectory missing %d records", pending)
-	}
-	return out, nil
 }
