@@ -9,7 +9,7 @@
 //
 // It writes three files into the output directory:
 //
-//	network.tsv       the road network, roadnet.WriteTSV's format (roadnet.ParseTSV reads it)
+//	network.tsv       the road network, roadnet.WriteTSV's format
 //	trajectories.tsv  GPS records grouped by trip, traj.WriteTSV's format
 //	summary.txt       counts and Table II-style distance statistics
 package main

@@ -1,14 +1,14 @@
 package ch_test
 
 import (
-	"bytes"
-	"fmt"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/ch"
+	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/roadnet"
 	"repro/internal/route"
@@ -54,7 +54,7 @@ func randomGraph(rng *rand.Rand, n, m int) *roadnet.Graph {
 // [nA, n): each a ring whose links are one-way with probability ½ plus
 // random one-way chords, so reachability inside a component is partial
 // and the skeleton carries +Inf in many directions. A few self-loops
-// are spliced in through the TSV form, which (unlike the Builder) keeps
+// are spliced into its road section, which (unlike the Builder) keeps
 // them — a loaded network may carry them and contraction must skip them.
 func twoIslands(tb testing.TB, rng *rand.Rand) (g *roadnet.Graph, nA int) {
 	tb.Helper()
@@ -81,15 +81,36 @@ func twoIslands(tb testing.TB, rng *rand.Rand) (g *roadnet.Graph, nA int) {
 	}
 	island(0, nA)
 	island(nA, n)
-	var tsv bytes.Buffer
-	if err := roadnet.WriteTSV(&tsv, b.Build()); err != nil {
-		tb.Fatal(err)
+	// The road section, laid out as roadnet's io.go describes it, of
+	// the built network's vertices and edges and three loops.
+	base := b.Build()
+	edges := make([]roadnet.Edge, base.NumEdges(), base.NumEdges()+3)
+	for i := range edges {
+		edges[i] = base.Edge(roadnet.EdgeID(i))
 	}
 	for i := 0; i < 3; i++ {
-		v := rng.Intn(n)
-		fmt.Fprintf(&tsv, "E\t%d\t%d\t1.000\t1.000\t0.001000\t0\n", v, v)
+		v := roadnet.VertexID(rng.Intn(n))
+		edges = append(edges, roadnet.Edge{From: v, To: v, Length: 1, TravelTime: 1, Fuel: 0.001})
 	}
-	g, err := roadnet.ParseTSV(tsv.Bytes())
+	var e codec.Enc
+	float := func(f float64) { e.B = binary.LittleEndian.AppendUint64(e.B, math.Float64bits(f)) }
+	e.Uvarint(uint64(n))
+	for v := range n {
+		float(base.Point(roadnet.VertexID(v)).X)
+		float(base.Point(roadnet.VertexID(v)).Y)
+	}
+	e.Uvarint(uint64(len(edges)))
+	from := roadnet.VertexID(0)
+	for _, ed := range edges {
+		e.Int(int(ed.From - from))
+		e.Int(int(ed.To - ed.From))
+		from = ed.From
+		float(ed.Length)
+		float(ed.TravelTime)
+		float(ed.Fuel)
+		e.Byte(byte(ed.Type))
+	}
+	g, err := roadnet.Decode(e.B)
 	if err != nil {
 		tb.Fatal(err)
 	}

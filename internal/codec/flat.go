@@ -50,9 +50,11 @@ func (d *Dec) Fail(format string, args ...any) {
 	d.b = nil
 }
 
+// Uvarint reads an unsigned varint in its shortest encoding, the one
+// Enc writes, so every value has one encoding.
 func (d *Dec) Uvarint() uint64 {
 	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.b[n-1] == 0 {
 		d.Fail("bad varint")
 		return 0
 	}
@@ -60,10 +62,11 @@ func (d *Dec) Uvarint() uint64 {
 	return v
 }
 
-// Int reads a zigzag varint, which must fit an int32.
+// Int reads a zigzag varint in its shortest encoding, which must fit an
+// int32.
 func (d *Dec) Int() int {
 	v, n := binary.Varint(d.b)
-	if n <= 0 || v != int64(int32(v)) {
+	if n <= 0 || n > 1 && d.b[n-1] == 0 || v != int64(int32(v)) {
 		d.Fail("bad varint")
 		return 0
 	}

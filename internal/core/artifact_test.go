@@ -24,18 +24,20 @@ import (
 	"repro/internal/worldgen"
 )
 
-// TestArtifactV3MatchesV2Reference holds artifact v3 to the v2 writer it
-// replaced (handBuiltV2): on the bench cities 1–3 and the ci cities 1–3,
+// TestArtifactV4MatchesV3Reference holds artifact v4 to the router it
+// was saved from and to the v3 writer and reader it replaced
+// (handBuiltV3, loadV3): on the bench cities 1–3 and the ci cities 1–3,
 // each after Build, after 8 ingests and after Retransduce, the router
-// loaded from Save's v3 bytes and the one the v2 reference reader
-// (loadV2) restores from the v2 envelope of the same state have equal
-// region snapshots, fits, region preferences, metadata and statistics,
-// and route 2,000 ODs identically; the v3 bytes are at most 0.7 of the
-// v2 bytes. The v3 router carries the contraction order, and Load
-// derives from it exactly the topology ch.BuildTopology contracts (the
-// v2 reference, which carries none, contracts). The ci cities skip
+// Load reads from Save's v4 bytes has the saved router's road — every
+// coordinate and weight bit for bit, in edge-ID order — topology,
+// region snapshot, fits, region preferences, metadata and statistics,
+// and answers 2,000 ODs as the saved router does (path, category,
+// region path, evidence); the v3 reference restores the same model
+// sections from the v3 bytes of the same state and, on its rounded
+// road, the same paths. The v4 bytes are at most 0.7 of the v2
+// envelope's (handBuiltV2; -v logs the ratios). The ci cities skip
 // under the race detector and -short.
-func TestArtifactV3MatchesV2Reference(t *testing.T) {
+func TestArtifactV4MatchesV3Reference(t *testing.T) {
 	type world struct {
 		scale string
 		seed  int64
@@ -56,7 +58,7 @@ func TestArtifactV3MatchesV2Reference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireV3MatchesV2(t, "built", r)
+			requireV4MatchesV3(t, "built", r)
 			var held []*traj.Trajectory
 			for _, tr := range w.Test {
 				if len(tr.Truth) >= 2 {
@@ -69,58 +71,98 @@ func TestArtifactV3MatchesV2Reference(t *testing.T) {
 				next.PrepareMetricsTouched(st.TouchedEdges)
 				r = next
 			}
-			requireV3MatchesV2(t, "after 8 ingests", r)
+			requireV4MatchesV3(t, "after 8 ingests", r)
 			r = r.IngestClone()
 			r.Retransduce(opt)
-			requireV3MatchesV2(t, "after Retransduce", r)
+			requireV4MatchesV3(t, "after Retransduce", r)
 		})
 	}
 }
 
-// requireV3MatchesV2 saves r as v3 and, through the reference writer,
-// as v2, and holds the router Load reads from the first to the one the
-// reference reader reads from the second.
-func requireV3MatchesV2(t *testing.T, stage string, r *Router) {
+// requireV4MatchesV3 saves r as v4, loads it, and holds the loaded
+// router to r and to the router the v3 reference reads from the v3
+// bytes of the same state; the v4 size to the v2 envelope's.
+func requireV4MatchesV3(t *testing.T, stage string, r *Router) {
 	t.Helper()
-	v3 := saveArtifact(t, r.Clone())
-	a, err := Load(bytes.NewReader(v3))
+	saved := r.Clone()
+	v4 := saveArtifact(t, saved)
+	a, err := Load(bytes.NewReader(v4))
 	if err != nil {
-		t.Fatalf("%s: loading v3: %v", stage, err)
+		t.Fatalf("%s: loading v4: %v", stage, err)
 	}
-	ref := r.Clone()
-	ref.meta = a.meta // what Save stamped
-	v2 := handBuiltV2(t, ref, ref.learnedPrefs())
-	b := loadV2(t, v2)
-	if ratio := float64(len(v3)) / float64(len(v2)); ratio > 0.7 {
-		t.Errorf("%s: v3 artifact is %d bytes, v2 %d (%.3f; want ≤ 0.7)", stage, len(v3), len(v2), ratio)
+	v2 := handBuiltV2(t, saved, saved.learnedPrefs())
+	if ratio := float64(len(v4)) / float64(len(v2)); ratio > 0.7 {
+		t.Errorf("%s: v4 artifact is %d bytes, v2 %d (%.3f; want ≤ 0.7)", stage, len(v4), len(v2), ratio)
 	} else {
-		t.Logf("%s: v3 %d bytes, v2 %d (%.3f)", stage, len(v3), len(v2), ratio)
+		t.Logf("%s: v4 %d bytes, v2 %d (%.3f)", stage, len(v4), len(v2), ratio)
 	}
-	sa, sb := a.rg.Snapshot(), b.rg.Snapshot()
-	va, vb := reflect.ValueOf(sa).Elem(), reflect.ValueOf(sb).Elem()
-	for i := 0; i < va.NumField(); i++ {
-		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
-			t.Fatalf("%s: region snapshots differ in %s", stage, va.Type().Field(i).Name)
-		}
+	if err := sameRoad(r.road, a.road); err != nil {
+		t.Fatalf("%s: loaded road: %v", stage, err)
 	}
-	if !reflect.DeepEqual(a.regionPrefs, b.regionPrefs) {
-		t.Fatalf("%s: region preferences differ", stage)
+	if !reflect.DeepEqual(a.eng.Topology(), r.eng.Topology()) {
+		t.Fatalf("%s: the topology derived from the carried order differs from the saved router's", stage)
 	}
-	if a.meta != b.meta || a.stats != b.stats {
-		t.Fatalf("%s: meta/stats differ:\nv3 %+v %+v\nv2 %+v %+v", stage, a.meta, a.stats, b.meta, b.stats)
-	}
-	requireSameFits(t, b, a)
+	requireSameModel(t, stage+", v4 against the saved router", saved, a)
+	b := loadV3(t, handBuiltV3(t, v4))
+	requireSameModel(t, stage+", the v3 reference against v4", a, b)
 
-	if topo := a.eng.Topology(); !reflect.DeepEqual(topo, ch.BuildTopology(a.road)) {
-		t.Fatalf("%s: the topology derived from the carried order differs from ch.BuildTopology's", stage)
-	}
 	n := a.road.NumVertices()
 	rng := rand.New(rand.NewSource(int64(n)))
 	for i := 0; i < 2000; i++ {
 		s, d := roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n))
-		ra, rb := a.Route(s, d), b.Route(s, d)
+		ra, rr, rb := a.Route(s, d), r.Route(s, d), b.Route(s, d)
+		if !reflect.DeepEqual(ra, rr) {
+			t.Fatalf("%s: %d -> %d routes %+v loaded, %+v saved", stage, s, d, ra, rr)
+		}
 		if !samePathCore(ra.Path, rb.Path) || ra.Evidence != rb.Evidence {
-			t.Fatalf("%s: %d -> %d routes %v (%v) from v3, %v (%v) from v2", stage, s, d, ra.Path, ra.Evidence, rb.Path, rb.Evidence)
+			t.Fatalf("%s: %d -> %d routes %v (%v) from v4, %v (%v) from v3", stage, s, d, ra.Path, ra.Evidence, rb.Path, rb.Evidence)
+		}
+	}
+}
+
+// sameRoad reports the first coordinate, edge or weight of got that is
+// not want's bit for bit.
+func sameRoad(want, got *roadnet.Graph) error {
+	if want.NumVertices() != got.NumVertices() || want.NumEdges() != got.NumEdges() {
+		return fmt.Errorf("%d vertices, %d edges; want %d, %d", got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
+	}
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for v := roadnet.VertexID(0); int(v) < want.NumVertices(); v++ {
+		if p, q := want.Point(v), got.Point(v); !same(p.X, q.X) || !same(p.Y, q.Y) {
+			return fmt.Errorf("vertex %d at %v, want %v", v, q, p)
+		}
+	}
+	for e := roadnet.EdgeID(0); int(e) < want.NumEdges(); e++ {
+		x, y := want.Edge(e), got.Edge(e)
+		if x.From != y.From || x.To != y.To || x.Type != y.Type || !same(x.Length, y.Length) ||
+			!same(x.TravelTime, y.TravelTime) || !same(x.Fuel, y.Fuel) {
+			return fmt.Errorf("edge %d is %+v, want %+v", e, y, x)
+		}
+	}
+	return nil
+}
+
+// requireSameModel fails unless got has want's region snapshot, region
+// preferences, metadata, statistics and fits.
+func requireSameModel(t *testing.T, what string, want, got *Router) {
+	t.Helper()
+	sw, sg := reflect.ValueOf(want.rg.Snapshot()).Elem(), reflect.ValueOf(got.rg.Snapshot()).Elem()
+	for i := 0; i < sw.NumField(); i++ {
+		if !reflect.DeepEqual(sw.Field(i).Interface(), sg.Field(i).Interface()) {
+			t.Fatalf("%s: region snapshots differ in %s", what, sw.Type().Field(i).Name)
+		}
+	}
+	if !reflect.DeepEqual(want.regionPrefs, got.regionPrefs) {
+		t.Fatalf("%s: region preferences differ", what)
+	}
+	if want.meta != got.meta || want.stats != got.stats {
+		t.Fatalf("%s: meta/stats differ:\n%+v %+v\nwant %+v %+v", what, got.meta, got.stats, want.meta, want.stats)
+	}
+	for id := range want.rg.Edges {
+		wr, wok := want.LearnedPreference(id)
+		gr, gok := got.LearnedPreference(id)
+		if wr != gr || wok != gok {
+			t.Fatalf("%s: edge %d: learned preference %+v %v, want %+v %v", what, id, gr, gok, wr, wok)
 		}
 	}
 }
@@ -459,11 +501,11 @@ func TestLoadOntoSharesBaseHierarchy(t *testing.T) {
 	requireAllResident(t, "LoadOnto, another road", foreign)
 }
 
-// FuzzLoad feeds Load v3 payloads, framed with a valid checksum so the
+// FuzzLoad feeds Load v4 payloads, framed with a valid checksum so the
 // decoder itself is what the fuzzer explores. Load must return a router
 // or an error, never panic, and never allocate more than 64 times its
-// input plus 4 MiB — the fixed costs are the TSV scanner's 1 MiB buffer
-// and gob's type tables for the metadata section: every count and
+// input plus 4 MiB — the fixed cost is gob's type tables for the
+// metadata section: every count and
 // length is checked against the bytes left before anything is
 // allocated for it, and the hierarchy Load derives is held to
 // ch.DeriveTopology's fill budget, linear in the road's edges (one seed
@@ -479,7 +521,11 @@ func FuzzLoad(f *testing.F) {
 	f.Add(payload[:len(payload)/2])
 	parts := artifactParts(f, art)
 	small := append([][]byte(nil), parts...)
-	small[partRoad] = []byte("V\t0\t0\t0\nV\t1\t1e12\t1e12\nE\t0\t1\t1\t1\t1\t0\n")
+	b := roadnet.NewBuilder()
+	b.AddEdge(b.AddVertex(geo.Point{}), b.AddVertex(geo.Point{X: 1e12, Y: 1e12}), roadnet.Motorway)
+	var road codec.Enc
+	b.Build().Append(&road)
+	small[partRoad] = road.B
 	small[partRegion] = parts[partRegion][:64]
 	_, smallPayload, _ := codec.ReadFrameBytes(bytes.NewReader(joinParts(f, small)), ArtifactVersion)
 	f.Add(smallPayload)
@@ -504,7 +550,7 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// artifactDigest is an FNV-64a over a v3 artifact's road, region,
+// artifactDigest is an FNV-64a over an artifact's road, region,
 // preference and order sections, each preceded by its length. The road
 // identity is a hash of the road section, and the metadata section
 // carries the save time, so neither is hashed.
@@ -525,15 +571,18 @@ func artifactDigest(t testing.TB, art []byte) uint64 {
 // for the CH-built bench and ci routers (seed 1), and for the ci router
 // after 16 chained IngestClone → Ingest batches of two held-out trips,
 // TestLearnedModelUnchangedBySearchElimination's write schedule. They
-// were recorded while Load still read the v1/v2 gob envelope and a
-// region graph could lack visit counts; dropping those readers leaves
-// Save's bytes alone, and this is the check that it does. The values
-// are never re-recorded. The ci halves skip under -race and -short.
+// were recorded while Load still read the v1/v2 gob envelope, and
+// re-recorded once, when artifact v4 replaced the road's text with its
+// binary section: the region, preference and order sections hashed
+// without the road section gave the same three values before and after
+// that change. Re-record only for a change of the layout that moves
+// these bytes on purpose, and say which sections moved. The ci halves
+// skip under -race and -short.
 func TestCIArtifactDigest(t *testing.T) {
 	want := map[string]uint64{
-		worldgen.ScaleBench:          0x19b9a58419e4b113,
-		worldgen.ScaleCI:             0x3bb83775bfa2af7,
-		worldgen.ScaleCI + "+ingest": 0xea9b5a716a650f15,
+		worldgen.ScaleBench:          0xc1517cad4ec6d4f5,
+		worldgen.ScaleCI:             0x4ca37e32c2266064,
+		worldgen.ScaleCI + "+ingest": 0x9b635f89b569c932,
 	}
 	for _, scale := range []string{worldgen.ScaleBench, worldgen.ScaleCI} {
 		if scale == worldgen.ScaleCI && (raceEnabled || testing.Short()) {

@@ -142,17 +142,19 @@
 // advances on every Save — which the multi-tenant serving layer
 // (internal/serve.Fleet) uses to identify and hot-reload tenants.
 //
-// Save writes artifact v3: one codec frame whose payload is the road
+// Save writes artifact v4: one codec frame whose payload is the road
 // network's identity and five sections, each an 8-byte length and its
 // bytes:
 //
 //	uint64   road identity: FNV-64a of the road section (wal.IdentityOf)
-//	road     roadnet.WriteTSV bytes, verbatim
+//	road     roadnet.Graph.Append's image: varint counts and endpoint
+//	         deltas, every coordinate and weight as its 8 float64 bits,
+//	         so a loaded router sits on the road it was saved on
 //	region   region.Snapshot.Append's image: delta runs for vertex sets,
 //	         out-edge walks for stored and inner paths, one backing array
 //	prefs    edge count, then per edge in ID order a fit or none; the
 //	         region preferences in region order
-//	meta     gob of ArtifactMeta, Stats and the spatial index's cell size
+//	meta     gob of ArtifactMeta and Stats
 //	order    the contraction order (vertex count, then the vertices);
 //	         empty only in artifacts saved by routers that ran on plain
 //	         Dijkstra, for which Load contracts afresh
@@ -171,7 +173,7 @@
 // use, by map matching, not by Load.
 //
 // Load and LoadOnto run on two goroutines. The side one verifies the
-// frame's checksum (codec.Frame.Verify), then, once the road is parsed
+// frame's checksum (codec.Frame.Verify), then, once the road is decoded
 // (or taken from the base) and the order checked, derives the
 // hierarchy and customizes its three scalar metrics — or forks the
 // base's, when the checkpoint shares it. The calling one meanwhile
@@ -183,8 +185,9 @@
 // the checksum is checked, and a mismatch is codec.ErrCorrupt whatever
 // the decoder made of the bytes.
 //
-// Load reads v3 only; a v1/v2 artifact (one gob envelope, the fits in a
-// Learned map of their own) is refused with codec.ErrBadVersion, and a
+// Load reads v4 only; a v1/v2 artifact (one gob envelope, the fits in a
+// Learned map of their own) and a v3 one (its road as roadnet.WriteTSV
+// text, rounded) are refused with codec.ErrBadVersion, and a
 // region section without visit counts with codec.ErrMalformed
 // (OPERATIONS.md, "Compatibility across versions"). An artifact is
 // outside input, so Load checks every count against the bytes left

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -72,6 +73,60 @@ func TestBuildIsFixedPointOfRetransduce(t *testing.T) {
 				if ra, rb := built.Route(s, d), again.Route(s, d); !reflect.DeepEqual(ra, rb) {
 					t.Fatalf("route %d -> %d moved:\nbuilt %+v\nagain %+v", s, d, ra, rb)
 				}
+			}
+		})
+	}
+}
+
+// TestLoadedIsFixedPointOfRetransduce: a router restored by Load is the
+// router that was saved, so it too is a fixed point of Retransduce —
+// every fit, every region preference and the model digest's 220 routes
+// stay as loaded. A road stored rounded would fail this: the loaded
+// copy's first Retransduce relearns on other weights than the saved
+// fits were learned on.
+func TestLoadedIsFixedPointOfRetransduce(t *testing.T) {
+	for _, c := range []struct {
+		scale string
+		seed  int64
+	}{
+		{worldgen.ScaleBench, 1}, {worldgen.ScaleBench, 3},
+		{worldgen.ScaleCI, 1}, {worldgen.ScaleCI, 3},
+	} {
+		t.Run(fmt.Sprintf("%s-%d", c.scale, c.seed), func(t *testing.T) {
+			if c.scale == worldgen.ScaleCI && (raceEnabled || testing.Short()) {
+				t.Skip("ci-scale builds take minutes under the race detector; CI runs this test un-instrumented")
+			}
+			w := worldgen.Build(worldgen.MustScale(c.scale, c.seed))
+			opt := Options{SkipMapMatching: true}
+			built, err := Build(w.Road, w.Train, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(bytes.NewReader(saveArtifact(t, built)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			again := loaded.IngestClone()
+			if st := again.Retransduce(opt); st.LearnedPrefs == 0 || st.Transferred == 0 {
+				t.Fatalf("Retransduce derived nothing: %+v", st)
+			}
+			moved := 0
+			for id := range loaded.rg.Edges {
+				a, aok := loaded.LearnedPreference(id)
+				b, bok := again.LearnedPreference(id)
+				if a != b || aok != bok {
+					moved++
+				}
+			}
+			if moved > 0 {
+				t.Errorf("Retransduce moved %d of %d fits", moved, len(loaded.rg.Edges))
+			}
+			if !reflect.DeepEqual(loaded.regionPrefs, again.regionPrefs) {
+				t.Error("region preferences moved")
+			}
+			ll, lr := modelDigest(loaded)
+			if al, ar := modelDigest(again); al != ll || ar != lr {
+				t.Errorf("model digest learned %#x routes %#x, loaded %#x %#x", al, ar, ll, lr)
 			}
 		})
 	}

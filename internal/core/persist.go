@@ -26,12 +26,14 @@ import (
 //
 // Version history: v1 carried no metadata; v2 added ArtifactMeta (name,
 // build-options summary, save generation). Both were one gob envelope.
-// v3 lays the artifact out as flat, length-prefixed sections and adds
-// the road network's identity and the contraction order (package
-// documentation, "Persistence"). Save writes v3 and Load reads v3 only;
+// v3 laid the artifact out as flat, length-prefixed sections and added
+// the road network's identity and the contraction order. v4 stores the
+// road section in binary (roadnet.Graph.Append), every float exact,
+// where v3 stored it as roadnet.WriteTSV's rounded text (package
+// documentation, "Persistence"). Save writes v4 and Load reads v4 only;
 // an older file is refused with codec.ErrBadVersion (OPERATIONS.md,
 // "Compatibility across versions", gives the upgrade path).
-const ArtifactVersion uint16 = 3
+const ArtifactVersion uint16 = 4
 
 // BuildInfo is the compact summary of the Options a router was built
 // with, persisted in every artifact so a deployment can audit what it
@@ -76,9 +78,9 @@ type ArtifactMeta struct {
 	Build BuildInfo
 }
 
-// metaSection is v3's metadata section, the one section still gob: it
-// carries option structs, and is small. Artifacts saved before the
-// index cell became a constant carry an IndexCellM field gob skips.
+// metaSection is the artifact's metadata section, the one section still
+// gob: it carries option structs, and is small. Artifacts saved before
+// the index cell became a constant carry an IndexCellM field gob skips.
 type metaSection struct {
 	Meta  ArtifactMeta
 	Stats Stats
@@ -98,15 +100,15 @@ func (x *lazyIndex) get(road *roadnet.Graph) *spatial.Index {
 }
 
 // RoadIdentity returns the identity of the router's road network — the
-// FNV-64a of its roadnet.WriteTSV bytes, wal.IdentityOf's definition —
-// when the router knows it: Save records it over the bytes it writes,
-// and Load reads it from the artifact. ok is false only for a router
-// built in this process and never saved.
+// FNV-64a of its road section (roadnet.Graph.Append), wal.IdentityOf's
+// definition — when the router knows it: Save records it over the bytes
+// it writes, and Load reads it from the artifact. ok is false only for a
+// router built in this process and never saved.
 func (r *Router) RoadIdentity() (id uint64, ok bool) { return r.roadID, r.hasRoadID }
 
 // Save serializes the built router — road network, region graph,
 // learned and transferred preferences, pipeline statistics and the
-// contraction order — as one self-contained, checksummed v3
+// contraction order — as one self-contained, checksummed v4
 // artifact (package documentation, "Persistence"). The offline build
 // takes minutes at scale (Section VII-C reports 21+245+106+7 minutes for
 // D1); Save and Load let a deployment pay it once. On success the
@@ -119,9 +121,7 @@ func (r *Router) Save(w io.Writer) error {
 
 	e := codec.Enc{B: make([]byte, 8, 64*(r.road.NumVertices()+r.road.NumEdges())+4096)}
 	mark := e.Begin()
-	if err := roadnet.WriteTSV(&e, r.road); err != nil {
-		return fmt.Errorf("core: serializing road network: %w", err)
-	}
+	r.road.Append(&e)
 	e.End(mark)
 	h := fnv.New64a()
 	h.Write(e.B[mark:])
@@ -187,7 +187,7 @@ func decodeResult(d *codec.Dec) pref.Result {
 	return res
 }
 
-// Load reconstructs a router from a v3 artifact written by Save; any
+// Load reconstructs a router from a v4 artifact written by Save; any
 // other version is refused with codec.ErrBadVersion. The result answers
 // queries exactly like the original: it runs on the hierarchy derived
 // from the contraction order the artifact carries (contracted afresh
@@ -201,17 +201,17 @@ func Load(rd io.Reader) (*Router, error) { return LoadOnto(rd, nil, 0) }
 // base artifact, already loaded as base (nil for none), whose road
 // identity baseID the caller holds (wal.IdentityOfRouter). An artifact
 // saved on a road network with that identity is restored onto base's
-// road instead of parsing its own copy; one that also carries base's
+// road instead of decoding its own copy; one that also carries base's
 // contraction order shares base's topology and metric table, as an
 // IngestClone does, and customizes only the metrics base lacks. Any
 // other artifact derives its own hierarchy, as Load does. The frame is
-// read whole and its checksum verified beside the decode (decodeV3).
+// read whole and its checksum verified beside the decode (decodeFrame).
 func LoadOnto(rd io.Reader, base *Router, baseID uint64) (*Router, error) {
 	f, err := codec.ReadFrameUnverified(rd, ArtifactVersion)
 	if err != nil {
 		return nil, err
 	}
-	return decodeV3(f, base, baseID)
+	return decodeFrame(f, base, baseID)
 }
 
 // restored is the router assembled around a decoded road network,
@@ -241,8 +241,8 @@ func hierarchy(road *roadnet.Graph, order []int32, base *Router) (*route.CHEngin
 	return route.NewCHEngine(road, topo, roadnet.TT, route.MetricKey{W: roadnet.DI}, route.MetricKey{W: roadnet.FC}), nil
 }
 
-// decodeV3 decodes a v3 frame on two goroutines. A side goroutine
-// verifies the checksum first, then waits for the road and the
+// decodeFrame decodes an artifact frame on two goroutines. A side
+// goroutine verifies the checksum first, then waits for the road and the
 // contraction order and builds the hierarchy on them (hierarchy), while
 // this one decodes the region graph, the preferences and the metadata
 // (decodeSections). Once both are done the masked metrics are
@@ -252,7 +252,7 @@ func hierarchy(road *roadnet.Graph, order []int32, base *Router) (*route.CHEngin
 // (FuzzLoad). Nothing is returned before the side goroutine finishes,
 // and a checksum mismatch is codec.ErrCorrupt whatever the decoder
 // made of the bytes.
-func decodeV3(f codec.Frame, base *Router, baseID uint64) (*Router, error) {
+func decodeFrame(f codec.Frame, base *Router, baseID uint64) (*Router, error) {
 	var (
 		verifyErr, deriveErr error
 		eng                  *route.CHEngine
@@ -285,21 +285,21 @@ func decodeV3(f codec.Frame, base *Router, baseID uint64) (*Router, error) {
 	return r, nil
 }
 
-// hierarchyJob is what decodeSections hands decodeV3's side goroutine:
-// the road and the checked contraction order.
+// hierarchyJob is what decodeSections hands decodeFrame's side
+// goroutine: the road and the checked contraction order.
 type hierarchyJob struct {
 	road  *roadnet.Graph
 	order []int32
 }
 
-// decodeSections decodes a v3 payload's road identity and sections into
-// a router without an engine. It sends the road and the contraction
+// decodeSections decodes an artifact payload's road identity and
+// sections into a router without an engine. It sends the road and the contraction
 // order on jobs as soon as both are known, before the region section,
 // and sends nothing when either fails.
 func decodeSections(payload []byte, base *Router, baseID uint64, jobs chan<- hierarchyJob) (*Router, error) {
 	d := codec.NewDec(payload)
 	id := d.Uint64()
-	roadTSV, regionB, prefsB, metaB, orderB := d.Section(), d.Section(), d.Section(), d.Section(), d.Section()
+	roadB, regionB, prefsB, metaB, orderB := d.Section(), d.Section(), d.Section(), d.Section(), d.Section()
 	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("core: artifact sections: %w", err)
 	}
@@ -308,7 +308,7 @@ func decodeSections(payload []byte, base *Router, baseID uint64, jobs chan<- hie
 		road = base.road
 	} else {
 		var err error
-		if road, err = roadnet.ParseTSV(roadTSV); err != nil {
+		if road, err = roadnet.Decode(roadB); err != nil {
 			return nil, fmt.Errorf("core: decoding road network: %w", err)
 		}
 	}

@@ -2,9 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
-	"maps"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -155,15 +160,21 @@ func requireSameFits(t *testing.T, want, got *Router) {
 	}
 }
 
-// TestLoadRefusesOlderArtifacts: Load reads only artifact v3. A v1 or
-// v2 frame — the gob envelope Save wrote before v3 — is refused with
-// codec.ErrBadVersion and no router, whatever its payload holds.
+// TestLoadRefusesOlderArtifacts: Load reads only artifact v4. A v1 or
+// v2 frame — the gob envelope Save wrote before v3 — and a v3 frame —
+// its road as rounded text — are refused with codec.ErrBadVersion
+// naming their version, and no router, whatever the payload holds.
 func TestLoadRefusesOlderArtifacts(t *testing.T) {
 	r := builtRouter(t)
-	for _, version := range []uint16{artifactVersionV1, artifactVersionV2} {
-		got, err := Load(bytes.NewReader(encodeEnvelope(t, version, r, r.learnedPrefs())))
-		if !errors.Is(err, codec.ErrBadVersion) || got != nil {
-			t.Fatalf("v%d artifact: Load returned router %v, err %v; want ErrBadVersion", version, got != nil, err)
+	older := map[uint16][]byte{
+		artifactVersionV1: encodeEnvelope(t, artifactVersionV1, r, r.learnedPrefs()),
+		artifactVersionV2: encodeEnvelope(t, artifactVersionV2, r, r.learnedPrefs()),
+		artifactVersionV3: handBuiltV3(t, saveArtifact(t, r.Clone())),
+	}
+	for version, art := range older {
+		got, err := Load(bytes.NewReader(art))
+		if !errors.Is(err, codec.ErrBadVersion) || got != nil || !strings.Contains(err.Error(), fmt.Sprintf("artifact v%d,", version)) {
+			t.Fatalf("v%d artifact: Load returned router %v, err %v; want ErrBadVersion naming v%d", version, got != nil, err, version)
 		}
 	}
 }
@@ -200,9 +211,9 @@ type envelope struct {
 	IndexCellM  float64 // always the default; the reader ignores it
 }
 
-// handBuiltV2 is the v2 writer Save was before artifact v3, kept as the
-// test reference v3 is held to: r's state as one gob envelope, with
-// learned as the envelope's Learned map.
+// handBuiltV2 is the v2 writer Save was before artifact v3, kept for
+// the size bound TestArtifactV4MatchesV3Reference holds v4 to: r's
+// state as one gob envelope, with learned as the envelope's Learned map.
 func handBuiltV2(t testing.TB, r *Router, learned map[int]pref.Result) []byte {
 	t.Helper()
 	return encodeEnvelope(t, artifactVersionV2, r, learned)
@@ -231,35 +242,90 @@ func encodeEnvelope(t testing.TB, version uint16, r *Router, learned map[int]pre
 	return buf.Bytes()
 }
 
-// loadV2 is the v2 reader Load was before it read v3 only, kept as the
-// reference TestArtifactV3MatchesV2Reference holds v3 to: the envelope
-// decoded, its road parsed, its snapshot restored, and the Learned map
-// scattered onto the region edges.
-func loadV2(t testing.TB, art []byte) *Router {
+// artifactVersionV3 is the version of the artifact Save wrote before
+// v4: today's sections, the road as roadnet.WriteTSV's text.
+const artifactVersionV3 uint16 = 3
+
+// handBuiltV3 is the v3 writer Save was before artifact v4, kept as the
+// reference v4 is held to: art's parts with the road section as
+// roadnet.WriteTSV's text and the road identity its FNV-64a.
+func handBuiltV3(t testing.TB, art []byte) []byte {
 	t.Helper()
-	var env envelope
-	if err := codec.ReadFrame(bytes.NewReader(art), artifactVersionV2, &env); err != nil {
-		t.Fatal(err)
-	}
-	road, err := roadnet.ParseTSV(env.RoadTSV)
+	parts := artifactParts(t, art)
+	road, err := roadnet.Decode(parts[partRoad])
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := restored(road, env.Region, metaSection{env.Meta, env.Stats})
+	var text bytes.Buffer
+	if err := roadnet.WriteTSV(&text, road); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(text.Bytes())
+	parts[partRoadID] = binary.BigEndian.AppendUint64(nil, h.Sum64())
+	parts[partRoad] = text.Bytes()
+	return frameParts(t, artifactVersionV3, parts)
+}
+
+// loadV3 is the v3 reader Load was before it read v4 only, kept as the
+// reference TestArtifactV4MatchesV3Reference holds v4 to. v3 differs
+// from v4 in the road section alone, so it reads the road's text
+// (sectionFromTSV) and decodes the other sections as Load does.
+func loadV3(t testing.TB, art []byte) *Router {
+	t.Helper()
+	parts := artifactParts(t, art)
+	parts[partRoad] = sectionFromTSV(t, parts[partRoad])
+	r, err := Load(bytes.NewReader(joinParts(t, parts)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, fit := range env.Learned {
-		r.rg.Edges[id].SetFit(fit, true)
-	}
-	maps.Copy(r.regionPrefs, env.RegionPrefs)
-	eng, err := hierarchy(road, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.setEngine(eng)
-	r.eng.PrepareAll(r.MetricKeys())
 	return r
+}
+
+// sectionFromTSV reads a road network as WriteTSV prints it — lines
+// split at tabs, numbers read by strconv — and lays it out as a road
+// section, as roadnet's io.go describes it.
+func sectionFromTSV(t testing.TB, text []byte) []byte {
+	t.Helper()
+	var e codec.Enc
+	var verts, edges int
+	float := func(f string) {
+		x, err := strconv.ParseFloat(f, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.B = binary.LittleEndian.AppendUint64(e.B, math.Float64bits(x))
+	}
+	lines := strings.Split(strings.TrimSpace(string(text)), "\n")
+	for _, line := range lines {
+		if f := strings.Split(line, "\t"); f[0] == "V" {
+			float(f[2])
+			float(f[3])
+			verts++
+		}
+	}
+	sec := append(binary.AppendUvarint(nil, uint64(verts)), e.B...)
+	e.B = nil
+	from := 0
+	for _, line := range lines {
+		if f := strings.Split(line, "\t"); f[0] == "E" {
+			v, err := strconv.Atoi(f[1])
+			to, err2 := strconv.Atoi(f[2])
+			typ, err3 := strconv.Atoi(f[6])
+			if err := errors.Join(err, err2, err3); err != nil {
+				t.Fatal(err)
+			}
+			e.Int(v - from)
+			e.Int(to - v)
+			from = v
+			float(f[3])
+			float(f[4])
+			float(f[5])
+			e.Byte(byte(typ))
+			edges++
+		}
+	}
+	return append(binary.AppendUvarint(sec, uint64(edges)), e.B...)
 }
 
 // TestLoadV3LegacyMeta: every v3 artifact saved before the pipeline's
@@ -267,10 +333,11 @@ func loadV2(t testing.TB, art []byte) *Router {
 // transfer-center cap became constants carries them in its gob
 // metadata — BuildInfo.MinConfidence, IndexCellM and MapMatch,
 // BuildInfo.Region.TopK and MaxTransferCenters, and
-// metaSection.IndexCellM — at their defaults. Such an artifact still
-// loads, keeps the remaining Meta().Build fields, and routes the 220
-// digest ODs and ingests raw GPS exactly like the same router saved
-// today. The matcher and region settings are written both as the zero
+// metaSection.IndexCellM — at their defaults. v4 keeps that section as
+// it was, and gob skips fields its type lacks, so an artifact whose
+// metadata still carries them loads, keeps the remaining Meta().Build
+// fields, and routes the 220 digest ODs and ingests raw GPS exactly
+// like the same router saved without them. The matcher and region settings are written both as the zero
 // value old artifacts hold and spelled out, so the decoder skips a
 // non-empty struct and non-zero fields too.
 func TestLoadV3LegacyMeta(t *testing.T) {
@@ -395,8 +462,8 @@ func TestLoadScattersLearnedMap(t *testing.T) {
 	}
 }
 
-// The parts of a v3 payload, as artifactParts splits it: the road
-// identity, then the five sections.
+// The parts of an artifact payload, as artifactParts splits it: the
+// road identity, then the five sections.
 const (
 	partRoadID = iota
 	partRoad
@@ -407,10 +474,10 @@ const (
 	numParts
 )
 
-// artifactParts splits a v3 artifact into its parts.
+// artifactParts splits a v4 or v3 artifact into its parts.
 func artifactParts(t testing.TB, art []byte) [][]byte {
 	t.Helper()
-	_, payload, err := codec.ReadFrameBytes(bytes.NewReader(art), ArtifactVersion)
+	_, payload, err := codec.ReadFrameBytes(bytes.NewReader(art), ArtifactVersion, artifactVersionV3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,9 +493,15 @@ func artifactParts(t testing.TB, art []byte) [][]byte {
 	return parts
 }
 
-// joinParts is artifactParts' inverse: the parts framed as a v3
+// joinParts is artifactParts' inverse: the parts framed as a v4
 // artifact.
 func joinParts(t testing.TB, parts [][]byte) []byte {
+	t.Helper()
+	return frameParts(t, ArtifactVersion, parts)
+}
+
+// frameParts frames parts as an artifact of the given version.
+func frameParts(t testing.TB, version uint16, parts [][]byte) []byte {
 	t.Helper()
 	e := codec.Enc{B: append([]byte(nil), parts[partRoadID]...)}
 	for _, part := range parts[1:] {
@@ -437,7 +510,7 @@ func joinParts(t testing.TB, parts [][]byte) []byte {
 		e.End(mark)
 	}
 	var buf bytes.Buffer
-	if err := codec.WriteFrameBytes(&buf, ArtifactVersion, e.B); err != nil {
+	if err := codec.WriteFrameBytes(&buf, version, e.B); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

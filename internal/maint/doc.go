@@ -16,11 +16,8 @@
 //     batches + Retransduce) equals one rebuilt from scratch over the
 //     same road network, region partition and union of all evidence —
 //     path sets, transfer centers and transduction inputs all
-//     accumulate canonically. The road is the one the router holds: a
-//     Save → Load router holds the artifact's copy, whose weights
-//     roadnet.WriteTSV rounded to %.3f (fuel %.6f), so its rebuilds
-//     converge there, and can relearn similarities about 1e-7 away
-//     from those the builder learned on the unrounded road.
+//     accumulate canonically. A Save → Load router holds the same road,
+//     bit for bit, so this holds across restarts too.
 //   - Crash equivalence: Retransduce is idempotent and the publish is
 //     an atomic snapshot swap followed by a checkpoint, so a crash at
 //     any point recovers either the old or the new model — never a

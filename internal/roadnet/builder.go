@@ -70,7 +70,7 @@ func (b *Builder) AddRoad(u, v VertexID, t RoadType) {
 // Build freezes the builder into an immutable Graph. Each CSR lists a
 // vertex's edges ordered by the other endpoint: out-edges by (From, To),
 // in-edges by (To, From), and copies of a repeated pair (which AddEdge
-// drops but a hand-written TSV can carry) by EdgeID. Three stable
+// drops but a road section can carry) by EdgeID. Three stable
 // counting sorts build both — by To, then by From (the out order), then
 // that by To (the in order) — in linear time.
 func (b *Builder) Build() *Graph {
@@ -113,15 +113,15 @@ func (b *Builder) Build() *Graph {
 }
 
 // Validate performs structural sanity checks on a built graph, returning
-// a descriptive error for the first violation found. It is used by tests
-// and by cmd/l2rgen after generation.
+// a descriptive error for the first violation found. Decode runs it on
+// every network it reads, and cmd/l2rgen on every one it generates.
 func Validate(g *Graph) error {
 	n := VertexID(g.NumVertices())
 	for i, e := range g.edges {
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
 			return fmt.Errorf("edge %d: endpoint out of range", i)
 		}
-		if e.Length <= 0 || e.TravelTime <= 0 || e.Fuel <= 0 {
+		if !(e.Length > 0 && e.TravelTime > 0 && e.Fuel > 0) { // NaN too
 			return fmt.Errorf("edge %d: non-positive weight (len=%g tt=%g fc=%g)", i, e.Length, e.TravelTime, e.Fuel)
 		}
 		if e.Type >= NumRoadTypes {

@@ -2,183 +2,124 @@ package roadnet
 
 import (
 	"bufio"
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 
+	"repro/internal/codec"
 	"repro/internal/geo"
 )
 
-// This file implements a simple line-oriented TSV serialization for road
-// networks so generated worlds can be persisted, diffed and reloaded:
+// A road network is stored in one format, the binary road section that
+// Append writes and Decode reads; every artifact and checkpoint carries
+// one, and a road's identity is the FNV-64a of its bytes. All counts and
+// IDs are varints (codec.Enc), every float is its 8 bits little-endian,
+// so a decoded network is the encoded one bit for bit:
+//
+//	uvarint |V|, then per vertex: X, Y
+//	uvarint |E|, then per edge in EdgeID order:
+//	  From as a zigzag delta from the previous edge's From (from 0),
+//	  To as a zigzag delta from From,
+//	  Length, TravelTime, Fuel, then the road type as one byte
+//
+// WriteTSV prints a network as text for people (cmd/l2rgen); no file
+// format reads it.
+
+// Append appends g's road section to e.
+func (g *Graph) Append(e *codec.Enc) {
+	float := func(f float64) { e.B = binary.LittleEndian.AppendUint64(e.B, math.Float64bits(f)) }
+	e.Uvarint(uint64(len(g.pts)))
+	for _, p := range g.pts {
+		float(p.X)
+		float(p.Y)
+	}
+	e.Uvarint(uint64(len(g.edges)))
+	from := VertexID(0)
+	for _, ed := range g.edges {
+		e.Int(int(ed.From - from))
+		e.Int(int(ed.To - ed.From))
+		from = ed.From
+		float(ed.Length)
+		float(ed.TravelTime)
+		float(ed.Fuel)
+		e.Byte(byte(ed.Type))
+	}
+}
+
+// Decode reads a road section Append wrote. A section is outside input:
+// each count is bounded by the bytes left before anything is allocated
+// for it, endpoints and road types are range-checked, and the network
+// is built by Builder.Build and checked by Validate, so it keeps the
+// section's edge IDs and the CSR order Build gives them. The result
+// does not alias b.
+func Decode(b []byte) (*Graph, error) {
+	d := codec.NewDec(b)
+	float := func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+	pts := make([]geo.Point, d.Count(16))
+	for i := range pts {
+		if p := d.Bytes(16); p != nil {
+			pts[i] = geo.Pt(float(p), float(p[8:]))
+		}
+	}
+	n := len(pts)
+	edges := make([]Edge, d.Count(2+3*8+1))
+	from := 0
+	for i := range edges {
+		from += d.Int()
+		to := from + d.Int()
+		w := d.Bytes(3*8 + 1)
+		if w == nil {
+			break
+		}
+		if from < 0 || from >= n || to < 0 || to >= n {
+			d.Fail("edge %d: endpoint out of range", i)
+			break
+		}
+		if w[24] >= byte(NumRoadTypes) {
+			d.Fail("edge %d: bad road type %d", i, w[24])
+			break
+		}
+		edges[i] = Edge{From: VertexID(from), To: VertexID(to),
+			Length: float(w), TravelTime: float(w[8:]), Fuel: float(w[16:]), Type: RoadType(w[24])}
+	}
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("roadnet: road section: %w", err)
+	}
+	g := (&Builder{pts: pts, edges: edges}).Build()
+	if err := Validate(g); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// WriteTSV prints g as text, one line per vertex and per edge:
 //
 //	V	<id>	<x>	<y>
 //	E	<from>	<to>	<length_m>	<tt_s>	<fuel_l>	<type>
 //
-// Lines starting with '#' and blank lines are ignored. Vertex IDs must
-// be dense and ascending starting at 0. Every artifact and checkpoint
-// carries one such section, so both directions run on the exact
-// decimal kernels of decimal.go rather than strconv's general paths;
-// the bytes written and the floats read are strconv's.
-
-// WriteTSV serializes g: the bytes fmt's %d, %.3f and %.6f would print.
-// Each line is appended into one reused buffer — floats by appendFixed
-// — and streamed through a bufio.Writer, so a checkpoint or a WAL
-// identity hash costs no allocation per line. A bufio.Writer's errors
-// stick, so Flush reports any Write's.
+// after a '#' header line. Coordinates, lengths and travel times are
+// rounded to three decimals and fuel to six, as fmt's %.3f and %.6f
+// print them.
 func WriteTSV(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 64<<10)
-	line := strconv.AppendInt(append(make([]byte, 0, 128), "# learn2route road network: "...), int64(g.NumVertices()), 10)
-	line = strconv.AppendInt(append(line, " vertices, "...), int64(g.NumEdges()), 10)
-	line = append(line, " edges\n"...)
+	bw := bufio.NewWriter(w)
+	line := fmt.Appendf(nil, "# learn2route road network: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 	bw.Write(line)
-	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
-		p := g.Point(v)
+	for v, p := range g.pts {
 		line = strconv.AppendInt(append(line[:0], "V\t"...), int64(v), 10)
-		line = appendFixed(append(line, '\t'), p.X, 3)
-		line = appendFixed(append(line, '\t'), p.Y, 3)
-		line = append(line, '\n')
-		bw.Write(line)
+		line = strconv.AppendFloat(append(line, '\t'), p.X, 'f', 3, 64)
+		line = strconv.AppendFloat(append(line, '\t'), p.Y, 'f', 3, 64)
+		bw.Write(append(line, '\n'))
 	}
-	for e := EdgeID(0); int(e) < g.NumEdges(); e++ {
-		ed := g.Edge(e)
+	for _, ed := range g.edges {
 		line = strconv.AppendInt(append(line[:0], "E\t"...), int64(ed.From), 10)
 		line = strconv.AppendInt(append(line, '\t'), int64(ed.To), 10)
-		line = appendFixed(append(line, '\t'), ed.Length, 3)
-		line = appendFixed(append(line, '\t'), ed.TravelTime, 3)
-		line = appendFixed(append(line, '\t'), ed.Fuel, 6)
+		line = strconv.AppendFloat(append(line, '\t'), ed.Length, 'f', 3, 64)
+		line = strconv.AppendFloat(append(line, '\t'), ed.TravelTime, 'f', 3, 64)
+		line = strconv.AppendFloat(append(line, '\t'), ed.Fuel, 'f', 6, 64)
 		line = strconv.AppendInt(append(line, '\t'), int64(ed.Type), 10)
-		line = append(line, '\n')
-		bw.Write(line)
+		bw.Write(append(line, '\n'))
 	}
 	return bw.Flush()
-}
-
-// ParseTSV parses a network written by WriteTSV. The result does not
-// alias data. Lines are those of a bufio.Scanner — split at '\n', each
-// trimmed of surrounding white space — and fields are split at '\t',
-// but in place: a line costs no allocation. Numbers are read by
-// parseInt and parseFloat, which answer as strconv does, error texts
-// included. A vertex ID outside [0, 2^31) is an error, not wrapped.
-func ParseTSV(data []byte) (*Graph, error) {
-	// Reserve room for the records a first pass finds. A line counts
-	// only if it is as long as the shortest valid record of its kind,
-	// so what is reserved stays within a few times len(data) whatever
-	// the input; a record the pass misses is appended all the same.
-	nv, ne := 0, 0
-	for rest := data; len(rest) > 0; {
-		n := bytes.IndexByte(rest, '\n')
-		if n < 0 {
-			n = len(rest)
-		}
-		switch {
-		case rest[0] == 'V' && n >= len("V\t0\t0\t0"):
-			nv++
-		case rest[0] == 'E' && n >= len("E\t0\t0\t1\t1\t1\t0"):
-			ne++
-		}
-		rest = rest[min(n+1, len(rest)):]
-	}
-	pts := make([]geo.Point, 0, nv)
-	edges := make([]Edge, 0, ne)
-
-	var fields [8][]byte
-	line := 0
-	for rest := data; len(rest) > 0; {
-		text := rest
-		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
-			text, rest = rest[:i], rest[i+1:]
-		} else {
-			rest = nil
-		}
-		line++
-		text = bytes.TrimSpace(text)
-		if len(text) == 0 || text[0] == '#' {
-			continue
-		}
-		nf, start := 0, 0
-		for i := 0; i <= len(text); i++ {
-			if i == len(text) || text[i] == '\t' {
-				if nf < len(fields) {
-					fields[nf] = text[start:i]
-				}
-				nf, start = nf+1, i+1
-			}
-		}
-		switch string(fields[0]) {
-		case "V":
-			if nf != 4 {
-				return nil, fmt.Errorf("line %d: vertex needs 4 fields, got %d", line, nf)
-			}
-			id, err := parseInt(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			if id != len(pts) {
-				return nil, fmt.Errorf("line %d: vertex IDs must be dense ascending (got %d, want %d)", line, id, len(pts))
-			}
-			x, err := parseFloat(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			y, err := parseFloat(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			pts = append(pts, geo.Pt(x, y))
-		case "E":
-			if nf != 7 {
-				return nil, fmt.Errorf("line %d: edge needs 7 fields, got %d", line, nf)
-			}
-			var ed Edge
-			var ends [2]int
-			for i := range ends {
-				v, err := parseInt(fields[1+i])
-				if err != nil {
-					return nil, fmt.Errorf("line %d: %v", line, err)
-				}
-				if v < 0 || v > math.MaxInt32 {
-					return nil, fmt.Errorf("line %d: vertex ID %d out of range", line, v)
-				}
-				ends[i] = v
-			}
-			ed.From, ed.To = VertexID(ends[0]), VertexID(ends[1])
-			var err error
-			if ed.Length, err = parseFloat(fields[3]); err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			if ed.TravelTime, err = parseFloat(fields[4]); err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			if ed.Fuel, err = parseFloat(fields[5]); err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			t, err := parseInt(fields[6])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			if t < 0 || t >= int(NumRoadTypes) {
-				return nil, fmt.Errorf("line %d: bad road type %d", line, t)
-			}
-			ed.Type = RoadType(t)
-			edges = append(edges, ed)
-		default:
-			return nil, fmt.Errorf("line %d: unknown record %q", line, fields[0])
-		}
-	}
-	// Edges carry explicit weights, so they bypass the Builder's weight
-	// derivation: assemble a graph directly from the parsed records.
-	n := VertexID(len(pts))
-	for i, ed := range edges {
-		if ed.From >= n || ed.To >= n {
-			return nil, fmt.Errorf("edge %d: endpoint out of range", i)
-		}
-	}
-	out := (&Builder{pts: pts, edges: edges}).Build()
-	if err := Validate(out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

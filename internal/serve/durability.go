@@ -77,15 +77,11 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 	d := &durability{dir: opt.WALDir, every: opt.CheckpointEvery}
 
 	// The base's identity comes with it when it was saved or loaded
-	// (one serialization pass otherwise); the checkpoint and the log
-	// header carry theirs, so neither is serialized to be compared. A
-	// checkpoint on the base's network is restored onto the base's
-	// decoded road and hierarchy rather than parsing and deriving its
-	// own.
-	baseID, err := wal.IdentityOfRouter(r)
-	if err != nil {
-		return nil, err
-	}
+	// (one encoding pass otherwise); the checkpoint and the log header
+	// carry theirs, so neither is encoded to be compared. A checkpoint
+	// on the base's network is restored onto the base's decoded road
+	// and hierarchy rather than decoding and deriving its own.
+	baseID := wal.IdentityOfRouter(r)
 
 	base := r
 	var fromSeq, idWatermark uint64

@@ -357,43 +357,70 @@ func TestForeignCheckpointFailsLoud(t *testing.T) {
 	}
 }
 
-// TestV1CheckpointFailsLoud: a checkpoint in the v1 layout an earlier
-// binary wrote — one gob frame around the bookkeeping and a copy of the
-// artifact — must refuse to serve, with codec.ErrBadVersion, rather than
-// fall back to the base artifact and roll the learned state back.
+// TestV1CheckpointFailsLoud: a WAL directory an earlier binary wrote —
+// a v1 checkpoint (one gob frame around the bookkeeping and a copy of
+// the artifact), a v2 checkpoint (this layout, but around an artifact
+// v3), or a log under a v1 header (a text road identity) — must refuse
+// to serve, with codec.ErrBadVersion, rather than fall back to the base
+// artifact and roll the learned state back, or replay around the file.
 func TestV1CheckpointFailsLoud(t *testing.T) {
 	base, live := buildServeWorld(t, 17, 300)
-	dir := t.TempDir()
-	e1 := mustDurable(t, base.IngestClone(), Options{WALDir: dir})
+	written := t.TempDir()
+	e1 := mustDurable(t, base.IngestClone(), Options{WALDir: written})
 	e1.IngestMatched(matchedBatches(live, 8)[0])
 	if err := e1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	e1.IngestMatched(matchedBatches(live, 8)[1])
 	e1.Close()
-
-	path := filepath.Join(dir, wal.CheckpointName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	read := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join(written, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	rd := bytes.NewReader(data)
-	_, fixed, err := codec.ReadFrameBytes(rd, 2)
+	ckpt, log := read(wal.CheckpointName), read(wal.LogName)
+	if e, err := NewDurableEngine(base.IngestClone(), Options{WALDir: written}); err != nil {
+		t.Fatalf("today's files: %v", err)
+	} else {
+		e.Close()
+	}
+
+	rd := bytes.NewReader(ckpt)
+	_, fixed, err := codec.ReadFrameBytes(rd, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := struct {
 		Seq, NextTrajectoryID, RoadHash uint64
 		Artifact                        []byte
-	}{binary.BigEndian.Uint64(fixed), binary.BigEndian.Uint64(fixed[8:]), binary.BigEndian.Uint64(fixed[16:]), data[len(data)-rd.Len():]}
+	}{binary.BigEndian.Uint64(fixed), binary.BigEndian.Uint64(fixed[8:]), binary.BigEndian.Uint64(fixed[16:]), ckpt[len(ckpt)-rd.Len():]}
 	var v1 bytes.Buffer
 	if err := codec.WriteFrame(&v1, 1, &env); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, v1.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	// A frame's checksum covers its payload only, so an older frame is
+	// today's with its version field set back.
+	older := func(data []byte, version uint16) []byte {
+		data = bytes.Clone(data)
+		binary.BigEndian.PutUint16(data[4:6], version)
+		return data
 	}
-	if e, err := NewDurableEngine(base.IngestClone(), Options{WALDir: dir}); !errors.Is(err, codec.ErrBadVersion) || e != nil {
-		t.Fatalf("v1 checkpoint: engine %v, err %v; want ErrBadVersion and no engine", e != nil, err)
+	for name, files := range map[string]map[string][]byte{
+		"v1 checkpoint": {wal.CheckpointName: v1.Bytes(), wal.LogName: log},
+		"v2 checkpoint": {wal.CheckpointName: older(ckpt, 2), wal.LogName: log},
+		"v1 log header": {wal.CheckpointName: ckpt, wal.LogName: older(log, 1)},
+	} {
+		dir := t.TempDir()
+		for file, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e, err := NewDurableEngine(base.IngestClone(), Options{WALDir: dir}); !errors.Is(err, codec.ErrBadVersion) || e != nil {
+			t.Fatalf("%s: engine %v, err %v; want ErrBadVersion and no engine", name, e != nil, err)
+		}
 	}
 }
 
@@ -807,7 +834,7 @@ func TestPublishDifferentNetworkRebinds(t *testing.T) {
 // road's identity and contraction order, or built in-process, so the
 // identity is computed — is the reference the checkpoint is verified
 // against, and the checkpoint's region graph and fits are restored onto
-// the base's own *roadnet.Graph instead of a second parse of the same
+// the base's own *roadnet.Graph instead of a second decode of the same
 // network. The recovered engine knows its road's identity, serves on
 // the hierarchy, and answers like the engine that crashed.
 func TestRecoveryRestoresCheckpointOntoBaseRoad(t *testing.T) {

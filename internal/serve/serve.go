@@ -489,11 +489,7 @@ func (e *Engine) publishLocked(r *core.Router, external bool) uint64 {
 			// new world); rebind so the checkpoint and the rotated log
 			// header carry the identity recovery will verify against,
 			// and continue the artifact's own save lineage.
-			if id, err := wal.IdentityOfRouter(r); err == nil {
-				e.dur.log.Rebind(id)
-			} else {
-				e.dur.checkpointFailures.Add(1)
-			}
+			e.dur.log.Rebind(wal.IdentityOfRouter(r))
 			e.dur.ckptGen.Store(r.Meta().Generation)
 		}
 		// Fold the published router into a fresh checkpoint and rotate

@@ -16,14 +16,16 @@ import (
 // CheckpointName is the checkpoint's file name inside a WAL directory.
 const CheckpointName = "checkpoint.l2r"
 
-// The checkpoint frame version. A v2 checkpoint file is two frames:
+// The checkpoint frame version. A v3 checkpoint file is two frames:
 // this package's, whose payload is the three fixed fields below as
 // big-endian uint64s, then the router exactly as Router.Save writes it
-// (its own frame, checksummed and versioned by core). v1 was one frame
-// wrapping a gob envelope, the artifact bytes copied inside;
-// ReadCheckpoint refuses it with codec.ErrBadVersion.
+// (its own frame, checksummed and versioned by core: artifact v4). v2
+// had the same layout around an artifact v3, whose road identity hashed
+// the road's text; v1 was one frame wrapping a gob envelope, the
+// artifact bytes copied inside. ReadCheckpoint refuses both with
+// codec.ErrBadVersion.
 const (
-	checkpointVersion  uint16 = 2
+	checkpointVersion  uint16 = 3
 	checkpointFixedLen        = 3 * 8
 )
 

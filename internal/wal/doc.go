@@ -13,8 +13,8 @@
 // # The log
 //
 // One file per WAL directory (wal.log): a header frame naming the road
-// network it belongs to (an FNV-64a fingerprint of the network's TSV
-// serialization, plus the base sequence), followed by length-prefixed,
+// network it belongs to (an FNV-64a fingerprint of the network's road
+// section, the bytes an artifact stores it as, plus the base sequence), followed by length-prefixed,
 // checksummed, sequence-numbered records (internal/codec's record
 // framing). Each record is one ingest batch, gob-encoded with the
 // ingest mode it was applied under, so replay applies it identically.
@@ -33,8 +33,9 @@
 // inside the checkpoint file itself, a crash between the rename and the
 // rotation is harmless — recovery skips already-covered records by
 // sequence. ReadCheckpoint reads this layout only: a v1 checkpoint (one
-// gob frame around a copy of the artifact) is refused with
-// codec.ErrBadVersion.
+// gob frame around a copy of the artifact) and a v2 one (this layout
+// around an artifact v3) are refused with codec.ErrBadVersion, as Open
+// refuses a v1 log header.
 //
 // # Recovery
 //
@@ -42,12 +43,12 @@
 // identity must match, checksums and sequence continuity must verify,
 // and surviving records are handed to the caller for replay. The
 // identity comes from the base router when it carries one
-// (IdentityOfRouter: a saved or v3-loaded router), and
+// (IdentityOfRouter: a saved or loaded router), and
 // ReadCheckpointOnto, given the base and that identity, restores a
 // checkpoint written against it onto the base's decoded road network
 // and, when it carries the base's contraction order, onto the base's
-// hierarchy, so a restart from a loaded base serializes no network,
-// parses one and derives one hierarchy. A torn
+// hierarchy, so a restart from a loaded base encodes no network,
+// decodes one and derives one hierarchy. A torn
 // final record (a crash mid-append) is truncated and tolerated;
 // corruption anywhere else fails loudly — a damaged log is never
 // silently half-replayed. Recovery never writes, so it is idempotent:

@@ -45,42 +45,45 @@ func (p SyncPolicy) String() string {
 // LogName is the write-ahead log's file name inside a WAL directory.
 const LogName = "wal.log"
 
-// headerVersion versions the log file's header frame.
-const headerVersion uint16 = 1
+// headerVersion versions the log file's header frame. v1 headers hashed
+// the road's text serialization; Open refuses them with
+// codec.ErrBadVersion rather than report a foreign road.
+const headerVersion uint16 = 2
 
 // NetworkID fingerprints the road network a log (or checkpoint)
-// belongs to: the FNV-64a hash of the network's TSV serialization plus
-// its dimensions for error messages. Computing it costs one full
-// serialization pass; a saved or loaded router carries it
-// (IdentityOfRouter), so a restart pays none.
+// belongs to: the FNV-64a hash of the network's road section
+// (roadnet.Graph.Append, the bytes an artifact stores) plus its
+// dimensions for error messages. A saved or loaded router carries it
+// (IdentityOfRouter), so a restart computes none.
 type NetworkID struct {
 	Hash        uint64
 	NumVertices int
 	NumEdges    int
 }
 
-// IdentityOf computes a road network's identity. Two graphs with the
-// same identity answer the same queries; a WAL or checkpoint is only
-// ever replayed onto a network with the identity it was written
-// against.
+// IdentityOf computes a road network's identity by encoding its road
+// section, as core.Router.Save does, and hashing it; the error is
+// always nil. Two graphs with the same identity are the same network,
+// bit for bit; a WAL or checkpoint is only ever replayed onto a network
+// with the identity it was written against.
 func IdentityOf(g *roadnet.Graph) (NetworkID, error) {
+	var e codec.Enc
+	g.Append(&e)
 	h := fnv.New64a()
-	if err := roadnet.WriteTSV(h, g); err != nil {
-		return NetworkID{}, fmt.Errorf("wal: fingerprinting road network: %w", err)
-	}
+	h.Write(e.B)
 	return NetworkID{Hash: h.Sum64(), NumVertices: g.NumVertices(), NumEdges: g.NumEdges()}, nil
 }
 
 // IdentityOfRouter is IdentityOf(r.Road()), taken from r when r knows
-// its road's identity — it was saved, or loaded from a v3 artifact
-// (core.Router.RoadIdentity) — instead of serializing the network
-// again.
-func IdentityOfRouter(r *core.Router) (NetworkID, error) {
+// its road's identity — it was saved or loaded
+// (core.Router.RoadIdentity) — instead of encoding the network again.
+func IdentityOfRouter(r *core.Router) NetworkID {
 	g := r.Road()
 	if h, ok := r.RoadIdentity(); ok {
-		return NetworkID{Hash: h, NumVertices: g.NumVertices(), NumEdges: g.NumEdges()}, nil
+		return NetworkID{Hash: h, NumVertices: g.NumVertices(), NumEdges: g.NumEdges()}
 	}
-	return IdentityOf(g)
+	id, _ := IdentityOf(g) // its error is always nil
+	return id
 }
 
 // header is the log file's first frame: which road network the records

@@ -2,9 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -188,18 +191,19 @@ func TestCorruptMiddleRecordFailsLoud(t *testing.T) {
 }
 
 // TestIdentityHashesPinned: a road network's identity is the hash of its
-// TSV serialization, and every WAL header and checkpoint on disk carries
-// it. These values were recorded when roadnet.WriteTSV still printed
-// through fmt; a writer that moves one byte makes every existing WAL
-// directory refuse to open.
+// road section (roadnet.Graph.Append), and every WAL header and
+// checkpoint on disk carries it. These values were re-recorded once,
+// when artifact v4 replaced the road's text with that section (and the
+// WAL header and checkpoint versions moved with it); an encoder that
+// moves one byte makes every existing WAL directory refuse to open.
 func TestIdentityHashesPinned(t *testing.T) {
 	for _, c := range []struct {
 		road *roadnet.Graph
 		want NetworkID
 	}{
-		{roadnet.Generate(roadnet.Tiny(41)), NetworkID{0xe7fe30bf3f26958e, 128, 404}},
-		{worldgen.Build(worldgen.MustScale(worldgen.ScaleBench, 1)).Road, NetworkID{0x42093c42a1224695, 151, 468}},
-		{worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, 1)).Road, NetworkID{0xbbcda66a20af5e98, 1626, 5484}},
+		{roadnet.Generate(roadnet.Tiny(41)), NetworkID{0x5fba10b8877bb0de, 128, 404}},
+		{worldgen.Build(worldgen.MustScale(worldgen.ScaleBench, 1)).Road, NetworkID{0x1b8f71597bcf238c, 151, 468}},
+		{worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, 1)).Road, NetworkID{0x525c5bf97030b508, 1626, 5484}},
 	} {
 		got, err := IdentityOf(c.road)
 		if err != nil || got != c.want {
@@ -364,7 +368,7 @@ func TestCorruptCheckpointFailsLoud(t *testing.T) {
 }
 
 // TestCarriedIdentityIsIdentityOf: the road identity a router carries —
-// recorded by Save over the TSV bytes it writes, read back by Load from
+// recorded by Save over the road section it writes, read back by Load from
 // the artifact header — is IdentityOf's by definition, on the bench
 // cities 1–3 and the ci cities 1–3 (which skip under the race detector
 // and -short): for the saved router, the loaded one, a checkpoint read
@@ -388,8 +392,8 @@ func TestCarriedIdentityIsIdentityOf(t *testing.T) {
 		if _, ok := r.RoadIdentity(); ok {
 			t.Fatal("a router built in-process and never saved claims to know its road's identity")
 		}
-		if got, err := IdentityOfRouter(r); err != nil || got != want {
-			t.Fatalf("IdentityOfRouter of a built router = %+v (err %v), want %+v", got, err, want)
+		if got := IdentityOfRouter(r); got != want {
+			t.Fatalf("IdentityOfRouter of a built router = %+v, want %+v", got, want)
 		}
 		var art bytes.Buffer
 		if err := r.Save(&art); err != nil {
@@ -424,9 +428,11 @@ func TestCarriedIdentityIsIdentityOf(t *testing.T) {
 }
 
 // TestReadCheckpointRefusesV1: a checkpoint an earlier binary wrote —
-// one gob frame around the artifact and its bookkeeping — is refused
-// with codec.ErrBadVersion, by ReadCheckpoint and ReadCheckpointOnto
-// alike, and is not reported as absent.
+// v1, one gob frame around the artifact and its bookkeeping, or v2, this
+// layout around an artifact v3 — is refused with codec.ErrBadVersion
+// naming its version, by ReadCheckpoint and ReadCheckpointOnto alike,
+// and is not reported as absent. (The v2 file here wraps today's
+// artifact: its own frame is refused before the artifact is read.)
 func TestReadCheckpointRefusesV1(t *testing.T) {
 	road, ts := testWorld(t, 9)
 	r, err := core.Build(road, ts, core.Options{SkipMapMatching: true})
@@ -442,20 +448,59 @@ func TestReadCheckpointRefusesV1(t *testing.T) {
 		Seq, NextTrajectoryID, RoadHash uint64
 		Artifact                        []byte
 	}{5, 11, id.Hash, art.Bytes()}
-	var v1 bytes.Buffer
+	var v1, v2 bytes.Buffer
 	if err := codec.WriteFrame(&v1, 1, &env); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, CheckpointName), v1.Bytes(), 0o644); err != nil {
+	var fixed [checkpointFixedLen]byte
+	if err := codec.WriteFrameBytes(&v2, 2, fixed[:]); err != nil {
 		t.Fatal(err)
 	}
-	for _, read := range []func() (*Checkpoint, bool, error){
-		func() (*Checkpoint, bool, error) { return ReadCheckpoint(dir) },
-		func() (*Checkpoint, bool, error) { return ReadCheckpointOnto(dir, r, id.Hash) },
-	} {
-		if c, ok, err := read(); !errors.Is(err, codec.ErrBadVersion) || ok || c != nil {
-			t.Fatalf("v1 checkpoint: checkpoint %v, ok %v, err %v; want ErrBadVersion", c != nil, ok, err)
+	v2.Write(art.Bytes())
+	for version, file := range map[int][]byte{1: v1.Bytes(), 2: v2.Bytes()} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, CheckpointName), file, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		for _, read := range []func() (*Checkpoint, bool, error){
+			func() (*Checkpoint, bool, error) { return ReadCheckpoint(dir) },
+			func() (*Checkpoint, bool, error) { return ReadCheckpointOnto(dir, r, id.Hash) },
+		} {
+			c, ok, err := read()
+			if !errors.Is(err, codec.ErrBadVersion) || ok || c != nil || !strings.Contains(err.Error(), fmt.Sprintf("artifact v%d,", version)) {
+				t.Fatalf("v%d checkpoint: checkpoint %v, ok %v, err %v; want ErrBadVersion naming v%d", version, c != nil, ok, err, version)
+			}
+		}
+	}
+}
+
+// TestOpenRefusesV1Header: a log whose header an earlier binary wrote —
+// v1, whose road identity hashed the road's text — is refused with
+// codec.ErrBadVersion naming v1, not taken for a log of a foreign road,
+// not recreated, and not replayed.
+func TestOpenRefusesV1Header(t *testing.T) {
+	road, ts := testWorld(t, 9)
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, road, 0, nil)
+	if _, err := l.Append(batchOf(ts[:2], 0)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	path := filepath.Join(dir, LogName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint16(data[4:6], 1) // the header frame's version
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replayed := 0
+	_, _, err = Open(dir, mustID(t, road), SyncAlways, 0, func(uint64, Batch) error { replayed++; return nil })
+	if !errors.Is(err, codec.ErrBadVersion) || !strings.Contains(err.Error(), "artifact v1,") || replayed != 0 {
+		t.Fatalf("v1 header: err %v, %d records replayed; want ErrBadVersion naming v1 and none", err, replayed)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+		t.Fatal("Open rewrote a log it refused")
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -170,4 +172,78 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			t.Errorf("allowlisted %s is declared nowhere under internal/: drop its entry", key)
 		}
 	}
+}
+
+// TestCINamesExistingTests fails when a `go test` step in CI's workflow
+// names, in its -run pattern or as its -fuzz target, a test that no
+// listed package declares: `go test -run` with a pattern that matches
+// nothing passes without running anything. Each alternative of a -run
+// pattern (anchors dropped) and each -fuzz target must be the start of
+// some Test or Fuzz function's name in one of the packages the step
+// lists.
+func TestCINamesExistingTests(t *testing.T) {
+	workflow, err := os.ReadFile("../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string][]string{} // package directory -> its Test/Fuzz functions
+	testsIn := func(dir string) []string {
+		if names, ok := declared[dir]; ok {
+			return names
+		}
+		files, _ := filepath.Glob(filepath.Join("..", dir, "*_test.go"))
+		var names []string
+		for _, file := range files {
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil &&
+					(strings.HasPrefix(fd.Name.Name, "Test") || strings.HasPrefix(fd.Name.Name, "Fuzz")) {
+					names = append(names, fd.Name.Name)
+				}
+			}
+		}
+		declared[dir] = names
+		return names
+	}
+	runFlag := regexp.MustCompile(`-run ('[^']*'|\S+)`)
+	fuzzFlag := regexp.MustCompile(`-fuzz (\S+)`)
+	checked := 0
+	for _, line := range strings.Split(string(workflow), "\n") {
+		_, cmd, ok := strings.Cut(line, "go test ")
+		if !ok {
+			continue
+		}
+		var pkgs, names []string
+		for _, f := range strings.Fields(cmd) {
+			if f == "." || strings.HasPrefix(f, "./") {
+				pkgs = append(pkgs, f)
+			}
+		}
+		if m := runFlag.FindStringSubmatch(cmd); m != nil {
+			names = append(names, strings.Split(strings.Trim(m[1], "'"), "|")...)
+		}
+		if m := fuzzFlag.FindStringSubmatch(cmd); m != nil {
+			names = append(names, m[1])
+		}
+		for _, name := range names {
+			if name = strings.Trim(name, "^$"); name == "" {
+				continue
+			}
+			checked++
+			found := false
+			for _, pkg := range pkgs {
+				found = found || slices.ContainsFunc(testsIn(pkg), func(fn string) bool { return strings.HasPrefix(fn, name) })
+			}
+			if !found {
+				t.Errorf("ci.yml runs %q in %v, which declare no test of that name:\n\t%s", name, pkgs, strings.TrimSpace(line))
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no test names in ci.yml; the scan is broken")
+	}
+	t.Logf("%d test names in ci.yml checked", checked)
 }
