@@ -224,12 +224,8 @@ var ErrFill = errors.New("ch: contraction order fills in past the budget")
 // whose skeleton would hold more than 8 arcs or 64 lower triangles per
 // road edge, as the elimination finds it and before the triangle table
 // is allocated, so what it allocates stays linear in g. order must be a
-// permutation of g's vertices; a nil order is contracted afresh
-// (ContractionOrder, which itself is not budgeted).
+// permutation of g's vertices.
 func DeriveTopology(g *roadnet.Graph, order []int32) (*Topology, error) {
-	if order == nil {
-		order = ContractionOrder(g)
-	}
 	m := g.NumEdges()
 	return deriveTopology(g, order, maxArcsPerEdge*m, maxTrianglesPerEdge*m)
 }

@@ -55,10 +55,8 @@ func TestSkeletonMatchesReference(t *testing.T) {
 			if again := ch.NewTopology(g, got.Order()); !reflect.DeepEqual(again, got) {
 				t.Fatal("NewTopology from BuildTopology's own order differs")
 			}
-			for _, order := range [][]int32{got.Order(), nil} {
-				if d, err := ch.DeriveTopology(g, order); err != nil || !reflect.DeepEqual(d, got) {
-					t.Fatalf("DeriveTopology from BuildTopology's order (nil: %v) differs or fails: %v", order == nil, err)
-				}
+			if d, err := ch.DeriveTopology(g, got.Order()); err != nil || !reflect.DeepEqual(d, got) {
+				t.Fatalf("DeriveTopology from BuildTopology's order differs or fails: %v", err)
 			}
 			n := g.NumVertices()
 			rng := rand.New(rand.NewSource(int64(n)))
@@ -98,7 +96,7 @@ func TestDeriveTopologyRefusesFill(t *testing.T) {
 	if topo, err := ch.DeriveTopology(g, identity); !errors.Is(err, ch.ErrFill) || topo != nil {
 		t.Fatalf("centre first: DeriveTopology = %v, %v; want ErrFill", topo != nil, err)
 	}
-	topo, err := ch.DeriveTopology(g, nil)
+	topo, err := ch.DeriveTopology(g, ch.ContractionOrder(g))
 	if err != nil {
 		t.Fatalf("greedy order: %v", err)
 	}

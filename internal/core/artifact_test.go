@@ -30,7 +30,7 @@ import (
 // each after Build, after 8 ingests and after Retransduce, the router
 // Load reads from Save's v4 bytes has the saved router's road — every
 // coordinate and weight bit for bit, in edge-ID order — topology,
-// region snapshot, fits, region preferences, metadata and statistics,
+// region graph image, fits, region preferences, metadata and statistics,
 // and answers 2,000 ODs as the saved router does (path, category,
 // region path, evidence); the v3 reference restores the same model
 // sections from the v3 bytes of the same state and, on its rounded
@@ -142,15 +142,19 @@ func sameRoad(want, got *roadnet.Graph) error {
 	return nil
 }
 
-// requireSameModel fails unless got has want's region snapshot, region
-// preferences, metadata, statistics and fits.
+// regionImage returns g's image, its whole persisted state.
+func regionImage(g *region.Graph) []byte {
+	var e codec.Enc
+	g.Append(&e)
+	return e.B
+}
+
+// requireSameModel fails unless got has want's region graph image,
+// region preferences, metadata, statistics and fits.
 func requireSameModel(t *testing.T, what string, want, got *Router) {
 	t.Helper()
-	sw, sg := reflect.ValueOf(want.rg.Snapshot()).Elem(), reflect.ValueOf(got.rg.Snapshot()).Elem()
-	for i := 0; i < sw.NumField(); i++ {
-		if !reflect.DeepEqual(sw.Field(i).Interface(), sg.Field(i).Interface()) {
-			t.Fatalf("%s: region snapshots differ in %s", what, sw.Type().Field(i).Name)
-		}
+	if a, b := regionImage(want.rg), regionImage(got.rg); !bytes.Equal(a, b) {
+		t.Fatalf("%s: region graph images differ: %d bytes against %d", what, len(b), len(a))
 	}
 	if !reflect.DeepEqual(want.regionPrefs, got.regionPrefs) {
 		t.Fatalf("%s: region preferences differ", what)
@@ -170,75 +174,24 @@ func requireSameModel(t *testing.T, what string, want, got *Router) {
 // TestLoadRejectsOutOfRangeIDs: an artifact is outside input — fleets
 // hot-reload them from a directory — so an ID anywhere in one that
 // names nothing is a Load error, not a router that panics at query
-// time. Where the ID lives in the region graph, the case is the region
-// section re-encoded around the bad value; preference cases reach the
-// artifact through Save of a router holding them.
+// time. region.Decode refuses the region section's (its tests edit
+// every list); here one case shows Load passing that refusal on, the
+// region section re-encoded around a region member off the road.
+// Preference cases reach the artifact through Save of a router holding
+// them.
 func TestLoadRejectsOutOfRangeIDs(t *testing.T) {
 	r := builtRouter(t)
-	n, regions := r.road.NumVertices(), r.rg.NumRegions()
-	bad := roadnet.VertexID(n)
+	regions := r.rg.NumRegions()
 	parts := artifactParts(t, saveArtifact(t, r.Clone()))
-	fresh := func() *region.Snapshot {
-		s, err := region.DecodeSnapshot(parts[partRegion], r.road)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+	rg, err := region.Decode(parts[partRegion], r.road)
+	if err != nil {
+		t.Fatal(err)
 	}
-	withPaths := func(s *region.Snapshot) *region.Edge {
-		for i := range s.Edges {
-			if len(s.Edges[i].PathsFwd) > 0 {
-				return &s.Edges[i]
-			}
-		}
-		t.Fatal("no edge stores a path")
-		return nil
-	}
-	innerRegion := func(s *region.Snapshot) int {
-		for reg, ips := range s.Inner {
-			if len(ips) > 0 {
-				return reg
-			}
-		}
-		t.Fatal("no region stores an inner path")
-		return 0
-	}
-	snapshotCases := map[string]func(s *region.Snapshot){
-		"stored path vertex": func(s *region.Snapshot) {
-			p := withPaths(s).PathsFwd[0].Path
-			p[len(p)-1] = bad
-		},
-		"negative stored path vertex": func(s *region.Snapshot) { withPaths(s).PathsFwd[0].Path[0] = -1 },
-		"inner path vertex": func(s *region.Snapshot) {
-			p := s.Inner[innerRegion(s)][0].Path
-			p[len(p)-1] = bad
-		},
-		"transfer center": func(s *region.Snapshot) {
-			reg := innerRegion(s)
-			s.TransferCenters[reg] = append(s.TransferCenters[reg], bad)
-		},
-		"transfer-center count": func(s *region.Snapshot) { s.TCCounts[innerRegion(s)][bad] = 3 },
-		"top road type": func(s *region.Snapshot) {
-			s.TopTypes[0] = append(s.TopTypes[0], roadnet.NumRoadTypes)
-		},
-		"edge preference": func(s *region.Snapshot) {
-			s.Edges[0].HasPref, s.Edges[0].Pref = true, pref.Preference{Master: roadnet.NumCostWeights}
-		},
-		"edge endpoint": func(s *region.Snapshot) { s.Edges[0].R2 = regions },
-		"region member": func(s *region.Snapshot) {
-			s.Regions[0].Members = append(s.Regions[0].Members, bad)
-		},
-	}
-	for name, edit := range snapshotCases {
-		s := fresh()
-		edit(s)
-		var e codec.Enc
-		s.Append(&e, r.road)
-		v3 := append([][]byte(nil), parts...)
-		v3[partRegion] = e.B
-		if got, err := Load(bytes.NewReader(joinParts(t, v3))); err == nil || got != nil {
-			t.Errorf("%s: Load returned a router (err %v); want an error", name, err)
-		}
+	rg.Regions[0].Members = append(rg.Regions[0].Members, roadnet.VertexID(r.road.NumVertices()))
+	bad := append([][]byte(nil), parts...)
+	bad[partRegion] = regionImage(rg)
+	if got, err := Load(bytes.NewReader(joinParts(t, bad))); !errors.Is(err, codec.ErrMalformed) || got != nil {
+		t.Errorf("region member: Load returned a router (err %v); want codec.ErrMalformed", err)
 	}
 
 	someRegion := -1
@@ -280,25 +233,13 @@ func TestLoadRejectsOutOfRangeIDs(t *testing.T) {
 // TestLoadRejectsUnproducibleSlave: a preference whose slave no
 // pipeline emits — neither NoSlave nor one of pref.CandidateSlaves,
 // here motorway+residential — is a Load error wherever the artifact
-// carries it: on a region edge in the region section, or as an edge's
-// fit or a region's preference in the preference section. Load
+// carries it: as an edge's fit or a region's preference in the
+// preference section, and on a region edge in the region section,
+// which region.Decode refuses (TestDecodeRejectsBadImages). Load
 // therefore customizes at most NumCostWeights × 10 metrics.
 func TestLoadRejectsUnproducibleSlave(t *testing.T) {
 	r := builtRouter(t)
 	odd := pref.Preference{Master: roadnet.DI, Slave: pref.SlaveOf(roadnet.Motorway, roadnet.Residential)}
-	parts := artifactParts(t, saveArtifact(t, r.Clone()))
-	s, err := region.DecodeSnapshot(parts[partRegion], r.road)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Edges[0].HasPref, s.Edges[0].Pref = true, odd
-	var e codec.Enc
-	s.Append(&e, r.road)
-	parts[partRegion] = e.B
-	if got, err := Load(bytes.NewReader(joinParts(t, parts))); err == nil || got != nil {
-		t.Errorf("region edge preference %v: Load returned a router (err %v); want an error", odd, err)
-	}
-
 	fit := r.IngestClone()
 	fit.rg.EdgeForUpdate(0).SetFit(pref.Result{Preference: odd, Similarity: 1, PathsUsed: 1}, true)
 	if got, err := Load(bytes.NewReader(saveArtifact(t, fit))); err == nil || got != nil {
@@ -376,8 +317,10 @@ func starArtifact(tb testing.TB, leaves int) []byte {
 
 // TestLoadRefusesOrderPastFillBudget: an order whose fill would outgrow
 // the road — the star's centre first — is a Load error found before the
-// triangle table is allocated, so Load stays within FuzzLoad's bound;
-// the same artifact with the order the router was saved with loads.
+// triangle table is allocated, so Load stays within FuzzLoad's bound.
+// Every artifact carries its order, so the same artifact without one is
+// codec.ErrMalformed: Load never plays the contraction game, which has
+// no fill budget.
 func TestLoadRefusesOrderPastFillBudget(t *testing.T) {
 	art := starArtifact(t, 2000)
 	var before, after runtime.MemStats
@@ -393,11 +336,37 @@ func TestLoadRefusesOrderPastFillBudget(t *testing.T) {
 
 	parts := artifactParts(t, art)
 	parts[partOrder] = nil
-	plain, err := Load(bytes.NewReader(joinParts(t, parts)))
-	if err != nil {
-		t.Fatalf("star with no order: %v", err)
+	if got, err := Load(bytes.NewReader(joinParts(t, parts))); !errors.Is(err, codec.ErrMalformed) || got != nil {
+		t.Fatalf("star with no order: Load returned a router %v, error %v; want codec.ErrMalformed", got != nil, err)
 	}
-	requireAllResident(t, "star, contracted afresh", plain)
+}
+
+// TestSaveReservesWhatItWrites: Save sizes its buffer from the payload
+// length its lineage last loaded or saved, so the second Save of a ci
+// router allocates at most 1.5 times the artifact it writes: the
+// buffer, the out-edge table the region image walks paths over, and the
+// metadata's gob. A buffer sized from the road's counts made it ≈ 2.5
+// times. The test skips under -race and -short, as the ci halves do.
+func TestSaveReservesWhatItWrites(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("the ci city is skipped under -race/-short")
+	}
+	r := cityRouter(t, worldgen.ScaleCI).Clone()
+	saveArtifact(t, r)
+	var buf bytes.Buffer
+	buf.Grow(4 << 20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := r.Save(&buf)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; float64(d) > 1.5*float64(buf.Len()) {
+		t.Fatalf("the second Save of a %d-byte artifact allocated %d bytes (%.2f×; want ≤ 1.5×)", buf.Len(), d, float64(d)/float64(buf.Len()))
+	} else {
+		t.Logf("the second Save of a %d-byte artifact allocated %d bytes (%.2f×)", buf.Len(), d, float64(d)/float64(buf.Len()))
+	}
 }
 
 // requireAllResident fails unless every metric r routes on is resident in

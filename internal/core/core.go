@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ch"
@@ -126,6 +127,10 @@ type Router struct {
 	// setEngine installed, all sharing the lineage's memo; every clone
 	// shares it (package doc).
 	learners *sync.Pool
+	// saveLen is the payload length of the lineage's last Load or Save,
+	// which sizes the next Save's buffer (0: none yet). Clones share it,
+	// as they share learners.
+	saveLen *atomic.Int64
 }
 
 // writeLearner is a pooled learner and its T-edge path-set buffer.
@@ -138,7 +143,7 @@ type writeLearner struct {
 // share one empty memo: a router given another engine never reuses a
 // learner, or a search result, of the old one.
 func (r *Router) setEngine(eng *route.CHEngine) {
-	r.eng = eng
+	r.eng, r.saveLen = eng, new(atomic.Int64)
 	memo := pref.NewMemo(eng.Graph(), pref.CandidateSlaves())
 	r.learners = &sync.Pool{New: func() any {
 		l := pref.NewLearnerOn(eng.Fork())

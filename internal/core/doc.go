@@ -150,14 +150,13 @@
 //	road     roadnet.Graph.Append's image: varint counts and endpoint
 //	         deltas, every coordinate and weight as its 8 float64 bits,
 //	         so a loaded router sits on the road it was saved on
-//	region   region.Snapshot.Append's image: delta runs for vertex sets,
+//	region   region.Graph.Append's image: delta runs for vertex sets,
 //	         out-edge walks for stored and inner paths, one backing array
 //	prefs    edge count, then per edge in ID order a fit or none; the
 //	         region preferences in region order
 //	meta     gob of ArtifactMeta and Stats
-//	order    the contraction order (vertex count, then the vertices);
-//	         empty only in artifacts saved by routers that ran on plain
-//	         Dijkstra, for which Load contracts afresh
+//	order    the contraction order (vertex count, then the vertices),
+//	         in every artifact: Load refuses one without it
 //
 // Nothing is stored twice and nothing a restart needs is derived twice:
 // the identity lets the serving layer verify a WAL and a checkpoint
@@ -177,8 +176,8 @@
 // (or taken from the base) and the order checked, derives the
 // hierarchy and customizes its three scalar metrics — or forks the
 // base's, when the checkpoint shares it. The calling one meanwhile
-// decodes the region section, restores the region graph and reads the
-// preferences and metadata. When both are done, the masked metrics the
+// decodes the region graph (region.Decode, which builds it from its
+// image in one pass) and reads the preferences and metadata. When both are done, the masked metrics the
 // router routes on are customized in one PrepareAll call, a metric per
 // core. The decoder reads bytes not yet verified, which is safe
 // because it accepts any payload (FuzzLoad); nothing is returned before

@@ -119,7 +119,13 @@ func (r *Router) Save(w io.Writer) error {
 	meta.Generation++
 	meta.SavedUnixNano = time.Now().UnixNano()
 
-	e := codec.Enc{B: make([]byte, 8, 64*(r.road.NumVertices()+r.road.NumEdges())+4096)}
+	// An eighth over what the lineage last read or wrote, for what its
+	// ingests add; before either, an estimate from the road's size.
+	size := int(r.saveLen.Load()) * 9 / 8
+	if size == 0 {
+		size = 64*(r.road.NumVertices()+r.road.NumEdges()) + 4096
+	}
+	e := codec.Enc{B: make([]byte, 8, size)}
 	mark := e.Begin()
 	r.road.Append(&e)
 	e.End(mark)
@@ -129,7 +135,7 @@ func (r *Router) Save(w io.Writer) error {
 	binary.BigEndian.PutUint64(e.B, roadID)
 
 	mark = e.Begin()
-	r.rg.Snapshot().Append(&e, r.road)
+	r.rg.Append(&e)
 	e.End(mark)
 
 	mark = e.Begin()
@@ -168,6 +174,7 @@ func (r *Router) Save(w io.Writer) error {
 	}
 	r.meta = meta
 	r.roadID, r.hasRoadID = roadID, true
+	r.saveLen.Store(int64(len(e.B)))
 	return nil
 }
 
@@ -190,11 +197,11 @@ func decodeResult(d *codec.Dec) pref.Result {
 // Load reconstructs a router from a v4 artifact written by Save; any
 // other version is refused with codec.ErrBadVersion. The result answers
 // queries exactly like the original: it runs on the hierarchy derived
-// from the contraction order the artifact carries (contracted afresh
-// when it carries none) with every MetricKeys metric customized, and
-// its Stats are the saved ones. An artifact is outside input, so every
-// ID in it is checked before use. Load runs on two cores, as LoadOnto
-// does: the checksum and the hierarchy beside the region graph's decode.
+// from the contraction order the artifact carries with every MetricKeys
+// metric customized, and its Stats are the saved ones. An artifact is
+// outside input, so every ID in it is checked before use. Load runs on
+// two cores, as LoadOnto does: the checksum and the hierarchy beside
+// the region graph's decode.
 func Load(rd io.Reader) (*Router, error) { return LoadOnto(rd, nil, 0) }
 
 // LoadOnto is Load for a restart that restores a checkpoint beside its
@@ -214,22 +221,10 @@ func LoadOnto(rd io.Reader, base *Router, baseID uint64) (*Router, error) {
 	return decodeFrame(f, base, baseID)
 }
 
-// restored is the router assembled around a decoded road network,
-// region snapshot and metadata, before the preferences and the engine.
-func restored(road *roadnet.Graph, snap *region.Snapshot, ms metaSection) (*Router, error) {
-	rg, err := region.Restore(road, snap)
-	if err != nil {
-		return nil, fmt.Errorf("core: restoring region graph: %w", err)
-	}
-	return &Router{road: road, rg: rg, idx: &lazyIndex{},
-		stats: ms.Stats, meta: ms.Meta, regionPrefs: make(map[int]pref.Result)}, nil
-}
-
 // hierarchy is the engine a loaded router on road with contraction
 // order runs on, before its masked metrics: base's, shared, when road
-// is base's road and order base's order; else one derived from order
-// (contracted afresh when order is nil), within ch's fill budget, with
-// the three scalar metrics customized.
+// is base's road and order base's order; else one derived from order,
+// within ch's fill budget, with the three scalar metrics customized.
 func hierarchy(road *roadnet.Graph, order []int32, base *Router) (*route.CHEngine, error) {
 	if base != nil && road == base.road && slices.Equal(order, base.eng.Topology().Order()) {
 		return base.eng.ForkCH(), nil
@@ -281,6 +276,7 @@ func decodeFrame(f codec.Frame, base *Router, baseID uint64) (*Router, error) {
 		return nil, fmt.Errorf("core: contraction order: %w", deriveErr)
 	}
 	r.setEngine(eng)
+	r.saveLen.Store(int64(len(f.Payload)))
 	r.eng.PrepareAll(r.MetricKeys())
 	return r, nil
 }
@@ -313,28 +309,26 @@ func decodeSections(payload []byte, base *Router, baseID uint64, jobs chan<- hie
 		}
 	}
 
-	var order []int32
-	if d = codec.NewDec(orderB); len(orderB) > 0 {
-		n := road.NumVertices()
-		if d.Count(1) != n {
-			d.Fail("an order of %d vertices", n)
+	d = codec.NewDec(orderB)
+	n := road.NumVertices()
+	if d.Count(1) != n {
+		d.Fail("an order of %d vertices", n)
+	}
+	order := make([]int32, n)
+	seen := make([]bool, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		v := d.Index(n)
+		if seen[v] {
+			d.Fail("vertex %d twice", v)
 		}
-		order = make([]int32, n)
-		seen := make([]bool, n)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			v := d.Index(n)
-			if seen[v] {
-				d.Fail("vertex %d twice", v)
-			}
-			seen[v], order[i] = true, int32(v)
-		}
+		seen[v], order[i] = true, int32(v)
 	}
 	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("core: contraction order is not a permutation: %w", err)
 	}
 	jobs <- hierarchyJob{road, order}
 
-	snap, err := region.DecodeSnapshot(regionB, road)
+	rg, err := region.Decode(regionB, road)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -342,11 +336,8 @@ func decodeSections(payload []byte, base *Router, baseID uint64, jobs chan<- hie
 	if err := gob.NewDecoder(bytes.NewReader(metaB)).Decode(&ms); err != nil {
 		return nil, fmt.Errorf("core: decoding metadata: %w", err)
 	}
-	r, err := restored(road, snap, ms)
-	if err != nil {
-		return nil, err
-	}
-	r.roadID, r.hasRoadID = id, true
+	r := &Router{road: road, rg: rg, idx: &lazyIndex{}, stats: ms.Stats, meta: ms.Meta,
+		roadID: id, hasRoadID: true, regionPrefs: make(map[int]pref.Result)}
 
 	d = codec.NewDec(prefsB)
 	if n := d.Count(1); n != len(r.rg.Edges) {

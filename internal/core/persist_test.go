@@ -12,7 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/codec"
+	"repro/internal/geo"
 	"repro/internal/pref"
 	"repro/internal/region"
 	"repro/internal/roadnet"
@@ -199,16 +201,46 @@ const (
 )
 
 // envelope is the gob payload of a v1/v2 artifact: the road network as
-// its TSV serialization, the region snapshot, and the fits in a Learned
-// map of their own. A v1 envelope had no Meta.
+// its TSV serialization, the region graph's gob image, and the fits in a
+// Learned map of their own. A v1 envelope had no Meta.
 type envelope struct {
 	Meta        ArtifactMeta
 	RoadTSV     []byte
-	Region      *region.Snapshot
+	Region      *Snapshot
 	Learned     map[int]pref.Result
 	RegionPrefs map[int]pref.Result
 	Stats       Stats
 	IndexCellM  float64 // always the default; the reader ignores it
+}
+
+// Snapshot is the region graph's gob image in the v1/v2 envelope, named
+// and laid out as the region package's type it was, so gob writes the
+// bytes that type wrote.
+type Snapshot struct {
+	Regions         []cluster.Region
+	Edges           []region.Edge
+	Centroids       []geo.Point
+	Inner           [][]region.InnerPath
+	TransferCenters [][]roadnet.VertexID
+	TCCounts        []map[roadnet.VertexID]int
+	TopTypes        [][]roadnet.RoadType
+}
+
+// snapshotOf is g's gob image.
+func snapshotOf(g *region.Graph) *Snapshot {
+	s := &Snapshot{Regions: g.Regions, Edges: make([]region.Edge, len(g.Edges))}
+	for i, e := range g.Edges {
+		s.Edges[i] = *e
+	}
+	for r := range g.NumRegions() {
+		centers, counts := g.TransferCounts(r)
+		s.Centroids = append(s.Centroids, g.Centroid(r))
+		s.Inner = append(s.Inner, g.InnerPaths(r))
+		s.TransferCenters = append(s.TransferCenters, centers)
+		s.TCCounts = append(s.TCCounts, counts)
+		s.TopTypes = append(s.TopTypes, g.TopRoadTypes(r))
+	}
+	return s
 }
 
 // handBuiltV2 is the v2 writer Save was before artifact v3, kept for
@@ -229,7 +261,7 @@ func encodeEnvelope(t testing.TB, version uint16, r *Router, learned map[int]pre
 	env := envelope{
 		Meta:        r.meta,
 		RoadTSV:     road.Bytes(),
-		Region:      r.rg.Snapshot(),
+		Region:      snapshotOf(r.rg),
 		Learned:     learned,
 		RegionPrefs: r.regionPrefs,
 		Stats:       r.stats,

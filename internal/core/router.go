@@ -407,7 +407,7 @@ func (r *Router) mapRegionPath(regPath []int, sv, dv roadnet.VertexID) (roadnet.
 			// No stored path (e.g. unmaterializable B-edge): route
 			// straight to a transfer center of the next region. A region
 			// can end up with none (e.g. a degenerate memberless region
-			// in a restored snapshot); stitching is impossible then.
+			// in a loaded artifact); stitching is impossible then.
 			tcs := r.rg.TransferCenters(to)
 			if len(tcs) == 0 {
 				return nil, false

@@ -5,26 +5,24 @@ import (
 
 	"repro/internal/ch"
 	"repro/internal/cluster"
-	"repro/internal/geo"
 	"repro/internal/region"
 	"repro/internal/roadnet"
 	"repro/internal/route"
 )
 
 // restoreRegions builds a region graph over road from hand-crafted
-// regions and edges via the snapshot path.
+// regions and edges the way Load does: the partition skeleton, the
+// edges set on it, and a round trip through its image, which derives
+// the adjacency.
 func restoreRegions(t *testing.T, road *roadnet.Graph, regions []cluster.Region, edges []region.Edge) *region.Graph {
 	t.Helper()
-	snap := &region.Snapshot{Regions: regions, Edges: edges}
-	snap.Centroids = make([]geo.Point, len(regions))
-	for i, r := range regions {
-		if len(r.Members) > 0 {
-			snap.Centroids[i] = road.Point(r.Members[0])
-		}
+	g := region.Build(road, regions, nil, region.Options{})
+	for i := range edges {
+		g.Edges = append(g.Edges, &edges[i])
 	}
-	rg, err := region.Restore(road, snap)
+	rg, err := region.Decode(regionImage(g), road)
 	if err != nil {
-		t.Fatalf("Restore: %v", err)
+		t.Fatalf("Decode: %v", err)
 	}
 	return rg
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/codec"
 	"repro/internal/roadnet"
 	"repro/internal/worldgen"
 )
@@ -49,8 +48,8 @@ func checkAdjacency(t *testing.T, where string, g *Graph) {
 
 // TestAdjacencyMatchesEdges checks the adjacency invariant on a
 // worldgen city after every step that writes an adjacency: Build,
-// ConnectBFS, a round trip through the flat snapshot image and Restore,
-// and AddPaths on two chained CloneCOW generations of the restored
+// ConnectBFS, a round trip through the graph's image (Append, Decode),
+// and AddPaths on two chained CloneCOW generations of the decoded
 // graph, whose earlier generations must keep theirs.
 func TestAdjacencyMatchesEdges(t *testing.T) {
 	w := worldgen.Build(worldgen.ForVertices(400, 3))
@@ -67,19 +66,13 @@ func TestAdjacencyMatchesEdges(t *testing.T) {
 	}
 	checkAdjacency(t, "ConnectBFS", g)
 
-	var e codec.Enc
-	g.Snapshot().Append(&e, w.Road)
-	s, err := DecodeSnapshot(e.B, w.Road)
+	decoded, err := Decode(imageOf(g), w.Road)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(w.Road, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAdjacency(t, "Restore", restored)
+	checkAdjacency(t, "Decode", decoded)
 
-	gens := []*Graph{restored}
+	gens := []*Graph{decoded}
 	created := 0
 	for i, batch := range [][]roadnet.Path{paths[half : half+half/2], paths[half+half/2:]} {
 		next := gens[len(gens)-1].CloneCOW()

@@ -4,7 +4,7 @@ import "repro/internal/roadnet"
 
 // cowState tracks which parts of a CloneCOW graph have been privatized.
 // A nil Graph.cow means the graph fully owns its data (built or
-// restored directly) and mutation helpers are no-ops.
+// decoded) and mutation helpers are no-ops.
 type cowState struct {
 	edges []bool // Edges[i] privately owned
 	inner []bool // inner[i] privately owned

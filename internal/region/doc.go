@@ -12,12 +12,12 @@
 //
 // The region graph is the *mutable* half of a built router: live
 // trajectory ingestion (core.Router.Ingest) appends to path sets,
-// upgrades B-edges to T-edges and relearns preferences. Snapshot and
-// Restore serialize it for artifacts; CloneCOW copies it for the next
-// writer, sharing every edge, path set and per-region list until a
-// write privatizes exactly that piece — for an edge, the struct with
-// its kind, applied preference and fitted preference (Edge.Fit) plus
-// its two path lists. Everything else a router holds (road network,
+// upgrades B-edges to T-edges and relearns preferences. Append writes
+// its image for artifacts and Decode builds it back from one (image.go);
+// CloneCOW copies it for the next writer, sharing every edge, path set
+// and per-region list until a write privatizes exactly that piece — for
+// an edge, the struct with its kind, applied preference and fitted
+// preference (Edge.Fit) plus its two path lists. Everything else a router holds (road network,
 // spatial index, CH hierarchy) stays immutable and shared across
 // clones.
 //

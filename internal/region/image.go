@@ -12,8 +12,8 @@ import (
 	"repro/internal/roadnet"
 )
 
-// A snapshot's flat image is artifact v3's region section, written and
-// read back by one traversal (image.snapshot):
+// A region graph's image is the artifact's region section, written and
+// read back by one traversal of the graph (image.graph):
 //
 //	regions      count; per region members, road type, popularity and
 //	             centroid x, y
@@ -33,7 +33,8 @@ import (
 // a byte; 15 escapes), then the escaped steps' vertices. Decoding cuts
 // every list from one backing array the trailer sizes, and every path
 // set from another — full slice expressions, so none grows into its
-// neighbour.
+// neighbour. What the graph derives (the vertex→region map and the
+// adjacency) and an edge's fit (Edge.Fit) are not in the image.
 
 // escape is the nibble of a path step no tabulated out-edge takes.
 const escape = 15
@@ -44,109 +45,150 @@ type image struct {
 	heads outHeads
 	first roadnet.VertexID // the previous list's first vertex
 
-	// Writing: the trailer's totals, and a path's escaped steps.
-	vertices, infos int
-	escaped         []roadnet.VertexID
+	// Writing: the trailer's totals, a path's escaped steps and a
+	// region's counted vertices.
+	vertices, infos  int
+	escaped, counted []roadnet.VertexID
 	// Reading: the backing arrays the trailer sized.
 	lists []roadnet.VertexID
 	sets  []PathInfo
 }
 
-// Append appends s's flat image to e. s must be a graph's Snapshot, and
-// road the network the graph sits on: paths are written as walks over
-// its out-edges.
-func (s *Snapshot) Append(e *codec.Enc, road *roadnet.Graph) {
-	m := &image{enc: e, heads: newOutHeads(road)}
-	m.snapshot(s)
+// Append appends g's image to e. Paths are written as walks over the
+// out-edges of g.Road.
+func (g *Graph) Append(e *codec.Enc) {
+	m := &image{enc: e, heads: newOutHeads(g.Road)}
+	m.graph(g)
 	e.B = binary.BigEndian.AppendUint32(e.B, uint32(m.vertices))
 	e.B = binary.BigEndian.AppendUint32(e.B, uint32(m.infos))
 }
 
-// DecodeSnapshot decodes the image Append wrote against road. It checks
-// counts and lengths against the bytes left and path steps against
-// road's out-edges, and refuses an image whose visit-count flag is not
-// 1 — one saved from a graph without counts — with codec.ErrMalformed;
-// Restore checks the IDs. Empty lists decode as nil and visit-count
-// maps as non-nil, as a gob round trip leaves them.
-func DecodeSnapshot(b []byte, road *roadnet.Graph) (*Snapshot, error) {
+// Decode builds the region graph over road whose image Append wrote.
+// The image is outside input — an artifact read from disk — so Decode
+// checks counts and lengths against the bytes left, path steps against
+// road's out-edges, and every ID where it reads it: vertices against
+// road, road types and preferences against their ranges,
+// each edge's pair as 0 ≤ R1 < R2 < the region count; once the
+// adjacency is built, that no two edges join the same regions. An
+// image whose visit-count flag is not 1 — one saved from a graph
+// without counts — is codec.ErrMalformed. Empty lists decode as nil.
+func Decode(b []byte, road *roadnet.Graph) (*Graph, error) {
 	if len(b) < 8 {
-		return nil, fmt.Errorf("region: decoding snapshot: %w: %d bytes", codec.ErrMalformed, len(b))
+		return nil, fmt.Errorf("region: decoding graph: %w: %d bytes", codec.ErrMalformed, len(b))
 	}
 	body := b[:len(b)-8]
 	vertices, infos := binary.BigEndian.Uint32(b[len(b)-8:]), binary.BigEndian.Uint32(b[len(b)-4:])
 	// A listed vertex takes at least half a byte (a path step), a path
 	// three (count, terminal count, length).
 	if uint64(vertices) > 2*uint64(len(body)) || uint64(infos) > uint64(len(body))/3 {
-		return nil, fmt.Errorf("region: decoding snapshot: %w: %d vertices and %d paths in %d bytes", codec.ErrMalformed, vertices, infos, len(body))
+		return nil, fmt.Errorf("region: decoding graph: %w: %d vertices and %d paths in %d bytes", codec.ErrMalformed, vertices, infos, len(body))
 	}
 	m := &image{dec: codec.NewDec(body), heads: newOutHeads(road), lists: make([]roadnet.VertexID, vertices), sets: make([]PathInfo, infos)}
-	s := &Snapshot{}
-	m.snapshot(s)
+	g := &Graph{Road: road}
+	m.graph(g)
 	if len(m.lists) != 0 || len(m.sets) != 0 {
 		m.dec.Fail("%d vertices and %d paths declared but not listed", len(m.lists), len(m.sets))
 	}
 	if err := m.dec.Done(); err != nil {
-		return nil, fmt.Errorf("region: decoding snapshot: %w", err)
+		return nil, fmt.Errorf("region: decoding graph: %w", err)
 	}
-	return s, nil
+	g.regionOf = make([]int32, road.NumVertices())
+	for i := range g.regionOf {
+		g.regionOf[i] = -1
+	}
+	for i, r := range g.Regions {
+		for _, v := range r.Members {
+			g.regionOf[v] = int32(i)
+		}
+	}
+	// Canonical adjacency order (neighbor region ID, as insertAdj keeps
+	// it), so a decoded graph traverses neighbors exactly as the graph
+	// that wrote the image did, and FindEdge can search it. A region
+	// pair carries one edge, so neighbors must not repeat.
+	g.adj = make([][]Link, len(g.Regions))
+	for _, e := range g.Edges {
+		g.adj[e.R1] = append(g.adj[e.R1], Link{int32(e.R2), int32(e.ID)})
+		g.adj[e.R2] = append(g.adj[e.R2], Link{int32(e.R1), int32(e.ID)})
+	}
+	for _, a := range g.adj {
+		slices.SortFunc(a, func(x, y Link) int { return int(x.To - y.To) })
+		for i := 1; i < len(a); i++ {
+			if a[i].To == a[i-1].To {
+				return nil, fmt.Errorf("region: decoding graph: %w: edges %d and %d join the same regions", codec.ErrMalformed, a[i-1].Edge, a[i].Edge)
+			}
+		}
+	}
+	return g, nil
 }
 
-func (m *image) snapshot(s *Snapshot) {
-	imageLen(m, &s.Regions, 5)
-	regions := len(s.Regions)
+// graph is the one traversal of a graph's image: it writes g, or reads
+// g's regions, edges and per-region lists.
+func (m *image) graph(g *Graph) {
+	imageLen(m, &g.Regions, 5)
+	regions := len(g.Regions)
 	if m.dec != nil {
-		s.Centroids = make([]geo.Point, regions)
-		s.Inner = make([][]InnerPath, regions)
-		s.TransferCenters = make([][]roadnet.VertexID, regions)
-		s.TopTypes = make([][]roadnet.RoadType, regions)
+		g.centroids = make([]geo.Point, regions)
+		g.inner = make([][]InnerPath, regions)
+		g.transferCenters = make([][]roadnet.VertexID, regions)
+		g.topTypes = make([][]roadnet.RoadType, regions)
 	}
-	for i := range s.Regions {
-		r := &s.Regions[i]
-		if m.dec != nil {
-			r.ID = i
-		}
+	for i := range g.Regions {
+		r := &g.Regions[i]
 		m.list(&r.Members, false)
-		imageByte(m, &r.RoadType)
+		if imageByte(m, &r.RoadType); m.dec != nil {
+			r.ID = i
+			if r.RoadType >= roadnet.NumRoadTypes {
+				m.dec.Fail("region %d of road type %d", i, r.RoadType)
+			}
+		}
 		m.float(&r.Popularity)
-		m.float(&s.Centroids[i].X)
-		m.float(&s.Centroids[i].Y)
+		m.float(&g.centroids[i].X)
+		m.float(&g.centroids[i].Y)
 	}
-	imageLen(m, &s.Edges, 6)
-	for i := range s.Edges {
-		e := &s.Edges[i]
-		e.ID = i // the snapshot's own copy
+	imageLen(m, &g.Edges, 6)
+	if m.dec != nil {
+		edges := make([]Edge, len(g.Edges))
+		for i := range g.Edges {
+			edges[i].ID, g.Edges[i] = i, &edges[i]
+		}
+	}
+	for _, e := range g.Edges {
 		m.int(&e.R1)
 		m.int(&e.R2)
 		flags := byte(e.Kind) | boolByte(e.HasPref)<<1 | byte(e.Pref.Master)<<2
 		if imageByte(m, &flags); m.dec != nil {
 			e.Kind, e.HasPref, e.Pref.Master = EdgeKind(flags&1), flags&2 != 0, roadnet.Weight(flags>>2)
 		}
-		imageByte(m, &e.Pref.Slave)
+		if imageByte(m, &e.Pref.Slave); m.dec != nil && (e.R1 < 0 || e.R1 >= e.R2 || e.R2 >= regions || e.HasPref && !e.Pref.Valid()) {
+			m.dec.Fail("edge %d joins regions %d and %d of %d, or prefers %+v", e.ID, e.R1, e.R2, regions, e.Pref)
+		}
 		m.paths(&e.PathsFwd)
 		m.paths(&e.PathsRev)
 	}
 	for r := 0; r < regions; r++ {
-		imageLen(m, &s.Inner[r], 3)
-		for j := range s.Inner[r] {
-			ip := &s.Inner[r][j]
+		imageLen(m, &g.inner[r], 3)
+		for j := range g.inner[r] {
+			ip := &g.inner[r][j]
 			m.int(&ip.Count)
 			m.int(&ip.Terminal)
 			m.list((*[]roadnet.VertexID)(&ip.Path), true)
 		}
-		m.list(&s.TransferCenters[r], false)
-		imageLen(m, &s.TopTypes[r], 1)
-		for j := range s.TopTypes[r] {
-			imageByte(m, &s.TopTypes[r][j])
+		m.list(&g.transferCenters[r], false)
+		imageLen(m, &g.topTypes[r], 1)
+		for j := range g.topTypes[r] {
+			if imageByte(m, &g.topTypes[r][j]); m.dec != nil && g.topTypes[r][j] >= roadnet.NumRoadTypes {
+				m.dec.Fail("region %d's top road type %d", r, g.topTypes[r][j])
+			}
 		}
 	}
 	counted := byte(1)
 	if imageByte(m, &counted); counted != 1 {
 		m.dec.Fail("visit-count flag %d, want 1", counted)
 	} else if m.dec != nil {
-		s.TCCounts = make([]map[roadnet.VertexID]int, regions)
+		g.tcCounts = make([]map[roadnet.VertexID]int, regions)
 	}
-	for r := range s.TCCounts {
-		m.counts(&s.TCCounts[r])
+	for r := range g.tcCounts {
+		m.counts(&g.tcCounts[r])
 	}
 }
 
@@ -222,37 +264,41 @@ func (m *image) list(p *[]roadnet.VertexID, path bool) {
 	codec.Deltas(m.dec, l[:1], m.first)
 	if m.first = l[0]; !path {
 		codec.Deltas(m.dec, l[1:], l[0])
-		return
-	}
-	nibbles := m.dec.Bytes(len(l) / 2)
-	for i := 1; i < len(l) && m.dec.Err() == nil; i++ {
-		if k := nibbles[(i-1)/2] >> (4 * ((i - 1) % 2)) & 0xF; k == escape {
-			l[i] = roadnet.VertexID(m.dec.Index(math.MaxInt32))
-		} else if l[i] = m.heads.step(l[i-1], int(k)); l[i] < 0 {
-			m.dec.Fail("path step %d from vertex %d takes no out-edge", i, l[i-1])
+	} else {
+		nibbles := m.dec.Bytes(len(l) / 2)
+		for i := 1; i < len(l) && m.dec.Err() == nil; i++ {
+			if k := nibbles[(i-1)/2] >> (4 * ((i - 1) % 2)) & 0xF; k == escape {
+				l[i] = roadnet.VertexID(m.dec.Index(math.MaxInt32))
+			} else if l[i] = m.heads.step(l[i-1], int(k)); l[i] < 0 {
+				m.dec.Fail("path step %d from vertex %d takes no out-edge", i, l[i-1])
+			}
 		}
+	}
+	if v := slices.Max(l); int(v) >= m.heads.n {
+		m.dec.Fail("vertex %d in a road of %d", v, m.heads.n)
 	}
 }
 
 func (m *image) writeList(p []roadnet.VertexID, path bool) {
-	m.enc.Uvarint(uint64(len(p)))
-	if len(p) == 0 {
-		return
+	// The output, the escaped steps and the step table are locals: read
+	// and written through m on every step, their headers made a ci
+	// checkpoint's Save take up to twice as long, depending on where
+	// the heap put m and the buffer.
+	out := binary.AppendUvarint(m.enc.B, uint64(len(p)))
+	if len(p) > 0 {
+		m.vertices += len(p)
+		out = binary.AppendVarint(out, int64(p[0])-int64(m.first))
+		m.first = p[0]
 	}
-	m.vertices += len(p)
-	m.enc.Int(int(p[0]) - int(m.first))
-	if m.first = p[0]; !path {
+	if !path {
 		for i := 1; i < len(p); i++ {
-			m.enc.Int(int(p[i]) - int(p[i-1]))
+			out = binary.AppendVarint(out, int64(p[i])-int64(p[i-1]))
 		}
+		m.enc.B = out
 		return
 	}
-	m.escaped = m.escaped[:0]
+	escaped, heads := m.escaped[:0], m.heads
 	var b byte
-	// The step table is read through a local: re-read through m on
-	// every step, its header made a ci checkpoint's Save take up to
-	// twice as long, depending on where the heap put m.
-	heads := m.heads
 	for i := 1; i < len(p); i++ {
 		k := byte(escape)
 		for j := 0; j < heads.w && p[i] >= 0; j++ {
@@ -262,16 +308,17 @@ func (m *image) writeList(p []roadnet.VertexID, path bool) {
 			}
 		}
 		if k == escape {
-			m.escaped = append(m.escaped, p[i])
+			escaped = append(escaped, p[i])
 		}
 		if b |= k << (4 * ((i - 1) % 2)); i%2 == 0 || i == len(p)-1 {
-			m.enc.Byte(b)
+			out = append(out, b)
 			b = 0
 		}
 	}
-	for _, v := range m.escaped {
-		m.enc.Uvarint(uint64(uint32(v)))
+	for _, v := range escaped {
+		out = binary.AppendUvarint(out, uint64(uint32(v)))
 	}
+	m.enc.B, m.escaped = out, escaped
 }
 
 // counts is one region's transfer-center visit counts: the counted
@@ -279,7 +326,9 @@ func (m *image) writeList(p []roadnet.VertexID, path bool) {
 func (m *image) counts(p *map[roadnet.VertexID]int) {
 	var vs []roadnet.VertexID
 	if m.dec == nil {
-		vs = slices.Sorted(maps.Keys(*p))
+		m.counted = slices.AppendSeq(m.counted[:0], maps.Keys(*p))
+		slices.Sort(m.counted)
+		vs = m.counted
 	}
 	if m.list(&vs, false); m.dec != nil {
 		*p = make(map[roadnet.VertexID]int, len(vs))

@@ -64,9 +64,9 @@ type Edge struct {
 	// own path set (T-edges with paths); fit is that preference with its
 	// training similarity and sample size. Pref/HasPref above are what
 	// routing applies — the fit only when it clears the caller's
-	// confidence gate. Unexported, so neither Snapshot's flat image nor
-	// its gob one carries them: artifacts keep fits in a section of
-	// their own (core's preference section).
+	// confidence gate. The graph's image (Append) does not carry them:
+	// artifacts keep fits in a section of their own (core's preference
+	// section).
 	fitted bool
 	fit    pref.Result
 }
@@ -155,7 +155,7 @@ type Graph struct {
 	transferCenters [][]roadnet.VertexID
 	// tcCounts[r] retains the visit counts behind transferCenters[r] so
 	// AddPaths recounts exactly: the lists depend on the union evidence,
-	// not on its batching. Every graph carries them, built or restored.
+	// not on its batching. Every graph carries them, built or decoded.
 	tcCounts []map[roadnet.VertexID]int
 	// topTypes[r] is the region's top-k road-type set (Section V-B
 	// functionality feature).
@@ -201,8 +201,8 @@ func (g *Graph) InnerPaths(r int) []InnerPath { return g.inner[r] }
 
 // TransferCenters returns region r's transfer centers, most used first.
 // Regions never visited by trajectories fall back to their member vertex
-// closest to the centroid; a memberless region (possible in restored or
-// hand-built snapshots) has none and yields an empty list.
+// closest to the centroid; a memberless region (Decode accepts one) has
+// none and yields an empty list.
 func (g *Graph) TransferCenters(r int) []roadnet.VertexID {
 	if len(g.transferCenters[r]) > 0 {
 		return g.transferCenters[r]
@@ -218,6 +218,13 @@ func (g *Graph) TransferCenters(r int) []roadnet.VertexID {
 		}
 	}
 	return []roadnet.VertexID{best}
+}
+
+// TransferCounts returns region r's transfer centers as stored — empty
+// where TransferCenters falls back to a member — and the visit counts
+// behind them, for reading only.
+func (g *Graph) TransferCounts(r int) ([]roadnet.VertexID, map[roadnet.VertexID]int) {
+	return g.transferCenters[r], g.tcCounts[r]
 }
 
 // TopRoadTypes returns the region's top-k road-type functionality set.

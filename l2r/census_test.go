@@ -76,6 +76,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		"mapmatch.OnlineMatcher.StablePrefix":      "the online tests check the commit-prefix invariant through it",
 		"region.Graph.Connected":                   "core and region tests check that ConnectBFS connects the region graph",
 		"region.Edge.Other":                        "the adjacency tests hold the sorted adjacency to each edge's far end",
+		"region.Graph.TransferCounts":              "the test-only v2 artifact writer (core's handBuiltV2) gob-encodes the raw transfer-center lists and visit counts through it",
 		"ch.Topology.NumArcs":                      "the ch tests and benchmarks size the skeleton with it",
 		"ch.Topology.Rank":                         "the CCH tests check the contraction order through it",
 		"ch.Topology.Graph":                        "the ch tests read the road a topology was built on",
