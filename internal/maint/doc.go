@@ -1,8 +1,9 @@
 // Package maint keeps a served router converged with its evidence: a
 // background maintainer attached to a serve.Engine that counts the
 // matched trajectories the engine ingests, watches rebuild
-// triggers — preference drift against its own baseline, rebased on
-// every publish, evidence volume, a wall-clock interval — and, when
+// triggers — the engine's preference drift (serve.Engine.Drift,
+// against the model last installed), evidence volume, a wall-clock
+// interval — and, when
 // one fires, drives a clone-rebuild-publish cycle: core.Retransduce
 // re-runs preference learning, transduction and B-edge materialization
 // over the full path sets the region graph accumulated, on a

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/quality"
-	"repro/internal/region"
 	"repro/internal/serve"
 	"repro/internal/traj"
 )
@@ -18,11 +16,11 @@ import (
 // drift- and evidence-triggered rebuilds with production-ish
 // thresholds, no timer.
 type Config struct {
-	// DriftTV triggers a rebuild when the total-variation distance
-	// between the served snapshot's evidence-weighted preference
-	// distribution and the maintainer's baseline (rebased on every
-	// publish, rebuild or external) exceeds
-	// it (default 0.25; negative disables the drift trigger).
+	// DriftTV triggers a rebuild when the engine's drift gauge
+	// (serve.Engine.Drift: the total-variation distance between the
+	// served snapshot's evidence-weighted preference distribution and
+	// the model last installed, by construction or by a publish)
+	// exceeds it (default 0.25; negative disables the drift trigger).
 	DriftTV float64
 	// MinEvidence triggers a rebuild when this many trajectories have
 	// accumulated since the last rebuild (default 4096; negative
@@ -33,7 +31,7 @@ type Config struct {
 	// default; drift and evidence usually fire first).
 	Interval time.Duration
 	// CheckEvery is the trigger-evaluation cadence (default 2s). Checks
-	// are O(T-edges) — a distribution scan, no routing.
+	// read the snapshot's drift block, computed once per snapshot.
 	CheckEvery time.Duration
 }
 
@@ -50,11 +48,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// baseline pins the model state the triggers measure against: the
-// region graph and T-edge pair set of the snapshot published by the
-// last rebuild (or present at attach), and when it was captured.
+// baseline pins what a rebuild is reported against: the T-edge pair
+// set of the snapshot published by the last rebuild (or present at
+// attach), and when it was captured.
 type baseline struct {
-	rg    *region.Graph
 	pairs map[[2]int]bool
 	at    time.Time
 }
@@ -65,15 +62,6 @@ type lastRebuild struct {
 	stats       core.RetransduceStats
 	tedgesAdded int
 	at          time.Time
-}
-
-// driftCache memoizes the drift gauge per (generation, baseline) so
-// scrape-frequency readers and the trigger loop share one distribution
-// scan per published snapshot.
-type driftCache struct {
-	gen  uint64
-	base *baseline
-	tv   float64
 }
 
 // Maintainer is the engine-attached background maintenance pipeline.
@@ -102,9 +90,8 @@ type Maintainer struct {
 	rebuilds    atomic.Uint64
 	failures    atomic.Uint64
 
-	base  atomic.Pointer[baseline]
-	last  atomic.Pointer[lastRebuild]
-	drift atomic.Pointer[driftCache]
+	base atomic.Pointer[baseline]
+	last atomic.Pointer[lastRebuild]
 }
 
 // Attach wires a background maintainer onto e: the engine's write path
@@ -156,11 +143,7 @@ func (m *Maintainer) Close() {
 
 // rebase pins a fresh trigger baseline on r's published state.
 func (m *Maintainer) rebase(r *core.Router) {
-	m.base.Store(&baseline{
-		rg:    r.RegionGraph(),
-		pairs: r.TEdgePairs(),
-		at:    time.Now(),
-	})
+	m.base.Store(&baseline{pairs: r.TEdgePairs(), at: time.Now()})
 }
 
 // OfferTrajectories counts the batch's trajectories that carry a road
@@ -182,8 +165,8 @@ func (m *Maintainer) OfferTrajectories(ts []*traj.Trajectory) {
 
 // Published is told that a new snapshot swapped in —
 // this maintainer's own rebuild landing, or an external Publish. Either
-// way the accumulated-but-unrebuilt window closes: rebase the trigger
-// baseline on the published model and reset the accumulator (a rebuild
+// way the accumulated-but-unrebuilt window closes: rebase the pair set
+// and timer on the published model and reset the accumulator (a rebuild
 // incorporated the evidence; an external artifact superseded it). Runs
 // under the engine's write lock and must not call back into the engine.
 func (m *Maintainer) Published(r *core.Router) {
@@ -192,19 +175,6 @@ func (m *Maintainer) Published(r *core.Router) {
 	m.evidence = 0
 	m.seeded = 0
 	m.mu.Unlock()
-}
-
-// driftTV returns the drift gauge for the served snapshot, computing
-// the distribution scan at most once per (generation, baseline).
-func (m *Maintainer) driftTV() float64 {
-	gen := m.eng.Generation()
-	base := m.base.Load()
-	if c := m.drift.Load(); c != nil && c.gen == gen && c.base == base {
-		return c.tv
-	}
-	tv := quality.DriftTV(base.rg, m.eng.Snapshot().RegionGraph())
-	m.drift.Store(&driftCache{gen: gen, base: base, tv: tv})
-	return tv
 }
 
 // loop evaluates the triggers every CheckEvery and runs a rebuild when
@@ -235,7 +205,7 @@ func (m *Maintainer) check() string {
 		// moved and a rebuild would be a no-op re-derivation.
 		return ""
 	}
-	if m.cfg.DriftTV >= 0 && m.driftTV() > m.cfg.DriftTV {
+	if m.cfg.DriftTV >= 0 && m.eng.Drift().DriftTV > m.cfg.DriftTV {
 		return "drift"
 	}
 	if m.cfg.MinEvidence >= 0 && evidence >= m.cfg.MinEvidence {
@@ -299,7 +269,7 @@ func (m *Maintainer) MaintStats() serve.MaintStats {
 	ms.EvidenceSinceRebuild = m.evidence
 	ms.RecoverySeeded = m.seeded
 	m.mu.Unlock()
-	ms.DriftTV = m.driftTV()
+	ms.DriftTV = m.eng.Drift().DriftTV
 	ms.SinceRebuild = time.Since(m.base.Load().at)
 	if lr := m.last.Load(); lr != nil {
 		ms.LastTrigger = lr.trigger

@@ -26,7 +26,8 @@
 //
 //   - PromWriter: a minimal Prometheus text-exposition (version 0.0.4)
 //     writer — counters, gauges and native histogram _bucket/_sum/
-//     _count series with labels — so /metrics needs no client library.
+//     _count series with labels, each family's samples grouped under
+//     its HELP/TYPE lines — so /metrics needs no client library.
 //
 // internal/serve wires all three through the engine, fleet and HTTP
 // layers; cmd/l2rserve exposes them behind -trace, -slow-query and

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -17,36 +18,45 @@ type Label struct {
 	Name, Value string
 }
 
-// PromWriter writes Prometheus text-format (version 0.0.4) exposition:
-// # HELP / # TYPE headers emitted once per metric name (so the same
-// metric can be written repeatedly with different label sets — one per
-// fleet tenant), label values escaped per the format, histograms
-// expanded to their _bucket/_sum/_count series. Errors are sticky;
-// check Err once at the end.
+// PromWriter writes Prometheus text-format (version 0.0.4) exposition.
+// The format wants each metric family's samples in one group after its
+// # HELP / # TYPE lines, so samples are kept per family, in the order
+// the families were first written, and go out on Flush: the same
+// metric can be written repeatedly with different label sets (one per
+// fleet tenant, one per category) wherever the caller has its values.
+// Label values are escaped per the format, and histograms expand to
+// their _bucket/_sum/_count series.
 type PromWriter struct {
-	w    io.Writer
-	seen map[string]bool
-	err  error
+	w        io.Writer
+	index    map[string]int // family name -> position in families
+	families []*bytes.Buffer
 }
 
 // NewPromWriter wraps w for exposition writing.
 func NewPromWriter(w io.Writer) *PromWriter {
-	return &PromWriter{w: w, seen: make(map[string]bool)}
+	return &PromWriter{w: w, index: make(map[string]int)}
 }
 
-// Err returns the first write error encountered.
-func (p *PromWriter) Err() error { return p.err }
+// Flush writes the exposition to the underlying writer, every family
+// in first-seen order, and returns the first write error. Call it once,
+// after the last sample.
+func (p *PromWriter) Flush() error {
+	for _, f := range p.families {
+		if _, err := f.WriteTo(p.w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Counter writes one counter sample.
 func (p *PromWriter) Counter(name, help string, v float64, labels ...Label) {
-	p.header(name, help, "counter")
-	p.sample(name, labels, v)
+	sample(p.family(name, help, "counter"), name, labels, v)
 }
 
 // Gauge writes one gauge sample.
 func (p *PromWriter) Gauge(name, help string, v float64, labels ...Label) {
-	p.header(name, help, "gauge")
-	p.sample(name, labels, v)
+	sample(p.family(name, help, "gauge"), name, labels, v)
 }
 
 // Histogram writes h as a native Prometheus histogram: cumulative
@@ -56,54 +66,51 @@ func (p *PromWriter) Gauge(name, help string, v float64, labels ...Label) {
 // counts stay exact, so the series is valid for quantile and rate
 // queries regardless.
 func (p *PromWriter) Histogram(name, help string, h *Histogram, labels ...Label) {
-	p.header(name, help, "histogram")
+	f := p.family(name, help, "histogram")
 	cum, first, last := h.Cumulative()
 	if first >= 0 {
 		for i := first; i <= last; i++ {
 			le := strconv.FormatFloat(BucketUpperBoundSeconds(i), 'g', -1, 64)
-			p.sample(name+"_bucket", append(labels[:len(labels):len(labels)], Label{"le", le}), float64(cum[i]))
+			sample(f, name+"_bucket", append(labels[:len(labels):len(labels)], Label{"le", le}), float64(cum[i]))
 		}
 	}
 	count := h.Count()
-	p.sample(name+"_bucket", append(labels[:len(labels):len(labels)], Label{"le", "+Inf"}), float64(count))
-	p.sample(name+"_sum", labels, h.SumSeconds())
-	p.sample(name+"_count", labels, float64(count))
+	sample(f, name+"_bucket", append(labels[:len(labels):len(labels)], Label{"le", "+Inf"}), float64(count))
+	sample(f, name+"_sum", labels, h.SumSeconds())
+	sample(f, name+"_count", labels, float64(count))
 }
 
-func (p *PromWriter) header(name, help, typ string) {
-	if p.seen[name] {
-		return
+// family returns the buffer of the named family, starting it with its
+// HELP and TYPE lines the first time.
+func (p *PromWriter) family(name, help, typ string) *bytes.Buffer {
+	if i, ok := p.index[name]; ok {
+		return p.families[i]
 	}
-	p.seen[name] = true
-	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, escapeHelp(help), name, typ)
+	f := new(bytes.Buffer)
+	fmt.Fprintf(f, "# HELP %s %s\n# TYPE %s %s\n", name, escapeHelp(help), name, typ)
+	p.index[name] = len(p.families)
+	p.families = append(p.families, f)
+	return f
 }
 
-func (p *PromWriter) sample(name string, labels []Label, v float64) {
-	if len(labels) == 0 {
-		p.printf("%s %s\n", name, formatValue(v))
-		return
-	}
-	var sb strings.Builder
-	sb.WriteString(name)
-	sb.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			sb.WriteByte(',')
+func sample(f *bytes.Buffer, name string, labels []Label, v float64) {
+	f.WriteString(name)
+	if len(labels) > 0 {
+		f.WriteByte('{')
+		for i, l := range labels {
+			if i > 0 {
+				f.WriteByte(',')
+			}
+			f.WriteString(l.Name)
+			f.WriteString(`="`)
+			f.WriteString(escapeLabel(l.Value))
+			f.WriteByte('"')
 		}
-		sb.WriteString(l.Name)
-		sb.WriteString(`="`)
-		sb.WriteString(escapeLabel(l.Value))
-		sb.WriteByte('"')
+		f.WriteByte('}')
 	}
-	sb.WriteByte('}')
-	p.printf("%s %s\n", sb.String(), formatValue(v))
-}
-
-func (p *PromWriter) printf(format string, args ...any) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
+	f.WriteByte(' ')
+	f.WriteString(formatValue(v))
+	f.WriteByte('\n')
 }
 
 func formatValue(v float64) string {

@@ -36,7 +36,7 @@ func TestPromWriterBasics(t *testing.T) {
 	pw.Counter("l2r_queries_total", "Queries.", 42)
 	pw.Gauge("l2r_cache_entries", "Entries.", 7, Label{"tenant", "porto"})
 	pw.Counter("l2r_queries_total", "Queries.", 10, Label{"tenant", "porto"})
-	if err := pw.Err(); err != nil {
+	if err := pw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -53,11 +53,45 @@ func TestPromWriterBasics(t *testing.T) {
 	}
 }
 
+// TestPromWriterGroupsFamilies: samples written family by family in
+// any interleaving come out one group per family, after its HELP and
+// TYPE lines, families in first-seen order and samples in write order.
+func TestPromWriterGroupsFamilies(t *testing.T) {
+	var sb strings.Builder
+	pw := NewPromWriter(&sb)
+	var h Histogram
+	h.Observe(time.Microsecond)
+	for _, tenant := range []string{"a", "b"} {
+		pw.Counter("q_total", "Q.", 1, Label{"tenant", tenant})
+		pw.Histogram("lat_seconds", "L.", &h, Label{"tenant", tenant})
+		pw.Gauge("g", "G.", 2, Label{"tenant", tenant})
+	}
+	if err := pw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var groups []string
+	for _, line := range checkExposition(t, sb.String()) {
+		name, labels, _ := strings.Cut(line, "{")
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			name = strings.TrimSuffix(name, suffix)
+		}
+		if g := name + "/" + strings.TrimPrefix(labels, `tenant="`)[:1]; len(groups) == 0 || groups[len(groups)-1] != g {
+			groups = append(groups, g)
+		}
+	}
+	if got, want := strings.Join(groups, " "), "q_total/a q_total/b lat_seconds/a lat_seconds/b g/a g/b"; got != want {
+		t.Fatalf("sample groups %q, want %q:\n%s", got, want, sb.String())
+	}
+	if n := strings.Count(sb.String(), "# TYPE "); n != 3 {
+		t.Fatalf("%d TYPE lines, want one per family", n)
+	}
+}
+
 func TestPromLabelEscaping(t *testing.T) {
 	var sb strings.Builder
 	pw := NewPromWriter(&sb)
 	pw.Gauge("g", "with \\ and \n chars", 1, Label{"l", "a\"b\\c\nd"})
-	if err := pw.Err(); err != nil {
+	if err := pw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -78,7 +112,7 @@ func TestPromHistogramValid(t *testing.T) {
 	var sb strings.Builder
 	pw := NewPromWriter(&sb)
 	pw.Histogram("l2r_route_latency_seconds", "Latency.", &h, Label{"tenant", "x"})
-	if err := pw.Err(); err != nil {
+	if err := pw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -141,7 +175,7 @@ func TestPromHistogramLabelAliasing(t *testing.T) {
 	pw := NewPromWriter(&sb)
 	pw.Histogram("m", "h.", &h1, shared...)
 	pw.Histogram("m", "h.", &h2, shared...)
-	if err := pw.Err(); err != nil {
+	if err := pw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if shared[0].Value != "a" || len(shared) != 1 {
@@ -158,7 +192,7 @@ func TestStageHistogramsSortedAndLabeled(t *testing.T) {
 	var sb strings.Builder
 	pw := NewPromWriter(&sb)
 	pw.StageHistograms("l2r_stage_duration_seconds", "Stages.", tr)
-	if err := pw.Err(); err != nil {
+	if err := pw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -23,9 +23,11 @@
 //
 //   - Drift and staleness gauges. The total-variation distance between
 //     the served snapshot's evidence-weighted preference distribution
-//     and a baseline captured at attach (re-captured on Publish) says
-//     how far live learning has moved the model — ROADMAP item 3's
-//     "learned-vs-served divergence". Region coverage (fraction of
+//     and the engine's baseline — the model it was constructed with,
+//     re-taken on every publish — says how far live learning has moved
+//     the model: the "learned-vs-served divergence". The engine
+//     computes it once per snapshot (serve.Engine.Drift); the observer
+//     reports it. Region coverage (fraction of
 //     regions with any T-edge evidence), evidence age (time since the
 //     newest fold-in) and route-cache generation lag complete the
 //     staleness picture.

@@ -141,18 +141,15 @@ type Observer struct {
 	perCat    [3]*cell
 	perDist   [len(bucketsKm)]*cell
 	exemplars []Exemplar // sorted worst (lowest Eq1) first
-
-	baseline atomic.Pointer[baselineState]
-	derived  atomic.Pointer[driftState]
 }
 
 // Attach wires a model-quality observer onto e: the engine's write
 // path offers it every ingested batch, Stats()/metrics gain the
 // Quality section and the l2r_quality_*/l2r_drift_* families, and
-// GET /debug/quality serves the worst-route exemplars. The drift
-// baseline is captured from the engine's current snapshot. The
-// engine's Close (or Shutdown) stops the background scorer; calling the
-// observer's own Close first is harmless.
+// GET /debug/quality serves the worst-route exemplars. The drift gauges
+// are the engine's (serve.Engine.Drift). The engine's Close (or
+// Shutdown) stops the background scorer; calling the observer's own
+// Close first is harmless.
 func Attach(e *serve.Engine, cfg Config) *Observer {
 	cfg = cfg.withDefaults()
 	o := &Observer{
@@ -169,7 +166,6 @@ func Attach(e *serve.Engine, cfg Config) *Observer {
 	for i := range o.perDist {
 		o.perDist[i] = newCell(window)
 	}
-	o.rebase(e.Snapshot(), e.Generation())
 	e.Attach(o)
 	go o.loop()
 	return o
@@ -253,11 +249,9 @@ func strideSampled(i uint64, rate float64) bool {
 	return uint64(float64(i)*rate) > uint64(float64(i-1)*rate)
 }
 
-// Published rebases the drift baseline: a publish replaced the model,
-// so the old baseline describes a router that no longer exists.
-func (o *Observer) Published(r *core.Router) {
-	o.rebase(r, o.eng.Generation())
-}
+// Published does nothing: the drift baseline is the engine's, and it
+// rebases on the publish itself.
+func (o *Observer) Published(*core.Router) {}
 
 // loop is the background scorer: single goroutine, paced to
 // Config.MaxPerSec, exits on Close.
@@ -409,12 +403,7 @@ func (o *Observer) QualityStats() serve.QualityStats {
 	qs.Exemplars = len(o.exemplars)
 	o.mu.Unlock()
 
-	d := o.drift()
-	qs.DriftTV = d.tv
-	qs.BaselineGeneration = d.baselineGen
-	qs.RegionCoverage = d.coverage
-	qs.RegionsWithEvidence = d.withEvidence
-	qs.Regions = d.regions
+	qs.Drift = o.eng.Drift()
 	if at := o.eng.LastIngestAt(); !at.IsZero() {
 		qs.EvidenceAge = time.Since(at)
 	}

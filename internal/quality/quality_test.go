@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/maint"
 	"repro/internal/roadnet"
 	"repro/internal/serve"
 	"repro/internal/traj"
@@ -230,6 +231,39 @@ func TestPublishRebasesBaseline(t *testing.T) {
 	}
 	if qs.DriftTV != 0 {
 		t.Fatalf("after Publish the served model IS the baseline; DriftTV = %v want 0", qs.DriftTV)
+	}
+}
+
+// TestDriftGaugesAgree: the observer and the maintainer report one
+// drift block, the engine's, however far apart they attached — the
+// observer before the first ingest, the maintainer after it — bit for
+// bit; and after a Publish both read 0 against a baseline taken at the
+// published generation.
+func TestDriftGaugesAgree(t *testing.T) {
+	base, fresh := sharedWorld(t)
+	e := serve.NewEngine(base.Clone(), serve.Options{})
+	defer e.Close()
+	Attach(e, Config{})
+	e.Ingest(fresh[:40])
+	maint.Attach(e, maint.Config{DriftTV: -1, MinEvidence: -1, CheckEvery: time.Hour})
+	e.Ingest(fresh[40:80])
+
+	st := e.Stats()
+	q, m := st.Quality, st.Maintenance
+	if q.DriftTV == 0 {
+		t.Fatal("two ingests moved no preference mass; the comparison below would be vacuous")
+	}
+	if math.Float64bits(q.DriftTV) != math.Float64bits(m.DriftTV) || q.BaselineGeneration != 1 {
+		t.Fatalf("quality drift_tv %v (baseline generation %d), maintenance drift_tv %v: want one gauge against generation 1",
+			q.DriftTV, q.BaselineGeneration, m.DriftTV)
+	}
+
+	e.Publish(base.IngestClone())
+	st = e.Stats()
+	q, m = st.Quality, st.Maintenance
+	if q.DriftTV != 0 || m.DriftTV != 0 || q.BaselineGeneration != st.SnapshotGeneration {
+		t.Fatalf("after Publish at generation %d: quality drift_tv %v against generation %d, maintenance drift_tv %v; want 0, 0 and the published generation",
+			st.SnapshotGeneration, q.DriftTV, q.BaselineGeneration, m.DriftTV)
 	}
 }
 

@@ -23,9 +23,10 @@ type Attachment interface {
 	OfferTrajectories(ts []*traj.Trajectory)
 	// Published says r replaced the served snapshot other than by an
 	// ingest — Engine.Publish, or a RebuildSnapshot landing — so state
-	// derived from the replaced model (a drift baseline, evidence
-	// counters) can rebase. Runs under writeMu; must not call back into
-	// the engine's write path.
+	// derived from the replaced model (evidence counters) can rebase.
+	// The drift baseline is not an attachment's: the engine has already
+	// rebased it on r. Runs under writeMu; must not call back into the
+	// engine's write path.
 	Published(r *core.Router)
 	// Report fills the attachment's block of st (Stats.Stream, .Quality
 	// or .Maintenance), which /stats, /metrics and /debug/snapshot read.

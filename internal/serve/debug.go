@@ -179,7 +179,7 @@ type DebugSnapshot struct {
 // DebugSnapshotNow collects the engine's DebugSnapshot without waiting
 // for the write path. It is not free: the cache occupancy takes every
 // shard's lock in turn, and every attachment's Report runs, which
-// locks the attachment and may scan for drift.
+// locks the attachment and may compute the snapshot's drift block.
 func (e *Engine) DebugSnapshotNow() DebugSnapshot {
 	ds := DebugSnapshot{
 		Durable:    e.dur != nil,

@@ -293,9 +293,10 @@ func (f *Fleet) Stats() FleetStats {
 	}
 	merged := &obs.Histogram{}
 	for name, e := range engines {
-		st := e.Stats()
-		fs.PerTenant[name] = st
-		merged.Merge(e.met.overall())
+		rd := e.read()
+		st := &rd.st
+		fs.PerTenant[name] = *st
+		merged.Merge(rd.all)
 		fs.Queries += st.Queries
 		fs.CacheHits += st.CacheHits
 		fs.CacheMisses += st.CacheMisses

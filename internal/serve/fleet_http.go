@@ -89,17 +89,16 @@ func (f *Fleet) handleTenants(w http.ResponseWriter, r *http.Request) {
 	engines := f.snapshotEngines()
 	infos := make([]TenantInfo, 0, len(engines))
 	for _, name := range slices.Sorted(maps.Keys(engines)) {
-		e := engines[name]
-		snap := e.Snapshot()
-		meta := snap.Meta()
+		rd := engines[name].read()
+		meta := rd.router.Meta()
 		infos = append(infos, TenantInfo{
 			Name:               name,
-			SnapshotGeneration: e.Generation(),
+			SnapshotGeneration: rd.st.SnapshotGeneration,
 			ArtifactName:       meta.Name,
 			ArtifactGeneration: meta.Generation,
-			Vertices:           snap.Road().NumVertices(),
-			Regions:            snap.Stats().Regions,
-			Queries:            e.Stats().Queries,
+			Vertices:           rd.router.Road().NumVertices(),
+			Regions:            rd.router.Stats().Regions,
+			Queries:            rd.st.Queries,
 		})
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{"tenants": infos})

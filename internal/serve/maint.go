@@ -22,8 +22,8 @@ type MaintStats struct {
 	RecoverySeeded int    `json:"recovery_seeded"`
 
 	// Trigger gauges: evidence accumulated since the last rebuild, the
-	// preference drift of the served snapshot against the maintainer's
-	// own baseline (rebased on every publish), and the configured
+	// engine's drift gauge (Engine.Drift: the served snapshot against
+	// the model last installed), and the configured
 	// thresholds a trigger check compares them to.
 	EvidenceSinceRebuild int           `json:"evidence_since_rebuild"`
 	DriftTV              float64       `json:"drift_tv"`

@@ -68,15 +68,15 @@ func (m *metrics) category(cat int) *obs.Histogram {
 	return h
 }
 
-// overall is category for every query answered.
-func (m *metrics) overall() *obs.Histogram {
-	h := &obs.Histogram{}
-	for i := range m.stripes {
-		for c := range m.stripes[i].perCat {
-			h.Merge(&m.stripes[i].perCat[c])
-		}
+// latency merges the stripes into histograms the caller owns: each
+// category's distribution, and every query's as their sum.
+func (m *metrics) latency() (all *obs.Histogram, perCat [numCategories]*obs.Histogram) {
+	all = &obs.Histogram{}
+	for c := range perCat {
+		perCat[c] = m.category(c)
+		all.Merge(perCat[c])
 	}
-	return h
+	return all, perCat
 }
 
 // LatencyStats summarizes one latency distribution.
@@ -226,17 +226,37 @@ type Stats struct {
 	Durability *DurabilityStats `json:"durability,omitempty"`
 }
 
+// reading is one look at an engine, taken from one snapshot load: the
+// Stats, the latency histograms they summarize, and what /metrics
+// writes beside them. Stats, /metrics, the fleet's aggregates and
+// /tenants each take one per engine, so the engine's own figures come
+// from one snapshot and no histogram is merged twice (attachments'
+// reports read on their own).
+type reading struct {
+	st       Stats
+	all      *obs.Histogram // every query; the categories' sum
+	perCat   [numCategories]*obs.Histogram
+	router   *core.Router // the snapshot's
+	chHeight int          // its contraction order's climb (Router.CHClimb)
+	chArcs   float64
+	walSeq   uint64 // the next WAL sequence; 0 on a non-durable engine
+}
+
 // Stats gathers a snapshot of the engine's counters. The generation and
 // the write path's books come from one snapshot load, so they always
 // agree: Ingests is the ingest swaps that generation's lineage made.
-func (e *Engine) Stats() Stats {
+func (e *Engine) Stats() Stats { return e.read().st }
+
+func (e *Engine) read() reading {
 	now := time.Now()
 	snap := e.snap.Load()
 	bk := &snap.books
-	all := e.met.overall()
-	st := Stats{
+	rd := reading{router: snap.base}
+	rd.all, rd.perCat = e.met.latency()
+	rd.chHeight, rd.chArcs = snap.base.CHClimb()
+	rd.st = Stats{
 		Uptime:               now.Sub(e.start),
-		Queries:              all.Count(),
+		Queries:              rd.all.Count(),
 		RouteComputations:    e.computes.Load(),
 		CoalescedQueries:     e.coalesced.Load(),
 		SnapshotGeneration:   snap.gen,
@@ -250,9 +270,10 @@ func (e *Engine) Stats() Stats {
 		LastStalenessRatio:   bk.lastStaleness,
 		OutOfRegionVertices:  bk.oorVertices,
 		IngestedVertices:     bk.vertices,
-		Latency:              latencyStats(all),
+		Latency:              latencyStats(rd.all),
 		PerCategory:          make(map[string]LatencyStats, numCategories),
 	}
+	st := &rd.st
 	if st.Uptime > 0 {
 		st.QPS = float64(st.Queries) / st.Uptime.Seconds()
 	}
@@ -266,15 +287,16 @@ func (e *Engine) Stats() Stats {
 		}
 		st.CacheEntries = e.cache.len()
 	}
-	for i := 0; i < numCategories; i++ {
-		if h := e.met.category(i); h.Count() > 0 {
-			st.PerCategory[core.Category(i).String()] = latencyStats(h)
+	for c, h := range rd.perCat {
+		if h.Count() > 0 {
+			st.PerCategory[core.Category(c).String()] = latencyStats(h)
 		}
 	}
-	e.reportAttached(&st)
+	e.reportAttached(st)
 	if e.dur != nil {
 		ds := e.dur.stats()
 		st.Durability = &ds
+		rd.walSeq = e.dur.walSeq.Load()
 	}
-	return st
+	return rd
 }

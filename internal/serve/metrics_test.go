@@ -53,6 +53,12 @@ func TestLatencyStatsEmpty(t *testing.T) {
 	}
 }
 
+// overall is the merged histogram of every query a reading reports.
+func (m *metrics) overall() *obs.Histogram {
+	all, _ := m.latency()
+	return all
+}
+
 // TestLatencyStripesMergeExactly: the latency histograms are striped
 // so that concurrent observers do not write the same cache lines;
 // whichever stripe an observation landed on, the merged reading must
@@ -131,7 +137,7 @@ func TestStalenessSurfaced(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	e.writeProm(obs.NewPromWriter(&buf))
+	e.WriteMetrics(&buf)
 	body := buf.String()
 	for _, name := range []string{"l2r_staleness_ratio", "l2r_last_staleness_ratio", "l2r_out_of_region_vertices_total", "l2r_ingested_vertices_total"} {
 		if !strings.Contains(body, name) {
@@ -233,7 +239,7 @@ func TestLearnSearchLedgerSurfaced(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	e.writeProm(obs.NewPromWriter(&buf))
+	e.WriteMetrics(&buf)
 	samples := parseExposition(t, buf.String())
 	for series, n := range map[string]int{
 		`l2r_learn_searches_total{outcome="run"}`:     want.Run,

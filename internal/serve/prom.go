@@ -13,10 +13,11 @@ import (
 	"repro/internal/obs"
 )
 
-// writeProm emits the engine's full metric catalog onto pw, every
-// sample carrying labels (the fleet handler passes tenant={name}).
-func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
-	st := e.Stats()
+// writeProm emits the engine's full metric catalog, as rd read it, onto
+// pw, every sample carrying labels (the fleet handler passes
+// tenant={name}).
+func (e *Engine) writeProm(pw *obs.PromWriter, rd *reading, labels ...obs.Label) {
+	st := &rd.st
 
 	pw.Gauge("l2r_uptime_seconds", "Time since the engine was created.", st.Uptime.Seconds(), labels...)
 	pw.Counter("l2r_queries_total", "Routing queries answered (Route/RouteK).", float64(st.Queries), labels...)
@@ -36,9 +37,8 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 			float64(oc.n), append(withLabels(labels), obs.Label{Name: "outcome", Value: oc.outcome})...)
 	}
 	pw.Counter("l2r_learn_searches_hierarchy_total", "Of the run ingest relearn searches, those answered on the contraction hierarchy; the rest ran on plain Dijkstra.", float64(st.LearnSearches.Hierarchy), labels...)
-	height, arcs := e.snap.Load().base.CHClimb()
-	pw.Gauge("l2r_ch_elimination_tree_height", "Vertices on the longest elimination-tree chain of the served contraction order — the most one side of a shortest-path query visits.", float64(height), labels...)
-	pw.Gauge("l2r_ch_climb_arcs_mean", "Mean up-arcs one side of a shortest-path query relaxes on its climb, over all start vertices.", arcs, labels...)
+	pw.Gauge("l2r_ch_elimination_tree_height", "Vertices on the longest elimination-tree chain of the served contraction order — the most one side of a shortest-path query visits.", float64(rd.chHeight), labels...)
+	pw.Gauge("l2r_ch_climb_arcs_mean", "Mean up-arcs one side of a shortest-path query relaxes on its climb, over all start vertices.", rd.chArcs, labels...)
 	pw.Gauge("l2r_ingest_lag_seconds", "Wall time the last ingest took from batch arrival to snapshot publication.", st.IngestLag.Seconds(), labels...)
 	pw.Gauge("l2r_since_last_swap_seconds", "Time since the last snapshot publication.", st.SinceLastSwap.Seconds(), labels...)
 	pw.Gauge("l2r_staleness_ratio", "Cumulative out-of-region share of ingested path vertices — how far the fixed region partition trails the traffic.", st.StalenessRatio, labels...)
@@ -46,14 +46,13 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 	pw.Counter("l2r_out_of_region_vertices_total", "Ingested path vertices that belong to no region.", float64(st.OutOfRegionVertices), labels...)
 	pw.Counter("l2r_ingested_vertices_total", "Ingested path vertices.", float64(st.IngestedVertices), labels...)
 
-	pw.Histogram("l2r_route_latency_seconds", "Routing query latency.", e.met.overall(), labels...)
-	for i := 0; i < numCategories; i++ {
-		h := e.met.category(i)
+	pw.Histogram("l2r_route_latency_seconds", "Routing query latency.", rd.all, labels...)
+	for c, h := range rd.perCat {
 		if h.Count() == 0 {
 			continue
 		}
 		pw.Histogram("l2r_route_category_latency_seconds", "Routing query latency by paper query category.",
-			h, append(withLabels(labels), obs.Label{Name: "category", Value: core.Category(i).String()})...)
+			h, append(withLabels(labels), obs.Label{Name: "category", Value: core.Category(c).String()})...)
 	}
 
 	if st.Stream != nil {
@@ -78,7 +77,7 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 		pw.Counter("l2r_wal_trajectories_total", "Trajectories appended to the write-ahead log since process start.", float64(ds.WALTrajectories), labels...)
 		pw.Gauge("l2r_wal_bytes", "Write-ahead log on-disk size (reset by checkpoint rotation).", float64(ds.WALBytes), labels...)
 		pw.Counter("l2r_wal_append_failures_total", "Batches that could not be journaled and serve from memory only — alert on any increase.", float64(ds.WALAppendFailures), labels...)
-		pw.Gauge("l2r_wal_seq", "Next WAL sequence number — batches ever durably acknowledged in this lineage.", float64(e.dur.walSeq.Load()), labels...)
+		pw.Gauge("l2r_wal_seq", "Next WAL sequence number — batches ever durably acknowledged in this lineage.", float64(rd.walSeq), labels...)
 		pw.Counter("l2r_checkpoints_total", "Checkpoints written by this process.", float64(ds.Checkpoints), labels...)
 		pw.Counter("l2r_checkpoint_failures_total", "Failed checkpoint or log-rotation attempts.", float64(ds.CheckpointFailures), labels...)
 		pw.Gauge("l2r_checkpoint_age_seconds", "Age of the newest checkpoint this process wrote (0 before the first).", ds.SinceLastCheckpoint.Seconds(), labels...)
@@ -117,7 +116,7 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 			pw.Gauge("l2r_quality_distance_eq1_pct", "Cumulative mean Eq. 1 accuracy by trip-distance bucket.", cell.Eq1Pct, cl...)
 			pw.Gauge("l2r_quality_distance_window_eq1_pct", "Rolling-window mean Eq. 1 accuracy by trip-distance bucket.", cell.WindowEq1Pct, cl...)
 		}
-		pw.Gauge("l2r_drift_tv", "Learned-vs-served preference divergence: total-variation distance between the served snapshot's evidence-weighted preference distribution and the baseline captured at attach/publish.", qs.DriftTV, labels...)
+		pw.Gauge("l2r_drift_tv", "Learned-vs-served preference divergence: total-variation distance between the served snapshot's evidence-weighted preference distribution and the engine's baseline, taken at construction and on every publish.", qs.DriftTV, labels...)
 		pw.Gauge("l2r_drift_baseline_generation", "Snapshot generation the drift baseline was captured at.", float64(qs.BaselineGeneration), labels...)
 		pw.Gauge("l2r_drift_region_coverage", "Fraction of regions with any T-edge (trajectory-backed) evidence.", qs.RegionCoverage, labels...)
 		pw.Gauge("l2r_drift_evidence_age_seconds", "Time since the newest trajectory fold-in (0 before the first).", qs.EvidenceAge.Seconds(), labels...)
@@ -130,7 +129,7 @@ func (e *Engine) writeProm(pw *obs.PromWriter, labels ...obs.Label) {
 		pw.Counter("l2r_maint_rebuild_failures_total", "Maintenance rebuild cycles that failed and published nothing.", float64(ms.RebuildFailures), labels...)
 		pw.Counter("l2r_maint_accumulated_total", "Matched trajectories offered to the evidence accumulator.", float64(ms.Accumulated), labels...)
 		pw.Gauge("l2r_maint_evidence_since_rebuild", "Trajectories accumulated since the last rebuild — compared against the evidence trigger threshold.", float64(ms.EvidenceSinceRebuild), labels...)
-		pw.Gauge("l2r_maint_drift_tv", "Preference drift of the served snapshot against the maintainer's baseline, captured at attach and rebased on every publish (maintenance rebuild or external Publish) — compared against the drift trigger threshold.", ms.DriftTV, labels...)
+		pw.Gauge("l2r_maint_drift_tv", "Preference drift of the served snapshot against the engine's baseline, taken at construction and on every publish (maintenance rebuild or external Publish) — compared against the drift trigger threshold.", ms.DriftTV, labels...)
 		pw.Gauge("l2r_maint_last_rebuild_seconds", "Duration of the most recent maintenance rebuild (0 before the first).", ms.LastRebuildTime.Seconds(), labels...)
 		pw.Gauge("l2r_maint_last_tedges_added", "Region pairs that gained their first trajectory-backed edge in the most recent rebuild.", float64(ms.LastTEdgesAdded), labels...)
 		pw.Gauge("l2r_maint_last_transferred", "B-edges the most recent rebuild's transduction labeled.", float64(ms.LastTransferred), labels...)
@@ -178,11 +177,12 @@ const stageHelp = "Duration of one traced request stage (cache.lookup, route.reg
 // a custom HTTP front-end.
 func (e *Engine) WriteMetrics(w io.Writer) error {
 	pw := obs.NewPromWriter(w)
-	e.writeProm(pw)
+	rd := e.read()
+	e.writeProm(pw, &rd)
 	pw.StageHistograms("l2r_stage_duration_seconds", stageHelp, e.trc)
 	writeBuildInfoProm(pw)
 	writeRuntimeProm(pw)
-	return pw.Err()
+	return pw.Flush()
 }
 
 // WriteMetrics writes the fleet's Prometheus exposition: every tenant
@@ -195,8 +195,9 @@ func (f *Fleet) WriteMetrics(w io.Writer) error {
 	merged := &obs.Histogram{}
 	for _, name := range slices.Sorted(maps.Keys(engines)) {
 		e := engines[name]
-		e.writeProm(pw, obs.Label{Name: "tenant", Value: name})
-		merged.Merge(e.met.overall())
+		rd := e.read()
+		e.writeProm(pw, &rd, obs.Label{Name: "tenant", Value: name})
+		merged.Merge(rd.all)
 	}
 	// One unlabeled fleet-wide latency histogram: per-tenant quantiles
 	// cannot be averaged after the fact, so the merged distribution is
@@ -205,7 +206,7 @@ func (f *Fleet) WriteMetrics(w io.Writer) error {
 	pw.StageHistograms("l2r_stage_duration_seconds", stageHelp, f.opt.Tracer)
 	writeBuildInfoProm(pw)
 	writeRuntimeProm(pw)
-	return pw.Err()
+	return pw.Flush()
 }
 
 // writeRuntimeProm emits process runtime gauges: goroutines, heap and

@@ -17,17 +17,35 @@ import (
 // promSample matches one Prometheus text-format sample line.
 var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*"(,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*")*\})? [^ \n]+$`)
 
-// parseExposition validates every line of a /metrics body and returns
-// sample values keyed by the full series string (name + label set).
+// parseExposition validates every line of a /metrics body, and that
+// each family's samples form one group after its HELP and TYPE lines,
+// as the text format requires. It returns sample values keyed by the
+// full series string (name + label set).
 func parseExposition(t *testing.T, body string) map[string]float64 {
 	t.Helper()
 	samples := make(map[string]float64)
+	typed := make(map[string]bool)
+	family, histogram := "", false
 	for ln, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			if typed[name] {
+				t.Fatalf("/metrics line %d: family %s starts a second group", ln+1, name)
+			}
+			typed[name] = true
+			family, histogram = name, typ == "histogram"
+			continue
+		}
+		if strings.HasPrefix(line, "# HELP ") {
 			continue
 		}
 		if !promSample.MatchString(line) {
 			t.Fatalf("/metrics line %d is not valid exposition: %q", ln+1, line)
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		if suffix, ok := strings.CutPrefix(name, family); !ok || suffix != "" &&
+			!(histogram && (suffix == "_bucket" || suffix == "_sum" || suffix == "_count")) {
+			t.Fatalf("/metrics line %d: %s sample outside its family's group (under %s)", ln+1, name, family)
 		}
 		sp := strings.LastIndex(line, " ")
 		v, err := strconv.ParseFloat(line[sp+1:], 64)
@@ -186,6 +204,43 @@ func TestFleetMetricsPerTenantLabels(t *testing.T) {
 	_, tenantSamples := scrape(t, srv.URL+"/t/acity/metrics")
 	if tenantSamples["l2r_queries_total"] != 2 {
 		t.Fatalf("nested tenant scrape queries = %v", tenantSamples["l2r_queries_total"])
+	}
+}
+
+// TestMetricsFamiliesGrouped: families written once per key — the
+// quality cells by category and distance bucket, a fleet's catalog by
+// tenant — still come out one group per family.
+func TestMetricsFamiliesGrouped(t *testing.T) {
+	base, _ := sharedWorld(t)
+	f := NewFleet(Options{})
+	cell := QualityScoreCell{Scores: 1, Eq1Pct: 90, WindowEq1Pct: 80}
+	for _, name := range []string{"acity", "bcity"} {
+		e, err := f.Add(name, base.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Attach(&fakeAttachment{path: "/debug/quality", report: func(st *Stats) {
+			st.Quality = &QualityStats{
+				Total:       cell,
+				PerCategory: map[string]QualityScoreCell{"InRegion": cell, "OutRegion": cell},
+				PerDistance: map[string]QualityScoreCell{"(0,2]km": cell, "(2,5]km": cell},
+			}
+		}})
+	}
+	var fleet, one strings.Builder
+	if err := f.WriteMetrics(&fleet); err != nil {
+		t.Fatal(err)
+	}
+	samples := parseExposition(t, fleet.String())
+	if samples[`l2r_quality_category_window_eq1_pct{tenant="bcity",category="OutRegion"}`] != 80 {
+		t.Fatalf("fleet exposition lacks bcity's OutRegion window cell:\n%s", fleet.String())
+	}
+	e, _ := f.Get("acity")
+	if err := e.WriteMetrics(&one); err != nil {
+		t.Fatal(err)
+	}
+	if samples = parseExposition(t, one.String()); samples[`l2r_quality_distance_eq1_pct{bucket="(2,5]km"}`] != 90 {
+		t.Fatalf("engine exposition lacks the (2,5]km cell:\n%s", one.String())
 	}
 }
 

@@ -55,23 +55,10 @@ type QualityStats struct {
 	// window — the leading edge of the exemplar ring.
 	WindowWorstEq1Pct float64 `json:"window_worst_eq1_pct"`
 
-	// DriftTV is the learned-vs-served divergence: the total-variation
-	// distance between the evidence-weighted preference distribution of
-	// the currently served snapshot and the baseline distribution
-	// captured when the observer attached (re-captured on Publish).
-	// 0 = serving exactly the preferences the baseline had; 1 = the
-	// accumulated evidence backs a completely different preference mix.
-	DriftTV float64 `json:"drift_tv"`
-	// BaselineGeneration is the snapshot generation the drift baseline
-	// was captured at.
-	BaselineGeneration uint64 `json:"baseline_generation"`
-
-	// RegionCoverage is the fraction of regions with at least one
-	// incident T-edge (trajectory-backed evidence); RegionsWithEvidence
-	// and Regions are its numerator and denominator.
-	RegionCoverage      float64 `json:"region_coverage"`
-	RegionsWithEvidence int     `json:"regions_with_evidence"`
-	Regions             int     `json:"regions"`
+	// Drift is the served snapshot's drift block (Engine.Drift): the
+	// learned-vs-served divergence against the last installed model, and
+	// region coverage.
+	Drift
 
 	// EvidenceAge is the time since the newest trajectory fold-in
 	// (zero when nothing has been ingested since start).

@@ -100,6 +100,9 @@ type snapshot struct {
 	gen   uint64
 	books books
 	pool  sync.Pool
+
+	driftOnce sync.Once
+	drift     Drift // set by driftOf
 }
 
 // books are the write path's accounts as of one generation. Every swap
@@ -117,6 +120,7 @@ type books struct {
 	ingestLag     time.Duration    // wall time of the last copy-on-write ingest
 	customizeLag  time.Duration    // CH re-customization time within it
 	swapLag       time.Duration    // its clone+customize+publish (serving swap) time
+	baseline      baseline         // what Drift measures against: the last installed model
 }
 
 func newSnapshot(base *core.Router, gen uint64, b books) *snapshot {
@@ -161,10 +165,11 @@ type Engine struct {
 	closeOnce sync.Once // Close and Shutdown release the engine once
 }
 
-// NewEngine wraps a built router for serving, as generation 1. The
-// engine takes ownership: the caller must not mutate r (or Clones of
-// it) afterwards. Durability options (Options.WALDir) are ignored here
-// — use NewDurableEngine, which can fail on recovery.
+// NewEngine wraps a built router for serving, as generation 1, and
+// takes r's preference mix as the drift baseline until the first
+// publish. The engine takes ownership: the caller must not mutate r
+// (or Clones of it) afterwards. Durability options (Options.WALDir)
+// are ignored here — use NewDurableEngine, which can fail on recovery.
 func NewEngine(r *core.Router, opt Options) *Engine {
 	opt = opt.withDefaults()
 	e := &Engine{opt: opt, start: time.Now(), trc: opt.Tracer}
@@ -172,7 +177,7 @@ func NewEngine(r *core.Router, opt Options) *Engine {
 	if opt.CacheSize > 0 {
 		e.cache = newRouteCache(opt.CacheSize, cacheShards)
 	}
-	e.snap.Store(newSnapshot(r, 1, books{lastSwap: e.start}))
+	e.snap.Store(newSnapshot(r, 1, books{lastSwap: e.start, baseline: baseline{gen: 1, dist: prefDistOf(r.RegionGraph())}}))
 	return e
 }
 
@@ -463,23 +468,24 @@ func (e *Engine) Publish(r *core.Router) {
 	e.publishLocked(r, true)
 }
 
-// publishLocked swaps r in as the next generation and notifies the
-// attached observers; writeMu held. external marks routers built
-// outside this engine's serving lineage (Publish): they may sit on a
-// different road network, so the WAL identity is rebound and the
-// checkpoint generation resets to the artifact's own. Maintenance
-// rebuilds (RebuildSnapshot) derive from the serving snapshot — same
-// road, same checkpoint lineage — so they skip both and the checkpoint
-// generation keeps advancing monotonically.
+// publishLocked swaps r in as the next generation, rebases the drift
+// baseline on it and notifies the attachments; writeMu held. external
+// marks routers built outside this engine's serving lineage (Publish):
+// they may sit on a different road network, so the WAL identity is
+// rebound and the checkpoint generation resets to the artifact's own.
+// Maintenance rebuilds (RebuildSnapshot) derive from the serving
+// snapshot — same road, same checkpoint lineage — so they skip both and
+// the checkpoint generation keeps advancing monotonically.
 func (e *Engine) publishLocked(r *core.Router, external bool) uint64 {
 	cur := e.snap.Load()
 	gen := cur.gen + 1
 	bk := cur.books
 	bk.lastSwap = time.Now()
+	bk.baseline = baseline{gen: gen, dist: prefDistOf(r.RegionGraph())}
 	e.snap.Store(newSnapshot(r, gen, bk))
 	for _, a := range *e.attachments.Load() {
 		// Whatever an attachment derived from the model this publish
-		// just replaced (drift baselines, evidence counters) rebases on r.
+		// just replaced (evidence counters) rebases on r.
 		a.Published(r)
 	}
 	if e.dur != nil {

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/roadnet"
@@ -282,5 +285,60 @@ func TestConcurrentQueriesAndIngest(t *testing.T) {
 	}
 	if st.Queries == 0 {
 		t.Fatal("no queries recorded")
+	}
+}
+
+// TestReadsDoNotWaitOnRebuild: a maintenance rebuild holds the write
+// lock for its whole cycle. Parked inside its rebuild function, it must
+// leave every read surface answering — routes, stats, the Prometheus
+// exposition, the debug snapshot and the drift block.
+func TestReadsDoNotWaitOnRebuild(t *testing.T) {
+	base, fresh := sharedWorld(t)
+	e, err := NewDurableEngine(base.IngestClone(), Options{WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	parked, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unpark()
+	rebuilt := make(chan error, 1)
+	go func() {
+		_, err := e.RebuildSnapshot(context.Background(), func(*core.Router) error {
+			close(parked)
+			<-release
+			return nil
+		})
+		rebuilt <- err
+	}()
+	<-parked
+
+	q := queries(fresh, 1)[0]
+	for _, read := range []struct {
+		name string
+		call func()
+	}{
+		{"Route", func() { e.Route(q.Src, q.Dst) }},
+		{"RouteK", func() { e.RouteK(q.Src, q.Dst, 3) }},
+		{"Stats", func() { e.Stats() }},
+		{"WriteMetrics", func() { e.WriteMetrics(io.Discard) }},
+		{"DebugSnapshotNow", func() { e.DebugSnapshotNow() }},
+		{"Drift", func() { e.Drift() }},
+	} {
+		done := make(chan struct{})
+		go func() {
+			read.call()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s waited on the write lock a parked rebuild holds", read.name)
+		}
+	}
+	unpark()
+	if err := <-rebuilt; err != nil {
+		t.Fatal(err)
 	}
 }
