@@ -8,9 +8,12 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ch"
@@ -545,42 +548,94 @@ func artifactDigest(t testing.TB, art []byte) uint64 {
 // binary section: the region, preference and order sections hashed
 // without the road section gave the same three values before and after
 // that change. Re-record only for a change of the layout that moves
-// these bytes on purpose, and say which sections moved. The ci halves
-// skip under -race and -short.
+// these bytes on purpose, and say which sections moved
+// (TestCIArtifactSections lists them). The ci halves skip under -race
+// and -short.
 func TestCIArtifactDigest(t *testing.T) {
 	want := map[string]uint64{
 		worldgen.ScaleBench:          0xc1517cad4ec6d4f5,
 		worldgen.ScaleCI:             0x4ca37e32c2266064,
 		worldgen.ScaleCI + "+ingest": 0x9b635f89b569c932,
 	}
-	for _, scale := range []string{worldgen.ScaleBench, worldgen.ScaleCI} {
-		if scale == worldgen.ScaleCI && (raceEnabled || testing.Short()) {
-			t.Logf("skipping the ci city under -race/-short")
-			continue
-		}
-		r := cityRouter(t, scale)
-		if got := artifactDigest(t, saveArtifact(t, r.Clone())); got != want[scale] {
-			t.Errorf("%s: artifact digest %#x, want %#x", scale, got, want[scale])
-		}
-		if scale != worldgen.ScaleCI {
-			continue
-		}
-		w := worldgen.Build(worldgen.MustScale(scale, 1))
-		var held []*traj.Trajectory
-		for _, tr := range w.Test {
-			if len(tr.Truth) >= 2 {
-				held = append(held, tr)
-			}
-		}
-		for i := 0; i < 16; i++ {
-			next := r.IngestClone()
-			st := next.Ingest(held[2*i:2*i+2], IngestOptions{SkipMapMatching: true})
-			next.PrepareMetricsTouched(st.TouchedEdges)
-			r = next
-		}
-		key := scale + "+ingest"
-		if got := artifactDigest(t, saveArtifact(t, r)); got != want[key] {
-			t.Errorf("%s: artifact digest %#x, want %#x", key, got, want[key])
+	for _, a := range ciArtifacts(t) {
+		if got := artifactDigest(t, a.art); got != want[a.key] {
+			t.Errorf("%s: artifact digest %#x, want %#x", a.key, got, want[a.key])
 		}
 	}
+}
+
+// TestCIArtifactSections holds TestCIArtifactDigest's artifacts to the
+// listing in testdata/artifact_sections.txt: per artifact and section
+// (the metadata excluded, as there), its length and FNV-64a. A change of
+// layout that moves the digest must show here which sections moved; the
+// test prints every line that differs.
+func TestCIArtifactSections(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "artifact_sections.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && !strings.HasPrefix(line, "#") {
+			want[f[0]+" "+f[1]] = line
+		}
+	}
+	var diff []string
+	for _, a := range ciArtifacts(t) {
+		parts := artifactParts(t, a.art)
+		for _, sec := range []struct {
+			name string
+			part int
+		}{{"road", partRoad}, {"region", partRegion}, {"preferences", partPrefs}, {"order", partOrder}} {
+			h := fnv.New64a()
+			h.Write(parts[sec.part])
+			key := a.key + " " + sec.name
+			got := fmt.Sprintf("%s %d %#016x", key, len(parts[sec.part]), h.Sum64())
+			if w, ok := want[key]; !ok {
+				diff = append(diff, "+ "+got)
+			} else if got != w {
+				diff = append(diff, "- "+w, "+ "+got)
+			}
+		}
+	}
+	if len(diff) > 0 {
+		t.Errorf("artifact sections differ from testdata/artifact_sections.txt:\n%s", strings.Join(diff, "\n"))
+	}
+}
+
+// savedArtifact is one artifact TestCIArtifactDigest pins, under its
+// key.
+type savedArtifact struct {
+	key string
+	art []byte
+}
+
+// ciArtifacts saves the artifacts TestCIArtifactDigest and
+// TestCIArtifactSections hold: the bench and ci routers (seed 1) as
+// built, and the ci router after 16 chained IngestClone → Ingest
+// batches of two held-out trips. The ci ones are left out under -race
+// and -short.
+func ciArtifacts(t *testing.T) []savedArtifact {
+	t.Helper()
+	out := []savedArtifact{{worldgen.ScaleBench, saveArtifact(t, cityRouter(t, worldgen.ScaleBench).Clone())}}
+	if raceEnabled || testing.Short() {
+		t.Logf("skipping the ci city under -race/-short")
+		return out
+	}
+	r := cityRouter(t, worldgen.ScaleCI)
+	out = append(out, savedArtifact{worldgen.ScaleCI, saveArtifact(t, r.Clone())})
+	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, 1))
+	var held []*traj.Trajectory
+	for _, tr := range w.Test {
+		if len(tr.Truth) >= 2 {
+			held = append(held, tr)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		next := r.IngestClone()
+		st := next.Ingest(held[2*i:2*i+2], IngestOptions{SkipMapMatching: true})
+		next.PrepareMetricsTouched(st.TouchedEdges)
+		r = next
+	}
+	return append(out, savedArtifact{worldgen.ScaleCI + "+ingest", saveArtifact(t, r)})
 }

@@ -129,9 +129,14 @@ func (r *Router) Save(w io.Writer) error {
 	mark := e.Begin()
 	r.road.Append(&e)
 	e.End(mark)
-	h := fnv.New64a()
-	h.Write(e.B[mark:])
-	roadID := h.Sum64()
+	// The road is immutable, so an identity the router knows is the
+	// hash of the bytes just written.
+	roadID, ok := r.RoadIdentity()
+	if !ok {
+		h := fnv.New64a()
+		h.Write(e.B[mark:])
+		roadID = h.Sum64()
+	}
 	binary.BigEndian.PutUint64(e.B, roadID)
 
 	mark = e.Begin()

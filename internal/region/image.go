@@ -301,10 +301,9 @@ func (m *image) writeList(p []roadnet.VertexID, path bool) {
 	var b byte
 	for i := 1; i < len(p); i++ {
 		k := byte(escape)
-		for j := 0; j < heads.w && p[i] >= 0; j++ {
-			if heads.step(p[i-1], j) == p[i] {
+		if u := p[i-1]; u >= 0 && int(u) < heads.n && p[i] >= 0 {
+			if j := slices.Index(heads.heads[int(u)*heads.w:int(u+1)*heads.w], p[i]); j >= 0 {
 				k = byte(j)
-				break
 			}
 		}
 		if k == escape {
