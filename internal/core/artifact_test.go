@@ -27,20 +27,20 @@ import (
 	"repro/internal/worldgen"
 )
 
-// TestArtifactV4MatchesV3Reference holds artifact v4 to the router it
-// was saved from and to the v3 writer and reader it replaced
-// (handBuiltV3, loadV3): on the bench cities 1–3 and the ci cities 1–3,
-// each after Build, after 8 ingests and after Retransduce, the router
-// Load reads from Save's v4 bytes has the saved router's road — every
-// coordinate and weight bit for bit, in edge-ID order — topology,
-// region graph image, fits, region preferences, metadata and statistics,
-// and answers 2,000 ODs as the saved router does (path, category,
-// region path, evidence); the v3 reference restores the same model
-// sections from the v3 bytes of the same state and, on its rounded
-// road, the same paths. The v4 bytes are at most 0.7 of the v2
-// envelope's (handBuiltV2; -v logs the ratios). The ci cities skip
-// under the race detector and -short.
-func TestArtifactV4MatchesV3Reference(t *testing.T) {
+// TestArtifactV5MatchesV4Reference holds artifact v5 to the router it
+// was saved from and to the v4 writer and reader it replaced
+// (regionSectionV4, decodeRegionV4): on the bench cities 1–3 and the ci
+// cities 1–3, each after Build, after 8 ingests and after Retransduce,
+// the router Load reads from Save's v5 bytes has the saved router's
+// road — every coordinate and weight bit for bit, in edge-ID order —
+// topology, region graph image, fits, region preferences, metadata and
+// statistics, and answers 2,000 ODs as the saved router does (path,
+// category, region path, evidence); and its region graph equals, edge
+// by edge and region by region, the one the v4 reference reads from the
+// v4 section written from the saved router's graph. The v5 bytes are at
+// most 0.7 of the v2 envelope's (handBuiltV2; -v logs the ratios and the
+// v4 size). The ci cities skip under the race detector and -short.
+func TestArtifactV5MatchesV4Reference(t *testing.T) {
 	type world struct {
 		scale string
 		seed  int64
@@ -61,7 +61,7 @@ func TestArtifactV4MatchesV3Reference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireV4MatchesV3(t, "built", r)
+			requireV5MatchesV4(t, "built", r)
 			var held []*traj.Trajectory
 			for _, tr := range w.Test {
 				if len(tr.Truth) >= 2 {
@@ -74,30 +74,33 @@ func TestArtifactV4MatchesV3Reference(t *testing.T) {
 				next.PrepareMetricsTouched(st.TouchedEdges)
 				r = next
 			}
-			requireV4MatchesV3(t, "after 8 ingests", r)
+			requireV5MatchesV4(t, "after 8 ingests", r)
 			r = r.IngestClone()
 			r.Retransduce(opt)
-			requireV4MatchesV3(t, "after Retransduce", r)
+			requireV5MatchesV4(t, "after Retransduce", r)
 		})
 	}
 }
 
-// requireV4MatchesV3 saves r as v4, loads it, and holds the loaded
-// router to r and to the router the v3 reference reads from the v3
-// bytes of the same state; the v4 size to the v2 envelope's.
-func requireV4MatchesV3(t *testing.T, stage string, r *Router) {
+// requireV5MatchesV4 saves r as v5, loads it, and holds the loaded
+// router to r, and its region graph to the one the v4 reference reads
+// from the v4 bytes of r's; the v5 size to the v2 envelope's.
+func requireV5MatchesV4(t *testing.T, stage string, r *Router) {
 	t.Helper()
 	saved := r.Clone()
-	v4 := saveArtifact(t, saved)
-	a, err := Load(bytes.NewReader(v4))
+	v5 := saveArtifact(t, saved)
+	a, err := Load(bytes.NewReader(v5))
 	if err != nil {
-		t.Fatalf("%s: loading v4: %v", stage, err)
+		t.Fatalf("%s: loading v5: %v", stage, err)
 	}
+	parts := artifactParts(t, v5)
+	parts[partRegion] = regionSectionV4(r.rg)
+	v4 := frameParts(t, artifactVersionV4, parts)
 	v2 := handBuiltV2(t, saved, saved.learnedPrefs())
-	if ratio := float64(len(v4)) / float64(len(v2)); ratio > 0.7 {
-		t.Errorf("%s: v4 artifact is %d bytes, v2 %d (%.3f; want ≤ 0.7)", stage, len(v4), len(v2), ratio)
+	if ratio := float64(len(v5)) / float64(len(v2)); ratio > 0.7 {
+		t.Errorf("%s: v5 artifact is %d bytes, v2 %d (%.3f; want ≤ 0.7)", stage, len(v5), len(v2), ratio)
 	} else {
-		t.Logf("%s: v4 %d bytes, v2 %d (%.3f)", stage, len(v4), len(v2), ratio)
+		t.Logf("%s: v5 %d bytes, v4 %d, v2 %d (%.3f)", stage, len(v5), len(v4), len(v2), ratio)
 	}
 	if err := sameRoad(r.road, a.road); err != nil {
 		t.Fatalf("%s: loaded road: %v", stage, err)
@@ -105,20 +108,15 @@ func requireV4MatchesV3(t *testing.T, stage string, r *Router) {
 	if !reflect.DeepEqual(a.eng.Topology(), r.eng.Topology()) {
 		t.Fatalf("%s: the topology derived from the carried order differs from the saved router's", stage)
 	}
-	requireSameModel(t, stage+", v4 against the saved router", saved, a)
-	b := loadV3(t, handBuiltV3(t, v4))
-	requireSameModel(t, stage+", the v3 reference against v4", a, b)
+	requireSameModel(t, stage+", v5 against the saved router", saved, a)
+	requireSameGraph(t, stage+", v5 against the v4 reference", loadV4(t, v4), a.rg)
 
 	n := a.road.NumVertices()
 	rng := rand.New(rand.NewSource(int64(n)))
 	for i := 0; i < 2000; i++ {
 		s, d := roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n))
-		ra, rr, rb := a.Route(s, d), r.Route(s, d), b.Route(s, d)
-		if !reflect.DeepEqual(ra, rr) {
+		if ra, rr := a.Route(s, d), r.Route(s, d); !reflect.DeepEqual(ra, rr) {
 			t.Fatalf("%s: %d -> %d routes %+v loaded, %+v saved", stage, s, d, ra, rr)
-		}
-		if !samePathCore(ra.Path, rb.Path) || ra.Evidence != rb.Evidence {
-			t.Fatalf("%s: %d -> %d routes %v (%v) from v4, %v (%v) from v3", stage, s, d, ra.Path, ra.Evidence, rb.Path, rb.Evidence)
 		}
 	}
 }
@@ -544,15 +542,24 @@ func artifactDigest(t testing.TB, art []byte) uint64 {
 // after 16 chained IngestClone → Ingest batches of two held-out trips,
 // TestLearnedModelUnchangedBySearchElimination's write schedule. They
 // were recorded while Load still read the v1/v2 gob envelope, and
-// re-recorded once, when artifact v4 replaced the road's text with its
-// binary section: the region, preference and order sections hashed
+// re-recorded twice: when artifact v4 replaced the road's text with its
+// binary section (the region, preference and order sections hashed
 // without the road section gave the same three values before and after
-// that change. Re-record only for a change of the layout that moves
-// these bytes on purpose, and say which sections moved
-// (TestCIArtifactSections lists them). The ci halves skip under -race
-// and -short.
+// that change), and when artifact v5 wrote each trip once in the region
+// section, which alone moved (TestCIArtifactSections). The v4 values
+// stay pinned too, for the same artifacts with their region section
+// rewritten by the v4 reference writer from the graph the v5 section
+// decodes to (handBuiltV4): what v5 writes and reads back is, byte for
+// byte, what v4 wrote. Re-record only for a change of the layout that
+// moves these bytes on purpose, and say which sections moved. The ci
+// halves skip under -race and -short.
 func TestCIArtifactDigest(t *testing.T) {
 	want := map[string]uint64{
+		worldgen.ScaleBench:          0x2de7e5306b67458e,
+		worldgen.ScaleCI:             0x0b0fb54ae90bfdf2,
+		worldgen.ScaleCI + "+ingest": 0xb81c50e562ce2cb4,
+	}
+	wantV4 := map[string]uint64{
 		worldgen.ScaleBench:          0xc1517cad4ec6d4f5,
 		worldgen.ScaleCI:             0x4ca37e32c2266064,
 		worldgen.ScaleCI + "+ingest": 0x9b635f89b569c932,
@@ -560,6 +567,9 @@ func TestCIArtifactDigest(t *testing.T) {
 	for _, a := range ciArtifacts(t) {
 		if got := artifactDigest(t, a.art); got != want[a.key] {
 			t.Errorf("%s: artifact digest %#x, want %#x", a.key, got, want[a.key])
+		}
+		if got := artifactDigest(t, handBuiltV4(t, a.art)); got != wantV4[a.key] {
+			t.Errorf("%s: v4 reference artifact digest %#x, want %#x", a.key, got, wantV4[a.key])
 		}
 	}
 }

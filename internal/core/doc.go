@@ -142,7 +142,7 @@
 // advances on every Save — which the multi-tenant serving layer
 // (internal/serve.Fleet) uses to identify and hot-reload tenants.
 //
-// Save writes artifact v4: one codec frame whose payload is the road
+// Save writes artifact v5: one codec frame whose payload is the road
 // network's identity and five sections, each an 8-byte length and its
 // bytes:
 //
@@ -151,7 +151,9 @@
 //	         deltas, every coordinate and weight as its 8 float64 bits,
 //	         so a loaded router sits on the road it was saved on
 //	region   region.Graph.Append's image: delta runs for vertex sets,
-//	         out-edge walks for stored and inner paths, one backing array
+//	         each trip a stored or inner path is a window of written
+//	         once as an out-edge walk, each path as its trip, offset and
+//	         length; one backing array, the decoded trips in one run
 //	prefs    edge count, then per edge in ID order a fit or none; the
 //	         region preferences in region order
 //	meta     gob of ArtifactMeta and Stats
@@ -184,14 +186,15 @@
 // the checksum is checked, and a mismatch is codec.ErrCorrupt whatever
 // the decoder made of the bytes.
 //
-// Load reads v4 only; a v1/v2 artifact (one gob envelope, the fits in a
-// Learned map of their own) and a v3 one (its road as roadnet.WriteTSV
-// text, rounded) are refused with codec.ErrBadVersion, and a
+// Load reads v5 only; a v1/v2 artifact (one gob envelope, the fits in a
+// Learned map of their own), a v3 one (its road as roadnet.WriteTSV
+// text, rounded) and a v4 one (every stored path a walk of its own) are
+// refused with codec.ErrBadVersion, and a
 // region section without visit counts with codec.ErrMalformed
 // (OPERATIONS.md, "Compatibility across versions"). An artifact is
 // outside input, so Load checks every count against the bytes left
 // before allocating for it and every ID against what it names (region
-// members, path and inner-path vertices, transfer centers and their
-// counts, edge endpoints, road types, fit and region-preference keys
+// members, trip vertices, each path's window against its trip,
+// transfer centers and their counts, edge endpoints, road types, fit and region-preference keys
 // and weights, the order being a permutation) and refuses what fails.
 package core

@@ -29,11 +29,13 @@ import (
 // v3 laid the artifact out as flat, length-prefixed sections and added
 // the road network's identity and the contraction order. v4 stores the
 // road section in binary (roadnet.Graph.Append), every float exact,
-// where v3 stored it as roadnet.WriteTSV's rounded text (package
-// documentation, "Persistence"). Save writes v4 and Load reads v4 only;
+// where v3 stored it as roadnet.WriteTSV's rounded text. v5 writes each
+// trip once in the region section and every stored path as a window of
+// its trip, where v4 wrote each path as a walk of its own (package
+// documentation, "Persistence"). Save writes v5 and Load reads v5 only;
 // an older file is refused with codec.ErrBadVersion (OPERATIONS.md,
 // "Compatibility across versions", gives the upgrade path).
-const ArtifactVersion uint16 = 4
+const ArtifactVersion uint16 = 5
 
 // BuildInfo is the compact summary of the Options a router was built
 // with, persisted in every artifact so a deployment can audit what it
@@ -108,7 +110,7 @@ func (r *Router) RoadIdentity() (id uint64, ok bool) { return r.roadID, r.hasRoa
 
 // Save serializes the built router — road network, region graph,
 // learned and transferred preferences, pipeline statistics and the
-// contraction order — as one self-contained, checksummed v4
+// contraction order — as one self-contained, checksummed v5
 // artifact (package documentation, "Persistence"). The offline build
 // takes minutes at scale (Section VII-C reports 21+245+106+7 minutes for
 // D1); Save and Load let a deployment pay it once. On success the
@@ -199,7 +201,7 @@ func decodeResult(d *codec.Dec) pref.Result {
 	return res
 }
 
-// Load reconstructs a router from a v4 artifact written by Save; any
+// Load reconstructs a router from a v5 artifact written by Save; any
 // other version is refused with codec.ErrBadVersion. The result answers
 // queries exactly like the original: it runs on the hierarchy derived
 // from the contraction order the artifact carries with every MetricKeys

@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -162,16 +160,18 @@ func requireSameFits(t *testing.T, want, got *Router) {
 	}
 }
 
-// TestLoadRefusesOlderArtifacts: Load reads only artifact v4. A v1 or
-// v2 frame — the gob envelope Save wrote before v3 — and a v3 frame —
-// its road as rounded text — are refused with codec.ErrBadVersion
-// naming their version, and no router, whatever the payload holds.
+// TestLoadRefusesOlderArtifacts: Load reads only artifact v5. A v1 or
+// v2 frame — the gob envelope Save wrote before v3 —, a v3 frame — its
+// road as rounded text — and a v4 frame — every stored path a walk of
+// its own — are refused with codec.ErrBadVersion naming their version,
+// and no router, whatever the payload holds.
 func TestLoadRefusesOlderArtifacts(t *testing.T) {
 	r := builtRouter(t)
 	older := map[uint16][]byte{
 		artifactVersionV1: encodeEnvelope(t, artifactVersionV1, r, r.learnedPrefs()),
 		artifactVersionV2: encodeEnvelope(t, artifactVersionV2, r, r.learnedPrefs()),
-		artifactVersionV3: handBuiltV3(t, saveArtifact(t, r.Clone())),
+		artifactVersionV3: handBuiltV3(t, handBuiltV4(t, saveArtifact(t, r.Clone()))),
+		artifactVersionV4: handBuiltV4(t, saveArtifact(t, r.Clone())),
 	}
 	for version, art := range older {
 		got, err := Load(bytes.NewReader(art))
@@ -244,7 +244,7 @@ func snapshotOf(g *region.Graph) *Snapshot {
 }
 
 // handBuiltV2 is the v2 writer Save was before artifact v3, kept for
-// the size bound TestArtifactV4MatchesV3Reference holds v4 to: r's
+// the size bound TestArtifactV5MatchesV4Reference holds v5 to: r's
 // state as one gob envelope, with learned as the envelope's Learned map.
 func handBuiltV2(t testing.TB, r *Router, learned map[int]pref.Result) []byte {
 	t.Helper()
@@ -278,9 +278,9 @@ func encodeEnvelope(t testing.TB, version uint16, r *Router, learned map[int]pre
 // v4: today's sections, the road as roadnet.WriteTSV's text.
 const artifactVersionV3 uint16 = 3
 
-// handBuiltV3 is the v3 writer Save was before artifact v4, kept as the
-// reference v4 is held to: art's parts with the road section as
-// roadnet.WriteTSV's text and the road identity its FNV-64a.
+// handBuiltV3 is the v3 writer Save was before artifact v4: the parts
+// of art, a v4 artifact, with the road section as roadnet.WriteTSV's
+// text and the road identity its FNV-64a.
 func handBuiltV3(t testing.TB, art []byte) []byte {
 	t.Helper()
 	parts := artifactParts(t, art)
@@ -297,67 +297,6 @@ func handBuiltV3(t testing.TB, art []byte) []byte {
 	parts[partRoadID] = binary.BigEndian.AppendUint64(nil, h.Sum64())
 	parts[partRoad] = text.Bytes()
 	return frameParts(t, artifactVersionV3, parts)
-}
-
-// loadV3 is the v3 reader Load was before it read v4 only, kept as the
-// reference TestArtifactV4MatchesV3Reference holds v4 to. v3 differs
-// from v4 in the road section alone, so it reads the road's text
-// (sectionFromTSV) and decodes the other sections as Load does.
-func loadV3(t testing.TB, art []byte) *Router {
-	t.Helper()
-	parts := artifactParts(t, art)
-	parts[partRoad] = sectionFromTSV(t, parts[partRoad])
-	r, err := Load(bytes.NewReader(joinParts(t, parts)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-// sectionFromTSV reads a road network as WriteTSV prints it — lines
-// split at tabs, numbers read by strconv — and lays it out as a road
-// section, as roadnet's io.go describes it.
-func sectionFromTSV(t testing.TB, text []byte) []byte {
-	t.Helper()
-	var e codec.Enc
-	var verts, edges int
-	float := func(f string) {
-		x, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.B = binary.LittleEndian.AppendUint64(e.B, math.Float64bits(x))
-	}
-	lines := strings.Split(strings.TrimSpace(string(text)), "\n")
-	for _, line := range lines {
-		if f := strings.Split(line, "\t"); f[0] == "V" {
-			float(f[2])
-			float(f[3])
-			verts++
-		}
-	}
-	sec := append(binary.AppendUvarint(nil, uint64(verts)), e.B...)
-	e.B = nil
-	from := 0
-	for _, line := range lines {
-		if f := strings.Split(line, "\t"); f[0] == "E" {
-			v, err := strconv.Atoi(f[1])
-			to, err2 := strconv.Atoi(f[2])
-			typ, err3 := strconv.Atoi(f[6])
-			if err := errors.Join(err, err2, err3); err != nil {
-				t.Fatal(err)
-			}
-			e.Int(v - from)
-			e.Int(to - v)
-			from = v
-			float(f[3])
-			float(f[4])
-			float(f[5])
-			e.Byte(byte(typ))
-			edges++
-		}
-	}
-	return append(binary.AppendUvarint(sec, uint64(edges)), e.B...)
 }
 
 // TestLoadV3LegacyMeta: every v3 artifact saved before the pipeline's
@@ -506,10 +445,10 @@ const (
 	numParts
 )
 
-// artifactParts splits a v4 or v3 artifact into its parts.
+// artifactParts splits a v5, v4 or v3 artifact into its parts.
 func artifactParts(t testing.TB, art []byte) [][]byte {
 	t.Helper()
-	_, payload, err := codec.ReadFrameBytes(bytes.NewReader(art), ArtifactVersion, artifactVersionV3)
+	_, payload, err := codec.ReadFrameBytes(bytes.NewReader(art), ArtifactVersion, artifactVersionV4, artifactVersionV3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +464,7 @@ func artifactParts(t testing.TB, art []byte) [][]byte {
 	return parts
 }
 
-// joinParts is artifactParts' inverse: the parts framed as a v4
+// joinParts is artifactParts' inverse: the parts framed as a v5
 // artifact.
 func joinParts(t testing.TB, parts [][]byte) []byte {
 	t.Helper()

@@ -37,6 +37,7 @@ func (g *Graph) CloneCOW() *Graph {
 		regionOf:  g.regionOf,
 		centroids: g.centroids,
 		topTypes:  g.topTypes,
+		trips:     g.trips,
 	}
 	cp.Edges = append([]*Edge(nil), g.Edges...)
 	cp.adj = append([][]Link(nil), g.adj...)

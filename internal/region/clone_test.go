@@ -17,9 +17,10 @@ import (
 // copied. Structures that stay fixed after Build — the
 // road network, the region partition and member lists, the
 // vertex→region map, centroids, and road-type sets — are shared.
-// Stored Path vertex slices are also shared: updates append fresh
-// PathInfo/InnerPath entries or bump their counters but never edit a
-// stored vertex sequence in place.
+// Stored Path vertex slices and the trip table they are windows of are
+// also shared: updates append fresh PathInfo/InnerPath entries, bump
+// their counters or add trip batches, but never edit a stored vertex
+// sequence or batch in place.
 func (g *Graph) Clone() *Graph {
 	cp := &Graph{
 		Road:      g.Road,
@@ -27,6 +28,7 @@ func (g *Graph) Clone() *Graph {
 		regionOf:  g.regionOf,
 		centroids: g.centroids,
 		topTypes:  g.topTypes,
+		trips:     g.trips,
 	}
 
 	cp.Edges = make([]*Edge, len(g.Edges))

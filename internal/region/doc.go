@@ -25,6 +25,11 @@
 // region's adjacency, a Link (neighbor ID, edge ID) per neighbor
 // sorted by neighbor: FindEdge and region search read the neighbor IDs
 // without touching an Edge, and path sets dedup by contents. AddPaths
-// copies each trajectory once, and every path it stores is a window of
-// that copy whose capacity ends where the window does.
+// copies each batch of trajectories once, into a batch of the graph's
+// trip table (trips.go), and every path it stores is a window of its
+// trip whose capacity ends where the window does; materialized B-edge
+// paths are trips of their own. Each stored path knows its trip and
+// offset, so the image writes each trip once and Decode cuts every path
+// from the trips it decodes: a loaded graph holds each trip once, as a
+// built one does.
 package region

@@ -17,9 +17,12 @@ import (
 //
 //	regions      count; per region members, road type, popularity and
 //	             centroid x, y
+//	trips        count; per trip a path: the span of the trip its stored
+//	             paths cover
 //	edges        count; per edge r1, r2, kind | has-pref<<1 | master<<2,
 //	             slave, then the forward and the reverse path set: a
-//	             count, and per path its count, terminal count and path
+//	             count, and per path its count, terminal count and
+//	             window
 //	per region   inner paths (the same three each), transfer centers,
 //	             top road types
 //	visit counts a flag, always 1, then per region the counted vertices
@@ -30,11 +33,17 @@ import (
 // is its length and first vertex, a delta from the last list's first;
 // then a set continues in deltas, and a path in one nibble per step
 // naming which of the vertex's first fifteen out-edges it takes (two to
-// a byte; 15 escapes), then the escaped steps' vertices. Decoding cuts
-// every list from one backing array the trailer sizes, and every path
-// set from another — full slice expressions, so none grows into its
-// neighbour. What the graph derives (the vertex→region map and the
-// adjacency) and an edge's fit (Edge.Fit) are not in the image.
+// a byte; 15 escapes), then the escaped steps' vertices. A window is a
+// stored path as its trip's index, its offset in the trip and its
+// length, so each trip is written once however many paths it holds
+// (trips.go); trips no stored path names are not written, and written
+// trips are numbered in table order. Decoding cuts every list from one
+// backing array the trailer sizes — the trips, one after another, are
+// the decoded graph's one trip batch — every window from its trip and
+// every path set from a second array, all with full slice expressions,
+// so none grows into its neighbour. What the graph derives (the
+// vertex→region map and the adjacency) and an edge's fit (Edge.Fit) are
+// not in the image.
 
 // escape is the nibble of a path step no tabulated out-edge takes.
 const escape = 15
@@ -45,13 +54,15 @@ type image struct {
 	heads outHeads
 	first roadnet.VertexID // the previous list's first vertex
 
-	// Writing: the trailer's totals, a path's escaped steps and a
-	// region's counted vertices.
+	// Writing: the trailer's totals, a path's escaped steps, a region's
+	// counted vertices and the trips written.
 	vertices, infos  int
 	escaped, counted []roadnet.VertexID
-	// Reading: the backing arrays the trailer sized.
-	lists []roadnet.VertexID
-	sets  []PathInfo
+	spans            tripSpans
+	// Reading: the backing arrays the trailer sized, and the trips.
+	lists     []roadnet.VertexID
+	sets      []PathInfo
+	tripsRead *tripBatch
 }
 
 // Append appends g's image to e. Paths are written as walks over the
@@ -79,8 +90,8 @@ func Decode(b []byte, road *roadnet.Graph) (*Graph, error) {
 	body := b[:len(b)-8]
 	vertices, infos := binary.BigEndian.Uint32(b[len(b)-8:]), binary.BigEndian.Uint32(b[len(b)-4:])
 	// A listed vertex takes at least half a byte (a path step), a path
-	// three (count, terminal count, length).
-	if uint64(vertices) > 2*uint64(len(body)) || uint64(infos) > uint64(len(body))/3 {
+	// five (count, terminal count, trip, offset, length).
+	if uint64(vertices) > 2*uint64(len(body)) || uint64(infos) > uint64(len(body))/5 {
 		return nil, fmt.Errorf("region: decoding graph: %w: %d vertices and %d paths in %d bytes", codec.ErrMalformed, vertices, infos, len(body))
 	}
 	m := &image{dec: codec.NewDec(body), heads: newOutHeads(road), lists: make([]roadnet.VertexID, vertices), sets: make([]PathInfo, infos)}
@@ -145,6 +156,7 @@ func (m *image) graph(g *Graph) {
 		m.float(&g.centroids[i].X)
 		m.float(&g.centroids[i].Y)
 	}
+	m.trips(g)
 	imageLen(m, &g.Edges, 6)
 	if m.dec != nil {
 		edges := make([]Edge, len(g.Edges))
@@ -166,12 +178,12 @@ func (m *image) graph(g *Graph) {
 		m.paths(&e.PathsRev)
 	}
 	for r := 0; r < regions; r++ {
-		imageLen(m, &g.inner[r], 3)
+		imageLen(m, &g.inner[r], 5)
 		for j := range g.inner[r] {
 			ip := &g.inner[r][j]
 			m.int(&ip.Count)
 			m.int(&ip.Terminal)
-			m.list((*[]roadnet.VertexID)(&ip.Path), true)
+			m.window(&ip.Path, &ip.trip, &ip.off)
 		}
 		m.list(&g.transferCenters[r], false)
 		imageLen(m, &g.topTypes[r], 1)
@@ -226,13 +238,66 @@ func imageLen[T any](m *image, s *[]T, minBytes int) {
 	}
 }
 
+// trips is the trip table: the count of trips written, then each as a
+// path. A decoded graph's trips are one batch, their vertices one run
+// of the lists' backing array.
+func (m *image) trips(g *Graph) {
+	if m.dec == nil {
+		m.spans = spansOf(g)
+		m.enc.Uvarint(uint64(m.spans.written))
+		m.spans.each(func(span roadnet.Path) { m.writeList(span, true) })
+		return
+	}
+	n := m.dec.Count(1)
+	if n == 0 {
+		return
+	}
+	all, b := m.lists, &tripBatch{ends: make([]int32, n)}
+	for i := range b.ends {
+		var trip []roadnet.VertexID
+		m.list(&trip, true)
+		b.ends[i] = int32(len(all) - len(m.lists))
+	}
+	b.verts, g.trips, m.tripsRead = all[:b.ends[n-1]], b, b
+}
+
+// window is one stored path: its trip's index, its offset in the trip
+// and its length. A read window is cut from its trip, capped.
+func (m *image) window(p *roadnet.Path, trip, off *int32) {
+	if m.dec == nil {
+		s, n := m.spans.pos(*trip), len(*p)
+		m.enc.Uvarint(uint64(m.spans.idx[s]))
+		m.enc.Uvarint(uint64(*off - m.spans.lo[s]))
+		m.enc.Uvarint(uint64(n))
+		return
+	}
+	t, o, n := m.dec.Uvarint(), m.dec.Uvarint(), m.dec.Uvarint()
+	if m.dec.Err() != nil {
+		return
+	}
+	var trips int
+	if m.tripsRead != nil {
+		trips = len(m.tripsRead.ends)
+	}
+	if t >= uint64(trips) {
+		m.dec.Fail("a path in trip %d of %d", t, trips)
+		return
+	}
+	tr := m.tripsRead.trip(int(t))
+	if o > uint64(len(tr)) || n > uint64(len(tr))-o {
+		m.dec.Fail("a path of %d vertices at %d in trip %d of %d", n, o, t, len(tr))
+		return
+	}
+	*p, *trip, *off = tr[o:o+n:o+n], int32(t), int32(o)
+}
+
 // paths is one edge path set: its count, then each path's count,
-// terminal count and path; read sets are cut from the backing array.
+// terminal count and window; read sets are cut from the backing array.
 func (m *image) paths(set *[]PathInfo) {
 	if m.dec == nil {
 		m.enc.Uvarint(uint64(len(*set)))
 		m.infos += len(*set)
-	} else if n := m.dec.Count(3); n > len(m.sets) {
+	} else if n := m.dec.Count(5); n > len(m.sets) {
 		m.dec.Fail("path sets exceed their %d paths", len(m.sets))
 	} else if n > 0 {
 		*set, m.sets = m.sets[:n:n], m.sets[n:]
@@ -241,7 +306,7 @@ func (m *image) paths(set *[]PathInfo) {
 		pi := &(*set)[j]
 		m.int(&pi.Count)
 		m.int(&pi.Terminal)
-		m.list((*[]roadnet.VertexID)(&pi.Path), true)
+		m.window(&pi.Path, &pi.trip, &pi.off)
 	}
 }
 

@@ -2,6 +2,7 @@ package region
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"slices"
 	"testing"
@@ -211,6 +212,81 @@ func TestDecodeRejectsBadImages(t *testing.T) {
 		}
 		edit(fresh)
 		if got, err := Decode(imageOf(fresh), g.Road); !errors.Is(err, codec.ErrMalformed) || got != nil {
+			t.Errorf("%s: Decode returned graph %v, err %v; want ErrMalformed", name, got != nil, err)
+		}
+	}
+}
+
+// TestDecodeBoundsWindows: a stored path is a window of a decoded trip,
+// so Decode refuses, with codec.ErrMalformed, a window naming a trip
+// the image does not hold or reaching past its trip's end, and a trip
+// longer than the vertices the trailer declares. The image is built by
+// hand: two regions of the line world, one trip 2→3→4, and one edge
+// whose forward path is the window given.
+func TestDecodeBoundsWindows(t *testing.T) {
+	road, _ := lineWorld(t)
+	heads := newOutHeads(road)
+	step := func(u, v roadnet.VertexID) byte {
+		return byte(slices.Index(heads.heads[int(u)*heads.w:int(u+1)*heads.w], v))
+	}
+	image := func(trip, off, n uint64, vertices uint32) []byte {
+		var e codec.Enc
+		e.Uvarint(2)
+		first := 0
+		for _, members := range [][]int{{0, 1, 2}, {4, 5}} {
+			e.Uvarint(uint64(len(members)))
+			e.Int(members[0] - first)
+			first = members[0]
+			for i := 1; i < len(members); i++ {
+				e.Int(members[i] - members[i-1])
+			}
+			e.Byte(byte(roadnet.Secondary))
+			e.Float64(1)
+			e.Float64(0)
+			e.Float64(0)
+		}
+		e.Uvarint(1) // one trip: 2 → 3 → 4
+		e.Uvarint(3)
+		e.Int(2 - first)
+		e.Byte(step(2, 3) | step(3, 4)<<4)
+		e.Uvarint(1) // one edge, 0-1, a T-edge without a preference
+		e.Int(0)
+		e.Int(1)
+		e.Byte(0)
+		e.Byte(0)
+		e.Uvarint(1)
+		e.Int(1)
+		e.Int(1)
+		e.Uvarint(trip)
+		e.Uvarint(off)
+		e.Uvarint(n)
+		e.Uvarint(0)
+		for range 2 { // no inner paths, transfer centers or top road types
+			e.Uvarint(0)
+			e.Uvarint(0)
+			e.Uvarint(0)
+		}
+		e.Byte(1)
+		e.Uvarint(0)
+		e.Uvarint(0)
+		e.B = binary.BigEndian.AppendUint32(e.B, vertices)
+		return binary.BigEndian.AppendUint32(e.B, 1)
+	}
+	g, err := Decode(image(0, 0, 3, 8), road)
+	if err != nil {
+		t.Fatalf("the well-formed image: %v", err)
+	}
+	if p := g.Edges[0].PathsFwd[0].Path; !slices.Equal(p, roadnet.Path{2, 3, 4}) || cap(p) != 3 {
+		t.Fatalf("the window decoded as %v (capacity %d), want [2 3 4] capped", p, cap(p))
+	}
+	for name, bad := range map[string][]byte{
+		"a trip not in the image":       image(1, 0, 2, 8),
+		"a window past its trip's end":  image(0, 2, 2, 8),
+		"an offset past its trip's end": image(0, 4, 0, 8),
+		"a window of 2^63 vertices":     image(0, 1, 1<<63, 8),
+		"a trip past the trailer's sum": image(0, 0, 3, 7),
+	} {
+		if got, err := Decode(bad, road); !errors.Is(err, codec.ErrMalformed) || got != nil {
 			t.Errorf("%s: Decode returned graph %v, err %v; want ErrMalformed", name, got != nil, err)
 		}
 	}

@@ -40,6 +40,9 @@ type PathInfo struct {
 	// Fragments with Terminal = 0 come from trajectories merely passing
 	// through both regions en route elsewhere.
 	Terminal int
+	// trip and off name the trip Path is a window of (the graph's trip
+	// table, trips.go) and where in it the window starts.
+	trip, off int32
 }
 
 // Edge is a region edge. Regions are stored with R1 < R2; the two path
@@ -95,12 +98,12 @@ func (e *Edge) PathsFrom(r int) []PathInfo {
 	return e.PathsRev
 }
 
-// AddPath registers a trajectory path from region `from` across e,
-// deduplicating identical paths by content. terminal marks paths of
-// trajectories whose trip ODs are exactly this region pair. A new path
-// is stored as given: the caller hands p over and never writes to it
-// again.
-func (e *Edge) AddPath(from int, p roadnet.Path, terminal bool) {
+// addPath registers a path from region `from` across e, a window of
+// trip starting at off, deduplicating identical paths by content: a
+// duplicate counts for the path stored first, which keeps its trip.
+// terminal marks paths of trajectories whose trip ODs are exactly this
+// region pair. A new path is stored as given.
+func (e *Edge) addPath(from int, p roadnet.Path, terminal bool, trip, off int32) {
 	set := &e.PathsRev
 	if e.R1 == from {
 		set = &e.PathsFwd
@@ -116,7 +119,7 @@ func (e *Edge) AddPath(from int, p roadnet.Path, terminal bool) {
 			return
 		}
 	}
-	*set = append(*set, PathInfo{Path: p, Count: 1, Terminal: t})
+	*set = append(*set, PathInfo{Path: p, Count: 1, Terminal: t, trip: trip, off: off})
 }
 
 // Link is one adjacency entry: neighbor region To, over edge Edge.
@@ -131,6 +134,8 @@ type InnerPath struct {
 	// inside the region — true local trips, as opposed to segments of
 	// journeys passing through.
 	Terminal int
+	// trip and off are PathInfo's.
+	trip, off int32
 }
 
 // Graph is the region graph G_R.
@@ -160,6 +165,10 @@ type Graph struct {
 	// topTypes[r] is the region's top-k road-type set (Section V-B
 	// functionality feature).
 	topTypes [][]roadnet.RoadType
+
+	// trips is the trip table every stored path is a window of
+	// (trips.go).
+	trips *tripBatch
 
 	// cow, when non-nil, marks this graph as a CloneCOW clone sharing
 	// structure with its parent; see clone.go.
@@ -395,9 +404,9 @@ func segmentVisits(g *Graph, p roadnet.Path) []visit {
 	return out
 }
 
-// addInner registers an inner path of region r, deduplicating by
-// content. Like Edge.AddPath it stores a new path as given.
-func (g *Graph) addInner(r int, p roadnet.Path, terminal bool) {
+// addInner registers an inner path of region r, a window of trip
+// starting at off, deduplicating by content as Edge.addPath does.
+func (g *Graph) addInner(r int, p roadnet.Path, terminal bool, trip, off int32) {
 	g.mutInner(r) // counter bumps and appends below must not hit shared backing
 	t := 0
 	if terminal {
@@ -410,7 +419,7 @@ func (g *Graph) addInner(r int, p roadnet.Path, terminal bool) {
 			return
 		}
 	}
-	g.inner[r] = append(g.inner[r], InnerPath{Path: p, Count: 1, Terminal: t})
+	g.inner[r] = append(g.inner[r], InnerPath{Path: p, Count: 1, Terminal: t, trip: trip, off: off})
 }
 
 // computeTopTypes fills the per-region top-k road-type sets from the

@@ -119,11 +119,11 @@ func TestPathDeduplicationCounts(t *testing.T) {
 
 	// Dedup compares contents: an equal path held in another slice
 	// counts, one differing in an interior vertex is a path of its own.
-	e.AddPath(0, roadnet.Path{2, 3, 4}, true)
+	e.addPath(0, roadnet.Path{2, 3, 4}, true, 0, 0)
 	if infos = e.PathsFrom(0); len(infos) != 1 || infos[0].Count != 4 || infos[0].Terminal != 4 {
 		t.Fatalf("content-equal path: %+v, want one path counted 4, terminal 4", infos)
 	}
-	e.AddPath(0, roadnet.Path{2, 6, 4}, false)
+	e.addPath(0, roadnet.Path{2, 6, 4}, false, 0, 0)
 	if infos = e.PathsFrom(0); len(infos) != 2 || infos[1].Count != 1 {
 		t.Fatalf("path differing in an interior vertex: %+v, want a second path counted 1", infos)
 	}

@@ -1,10 +1,6 @@
 package region
 
-import (
-	"slices"
-
-	"repro/internal/roadnet"
-)
+import "repro/internal/roadnet"
 
 // This file is how trajectories enter a region graph — the first time
 // (Build is the empty partition skeleton plus one AddPaths over the
@@ -52,24 +48,26 @@ func (s UpdateStats) StalenessRatio() float64 {
 // region partition fixed. Options mirror the ones used at build time;
 // pass the same values for consistent behaviour.
 //
-// Each trajectory is copied once, and every inner path and T-edge path
-// stored from it is a window p[a:b:b] of that copy. The capped capacity
-// makes an append to a stored path, or to a route answered from one,
-// reallocate instead of writing over the window next to it.
+// The batch is copied once, into one new batch of the graph's trip
+// table, and every inner path and T-edge path stored from a trajectory
+// is a window p[a:b:b] of its trip. The capped capacity makes an append
+// to a stored path, or to a route answered from one, reallocate instead
+// of writing over the window next to it.
 func (g *Graph) AddPaths(paths []roadnet.Path, opt Options) UpdateStats {
 	var st UpdateStats
 	st.Paths = len(paths)
 	touched := make(map[int]bool)
 	dirtyTC := make(map[int]bool)
 
-	for _, p := range paths {
+	trips := g.addTrips(paths)
+	for i := range paths {
+		p, trip := trips.trip(i), trips.first+int32(i)
 		for _, v := range p {
 			st.TotalVertices++
 			if g.RegionOf(v) < 0 {
 				st.OutOfRegionVertices++
 			}
 		}
-		p = slices.Clone(p)
 		visits := segmentVisits(g, p)
 		for _, vis := range visits {
 			entryV, exitV := p[vis.entry], p[vis.exit]
@@ -78,7 +76,7 @@ func (g *Graph) AddPaths(paths []roadnet.Path, opt Options) UpdateStats {
 				g.bumpTransferCenter(vis.region, exitV, dirtyTC)
 			}
 			if vis.exit > vis.entry {
-				g.addInner(vis.region, p[vis.entry:vis.exit+1:vis.exit+1], vis.entry == 0 && vis.exit == len(p)-1)
+				g.addInner(vis.region, p[vis.entry:vis.exit+1:vis.exit+1], vis.entry == 0 && vis.exit == len(p)-1, trip, int32(vis.entry))
 			}
 		}
 		for i := 0; i < len(visits); i++ {
@@ -107,7 +105,7 @@ func (g *Graph) AddPaths(paths []roadnet.Path, opt Options) UpdateStats {
 				// Visits are disjoint, so the window holds at least the
 				// exit and the entry vertex.
 				end := visits[j].entry + 1
-				e.AddPath(ri, p[visits[i].exit:end:end], i == 0 && j == len(visits)-1)
+				e.addPath(ri, p[visits[i].exit:end:end], i == 0 && j == len(visits)-1, trip, int32(visits[i].exit))
 				if !touched[e.ID] {
 					touched[e.ID] = true
 					st.TouchedEdges = append(st.TouchedEdges, e.ID)

@@ -359,8 +359,9 @@ func TestForeignCheckpointFailsLoud(t *testing.T) {
 
 // TestV1CheckpointFailsLoud: a WAL directory an earlier binary wrote —
 // a v1 checkpoint (one gob frame around the bookkeeping and a copy of
-// the artifact), a v2 checkpoint (this layout, but around an artifact
-// v3), or a log under a v1 header (a text road identity) — must refuse
+// the artifact), a v2 or v3 checkpoint (this layout, but around an
+// artifact v3 or v4), or a log under a v1 header (a text road identity)
+// — must refuse
 // to serve, with codec.ErrBadVersion, rather than fall back to the base
 // artifact and roll the learned state back, or replay around the file.
 func TestV1CheckpointFailsLoud(t *testing.T) {
@@ -388,7 +389,7 @@ func TestV1CheckpointFailsLoud(t *testing.T) {
 	}
 
 	rd := bytes.NewReader(ckpt)
-	_, fixed, err := codec.ReadFrameBytes(rd, 3)
+	_, fixed, err := codec.ReadFrameBytes(rd, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,6 +411,7 @@ func TestV1CheckpointFailsLoud(t *testing.T) {
 	for name, files := range map[string]map[string][]byte{
 		"v1 checkpoint": {wal.CheckpointName: v1.Bytes(), wal.LogName: log},
 		"v2 checkpoint": {wal.CheckpointName: older(ckpt, 2), wal.LogName: log},
+		"v3 checkpoint": {wal.CheckpointName: older(ckpt, 3), wal.LogName: log},
 		"v1 log header": {wal.CheckpointName: ckpt, wal.LogName: older(log, 1)},
 	} {
 		dir := t.TempDir()

@@ -1,6 +1,8 @@
 package transfer
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/pref"
@@ -182,11 +184,14 @@ type PathFinder interface {
 // Materialize fills the path sets of the target region edges (Step 3,
 // Section V-C): for every pair of one transfer center from each region,
 // the preference-aware Dijkstra constructs a path; edges whose
-// preference is null get fastest paths, as in the paper. It returns the
-// number of paths attached.
+// preference is null get fastest paths, as in the paper. The paths are
+// stored together, labeled edges in ID order and then the null ones, so
+// the graph's trip table does not depend on map order; each is a trip
+// of its own (region.Graph.AddBEdgePaths). It returns the number of
+// paths attached.
 func Materialize(g *region.Graph, res Result, finder PathFinder) int {
-	attached := 0
-	addPair := func(e *region.Edge, from int, s, d roadnet.VertexID, pf pref.Preference, hasPref bool) {
+	var paths []region.BPath
+	addPair := func(id, from int, s, d roadnet.VertexID, pf pref.Preference, hasPref bool) {
 		var path roadnet.Path
 		var ok bool
 		if hasPref {
@@ -195,8 +200,7 @@ func Materialize(g *region.Graph, res Result, finder PathFinder) int {
 			path, ok = finder.FastestPath(s, d)
 		}
 		if ok && len(path) >= 2 {
-			e.AddPath(from, path, false)
-			attached++
+			paths = append(paths, region.BPath{Edge: id, From: from, Path: path})
 		}
 	}
 	fill := func(id int, pf pref.Preference, hasPref bool) {
@@ -206,16 +210,17 @@ func Materialize(g *region.Graph, res Result, finder PathFinder) int {
 		tc2 := g.TransferCenters(e.R2)
 		for _, a := range tc1 {
 			for _, b := range tc2 {
-				addPair(e, e.R1, a, b, pf, hasPref)
-				addPair(e, e.R2, b, a, pf, hasPref)
+				addPair(id, e.R1, a, b, pf, hasPref)
+				addPair(id, e.R2, b, a, pf, hasPref)
 			}
 		}
 	}
-	for id, pf := range res.Pref {
-		fill(id, pf, true)
+	for _, id := range slices.Sorted(maps.Keys(res.Pref)) {
+		fill(id, res.Pref[id], true)
 	}
 	for _, id := range res.Null {
 		fill(id, pref.Preference{}, false)
 	}
-	return attached
+	g.AddBEdgePaths(paths)
+	return len(paths)
 }

@@ -16,16 +16,17 @@ import (
 // CheckpointName is the checkpoint's file name inside a WAL directory.
 const CheckpointName = "checkpoint.l2r"
 
-// The checkpoint frame version. A v3 checkpoint file is two frames:
+// The checkpoint frame version. A v4 checkpoint file is two frames:
 // this package's, whose payload is the three fixed fields below as
 // big-endian uint64s, then the router exactly as Router.Save writes it
-// (its own frame, checksummed and versioned by core: artifact v4). v2
-// had the same layout around an artifact v3, whose road identity hashed
-// the road's text; v1 was one frame wrapping a gob envelope, the
-// artifact bytes copied inside. ReadCheckpoint refuses both with
-// codec.ErrBadVersion.
+// (its own frame, checksummed and versioned by core: artifact v5). v3
+// had the same layout around an artifact v4, which wrote every stored
+// path as a walk of its own, and v2 around an artifact v3, whose road
+// identity hashed the road's text; v1 was one frame wrapping a gob
+// envelope, the artifact bytes copied inside. ReadCheckpoint refuses
+// them all with codec.ErrBadVersion.
 const (
-	checkpointVersion  uint16 = 3
+	checkpointVersion  uint16 = 4
 	checkpointFixedLen        = 3 * 8
 )
 

@@ -428,11 +428,12 @@ func TestCarriedIdentityIsIdentityOf(t *testing.T) {
 }
 
 // TestReadCheckpointRefusesV1: a checkpoint an earlier binary wrote —
-// v1, one gob frame around the artifact and its bookkeeping, or v2, this
-// layout around an artifact v3 — is refused with codec.ErrBadVersion
-// naming its version, by ReadCheckpoint and ReadCheckpointOnto alike,
-// and is not reported as absent. (The v2 file here wraps today's
-// artifact: its own frame is refused before the artifact is read.)
+// v1, one gob frame around the artifact and its bookkeeping, or v2 and
+// v3, this layout around an artifact v3 and v4 — is refused with
+// codec.ErrBadVersion naming its version, by ReadCheckpoint and
+// ReadCheckpointOnto alike, and is not reported as absent. (The v2 and
+// v3 files here wrap today's artifact: their own frame is refused before
+// the artifact is read.)
 func TestReadCheckpointRefusesV1(t *testing.T) {
 	road, ts := testWorld(t, 9)
 	r, err := core.Build(road, ts, core.Options{SkipMapMatching: true})
@@ -448,16 +449,18 @@ func TestReadCheckpointRefusesV1(t *testing.T) {
 		Seq, NextTrajectoryID, RoadHash uint64
 		Artifact                        []byte
 	}{5, 11, id.Hash, art.Bytes()}
-	var v1, v2 bytes.Buffer
+	var v1, v2, v3 bytes.Buffer
 	if err := codec.WriteFrame(&v1, 1, &env); err != nil {
 		t.Fatal(err)
 	}
 	var fixed [checkpointFixedLen]byte
-	if err := codec.WriteFrameBytes(&v2, 2, fixed[:]); err != nil {
-		t.Fatal(err)
+	for version, b := range map[uint16]*bytes.Buffer{2: &v2, 3: &v3} {
+		if err := codec.WriteFrameBytes(b, version, fixed[:]); err != nil {
+			t.Fatal(err)
+		}
+		b.Write(art.Bytes())
 	}
-	v2.Write(art.Bytes())
-	for version, file := range map[int][]byte{1: v1.Bytes(), 2: v2.Bytes()} {
+	for version, file := range map[int][]byte{1: v1.Bytes(), 2: v2.Bytes(), 3: v3.Bytes()} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, CheckpointName), file, 0o644); err != nil {
 			t.Fatal(err)

@@ -210,7 +210,7 @@ func TestCINamesExistingTests(t *testing.T) {
 		return names
 	}
 	runFlag := regexp.MustCompile(`-run ('[^']*'|\S+)`)
-	fuzzFlag := regexp.MustCompile(`-fuzz (\S+)`)
+	fuzzFlag := regexp.MustCompile(`-fuzz ('[^']*'|\S+)`)
 	checked := 0
 	for _, line := range strings.Split(string(workflow), "\n") {
 		_, cmd, ok := strings.Cut(line, "go test ")
@@ -227,7 +227,7 @@ func TestCINamesExistingTests(t *testing.T) {
 			names = append(names, strings.Split(strings.Trim(m[1], "'"), "|")...)
 		}
 		if m := fuzzFlag.FindStringSubmatch(cmd); m != nil {
-			names = append(names, m[1])
+			names = append(names, strings.Trim(m[1], "'"))
 		}
 		for _, name := range names {
 			if name = strings.Trim(name, "^$"); name == "" {
