@@ -94,13 +94,13 @@ func (r *Router) storedAlternatives(s, d roadnet.VertexID) []roadnet.Path {
 	if rs == rd {
 		for _, ip := range r.rg.InnerPaths(rs) {
 			if sub, ok := subPath(ip.Path, s, d); ok {
-				cands = append(cands, cand{p: sub, count: ip.Count})
+				cands = append(cands, cand{p: sub, count: int(ip.Count)})
 			}
 		}
 	} else if e := r.rg.FindEdge(rs, rd); e != nil {
 		for _, pi := range e.PathsFrom(rs) {
 			if sub, ok := subPath(pi.Path, s, d); ok {
-				cands = append(cands, cand{p: sub, count: pi.Count})
+				cands = append(cands, cand{p: sub, count: int(pi.Count)})
 			}
 		}
 	}

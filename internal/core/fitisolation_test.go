@@ -36,7 +36,7 @@ func captureModel(r *Router) modelState {
 		es := edgeState{kind: e.Kind, applied: e.Pref, hasPref: e.HasPref, fwd: len(e.PathsFwd), rev: len(e.PathsRev)}
 		es.fit, es.fitted = r.LearnedPreference(i)
 		for _, pi := range e.PathsFwd {
-			es.fwdCounts += pi.Count
+			es.fwdCounts += int(pi.Count)
 		}
 		st.edges[i] = es
 	}

@@ -228,7 +228,7 @@ func TestIngestFollowsBuildOptions(t *testing.T) {
 			}
 			count := 0
 			for _, pi := range append(append([]region.PathInfo(nil), e.PathsFwd...), e.PathsRev...) {
-				count += pi.Count
+				count += int(pi.Count)
 			}
 			out[[2]int{e.R1, e.R2}] = [2]int{len(e.PathsFwd) + len(e.PathsRev), count}
 		}

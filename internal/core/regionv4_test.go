@@ -164,8 +164,8 @@ func regionSectionV4(g *region.Graph) []byte {
 			c.e.Uvarint(uint64(len(set)))
 			c.infos += len(set)
 			for _, pi := range set {
-				c.e.Int(pi.Count)
-				c.e.Int(pi.Terminal)
+				c.e.Int(int(pi.Count))
+				c.e.Int(int(pi.Terminal))
 				c.writeList(pi.Path, true)
 			}
 		}
@@ -173,8 +173,8 @@ func regionSectionV4(g *region.Graph) []byte {
 	for r := range g.NumRegions() {
 		c.e.Uvarint(uint64(len(g.InnerPaths(r))))
 		for _, ip := range g.InnerPaths(r) {
-			c.e.Int(ip.Count)
-			c.e.Int(ip.Terminal)
+			c.e.Int(int(ip.Count))
+			c.e.Int(int(ip.Terminal))
 			c.writeList(ip.Path, true)
 		}
 		centers, _ := g.TransferCounts(r)
@@ -216,14 +216,14 @@ func decodeRegionV4(b []byte, road *roadnet.Graph) (*Snapshot, error) {
 		e.Pref.Slave = pref.SlaveFeature(c.d.Byte())
 		for _, set := range []*[]region.PathInfo{&e.PathsFwd, &e.PathsRev} {
 			for n := c.d.Count(3); n > 0; n-- {
-				*set = append(*set, region.PathInfo{Count: c.d.Int(), Terminal: c.d.Int(), Path: c.readList(true)})
+				*set = append(*set, region.PathInfo{Count: int32(c.d.Int()), Terminal: int32(c.d.Int()), Path: c.readList(true)})
 			}
 		}
 	}
 	for range s.Regions {
 		var inner []region.InnerPath
 		for n := c.d.Count(3); n > 0; n-- {
-			inner = append(inner, region.InnerPath{Count: c.d.Int(), Terminal: c.d.Int(), Path: c.readList(true)})
+			inner = append(inner, region.InnerPath{Count: int32(c.d.Int()), Terminal: int32(c.d.Int()), Path: c.readList(true)})
 		}
 		s.Inner = append(s.Inner, inner)
 		s.TransferCenters = append(s.TransferCenters, c.readList(false))

@@ -268,7 +268,7 @@ func (r *Router) fastestFallback(sp *obs.Span, s, d roadnet.VertexID, cat Catego
 // sv before dv and returns the sub-path of the most traversed such path.
 func (r *Router) innerRoute(rs int, sv, dv roadnet.VertexID) (roadnet.Path, bool) {
 	var best roadnet.Path
-	bestCount := 0
+	var bestCount int32
 	for _, ip := range r.rg.InnerPaths(rs) {
 		si, di := -1, -1
 		for i, v := range ip.Path {
@@ -500,7 +500,7 @@ func (r *Router) exactStoredPath(regPath []int, sv, dv roadnet.VertexID) (roadne
 		if pi.Path[0] != sv || pi.Path[len(pi.Path)-1] != dv {
 			continue
 		}
-		if score := pi.Count + 8*pi.Terminal; score > bestScore {
+		if score := int(pi.Count) + 8*int(pi.Terminal); score > bestScore {
 			best, bestScore = pi.Path, score
 		}
 	}

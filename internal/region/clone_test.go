@@ -109,13 +109,13 @@ func TestCloneIsDeep(t *testing.T) {
 	var origCounts []int
 	for _, e := range g.Edges {
 		for _, pi := range e.PathsFwd {
-			origCounts = append(origCounts, pi.Count)
+			origCounts = append(origCounts, int(pi.Count))
 		}
 	}
 	origInner := make([]int, g.NumRegions())
 	for r := 0; r < g.NumRegions(); r++ {
 		for _, ip := range g.InnerPaths(r) {
-			origInner[r] += ip.Count
+			origInner[r] += int(ip.Count)
 		}
 	}
 
@@ -133,7 +133,7 @@ func TestCloneIsDeep(t *testing.T) {
 	var counts []int
 	for _, e := range g.Edges {
 		for _, pi := range e.PathsFwd {
-			counts = append(counts, pi.Count)
+			counts = append(counts, int(pi.Count))
 		}
 	}
 	if len(counts) != len(origCounts) {
@@ -147,7 +147,7 @@ func TestCloneIsDeep(t *testing.T) {
 	for r := 0; r < g.NumRegions(); r++ {
 		got := 0
 		for _, ip := range g.InnerPaths(r) {
-			got += ip.Count
+			got += int(ip.Count)
 		}
 		if got != origInner[r] {
 			t.Fatalf("original inner paths of region %d changed: %d -> %d", r, origInner[r], got)
@@ -158,12 +158,12 @@ func TestCloneIsDeep(t *testing.T) {
 	cpTotal, gTotal := 0, 0
 	for _, e := range cp.Edges {
 		for _, pi := range append(e.PathsFwd, e.PathsRev...) {
-			cpTotal += pi.Count
+			cpTotal += int(pi.Count)
 		}
 	}
 	for _, e := range g.Edges {
 		for _, pi := range append(e.PathsFwd, e.PathsRev...) {
-			gTotal += pi.Count
+			gTotal += int(pi.Count)
 		}
 	}
 	if cpTotal <= gTotal {

@@ -36,16 +36,16 @@ func observe(g *Graph) observed {
 		fit, fitted := e.Fit()
 		o.prefs = append(o.prefs, edgePref{e.Pref, e.HasPref, fit, fitted})
 		for _, pi := range e.PathsFwd {
-			o.counts = append(o.counts, pi.Count)
+			o.counts = append(o.counts, int(pi.Count))
 		}
 		for _, pi := range e.PathsRev {
-			o.counts = append(o.counts, pi.Count)
+			o.counts = append(o.counts, int(pi.Count))
 		}
 	}
 	for r := 0; r < g.NumRegions(); r++ {
 		n := 0
 		for _, ip := range g.InnerPaths(r) {
-			n += ip.Count
+			n += int(ip.Count)
 		}
 		o.inner = append(o.inner, n)
 		o.tcs = append(o.tcs, len(g.TransferCenters(r)))

@@ -181,8 +181,8 @@ func (m *image) graph(g *Graph) {
 		imageLen(m, &g.inner[r], 5)
 		for j := range g.inner[r] {
 			ip := &g.inner[r][j]
-			m.int(&ip.Count)
-			m.int(&ip.Terminal)
+			m.int32(&ip.Count)
+			m.int32(&ip.Terminal)
 			m.window(&ip.Path, &ip.trip, &ip.off)
 		}
 		m.list(&g.transferCenters[r], false)
@@ -209,6 +209,16 @@ func (m *image) int(p *int) {
 		*p = m.dec.Int()
 	} else {
 		m.enc.Int(*p)
+	}
+}
+
+func (m *image) int32(p *int32) {
+	if m.dec == nil {
+		m.enc.Int(int(*p))
+	} else if v := m.dec.Int(); v < math.MinInt32 || v > math.MaxInt32 {
+		m.dec.Fail("count %d out of range", v)
+	} else {
+		*p = int32(v)
 	}
 }
 
@@ -304,8 +314,8 @@ func (m *image) paths(set *[]PathInfo) {
 	}
 	for j := range *set {
 		pi := &(*set)[j]
-		m.int(&pi.Count)
-		m.int(&pi.Terminal)
+		m.int32(&pi.Count)
+		m.int32(&pi.Terminal)
 		m.window(&pi.Path, &pi.trip, &pi.off)
 	}
 }

@@ -29,17 +29,18 @@ func (k EdgeKind) String() string {
 }
 
 // PathInfo is one distinct path associated with a region edge, with the
-// number of trajectories that used it.
+// number of trajectories that used it. The counts are int32s, so with
+// its trip reference a PathInfo takes 40 bytes.
 type PathInfo struct {
 	Path  roadnet.Path
-	Count int
+	Count int32
 	// Terminal counts the contributing trajectories whose own trip
 	// started in one of the edge's regions and ended in the other —
 	// their full path IS this fragment, so the fragment carries exactly
 	// the routing preference of travel between the two regions.
 	// Fragments with Terminal = 0 come from trajectories merely passing
 	// through both regions en route elsewhere.
-	Terminal int
+	Terminal int32
 	// trip and off name the trip Path is a window of (the graph's trip
 	// table, trips.go) and where in it the window starts.
 	trip, off int32
@@ -108,7 +109,7 @@ func (e *Edge) addPath(from int, p roadnet.Path, terminal bool, trip, off int32)
 	if e.R1 == from {
 		set = &e.PathsFwd
 	}
-	t := 0
+	var t int32
 	if terminal {
 		t = 1
 	}
@@ -129,11 +130,11 @@ type Link struct{ To, Edge int32 }
 // where the trajectory entered the region to where it left.
 type InnerPath struct {
 	Path  roadnet.Path
-	Count int
+	Count int32
 	// Terminal counts contributing trajectories whose whole trip lay
 	// inside the region — true local trips, as opposed to segments of
 	// journeys passing through.
-	Terminal int
+	Terminal int32
 	// trip and off are PathInfo's.
 	trip, off int32
 }
@@ -408,7 +409,7 @@ func segmentVisits(g *Graph, p roadnet.Path) []visit {
 // starting at off, deduplicating by content as Edge.addPath does.
 func (g *Graph) addInner(r int, p roadnet.Path, terminal bool, trip, off int32) {
 	g.mutInner(r) // counter bumps and appends below must not hit shared backing
-	t := 0
+	var t int32
 	if terminal {
 		t = 1
 	}
