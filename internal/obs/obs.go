@@ -86,7 +86,7 @@ func (t *Tracer) StartRequest(ctx context.Context, name, id string) (context.Con
 	if id == "" {
 		id = NewRequestID()
 	}
-	b := &trace{tr: t, id: id, name: name, start: time.Now()}
+	b := &trace{tr: t, id: id, name: name, start: Now()}
 	b.spans = append(b.spans, spanData{name: name, parent: -1})
 	sp := &Span{t: b, i: 0}
 	return context.WithValue(ctx, spanKey{}, sp), sp
@@ -182,7 +182,7 @@ type spanData struct {
 }
 
 func (b *trace) startSpan(name string, parent int32) *Span {
-	off := time.Since(b.start)
+	off := Now().Sub(b.start)
 	b.mu.Lock()
 	b.spans = append(b.spans, spanData{name: name, parent: parent, start: off})
 	i := int32(len(b.spans) - 1)
@@ -191,7 +191,7 @@ func (b *trace) startSpan(name string, parent int32) *Span {
 }
 
 func (b *trace) endSpan(i int32) {
-	off := time.Since(b.start)
+	off := Now().Sub(b.start)
 	b.mu.Lock()
 	d := &b.spans[i]
 	if !d.ended {

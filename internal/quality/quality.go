@@ -189,6 +189,13 @@ func (o *Observer) Report(st *serve.Stats) {
 	st.Quality = &qs
 }
 
+// ReportQueue gives /debug/snapshot the scoring queue's depth and
+// capacity, QualityStats' two fields, without locking the observer's
+// cells or computing the drift block.
+func (o *Observer) ReportQueue(ds *serve.DebugSnapshot) {
+	ds.QualityQueueDepth, ds.QualityQueueCapacity = len(o.queue), cap(o.queue)
+}
+
 // Close stops the background scorer. Idempotent; queued samples not
 // yet scored are abandoned.
 func (o *Observer) Close() {
@@ -268,7 +275,7 @@ func (o *Observer) loop() {
 			return
 		case s := <-o.queue:
 			if interval > 0 && !last.IsZero() {
-				if wait := interval - time.Since(last); wait > 0 {
+				if wait := interval - obs.Now().Sub(last); wait > 0 {
 					select {
 					case <-o.stop:
 						return
@@ -276,7 +283,7 @@ func (o *Observer) loop() {
 					}
 				}
 			}
-			last = time.Now()
+			last = obs.Now()
 			o.score(s)
 		}
 	}
@@ -319,7 +326,7 @@ func (o *Observer) score(s sample) {
 	o.perDist[bucket].observe(eq1, eq4)
 	o.offerExemplar(Exemplar{
 		RequestID:  id,
-		At:         time.Now(),
+		At:         obs.Now(),
 		Generation: gen,
 		Source:     int(src),
 		Dest:       int(dst),

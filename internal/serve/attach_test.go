@@ -24,6 +24,7 @@ import (
 type fakeAttachment struct {
 	name, path string
 	report     func(*Stats)
+	queue      func(*DebugSnapshot) // ReportQueue, when set
 	log        *[]string
 
 	mu        sync.Mutex
@@ -59,6 +60,12 @@ func (f *fakeAttachment) Published(*core.Router) {
 func (f *fakeAttachment) Report(st *Stats) {
 	if f.report != nil {
 		f.report(st)
+	}
+}
+
+func (f *fakeAttachment) ReportQueue(ds *DebugSnapshot) {
+	if f.queue != nil {
+		f.queue(ds)
 	}
 }
 
@@ -215,12 +222,12 @@ func TestAttachWireKeys(t *testing.T) {
 
 	e.Attach(&fakeAttachment{path: "/debug/quality", report: func(st *Stats) {
 		st.Quality = &QualityStats{QueueDepth: 1, QueueCapacity: 2}
-	}})
+	}, queue: func(ds *DebugSnapshot) { ds.QualityQueueDepth, ds.QualityQueueCapacity = 1, 2 }})
 	check(e, 1, withKeys(stats0, "quality"), withKeys(debug0, "quality_queue_capacity", "quality_queue_depth"))
 
 	e.Attach(&fakeAttachment{path: "/stream", report: func(st *Stats) {
 		st.Stream = &StreamStats{QueueDepth: 1, QueueCapacity: 2}
-	}})
+	}, queue: func(ds *DebugSnapshot) { ds.StreamQueueDepth, ds.StreamQueueCapacity = 1, 2 }})
 	e.Attach(&fakeAttachment{path: "/debug/maint", report: func(st *Stats) {
 		st.Maintenance = &MaintStats{}
 	}})

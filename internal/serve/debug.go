@@ -176,10 +176,19 @@ type DebugSnapshot struct {
 	VCSRevision string `json:"vcs_revision,omitempty"`
 }
 
+// A queueReporter is an attachment whose queue /debug/snapshot shows:
+// internal/stream's Ingestor and internal/quality's Observer.
+// ReportQueue fills the queue's depth and capacity in ds and nothing
+// else, so the snapshot runs no attachment's Report, which would lock
+// the attachment's state, build its maps and, for the observer, compute
+// the snapshot's drift block, all to read two numbers.
+type queueReporter interface {
+	ReportQueue(ds *DebugSnapshot)
+}
+
 // DebugSnapshotNow collects the engine's DebugSnapshot without waiting
 // for the write path. It is not free: the cache occupancy takes every
-// shard's lock in turn, and every attachment's Report runs, which
-// locks the attachment and may compute the snapshot's drift block.
+// shard's lock in turn.
 func (e *Engine) DebugSnapshotNow() DebugSnapshot {
 	ds := DebugSnapshot{
 		Durable:    e.dur != nil,
@@ -196,15 +205,10 @@ func (e *Engine) DebugSnapshotNow() DebugSnapshot {
 	if e.dur != nil {
 		ds.WALSeq = e.dur.walSeq.Load()
 	}
-	var st Stats
-	e.reportAttached(&st)
-	if st.Stream != nil {
-		ds.StreamQueueDepth = st.Stream.QueueDepth
-		ds.StreamQueueCapacity = st.Stream.QueueCapacity
-	}
-	if st.Quality != nil {
-		ds.QualityQueueDepth = st.Quality.QueueDepth
-		ds.QualityQueueCapacity = st.Quality.QueueCapacity
+	for _, a := range *e.attachments.Load() {
+		if q, ok := a.Attachment.(queueReporter); ok {
+			q.ReportQueue(&ds)
+		}
 	}
 	b := buildID()
 	ds.GoVersion = b.goVersion

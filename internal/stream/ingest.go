@@ -254,3 +254,12 @@ func (ing *Ingestor) Report(st *serve.Stats) {
 	ss := ing.StreamStats()
 	st.Stream = &ss
 }
+
+// ReportQueue gives /debug/snapshot the batch queue's depth and
+// capacity, StreamStats' two fields, without the rest of StreamStats.
+func (ing *Ingestor) ReportQueue(ds *serve.DebugSnapshot) {
+	ing.mu.Lock()
+	ds.StreamQueueDepth = len(ing.queue)
+	ing.mu.Unlock()
+	ds.StreamQueueCapacity = queueCap
+}
