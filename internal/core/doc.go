@@ -89,7 +89,7 @@
 // mutated while a clone of it is alive — the serving layer's generation
 // discipline, IngestClone → write → atomically publish, after which the
 // previous generation only serves reads. Every mutator keeps the first
-// half, for one of three reasons:
+// half, for one of four reasons:
 //
 //   - Privatize-on-write for edges. Ingest (region.AddPaths, then the
 //     relearn loop) and derive under Retransduce reach an edge only
@@ -113,6 +113,10 @@
 //   - Own copy for meta and stats. They are plain values in the struct
 //     copy, so SetName, SetGeneration, Save's generation stamp and the
 //     Stats refresh stay on the clone.
+//   - Link, never write, for the region graph's trip table. An ingest or
+//     a materialization links one new batch of trips onto the chain it
+//     shares with its parent, and dropping batches no path names any
+//     more relinks copies; no batch is written after it is made.
 //
 // The road network, spatial index and any CH topology are immutable
 // after build and always shared.

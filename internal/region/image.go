@@ -90,8 +90,9 @@ func Decode(b []byte, road *roadnet.Graph) (*Graph, error) {
 	body := b[:len(b)-8]
 	vertices, infos := binary.BigEndian.Uint32(b[len(b)-8:]), binary.BigEndian.Uint32(b[len(b)-4:])
 	// A listed vertex takes at least half a byte (a path step), a path
-	// five (count, terminal count, trip, offset, length).
-	if uint64(vertices) > 2*uint64(len(body)) || uint64(infos) > uint64(len(body))/5 {
+	// five (count, terminal count, trip, offset, length); trip offsets
+	// are int32s.
+	if uint64(vertices) > min(2*uint64(len(body)), math.MaxInt32) || uint64(infos) > uint64(len(body))/5 {
 		return nil, fmt.Errorf("region: decoding graph: %w: %d vertices and %d paths in %d bytes", codec.ErrMalformed, vertices, infos, len(body))
 	}
 	m := &image{dec: codec.NewDec(body), heads: newOutHeads(road), lists: make([]roadnet.VertexID, vertices), sets: make([]PathInfo, infos)}

@@ -114,13 +114,14 @@ type tripTable struct {
 }
 
 func tableOf(head *tripBatch) tripTable {
-	var t tripTable
+	k := 0
 	for b := head; b != nil; b = b.prev {
-		t.batches = append(t.batches, b)
+		k++
 	}
-	t.base = make([]int, len(t.batches))
-	for i, j := 0, len(t.batches)-1; i < j; i, j = i+1, j-1 {
-		t.batches[i], t.batches[j] = t.batches[j], t.batches[i]
+	t := tripTable{batches: make([]*tripBatch, k), base: make([]int, k)}
+	for b := head; b != nil; b = b.prev {
+		k--
+		t.batches[k] = b
 	}
 	for k, b := range t.batches {
 		t.base[k] = t.n
@@ -175,7 +176,8 @@ type tripSpans struct {
 
 func spansOf(g *Graph) tripSpans {
 	s := tripSpans{tripTable: tableOf(g.trips)}
-	s.lo, s.hi, s.idx = make([]int32, s.n), make([]int32, s.n), make([]int32, s.n)
+	all := make([]int32, 3*s.n)
+	s.lo, s.hi, s.idx = all[:s.n], all[s.n:2*s.n], all[2*s.n:]
 	for p := range s.lo {
 		s.lo[p], s.hi[p] = math.MaxInt32, -1
 	}
