@@ -60,8 +60,8 @@ func (g *Graph) AddPaths(paths []roadnet.Path, opt Options) UpdateStats {
 	dirtyTC := make(map[int]bool)
 
 	trips := g.addTrips(paths)
-	for i := range paths {
-		p, trip := trips.trip(i), trips.first+int32(i)
+	for k := range paths {
+		p, trip := trips.trip(k), trips.first+int32(k)
 		for _, v := range p {
 			st.TotalVertices++
 			if g.RegionOf(v) < 0 {
