@@ -555,9 +555,9 @@ func artifactDigest(t testing.TB, art []byte) uint64 {
 // halves skip under -race and -short.
 func TestCIArtifactDigest(t *testing.T) {
 	want := map[string]uint64{
-		worldgen.ScaleBench:          0x2de7e5306b67458e,
-		worldgen.ScaleCI:             0x0b0fb54ae90bfdf2,
-		worldgen.ScaleCI + "+ingest": 0xb81c50e562ce2cb4,
+		worldgen.ScaleBench:          0xfe0e7b2b8b5823d2,
+		worldgen.ScaleCI:             0xdcfba8322d7f6e47,
+		worldgen.ScaleCI + "+ingest": 0xabdd73ef5391e85c,
 	}
 	wantV4 := map[string]uint64{
 		worldgen.ScaleBench:          0xc1517cad4ec6d4f5,

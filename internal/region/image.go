@@ -34,10 +34,12 @@ import (
 // then a set continues in deltas, and a path in one nibble per step
 // naming which of the vertex's first fifteen out-edges it takes (two to
 // a byte; 15 escapes), then the escaped steps' vertices. A window is a
-// stored path as its trip's index, its offset in the trip and its
-// length, so each trip is written once however many paths it holds
-// (trips.go); trips no stored path names are not written, and written
-// trips are numbered in table order. Decoding cuts every list from one
+// stored path as its trip's index, a delta from the previous window's
+// (paths are added in trip order, so consecutive windows name nearby
+// trips), its offset in the trip and its length, so each trip is
+// written once however many paths it holds (trips.go); trips no stored
+// path names are not written, and written trips are numbered in table
+// order. Decoding cuts every list from one
 // backing array the trailer sizes — the trips, one after another, are
 // the decoded graph's one trip batch — every window from its trip and
 // every path set from a second array, all with full slice expressions,
@@ -53,6 +55,7 @@ type image struct {
 	dec   *codec.Dec // reading when set
 	heads outHeads
 	first roadnet.VertexID // the previous list's first vertex
+	trip  int32            // the previous window's trip index
 
 	// Writing: the trailer's totals, a path's escaped steps, a region's
 	// counted vertices and the trips written.
@@ -272,17 +275,19 @@ func (m *image) trips(g *Graph) {
 	b.verts, g.trips, m.tripsRead = all[:b.ends[n-1]], b, b
 }
 
-// window is one stored path: its trip's index, its offset in the trip
-// and its length. A read window is cut from its trip, capped.
+// window is one stored path: its trip's index as a delta from the
+// previous window's, its offset in the trip and its length. A read
+// window is cut from its trip, capped.
 func (m *image) window(p *roadnet.Path, trip, off *int32) {
 	if m.dec == nil {
 		s, n := m.spans.pos(*trip), len(*p)
-		m.enc.Uvarint(uint64(m.spans.idx[s]))
+		m.enc.Int(int(m.spans.idx[s] - m.trip))
 		m.enc.Uvarint(uint64(*off - m.spans.lo[s]))
 		m.enc.Uvarint(uint64(n))
+		m.trip = m.spans.idx[s]
 		return
 	}
-	t, o, n := m.dec.Uvarint(), m.dec.Uvarint(), m.dec.Uvarint()
+	t, o, n := int(m.trip)+m.dec.Int(), m.dec.Uvarint(), m.dec.Uvarint()
 	if m.dec.Err() != nil {
 		return
 	}
@@ -290,16 +295,16 @@ func (m *image) window(p *roadnet.Path, trip, off *int32) {
 	if m.tripsRead != nil {
 		trips = len(m.tripsRead.ends)
 	}
-	if t >= uint64(trips) {
+	if t < 0 || t >= trips {
 		m.dec.Fail("a path in trip %d of %d", t, trips)
 		return
 	}
-	tr := m.tripsRead.trip(int(t))
+	tr := m.tripsRead.trip(t)
 	if o > uint64(len(tr)) || n > uint64(len(tr))-o {
 		m.dec.Fail("a path of %d vertices at %d in trip %d of %d", n, o, t, len(tr))
 		return
 	}
-	*p, *trip, *off = tr[o:o+n:o+n], int32(t), int32(o)
+	*p, *trip, *off, m.trip = tr[o:o+n:o+n], int32(t), int32(o), int32(t)
 }
 
 // paths is one edge path set: its count, then each path's count,

@@ -229,7 +229,7 @@ func TestDecodeBoundsWindows(t *testing.T) {
 	step := func(u, v roadnet.VertexID) byte {
 		return byte(slices.Index(heads.heads[int(u)*heads.w:int(u+1)*heads.w], v))
 	}
-	image := func(trip, off, n uint64, vertices uint32) []byte {
+	image := func(trip int, off, n uint64, vertices uint32) []byte {
 		var e codec.Enc
 		e.Uvarint(2)
 		first := 0
@@ -257,7 +257,7 @@ func TestDecodeBoundsWindows(t *testing.T) {
 		e.Uvarint(1)
 		e.Int(1)
 		e.Int(1)
-		e.Uvarint(trip)
+		e.Int(trip) // the first window: a delta from 0
 		e.Uvarint(off)
 		e.Uvarint(n)
 		e.Uvarint(0)
@@ -281,6 +281,7 @@ func TestDecodeBoundsWindows(t *testing.T) {
 	}
 	for name, bad := range map[string][]byte{
 		"a trip not in the image":       image(1, 0, 2, 8),
+		"a trip before the first":       image(-1, 0, 2, 8),
 		"a window past its trip's end":  image(0, 2, 2, 8),
 		"an offset past its trip's end": image(0, 4, 0, 8),
 		"a window of 2^63 vertices":     image(0, 1, 1<<63, 8),
