@@ -39,8 +39,28 @@ import (
 // by edge and region by region, the one the v4 reference reads from the
 // v4 section written from the saved router's graph. The v5 bytes are at
 // most 0.7 of the v2 envelope's (handBuiltV2; -v logs the ratios and the
-// v4 size). The ci cities skip under the race detector and -short.
+// v4 size). The worlds and stages are forArtifactWorlds'.
 func TestArtifactV5MatchesV4Reference(t *testing.T) {
+	forArtifactWorlds(t, requireV5MatchesV4)
+}
+
+// TestArtifactV4MatchesV3Reference holds the road section artifact v4
+// introduced and v5 keeps — the road in binary, every float exact — to
+// the v3 writer and reader it replaced (handBuiltV3, loadV3, which
+// reads WriteTSV's rounded text): on the worlds and stages of
+// TestArtifactV5MatchesV4Reference, the router Load reads from Save's
+// bytes has the saved router's road bit for bit, and the v3 reference
+// restores from the same bytes, the road rewritten as v3 wrote it, the
+// same model sections and, on its rounded road, the same paths and
+// evidence for 2,000 ODs.
+func TestArtifactV4MatchesV3Reference(t *testing.T) {
+	forArtifactWorlds(t, requireV4MatchesV3)
+}
+
+// forArtifactWorlds runs check on the bench cities 1–3 and the ci
+// cities 1–3, each after Build, after 8 ingests and after Retransduce;
+// the ci cities skip under the race detector and -short.
+func forArtifactWorlds(t *testing.T, check func(t *testing.T, stage string, r *Router)) {
 	type world struct {
 		scale string
 		seed  int64
@@ -61,7 +81,7 @@ func TestArtifactV5MatchesV4Reference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireV5MatchesV4(t, "built", r)
+			check(t, "built", r)
 			var held []*traj.Trajectory
 			for _, tr := range w.Test {
 				if len(tr.Truth) >= 2 {
@@ -74,11 +94,37 @@ func TestArtifactV5MatchesV4Reference(t *testing.T) {
 				next.PrepareMetricsTouched(st.TouchedEdges)
 				r = next
 			}
-			requireV5MatchesV4(t, "after 8 ingests", r)
+			check(t, "after 8 ingests", r)
 			r = r.IngestClone()
 			r.Retransduce(opt)
-			requireV5MatchesV4(t, "after Retransduce", r)
+			check(t, "after Retransduce", r)
 		})
+	}
+}
+
+// requireV4MatchesV3 saves r, loads it, and holds the loaded router's
+// road to r's, and the loaded router to the one the v3 reference reads
+// from the same bytes with the road rewritten as v3 wrote it.
+func requireV4MatchesV3(t *testing.T, stage string, r *Router) {
+	t.Helper()
+	art := saveArtifact(t, r.Clone())
+	a, err := Load(bytes.NewReader(art))
+	if err != nil {
+		t.Fatalf("%s: loading: %v", stage, err)
+	}
+	if err := sameRoad(r.road, a.road); err != nil {
+		t.Fatalf("%s: loaded road: %v", stage, err)
+	}
+	b := loadV3(t, handBuiltV3(t, art))
+	requireSameModel(t, stage+", the v3 reference against the binary road", a, b)
+
+	n := a.road.NumVertices()
+	rng := rand.New(rand.NewSource(int64(n)))
+	for i := 0; i < 2000; i++ {
+		s, d := roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n))
+		if ra, rb := a.Route(s, d), b.Route(s, d); !samePathCore(ra.Path, rb.Path) || ra.Evidence != rb.Evidence {
+			t.Fatalf("%s: %d -> %d routes %v (%v) from the binary road, %v (%v) from the v3 text", stage, s, d, ra.Path, ra.Evidence, rb.Path, rb.Evidence)
+		}
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -279,8 +281,8 @@ func encodeEnvelope(t testing.TB, version uint16, r *Router, learned map[int]pre
 const artifactVersionV3 uint16 = 3
 
 // handBuiltV3 is the v3 writer Save was before artifact v4: the parts
-// of art, a v4 artifact, with the road section as roadnet.WriteTSV's
-// text and the road identity its FNV-64a.
+// of art, a v4 or v5 artifact, with the road section as
+// roadnet.WriteTSV's text and the road identity its FNV-64a.
 func handBuiltV3(t testing.TB, art []byte) []byte {
 	t.Helper()
 	parts := artifactParts(t, art)
@@ -297,6 +299,68 @@ func handBuiltV3(t testing.TB, art []byte) []byte {
 	parts[partRoadID] = binary.BigEndian.AppendUint64(nil, h.Sum64())
 	parts[partRoad] = text.Bytes()
 	return frameParts(t, artifactVersionV3, parts)
+}
+
+// loadV3 is the v3 road reader Load was before it read the road in
+// binary, kept as the reference TestArtifactV4MatchesV3Reference holds
+// the binary road to. art is handBuiltV3 of a v5 artifact: it reads the
+// road's text (sectionFromTSV) and decodes the other sections as Load
+// does.
+func loadV3(t testing.TB, art []byte) *Router {
+	t.Helper()
+	parts := artifactParts(t, art)
+	parts[partRoad] = sectionFromTSV(t, parts[partRoad])
+	r, err := Load(bytes.NewReader(joinParts(t, parts)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// sectionFromTSV reads a road network as WriteTSV prints it — lines
+// split at tabs, numbers read by strconv — and lays it out as a road
+// section, as roadnet's io.go describes it.
+func sectionFromTSV(t testing.TB, text []byte) []byte {
+	t.Helper()
+	var e codec.Enc
+	var verts, edges int
+	float := func(f string) {
+		x, err := strconv.ParseFloat(f, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.B = binary.LittleEndian.AppendUint64(e.B, math.Float64bits(x))
+	}
+	lines := strings.Split(strings.TrimSpace(string(text)), "\n")
+	for _, line := range lines {
+		if f := strings.Split(line, "\t"); f[0] == "V" {
+			float(f[2])
+			float(f[3])
+			verts++
+		}
+	}
+	sec := append(binary.AppendUvarint(nil, uint64(verts)), e.B...)
+	e.B = nil
+	from := 0
+	for _, line := range lines {
+		if f := strings.Split(line, "\t"); f[0] == "E" {
+			v, err := strconv.Atoi(f[1])
+			to, err2 := strconv.Atoi(f[2])
+			typ, err3 := strconv.Atoi(f[6])
+			if err := errors.Join(err, err2, err3); err != nil {
+				t.Fatal(err)
+			}
+			e.Int(v - from)
+			e.Int(to - v)
+			from = v
+			float(f[3])
+			float(f[4])
+			float(f[5])
+			e.Byte(byte(typ))
+			edges++
+		}
+	}
+	return append(binary.AppendUvarint(sec, uint64(edges)), e.B...)
 }
 
 // TestLoadV3LegacyMeta: every v3 artifact saved before the pipeline's
