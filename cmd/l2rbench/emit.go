@@ -32,19 +32,11 @@ func runBench(h *harness) error {
 
 	// The engine ingests via copy-on-write clones, but recovery below
 	// needs a pristine base router; clone before handing ours over.
-	var recoveryBase = h.router
+	recoveryBase := h.router
 	if cfg.durable {
 		recoveryBase = h.router.IngestClone()
 	}
-	var (
-		e   *serve.Engine
-		err error
-	)
-	if cfg.durable {
-		e, err = serve.NewDurableEngine(h.router, cfg.serveOptions(walDir))
-	} else {
-		e = serve.NewEngine(h.router, cfg.serveOptions(""))
-	}
+	e, err := serve.NewDurableEngine(h.router, cfg.serveOptions(walDir))
 	if err != nil {
 		return err
 	}
@@ -120,7 +112,13 @@ func runBench(h *harness) error {
 		return err
 	}
 	data = append(data, '\n')
-	return writeReport(cfg.out, data)
+	if err := writeReport(cfg.out, data); err != nil {
+		return err
+	}
+	if n := rs.errs.Load(); n > 0 {
+		return fmt.Errorf("%d of %d requests failed", n, len(h.schedule))
+	}
+	return nil
 }
 
 // buildReport shapes the report JSON: one top-level key per workload

@@ -23,19 +23,19 @@
 // l2rbench is a load generator, not a gate: regressions are judged by
 // the benchmark BENCHMARK.json declares (bash benchmark/run.sh), and
 // CI runs l2rbench only as a smoke — it exits non-zero when a request
-// or the audit fails.
+// fails. That two engines fed the same batches, and an engine recovered
+// from the WAL after a crash, answer alike at this scale is
+// internal/serve's TestCIReplayAndRecoveryAgree.
 //
 // Usage:
 //
 //	l2rbench [flags]                 run the workload, print the report
-//	l2rbench -audit [flags]          run the correctness audit instead
 //
 // Common invocations:
 //
 //	l2rbench -scale ci -seed 1 -requests 4000 -out report.json
 //	l2rbench -scale city -requests 50000 -qps 2000
 //	l2rbench -vertices 250000 -trips 20000 -http
-//	l2rbench -audit -scale ci -seed 1 -audit-ods 240
 //
 // Scales name worldgen presets: bench (~130 vertices, the bench_test
 // world), ci (~1.5k), city (~25k), metro (~250k), max (~1M). -vertices
@@ -44,13 +44,7 @@
 // The workload is deterministic in (-scale/-vertices, -seed, -requests,
 // -zipf, -mix, -ingest-batch): the world, the OD pool, the request
 // schedule and the ingest batches are all derived from the seed.
-// Timings of course vary run to run; answers do not — that is what
-// -audit proves. In -audit mode l2rbench replays the same schedule
-// sequentially on two independently built durable engines, evaluates a
-// fixed OD set on both, then recovers a third engine from the first
-// engine's abandoned WAL directory (a simulated crash: the engine is
-// never Closed) and requires all three answer sets to be identical,
-// path for path.
+// Timings of course vary run to run; answers do not.
 //
 // Preference queries (RoutePref with a no-motorway restriction) run on
 // a per-worker fork of the path engine rather than through the serve
@@ -94,8 +88,6 @@ type config struct {
 	walSync     string
 	ckptEvery   int
 	out         string
-	audit       bool
-	auditODs    int
 }
 
 func main() {
@@ -108,7 +100,7 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 1, "world + workload seed")
 	flag.IntVar(&cfg.requests, "requests", 4000, "total requests to replay")
 	flag.Float64Var(&cfg.qps, "qps", 0, "target request rate (0 = open throttle)")
-	flag.IntVar(&cfg.workers, "c", 0, "concurrent workers (0 = GOMAXPROCS; audit always runs 1)")
+	flag.IntVar(&cfg.workers, "c", 0, "concurrent workers (0 = GOMAXPROCS)")
 	flag.Float64Var(&cfg.zipfS, "zipf", 1.2, "Zipf exponent for OD popularity skew")
 	flag.IntVar(&cfg.altK, "k", 4, "k for alternative-route requests")
 	flag.IntVar(&cfg.ingestBatch, "ingest-batch", 8, "trajectories per ingest request")
@@ -121,8 +113,6 @@ func main() {
 	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", -1,
 		"trajectories between auto checkpoints (negative disables, so recovery replays the full log)")
 	flag.StringVar(&cfg.out, "out", "", "write the JSON report here (default stdout)")
-	flag.BoolVar(&cfg.audit, "audit", false, "run the determinism/crash-recovery correctness audit")
-	flag.IntVar(&cfg.auditODs, "audit-ods", 240, "OD pairs the audit evaluates (min 200)")
 	flag.Parse()
 
 	if err := run(cfg); err != nil {
@@ -167,11 +157,8 @@ func run(cfg config) error {
 		return fmt.Errorf("OD pool too small (%d queries); raise -trips or -scale", len(qs))
 	}
 
-	h := &harness{cfg: cfg, world: w, router: r, queries: qs}
+	h := &harness{cfg: cfg, world: w, router: r}
 	h.schedule = buildSchedule(qs, w.Test, cfg, mix)
-	if cfg.audit {
-		return runAudit(h)
-	}
 	return runBench(h)
 }
 

@@ -49,7 +49,6 @@ type harness struct {
 	cfg      config
 	world    *worldgen.World
 	router   *core.Router
-	queries  []eval.Query
 	schedule []request
 }
 
@@ -280,7 +279,7 @@ func httpGet(client *http.Client, url string) error {
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
 	}
 	return nil

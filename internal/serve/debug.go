@@ -74,10 +74,8 @@ func withRequestTelemetry(t *obs.Tracer, h http.Handler) http.Handler {
 // decides, so a tenant named "debug" or "metrics" is traced like any
 // other.
 func telemetryPath(p string) bool {
-	if rest, ok := strings.CutPrefix(p, "/t/"); ok {
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			p = rest[i:]
-		}
+	if _, rest, ok := splitTenant(p); ok && rest != "" {
+		p = rest
 	}
 	return p == "/metrics" || strings.HasPrefix(p, "/debug/")
 }
@@ -278,7 +276,7 @@ func AccessLog(l *slog.Logger, h http.Handler) http.Handler {
 			slog.Int64("bytes", sw.bytes),
 			slog.Float64("duration_ms", float64(time.Since(start).Microseconds())/1000),
 		}
-		if tenant := tenantOf(r.URL.Path); tenant != "" {
+		if tenant, _, _ := splitTenant(r.URL.Path); tenant != "" {
 			attrs = append(attrs, slog.String("tenant", tenant))
 		}
 		if id := firstValue(sw.Header(), requestIDHeader); id != "" {
@@ -286,14 +284,4 @@ func AccessLog(l *slog.Logger, h http.Handler) http.Handler {
 		}
 		l.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
 	})
-}
-
-// tenantOf extracts the tenant name from a fleet path ("" otherwise).
-func tenantOf(p string) string {
-	rest, ok := strings.CutPrefix(p, "/t/")
-	if !ok {
-		return ""
-	}
-	name, _, _ := strings.Cut(rest, "/")
-	return name
 }

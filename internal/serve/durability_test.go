@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 	"repro/internal/wal"
+	"repro/internal/worldgen"
 )
 
 // matchedBatches splits live trajectories into ingest batches of n,
@@ -55,23 +57,54 @@ func sampleODs(live []*traj.Trajectory, n int) [][2]roadnet.VertexID {
 	return ods
 }
 
-// requireSameAnswers asserts two engines answer a set of OD pairs
-// identically (path and category).
+// requireSameAnswers asserts two engines hold the same region graph,
+// byte for byte in its image, and answer a set of OD pairs identically:
+// Route's reachability, category, evidence and path, and the same of
+// every alternative RouteK(s, d, 4) ranks.
 func requireSameAnswers(t *testing.T, what string, got, want *Engine, ods [][2]roadnet.VertexID) {
 	t.Helper()
+	if !bytes.Equal(regionImage(got), regionImage(want)) {
+		t.Fatalf("%s: the region graphs differ", what)
+	}
 	for _, od := range ods {
 		g, _ := got.Route(od[0], od[1])
 		w, _ := want.Route(od[0], od[1])
-		if g.Category != w.Category || len(g.Path) != len(w.Path) {
-			t.Fatalf("%s: %d->%d differs: got %v/%d hops, want %v/%d hops",
-				what, od[0], od[1], g.Category, len(g.Path), w.Category, len(w.Path))
+		if d := answerDiff(g, w); d != "" {
+			t.Fatalf("%s: %d->%d differs: %s", what, od[0], od[1], d)
 		}
-		for i := range g.Path {
-			if g.Path[i] != w.Path[i] {
-				t.Fatalf("%s: %d->%d differs at hop %d", what, od[0], od[1], i)
+		gk, _ := got.RouteK(od[0], od[1], 4)
+		wk, _ := want.RouteK(od[0], od[1], 4)
+		if len(gk) != len(wk) {
+			t.Fatalf("%s: %d->%d differs: %d alternatives, want %d", what, od[0], od[1], len(gk), len(wk))
+		}
+		for i := range gk {
+			if d := answerDiff(gk[i], wk[i]); d != "" {
+				t.Fatalf("%s: %d->%d alternative %d differs: %s", what, od[0], od[1], i, d)
 			}
 		}
 	}
+}
+
+// regionImage is the image of the region graph e serves.
+func regionImage(e *Engine) []byte {
+	var enc codec.Enc
+	e.Snapshot().RegionGraph().Append(&enc)
+	return enc.B
+}
+
+// answerDiff describes how got differs from want ("" when it does not).
+func answerDiff(got, want core.RouteResult) string {
+	switch {
+	case (len(got.Path) > 0) != (len(want.Path) > 0):
+		return fmt.Sprintf("found %v, want %v", len(got.Path) > 0, len(want.Path) > 0)
+	case got.Category != want.Category:
+		return fmt.Sprintf("category %v, want %v", got.Category, want.Category)
+	case got.Evidence != want.Evidence:
+		return fmt.Sprintf("evidence %v, want %v", got.Evidence, want.Evidence)
+	case !samePath(got.Path, want.Path):
+		return fmt.Sprintf("paths diverge (%d vertices, want %d)", len(got.Path), len(want.Path))
+	}
+	return ""
 }
 
 func mustDurable(t *testing.T, r *core.Router, opt Options) *Engine {
@@ -138,6 +171,85 @@ func TestDurableEngineRecoversAfterCrash(t *testing.T) {
 	if id := e2.NextTrajectoryID(); id < len(live) {
 		t.Fatalf("NextTrajectoryID = %d, collides with replayed IDs (< %d)", id, len(live))
 	}
+}
+
+// TestCIReplayAndRecoveryAgree: on the ci city the served model and
+// answers are a function of the evidence. Two durable engines, each on
+// its own lineage, replay one seeded schedule — batches of held-out
+// trips with routes and alternatives between them, so answers cached at
+// earlier generations are live when later batches land — and must hold
+// the same region graph and answer alike. A third engine recovered from
+// the first's WAL directory while the first is still open (a crash: no
+// Close, no checkpoint) must match it too. The schedule cycles through
+// the held-out trips, so its last batches only raise the counts of
+// paths already stored and change no answer: the region graph is what
+// shows a record recovery failed to replay.
+func TestCIReplayAndRecoveryAgree(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("ci scale: skipped under -short and -race")
+	}
+	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, 1))
+	base, err := core.Build(w.Road, w.Train, core.Options{SkipMapMatching: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const numODs, batches, batchSize, readsPerBatch = 220, 100, 4, 8
+	var ods [][2]roadnet.VertexID
+	seen := make(map[[2]roadnet.VertexID]bool)
+	for _, tr := range w.Test {
+		od := [2]roadnet.VertexID{tr.Source(), tr.Destination()}
+		if len(tr.Truth) < 2 || seen[od] {
+			continue
+		}
+		seen[od] = true
+		if ods = append(ods, od); len(ods) == numODs {
+			break
+		}
+	}
+	if len(ods) < numODs {
+		t.Fatalf("%d distinct held-out ODs, want %d", len(ods), numODs)
+	}
+	live := make([]*traj.Trajectory, batches*batchSize)
+	for i := range live {
+		live[i] = w.Test[i%len(w.Test)]
+	}
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.2, 1, numODs-1)
+	reads := make([][2]roadnet.VertexID, batches*readsPerBatch)
+	for i := range reads {
+		reads[i] = ods[zipf.Uint64()]
+	}
+	replay := func(e *Engine) {
+		for i, b := range matchedBatches(live, batchSize) {
+			for j, od := range reads[i*readsPerBatch : (i+1)*readsPerBatch] {
+				if j%2 == 0 {
+					e.Route(od[0], od[1])
+				} else {
+					e.RouteK(od[0], od[1], 4)
+				}
+			}
+			e.IngestMatched(b)
+		}
+	}
+	opt := func(dir string) Options {
+		return Options{WALDir: dir, CheckpointEvery: -1, WALSync: wal.SyncNone}
+	}
+
+	dirA := t.TempDir()
+	a := mustDurable(t, base.IngestClone(), opt(dirA))
+	defer a.Close()
+	replay(a)
+	b := mustDurable(t, ownLineage(t, base), opt(t.TempDir()))
+	defer b.Close()
+	replay(b)
+	requireSameAnswers(t, "seed replay (B vs A)", b, a, ods)
+
+	c := mustDurable(t, ownLineage(t, base), opt(dirA))
+	defer c.Close()
+	if d := c.Stats().Durability; d.ReplayedRecords != batches || d.RecoveredFromCheckpoint {
+		t.Fatalf("recovery facts: %+v, want %d replayed records from the WAL only", d, batches)
+	}
+	requireSameAnswers(t, "crash recovery (C vs A)", c, a, ods)
 }
 
 // TestRecoveryKeepsNoReplayedBatches: the WAL tail a restart replays

@@ -63,8 +63,7 @@ func (f *Fleet) Handler() http.Handler {
 
 // handleTenant routes /t/{tenant}/... to the tenant's engine handler.
 func (f *Fleet) handleTenant(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/t/")
-	name, sub, _ := strings.Cut(rest, "/")
+	name, sub, _ := splitTenant(r.URL.Path)
 	if name == "" {
 		WriteError(w, http.StatusNotFound, "missing tenant name; use /t/{tenant}/route")
 		return
@@ -76,13 +75,27 @@ func (f *Fleet) handleTenant(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "unknown tenant %q", name)
 		return
 	}
-	if sub == "" {
+	if sub == "" || sub == "/" {
 		// A bare /t/{tenant} would strip to "" and the engine mux would
-		// 301-redirect to the fleet root, losing the tenant context.
+		// 301-redirect to the fleet root, losing the tenant context;
+		// /t/{tenant}/ names no endpoint either.
 		WriteError(w, http.StatusNotFound, "missing endpoint; use /t/%s/route", name)
 		return
 	}
 	t.handler.ServeHTTP(w, r)
+}
+
+// splitTenant splits a fleet path /t/{name}{rest} into the tenant's
+// name and the path below it, rest, which is "" or starts with '/'. ok
+// is false for a path outside /t/.
+func splitTenant(p string) (name, rest string, ok bool) {
+	if p, ok = strings.CutPrefix(p, "/t/"); !ok {
+		return "", "", false
+	}
+	if i := strings.IndexByte(p, '/'); i >= 0 {
+		return p[:i], p[i:], true
+	}
+	return p, "", true
 }
 
 func (f *Fleet) handleTenants(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -478,5 +479,50 @@ func TestFleetPublishNewTenantDoesNotBlockLookups(t *testing.T) {
 	defer f.mu.RUnlock()
 	if attached["a"] != 1 || attached["b"] != 1 {
 		t.Fatalf("attach counts %v, want a and b once each", attached)
+	}
+}
+
+// TestTenantPathSplit pins what each reader of the /t/{tenant} prefix
+// makes of a path: whether the middleware treats it as telemetry (and
+// leaves it untraced), the tenant the access log names, and what the
+// fleet's handler answers with one tenant, "a", registered.
+func TestTenantPathSplit(t *testing.T) {
+	base, _ := sharedWorld(t)
+	f := NewFleet(Options{})
+	if _, err := f.Add("a", base.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	h := f.Handler()
+	for _, c := range []struct {
+		path      string
+		telemetry bool
+		tenant    string
+		status    int
+		err       string
+	}{
+		{"/t/a/route", false, "a", 400, `missing query parameter "src"`},
+		{"/t/a", false, "a", 404, "missing endpoint; use /t/a/route"},
+		{"/t/a/", false, "a", 404, "missing endpoint; use /t/a/route"},
+		{"/t/", false, "", 404, "missing tenant name; use /t/{tenant}/route"},
+		{"/t/debug/route", false, "debug", 404, `unknown tenant "debug"`},
+		{"/t/metrics", false, "metrics", 404, `unknown tenant "metrics"`},
+		{"/t/a/metrics", true, "a", 200, ""},
+		{"/metrics", true, "", 200, ""},
+		{"/debug/trace", true, "", 200, ""},
+		{"/tenants", false, "", 200, ""},
+	} {
+		if got := telemetryPath(c.path); got != c.telemetry {
+			t.Errorf("%s: telemetryPath %v, want %v", c.path, got, c.telemetry)
+		}
+		if got, _, _ := splitTenant(c.path); got != c.tenant {
+			t.Errorf("%s: tenant %q, want %q", c.path, got, c.tenant)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, c.path, nil))
+		var reply struct{ Error string }
+		json.Unmarshal(rec.Body.Bytes(), &reply)
+		if rec.Code != c.status || reply.Error != c.err {
+			t.Errorf("%s: fleet answers %d %q, want %d %q", c.path, rec.Code, reply.Error, c.status, c.err)
+		}
 	}
 }
