@@ -70,7 +70,7 @@
 // same snapshot swap ingestion uses — queries never block, and on a
 // durable engine the rebuilt model is checkpointed immediately. GET
 // /debug/maint (and a maintenance block in /stats, plus the
-// l2r_maint_* metric family) exposes accumulator occupancy, trigger
+// l2r_maint_* metric family) exposes evidence counts, trigger
 // gauges and rebuild history. In fleet mode every tenant gets its own
 // maintainer. OPERATIONS.md covers trigger tuning and rollback.
 //

@@ -192,17 +192,3 @@ func (r *Router) derive(workers int) RetransduceStats {
 	r.stats.MaterializeTime = st.MaterializeTime
 	return st
 }
-
-// TEdgePairs returns the set of region pairs connected by T-edges,
-// keyed [r1, r2] with r1 < r2. Maintenance uses it to count how many
-// trajectory-backed pairs a rebuild incorporated (edge IDs are
-// creation-history dependent; pairs are canonical).
-func (r *Router) TEdgePairs() map[[2]int]bool {
-	out := make(map[[2]int]bool)
-	for _, e := range r.rg.Edges {
-		if e.Kind == region.TEdge {
-			out[[2]int{e.R1, e.R2}] = true
-		}
-	}
-	return out
-}

@@ -1,10 +1,9 @@
 // Package maint keeps a served router converged with its evidence: a
-// background maintainer attached to a serve.Engine that counts the
-// matched trajectories the engine ingests, watches rebuild
-// triggers — the engine's preference drift (serve.Engine.Drift,
-// against the model last installed), evidence volume, a wall-clock
-// interval — and, when
-// one fires, drives a clone-rebuild-publish cycle: core.Retransduce
+// background maintainer attached to a serve.Engine that watches rebuild
+// triggers on the engine's books — the preference drift
+// (serve.Engine.Drift) and the paths folded in (serve.Engine.Accrual)
+// since the model last installed, and the time since that install —
+// and, when one fires, drives a clone-rebuild-publish cycle: core.Retransduce
 // re-runs preference learning, transduction and B-edge materialization
 // over the full path sets the region graph accumulated, on a
 // copy-on-write clone off the hot path, and the result swaps in
@@ -22,7 +21,8 @@
 //   - Crash equivalence: Retransduce is idempotent and the publish is
 //     an atomic snapshot swap followed by a checkpoint, so a crash at
 //     any point recovers either the old or the new model — never a
-//     hybrid — and the WAL-seeded evidence count re-arms the triggers.
+//     hybrid — and the engine's evidence count, started at what the
+//     WAL replay folded in, re-arms the triggers.
 //
 // Attach wires a maintainer onto one engine (Maintainer implements
 // serve.Attachment, and the engine's Close stops it); for every tenant

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/region"
 	"repro/internal/roadnet"
 	"repro/internal/serve"
 	"repro/internal/stream"
@@ -133,7 +134,7 @@ func TestMaintConvergenceMatchesRebuild(t *testing.T) {
 		t.Fatalf("BuildWithRegions: %v", err)
 	}
 
-	mp, rp := maintained.TEdgePairs(), ref.TEdgePairs()
+	mp, rp := tedgePairs(maintained), tedgePairs(ref)
 	if len(mp) != len(rp) {
 		t.Fatalf("T-edge pair sets differ: maintained %d, rebuilt %d", len(mp), len(rp))
 	}
@@ -200,6 +201,78 @@ func TestMaintRetransduceIdempotent(t *testing.T) {
 	if second := answersOf(e, ods); !sameAnswers(first, second) {
 		t.Fatal("a no-new-evidence rebuild changed route answers")
 	}
+}
+
+// tedgePairs returns the region pairs r's T-edges connect, keyed
+// [r1, r2] with r1 < r2: edge IDs depend on creation history, pairs
+// do not.
+func tedgePairs(r *core.Router) map[[2]int]bool {
+	out := make(map[[2]int]bool)
+	for _, e := range r.RegionGraph().Edges {
+		if e.Kind == region.TEdge {
+			out[[2]int{e.R1, e.R2}] = true
+		}
+	}
+	return out
+}
+
+// pairsAdded counts the pairs in now that are not in before.
+func pairsAdded(before, now map[[2]int]bool) int {
+	n := 0
+	for p := range now {
+		if !before[p] {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMaintTEdgesAddedMatchesPairSets holds LastTEdgesAdded — the
+// rebuilt model's T-edge count less the installed model's — to the
+// number of region pairs that gained a T-edge since the install, across
+// ingests, a rebuild, an external publish of a router with fewer
+// T-edges, more ingests and a second rebuild.
+func TestMaintTEdgesAddedMatchesPairSets(t *testing.T) {
+	const seed, trips = 101, 400
+	e, m, _, live := buildMaintEngine(t, seed, trips, Config{})
+	defer m.Close()
+	batches := batchCopies(live, 16)
+	half := len(batches) / 2
+
+	rebuild := func(installed map[[2]int]bool) {
+		t.Helper()
+		if _, err := m.TriggerNow(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		want := pairsAdded(installed, tedgePairs(e.Snapshot()))
+		if got := m.MaintStats().LastTEdgesAdded; got != want || want == 0 {
+			t.Fatalf("LastTEdgesAdded = %d, want the pair-set difference %d (> 0)", got, want)
+		}
+	}
+
+	installed := tedgePairs(e.Snapshot())
+	for _, b := range batches[:half] {
+		e.IngestMatched(b)
+	}
+	rebuild(installed)
+
+	// An external router over the same partition, built from a third of
+	// the training trips: fewer T-edges than the served model.
+	roadX, tsX := maintWorld(t, seed, trips)
+	cut := len(tsX) * 6 / 10
+	ext, err := core.BuildWithRegions(roadX, e.Snapshot().RegionGraph().Regions, tsX[:cut/3], coreOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	installed = tedgePairs(ext)
+	if len(installed) >= len(tedgePairs(e.Snapshot())) {
+		t.Fatalf("external router has %d T-edge pairs, want fewer than the served %d", len(installed), len(tedgePairs(e.Snapshot())))
+	}
+	e.Publish(ext)
+	for _, b := range batches[half:] {
+		e.IngestMatched(b)
+	}
+	rebuild(installed)
 }
 
 // answersOf snapshots an engine's answers over a fixed OD set.
@@ -291,21 +364,22 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestMaintAccumulatorBounds: the accumulator keeps counts, not paths,
-// so nothing caps it — past the default evidence threshold of 4,096 the
-// trigger counter and the offered total still hold every offer.
+// TestMaintAccumulatorBounds: the engine's books keep counts, not
+// paths, so nothing caps them — past the default evidence threshold of
+// 4,096 the trigger counter and the running total still hold every path
+// an ingest folded in.
 func TestMaintAccumulatorBounds(t *testing.T) {
-	_, m, _, live := buildMaintEngine(t, 59, 300, Config{})
+	e, m, _, live := buildMaintEngine(t, 59, 300, Config{})
 	defer m.Close()
 
 	const offered = 4096 + 4
 	var batch []*traj.Trajectory
 	for i := 0; len(batch) < offered; i++ {
 		if tr := live[i%len(live)]; len(tr.Truth) >= 2 {
-			batch = append(batch, tr)
+			batch = append(batch, &traj.Trajectory{ID: i, Driver: tr.Driver, Depart: tr.Depart, Peak: tr.Peak, Truth: tr.Truth})
 		}
 	}
-	m.OfferTrajectories(batch)
+	e.IngestMatched(batch)
 	st := m.MaintStats()
 	if st.Accumulated != offered || st.EvidenceSinceRebuild != offered {
 		t.Fatalf("accumulated %d evidence %d, want %d/%d", st.Accumulated, st.EvidenceSinceRebuild, offered, offered)

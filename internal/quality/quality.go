@@ -173,8 +173,8 @@ func Attach(e *serve.Engine, cfg Config) *Observer {
 
 // Endpoint serves GET /debug/quality: the observer's full stats plus
 // the worst-scoring OD exemplars, worst first. Like every /debug/ path
-// it is not traced. With Report, OfferTrajectories and Published
-// below, it implements serve.Attachment.
+// it is not traced. With Report and OfferTrajectories below, it
+// implements serve.Attachment.
 func (o *Observer) Endpoint() (string, http.Handler) {
 	return "/debug/quality", serve.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, map[string]any{
@@ -255,10 +255,6 @@ func strideSampled(i uint64, rate float64) bool {
 	}
 	return uint64(float64(i)*rate) > uint64(float64(i-1)*rate)
 }
-
-// Published does nothing: the drift baseline is the engine's, and it
-// rebases on the publish itself.
-func (o *Observer) Published(*core.Router) {}
 
 // loop is the background scorer: single goroutine, paced to
 // Config.MaxPerSec, exits on Close.

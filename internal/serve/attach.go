@@ -3,14 +3,13 @@ package serve
 import (
 	"net/http"
 
-	"repro/internal/core"
 	"repro/internal/traj"
 )
 
 // Attachment is something that rides on an engine: it serves one
-// endpoint of the engine's HTTP API, sees every applied ingest batch
-// and every published snapshot, and reports through its block of
-// Stats. internal/stream's Ingestor (POST /stream), internal/quality's
+// endpoint of the engine's HTTP API, sees every applied ingest batch,
+// and reports through its block of Stats; what a publish installs is
+// the engine's (Engine.Drift, Engine.Accrual). internal/stream's Ingestor (POST /stream), internal/quality's
 // Observer (GET /debug/quality) and internal/maint's Maintainer
 // (GET /debug/maint) implement it; Engine.Attach registers one.
 type Attachment interface {
@@ -21,13 +20,6 @@ type Attachment interface {
 	// the write path under writeMu and must never block: sample, copy,
 	// enqueue or drop.
 	OfferTrajectories(ts []*traj.Trajectory)
-	// Published says r replaced the served snapshot other than by an
-	// ingest — Engine.Publish, or a RebuildSnapshot landing — so state
-	// derived from the replaced model (evidence counters) can rebase.
-	// The drift baseline is not an attachment's: the engine has already
-	// rebased it on r. Runs under writeMu; must not call back into the
-	// engine's write path.
-	Published(r *core.Router)
 	// Report fills the attachment's block of st (Stats.Stream, .Quality
 	// or .Maintenance), which /stats, /metrics and /debug/snapshot read.
 	Report(st *Stats)
@@ -47,10 +39,11 @@ type attached struct {
 
 // Attach registers a on the engine, after those already there; the
 // engine closes it with itself. Attaching on an endpoint that has an
-// attachment replaces it: the old one is offered and told nothing
-// further, and stopping it stays its owner's business. Safe at any time, also after Handler() was built
-// and under traffic — the list is copy-on-write, and its readers (the
-// write path, Stats, the HTTP dispatch) take no lock.
+// attachment replaces it: the old one is offered nothing further, and
+// stopping it stays its owner's business. Safe at any time, also after
+// Handler() was built and under traffic — the list is copy-on-write,
+// and its readers (the write path, Stats, the HTTP dispatch) take no
+// lock.
 func (e *Engine) Attach(a Attachment) {
 	path, h := a.Endpoint()
 	for {

@@ -18,19 +18,17 @@ import (
 
 // fakeAttachment records what the engine tells it. log, when set, is
 // shared between attachments and receives "<name>:offer" /
-// "<name>:published" / "<name>:close" in call order — the engine calls
-// the first two under writeMu and Close from the one goroutine closing
-// it, so appends never race.
+// "<name>:close" in call order — the engine offers under writeMu and
+// calls Close from the one goroutine closing it, so appends never race.
 type fakeAttachment struct {
 	name, path string
 	report     func(*Stats)
 	queue      func(*DebugSnapshot) // ReportQueue, when set
 	log        *[]string
 
-	mu        sync.Mutex
-	offered   int
-	published int
-	closed    int
+	mu      sync.Mutex
+	offered int
+	closed  int
 }
 
 func (f *fakeAttachment) Endpoint() (string, http.Handler) {
@@ -45,15 +43,6 @@ func (f *fakeAttachment) OfferTrajectories(ts []*traj.Trajectory) {
 	f.mu.Unlock()
 	if f.log != nil {
 		*f.log = append(*f.log, f.name+":offer")
-	}
-}
-
-func (f *fakeAttachment) Published(*core.Router) {
-	f.mu.Lock()
-	f.published++
-	f.mu.Unlock()
-	if f.log != nil {
-		*f.log = append(*f.log, f.name+":published")
 	}
 }
 
@@ -78,10 +67,10 @@ func (f *fakeAttachment) Close() {
 	}
 }
 
-func (f *fakeAttachment) counts() (offered, published int) {
+func (f *fakeAttachment) offers() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.offered, f.published
+	return f.offered
 }
 
 func getBody(t *testing.T, url string, wantStatus int) string {
@@ -135,18 +124,18 @@ func TestAttachAfterHandlerAndReplace(t *testing.T) {
 	}
 	e.Ingest(fresh[3:8])
 	e.Publish(base.IngestClone())
-	if off, pub := first.counts(); off != 3 || pub != 0 {
-		t.Fatalf("replaced attachment saw %d trajectories, %d publishes; want 3, 0", off, pub)
+	if off := first.offers(); off != 3 {
+		t.Fatalf("replaced attachment saw %d trajectories, want 3", off)
 	}
-	if off, pub := second.counts(); off != 5 || pub != 1 {
-		t.Fatalf("new attachment saw %d trajectories, %d publishes; want 5, 1", off, pub)
+	if off := second.offers(); off != 5 {
+		t.Fatalf("new attachment saw %d trajectories, want 5", off)
 	}
 }
 
-// TestAttachOrderAndPublished: every attachment is offered every batch
-// in registration order, and Published reaches all of them from both
-// Publish and RebuildSnapshot.
-func TestAttachOrderAndPublished(t *testing.T) {
+// TestAttachOrder: every attachment is offered every batch in
+// registration order, and nothing else reaches them from the write
+// path — neither Publish nor a RebuildSnapshot, landing or failing.
+func TestAttachOrder(t *testing.T) {
 	base, fresh := sharedWorld(t)
 	e := NewEngine(base.Clone(), Options{})
 	var log []string
@@ -165,7 +154,7 @@ func TestAttachOrderAndPublished(t *testing.T) {
 		t.Fatal("failed rebuild reported no error")
 	}
 
-	want := "a:offer b:offer a:offer b:offer a:published b:published a:published b:published"
+	want := "a:offer b:offer a:offer b:offer"
 	if got := strings.Join(log, " "); got != want {
 		t.Fatalf("notifications:\n got %s\nwant %s", got, want)
 	}

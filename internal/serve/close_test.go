@@ -27,8 +27,7 @@ func (c *closeLog) Endpoint() (string, http.Handler) { return "/" + c.name, http
 func (c *closeLog) OfferTrajectories([]*traj.Trajectory) {
 	*c.log = append(*c.log, c.name+":offer")
 }
-func (c *closeLog) Published(*core.Router) {}
-func (c *closeLog) Report(*serve.Stats)    {}
+func (c *closeLog) Report(*serve.Stats) {}
 func (c *closeLog) Close() {
 	c.closed++
 	*c.log = append(*c.log, c.name+":close")

@@ -219,10 +219,10 @@ func (e *Engine) handleDebugSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *Fleet) handleDebugSnapshot(w http.ResponseWriter, r *http.Request) {
-	engines := f.snapshotEngines()
-	per := make(map[string]DebugSnapshot, len(engines))
-	for name, e := range engines {
-		per[name] = e.DebugSnapshotNow()
+	reg := f.registry()
+	per := make(map[string]DebugSnapshot, len(reg))
+	for name, t := range reg {
+		per[name] = t.eng.DebugSnapshotNow()
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{
 		"tenants":    len(per),

@@ -23,7 +23,6 @@ func (c *countingReports) Endpoint() (string, http.Handler) {
 	return "/counting", http.NotFoundHandler()
 }
 func (c *countingReports) OfferTrajectories([]*traj.Trajectory) {}
-func (c *countingReports) Published(*core.Router)               {}
 func (c *countingReports) Report(*serve.Stats)                  { c.reports.Add(1) }
 func (c *countingReports) Close()                               {}
 

@@ -79,9 +79,12 @@
 // the same snapshot machinery — in-flight queries finish on the
 // generation they loaded, and a half-written file fails its checksum
 // and is retried on the next scan instead of dethroning the serving
-// snapshot. A new tenant's engine — checkpoint decode, WAL replay and
-// all — is constructed outside the registry lock, so a hot-load stalls
-// nobody, and the tenant is listed only once it serves. The fleet is
+// snapshot. The registry is an immutable map behind an atomic pointer,
+// replaced by writers under one mutex, so no read waits on a writer —
+// not even on a hot swap stuck behind its tenant's maintenance
+// rebuild. A new tenant's engine — checkpoint decode, WAL replay and
+// all — is built before that mutex is taken, and the tenant is listed
+// only once it serves. The fleet is
 // only a registry: each tenant's engine owns its lifecycle, and the
 // fleet mounts the engine's bare API under /t/{tenant} inside its own
 // request-ID and tracing middleware, so every request is stamped and
@@ -91,10 +94,12 @@
 //
 // What rides on an engine does so through one seam: Engine.Attach
 // takes an Attachment (the endpoint it serves, what to do with an
-// applied batch and with a published snapshot, how to fill its block
-// of Stats) and keeps a copy-on-write list that the write path — offers
-// and publish notices run under writeMu and may not block — Stats,
-// /debug/snapshot and the HTTP dispatch read without a lock.
+// applied batch, how to fill its block of Stats) and keeps a
+// copy-on-write list that the write path — the offer, the one
+// attachment call under writeMu, may not block — Stats,
+// /debug/snapshot and the HTTP dispatch read without a lock. What a
+// publish installs is on the served snapshot's books, read through
+// Engine.Drift and Engine.Accrual.
 // internal/stream's Ingestor (POST /stream; its batches enter through
 // IngestMatched, many trajectories per swap), internal/quality's
 // Observer (GET /debug/quality) and internal/maint's Maintainer
@@ -110,7 +115,7 @@
 // between the two, so the next start replays nothing. Both act once.
 //
 // Fleet.Attach registers a function the fleet runs for every tenant,
-// present and future, under the registry lock; Remove and Close close
+// present and future, before a new tenant is listed; Remove and Close close
 // the tenant's engine, which stops what the function attached. A hot
 // swap keeps the engine and everything on it.
 //

@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/region"
 )
 
@@ -56,11 +58,48 @@ func (s *snapshot) driftOf() Drift {
 	return s.drift
 }
 
-// baseline is the preference distribution of the model NewEngine or a
-// publish installed, and the generation it was installed at.
+// baseline is what NewEngine or a publish records of the model it
+// installs.
 type baseline struct {
-	gen  uint64
-	dist prefDist
+	gen       uint64    // the generation it was installed as
+	dist      prefDist  // its preference distribution, which Drift compares against
+	at        time.Time // when it was installed
+	tedges    int       // its T-edge count
+	paths     uint64    // books.paths at the install
+	recovered int       // trajectories start-up recovery replayed onto it (NewDurableEngine)
+}
+
+// install is the baseline of r installed as generation gen.
+func install(r *core.Router, gen, paths uint64, recovered int) baseline {
+	rg := r.RegionGraph()
+	return baseline{gen: gen, dist: prefDistOf(rg), at: time.Now(), tedges: rg.TEdgeCount(), paths: paths, recovered: recovered}
+}
+
+// Accrual is the evidence the served snapshot holds beyond the model
+// last installed — by NewEngine, Engine.Publish or a RebuildSnapshot
+// landing. The maintainer's evidence and timer triggers read it.
+type Accrual struct {
+	Generation      uint64    // the snapshot generation it was read from
+	Paths           uint64    // paths ingests folded in (IngestStats.Paths) since the engine was built
+	SinceInstall    int       // paths folded in since the install, Recovered included
+	Recovered       int       // trajectories start-up recovery replayed, until the first publish
+	InstalledAt     time.Time // when the installed model was installed
+	InstalledTEdges int       // the installed model's T-edge count
+}
+
+// Accrual reads the served snapshot's accrual: one snapshot load, no
+// lock.
+func (e *Engine) Accrual() Accrual {
+	s := e.snap.Load()
+	b := &s.books
+	return Accrual{
+		Generation:      s.gen,
+		Paths:           b.paths,
+		SinceInstall:    int(b.paths-b.baseline.paths) + b.baseline.recovered,
+		Recovered:       b.baseline.recovered,
+		InstalledAt:     b.baseline.at,
+		InstalledTEdges: b.baseline.tedges,
+	}
 }
 
 // prefMass is one outcome of a preference distribution and its share:

@@ -36,10 +36,6 @@ type durability struct {
 	replayedTrajs           int
 	tornTail                bool
 	recoveredSeq            uint64
-
-	// unclaimedTrajs is replayedTrajs until TakeRecoveredEvidence hands
-	// it over, then 0 (writeMu).
-	unclaimedTrajs int
 }
 
 // NewDurableEngine wraps a built router for serving with durable
@@ -110,7 +106,6 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 	d.log = log
 	d.replayedRecords = ri.Records
 	d.replayedTrajs = ri.Trajectories
-	d.unclaimedTrajs = ri.Trajectories
 	d.tornTail = ri.Torn
 	d.recoveredSeq = ri.NextSeq
 	d.walSeq.Store(ri.NextSeq)
@@ -127,7 +122,9 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 			}
 		}
 	}
-	e := NewEngine(base, opt)
+	// The log holds the evidence ingested since the last checkpoint;
+	// Accrual counts it, so a crash forgets none that no rebuild took in.
+	e := newEngine(base, opt, ri.Trajectories)
 	e.dur = d
 	// Keep NextTrajectoryID unique across restarts: IDs handed out by
 	// this process must not collide with the checkpoint's watermark or
@@ -139,25 +136,6 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 // Durable reports whether the engine journals ingested batches to a
 // write-ahead log.
 func (e *Engine) Durable() bool { return e.dur != nil }
-
-// TakeRecoveredEvidence returns how many trajectories start-up
-// recovery replayed from the write-ahead log, handing the count over
-// exactly once (a second call — or any call on a non-durable or
-// replay-free engine — returns 0). The log holds exactly the evidence
-// ingested since the last checkpoint, so internal/maint seeds its
-// accumulator from here: a crash never silently forgets evidence that
-// had not yet counted toward a rebuild trigger. The batches themselves
-// are not kept: the replay folded them into the served router.
-func (e *Engine) TakeRecoveredEvidence() int {
-	if e.dur == nil {
-		return 0
-	}
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	n := e.dur.unclaimedTrajs
-	e.dur.unclaimedTrajs = 0
-	return n
-}
 
 // Checkpoint synchronously persists the currently served router as the
 // WAL directory's checkpoint (as a core artifact, save generation

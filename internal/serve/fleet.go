@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -26,21 +27,23 @@ import (
 // (Remove, Close) has its engine closed, once, and the engine stops
 // whatever its Attach functions put on it.
 //
-// All methods are safe for concurrent use. Lookups on the query path
-// take a read lock only; tenant registration, removal and artifact
-// publication serialize on a write lock but never block in-flight
-// queries — a hot swap goes through the tenant engine's snapshot
+// All methods are safe for concurrent use. The registry is an
+// immutable map behind an atomic pointer: lookups, the HTTP front-end
+// and the fleet's aggregates load it and take no lock. Tenant
+// registration, removal and artifact publication serialize on mu and
+// store a copy — a hot swap goes through the tenant engine's snapshot
 // machinery (Engine.Publish), so queries racing the swap finish on the
 // generation they loaded — and a new tenant's engine is constructed
-// (checkpoint decode, CH contraction, WAL replay) before the lock is
-// taken, so a hot-load never stalls the other tenants.
+// (checkpoint decode, CH contraction, WAL replay) before mu is taken,
+// so a hot-load never stalls the other tenants' writers either.
 type Fleet struct {
 	opt   Options // engine options for tenants the fleet creates
 	start time.Time
 
-	mu      sync.RWMutex
-	tenants map[string]*tenant
-	attach  []func(name string, e *Engine) // Attach's functions, in registration order
+	tenants atomic.Pointer[map[string]*tenant] // never a nil map; replaced, never mutated
+
+	mu     sync.Mutex                     // serializes the registry's writers
+	attach []func(name string, e *Engine) // Attach's functions, in registration order (mu)
 }
 
 // tenant pairs an engine with its HTTP handler — the engine's bare API
@@ -60,7 +63,24 @@ func newTenant(name string, e *Engine) *tenant {
 // fleet creates for its tenants (cache sizing, ingest tuning, path
 // backend).
 func NewFleet(opt Options) *Fleet {
-	return &Fleet{opt: opt, start: time.Now(), tenants: make(map[string]*tenant)}
+	f := &Fleet{opt: opt, start: time.Now()}
+	f.tenants.Store(&map[string]*tenant{})
+	return f
+}
+
+// registry returns the current tenant map; callers must not modify it.
+func (f *Fleet) registry() map[string]*tenant { return *f.tenants.Load() }
+
+// storeWith stores a copy of the registry with name set to t, or
+// removed when t is nil; mu held.
+func (f *Fleet) storeWith(name string, t *tenant) {
+	next := maps.Clone(f.registry())
+	if t == nil {
+		delete(next, name)
+	} else {
+		next[name] = t
+	}
+	f.tenants.Store(&next)
 }
 
 // validTenantName rejects names that cannot be addressed as one URL
@@ -95,15 +115,17 @@ func (f *Fleet) tenantOptions(name string) Options {
 // not a hot swap, which keeps the tenant's engine and whatever rides on
 // it). Several Attach functions run in registration order. What fn
 // attaches to the engine is stopped by the engine's Close when the
-// tenant leaves the registry. fn runs while the registry write lock is
-// held, so no request reaches a tenant before its attachments exist; it
-// must not call back into the Fleet.
+// tenant leaves the registry. fn runs while the registry's writers are
+// held off, and before a new tenant is stored, so no request reaches a
+// tenant before its attachments exist; it must not call back into the
+// Fleet.
 func (f *Fleet) Attach(fn func(name string, e *Engine)) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.attach = append(f.attach, fn)
-	for _, name := range slices.Sorted(maps.Keys(f.tenants)) {
-		fn(name, f.tenants[name].eng)
+	reg := f.registry()
+	for _, name := range slices.Sorted(maps.Keys(reg)) {
+		fn(name, reg[name].eng)
 	}
 }
 
@@ -115,8 +137,8 @@ func (f *Fleet) Attach(fn func(name string, e *Engine)) {
 // log left by a previous process is the tenant's live state, not the
 // bare artifact — and recovery failures (a corrupt log, a foreign road
 // network) are returned rather than served around. The engine is
-// constructed outside the registry lock, then registered, and the
-// Attach functions run, under it.
+// constructed before mu is taken; under it the Attach functions run,
+// and then the tenant is stored.
 func (f *Fleet) Add(name string, r *core.Router) (*Engine, error) {
 	if err := validTenantName(name); err != nil {
 		return nil, err
@@ -124,7 +146,7 @@ func (f *Fleet) Add(name string, r *core.Router) (*Engine, error) {
 	// Cheap pre-check before engine construction, which may run
 	// minutes of CH preprocessing (and mutates r) — ownership must not
 	// be touched when the add is doomed. The authoritative check under
-	// the write lock below still catches a racing Add.
+	// mu below still catches a racing Add.
 	if _, ok := f.Get(name); ok {
 		return nil, fmt.Errorf("serve: tenant %q already exists", name)
 	}
@@ -134,7 +156,7 @@ func (f *Fleet) Add(name string, r *core.Router) (*Engine, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.tenants[name]; ok {
+	if _, ok := f.registry()[name]; ok {
 		// Lost a race with a concurrent Add/Publish of the same name;
 		// release the loser's WAL handle rather than leaking it.
 		e.Close()
@@ -143,7 +165,7 @@ func (f *Fleet) Add(name string, r *core.Router) (*Engine, error) {
 	for _, fn := range f.attach {
 		fn(name, e)
 	}
-	f.tenants[name] = newTenant(name, e)
+	f.storeWith(name, newTenant(name, e))
 	return e, nil
 }
 
@@ -160,11 +182,11 @@ func (f *Fleet) Publish(name string, r *core.Router) (uint64, error) {
 		return 0, err
 	}
 	f.mu.Lock()
-	if t, ok := f.tenants[name]; ok {
-		// The registry write lock is held across the engine swap so a
-		// concurrent Remove+Add of the same name cannot orphan this
-		// publish; Engine.Publish is O(1) (build a snapshot, swap a
-		// pointer), so lookups block only briefly.
+	if t, ok := f.registry()[name]; ok {
+		// mu is held across the swap so a racing Remove+Add of the
+		// same name cannot land this publish (and a durable tenant's
+		// checkpoint) on an engine Remove closed. Readers never take
+		// mu, so a publish stuck behind a rebuild stalls writers only.
 		defer f.mu.Unlock()
 		t.eng.Publish(r)
 		return t.eng.Generation(), nil
@@ -186,8 +208,10 @@ func (f *Fleet) Publish(name string, r *core.Router) (uint64, error) {
 // the closed write-ahead log (durable: false). New lookups miss.
 func (f *Fleet) Remove(name string) bool {
 	f.mu.Lock()
-	t, ok := f.tenants[name]
-	delete(f.tenants, name)
+	t, ok := f.registry()[name]
+	if ok {
+		f.storeWith(name, nil)
+	}
 	f.mu.Unlock()
 	if ok {
 		// The close error concerns a WAL the tenant no longer uses.
@@ -198,9 +222,7 @@ func (f *Fleet) Remove(name string) bool {
 
 // Get returns the named tenant's engine.
 func (f *Fleet) Get(name string) (*Engine, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	t, ok := f.tenants[name]
+	t, ok := f.registry()[name]
 	if !ok {
 		return nil, false
 	}
@@ -209,26 +231,12 @@ func (f *Fleet) Get(name string) (*Engine, bool) {
 
 // Names returns the registered tenant names, sorted.
 func (f *Fleet) Names() []string {
-	return slices.Sorted(maps.Keys(f.snapshotEngines()))
-}
-
-// snapshotEngines copies the tenant→engine map under the read lock so
-// callers can iterate without holding it.
-func (f *Fleet) snapshotEngines() map[string]*Engine {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	engines := make(map[string]*Engine, len(f.tenants))
-	for name, t := range f.tenants {
-		engines[name] = t.eng
-	}
-	return engines
+	return slices.Sorted(maps.Keys(f.registry()))
 }
 
 // Len returns the number of registered tenants.
 func (f *Fleet) Len() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.tenants)
+	return len(f.registry())
 }
 
 // Close removes every tenant, as Remove does: each engine is closed,
@@ -237,8 +245,8 @@ func (f *Fleet) Len() int {
 // down first (Engine.Shutdown) for replay-free restarts.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
-	tenants := f.tenants
-	f.tenants = make(map[string]*tenant)
+	tenants := f.registry()
+	f.tenants.Store(&map[string]*tenant{})
 	f.mu.Unlock()
 	var first error
 	for _, t := range tenants {
@@ -285,15 +293,15 @@ type FleetStats struct {
 
 // Stats gathers a point-in-time aggregate across all tenants.
 func (f *Fleet) Stats() FleetStats {
-	engines := f.snapshotEngines()
+	reg := f.registry()
 	fs := FleetStats{
 		Uptime:    time.Since(f.start),
-		Tenants:   len(engines),
-		PerTenant: make(map[string]Stats, len(engines)),
+		Tenants:   len(reg),
+		PerTenant: make(map[string]Stats, len(reg)),
 	}
 	merged := &obs.Histogram{}
-	for name, e := range engines {
-		rd := e.read()
+	for name, t := range reg {
+		rd := t.eng.read()
 		st := &rd.st
 		fs.PerTenant[name] = *st
 		merged.Merge(rd.all)

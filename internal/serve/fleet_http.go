@@ -68,9 +68,7 @@ func (f *Fleet) handleTenant(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "missing tenant name; use /t/{tenant}/route")
 		return
 	}
-	f.mu.RLock()
-	t, ok := f.tenants[name]
-	f.mu.RUnlock()
+	t, ok := f.registry()[name]
 	if !ok {
 		WriteError(w, http.StatusNotFound, "unknown tenant %q", name)
 		return
@@ -99,10 +97,10 @@ func splitTenant(p string) (name, rest string, ok bool) {
 }
 
 func (f *Fleet) handleTenants(w http.ResponseWriter, r *http.Request) {
-	engines := f.snapshotEngines()
-	infos := make([]TenantInfo, 0, len(engines))
-	for _, name := range slices.Sorted(maps.Keys(engines)) {
-		rd := engines[name].read()
+	reg := f.registry()
+	infos := make([]TenantInfo, 0, len(reg))
+	for _, name := range slices.Sorted(maps.Keys(reg)) {
+		rd := reg[name].eng.read()
 		meta := rd.router.Meta()
 		infos = append(infos, TenantInfo{
 			Name:               name,
@@ -126,9 +124,9 @@ func (f *Fleet) handleStats(w http.ResponseWriter, r *http.Request) {
 // omitted). Exemplar detail lives on the per-tenant endpoint.
 func (f *Fleet) handleQuality(w http.ResponseWriter, r *http.Request) {
 	per := make(map[string]QualityStats)
-	for name, e := range f.snapshotEngines() {
+	for name, t := range f.registry() {
 		var st Stats
-		e.reportAttached(&st)
+		t.eng.reportAttached(&st)
 		if st.Quality != nil {
 			per[name] = *st.Quality
 		}
@@ -140,14 +138,14 @@ func (f *Fleet) handleQuality(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	engines := f.snapshotEngines()
-	generations := make(map[string]uint64, len(engines))
-	for name, e := range engines {
-		generations[name] = e.Generation()
+	reg := f.registry()
+	generations := make(map[string]uint64, len(reg))
+	for name, t := range reg {
+		generations[name] = t.eng.Generation()
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
-		"tenants":     len(engines),
+		"tenants":     len(reg),
 		"generations": generations,
 	})
 }

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -475,11 +478,109 @@ func TestFleetPublishNewTenantDoesNotBlockLookups(t *testing.T) {
 	<-looked
 	q := queries(fresh, 1)[0]
 	getJSON(t, fmt.Sprintf("%s/t/b/route?src=%d&dst=%d", srv.URL, q.Src, q.Dst), http.StatusOK, nil)
-	f.mu.RLock()
-	defer f.mu.RUnlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if attached["a"] != 1 || attached["b"] != 1 {
 		t.Fatalf("attach counts %v, want a and b once each", attached)
 	}
+}
+
+// TestFleetReadsDoNotWaitOnTenantPublish: a hot swap of one tenant
+// waits for that tenant's write lock — here a maintenance rebuild
+// parked inside its rebuild function — and the fleet's reads do not
+// wait with it: both tenants' routes, /stats and /tenants each answer
+// within 5 s while the publish is stuck, and the publish lands once the
+// rebuild does.
+func TestFleetReadsDoNotWaitOnTenantPublish(t *testing.T) {
+	base, fresh := sharedWorld(t)
+	f := NewFleet(Options{})
+	defer f.Close()
+	a, err := f.Add("a", base.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Add("b", base.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unpark()
+	rebuilt := make(chan error, 1)
+	go func() {
+		_, err := a.RebuildSnapshot(context.Background(), func(*core.Router) error {
+			close(parked)
+			<-release
+			return nil
+		})
+		rebuilt <- err
+	}()
+	<-parked
+	published := make(chan error, 1)
+	go func() {
+		_, err := f.Publish("a", base.IngestClone())
+		published <- err
+	}()
+	// The publish is stuck once its goroutine is inside Engine.Publish,
+	// waiting for the write lock the rebuild holds.
+	for deadline := time.Now().Add(10 * time.Second); !stackHas("serve.(*Engine).Publish("); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Fleet.Publish never reached the tenant's engine")
+		}
+	}
+
+	q := queries(fresh, 1)[0]
+	for _, path := range []string{
+		fmt.Sprintf("/t/b/route?src=%d&dst=%d", q.Src, q.Dst),
+		fmt.Sprintf("/t/a/route?src=%d&dst=%d", q.Src, q.Dst),
+		"/stats",
+		"/tenants",
+	} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			resp, err := http.Get(srv.URL + path)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("GET %s = %d, want 200", path, resp.StatusCode)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("GET %s waited on tenant a's publish", path)
+		}
+	}
+	select {
+	case err := <-published:
+		t.Fatalf("Publish returned (%v) while the rebuild held the write lock", err)
+	default:
+	}
+
+	unpark()
+	if err := <-rebuilt; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-published; err != nil {
+		t.Fatal(err)
+	}
+	if g := a.Generation(); g != 3 {
+		t.Fatalf("tenant a at generation %d after a rebuild and a publish, want 3", g)
+	}
+}
+
+// stackHas reports whether any goroutine's stack holds a frame whose
+// name starts with fn.
+func stackHas(fn string) bool {
+	buf := make([]byte, 1<<20)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte(fn))
 }
 
 // TestTenantPathSplit pins what each reader of the /t/{tenant} prefix

@@ -12,19 +12,22 @@ import (
 // evidence counts, trigger gauges, and the history of
 // clone-rebuild-publish cycles it has driven. Present in Stats()/the
 // /stats body only when a maintainer is attached (internal/maint's
-// Attach).
+// Attach). The evidence counts and SinceRebuild are the engine's
+// (Engine.Accrual).
 type MaintStats struct {
-	// Accumulated counts every matched trajectory offered to the
-	// maintainer since attach, and RecoverySeeded the ones seeded from
-	// WAL replay at start (evidence ingested since the last checkpoint
-	// that must still count toward the next rebuild's trigger).
+	// Accumulated counts the paths ingests folded in since the engine
+	// was constructed, and RecoverySeeded the trajectories start-up
+	// recovery replayed (evidence ingested since the last checkpoint
+	// that must still count toward the next rebuild's trigger) until
+	// the first publish.
 	Accumulated    uint64 `json:"accumulated"`
 	RecoverySeeded int    `json:"recovery_seeded"`
 
-	// Trigger gauges: evidence accumulated since the last rebuild, the
-	// engine's drift gauge (Engine.Drift: the served snapshot against
-	// the model last installed), and the configured
-	// thresholds a trigger check compares them to.
+	// Trigger gauges: evidence folded in since the model last installed
+	// (RecoverySeeded included), the engine's drift gauge (Engine.Drift:
+	// the served snapshot against that model), the time since it was
+	// installed, and the configured thresholds a trigger check compares
+	// them to.
 	EvidenceSinceRebuild int           `json:"evidence_since_rebuild"`
 	DriftTV              float64       `json:"drift_tv"`
 	DriftThreshold       float64       `json:"drift_threshold"`

@@ -190,11 +190,11 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 // histograms once, and process runtime gauges once.
 func (f *Fleet) WriteMetrics(w io.Writer) error {
 	pw := obs.NewPromWriter(w)
-	engines := f.snapshotEngines()
-	pw.Gauge("l2r_tenants", "Registered tenants.", float64(len(engines)))
+	reg := f.registry()
+	pw.Gauge("l2r_tenants", "Registered tenants.", float64(len(reg)))
 	merged := &obs.Histogram{}
-	for _, name := range slices.Sorted(maps.Keys(engines)) {
-		e := engines[name]
+	for _, name := range slices.Sorted(maps.Keys(reg)) {
+		e := reg[name].eng
 		rd := e.read()
 		e.writeProm(pw, &rd, obs.Label{Name: "tenant", Value: name})
 		merged.Merge(rd.all)

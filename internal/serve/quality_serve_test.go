@@ -12,15 +12,14 @@ import (
 )
 
 // TestEngineOffersIngestToQualitySource proves the engine's plumbing
-// for a quality-shaped attachment (offer on ingest, rebase on Publish,
-// stats/metrics surfaces) with a fake, since internal/quality imports
-// serve.
+// for a quality-shaped attachment (offer on ingest, stats/metrics
+// surfaces) with a fake, since internal/quality imports serve.
 func TestEngineOffersIngestToQualitySource(t *testing.T) {
 	base, fresh := sharedWorld(t)
 	e := NewEngine(base.Clone(), Options{})
 	fq := &fakeAttachment{path: "/debug/quality"}
 	fq.report = func(st *Stats) {
-		n, _ := fq.counts()
+		n := fq.offers()
 		st.Quality = &QualityStats{
 			SampleRate: 0.5,
 			Scored:     uint64(n),
@@ -30,12 +29,8 @@ func TestEngineOffersIngestToQualitySource(t *testing.T) {
 	e.Attach(fq)
 
 	e.Ingest(fresh[:12])
-	if got, _ := fq.counts(); got != 12 {
+	if got := fq.offers(); got != 12 {
 		t.Fatalf("quality source saw %d trajectories, want 12", got)
-	}
-	e.Publish(base.IngestClone())
-	if _, got := fq.counts(); got != 1 {
-		t.Fatalf("Published hook fired %d times, want 1", got)
 	}
 
 	st := e.Stats()

@@ -120,7 +120,8 @@ type books struct {
 	ingestLag     time.Duration    // wall time of the last copy-on-write ingest
 	customizeLag  time.Duration    // CH re-customization time within it
 	swapLag       time.Duration    // its clone+customize+publish (serving swap) time
-	baseline      baseline         // what Drift measures against: the last installed model
+	paths         uint64           // cumulative IngestStats.Paths: the paths ingests folded in
+	baseline      baseline         // the last installed model: what Drift and Accrual measure against
 }
 
 func newSnapshot(base *core.Router, gen uint64, b books) *snapshot {
@@ -166,18 +167,25 @@ type Engine struct {
 }
 
 // NewEngine wraps a built router for serving, as generation 1, and
-// takes r's preference mix as the drift baseline until the first
-// publish. The engine takes ownership: the caller must not mutate r
+// installs r as the model Drift and Accrual measure against until the
+// first publish. The engine takes ownership: the caller must not mutate r
 // (or Clones of it) afterwards. Durability options (Options.WALDir)
 // are ignored here — use NewDurableEngine, which can fail on recovery.
 func NewEngine(r *core.Router, opt Options) *Engine {
+	return newEngine(r, opt, 0)
+}
+
+// newEngine is NewEngine with the number of trajectories start-up
+// recovery replayed onto r, which Accrual counts as evidence until the
+// first publish.
+func newEngine(r *core.Router, opt Options, recovered int) *Engine {
 	opt = opt.withDefaults()
 	e := &Engine{opt: opt, start: time.Now(), trc: opt.Tracer}
 	e.attachments.Store(new([]attached))
 	if opt.CacheSize > 0 {
 		e.cache = newRouteCache(opt.CacheSize, cacheShards)
 	}
-	e.snap.Store(newSnapshot(r, 1, books{lastSwap: e.start, baseline: baseline{gen: 1, dist: prefDistOf(r.RegionGraph())}}))
+	e.snap.Store(newSnapshot(r, 1, books{lastSwap: e.start, baseline: install(r, 1, 0, recovered)}))
 	return e
 }
 
@@ -376,6 +384,7 @@ func (e *Engine) ingestDurable(ctx context.Context, b wal.Batch) (core.IngestSta
 	bk.lastStaleness = st.StalenessRatio()
 	bk.oorVertices += uint64(st.OutOfRegionVertices)
 	bk.vertices += uint64(st.TotalVertices)
+	bk.paths += uint64(st.Paths)
 	bk.customizeLag = customize
 	sw := sp.Start("snapshot.swap")
 	now := time.Now()
@@ -388,7 +397,7 @@ func (e *Engine) ingestDurable(ctx context.Context, b wal.Batch) (core.IngestSta
 		// Offer the applied batch. The contract is non-blocking (sample,
 		// copy, enqueue-or-drop), so holding writeMu here is fine and
 		// every ingest path — HTTP /ingest, stream flushes, library
-		// calls — funnels through one hook.
+		// calls — funnels through one hook, the only attachment call.
 		a.OfferTrajectories(b.Trajs)
 	}
 	if e.dur != nil && durable && e.dur.shouldCheckpoint() {
@@ -468,8 +477,8 @@ func (e *Engine) Publish(r *core.Router) {
 	e.publishLocked(r, true)
 }
 
-// publishLocked swaps r in as the next generation, rebases the drift
-// baseline on it and notifies the attachments; writeMu held. external
+// publishLocked swaps r in as the next generation and installs it as
+// the model Drift and Accrual measure against; writeMu held. external
 // marks routers built outside this engine's serving lineage (Publish):
 // they may sit on a different road network, so the WAL identity is
 // rebound and the checkpoint generation resets to the artifact's own.
@@ -480,14 +489,9 @@ func (e *Engine) publishLocked(r *core.Router, external bool) uint64 {
 	cur := e.snap.Load()
 	gen := cur.gen + 1
 	bk := cur.books
-	bk.lastSwap = time.Now()
-	bk.baseline = baseline{gen: gen, dist: prefDistOf(r.RegionGraph())}
+	bk.baseline = install(r, gen, bk.paths, 0)
+	bk.lastSwap = bk.baseline.at
 	e.snap.Store(newSnapshot(r, gen, bk))
-	for _, a := range *e.attachments.Load() {
-		// Whatever an attachment derived from the model this publish
-		// just replaced (evidence counters) rebases on r.
-		a.Published(r)
-	}
 	if e.dur != nil {
 		if external {
 			// The published router may sit on a different road network

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -341,4 +342,112 @@ func TestReadsDoNotWaitOnRebuild(t *testing.T) {
 	if err := <-rebuilt; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAccrualBooks: the evidence the served snapshot holds beyond the
+// installed model is the engine's. Each ingest adds the paths it folded
+// in; a Publish and a RebuildSnapshot landing install a model and zero
+// the count, a failed rebuild does not; a restart over an unchecked
+// write-ahead log starts from the trajectories it replayed. Readers
+// racing ingests see a count and a generation from one snapshot.
+func TestAccrualBooks(t *testing.T) {
+	base, fresh := sharedWorld(t)
+	var usable []*traj.Trajectory
+	for _, tr := range fresh {
+		if len(tr.Truth) >= 2 {
+			usable = append(usable, tr)
+		}
+	}
+	batches := matchedBatches(usable, 4)
+	dir := t.TempDir()
+	e, err := NewDurableEngine(base.IngestClone(), Options{WALDir: dir, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, wantPaths uint64, wantSince, wantRecovered int) {
+		t.Helper()
+		ac := e.Accrual()
+		if ac.Generation != e.Generation() || ac.Paths != wantPaths || ac.SinceInstall != wantSince || ac.Recovered != wantRecovered {
+			t.Fatalf("%s: accrual %+v, want generation %d, %d paths, %d since install, %d recovered",
+				what, ac, e.Generation(), wantPaths, wantSince, wantRecovered)
+		}
+	}
+	check("new engine", 0, 0, 0)
+	installed := e.Accrual().InstalledAt
+	for i, b := range batches[:3] {
+		if st, _ := e.IngestMatched(b); st.Paths != len(b) {
+			t.Fatalf("batch %d folded in %d paths, want %d", i, st.Paths, len(b))
+		}
+		check("ingest", uint64(4*(i+1)), 4*(i+1), 0)
+	}
+	if !e.Accrual().InstalledAt.Equal(installed) {
+		t.Fatal("an ingest moved the install time")
+	}
+
+	if _, err := e.RebuildSnapshot(context.Background(), func(*core.Router) error { return fmt.Errorf("nope") }); err == nil {
+		t.Fatal("failed rebuild reported no error")
+	}
+	check("failed rebuild", 12, 12, 0)
+	if _, err := e.RebuildSnapshot(context.Background(), func(*core.Router) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	check("rebuild", 12, 0, 0)
+	if !e.Accrual().InstalledAt.After(installed) {
+		t.Fatal("a rebuild landing did not move the install time")
+	}
+	e.IngestMatched(batches[3])
+	check("ingest after rebuild", 16, 4, 0)
+	e.Publish(e.Snapshot().IngestClone())
+	check("publish", 16, 0, 0)
+
+	// Two batches after the publish's checkpoint, then a crash: the
+	// restart replays their 8 trajectories and counts them.
+	e.IngestMatched(batches[4])
+	e.IngestMatched(batches[5])
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if e, err = NewDurableEngine(base.IngestClone(), Options{WALDir: dir, CheckpointEvery: -1}); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	check("restart", 0, 8, 8)
+	e.IngestMatched(batches[6])
+	check("ingest after restart", 4, 12, 8)
+	e.Publish(e.Snapshot().IngestClone())
+	check("publish after restart", 4, 0, 0)
+
+	// One path per batch: a reader's count must be the ingests its
+	// generation's lineage made since the publish.
+	g0, p0, i0 := e.Generation(), e.Accrual().Paths, e.Stats().IngestedTrajectories
+	ones := matchedBatches(usable, 1)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ac := e.Accrual()
+				if ac.Paths-p0 != ac.Generation-g0 || ac.SinceInstall != int(ac.Generation-g0) {
+					t.Errorf("accrual %+v read at generation %d: count and generation from different snapshots", ac, ac.Generation)
+					return
+				}
+				if st := e.Stats(); st.IngestedTrajectories-i0 != st.SnapshotGeneration-g0 {
+					t.Errorf("stats: %d trajectories at generation %d", st.IngestedTrajectories, st.SnapshotGeneration)
+					return
+				}
+			}
+		}()
+	}
+	for _, b := range ones[:100] {
+		e.IngestMatched(b)
+	}
+	close(done)
+	wg.Wait()
 }

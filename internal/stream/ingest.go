@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/traj"
@@ -241,14 +240,12 @@ func (ing *Ingestor) StreamStats() serve.StreamStats {
 	return st
 }
 
-// Endpoint, OfferTrajectories, Published and Report implement
-// serve.Attachment. The pipeline feeds the engine's write path rather
-// than watching it, so the two notifications are no-ops.
+// Endpoint, OfferTrajectories and Report implement serve.Attachment.
+// The pipeline feeds the engine's write path rather than watching it,
+// so the offer is a no-op.
 func (ing *Ingestor) Endpoint() (string, http.Handler) { return "/stream", ing.Handler() }
 
 func (ing *Ingestor) OfferTrajectories([]*traj.Trajectory) {}
-
-func (ing *Ingestor) Published(*core.Router) {}
 
 func (ing *Ingestor) Report(st *serve.Stats) {
 	ss := ing.StreamStats()

@@ -359,9 +359,10 @@ type (
 // and GET /debug/quality. The engine's Close stops it.
 func AttachQuality(e *Engine, cfg QualityConfig) *QualityObserver { return quality.Attach(e, cfg) }
 
-// Background-maintenance re-exports. A maintainer accumulates the
-// evidence an engine ingests, watches rebuild triggers (preference
-// drift, evidence volume, a timer), and when one fires re-runs
+// Background-maintenance re-exports. A maintainer watches rebuild
+// triggers on the evidence an engine ingests (preference drift,
+// evidence volume, a timer, all since the installed model, all on
+// the engine's books), and when one fires re-runs
 // preference learning, transduction and B-edge materialization on a
 // copy-on-write clone off the hot path, publishing the rebuilt model
 // through the engine's snapshot swap. See internal/maint.
@@ -378,6 +379,6 @@ type (
 )
 
 // AttachMaint wires a background maintainer into an engine: evidence
-// accumulation and rebuild cycles feed Stats().Maintenance, /metrics
+// counts and rebuild cycles feed Stats().Maintenance, /metrics
 // (l2r_maint_*) and GET /debug/maint. The engine's Close stops it.
 func AttachMaint(e *Engine, cfg MaintConfig) *Maintainer { return maint.Attach(e, cfg) }
