@@ -5,23 +5,31 @@ import (
 	"testing"
 
 	"repro/internal/ch"
+	"repro/internal/pref"
 	"repro/internal/roadnet"
+	"repro/internal/route"
 	"repro/internal/worldgen"
 )
 
-// BenchmarkCCHQuery times the elimination-tree query under the TT
-// metric on uniform ODs at two worldgen scales, Cost (the climbs alone)
-// and Route (climbs, unpacking, and the one allocation of the returned
-// path). It reports the topology's height — query cost follows the
-// contraction order, not the OD — and the sizes a query reads: a
-// metric's bytes per skeleton arc, the shared topology's KB and the
-// query's label bytes per vertex and side.
+// BenchmarkCCHQuery times the elimination-tree query on uniform ODs at
+// two worldgen scales, Cost (the climbs alone) and Route (climbs,
+// unpacking, and the one allocation of the returned path), under three
+// metrics: TT, dense; Masked, TT restricted to the collector network
+// (pref.Collectors) as route.CHEngine stores it, a delta against TT
+// that the climb reads a bitmap word at a time; and MaskedDense, the
+// same cost function customized dense, so Masked against MaskedDense
+// is what the bitmap costs a query. It reports the topology's height —
+// query cost follows the contraction order, not the OD — and the sizes
+// a query reads: the metric's own bytes per skeleton arc (a masked
+// metric's delta, without its master's), the shared topology's KB and
+// the query's label bytes per vertex and side.
 func BenchmarkCCHQuery(b *testing.B) {
 	for _, scale := range []string{worldgen.ScaleCI, worldgen.ScaleCity} {
 		b.Run(scale, func(b *testing.B) {
 			g, _ := worldgen.BuildGraph(worldgen.MustScale(scale, 1))
 			topo := ch.BuildTopology(g)
-			m := topo.Customize(func(e roadnet.EdgeID) float64 { return g.EdgeWeight(e, roadnet.TT) })
+			tt := topo.Customize(func(e roadnet.EdgeID) float64 { return g.EdgeWeight(e, roadnet.TT) })
+			masked := costOf(g, route.OutTypeMasks(g), roadnet.TT, pref.Collectors.Mask())
 			q := ch.NewMetricQuery(topo)
 			rng := rand.New(rand.NewSource(1))
 			pairs := make([][2]roadnet.VertexID, 4096)
@@ -31,22 +39,32 @@ func BenchmarkCCHQuery(b *testing.B) {
 					roadnet.VertexID(rng.Intn(g.NumVertices())),
 				}
 			}
-			b.Run("Cost", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					p := pairs[i%len(pairs)]
-					q.Cost(m, p[0], p[1])
-				}
-				reportSizes(b, topo, m, q)
-			})
-			b.Run("Route", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					p := pairs[i%len(pairs)]
-					q.Route(m, p[0], p[1])
-				}
-				reportSizes(b, topo, m, q)
-			})
+			for _, metric := range []struct {
+				name string
+				m    *ch.Metric
+			}{
+				{"TT", tt},
+				{"Masked", topo.CustomizeAll([]func(roadnet.EdgeID) float64{masked}, []*ch.Metric{tt})[0]},
+				{"MaskedDense", topo.Customize(masked)},
+			} {
+				m := metric.m
+				b.Run(metric.name+"/Cost", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						p := pairs[i%len(pairs)]
+						q.Cost(m, p[0], p[1])
+					}
+					reportSizes(b, topo, m, q)
+				})
+				b.Run(metric.name+"/Route", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						p := pairs[i%len(pairs)]
+						q.Route(m, p[0], p[1])
+					}
+					reportSizes(b, topo, m, q)
+				})
+			}
 		})
 	}
 }

@@ -2,6 +2,7 @@ package ch
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/roadnet"
 )
@@ -52,6 +53,43 @@ func (s *cchSide) relaxUp(upTo []int32, w []float64, v, lo, hi int32) {
 		if nd := dv + w[i]; nd < dist[u] {
 			dist[u] = nd
 			s.parc[u] = lo + int32(i)
+		}
+	}
+}
+
+// relaxMasked is relaxUp on a masked metric, whose arrays w are its
+// master's, read through its delta d a bitmap word at a time, from a
+// finite label dv (the caller skips unlabelled vertices). Of the word's
+// arcs in lo..hi, those d makes +Inf are skipped, its exceptions
+// relaxed at their packed weights, which are consecutive there (an
+// exception is never +Inf), and the rest at the master's weights. Each
+// arc leads to a different vertex, so the order is free.
+func (s *cchSide) relaxMasked(upTo []int32, w []float64, d *delta, dv float64, lo, hi int32) {
+	dist, parc := s.dist, s.parc
+	for word := lo >> 6; word<<6 < hi; word++ {
+		base, marks := word<<6, d.marks[3*word:3*word+3:3*word+3]
+		live, exc := ^marks[0], marks[1]
+		if lo > base {
+			live &= ^uint64(0) << (lo - base)
+		}
+		if hi-base < 64 {
+			live &= uint64(1)<<(hi-base) - 1
+		}
+		for as := live &^ exc; as != 0; as &= as - 1 {
+			k := base + int32(bits.TrailingZeros64(as))
+			if u, nd := upTo[k], dv+w[k]; nd < dist[u] {
+				dist[u], parc[u] = nd, k
+			}
+		}
+		if own := live & exc; own != 0 {
+			x := int32(marks[2]) + int32(bits.OnesCount64(exc&(own&-own-1)))
+			for ; own != 0; own &= own - 1 {
+				k := base + int32(bits.TrailingZeros64(own))
+				if u, nd := upTo[k], dv+d.w[x]; nd < dist[u] {
+					dist[u], parc[u] = nd, k
+				}
+				x++
+			}
 		}
 	}
 }
@@ -134,6 +172,9 @@ func (q *MetricQuery) unpack(m *Metric, path roadnet.Path, from, to, k int32, up
 	if up {
 		code = m.midUp[k]
 	}
+	if m.up.masked() {
+		code = m.code(k, up)
+	}
 	if code == 0 {
 		return append(path, roadnet.VertexID(to))
 	}
@@ -172,6 +213,9 @@ func (q *MetricQuery) unpack(m *Metric, path roadnet.Path, from, to, k int32, up
 // before it returns: each backward label once d's climb has passed it,
 // then s's chain. parc keeps the search trees for unpacking.
 func (q *MetricQuery) run(m *Metric, s, d int32) (float64, int32, bool) {
+	if m.up.masked() {
+		return q.runMasked(m, s, d)
+	}
 	fwd, bwd := &q.fwd, &q.bwd
 	upStart, upTo := q.t.upStart, q.t.upTo
 	// Index both ends before labelling either: an out-of-range vertex
@@ -198,6 +242,58 @@ func (q *MetricQuery) run(m *Metric, s, d int32) (float64, int32, bool) {
 		}
 		lo, hi := upStart[v], upStart[v+1]
 		bwd.relaxUp(upTo, m.wDown, v, lo, hi)
+		bwd.dist[v] = math.Inf(1)
+		if lo == hi {
+			break
+		}
+		v = upTo[lo]
+	}
+	for v := s; ; v = upTo[upStart[v]] {
+		fwd.dist[v] = math.Inf(1)
+		if upStart[v] == upStart[v+1] {
+			break
+		}
+	}
+	if meet < 0 {
+		return 0, -1, false
+	}
+	return best, meet, true
+}
+
+// runMasked is run on a masked metric: the same climbs, relaxing each
+// vertex's up-arcs through relaxMasked. It is run's twin rather than a
+// branch inside run's loops, which slowed the dense climb.
+func (q *MetricQuery) runMasked(m *Metric, s, d int32) (float64, int32, bool) {
+	fwd, bwd := &q.fwd, &q.bwd
+	upStart, upTo := q.t.upStart, q.t.upTo
+	// Index both ends before labelling either: an out-of-range vertex
+	// then panics with every label still +Inf.
+	_, _ = fwd.dist[s], bwd.dist[d]
+	fwd.dist[s], fwd.parc[s] = 0, -1
+	for v := s; ; {
+		lo, hi := upStart[v], upStart[v+1]
+		if lo == hi {
+			break
+		}
+		if dv := fwd.dist[v]; dv <= math.MaxFloat64 {
+			fwd.relaxMasked(upTo, m.wUp, &m.up, dv, lo, hi)
+		}
+		v = upTo[lo]
+	}
+
+	best := math.Inf(1)
+	meet := int32(-1)
+	bwd.dist[d], bwd.parc[d] = 0, -1
+	for v := d; ; {
+		// v's backward label is final here: every arc into it was
+		// relaxed from a vertex lower on the chain.
+		if c := fwd.dist[v] + bwd.dist[v]; c < best {
+			best, meet = c, v
+		}
+		lo, hi := upStart[v], upStart[v+1]
+		if dv := bwd.dist[v]; dv <= math.MaxFloat64 {
+			bwd.relaxMasked(upTo, m.wDown, &m.down, dv, lo, hi)
+		}
 		bwd.dist[v] = math.Inf(1)
 		if lo == hi {
 			break

@@ -76,11 +76,30 @@ func (m *RefMetric) Arrays() (wUp, wDown []float64, viaUp, viaDown []int32) {
 	return m.wUp, m.wDown, m.viaUp, m.viaDown
 }
 
-// Weights returns the metric's per-arc weights.
-func (m *Metric) Weights() (wUp, wDown []float64) { return m.wUp, m.wDown }
+// Weights returns the metric's per-arc weights; a masked metric's are
+// expanded from its master's and its delta.
+func (m *Metric) Weights() (wUp, wDown []float64) {
+	n := len(m.wUp)
+	wUp, wDown = make([]float64, n), make([]float64, n)
+	for k := range int32(n) {
+		wUp[k], wDown[k] = m.weight(k, true), m.weight(k, false)
+	}
+	return wUp, wDown
+}
 
-// Codes returns the metric's per-arc middle codes.
-func (m *Metric) Codes() (midUp, midDown []uint8) { return m.midUp, m.midDown }
+// Codes returns the metric's per-arc middle codes, expanded as Weights
+// expands the weights.
+func (m *Metric) Codes() (midUp, midDown []uint8) {
+	n := len(m.wUp)
+	midUp, midDown = make([]uint8, n), make([]uint8, n)
+	for k := range int32(n) {
+		midUp[k], midDown[k] = m.code(k, true), m.code(k, false)
+	}
+	return midUp, midDown
+}
+
+// Masked reports whether m is stored as a delta against a master.
+func (m *Metric) Masked() bool { return m.up.masked() }
 
 // Middles resolves every middle code to the vertex it names, in the
 // reference layout: -1 for code 0, else the winning triangle's middle
@@ -94,13 +113,13 @@ func (m *Metric) Middles() (viaUp, viaDown []int32) {
 		return t.lowOf[m.middleSlow(k, c, up).i]
 	}
 	viaUp, viaDown = make([]int32, n), make([]int32, n)
-	for k := range n {
+	for k := range int32(n) {
 		viaUp[k], viaDown[k] = -1, -1
-		if c := m.midUp[k]; c != 0 {
-			viaUp[k] = via(int32(k), c, true)
+		if c := m.code(k, true); c != 0 {
+			viaUp[k] = via(k, c, true)
 		}
-		if c := m.midDown[k]; c != 0 {
-			viaDown[k] = via(int32(k), c, false)
+		if c := m.code(k, false); c != 0 {
+			viaDown[k] = via(k, c, false)
 		}
 	}
 	return viaUp, viaDown

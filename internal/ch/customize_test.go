@@ -27,7 +27,8 @@ func costOf(g *roadnet.Graph, out []route.SlaveMask, w roadnet.Weight, mask rout
 }
 
 // TestCustomizeAllMatchesPerMetric: CustomizeAll, which customizes
-// metrics on several goroutines, and Customize give every metric the
+// metrics on several goroutines (the masked ones against their
+// weight's scalar metric), and Customize give every metric the
 // weights the reference sweep (customize_reference_test.go, a middle
 // vertex per arc and direction) gives it, and middle codes that resolve
 // through the triangle table to the reference's middle vertices — wUp,
@@ -51,7 +52,12 @@ func TestCustomizeAllMatchesPerMetric(t *testing.T) {
 					costs = append(costs, costOf(g, out, w, mask))
 				}
 			}
-			all := topo.CustomizeAll(costs)
+			scalars := topo.CustomizeAll(costs[:roadnet.NumCostWeights], nil)
+			masters := make([]*ch.Metric, len(costs))
+			for x := roadnet.NumCostWeights; x < len(costs); x++ {
+				masters[x] = scalars[x%roadnet.NumCostWeights]
+			}
+			all := topo.CustomizeAll(costs, masters)
 			for x, cost := range costs {
 				ref := topo.CustomizeReference(cost)
 				for _, m := range []*ch.Metric{all[x], topo.Customize(cost)} {

@@ -50,13 +50,36 @@
 // become just another Metric over the shared Topology (+Inf marks an
 // arc a metric forbids or cannot reach in that direction).
 //
-// A Metric is its weights and one byte per arc and direction: 18 bytes
-// per arc. The byte names the triangle that set the weight — 0 for the
-// original road edge, c in 1..254 for the arc's (c-1)-th triangle, and
-// 255, the escape, for "the first triangle from index 254 on whose sum
-// equals the weight" (the most any arc has is 26 at ci and 73 at city;
-// TestEscapeCode builds one with 300). A middle vertex per arc would
-// cost 8 bytes more, for every metric.
+// A dense Metric is its weights and one byte per arc and direction: 18
+// bytes per arc. The byte names the triangle that set the weight — 0
+// for the original road edge, c in 1..254 for the arc's (c-1)-th
+// triangle, and 255, the escape, for "the first triangle from index 254
+// on whose sum equals the weight" (the most any arc has is 26 at ci and
+// 73 at city; TestEscapeCode builds one with 300). A middle vertex per
+// arc would cost 8 bytes more, for every metric.
+//
+// Masked metrics. A metric that forbids some edges of another — route's
+// ⟨w, slave⟩ preference metric against the scalar ⟨w, –⟩ — differs
+// from it on about 38 % of arc-directions at ci, and on 35 % of all
+// arc-directions only by being +Inf. CustomizeAll, handed that master,
+// stores such a metric as a delta: it shares the master's arrays and
+// keeps, per direction, a bitmap of the arcs it makes +Inf, a bitmap of
+// the other arcs whose weight or code differs, a rank directory (the
+// exceptions before each 64-arc word) and the exceptions' weights and
+// codes packed in arc order — about 10 KB a metric at ci instead of 140
+// KB. The customization is Customize's sweep, run in pooled dense
+// scratch; as soon as an owner's arcs are final they are compared with
+// the master's, without a branch, a bitmap word at a time, and the
+// exceptions are packed from their bitmap afterwards. The climb
+// (runMasked, run's twin) walks a masked metric's up-arcs a bitmap word
+// at a time: +Inf arcs are skipped, the rest relaxed at the master's
+// weight, and the word's exceptions, which are consecutive in the
+// packed list, at their own. Unpacking reads an arc's code from the
+// exceptions or from the master. TestMaskedMetricMatchesDense holds
+// every producible masked key's weights and codes, expanded, to dense
+// Customize's bit for bit, and TestMaskedQueryMatchesDense its answers
+// and search trees; dense Customize of a masked cost function survives
+// only as that reference.
 //
 // MetricQuery answers any of them with the elimination-tree query.
 // Because contraction keeps every fill edge, the up-neighbours of a
@@ -92,7 +115,8 @@
 // the parent is that arc's owner, lowOf[parc]. Only the two chains are
 // labelled, so a query puts them back to +Inf before it returns, and
 // +Inf arithmetic refuses relaxations from unlabelled vertices and over
-// +Inf arcs without a test. It is not safe for concurrent use — one per
+// a dense metric's +Inf arcs without a test (a masked metric's bitmap
+// skips its own). It is not safe for concurrent use — one per
 // goroutine. AppendRoute writes into a caller's buffer and allocates
 // nothing; Route unpacks into the query's own buffer and returns one
 // exact-size copy, so a returned path never aliases scratch.

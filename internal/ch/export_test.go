@@ -6,6 +6,9 @@ import "repro/internal/roadnet"
 // everywhere between queries.
 func (q *MetricQuery) Dists() (fwd, bwd []float64) { return q.fwd.dist, q.bwd.dist }
 
+// Parcs returns both sides' arc labels, as the last query left them.
+func (q *MetricQuery) Parcs() (fwd, bwd []int32) { return q.fwd.parc, q.bwd.parc }
+
 // LabelBytesPerVertex returns one side's label bytes per vertex.
 func (q *MetricQuery) LabelBytesPerVertex() int {
 	s := &q.fwd

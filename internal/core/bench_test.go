@@ -91,7 +91,9 @@ func BenchmarkRouteCold(b *testing.B) {
 // shares the base's road and hierarchy. Both loads run on two
 // goroutines: the checksum, then the hierarchy with its three scalar
 // metrics, beside the road, region, preference and metadata decode;
-// the masked metrics follow, a metric per core.
+// the masked metrics follow, a metric per core, each stored against its
+// master. Load reports the sizes the loaded router keeps
+// (reportCHSizes).
 func BenchmarkArtifact(b *testing.B) {
 	r := cityRouter(b, worldgen.ScaleCI)
 	var buf bytes.Buffer
@@ -118,7 +120,7 @@ func BenchmarkArtifact(b *testing.B) {
 			Load(bytes.NewReader(art))
 		}
 		b.StopTimer()
-		reportCHSizes(b, base.eng.Topology())
+		reportCHSizes(b, base.eng)
 	})
 	b.Run("LoadOnto", func(b *testing.B) {
 		b.ReportAllocs()
@@ -135,9 +137,9 @@ var (
 
 // BenchmarkCustomize times customization on the ci city's topology:
 // One is a single metric (travel time), customized inline; Served is
-// what Load customizes for the city's router — the travel-time
-// metric and every metric it routes on, handed out a metric per core —
-// reported per metric too.
+// what Load customizes for the city's router — the three scalar
+// metrics, then every masked metric it routes on against its master,
+// each batch handed out a metric per core — reported per metric too.
 func BenchmarkCustomize(b *testing.B) {
 	r := cityRouter(b, worldgen.ScaleCI)
 	topo := r.eng.Topology()
@@ -148,7 +150,7 @@ func BenchmarkCustomize(b *testing.B) {
 			sinkMetric = topo.Customize(cost)
 		}
 		b.StopTimer()
-		reportCHSizes(b, topo)
+		reportCHSizes(b, r.eng)
 	})
 	b.Run("Served", func(b *testing.B) {
 		keys := r.MetricKeys()
@@ -160,16 +162,20 @@ func BenchmarkCustomize(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/metric")
 		b.ReportMetric(float64(len(keys)), "metrics")
-		reportCHSizes(b, topo)
+		reportCHSizes(b, sinkEngine)
 	})
 }
 
-// reportCHSizes reports a metric's bytes per skeleton arc of topo and
-// the shared topology's KB. The metric is customized for the report,
-// outside the timer.
-func reportCHSizes(b *testing.B, topo *ch.Topology) {
+// reportCHSizes reports, on eng's topology, a dense metric's bytes per
+// skeleton arc, the mean bytes of a metric eng keeps resident (three
+// dense scalar metrics and the masked ones, each a delta against its
+// master) and the shared topology's KB. The dense metric is customized
+// for the report, outside the timer.
+func reportCHSizes(b *testing.B, eng *route.CHEngine) {
+	topo := eng.Topology()
 	m := topo.Customize(func(roadnet.EdgeID) float64 { return 1 })
 	b.ReportMetric(float64(m.Bytes())/float64(topo.NumArcs()), "metric_B/arc")
+	b.ReportMetric(float64(eng.MetricBytes())/float64(eng.ResidentMetrics()), "B/resident_metric")
 	b.ReportMetric(float64(topo.Bytes())/1024, "topology_KB")
 }
 

@@ -304,9 +304,10 @@ func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt 
 	// The hierarchy is contracted before learning, so the learner's
 	// searches and B-edge materialization already run on it, exactly
 	// once here, and shared by every Clone, IngestClone and serving fork
-	// of this router.
+	// of this router. Its three scalar metrics come with it: the
+	// learning pass's masked metrics are stored against them.
 	start = time.Now()
-	r.setEngine(route.BuildCHEngine(r.road, roadnet.TT, ch.Config{}))
+	r.setEngine(newEngine(r.road, ch.BuildTopology(r.road)))
 	r.stats.CHBuildTime = time.Since(start)
 	r.stats.CHShortcuts = r.eng.Shortcuts()
 
@@ -353,6 +354,10 @@ func (r *Router) CHClimb() (height int, arcsMean float64) {
 	t := r.eng.Topology()
 	return t.Height(), t.ClimbArcsMean()
 }
+
+// CHMetricBytes returns the heap bytes of the customized metrics the
+// router's lineage keeps resident (route.CHEngine.MetricBytes).
+func (r *Router) CHMetricBytes() int { return r.eng.MetricBytes() }
 
 // Customizations returns how many metric customizations the router's
 // lineage — it and every clone sharing its metric table — has run

@@ -240,7 +240,14 @@ func hierarchy(road *roadnet.Graph, order []int32, base *Router) (*route.CHEngin
 	if err != nil {
 		return nil, err
 	}
-	return route.NewCHEngine(road, topo, roadnet.TT, route.MetricKey{W: roadnet.DI}, route.MetricKey{W: roadnet.FC}), nil
+	return newEngine(road, topo), nil
+}
+
+// newEngine is the engine a router on road runs on: topo with the three
+// scalar metrics customized, the masters its masked metrics are stored
+// against.
+func newEngine(road *roadnet.Graph, topo *ch.Topology) *route.CHEngine {
+	return route.NewCHEngine(road, topo, roadnet.TT, route.MetricKey{W: roadnet.DI}, route.MetricKey{W: roadnet.FC})
 }
 
 // decodeFrame decodes an artifact frame on two goroutines. A side

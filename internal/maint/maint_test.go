@@ -457,6 +457,15 @@ func TestMaintEndpointAndStats(t *testing.T) {
 			t.Fatalf("/metrics missing %s", name)
 		}
 	}
+	// The evidence counts are the engine's books, and their HELP says so.
+	for _, help := range []string{
+		"# HELP l2r_maint_accumulated_total Paths the engine's ingests folded in since the engine started; the start-up replay is not counted.\n",
+		"# HELP l2r_maint_evidence_since_rebuild Paths the engine's ingests folded in since the installed model, the start-up replay's included until the first publish — compared against the evidence trigger threshold.\n",
+	} {
+		if !strings.Contains(string(sb), help) {
+			t.Fatalf("/metrics lacks the line %q", help)
+		}
+	}
 
 	// One rebuild later the last cycle says where its time went: four
 	// phases inside the cycle's duration, and the solve's iterations.

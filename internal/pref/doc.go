@@ -119,10 +119,11 @@
 //     so the rest fall back to the learner's Dijkstra.
 //   - On a pass fork (CHEngine.PassFork, under core's Build and
 //     Retransduce) it always answers, customizing a missing masked
-//     metric into the fork's private overlay: 18 bytes per skeleton arc
-//     per metric (140 KB on the 1.6k-vertex benchmark city, at most 27
-//     metrics), adopted into the shared table by PrepareMetrics if the
-//     derived model applies it and dropped with the fork otherwise.
+//     metric into the fork's private overlay, stored against the
+//     shared table's scalar metric for its master (about 10 KB a metric
+//     on the 1.6k-vertex benchmark city, at most 27 metrics), adopted
+//     into the shared table by PrepareMetrics if the derived model
+//     applies it and dropped with the fork otherwise.
 //
 // Exactness: both engines return a minimum-cost path of G(s) under the
 // master weight, the same one unless two paths tie exactly — the

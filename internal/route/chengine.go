@@ -60,15 +60,23 @@ type MetricKey struct {
 }
 
 // metricTable is the shared, metric-versioned side of a CCH engine: one
-// immutable ch.Metric per key (its weights and a byte per arc and
-// direction, 18 bytes per skeleton arc, indexing the topology's shared
-// triangle table), behind an atomically swapped map so
+// immutable ch.Metric per key, behind an atomically swapped map so
 // queries on any fork read lock-free while a writer customizes a new
-// metric. Customization replaces the map, never a Metric in place —
-// in-flight queries keep the version they loaded. A resident metric is
-// never dropped: the key space is tiny (weights × slave masks).
+// metric. A scalar key's metric is dense: its weights and a byte per
+// arc and direction, 18 bytes per skeleton arc (140 KB on the
+// 1.6k-vertex ci city), indexing the topology's shared triangle table.
+// A masked key's is stored against its master, the same weight's
+// scalar metric: the arcs the mask makes +Inf as a bitmap and the few
+// others that differ as exceptions, about 10 KB at ci. Customization
+// replaces the map, never a Metric in place — in-flight queries keep
+// the version they loaded. A resident metric is never dropped: the key
+// space is tiny (weights × slave masks).
 type metricTable struct {
 	topo *ch.Topology
+	// masters is where a masked key finds its master: the shared table,
+	// for a pass fork's overlay; nil for the shared table, which looks
+	// in itself and in the batch it is adding.
+	masters *metricTable
 
 	mu      sync.Mutex // serializes writers (customizations)
 	metrics atomic.Pointer[map[MetricKey]*ch.Metric]
@@ -76,8 +84,8 @@ type metricTable struct {
 	customized atomic.Uint64 // total customizations run (telemetry/tests)
 }
 
-func newMetricTable(topo *ch.Topology) *metricTable {
-	t := &metricTable{topo: topo}
+func newMetricTable(topo *ch.Topology, masters *metricTable) *metricTable {
+	t := &metricTable{topo: topo, masters: masters}
 	m := make(map[MetricKey]*ch.Metric)
 	t.metrics.Store(&m)
 	return t
@@ -90,18 +98,20 @@ func (t *metricTable) get(k MetricKey) *ch.Metric {
 
 // add publishes a metric for every key the table lacks, with one map
 // swap: from(k) when from is non-nil and returns one (customized for k
-// elsewhere over the same topology — adoption), the rest customized in
-// one ch.Topology.CustomizeAll call under cost(k), a metric per core, so
-// cost(k)'s functions must be safe to call concurrently. It returns the
-// table it leaves, which holds every key, and how many metrics it added.
+// elsewhere over the same topology — adoption), the rest customized
+// under cost(k), a metric per core, so cost(k)'s functions must be safe
+// to call concurrently. The scalar keys are customized first, in one
+// ch.Topology.CustomizeAll call; then the masked keys in another, each
+// against its master when one is resident or was just customized (a
+// masked key with no master anywhere is customized dense). It returns
+// the table it leaves, which holds every key, and how many metrics it
+// added.
 func (t *metricTable) add(keys []MetricKey, from func(MetricKey) *ch.Metric, cost func(MetricKey) func(roadnet.EdgeID) float64) (map[MetricKey]*ch.Metric, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old := *t.metrics.Load() // holds what a writer this one waited for added
 	var added []MetricKey
-	var ms []*ch.Metric // added's metrics
-	var sweep []int     // indexes into added of the metrics to customize
-	var costs []func(roadnet.EdgeID) float64
+	var ms []*ch.Metric // added's metrics; nil until customized
 	for _, k := range keys {
 		if old[k] != nil || slices.Contains(added, k) {
 			continue
@@ -110,19 +120,46 @@ func (t *metricTable) add(keys []MetricKey, from func(MetricKey) *ch.Metric, cos
 		if from != nil {
 			m = from(k)
 		}
-		if m == nil {
-			sweep = append(sweep, len(added))
-			costs = append(costs, cost(k))
-		}
 		added, ms = append(added, k), append(ms, m)
 	}
 	if len(added) == 0 {
 		return old, 0
 	}
-	for x, m := range t.topo.CustomizeAll(costs) {
-		ms[sweep[x]] = m
+	master := func(w roadnet.Weight) *ch.Metric {
+		k := MetricKey{W: w}
+		if t.masters != nil {
+			return t.masters.get(k)
+		}
+		if m := old[k]; m != nil {
+			return m
+		}
+		if x := slices.Index(added, k); x >= 0 {
+			return ms[x]
+		}
+		return nil
 	}
-	t.customized.Add(uint64(len(costs)))
+	for _, masked := range [2]bool{false, true} {
+		var costs []func(roadnet.EdgeID) float64
+		var masters []*ch.Metric
+		for x, k := range added {
+			if ms[x] == nil && (k.Mask != 0) == masked {
+				costs = append(costs, cost(k))
+				if masked {
+					masters = append(masters, master(k.W))
+				}
+			}
+		}
+		if len(costs) == 0 {
+			continue
+		}
+		got := t.topo.CustomizeAll(costs, masters)
+		for x, k := range added {
+			if ms[x] == nil && (k.Mask != 0) == masked {
+				ms[x], got = got[0], got[1:]
+			}
+		}
+		t.customized.Add(uint64(len(costs)))
+	}
 	next := make(map[MetricKey]*ch.Metric, len(old)+len(added))
 	maps.Copy(next, old)
 	for x, k := range added {
@@ -159,10 +196,9 @@ type CHEngine struct {
 }
 
 // NewCHEngine wraps a prebuilt topology over g, customizing the base
-// metric for w and the metrics of more in one ch.Topology.CustomizeAll
-// call.
+// metric for w and the metrics of more in one PrepareAll.
 func NewCHEngine(g *roadnet.Graph, topo *ch.Topology, w roadnet.Weight, more ...MetricKey) *CHEngine {
-	c := &CHEngine{g: g, topo: topo, tab: newMetricTable(topo), out: OutTypeMasks(g)}
+	c := &CHEngine{g: g, topo: topo, tab: newMetricTable(topo, nil), out: OutTypeMasks(g)}
 	c.PrepareAll(append([]MetricKey{{W: w}}, more...))
 	return c
 }
@@ -196,6 +232,16 @@ func (c *CHEngine) Resident(w roadnet.Weight, mask SlaveMask) bool {
 // ResidentMetrics returns how many metrics the shared table holds.
 func (c *CHEngine) ResidentMetrics() int { return len(*c.tab.metrics.Load()) }
 
+// MetricBytes returns the heap bytes the shared table's metrics hold
+// (ch.Metric.Bytes): a dense metric's arrays, a masked one's delta.
+func (c *CHEngine) MetricBytes() int {
+	n := 0
+	for _, m := range *c.tab.metrics.Load() {
+		n += m.Bytes()
+	}
+	return n
+}
+
 // Fork implements PathEngine with ForkCH.
 func (c *CHEngine) Fork() PathEngine { return c.ForkCH() }
 
@@ -210,7 +256,7 @@ func (c *CHEngine) ForkCH() *CHEngine {
 // fresh private overlay for the masked metrics it customizes (see
 // CHEngine). Fork it once per worker; drop it when the pass ends.
 func (c *CHEngine) PassFork() *CHEngine {
-	return &CHEngine{g: c.g, topo: c.topo, tab: c.tab, pass: newMetricTable(c.topo), out: c.out}
+	return &CHEngine{g: c.g, topo: c.topo, tab: c.tab, pass: newMetricTable(c.topo, c.tab), out: c.out}
 }
 
 func (c *CHEngine) query() *ch.MetricQuery {
@@ -241,10 +287,11 @@ func (c *CHEngine) cost(k MetricKey) func(roadnet.EdgeID) float64 {
 
 // PrepareAll ensures the shared table holds the metric for every key,
 // returning how many it added now. On a pass fork the overlay's metrics
-// are adopted first; the rest are customized in one CustomizeAll call
-// (a metric per core), and all are
-// published with one swap of the table. The serving layer calls it on
-// the ingest path so queries never pay customization inline.
+// are adopted first; the rest are customized a metric per core, the
+// scalar ones first and each masked one against its master (see
+// metricTable.add), and all are published with one swap of the table.
+// The serving layer calls it on the ingest path so queries never pay
+// customization inline.
 func (c *CHEngine) PrepareAll(keys []MetricKey) int {
 	var need []MetricKey // resident keys are skipped without the table's lock
 	for _, k := range keys {

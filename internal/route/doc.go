@@ -45,11 +45,18 @@
 // # Pass forks and adoption
 //
 // A metric in the shared table stays resident for good, so only metrics
-// serving routes on belong there. A resident metric is its two weights
+// serving routes on belong there. A scalar metric is its two weights
 // and a byte per arc and direction naming the lower triangle that set
 // each (18 bytes per skeleton arc, 140 KB on the 1.6k-vertex ci city);
 // the triangle table those bytes index, and unpacking reads, is the
-// topology's and shared by every metric. TryAppendRouteMask answers the
+// topology's and shared by every metric. A masked metric ⟨w, mask⟩ is
+// stored against its master ⟨w, –⟩ — a bitmap of the arcs the mask
+// makes +Inf and the few other arcs that differ (ch.CustomizeAll),
+// about 10 KB at ci — so a batch customizes its scalar keys first and
+// hands each masked key its master: the shared table's, or the one the
+// batch just customized. A pass fork's overlay takes its masters from
+// the shared table. A masked key whose master is nowhere resident is
+// customized dense. TryAppendRouteMask answers the
 // preference learner's masked searches without adding one: on an
 // ordinary fork only when the table holds the metric, and on a pass
 // fork (PassFork) always, customizing into the fork's private overlay.

@@ -239,6 +239,7 @@ type reading struct {
 	router   *core.Router // the snapshot's
 	chHeight int          // its contraction order's climb (Router.CHClimb)
 	chArcs   float64
+	chBytes  int    // its resident metrics' bytes (Router.CHMetricBytes)
 	walSeq   uint64 // the next WAL sequence; 0 on a non-durable engine
 }
 
@@ -254,6 +255,7 @@ func (e *Engine) read() reading {
 	rd := reading{router: snap.base}
 	rd.all, rd.perCat = e.met.latency()
 	rd.chHeight, rd.chArcs = snap.base.CHClimb()
+	rd.chBytes = snap.base.CHMetricBytes()
 	rd.st = Stats{
 		Uptime:               now.Sub(e.start),
 		Queries:              rd.all.Count(),

@@ -39,6 +39,7 @@ func (e *Engine) writeProm(pw *obs.PromWriter, rd *reading, labels ...obs.Label)
 	pw.Counter("l2r_learn_searches_hierarchy_total", "Of the run ingest relearn searches, those answered on the contraction hierarchy; the rest ran on plain Dijkstra.", float64(st.LearnSearches.Hierarchy), labels...)
 	pw.Gauge("l2r_ch_elimination_tree_height", "Vertices on the longest elimination-tree chain of the served contraction order — the most one side of a shortest-path query visits.", float64(rd.chHeight), labels...)
 	pw.Gauge("l2r_ch_climb_arcs_mean", "Mean up-arcs one side of a shortest-path query relaxes on its climb, over all start vertices.", rd.chArcs, labels...)
+	pw.Gauge("l2r_ch_metric_bytes", "Heap bytes of the served router's resident customized metrics: 18 per skeleton arc for each scalar weight, and each masked metric's delta against its master.", float64(rd.chBytes), labels...)
 	pw.Gauge("l2r_ingest_lag_seconds", "Wall time the last ingest took from batch arrival to snapshot publication.", st.IngestLag.Seconds(), labels...)
 	pw.Gauge("l2r_since_last_swap_seconds", "Time since the last snapshot publication.", st.SinceLastSwap.Seconds(), labels...)
 	pw.Gauge("l2r_staleness_ratio", "Cumulative out-of-region share of ingested path vertices — how far the fixed region partition trails the traffic.", st.StalenessRatio, labels...)
@@ -127,8 +128,8 @@ func (e *Engine) writeProm(pw *obs.PromWriter, rd *reading, labels ...obs.Label)
 		ms := st.Maintenance
 		pw.Counter("l2r_maint_rebuilds_total", "Maintenance clone-rebuild-publish cycles completed.", float64(ms.Rebuilds), labels...)
 		pw.Counter("l2r_maint_rebuild_failures_total", "Maintenance rebuild cycles that failed and published nothing.", float64(ms.RebuildFailures), labels...)
-		pw.Counter("l2r_maint_accumulated_total", "Matched trajectories offered to the evidence accumulator.", float64(ms.Accumulated), labels...)
-		pw.Gauge("l2r_maint_evidence_since_rebuild", "Trajectories accumulated since the last rebuild — compared against the evidence trigger threshold.", float64(ms.EvidenceSinceRebuild), labels...)
+		pw.Counter("l2r_maint_accumulated_total", "Paths the engine's ingests folded in since the engine started; the start-up replay is not counted.", float64(ms.Accumulated), labels...)
+		pw.Gauge("l2r_maint_evidence_since_rebuild", "Paths the engine's ingests folded in since the installed model, the start-up replay's included until the first publish — compared against the evidence trigger threshold.", float64(ms.EvidenceSinceRebuild), labels...)
 		pw.Gauge("l2r_maint_drift_tv", "Preference drift of the served snapshot against the engine's baseline, taken at construction and on every publish (maintenance rebuild or external Publish) — compared against the drift trigger threshold.", ms.DriftTV, labels...)
 		pw.Gauge("l2r_maint_last_rebuild_seconds", "Duration of the most recent maintenance rebuild (0 before the first).", ms.LastRebuildTime.Seconds(), labels...)
 		pw.Gauge("l2r_maint_last_tedges_added", "Region pairs that gained their first trajectory-backed edge in the most recent rebuild.", float64(ms.LastTEdgesAdded), labels...)

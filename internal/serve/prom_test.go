@@ -111,6 +111,10 @@ func TestEngineMetricsExposition(t *testing.T) {
 	if h, a := samples["l2r_ch_elimination_tree_height"], samples["l2r_ch_climb_arcs_mean"]; h < 2 || a <= 0 {
 		t.Fatalf("l2r_ch_elimination_tree_height = %v, l2r_ch_climb_arcs_mean = %v; want a tree with arcs to climb", h, a)
 	}
+	// The served table's metric bytes, as the snapshot counts them.
+	if got, want := samples["l2r_ch_metric_bytes"], float64(e.Snapshot().CHMetricBytes()); got != want || got <= 0 {
+		t.Fatalf("l2r_ch_metric_bytes = %v, want the snapshot's %v", got, want)
+	}
 	// The latency histogram must expose a complete series.
 	if samples["l2r_route_latency_seconds_count"] != 3 {
 		t.Fatalf("latency _count = %v", samples["l2r_route_latency_seconds_count"])

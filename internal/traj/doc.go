@@ -16,8 +16,8 @@
 // worldgen.World holding one — keeps no hierarchy. The noise trips'
 // Fastest and every latent-preference search (Algorithm 2 under one of
 // the 3 masters × 7 slave features LatentPreference can return) run on
-// it, all 21 metrics customized up front in one CustomizeAll, a metric
-// per core. A time-minimizing driver's search is a cost function of
+// it, all 21 metrics customized up front in one PrepareAll, a metric
+// per core, the masked ones stored against their masters. A time-minimizing driver's search is a cost function of
 // that driver — travel time under their per-road-type SpeedFactor — so
 // it stays on Dijkstra (route.Engine): a metric per driver would be
 // customized for a few searches each, and was slower. The trips are
