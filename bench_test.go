@@ -311,7 +311,7 @@ func BenchmarkAblationAMR(b *testing.B) {
 	rg := r.RegionGraph()
 	ids := make([]int, 0, len(rg.Edges))
 	for _, e := range rg.Edges {
-		ids = append(ids, e.ID)
+		ids = append(ids, int(e.ID))
 	}
 	if len(ids) > 400 {
 		ids = ids[:400]

@@ -251,6 +251,10 @@ func TestLoadRejectsOutOfRangeIDs(t *testing.T) {
 	}
 	badWeight := pref.Result{Preference: pref.Preference{Master: roadnet.NumCostWeights}, Similarity: 1, PathsUsed: 1}
 	badSlave := pref.Result{Preference: pref.Preference{Slave: 1 << roadnet.NumRoadTypes}, Similarity: 1, PathsUsed: 1}
+	// decodeResult reads edge fits and region preferences alike. An edge
+	// keeps its sample size as an int32, so only a region preference can
+	// carry one above MaxInt32 into an artifact.
+	hugeSample := pref.Result{Similarity: 1, PathsUsed: math.MaxInt32 + 1}
 	prefCases := map[string]func(learned, regionPrefs map[int]pref.Result){
 		"region preference key":          func(_, rp map[int]pref.Result) { rp[regions] = rp[someRegion] },
 		"negative region preference key": func(_, rp map[int]pref.Result) { rp[-1] = rp[someRegion] },
@@ -258,6 +262,7 @@ func TestLoadRejectsOutOfRangeIDs(t *testing.T) {
 		"region preference slave":        func(_, rp map[int]pref.Result) { rp[someRegion] = badSlave },
 		"learned preference weight":      func(l, _ map[int]pref.Result) { l[0] = badWeight },
 		"learned preference slave":       func(l, _ map[int]pref.Result) { l[0] = badSlave },
+		"region preference sample size":  func(_, rp map[int]pref.Result) { rp[someRegion] = hugeSample },
 	}
 	for name, edit := range prefCases {
 		learned, rp := r.learnedPrefs(), make(map[int]pref.Result)

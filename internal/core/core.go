@@ -329,10 +329,10 @@ func (r *Router) transduce(workers int) transfer.Result {
 	var labels, targets []int
 	for _, e := range r.rg.Edges {
 		if fit, ok := e.Fit(); ok && fit.Similarity >= minConfidence {
-			labels = append(labels, e.ID)
+			labels = append(labels, int(e.ID))
 		}
 		if e.Kind == region.BEdge {
-			targets = append(targets, e.ID)
+			targets = append(targets, int(e.ID))
 		}
 	}
 	sortByPair(r.rg, labels)
@@ -585,7 +585,7 @@ func learnAll(pass *route.CHEngine, rg *region.Graph, workers, maxPaths int) map
 			ps = append(ps, others...)
 		}
 		if len(ps) > 0 {
-			jobs = append(jobs, learnJob{id: e.ID, paths: ps})
+			jobs = append(jobs, learnJob{id: int(e.ID), paths: ps})
 		}
 	}
 	return runLearnJobs(pass, jobs, workers, maxPaths)

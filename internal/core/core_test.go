@@ -223,7 +223,7 @@ func TestLearnedPreferencesExposed(t *testing.T) {
 		if e.Kind != region.TEdge {
 			continue
 		}
-		if res, ok := r.LearnedPreference(e.ID); ok {
+		if res, ok := r.LearnedPreference(int(e.ID)); ok {
 			found = true
 			if res.Similarity < 0 || res.Similarity > 1 {
 				t.Fatalf("similarity out of range: %v", res.Similarity)

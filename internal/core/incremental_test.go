@@ -75,7 +75,7 @@ func TestIngestUpgradedBEdgesLoseTransferredState(t *testing.T) {
 	bBefore := make(map[int]bool)
 	for _, e := range r.rg.Edges {
 		if e.Kind == region.BEdge {
-			bBefore[e.ID] = true
+			bBefore[int(e.ID)] = true
 		}
 	}
 	st := r.Ingest(fresh, IngestOptions{SkipMapMatching: true})
@@ -230,7 +230,7 @@ func TestIngestFollowsBuildOptions(t *testing.T) {
 			for _, pi := range append(append([]region.PathInfo(nil), e.PathsFwd...), e.PathsRev...) {
 				count += int(pi.Count)
 			}
-			out[[2]int{e.R1, e.R2}] = [2]int{len(e.PathsFwd) + len(e.PathsRev), count}
+			out[[2]int{int(e.R1), int(e.R2)}] = [2]int{len(e.PathsFwd) + len(e.PathsRev), count}
 		}
 		return out
 	}

@@ -133,9 +133,10 @@ func (r *Router) derive(workers int) RetransduceStats {
 	// Clearing before transfer.Run also means Materialize's direct
 	// writes land on privately owned edges.
 	for _, e := range r.rg.Edges {
+		id := int(e.ID)
 		switch e.Kind {
 		case region.TEdge:
-			fit, fitted := learned[e.ID]
+			fit, fitted := learned[id]
 			var applied pref.Preference
 			confident := fitted && fit.Similarity >= minConfidence
 			if confident {
@@ -145,11 +146,11 @@ func (r *Router) derive(workers int) RetransduceStats {
 			if was == fit && wasFitted == fitted && e.Pref == applied && e.HasPref == confident {
 				continue
 			}
-			me := r.rg.EdgeForUpdate(e.ID)
+			me := r.rg.EdgeForUpdate(id)
 			me.SetFit(fit, fitted)
 			me.Pref, me.HasPref = applied, confident
 		case region.BEdge:
-			me := r.rg.EdgeForUpdate(e.ID)
+			me := r.rg.EdgeForUpdate(id)
 			me.PathsFwd, me.PathsRev = nil, nil
 			me.Pref, me.HasPref = pref.Preference{}, false
 			me.SetFit(pref.Result{}, false)

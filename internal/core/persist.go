@@ -192,6 +192,8 @@ func appendResult(e *codec.Enc, res pref.Result) {
 	e.Int(res.PathsUsed)
 }
 
+// decodeResult reads what appendResult wrote. Dec.Int refuses a sample
+// size that does not fit an int32, which is how a region edge keeps it.
 func decodeResult(d *codec.Dec) pref.Result {
 	res := pref.Result{Preference: pref.Preference{Master: roadnet.Weight(d.Byte()), Slave: pref.SlaveFeature(d.Byte())}}
 	res.Similarity, res.PathsUsed = d.Float64(), d.Int()

@@ -190,7 +190,7 @@ func (r *Router) learnedPrefs() map[int]pref.Result {
 	out := make(map[int]pref.Result, len(r.rg.Edges))
 	for _, e := range r.rg.Edges {
 		if fit, ok := e.Fit(); ok {
-			out[e.ID] = fit
+			out[int(e.ID)] = fit
 		}
 	}
 	return out

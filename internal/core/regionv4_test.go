@@ -152,8 +152,8 @@ func regionSectionV4(g *region.Graph) []byte {
 	}
 	c.e.Uvarint(uint64(len(g.Edges)))
 	for _, e := range g.Edges {
-		c.e.Int(e.R1)
-		c.e.Int(e.R2)
+		c.e.Int(int(e.R1))
+		c.e.Int(int(e.R2))
 		flags := byte(e.Kind) | byte(e.Pref.Master)<<2
 		if e.HasPref {
 			flags |= 2
@@ -210,7 +210,7 @@ func decodeRegionV4(b []byte, road *roadnet.Graph) (*Snapshot, error) {
 	s.Edges = make([]region.Edge, c.d.Count(6))
 	for i := range s.Edges {
 		e := &s.Edges[i]
-		e.ID, e.R1, e.R2 = i, c.d.Int(), c.d.Int()
+		e.ID, e.R1, e.R2 = int32(i), int32(c.d.Int()), int32(c.d.Int())
 		flags := c.d.Byte()
 		e.Kind, e.HasPref, e.Pref.Master = region.EdgeKind(flags&1), flags&2 != 0, roadnet.Weight(flags>>2)
 		e.Pref.Slave = pref.SlaveFeature(c.d.Byte())

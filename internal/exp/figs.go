@@ -24,8 +24,8 @@ func tEdgeIDs(r interface {
 		if e.Kind != region.TEdge {
 			continue
 		}
-		if _, ok := r.LearnedPreference(e.ID); ok {
-			ids = append(ids, e.ID)
+		if _, ok := r.LearnedPreference(int(e.ID)); ok {
+			ids = append(ids, int(e.ID))
 		}
 	}
 	sort.Ints(ids)

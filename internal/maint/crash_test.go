@@ -224,7 +224,8 @@ func TestMaintCrashEquivalence(t *testing.T) {
 // maintCrashChild is the process the parent kills: serve a durable
 // engine with an attached (manual-trigger) maintainer, ingest the bulk
 // feed, complete one full rebuild cycle, then announce and start a
-// second one — the parent's kill lands inside it.
+// second one — the parent's kill lands inside it, or after it while
+// the child waits for the kill.
 func maintCrashChild(t *testing.T, dir string) {
 	base := maintCrashBase(t)
 	f, err := os.Create(filepath.Join(dir, "base.l2r"))
@@ -276,6 +277,10 @@ func maintCrashChild(t *testing.T, dir string) {
 		t.Fatalf("child rebuild 2: %v", err)
 	}
 	ack("rebuilt 2")
-	e.IngestMatched(extras[len(extras)-1])
-	ack("child finished (parent was too slow to kill; still a valid run)")
+	// Park until the kill, which lands within 1.25 × cycle 1 of
+	// "rebuild-start 2": ingesting anything more would durably reach a
+	// third state, post-rebuild plus that batch, which the parent does
+	// not accept. Pre and post are every state this child can reach.
+	time.Sleep(time.Minute)
+	t.Fatal("child was not killed within a minute of its second rebuild")
 }

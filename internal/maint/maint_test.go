@@ -149,7 +149,7 @@ func TestMaintConvergenceMatchesRebuild(t *testing.T) {
 		t.Fatalf("edge counts differ: maintained %d, rebuilt %d", len(mg.Edges), len(rg.Edges))
 	}
 	for _, me := range mg.Edges {
-		re := rg.FindEdge(me.R1, me.R2)
+		re := rg.FindEdge(int(me.R1), int(me.R2))
 		if re == nil {
 			t.Fatalf("maintained edge %d-%d missing from rebuild", me.R1, me.R2)
 		}
@@ -210,7 +210,7 @@ func tedgePairs(r *core.Router) map[[2]int]bool {
 	out := make(map[[2]int]bool)
 	for _, e := range r.RegionGraph().Edges {
 		if e.Kind == region.TEdge {
-			out[[2]int{e.R1, e.R2}] = true
+			out[[2]int{int(e.R1), int(e.R2)}] = true
 		}
 	}
 	return out

@@ -26,7 +26,7 @@ func checkAdjacency(t *testing.T, where string, g *Graph) {
 				t.Fatalf("%s: region %d lists edge %d of %d", where, r, l.Edge, len(g.Edges))
 			}
 			e := g.Edges[l.Edge]
-			switch r {
+			switch int32(r) {
 			case e.R1:
 				atR1[l.Edge]++
 			case e.R2:

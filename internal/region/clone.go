@@ -43,7 +43,7 @@ func (g *Graph) CloneCOW() *Graph {
 	cp.adj = append([][]Link(nil), g.adj...)
 	cp.inner = append([][]InnerPath(nil), g.inner...)
 	cp.transferCenters = append([][]roadnet.VertexID(nil), g.transferCenters...)
-	cp.tcCounts = append([]map[roadnet.VertexID]int(nil), g.tcCounts...)
+	cp.tcCounts = append([][]visitCount(nil), g.tcCounts...)
 	cp.cow = &cowState{
 		edges: make([]bool, len(g.Edges)),
 		inner: make([]bool, len(g.inner)),
@@ -83,17 +83,14 @@ func (g *Graph) mutInner(r int) {
 	g.cow.inner[r] = true
 }
 
-// mutTCCount privatizes region r's transfer-center count map before an
-// increment (map writes would otherwise hit the shared parent map).
+// mutTCCount privatizes region r's visit counts before a bump (an
+// increment in place would otherwise hit the parent's pairs), with room
+// for one new vertex.
 func (g *Graph) mutTCCount(r int) {
 	if g.cow == nil || g.cow.tccs[r] {
 		return
 	}
-	m := make(map[roadnet.VertexID]int, len(g.tcCounts[r])+1)
-	for k, v := range g.tcCounts[r] {
-		m[k] = v
-	}
-	g.tcCounts[r] = m
+	g.tcCounts[r] = append(make([]visitCount, 0, len(g.tcCounts[r])+1), g.tcCounts[r]...)
 	g.cow.tccs[r] = true
 }
 

@@ -1,7 +1,7 @@
 package region
 
 import (
-	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/pref"
@@ -40,8 +40,10 @@ func (g *Graph) Clone() *Graph {
 			Kind:    e.Kind,
 			Pref:    e.Pref,
 			HasPref: e.HasPref,
-			fit:     e.fit,
+			fitUsed: e.fitUsed,
 			fitted:  e.fitted,
+			fitPref: e.fitPref,
+			fitSim:  e.fitSim,
 		}
 		if len(e.PathsFwd) > 0 {
 			ne.PathsFwd = append([]PathInfo(nil), e.PathsFwd...)
@@ -71,9 +73,9 @@ func (g *Graph) Clone() *Graph {
 			cp.transferCenters[i] = append([]roadnet.VertexID(nil), tc...)
 		}
 	}
-	cp.tcCounts = make([]map[roadnet.VertexID]int, len(g.tcCounts))
-	for i, m := range g.tcCounts {
-		cp.tcCounts[i] = maps.Clone(m)
+	cp.tcCounts = make([][]visitCount, len(g.tcCounts))
+	for i, cs := range g.tcCounts {
+		cp.tcCounts[i] = slices.Clone(cs)
 	}
 	return cp
 }

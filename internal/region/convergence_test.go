@@ -23,7 +23,7 @@ func diffGraphs(a, b *Graph) string {
 		return fmt.Sprintf("%d edges vs %d", len(a.Edges), len(b.Edges))
 	}
 	for _, ea := range a.Edges {
-		eb := b.FindEdge(ea.R1, ea.R2)
+		eb := b.FindEdge(int(ea.R1), int(ea.R2))
 		if eb == nil {
 			return fmt.Sprintf("pair (%d,%d) connected in one graph only", ea.R1, ea.R2)
 		}
@@ -70,7 +70,7 @@ func TestBuildEqualsIncrementalAddPaths(t *testing.T) {
 			if full.TEdgeCount() == 0 {
 				t.Fatalf("world %d: no T-edges; the comparison has no teeth", world)
 			}
-			if !slices.ContainsFunc(full.tcCounts, func(m map[roadnet.VertexID]int) bool { return len(m) > maxTransferCenters }) {
+			if !slices.ContainsFunc(full.tcCounts, func(cs []visitCount) bool { return len(cs) > maxTransferCenters }) {
 				t.Fatalf("world %d: no region counts more than %d transfer centers; the cap is never applied", world, maxTransferCenters)
 			}
 			// Batch size 0 cuts at random; the others are fixed.

@@ -1,7 +1,12 @@
 package region
 
 import (
+	"cmp"
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/pref"
 	"repro/internal/roadnet"
@@ -179,5 +184,90 @@ func TestCloneCOWChainedGenerations(t *testing.T) {
 	}
 	if !observe(head).equal(observe(ref)) {
 		t.Fatalf("COW chain diverged from deep-clone reference:\ncow %+v\nref %+v", observe(head), observe(ref))
+	}
+}
+
+// TestVisitCountsMatchMapReference holds the visit counts, sorted
+// pairs, to a map per region. Random bumps go first into a decoded
+// graph in place (its pairs are capped windows of one array), then
+// into a chain of CloneCOW generations. After each round every region's
+// pairs ascend by vertex and hold exactly the reference's counts, every
+// bumped region's transfer centers are the reference's most visited
+// (count descending, vertex ascending, at most maxTransferCenters), and
+// the parent's pairs and transfer-center lists are what they were
+// before the child was bumped.
+func TestVisitCountsMatchMapReference(t *testing.T) {
+	seed := time.Now().UnixNano()
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	built := snapWorld(t)
+	g, err := Decode(imageOf(built), built.Road)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make([]map[roadnet.VertexID]int, g.NumRegions())
+	for r := range ref {
+		_, ref[r] = g.TransferCounts(r)
+	}
+
+	check := func(gen int, g *Graph, dirty map[int]bool) {
+		t.Helper()
+		for r, m := range ref {
+			cs := g.tcCounts[r]
+			if !slices.IsSortedFunc(cs, func(x, y visitCount) int { return cmp.Compare(x.v, y.v) }) || len(cs) != len(m) {
+				t.Fatalf("generation %d, region %d: pairs %v, want the counts %v in vertex order", gen, r, cs, m)
+			}
+			for _, x := range cs {
+				if c, ok := m[x.v]; !ok || c != int(x.c) {
+					t.Fatalf("generation %d, region %d: vertex %d counted %d, want %d", gen, r, x.v, x.c, c)
+				}
+			}
+			if !dirty[r] {
+				continue
+			}
+			want := slices.SortedFunc(maps.Keys(m), func(u, v roadnet.VertexID) int {
+				return cmp.Or(cmp.Compare(m[v], m[u]), cmp.Compare(u, v))
+			})
+			want = want[:min(len(want), maxTransferCenters)]
+			if got, _ := g.TransferCounts(r); !slices.Equal(got, want) {
+				t.Fatalf("generation %d, region %d: transfer centers %v, want %v", gen, r, got, want)
+			}
+		}
+	}
+	bump := func(g *Graph) map[int]bool {
+		dirty := make(map[int]bool)
+		for range 300 {
+			r := rng.Intn(g.NumRegions())
+			v := roadnet.VertexID(rng.Intn(g.Road.NumVertices()))
+			if counted := g.tcCounts[r]; len(counted) > 0 && rng.Intn(2) == 0 {
+				v = counted[rng.Intn(len(counted))].v
+			}
+			g.bumpTransferCenter(r, v, dirty)
+			ref[r][v]++
+		}
+		for r := range dirty {
+			g.rebuildTransferCenters(r)
+		}
+		return dirty
+	}
+
+	check(0, g, bump(g))
+	for gen := 1; gen <= 6; gen++ {
+		counts := make([][]visitCount, len(g.tcCounts))
+		for r, cs := range g.tcCounts {
+			counts[r] = slices.Clone(cs)
+		}
+		centers := slices.Clone(g.transferCenters)
+		for r, tc := range centers {
+			centers[r] = slices.Clone(tc)
+		}
+		next := g.CloneCOW()
+		check(gen, next, bump(next))
+		for r := range counts {
+			if !slices.Equal(g.tcCounts[r], counts[r]) || !slices.Equal(g.transferCenters[r], centers[r]) {
+				t.Fatalf("generation %d bumped region %d's counts or transfer centers in its parent", gen, r)
+			}
+		}
+		g = next
 	}
 }

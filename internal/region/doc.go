@@ -24,7 +24,12 @@
 // The graph derives nothing beyond the vertex→region map and each
 // region's adjacency, a Link (neighbor ID, edge ID) per neighbor
 // sorted by neighbor: FindEdge and region search read the neighbor IDs
-// without touching an Edge, and path sets dedup by contents. AddPaths
+// without touching an Edge, and path sets dedup by contents. An Edge
+// is 80 bytes: int32 IDs, its kind, flags and two preferences packed
+// in seven bytes, the fit's similarity and two path set headers. A
+// region's transfer-center visit counts are (vertex, count) int32
+// pairs sorted by vertex. Decode cuts every region's adjacency and
+// visit counts from one array each, sized exactly (TestRegionLayout). AddPaths
 // copies each batch of trajectories once, into a batch of the graph's
 // trip table (trips.go), and every path it stores is a window of its
 // trip whose capacity ends where the window does; materialized B-edge

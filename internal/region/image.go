@@ -3,7 +3,6 @@ package region
 import (
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
@@ -39,13 +38,13 @@ import (
 // trips), its offset in the trip and its length, so each trip is
 // written once however many paths it holds (trips.go); trips no stored
 // path names are not written, and written trips are numbered in table
-// order. Decoding cuts every list from one
-// backing array the trailer sizes — the trips, one after another, are
-// the decoded graph's one trip batch — every window from its trip and
-// every path set from a second array, all with full slice expressions,
-// so none grows into its neighbour. What the graph derives (the
-// vertex→region map and the adjacency) and an edge's fit (Edge.Fit) are
-// not in the image.
+// order. Decoding cuts every list from one backing array the trailer
+// sizes — the trips, one after another, are the decoded graph's one
+// trip batch — every window from its trip, every path set from a second
+// array and the visit counts from a third, all with full slice
+// expressions, so none grows into its neighbour. What the graph derives
+// (the vertex→region map and the adjacency) and an edge's fit
+// (Edge.Fit) are not in the image.
 
 // escape is the nibble of a path step no tabulated out-edge takes.
 const escape = 15
@@ -57,14 +56,15 @@ type image struct {
 	first roadnet.VertexID // the previous list's first vertex
 	trip  int32            // the previous window's trip index
 
-	// Writing: the trailer's totals, a path's escaped steps, a region's
-	// counted vertices and the trips written.
-	vertices, infos  int
-	escaped, counted []roadnet.VertexID
-	spans            tripSpans
+	// Writing: the trailer's totals, a path's escaped steps and the
+	// trips written.
+	vertices, infos int
+	escaped         []roadnet.VertexID
+	spans           tripSpans
 	// Reading: the backing arrays the trailer sized, and the trips.
 	lists     []roadnet.VertexID
 	sets      []PathInfo
+	pairs     []visitCount
 	tripsRead *tripBatch
 }
 
@@ -83,9 +83,12 @@ func (g *Graph) Append(e *codec.Enc) {
 // road's out-edges, and every ID where it reads it: vertices against
 // road, road types and preferences against their ranges,
 // each edge's pair as 0 ≤ R1 < R2 < the region count; once the
-// adjacency is built, that no two edges join the same regions. An
-// image whose visit-count flag is not 1 — one saved from a graph
-// without counts — is codec.ErrMalformed. Empty lists decode as nil.
+// adjacency is built, that no two edges join the same regions; and
+// that each region's counted vertices ascend. An image whose
+// visit-count flag is not 1 — one saved from a graph without counts —
+// is codec.ErrMalformed, as is any count, path count or edge endpoint
+// that does not fit an int32 (codec.Dec.Int). Empty lists decode as
+// nil.
 func Decode(b []byte, road *roadnet.Graph) (*Graph, error) {
 	if len(b) < 8 {
 		return nil, fmt.Errorf("region: decoding graph: %w: %d bytes", codec.ErrMalformed, len(b))
@@ -119,11 +122,25 @@ func Decode(b []byte, road *roadnet.Graph) (*Graph, error) {
 	// Canonical adjacency order (neighbor region ID, as insertAdj keeps
 	// it), so a decoded graph traverses neighbors exactly as the graph
 	// that wrote the image did, and FindEdge can search it. A region
-	// pair carries one edge, so neighbors must not repeat.
-	g.adj = make([][]Link, len(g.Regions))
+	// pair carries one edge, so neighbors must not repeat. The lists
+	// are capped windows of one array the degrees size, so they hold no
+	// spare capacity and an insert never writes into a neighbour.
+	degree := make([]int, len(g.Regions))
 	for _, e := range g.Edges {
-		g.adj[e.R1] = append(g.adj[e.R1], Link{int32(e.R2), int32(e.ID)})
-		g.adj[e.R2] = append(g.adj[e.R2], Link{int32(e.R1), int32(e.ID)})
+		degree[e.R1]++
+		degree[e.R2]++
+	}
+	links, lo := make([]Link, 2*len(g.Edges)), 0
+	g.adj = make([][]Link, len(g.Regions))
+	for r, d := range degree {
+		if d > 0 {
+			g.adj[r] = links[lo : lo : lo+d]
+		}
+		lo += d
+	}
+	for _, e := range g.Edges {
+		g.adj[e.R1] = append(g.adj[e.R1], Link{e.R2, e.ID})
+		g.adj[e.R2] = append(g.adj[e.R2], Link{e.R1, e.ID})
 	}
 	for _, a := range g.adj {
 		slices.SortFunc(a, func(x, y Link) int { return int(x.To - y.To) })
@@ -165,17 +182,17 @@ func (m *image) graph(g *Graph) {
 	if m.dec != nil {
 		edges := make([]Edge, len(g.Edges))
 		for i := range g.Edges {
-			edges[i].ID, g.Edges[i] = i, &edges[i]
+			edges[i].ID, g.Edges[i] = int32(i), &edges[i]
 		}
 	}
 	for _, e := range g.Edges {
-		m.int(&e.R1)
-		m.int(&e.R2)
+		m.int32(&e.R1)
+		m.int32(&e.R2)
 		flags := byte(e.Kind) | boolByte(e.HasPref)<<1 | byte(e.Pref.Master)<<2
 		if imageByte(m, &flags); m.dec != nil {
 			e.Kind, e.HasPref, e.Pref.Master = EdgeKind(flags&1), flags&2 != 0, roadnet.Weight(flags>>2)
 		}
-		if imageByte(m, &e.Pref.Slave); m.dec != nil && (e.R1 < 0 || e.R1 >= e.R2 || e.R2 >= regions || e.HasPref && !e.Pref.Valid()) {
+		if imageByte(m, &e.Pref.Slave); m.dec != nil && (e.R1 < 0 || e.R1 >= e.R2 || int(e.R2) >= regions || e.HasPref && !e.Pref.Valid()) {
 			m.dec.Fail("edge %d joins regions %d and %d of %d, or prefers %+v", e.ID, e.R1, e.R2, regions, e.Pref)
 		}
 		m.paths(&e.PathsFwd)
@@ -201,28 +218,19 @@ func (m *image) graph(g *Graph) {
 	if imageByte(m, &counted); counted != 1 {
 		m.dec.Fail("visit-count flag %d, want 1", counted)
 	} else if m.dec != nil {
-		g.tcCounts = make([]map[roadnet.VertexID]int, regions)
+		// The vertices left to list are the counted ones, a pair each.
+		g.tcCounts, m.pairs = make([][]visitCount, regions), make([]visitCount, len(m.lists))
 	}
 	for r := range g.tcCounts {
 		m.counts(&g.tcCounts[r])
 	}
 }
 
-func (m *image) int(p *int) {
-	if m.dec != nil {
-		*p = m.dec.Int()
-	} else {
-		m.enc.Int(*p)
-	}
-}
-
 func (m *image) int32(p *int32) {
-	if m.dec == nil {
-		m.enc.Int(int(*p))
-	} else if v := m.dec.Int(); v < math.MinInt32 || v > math.MaxInt32 {
-		m.dec.Fail("count %d out of range", v)
+	if m.dec != nil {
+		*p = int32(m.dec.Int()) // Int fails what does not fit an int32
 	} else {
-		*p = int32(v)
+		m.enc.Int(int(*p))
 	}
 }
 
@@ -402,22 +410,37 @@ func (m *image) writeList(p []roadnet.VertexID, path bool) {
 }
 
 // counts is one region's transfer-center visit counts: the counted
-// vertices as a set, then the counts in vertex order.
-func (m *image) counts(p *map[roadnet.VertexID]int) {
-	var vs []roadnet.VertexID
+// vertices as a set, then the counts in vertex order. Read pairs are
+// cut from one backing array.
+func (m *image) counts(p *[]visitCount) {
 	if m.dec == nil {
-		m.counted = slices.AppendSeq(m.counted[:0], maps.Keys(*p))
-		slices.Sort(m.counted)
-		vs = m.counted
-	}
-	if m.list(&vs, false); m.dec != nil {
-		*p = make(map[roadnet.VertexID]int, len(vs))
-	}
-	for _, v := range vs {
-		c := (*p)[v]
-		if m.int(&c); m.dec != nil {
-			(*p)[v] = c
+		cs, prev := *p, m.first
+		m.enc.Uvarint(uint64(len(cs)))
+		for _, x := range cs {
+			m.enc.Int(int(x.v) - int(prev))
+			prev = x.v
 		}
+		if len(cs) > 0 {
+			m.vertices += len(cs)
+			m.first = cs[0].v
+		}
+		for _, x := range cs {
+			m.enc.Int(int(x.c))
+		}
+		return
+	}
+	var vs []roadnet.VertexID
+	if m.list(&vs, false); len(vs) == 0 || m.dec.Err() != nil {
+		return
+	}
+	cs := m.pairs[:len(vs):len(vs)]
+	m.pairs, *p = m.pairs[len(vs):], cs
+	for i, v := range vs {
+		if i > 0 && v <= vs[i-1] {
+			m.dec.Fail("counted vertex %d after %d", v, vs[i-1])
+		}
+		cs[i].v = v
+		m.int32(&cs[i].c)
 	}
 }
 

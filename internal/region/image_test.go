@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -79,7 +80,7 @@ func TestImageRoundTrip(t *testing.T) {
 	}
 	// FindEdge lookups still work.
 	for _, e := range g.Edges {
-		if got := g2.FindEdge(e.R1, e.R2); got == nil || got.ID != e.ID {
+		if got := g2.FindEdge(int(e.R1), int(e.R2)); got == nil || got.ID != e.ID {
 			t.Fatalf("FindEdge(%d,%d) broken after decoding", e.R1, e.R2)
 		}
 	}
@@ -120,7 +121,7 @@ func TestImageOmitsFit(t *testing.T) {
 func TestDecodeRefusesMissingVisitCounts(t *testing.T) {
 	g := snapWorld(t)
 	for r := range g.tcCounts {
-		g.tcCounts[r] = map[roadnet.VertexID]int{}
+		g.tcCounts[r] = nil
 	}
 	img := imageOf(g)
 	flag := len(img) - 8 - g.NumRegions() - 1
@@ -148,7 +149,10 @@ func TestDecodeRefusesMissingVisitCounts(t *testing.T) {
 // Each case edits a decoded graph and decodes its image again: vertices
 // out of the road in every list, road types and preferences out of
 // range (a slave no pipeline emits too), edge pairs that are not
-// 0 ≤ R1 < R2 < regions, and two edges joining the same regions.
+// 0 ≤ R1 < R2 < regions, two edges joining the same regions, and a
+// region's counted vertices out of order. A visit count is an int32, so
+// one above MaxInt32 is refused too: that case patches the image's
+// bytes, since no graph holds such a count.
 func TestDecodeRejectsBadImages(t *testing.T) {
 	g := snapWorld(t)
 	img := imageOf(g)
@@ -175,6 +179,15 @@ func TestDecodeRejectsBadImages(t *testing.T) {
 		t.Fatal("no region stores an inner path")
 		return 0
 	}
+	countedTwice := func(g *Graph) int {
+		for r, cs := range g.tcCounts {
+			if len(cs) > 1 {
+				return r
+			}
+		}
+		t.Fatal("no region counts two vertices")
+		return 0
+	}
 	for name, edit := range map[string]func(g *Graph){
 		"stored path vertex": func(g *Graph) {
 			p := withPaths(g).PathsFwd[0].Path
@@ -189,7 +202,7 @@ func TestDecodeRejectsBadImages(t *testing.T) {
 			r := innerRegion(g)
 			g.transferCenters[r] = append(g.transferCenters[r], bad)
 		},
-		"transfer-center count": func(g *Graph) { g.tcCounts[innerRegion(g)][bad] = 3 },
+		"transfer-center count": func(g *Graph) { g.tcCounts[innerRegion(g)] = append(g.tcCounts[innerRegion(g)], visitCount{bad, 3}) },
 		"region member":         func(g *Graph) { g.Regions[0].Members = append(g.Regions[0].Members, bad) },
 		"region road type":      func(g *Graph) { g.Regions[0].RoadType = roadnet.NumRoadTypes },
 		"top road type":         func(g *Graph) { g.topTypes[0] = append(g.topTypes[0], roadnet.NumRoadTypes) },
@@ -199,12 +212,16 @@ func TestDecodeRejectsBadImages(t *testing.T) {
 		"unproducible slave": func(g *Graph) {
 			g.Edges[0].HasPref, g.Edges[0].Pref = true, pref.Preference{Master: roadnet.DI, Slave: pref.SlaveOf(roadnet.Motorway, roadnet.Residential)}
 		},
-		"edge endpoint":     func(g *Graph) { g.Edges[0].R2 = regions },
+		"edge endpoint":     func(g *Graph) { g.Edges[0].R2 = int32(regions) },
 		"far edge endpoint": func(g *Graph) { g.Edges[0].R1 = 10_000 },
 		"negative endpoint": func(g *Graph) { g.Edges[0].R1 = -1 },
 		"R1 == R2":          func(g *Graph) { g.Edges[0].R2 = g.Edges[0].R1 },
 		"R1 > R2":           func(g *Graph) { g.Edges[0].R1, g.Edges[0].R2 = g.Edges[0].R2, g.Edges[0].R1 },
 		"repeated pair":     func(g *Graph) { g.Edges[1].R1, g.Edges[1].R2 = g.Edges[0].R1, g.Edges[0].R2 },
+		"counted vertices out of order": func(g *Graph) {
+			cs := g.tcCounts[countedTwice(g)]
+			cs[0].v, cs[1].v = cs[1].v, cs[0].v
+		},
 	} {
 		fresh, err := Decode(img, g.Road)
 		if err != nil {
@@ -214,6 +231,26 @@ func TestDecodeRejectsBadImages(t *testing.T) {
 		if got, err := Decode(imageOf(fresh), g.Road); !errors.Is(err, codec.ErrMalformed) || got != nil {
 			t.Errorf("%s: Decode returned graph %v, err %v; want ErrMalformed", name, got != nil, err)
 		}
+	}
+
+	// A count of MaxInt32 decodes. Its zigzag varint, fe ff ff ff 0f,
+	// becomes MaxInt32+1's, 80 80 80 80 10: the same length, so the
+	// image stays whole.
+	fresh, err := Decode(img, g.Road)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.tcCounts[countedTwice(fresh)][0].c = math.MaxInt32
+	top := imageOf(fresh)
+	if _, err := Decode(top, g.Road); err != nil {
+		t.Fatalf("a visit count of MaxInt32: %v", err)
+	}
+	at, huge := []byte{0xfe, 0xff, 0xff, 0xff, 0x0f}, []byte{0x80, 0x80, 0x80, 0x80, 0x10}
+	if bytes.Count(top, at) != 1 {
+		t.Fatalf("the image holds %d varints of MaxInt32, want the one count", bytes.Count(top, at))
+	}
+	if got, err := Decode(bytes.Replace(top, at, huge, 1), g.Road); !errors.Is(err, codec.ErrMalformed) || got != nil {
+		t.Errorf("visit count above MaxInt32: Decode returned graph %v, err %v; want ErrMalformed", got != nil, err)
 	}
 }
 

@@ -48,52 +48,65 @@ type PathInfo struct {
 
 // Edge is a region edge. Regions are stored with R1 < R2; the two path
 // sets keep direction.
+//
+// An Edge takes 80 bytes, and a city holds hundreds of thousands: four
+// int32s (ID, R1, R2 and the fit's sample size), seven bytes of kind,
+// flags and the two preferences, the fit's similarity, and the two path
+// set headers. TestRegionLayout pins the size, so a new field is a
+// visible decision.
 type Edge struct {
-	ID   int
-	R1   int
-	R2   int
-	Kind EdgeKind
+	ID int32
+	R1 int32
+	R2 int32
+	// fitUsed, fitted, fitPref and fitSim are the fit (Fit): whether a
+	// preference was learned from this edge's own path set (T-edges
+	// with paths), and that preference with its sample size and
+	// training similarity. Pref/HasPref are what routing applies — the
+	// fit only when it clears the caller's confidence gate. The graph's
+	// image (Append) does not carry the fit: artifacts keep fits in a
+	// section of their own (core's preference section).
+	fitUsed int32
+	Kind    EdgeKind
+	// Pref is the learned (T-edge) or transferred (B-edge) routing
+	// preference; HasPref reports whether one is set. B-edges that the
+	// transfer step could not label fall back to fastest paths, per the
+	// paper.
+	HasPref bool
+	Pref    pref.Preference
+	fitted  bool
+	fitPref pref.Preference
+	fitSim  float64
 	// PathsFwd holds paths leaving R1 and entering R2; PathsRev the
 	// opposite direction. B-edges start empty and are filled by the
 	// preference-transfer step.
 	PathsFwd []PathInfo
 	PathsRev []PathInfo
-	// Pref is the learned (T-edge) or transferred (B-edge) routing
-	// preference; HasPref reports whether one is set. B-edges that the
-	// transfer step could not label fall back to fastest paths, per the
-	// paper.
-	Pref    pref.Preference
-	HasPref bool
-	// fitted reports whether a preference was learned from this edge's
-	// own path set (T-edges with paths); fit is that preference with its
-	// training similarity and sample size. Pref/HasPref above are what
-	// routing applies — the fit only when it clears the caller's
-	// confidence gate. The graph's image (Append) does not carry them:
-	// artifacts keep fits in a section of their own (core's preference
-	// section).
-	fitted bool
-	fit    pref.Result
 }
 
 // Fit returns the preference learned from e's path set, if any.
-func (e *Edge) Fit() (pref.Result, bool) { return e.fit, e.fitted }
+func (e *Edge) Fit() (pref.Result, bool) {
+	return pref.Result{Preference: e.fitPref, Similarity: e.fitSim, PathsUsed: int(e.fitUsed)}, e.fitted
+}
 
 // SetFit records (ok) or clears (!ok) the preference learned from e's
 // path set. Like every edge mutation it belongs on an edge obtained
-// from Graph.EdgeForUpdate.
-func (e *Edge) SetFit(res pref.Result, ok bool) { e.fit, e.fitted = res, ok }
+// from Graph.EdgeForUpdate. A sample size is an int32: the learner caps
+// its samples, and core's preference section refuses a larger one.
+func (e *Edge) SetFit(res pref.Result, ok bool) {
+	e.fitPref, e.fitSim, e.fitUsed, e.fitted = res.Preference, res.Similarity, int32(res.PathsUsed), ok
+}
 
 // Other returns the endpoint of e that is not r.
 func (e *Edge) Other(r int) int {
-	if e.R1 == r {
-		return e.R2
+	if int(e.R1) == r {
+		return int(e.R2)
 	}
-	return e.R1
+	return int(e.R1)
 }
 
 // PathsFrom returns the path set for travel out of region r over e.
 func (e *Edge) PathsFrom(r int) []PathInfo {
-	if e.R1 == r {
+	if int(e.R1) == r {
 		return e.PathsFwd
 	}
 	return e.PathsRev
@@ -106,7 +119,7 @@ func (e *Edge) PathsFrom(r int) []PathInfo {
 // region pair. A new path is stored as given.
 func (e *Edge) addPath(from int, p roadnet.Path, terminal bool, trip, off int32) {
 	set := &e.PathsRev
-	if e.R1 == from {
+	if int(e.R1) == from {
 		set = &e.PathsFwd
 	}
 	var t int32
@@ -125,6 +138,13 @@ func (e *Edge) addPath(from int, p roadnet.Path, terminal bool, trip, off int32)
 
 // Link is one adjacency entry: neighbor region To, over edge Edge.
 type Link struct{ To, Edge int32 }
+
+// visitCount is how many trajectory visits entered or left a region at
+// vertex v: 8 bytes, where a map entry took ≈ 66.
+type visitCount struct {
+	v roadnet.VertexID
+	c int32
+}
 
 // InnerPath is a within-region sub-path of a trajectory, from the vertex
 // where the trajectory entered the region to where it left.
@@ -148,7 +168,9 @@ type Graph struct {
 	regionOf []int32
 	// Edges holds all region edges; adj[r] lists region r's neighbor
 	// IDs, each with its edge, sorted by neighbor (insertAdj), which
-	// is what FindEdge searches.
+	// is what FindEdge searches. A decoded graph's adjacency is one
+	// array of Links cut into capped windows, len == cap, so an insert
+	// reallocates rather than writing into the next region's window.
 	Edges []*Edge
 	adj   [][]Link
 
@@ -161,8 +183,10 @@ type Graph struct {
 	transferCenters [][]roadnet.VertexID
 	// tcCounts[r] retains the visit counts behind transferCenters[r] so
 	// AddPaths recounts exactly: the lists depend on the union evidence,
-	// not on its batching. Every graph carries them, built or decoded.
-	tcCounts []map[roadnet.VertexID]int
+	// not on its batching. Every graph carries them, built or decoded,
+	// as pairs sorted by vertex; a decoded graph's are capped windows of
+	// one array, as its adjacency is.
+	tcCounts [][]visitCount
 	// topTypes[r] is the region's top-k road-type set (Section V-B
 	// functionality feature).
 	topTypes [][]roadnet.RoadType
@@ -230,11 +254,15 @@ func (g *Graph) TransferCenters(r int) []roadnet.VertexID {
 	return []roadnet.VertexID{best}
 }
 
-// TransferCounts returns region r's transfer centers as stored — empty
-// where TransferCenters falls back to a member — and the visit counts
-// behind them, for reading only.
+// TransferCounts returns region r's transfer centers as stored, for
+// reading only — empty where TransferCenters falls back to a member —
+// and the visit counts behind them in a new map.
 func (g *Graph) TransferCounts(r int) ([]roadnet.VertexID, map[roadnet.VertexID]int) {
-	return g.transferCenters[r], g.tcCounts[r]
+	counts := make(map[roadnet.VertexID]int, len(g.tcCounts[r]))
+	for _, x := range g.tcCounts[r] {
+		counts[x.v] = int(x.c)
+	}
+	return g.transferCenters[r], counts
 }
 
 // TopRoadTypes returns the region's top-k road-type functionality set.
@@ -259,15 +287,16 @@ func (g *Graph) BEdgeCount() int { return len(g.Edges) - g.TEdgeCount() }
 // privately owned — callers mutate it freely.
 func (g *Graph) edge(r1, r2 int, kind EdgeKind) *Edge {
 	if e := g.FindEdge(r1, r2); e != nil {
-		return g.mutEdge(e.ID)
+		return g.mutEdge(int(e.ID))
 	}
-	e := &Edge{ID: len(g.Edges), R1: min(r1, r2), R2: max(r1, r2), Kind: kind}
+	id, lo, hi := len(g.Edges), min(r1, r2), max(r1, r2)
+	e := &Edge{ID: int32(id), R1: int32(lo), R2: int32(hi), Kind: kind}
 	g.Edges = append(g.Edges, e)
 	if g.cow != nil {
 		g.cow.edges = append(g.cow.edges, true) // freshly created, private
 	}
-	g.insertAdj(e.R1, e.R2, e.ID)
-	g.insertAdj(e.R2, e.R1, e.ID)
+	g.insertAdj(lo, hi, id)
+	g.insertAdj(hi, lo, id)
 	return e
 }
 
@@ -312,7 +341,7 @@ type visit struct {
 
 // Build constructs the region graph from clustering output and
 // map-matched trajectory paths: the partition skeleton — membership,
-// centroids, road-type sets, empty count maps — with every path then
+// centroids, road-type sets, empty visit counts — with every path then
 // ingested by AddPaths, the one loop that creates T-edges, transfer
 // centers and inner-region paths. Call ConnectBFS afterwards to add
 // B-edges.
@@ -343,10 +372,7 @@ func Build(road *roadnet.Graph, regions []cluster.Region, paths []roadnet.Path, 
 	}
 	g.computeTopTypes()
 
-	g.tcCounts = make([]map[roadnet.VertexID]int, len(regions))
-	for i := range g.tcCounts {
-		g.tcCounts[i] = make(map[roadnet.VertexID]int)
-	}
+	g.tcCounts = make([][]visitCount, len(regions))
 	g.transferCenters = make([][]roadnet.VertexID, len(regions))
 	g.AddPaths(paths, opt)
 	return g
@@ -359,27 +385,26 @@ func Build(road *roadnet.Graph, regions []cluster.Region, paths []roadnet.Path, 
 // batched; it replaces the old list whole, so a COW clone need not copy
 // that first.
 func (g *Graph) rebuildTransferCenters(r int) {
-	m := g.tcCounts[r]
-	type vc struct {
-		v roadnet.VertexID
-		c int
-	}
-	vcs := make([]vc, 0, len(m))
-	for v, c := range m {
-		vcs = append(vcs, vc{v, c})
-	}
-	sort.Slice(vcs, func(i, j int) bool {
-		if vcs[i].c != vcs[j].c {
-			return vcs[i].c > vcs[j].c
+	var top [maxTransferCenters]visitCount
+	n := 0
+	// The counts come in ascending vertex order, so a vertex goes after
+	// every one counted at least as often, and a tie keeps the smaller
+	// vertex first.
+	for _, x := range g.tcCounts[r] {
+		i := n
+		for i > 0 && top[i-1].c < x.c {
+			i--
 		}
-		return vcs[i].v < vcs[j].v
-	})
-	if len(vcs) > maxTransferCenters {
-		vcs = vcs[:maxTransferCenters]
+		if i == maxTransferCenters {
+			continue
+		}
+		n = min(n+1, maxTransferCenters)
+		copy(top[i+1:n], top[i:n-1])
+		top[i] = x
 	}
-	list := make([]roadnet.VertexID, len(vcs))
-	for i, x := range vcs {
-		list[i] = x.v
+	list := make([]roadnet.VertexID, n)
+	for i := range list {
+		list[i] = top[i].v
 	}
 	g.transferCenters[r] = list
 }

@@ -3,6 +3,7 @@ package region
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/roadnet"
@@ -187,7 +188,7 @@ func checkFindEdge(t *testing.T, g *Graph) {
 		for b := a; b < g.NumRegions(); b++ {
 			var want *Edge
 			for _, e := range g.Edges {
-				if e.R1 == a && e.R2 == b {
+				if int(e.R1) == a && int(e.R2) == b {
 					want = e
 				}
 			}
@@ -293,4 +294,47 @@ func TestBidirectionalPathSets(t *testing.T) {
 		t.Fatalf("directional path sets: fwd=%d rev=%d",
 			len(e.PathsFrom(0)), len(e.PathsFrom(1)))
 	}
+}
+
+// TestRegionLayout pins the sizes a region graph is made of: a city
+// holds hundreds of thousands of edges and paths, so a field added to
+// Edge, PathInfo or Link, or a visit count grown past its pair of
+// int32s, is a decision this test makes visible. A decoded graph's
+// adjacency holds no spare capacity (len == cap in every region), and
+// an edge inserted into it afterwards leaves every other region's list
+// whole.
+func TestRegionLayout(t *testing.T) {
+	for name, got := range map[string]uintptr{
+		"Edge":       unsafe.Sizeof(Edge{}),
+		"PathInfo":   unsafe.Sizeof(PathInfo{}),
+		"Link":       unsafe.Sizeof(Link{}),
+		"visitCount": unsafe.Sizeof(visitCount{}),
+	} {
+		want := map[string]uintptr{"Edge": 80, "PathInfo": 40, "Link": 8, "visitCount": 8}[name]
+		if got != want {
+			t.Errorf("%s is %d bytes, want %d", name, got, want)
+		}
+	}
+
+	g := snapWorld(t)
+	decoded, err := Decode(imageOf(g), g.Road)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := -1, -1
+	for r := 0; r < decoded.NumRegions(); r++ {
+		if l := decoded.Links(r); len(l) != cap(l) {
+			t.Errorf("region %d's adjacency holds %d links in %d", r, len(l), cap(l))
+		}
+		for o := r + 1; a < 0 && o < decoded.NumRegions(); o++ {
+			if decoded.FindEdge(r, o) == nil {
+				a, b = r, o
+			}
+		}
+	}
+	if a < 0 {
+		t.Fatal("every region pair has an edge; nothing to insert")
+	}
+	decoded.edge(a, b, TEdge)
+	checkAdjacency(t, "an insert into a decoded graph", decoded)
 }

@@ -61,7 +61,7 @@ func TestUnreferencedTripsAreDropped(t *testing.T) {
 	if b == nil || b.Kind != BEdge {
 		t.Fatal("regions 1 and 2 are not joined by a B-edge")
 	}
-	g.AddBEdgePaths([]BPath{{Edge: b.ID, From: 1, Path: roadnet.Path{5, 6, 7}}, {Edge: b.ID, From: 2, Path: roadnet.Path{7, 6, 5}}})
+	g.AddBEdgePaths([]BPath{{Edge: int(b.ID), From: 1, Path: roadnet.Path{5, 6, 7}}, {Edge: int(b.ID), From: 2, Path: roadnet.Path{7, 6, 5}}})
 	materialized := g.trips
 	writtenTrips := func(g *Graph) []roadnet.Path {
 		d, err := Decode(imageOf(g), g.Road)
@@ -90,9 +90,9 @@ func TestUnreferencedTripsAreDropped(t *testing.T) {
 	}
 
 	rebuilt := g.CloneCOW()
-	e := rebuilt.EdgeForUpdate(b.ID)
+	e := rebuilt.EdgeForUpdate(int(b.ID))
 	e.PathsFwd, e.PathsRev = nil, nil
-	rebuilt.AddBEdgePaths([]BPath{{Edge: b.ID, From: 1, Path: roadnet.Path{4, 5, 6, 7}}})
+	rebuilt.AddBEdgePaths([]BPath{{Edge: int(b.ID), From: 1, Path: roadnet.Path{4, 5, 6, 7}}})
 	for x := rebuilt.trips; x != nil; x = x.prev {
 		if x.first == materialized.first {
 			t.Fatal("the rebuilt clone's table still links the batch its rebuild cleared")

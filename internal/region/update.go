@@ -1,6 +1,11 @@
 package region
 
-import "repro/internal/roadnet"
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/roadnet"
+)
 
 // This file is how trajectories enter a region graph — the first time
 // (Build is the empty partition skeleton plus one AddPaths over the
@@ -106,9 +111,9 @@ func (g *Graph) AddPaths(paths []roadnet.Path, opt Options) UpdateStats {
 				// exit and the entry vertex.
 				end := visits[j].entry + 1
 				e.addPath(ri, p[visits[i].exit:end:end], i == 0 && j == len(visits)-1, trip, int32(visits[i].exit))
-				if !touched[e.ID] {
-					touched[e.ID] = true
-					st.TouchedEdges = append(st.TouchedEdges, e.ID)
+				if id := int(e.ID); !touched[id] {
+					touched[id] = true
+					st.TouchedEdges = append(st.TouchedEdges, id)
 					if wasB {
 						st.UpgradedEdges++
 					}
@@ -128,11 +133,16 @@ func (g *Graph) AddPaths(paths []roadnet.Path, opt Options) UpdateStats {
 }
 
 // bumpTransferCenter records one more entry/exit visit of v in region
-// r (Graph.tcCounts). The caller re-sorts the region's list after the
-// batch, so the list depends on the union evidence alone, by
-// construction.
+// r (Graph.tcCounts), inserting v in vertex order on its first visit.
+// The caller rebuilds the region's list after the batch, so the list
+// depends on the union evidence alone, by construction.
 func (g *Graph) bumpTransferCenter(r int, v roadnet.VertexID, dirty map[int]bool) {
 	g.mutTCCount(r)
-	g.tcCounts[r][v]++
+	cs := g.tcCounts[r]
+	if i, ok := slices.BinarySearchFunc(cs, v, func(x visitCount, v roadnet.VertexID) int { return cmp.Compare(x.v, v) }); ok {
+		cs[i].c++
+	} else {
+		g.tcCounts[r] = slices.Insert(cs, i, visitCount{v, 1})
+	}
 	dirty[r] = true
 }

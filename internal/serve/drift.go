@@ -180,8 +180,8 @@ func regionsWithEvidence(rg *region.Graph) int {
 		if e.Kind != region.TEdge {
 			continue
 		}
-		for _, r := range [2]int{e.R1, e.R2} {
-			if r >= 0 && r < len(seen) && !seen[r] {
+		for _, r := range [2]int32{e.R1, e.R2} {
+			if r >= 0 && int(r) < len(seen) && !seen[r] {
 				seen[r] = true
 				n++
 			}

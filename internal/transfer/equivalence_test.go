@@ -212,9 +212,9 @@ func cityProblem(tb testing.TB, scale string, seed int64) *problem {
 	for _, e := range edges {
 		switch {
 		case e.Kind == region.BEdge:
-			p.targets = append(p.targets, e.ID)
+			p.targets = append(p.targets, int(e.ID))
 		case e.HasPref:
-			p.labeled = append(p.labeled, transfer.Labeled{EdgeID: e.ID, Pref: e.Pref})
+			p.labeled = append(p.labeled, transfer.Labeled{EdgeID: int(e.ID), Pref: e.Pref})
 		}
 	}
 	if len(p.labeled) == 0 || len(p.targets) == 0 {
@@ -396,7 +396,7 @@ func TestAdjacencyDensityMatchesAllPairs(t *testing.T) {
 	cities(t, func(t *testing.T, p *problem) {
 		ids := make([]int, len(p.g.Edges))
 		for i, e := range p.g.Edges {
-			ids[i] = e.ID
+			ids[i] = int(e.ID)
 		}
 		feats := transfer.EdgeFeatureRows(p.g, ids)
 		amrs := []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1}

@@ -35,10 +35,11 @@ func pairOf(a, b roadnet.RoadType) RoadTypePair {
 
 // EdgeFeatures computes the similarity features of region edge e.
 func EdgeFeatures(g *region.Graph, e *region.Edge) Features {
-	f := Features{Dis: g.Centroid(e.R1).Dist(g.Centroid(e.R2))}
+	r1, r2 := int(e.R1), int(e.R2)
+	f := Features{Dis: g.Centroid(r1).Dist(g.Centroid(r2))}
 	seen := make(map[RoadTypePair]bool)
-	for _, ta := range g.TopRoadTypes(e.R1) {
-		for _, tb := range g.TopRoadTypes(e.R2) {
+	for _, ta := range g.TopRoadTypes(r1) {
+		for _, tb := range g.TopRoadTypes(r2) {
 			p := pairOf(ta, tb)
 			if !seen[p] {
 				seen[p] = true

@@ -206,12 +206,13 @@ func Materialize(g *region.Graph, res Result, finder PathFinder) int {
 	fill := func(id int, pf pref.Preference, hasPref bool) {
 		e := g.Edges[id]
 		e.Pref, e.HasPref = pf, hasPref
-		tc1 := g.TransferCenters(e.R1)
-		tc2 := g.TransferCenters(e.R2)
+		r1, r2 := int(e.R1), int(e.R2)
+		tc1 := g.TransferCenters(r1)
+		tc2 := g.TransferCenters(r2)
 		for _, a := range tc1 {
 			for _, b := range tc2 {
-				addPair(id, e.R1, a, b, pf, hasPref)
-				addPair(id, e.R2, b, a, pf, hasPref)
+				addPair(id, r1, a, b, pf, hasPref)
+				addPair(id, r2, b, a, pf, hasPref)
 			}
 		}
 	}

@@ -139,10 +139,10 @@ func TestRunTransfersToSimilarBEdge(t *testing.T) {
 	}
 	planted := pref.Preference{Master: roadnet.FC, Slave: pref.Highways}
 	res := Run(rg,
-		[]Labeled{{EdgeID: tEdge.ID, Pref: planted}},
-		[]int{bEdge.ID},
+		[]Labeled{{EdgeID: int(tEdge.ID), Pref: planted}},
+		[]int{int(bEdge.ID)},
 		DefaultConfig(), 1)
-	got, ok := res.Pref[bEdge.ID]
+	got, ok := res.Pref[int(bEdge.ID)]
 	if !ok {
 		t.Fatalf("B-edge not labeled; nulls=%v", res.Null)
 	}
@@ -164,8 +164,8 @@ func TestRunImpossibleAMRGivesNull(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AMR = 1.01 // nothing is this similar
 	res := Run(rg,
-		[]Labeled{{EdgeID: tEdge.ID, Pref: pref.Preference{Master: roadnet.DI}}},
-		[]int{bEdge.ID}, cfg, 1)
+		[]Labeled{{EdgeID: int(tEdge.ID), Pref: pref.Preference{Master: roadnet.DI}}},
+		[]int{int(bEdge.ID)}, cfg, 1)
 	if len(res.Pref) != 0 {
 		t.Fatalf("expected no transfers, got %v", res.Pref)
 	}
@@ -178,7 +178,7 @@ func TestAdjacencyDensityMonotone(t *testing.T) {
 	_, rg := transferWorld(t)
 	var ids []int
 	for _, e := range rg.Edges {
-		ids = append(ids, e.ID)
+		ids = append(ids, int(e.ID))
 	}
 	d5 := AdjacencyDensity(rg, ids, 0.5)
 	d9 := AdjacencyDensity(rg, ids, 0.9)
@@ -193,8 +193,8 @@ func TestMaterialize(t *testing.T) {
 	bEdge := rg.FindEdge(2, 3)
 	planted := pref.Preference{Master: roadnet.DI, Slave: pref.NoSlave}
 	res := Run(rg,
-		[]Labeled{{EdgeID: tEdge.ID, Pref: planted}},
-		[]int{bEdge.ID}, DefaultConfig(), 1)
+		[]Labeled{{EdgeID: int(tEdge.ID), Pref: planted}},
+		[]int{int(bEdge.ID)}, DefaultConfig(), 1)
 	finder := &testFinder{eng: route.NewEngine(g)}
 	attached := Materialize(rg, res, finder)
 	if attached == 0 {
@@ -222,8 +222,8 @@ func TestMaterializeNullUsesFastest(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AMR = 1.01
 	res := Run(rg,
-		[]Labeled{{EdgeID: tEdge.ID, Pref: pref.Preference{Master: roadnet.DI}}},
-		[]int{bEdge.ID}, cfg, 1)
+		[]Labeled{{EdgeID: int(tEdge.ID), Pref: pref.Preference{Master: roadnet.DI}}},
+		[]int{int(bEdge.ID)}, cfg, 1)
 	finder := &testFinder{eng: route.NewEngine(g)}
 	Materialize(rg, res, finder)
 	if bEdge.HasPref {
@@ -262,10 +262,10 @@ func TestRunDegenerateSystems(t *testing.T) {
 	bEdge := rg.FindEdge(2, 3)
 	var all []int
 	for _, e := range rg.Edges {
-		all = append(all, e.ID)
+		all = append(all, int(e.ID))
 	}
 	planted := pref.Preference{Master: roadnet.FC, Slave: pref.Highways}
-	one := []Labeled{{EdgeID: tEdge.ID, Pref: planted}}
+	one := []Labeled{{EdgeID: int(tEdge.ID), Pref: planted}}
 	with := func(mod func(*Config)) Config {
 		cfg := DefaultConfig()
 		mod(&cfg)
@@ -280,7 +280,7 @@ func TestRunDegenerateSystems(t *testing.T) {
 		wantIters func(iters int) bool
 	}{
 		{name: "µ2 = 0 leaves an isolated unlabeled row with a zero diagonal",
-			labeled: one, targets: []int{bEdge.ID},
+			labeled: one, targets: []int{int(bEdge.ID)},
 			cfg:      with(func(c *Config) { c.Mu2, c.AMR = 0, 1.01 }),
 			wantNull: 1, wantIters: func(it int) bool { return it > 0 }},
 		{name: "no labeled edges: every column is inactive",

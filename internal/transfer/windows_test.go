@@ -72,7 +72,7 @@ func TestWindowsMatchAllPairs(t *testing.T) {
 				problemMu.Unlock()
 				ids := make([]int, len(g.Edges))
 				for i, e := range g.Edges {
-					ids[i] = e.ID
+					ids[i] = int(e.ID)
 				}
 				pairs := checkWindows(t, transfer.EdgeFeatureRows(g, ids), windowAMRs)
 				t.Logf("%d rows; pairs at amr %v: %v", len(ids), windowAMRs, pairs)
