@@ -3,7 +3,6 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -17,7 +16,7 @@ var magic = [4]byte{'L', '2', 'R', 'A'}
 // positioned anywhere else fails fast instead of decoding garbage.
 var recMagic = [2]byte{'L', 'W'}
 
-// Errors returned by ReadFrame and ReadRecord. Wrapped with context;
+// Errors returned by ReadFrameBytes and ReadRecord. Wrapped with context;
 // test with errors.Is.
 var (
 	ErrBadMagic   = errors.New("codec: bad magic (not an L2R artifact)")
@@ -29,17 +28,8 @@ var (
 	ErrTorn = errors.New("codec: torn record (truncated mid-write)")
 )
 
-// WriteFrame gob-encodes payload and writes one checksummed frame.
-func WriteFrame(w io.Writer, version uint16, payload any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
-		return fmt.Errorf("codec: encoding payload: %w", err)
-	}
-	return WriteFrameBytes(w, version, buf.Bytes())
-}
-
-// WriteFrameBytes writes payload, already encoded, as one checksummed
-// frame: for payloads laid out by hand (Enc) rather than by gob.
+// WriteFrameBytes writes payload, laid out by hand (Enc), as one
+// checksummed frame.
 func WriteFrameBytes(w io.Writer, version uint16, payload []byte) error {
 	h := fnv.New64a()
 	h.Write(payload)
@@ -58,19 +48,6 @@ func WriteFrameBytes(w io.Writer, version uint16, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame, verifies integrity and gob-decodes the
-// payload into out (a pointer).
-func ReadFrame(r io.Reader, version uint16, out any) error {
-	_, payload, err := ReadFrameBytes(r, version)
-	if err != nil {
-		return err
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
-		return fmt.Errorf("codec: decoding payload: %w", err)
-	}
-	return nil
-}
-
 // FrameHeaderLen is the on-disk size of a frame header (magic,
 // version, payload length, checksum).
 const FrameHeaderLen = 4 + 2 + 8 + 8
@@ -79,7 +56,7 @@ const FrameHeaderLen = 4 + 2 + 8 + 8
 // on-disk frame length (header + payload). ok is false when b is
 // shorter than a header or does not start with the frame magic —
 // callers distinguishing "file truncated inside its first frame" from
-// "file corrupt" use it before paying for a full ReadFrame.
+// "file corrupt" use it before paying for a full ReadFrameBytes.
 func FrameLen(b []byte) (n int64, ok bool) {
 	if len(b) < FrameHeaderLen || !bytes.Equal(b[:4], magic[:]) {
 		return 0, false
@@ -193,28 +170,29 @@ const maxRecord = 1 << 30
 const recHeaderLen = 2 + 4 + 8 + 8 + 8
 
 // RecordLen returns the on-disk size of a record with the given
-// payload length.
+// payload length; RecordLen(0) is the header WriteRecord expects its
+// buffer to reserve.
 func RecordLen(payloadLen int) int64 { return int64(recHeaderLen + payloadLen) }
 
-// WriteRecord appends one record to w. Header and payload go out in
-// one Write so a crash mid-append leaves a torn tail, never an
-// interior hole.
-func WriteRecord(w io.Writer, seq uint64, payload []byte) error {
+// WriteRecord writes rec to w as one record. rec is laid out in place:
+// its first RecordLen(0) bytes are reserved for the header, which
+// WriteRecord fills in, and the rest is the payload. The record goes
+// out in one Write, so a crash mid-append leaves a torn tail, never an
+// interior hole, and the payload is never copied.
+func WriteRecord(w io.Writer, seq uint64, rec []byte) error {
+	if len(rec) < recHeaderLen {
+		return fmt.Errorf("codec: record buffer of %d bytes has no room for its %d-byte header", len(rec), recHeaderLen)
+	}
+	payload := rec[recHeaderLen:]
 	if len(payload) > maxRecord {
 		return fmt.Errorf("codec: record payload %d exceeds %d bytes", len(payload), maxRecord)
 	}
-	buf := make([]byte, recHeaderLen+len(payload))
-	copy(buf[:2], recMagic[:])
-	binary.BigEndian.PutUint32(buf[2:6], uint32(len(payload)))
-	binary.BigEndian.PutUint64(buf[6:14], seq)
-	h := fnv.New64a()
-	h.Write(payload)
-	binary.BigEndian.PutUint64(buf[14:22], h.Sum64())
-	h = fnv.New64a()
-	h.Write(buf[:22])
-	binary.BigEndian.PutUint64(buf[22:30], h.Sum64())
-	copy(buf[recHeaderLen:], payload)
-	if _, err := w.Write(buf); err != nil {
+	copy(rec[:2], recMagic[:])
+	binary.BigEndian.PutUint32(rec[2:6], uint32(len(payload)))
+	binary.BigEndian.PutUint64(rec[6:14], seq)
+	binary.BigEndian.PutUint64(rec[14:22], fnv64a(payload))
+	binary.BigEndian.PutUint64(rec[22:30], fnv64a(rec[:22]))
+	if _, err := w.Write(rec); err != nil {
 		return fmt.Errorf("codec: writing record: %w", err)
 	}
 	return nil
@@ -236,9 +214,7 @@ func ReadRecord(r io.Reader) (seq uint64, payload []byte, err error) {
 	if !bytes.Equal(header[:2], recMagic[:]) {
 		return 0, nil, fmt.Errorf("%w: bad record magic", ErrCorrupt)
 	}
-	h := fnv.New64a()
-	h.Write(header[:22])
-	if h.Sum64() != binary.BigEndian.Uint64(header[22:30]) {
+	if fnv64a(header[:22]) != binary.BigEndian.Uint64(header[22:30]) {
 		return 0, nil, fmt.Errorf("%w: record header checksum mismatch", ErrCorrupt)
 	}
 	n := binary.BigEndian.Uint32(header[2:6])
@@ -251,10 +227,17 @@ func ReadRecord(r io.Reader) (seq uint64, payload []byte, err error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("%w: short payload: %v", ErrTorn, err)
 	}
-	h = fnv.New64a()
-	h.Write(payload)
-	if h.Sum64() != want {
+	if fnv64a(payload) != want {
 		return 0, nil, fmt.Errorf("%w: record %d", ErrCorrupt, seq)
 	}
 	return seq, payload, nil
+}
+
+// fnv64a is the FNV-64a hash of b. A record's two checksums go through
+// it rather than one hash.Hash64 variable assigned twice, which the
+// compiler would move to the heap.
+func fnv64a(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }

@@ -5,63 +5,58 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
 )
 
-type payload struct {
-	Name  string
-	Vals  []float64
-	Table map[int]string
-}
-
-func samplePayload() payload {
-	return payload{
-		Name: "router",
-		Vals: []float64{1.5, -2, 0, 3.75},
-		Table: map[int]string{
-			1: "one",
-			7: "seven",
-		},
+// samplePayload is a hand-laid payload: a name, a few floats and a
+// count, as Enc writes them.
+func samplePayload() []byte {
+	var e Enc
+	e.Uvarint(6)
+	e.Write([]byte("router"))
+	for _, v := range []float64{1.5, -2, 0, 3.75} {
+		e.Float64(v)
 	}
+	e.Int(-7)
+	return e.B
 }
 
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := samplePayload()
-	if err := WriteFrame(&buf, 3, in); err != nil {
+	if err := WriteFrameBytes(&buf, 3, in); err != nil {
 		t.Fatal(err)
 	}
-	var out payload
-	if err := ReadFrame(&buf, 3, &out); err != nil {
+	version, out, err := ReadFrameBytes(&buf, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Name != in.Name || len(out.Vals) != len(in.Vals) || out.Table[7] != "seven" {
-		t.Fatalf("round trip mismatch: %+v", out)
+	if version != 3 || !bytes.Equal(out, in) {
+		t.Fatalf("round trip mismatch: v%d %q", version, out)
 	}
 }
 
 func TestBadMagic(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 1, samplePayload()); err != nil {
+	if err := WriteFrameBytes(&buf, 1, samplePayload()); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
 	b[0] = 'X'
-	var out payload
-	if err := ReadFrame(bytes.NewReader(b), 1, &out); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := ReadFrameBytes(bytes.NewReader(b), 1); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }
 
 func TestVersionMismatch(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 2, samplePayload()); err != nil {
+	if err := WriteFrameBytes(&buf, 2, samplePayload()); err != nil {
 		t.Fatal(err)
 	}
-	var out payload
-	if err := ReadFrame(&buf, 3, &out); !errors.Is(err, ErrBadVersion) {
+	if _, _, err := ReadFrameBytes(&buf, 3); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("err = %v, want ErrBadVersion", err)
 	}
 }
@@ -70,32 +65,27 @@ func TestVersionMismatch(t *testing.T) {
 // and verifies each corruption is caught.
 func TestBitFlipDetected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 1, samplePayload()); err != nil {
+	if err := WriteFrameBytes(&buf, 1, samplePayload()); err != nil {
 		t.Fatal(err)
 	}
 	orig := buf.Bytes()
-	const headerLen = 22
-	for pos := headerLen; pos < len(orig); pos += 7 {
+	for pos := FrameHeaderLen; pos < len(orig); pos++ {
 		b := append([]byte(nil), orig...)
 		b[pos] ^= 0x40
-		var out payload
-		err := ReadFrame(bytes.NewReader(b), 1, &out)
-		if err == nil {
-			t.Fatalf("bit flip at %d not detected", pos)
+		if _, _, err := ReadFrameBytes(bytes.NewReader(b), 1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("bit flip at %d: err = %v, want ErrCorrupt", pos, err)
 		}
 	}
 }
 
 func TestTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 1, samplePayload()); err != nil {
+	if err := WriteFrameBytes(&buf, 1, samplePayload()); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{0, 3, 10, 22, len(full) - 1} {
-		var out payload
-		err := ReadFrame(bytes.NewReader(full[:cut]), 1, &out)
-		if err == nil {
+		if _, _, err := ReadFrameBytes(bytes.NewReader(full[:cut]), 1); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
@@ -103,7 +93,7 @@ func TestTruncation(t *testing.T) {
 
 func TestImplausibleLengthRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 1, samplePayload()); err != nil {
+	if err := WriteFrameBytes(&buf, 1, samplePayload()); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
@@ -111,8 +101,7 @@ func TestImplausibleLengthRejected(t *testing.T) {
 	for i := 6; i < 14; i++ {
 		b[i] = 0xFF
 	}
-	var out payload
-	err := ReadFrame(bytes.NewReader(b), 1, &out)
+	_, _, err := ReadFrameBytes(bytes.NewReader(b), 1)
 	if err == nil {
 		t.Fatal("implausible length accepted")
 	}
@@ -124,49 +113,49 @@ func TestImplausibleLengthRejected(t *testing.T) {
 func TestMultipleFramesSequential(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 3; i++ {
-		p := samplePayload()
-		p.Vals = append(p.Vals, float64(i))
-		if err := WriteFrame(&buf, 1, p); err != nil {
+		p := append(samplePayload(), byte(i))
+		if err := WriteFrameBytes(&buf, 1, p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		var out payload
-		if err := ReadFrame(&buf, 1, &out); err != nil {
+		_, out, err := ReadFrameBytes(&buf, 1)
+		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if out.Vals[len(out.Vals)-1] != float64(i) {
+		if out[len(out)-1] != byte(i) {
 			t.Fatalf("frame %d decoded out of order", i)
 		}
 	}
-	var out payload
-	if err := ReadFrame(&buf, 1, &out); err == nil {
+	if _, _, err := ReadFrameBytes(&buf, 1); err == nil {
 		t.Fatal("read past last frame succeeded")
 	}
 }
 
-// TestQuickRoundTrip property-tests arbitrary string/float payloads.
+// TestQuickRoundTrip property-tests arbitrary payloads and versions:
+// floats laid out with Enc come back bit for bit (NaNs included).
 func TestQuickRoundTrip(t *testing.T) {
-	f := func(name string, vals []float64, version uint16) bool {
-		in := payload{Name: name, Vals: vals}
+	f := func(raw []byte, vals []float64, version uint16) bool {
+		e := Enc{B: append([]byte(nil), raw...)}
+		for _, v := range vals {
+			e.Float64(v)
+		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, version, in); err != nil {
+		if err := WriteFrameBytes(&buf, version, e.B); err != nil {
 			return false
 		}
-		var out payload
-		if err := ReadFrame(&buf, version, &out); err != nil {
+		got, out, err := ReadFrameBytes(&buf, version)
+		if err != nil || got != version || !bytes.Equal(out, e.B) {
 			return false
 		}
-		if out.Name != in.Name || len(out.Vals) != len(in.Vals) {
-			return false
-		}
-		for i := range vals {
-			// NaN != NaN; compare bit-level equality via both-NaN.
-			if vals[i] != out.Vals[i] && !(vals[i] != vals[i] && out.Vals[i] != out.Vals[i]) {
+		d := NewDec(out)
+		d.Bytes(len(raw))
+		for _, v := range vals {
+			if math.Float64bits(d.Float64()) != math.Float64bits(v) {
 				return false
 			}
 		}
-		return true
+		return d.Done() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -191,18 +180,24 @@ func (w *errWriter) Write(p []byte) (int, error) {
 
 func TestWriteErrorsPropagate(t *testing.T) {
 	for _, budget := range []int{0, 5, 23} {
-		err := WriteFrame(&errWriter{n: budget}, 1, samplePayload())
+		err := WriteFrameBytes(&errWriter{n: budget}, 1, samplePayload())
 		if err == nil {
 			t.Fatalf("budget %d: no error", budget)
 		}
 	}
 }
 
+// record lays payload out as WriteRecord takes it: after room for the
+// header.
+func record(payload []byte) []byte {
+	return append(make([]byte, RecordLen(0)), payload...)
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{[]byte("alpha"), {}, []byte("a longer record payload with bytes \x00\xff")}
 	for i, p := range payloads {
-		if err := WriteRecord(&buf, uint64(i+10), p); err != nil {
+		if err := WriteRecord(&buf, uint64(i+10), record(p)); err != nil {
 			t.Fatalf("WriteRecord %d: %v", i, err)
 		}
 	}
@@ -223,7 +218,7 @@ func TestRecordRoundTrip(t *testing.T) {
 
 func TestRecordTornVsCorrupt(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteRecord(&buf, 0, []byte("payload payload payload")); err != nil {
+	if err := WriteRecord(&buf, 0, record([]byte("payload payload payload"))); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
@@ -288,37 +283,34 @@ func TestCorruptLengthAllocatesNothing(t *testing.T) {
 }
 
 // frameVectors are the frames this file's tests read, whole and
-// damaged: gob and flat payloads, an empty one, two frames back to
-// back, a flipped payload byte, a bad magic, a refused version, cuts
-// at every part of the header and inside the payload, and an
-// implausible length.
+// damaged: two payloads, an empty one, two frames back to back, a
+// flipped payload byte, a bad magic, a refused version, cuts at every
+// part of the header and inside the payload, and an implausible length.
 func frameVectors(t *testing.T) map[string][]byte {
 	t.Helper()
-	var gobbed, flat, empty, two bytes.Buffer
-	if err := WriteFrame(&gobbed, 3, samplePayload()); err != nil {
-		t.Fatal(err)
-	}
+	var sample, flat, empty, two bytes.Buffer
+	WriteFrameBytes(&sample, 3, samplePayload())
 	WriteFrameBytes(&flat, 2, []byte("a flat payload"))
 	WriteFrameBytes(&empty, 3, nil)
 	WriteFrameBytes(&two, 1, []byte("first"))
 	WriteFrameBytes(&two, 1, []byte("second"))
-	vs := map[string][]byte{"gob": gobbed.Bytes(), "flat": flat.Bytes(), "empty": empty.Bytes(), "two frames": two.Bytes()}
+	vs := map[string][]byte{"sample": sample.Bytes(), "flat": flat.Bytes(), "empty": empty.Bytes(), "two frames": two.Bytes()}
 	damage := func(name string, b []byte, f func([]byte) []byte) {
 		vs[name] = f(append([]byte(nil), b...))
 	}
-	damage("flipped payload", gobbed.Bytes(), func(b []byte) []byte { b[FrameHeaderLen+3] ^= 0x40; return b })
+	damage("flipped payload", sample.Bytes(), func(b []byte) []byte { b[FrameHeaderLen+3] ^= 0x40; return b })
 	damage("flipped checksum", flat.Bytes(), func(b []byte) []byte { b[FrameHeaderLen-1] ^= 1; return b })
 	damage("bad magic", flat.Bytes(), func(b []byte) []byte { b[0] = 'X'; return b })
 	damage("version 9", flat.Bytes(), func(b []byte) []byte { b[5] = 9; return b })
-	damage("implausible length", gobbed.Bytes(), func(b []byte) []byte {
+	damage("implausible length", sample.Bytes(), func(b []byte) []byte {
 		for i := 6; i < 14; i++ {
 			b[i] = 0xFF
 		}
 		return b
 	})
 	damage("length past the end", flat.Bytes(), func(b []byte) []byte { b[13]++; return b })
-	for _, cut := range []int{0, 3, 10, FrameHeaderLen - 1, FrameHeaderLen, len(gobbed.Bytes()) - 1} {
-		vs[fmt.Sprintf("cut at %d", cut)] = gobbed.Bytes()[:cut]
+	for _, cut := range []int{0, 3, 10, FrameHeaderLen - 1, FrameHeaderLen, len(sample.Bytes()) - 1} {
+		vs[fmt.Sprintf("cut at %d", cut)] = sample.Bytes()[:cut]
 	}
 	return vs
 }
@@ -350,7 +342,7 @@ func TestReadFrameUnverifiedThenVerify(t *testing.T) {
 					if readErr != nil || !errors.Is(verifyErr, ErrCorrupt) {
 						t.Fatalf("%s: read error %v, Verify %v; want a read and ErrCorrupt", name, readErr, verifyErr)
 					}
-				case "gob", "flat", "empty", "two frames":
+				case "sample", "flat", "empty", "two frames":
 					if i == 0 || !errors.Is(err, io.EOF) {
 						t.Fatalf("%s, frame %d: %v", name, i, err)
 					}

@@ -11,8 +11,9 @@
 //	version uint16   big-endian, supplied by the caller
 //	length  uint64   big-endian payload byte count
 //	sum     uint64   big-endian FNV-64a of the payload
-//	payload []byte   a gob stream (WriteFrame) or a hand-laid one
-//	                 (WriteFrameBytes)
+//	payload []byte   laid out by hand with Enc, read with Dec (a
+//	                 section inside may come from any writer:
+//	                 core's metadata section is gob)
 //
 // Readers verify magic, version, length and checksum before decoding,
 // so truncated or corrupted artifacts fail loudly instead of yielding a

@@ -126,16 +126,16 @@ func (d *Dec) Done() error {
 }
 
 // Deltas fills dst with the running sums, from start, of len(dst)
-// zigzag varints — a run of IDs each written as a delta from the one
-// before — failing if a sum leaves [0, MaxInt32]. One-byte deltas, the
-// common case, take a fast path.
+// zigzag varints in their shortest encoding — a run of IDs each written
+// as a delta from the one before — failing if a sum leaves
+// [0, MaxInt32]. One-byte deltas, the common case, take a fast path.
 func Deltas[T ~int32](d *Dec, dst []T, start T) {
 	b, sum := d.b, int64(start)
 	for i := range dst {
 		u := uint64(0)
 		if len(b) > 0 && b[0] < 0x80 {
 			u, b = uint64(b[0]), b[1:]
-		} else if v, n := binary.Uvarint(b); n > 0 {
+		} else if v, n := binary.Uvarint(b); n > 0 && b[n-1] != 0 {
 			u, b = v, b[n:]
 		} else {
 			d.Fail("bad varint")

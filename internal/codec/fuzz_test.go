@@ -14,8 +14,8 @@ import (
 // contract the WAL recovery scan depends on when it meets a torn tail.
 func FuzzReadRecord(f *testing.F) {
 	var valid bytes.Buffer
-	WriteRecord(&valid, 1, []byte("hello"))
-	WriteRecord(&valid, 2, bytes.Repeat([]byte{0xAB}, 300))
+	WriteRecord(&valid, 1, record([]byte("hello")))
+	WriteRecord(&valid, 2, record(bytes.Repeat([]byte{0xAB}, 300)))
 	f.Add(valid.Bytes())
 	f.Add(valid.Bytes()[:valid.Len()-3]) // torn tail
 	f.Add([]byte{})
@@ -57,7 +57,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, seq uint64, payload []byte) {
 		var buf bytes.Buffer
-		if err := WriteRecord(&buf, seq, payload); err != nil {
+		if err := WriteRecord(&buf, seq, record(payload)); err != nil {
 			t.Fatalf("WriteRecord(%d, %d bytes): %v", seq, len(payload), err)
 		}
 		if got, want := int64(buf.Len()), RecordLen(len(payload)); got != want {

@@ -269,8 +269,11 @@ func encodeEnvelope(t testing.TB, version uint16, r *Router, learned map[int]pre
 		Stats:       r.stats,
 		IndexCellM:  indexCellM,
 	}
-	var buf bytes.Buffer
-	if err := codec.WriteFrame(&buf, version, &env); err != nil {
+	var payload, buf bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if err := codec.WriteFrameBytes(&buf, version, payload.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -116,6 +116,9 @@ type truth struct {
 	path   roadnet.Path
 	hops   []hop   // road edges in path order, as Eq. 1 sees them
 	length float64 // Σ hops[i].length: Eq. 1's denominator
+	// lost[j] is the length of the hops Slaves[j] forbids, summed in
+	// path order: the upper-bound rule's numerator.
+	lost [maxSlaves]float64
 	// Per master weight: the master-only candidate's Eq. 1 similarity,
 	// and the slaves whose restriction forbids one of its hops — bit j
 	// for Slaves[j], none when the destination is unreachable.
@@ -281,10 +284,10 @@ func (l *Learner) sampleInto(buf, paths []roadnet.Path) []roadnet.Path {
 	return sample
 }
 
-// prepare fills l.truths for the sample: each ground truth's hops and
-// length, and per master weight the master-only candidate's similarity
-// and forbidding slaves — the only searches Learn always runs, unless
-// memo holds their values.
+// prepare fills l.truths for the sample: each ground truth's hops, its
+// length and the length each slave forbids, and per master weight the
+// master-only candidate's similarity and forbidding slaves — the only
+// searches Learn always runs, unless memo holds their values.
 func (l *Learner) prepare(sample []roadnet.Path, memo *Memo) {
 	if l.out == nil {
 		l.out = l.dij.OutTypes()
@@ -300,6 +303,14 @@ func (l *Learner) prepare(sample []roadnet.Path, memo *Memo) {
 		t.length = 0
 		for _, h := range t.hops {
 			t.length += h.length
+		}
+		for j, s := range l.Slaves {
+			t.lost[j] = 0
+			for _, h := range t.hops {
+				if h.forbidden(s) {
+					t.lost[j] += h.length
+				}
+			}
 		}
 		t.entry = nil
 		var h uint64
@@ -410,13 +421,7 @@ func (l *Learner) avgSim(m roadnet.Weight, j int, floor float64, memo *Memo) (si
 			b = 1
 		default:
 			// Forbidden ground-truth edges cannot be shared.
-			var lost float64
-			for _, h := range t.hops {
-				if h.forbidden(s) {
-					lost += h.length
-				}
-			}
-			b = 1 - lost/t.length
+			b = 1 - t.lost[j]/t.length
 		}
 		l.feasible = append(l.feasible, feasible)
 		l.bounds = append(l.bounds, b)

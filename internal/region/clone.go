@@ -56,14 +56,25 @@ func (g *Graph) CloneCOW() *Graph {
 // mutEdge returns Edges[i] ready for mutation, privatizing it first on
 // a COW graph: the Edge struct — kind, preference, fit — and its
 // PathInfo slices are copied (the stored Path vertex slices stay shared
-// — they are never edited in place).
+// — they are never edited in place). Both lists are copied into one
+// exactly sized block, cut into two capped windows, so an append to
+// either reallocates rather than write into the other.
 func (g *Graph) mutEdge(i int) *Edge {
 	if g.cow == nil || g.cow.edges[i] {
 		return g.Edges[i]
 	}
 	ne := *g.Edges[i]
-	ne.PathsFwd = append([]PathInfo(nil), ne.PathsFwd...)
-	ne.PathsRev = append([]PathInfo(nil), ne.PathsRev...)
+	nf := len(ne.PathsFwd)
+	buf := make([]PathInfo, nf+len(ne.PathsRev))
+	copy(buf, ne.PathsFwd)
+	copy(buf[nf:], ne.PathsRev)
+	ne.PathsFwd, ne.PathsRev = nil, nil
+	if nf > 0 {
+		ne.PathsFwd = buf[:nf:nf]
+	}
+	if len(buf) > nf {
+		ne.PathsRev = buf[nf:]
+	}
 	g.Edges[i] = &ne
 	g.cow.edges[i] = true
 	return &ne

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/pref"
 	"repro/internal/roadnet"
@@ -270,4 +271,51 @@ func TestVisitCountsMatchMapReference(t *testing.T) {
 		}
 		g = next
 	}
+}
+
+// TestMutEdgeOneBlock: a COW clone privatizes an edge's two path lists
+// into one block, two capped windows. The parent's lists stay as they
+// were, entry for entry, and an append to either window of the clone
+// reallocates it, leaving the other window's entries unchanged.
+func TestMutEdgeOneBlock(t *testing.T) {
+	g, _ := cloneWorld(t)
+	id := slices.IndexFunc(g.Edges, func(e *Edge) bool { return len(e.PathsFwd) > 0 && len(e.PathsRev) > 0 })
+	if id < 0 {
+		t.Fatal("no edge carries paths both ways; test is vacuous")
+	}
+	parent := g.Edges[id]
+	fwd, rev := slices.Clone(parent.PathsFwd), slices.Clone(parent.PathsRev)
+	for side, from := range []int32{parent.R1, parent.R2} {
+		cp := g.CloneCOW()
+		e := cp.mutEdge(id)
+		if e == parent || &e.PathsFwd[0] == &parent.PathsFwd[0] || &e.PathsRev[0] == &parent.PathsRev[0] {
+			t.Fatal("privatized edge shares its lists with the parent")
+		}
+		end := unsafe.Add(unsafe.Pointer(&e.PathsFwd[0]), uintptr(len(fwd))*unsafe.Sizeof(PathInfo{}))
+		if cap(e.PathsFwd) != len(fwd) || end != unsafe.Pointer(&e.PathsRev[0]) {
+			t.Fatalf("lists are not two capped windows of one block (fwd len %d cap %d)", len(e.PathsFwd), cap(e.PathsFwd))
+		}
+		if !slices.EqualFunc(e.PathsFwd, fwd, samePathInfo) || !slices.EqualFunc(e.PathsRev, rev, samePathInfo) {
+			t.Fatal("privatized lists differ from the parent's")
+		}
+		keep := slices.Clone(e.PathsRev)
+		if side == 1 {
+			keep = slices.Clone(e.PathsFwd)
+		}
+		e.addPath(int(from), roadnet.Path{9, 8, 7}, false, 0, 0)
+		other := e.PathsRev
+		if side == 1 {
+			other = e.PathsFwd
+		}
+		if !slices.EqualFunc(other, keep, samePathInfo) {
+			t.Fatalf("append to side %d changed the other side's entries", side)
+		}
+		if !slices.EqualFunc(parent.PathsFwd, fwd, samePathInfo) || !slices.EqualFunc(parent.PathsRev, rev, samePathInfo) {
+			t.Fatal("privatizing and appending changed the parent's lists")
+		}
+	}
+}
+
+func samePathInfo(a, b PathInfo) bool {
+	return slices.Equal(a.Path, b.Path) && a.Count == b.Count && a.Terminal == b.Terminal && a.trip == b.trip && a.off == b.off
 }

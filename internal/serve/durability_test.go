@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -473,9 +474,9 @@ func TestForeignCheckpointFailsLoud(t *testing.T) {
 // a v1 checkpoint (one gob frame around the bookkeeping and a copy of
 // the artifact), a v2 or v3 checkpoint (this layout, but around an
 // artifact v3 or v4), or a log under a v1 header (a text road identity)
-// — must refuse
-// to serve, with codec.ErrBadVersion, rather than fall back to the base
-// artifact and roll the learned state back, or replay around the file.
+// or a v2 one (gob records) — must refuse to serve, with
+// codec.ErrBadVersion, rather than fall back to the base artifact and
+// roll the learned state back, or replay around the file.
 func TestV1CheckpointFailsLoud(t *testing.T) {
 	base, live := buildServeWorld(t, 17, 300)
 	written := t.TempDir()
@@ -509,8 +510,11 @@ func TestV1CheckpointFailsLoud(t *testing.T) {
 		Seq, NextTrajectoryID, RoadHash uint64
 		Artifact                        []byte
 	}{binary.BigEndian.Uint64(fixed), binary.BigEndian.Uint64(fixed[8:]), binary.BigEndian.Uint64(fixed[16:]), ckpt[len(ckpt)-rd.Len():]}
-	var v1 bytes.Buffer
-	if err := codec.WriteFrame(&v1, 1, &env); err != nil {
+	var v1, gobbed bytes.Buffer
+	if err := gob.NewEncoder(&gobbed).Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if err := codec.WriteFrameBytes(&v1, 1, gobbed.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	// A frame's checksum covers its payload only, so an older frame is
@@ -525,6 +529,7 @@ func TestV1CheckpointFailsLoud(t *testing.T) {
 		"v2 checkpoint": {wal.CheckpointName: older(ckpt, 2), wal.LogName: log},
 		"v3 checkpoint": {wal.CheckpointName: older(ckpt, 3), wal.LogName: log},
 		"v1 log header": {wal.CheckpointName: ckpt, wal.LogName: older(log, 1)},
+		"v2 log header": {wal.CheckpointName: ckpt, wal.LogName: older(log, 2)},
 	} {
 		dir := t.TempDir()
 		for file, data := range files {

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"testing"
 )
@@ -67,4 +69,55 @@ func BenchmarkWALRecovery(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
+// BenchmarkBatchCodec times a record payload's encode and decode on the
+// ci city's held-out trips in 2-trip batches, beside gob's round trip
+// (log header v2's records) as the reference, and reports the payload's
+// bytes per record.
+func BenchmarkBatchCodec(b *testing.B) {
+	batches := ciBatches(b)
+	var payloads [][]byte
+	size := 0
+	for _, bt := range batches {
+		p, err := appendBatch(nil, bt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		payloads, size = append(payloads, p), size+len(p)
+	}
+	gobbed := make([][]byte, len(batches))
+	for i, bt := range batches {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&bt); err != nil {
+			b.Fatal(err)
+		}
+		gobbed[i] = buf.Bytes()
+	}
+	run := func(name string, bytesPerRecord int, op func(i int) error) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := op(i % len(batches)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(bytesPerRecord)/float64(len(batches)), "B/record")
+		})
+	}
+	gobSize := 0
+	for _, g := range gobbed {
+		gobSize += len(g)
+	}
+	var buf []byte
+	run("Encode", size, func(i int) (err error) { buf, err = appendBatch(buf[:0], batches[i]); return err })
+	run("Decode", size, func(i int) error { _, err := decodeBatch(payloads[i]); return err })
+	run("GobEncode", gobSize, func(i int) error {
+		var w bytes.Buffer
+		return gob.NewEncoder(&w).Encode(&batches[i])
+	})
+	run("GobDecode", gobSize, func(i int) error {
+		var out Batch
+		return gob.NewDecoder(bytes.NewReader(gobbed[i])).Decode(&out)
+	})
 }

@@ -13,14 +13,38 @@
 // # The log
 //
 // One file per WAL directory (wal.log): a header frame naming the road
-// network it belongs to (an FNV-64a fingerprint of the network's road
-// section, the bytes an artifact stores it as, plus the base sequence), followed by length-prefixed,
-// checksummed, sequence-numbered records (internal/codec's record
-// framing). Each record is one ingest batch, gob-encoded with the
-// ingest mode it was applied under, so replay applies it identically.
-// Appends go out in a single write; the fsync policy (SyncAlways /
-// SyncNone) chooses between machine-crash and process-crash
-// durability.
+// network it belongs to, followed by length-prefixed, checksummed,
+// sequence-numbered records (internal/codec's record framing). The
+// header frame (codec.WriteFrameBytes, version 3) holds four big-endian
+// uint64s: the FNV-64a fingerprint of the network's road section (the
+// bytes an artifact stores it as), its vertex and edge counts, and the
+// sequence of the file's first record. Its version names the records'
+// layout too; Open refuses a v1 header (a text road identity) and a v2
+// one (gob records) with codec.ErrBadVersion.
+//
+// Each record is one ingest batch with the ingest mode it was applied
+// under, so replay applies it identically, laid out with codec.Enc:
+//
+//	flags    byte     1 if SkipMapMatching, else 0
+//	n        uvarint  trajectory count, then per trajectory:
+//	ID       varint   zigzag, any int64
+//	Driver   varint   zigzag, any int64
+//	Depart   float    codec.Enc.Float64: the bits, byte-reversed, as a uvarint
+//	records  uvarint  GPS record count, then per record T, P.X, P.Y as floats
+//	Peak     byte     0 or 1
+//	Truth    uvarint  vertex count, then each vertex ID as a zigzag
+//	                  varint delta from the one before (the first from 0)
+//	Matched  uvarint  as Truth
+//
+// Every float keeps its exact bits. A zero-length slice decodes as nil,
+// and each batch has exactly one encoding: the decoder refuses
+// over-long varints, flag bytes other than 0 and 1, vertex IDs outside
+// [0, MaxInt32] and trailing bytes. Append refuses, before it writes a
+// byte, a batch no record can carry: a nil trajectory or a negative
+// vertex ID. A record is laid out in a buffer the log keeps, header
+// space first, and goes out in a single write from it; the fsync
+// policy (SyncAlways / SyncNone) chooses between machine-crash and
+// process-crash durability.
 //
 // # Checkpoints
 //
@@ -35,7 +59,7 @@
 // sequence. ReadCheckpoint reads this layout only: a v1 checkpoint (one
 // gob frame around a copy of the artifact) and a v2 one (this layout
 // around an artifact v3) are refused with codec.ErrBadVersion, as Open
-// refuses a v1 log header.
+// refuses v1 and v2 log headers.
 //
 // # Recovery
 //

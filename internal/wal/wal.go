@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -10,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -45,10 +43,16 @@ func (p SyncPolicy) String() string {
 // LogName is the write-ahead log's file name inside a WAL directory.
 const LogName = "wal.log"
 
-// headerVersion versions the log file's header frame. v1 headers hashed
-// the road's text serialization; Open refuses them with
-// codec.ErrBadVersion rather than report a foreign road.
-const headerVersion uint16 = 2
+// headerVersion versions the log file's header frame, and with it the
+// layout of the records that follow. v1 headers hashed the road's text
+// serialization; v2 headers and their records were gob. Open refuses
+// both with codec.ErrBadVersion rather than report a foreign road or
+// decode a record it cannot read.
+const headerVersion uint16 = 3
+
+// maxKeptBuf is the largest record buffer a Log keeps between appends:
+// an outsized batch's buffer is released once it is written.
+const maxKeptBuf = 64 << 10
 
 // NetworkID fingerprints the road network a log (or checkpoint)
 // belongs to: the FNV-64a hash of the network's road section
@@ -84,17 +88,6 @@ func IdentityOfRouter(r *core.Router) NetworkID {
 	}
 	id, _ := IdentityOf(g) // its error is always nil
 	return id
-}
-
-// header is the log file's first frame: which road network the records
-// belong to, and the sequence number of the first record in this file
-// (rotation resets the file, not the sequence).
-type header struct {
-	RoadHash        uint64
-	NumVertices     int
-	NumEdges        int
-	BaseSeq         uint64
-	CreatedUnixNano int64
 }
 
 // Batch is the append unit: the trajectories of one ingest call, plus
@@ -136,6 +129,7 @@ type Log struct {
 	f       *os.File
 	nextSeq uint64
 	size    atomic.Int64
+	buf     []byte // the last record Append laid out, kept for the next
 }
 
 // Open opens dir's log for appending, creating the directory and file
@@ -192,8 +186,12 @@ func Open(dir string, net NetworkID, sync SyncPolicy, fromSeq uint64, fn func(se
 	}
 
 	br := &countingReader{r: f}
+	_, payload, err := codec.ReadFrameBytes(br, headerVersion)
 	var hdr header
-	if err := codec.ReadFrame(br, headerVersion, &hdr); err != nil {
+	if err == nil {
+		hdr, err = decodeHeader(payload)
+	}
+	if err != nil {
 		f.Close()
 		return nil, ri, fmt.Errorf("wal: reading %s header: %w", path, err)
 	}
@@ -266,8 +264,7 @@ func Open(dir string, net NetworkID, sync SyncPolicy, fromSeq uint64, fn func(se
 // — the signature of a crash during log creation. writeHeader syncs
 // before the first Append can run, so such a file provably holds no
 // acknowledged records and is safe to recreate. A file whose header
-// bytes are all present but wrong is NOT torn; the caller's ReadFrame
-// fails loudly on it.
+// bytes are all present but wrong is NOT torn; Open fails loudly on it.
 func headerTorn(f *os.File, size int64) (bool, error) {
 	if size == 0 {
 		return false, nil
@@ -299,17 +296,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 func (l *Log) writeHeader(f *os.File, baseSeq uint64) error {
-	hdr := header{
-		RoadHash:        l.net.Hash,
-		NumVertices:     l.net.NumVertices,
-		NumEdges:        l.net.NumEdges,
-		BaseSeq:         baseSeq,
-		CreatedUnixNano: time.Now().UnixNano(),
-	}
+	hdr := header{RoadHash: l.net.Hash, NumVertices: l.net.NumVertices, NumEdges: l.net.NumEdges, BaseSeq: baseSeq}
 	var buf bytes.Buffer
-	if err := codec.WriteFrame(&buf, headerVersion, &hdr); err != nil {
-		return err
-	}
+	codec.WriteFrameBytes(&buf, headerVersion, hdr.append(nil)) // a bytes.Buffer cannot fail
 	if _, err := f.Write(buf.Bytes()); err != nil {
 		return fmt.Errorf("wal: writing header: %w", err)
 	}
@@ -325,14 +314,24 @@ func (l *Log) writeHeader(f *os.File, baseSeq uint64) error {
 // back to the last good record before returning, so a half-appended or
 // unsynced record can never sit in the file while the sequence counter
 // stays behind (the next append would duplicate its sequence and
-// poison recovery).
+// poison recovery). A batch no record can carry (a nil trajectory, a
+// negative vertex ID) is refused before anything is written.
+//
+// The record is laid out in a buffer the log keeps, header space first,
+// and written from it in place: a steady-state append allocates
+// nothing.
 func (l *Log) Append(b Batch) (seq uint64, err error) {
-	payload, err := encodeBatch(b)
+	rec, err := appendBatch(append(l.buf[:0], make([]byte, codec.RecordLen(0))...), b)
+	if cap(rec) <= maxKeptBuf {
+		l.buf = rec
+	} else {
+		l.buf = nil
+	}
 	if err != nil {
 		return l.nextSeq, err
 	}
 	seq = l.nextSeq
-	if err := codec.WriteRecord(l.f, seq, payload); err != nil {
+	if err := codec.WriteRecord(l.f, seq, rec); err != nil {
 		l.rollback()
 		return seq, err
 	}
@@ -343,7 +342,7 @@ func (l *Log) Append(b Batch) (seq uint64, err error) {
 		}
 	}
 	l.nextSeq++
-	l.size.Add(codec.RecordLen(len(payload)))
+	l.size.Add(int64(len(rec)))
 	return seq, nil
 }
 
@@ -406,26 +405,6 @@ func (l *Log) Rotate() error {
 // on their way to disk (or on it, under SyncAlways); Close does not
 // checkpoint.
 func (l *Log) Close() error { return l.f.Close() }
-
-// encodeBatch/decodeBatch gob-round-trip one batch. Gob is not the
-// most compact record payload, but it carries the full trajectory —
-// records, ground-truth and matched paths, metadata — so replay has
-// exactly what the original ingest saw.
-func encodeBatch(b Batch) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&b); err != nil {
-		return nil, fmt.Errorf("wal: encoding batch: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeBatch(payload []byte) (Batch, error) {
-	var b Batch
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&b); err != nil {
-		return b, fmt.Errorf("wal: decoding batch: %w", err)
-	}
-	return b, nil
-}
 
 // syncDir fsyncs a directory so a just-renamed file inside it survives
 // a crash.

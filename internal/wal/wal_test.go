@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -449,8 +450,11 @@ func TestReadCheckpointRefusesV1(t *testing.T) {
 		Seq, NextTrajectoryID, RoadHash uint64
 		Artifact                        []byte
 	}{5, 11, id.Hash, art.Bytes()}
-	var v1, v2, v3 bytes.Buffer
-	if err := codec.WriteFrame(&v1, 1, &env); err != nil {
+	var v1, v2, v3, gobbed bytes.Buffer
+	if err := gob.NewEncoder(&gobbed).Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if err := codec.WriteFrameBytes(&v1, 1, gobbed.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	var fixed [checkpointFixedLen]byte
@@ -477,11 +481,12 @@ func TestReadCheckpointRefusesV1(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesV1Header: a log whose header an earlier binary wrote —
-// v1, whose road identity hashed the road's text — is refused with
-// codec.ErrBadVersion naming v1, not taken for a log of a foreign road,
-// not recreated, and not replayed.
-func TestOpenRefusesV1Header(t *testing.T) {
+// TestOpenRefusesOlderHeaders: a log whose header an earlier binary
+// wrote — v1, whose road identity hashed the road's text, or v2, whose
+// header and records were gob — is refused with codec.ErrBadVersion
+// naming its version, not taken for a log of a foreign road, not
+// recreated, and not replayed.
+func TestOpenRefusesOlderHeaders(t *testing.T) {
 	road, ts := testWorld(t, 9)
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, road, 0, nil)
@@ -490,20 +495,23 @@ func TestOpenRefusesV1Header(t *testing.T) {
 	}
 	l.Close()
 	path := filepath.Join(dir, LogName)
-	data, err := os.ReadFile(path)
+	today, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.BigEndian.PutUint16(data[4:6], 1) // the header frame's version
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	replayed := 0
-	_, _, err = Open(dir, mustID(t, road), SyncAlways, 0, func(uint64, Batch) error { replayed++; return nil })
-	if !errors.Is(err, codec.ErrBadVersion) || !strings.Contains(err.Error(), "artifact v1,") || replayed != 0 {
-		t.Fatalf("v1 header: err %v, %d records replayed; want ErrBadVersion naming v1 and none", err, replayed)
-	}
-	if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
-		t.Fatal("Open rewrote a log it refused")
+	for _, version := range []uint16{1, 2} {
+		data := bytes.Clone(today)
+		binary.BigEndian.PutUint16(data[4:6], version) // the header frame's version
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		replayed := 0
+		_, _, err = Open(dir, mustID(t, road), SyncAlways, 0, func(uint64, Batch) error { replayed++; return nil })
+		if !errors.Is(err, codec.ErrBadVersion) || !strings.Contains(err.Error(), fmt.Sprintf("artifact v%d, reader accepts v[3]", version)) || replayed != 0 {
+			t.Fatalf("v%d header: err %v, %d records replayed; want ErrBadVersion naming v%d and none", version, err, replayed, version)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+			t.Fatalf("Open rewrote a v%d log it refused", version)
+		}
 	}
 }
