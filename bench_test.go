@@ -54,7 +54,7 @@ func benchMatcher(w *exp.World, idx *spatial.Index) *mapmatch.Matcher {
 // benchSeed is the single seed every bench-world input derives from —
 // road network, trajectory simulation and the Zipf query mixes below.
 // One constant means one knob: a `-bench` run is reproducible, and
-// cmd/l2rbench audit diffs against the bench world are meaningful.
+// two runs of it measure the same world.
 const benchSeed = 5
 
 var (

@@ -172,7 +172,7 @@ func TestMaintCrashEquivalence(t *testing.T) {
 	// rebuild 1 + the cycle-2 evidence batch), "post" is after cycle 2.
 	bulk, extras := maintCrashFeed(t)
 	ref := serve.NewEngine(load(), serve.Options{CacheSize: -1})
-	rm := Attach(ref, Config{CheckEvery: time.Hour})
+	rm := Attach(ref, Config{checkEvery: time.Hour})
 	defer rm.Close()
 	for _, b := range bulk {
 		ref.IngestMatched(b)
@@ -211,7 +211,7 @@ func TestMaintCrashEquivalence(t *testing.T) {
 
 	// Crash convergence: re-running maintenance on the recovered engine
 	// must land on the post-rebuild model from either starting point.
-	m2 := Attach(recovered, Config{CheckEvery: time.Hour})
+	m2 := Attach(recovered, Config{checkEvery: time.Hour})
 	defer m2.Close()
 	if _, err := m2.TriggerNow(context.Background()); err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func maintCrashChild(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatalf("child NewDurableEngine: %v", err)
 	}
-	m := Attach(e, Config{CheckEvery: time.Hour})
+	m := Attach(e, Config{checkEvery: time.Hour})
 	defer m.Close()
 
 	bulk, extras := maintCrashFeed(t)

@@ -30,9 +30,10 @@ type Config struct {
 	// installed regardless of drift or volume (0 disables the timer —
 	// the default; drift and evidence usually fire first).
 	Interval time.Duration
-	// CheckEvery is the trigger-evaluation cadence (default 2s). Checks
-	// read the snapshot's drift block, computed once per snapshot.
-	CheckEvery time.Duration
+	// checkEvery is the trigger-evaluation cadence (default 2s). Checks
+	// read the snapshot's drift block, computed once per snapshot. Only
+	// this package's tests set it.
+	checkEvery time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -42,8 +43,8 @@ func (c Config) withDefaults() Config {
 	if c.MinEvidence == 0 {
 		c.MinEvidence = 4096
 	}
-	if c.CheckEvery <= 0 {
-		c.CheckEvery = 2 * time.Second
+	if c.checkEvery <= 0 {
+		c.checkEvery = 2 * time.Second
 	}
 	return c
 }
@@ -116,11 +117,11 @@ func (m *Maintainer) Close() {
 // in on its own books, which the triggers read.
 func (m *Maintainer) OfferTrajectories([]*traj.Trajectory) {}
 
-// loop evaluates the triggers every CheckEvery and runs a rebuild when
+// loop evaluates the triggers every checkEvery and runs a rebuild when
 // one fires; exits on Close.
 func (m *Maintainer) loop() {
 	defer close(m.done)
-	tick := time.NewTicker(m.cfg.CheckEvery)
+	tick := time.NewTicker(m.cfg.checkEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -155,9 +156,8 @@ func (m *Maintainer) check() string {
 }
 
 // TriggerNow runs one clone-rebuild-publish cycle immediately,
-// regardless of trigger state — operational tooling and the benchmark
-// harness's maintenance phase call it. Serialized with the trigger
-// loop's own rebuilds.
+// regardless of trigger state; the tests drive rebuilds at known
+// points with it. Serialized with the trigger loop's own rebuilds.
 func (m *Maintainer) TriggerNow(ctx context.Context) (core.RetransduceStats, error) {
 	return m.rebuildOnce(ctx, "manual")
 }

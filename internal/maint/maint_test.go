@@ -83,7 +83,7 @@ func queryODs(road *roadnet.Graph, ts []*traj.Trajectory, n int) [][2]roadnet.Ve
 }
 
 // buildMaintEngine builds the offline 60% prefix into a router, wraps
-// it in an engine, and attaches a manual-only maintainer (CheckEvery an
+// it in an engine, and attaches a manual-only maintainer (checkEvery an
 // hour out, so only TriggerNow rebuilds). Returns the engine, the
 // maintainer, and the held-out live trajectories.
 func buildMaintEngine(tb testing.TB, seed int64, trips int, cfg Config) (*serve.Engine, *Maintainer, *roadnet.Graph, []*traj.Trajectory) {
@@ -95,8 +95,8 @@ func buildMaintEngine(tb testing.TB, seed int64, trips int, cfg Config) (*serve.
 		tb.Fatalf("Build: %v", err)
 	}
 	e := serve.NewEngine(base, serve.Options{CacheSize: -1})
-	if cfg.CheckEvery == 0 {
-		cfg.CheckEvery = time.Hour
+	if cfg.checkEvery == 0 {
+		cfg.checkEvery = time.Hour
 	}
 	m := Attach(e, cfg)
 	return e, m, road, ts[cut:]
@@ -306,7 +306,7 @@ func sameAnswers(a, b []core.RouteResult) bool {
 // nothing new is ingested.
 func TestMaintEvidenceTrigger(t *testing.T) {
 	e, m, _, live := buildMaintEngine(t, 53, 300, Config{
-		CheckEvery:  2 * time.Millisecond,
+		checkEvery:  2 * time.Millisecond,
 		MinEvidence: 4,
 		DriftTV:     -1, // evidence only
 	})
@@ -335,7 +335,7 @@ func TestMaintEvidenceTrigger(t *testing.T) {
 // has arrived since the last publish.
 func TestMaintTimerTrigger(t *testing.T) {
 	e, m, _, live := buildMaintEngine(t, 53, 300, Config{
-		CheckEvery:  2 * time.Millisecond,
+		checkEvery:  2 * time.Millisecond,
 		MinEvidence: -1,
 		DriftTV:     -1,
 		Interval:    10 * time.Millisecond,
@@ -412,7 +412,7 @@ func TestMaintEndpointAndStats(t *testing.T) {
 		t.Fatal("Stats().Maintenance set before attach")
 	}
 
-	m := Attach(e, Config{CheckEvery: time.Hour})
+	m := Attach(e, Config{checkEvery: time.Hour})
 	defer m.Close()
 	e.IngestMatched(batchCopies(ts[cut:], 8)[0])
 
@@ -540,7 +540,7 @@ func TestMaintRecoverySeeding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	m := Attach(e2, Config{CheckEvery: time.Hour})
+	m := Attach(e2, Config{checkEvery: time.Hour})
 	defer m.Close()
 
 	st := m.MaintStats()
@@ -588,7 +588,7 @@ func TestMaintSoakConcurrentRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := serve.NewEngine(base, serve.Options{})
-	m := Attach(e, Config{CheckEvery: time.Hour})
+	m := Attach(e, Config{checkEvery: time.Hour})
 	defer m.Close()
 
 	ods := queryODs(road, ts[:cut], 64)
@@ -720,7 +720,7 @@ func TestMaintOverheadBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := serve.NewEngine(base, serve.Options{CacheSize: -1})
-	m := Attach(e, Config{CheckEvery: time.Hour})
+	m := Attach(e, Config{checkEvery: time.Hour})
 	defer m.Close()
 	for _, b := range batchCopies(ts[cut:], 16) {
 		e.IngestMatched(b)
@@ -807,7 +807,7 @@ func TestMaintFleetAttach(t *testing.T) {
 	ms := make(map[string]*Maintainer)
 	fleet.Attach(func(name string, e *serve.Engine) {
 		order = append(order, "maint:"+name)
-		ms[name] = Attach(e, Config{CheckEvery: time.Hour})
+		ms[name] = Attach(e, Config{checkEvery: time.Hour})
 	})
 	if ms["acity"] == nil {
 		t.Fatal("existing tenant did not get a maintainer")
@@ -869,7 +869,7 @@ func TestFleetRemoveReleasesTenant(t *testing.T) {
 		e.Attach(countedClose{stream.Attach(e, stream.Config{}), &streamStops})
 	})
 	fleet.Attach(func(_ string, e *serve.Engine) {
-		m = Attach(e, Config{CheckEvery: time.Hour})
+		m = Attach(e, Config{checkEvery: time.Hour})
 		e.Attach(countedClose{m, &maintStops})
 	})
 	e, err := fleet.Add("city", base)

@@ -72,7 +72,7 @@ func TestDisabledRouteReadsNoClock(t *testing.T) {
 	}
 	reads.Store(0)
 	qo.Close()
-	sampled := quality.Attach(e, quality.Config{SampleRate: 1, MaxPerSec: -1})
+	sampled := quality.Attach(e, quality.Config{SampleRate: 1})
 	tracer.SetEnabled(false)
 	e.IngestMatched(ts[cut+4 : cut+8])
 	sampled.Drain()

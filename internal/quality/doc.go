@@ -39,7 +39,7 @@
 //
 // Everything exports through the engine's existing surfaces: a Quality
 // section in Stats()//stats, l2r_quality_* and l2r_drift_* families in
-// /metrics (per-tenant labels under a fleet), quality.score spans in
-// the trace ring, and shadow-score accuracy keys in cmd/l2rbench's
-// report.
+// /metrics (per-tenant labels under a fleet), and quality.score spans in
+// the trace ring. TestObserverEndToEnd reads the shadow-score accuracy
+// back from QualityStats.
 package quality

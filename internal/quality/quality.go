@@ -29,14 +29,15 @@ type Config struct {
 	// Ring is how many worst-scoring OD exemplars to keep for
 	// GET /debug/quality (default 16).
 	Ring int
-	// Queue bounds the scoring queue; samples arriving while it is
+	// queue bounds the scoring queue; samples arriving while it is
 	// full are dropped and counted (default 256). The offer side never
-	// blocks the ingest path.
-	Queue int
-	// MaxPerSec caps the background scorer's throughput so a burst of
+	// blocks the ingest path. Only this package's tests set it.
+	queue int
+	// maxPerSec caps the background scorer's throughput so a burst of
 	// ingested trajectories cannot soak a core in shadow re-routes
-	// (default 64; negative = unlimited).
-	MaxPerSec float64
+	// (default 64; negative = unlimited). Only this package's tests set
+	// it.
+	maxPerSec float64
 }
 
 // window is the rolling-window size behind the Window* stats, in
@@ -50,11 +51,11 @@ func (c Config) withDefaults() Config {
 	if c.Ring <= 0 {
 		c.Ring = 16
 	}
-	if c.Queue <= 0 {
-		c.Queue = 256
+	if c.queue <= 0 {
+		c.queue = 256
 	}
-	if c.MaxPerSec == 0 {
-		c.MaxPerSec = 64
+	if c.maxPerSec == 0 {
+		c.maxPerSec = 64
 	}
 	return c
 }
@@ -155,7 +156,7 @@ func Attach(e *serve.Engine, cfg Config) *Observer {
 	o := &Observer{
 		eng:   e,
 		cfg:   cfg,
-		queue: make(chan sample, cfg.Queue),
+		queue: make(chan sample, cfg.queue),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 		total: newCell(window),
@@ -204,7 +205,7 @@ func (o *Observer) Close() {
 }
 
 // Drain blocks until every sample accepted so far has been resolved
-// (scored, skipped or dropped) — for benchmarks and tests that stop
+// (scored, skipped or dropped) — for tests that stop
 // offering and want the full tally. It does not prevent new offers.
 func (o *Observer) Drain() {
 	for o.scored.Load()+o.skipped.Load()+o.dropped.Load() < o.sampled.Load() {
@@ -257,12 +258,12 @@ func strideSampled(i uint64, rate float64) bool {
 }
 
 // loop is the background scorer: single goroutine, paced to
-// Config.MaxPerSec, exits on Close.
+// Config.maxPerSec, exits on Close.
 func (o *Observer) loop() {
 	defer close(o.done)
 	var interval time.Duration
-	if o.cfg.MaxPerSec > 0 {
-		interval = time.Duration(float64(time.Second) / o.cfg.MaxPerSec)
+	if o.cfg.maxPerSec > 0 {
+		interval = time.Duration(float64(time.Second) / o.cfg.maxPerSec)
 	}
 	var last time.Time
 	for {

@@ -69,7 +69,7 @@ func TestStrideSamplingExact(t *testing.T) {
 func TestOfferAccounting(t *testing.T) {
 	base, fresh := sharedWorld(t)
 	e := serve.NewEngine(base.Clone(), serve.Options{})
-	o := Attach(e, Config{SampleRate: 0.25, Queue: 4096, MaxPerSec: -1})
+	o := Attach(e, Config{SampleRate: 0.25, queue: 4096, maxPerSec: -1})
 	defer o.Close()
 
 	const rounds = 8
@@ -103,7 +103,7 @@ func TestObserverEndToEnd(t *testing.T) {
 	base, fresh := sharedWorld(t)
 	e := serve.NewEngine(base.Clone(), serve.Options{})
 	startGen := e.Generation()
-	o := Attach(e, Config{SampleRate: 1, Queue: 4096, MaxPerSec: -1, Ring: 4})
+	o := Attach(e, Config{SampleRate: 1, queue: 4096, maxPerSec: -1, Ring: 4})
 	defer o.Close()
 
 	// Ingest through the engine's own write path: the engine must offer
@@ -177,7 +177,7 @@ func TestDebugQualityEndpoint(t *testing.T) {
 	}
 
 	e := serve.NewEngine(base.Clone(), serve.Options{})
-	o := Attach(e, Config{SampleRate: 1, Queue: 1024, MaxPerSec: -1})
+	o := Attach(e, Config{SampleRate: 1, queue: 1024, maxPerSec: -1})
 	defer o.Close()
 	e.Ingest(fresh[:20])
 	o.Drain()
@@ -245,7 +245,7 @@ func TestDriftGaugesAgree(t *testing.T) {
 	defer e.Close()
 	Attach(e, Config{})
 	e.Ingest(fresh[:40])
-	maint.Attach(e, maint.Config{DriftTV: -1, MinEvidence: -1, CheckEvery: time.Hour})
+	maint.Attach(e, maint.Config{DriftTV: -1, MinEvidence: -1})
 	e.Ingest(fresh[40:80])
 
 	st := e.Stats()
@@ -276,7 +276,7 @@ func TestQualitySoakConcurrent(t *testing.T) {
 	}
 	base, fresh := sharedWorld(t)
 	e := serve.NewEngine(base.Clone(), serve.Options{})
-	o := Attach(e, Config{SampleRate: 1, Queue: 1024, MaxPerSec: -1, Ring: 8})
+	o := Attach(e, Config{SampleRate: 1, queue: 1024, maxPerSec: -1, Ring: 8})
 	defer o.Close()
 
 	stop := make(chan struct{})

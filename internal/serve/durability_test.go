@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -27,7 +26,6 @@ import (
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 	"repro/internal/wal"
-	"repro/internal/worldgen"
 )
 
 // matchedBatches splits live trajectories into ingest batches of n,
@@ -189,68 +187,29 @@ func TestCIReplayAndRecoveryAgree(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("ci scale: skipped under -short and -race")
 	}
-	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleCI, 1))
-	base, err := core.Build(w.Road, w.Train, core.Options{SkipMapMatching: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const numODs, batches, batchSize, readsPerBatch = 220, 100, 4, 8
-	var ods [][2]roadnet.VertexID
-	seen := make(map[[2]roadnet.VertexID]bool)
-	for _, tr := range w.Test {
-		od := [2]roadnet.VertexID{tr.Source(), tr.Destination()}
-		if len(tr.Truth) < 2 || seen[od] {
-			continue
-		}
-		seen[od] = true
-		if ods = append(ods, od); len(ods) == numODs {
-			break
-		}
-	}
-	if len(ods) < numODs {
-		t.Fatalf("%d distinct held-out ODs, want %d", len(ods), numODs)
-	}
-	live := make([]*traj.Trajectory, batches*batchSize)
-	for i := range live {
-		live[i] = w.Test[i%len(w.Test)]
-	}
-	rng := rand.New(rand.NewSource(1))
-	zipf := rand.NewZipf(rng, 1.2, 1, numODs-1)
-	reads := make([][2]roadnet.VertexID, batches*readsPerBatch)
-	for i := range reads {
-		reads[i] = ods[zipf.Uint64()]
-	}
+	base, s := ciWorld(t)
 	replay := func(e *Engine) {
-		for i, b := range matchedBatches(live, batchSize) {
-			for j, od := range reads[i*readsPerBatch : (i+1)*readsPerBatch] {
-				if j%2 == 0 {
-					e.Route(od[0], od[1])
-				} else {
-					e.RouteK(od[0], od[1], 4)
-				}
-			}
-			e.IngestMatched(b)
+		t.Helper()
+		if err := s.play(1, inProcess(e)); err != nil {
+			t.Fatal(err)
 		}
-	}
-	opt := func(dir string) Options {
-		return Options{WALDir: dir, CheckpointEvery: -1, WALSync: wal.SyncNone}
 	}
 
 	dirA := t.TempDir()
-	a := mustDurable(t, base.IngestClone(), opt(dirA))
+	a := mustDurable(t, base.IngestClone(), logOnly(dirA))
 	defer a.Close()
 	replay(a)
-	b := mustDurable(t, ownLineage(t, base), opt(t.TempDir()))
+	b := mustDurable(t, ownLineage(t, base), logOnly(t.TempDir()))
 	defer b.Close()
 	replay(b)
-	requireSameAnswers(t, "seed replay (B vs A)", b, a, ods)
+	requireSameAnswers(t, "seed replay (B vs A)", b, a, s.ods)
 
-	c := mustDurable(t, ownLineage(t, base), opt(dirA))
+	c := mustDurable(t, ownLineage(t, base), logOnly(dirA))
 	defer c.Close()
-	if d := c.Stats().Durability; d.ReplayedRecords != batches || d.RecoveredFromCheckpoint {
-		t.Fatalf("recovery facts: %+v, want %d replayed records from the WAL only", d, batches)
+	if d := c.Stats().Durability; d.ReplayedRecords != ciBatches || d.RecoveredFromCheckpoint {
+		t.Fatalf("recovery facts: %+v, want %d replayed records from the WAL only", d, ciBatches)
 	}
-	requireSameAnswers(t, "crash recovery (C vs A)", c, a, ods)
+	requireSameAnswers(t, "crash recovery (C vs A)", c, a, s.ods)
 }
 
 // TestRecoveryKeepsNoReplayedBatches: the WAL tail a restart replays

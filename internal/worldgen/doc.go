@@ -1,6 +1,7 @@
 // Package worldgen generates deterministic synthetic-city worlds —
-// road network plus trajectory set — for the macro-benchmark harness
-// (cmd/l2rbench) and the in-process bench suite.
+// road network plus trajectory set — for the benchmark, the in-process
+// bench suite and the ci-scale serve tests (internal/serve's
+// TestCIServeSmoke, TestCIReplayAndRecoveryAgree and TestScaleLadder).
 //
 // A Spec pins everything a world depends on: one seed, a road-network
 // generator configuration (seeded grid towns × vertex perturbation ×
@@ -8,8 +9,8 @@
 // simulator configuration. Build is a pure function of the Spec: the
 // same Spec always yields a byte-identical road network (CSR arrays
 // and all) and an identical trajectory set, which is what makes
-// committed benchmark baselines and l2rbench's replay-twice
-// correctness audit meaningful.
+// benchmark comparisons and TestCIReplayAndRecoveryAgree's
+// replay-twice audit meaningful.
 //
 // Specs come in three forms:
 //

@@ -16,7 +16,7 @@ import (
 // explicit target.
 const (
 	ScaleBench = "bench" // ≈230 vertices — the bench_test.go world
-	ScaleCI    = "ci"    // ≈1.5k vertices — the CI macro-bench
+	ScaleCI    = "ci"    // ≈1.5k vertices — the benchmark city
 	ScaleCity  = "city"  // ≈25k vertices
 	ScaleMetro = "metro" // ≈250k vertices
 	ScaleMax   = "max"   // ≈1M vertices
@@ -155,7 +155,8 @@ type World struct {
 	All  []*traj.Trajectory
 	// Train and Test split All at 75% of the simulated horizon; Train
 	// feeds the offline router build, Test is the live workload
-	// (queries and stream ingest) l2rbench replays.
+	// (queries and ingest) the benchmark and the ci-scale serve tests
+	// replay.
 	Train, Test []*traj.Trajectory
 	// RepairLinks is the number of connectivity repair links Build
 	// spliced in (0 when the raw generator output was already
@@ -288,7 +289,7 @@ func nearest(g *roadnet.Graph, vs []roadnet.VertexID, x, y float64) roadnet.Vert
 // edge records in ID order, and the per-vertex out-adjacency lists —
 // into one FNV-64a value. Two graphs with equal fingerprints are
 // byte-identical for every consumer in this repository; the seed
-// stability tests and l2rbench's audit preamble compare it.
+// stability tests compare it.
 func Fingerprint(g *roadnet.Graph) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -42,10 +42,8 @@ func TestOptionsCensus(t *testing.T) {
 			"GapS", "Match", "MaxBatch", "FlushAge", "OnTrajectory",
 		}},
 		{match.Type, []string{"SigmaM"}},
-		{reflect.TypeFor[l2r.QualityConfig](), []string{"SampleRate", "Ring", "Queue", "MaxPerSec"}},
-		{reflect.TypeFor[l2r.MaintConfig](), []string{
-			"DriftTV", "MinEvidence", "Interval", "CheckEvery",
-		}},
+		{reflect.TypeFor[l2r.QualityConfig](), []string{"SampleRate", "Ring"}},
+		{reflect.TypeFor[l2r.MaintConfig](), []string{"DriftTV", "MinEvidence", "Interval"}},
 		{reflect.TypeFor[l2r.TraceConfig](), []string{"Ring", "SlowThreshold"}},
 	} {
 		var got []string
@@ -98,6 +96,9 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		"splice.TransitionGraph.Prob":              "the splice tests check the transition counts through it",
 		"geo.Segment.DistToPoint":                  "the spatial and traj tests check candidate distances against it",
 		"roadnet.GenerateGrid":                     "a grid fixture that the tests of a dozen packages share",
+		"maint.Maintainer.TriggerNow":              "the maint tests (TestMaintAccuracyFloor, TestMaintCrashEquivalence, TestMaintConvergenceMatchesRebuild and the rest of maint_test.go) drive a rebuild at a known point with it",
+		"quality.Observer.Drain":                   "TestOfferAccounting, TestObserverEndToEnd, TestDebugQualityEndpoint, TestQualitySoakConcurrent and obs's TestDisabledRouteReadsNoClock wait with it for the scorer to resolve every sample",
+		"worldgen.Fingerprint":                     "TestSeedStability and TestBenchScaleMatchesHistoricalWorld compare generated graphs with it",
 	}
 	// Methods that the standard library calls through an interface.
 	stdlib := map[string]bool{

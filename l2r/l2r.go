@@ -342,7 +342,7 @@ func AccessLog(l *slog.Logger, h http.Handler) http.Handler { return serve.Acces
 // internal/quality.
 type (
 	// QualityConfig tunes a quality observer (sample rate, exemplar
-	// ring, queue, pacing).
+	// ring).
 	QualityConfig = quality.Config
 	// QualityObserver is one engine's shadow scorer; the engine's Close
 	// stops it.
@@ -367,8 +367,7 @@ func AttachQuality(e *Engine, cfg QualityConfig) *QualityObserver { return quali
 // copy-on-write clone off the hot path, publishing the rebuilt model
 // through the engine's snapshot swap. See internal/maint.
 type (
-	// MaintConfig tunes a maintainer (trigger thresholds, check
-	// cadence, pipeline options).
+	// MaintConfig tunes a maintainer (trigger thresholds).
 	MaintConfig = maint.Config
 	// Maintainer is one engine's background maintenance pipeline; the
 	// engine's Close stops it.
