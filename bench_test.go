@@ -267,40 +267,13 @@ func BenchmarkOffline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tg := cluster.BuildTrajectoryGraph(w.Road, paths)
-		regions := cluster.Cluster(tg, cluster.Options{})
+		regions := cluster.Cluster(tg)
 		rg := region.Build(w.Road, regions, paths, region.Options{})
 		rg.ConnectBFS()
 	}
 }
 
 // --- Ablations -------------------------------------------------------------
-
-// BenchmarkAblationClusterRoadType compares modularity clustering with
-// and without the road-type constraint of Table I.
-func BenchmarkAblationClusterRoadType(b *testing.B) {
-	w := benchWorld(b)
-	paths := make([]roadnet.Path, 0, len(w.Train))
-	for _, t := range w.Train {
-		paths = append(paths, t.Truth)
-	}
-	for _, variant := range []struct {
-		name string
-		opt  cluster.Options
-	}{
-		{"WithRoadType", cluster.Options{}},
-		{"IgnoreRoadType", cluster.Options{IgnoreRoadType: true}},
-	} {
-		variant := variant
-		b.Run(variant.name, func(b *testing.B) {
-			var regions []cluster.Region
-			for i := 0; i < b.N; i++ {
-				tg := cluster.BuildTrajectoryGraph(w.Road, paths)
-				regions = cluster.Cluster(tg, variant.opt)
-			}
-			b.ReportMetric(float64(len(regions)), "regions")
-		})
-	}
-}
 
 // BenchmarkAblationAMR sweeps the adjacency-matrix reduction threshold,
 // reporting the surviving similarity-graph edge count (the density the
@@ -445,17 +418,17 @@ func BenchmarkAblationClusteringMethod(b *testing.B) {
 	b.Run("Modularity", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tg := cluster.BuildTrajectoryGraph(w.Road, paths)
-			cluster.Cluster(tg, cluster.Options{})
+			cluster.Cluster(tg)
 		}
 	})
 	b.Run("Grid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cluster.GridCluster(w.Road, paths, cluster.GridClusterOptions{})
+			cluster.GridCluster(w.Road, paths)
 		}
 	})
 	b.Run("Hierarchy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cluster.HierarchyPartition(w.Road, paths, cluster.HierarchyPartitionOptions{})
+			cluster.HierarchyPartition(w.Road, paths)
 		}
 	})
 }
@@ -736,7 +709,7 @@ func BenchmarkStream(b *testing.B) {
 	if len(live) > 120 {
 		live = live[:120]
 	}
-	pts := stream.PointsFrom(live, true)
+	pts := stream.PointsFrom(live)
 
 	b.Run("Pipeline", func(b *testing.B) {
 		var swaps, trajs, points float64

@@ -285,7 +285,7 @@ func replayPoints(replayTrips int, replayFile, artifact, network string, seed in
 		return nil, err
 	}
 	live := traj.NewSimulator(g, cfg).Run()
-	pts := l2r.StreamPointsFrom(live, true)
+	pts := l2r.StreamPointsFrom(live)
 	log.Printf("replaying %d simulated trips (%d points)", len(live), len(pts))
 	return pts, nil
 }

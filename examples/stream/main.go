@@ -79,7 +79,7 @@ func main() {
 
 	// The feed: every live trip's GPS records, one vehicle per trip,
 	// interleaved in timestamp order and replayed at full speed.
-	points := l2r.StreamPointsFrom(live, true)
+	points := l2r.StreamPointsFrom(live)
 	n := l2r.ReplayStream(context.Background(), ing, points, 0)
 	close(stop)
 	wg.Wait()

@@ -16,38 +16,41 @@ import (
 // Both exist so the ablation benches can show what the paper claims:
 // they require per-map parameter tuning while modularity clustering
 // does not.
-
-// GridClusterOptions parameterizes GridCluster. Unlike Algorithm 1 this
-// method is not parameter-free: CellSizeM and Tau must be tuned per map.
-type GridClusterOptions struct {
-	// CellSizeM is the square grid cell edge length in meters.
-	// Default 500.
-	CellSizeM float64
-	// Tau is the minimum number of trajectories that must pass through
-	// two adjacent cells for the cells to be merged. Default 2.
-	Tau int
-}
-
-func (o GridClusterOptions) withDefaults() GridClusterOptions {
-	if o.CellSizeM <= 0 {
-		o.CellSizeM = 500
-	}
-	if o.Tau <= 0 {
-		o.Tau = 2
-	}
-	return o
-}
+//
+// Unlike Algorithm 1 neither method is parameter-free: the grid's cell
+// size and tau, and the hierarchy's level count l, must be tuned per
+// map, and l "may vary from country to country". The ablations compare
+// each at one setting, the constants below; the package's tests sweep
+// them through the unexported forms to show how much the partition
+// moves.
+const (
+	// gridCellSizeM is the square grid cell edge length in meters.
+	gridCellSizeM = 500
+	// gridTau is the trajectory count two adjacent cells must share,
+	// exceeded, for the cells to be merged.
+	gridTau = 2
+	// hierarchyLevels is the l of Gonzalez et al.: how many top road-type
+	// levels form the partition boundary network (motorway + trunk).
+	// There is no universal value.
+	hierarchyLevels = 2
+)
 
 // GridCluster implements the grid-based region construction of Wei et
-// al.: overlay a uniform grid, count per-cell-pair trajectory
-// co-traversals, and union adjacent cells whose shared trajectory count
-// exceeds tau. Only vertices visited by trajectories are assigned to
-// regions, mirroring the trajectory-graph scope of Algorithm 1.
-func GridCluster(g *roadnet.Graph, paths []roadnet.Path, opt GridClusterOptions) []Region {
-	opt = opt.withDefaults()
+// al.: overlay a uniform grid of gridCellSizeM cells, count
+// per-cell-pair trajectory co-traversals, and union adjacent cells
+// whose shared trajectory count exceeds gridTau. Only vertices visited
+// by trajectories are assigned to regions, mirroring the
+// trajectory-graph scope of Algorithm 1.
+func GridCluster(g *roadnet.Graph, paths []roadnet.Path) []Region {
+	return gridCluster(g, paths, gridCellSizeM, gridTau)
+}
+
+// gridCluster is GridCluster with cells cellSizeM meters wide, merged
+// above tau shared trajectories.
+func gridCluster(g *roadnet.Graph, paths []roadnet.Path, cellSizeM float64, tau int) []Region {
 	bounds := g.Bounds()
-	cols := int(bounds.Width()/opt.CellSizeM) + 1
-	rows := int(bounds.Height()/opt.CellSizeM) + 1
+	cols := int(bounds.Width()/cellSizeM) + 1
+	rows := int(bounds.Height()/cellSizeM) + 1
 	if cols < 1 {
 		cols = 1
 	}
@@ -56,8 +59,8 @@ func GridCluster(g *roadnet.Graph, paths []roadnet.Path, opt GridClusterOptions)
 	}
 	cellOf := func(v roadnet.VertexID) int {
 		p := g.Point(v)
-		cx := int((p.X - bounds.Min.X) / opt.CellSizeM)
-		cy := int((p.Y - bounds.Min.Y) / opt.CellSizeM)
+		cx := int((p.X - bounds.Min.X) / cellSizeM)
+		cy := int((p.Y - bounds.Min.Y) / cellSizeM)
 		cx = clamp(cx, 0, cols-1)
 		cy = clamp(cy, 0, rows-1)
 		return cy*cols + cx
@@ -106,7 +109,7 @@ func GridCluster(g *roadnet.Graph, paths []roadnet.Path, opt GridClusterOptions)
 		}
 	}
 	for k, c := range pairCount {
-		if c > opt.Tau && adjacentCells(k[0], k[1], cols) {
+		if c > tau && adjacentCells(k[0], k[1], cols) {
 			union(k[0], k[1])
 		}
 	}
@@ -132,33 +135,19 @@ func GridCluster(g *roadnet.Graph, paths []roadnet.Path, opt GridClusterOptions)
 	return regions
 }
 
-// HierarchyPartitionOptions parameterizes HierarchyPartition. Levels is
-// the l parameter of Gonzalez et al. — how many top road-type levels
-// form the partition boundary network. It "may vary from country to
-// country" (the paper's argument against it); there is no universal
-// default, so the zero value picks 2 (motorway + trunk).
-type HierarchyPartitionOptions struct {
-	Levels int
-}
-
-func (o HierarchyPartitionOptions) withDefaults() HierarchyPartitionOptions {
-	if o.Levels <= 0 {
-		o.Levels = 2
-	}
-	if o.Levels > int(roadnet.NumRoadTypes) {
-		o.Levels = int(roadnet.NumRoadTypes)
-	}
-	return o
-}
-
 // HierarchyPartition implements the prior-knowledge road-hierarchy
 // partition of Gonzalez et al.: remove all edges whose road type is in
-// the top l levels and take the connected components of the remainder
-// as regions. Vertices only incident to top-level roads become
-// single-vertex regions. Only trajectory-visited vertices are kept, for
-// comparability with Algorithm 1.
-func HierarchyPartition(g *roadnet.Graph, paths []roadnet.Path, opt HierarchyPartitionOptions) []Region {
-	opt = opt.withDefaults()
+// the top hierarchyLevels levels and take the connected components of
+// the remainder as regions. Vertices only incident to top-level roads
+// become single-vertex regions. Only trajectory-visited vertices are
+// kept, for comparability with Algorithm 1.
+func HierarchyPartition(g *roadnet.Graph, paths []roadnet.Path) []Region {
+	return hierarchyPartition(g, paths, hierarchyLevels)
+}
+
+// hierarchyPartition is HierarchyPartition with the top levels road
+// types as the boundary network.
+func hierarchyPartition(g *roadnet.Graph, paths []roadnet.Path, levels int) []Region {
 	visited := make(map[roadnet.VertexID]bool)
 	for _, p := range paths {
 		for _, v := range p {
@@ -193,7 +182,7 @@ func HierarchyPartition(g *roadnet.Graph, paths []roadnet.Path, opt HierarchyPar
 	for _, v := range verts {
 		for _, e := range g.Out(v) {
 			ed := g.Edge(e)
-			if int(ed.Type) < opt.Levels {
+			if int(ed.Type) < levels {
 				continue // boundary road: cut
 			}
 			j, ok := idx[ed.To]

@@ -59,7 +59,7 @@ func checkPartition(t *testing.T, regions []Region, paths []roadnet.Path) {
 
 func TestGridClusterPartition(t *testing.T) {
 	g, paths := altWorld(t)
-	regions := GridCluster(g, paths, GridClusterOptions{})
+	regions := GridCluster(g, paths)
 	if len(regions) == 0 {
 		t.Fatal("no regions")
 	}
@@ -72,7 +72,7 @@ func TestGridClusterTauMonotone(t *testing.T) {
 	g, paths := altWorld(t)
 	prev := -1
 	for _, tau := range []int{1, 3, 10, 100} {
-		n := len(GridCluster(g, paths, GridClusterOptions{Tau: tau}))
+		n := len(gridCluster(g, paths, gridCellSizeM, tau))
 		if prev >= 0 && n < prev {
 			t.Fatalf("tau=%d produced %d regions, fewer than %d at lower tau", tau, n, prev)
 		}
@@ -85,8 +85,8 @@ func TestGridClusterTauMonotone(t *testing.T) {
 // different partitions.
 func TestGridClusterCellSizeSensitivity(t *testing.T) {
 	g, paths := altWorld(t)
-	small := len(GridCluster(g, paths, GridClusterOptions{CellSizeM: 150}))
-	large := len(GridCluster(g, paths, GridClusterOptions{CellSizeM: 3000}))
+	small := len(gridCluster(g, paths, 150, gridTau))
+	large := len(gridCluster(g, paths, 3000, gridTau))
 	if small == large {
 		t.Skipf("degenerate map: %d regions at both scales", small)
 	}
@@ -97,7 +97,7 @@ func TestGridClusterCellSizeSensitivity(t *testing.T) {
 
 func TestHierarchyPartition(t *testing.T) {
 	g, paths := altWorld(t)
-	regions := HierarchyPartition(g, paths, HierarchyPartitionOptions{})
+	regions := HierarchyPartition(g, paths)
 	if len(regions) == 0 {
 		t.Fatal("no regions")
 	}
@@ -110,7 +110,7 @@ func TestHierarchyPartitionLevels(t *testing.T) {
 	g, paths := altWorld(t)
 	prev := -1
 	for l := 1; l <= int(roadnet.NumRoadTypes); l++ {
-		n := len(HierarchyPartition(g, paths, HierarchyPartitionOptions{Levels: l}))
+		n := len(hierarchyPartition(g, paths, l))
 		if prev >= 0 && n < prev {
 			t.Fatalf("levels=%d produced %d regions, fewer than %d at lower level", l, n, prev)
 		}
@@ -122,7 +122,7 @@ func TestHierarchyPartitionLevels(t *testing.T) {
 // boundary, every visited vertex is its own region.
 func TestHierarchyPartitionAllLevels(t *testing.T) {
 	g, paths := altWorld(t)
-	regions := HierarchyPartition(g, paths, HierarchyPartitionOptions{Levels: int(roadnet.NumRoadTypes)})
+	regions := hierarchyPartition(g, paths, int(roadnet.NumRoadTypes))
 	for _, r := range regions {
 		if len(r.Members) != 1 {
 			t.Fatalf("region %d has %d members with all levels as boundary", r.ID, len(r.Members))
@@ -132,7 +132,7 @@ func TestHierarchyPartitionAllLevels(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	g, paths := altWorld(t)
-	regions := GridCluster(g, paths, GridClusterOptions{})
+	regions := GridCluster(g, paths)
 	st := Summarize(g, regions)
 	if st.Regions != len(regions) {
 		t.Fatalf("Regions = %d, want %d", st.Regions, len(regions))
@@ -160,8 +160,8 @@ func TestSummarizeEmpty(t *testing.T) {
 func TestModularityComparison(t *testing.T) {
 	g, paths := altWorld(t)
 	tg := BuildTrajectoryGraph(g, paths)
-	ours := Cluster(tg, Options{})
-	grid := GridCluster(g, paths, GridClusterOptions{})
+	ours := Cluster(tg)
+	grid := GridCluster(g, paths)
 	qOurs := Modularity(tg, ours)
 	qGrid := Modularity(tg, grid)
 	if qOurs < qGrid-0.05 {

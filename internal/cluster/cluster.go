@@ -7,15 +7,6 @@ import (
 	"repro/internal/roadnet"
 )
 
-// Options tunes the clustering algorithm. The paper's method is
-// parameter-free; these switches exist only for the ablation benches.
-type Options struct {
-	// IgnoreRoadType drops the road-type constraint of Table I, leaving
-	// pure modularity clustering. Used by the ablation bench to show why
-	// the constraint matters.
-	IgnoreRoadType bool
-}
-
 // node is the mutable clustering state for one simple or aggregate
 // vertex.
 type node struct {
@@ -28,10 +19,11 @@ type node struct {
 }
 
 // Cluster runs Algorithm 1 (BottomUpClustering) over the trajectory
-// graph and returns the resulting regions. The method is deterministic:
-// ties in the priority queue resolve by insertion order of the
-// underlying heap operations, which depend only on the input.
-func Cluster(tg *TrajectoryGraph, opt Options) []Region {
+// graph and returns the resulting regions. Like the paper's method it
+// takes no parameter. It is deterministic: ties in the priority queue
+// resolve by insertion order of the underlying heap operations, which
+// depend only on the input.
+func Cluster(tg *TrajectoryGraph) []Region {
 	n := tg.NumVertices()
 	// Clustering mutates adjacency, so copy it. Node IDs: 0..n-1 are the
 	// original simple vertices; merged aggregates reuse the ID of the
@@ -84,9 +76,6 @@ func Cluster(tg *TrajectoryGraph, opt Options) []Region {
 	checkQ := func(k, j int) bool {
 		if deltaQ(k, j) <= 0 {
 			return false
-		}
-		if opt.IgnoreRoadType {
-			return true
 		}
 		vk, vj := &nodes[k], &nodes[j]
 		ert := vk.adj[j].roadType()
@@ -187,7 +176,7 @@ func Cluster(tg *TrajectoryGraph, opt Options) []Region {
 		}
 
 		// Line 11: SelectM.
-		vbPrime := selectM(&nodes[k], vb, opt)
+		vbPrime := selectM(&nodes[k], vb)
 
 		// Lines 12–13: cut edges to VA \ VB'.
 		inPrime := make(map[int]bool, len(vbPrime))
@@ -216,11 +205,11 @@ func Cluster(tg *TrajectoryGraph, opt Options) []Region {
 // qualified vertices merge (Table I already enforced type agreement);
 // if vk is simple, the largest subset of VB whose connecting edges share
 // one road type merges.
-func selectM(vk *node, vb []int, opt Options) []int {
+func selectM(vk *node, vb []int) []int {
 	if len(vb) == 0 {
 		return nil
 	}
-	if vk.aggregate || opt.IgnoreRoadType {
+	if vk.aggregate {
 		return vb
 	}
 	byType := make(map[roadnet.RoadType][]int)

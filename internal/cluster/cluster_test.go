@@ -98,7 +98,7 @@ func regionOf(regions []Region, v roadnet.VertexID) *Region {
 func TestClusterFig4Example(t *testing.T) {
 	g, paths, v := fig4Net(t)
 	tg := BuildTrajectoryGraph(g, paths)
-	regions := Cluster(tg, Options{})
+	regions := Cluster(tg)
 
 	// The popular type-1 backbone D,X,Y,K must form one region.
 	ry := regionOf(regions, v["Y"])
@@ -142,8 +142,8 @@ func TestClusterFig4Example(t *testing.T) {
 
 func TestClusterDeterministic(t *testing.T) {
 	g, paths, _ := fig4Net(t)
-	a := Cluster(BuildTrajectoryGraph(g, paths), Options{})
-	b := Cluster(BuildTrajectoryGraph(g, paths), Options{})
+	a := Cluster(BuildTrajectoryGraph(g, paths))
+	b := Cluster(BuildTrajectoryGraph(g, paths))
 	if len(a) != len(b) {
 		t.Fatalf("region counts differ: %d vs %d", len(a), len(b))
 	}
@@ -162,7 +162,7 @@ func TestClusterDeterministic(t *testing.T) {
 func TestClusterEmptyGraph(t *testing.T) {
 	g := roadnet.GenerateGrid(2, 2, 100, roadnet.Primary)
 	tg := BuildTrajectoryGraph(g, nil)
-	if regions := Cluster(tg, Options{}); len(regions) != 0 {
+	if regions := Cluster(tg); len(regions) != 0 {
 		t.Fatalf("empty trajectory graph produced %d regions", len(regions))
 	}
 }
@@ -170,7 +170,7 @@ func TestClusterEmptyGraph(t *testing.T) {
 func TestClusterSingleEdge(t *testing.T) {
 	g := roadnet.GenerateGrid(2, 1, 100, roadnet.Primary)
 	tg := BuildTrajectoryGraph(g, []roadnet.Path{{0, 1}})
-	regions := Cluster(tg, Options{})
+	regions := Cluster(tg)
 	total := 0
 	for _, r := range regions {
 		total += len(r.Members)
@@ -189,7 +189,7 @@ func TestClusterModularityPositiveOnRealisticData(t *testing.T) {
 		paths[i] = tr.Truth
 	}
 	tg := BuildTrajectoryGraph(g, paths)
-	regions := Cluster(tg, Options{})
+	regions := Cluster(tg)
 	if len(regions) < 2 {
 		t.Fatalf("degenerate clustering: %d regions", len(regions))
 	}
@@ -209,26 +209,13 @@ func TestClusterModularityPositiveOnRealisticData(t *testing.T) {
 	}
 }
 
-func TestClusterRoadTypeConstraintMatters(t *testing.T) {
-	// With the constraint off, strictly fewer or equal regions result
-	// (more merges allowed).
-	g, paths, _ := fig4Net(t)
-	tg := BuildTrajectoryGraph(g, paths)
-	withRT := Cluster(tg, Options{})
-	withoutRT := Cluster(BuildTrajectoryGraph(g, paths), Options{IgnoreRoadType: true})
-	if len(withoutRT) > len(withRT) {
-		t.Errorf("ignoring road type should not increase region count: %d > %d",
-			len(withoutRT), len(withRT))
-	}
-}
-
 func TestRegionInternalTypeConsistency(t *testing.T) {
 	// Property: inside any multi-vertex region produced with the
 	// road-type constraint, the trajectory-graph edges between members
 	// share the region's road type.
 	g, paths, _ := fig4Net(t)
 	tg := BuildTrajectoryGraph(g, paths)
-	regions := Cluster(tg, Options{})
+	regions := Cluster(tg)
 	for _, r := range regions {
 		if len(r.Members) < 2 {
 			continue

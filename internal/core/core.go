@@ -31,7 +31,7 @@ const BackendCH PathBackend = 1
 
 // Options configures the offline pipeline. The rest of the pipeline
 // runs at fixed settings: the parameter-free modularity clustering
-// (cluster.Options{}), transfer.DefaultConfig() (amr = 0.7), the
+// (cluster.Cluster), transfer.DefaultConfig() (amr = 0.7), the
 // matcher's defaults (mapmatch.Config{}), indexCellM and minConfidence.
 type Options struct {
 	// Region tunes region-graph construction.
@@ -144,7 +144,7 @@ type writeLearner struct {
 // learner, or a search result, of the old one.
 func (r *Router) setEngine(eng *route.CHEngine) {
 	r.eng, r.saveLen = eng, new(atomic.Int64)
-	memo := pref.NewMemo(eng.Graph(), pref.CandidateSlaves())
+	memo := pref.NewMemo(eng.Graph())
 	r.learners = &sync.Pool{New: func() any {
 		l := pref.NewLearnerOn(eng.Fork())
 		l.Memo = memo
@@ -238,7 +238,7 @@ func Build(road *roadnet.Graph, training []*traj.Trajectory, opt Options) (*Rout
 
 	// Phase 1a: clustering.
 	start := time.Now()
-	regions := cluster.Cluster(cluster.BuildTrajectoryGraph(road, paths), cluster.Options{})
+	regions := cluster.Cluster(cluster.BuildTrajectoryGraph(road, paths))
 	r.stats.ClusterTime = time.Since(start)
 	return finishBuild(r, regions, paths, opt)
 }

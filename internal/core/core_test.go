@@ -276,9 +276,9 @@ func TestBuildWithAlternativeClusterings(t *testing.T) {
 		paths[i] = tr.Truth
 	}
 	for m, regions := range map[string][]cluster.Region{
-		"modularity": cluster.Cluster(cluster.BuildTrajectoryGraph(road, paths), cluster.Options{}),
-		"grid":       cluster.GridCluster(road, paths, cluster.GridClusterOptions{}),
-		"hierarchy":  cluster.HierarchyPartition(road, paths, cluster.HierarchyPartitionOptions{}),
+		"modularity": cluster.Cluster(cluster.BuildTrajectoryGraph(road, paths)),
+		"grid":       cluster.GridCluster(road, paths),
+		"hierarchy":  cluster.HierarchyPartition(road, paths),
 	} {
 		r, err := BuildWithRegions(road, regions, ts, Options{SkipMapMatching: true})
 		if err != nil {

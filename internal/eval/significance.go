@@ -97,10 +97,10 @@ func logChoose(n, k int) float64 {
 	return lg(n) - lg(k) - lg(n-k)
 }
 
-// PairedScores extracts per-query Eq. 1 (or Eq. 4) similarity vectors
-// for two named algorithms from a Run, aligned by query order. It
-// returns nil slices if either algorithm is missing.
-func (r *Run) PairedScores(algA, algB string, eq4 bool) (a, b []float64) {
+// PairedScores extracts per-query Eq. 1 similarity vectors for two
+// named algorithms from a Run, aligned by query order. It returns nil
+// slices if either algorithm is missing.
+func (r *Run) PairedScores(algA, algB string) (a, b []float64) {
 	sa, okA := r.PerQuery[algA]
 	sb, okB := r.PerQuery[algB]
 	if !okA || !okB {
@@ -109,11 +109,7 @@ func (r *Run) PairedScores(algA, algB string, eq4 bool) (a, b []float64) {
 	pick := func(s []QueryScore) []float64 {
 		out := make([]float64, len(s))
 		for i, q := range s {
-			if eq4 {
-				out[i] = q.Eq4
-			} else {
-				out[i] = q.Eq1
-			}
+			out[i] = q.Eq1
 		}
 		return out
 	}

@@ -133,7 +133,7 @@ func TestPairedScoresFromRun(t *testing.T) {
 	}
 	algs := []Algorithm{baseline.NewShortest(g), baseline.NewFastest(g)}
 	run := Evaluate(g, qs, algs, []float64{1, 2, 5, 20})
-	a, b := run.PairedScores("Shortest", "Fastest", false)
+	a, b := run.PairedScores("Shortest", "Fastest")
 	if len(a) != len(qs) || len(b) != len(qs) {
 		t.Fatalf("paired scores %d/%d, want %d", len(a), len(b), len(qs))
 	}
@@ -141,7 +141,7 @@ func TestPairedScoresFromRun(t *testing.T) {
 	if r.Wins+r.Losses+r.Ties != len(qs) {
 		t.Fatalf("sign test counts don't sum: %+v", r)
 	}
-	if x, y := run.PairedScores("Shortest", "NoSuchAlgo", false); x != nil || y != nil {
+	if x, y := run.PairedScores("Shortest", "NoSuchAlgo"); x != nil || y != nil {
 		t.Fatal("missing algorithm returned scores")
 	}
 }

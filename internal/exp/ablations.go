@@ -82,12 +82,12 @@ func clusteringMethods(w *World) (*cluster.TrajectoryGraph, []clusteringMethod) 
 	paths := trainPaths(w)
 	tg := cluster.BuildTrajectoryGraph(w.Road, paths)
 	return tg, []clusteringMethod{
-		{"Modularity(paper)", func() []cluster.Region { return cluster.Cluster(tg, cluster.Options{}) }},
+		{"Modularity(paper)", func() []cluster.Region { return cluster.Cluster(tg) }},
 		{"Grid(Wei12)", func() []cluster.Region {
-			return cluster.GridCluster(w.Road, paths, cluster.GridClusterOptions{})
+			return cluster.GridCluster(w.Road, paths)
 		}},
 		{"Hierarchy(Gonzalez07)", func() []cluster.Region {
-			return cluster.HierarchyPartition(w.Road, paths, cluster.HierarchyPartitionOptions{})
+			return cluster.HierarchyPartition(w.Road, paths)
 		}},
 	}
 }

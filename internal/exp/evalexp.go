@@ -134,7 +134,7 @@ func Significance(w *World) string {
 		if name == "L2R" {
 			continue
 		}
-		a, base := run.PairedScores("L2R", name, false)
+		a, base := run.PairedScores("L2R", name)
 		if a == nil {
 			continue
 		}

@@ -22,7 +22,7 @@ func BenchmarkLearn(b *testing.B) {
 	sets := tEdgePathSets(w)
 	che := route.BuildCHEngine(w.Road, roadnet.TT, ch.Config{})
 	memoized := pref.NewLearnerOn(che.Fork())
-	memoized.Memo = pref.NewMemo(w.Road, memoized.Slaves)
+	memoized.Memo = pref.NewMemo(w.Road)
 	for _, bc := range []struct {
 		name string
 		l    *pref.Learner

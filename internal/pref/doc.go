@@ -16,9 +16,9 @@
 //
 // # Search elimination
 //
-// Read literally, Learn costs 3 + 2·|Slaves| Algorithm 2 searches per
-// sampled path (21 with the default candidates): one per master weight,
-// then one per ⟨master, slave⟩ combination for the two best masters.
+// Read literally, Learn costs 3 + 2·len(CandidateSlaves()) = 21
+// Algorithm 2 searches per sampled path: one per master weight, then
+// one per ⟨master, slave⟩ combination for the two best masters.
 // The learner is the whole cost of the write path (core.Router.Ingest
 // relearns every touched T-edge), so Learn runs only the searches whose
 // outcome is not already determined. The three master-only searches per
@@ -65,7 +65,7 @@
 // above, and the learner tightens it as it goes: visiting the paths in
 // sample order, it replaces each searched path's b(i) by the similarity
 // found, which is at most b(i). Whenever the running mean (plus a 1e-12
-// guard) does not exceed the incumbent similarity plus MinImprovement,
+// guard) does not exceed the incumbent similarity plus minImprovement,
 // the exhaustive procedure would evaluate the combination and discard
 // it, so the learner abandons it — before its first search or part-way
 // — and counts the searches left as Bounded. The guard covers rounding:

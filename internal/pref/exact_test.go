@@ -23,7 +23,7 @@ func tEdgePathSets(w *worldgen.World) [][]roadnet.Path {
 	for _, t := range w.Train {
 		paths = append(paths, t.Truth)
 	}
-	regions := cluster.Cluster(cluster.BuildTrajectoryGraph(w.Road, paths), cluster.Options{})
+	regions := cluster.Cluster(cluster.BuildTrajectoryGraph(w.Road, paths))
 	rg := region.Build(w.Road, regions, paths, region.Options{})
 	var sets [][]roadnet.Path
 	for _, e := range rg.Edges {
@@ -207,12 +207,12 @@ func TestRestrictedSearchOnHierarchyMatchesDijkstra(t *testing.T) {
 }
 
 // TestSearchLedgerPerLearn pins the ledger's unit: one Learn accounts
-// for exactly (3 + 2·|Slaves|) searches per sampled path — 21 with the
+// for exactly (3 + 2·len(CandidateSlaves())) searches per sampled path — 21 with the
 // default candidates — however they were disposed of.
 func TestSearchLedgerPerLearn(t *testing.T) {
 	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleBench, 4))
 	l := pref.NewLearner(w.Road)
-	if per := 3 + 2*len(l.Slaves); per != 21 {
+	if per := 3 + 2*len(pref.CandidateSlaves()); per != 21 {
 		t.Fatalf("default candidates give %d searches per path, want 21", per)
 	}
 	for i, ps := range tEdgePathSets(w) {

@@ -13,11 +13,11 @@ import (
 // truth, then test each candidate slave road-condition feature and keep
 // the one that improves similarity the most (or none).
 //
-// Read literally the procedure costs 3 + 2·|Slaves| shortest-path
-// searches per sampled path. Learn returns exactly what that exhaustive
-// reading returns while running only the searches whose outcome is not
-// already determined; the package documentation states the two pruning
-// rules and why they are exact.
+// Read literally the procedure costs 3 + 2·len(CandidateSlaves())
+// shortest-path searches per sampled path. Learn returns exactly what
+// that exhaustive reading returns while running only the searches whose
+// outcome is not already determined; the package documentation states
+// the two pruning rules and why they are exact.
 //
 // A Learner is not safe for concurrent use: it owns search engines and
 // scoring scratch.
@@ -37,16 +37,10 @@ type Learner struct {
 	// learning; 0 means all. Large T-edges carry hundreds of paths and
 	// the cap keeps offline time linear in the number of T-edges.
 	MaxPaths int
-	// Slaves is the candidate slave feature set; defaults to
-	// CandidateSlaves(). It holds at most 16 features.
-	Slaves []SlaveFeature
-	// MinImprovement is the similarity gain a slave feature must deliver
-	// over the master-only path to be adopted.
-	MinImprovement float64
 
-	// Memo, when it was made for this learner's road network and
-	// Slaves, answers the searches an earlier Learn — this learner's or
-	// another sharing the memo — already ran for a ground truth.
+	// Memo, when it was made for this learner's road network, answers
+	// the searches an earlier Learn — this learner's or another sharing
+	// the memo — already ran for a ground truth.
 	Memo *Memo
 
 	// Searches accumulates, over every Learn call on this learner, what
@@ -67,7 +61,7 @@ type Learner struct {
 // DefaultMaxPaths is the sample cap NewLearnerOn sets.
 const DefaultMaxPaths = 8
 
-// SearchStats splits the exhaustive procedure's (3 + 2·|Slaves|)
+// SearchStats splits the exhaustive procedure's (3 + 2·len(candidates))
 // searches per sampled path by what the learner did with each.
 type SearchStats struct {
 	// Run counts searches executed.
@@ -90,9 +84,17 @@ type SearchStats struct {
 // Total is the number of searches the exhaustive procedure runs.
 func (s SearchStats) Total() int { return s.Run + s.Reused + s.Bounded + s.Memo }
 
-// maxSlaves is the most candidate slaves a Learner takes: the slaves
-// forbidding a hop of a master-only candidate are a 16-bit set.
-const maxSlaves = 16
+// candidates is CandidateSlaves(), the one slave set every Learner
+// tries (Section V-A). The slaves forbidding a hop of a master-only
+// candidate are a 16-bit set, bit j for candidates[j].
+var candidates = [numCandidates]SlaveFeature(CandidateSlaves())
+
+const (
+	numCandidates = roadnet.NumRoadTypes + 3 // six road types, three combinations
+	// minImprovement is the similarity gain a slave feature must
+	// deliver over the master-only path to be adopted.
+	minImprovement = 1e-9
+)
 
 // boundGuard absorbs floating-point rounding in the upper-bound rule:
 // the bound is exact in real arithmetic and each side is computed with
@@ -116,12 +118,12 @@ type truth struct {
 	path   roadnet.Path
 	hops   []hop   // road edges in path order, as Eq. 1 sees them
 	length float64 // Σ hops[i].length: Eq. 1's denominator
-	// lost[j] is the length of the hops Slaves[j] forbids, summed in
-	// path order: the upper-bound rule's numerator.
-	lost [maxSlaves]float64
+	// lost[j] is the length of the hops candidates[j] forbids, summed
+	// in path order: the upper-bound rule's numerator.
+	lost [numCandidates]float64
 	// Per master weight: the master-only candidate's Eq. 1 similarity,
 	// and the slaves whose restriction forbids one of its hops — bit j
-	// for Slaves[j], none when the destination is unreachable.
+	// for candidates[j], none when the destination is unreachable.
 	sim0   [roadnet.NumCostWeights]float64
 	forbid [roadnet.NumCostWeights]uint16
 	entry  *memoEntry // the truth's memo entry; nil without one
@@ -144,13 +146,11 @@ func NewLearnerOn(eng route.PathEngine) *Learner {
 		dij = route.NewEngine(eng.Graph())
 	}
 	return &Learner{
-		g:              eng.Graph(),
-		eng:            eng,
-		hier:           hier,
-		dij:            dij,
-		MaxPaths:       DefaultMaxPaths,
-		Slaves:         CandidateSlaves(),
-		MinImprovement: 1e-9,
+		g:        eng.Graph(),
+		eng:      eng,
+		hier:     hier,
+		dij:      dij,
+		MaxPaths: DefaultMaxPaths,
 	}
 }
 
@@ -173,9 +173,6 @@ func (l *Learner) Learn(paths []roadnet.Path) Result {
 	sample := l.drawn
 	if len(sample) == 0 {
 		return Result{Preference: Preference{Master: roadnet.TT}, Similarity: 0}
-	}
-	if len(l.Slaves) > maxSlaves {
-		panic("pref: Learner.Slaves holds more than 16 features")
 	}
 	var memo *Memo
 	if l.Memo.serves(l) {
@@ -213,9 +210,9 @@ func (l *Learner) Learn(paths []roadnet.Path) Result {
 	best := Preference{Master: first, Slave: NoSlave}
 	bestSim := sims[first]
 	for _, m := range []roadnet.Weight{first, second} {
-		for j, s := range l.Slaves {
-			sim, ok := l.avgSim(m, j, bestSim+l.MinImprovement, memo)
-			if ok && sim > bestSim+l.MinImprovement {
+		for j, s := range candidates {
+			sim, ok := l.avgSim(m, j, bestSim+minImprovement, memo)
+			if ok && sim > bestSim+minImprovement {
 				bestSim = sim
 				best = Preference{Master: m, Slave: s}
 			}
@@ -304,7 +301,7 @@ func (l *Learner) prepare(sample []roadnet.Path, memo *Memo) {
 		for _, h := range t.hops {
 			t.length += h.length
 		}
-		for j, s := range l.Slaves {
+		for j, s := range candidates {
 			t.lost[j] = 0
 			for _, h := range t.hops {
 				if h.forbidden(s) {
@@ -342,9 +339,10 @@ func (l *Learner) prepare(sample []roadnet.Path, memo *Memo) {
 }
 
 // forbidding returns the slaves whose restriction forbids one of hops,
-// bit j for Slaves[j]: the ones the feasibility rule does not cover.
+// bit j for candidates[j]: the ones the feasibility rule does not
+// cover.
 func (l *Learner) forbidding(hops []hop) (bits uint16) {
-	for j, s := range l.Slaves {
+	for j, s := range candidates {
 		for _, h := range hops {
 			if h.forbidden(s) {
 				bits |= 1 << j
@@ -399,15 +397,15 @@ func (l *Learner) score(t *truth, cand roadnet.Path, candHops []hop) float64 {
 }
 
 // avgSim is the mean Eq. 1 similarity of the ⟨m, s⟩-constructed paths
-// to the prepared ground truths, s = Slaves[j], or ok=false as soon as
-// an upper bound on it fails to exceed floor (the upper-bound rule).
+// to the prepared ground truths, s = candidates[j], or ok=false as soon
+// as an upper bound on it fails to exceed floor (the upper-bound rule).
 // Ground truths whose master-only candidate has no hop forbidden under
 // s reuse that candidate's similarity (the feasibility rule); only the
 // rest search, or recall the search from memo, each replacing its
 // truth's bound in bound (total keeps exact bits).
 func (l *Learner) avgSim(m roadnet.Weight, j int, floor float64, memo *Memo) (sim float64, ok bool) {
 	n := len(l.truths)
-	s, key := l.Slaves[j], restrictedKey(m, j)
+	s, key := candidates[j], restrictedKey(m, j)
 	l.feasible, l.bounds = l.feasible[:0], l.bounds[:0]
 	var bound float64
 	for i := range l.truths {

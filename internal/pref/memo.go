@@ -14,15 +14,14 @@ import (
 // of the sample around it, so a recalled value is the computed one, bit
 // for bit.
 //
-// A Memo serves the learners over one road network with one Slaves
-// list (NewMemo's); Learn ignores it on any other learner. It is safe
-// for concurrent use by several learners, and it keeps the paths it is
-// given as keys: a path learned from must not be modified afterwards.
-// Nothing in it is persisted.
+// A Memo serves the learners over one road network (NewMemo's); Learn
+// ignores it on a learner over any other. It is safe for concurrent use
+// by several learners, and it keeps the paths it is given as keys: a
+// path learned from must not be modified afterwards. Nothing in it is
+// persisted.
 type Memo struct {
-	g      *roadnet.Graph
-	slaves []SlaveFeature
-	cap    int // memoCap; tests lower it
+	g   *roadnet.Graph
+	cap int // memoCap; tests lower it
 
 	mu    sync.Mutex
 	index map[uint64]*memoEntry // by hashPath of the entry's path
@@ -57,16 +56,13 @@ type memoEntry struct {
 	n      uint8
 }
 
-// NewMemo returns an empty memo for learners over g with the given
-// candidate slaves (a learner's Slaves).
-func NewMemo(g *roadnet.Graph, slaves []SlaveFeature) *Memo {
-	return &Memo{g: g, slaves: slices.Clone(slaves), cap: memoCap}
+// NewMemo returns an empty memo for learners over g.
+func NewMemo(g *roadnet.Graph) *Memo {
+	return &Memo{g: g, cap: memoCap}
 }
 
-// serves reports whether m was made for l's road network and Slaves.
-func (m *Memo) serves(l *Learner) bool {
-	return m != nil && m.g == l.g && slices.Equal(m.slaves, l.Slaves)
-}
+// serves reports whether m was made for l's road network.
+func (m *Memo) serves(l *Learner) bool { return m != nil && m.g == l.g }
 
 // resetIfFull clears a full memo: what Learn does before its sample.
 func (m *Memo) resetIfFull() {
@@ -146,7 +142,8 @@ func (m *Memo) remember(e *memoEntry, key uint8, sim float64) {
 	m.mu.Unlock()
 }
 
-// restrictedKey names the ⟨master, Slaves[j]⟩ search within an entry.
+// restrictedKey names the ⟨master, candidates[j]⟩ search within an
+// entry.
 func restrictedKey(m roadnet.Weight, j int) uint8 { return uint8(m)<<6 | uint8(j) }
 
 // hashPath is FNV-1a over a path's vertex IDs.

@@ -72,7 +72,7 @@ func TestLearnMemoMatchesFresh(t *testing.T) {
 				{"cch-cap", func() route.PathEngine { return che.Fork() }, 7},
 			} {
 				memoized, fresh := pref.NewLearnerOn(c.eng()), pref.NewLearnerOn(c.eng())
-				memoized.Memo = pref.NewMemo(w.Road, memoized.Slaves)
+				memoized.Memo = pref.NewMemo(w.Road)
 				if c.cap > 0 {
 					pref.SetMemoCap(memoized.Memo, c.cap)
 				}
@@ -104,27 +104,22 @@ func TestLearnMemoMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestLearnMemoIgnoredByOtherLearners: a memo made for other slaves or
-// another road network answers nothing, and the learner learns as if
-// it had none.
+// TestLearnMemoIgnoredByOtherLearners: a memo made for another road
+// network answers nothing, and the learner learns as if it had none.
 func TestLearnMemoIgnoredByOtherLearners(t *testing.T) {
 	w := worldgen.Build(worldgen.MustScale(worldgen.ScaleBench, 1))
 	other := worldgen.Build(worldgen.MustScale(worldgen.ScaleBench, 2))
 	sets := tEdgePathSets(w)
-	for name, memo := range map[string]*pref.Memo{
-		"other slaves": pref.NewMemo(w.Road, pref.CandidateSlaves()[1:]),
-		"other road":   pref.NewMemo(other.Road, pref.CandidateSlaves()),
-	} {
-		memoized, fresh := pref.NewLearner(w.Road), pref.NewLearner(w.Road)
-		memoized.Memo = memo
-		for i, ps := range append(sets, sets...) {
-			if d := learnLikeFresh(memoized, fresh, ps); d != "" {
-				t.Fatalf("%s, Learn %d: %s", name, i, d)
-			}
+	memo := pref.NewMemo(other.Road)
+	memoized, fresh := pref.NewLearner(w.Road), pref.NewLearner(w.Road)
+	memoized.Memo = memo
+	for i, ps := range append(sets, sets...) {
+		if d := learnLikeFresh(memoized, fresh, ps); d != "" {
+			t.Fatalf("Learn %d: %s", i, d)
 		}
-		if memoized.Searches.Memo != 0 || pref.MemoLen(memo) != 0 {
-			t.Fatalf("%s: a learner the memo was not made for used it", name)
-		}
+	}
+	if memoized.Searches.Memo != 0 || pref.MemoLen(memo) != 0 {
+		t.Fatal("a learner over another road network used the memo")
 	}
 }
 
@@ -140,7 +135,7 @@ func TestLearnMemoConcurrent(t *testing.T) {
 	for i, ps := range chain {
 		want[i] = fresh.Learn(ps)
 	}
-	memo := pref.NewMemo(w.Road, pref.CandidateSlaves())
+	memo := pref.NewMemo(w.Road)
 	var wg sync.WaitGroup
 	for k := 0; k < 2; k++ {
 		l := pref.NewLearnerOn(che.Fork())

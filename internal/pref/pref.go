@@ -107,7 +107,7 @@ func (p Preference) String() string {
 // combinations. Mirrors the paper's setup of six OSM road types with
 // combined features allowed.
 func CandidateSlaves() []SlaveFeature {
-	out := make([]SlaveFeature, 0, roadnet.NumRoadTypes+3)
+	out := make([]SlaveFeature, 0, numCandidates)
 	for t := roadnet.RoadType(0); t < roadnet.NumRoadTypes; t++ {
 		out = append(out, SlaveOf(t))
 	}

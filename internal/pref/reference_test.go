@@ -11,7 +11,7 @@ import (
 // Dijkstra and scores it with the exported SimEq1. It is the oracle the
 // exactness tests hold Learner to, bit for bit.
 type Exhaustive struct {
-	cfg *Learner // sampling and candidate configuration only
+	cfg *Learner // sampling configuration only
 	g   *roadnet.Graph
 	eng *route.Engine
 	// Searches counts the searches run.
@@ -49,9 +49,9 @@ func (x *Exhaustive) Learn(paths []roadnet.Path) Result {
 	best := Preference{Master: first, Slave: NoSlave}
 	bestSim := sims[first]
 	for _, m := range []roadnet.Weight{first, second} {
-		for _, s := range x.cfg.Slaves {
+		for _, s := range candidates {
 			sim := x.avgSim(sample, m, s)
-			if sim > bestSim+x.cfg.MinImprovement {
+			if sim > bestSim+minImprovement {
 				bestSim = sim
 				best = Preference{Master: m, Slave: s}
 			}

@@ -58,7 +58,7 @@ func TestAdjacencyMatchesEdges(t *testing.T) {
 		paths[i] = tr.Truth
 	}
 	half := len(paths) / 2
-	regions := cluster.Cluster(cluster.BuildTrajectoryGraph(w.Road, paths[:half]), cluster.Options{})
+	regions := cluster.Cluster(cluster.BuildTrajectoryGraph(w.Road, paths[:half]))
 	g := Build(w.Road, regions, paths[:half], Options{})
 	checkAdjacency(t, "Build", g)
 	if g.ConnectBFS() == 0 {

@@ -64,7 +64,7 @@ func TestBuildEqualsIncrementalAddPaths(t *testing.T) {
 		for i, tr := range w.Train {
 			paths[i] = tr.Truth
 		}
-		regions := cluster.Cluster(cluster.BuildTrajectoryGraph(w.Road, paths), cluster.Options{})
+		regions := cluster.Cluster(cluster.BuildTrajectoryGraph(w.Road, paths))
 		for _, opt := range []Options{{}, {MaxRegionSpan: 2}} {
 			full := Build(w.Road, regions, paths, opt)
 			if full.TEdgeCount() == 0 {

@@ -26,7 +26,7 @@ func snapWorld(t *testing.T) *Graph {
 		paths = append(paths, tr.Truth)
 	}
 	tg := cluster.BuildTrajectoryGraph(road, paths)
-	regions := cluster.Cluster(tg, cluster.Options{})
+	regions := cluster.Cluster(tg)
 	g := Build(road, regions, paths, Options{})
 	g.ConnectBFS()
 	return g

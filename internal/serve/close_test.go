@@ -53,7 +53,7 @@ func TestEngineCloseStopsAttachments(t *testing.T) {
 	// final flush ingests.
 	openTrips := func(e *serve.Engine, trips []*traj.Trajectory) *stream.Ingestor {
 		ing := stream.Attach(e, stream.Config{FlushAge: time.Hour})
-		ing.PushAll(stream.PointsFrom(trips, true))
+		ing.PushAll(stream.PointsFrom(trips))
 		return ing
 	}
 

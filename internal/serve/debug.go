@@ -214,21 +214,19 @@ func (e *Engine) DebugSnapshotNow() DebugSnapshot {
 	return ds
 }
 
-func (e *Engine) handleDebugSnapshot(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, e.DebugSnapshotNow())
-}
-
-func (f *Fleet) handleDebugSnapshot(w http.ResponseWriter, r *http.Request) {
+// debugSnapshot is the fleet's /debug/snapshot reply: every tenant's
+// DebugSnapshot keyed by name.
+func (f *Fleet) debugSnapshot() any {
 	reg := f.registry()
 	per := make(map[string]DebugSnapshot, len(reg))
 	for name, t := range reg {
 		per[name] = t.eng.DebugSnapshotNow()
 	}
-	WriteJSON(w, http.StatusOK, map[string]any{
+	return map[string]any{
 		"tenants":    len(per),
 		"goroutines": runtime.NumGoroutine(),
 		"per_tenant": per,
-	})
+	}
 }
 
 // statusWriter records the status code and body size a handler wrote,

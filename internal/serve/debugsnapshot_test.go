@@ -46,7 +46,7 @@ func TestDebugSnapshotRunsNoReport(t *testing.T) {
 	quality.Attach(e, quality.Config{})
 	counting := &countingReports{}
 	e.Attach(counting)
-	ing.PushAll(stream.PointsFrom(ts[cut:cut+3], true))
+	ing.PushAll(stream.PointsFrom(ts[cut : cut+3]))
 	ing.CloseAll()
 
 	ds := e.DebugSnapshotNow()

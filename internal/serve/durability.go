@@ -137,12 +137,13 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 // write-ahead log.
 func (e *Engine) Durable() bool { return e.dur != nil }
 
-// Checkpoint synchronously persists the currently served router as the
+// checkpoint synchronously persists the currently served router as the
 // WAL directory's checkpoint (as a core artifact, save generation
 // advanced) and rotates the log. A no-op returning nil on a
 // non-durable engine. Shutdown checkpoints the same way on its way
-// down, so the next start is replay-free.
-func (e *Engine) Checkpoint() error {
+// down, so the next start is replay-free; the durability tests take
+// one mid-run with it.
+func (e *Engine) checkpoint() error {
 	if e.dur == nil {
 		return nil
 	}

@@ -418,7 +418,7 @@ func TestForeignCheckpointFailsLoud(t *testing.T) {
 	dir := t.TempDir()
 	e1 := mustDurable(t, base.IngestClone(), Options{WALDir: dir})
 	e1.IngestMatched(matchedBatches(live, 8)[0])
-	if err := e1.Checkpoint(); err != nil {
+	if err := e1.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	e1.Close()
@@ -441,7 +441,7 @@ func TestV1CheckpointFailsLoud(t *testing.T) {
 	written := t.TempDir()
 	e1 := mustDurable(t, base.IngestClone(), Options{WALDir: written})
 	e1.IngestMatched(matchedBatches(live, 8)[0])
-	if err := e1.Checkpoint(); err != nil {
+	if err := e1.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	e1.IngestMatched(matchedBatches(live, 8)[1])
@@ -864,7 +864,7 @@ func TestTrajectoryIDFencingSurvivesCheckpoint(t *testing.T) {
 		batch = append(batch, &traj.Trajectory{ID: e1.NextTrajectoryID(), Truth: live[i].Truth})
 	}
 	e1.IngestMatched(batch)
-	if err := e1.Checkpoint(); err != nil { // folds the batch in, rotates the log
+	if err := e1.checkpoint(); err != nil { // folds the batch in, rotates the log
 		t.Fatal(err)
 	}
 	// Crash with an empty WAL tail.

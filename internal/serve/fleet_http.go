@@ -52,11 +52,7 @@ func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/t/", f.handleTenant)
 	mux.HandleFunc("/tenants", Method(http.MethodGet, f.handleTenants))
-	mux.HandleFunc("/stats", Method(http.MethodGet, f.handleStats))
-	mux.HandleFunc("/healthz", f.handleHealthz)
-	mux.HandleFunc("/metrics", Method(http.MethodGet, f.handleMetrics))
-	mux.HandleFunc("/debug/trace", Method(http.MethodGet, traceHandler(f.opt.Tracer)))
-	mux.HandleFunc("/debug/snapshot", Method(http.MethodGet, f.handleDebugSnapshot))
+	handleTelemetry(mux, func() any { return f.Stats() }, f.health, f.debugSnapshot, f.WriteMetrics, f.opt.Tracer)
 	mux.HandleFunc("/debug/quality", Method(http.MethodGet, f.handleQuality))
 	return withRequestTelemetry(f.opt.Tracer, mux)
 }
@@ -115,20 +111,17 @@ func (f *Fleet) handleTenants(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]any{"tenants": infos})
 }
 
-func (f *Fleet) handleStats(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, f.Stats())
-}
-
 // handleQuality serves the fleet-level quality overview: every
 // tenant's QualityStats keyed by name (tenants without an observer are
-// omitted). Exemplar detail lives on the per-tenant endpoint.
+// omitted), asked of the quality observer alone, not of every
+// attachment's Report. Exemplar detail lives on the per-tenant endpoint.
 func (f *Fleet) handleQuality(w http.ResponseWriter, r *http.Request) {
 	per := make(map[string]QualityStats)
 	for name, t := range f.registry() {
-		var st Stats
-		t.eng.reportAttached(&st)
-		if st.Quality != nil {
-			per[name] = *st.Quality
+		for _, a := range *t.eng.attachments.Load() {
+			if q, ok := a.Attachment.(interface{ QualityStats() QualityStats }); ok {
+				per[name] = q.QualityStats()
+			}
 		}
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{
@@ -137,15 +130,16 @@ func (f *Fleet) handleQuality(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// health is the fleet's /healthz reply.
+func (f *Fleet) health() any {
 	reg := f.registry()
 	generations := make(map[string]uint64, len(reg))
 	for name, t := range reg {
 		generations[name] = t.eng.Generation()
 	}
-	WriteJSON(w, http.StatusOK, map[string]any{
+	return map[string]any{
 		"status":      "ok",
 		"tenants":     len(reg),
 		"generations": generations,
-	})
+	}
 }

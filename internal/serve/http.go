@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -85,11 +86,8 @@ func (e *Engine) api() http.Handler {
 	mux.HandleFunc("/route", Method(http.MethodGet, e.handleRoute))
 	mux.HandleFunc("/route/alternatives", Method(http.MethodGet, e.handleAlternatives))
 	mux.HandleFunc("/ingest", Method(http.MethodPost, e.handleIngest))
-	mux.HandleFunc("/stats", Method(http.MethodGet, e.handleStats))
-	mux.HandleFunc("/healthz", e.handleHealthz)
-	mux.HandleFunc("/metrics", Method(http.MethodGet, e.handleMetrics))
-	mux.HandleFunc("/debug/trace", Method(http.MethodGet, traceHandler(e.trc)))
-	mux.HandleFunc("/debug/snapshot", Method(http.MethodGet, e.handleDebugSnapshot))
+	handleTelemetry(mux, func() any { return e.Stats() }, e.health,
+		func() any { return e.DebugSnapshotNow() }, e.WriteMetrics, e.trc)
 	mux.HandleFunc("/", e.handleAttached)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Body != nil && r.Body != http.NoBody {
@@ -97,6 +95,21 @@ func (e *Engine) api() http.Handler {
 		}
 		mux.ServeHTTP(w, r)
 	})
+}
+
+// handleTelemetry registers the five endpoints both front ends, an
+// engine and a fleet, serve: the JSON replies of /stats, /healthz (any
+// method) and /debug/snapshot, the /metrics exposition and the tracer's
+// /debug/trace.
+func handleTelemetry(mux *http.ServeMux, stats, health, snapshot func() any, metrics func(io.Writer) error, trc *obs.Tracer) {
+	reply := func(v func() any) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) { WriteJSON(w, http.StatusOK, v()) }
+	}
+	mux.HandleFunc("/stats", Method(http.MethodGet, reply(stats)))
+	mux.HandleFunc("/healthz", reply(health))
+	mux.HandleFunc("/metrics", Method(http.MethodGet, promHandler(metrics)))
+	mux.HandleFunc("/debug/trace", Method(http.MethodGet, traceHandler(trc)))
+	mux.HandleFunc("/debug/snapshot", Method(http.MethodGet, reply(snapshot)))
 }
 
 // Method guards h: a request with any other method is answered 405
@@ -314,14 +327,11 @@ func (e *Engine) handleIngest(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (e *Engine) handleStats(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, e.Stats())
-}
-
-func (e *Engine) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, map[string]any{
+// health is the engine's /healthz reply.
+func (e *Engine) health() any {
+	return map[string]any{
 		"status":     "ok",
 		"generation": e.Generation(),
 		"durable":    e.Durable(),
-	})
+	}
 }

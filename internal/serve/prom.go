@@ -224,24 +224,18 @@ func writeRuntimeProm(pw *obs.PromWriter) {
 	pw.Counter("go_alloc_bytes_total", "Cumulative bytes allocated on the heap.", float64(ms.TotalAlloc))
 }
 
-// serveProm buffers one exposition and writes it with the Prometheus
-// content type; a mid-exposition error becomes a clean 500 instead of
-// a torn body.
-func serveProm(w http.ResponseWriter, r *http.Request, write func(io.Writer) error) {
-	var buf bytes.Buffer
-	if err := write(&buf); err != nil {
-		WriteError(w, http.StatusInternalServerError, "rendering metrics: %v", err)
-		return
+// promHandler serves the exposition write renders, buffered and with
+// the Prometheus content type; a mid-exposition error becomes a clean
+// 500 instead of a torn body.
+func promHandler(write func(io.Writer) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			WriteError(w, http.StatusInternalServerError, "rendering metrics: %v", err)
+			return
+		}
+		w.Header().Set("Content-Type", obs.ContentType)
+		w.Header().Set("Cache-Control", "no-store")
+		_, _ = w.Write(buf.Bytes())
 	}
-	w.Header().Set("Content-Type", obs.ContentType)
-	w.Header().Set("Cache-Control", "no-store")
-	_, _ = w.Write(buf.Bytes())
-}
-
-func (e *Engine) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	serveProm(w, r, e.WriteMetrics)
-}
-
-func (f *Fleet) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	serveProm(w, r, f.WriteMetrics)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -124,5 +125,48 @@ func TestBuildInfoSurfaces(t *testing.T) {
 	ds := e.DebugSnapshotNow()
 	if ds.GoVersion == "" {
 		t.Fatal("DebugSnapshotNow missing GoVersion")
+	}
+}
+
+// fakeObserver is a quality-shaped attachment that also answers
+// QualityStats, as internal/quality's Observer does; its Report fills
+// Stats.Quality with the same block.
+type fakeObserver struct {
+	*fakeAttachment
+	stats QualityStats
+}
+
+func (o fakeObserver) QualityStats() QualityStats { return o.stats }
+
+// TestFleetQualityAsksOnlyTheObserver: the fleet's /debug/quality lists
+// each tenant's observer report, omits a tenant without one, and runs
+// no other attachment's Report to get there.
+func TestFleetQualityAsksOnlyTheObserver(t *testing.T) {
+	f, srv := newFleetTestServer(t)
+	reports := 0
+	a, _ := f.Get("acity")
+	b, _ := f.Get("bcity")
+	a.Attach(&fakeAttachment{path: "/stream", report: func(*Stats) { reports++ }})
+	qs := QualityStats{SampleRate: 0.25, Scored: 7}
+	a.Attach(fakeObserver{&fakeAttachment{path: "/debug/quality", report: func(st *Stats) { st.Quality = &qs }}, qs})
+	b.Attach(&fakeAttachment{path: "/stream", report: func(*Stats) { reports++ }})
+
+	resp, err := http.Get(srv.URL + "/debug/quality")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct {
+		Tenants   int                     `json:"tenants"`
+		PerTenant map[string]QualityStats `json:"per_tenant"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, decode %v", resp.StatusCode, err)
+	}
+	if q, ok := got.PerTenant["acity"]; got.Tenants != 1 || len(got.PerTenant) != 1 || !ok || q.SampleRate != 0.25 || q.Scored != 7 {
+		t.Fatalf("/debug/quality = %+v, want acity's observer report alone", got)
+	}
+	if reports != 0 {
+		t.Fatalf("/debug/quality ran %d Report calls of attachments that are not the observer", reports)
 	}
 }

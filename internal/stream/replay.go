@@ -13,18 +13,12 @@ import (
 )
 
 // PointsFrom flattens trajectories (typically traj.Simulator output)
-// into one time-ordered GPS point stream. With perTrip each trajectory
-// is its own vehicle ("t<ID>"), which preserves trip boundaries
-// exactly; without it trips share their driver's vehicle ("d<driver>")
-// and the sessionizer has to rediscover the boundaries from gaps — the
-// realistic, messier replay.
-func PointsFrom(ts []*traj.Trajectory, perTrip bool) []Point {
+// into one time-ordered GPS point stream. Each trajectory is its own
+// vehicle ("t<ID>"), which preserves trip boundaries exactly.
+func PointsFrom(ts []*traj.Trajectory) []Point {
 	var out []Point
 	for _, t := range ts {
-		v := "d" + strconv.Itoa(t.Driver)
-		if perTrip {
-			v = "t" + strconv.Itoa(t.ID)
-		}
+		v := "t" + strconv.Itoa(t.ID)
 		for _, r := range t.Records {
 			out = append(out, Point{Vehicle: v, T: r.T, X: r.P.X, Y: r.P.Y})
 		}

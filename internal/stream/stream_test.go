@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -134,7 +135,7 @@ func TestStreamEndToEndMatchesOffline(t *testing.T) {
 	}
 
 	// Replay the feed through the tenant's NDJSON endpoint in chunks.
-	pts := PointsFrom(live, true)
+	pts := PointsFrom(live)
 	const chunk = 400
 	for i := 0; i < len(pts); i += chunk {
 		end := i + chunk
@@ -227,12 +228,22 @@ func TestStreamSoak(t *testing.T) {
 	})
 	defer ing.Close()
 
+	// Trips share their driver's vehicle ("d<driver>"), so the
+	// sessionizer has to rediscover the boundaries from gaps: the
+	// realistic, messier replay.
+	var feed []Point
+	for _, tr := range live {
+		for _, r := range tr.Records {
+			feed = append(feed, Point{Vehicle: "d" + strconv.Itoa(tr.Driver), T: r.T, X: r.P.X, Y: r.P.Y})
+		}
+	}
+	sort.SliceStable(feed, func(i, j int) bool { return feed[i].T < feed[j].T })
 	// Partition the time-ordered feed by vehicle so each vehicle's
 	// points arrive from one goroutine, as the concurrency contract
 	// requires.
 	const pushers = 4
 	parts := make([][]Point, pushers)
-	for _, p := range PointsFrom(live, false) {
+	for _, p := range feed {
 		h := fnv.New32a()
 		_, _ = h.Write([]byte(p.Vehicle))
 		i := int(h.Sum32()) % pushers

@@ -41,12 +41,13 @@ type SimConfig struct {
 	// ZoneGridM is the side of the latent-preference zone grid; trips
 	// between the same zone pair share a latent routing preference.
 	ZoneGridM float64
-	// NoiseTripShare is the probability a driver ignores the latent
-	// preference and just takes the fastest path (imperfect drivers).
-	NoiseTripShare float64
 	// PeakShare is the probability a trip departs in a peak period.
 	PeakShare float64
 }
+
+// noiseTripShare is the probability a driver ignores the latent
+// preference and just takes the fastest path (imperfect drivers).
+const noiseTripShare = 0.08
 
 // D1Like returns a high-frequency, long-horizon configuration analogous
 // to the paper's Danish vehicle data D1.
@@ -56,7 +57,7 @@ func D1Like(seed int64, trips int) SimConfig {
 		Drivers: 60, Hubs: 24, HubRadiusM: 2500, UniformShare: 0.18,
 		MinTripM: 800, SampleMinSec: 1, SampleMaxSec: 1, NoiseStdM: 6,
 		HorizonSec: 24 * 30 * 86_400, // 24 "months" of one day each scale
-		ZoneGridM:  16_000, NoiseTripShare: 0.08, PeakShare: 0.45,
+		ZoneGridM:  16_000, PeakShare: 0.45,
 	}
 }
 
@@ -68,7 +69,7 @@ func D2Like(seed int64, trips int) SimConfig {
 		Drivers: 220, Hubs: 16, HubRadiusM: 1200, UniformShare: 0.22,
 		MinTripM: 400, SampleMinSec: 10, SampleMaxSec: 33, NoiseStdM: 12,
 		HorizonSec: 28 * 86_400,
-		ZoneGridM:  6_000, NoiseTripShare: 0.08, PeakShare: 0.5,
+		ZoneGridM:  6_000, PeakShare: 0.5,
 	}
 }
 
@@ -274,7 +275,7 @@ func (s *Simulator) run(eng route.PathEngine) []*Trajectory {
 		var ok bool
 		lp := s.LatentPreference(s.g.Point(src), s.g.Point(dst))
 		switch {
-		case s.rng.Float64() < s.cfg.NoiseTripShare:
+		case s.rng.Float64() < noiseTripShare:
 			path, _, ok = eng.Fastest(src, dst)
 		case lp.Master == roadnet.TT && lp.Slave.Empty():
 			// Time-minimizing drivers perceive travel time through their

@@ -111,11 +111,10 @@ func refCG(a *sparse.Matrix, b []float64, tol float64, maxIter int) ([]float64, 
 	return x, iters
 }
 
-// refRun is the reference transduction of p at DefaultConfig: Ŷ solved
-// column by column on the reference system, rows decoded with
-// transfer.Decode.
+// refRun is the reference transduction of p at DefaultConfig and the
+// solve's fixed tolerance: Ŷ solved column by column on the reference
+// system, rows decoded with transfer.Decode.
 func refRun(p *problem) (yhat [][]float64, prefs map[int]pref.Preference, null []int, iters int) {
-	cfg := transfer.DefaultConfig()
 	order := p.order()
 	n, cols := len(order), transfer.NumColumns()
 	yhat = make([][]float64, n)
@@ -131,7 +130,7 @@ func refRun(p *problem) (yhat [][]float64, prefs map[int]pref.Preference, null [
 				}
 			}
 		}
-		x, it := refCG(p.ref, b, cfg.Tol, cfg.MaxIter)
+		x, it := refCG(p.ref, b, transfer.SolveTol, transfer.SolveMaxIter)
 		iters += it
 		for i := range x {
 			yhat[i][c] = x[i]
@@ -139,7 +138,7 @@ func refRun(p *problem) (yhat [][]float64, prefs map[int]pref.Preference, null [
 	}
 	prefs = make(map[int]pref.Preference)
 	for i := len(p.labeled); i < n; i++ {
-		if pf, ok := transfer.Decode(yhat[i], cfg.NullTol); ok {
+		if pf, ok := transfer.Decode(yhat[i]); ok {
 			prefs[order[i]] = pf
 		} else {
 			null = append(null, order[i])
@@ -369,7 +368,7 @@ func TestRunMatchesReference(t *testing.T) {
 		if maxDiff > 1e-6 || math.IsNaN(maxDiff) {
 			t.Errorf("‖ΔŶ‖∞ = %g > 1e-6", maxDiff)
 		}
-		master, slave, null := decodeMargins(wantY[len(p.labeled):], cfg.NullTol)
+		master, slave, null := decodeMargins(wantY[len(p.labeled):], transfer.NullTol)
 		t.Logf("n = %d, nnz = %d, %d transferred, %d null; iterations %d (reference %d); ‖ΔŶ‖∞ = %.3g; min decode margin on target rows: master %.3g, slave %.3g, null threshold %.3g",
 			got.Rows, got.NNZ, len(got.Pref), len(got.Null), got.SolveIterations, refIters, maxDiff, master, slave, null)
 

@@ -2,6 +2,14 @@ package transfer
 
 import "repro/internal/sparse"
 
+// The solve's fixed tolerances, which the reference solve and decode
+// share.
+const (
+	SolveTol     = solveTol
+	SolveMaxIter = solveMaxIter
+	NullTol      = nullTol
+)
+
 // EdgeFeatureRows, WindowMembers and NewSystem expose the similarity
 // windows and the operator Run solves to the equivalence tests in
 // package transfer_test.

@@ -137,9 +137,9 @@ func Encode(p pref.Preference) []int {
 
 // Decode converts one row of the propagated matrix Ŷ into a preference.
 // The boolean is false (a "null" preference, in the paper's terms) when
-// no master feature received meaningful probability — e.g. for B-edges
+// no master feature received more than nullTol — e.g. for B-edges
 // unreachable from any T-edge in the similarity graph.
-func Decode(row []float64, nullTol float64) (pref.Preference, bool) {
+func Decode(row []float64) (pref.Preference, bool) {
 	master, best := roadnet.TT, 0.0
 	for w := 0; w < int(roadnet.NumCostWeights); w++ {
 		if row[w] > best {

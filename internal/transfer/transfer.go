@@ -19,20 +19,21 @@ type Config struct {
 	// Mu1 weighs the Laplacian smoothing term of Eq. 2, Mu2 the L2
 	// regularizer.
 	Mu1, Mu2 float64
-	// Tol and MaxIter bound the iterative solve of each column: it stops
-	// once ‖r‖/‖b‖ < Tol or after MaxIter iterations.
-	Tol     float64
-	MaxIter int
-	// NullTol is the minimum propagated master probability below which
-	// a B-edge is declared null (gets fastest paths instead).
-	NullTol float64
 }
 
 // DefaultConfig returns the configuration used in the paper's main
 // experiments (amr = 0.7).
 func DefaultConfig() Config {
-	return Config{AMR: 0.7, Mu1: 1.0, Mu2: 0.01, Tol: 1e-8, MaxIter: 2000, NullTol: 1e-4}
+	return Config{AMR: 0.7, Mu1: 1.0, Mu2: 0.01}
 }
+
+// Each column of Eq. 3 is solved until ‖r‖/‖b‖ < solveTol or for
+// solveMaxIter iterations; an edge whose best propagated master
+// probability is at most nullTol is null (gets fastest paths instead).
+const (
+	solveTol, solveMaxIter = 1e-8, 2000
+	nullTol                = 1e-4
+)
 
 // Labeled is one training example: a region edge index (into
 // Graph.Edges) with its learned preference.
@@ -130,7 +131,7 @@ func Run(g *region.Graph, labeled []Labeled, targets []int, cfg Config, workers 
 	start = time.Now()
 	x := make([]float64, n*k)
 	iters := 0
-	for _, res := range sparse.SolveBlock(a, x, b, k, cfg.Tol, cfg.MaxIter, workers) {
+	for _, res := range sparse.SolveBlock(a, x, b, k, solveTol, solveMaxIter, workers) {
 		iters += res.Iterations
 	}
 	solveTime := time.Since(start)
@@ -156,7 +157,7 @@ func Run(g *region.Graph, labeled []Labeled, targets []int, cfg Config, workers 
 		SolveTime:       solveTime,
 	}
 	for i := len(labeled); i < n; i++ {
-		if pf, ok := Decode(yhat[i], cfg.NullTol); ok {
+		if pf, ok := Decode(yhat[i]); ok {
 			out.Pref[order[i]] = pf
 		} else {
 			out.Null = append(out.Null, order[i])

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -59,13 +60,166 @@ func TestOptionsCensus(t *testing.T) {
 	}
 }
 
+// TestSettingsHaveSetters is the census as a scan: every exported
+// field of an exported *Config or *Options struct under internal/, and
+// of pref.Learner, must be set by non-test code of this module or of
+// benchmark/ outside the field's own package — named as a composite
+// literal's key or in an assignment's target — or be allowlisted with
+// the production callers that want different values. A field only its
+// package's constructor or its tests set is a constant in disguise.
+// The scan matches field names, not types, so a name another struct
+// shares can hide a field: it under-reports, which a ratchet can afford.
+func TestSettingsHaveSetters(t *testing.T) {
+	// Fields set only inside their package, each with the callers that
+	// want different values.
+	sim := "D1Like and D2Like set it differently: the D1 (vehicle) and D2 (taxi) presets every world is simulated from"
+	allow := map[string]string{
+		"traj.SimConfig.Trips":        "D1Like and D2Like take it from their callers: worldgen's scales, exp's worlds and the commands' -trips flags ask for different counts",
+		"traj.SimConfig.HubRadiusM":   sim,
+		"traj.SimConfig.UniformShare": sim,
+		"traj.SimConfig.MinTripM":     sim,
+		"traj.SimConfig.HorizonSec":   sim,
+		"traj.SimConfig.ZoneGridM":    sim,
+		"traj.SimConfig.PeakShare":    sim,
+	}
+	type field struct{ key, dir, name, pos string }
+	var fields []field
+	setIn := map[string]map[string]bool{} // field name -> directories setting it
+	set := func(name, dir string) {
+		if setIn[name] == nil {
+			setIn[name] = map[string]bool{}
+		}
+		setIn[name][dir] = true
+	}
+	nonTestFiles(t, func(dir string, f *ast.File, fset *token.FileSet) {
+		if pkg, ok := strings.CutPrefix(dir, "internal/"); ok {
+			for _, x := range f.Decls {
+				gd, ok := x.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					name := ts.Name.Name
+					if !ok || !ts.Name.IsExported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || pkg+"."+name == "pref.Learner") {
+						continue
+					}
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							if id.IsExported() {
+								fields = append(fields, field{pkg + "." + name + "." + id.Name, dir, id.Name, fset.Position(id.Pos()).String()})
+							}
+						}
+					}
+				}
+			}
+		}
+		// target records every field an assignment's target selects:
+		// opt.Region.MaxRegionSpan = 4 sets Region's MaxRegionSpan.
+		target := func(lhs ast.Expr) {
+			ast.Inspect(lhs, func(n ast.Node) bool {
+				if s, ok := n.(*ast.SelectorExpr); ok {
+					set(s.Sel.Name, dir)
+				}
+				return true
+			})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					set(id.Name, dir)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			}
+			return true
+		})
+	})
+	if len(fields) == 0 {
+		t.Fatal("found no option fields under internal/; the scan is broken")
+	}
+	seen := map[string]bool{}
+	for _, fl := range fields {
+		seen[fl.key] = true
+		outside := len(setIn[fl.name]) > 1 || len(setIn[fl.name]) == 1 && !setIn[fl.name][fl.dir]
+		switch {
+		case !outside && allow[fl.key] == "":
+			t.Errorf("%s (%s) is set by no production code outside its package: make it an unexported constant at its default, or allowlist it with the callers that want different values", fl.key, fl.pos)
+		case outside && allow[fl.key] != "":
+			t.Errorf("allowlisted %s is set outside its package: drop its entry", fl.key)
+		}
+	}
+	for key := range allow {
+		if !seen[key] {
+			t.Errorf("allowlisted %s is declared nowhere under internal/: drop its entry", key)
+		}
+	}
+	t.Logf("%d settable fields, %d of them allowlisted", len(fields), len(allow))
+}
+
+// nonTestFiles parses every non-test Go file of this module and of
+// benchmark/ (which imports internal/ through its replace directive)
+// and hands each to visit with its directory relative to the module
+// root, in slash form.
+func nonTestFiles(t *testing.T, visit func(dir string, f *ast.File, fset *token.FileSet)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); path != ".." && (n == "testdata" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel("..", filepath.Dir(path))
+		visit(filepath.ToSlash(rel), f, fset)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// imports maps each package name f can qualify an identifier with to
+// the import path it names.
+func imports(f *ast.File) map[string]string {
+	m := map[string]string{}
+	for _, is := range f.Imports {
+		path, _ := strconv.Unquote(is.Path.Value)
+		name := path[strings.LastIndexByte(path, '/')+1:]
+		if is.Name != nil {
+			name = is.Name.Name
+		}
+		m[name] = path
+	}
+	return m
+}
+
 // TestInternalExportsHaveCallers fails when an exported top-level func
-// or method declared under internal/ is named nowhere in the non-test
+// or method declared under internal/ has no caller in the non-test
 // code of this module or of benchmark/. Go lets nothing outside the
 // module import internal/, so such a name serves only its own test.
-// The scan parses and does not type-check: any identifier spelled like
-// the name counts as a caller, so it under-reports, which a ratchet can
-// afford.
+// The scan parses and does not type-check, so it counts only what can
+// call the name: for a function, pkg.Name through an import of its
+// package, or a bare Name inside the package; for a method, a .Name
+// selector on anything but a package. A method whose name another
+// type's method shares still under-reports, which a ratchet can afford.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	// Names kept without a non-test caller, each with its reason:
 	// accessors through which a test checks other code, and references
@@ -90,6 +244,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		"baseline.QueriesFromTrajectories":         "the baseline tests build the queries they score Dom and TRIP on",
 		"baseline.Dom.DriverWeights":               "the baseline tests check Dom's trained weights through it",
 		"baseline.TRIP.Ratio":                      "the baseline tests check TRIP's trained ratios through it",
+		"sparse.New":                               "sparse.Matrix is the reference the block solver (sparse's tests) and the transduction (transfer's equivalence_test.go) are tested against; New assembles it",
 		"sparse.Matrix.MulVec":                     "sparse.Matrix is the reference the block solver and the transduction are tested against",
 		"sparse.Matrix.RowSums":                    "sparse.Matrix is the reference the block solver and the transduction are tested against",
 		"sparse.Norm2":                             "the reference CG and the transduction equivalence tests measure residuals with it",
@@ -106,38 +261,21 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		"String": true, "Error": true, "ServeHTTP": true, "Read": true, "Write": true,
 	}
 
-	fset := token.NewFileSet()
-	refs := map[string]bool{}
-	type decl struct{ key, name, pos string }
+	qualified := map[string]bool{} // "internal/pkg.Name" named through an import
+	bare := map[string]bool{}      // "dir.Name" named unqualified in dir
+	methods := map[string]bool{}   // Name selected on a value or a type
+	type decl struct{ key, ref, pos string }
 	var decls []decl
-	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); path != ".." && (n == "testdata" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel("..", filepath.Dir(path))
-		rel = filepath.ToSlash(rel)
+	nonTestFiles(t, func(dir string, f *ast.File, fset *token.FileSet) {
 		declared := map[*ast.Ident]bool{}
-		if pkg, ok := strings.CutPrefix(rel, "internal/"); ok {
+		if pkg, ok := strings.CutPrefix(dir, "internal/"); ok {
 			for _, x := range f.Decls {
 				fd, ok := x.(*ast.FuncDecl)
 				if !ok || !fd.Name.IsExported() {
 					continue
 				}
 				declared[fd.Name] = true
-				key := pkg + "." + fd.Name.Name
+				key, ref := pkg+"."+fd.Name.Name, dir+"."+fd.Name.Name
 				if fd.Recv != nil {
 					if stdlib[fd.Name.Name] {
 						continue
@@ -146,26 +284,35 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 					if star, ok := recv.(*ast.StarExpr); ok {
 						recv = star.X
 					}
-					key = pkg + "." + types.ExprString(recv) + "." + fd.Name.Name
+					key, ref = pkg+"."+types.ExprString(recv)+"."+fd.Name.Name, "."+fd.Name.Name
 				}
-				decls = append(decls, decl{key, fd.Name.Name, fset.Position(fd.Pos()).String()})
+				decls = append(decls, decl{key, ref, fset.Position(fd.Pos()).String()})
 			}
 		}
+		pkgs := imports(f)
+		sel := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				refs[id.Name] = true
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				sel[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && pkgs[x.Name] != "" {
+					qualified[strings.TrimPrefix(pkgs[x.Name], "repro/")+"."+n.Sel.Name] = true
+				} else {
+					methods[n.Sel.Name] = true
+				}
+			case *ast.Ident:
+				if !sel[n] && !declared[n] {
+					bare[dir+"."+n.Name] = true
+				}
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	seen := map[string]bool{}
 	for _, d := range decls {
 		seen[d.key] = true
-		if !refs[d.name] && allow[d.key] == "" {
+		called := qualified[d.ref] || bare[d.ref] || strings.HasPrefix(d.ref, ".") && methods[d.ref[1:]]
+		if !called && allow[d.key] == "" {
 			t.Errorf("%s (%s) has no caller outside tests: delete it, or allowlist it with the reason it stays", d.key, d.pos)
 		}
 	}

@@ -288,9 +288,9 @@ type (
 func AttachStream(e *Engine, cfg StreamConfig) *StreamIngestor { return stream.Attach(e, cfg) }
 
 // StreamPointsFrom flattens trajectories into a time-ordered point
-// stream for replay; perTrip keys each trajectory as its own vehicle.
-func StreamPointsFrom(ts []*traj.Trajectory, perTrip bool) []StreamPoint {
-	return stream.PointsFrom(ts, perTrip)
+// stream for replay, each trajectory its own vehicle.
+func StreamPointsFrom(ts []*traj.Trajectory) []StreamPoint {
+	return stream.PointsFrom(ts)
 }
 
 // ReadStreamNDJSON parses a recorded point stream (the POST /stream
